@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build examples test race bench smoke fmt vet check lint ci
+.PHONY: all build examples test race bench bench-module smoke fmt vet check lint ci
 
 all: build
 
@@ -27,12 +27,19 @@ race:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
+# bench-module checks that the benchmark (a module of its own under
+# bench/, which ./... does not reach) still compiles against the API.
+bench-module:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench -short ./...
+
 smoke:
 	$(GO) run ./cmd/flaskbench -exp compact -quick
 	$(GO) run ./cmd/flaskbench -exp pipeline -quick
 	$(GO) run ./cmd/flaskbench -exp resp -quick
 	$(GO) run ./cmd/flaskbench -exp churn -quick -json BENCH_churn.json
 	$(GO) run ./cmd/flaskbench -exp bootstrap -quick -json BENCH_bootstrap.json
+	$(GO) run ./cmd/flaskbench -exp shards -quick -json BENCH_shards.json
 
 # check runs the repo's own invariant analyzers (wire table, event
 # loop, ctx plumbing, lock holds, counter names). Zero findings or the
@@ -65,4 +72,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet lint build examples race bench smoke
+ci: fmt vet lint build examples race bench-module bench smoke

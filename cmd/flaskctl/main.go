@@ -174,7 +174,7 @@ func runSnapshot(seed, dir string, timeout time.Duration) {
 	start := time.Now()
 	var lastSeg uint64
 	sawSeg := false
-	res, err := dataflasks.DownloadSnapshot(ctx, seed, dir, dataflasks.Config{}, func(segment uint64, bytes int64) {
+	res, err := dataflasks.DownloadSnapshot(ctx, seed, dir, func(segment uint64, bytes int64) {
 		if !sawSeg || segment != lastSeg {
 			sawSeg = true
 			lastSeg = segment

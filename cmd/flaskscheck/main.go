@@ -10,8 +10,8 @@
 // Packages default to ./... resolved against the enclosing module.
 // Analyzers:
 //
-//	wiretable   every fabric message is in wire.Messages with a unique
-//	            non-zero kind, a binary codec, and a golden frame
+//	wiretable   every message has a stable kind, a binary codec and a
+//	            golden frame
 //	noblock     the core event loop never sleeps, does I/O, or blocks
 //	            on a channel send
 //	ctxsend     protocol Sends thread the caller ctx and handle the

@@ -48,7 +48,6 @@ func main() {
 		period     = flag.Duration("period", 500*time.Millisecond, "gossip round period")
 		dataShards = flag.Int("data-shards", 0, "data-plane shard goroutines, partitioned by key hash (0 or 1: single shard; raise on multi-core hosts)")
 		status     = flag.Duration("status", 10*time.Second, "status line interval (0: quiet)")
-		wireCodec  = flag.String("wire-codec", "binary", "frame encoding on peer links: binary or gob (peers negotiate, so mixed clusters interoperate)")
 		udpAddr    = flag.String("udp-addr", "", "datagram control-plane bind address; must share -bind's port, or \"auto\" to derive it (empty: all traffic on TCP)")
 
 		aePushBytes = flag.Int("ae-push-bytes", 0, "value bytes per anti-entropy repair push (0: 1 MiB default)")
@@ -104,7 +103,6 @@ func main() {
 
 	cfg := dataflasks.Config{
 		Slices:                 *slices,
-		WireCodec:              *wireCodec,
 		Slicer:                 slicerKind,
 		SystemSize:             *size,
 		Capacity:               *capacity,
@@ -145,7 +143,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("flasksd: %v", err)
 	}
-	log.Printf("flasksd: node %s listening on %s (slices=%d codec=%s)", node.ID(), node.Addr(), *slices, *wireCodec)
+	log.Printf("flasksd: node %s listening on %s (slices=%d)", node.ID(), node.Addr(), *slices)
 	if ua := node.UDPAddr(); ua != "" {
 		log.Printf("flasksd: datagram control plane on %s", ua)
 	}
@@ -189,8 +187,8 @@ func main() {
 				log.Printf("flasksd: slice=%d peers=%d objects=%d dropped=%d send_errors=%d",
 					node.Slice(), node.PeersKnown(), node.StoredObjects(), node.MailboxDropped(), node.SendErrors())
 				ws := node.WireStats()
-				log.Printf("flasksd: wire encode_bytes=%d codec_fallbacks=%d udp sent=%d dropped=%d oversize=%d",
-					ws.EncodeBytes, ws.CodecFallbacks, ws.UDPSent, ws.UDPDropped, ws.UDPOversize)
+				log.Printf("flasksd: wire encode_bytes=%d udp sent=%d dropped=%d oversize=%d",
+					ws.EncodeBytes, ws.UDPSent, ws.UDPDropped, ws.UDPOversize)
 				if bs := node.BootstrapStats(); *bootstrap || bs.Sent > 0 {
 					log.Printf("flasksd: bootstrap done=%t fellback=%t sent=%d segments=%d bytes=%d rejected=%d fallback_objects=%d",
 						bs.Done, bs.FellBack, bs.Sent, bs.Segments, bs.Bytes, bs.ChunksRejected, bs.FallbackObjects)

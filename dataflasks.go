@@ -115,13 +115,6 @@ type Config struct {
 	// Slices is the number of slices k; the expected replication
 	// factor is N/k (default 10, the paper's evaluation setting).
 	Slices int
-	// WireCodec selects the frame encoding live fabrics use on the
-	// wire: "binary" (hand-rolled, near zero-allocation; the default)
-	// or "gob" (the original reflection-based encoding, kept for
-	// rolling upgrades). Peers negotiate per connection and every
-	// frame is version-tagged, so mixed-codec clusters interoperate.
-	// Simulated and in-process fabrics pass pointers and ignore this.
-	WireCodec string
 	// SystemSize is the expected node count N, used to size gossip
 	// fanout and flood TTLs. Zero enables the built-in gossip size
 	// estimator instead.

@@ -1,6 +1,6 @@
 // TCP cluster: real sockets on localhost — the same protocol stack the
-// simulations run, but over gob-encoded TCP streams with a gossiped
-// address directory.
+// simulations run, but over length-prefixed binary frames on TCP
+// streams with a gossiped address directory.
 //
 //	go run ./examples/tcpcluster
 package main

@@ -3,8 +3,7 @@
 // non-zero kind ID, a binary field codec, and a pinned golden frame.
 // Kind IDs are the on-the-wire compatibility surface — a duplicated or
 // renumbered kind silently corrupts mixed-version clusters, and a
-// message missing from the table falls back to gob (or fails to
-// decode at all on the datagram path).
+// message missing from the table cannot be encoded at all.
 //
 // On the package declaring `var Messages = []Spec{...}` the pass
 // checks each spec for: a non-zero literal Kind, unique across the
@@ -53,7 +52,7 @@ var sendScope = map[string]bool{
 // Analyzer is the wiretable pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "wiretable",
-	Doc:  "every fabric message is registered in wire.Messages with a unique non-zero kind, a binary codec, and a golden frame",
+	Doc:  "every message has a stable kind, a binary codec and a golden frame",
 	Run:  run,
 }
 

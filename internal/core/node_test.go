@@ -520,7 +520,7 @@ func TestNodeGetLatestVersion(t *testing.T) {
 	}
 }
 
-func TestNodeMissingObjectKeepsRequestAlive(t *testing.T) {
+func TestNodeAbsentObjectKeepsRequestAlive(t *testing.T) {
 	const k = 4
 	id := findNodeInSlice(t, 2, k)
 	n, cap := staticNode(t, id, k)

@@ -249,11 +249,6 @@ type WireStats struct {
 	// EncodeBytes sums frame bytes produced by the wire codec
 	// (wire_encode_bytes): every TCP frame and UDP datagram payload.
 	EncodeBytes SharedCounter
-	// CodecFallbacks counts connections that negotiated down to the
-	// gob compat codec — or redialed raw-gob after a peer rejected the
-	// binary hello (codec_fallbacks). A nonzero value in a uniformly
-	// configured cluster means a rolling upgrade is in progress.
-	CodecFallbacks SharedCounter
 	// UDPSent counts datagrams handed to the UDP socket
 	// (udp_datagrams_sent).
 	UDPSent SharedCounter
@@ -270,21 +265,19 @@ type WireStats struct {
 // WireSnapshot is a point-in-time copy of WireStats, for status lines
 // and tests.
 type WireSnapshot struct {
-	EncodeBytes    uint64
-	CodecFallbacks uint64
-	UDPSent        uint64
-	UDPDropped     uint64
-	UDPOversize    uint64
+	EncodeBytes uint64
+	UDPSent     uint64
+	UDPDropped  uint64
+	UDPOversize uint64
 }
 
 // Snapshot copies the counters.
 func (w *WireStats) Snapshot() WireSnapshot {
 	return WireSnapshot{
-		EncodeBytes:    w.EncodeBytes.Load(),
-		CodecFallbacks: w.CodecFallbacks.Load(),
-		UDPSent:        w.UDPSent.Load(),
-		UDPDropped:     w.UDPDropped.Load(),
-		UDPOversize:    w.UDPOversize.Load(),
+		EncodeBytes: w.EncodeBytes.Load(),
+		UDPSent:     w.UDPSent.Load(),
+		UDPDropped:  w.UDPDropped.Load(),
+		UDPOversize: w.UDPOversize.Load(),
 	}
 }
 

@@ -58,7 +58,6 @@ var metricNames = [...]string{
 	"flasks_bootstrap_fell_back",
 	// Wire codec and datagram control plane.
 	"flasks_wire_encode_bytes_total",
-	"flasks_wire_codec_fallbacks_total",
 	"flasks_udp_datagrams_sent_total",
 	"flasks_udp_datagrams_dropped_total",
 	"flasks_udp_datagrams_oversize_total",
@@ -212,8 +211,6 @@ func WriteMetrics(w io.Writer, src Sources) error {
 		ws := src.Wire()
 		e.counter("flasks_wire_encode_bytes_total",
 			"Frame bytes produced by the wire codec (TCP frames and UDP payloads).", ws.EncodeBytes)
-		e.counter("flasks_wire_codec_fallbacks_total",
-			"Connections that negotiated down to the gob compat codec.", ws.CodecFallbacks)
 		e.counter("flasks_udp_datagrams_sent_total",
 			"Datagrams handed to the UDP control-plane socket.", ws.UDPSent)
 		e.counter("flasks_udp_datagrams_dropped_total",

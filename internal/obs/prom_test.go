@@ -28,7 +28,7 @@ func fullSources(tick *metrics.LatencyHistogram, resp *metrics.CommandStats, rin
 		NodeID: 7,
 		Status: func() Status { return st },
 		Wire: func() metrics.WireSnapshot {
-			return metrics.WireSnapshot{EncodeBytes: 1, CodecFallbacks: 2, UDPSent: 3, UDPDropped: 4, UDPOversize: 5}
+			return metrics.WireSnapshot{EncodeBytes: 1, UDPSent: 3, UDPDropped: 4, UDPOversize: 5}
 		},
 		RESP:    resp,
 		TickDur: tick,

@@ -23,7 +23,7 @@ import (
 
 // Wire limits. Redis caps multibulk element counts at 1M and bulk
 // payloads at 512 MB; the gateway is more conservative on payloads
-// (DataFlasks values ride gob messages end to end).
+// (a DataFlasks value rides whole inside one wire frame end to end).
 const (
 	// maxArgs bounds the elements of one multibulk command.
 	maxArgs = 1024 * 1024

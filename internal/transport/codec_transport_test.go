@@ -1,7 +1,7 @@
 package transport_test
 
 // Codec-aware fabric tests live in an external test package so they
-// can exercise the real wire codecs (package wire imports transport,
+// can exercise the real wire codec (package wire imports transport,
 // so transport's own tests cannot).
 
 import (
@@ -71,8 +71,8 @@ func assertShuffle(t *testing.T, env transport.Envelope, from transport.NodeID) 
 	}
 }
 
-// TestTCPBinaryFraming: two binary-preferring nodes negotiate framed
-// mode and deliver both planes' messages.
+// TestTCPBinaryFraming: the real codec over the real fabric delivers
+// both planes' messages on one stream.
 func TestTCPBinaryFraming(t *testing.T) {
 	codec := wire.BinaryCodec()
 	ws := &metrics.WireStats{}
@@ -95,69 +95,6 @@ func TestTCPBinaryFraming(t *testing.T) {
 	}
 	if ws.EncodeBytes.Load() == 0 {
 		t.Error("wire_encode_bytes not counted on framed path")
-	}
-	if ws.CodecFallbacks.Load() != 0 {
-		t.Errorf("codec_fallbacks = %d on a uniform binary pair", ws.CodecFallbacks.Load())
-	}
-}
-
-// TestTCPNegotiatesDownToGob: a binary dialer against a gob-preferring
-// listener settles on gob and counts one fallback.
-func TestTCPNegotiatesDownToGob(t *testing.T) {
-	ws := &metrics.WireStats{}
-	col := newCollector()
-	b := listenTCP(t, 2, transport.TCPConfig{Codec: wire.GobCodec()}, col.handler)
-	a := listenTCP(t, 1, transport.TCPConfig{Codec: wire.BinaryCodec(), Stats: ws}, func(transport.Envelope) {})
-	a.Learn(2, b.Addr())
-
-	sendShuffle(t, a.Sender(), 2)
-	assertShuffle(t, col.wait(t), 1)
-	if ws.CodecFallbacks.Load() == 0 {
-		t.Error("negotiating down to gob should count a codec fallback")
-	}
-}
-
-// TestTCPGobDialerToBinaryListener: a gob-preferring dialer sends a
-// legacy raw-gob stream; a binary-preferring listener must still
-// accept it (no hello arrives, so the stream reads as legacy).
-func TestTCPGobDialerToBinaryListener(t *testing.T) {
-	col := newCollector()
-	b := listenTCP(t, 2, transport.TCPConfig{Codec: wire.BinaryCodec()}, col.handler)
-	a := listenTCP(t, 1, transport.TCPConfig{Codec: wire.GobCodec()}, func(transport.Envelope) {})
-	a.Learn(2, b.Addr())
-
-	sendShuffle(t, a.Sender(), 2)
-	assertShuffle(t, col.wait(t), 1)
-}
-
-// TestTCPBinaryDialerToLegacyListener: a listener with no codec at all
-// (a pre-negotiation build) closes on the hello; the dialer must fall
-// back to raw gob and still deliver.
-func TestTCPBinaryDialerToLegacyListener(t *testing.T) {
-	wire.Register()
-	ws := &metrics.WireStats{}
-	col := newCollector()
-	b := listenTCP(t, 2, transport.TCPConfig{}, col.handler)
-	a := listenTCP(t, 1, transport.TCPConfig{Codec: wire.BinaryCodec(), Stats: ws}, func(transport.Envelope) {})
-	a.Learn(2, b.Addr())
-
-	// The first send pays the failed handshake and may be lost with
-	// it; retry until the gob redial path delivers.
-	msg := &pss.ShuffleRequest{Sample: []pss.Descriptor{{ID: 1, Age: 2, Attr: 0.5, Slice: 3, Addr: "x:1"}}}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := a.Sender().Send(context.Background(), 2, msg)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("send never succeeded: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	assertShuffle(t, col.wait(t), 1)
-	if ws.CodecFallbacks.Load() == 0 {
-		t.Error("legacy fallback should count")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -16,48 +15,34 @@ import (
 	"dataflasks/internal/metrics"
 )
 
-// helloMagic opens the codec negotiation handshake. A dialer that
-// wants a non-gob codec sends magic+version; a listener that sees the
-// magic replies magic+chosen, where chosen is the minimum of the
-// offered version and its own preference. Legacy (gob-only) dialers
-// send no hello — their streams start with gob type definitions, which
-// never collide with the magic — and legacy listeners close the
-// connection on an unparseable hello, which the dialer treats as
-// "gob only" and redials raw gob. Either way a mixed-version cluster
-// converges on frames both ends understand.
-var helloMagic = [4]byte{'D', 'F', 'W', 'P'}
-
-const helloLen = 5 // magic + version byte
-
 // maxTCPFrame caps a framed message so a corrupt or hostile length
 // prefix cannot balloon memory. Pushes and batches stay well under it.
 const maxTCPFrame = 64 << 20
 
 // TCPConfig tunes a TCP fabric beyond the required listen parameters.
-// The zero value is a legacy gob-stream fabric.
 type TCPConfig struct {
-	// Codec frames outbound messages and decodes framed inbound
-	// streams. Nil (or a gob codec) keeps raw gob streams — the compat
-	// path, byte-identical to pre-codec deployments.
+	// Codec encodes outbound frames and decodes inbound ones (required).
 	Codec WireCodec
 	// Stats receives wire-level accounting; nil allocates a private
 	// instance (Stats() still reports delivery counts either way).
 	Stats *metrics.WireStats
-	// DialTimeout bounds outbound connection attempts (default 3s).
+	// DialTimeout bounds outbound connection attempts and each frame
+	// write (default 3s).
 	DialTimeout time.Duration
 }
 
 // TCPNetwork is the real-deployment fabric: one persistent outbound
 // stream per peer, lazily dialed through an address directory that the
 // overlay itself populates (PSS descriptors carry addresses; see
-// AddressBook). Streams carry either raw gob (the compat codec) or
-// length-prefixed binary frames, negotiated per connection by a
-// five-byte hello. Inbound connections are decoded by per-connection
+// AddressBook). Every stream, in both directions, is a sequence of
+// [u32 big-endian length][codec frame]; anything else closes the
+// connection. Inbound connections are decoded by per-connection
 // goroutines and handed to the node's handler.
 //
 // Sends are best-effort, matching the epidemic model: a failed dial or
-// write drops the message and tears the connection down; gossip
-// redundancy covers the loss.
+// write (including a peer that stops reading for DialTimeout) drops the
+// message and tears the connection down; gossip redundancy covers the
+// loss.
 type TCPNetwork struct {
 	self     NodeID
 	addr     string // advertised address
@@ -70,10 +55,6 @@ type TCPNetwork struct {
 	mu    sync.RWMutex
 	peers map[NodeID]string
 	conns map[NodeID]*tcpConn
-	// gobOnly remembers peers that rejected the binary hello (legacy
-	// nodes): further dials go straight to raw gob instead of paying a
-	// failed handshake per reconnect.
-	gobOnly map[NodeID]bool
 	// all tracks every live net.Conn (inbound and outbound) so Close
 	// can unblock their reader goroutines.
 	all map[net.Conn]struct{}
@@ -91,14 +72,11 @@ var (
 	_ Fabric      = (*TCPNetwork)(nil)
 )
 
-// tcpConn is one outbound stream. Exactly one of enc (raw gob mode) or
-// framed is active, fixed at handshake time.
+// tcpConn is one outbound stream.
 type tcpConn struct {
 	mu      sync.Mutex
 	conn    net.Conn
-	enc     *gob.Encoder // raw gob stream; nil in framed mode
-	framed  bool
-	scratch []byte // framed mode: reused [len prefix][frame] buffer
+	scratch []byte // reused [len prefix][frame] buffer
 }
 
 // ListenTCP binds the fabric. bind is the listen address ("host:port",
@@ -109,6 +87,9 @@ type tcpConn struct {
 func ListenTCP(self NodeID, bind, advertise string, cfg TCPConfig, handler func(Envelope)) (*TCPNetwork, error) {
 	if handler == nil {
 		return nil, errors.New("transport: ListenTCP requires a handler")
+	}
+	if cfg.Codec == nil {
+		return nil, errors.New("transport: ListenTCP requires a codec")
 	}
 	ln, err := net.Listen("tcp", bind)
 	if err != nil {
@@ -133,7 +114,6 @@ func ListenTCP(self NodeID, bind, advertise string, cfg TCPConfig, handler func(
 		dialTime: cfg.DialTimeout,
 		peers:    make(map[NodeID]string),
 		conns:    make(map[NodeID]*tcpConn),
-		gobOnly:  make(map[NodeID]bool),
 		all:      make(map[net.Conn]struct{}),
 	}
 	t.wg.Add(1)
@@ -158,9 +138,7 @@ func (t *TCPNetwork) Learn(id NodeID, addr string) {
 	defer t.mu.Unlock()
 	if t.peers[id] != addr {
 		t.peers[id] = addr
-		// The old connection (if any) points at a stale address, and a
-		// restarted peer may have been upgraded: forget both.
-		delete(t.gobOnly, id)
+		// The old connection (if any) points at a stale address.
 		if c, ok := t.conns[id]; ok {
 			delete(t.conns, id)
 			_ = c.conn.Close()
@@ -233,15 +211,6 @@ func (t *TCPNetwork) untrack(conn net.Conn) {
 	t.mu.Unlock()
 }
 
-// preferredVersion is the frame version this node opens handshakes
-// with (FrameGob when no codec is configured).
-func (t *TCPNetwork) preferredVersion() byte {
-	if t.codec == nil {
-		return FrameGob
-	}
-	return t.codec.Version()
-}
-
 // Send implements Fabric.
 func (t *TCPNetwork) Send(ctx context.Context, to NodeID, env Envelope) error {
 	t.sent.Add(1)
@@ -259,7 +228,7 @@ func (t *TCPNetwork) Send(ctx context.Context, to NodeID, env Envelope) error {
 		return err
 	}
 	wenv := WireEnvelope{From: env.From, FromAddr: t.addr, To: to, Msg: env.Msg}
-	if err := c.write(t.codec, &wenv, t.wstats); err != nil {
+	if err := t.write(c, &wenv); err != nil {
 		t.dropConn(to, c)
 		t.dropped.Add(1)
 		return fmt.Errorf("%w: %v", ErrDropped, err)
@@ -268,48 +237,34 @@ func (t *TCPNetwork) Send(ctx context.Context, to NodeID, env Envelope) error {
 	return nil
 }
 
-// write emits one envelope on the stream in the connection's
-// negotiated mode.
-func (c *tcpConn) write(codec WireCodec, env *WireEnvelope, ws *metrics.WireStats) error {
+// write emits one envelope as [length prefix][frame], encoded into the
+// reused scratch so steady-state sends allocate nothing. The deadline
+// bounds a peer that accepts but never reads: once its socket buffers
+// fill, the write fails instead of parking the caller (the node's
+// control loop or a shard) until Close.
+func (t *TCPNetwork) write(c *tcpConn, env *WireEnvelope) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.framed {
-		// Raw gob stream; the encoder's writer counts encode bytes.
-		return c.enc.Encode(env)
-	}
-	// Framed: length prefix + codec frame, encoded into the reused
-	// scratch so steady-state sends allocate nothing.
 	buf := append(c.scratch[:0], 0, 0, 0, 0)
-	buf, err := codec.Encode(buf, env)
+	buf, err := t.codec.Encode(buf, env)
 	if err != nil {
 		return err
 	}
 	c.scratch = buf
 	frame := len(buf) - 4
 	binary.BigEndian.PutUint32(buf[:4], uint32(frame))
-	ws.EncodeBytes.Add(uint64(frame))
+	t.wstats.EncodeBytes.Add(uint64(frame))
+	if err := c.conn.SetWriteDeadline(time.Now().Add(t.dialTime)); err != nil {
+		return err
+	}
 	_, err = c.conn.Write(buf)
 	return err
-}
-
-// countingWriter counts bytes flowing into a raw gob stream so
-// wire_encode_bytes covers the compat codec too.
-type countingWriter struct {
-	w io.Writer
-	n *metrics.SharedCounter
-}
-
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n.Add(uint64(n))
-	return n, err
 }
 
 func (t *TCPNetwork) connTo(ctx context.Context, to NodeID) (*tcpConn, error) {
 	t.mu.RLock()
 	c, ok := t.conns[to]
 	addr := t.peers[to]
-	gobOnly := t.gobOnly[to]
 	t.mu.RUnlock()
 	if ok {
 		return c, nil
@@ -317,10 +272,12 @@ func (t *TCPNetwork) connTo(ctx context.Context, to NodeID) (*tcpConn, error) {
 	if addr == "" {
 		return nil, ErrUnknownPeer
 	}
-	nc, err := t.dial(ctx, to, addr, gobOnly)
+	d := net.Dialer{Timeout: t.dialTime}
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: dial %s: %v", ErrPeerDown, addr, err)
 	}
+	nc := &tcpConn{conn: conn}
 	t.mu.Lock()
 	if t.closed.Load() {
 		t.mu.Unlock()
@@ -337,80 +294,10 @@ func (t *TCPNetwork) connTo(ctx context.Context, to NodeID) (*tcpConn, error) {
 	t.all[nc.conn] = struct{}{}
 	t.mu.Unlock()
 
-	// Outbound connections are bidirectional: read replies from them,
-	// in whatever mode the handshake fixed.
+	// Outbound connections are bidirectional: read replies from them.
 	t.wg.Add(1)
-	go t.readLoop(nc.conn, bufio.NewReader(nc.conn), nc.framed)
+	go t.readLoop(conn)
 	return nc, nil
-}
-
-// dial establishes one outbound stream, negotiating the frame codec.
-// When the local preference is binary and the peer is not known to be
-// gob-only, a hello is sent and the peer's answer picks the mode; a
-// peer that closes the connection instead of answering (a legacy node)
-// is remembered as gob-only and redialed with a raw gob stream.
-func (t *TCPNetwork) dial(ctx context.Context, to NodeID, addr string, gobOnly bool) (*tcpConn, error) {
-	d := net.Dialer{Timeout: t.dialTime}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial %s: %v", ErrPeerDown, addr, err)
-	}
-	if t.preferredVersion() == FrameGob || gobOnly {
-		return t.gobConn(conn), nil
-	}
-	ver, err := t.offerHello(conn)
-	if err != nil {
-		// The peer tore the connection down instead of answering: a
-		// legacy gob-only node. Remember and redial raw gob.
-		_ = conn.Close()
-		t.mu.Lock()
-		t.gobOnly[to] = true
-		t.mu.Unlock()
-		t.wstats.CodecFallbacks.Inc()
-		conn, err = d.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("%w: dial %s: %v", ErrPeerDown, addr, err)
-		}
-		return t.gobConn(conn), nil
-	}
-	if ver == FrameGob {
-		// Negotiated down: the peer prefers (or only speaks) gob.
-		t.wstats.CodecFallbacks.Inc()
-		return t.gobConn(conn), nil
-	}
-	return &tcpConn{conn: conn, framed: true}, nil
-}
-
-// gobConn wraps a connection as a raw gob stream with encode-byte
-// accounting.
-func (t *TCPNetwork) gobConn(conn net.Conn) *tcpConn {
-	return &tcpConn{
-		conn: conn,
-		enc:  gob.NewEncoder(countingWriter{w: conn, n: &t.wstats.EncodeBytes}),
-	}
-}
-
-// offerHello sends magic+version and waits briefly for the peer's
-// choice.
-func (t *TCPNetwork) offerHello(conn net.Conn) (byte, error) {
-	hello := [helloLen]byte{helloMagic[0], helloMagic[1], helloMagic[2], helloMagic[3], t.preferredVersion()}
-	if _, err := conn.Write(hello[:]); err != nil {
-		return 0, err
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(t.dialTime))
-	defer conn.SetReadDeadline(time.Time{})
-	var reply [helloLen]byte
-	if _, err := io.ReadFull(conn, reply[:]); err != nil {
-		return 0, err
-	}
-	if [4]byte(reply[:4]) != helloMagic {
-		return 0, fmt.Errorf("transport: bad hello reply %x", reply)
-	}
-	ver := reply[4]
-	if ver > t.preferredVersion() {
-		return 0, fmt.Errorf("transport: peer negotiated up to version %d", ver)
-	}
-	return ver, nil
 }
 
 func (t *TCPNetwork) dropConn(id NodeID, c *tcpConn) {
@@ -434,76 +321,21 @@ func (t *TCPNetwork) acceptLoop() {
 			return
 		}
 		t.wg.Add(1)
-		go t.serveInbound(conn)
+		go t.readLoop(conn)
 	}
 }
 
-// serveInbound sniffs the first bytes of an accepted stream: a hello
-// gets answered with the chosen frame version (the minimum of what the
-// peer offered and what we prefer); anything else is a legacy raw gob
-// stream.
-func (t *TCPNetwork) serveInbound(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	head, err := br.Peek(len(helloMagic))
-	if err != nil {
-		t.untrack(conn)
-		_ = conn.Close()
-		t.wg.Done()
-		return
-	}
-	framed := false
-	if [4]byte(head) == helloMagic {
-		var hello [helloLen]byte
-		if _, err := io.ReadFull(br, hello[:]); err != nil {
-			t.untrack(conn)
-			_ = conn.Close()
-			t.wg.Done()
-			return
-		}
-		chosen := hello[4]
-		if pref := t.preferredVersion(); chosen > pref {
-			chosen = pref // never accept more than we are configured for
-		}
-		reply := [helloLen]byte{helloMagic[0], helloMagic[1], helloMagic[2], helloMagic[3], chosen}
-		if _, err := conn.Write(reply[:]); err != nil {
-			t.untrack(conn)
-			_ = conn.Close()
-			t.wg.Done()
-			return
-		}
-		framed = chosen != FrameGob
-		if hello[4] != chosen {
-			t.wstats.CodecFallbacks.Inc()
-		}
-	}
-	t.readLoop(conn, br, framed)
-}
-
-// readLoop decodes envelopes until the stream dies. Sender addresses
-// are learned opportunistically, so answering a brand-new peer works
-// immediately. The caller must have wg.Add'ed and track'ed the conn.
-func (t *TCPNetwork) readLoop(conn net.Conn, br *bufio.Reader, framed bool) {
+// readLoop drains one connection's length-prefixed frames until the
+// stream dies, a length prefix is zero or over maxTCPFrame, or a frame
+// fails to decode (which is how a peer speaking anything but this
+// framing is turned away). Sender addresses are learned
+// opportunistically, so answering a brand-new peer works immediately.
+// The caller must have wg.Add'ed and track'ed the conn.
+func (t *TCPNetwork) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(conn)
 	defer conn.Close()
-	if framed {
-		t.readFrames(br)
-		return
-	}
-	dec := gob.NewDecoder(br)
-	for {
-		var env WireEnvelope
-		if err := dec.Decode(&env); err != nil {
-			return
-		}
-		if !t.deliver(&env) {
-			return
-		}
-	}
-}
-
-// readFrames drains a length-prefixed frame stream.
-func (t *TCPNetwork) readFrames(br *bufio.Reader) {
+	br := bufio.NewReader(conn)
 	var frame []byte
 	for {
 		var lenBuf [4]byte

@@ -2,7 +2,11 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
+	"net"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,9 +16,26 @@ type tcpTestMsg struct {
 	Text string
 }
 
-func init() {
-	gob.Register(&tcpTestMsg{})
+// textCodec is the in-package stand-in for wire.BinaryCodec (package
+// wire imports transport): a version byte, two ids, then the text.
+type textCodec struct{}
+
+func (textCodec) Encode(buf []byte, env *WireEnvelope) ([]byte, error) {
+	buf = append(buf, FrameBinary, byte(env.From), byte(env.To), byte(len(env.FromAddr)))
+	buf = append(buf, env.FromAddr...)
+	return append(buf, env.Msg.(*tcpTestMsg).Text...), nil
 }
+
+func (textCodec) Decode(b []byte) (*WireEnvelope, error) {
+	if len(b) < 4 || b[0] != FrameBinary || len(b) < 4+int(b[3]) {
+		return nil, errors.New("textCodec: bad frame")
+	}
+	addr := 4 + int(b[3])
+	return &WireEnvelope{From: NodeID(b[1]), To: NodeID(b[2]), FromAddr: string(b[4:addr]),
+		Msg: &tcpTestMsg{Text: string(b[addr:])}}, nil
+}
+
+var testTCP = TCPConfig{Codec: textCodec{}}
 
 // collector gathers delivered envelopes thread-safely.
 type collector struct {
@@ -59,14 +80,14 @@ func (c *collector) waitFor(t *testing.T, n int, timeout time.Duration) []Envelo
 
 func TestTCPRoundTrip(t *testing.T) {
 	colB := newCollector()
-	b, err := ListenTCP(2, "127.0.0.1:0", "", TCPConfig{}, colB.handler)
+	b, err := ListenTCP(2, "127.0.0.1:0", "", testTCP, colB.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 
 	colA := newCollector()
-	a, err := ListenTCP(1, "127.0.0.1:0", "", TCPConfig{}, colA.handler)
+	a, err := ListenTCP(1, "127.0.0.1:0", "", testTCP, colA.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +120,7 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 func TestTCPUnknownPeer(t *testing.T) {
-	a, err := ListenTCP(1, "127.0.0.1:0", "", TCPConfig{}, func(Envelope) {})
+	a, err := ListenTCP(1, "127.0.0.1:0", "", testTCP, func(Envelope) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +134,7 @@ func TestTCPUnknownPeer(t *testing.T) {
 }
 
 func TestTCPDeadPeer(t *testing.T) {
-	a, err := ListenTCP(1, "127.0.0.1:0", "", TCPConfig{}, func(Envelope) {})
+	a, err := ListenTCP(1, "127.0.0.1:0", "", testTCP, func(Envelope) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +146,7 @@ func TestTCPDeadPeer(t *testing.T) {
 }
 
 func TestTCPSendAfterClose(t *testing.T) {
-	a, err := ListenTCP(1, "127.0.0.1:0", "", TCPConfig{}, func(Envelope) {})
+	a, err := ListenTCP(1, "127.0.0.1:0", "", testTCP, func(Envelope) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +165,12 @@ func TestTCPSendAfterClose(t *testing.T) {
 
 func TestTCPLearnReplacesStaleAddress(t *testing.T) {
 	colB := newCollector()
-	b, err := ListenTCP(2, "127.0.0.1:0", "", TCPConfig{}, colB.handler)
+	b, err := ListenTCP(2, "127.0.0.1:0", "", testTCP, colB.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	a, err := ListenTCP(1, "127.0.0.1:0", "", TCPConfig{}, func(Envelope) {})
+	a, err := ListenTCP(1, "127.0.0.1:0", "", testTCP, func(Envelope) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +187,12 @@ func TestTCPLearnReplacesStaleAddress(t *testing.T) {
 
 func TestTCPConcurrentSends(t *testing.T) {
 	colB := newCollector()
-	b, err := ListenTCP(2, "127.0.0.1:0", "", TCPConfig{}, colB.handler)
+	b, err := ListenTCP(2, "127.0.0.1:0", "", testTCP, colB.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	a, err := ListenTCP(1, "127.0.0.1:0", "", TCPConfig{}, func(Envelope) {})
+	a, err := ListenTCP(1, "127.0.0.1:0", "", testTCP, func(Envelope) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,4 +212,131 @@ func TestTCPConcurrentSends(t *testing.T) {
 	}
 	wg.Wait()
 	colB.waitFor(t, n, 10*time.Second)
+}
+
+func TestListenTCPRequiresCodec(t *testing.T) {
+	if n, err := ListenTCP(1, "127.0.0.1:0", "", TCPConfig{}, func(Envelope) {}); err == nil {
+		n.Close()
+		t.Fatal("ListenTCP with a nil codec succeeded")
+	}
+}
+
+// TestTCPRejectsForeignStreams: an inbound stream that does not open
+// with a sane length prefix is closed without delivering anything. The
+// reader goroutine's exit is what closes the socket, so the client
+// seeing EOF (plus the package's leakcheck TestMain) shows it is gone.
+func TestTCPRejectsForeignStreams(t *testing.T) {
+	oversize := binary.BigEndian.AppendUint32(nil, maxTCPFrame+1)
+	cases := map[string][]byte{
+		// The retired five-byte codec hello.
+		"old hello": {'D', 'F', 'W', 'P', 1},
+		// How a pre-framing stream opened: a type-descriptor preamble
+		// of the retired reflection encoding.
+		"legacy type preamble": {0x3e, 0x7f, 0x03, 0x01, 0x01, 0x0c, 'W', 'i', 'r', 'e', 'E', 'n', 'v'},
+		"zero length":          {0, 0, 0, 0, FrameBinary, 1, 2, 0},
+		"oversize length":      append(oversize, FrameBinary, 1, 2, 0),
+	}
+	for name, opening := range cases {
+		t.Run(name, func(t *testing.T) {
+			col := newCollector()
+			b, err := ListenTCP(2, "127.0.0.1:0", "", testTCP, col.handler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			conn, err := net.Dial("tcp", b.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(opening); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("listener kept the stream open: read n=%d err=%v", n, err)
+			}
+			col.mu.Lock()
+			defer col.mu.Unlock()
+			if len(col.envs) != 0 {
+				t.Fatalf("delivered %d envelopes from a foreign stream", len(col.envs))
+			}
+		})
+	}
+}
+
+// TestTCPSendToStalledPeerTimesOut: a peer that accepts but never
+// reads must cost the sender at most the write deadline, not park it
+// until Close; the dead stream is dropped (the next send redials) and
+// healthy peers are unaffected.
+func TestTCPSendToStalledPeerTimesOut(t *testing.T) {
+	// The stalled peer: accepts, holds the sockets, never reads.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held sync.WaitGroup
+	held.Add(1)
+	go func() {
+		defer held.Done()
+		var conns []net.Conn
+		defer func() {
+			for _, conn := range conns {
+				conn.Close()
+			}
+		}()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, conn)
+		}
+	}()
+	defer func() {
+		ln.Close()
+		held.Wait()
+	}()
+
+	colC := newCollector()
+	c, err := ListenTCP(3, "127.0.0.1:0", "", testTCP, colC.handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const bound = 300 * time.Millisecond
+	a, err := ListenTCP(1, "127.0.0.1:0", "", TCPConfig{Codec: textCodec{}, DialTimeout: bound}, func(Envelope) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.Learn(2, ln.Addr().String())
+	a.Learn(3, c.Addr())
+
+	// Fill the peer's socket buffers; the send that no longer fits must
+	// fail within the bound instead of blocking.
+	big := &tcpTestMsg{Text: strings.Repeat("x", 1<<20)}
+	var sendErr error
+	for i := 0; i < 256 && sendErr == nil; i++ {
+		start := time.Now()
+		sendErr = a.Sender().Send(context.Background(), 2, big)
+		if took := time.Since(start); took > bound+2*time.Second {
+			t.Fatalf("send %d blocked %v, bound is %v", i, took, bound)
+		}
+	}
+	if !errors.Is(sendErr, ErrDropped) {
+		t.Fatalf("sends to a never-reading peer: err = %v, want ErrDropped", sendErr)
+	}
+	a.mu.RLock()
+	_, kept := a.conns[2]
+	a.mu.RUnlock()
+	if kept {
+		t.Fatal("stalled connection still cached after a failed write")
+	}
+
+	if err := a.Sender().Send(context.Background(), 3, &tcpTestMsg{Text: "still here"}); err != nil {
+		t.Fatalf("send to healthy peer after the stall: %v", err)
+	}
+	colC.waitFor(t, 1, 5*time.Second)
 }

@@ -7,6 +7,10 @@
 // Send(ctx, to, env) signature (the Fabric interface); protocol code
 // depends only on the narrow Sender interface bound to one originating
 // node, so the same node logic runs unchanged on all fabrics.
+//
+// The two socket fabrics share one wire format, supplied as a
+// WireCodec: a TCP stream is a sequence of length-prefixed frames and a
+// datagram is exactly one frame. There is no per-connection handshake.
 package transport
 
 import (
@@ -95,33 +99,21 @@ type WireEnvelope struct {
 	Msg      interface{}
 }
 
-// Frame version bytes: the first byte of every encoded frame names the
-// codec that produced it, so receivers decode mixed-codec traffic
-// without negotiation state.
-const (
-	// FrameGob marks a gob-encoded frame (the compat/fallback codec).
-	FrameGob byte = 0
-	// FrameBinary marks a hand-rolled binary frame (wire.BinaryCodec).
-	FrameBinary byte = 1
-)
+// FrameBinary is the version byte that opens every encoded frame. It
+// is the wire format's one evolution lever besides trailing optional
+// fields: an incompatible layout takes a new value, and decoders reject
+// versions they do not know.
+const FrameBinary byte = 1
 
-// WireCodec turns envelopes into self-describing frames and back. The
-// wire package provides the implementations (gob and binary); the
-// transport layer only moves frames. Encode appends to buf (reuse
-// buffers for zero-allocation sends) and the first byte of every
-// produced frame is the codec's Version. Decode must accept frames of
-// ANY known version — mixed-codec clusters deliver both.
+// WireCodec turns envelopes into frames and back. The wire package
+// provides the implementation; the transport layer only moves frames,
+// and tests and tracing harnesses decorate the codec through this seam.
 type WireCodec interface {
-	// Version is the frame version byte this codec encodes with.
-	Version() byte
 	// Encode appends env as one frame to buf and returns the extended
-	// slice.
+	// slice (reuse buffers for zero-allocation sends).
 	Encode(buf []byte, env *WireEnvelope) ([]byte, error)
 	// Decode parses one frame (the whole slice).
 	Decode(data []byte) (*WireEnvelope, error)
-	// Control reports whether msg is small, loss-tolerant control-plane
-	// traffic eligible for the datagram path.
-	Control(msg interface{}) bool
 }
 
 // Common delivery errors.

@@ -51,9 +51,7 @@ const probeInterval = time.Second
 
 // UDPConfig tunes the datagram fabric.
 type UDPConfig struct {
-	// Codec frames datagrams (required). Received datagrams are
-	// decoded by their leading version byte, so mixed-codec clusters
-	// interoperate per datagram.
+	// Codec frames datagrams (required): one frame per datagram.
 	Codec WireCodec
 	// Resolve maps a node id to its dialable "host:port" (required —
 	// typically TCPNetwork.PeerAddr, since the datagram listener binds

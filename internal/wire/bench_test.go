@@ -45,46 +45,38 @@ func benchEnvelopes() map[string]Envelope {
 }
 
 func BenchmarkEncode(b *testing.B) {
-	for _, codec := range []struct {
-		name string
-		c    Codec
-	}{{"binary", BinaryCodec()}, {"gob", GobCodec()}} {
-		for name, env := range benchEnvelopes() {
-			b.Run(codec.name+"/"+name, func(b *testing.B) {
-				buf := make([]byte, 0, 1<<16)
-				var err error
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					buf, err = codec.c.Encode(buf[:0], &env)
-					if err != nil {
-						b.Fatal(err)
-					}
+	codec := BinaryCodec()
+	for name, env := range benchEnvelopes() {
+		b.Run(name, func(b *testing.B) {
+			buf := make([]byte, 0, 1<<16)
+			var err error
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf, err = codec.Encode(buf[:0], &env)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.SetBytes(int64(len(buf)))
-			})
-		}
+			}
+			b.SetBytes(int64(len(buf)))
+		})
 	}
 }
 
 func BenchmarkDecode(b *testing.B) {
-	for _, codec := range []struct {
-		name string
-		c    Codec
-	}{{"binary", BinaryCodec()}, {"gob", GobCodec()}} {
-		for name, env := range benchEnvelopes() {
-			frame, err := codec.c.Encode(nil, &env)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(codec.name+"/"+name, func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(int64(len(frame)))
-				for i := 0; i < b.N; i++ {
-					if _, err := codec.c.Decode(frame); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+	codec := BinaryCodec()
+	for name, env := range benchEnvelopes() {
+		frame, err := codec.Encode(nil, &env)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			for i := 0; i < b.N; i++ {
+				if _, err := codec.Decode(frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

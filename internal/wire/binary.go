@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -11,7 +9,7 @@ import (
 	"dataflasks/internal/transport"
 )
 
-// Frame layout (binary codec, version byte transport.FrameBinary):
+// Frame layout (version byte transport.FrameBinary):
 //
 //	[0]    version byte
 //	[1:3]  kind ID, little-endian uint16 (Messages table)
@@ -30,21 +28,11 @@ var (
 	errFrameVersion = errors.New("wire: unknown frame version")
 )
 
-// binaryCodec encodes with the hand-rolled framing; see Decode for the
-// shared mixed-version decode path.
+// binaryCodec is the stateless Codec implementation.
 type binaryCodec struct{}
 
-// BinaryCodec returns the hand-rolled framed codec — the fast path.
-func BinaryCodec() Codec {
-	Register() // frames may negotiate down to gob; keep it decodable
-	return binaryCodec{}
-}
-
-// Version implements Codec.
-func (binaryCodec) Version() byte { return transport.FrameBinary }
-
-// Control implements Codec.
-func (binaryCodec) Control(msg interface{}) bool { return Control(msg) }
+// BinaryCodec returns the wire codec.
+func BinaryCodec() Codec { return binaryCodec{} }
 
 // Encode implements Codec: it appends one frame to buf. With a warmed
 // buffer the encode path allocates nothing.
@@ -61,61 +49,16 @@ func (binaryCodec) Encode(buf []byte, env *Envelope) ([]byte, error) {
 	return spec.enc(buf, env.Msg), nil
 }
 
-// Decode implements Codec; frames of either version are accepted.
-func (binaryCodec) Decode(data []byte) (*Envelope, error) { return decodeFrame(data) }
-
-// gobCodec encodes with gob behind the compat version byte.
-type gobCodec struct{}
-
-// GobCodec returns the reflection-based compat codec.
-func GobCodec() Codec {
-	Register()
-	return gobCodec{}
-}
-
-// Version implements Codec.
-func (gobCodec) Version() byte { return transport.FrameGob }
-
-// Control implements Codec.
-func (gobCodec) Control(msg interface{}) bool { return Control(msg) }
-
-// Encode implements Codec. Gob pays a fresh type dictionary per frame
-// here — that cost is the reason BinaryCodec exists; this path remains
-// for rolling upgrades and as the decode reference.
-func (gobCodec) Encode(buf []byte, env *Envelope) ([]byte, error) {
-	var bb bytes.Buffer
-	bb.WriteByte(transport.FrameGob)
-	if err := gob.NewEncoder(&bb).Encode(env); err != nil {
-		return buf, err
-	}
-	return append(buf, bb.Bytes()...), nil
-}
-
-// Decode implements Codec; frames of either version are accepted.
-func (gobCodec) Decode(data []byte) (*Envelope, error) { return decodeFrame(data) }
-
-// decodeFrame is the shared decode path: the leading version byte
-// names the codec that produced the frame, so both codecs accept both.
-func decodeFrame(data []byte) (*Envelope, error) {
+// Decode implements Codec. Any leading byte but transport.FrameBinary
+// is rejected with errFrameVersion.
+func (binaryCodec) Decode(data []byte) (*Envelope, error) {
 	if len(data) == 0 {
 		return nil, errFrameEmpty
 	}
-	switch data[0] {
-	case transport.FrameGob:
-		var env Envelope
-		if err := gob.NewDecoder(bytes.NewReader(data[1:])).Decode(&env); err != nil {
-			return nil, err
-		}
-		return &env, nil
-	case transport.FrameBinary:
-		return decodeBinary(data)
-	default:
+	if data[0] != transport.FrameBinary {
 		return nil, fmt.Errorf("%w: %d", errFrameVersion, data[0])
 	}
-}
-
-func decodeBinary(data []byte) (*Envelope, error) {
-	r := reader{b: data, off: 1} // version byte already dispatched
+	r := reader{b: data, off: 1}
 	kind := r.u16()
 	env := &Envelope{
 		From:     transport.NodeID(r.u64()),

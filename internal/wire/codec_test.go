@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -110,47 +111,68 @@ func TestFixturesCoverEveryMessage(t *testing.T) {
 	}
 }
 
-func TestRoundTripBothCodecs(t *testing.T) {
-	for _, codec := range []Codec{BinaryCodec(), GobCodec()} {
-		for _, env := range fixtures() {
-			frame, err := codec.Encode(nil, &env)
+// TestRoundTripAllKinds: every message kind survives encode/decode
+// unchanged, and every frame leads with the one version byte.
+func TestRoundTripAllKinds(t *testing.T) {
+	codec := BinaryCodec()
+	for _, env := range fixtures() {
+		frame, err := codec.Encode(nil, &env)
+		if err != nil {
+			t.Fatalf("encode %T: %v", env.Msg, err)
+		}
+		if len(frame) == 0 || frame[0] != transport.FrameBinary {
+			t.Fatalf("frame of %T does not lead with the version byte", env.Msg)
+		}
+		got, err := codec.Decode(frame)
+		if err != nil {
+			t.Fatalf("decode %T: %v", env.Msg, err)
+		}
+		if !reflect.DeepEqual(&env, got) {
+			t.Fatalf("round trip changed %T:\nsent %+v\ngot  %+v", env.Msg, env, got)
+		}
+	}
+}
+
+// TestVersionSentinelsSurvive: store.Latest and store.AllVersions sit
+// at the top of the uint64 range; the fixed-width version field must
+// carry them exactly.
+func TestVersionSentinelsSurvive(t *testing.T) {
+	codec := BinaryCodec()
+	for _, v := range []uint64{store.Latest, store.AllVersions} {
+		for _, msg := range []interface{}{
+			&core.GetRequest{Key: "k", Version: v},
+			&core.DeleteRequest{Key: "k", Version: v},
+		} {
+			frame, err := codec.Encode(nil, &Envelope{Msg: msg})
 			if err != nil {
-				t.Fatalf("codec %d: encode %T: %v", codec.Version(), env.Msg, err)
-			}
-			if len(frame) == 0 || frame[0] != codec.Version() {
-				t.Fatalf("codec %d: frame of %T does not lead with its version byte", codec.Version(), env.Msg)
+				t.Fatal(err)
 			}
 			got, err := codec.Decode(frame)
 			if err != nil {
-				t.Fatalf("codec %d: decode %T: %v", codec.Version(), env.Msg, err)
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(&env, got) {
-				t.Fatalf("codec %d: round trip changed %T:\nsent %+v\ngot  %+v",
-					codec.Version(), env.Msg, env, got)
+			if !reflect.DeepEqual(got.Msg, msg) {
+				t.Errorf("version sentinel %#x corrupted: %+v", v, got.Msg)
 			}
 		}
 	}
 }
 
-// TestCrossCodecDecode pins the mixed-cluster property: each codec
-// decodes the other's frames, keyed by the leading version byte.
-func TestCrossCodecDecode(t *testing.T) {
-	bin, gobc := BinaryCodec(), GobCodec()
-	for _, env := range fixtures() {
-		bf, err := bin.Encode(nil, &env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := gobc.Decode(bf); err != nil || !reflect.DeepEqual(&env, got) {
-			t.Fatalf("gob codec failed on binary frame of %T: %v", env.Msg, err)
-		}
-		gf, err := gobc.Encode(nil, &env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := bin.Decode(gf); err != nil || !reflect.DeepEqual(&env, got) {
-			t.Fatalf("binary codec failed on gob frame of %T: %v", env.Msg, err)
-		}
+// TestEmptyAndNilFieldsSurvive: zero-length strings and byte slices
+// decode back to their empty forms, not to garbage or an error.
+func TestEmptyAndNilFieldsSurvive(t *testing.T) {
+	codec := BinaryCodec()
+	frame, err := codec.Encode(nil, &Envelope{Msg: &core.PutRequest{Key: "", Value: nil}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := codec.Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := env.Msg.(*core.PutRequest)
+	if got.Key != "" || len(got.Value) != 0 {
+		t.Errorf("empty fields = %#v", got)
 	}
 }
 
@@ -439,14 +461,17 @@ func TestBinaryEncodeAllocs(t *testing.T) {
 	}
 }
 
-func TestCodecByName(t *testing.T) {
-	if c, ok := CodecByName("binary"); !ok || c.Version() != transport.FrameBinary {
-		t.Fatal("binary codec lookup failed")
+// TestDecodeRejectsVersionZero: byte 0 once named a second codec; it
+// is now just another unknown version, whatever follows it.
+func TestDecodeRejectsVersionZero(t *testing.T) {
+	codec := BinaryCodec()
+	env := fixtures()[0]
+	frame, err := codec.Encode(nil, &env)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c, ok := CodecByName("gob"); !ok || c.Version() != transport.FrameGob {
-		t.Fatal("gob codec lookup failed")
-	}
-	if _, ok := CodecByName("json"); ok {
-		t.Fatal("unknown codec name should not resolve")
+	frame[0] = 0
+	if _, err := codec.Decode(frame); !errors.Is(err, errFrameVersion) {
+		t.Fatalf("version byte 0: err = %v, want errFrameVersion", err)
 	}
 }

@@ -28,7 +28,7 @@ type Spec struct {
 	// DataPlane stays on streams.
 	Plane Plane
 	// New returns a fresh zero message (pointer form, as messages travel
-	// in envelopes); the gob registry is built from it.
+	// in envelopes); the type index is built from it.
 	New func() interface{}
 
 	enc func(b []byte, msg interface{}) []byte
@@ -36,8 +36,8 @@ type Spec struct {
 }
 
 // Messages is the protocol surface: every message a node may emit or
-// receive, declared once. Codecs, the control/data routing split, and
-// the gob registry all derive from this table.
+// receive, declared once. The codec and the control/data routing split
+// both derive from this table.
 var Messages = []Spec{
 	// -- epidemic control plane --
 	{Kind: 1, Name: "pss.ShuffleRequest", Plane: ControlPlane,

@@ -1,41 +1,30 @@
 // Package wire defines the on-the-wire representation for real (TCP
 // and UDP) deployments. Simulated and in-process fabrics skip encoding
 // entirely and pass message pointers; everything that crosses a real
-// socket is framed by a Codec.
+// socket is a frame produced by BinaryCodec.
 //
 // The protocol surface is declared once, in Messages: every message a
 // node may emit or receive — PSS shuffles, slicing swaps, aggregation,
 // anti-entropy (full-header digests, Bloom summaries, pulls, pushes),
 // the data plane (puts/gets/deletes and their batch and ack forms),
 // mate discovery, and the DHT baseline — with a stable kind ID and a
-// plane tag (control or data). Both codecs, the datagram routing
-// split, and the gob registry are derived from that one table: adding
-// a protocol message means adding a table entry, and forgetting draws
-// a decode error on the receiving node rather than silent misbehavior.
+// plane tag (control or data). The codec and the datagram routing
+// split are derived from that one table: adding a protocol message
+// means adding a table entry, and forgetting draws an encode error on
+// the sending node rather than silent misbehavior.
 //
-// Two codecs implement the same Codec interface:
-//
-//   - BinaryCodec: hand-rolled length-delimited fields behind a frame
-//     version byte and the table's kind IDs. Encode appends into a
-//     caller-owned buffer and allocates nothing once the buffer has
-//     warmed up, which is what the hot paths (relay puts, digests,
-//     pushes) want.
-//   - GobCodec: the original reflection-based encoding, kept as the
-//     compat/fallback path for rolling upgrades.
-//
-// Every frame begins with its codec's version byte and both codecs
-// decode frames of either version, so mixed-codec clusters
-// interoperate message by message; nodes that do not know a kind
-// receive it as Unknown and ignore it, so mixed-version deployments
-// degrade instead of crashing.
+// There is one format: hand-rolled length-delimited fields behind a
+// frame version byte and the table's kind IDs. Encode appends into a
+// caller-owned buffer and allocates nothing once the buffer has warmed
+// up, which is what the hot paths (relay puts, digests, pushes) want.
+// The format evolves two ways only: a trailing optional field on a
+// message whose last field allows it (Bloom salt, TraceID), or a new
+// version byte, which decoders that do not know it reject. Nodes that
+// do not know a kind receive it as Unknown and ignore it, so
+// mixed-version deployments degrade instead of crashing.
 package wire
 
-import (
-	"encoding/gob"
-	"sync"
-
-	"dataflasks/internal/transport"
-)
+import "dataflasks/internal/transport"
 
 // Envelope is the wire frame: the logical envelope plus the sender's
 // dialable address, which lets receivers answer nodes they have never
@@ -43,8 +32,8 @@ import (
 // protocol code out of the transport package's namespace.
 type Envelope = transport.WireEnvelope
 
-// Codec turns envelopes into self-describing frames and back; see the
-// package comment for the two implementations.
+// Codec turns envelopes into frames and back; BinaryCodec is the
+// implementation.
 type Codec = transport.WireCodec
 
 // Plane tags a message with the transport class it belongs to.
@@ -64,8 +53,7 @@ const (
 // Unknown stands in for a decoded message whose kind this build does
 // not know (a newer peer's message). The node dispatch ignores it via
 // its default case, so mixed-version deployments degrade instead of
-// crashing — the framed-codec equivalent of gob's unknown-type error
-// being confined to one message.
+// crashing.
 type Unknown struct {
 	Kind uint16
 }
@@ -87,30 +75,4 @@ func KindOf(msg interface{}) (uint16, bool) {
 		return s.Kind, true
 	}
 	return 0, false
-}
-
-var registerOnce sync.Once
-
-// Register records every protocol message type with gob. It is derived
-// from the Messages table and safe to call multiple times; the codec
-// constructors call it, so explicit calls remain only as a shim for
-// existing callers.
-func Register() {
-	registerOnce.Do(func() {
-		for _, s := range Messages {
-			gob.Register(s.New())
-		}
-	})
-}
-
-// CodecByName maps a configuration string to a codec: "binary" (the
-// fast default) or "gob" (the compat/fallback path).
-func CodecByName(name string) (Codec, bool) {
-	switch name {
-	case "binary":
-		return BinaryCodec(), true
-	case "gob":
-		return GobCodec(), true
-	}
-	return nil, false
 }

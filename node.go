@@ -106,18 +106,6 @@ type Node struct {
 	closeOnce sync.Once
 }
 
-// wireCodecFor resolves a Config.WireCodec name (empty means binary).
-func wireCodecFor(name string) (transport.WireCodec, error) {
-	if name == "" {
-		name = "binary"
-	}
-	c, ok := wire.CodecByName(name)
-	if !ok {
-		return nil, fmt.Errorf("dataflasks: unknown wire codec %q (want binary or gob)", name)
-	}
-	return c, nil
-}
-
 // ParseSeed parses "id@host:port".
 func ParseSeed(s string) (NodeID, string, error) {
 	at := strings.IndexByte(s, '@')
@@ -140,10 +128,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.RoundPeriod <= 0 {
 		cfg.RoundPeriod = 500 * time.Millisecond
 	}
-	codec, err := wireCodecFor(cfg.Config.WireCodec)
-	if err != nil {
-		return nil, err
-	}
+	codec := wire.BinaryCodec()
 
 	n := &Node{
 		id:      cfg.ID,
@@ -465,10 +450,6 @@ func ConnectClient(bind string, seeds []string, cfg Config) (*Client, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("dataflasks: ConnectClient needs at least one seed")
 	}
-	codec, err := wireCodecFor(cfg.WireCodec)
-	if err != nil {
-		return nil, err
-	}
 	// Client ids live in their own range; collisions across
 	// independent clients are avoided by random draw.
 	id := clientIDBase + NodeID(rand.Uint32N(1<<24))
@@ -482,7 +463,7 @@ func ConnectClient(bind string, seeds []string, cfg Config) (*Client, error) {
 			drops.Inc()
 		}
 	}
-	tcpNet, err := transport.ListenTCP(id, bind, "", transport.TCPConfig{Codec: codec}, handler)
+	tcpNet, err := transport.ListenTCP(id, bind, "", transport.TCPConfig{Codec: wire.BinaryCodec()}, handler)
 	if err != nil {
 		return nil, err
 	}

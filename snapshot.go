@@ -6,6 +6,7 @@ import (
 
 	"dataflasks/internal/bootstrap"
 	"dataflasks/internal/transport"
+	"dataflasks/internal/wire"
 )
 
 // SnapshotResult summarizes a completed snapshot download.
@@ -26,13 +27,9 @@ type SnapshotResult struct {
 //
 // onProgress, when non-nil, observes verified bytes per segment as they
 // land.
-func DownloadSnapshot(ctx context.Context, seed, dir string, cfg Config, onProgress func(segment uint64, bytes int64)) (SnapshotResult, error) {
+func DownloadSnapshot(ctx context.Context, seed, dir string, onProgress func(segment uint64, bytes int64)) (SnapshotResult, error) {
 	var res SnapshotResult
 	sid, addr, err := ParseSeed(seed)
-	if err != nil {
-		return res, err
-	}
-	codec, err := wireCodecFor(cfg.WireCodec)
 	if err != nil {
 		return res, err
 	}
@@ -46,7 +43,7 @@ func DownloadSnapshot(ctx context.Context, seed, dir string, cfg Config, onProgr
 			// at its verified offset on any gap.
 		}
 	}
-	tcpNet, err := transport.ListenTCP(id, "127.0.0.1:0", "", transport.TCPConfig{Codec: codec}, handler)
+	tcpNet, err := transport.ListenTCP(id, "127.0.0.1:0", "", transport.TCPConfig{Codec: wire.BinaryCodec()}, handler)
 	if err != nil {
 		return res, err
 	}

@@ -9,10 +9,10 @@ import (
 	"dataflasks"
 )
 
-// startWireCluster boots n TCP nodes where codecFor picks each node's
-// wire codec and udpFor its datagram bind ("" disables), returning the
-// nodes and the seed contact string.
-func startWireCluster(t *testing.T, n int, cfg dataflasks.Config, codecFor func(i int) string, udpFor func(i int) string) ([]*dataflasks.Node, string) {
+// startWireCluster boots n TCP nodes where udpFor picks each node's
+// datagram bind ("" disables), returning the nodes and the seed
+// contact string.
+func startWireCluster(t *testing.T, n int, cfg dataflasks.Config, udpFor func(i int) string) ([]*dataflasks.Node, string) {
 	t.Helper()
 	nodes := make([]*dataflasks.Node, 0, n)
 	t.Cleanup(func() {
@@ -22,13 +22,11 @@ func startWireCluster(t *testing.T, n int, cfg dataflasks.Config, codecFor func(
 	})
 	seed := ""
 	for i := 1; i <= n; i++ {
-		ncfg := cfg
-		ncfg.WireCodec = codecFor(i)
 		nodeCfg := dataflasks.NodeConfig{
 			ID: dataflasks.NodeID(i), Bind: "127.0.0.1:0",
 			RoundPeriod: 30 * time.Millisecond,
 			UDPBind:     udpFor(i),
-			Config:      ncfg,
+			Config:      cfg,
 		}
 		if seed != "" {
 			nodeCfg.Seeds = []string{seed}
@@ -93,35 +91,8 @@ func exerciseCluster(t *testing.T, nodes []*dataflasks.Node, seed string, cfg da
 	}
 }
 
-// TestMixedCodecClusterConverges is the rolling-upgrade scenario: odd
-// nodes speak gob, even nodes prefer binary, and the cluster still
-// forms one overlay and replicates writes. Binary nodes dialing gob
-// nodes must negotiate down (visible in codec_fallbacks).
-func TestMixedCodecClusterConverges(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP cluster in -short mode")
-	}
-	const n = 6
-	cfg := dataflasks.Config{Slices: 2, SystemSize: n, Seed: 11}
-	nodes, seed := startWireCluster(t, n, cfg, func(i int) string {
-		if i%2 == 1 {
-			return "gob"
-		}
-		return "binary"
-	}, func(int) string { return "" })
-	exerciseCluster(t, nodes, seed, cfg, "mixed-codec-key")
-
-	fallbacks := uint64(0)
-	for _, nd := range nodes {
-		fallbacks += nd.WireStats().CodecFallbacks
-	}
-	if fallbacks == 0 {
-		t.Error("a mixed cluster should record codec fallbacks on binary->gob links")
-	}
-}
-
-// TestUDPControlPlaneCluster runs a uniform binary cluster with the
-// datagram control plane enabled: gossip control traffic rides UDP
+// TestUDPControlPlaneCluster runs a cluster with the datagram control
+// plane enabled on every node: gossip control traffic rides UDP
 // frames on the TCP port, and the cluster still converges and serves
 // writes (which stay on TCP).
 func TestUDPControlPlaneCluster(t *testing.T) {
@@ -130,7 +101,7 @@ func TestUDPControlPlaneCluster(t *testing.T) {
 	}
 	const n = 6
 	cfg := dataflasks.Config{Slices: 2, SystemSize: n, Seed: 17}
-	nodes, seed := startWireCluster(t, n, cfg, func(int) string { return "binary" }, func(int) string { return "auto" })
+	nodes, seed := startWireCluster(t, n, cfg, func(int) string { return "auto" })
 	for _, nd := range nodes {
 		if nd.UDPAddr() == "" {
 			t.Fatalf("node %s has no datagram listener", nd.ID())
@@ -148,8 +119,8 @@ func TestUDPControlPlaneCluster(t *testing.T) {
 }
 
 // TestPartialUDPClusterConverges is the rolling-enablement trap: the
-// seed speaks gob with NO datagram listener while the rest run binary
-// with UDP enabled. Datagrams to the seed vanish into a closed port,
+// seed has NO datagram listener (no -udp-addr) while the rest run with
+// UDP enabled. Datagrams to the seed vanish into a closed port,
 // so without probe-gated datagram paths the bootstrap shuffle is lost
 // and membership never forms — the probe handshake must keep control
 // traffic to the seed on TCP while UDP-capable pairs still use
@@ -160,19 +131,12 @@ func TestPartialUDPClusterConverges(t *testing.T) {
 	}
 	const n = 6
 	cfg := dataflasks.Config{Slices: 2, SystemSize: n, Seed: 23}
-	nodes, seed := startWireCluster(t, n, cfg,
-		func(i int) string {
-			if i == 1 {
-				return "gob"
-			}
-			return "binary"
-		},
-		func(i int) string {
-			if i == 1 {
-				return ""
-			}
-			return "auto"
-		})
+	nodes, seed := startWireCluster(t, n, cfg, func(i int) string {
+		if i == 1 {
+			return ""
+		}
+		return "auto"
+	})
 	exerciseCluster(t, nodes, seed, cfg, "partial-udp-key")
 
 	sent := uint64(0)
