@@ -162,7 +162,10 @@ type opSettings struct {
 
 // WithAcks requires n distinct replica acknowledgements before a
 // write (put, batch put or delete) completes. n < 1 is treated as 1;
-// use WithFireAndForget for zero-ack writes.
+// use WithFireAndForget for zero-ack writes. With n > 1 the request
+// takes the epidemic flood from its first attempt: only the slice nodes
+// the global phase reaches acknowledge, and the directed hop reaches
+// one.
 func WithAcks(n int) OpOption {
 	return func(s *opSettings) {
 		if n < 1 {

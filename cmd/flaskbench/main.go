@@ -9,7 +9,7 @@
 //
 // Experiments: fig3 fig4 slicing correlated churn repair lb dht pss
 // fanout reconfig putflood store compact pipeline resp bootstrap
-// shards.
+// shards route.
 package main
 
 import (
@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (fig3, fig4, slicing, correlated, churn, repair, lb, dht, pss, fanout, reconfig, putflood, store, compact, pipeline, resp, bootstrap, shards, all)")
+		exp      = flag.String("exp", "all", "experiment id (fig3, fig4, slicing, correlated, churn, repair, lb, dht, pss, fanout, reconfig, putflood, store, compact, pipeline, resp, bootstrap, shards, route, all)")
 		seed     = flag.Uint64("seed", 42, "simulation seed")
 		quick    = flag.Bool("quick", false, "reduced scales for smoke runs")
 		ns       = flag.String("ns", "", "override node sweep, e.g. 500,1000,2000")
@@ -67,8 +67,9 @@ func main() {
 		"resp":       func() { runRESP(*seed, *quick) },
 		"bootstrap":  func() { runBootstrap(*seed, *quick, *jsonPath) },
 		"shards":     func() { runShards(*seed, *quick, *jsonPath) },
+		"route":      func() { runRoute(*seed, *quick) },
 	}
-	order := []string{"fig3", "fig4", "slicing", "correlated", "churn", "repair", "lb", "dht", "pss", "fanout", "reconfig", "putflood", "store", "compact", "pipeline", "resp", "bootstrap", "shards"}
+	order := []string{"fig3", "fig4", "slicing", "correlated", "churn", "repair", "lb", "dht", "pss", "fanout", "reconfig", "putflood", "store", "compact", "pipeline", "resp", "bootstrap", "shards", "route"}
 
 	if *exp == "all" {
 		for _, name := range order {
@@ -416,6 +417,56 @@ func runShards(seed uint64, quick bool, jsonPath string) {
 	}
 	if gateScaling && ratio < 2 {
 		fmt.Fprintf(os.Stderr, "flaskbench: shards experiment regressed (8-shard speedup %.2fx < 2x on %d cores)\n", ratio, cores)
+		os.Exit(1)
+	}
+}
+
+// runRoute is E20: the directed global hop against the paper's flood.
+// Gated, and the CI smoke step relies on the exit code: at both scales
+// directed routing must spend at least 3x fewer data messages per op
+// than the same workload with Flood forced on every request and fail
+// no more ops, and under churn its read availability must stay within
+// two points of the flood's.
+func runRoute(seed uint64, quick bool) {
+	done := header("E20: routing ablation — directed global hop vs epidemic flood (§VII)")
+	defer done()
+	ops, churnN, churnOps := 200, 500, 100
+	if quick {
+		ops, churnN, churnOps = 60, 150, 40
+	}
+	failed := false
+	fmt.Printf("%6s %4s %10s %12s %10s %10s %6s %8s %8s\n",
+		"N", "k", "routing", "data msgs/op", "directed", "flooded", "ok", "failed", "retries")
+	for _, sc := range []struct{ n, k int }{{150, 5}, {600, 15}} {
+		rows := lab.RoutingAblation(sc.n, sc.k, ops, seed)
+		for _, r := range rows {
+			fmt.Printf("%6d %4d %10s %12.1f %10d %10d %6d %8d %8d\n", sc.n, sc.k,
+				map[bool]string{false: "directed", true: "flood"}[r.Flood],
+				r.DataMsgsPerOp, r.Directed, r.Flooded, r.OK, r.Failed, r.Retries)
+		}
+		directed, flood := rows[0], rows[1]
+		fmt.Printf("N=%d k=%d: directed routing spends %.1fx fewer data messages per op\n",
+			sc.n, sc.k, flood.DataMsgsPerOp/directed.DataMsgsPerOp)
+		if directed.DataMsgsPerOp*3 > flood.DataMsgsPerOp {
+			fmt.Fprintf(os.Stderr, "flaskbench: route experiment regressed (N=%d k=%d: directed %.1f msgs/op not 3x below flood %.1f)\n",
+				sc.n, sc.k, directed.DataMsgsPerOp, flood.DataMsgsPerOp)
+			failed = true
+		}
+		if directed.Failed > flood.Failed {
+			fmt.Fprintf(os.Stderr, "flaskbench: route experiment regressed (N=%d k=%d: directed routing failed %d ops, flood %d)\n",
+				sc.n, sc.k, directed.Failed, flood.Failed)
+			failed = true
+		}
+	}
+	const rate = 0.02
+	directed, flood := lab.RoutingUnderChurn(churnN, 10, rate, churnOps, seed)
+	fmt.Printf("read availability at %.0f%%/round churn (N=%d): directed %.1f%% (%d retries), flood %.1f%% (%d retries)\n",
+		rate*100, churnN, directed.Availability*100, directed.Retries, flood.Availability*100, flood.Retries)
+	if directed.Availability < flood.Availability-0.02 {
+		fmt.Fprintln(os.Stderr, "flaskbench: route experiment regressed (directed routing lost availability under churn)")
+		failed = true
+	}
+	if failed {
 		os.Exit(1)
 	}
 }

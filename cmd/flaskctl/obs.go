@@ -65,6 +65,29 @@ func runStats(addr string, timeout time.Duration) {
 			fmt.Printf("%-44s %s\n", sampleLabel(s), formatValue(s.Value))
 		}
 	}
+	if line := directedHitRatio(families); line != "" {
+		fmt.Println(line)
+	}
+}
+
+// directedHitRatio derives, from the two global-phase hop counters, the
+// share of hops that went to one known target-slice peer rather than
+// the fanout. Empty before the node has relayed anything.
+func directedHitRatio(families map[string]*obs.Family) string {
+	value := func(name string) float64 {
+		f := families[name]
+		if f == nil || len(f.Samples) == 0 {
+			return 0
+		}
+		return f.Samples[0].Value
+	}
+	directed := value("flasks_requests_directed_total")
+	hops := directed + value("flasks_requests_flooded_total")
+	if hops == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%-44s %.3f (%s of %s global-phase hops)",
+		"directed-hit ratio", directed/hops, formatValue(directed), formatValue(hops))
 }
 
 // sampleLabel renders a sample's name with its labels, if any.

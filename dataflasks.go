@@ -12,9 +12,10 @@
 //     by node capacity, with no coordination (distributed slicing);
 //   - a key belongs to a slice, and every node of that slice stores it
 //     — the slice size is the replication factor;
-//   - requests are routed by bounded epidemic flooding over the random
-//     views until they hit the target slice, then disseminated
-//     intra-slice only;
+//   - requests are routed over the random views until they hit the
+//     target slice — one hop when the relaying node's view names a
+//     member of it, bounded epidemic flooding otherwise and on the
+//     client's retries — then disseminated intra-slice only;
 //   - anti-entropy between slice-mates keeps replicas converged under
 //     churn.
 //

@@ -94,6 +94,11 @@ type Opts struct {
 	// touches journals its lifecycle in the node's /trace ring. Retries
 	// keep the same trace id: the attempts are one logical operation.
 	TraceID uint64
+	// Flood asks for the epidemic fanout from the first attempt (see
+	// pending.flood for when the client asks by itself). The lab sets
+	// it to measure the paper's undirected global phase; the public API
+	// does not expose it.
+	Flood bool
 }
 
 type opKind int
@@ -124,6 +129,14 @@ type pending struct {
 	timeoutTicks int
 	maxRetries   int
 	traceID      uint64
+	// flood marks an op whose every attempt must take the epidemic
+	// fanout through the global phase, not the one directed hop: it
+	// needs more than one ack (only global-phase copies are acked, so
+	// several slice nodes must receive one), it is a delete (a replica
+	// the delete misses resurrects the object — anti-entropy carries no
+	// deletion record), or the caller said so. Every other op starts
+	// optimistic and floods from its first retry on.
+	flood bool
 
 	ackFrom     map[transport.NodeID]bool
 	deadline    uint64
@@ -207,6 +220,8 @@ func (c *Core) resolve(op *pending, opts Opts) {
 		op.maxRetries = 0
 	}
 	op.traceID = opts.TraceID
+	op.flood = opts.Flood || (op.countsAcks() && op.wantAcks > 1) ||
+		op.kind == opDelete || op.kind == opDeleteBatch
 }
 
 // StartPut begins an asynchronous put with the config defaults; done
@@ -352,7 +367,8 @@ func (c *Core) Cancel(id gossip.RequestID) bool {
 	return true
 }
 
-// launch (re)issues op with a fresh id and contact.
+// launch (re)issues op with a fresh id and contact; every attempt after
+// the first asks the nodes for the flood.
 func (c *Core) launch(op *pending) {
 	c.seq++
 	op.id = gossip.MakeRequestID(c.id, c.seq)
@@ -368,6 +384,7 @@ func (c *Core) launch(op *pending) {
 	}
 	op.lastContact = contact
 	op.hasContact = true
+	flood := op.flood || op.retries > 0
 	// Every launch below is deliberately fire-and-forget: the client is
 	// its own retry loop (deadline -> relaunch under a fresh id), so a
 	// failed or slow send is indistinguishable from a lost message and
@@ -378,35 +395,35 @@ func (c *Core) launch(op *pending) {
 		_ = c.out.Send(context.Background(), contact, &core.PutRequest{
 			ID: op.id, Key: op.key, Version: op.version, Value: op.value,
 			Origin: c.id, OriginAddr: c.cfg.SelfAddr,
-			TTL: core.TTLUnset, NoAck: op.noAck, TraceID: op.traceID,
+			TTL: core.TTLUnset, NoAck: op.noAck, TraceID: op.traceID, Flood: flood,
 		})
 	case opGet:
 		//flasks:fire-and-forget
 		_ = c.out.Send(context.Background(), contact, &core.GetRequest{
 			ID: op.id, Key: op.key, Version: op.version,
 			Origin: c.id, OriginAddr: c.cfg.SelfAddr,
-			TTL: core.TTLUnset, TraceID: op.traceID,
+			TTL: core.TTLUnset, TraceID: op.traceID, Flood: flood,
 		})
 	case opDelete:
 		//flasks:fire-and-forget
 		_ = c.out.Send(context.Background(), contact, &core.DeleteRequest{
 			ID: op.id, Key: op.key, Version: op.version,
 			Origin: c.id, OriginAddr: c.cfg.SelfAddr,
-			TTL: core.TTLUnset, NoAck: op.noAck, TraceID: op.traceID,
+			TTL: core.TTLUnset, NoAck: op.noAck, TraceID: op.traceID, Flood: flood,
 		})
 	case opPutBatch:
 		//flasks:fire-and-forget
 		_ = c.out.Send(context.Background(), contact, &core.PutBatchRequest{
 			ID: op.id, Objs: op.objs,
 			Origin: c.id, OriginAddr: c.cfg.SelfAddr,
-			TTL: core.TTLUnset, NoAck: op.noAck, TraceID: op.traceID,
+			TTL: core.TTLUnset, NoAck: op.noAck, TraceID: op.traceID, Flood: flood,
 		})
 	case opDeleteBatch:
 		//flasks:fire-and-forget
 		_ = c.out.Send(context.Background(), contact, &core.DeleteBatchRequest{
 			ID: op.id, Items: op.items,
 			Origin: c.id, OriginAddr: c.cfg.SelfAddr,
-			TTL: core.TTLUnset, NoAck: op.noAck, TraceID: op.traceID,
+			TTL: core.TTLUnset, NoAck: op.noAck, TraceID: op.traceID, Flood: flood,
 		})
 	}
 }

@@ -102,16 +102,6 @@ func (v *intraView) Descriptors() []pss.Descriptor {
 	return out
 }
 
-// Sample returns up to n distinct member ids chosen uniformly.
-func (v *intraView) Sample(rng *rand.Rand, n int) []transport.NodeID {
-	ids := v.IDs()
-	if n >= len(ids) {
-		return ids
-	}
-	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	return ids[:n]
-}
-
 // Random returns one uniformly chosen member.
 func (v *intraView) Random(rng *rand.Rand) (transport.NodeID, bool) {
 	ids := v.IDs()

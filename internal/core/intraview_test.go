@@ -75,28 +75,6 @@ func TestIntraViewRemoveAndClear(t *testing.T) {
 	}
 }
 
-func TestIntraViewSampleIsBoundedAndDistinct(t *testing.T) {
-	v := newIntraView(16, 10)
-	for i := 1; i <= 10; i++ {
-		v.Touch(desc(transport.NodeID(i), 0), 1)
-	}
-	rng := sim.RNG(1, 1)
-	s := v.Sample(rng, 4)
-	if len(s) != 4 {
-		t.Fatalf("sample = %v", s)
-	}
-	seen := map[transport.NodeID]bool{}
-	for _, id := range s {
-		if seen[id] {
-			t.Fatalf("duplicate %v in sample", id)
-		}
-		seen[id] = true
-	}
-	if got := v.Sample(rng, 99); len(got) != 10 {
-		t.Fatalf("oversized sample = %d", len(got))
-	}
-}
-
 func TestIntraViewRandomEmpty(t *testing.T) {
 	v := newIntraView(4, 10)
 	if _, ok := v.Random(sim.RNG(1, 2)); ok {

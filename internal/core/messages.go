@@ -15,9 +15,11 @@ import (
 
 // PutRequest writes (Key, Version) → Value. Version ordering is the
 // upper layer's responsibility (§III); DataFlasks stores what it is
-// told. The request is flooded in two phases: a TTL-bounded global
-// phase over PSS views, switching to an intra-slice phase (Intra=true)
-// the moment it reaches a node of the target slice.
+// told. The request travels in two phases: a TTL-bounded global phase
+// over PSS views — one directed hop when the relaying node's view
+// already names a member of the key's slice, the epidemic fanout
+// otherwise or when Flood is set — switching to an intra-slice phase
+// (Intra=true) the moment it reaches a node of the target slice.
 type PutRequest struct {
 	ID      gossip.RequestID
 	Key     string
@@ -37,9 +39,18 @@ type PutRequest struct {
 	// every hop's /trace ring so one put can be stitched across
 	// relays. On the wire it is an optional trailing field (same
 	// backward-compatible trick as the Bloom filter salt): old nodes
-	// ignore it, old frames decode with it zero — and it must stay the
-	// LAST field of this message.
+	// ignore it, old frames decode with it zero.
 	TraceID uint64
+	// Flood asks every node of the global phase for the epidemic
+	// fanout instead of the directed hop: the dependable path, which
+	// clients request on retries, on operations that need more than
+	// one ack (only global-phase copies are acknowledged, so several
+	// slice nodes must receive one) and on deletes. A node sets it on
+	// the copy it sends on a second consecutive directed hop (see
+	// relayGlobal). On the wire it trails TraceID as a second optional
+	// field; the two together are the request tail and must stay the
+	// LAST fields of this message.
+	Flood bool
 }
 
 // PutAck confirms a put was stored by one replica. It is emitted only
@@ -65,9 +76,10 @@ type GetRequest struct {
 	OriginAddr string
 	TTL        uint8
 	Intra      bool
-	// TraceID mirrors PutRequest.TraceID (optional trailing wire
-	// field; must stay last).
+	// TraceID and Flood mirror PutRequest's (the optional trailing
+	// wire fields; they must stay last).
 	TraceID uint64
+	Flood   bool
 }
 
 // GetReply answers a GetRequest.
@@ -100,9 +112,10 @@ type PutBatchRequest struct {
 	TTL        uint8
 	Intra      bool
 	NoAck      bool
-	// TraceID mirrors PutRequest.TraceID (optional trailing wire
-	// field; must stay last).
+	// TraceID and Flood mirror PutRequest's (the optional trailing
+	// wire fields; they must stay last).
 	TraceID uint64
+	Flood   bool
 }
 
 // PutBatchAck confirms a whole batch was stored by one replica, with
@@ -128,9 +141,10 @@ type DeleteRequest struct {
 	Intra      bool
 	// NoAck suppresses DeleteAck (fire-and-forget deletes).
 	NoAck bool
-	// TraceID mirrors PutRequest.TraceID (optional trailing wire
-	// field; must stay last).
+	// TraceID and Flood mirror PutRequest's (the optional trailing
+	// wire fields; they must stay last).
 	TraceID uint64
+	Flood   bool
 }
 
 // DeleteAck confirms a delete was applied by one replica.
@@ -166,9 +180,10 @@ type DeleteBatchRequest struct {
 	Intra      bool
 	// NoAck suppresses DeleteBatchAck (fire-and-forget deletes).
 	NoAck bool
-	// TraceID mirrors PutRequest.TraceID (optional trailing wire
-	// field; must stay last).
+	// TraceID and Flood mirror PutRequest's (the optional trailing
+	// wire fields; they must stay last).
 	TraceID uint64
+	Flood   bool
 }
 
 // DeleteBatchAck confirms a whole delete batch was applied by one

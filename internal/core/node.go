@@ -578,7 +578,7 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 		// Inline mode (DispatchData declined above): run the data
 		// handler synchronously on the owning shard's state.
 		key, _ := dataShardKey(env.Msg)
-		n.handleData(ctx, n.shardFor(key), env.Msg)
+		n.handleData(ctx, n.shardFor(key), env)
 	case *MateQuery:
 		n.onMateQuery(ctx, env.From, m)
 	case *MateReply:
@@ -595,7 +595,7 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 // onPut implements §IV-B routing for writes. Messages are immutable
 // (the fabric may deliver one pointer to many recipients): relays work
 // on copies.
-func (n *Node) onPut(ctx context.Context, s *dataShard, m *PutRequest) {
+func (n *Node) onPut(ctx context.Context, s *dataShard, from transport.NodeID, m *PutRequest) {
 	if s.dedup.Seen(m.ID) {
 		s.met.Inc(metrics.DuplicatesSuppressed)
 		return
@@ -626,7 +626,7 @@ func (n *Node) onPut(ctx context.Context, s *dataShard, m *PutRequest) {
 			fwd := *m
 			fwd.Intra = true
 			fwd.TTL = s.intraTTL()
-			s.relayIntra(ctx, &fwd)
+			s.relayIntra(ctx, from, &fwd)
 			return
 		}
 		// Intra-phase copy: no ack obligation, so the write can ride
@@ -637,7 +637,7 @@ func (n *Node) onPut(ctx context.Context, s *dataShard, m *PutRequest) {
 			s.traceOp(obs.TracePutRelay, m.TraceID, m.Key, 0, 0)
 			fwd := *m
 			fwd.TTL--
-			s.relayIntra(ctx, &fwd)
+			s.relayIntra(ctx, from, &fwd)
 		}
 		return
 	}
@@ -647,21 +647,17 @@ func (n *Node) onPut(ctx context.Context, s *dataShard, m *PutRequest) {
 		// epidemic redundancy inside the slice covers for the loss.
 		return
 	}
-	ttl := m.TTL
-	if ttl == TTLUnset {
-		ttl = s.putTTL() // first hop from a client: stamp the budget
-	}
 	s.traceOp(obs.TracePutRelay, m.TraceID, m.Key, 0, 0)
-	s.relayGlobal(ctx, ttl, func(next uint8) interface{} {
+	s.relayGlobal(ctx, from, target, m.Flood, m.TTL, s.putTTL, func(next uint8, flood bool) interface{} {
 		fwd := *m
-		fwd.TTL = next
+		fwd.TTL, fwd.Flood = next, flood
 		return &fwd
 	})
 }
 
 // onPutBatch routes a multi-object write exactly like onPut, but a
 // target-slice node applies the whole batch in one store.PutBatch call.
-func (n *Node) onPutBatch(ctx context.Context, s *dataShard, m *PutBatchRequest) {
+func (n *Node) onPutBatch(ctx context.Context, s *dataShard, from transport.NodeID, m *PutBatchRequest) {
 	if s.dedup.Seen(m.ID) {
 		s.met.Inc(metrics.DuplicatesSuppressed)
 		return
@@ -690,14 +686,14 @@ func (n *Node) onPutBatch(ctx context.Context, s *dataShard, m *PutBatchRequest)
 			fwd := *m
 			fwd.Intra = true
 			fwd.TTL = s.intraTTL()
-			s.relayIntra(ctx, &fwd)
+			s.relayIntra(ctx, from, &fwd)
 			return
 		}
 		if m.TTL > 0 {
 			s.traceOp(obs.TracePutRelay, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
 			fwd := *m
 			fwd.TTL--
-			s.relayIntra(ctx, &fwd)
+			s.relayIntra(ctx, from, &fwd)
 		}
 		return
 	}
@@ -705,14 +701,10 @@ func (n *Node) onPutBatch(ctx context.Context, s *dataShard, m *PutBatchRequest)
 	if m.Intra {
 		return
 	}
-	ttl := m.TTL
-	if ttl == TTLUnset {
-		ttl = s.putTTL() // batches are writes: full-coverage budget
-	}
 	s.traceOp(obs.TracePutRelay, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
-	s.relayGlobal(ctx, ttl, func(next uint8) interface{} {
+	s.relayGlobal(ctx, from, target, m.Flood, m.TTL, s.putTTL, func(next uint8, flood bool) interface{} {
 		fwd := *m
-		fwd.TTL = next
+		fwd.TTL, fwd.Flood = next, flood
 		return &fwd
 	})
 }
@@ -720,7 +712,7 @@ func (n *Node) onPutBatch(ctx context.Context, s *dataShard, m *PutBatchRequest)
 // onDelete routes a delete like a write (the whole target slice must
 // apply it). Version store.Latest is resolved independently by each
 // replica's store, mirroring Get.
-func (n *Node) onDelete(ctx context.Context, s *dataShard, m *DeleteRequest) {
+func (n *Node) onDelete(ctx context.Context, s *dataShard, from transport.NodeID, m *DeleteRequest) {
 	if s.dedup.Seen(m.ID) {
 		s.met.Inc(metrics.DuplicatesSuppressed)
 		return
@@ -746,14 +738,14 @@ func (n *Node) onDelete(ctx context.Context, s *dataShard, m *DeleteRequest) {
 			fwd := *m
 			fwd.Intra = true
 			fwd.TTL = s.intraTTL()
-			s.relayIntra(ctx, &fwd)
+			s.relayIntra(ctx, from, &fwd)
 			return
 		}
 		if m.TTL > 0 {
 			s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Key, 0, 0)
 			fwd := *m
 			fwd.TTL--
-			s.relayIntra(ctx, &fwd)
+			s.relayIntra(ctx, from, &fwd)
 		}
 		return
 	}
@@ -761,14 +753,10 @@ func (n *Node) onDelete(ctx context.Context, s *dataShard, m *DeleteRequest) {
 	if m.Intra {
 		return
 	}
-	ttl := m.TTL
-	if ttl == TTLUnset {
-		ttl = s.putTTL() // deletes are writes: full-coverage budget
-	}
 	s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Key, 0, 0)
-	s.relayGlobal(ctx, ttl, func(next uint8) interface{} {
+	s.relayGlobal(ctx, from, target, m.Flood, m.TTL, s.putTTL, func(next uint8, flood bool) interface{} {
 		fwd := *m
-		fwd.TTL = next
+		fwd.TTL, fwd.Flood = next, flood
 		return &fwd
 	})
 }
@@ -777,7 +765,7 @@ func (n *Node) onDelete(ctx context.Context, s *dataShard, m *DeleteRequest) {
 // a target-slice node applies the whole batch in one pass over its
 // store. The ack carries how many items named objects this replica
 // really held, which is what a Redis-style multi-key DEL reports.
-func (n *Node) onDeleteBatch(ctx context.Context, s *dataShard, m *DeleteBatchRequest) {
+func (n *Node) onDeleteBatch(ctx context.Context, s *dataShard, from transport.NodeID, m *DeleteBatchRequest) {
 	if s.dedup.Seen(m.ID) {
 		s.met.Inc(metrics.DuplicatesSuppressed)
 		return
@@ -804,14 +792,14 @@ func (n *Node) onDeleteBatch(ctx context.Context, s *dataShard, m *DeleteBatchRe
 			fwd := *m
 			fwd.Intra = true
 			fwd.TTL = s.intraTTL()
-			s.relayIntra(ctx, &fwd)
+			s.relayIntra(ctx, from, &fwd)
 			return
 		}
 		if m.TTL > 0 {
 			s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Items[0].Key, 0, len(m.Items))
 			fwd := *m
 			fwd.TTL--
-			s.relayIntra(ctx, &fwd)
+			s.relayIntra(ctx, from, &fwd)
 		}
 		return
 	}
@@ -819,14 +807,10 @@ func (n *Node) onDeleteBatch(ctx context.Context, s *dataShard, m *DeleteBatchRe
 	if m.Intra {
 		return
 	}
-	ttl := m.TTL
-	if ttl == TTLUnset {
-		ttl = s.putTTL() // batch deletes are writes: full-coverage budget
-	}
 	s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Items[0].Key, 0, len(m.Items))
-	s.relayGlobal(ctx, ttl, func(next uint8) interface{} {
+	s.relayGlobal(ctx, from, target, m.Flood, m.TTL, s.putTTL, func(next uint8, flood bool) interface{} {
 		fwd := *m
-		fwd.TTL = next
+		fwd.TTL, fwd.Flood = next, flood
 		return &fwd
 	})
 }
@@ -900,7 +884,7 @@ func (n *Node) applyDeleteBatch(items []DeleteItem) (applied int, firstErr error
 }
 
 // onGet implements §IV-B routing for reads.
-func (n *Node) onGet(ctx context.Context, s *dataShard, m *GetRequest) {
+func (n *Node) onGet(ctx context.Context, s *dataShard, from transport.NodeID, m *GetRequest) {
 	if s.dedup.Seen(m.ID) {
 		s.met.Inc(metrics.DuplicatesSuppressed)
 		return
@@ -934,21 +918,17 @@ func (n *Node) onGet(ctx context.Context, s *dataShard, m *GetRequest) {
 		} else {
 			fwd.TTL--
 		}
-		s.relayIntra(ctx, &fwd)
+		s.relayIntra(ctx, from, &fwd)
 		return
 	}
 
 	if m.Intra {
 		return
 	}
-	ttl := m.TTL
-	if ttl == TTLUnset {
-		ttl = s.getTTL() // first hop from a client: stamp the budget
-	}
 	s.traceOp(obs.TraceGetRelay, m.TraceID, m.Key, 0, 0)
-	s.relayGlobal(ctx, ttl, func(next uint8) interface{} {
+	s.relayGlobal(ctx, from, target, m.Flood, m.TTL, s.getTTL, func(next uint8, flood bool) interface{} {
 		fwd := *m
-		fwd.TTL = next
+		fwd.TTL, fwd.Flood = next, flood
 		return &fwd
 	})
 }

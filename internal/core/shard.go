@@ -16,13 +16,15 @@
 //
 //   - inline (simulations, the default): HandleMessage calls the data
 //     handlers synchronously with the owning shard's state. Routing
-//     reads live control-plane state and relays draw from the node's
-//     RNG, preserving single-threaded semantics exactly.
+//     reads live control-plane state.
 //   - external (live nodes, in-process clusters): StartShards gives
 //     every shard a mailbox and a goroutine; DispatchData routes data
 //     envelopes to the owning shard's mailbox with a non-blocking
-//     send. Routing reads the routeView snapshot and relays draw from
-//     the shard's own RNG.
+//     send. Routing reads the routeView snapshot.
+//
+// Either way the relay decisions (relayGlobal, relayIntra) are the same
+// code drawing from the shard's own RNG; the modes differ only in
+// where the peer and mate lists come from.
 //
 // A key's requests always hash to the same shard, so per-shard dedup
 // caches and coalescing windows lose nothing: two deliveries of one
@@ -38,6 +40,7 @@ import (
 	"dataflasks/internal/gossip"
 	"dataflasks/internal/metrics"
 	"dataflasks/internal/obs"
+	"dataflasks/internal/pss"
 	"dataflasks/internal/sim"
 	"dataflasks/internal/store"
 	"dataflasks/internal/transport"
@@ -97,10 +100,12 @@ func dataShardKey(msg interface{}) (string, bool) {
 }
 
 // routeView is the control plane's routing state as one immutable
-// snapshot: slice identity, gossip budgets and the peer/mate id sets
-// relays sample from. The control loop republishes it (publishRoute)
-// after every tick and handled control message; shard goroutines load
-// it per operation and never mutate it — sampling copies.
+// snapshot: slice identity, gossip budgets, the mate ids intra-slice
+// relays sample from and the PSS view — each peer with the slice it
+// advertises — the global phase routes by. The control loop republishes
+// it (publishRoute) after every tick and handled control message; shard
+// goroutines load it per operation and never mutate it — sampling
+// draws indexes into the shard's scratch buffer.
 type routeView struct {
 	slice      int32
 	sliceCount int
@@ -109,7 +114,7 @@ type routeView struct {
 	getTTL     uint8
 	intraTTL   uint8
 	mates      []transport.NodeID
-	peers      []transport.NodeID
+	peers      []pss.Descriptor
 }
 
 // dataShard is one data-plane partition's private state.
@@ -123,9 +128,11 @@ type dataShard struct {
 	drops   metrics.SharedCounter
 
 	// dedup and rng are this shard's request suppression cache and
-	// relay-sampling stream.
+	// relay-sampling stream; picks is the scratch buffer relay samples
+	// are drawn into (valid until the shard's next draw).
 	dedup *gossip.Dedup
 	rng   *rand.Rand
+	picks []int
 
 	// met absorbs every counter the data handlers touch; reads merge
 	// it with the control loop's NodeMetrics (Node.Metrics).
@@ -168,20 +175,22 @@ func (n *Node) shardFor(key string) *dataShard {
 	return n.shards[shardIndex(key, len(n.shards))]
 }
 
-// handleData dispatches one data-plane message on shard s. The caller
-// is either HandleMessage (inline mode) or the shard's own loop.
-func (n *Node) handleData(ctx context.Context, s *dataShard, msg interface{}) {
-	switch m := msg.(type) {
+// handleData dispatches one data-plane envelope on shard s. The caller
+// is either HandleMessage (inline mode) or the shard's own loop. The
+// handlers get the sender so a relay never hands a request straight
+// back to the peer it came from.
+func (n *Node) handleData(ctx context.Context, s *dataShard, env transport.Envelope) {
+	switch m := env.Msg.(type) {
 	case *PutRequest:
-		n.onPut(ctx, s, m)
+		n.onPut(ctx, s, env.From, m)
 	case *PutBatchRequest:
-		n.onPutBatch(ctx, s, m)
+		n.onPutBatch(ctx, s, env.From, m)
 	case *GetRequest:
-		n.onGet(ctx, s, m)
+		n.onGet(ctx, s, env.From, m)
 	case *DeleteRequest:
-		n.onDelete(ctx, s, m)
+		n.onDelete(ctx, s, env.From, m)
 	case *DeleteBatchRequest:
-		n.onDeleteBatch(ctx, s, m)
+		n.onDeleteBatch(ctx, s, env.From, m)
 	}
 }
 
@@ -255,7 +264,7 @@ func (n *Node) runShard(ctx context.Context, s *dataShard) {
 		select {
 		case env := <-s.mailbox:
 			s.met.Inc(metrics.MsgRecv)
-			n.handleData(ctx, s, env.Msg)
+			n.handleData(ctx, s, env)
 		case <-ticker.C:
 			t0 := time.Now()
 			s.flush()
@@ -275,7 +284,7 @@ func (n *Node) drainShard(ctx context.Context, s *dataShard) {
 		select {
 		case env := <-s.mailbox:
 			s.met.Inc(metrics.MsgRecv)
-			n.handleData(ctx, s, env.Msg)
+			n.handleData(ctx, s, env)
 		default:
 			s.flush()
 			return
@@ -288,11 +297,6 @@ func (n *Node) drainShard(ctx context.Context, s *dataShard) {
 // it after ticks and control messages (cheap enough there — control
 // traffic is a few messages per round).
 func (n *Node) publishRoute() {
-	view := n.pssP.View()
-	peers := make([]transport.NodeID, 0, len(view))
-	for _, d := range view {
-		peers = append(peers, d.ID)
-	}
 	n.routeSnap.Store(&routeView{
 		slice:      n.currentSlice(),
 		sliceCount: n.slicer.SliceCount(),
@@ -301,7 +305,7 @@ func (n *Node) publishRoute() {
 		getTTL:     n.getTTL(),
 		intraTTL:   n.intraTTL(),
 		mates:      n.intra.IDs(),
-		peers:      peers,
+		peers:      n.pssP.View(),
 	})
 }
 
@@ -336,73 +340,160 @@ func (s *dataShard) intraTTL() uint8 {
 	return s.n.intraTTL()
 }
 
-// sampleIDs draws up to k ids uniformly without replacement. ids is
-// shared snapshot state: the sample copies before shuffling.
-func sampleIDs(rng *rand.Rand, ids []transport.NodeID, k int) []transport.NodeID {
-	if len(ids) == 0 || k <= 0 {
-		return nil
+// globalRoute returns what the global phase routes by — the PSS view
+// with every peer's advertised slice, and the epidemic fanout — from
+// the published snapshot when shards run externally, from the live
+// protocol inline.
+func (s *dataShard) globalRoute() ([]pss.Descriptor, int) {
+	if v := s.n.routeSnap.Load(); v != nil {
+		return v.peers, v.fanout
 	}
-	out := make([]transport.NodeID, len(ids))
-	copy(out, ids)
-	if k >= len(out) {
-		return out
-	}
-	for i := 0; i < k; i++ {
-		j := i + rng.IntN(len(out)-i)
-		out[i], out[j] = out[j], out[i]
-	}
-	return out[:k]
+	return s.n.pssP.View(), s.n.fanout()
 }
 
-// relayGlobal forwards a request in its global phase to fanout random
-// peers. build constructs the forwarded copy given the decremented
-// TTL; the same copy is shared across peers because receivers never
-// mutate messages.
-func (s *dataShard) relayGlobal(ctx context.Context, ttl uint8, build func(uint8) interface{}) {
+// mates returns the intra-slice view's member ids, snapshot or live
+// like globalRoute.
+func (s *dataShard) mates() []transport.NodeID {
+	if v := s.n.routeSnap.Load(); v != nil {
+		return v.mates
+	}
+	return s.n.intra.IDs()
+}
+
+// sample draws up to k distinct indexes of [0, n) uniformly without
+// replacement (Floyd's algorithm: k draws, nothing of size n touched)
+// into the shard's scratch buffer. The result is valid until the next
+// draw on this shard.
+func (s *dataShard) sample(n, k int) []int {
+	out := s.picks[:0]
+	if k > n {
+		k = n
+	}
+	for j := n - k; j < n; j++ {
+		t := s.rng.IntN(j + 1)
+		for _, p := range out {
+			if p == t {
+				t = j // t is taken; j cannot be, it only now became eligible
+				break
+			}
+		}
+		out = append(out, t)
+	}
+	s.picks = out
+	return out
+}
+
+// hinted collects, into the shard's scratch buffer, the indexes of the
+// peers that advertise slice target, from excepted.
+func (s *dataShard) hinted(peers []pss.Descriptor, target int32, from transport.NodeID) []int {
+	out := s.picks[:0]
+	for i, d := range peers {
+		if d.Slice == target && d.ID != from {
+			out = append(out, i)
+		}
+	}
+	s.picks = out
+	return out
+}
+
+// relayGlobal forwards a request in its global phase. ttl is the
+// request's own: TTLUnset on the first hop from a client, which stamps
+// budget() — clients know neither the system size nor the slice count.
+//
+// When the view names peers that advertise the target slice (the
+// sender excepted), the request goes to ONE of them, chosen uniformly,
+// the next on a synchronous send error. If that descriptor was stale
+// the recipient is not in the slice and carries on the global phase
+// with the TTL that is left: it may take one directed hop of its own,
+// but that copy carries Flood, so a second stale recipient falls back
+// to the fanout. Unbounded, a chain of stale hints can end at a node
+// that has already seen the request, and strand it; two hops cannot
+// (the sender is never a candidate).
+//
+// With no hinted peer, every hinted send failing, or flood set (the
+// request is on the dependable path already), the request goes to
+// fanout random peers as the paper has it. build constructs the
+// forwarded copy given the decremented TTL and its Flood flag; one copy
+// is shared across peers because receivers never mutate messages.
+func (s *dataShard) relayGlobal(ctx context.Context, from transport.NodeID, target int32, flood bool, ttl uint8,
+	budget func() uint8, build func(ttl uint8, flood bool) interface{}) {
+	first := ttl == TTLUnset
+	if first {
+		ttl = budget()
+	}
 	if ttl == 0 {
 		return
 	}
-	var peers []transport.NodeID
-	if v := s.n.routeSnap.Load(); v != nil {
-		peers = sampleIDs(s.rng, v.peers, v.fanout)
-	} else {
-		peers = s.n.pssP.RandomPeers(s.n.fanout())
-	}
+	peers, fanout := s.globalRoute()
 	if len(peers) == 0 {
 		return
 	}
-	fwd := build(ttl - 1)
 	s.met.Inc(metrics.RequestsRelayed)
-	for _, p := range peers {
-		s.sendData(ctx, p, fwd)
+	var hinted []int
+	if !flood {
+		hinted = s.hinted(peers, target, from)
+	}
+	if len(hinted) > 0 {
+		fwd := build(ttl-1, !first)
+		for len(hinted) > 0 {
+			i := s.rng.IntN(len(hinted))
+			if s.sendData(ctx, peers[hinted[i]].ID, fwd) {
+				s.met.Inc(metrics.RequestsDirected)
+				return
+			}
+			hinted[i] = hinted[len(hinted)-1]
+			hinted = hinted[:len(hinted)-1]
+		}
+	}
+	s.met.Inc(metrics.RequestsFlooded)
+	fwd := build(ttl-1, flood)
+	for _, i := range s.sample(len(peers), fanout) {
+		s.sendData(ctx, peers[i].ID, fwd)
 	}
 }
 
-// relayIntra forwards a request to a sample of the intra-slice view.
-func (s *dataShard) relayIntra(ctx context.Context, fwd interface{}) {
-	var mates []transport.NodeID
-	if v := s.n.routeSnap.Load(); v != nil {
-		mates = sampleIDs(s.rng, v.mates, s.n.cfg.IntraFanout)
-	} else {
-		mates = s.n.intra.Sample(s.n.rng, s.n.cfg.IntraFanout)
+// relayIntra forwards a request to a sample of the intra-slice view,
+// never back to from: the peer the copy came from already holds it, so
+// the echo could only be suppressed on arrival (in a two-node slice it
+// was one certain duplicate per put). Further back than one hop the
+// request does not say where it has been; the dedup cache covers that.
+func (s *dataShard) relayIntra(ctx context.Context, from transport.NodeID, fwd interface{}) {
+	mates := s.mates()
+	skip := -1
+	for i, id := range mates {
+		if id == from {
+			skip = i
+			break
+		}
 	}
-	if len(mates) == 0 {
+	n := len(mates)
+	if skip >= 0 {
+		n--
+	}
+	picks := s.sample(n, s.n.cfg.IntraFanout)
+	if len(picks) == 0 {
 		return
 	}
 	s.met.Inc(metrics.RequestsRelayed)
-	for _, p := range mates {
-		s.sendData(ctx, p, fwd)
+	for _, i := range picks {
+		if skip >= 0 && i >= skip {
+			i++
+		}
+		s.sendData(ctx, mates[i], fwd)
 	}
 }
 
-// sendData mirrors Node.sendData with the shard's counters.
-func (s *dataShard) sendData(ctx context.Context, to transport.NodeID, msg interface{}) {
+// sendData hands one data-plane message to the fabric, counted on the
+// shard; it reports whether the fabric took it.
+func (s *dataShard) sendData(ctx context.Context, to transport.NodeID, msg interface{}) bool {
 	s.met.Inc(metrics.MsgSent)
 	s.met.Inc(metrics.DataSent)
 	if err := s.n.raw.Send(ctx, to, msg); err != nil {
 		s.met.Inc(metrics.MsgDropped)
 		s.countSendErr(err)
+		return false
 	}
+	return true
 }
 
 // countSendErr mirrors Node.countSendErr with the shard's counters.

@@ -92,7 +92,8 @@ type PutFloodRow struct {
 }
 
 // PutFloodAblation runs the same write workload with full and bounded
-// put floods.
+// put floods. Every put forces Flood on: the TTL budget under test only
+// shapes the epidemic fanout, which a directed hop would bypass.
 func PutFloodAblation(n, k int, seed uint64) []PutFloodRow {
 	rows := make([]PutFloodRow, 0, 2)
 	for _, bounded := range []bool{false, true} {
@@ -118,9 +119,10 @@ func PutFloodAblation(n, k int, seed uint64) []PutFloodRow {
 			}
 		}
 		const probe = "probe-object"
-		cl.StartPut(probe, 1, []byte("x"), done)
+		flood := client.Opts{Flood: true}
+		cl.StartPutOpts(probe, 1, []byte("x"), flood, done)
 		for i := 0; i < 29; i++ {
-			cl.StartPut(workload.Key(i), 1, []byte("x"), done)
+			cl.StartPutOpts(workload.Key(i), 1, []byte("x"), flood, done)
 		}
 		c.Run(10)
 
@@ -137,4 +139,68 @@ func PutFloodAblation(n, k int, seed uint64) []PutFloodRow {
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// ---------------------------------------------------------------------------
+// E20 — routing ablation: the global phase as one directed hop to a
+// peer the PSS view already names as a member of the key's slice
+// (§VII's "collapse the global dissemination phase", done on the node)
+// against the paper's epidemic fanout at every node.
+
+// RoutingRow is one routing policy's cost over the shared workload.
+type RoutingRow struct {
+	// Flood is true for the row whose clients force the epidemic
+	// fanout on every request.
+	Flood bool
+	// DataMsgsPerOp is data-plane sends across all nodes per operation.
+	DataMsgsPerOp       float64
+	OK, Failed, Retries int
+	// Directed and Flooded count the global-phase hops of each kind.
+	Directed, Flooded uint64
+}
+
+// RoutingAblation runs the same 50/50 put/get mix over identical
+// overlays twice: with directed routing (the default), and with the
+// client forcing Flood on every request.
+func RoutingAblation(n, k, ops int, seed uint64) []RoutingRow {
+	rows := make([]RoutingRow, 0, 2)
+	for _, flood := range []bool{false, true} {
+		c := NewCluster(ClusterConfig{
+			N:    n,
+			Seed: seed,
+			Node: core.Config{Slices: k},
+		})
+		stats := c.RunWorkload(WorkloadOptions{
+			Ops:     ops,
+			Mix:     workload.MixA,
+			Records: 50,
+			Preload: true,
+			Flood:   flood,
+			Seed:    seed,
+		})
+		row := RoutingRow{
+			Flood:         flood,
+			DataMsgsPerOp: stats.DataMessages.Mean * float64(c.N()) / float64(ops),
+			OK:            stats.OK,
+			Failed:        stats.Failed,
+			Retries:       stats.Retries,
+		}
+		for _, m := range c.NodeMetrics() {
+			row.Directed += m.Get(metrics.RequestsDirected)
+			row.Flooded += m.Get(metrics.RequestsFlooded)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// RoutingUnderChurn runs E5's read schedule at one churn rate twice —
+// directed routing, then Flood forced on every read — so the two
+// availabilities can be held against each other: a directed hop aims at
+// one peer, and under churn that peer may be gone.
+func RoutingUnderChurn(n, k int, rate float64, ops int, seed uint64) (directed, flood ChurnPoint) {
+	rates := []float64{rate}
+	directed = availabilityUnderChurn(n, k, rates, ops, seed, client.Opts{})[0]
+	flood = availabilityUnderChurn(n, k, rates, ops, seed, client.Opts{Flood: true})[0]
+	return directed, flood
 }

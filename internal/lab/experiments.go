@@ -105,6 +105,12 @@ type ChurnPoint struct {
 // AvailabilityUnderChurn preloads records, then runs a read-heavy
 // workload while replacement churn runs at each rate.
 func AvailabilityUnderChurn(n, k int, rates []float64, ops int, seed uint64) []ChurnPoint {
+	return availabilityUnderChurn(n, k, rates, ops, seed, client.Opts{})
+}
+
+// availabilityUnderChurn is E5 with the reads' per-op options exposed,
+// so E20 can run the identical schedule with Flood forced on.
+func availabilityUnderChurn(n, k int, rates []float64, ops int, seed uint64, readOpts client.Opts) []ChurnPoint {
 	points := make([]ChurnPoint, 0, len(rates))
 	for _, rate := range rates {
 		c := NewCluster(ClusterConfig{
@@ -137,7 +143,7 @@ func AvailabilityUnderChurn(n, k int, rates []float64, ops int, seed uint64) []C
 			c.Run(1)
 			inj.Tick(c)
 			for i := 0; i < 2 && issued < ops; i++ {
-				cl.StartGet(workload.Key(rng.IntN(records)), store.Latest, done)
+				cl.StartGetOpts(workload.Key(rng.IntN(records)), store.Latest, readOpts, done)
 				issued++
 			}
 		}
@@ -226,7 +232,9 @@ type LBResult struct {
 }
 
 // LoadBalancerAblation runs the same read-heavy workload with the
-// random and caching balancers.
+// random and caching balancers. Both sides force Flood on, so the
+// random row is the paper's baseline and the ablation isolates the
+// client-side slice cache from the node-side directed hop.
 func LoadBalancerAblation(n, k, ops int, seed uint64) []LBResult {
 	out := make([]LBResult, 0, 2)
 	for _, caching := range []bool{false, true} {
@@ -241,6 +249,7 @@ func LoadBalancerAblation(n, k, ops int, seed uint64) []LBResult {
 			Records:   50,
 			Preload:   true,
 			CachingLB: caching,
+			Flood:     true,
 			Seed:      seed,
 		})
 		total := float64(stats.OK + stats.Failed)
@@ -464,6 +473,7 @@ func FanoutSweep(n int, cs []float64, trials int, seed uint64) []FanoutPoint {
 				Version: 1,
 				Origin:  clientIDBase,
 				TTL:     255, // full-coverage budget, stamped below
+				Flood:   true,
 			}
 			// Stamp a full flood budget explicitly: gets normally use
 			// the bounded coverage TTL, but here the flood itself is

@@ -184,3 +184,30 @@ func TestDHTClusterBasics(t *testing.T) {
 		t.Errorf("population = %d", c.N())
 	}
 }
+
+// TestRoutingAblationDirectedCheaper gates E20 at the two scales the
+// figures' small sweeps use: the directed hop must cut data messages
+// per op at least 3x against the forced flood, and fail no more ops.
+func TestRoutingAblationDirectedCheaper(t *testing.T) {
+	scales := []struct{ n, k int }{{150, 5}, {600, 15}}
+	if testing.Short() {
+		scales = scales[:1]
+	}
+	for _, sc := range scales {
+		rows := RoutingAblation(sc.n, sc.k, 60, 43)
+		directed, flood := rows[0], rows[1]
+		t.Logf("N=%d k=%d: directed %.1f msgs/op (hops %d directed, %d flooded, %d retries, %d failed), flood %.1f msgs/op (%d failed)",
+			sc.n, sc.k, directed.DataMsgsPerOp, directed.Directed, directed.Flooded, directed.Retries, directed.Failed,
+			flood.DataMsgsPerOp, flood.Failed)
+		if directed.DataMsgsPerOp*3 > flood.DataMsgsPerOp {
+			t.Errorf("N=%d k=%d: directed %.1f msgs/op not 3x below flood %.1f",
+				sc.n, sc.k, directed.DataMsgsPerOp, flood.DataMsgsPerOp)
+		}
+		if directed.Failed > flood.Failed {
+			t.Errorf("N=%d k=%d: directed routing failed %d ops, flood %d", sc.n, sc.k, directed.Failed, flood.Failed)
+		}
+		if directed.Directed == 0 || flood.Directed != 0 {
+			t.Errorf("N=%d k=%d: directed hops %d with routing on, %d with Flood forced", sc.n, sc.k, directed.Directed, flood.Directed)
+		}
+	}
+}

@@ -62,6 +62,9 @@ type FigureResult struct {
 }
 
 // MessagesAt runs one (N, slices) configuration and returns its row.
+// The workload runs with Flood forced on: the figures reproduce the
+// paper's undirected global phase, not this implementation's directed
+// hop (lab.RoutingAblation measures the difference).
 func MessagesAt(n, slices int, opts FigureOptions) FigureRow {
 	cluster := NewCluster(ClusterConfig{
 		N:    n,
@@ -70,7 +73,9 @@ func MessagesAt(n, slices int, opts FigureOptions) FigureRow {
 			Slices: slices,
 		},
 	})
-	stats := cluster.RunWorkload(opts.Workload)
+	wl := opts.Workload
+	wl.Flood = true
+	stats := cluster.RunWorkload(wl)
 	return FigureRow{
 		N:             n,
 		Slices:        slices,

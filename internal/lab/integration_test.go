@@ -5,6 +5,7 @@ import (
 
 	"dataflasks/internal/client"
 	"dataflasks/internal/core"
+	"dataflasks/internal/metrics"
 )
 
 // TestAutoSystemSize runs a cluster where nodes are NOT told N: the
@@ -107,5 +108,45 @@ func TestPersistentBackedCluster(t *testing.T) {
 				t.Errorf("%s replicas = %d", name, reps)
 			}
 		})
+	}
+}
+
+// TestMultiAckWritesAndDeletesFloodFirstAttempt: a write that needs two
+// acks, and a delete, take the flood from their first attempt — only
+// the slice's entry points acknowledge, and one directed hop makes one
+// — so they complete without a retry, as they did before the directed
+// hop existed, and reach the whole slice.
+func TestMultiAckWritesAndDeletesFloodFirstAttempt(t *testing.T) {
+	c := NewCluster(ClusterConfig{N: 100, Seed: 57, Node: core.Config{Slices: 4, AntiEntropyEvery: -1}})
+	cl := c.NewClient(client.Config{PutAcks: 2}, nil)
+	c.Run(35)
+	c.ResetMetrics()
+
+	var put, del *client.Result
+	cl.StartPut("multi-ack", 1, []byte("v"), func(r client.Result) { put = &r })
+	c.Run(10)
+	if put == nil || put.Err != nil || put.Acks < 2 || put.Retries != 0 {
+		t.Fatalf("two-ack put = %+v, want >= 2 acks on the first attempt", put)
+	}
+	reps := c.ReplicaCount("multi-ack", 1)
+	if reps < 15 {
+		t.Fatalf("two-ack put reached %d replicas", reps)
+	}
+	cl.StartDelete("multi-ack", 1, client.Opts{Acks: 1}, func(r client.Result) { del = &r })
+	c.Run(10)
+	if del == nil || del.Err != nil || del.Retries != 0 {
+		t.Fatalf("delete = %+v, want done on the first attempt", del)
+	}
+	// A flood covers the slice w.h.p., not surely, and a node that has
+	// since left the slice keeps its copy.
+	if left := c.ReplicaCount("multi-ack", 1); left*5 > reps {
+		t.Errorf("delete left %d of %d replicas", left, reps)
+	}
+	var directed uint64
+	for _, m := range c.NodeMetrics() {
+		directed += m.Get(metrics.RequestsDirected)
+	}
+	if directed != 0 {
+		t.Errorf("%d directed hops; both ops should have flooded throughout", directed)
 	}
 }

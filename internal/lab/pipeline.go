@@ -34,6 +34,8 @@ type PipelineRow struct {
 // warm-up) — one blocking op at a time (the pre-futures API), all ops
 // pipelined as futures, and per-slice batches on the PutBatch wire
 // path. Wall-clock is virtual, so the comparison is deterministic.
+// Every op forces Flood on, so all three shapes pay the paper's
+// epidemic global phase and DataMsgsPerOp compares like with like.
 func PipelineComparison(n, slices, ops, acks int, seed uint64) []PipelineRow {
 	modes := []string{"blocking", "pipelined", "batch"}
 	rows := make([]PipelineRow, 0, len(modes))
@@ -59,6 +61,7 @@ func runPipelineMode(mode string, n, slices, ops, acks int, seed uint64) Pipelin
 
 	cl := c.NewClient(client.Config{PutAcks: acks, TimeoutTicks: 5, Retries: 5}, nil)
 	value := make([]byte, 100)
+	flood := client.Opts{Flood: true}
 
 	row := PipelineRow{Mode: mode, Ops: ops}
 	start := c.Engine.Now()
@@ -87,7 +90,7 @@ func runPipelineMode(mode string, n, slices, ops, acks int, seed uint64) Pipelin
 		// of the blocking API experiences.
 		var issue func(i int)
 		issue = func(i int) {
-			cl.StartPut(workload.Key(i), 1, value, func(r client.Result) {
+			cl.StartPutOpts(workload.Key(i), 1, value, flood, func(r client.Result) {
 				done(r)
 				if i+1 < ops {
 					c.Engine.Schedule(0, func() { issue(i + 1) })
@@ -99,7 +102,7 @@ func runPipelineMode(mode string, n, slices, ops, acks int, seed uint64) Pipelin
 		// Hundreds of futures in flight over the one client core.
 		c.Engine.Schedule(0, func() {
 			for i := 0; i < ops; i++ {
-				cl.StartPut(workload.Key(i), 1, value, done)
+				cl.StartPutOpts(workload.Key(i), 1, value, flood, done)
 			}
 		})
 	case "batch":
@@ -115,7 +118,7 @@ func runPipelineMode(mode string, n, slices, ops, acks int, seed uint64) Pipelin
 		c.Engine.Schedule(0, func() {
 			for _, group := range bySlice {
 				group := group
-				cl.StartPutBatch(group, client.Opts{}, func(r client.Result) {
+				cl.StartPutBatch(group, flood, func(r client.Result) {
 					finish(r, len(group))
 				})
 			}

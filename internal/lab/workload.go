@@ -35,6 +35,11 @@ type WorkloadOptions struct {
 	PutAcks int
 	// CachingLB enables the §VII slice-cache load balancer.
 	CachingLB bool
+	// Flood sets client.Opts.Flood on every measured request: the
+	// global phase is the paper's epidemic fanout at every node, never
+	// the one directed hop. It is how the figures and the ablations
+	// that reproduce the paper's message counts keep their baseline.
+	Flood bool
 	// Preload inserts every record before the measured phase (needed
 	// by read mixes).
 	Preload bool
@@ -154,6 +159,7 @@ func (c *Cluster) RunWorkload(opts WorkloadOptions) WorkloadStats {
 		stats.OK++
 	}
 
+	opOpts := client.Opts{Flood: opts.Flood}
 	issued := 0
 	injectRounds := (opts.Ops + opts.OpsPerRound - 1) / opts.OpsPerRound
 	for round := 0; round < injectRounds; round++ {
@@ -162,10 +168,10 @@ func (c *Cluster) RunWorkload(opts WorkloadOptions) WorkloadStats {
 				op := gen.Next()
 				switch op.Kind {
 				case workload.OpRead:
-					cl.StartGet(op.Key, store.Latest, done)
+					cl.StartGetOpts(op.Key, store.Latest, opOpts, done)
 				default:
 					versions[op.Key]++
-					cl.StartPut(op.Key, versions[op.Key], op.Value, done)
+					cl.StartPutOpts(op.Key, versions[op.Key], op.Value, opOpts, done)
 				}
 				issued++
 			}

@@ -80,6 +80,13 @@ const (
 	CoalescedPuts
 	// RequestsRelayed counts requests forwarded during routing.
 	RequestsRelayed
+	// RequestsDirected counts global-phase hops that went to ONE peer
+	// the routing state already names as a member of the key's slice.
+	RequestsDirected
+	// RequestsFlooded counts global-phase hops that used the epidemic
+	// fanout: no target-slice peer known, every hinted send failed, or
+	// the request carries the Flood flag.
+	RequestsFlooded
 	// DuplicatesSuppressed counts requests dropped by the dedup cache.
 	DuplicatesSuppressed
 	// WireSendErrors counts fabric sends that returned an error from any
@@ -129,6 +136,8 @@ var counterNames = [...]string{
 	DeletesServed:             "deletes_served",
 	CoalescedPuts:             "coalesced_puts",
 	RequestsRelayed:           "requests_relayed",
+	RequestsDirected:          "requests_directed",
+	RequestsFlooded:           "requests_flooded",
 	DuplicatesSuppressed:      "duplicates_suppressed",
 	WireSendErrors:            "wire_send_errors",
 	BootstrapSent:             "bootstrap_sent",

@@ -43,6 +43,8 @@ var metricNames = [...]string{
 	"flasks_deletes_served_total",
 	"flasks_coalesced_puts_total",
 	"flasks_requests_relayed_total",
+	"flasks_requests_directed_total",
+	"flasks_requests_flooded_total",
 	"flasks_duplicates_suppressed_total",
 	"flasks_wire_send_errors_total",
 	"flasks_bootstrap_sent_total",

@@ -20,8 +20,11 @@ import (
 
 // fixtures returns one populated envelope per message kind, with every
 // field non-zero so a skipped or reordered field cannot round-trip
-// cleanly by accident. The golden-frames test hashes these encodings,
-// so changing a fixture means regenerating testdata/frames.golden.
+// cleanly by accident — but for the requests' Flood flag, which
+// TestFloodFlagLegacyFrameCompat round-trips, so that the golden frames
+// stay byte for byte those of the release before the flag. The
+// golden-frames test hashes these encodings, so changing a fixture
+// means regenerating testdata/frames.golden.
 func fixtures() []Envelope {
 	descs := []pss.Descriptor{
 		{ID: 11, Age: 3, Attr: 0.25, Slice: 2, Addr: "10.0.0.11:7001"},
@@ -231,29 +234,23 @@ func TestFilterLegacyFrameCompat(t *testing.T) {
 	}
 }
 
-// TestTraceIDLegacyFrameCompat pins the rolling-upgrade contract for
-// request tracing, which reuses the Bloom-salt trick on all five
-// request messages: TraceID rides as an optional TRAILING field. Three
-// things must hold per message: the pre-trace frame layout still
-// decodes (TraceID zero); an untraced request encodes byte-identically
-// to that legacy layout; and a traced frame is exactly the legacy
-// frame plus eight trailing bytes, which pre-trace decoders leave
-// unread — they route the same request, just without journaling it.
-func TestTraceIDLegacyFrameCompat(t *testing.T) {
-	codec := BinaryCodec()
+// legacyRequestFrame is one request kind's golden frame as pinned
+// before TraceID existed (testdata/frames.golden at the pre-trace
+// release), with the message it decodes to and the same message traced.
+type legacyRequestFrame struct {
+	name     string
+	legacy   string
+	from, to transport.NodeID
+	untraced interface{}
+	traced   interface{}
+}
+
+func legacyRequestFrames() []legacyRequestFrame {
 	objs := []store.Object{
 		{Key: "alpha", Version: 1, Value: []byte("v1")},
 		{Key: "beta", Version: 2, Value: nil},
 	}
-	// The request golden frames as pinned before TraceID existed
-	// (testdata/frames.golden at the pre-trace release).
-	cases := []struct {
-		name     string
-		legacy   string
-		from, to transport.NodeID
-		untraced interface{}
-		traced   interface{}
-	}{
+	return []legacyRequestFrame{
 		{
 			name: "PutRequest",
 			legacy: "010d007000000000000000d4000000000000000d31302e302e302e313a373030302a000000" +
@@ -312,7 +309,19 @@ func TestTraceIDLegacyFrameCompat(t *testing.T) {
 				TraceID: 0x7ace5},
 		},
 	}
-	for _, tc := range cases {
+}
+
+// TestTraceIDLegacyFrameCompat pins the rolling-upgrade contract for
+// request tracing, which reuses the Bloom-salt trick on all five
+// request messages: TraceID rides as an optional TRAILING field. Three
+// things must hold per message: the pre-trace frame layout still
+// decodes (TraceID zero); an untraced request encodes byte-identically
+// to that legacy layout; and a traced frame is exactly the legacy
+// frame plus eight trailing bytes, which pre-trace decoders leave
+// unread — they route the same request, just without journaling it.
+func TestTraceIDLegacyFrameCompat(t *testing.T) {
+	codec := BinaryCodec()
+	for _, tc := range legacyRequestFrames() {
 		t.Run(tc.name, func(t *testing.T) {
 			legacy, err := hex.DecodeString(tc.legacy)
 			if err != nil {
@@ -346,6 +355,82 @@ func TestTraceIDLegacyFrameCompat(t *testing.T) {
 			}
 			if len(frame) != len(legacy)+8 || !bytes.Equal(frame[:len(legacy)], legacy) {
 				t.Fatalf("traced request must be the legacy frame plus a trailing trace id\n got  %x\n want %x + 8 trace bytes", frame, legacy)
+			}
+		})
+	}
+}
+
+// withFlood returns a copy of a request with its Flood flag set.
+func withFlood(msg interface{}) interface{} {
+	c := reflect.New(reflect.TypeOf(msg).Elem())
+	c.Elem().Set(reflect.ValueOf(msg).Elem())
+	c.Elem().FieldByName("Flood").SetBool(true)
+	return c.Interface()
+}
+
+// TestFloodFlagLegacyFrameCompat pins the rolling-upgrade contract for
+// the Flood flag, the second optional trailing field of the five
+// request messages. Per message: both earlier layouts (pre-trace, and
+// traced pre-flood) decode with Flood false; an unflagged request
+// encodes byte-identically to them; and a flagged frame is the traced
+// layout — the id written even when it is zero — plus one trailing
+// byte, which a pre-flood decoder leaves unread: it relays the request
+// the only way it knows, the fanout the flag asks for.
+func TestFloodFlagLegacyFrameCompat(t *testing.T) {
+	codec := BinaryCodec()
+	for _, tc := range legacyRequestFrames() {
+		t.Run(tc.name, func(t *testing.T) {
+			legacy, err := hex.DecodeString(tc.legacy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			header := Envelope{From: tc.from, FromAddr: "10.0.0.1:7000", To: tc.to}
+			encode := func(msg interface{}) []byte {
+				env := header
+				env.Msg = msg
+				frame, err := codec.Encode(nil, &env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return frame
+			}
+			traced := encode(tc.traced)
+
+			for _, old := range []struct {
+				layout string
+				frame  []byte
+				msg    interface{}
+				// zeroID is the id a flagged frame writes for a
+				// request that has none.
+				zeroID int
+			}{
+				{"pre-trace", legacy, tc.untraced, 8},
+				{"pre-flood", traced, tc.traced, 0},
+			} {
+				env, err := codec.Decode(old.frame)
+				if err != nil {
+					t.Fatalf("%s frame no longer decodes: %v", old.layout, err)
+				}
+				if !reflect.DeepEqual(env.Msg, old.msg) {
+					t.Fatalf("%s frame decoded to %+v, want %+v (Flood false)", old.layout, env.Msg, old.msg)
+				}
+				if got := encode(old.msg); !bytes.Equal(got, old.frame) {
+					t.Fatalf("unflagged request drifted from the %s layout\n got  %x\n want %x", old.layout, got, old.frame)
+				}
+
+				flagged := withFlood(old.msg)
+				got := encode(flagged)
+				want := append(append(append([]byte(nil), old.frame...), make([]byte, old.zeroID)...), 1)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("flagged request must be the %s frame, the id, then one flag byte\n got  %x\n want %x", old.layout, got, want)
+				}
+				env, err = codec.Decode(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(env.Msg, flagged) {
+					t.Fatalf("flagged frame decoded to %+v, want %+v", env.Msg, flagged)
+				}
 			}
 		})
 	}

@@ -21,6 +21,17 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		f.Add(frame)
 	}
+	// The request tail in its flagged forms: id and flag, and the zero
+	// id a flagged but untraced request writes.
+	for _, tc := range legacyRequestFrames() {
+		for _, msg := range []interface{}{withFlood(tc.traced), withFlood(tc.untraced)} {
+			frame, err := codec.Encode(nil, &Envelope{From: tc.from, To: tc.to, Msg: msg})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(frame)
+		}
+	}
 	// Unknown kind with trailing payload (forward-compat path).
 	unknown := []byte{transport.FrameBinary}
 	unknown = appendU16(unknown, 500)

@@ -180,15 +180,16 @@ var Messages = []Spec{
 			b = appendU8(b, v.TTL)
 			b = appendBool(b, v.Intra)
 			b = appendBool(b, v.NoAck)
-			return appendTraceID(b, v.TraceID)
+			return appendRequestTail(b, v.TraceID, v.Flood)
 		},
 		dec: func(r *reader) interface{} {
-			return &core.PutRequest{
+			m := &core.PutRequest{
 				ID: gossip.RequestID(r.u64()), Key: r.str(), Version: r.u64(), Value: r.blob(),
 				Origin: transport.NodeID(r.u64()), OriginAddr: r.str(),
 				TTL: r.u8(), Intra: r.boolean(), NoAck: r.boolean(),
-				TraceID: readTraceID(r),
 			}
+			m.TraceID, m.Flood = readRequestTail(r)
+			return m
 		},
 	},
 	{Kind: 14, Name: "core.PutAck", Plane: DataPlane,
@@ -214,15 +215,16 @@ var Messages = []Spec{
 			b = appendU8(b, v.TTL)
 			b = appendBool(b, v.Intra)
 			b = appendBool(b, v.NoAck)
-			return appendTraceID(b, v.TraceID)
+			return appendRequestTail(b, v.TraceID, v.Flood)
 		},
 		dec: func(r *reader) interface{} {
-			return &core.PutBatchRequest{
+			m := &core.PutBatchRequest{
 				ID: gossip.RequestID(r.u64()), Objs: readObjects(r),
 				Origin: transport.NodeID(r.u64()), OriginAddr: r.str(),
 				TTL: r.u8(), Intra: r.boolean(), NoAck: r.boolean(),
-				TraceID: readTraceID(r),
 			}
+			m.TraceID, m.Flood = readRequestTail(r)
+			return m
 		},
 	},
 	{Kind: 16, Name: "core.PutBatchAck", Plane: DataPlane,
@@ -247,15 +249,16 @@ var Messages = []Spec{
 			b = appendStr(b, v.OriginAddr)
 			b = appendU8(b, v.TTL)
 			b = appendBool(b, v.Intra)
-			return appendTraceID(b, v.TraceID)
+			return appendRequestTail(b, v.TraceID, v.Flood)
 		},
 		dec: func(r *reader) interface{} {
-			return &core.GetRequest{
+			m := &core.GetRequest{
 				ID: gossip.RequestID(r.u64()), Key: r.str(), Version: r.u64(),
 				Origin: transport.NodeID(r.u64()), OriginAddr: r.str(),
 				TTL: r.u8(), Intra: r.boolean(),
-				TraceID: readTraceID(r),
 			}
+			m.TraceID, m.Flood = readRequestTail(r)
+			return m
 		},
 	},
 	{Kind: 18, Name: "core.GetReply", Plane: DataPlane,
@@ -287,15 +290,16 @@ var Messages = []Spec{
 			b = appendU8(b, v.TTL)
 			b = appendBool(b, v.Intra)
 			b = appendBool(b, v.NoAck)
-			return appendTraceID(b, v.TraceID)
+			return appendRequestTail(b, v.TraceID, v.Flood)
 		},
 		dec: func(r *reader) interface{} {
-			return &core.DeleteRequest{
+			m := &core.DeleteRequest{
 				ID: gossip.RequestID(r.u64()), Key: r.str(), Version: r.u64(),
 				Origin: transport.NodeID(r.u64()), OriginAddr: r.str(),
 				TTL: r.u8(), Intra: r.boolean(), NoAck: r.boolean(),
-				TraceID: readTraceID(r),
 			}
+			m.TraceID, m.Flood = readRequestTail(r)
+			return m
 		},
 	},
 	{Kind: 20, Name: "core.DeleteAck", Plane: DataPlane,
@@ -325,7 +329,7 @@ var Messages = []Spec{
 			b = appendU8(b, v.TTL)
 			b = appendBool(b, v.Intra)
 			b = appendBool(b, v.NoAck)
-			return appendTraceID(b, v.TraceID)
+			return appendRequestTail(b, v.TraceID, v.Flood)
 		},
 		dec: func(r *reader) interface{} {
 			id := gossip.RequestID(r.u64())
@@ -337,12 +341,13 @@ var Messages = []Spec{
 					items = append(items, core.DeleteItem{Key: r.str(), Version: r.u64()})
 				}
 			}
-			return &core.DeleteBatchRequest{
+			m := &core.DeleteBatchRequest{
 				ID: id, Items: items,
 				Origin: transport.NodeID(r.u64()), OriginAddr: r.str(),
 				TTL: r.u8(), Intra: r.boolean(), NoAck: r.boolean(),
-				TraceID: readTraceID(r),
 			}
+			m.TraceID, m.Flood = readRequestTail(r)
+			return m
 		},
 	},
 	{Kind: 22, Name: "core.DeleteBatchAck", Plane: DataPlane,
@@ -653,27 +658,41 @@ func readFilter(r *reader) antientropy.Filter {
 	return f
 }
 
-// appendTraceID carries a request's TraceID with the same
-// optional-trailing-field trick as appendFilter's salt: emitted only
-// when non-zero, so untraced requests stay byte-identical to
-// pre-trace frames and pre-trace decoders ignore the trailing bytes
-// of a traced one (the request still routes; only its journal entries
-// on old nodes are lost). Works only because TraceID is the FINAL
-// field of every request that carries one — any future field on those
-// messages needs a new kind, not another trailing field.
-func appendTraceID(b []byte, id uint64) []byte {
-	if id != 0 {
-		b = appendU64(b, id)
+// appendRequestTail carries the two optional trailing fields of the
+// five request kinds, with the same trick as appendFilter's salt: a
+// field is emitted only when something at or after it is non-zero.
+//
+//	TraceID == 0, !Flood: nothing   (byte-identical to pre-trace frames)
+//	TraceID != 0, !Flood: u64 id    (byte-identical to pre-flood frames)
+//	Flood:                u64 id (zero when untraced), then u8 1
+//
+// Decoders of either earlier layout stop where their fields end and
+// ignore the rest of the frame, so the request still routes: a
+// pre-trace node loses the journal entries, a pre-flood node — which
+// knows no other way to relay than the fanout — loses nothing. The tail
+// only works because it is the FINAL part of every request that carries
+// it, and it can only grow at its end: a further field is emitted after
+// the flag, and forces the fields before it out even when they are
+// zero.
+func appendRequestTail(b []byte, traceID uint64, flood bool) []byte {
+	if traceID != 0 || flood {
+		b = appendU64(b, traceID)
+	}
+	if flood {
+		b = appendU8(b, 1)
 	}
 	return b
 }
 
-func readTraceID(r *reader) uint64 {
-	// Pre-trace frames end before this field.
+func readRequestTail(r *reader) (traceID uint64, flood bool) {
+	// Pre-trace frames end before the id, pre-flood frames before the flag.
 	if r.err == nil && r.off < len(r.b) {
-		return r.u64()
+		traceID = r.u64()
 	}
-	return 0
+	if r.err == nil && r.off < len(r.b) {
+		flood = r.boolean()
+	}
+	return traceID, flood
 }
 
 func appendSegmentInfos(b []byte, segs []store.SegmentInfo) []byte {
