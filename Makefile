@@ -41,6 +41,7 @@ smoke:
 	$(GO) run ./cmd/flaskbench -exp bootstrap -quick -json BENCH_bootstrap.json
 	$(GO) run ./cmd/flaskbench -exp shards -quick -json BENCH_shards.json
 	$(GO) run ./cmd/flaskbench -exp route -quick
+	$(GO) run ./cmd/flaskbench -exp lb -quick
 
 # check runs the repo's own invariant analyzers (wire table, event
 # loop, ctx plumbing, lock holds, counter names). Zero findings or the

@@ -289,6 +289,42 @@ func BenchmarkLogRecovery(b *testing.B) {
 	}
 }
 
+// BenchmarkLogForEach is the header walk behind every anti-entropy
+// summary and push: 50k headers, a fifth of the keys holding several
+// versions, visited in (key, version) order.
+func BenchmarkLogForEach(b *testing.B) {
+	s, err := store.OpenLog(b.TempDir(), store.LogOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	const headers = 50000
+	objs := make([]store.Object, 0, headers)
+	for i := 0; len(objs) < headers; i++ {
+		versions := 1
+		if i%5 == 0 {
+			versions = 6
+		}
+		for v := 1; v <= versions && len(objs) < headers; v++ {
+			objs = append(objs, store.Object{Key: fmt.Sprintf("user%08d", i*7919%1000003), Version: uint64(v)})
+		}
+	}
+	if err := s.PutBatch(objs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		visited := 0
+		if err := s.ForEach(func(string, uint64) bool { visited++; return true }); err != nil {
+			b.Fatal(err)
+		}
+		if visited != headers {
+			b.Fatalf("visited %d headers, want %d", visited, headers)
+		}
+	}
+}
+
 func BenchmarkCyclonShuffleRound(b *testing.B) {
 	sink := transport.SenderFunc(func(context.Context, transport.NodeID, interface{}) error { return nil })
 	c := pss.NewCyclon(1, pss.CyclonConfig{ViewSize: 20}, sink, sim.RNG(1, 1), nil)

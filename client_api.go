@@ -36,9 +36,11 @@ var ErrInFlight = errors.New("dataflasks: operation in flight")
 // epidemic read has no authoritative negative).
 var ErrTimeout = client.ErrTimeout
 
-// Client is the client API (paper §V): operations go to a
-// load-balanced contact node, spread epidemically, and the multiple
-// replies that come back are de-duplicated by request id.
+// Client is the client API (paper §V): operations go to a contact node
+// chosen by the load balancer — a member of the key's slice once the
+// client's slice directory has learned one, a random seed until then —
+// spread epidemically, and the multiple replies that come back are
+// de-duplicated by request id.
 //
 // The API is future-based: PutAsync, GetAsync, DeleteAsync and
 // PutBatchAsync return immediately with an *Op handle, so one client
@@ -112,20 +114,24 @@ func (c *Client) Close() {
 	c.wg.Wait()
 }
 
-// Pending returns the number of operations currently in flight (0 on a
-// closed client).
-func (c *Client) Pending() int {
-	res := make(chan int, 1)
-	if err := c.submit(func() { res <- c.core.Pending() }); err != nil {
-		return 0
+// onLoop runs fn on the client loop and returns its result — the zero
+// value on a closed client.
+func onLoop[T any](c *Client, fn func() T) (zero T) {
+	res := make(chan T, 1)
+	if err := c.submit(func() { res <- fn() }); err != nil {
+		return zero
 	}
 	select {
-	case n := <-res:
-		return n
+	case v := <-res:
+		return v
 	case <-c.done:
-		return 0
+		return zero
 	}
 }
+
+// Pending returns the number of operations currently in flight (0 on a
+// closed client).
+func (c *Client) Pending() int { return onLoop(c, c.core.Pending) }
 
 // MailboxDropped returns how many inbound replies were dropped because
 // the client's mailbox overflowed (the event loop was too slow to
@@ -136,6 +142,17 @@ func (c *Client) MailboxDropped() uint64 {
 	}
 	return c.dropped()
 }
+
+// DirectoryStats counts how the client picked its contact nodes: Hits
+// went straight to a known member of the key's slice, Fallbacks drew
+// from the seed list (slice not learned yet, or an attempt that takes
+// the epidemic flood: retries, multi-ack writes, deletes), Evictions
+// are members dropped after a timeout or a relayed request.
+type DirectoryStats = client.DirectoryStats
+
+// DirectoryStats returns the slice directory's counters (zero on a
+// closed client).
+func (c *Client) DirectoryStats() DirectoryStats { return onLoop(c, c.core.DirectoryStats) }
 
 // submit runs fn on the client loop.
 func (c *Client) submit(fn func()) error {

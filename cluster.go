@@ -378,7 +378,8 @@ func (c *Cluster) NewClient() (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataflasks: attach client: %w", err)
 	}
-	lb := client.NewRandomLB(c.nodeIDsLocked(), sim.RNG(c.cfg.Seed, uint64(id)))
+	rng := sim.RNG(c.cfg.Seed, uint64(id))
+	lb := client.NewDirectory(client.NewRandomLB(c.nodeIDsLocked(), rng), c.cfg.slicesOrDefault(), rng, sender, nil)
 	cl := newLiveClient(id, client.Config{PutAcks: c.cfg.clientPutAcks()}, sender, lb, mailbox, c.period, c.cfg.slicesOrDefault(),
 		func() uint64 { return c.net.DroppedFor(id) })
 	c.clients = append(c.clients, cl)

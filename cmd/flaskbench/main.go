@@ -487,15 +487,24 @@ func runRepair(seed uint64, quick bool) {
 }
 
 func runLB(seed uint64, quick bool) {
-	done := header("E7: load-balancer ablation — random vs slice cache (§VII)")
+	done := header("E7: load-balancer ablation — paper baseline vs random contact vs slice directory (§VII)")
 	defer done()
-	n, ops := 500, 200
+	n, k, ops := 150, 10, 8000
 	if quick {
-		n, ops = 200, 80
+		n, k, ops = 60, 4, 2400
 	}
-	for _, r := range lab.LoadBalancerAblation(n, 10, ops, seed) {
-		fmt.Printf("caching=%-5v msgs/node=%8.1f data-sends/node=%8.1f msgs/op=%8.1f ok=%d fail=%d\n",
-			r.Caching, r.MsgsPerNode, r.DataPerNode, r.MsgsPerOp, r.OK, r.Failed)
+	rows := lab.LoadBalancerAblation(n, k, ops, seed)
+	fmt.Printf("N=%d k=%d, %d ops per row\n", n, k, ops)
+	fmt.Printf("%4s %10s %13s %6s %7s %11s %7s\n", "mix", "balancer", "data msgs/op", "ok", "failed", "retries/op", "spread")
+	for _, r := range rows {
+		fmt.Printf("%4s %10s %13.2f %6d %7d %11.3f %7.2f\n",
+			r.Mix, r.Balancer, r.DataMsgsPerOp, r.OK, r.Failed, r.MeanRetries, r.Spread)
+	}
+	if broken := lab.LoadBalancerGate(rows); len(broken) > 0 {
+		for _, msg := range broken {
+			fmt.Fprintln(os.Stderr, "flaskbench: lb experiment regressed:", msg)
+		}
+		os.Exit(1)
 	}
 }
 

@@ -246,6 +246,14 @@ func runBench(cl *dataflasks.Client, ops int, mode string, acks int, timeout tim
 	elapsed := time.Since(start)
 	fmt.Printf("%d %s puts in %s (%.1f ops/s, %d failed)\n",
 		ops, mode, elapsed.Round(time.Millisecond), float64(ops)/elapsed.Seconds(), fails)
+	// The client-side counterpart of `flaskctl stats`' directed-hit
+	// ratio: a hit entered its slice at once, a fallback paid the nodes'
+	// relay (always the case for -acks above 1, which floods).
+	dir := cl.DirectoryStats()
+	if contacts := dir.Hits + dir.Fallbacks; contacts > 0 {
+		fmt.Printf("directory-hit ratio %.2f (%d of %d contacts were known members of the key's slice, %d evicted)\n",
+			float64(dir.Hits)/float64(contacts), dir.Hits, contacts, dir.Evictions)
+	}
 }
 
 func usage() {

@@ -115,6 +115,10 @@ const (
 type Config struct {
 	// Slices is the number of slices k; the expected replication
 	// factor is N/k (default 10, the paper's evaluation setting).
+	// Clients use it too: to group batch puts per slice and to contact
+	// a member of the key's slice directly. A client whose value
+	// disagrees with the nodes' still completes every operation — nodes
+	// re-route what reaches the wrong slice — at the price of relay hops.
 	Slices int
 	// SystemSize is the expected node count N, used to size gossip
 	// fanout and flood TTLs. Zero enables the built-in gossip size
@@ -250,7 +254,8 @@ func (c Config) coreConfig() core.Config {
 }
 
 // slicesOrDefault returns the configured slice count with the default
-// applied (clients need it to group batch puts per target slice).
+// applied (clients need it to group batch puts per target slice and to
+// pick contacts from the slice directory).
 func (c Config) slicesOrDefault() int {
 	if c.Slices > 0 {
 		return c.Slices

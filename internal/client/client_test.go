@@ -420,39 +420,6 @@ func TestRandomLBEmpty(t *testing.T) {
 	}
 }
 
-func TestCachingLBLearnsAndForgets(t *testing.T) {
-	inner := NewRandomLB([]transport.NodeID{1, 2, 3}, sim.RNG(2, 2))
-	lb := NewCachingLB(inner, 4)
-
-	// Cold: falls back to random.
-	if _, ok := lb.Contact("key-a"); !ok {
-		t.Fatal("no fallback contact")
-	}
-	// Learn which node answered for key-a's slice, then always use it.
-	lb.ObserveReply("key-a", 2, 42)
-	for i := 0; i < 10; i++ {
-		if id, _ := lb.Contact(keyInSlice(t, 2, 4)); id != 42 {
-			t.Fatalf("cached contact = %v, want 42", id)
-		}
-	}
-	if lb.CacheSize() != 1 {
-		t.Errorf("CacheSize = %d", lb.CacheSize())
-	}
-	// A timeout evicts the node everywhere.
-	lb.Forget(42)
-	if lb.CacheSize() != 0 {
-		t.Errorf("CacheSize after Forget = %d", lb.CacheSize())
-	}
-}
-
-func TestCachingLBIgnoresNegativeSlice(t *testing.T) {
-	lb := NewCachingLB(NewRandomLB([]transport.NodeID{1}, sim.RNG(3, 3)), 4)
-	lb.ObserveReply("k", -1, 42)
-	if lb.CacheSize() != 0 {
-		t.Error("cached an unknown slice")
-	}
-}
-
 // keyInSlice finds a key that maps to the wanted slice under k slices.
 func keyInSlice(t *testing.T, want int32, k int) string {
 	t.Helper()

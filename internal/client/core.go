@@ -154,6 +154,10 @@ type pending struct {
 // reply).
 func (p *pending) countsAcks() bool { return p.kind != opGet }
 
+// floods reports whether the current attempt asks the nodes for the
+// epidemic fanout: the op demands it, or this is a retry.
+func (p *pending) floods() bool { return p.flood || p.retries > 0 }
+
 // Core is the client library's event-driven engine: it issues requests
 // through the load balancer, tracks outstanding operations, de-dupes
 // the multiple replies epidemic routing produces (§V) and drives
@@ -164,6 +168,9 @@ type Core struct {
 	cfg Config
 	out transport.Sender
 	lb  LoadBalancer
+	// dir is lb when lb is the slice directory, nil otherwise: the
+	// directory also learns from replies, which no other balancer does.
+	dir *Directory
 
 	seq  uint32
 	tick uint64
@@ -184,11 +191,13 @@ func NewCore(id transport.NodeID, cfg Config, out transport.Sender, lb LoadBalan
 	if out == nil || lb == nil {
 		panic("client: NewCore requires a sender and a load balancer")
 	}
+	dir, _ := lb.(*Directory)
 	return &Core{
 		id:      id,
 		cfg:     cfg,
 		out:     out,
 		lb:      lb,
+		dir:     dir,
 		ops:     make(map[gossip.RequestID]*pending),
 		aliases: make(map[gossip.RequestID]*pending),
 	}
@@ -199,6 +208,15 @@ func (c *Core) ID() transport.NodeID { return c.id }
 
 // Pending returns the number of in-flight operations.
 func (c *Core) Pending() int { return len(c.ops) }
+
+// DirectoryStats returns the slice directory's contact-decision
+// counters (all zero for a core built over another balancer).
+func (c *Core) DirectoryStats() DirectoryStats {
+	if c.dir == nil {
+		return DirectoryStats{}
+	}
+	return c.dir.stats
+}
 
 // resolve fills per-op knobs from opts over the config defaults.
 func (c *Core) resolve(op *pending, opts Opts) {
@@ -367,6 +385,18 @@ func (c *Core) Cancel(id gossip.RequestID) bool {
 	return true
 }
 
+// contact picks the node an attempt of op goes to. An attempt that
+// floods must start outside the directory: only global-phase copies are
+// acknowledged, so entering the slice directly would leave an op that
+// waits for several acks, or a delete that must reach every replica,
+// with the one node contacted.
+func (c *Core) contact(op *pending) (transport.NodeID, bool) {
+	if c.dir != nil && op.floods() {
+		return c.dir.random(op.key)
+	}
+	return c.lb.Contact(op.key)
+}
+
 // launch (re)issues op with a fresh id and contact; every attempt after
 // the first asks the nodes for the flood.
 func (c *Core) launch(op *pending) {
@@ -375,7 +405,7 @@ func (c *Core) launch(op *pending) {
 	op.deadline = c.tick + uint64(op.timeoutTicks)
 	c.ops[op.id] = op
 
-	contact, ok := c.lb.Contact(op.key)
+	contact, ok := c.contact(op)
 	if !ok {
 		// Leave the op pending; the timeout path will retry (the
 		// balancer may learn nodes meanwhile) and eventually fail it.
@@ -384,7 +414,7 @@ func (c *Core) launch(op *pending) {
 	}
 	op.lastContact = contact
 	op.hasContact = true
-	flood := op.flood || op.retries > 0
+	flood := op.floods()
 	// Every launch below is deliberately fire-and-forget: the client is
 	// its own retry loop (deadline -> relaunch under a fresh id), so a
 	// failed or slow send is indistinguishable from a lost message and
@@ -446,11 +476,17 @@ func (c *Core) HandleMessage(env transport.Envelope) {
 		if !ok || op.kind != opGet {
 			return // late duplicate for a completed get, or foreign id
 		}
-		c.lb.ObserveReply(op.key, m.Slice, env.From)
+		if c.dir != nil && m.Slice >= 0 {
+			c.dir.learn(op.key, env.From)
+		}
 		c.complete(op, Result{
 			ID: m.ID, Key: op.key, Version: m.Version,
 			Value: m.Value, Retries: op.retries,
 		})
+	case *core.MateReply:
+		if c.dir != nil {
+			c.dir.addMates(m)
+		}
 	}
 }
 
@@ -471,6 +507,15 @@ func (c *Core) onAck(id gossip.RequestID, kind opKind, from transport.NodeID, ap
 		return // duplicate ack from the same replica
 	}
 	op.ackFrom[from] = true
+	if c.dir != nil {
+		// The acker stored (or removed) the key, so it is in the key's
+		// slice. A contact that let another node acknowledge a request
+		// addressed to it alone relayed it, so it is not.
+		c.dir.learn(op.key, from)
+		if op.hasContact && !op.floods() && from != op.lastContact {
+			c.dir.evict(op.key, op.lastContact)
+		}
+	}
 	if applied > op.applied {
 		op.applied = applied
 	}
@@ -499,6 +544,9 @@ func (c *Core) complete(op *pending, r Result) {
 // fresh ids and contacts, and exhausted operations fail.
 func (c *Core) Tick() {
 	c.tick++
+	if c.dir != nil && c.tick%directoryRefreshTicks == 0 {
+		c.dir.refresh()
+	}
 	var expired []*pending
 	for _, op := range c.ops {
 		if c.tick >= op.deadline {
@@ -509,10 +557,11 @@ func (c *Core) Tick() {
 	// randomized).
 	sort.Slice(expired, func(i, j int) bool { return expired[i].id < expired[j].id })
 	for _, op := range expired {
-		if op.hasContact {
-			// The contact did not produce a completion in time; let
-			// caching balancers evict it.
-			c.lb.Forget(op.lastContact)
+		if op.hasContact && c.dir != nil && !op.floods() {
+			// The contact was asked to serve the key itself and produced
+			// nothing in time. (A flooded attempt's contact is a random
+			// node that only relays: its silence proves nothing.)
+			c.dir.evict(op.key, op.lastContact)
 		}
 		if op.retries >= op.maxRetries {
 			c.complete(op, Result{

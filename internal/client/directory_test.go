@@ -1,0 +1,370 @@
+package client
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"dataflasks/internal/core"
+	"dataflasks/internal/gossip"
+	"dataflasks/internal/pss"
+	"dataflasks/internal/sim"
+	"dataflasks/internal/slicing"
+	"dataflasks/internal/store"
+	"dataflasks/internal/transport"
+)
+
+const dirSlices = 4
+
+// book records what the directory teaches the fabric.
+type book map[transport.NodeID]string
+
+func (b book) Learn(id transport.NodeID, addr string) { b[id] = addr }
+
+// newDirectoryCore builds a core over the slice directory with the
+// random contact list {1, 2, 3}; members the tests teach it get ids from
+// 40 up, so a contact's id says which list it came from.
+func newDirectoryCore(t *testing.T, cfg Config) (*Core, *Directory, *capture, book) {
+	t.Helper()
+	cap, b := &capture{}, book{}
+	out := cap.sender(0xC0000001)
+	random := NewRandomLB([]transport.NodeID{1, 2, 3}, sim.RNG(1, 99))
+	dir := NewDirectory(random, dirSlices, sim.RNG(1, 7), out, b)
+	return NewCore(0xC0000001, cfg, out, dir), dir, cap, b
+}
+
+// requestID reads the request id off any of the five request kinds.
+func requestID(t *testing.T, msg interface{}) gossip.RequestID {
+	t.Helper()
+	switch m := msg.(type) {
+	case *core.PutRequest:
+		return m.ID
+	case *core.GetRequest:
+		return m.ID
+	case *core.DeleteRequest:
+		return m.ID
+	case *core.PutBatchRequest:
+		return m.ID
+	case *core.DeleteBatchRequest:
+		return m.ID
+	}
+	t.Fatalf("not a request: %#v", msg)
+	return 0
+}
+
+func isRandomContact(id transport.NodeID) bool { return id >= 1 && id <= 3 }
+
+// (a) Known members share a slice's contacts evenly: no member is
+// pinned.
+func TestDirectoryContactsSpreadUniformly(t *testing.T) {
+	_, dir, _, _ := newDirectoryCore(t, Config{})
+	key := keyInSlice(t, 2, dirSlices)
+	for _, member := range []transport.NodeID{40, 41, 42} {
+		dir.learn(key, member)
+	}
+	counts := map[transport.NodeID]int{}
+	for i := 0; i < 3000; i++ {
+		id, ok := dir.Contact(key)
+		if !ok {
+			t.Fatal("no contact")
+		}
+		counts[id]++
+	}
+	for _, member := range []transport.NodeID{40, 41, 42} {
+		if c := counts[member]; c < 850 || c > 1150 {
+			t.Errorf("member %v drew %d of 3000 contacts, want 1000 ± 15%%", member, c)
+		}
+	}
+	if len(counts) != 3 {
+		t.Errorf("contacts outside the known members: %v", counts)
+	}
+	if st := dir.stats; st.Hits != 3000 || st.Fallbacks != 0 {
+		t.Errorf("stats = %+v, want 3000 hits", st)
+	}
+	// Another slice is still unknown: the random list answers.
+	if id, _ := dir.Contact(keyInSlice(t, 0, dirSlices)); !isRandomContact(id) {
+		t.Errorf("unknown slice contacted %v, want a random-list node", id)
+	}
+	if st := dir.stats; st.Fallbacks != 1 {
+		t.Errorf("fallbacks = %d, want 1", st.Fallbacks)
+	}
+}
+
+// (b) An attempt that carries Flood never enters its slice through the
+// directory: only global-phase copies are acknowledged, so a two-ack put
+// sent to a member would collect one ack per attempt.
+func TestFloodAttemptsBypassDirectory(t *testing.T) {
+	key := keyInSlice(t, 2, dirSlices)
+	objs := []store.Object{{Key: key, Version: 1}}
+	items := []core.DeleteItem{{Key: key, Version: 1}}
+	cases := []struct {
+		name  string
+		start func(cl *Core)
+	}{
+		{"put acks=2", func(cl *Core) { cl.StartPutOpts(key, 1, nil, Opts{Acks: 2}, nil) }},
+		{"putbatch acks=2", func(cl *Core) { cl.StartPutBatch(objs, Opts{Acks: 2}, nil) }},
+		{"delete", func(cl *Core) { cl.StartDelete(key, 1, Opts{}, nil) }},
+		{"deletebatch", func(cl *Core) { cl.StartDeleteBatch(items, Opts{}, nil) }},
+		{"forced", func(cl *Core) { cl.StartGetOpts(key, store.Latest, Opts{Flood: true}, nil) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, dir, cap, _ := newDirectoryCore(t, Config{TimeoutTicks: 1, Retries: 2})
+			dir.learn(key, 40)
+			sent := len(cap.sent) // the mate query
+			tc.start(cl)
+			cl.Tick() // and the retry
+			for _, env := range cap.sent[sent:] {
+				if !floodOf(env.Msg) {
+					t.Fatalf("%#v does not ask for the flood", env.Msg)
+				}
+				if !isRandomContact(env.To) {
+					t.Errorf("flood attempt went to directory member %v", env.To)
+				}
+			}
+			if st := dir.stats; st.Hits != 0 || st.Fallbacks != 2 {
+				t.Errorf("stats = %+v, want 0 hits and 2 fallbacks", st)
+			}
+		})
+	}
+
+	t.Run("retry of a plain put", func(t *testing.T) {
+		cl, dir, cap, _ := newDirectoryCore(t, Config{TimeoutTicks: 1, Retries: 1})
+		dir.learn(key, 40)
+		sent := len(cap.sent)
+		cl.StartPut(key, 1, nil, nil)
+		if first := cap.sent[sent]; first.To != 40 || floodOf(first.Msg) {
+			t.Fatalf("attempt 1 went to %v (flood %v), want member 40 without the flood", first.To, floodOf(first.Msg))
+		}
+		cl.Tick()
+		retry := cap.sent[len(cap.sent)-1]
+		if !isRandomContact(retry.To) || !floodOf(retry.Msg) {
+			t.Errorf("retry went to %v (flood %v), want a random contact with the flood", retry.To, floodOf(retry.Msg))
+		}
+	})
+}
+
+// (c) Whoever acknowledges a write or answers a read holds the key, so
+// it is filed under the key's slice.
+func TestDirectoryLearnsFromAcksAndReplies(t *testing.T) {
+	key := keyInSlice(t, 1, dirSlices)
+	objs := []store.Object{{Key: key, Version: 1}}
+	cases := []struct {
+		name  string
+		start func(cl *Core)
+		reply func(id gossip.RequestID) interface{}
+		learn bool
+	}{
+		{"put ack", func(cl *Core) { cl.StartPut(key, 1, nil, nil) },
+			func(id gossip.RequestID) interface{} { return &core.PutAck{ID: id} }, true},
+		{"batch ack", func(cl *Core) { cl.StartPutBatch(objs, Opts{}, nil) },
+			func(id gossip.RequestID) interface{} { return &core.PutBatchAck{ID: id, Stored: 1} }, true},
+		{"delete ack", func(cl *Core) { cl.StartDelete(key, 1, Opts{}, nil) },
+			func(id gossip.RequestID) interface{} { return &core.DeleteAck{ID: id} }, true},
+		{"get reply", func(cl *Core) { cl.StartGet(key, store.Latest, nil) },
+			func(id gossip.RequestID) interface{} { return &core.GetReply{ID: id, Slice: 1} }, true},
+		{"get reply without a slice", func(cl *Core) { cl.StartGet(key, store.Latest, nil) },
+			func(id gossip.RequestID) interface{} { return &core.GetReply{ID: id, Slice: slicing.SliceUnknown} }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, dir, cap, _ := newDirectoryCore(t, Config{})
+			tc.start(cl)
+			id := requestID(t, cap.sent[0].Msg)
+			cl.HandleMessage(transport.Envelope{From: 40, Msg: tc.reply(id)})
+			members := dir.members[1]
+			if tc.learn != (len(members) == 1 && members[0] == 40) {
+				t.Fatalf("members of slice 1 = %v, learn = %v", members, tc.learn)
+			}
+			if !tc.learn {
+				return
+			}
+			// The next request for the slice goes straight to the member.
+			cl.StartGet(key, store.Latest, nil)
+			if last := cap.sent[len(cap.sent)-1]; last.To != 40 {
+				t.Errorf("next request went to %v, want the learned member", last.To)
+			}
+		})
+	}
+}
+
+// (d) A contact whose request another node acknowledged relayed it, so
+// it is no member; one that lets an attempt time out is dropped too.
+func TestDirectoryEvictsRelayingAndSilentContacts(t *testing.T) {
+	key := keyInSlice(t, 3, dirSlices)
+
+	t.Run("ack from another node", func(t *testing.T) {
+		cl, dir, cap, _ := newDirectoryCore(t, Config{})
+		dir.learn(key, 40)
+		cl.StartPut(key, 1, nil, nil)
+		put := cap.sent[len(cap.sent)-1]
+		if put.To != 40 {
+			t.Fatalf("put went to %v, want member 40", put.To)
+		}
+		cl.HandleMessage(transport.Envelope{From: 41, Msg: &core.PutAck{ID: put.Msg.(*core.PutRequest).ID}})
+		if members := dir.members[3]; len(members) != 1 || members[0] != 41 {
+			t.Fatalf("members = %v, want the acker alone", members)
+		}
+		if st := dir.stats; st.Evictions != 1 {
+			t.Errorf("evictions = %d, want 1", st.Evictions)
+		}
+	})
+
+	t.Run("ack from the contact", func(t *testing.T) {
+		cl, dir, cap, _ := newDirectoryCore(t, Config{})
+		dir.learn(key, 40)
+		cl.StartPut(key, 1, nil, nil)
+		put := cap.sent[len(cap.sent)-1]
+		cl.HandleMessage(transport.Envelope{From: 40, Msg: &core.PutAck{ID: put.Msg.(*core.PutRequest).ID}})
+		if st := dir.stats; st.Evictions != 0 || len(dir.members[3]) != 1 {
+			t.Errorf("contact that acked was evicted: %+v, members %v", st, dir.members[3])
+		}
+	})
+
+	t.Run("several ackers of a flood", func(t *testing.T) {
+		// A flooded attempt starts at a random contact, so acks from other
+		// nodes say nothing against it — or against a member the flood
+		// also reached.
+		cl, dir, cap, _ := newDirectoryCore(t, Config{})
+		dir.learn(key, 1)
+		cl.StartPutOpts(key, 1, nil, Opts{Acks: 2}, nil)
+		put := cap.sent[len(cap.sent)-1].Msg.(*core.PutRequest)
+		cl.HandleMessage(transport.Envelope{From: 41, Msg: &core.PutAck{ID: put.ID}})
+		cl.HandleMessage(transport.Envelope{From: 42, Msg: &core.PutAck{ID: put.ID}})
+		if st := dir.stats; st.Evictions != 0 || len(dir.members[3]) != 3 {
+			t.Errorf("flood acks evicted: %+v, members %v", st, dir.members[3])
+		}
+	})
+
+	t.Run("timeout", func(t *testing.T) {
+		cl, dir, cap, _ := newDirectoryCore(t, Config{TimeoutTicks: 1, Retries: 1})
+		dir.learn(key, 40)
+		cl.StartGet(key, store.Latest, nil)
+		if to := cap.sent[len(cap.sent)-1].To; to != 40 {
+			t.Fatalf("get went to %v, want member 40", to)
+		}
+		cl.Tick()
+		if st := dir.stats; st.Evictions != 1 || len(dir.members[3]) != 0 {
+			t.Errorf("silent member still listed: %+v, members %v", st, dir.members[3])
+		}
+	})
+}
+
+// A flooded attempt starts at a random node that only relays, and a
+// multi-ack put may wait in vain although its contact did its part
+// (intra-slice copies are not acknowledged): such a timeout says
+// nothing against the contact.
+func TestFloodTimeoutKeepsContact(t *testing.T) {
+	cl, dir, _, _ := newDirectoryCore(t, Config{TimeoutTicks: 1, Retries: 1})
+	key := keyInSlice(t, 3, dirSlices)
+	for _, contact := range []transport.NodeID{1, 2, 3} {
+		dir.learn(key, contact)
+	}
+	cl.StartPutOpts(key, 1, nil, Opts{Acks: 2}, nil)
+	cl.Tick()
+	cl.Tick()
+	if st := dir.stats; st.Evictions != 0 || len(dir.members[3]) != 3 {
+		t.Errorf("a flood attempt's timeout evicted its contact: %+v, members %v", st, dir.members[3])
+	}
+}
+
+// (e) The first member learned is asked for its mates; the reply fills
+// the slice up to the bound and teaches the addresses, and replies
+// nobody asked for are dropped.
+func TestDirectoryMateQueryFillsSlice(t *testing.T) {
+	_, dir, cap, b := newDirectoryCore(t, Config{})
+	key := keyInSlice(t, 2, dirSlices)
+	dir.learn(key, 40)
+	if len(cap.sent) != 1 {
+		t.Fatalf("sent %d messages after the first member, want one mate query", len(cap.sent))
+	}
+	query, ok := cap.sent[0].Msg.(*core.MateQuery)
+	if !ok || query.Slice != 2 || cap.sent[0].To != 40 {
+		t.Fatalf("sent %#v to %v, want MateQuery{2} to member 40", cap.sent[0].Msg, cap.sent[0].To)
+	}
+	dir.learn(key, 40) // nothing new: no second query
+	if len(cap.sent) != 1 {
+		t.Fatalf("re-learning a member sent %d messages", len(cap.sent)-1)
+	}
+
+	// A reply for a slice nobody asked about is dropped.
+	dir.addMates(&core.MateReply{Slice: 3, Mates: []pss.Descriptor{{ID: 90, Slice: 3, Addr: "h:90"}}})
+	if len(dir.members[3]) != 0 || len(b) != 0 {
+		t.Fatalf("unsolicited reply filed %v, taught %v", dir.members[3], b)
+	}
+
+	mates := []pss.Descriptor{{ID: 40, Slice: 2, Addr: "h:40"}}
+	for id := transport.NodeID(50); id < 80; id++ {
+		mates = append(mates, pss.Descriptor{ID: id, Slice: 2, Addr: fmt.Sprintf("h:%d", id)})
+	}
+	reply := &core.MateReply{Slice: 2, Mates: mates}
+	dir.addMates(reply)
+	members := dir.members[2]
+	if len(members) != maxSliceMembers {
+		t.Fatalf("members = %d, want the bound %d", len(members), maxSliceMembers)
+	}
+	if len(b) != maxSliceMembers-1 {
+		t.Errorf("taught %d addresses, want one per new member (%d)", len(b), maxSliceMembers-1)
+	}
+	for _, m := range members[1:] {
+		if b[m] != fmt.Sprintf("h:%d", m) {
+			t.Errorf("member %v taught as %q", m, b[m])
+		}
+	}
+	// The same reply again answers no question.
+	dir.members[2] = dir.members[2][:1]
+	dir.addMates(reply)
+	if len(dir.members[2]) != 1 {
+		t.Errorf("a second reply to one query was filed: %v", dir.members[2])
+	}
+}
+
+// A member's eviction asks a remaining member for a replacement, and a
+// replier that has not noticed yet cannot bring the evicted node back;
+// the periodic refresh asks again for every slice with room.
+func TestDirectoryRequeriesAfterEvictionAndOnRefresh(t *testing.T) {
+	cl, dir, cap, _ := newDirectoryCore(t, Config{})
+	key := keyInSlice(t, 2, dirSlices)
+	dir.learn(key, 40)
+	dir.addMates(&core.MateReply{Slice: 2, Mates: []pss.Descriptor{{ID: 41, Slice: 2}}})
+	sent := len(cap.sent)
+
+	dir.evict(key, 41)
+	if len(cap.sent) != sent+1 || cap.sent[sent].To != 40 {
+		t.Fatalf("eviction sent %v, want one query to the remaining member", cap.sent[sent:])
+	}
+	dir.addMates(&core.MateReply{Slice: 2, Mates: []pss.Descriptor{{ID: 41, Slice: 2}, {ID: 42, Slice: 2}}})
+	if m := dir.members[2]; len(m) != 2 || slices.Contains(m, 41) || !slices.Contains(m, 42) {
+		t.Fatalf("members = %v, want 40 and 42 (41 was just evicted)", m)
+	}
+
+	sent = len(cap.sent)
+	for i := 0; i < directoryRefreshTicks; i++ {
+		cl.Tick()
+	}
+	if len(cap.sent) != sent+1 {
+		t.Fatalf("refresh sent %d messages, want one query for the one known slice", len(cap.sent)-sent)
+	}
+	if q, ok := cap.sent[sent].Msg.(*core.MateQuery); !ok || q.Slice != 2 {
+		t.Errorf("refresh sent %#v", cap.sent[sent].Msg)
+	}
+}
+
+// Proof beats hearsay: in a full slice a node that answered takes a
+// random slot, a node a reply merely names does not.
+func TestDirectoryFullSliceTakesProvenMembersOnly(t *testing.T) {
+	_, dir, _, _ := newDirectoryCore(t, Config{})
+	key := keyInSlice(t, 2, dirSlices)
+	for id := transport.NodeID(40); id < 40+maxSliceMembers; id++ {
+		dir.learn(key, id)
+	}
+	dir.asked[2] = 0
+	dir.addMates(&core.MateReply{Slice: 2, Mates: []pss.Descriptor{{ID: 90, Slice: 2}}})
+	if slices.Contains(dir.members[2], 90) {
+		t.Fatal("a full slice took a member from a reply")
+	}
+	dir.learn(key, 91)
+	if m := dir.members[2]; len(m) != maxSliceMembers || !slices.Contains(m, 91) {
+		t.Fatalf("members = %v, want the bound with the proven node among them", m)
+	}
+}

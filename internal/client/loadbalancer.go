@@ -10,7 +10,6 @@ import (
 	"math/rand/v2"
 	"sync"
 
-	"dataflasks/internal/slicing"
 	"dataflasks/internal/transport"
 )
 
@@ -19,10 +18,6 @@ import (
 type LoadBalancer interface {
 	// Contact returns a node to send the request for key to.
 	Contact(key string) (transport.NodeID, bool)
-	// ObserveReply feeds routing hints gleaned from replies.
-	ObserveReply(key string, slice int32, node transport.NodeID)
-	// Forget drops any cached state for a node that timed out.
-	Forget(node transport.NodeID)
 }
 
 // RandomLB is the paper's baseline: a uniformly random contact node.
@@ -60,84 +55,4 @@ func (l *RandomLB) Contact(string) (transport.NodeID, bool) {
 		return 0, false
 	}
 	return l.nodes[l.rng.IntN(len(l.nodes))], true
-}
-
-// ObserveReply implements LoadBalancer (no-op for the baseline).
-func (l *RandomLB) ObserveReply(string, int32, transport.NodeID) {}
-
-// Forget implements LoadBalancer. The node stays in the list — with
-// thousands of nodes the random balancer relies on churn-tolerant
-// retries rather than membership accuracy.
-func (l *RandomLB) Forget(transport.NodeID) {}
-
-// CachingLB implements the §VII optimization: it remembers, per slice,
-// a node that recently answered for that slice and contacts it
-// directly, collapsing the global dissemination phase. Misses fall back
-// to the wrapped balancer. Safe for concurrent use.
-type CachingLB struct {
-	fallback LoadBalancer
-	slices   int
-
-	mu    sync.RWMutex
-	cache map[int32]transport.NodeID
-}
-
-var _ LoadBalancer = (*CachingLB)(nil)
-
-// NewCachingLB wraps fallback with a slice-contact cache. slices must
-// match the cluster's slice count for the key→slice mapping.
-func NewCachingLB(fallback LoadBalancer, slices int) *CachingLB {
-	if fallback == nil {
-		panic("client: NewCachingLB requires a fallback balancer")
-	}
-	if slices <= 0 {
-		slices = 1
-	}
-	return &CachingLB{
-		fallback: fallback,
-		slices:   slices,
-		cache:    make(map[int32]transport.NodeID),
-	}
-}
-
-// Contact implements LoadBalancer.
-func (l *CachingLB) Contact(key string) (transport.NodeID, bool) {
-	s := slicing.KeySlice(key, l.slices)
-	l.mu.RLock()
-	node, ok := l.cache[s]
-	l.mu.RUnlock()
-	if ok {
-		return node, true
-	}
-	return l.fallback.Contact(key)
-}
-
-// ObserveReply implements LoadBalancer.
-func (l *CachingLB) ObserveReply(key string, slice int32, node transport.NodeID) {
-	if slice < 0 {
-		return
-	}
-	l.mu.Lock()
-	l.cache[slice] = node
-	l.mu.Unlock()
-	l.fallback.ObserveReply(key, slice, node)
-}
-
-// Forget implements LoadBalancer.
-func (l *CachingLB) Forget(node transport.NodeID) {
-	l.mu.Lock()
-	for s, n := range l.cache {
-		if n == node {
-			delete(l.cache, s)
-		}
-	}
-	l.mu.Unlock()
-	l.fallback.Forget(node)
-}
-
-// CacheSize returns the number of cached slice contacts.
-func (l *CachingLB) CacheSize() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.cache)
 }

@@ -577,7 +577,7 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 	case *PutRequest, *PutBatchRequest, *GetRequest, *DeleteRequest, *DeleteBatchRequest:
 		// Inline mode (DispatchData declined above): run the data
 		// handler synchronously on the owning shard's state.
-		key, _ := dataShardKey(env.Msg)
+		key, _ := RequestKey(env.Msg)
 		n.handleData(ctx, n.shardFor(key), env)
 	case *MateQuery:
 		n.onMateQuery(ctx, env.From, m)
@@ -950,7 +950,9 @@ func (n *Node) onMateQuery(ctx context.Context, from transport.NodeID, m *MateQu
 		if rs, ok := n.slicer.(*slicing.RankSlicer); ok {
 			attr = rs.Attr()
 		}
-		mates = append(mates, pss.Descriptor{ID: n.id, Age: 0, Attr: attr, Slice: slice})
+		// Addr included: a querier that meets us only through this reply
+		// (a client filling its slice directory) must be able to dial us.
+		mates = append(mates, pss.Descriptor{ID: n.id, Age: 0, Attr: attr, Slice: slice, Addr: n.cfg.AdvertiseAddr})
 		// Our own intra view is the best source for the querier.
 		mates = append(mates, n.intra.Descriptors()...)
 	}

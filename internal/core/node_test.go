@@ -559,6 +559,35 @@ func TestNodeMateQueryAnswersWithSelf(t *testing.T) {
 	}
 }
 
+// TestNodeMateQuerySelfDescriptorCarriesAddr: the replier's own
+// descriptor is the one entry no gossip stamped, so it must carry the
+// advertised address itself — a querier that learns the replier only
+// from this reply could not dial it otherwise.
+func TestNodeMateQuerySelfDescriptorCarriesAddr(t *testing.T) {
+	const k = 4
+	id := findNodeInSlice(t, 2, k)
+	cap := &capture{}
+	n := NewNode(id, Config{
+		Slices: k, Slicer: SlicerStatic, SystemSize: 100, AntiEntropyEvery: -1, Seed: 1,
+		AdvertiseAddr: "10.0.0.7:7000",
+	}, store.NewMemory(), cap.sender(id))
+
+	n.HandleMessage(context.Background(), transport.Envelope{From: 88, To: id, Msg: &MateQuery{Slice: 2}})
+	replies := cap.byType(func(m interface{}) bool { _, ok := m.(*MateReply); return ok })
+	if len(replies) != 1 {
+		t.Fatalf("mate replies = %+v", cap.sent)
+	}
+	for _, d := range replies[0].Msg.(*MateReply).Mates {
+		if d.ID == id {
+			if d.Addr != "10.0.0.7:7000" {
+				t.Errorf("self descriptor Addr = %q, want the advertised address", d.Addr)
+			}
+			return
+		}
+	}
+	t.Error("reply lacks the self descriptor")
+}
+
 func TestNodeMateQueryForeignSliceSilentWhenUnknown(t *testing.T) {
 	const k = 4
 	id := findNodeInSlice(t, 2, k)

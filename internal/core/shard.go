@@ -72,12 +72,12 @@ func shardIndex(key string, shards int) int {
 	return int(h % uint64(shards))
 }
 
-// dataShardKey classifies an envelope's message: data-plane requests
+// RequestKey classifies a message: data-plane requests
 // return their routing key (batches route by first key, matching the
 // target-slice choice in the handlers) and true; everything else —
 // control protocols, mate discovery, client-bound acks — returns
 // false.
-func dataShardKey(msg interface{}) (string, bool) {
+func RequestKey(msg interface{}) (string, bool) {
 	switch m := msg.(type) {
 	case *PutRequest:
 		return m.Key, true
@@ -241,7 +241,7 @@ func (n *Node) DispatchData(env transport.Envelope) bool {
 	if !n.external.Load() {
 		return false
 	}
-	key, ok := dataShardKey(env.Msg)
+	key, ok := RequestKey(env.Msg)
 	if !ok {
 		return false
 	}

@@ -57,9 +57,9 @@ func TestDataShardKeyClassifiesEveryDataKind(t *testing.T) {
 		{nil, "", false},
 	}
 	for _, c := range cases {
-		key, ok := dataShardKey(c.msg)
+		key, ok := RequestKey(c.msg)
 		if ok != c.data || key != c.key {
-			t.Errorf("dataShardKey(%T) = (%q, %v), want (%q, %v)", c.msg, key, ok, c.key, c.data)
+			t.Errorf("RequestKey(%T) = (%q, %v), want (%q, %v)", c.msg, key, ok, c.key, c.data)
 		}
 	}
 }
@@ -397,7 +397,7 @@ func TestShardEquivalenceSingleVsMany(t *testing.T) {
 		// so no envelope is dropped and both runs see the same
 		// per-key operation order.
 		dispatch := func(env transport.Envelope) {
-			key, _ := dataShardKey(env.Msg)
+			key, _ := RequestKey(env.Msg)
 			si := shardIndex(key, shards)
 			for n.ShardDepth(si) >= n.ShardMailboxCapacity()-1 {
 				time.Sleep(100 * time.Microsecond)

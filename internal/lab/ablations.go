@@ -106,7 +106,7 @@ func PutFloodAblation(n, k int, seed uint64) []PutFloodRow {
 				AntiEntropyEvery: 3,
 			},
 		})
-		cl := c.NewClient(client.Config{}, nil)
+		cl := c.NewClient(client.Config{}, c.RandomLB())
 		c.Run(30)
 		c.ResetMetrics()
 
@@ -194,13 +194,14 @@ func RoutingAblation(n, k, ops int, seed uint64) []RoutingRow {
 	return rows
 }
 
-// RoutingUnderChurn runs E5's read schedule at one churn rate twice —
-// directed routing, then Flood forced on every read — so the two
-// availabilities can be held against each other: a directed hop aims at
-// one peer, and under churn that peer may be gone.
+// RoutingUnderChurn runs E5's read schedule at one churn rate twice,
+// both times from a random contact — directed routing, then Flood
+// forced on every read — so the two availabilities can be held against
+// each other: a directed hop aims at one peer, and under churn that
+// peer may be gone.
 func RoutingUnderChurn(n, k int, rate float64, ops int, seed uint64) (directed, flood ChurnPoint) {
 	rates := []float64{rate}
-	directed = availabilityUnderChurn(n, k, rates, ops, seed, client.Opts{})[0]
-	flood = availabilityUnderChurn(n, k, rates, ops, seed, client.Opts{Flood: true})[0]
+	directed = availabilityUnderChurn(n, k, rates, ops, seed, client.Opts{}, true)[0]
+	flood = availabilityUnderChurn(n, k, rates, ops, seed, client.Opts{Flood: true}, true)[0]
 	return directed, flood
 }

@@ -31,6 +31,7 @@ import (
 	"dataflasks/internal/core"
 	"dataflasks/internal/metrics"
 	"dataflasks/internal/sim"
+	"dataflasks/internal/slicing"
 	"dataflasks/internal/store"
 	"dataflasks/internal/transport"
 )
@@ -88,8 +89,12 @@ type Cluster struct {
 	order   []transport.NodeID // alive nodes, ascending id
 	tickers map[transport.NodeID]func()
 	clients map[transport.NodeID]*client.Core
-	nextID  transport.NodeID
-	nextCl  transport.NodeID
+	// contacts counts the requests clients addressed to each node, by
+	// the slice of the request's key, since the last ResetMetrics (E7's
+	// contact spread).
+	contacts map[contact]int
+	nextID   transport.NodeID
+	nextCl   transport.NodeID
 }
 
 var _ churn.SliceTarget = (*Cluster)(nil)
@@ -140,16 +145,17 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		Seed:     cfg.Seed,
 	})
 	c := &Cluster{
-		Engine:  engine,
-		Net:     net,
-		ctx:     context.Background(),
-		cfg:     cfg,
-		rng:     sim.RNG(cfg.Seed, 0x1ab),
-		nodes:   make(map[transport.NodeID]*core.Node, cfg.N),
-		tickers: make(map[transport.NodeID]func()),
-		clients: make(map[transport.NodeID]*client.Core),
-		nextID:  1,
-		nextCl:  clientIDBase,
+		Engine:   engine,
+		Net:      net,
+		ctx:      context.Background(),
+		cfg:      cfg,
+		rng:      sim.RNG(cfg.Seed, 0x1ab),
+		nodes:    make(map[transport.NodeID]*core.Node, cfg.N),
+		tickers:  make(map[transport.NodeID]func()),
+		clients:  make(map[transport.NodeID]*client.Core),
+		contacts: make(map[contact]int),
+		nextID:   1,
+		nextCl:   clientIDBase,
 	}
 	for i := 0; i < cfg.N; i++ {
 		c.addNode()
@@ -303,16 +309,39 @@ func (c *Cluster) SliceOf(id transport.NodeID) int32 {
 	return n.Slice()
 }
 
+// sliceCount is the slice count the nodes run with (core.Config's
+// default when the experiment left it unset).
+func (c *Cluster) sliceCount() int {
+	if k := c.cfg.Node.Slices; k > 0 {
+		return k
+	}
+	return 10
+}
+
+// RandomLB returns the paper's baseline balancer over the nodes alive
+// now, for the next NewClient call: experiments that reproduce the
+// paper's message counts pass it explicitly.
+func (c *Cluster) RandomLB() *client.RandomLB {
+	return client.NewRandomLB(c.AliveIDs(), sim.RNG(c.cfg.Seed, uint64(c.nextCl)))
+}
+
 // NewClient attaches a client endpoint with the given configuration and
-// load balancer (nil lb = random over current nodes).
+// load balancer. A nil lb is what live clients run: the slice directory
+// over a random contact list of the current nodes.
 func (c *Cluster) NewClient(cfg client.Config, lb client.LoadBalancer) *client.Core {
 	id := c.nextCl
-	c.nextCl++
-	if lb == nil {
-		lb = client.NewRandomLB(c.AliveIDs(), sim.RNG(c.cfg.Seed, uint64(id)))
-	}
 	var cl *client.Core
-	sender := c.Net.Attach(id, func(env transport.Envelope) { cl.HandleMessage(env) })
+	raw := c.Net.Attach(id, func(env transport.Envelope) { cl.HandleMessage(env) })
+	sender := transport.SenderFunc(func(ctx context.Context, to transport.NodeID, msg interface{}) error {
+		if key, ok := core.RequestKey(msg); ok { // mate queries are not requests
+			c.contacts[contact{slicing.KeySlice(key, c.sliceCount()), to}]++
+		}
+		return raw.Send(ctx, to, msg)
+	})
+	if lb == nil {
+		lb = client.NewDirectory(c.RandomLB(), c.sliceCount(), sim.RNG(c.cfg.Seed, uint64(id)^0xd1c7), sender, nil)
+	}
+	c.nextCl++
 	cl = client.NewCore(id, cfg, sender, lb)
 	c.clients[id] = cl
 	stop := c.Engine.Ticker(c.Engine.Now()+Round/2, Round, func(time.Duration) { cl.Tick() })
@@ -340,6 +369,30 @@ func (c *Cluster) ResetMetrics() {
 	for _, n := range c.nodes {
 		n.ResetMetrics()
 	}
+	clear(c.contacts)
+}
+
+// contact is one (slice of the key, node contacted) pair.
+type contact struct {
+	slice int32
+	node  transport.NodeID
+}
+
+// ContactSpread reports how evenly clients spread the requests for one
+// slice's keys over that slice's members: the busiest contact's share
+// over the fair share (one in slice-size), for the worst slice. 1 is
+// perfectly even; the slice size means one node took everything.
+func (c *Cluster) ContactSpread() float64 {
+	total, busiest := make(map[int32]int), make(map[int32]int)
+	for to, n := range c.contacts {
+		total[to.slice] += n
+		busiest[to.slice] = max(busiest[to.slice], n)
+	}
+	sizes, worst := c.SliceSizes(), 0.0
+	for slice, n := range total {
+		worst = max(worst, float64(busiest[slice]*sizes[slice])/float64(n))
+	}
+	return worst
 }
 
 // MessagesPerNode returns each live node's sent+received message count
@@ -378,10 +431,7 @@ func (c *Cluster) SliceAccuracy() float64 {
 	if len(c.order) == 0 {
 		return 0
 	}
-	k := c.cfg.Node.Slices
-	if k <= 0 {
-		k = 10
-	}
+	k := c.sliceCount()
 	// True slice: position of the node's attribute among all live
 	// attributes.
 	type nodeAttr struct {

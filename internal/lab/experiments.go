@@ -1,6 +1,8 @@
 package lab
 
 import (
+	"fmt"
+
 	"dataflasks/internal/churn"
 	"dataflasks/internal/client"
 	"dataflasks/internal/core"
@@ -103,14 +105,16 @@ type ChurnPoint struct {
 }
 
 // AvailabilityUnderChurn preloads records, then runs a read-heavy
-// workload while replacement churn runs at each rate.
+// workload while replacement churn runs at each rate. The client is
+// what live clients run: the slice directory.
 func AvailabilityUnderChurn(n, k int, rates []float64, ops int, seed uint64) []ChurnPoint {
-	return availabilityUnderChurn(n, k, rates, ops, seed, client.Opts{})
+	return availabilityUnderChurn(n, k, rates, ops, seed, client.Opts{}, false)
 }
 
-// availabilityUnderChurn is E5 with the reads' per-op options exposed,
-// so E20 can run the identical schedule with Flood forced on.
-func availabilityUnderChurn(n, k int, rates []float64, ops int, seed uint64, readOpts client.Opts) []ChurnPoint {
+// availabilityUnderChurn is E5 with the reads' per-op options and the
+// balancer exposed, so E20 can run the identical schedule from a random
+// contact, with and without Flood forced on.
+func availabilityUnderChurn(n, k int, rates []float64, ops int, seed uint64, readOpts client.Opts, randomLB bool) []ChurnPoint {
 	points := make([]ChurnPoint, 0, len(rates))
 	for _, rate := range rates {
 		c := NewCluster(ClusterConfig{
@@ -118,7 +122,11 @@ func availabilityUnderChurn(n, k int, rates []float64, ops int, seed uint64, rea
 			Seed: seed + uint64(rate*10000),
 			Node: core.Config{Slices: k, AntiEntropyEvery: 5},
 		})
-		cl := c.NewClient(client.Config{}, nil)
+		var lb client.LoadBalancer // nil: the directory
+		if randomLB {
+			lb = c.RandomLB()
+		}
+		cl := c.NewClient(client.Config{}, lb)
 		c.Run(30)
 
 		records := 20
@@ -220,53 +228,93 @@ func ReplicationRepair(n, k int, antiEntropyEvery int, seed uint64) RepairResult
 // ---------------------------------------------------------------------------
 // E7 — load-balancer ablation (§VII optimization)
 
-// LBResult compares message cost with and without the slice cache.
+// LBResult is one balancer's cost over one mix.
 type LBResult struct {
-	Caching      bool
-	MsgsPerNode  float64
-	DataPerNode  float64
-	OK, Failed   int
-	MeanRetries  float64
-	MsgsPerOp    float64
-	CacheWarmups int
+	// Balancer names the row: "paper" (random contact, Flood forced — the
+	// paper's baseline), "random" (random contact over the directed
+	// relay) or "directory" (what live clients run).
+	Balancer string
+	// Mix names the workload: "B" (95/5 read/update) or "put".
+	Mix string
+	// DataMsgsPerOp is data-plane sends across all nodes per operation.
+	DataMsgsPerOp float64
+	OK, Failed    int
+	MeanRetries   float64
+	// Spread is Cluster.ContactSpread over the measured phase.
+	Spread float64
 }
 
-// LoadBalancerAblation runs the same read-heavy workload with the
-// random and caching balancers. Both sides force Flood on, so the
-// random row is the paper's baseline and the ablation isolates the
-// client-side slice cache from the node-side directed hop.
+// LoadBalancerAblation runs a read-heavy and a put-only workload over
+// identical overlays with each balancer: the paper's baseline, the
+// random contact that leaves routing to the nodes' directed hop, and the
+// client-side slice directory that removes the hop.
 func LoadBalancerAblation(n, k, ops int, seed uint64) []LBResult {
-	out := make([]LBResult, 0, 2)
-	for _, caching := range []bool{false, true} {
-		c := NewCluster(ClusterConfig{
-			N:    n,
-			Seed: seed,
-			Node: core.Config{Slices: k},
-		})
-		stats := c.RunWorkload(WorkloadOptions{
-			Ops:       ops,
-			Mix:       workload.MixB,
-			Records:   50,
-			Preload:   true,
-			CachingLB: caching,
-			Flood:     true,
-			Seed:      seed,
-		})
-		total := float64(stats.OK + stats.Failed)
-		res := LBResult{
-			Caching:     caching,
-			MsgsPerNode: stats.Messages.Mean,
-			DataPerNode: stats.DataMessages.Mean,
-			OK:          stats.OK,
-			Failed:      stats.Failed,
+	mixes := []struct {
+		name string
+		mix  workload.Mix
+	}{{"B", workload.MixB}, {"put", workload.Mix{Update: 1}}}
+	balancers := []struct {
+		name             string
+		flood, directory bool
+	}{{"paper", true, false}, {"random", false, false}, {"directory", false, true}}
+	out := make([]LBResult, 0, len(mixes)*len(balancers))
+	for _, m := range mixes {
+		for _, b := range balancers {
+			c := NewCluster(ClusterConfig{N: n, Seed: seed, Node: core.Config{Slices: k}})
+			stats := c.RunWorkload(WorkloadOptions{
+				Ops:         ops,
+				OpsPerRound: 8,
+				Mix:         m.mix,
+				Records:     200,
+				Preload:     true,
+				Directory:   b.directory,
+				Flood:       b.flood,
+				Seed:        seed,
+			})
+			out = append(out, LBResult{
+				Balancer:      b.name,
+				Mix:           m.name,
+				DataMsgsPerOp: stats.DataMessages.Mean * float64(c.N()) / float64(ops),
+				OK:            stats.OK,
+				Failed:        stats.Failed,
+				MeanRetries:   float64(stats.Retries) / float64(ops),
+				Spread:        c.ContactSpread(),
+			})
 		}
-		if total > 0 {
-			res.MeanRetries = float64(stats.Retries) / total
-			res.MsgsPerOp = stats.DataMessages.Mean * float64(c.N()) / total
-		}
-		out = append(out, res)
 	}
 	return out
+}
+
+// LoadBalancerGate lists what E7 must hold and does not (nothing when
+// it passes): on every mix the directory spends fewer data messages per
+// op than the random contact, fails and retries no more ops, and keeps
+// the busiest member of a slice within twice its fair share.
+func LoadBalancerGate(rows []LBResult) []string {
+	var broken []string
+	for _, dir := range rows {
+		if dir.Balancer != "directory" {
+			continue
+		}
+		var random LBResult
+		for _, r := range rows {
+			if r.Mix == dir.Mix && r.Balancer == "random" {
+				random = r
+			}
+		}
+		if dir.DataMsgsPerOp >= random.DataMsgsPerOp {
+			broken = append(broken, fmt.Sprintf("mix %s: directory %.2f data msgs/op not below random %.2f", dir.Mix, dir.DataMsgsPerOp, random.DataMsgsPerOp))
+		}
+		if dir.Failed > random.Failed {
+			broken = append(broken, fmt.Sprintf("mix %s: directory failed %d ops, random %d", dir.Mix, dir.Failed, random.Failed))
+		}
+		if dir.MeanRetries > random.MeanRetries {
+			broken = append(broken, fmt.Sprintf("mix %s: directory retried %.3f/op, random %.3f/op", dir.Mix, dir.MeanRetries, random.MeanRetries))
+		}
+		if dir.Spread > 2 {
+			broken = append(broken, fmt.Sprintf("mix %s: directory contact spread %.2f > 2 (a member is pinned)", dir.Mix, dir.Spread))
+		}
+	}
+	return broken
 }
 
 // ---------------------------------------------------------------------------

@@ -74,19 +74,25 @@ func TestReplicationRepairRestoresReplicas(t *testing.T) {
 	}
 }
 
-func TestLoadBalancerCachingReducesTraffic(t *testing.T) {
-	rows := LoadBalancerAblation(150, 5, 60, 17)
-	if len(rows) != 2 {
+// TestLoadBalancerDirectoryCheaperAndSpread gates E7: the slice
+// directory must beat the random contact on data messages per op, on
+// the read-heavy and the put-only mix, without failing or retrying more
+// and without pinning a member of any slice.
+func TestLoadBalancerDirectoryCheaperAndSpread(t *testing.T) {
+	ops := 2400
+	if testing.Short() {
+		ops = 800 // the race run: ~13 contacts per member still tell a pin from a spread
+	}
+	rows := LoadBalancerAblation(60, 4, ops, 17)
+	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	random, caching := rows[0], rows[1]
-	if caching.Failed > random.Failed+3 {
-		t.Errorf("caching LB failed more: %d vs %d", caching.Failed, random.Failed)
+	for _, r := range rows {
+		t.Logf("mix %-3s %-9s %6.2f data msgs/op, ok %d, failed %d, %.3f retries/op, spread %.2f",
+			r.Mix, r.Balancer, r.DataMsgsPerOp, r.OK, r.Failed, r.MeanRetries, r.Spread)
 	}
-	// The §VII claim: a slice-aware contact collapses the global
-	// dissemination phase.
-	if caching.DataPerNode >= random.DataPerNode {
-		t.Errorf("caching LB data traffic %f >= random %f", caching.DataPerNode, random.DataPerNode)
+	for _, msg := range LoadBalancerGate(rows) {
+		t.Error(msg)
 	}
 }
 

@@ -59,7 +59,7 @@ func runPipelineMode(mode string, n, slices, ops, acks int, seed uint64) Pipelin
 	c.Run(30) // converge slicing and views
 	c.ResetMetrics()
 
-	cl := c.NewClient(client.Config{PutAcks: acks, TimeoutTicks: 5, Retries: 5}, nil)
+	cl := c.NewClient(client.Config{PutAcks: acks, TimeoutTicks: 5, Retries: 5}, c.RandomLB())
 	value := make([]byte, 100)
 	flood := client.Opts{Flood: true}
 

@@ -33,8 +33,10 @@ type WorkloadOptions struct {
 	Drain int
 	// PutAcks required per put (default 1).
 	PutAcks int
-	// CachingLB enables the §VII slice-cache load balancer.
-	CachingLB bool
+	// Directory gives the client the §VII slice directory that live
+	// clients run with. The default stays the paper's random balancer,
+	// so the figures and ablations keep their baseline.
+	Directory bool
 	// Flood sets client.Opts.Flood on every measured request: the
 	// global phase is the paper's epidemic fanout at every node, never
 	// the one directed hop. It is how the figures and the ablations
@@ -120,16 +122,9 @@ func (c *Cluster) RunWorkload(opts WorkloadOptions) WorkloadStats {
 		panic(err) // options are programmer-controlled in the harness
 	}
 
-	var lb client.LoadBalancer
-	rng := sim.RNG(c.cfg.Seed, 0xc11e)
-	random := client.NewRandomLB(c.AliveIDs(), rng)
-	lb = random
-	if opts.CachingLB {
-		k := c.cfg.Node.Slices
-		if k <= 0 {
-			k = 10
-		}
-		lb = client.NewCachingLB(random, k)
+	var lb client.LoadBalancer // nil: NewClient's directory
+	if !opts.Directory {
+		lb = client.NewRandomLB(c.AliveIDs(), sim.RNG(c.cfg.Seed, 0xc11e))
 	}
 	cl := c.NewClient(client.Config{PutAcks: opts.PutAcks}, lb)
 
@@ -191,10 +186,7 @@ func (c *Cluster) RunWorkload(opts WorkloadOptions) WorkloadStats {
 // preloadDirect bulk-loads every record straight into the stores of
 // the nodes whose slice owns it, one PutBatch per node.
 func (c *Cluster) preloadDirect(versions map[string]uint64, opts WorkloadOptions) {
-	k := c.cfg.Node.Slices
-	if k <= 0 {
-		k = 10
-	}
+	k := c.sliceCount()
 	value := make([]byte, opts.ValueSize)
 	bySlice := make(map[int32][]store.Object, k)
 	for i := 0; i < opts.Records; i++ {
@@ -218,10 +210,7 @@ func (c *Cluster) preloadDirect(versions map[string]uint64, opts WorkloadOptions
 // path: per-slice groups of at most 128 records, each one wire message
 // applied by replicas as a single store.PutBatch (unmeasured).
 func (c *Cluster) preloadBatch(cl *client.Core, versions map[string]uint64, opts WorkloadOptions) {
-	k := c.cfg.Node.Slices
-	if k <= 0 {
-		k = 10
-	}
+	k := c.sliceCount()
 	const maxBatch = 128
 	bySlice := make(map[int32][]store.Object, k)
 	for i := 0; i < opts.Records; i++ {

@@ -318,6 +318,12 @@ func cmdInfo(c *conn, args [][]byte) reply {
 		fmt.Fprintf(&b, "connected_clients:%d\r\n", c.s.Conns())
 		fmt.Fprintf(&b, "# Stats\r\n")
 		fmt.Fprintf(&b, "pending_backend_ops:%d\r\n", c.s.backend.Pending())
+		// The gateway is a long-lived client: how it picks contact nodes
+		// says whether its commands enter their slice directly.
+		dir := c.s.backend.DirectoryStats()
+		fmt.Fprintf(&b, "directory_hits:%d\r\n", dir.Hits)
+		fmt.Fprintf(&b, "directory_fallbacks:%d\r\n", dir.Fallbacks)
+		fmt.Fprintf(&b, "directory_evictions:%d\r\n", dir.Evictions)
 		if stats := c.s.cfg.Stats; stats != nil {
 			calls, errs := stats.Totals()
 			fmt.Fprintf(&b, "total_commands_processed:%d\r\n", calls)

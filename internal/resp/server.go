@@ -22,6 +22,7 @@ type Backend interface {
 	PutBatchAsync(objs []dataflasks.Object, opts ...dataflasks.OpOption) []*dataflasks.Op
 	DeleteBatchAsync(items []dataflasks.KeyVersion, opts ...dataflasks.OpOption) []*dataflasks.Op
 	Pending() int
+	DirectoryStats() dataflasks.DirectoryStats
 }
 
 var _ Backend = (*dataflasks.Client)(nil)

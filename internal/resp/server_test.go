@@ -182,7 +182,8 @@ func TestGatewayConformance(t *testing.T) {
 	if _, err := io.ReadFull(br, body); err != nil {
 		t.Fatalf("INFO body: %v", err)
 	}
-	for _, want := range []string{"# Server", "server:dataflasks-resp-gateway", "cmdstat_set:", "cmdstat_get:"} {
+	for _, want := range []string{"# Server", "server:dataflasks-resp-gateway", "cmdstat_set:", "cmdstat_get:",
+		"directory_hits:", "directory_fallbacks:", "directory_evictions:"} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Fatalf("INFO body missing %q:\n%s", want, body)
 		}

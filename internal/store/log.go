@@ -854,24 +854,12 @@ func (l *Log) ForEach(fn func(key string, version uint64) bool) error {
 		l.mu.RUnlock()
 		return ErrClosed
 	}
-	snapshot := make([]Object, 0, l.count)
+	snapshot := newHeaderSnapshot(len(l.index), l.count)
 	for key, k := range l.index {
-		for _, v := range k.versions {
-			snapshot = append(snapshot, Object{Key: key, Version: v})
-		}
+		snapshot.add(key, k.versions)
 	}
 	l.mu.RUnlock()
-	sort.Slice(snapshot, func(i, j int) bool {
-		if snapshot[i].Key != snapshot[j].Key {
-			return snapshot[i].Key < snapshot[j].Key
-		}
-		return snapshot[i].Version < snapshot[j].Version
-	})
-	for _, o := range snapshot {
-		if !fn(o.Key, o.Version) {
-			return nil
-		}
-	}
+	snapshot.visit(fn)
 	return nil
 }
 

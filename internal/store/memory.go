@@ -225,24 +225,12 @@ func (m *Memory) ForEach(fn func(key string, version uint64) bool) error {
 		m.mu.RUnlock()
 		return ErrClosed
 	}
-	snapshot := make([]Object, 0, m.count)
+	snapshot := newHeaderSnapshot(len(m.keys), m.count)
 	for key, k := range m.keys {
-		for _, v := range k.versions {
-			snapshot = append(snapshot, Object{Key: key, Version: v})
-		}
+		snapshot.add(key, k.versions)
 	}
 	m.mu.RUnlock()
-	sort.Slice(snapshot, func(i, j int) bool {
-		if snapshot[i].Key != snapshot[j].Key {
-			return snapshot[i].Key < snapshot[j].Key
-		}
-		return snapshot[i].Version < snapshot[j].Version
-	})
-	for _, o := range snapshot {
-		if !fn(o.Key, o.Version) {
-			return nil
-		}
-	}
+	snapshot.visit(fn)
 	return nil
 }
 

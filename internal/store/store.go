@@ -16,6 +16,8 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // Latest is the version sentinel for newest-wins reads.
@@ -183,6 +185,49 @@ type Store interface {
 	Count() int
 	// Close releases resources. The store is unusable afterwards.
 	Close() error
+}
+
+// headerSnapshot is what the indexed engines' ForEach iterates: every
+// key once, its versions — ascending, as the engines keep them — a
+// window into one shared array. An engine fills it under its read lock
+// and visits it after releasing the lock, so fn may call back into the
+// store.
+type headerSnapshot struct {
+	keys     []keySpan
+	versions []uint64
+}
+
+// keySpan locates one key's versions: versions[start:end].
+type keySpan struct {
+	key        string
+	start, end int
+}
+
+func newHeaderSnapshot(keys, count int) *headerSnapshot {
+	return &headerSnapshot{
+		keys:     make([]keySpan, 0, keys),
+		versions: make([]uint64, 0, count),
+	}
+}
+
+func (h *headerSnapshot) add(key string, versions []uint64) {
+	start := len(h.versions)
+	h.versions = append(h.versions, versions...)
+	h.keys = append(h.keys, keySpan{key: key, start: start, end: len(h.versions)})
+}
+
+// visit calls fn in (key, version) order — a stable order keeps
+// protocols that truncate digests deterministic — until fn returns
+// false. Only the keys are sorted: each key's versions already are.
+func (h *headerSnapshot) visit(fn func(key string, version uint64) bool) {
+	slices.SortFunc(h.keys, func(a, b keySpan) int { return strings.Compare(a.key, b.key) })
+	for _, k := range h.keys {
+		for _, v := range h.versions[k.start:k.end] {
+			if !fn(k.key, v) {
+				return
+			}
+		}
+	}
 }
 
 // Stats is a point-in-time snapshot of an engine's physical state —

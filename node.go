@@ -444,8 +444,12 @@ func (n *Node) Close() error {
 }
 
 // ConnectClient opens a client against a TCP deployment. Seeds are
-// "id@host:port" contacts; bind may be ":0". cfg.Slices must match the
-// deployment's slice count for batch puts to group correctly.
+// "id@host:port" contacts; bind may be ":0". cfg.Slices should match
+// the deployment's slice count: it groups batch puts per slice and
+// drives the slice directory's contact choice, so a mismatch costs
+// relay hops (never correctness — nodes re-route what reaches the wrong
+// slice). The seeds are only where the client starts: it learns the
+// members of each slice from the replies it gets.
 func ConnectClient(bind string, seeds []string, cfg Config) (*Client, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("dataflasks: ConnectClient needs at least one seed")
@@ -477,7 +481,8 @@ func ConnectClient(bind string, seeds []string, cfg Config) (*Client, error) {
 		tcpNet.Learn(sid, addr)
 		ids = append(ids, sid)
 	}
-	lb := client.NewRandomLB(ids, rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())))
+	rng := rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64()))
+	lb := client.NewDirectory(client.NewRandomLB(ids, rng), cfg.slicesOrDefault(), rng, tcpNet.Sender(), tcpNet)
 	period := 500 * time.Millisecond
 	clientCfg := client.Config{PutAcks: cfg.clientPutAcks(), SelfAddr: tcpNet.Addr()}
 	cl := newLiveClient(id, clientCfg, tcpNet.Sender(), lb, mailbox, period, cfg.slicesOrDefault(), drops.Load)
