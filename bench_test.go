@@ -29,6 +29,7 @@ import (
 	"dataflasks/internal/slicing"
 	"dataflasks/internal/store"
 	"dataflasks/internal/transport"
+	"dataflasks/internal/wire"
 	"dataflasks/internal/workload"
 )
 
@@ -257,6 +258,74 @@ func BenchmarkLogStorePutBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(batchSize, "objs/op")
+}
+
+// BenchmarkShardPutBurst is the drain-and-commit write path: durable
+// entry puts against the fsyncing log engine with 32 kept in flight on
+// one shard, so the puts queued behind an fsync share the next one.
+// puts/commit is puts_served over put_commits; a shard that stored one
+// put per wake-up reads 1.
+func BenchmarkShardPutBurst(b *testing.B) {
+	res, err := lab.ShardPutBurst(lab.ShardPutBurstOptions{
+		Dir: b.TempDir(), Shards: 1, InFlight: 32, Puts: b.N, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(res.PutsPerCommit, "puts/commit")
+}
+
+// BenchmarkTCPDeliver is the fabric's inbound path under fan-in: four
+// peers stream small frames at one listener, whose four read loops each
+// decode, re-learn the sender's (unchanged) address and hand the
+// envelope over. The learn step is what used to take the fabric's write
+// lock per frame.
+func BenchmarkTCPDeliver(b *testing.B) {
+	cfg := transport.TCPConfig{Codec: wire.BinaryCodec()}
+	var got atomic.Int64
+	done := make(chan struct{})
+	target := int64(b.N)
+	rx, err := transport.ListenTCP(1, "127.0.0.1:0", "", cfg, func(transport.Envelope) {
+		if got.Add(1) == target {
+			close(done)
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rx.Close()
+	const peers = 4
+	senders := make([]transport.Sender, peers)
+	for i := range senders {
+		tx, err := transport.ListenTCP(transport.NodeID(i+2), "127.0.0.1:0", "", cfg, func(transport.Envelope) {})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer tx.Close()
+		tx.Learn(1, rx.Addr())
+		senders[i] = tx.Sender()
+	}
+	msg := &core.GetRequest{ID: gossip.MakeRequestID(3, 1), Key: "key00000001", Origin: 3, TTL: 4}
+	b.ResetTimer()
+	for i, tx := range senders {
+		n := b.N / peers
+		if i == 0 {
+			n += b.N % peers
+		}
+		go func(tx transport.Sender, n int) {
+			for j := 0; j < n; j++ {
+				if err := tx.Send(context.Background(), 1, msg); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(tx, n)
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		b.Fatalf("delivered %d of %d frames", got.Load(), b.N)
+	}
 }
 
 // BenchmarkLogRecovery measures reopening (sequential replay + index

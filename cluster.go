@@ -180,6 +180,9 @@ func (c *Cluster) runNode(n *core.Node, mailbox <-chan transport.Envelope, stop 
 		defer cancel()
 		defer n.StopShards()
 		n.StartShards(ctx)
+		// Data-plane requests skip this loop: the fabric hands them to
+		// their shard's mailbox directly.
+		c.net.SetDirect(n.ID(), n.DispatchData)
 		ticker := time.NewTicker(c.period)
 		defer ticker.Stop()
 		for {

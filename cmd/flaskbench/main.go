@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -341,7 +342,11 @@ func runBootstrap(seed uint64, quick bool, jsonPath string) {
 // a multi-core host (>= 4 cores) 8 shards must clear 2x the
 // single-shard rate, and the CI smoke step relies on the exit code; on
 // smaller hosts the ratio is report-only (goroutines cannot outrun one
-// core). Equivalence: a 1-shard and an 8-shard cluster fed the same
+// core). The scaling half ends with the burst rows: 32 durable entry
+// puts kept in flight against the fsyncing log engine, where a shard
+// must commit more than one put per store write (>= 1.5 with all 32 in
+// one shard's mailbox; the 8-shard row, four puts per shard, is
+// reported). Equivalence: a 1-shard and an 8-shard cluster fed the same
 // seeded workload must converge to identical per-node stores — that
 // gate holds everywhere.
 func runShards(seed uint64, quick bool, jsonPath string) {
@@ -376,6 +381,28 @@ func runShards(seed uint64, quick bool, jsonPath string) {
 	fmt.Printf("scaling: %d shards serve %.2fx the single-shard rate (%d cores, gate %s)\n",
 		results[len(results)-1].Shards, ratio, cores, map[bool]string{true: "enforced", false: "report-only"}[gateScaling])
 
+	burstDir, err := os.MkdirTemp("", "flaskbench-burst-")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "flaskbench: shards burst: %v\n", err)
+		os.Exit(1)
+	}
+	defer os.RemoveAll(burstDir)
+	fmt.Printf("burst: 32 entry puts in flight, log engine, fsync on\n%8s %12s %10s %12s %14s\n",
+		"shards", "puts", "commits", "puts/commit", "ops/sec")
+	var burst []lab.ShardPutBurstResult
+	for _, shards := range scaleOpts.Shards {
+		r, err := lab.ShardPutBurst(lab.ShardPutBurstOptions{
+			Dir: filepath.Join(burstDir, strconv.Itoa(shards)), Shards: shards,
+			InFlight: 32, Duration: scaleOpts.Duration, Seed: seed,
+		})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "flaskbench: shards burst: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("%8d %12d %10d %12.2f %14.0f\n", r.Shards, r.Puts, r.Commits, r.PutsPerCommit, r.OpsPerSec)
+		burst = append(burst, r)
+	}
+
 	eq, err := lab.ShardEquivalence(eqOpts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "flaskbench: shards equivalence: %v\n", err)
@@ -393,8 +420,9 @@ func runShards(seed uint64, quick bool, jsonPath string) {
 			GateEnforced bool                       `json:"gate_enforced"`
 			Scaling      []lab.ShardScalingResult   `json:"scaling"`
 			Ratio        float64                    `json:"ratio"`
+			Burst        []lab.ShardPutBurstResult  `json:"burst"`
 			Equivalence  lab.ShardEquivalenceResult `json:"equivalence"`
-		}{"shards", seed, quick, cores, gateScaling, results, ratio, eq}
+		}{"shards", seed, quick, cores, gateScaling, results, ratio, burst, eq}
 		data, err := json.MarshalIndent(out, "", "  ")
 		if err == nil {
 			err = os.WriteFile(jsonPath, append(data, '\n'), 0o644)
@@ -417,6 +445,11 @@ func runShards(seed uint64, quick bool, jsonPath string) {
 	}
 	if gateScaling && ratio < 2 {
 		fmt.Fprintf(os.Stderr, "flaskbench: shards experiment regressed (8-shard speedup %.2fx < 2x on %d cores)\n", ratio, cores)
+		os.Exit(1)
+	}
+	if burst[0].PutsPerCommit < 1.5 {
+		fmt.Fprintf(os.Stderr, "flaskbench: shards experiment regressed (%.2f puts per commit < 1.5 with 32 puts in flight on %d shard)\n",
+			burst[0].PutsPerCommit, burst[0].Shards)
 		os.Exit(1)
 	}
 }

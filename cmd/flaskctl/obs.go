@@ -65,24 +65,42 @@ func runStats(addr string, timeout time.Duration) {
 			fmt.Printf("%-44s %s\n", sampleLabel(s), formatValue(s.Value))
 		}
 	}
-	if line := directedHitRatio(families); line != "" {
-		fmt.Println(line)
+	for _, line := range []string{directedHitRatio(families), putsPerCommit(families)} {
+		if line != "" {
+			fmt.Println(line)
+		}
 	}
+}
+
+// firstValue reads an unlabeled family's sample, 0 when absent.
+func firstValue(families map[string]*obs.Family, name string) float64 {
+	f := families[name]
+	if f == nil || len(f.Samples) == 0 {
+		return 0
+	}
+	return f.Samples[0].Value
+}
+
+// putsPerCommit derives how many stored objects shared one store write
+// — one group-commit wait with fsync on: one or two on a node serving
+// blocking writers (a put and the relay copy that rode with it), rising
+// with the puts in flight. Empty before the node has stored anything.
+func putsPerCommit(families map[string]*obs.Family) string {
+	puts := firstValue(families, "flasks_puts_served_total")
+	commits := firstValue(families, "flasks_put_commits_total")
+	if commits == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%-44s %.3f (%s puts in %s store commits)",
+		"puts per commit", puts/commits, formatValue(puts), formatValue(commits))
 }
 
 // directedHitRatio derives, from the two global-phase hop counters, the
 // share of hops that went to one known target-slice peer rather than
 // the fanout. Empty before the node has relayed anything.
 func directedHitRatio(families map[string]*obs.Family) string {
-	value := func(name string) float64 {
-		f := families[name]
-		if f == nil || len(f.Samples) == 0 {
-			return 0
-		}
-		return f.Samples[0].Value
-	}
-	directed := value("flasks_requests_directed_total")
-	hops := directed + value("flasks_requests_flooded_total")
+	directed := firstValue(families, "flasks_requests_directed_total")
+	hops := directed + firstValue(families, "flasks_requests_flooded_total")
 	if hops == 0 {
 		return ""
 	}

@@ -181,15 +181,15 @@ type Config struct {
 	// single-threaded simulation semantics. Default 1.
 	DataShards int
 
-	// CoalesceMax is the event loop's put accumulation window:
-	// intra-slice relay puts (which carry no ack obligation) are
-	// buffered and land in one store.PutBatch — one lock acquisition
-	// and, in the log engine, one group-commit fsync — at the next tick
-	// or once this many are buffered, whichever comes first. Reads,
-	// deletes and incoming batches flush the buffer first, so a node
-	// still observes its own relayed writes. Default 64; negative
-	// disables coalescing (every relay put hits the store
-	// individually).
+	// CoalesceMax is the put accumulation window: intra-slice relay
+	// puts (which carry no ack obligation) are buffered and land in one
+	// store.PutBatch — one lock acquisition and, in the log engine, one
+	// group-commit fsync — with the next slice-entry put's commit, at
+	// the next tick or once this many are buffered, whichever comes
+	// first. Deletes, client batches and reads of a buffered key commit
+	// the buffer first, so a node still observes its own writes. It
+	// also bounds the run a shard handles per wake-up. Default 64;
+	// negative disables both (every put hits the store individually).
 	CoalesceMax int
 
 	// AntiEntropyEvery runs one anti-entropy exchange every this many

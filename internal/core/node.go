@@ -68,6 +68,7 @@ type Node struct {
 	shardStop chan struct{}
 	shardWG   sync.WaitGroup
 	routeSnap atomic.Pointer[routeView]
+	relaySeq  atomic.Uint32 // numbers the batched relays this node mints (relayEntries)
 }
 
 // objRef identifies one (key, version) pair in the coalesce buffer.
@@ -443,11 +444,11 @@ func (n *Node) Tick(ctx context.Context) {
 	tickStart := time.Now()
 	n.round++
 	if !n.external.Load() {
-		// Inline mode: the tick owns the shard states; flush every
-		// coalescing window. Externally-run shards flush on their own
+		// Inline mode: the tick owns the shard states; commit every
+		// coalescing window. Externally-run shards commit on their own
 		// loops' tickers instead.
 		for _, s := range n.shards {
-			s.flush()
+			s.commit(ctx)
 		}
 	}
 	if n.trace != nil {
@@ -605,34 +606,15 @@ func (n *Node) onPut(ctx context.Context, s *dataShard, from transport.NodeID, m
 
 	if mine == target {
 		if !m.Intra {
-			// Entry point into the slice: the object is stored
-			// synchronously (the ack must reflect a store that really
-			// holds it) and acknowledged — only if the local store
-			// really holds the object now; acking a failed Put (disk
-			// full, oversized value, closed store) would tell the
-			// client a write is replicated when no one stored it — and
-			// the intra-slice phase starts either way, since mates may
-			// still succeed.
-			err := n.st.Put(m.Key, m.Version, m.Value)
-			if err == nil {
-				s.met.Inc(metrics.PutsServed)
-				s.traceOp(obs.TracePutApply, m.TraceID, m.Key, len(m.Value), 1)
-				if !m.NoAck && m.Origin != 0 {
-					n.learnOrigin(m.Origin, m.OriginAddr)
-					s.sendData(ctx, m.Origin, &PutAck{ID: m.ID, Key: m.Key, Version: m.Version})
-				}
-			}
-			s.traceOp(obs.TracePutRelay, m.TraceID, m.Key, 0, 0)
-			fwd := *m
-			fwd.Intra = true
-			fwd.TTL = s.intraTTL()
-			s.relayIntra(ctx, from, &fwd)
+			// Entry point into the slice: the commit step stores the
+			// object, acks it and starts the intra-slice phase.
+			s.collectPut(ctx, from, m)
 			return
 		}
 		// Intra-phase copy: no ack obligation, so the write can ride
 		// the accumulation window and land as part of one batch append.
 		s.traceOp(obs.TracePutApply, m.TraceID, m.Key, len(m.Value), 1)
-		s.coalescePut(m.Key, m.Version, m.Value)
+		s.coalescePut(ctx, m.Key, m.Version, m.Value)
 		if m.TTL > 0 {
 			s.traceOp(obs.TracePutRelay, m.TraceID, m.Key, 0, 0)
 			fwd := *m
@@ -669,13 +651,24 @@ func (n *Node) onPutBatch(ctx context.Context, s *dataShard, from transport.Node
 	target := slicing.KeySlice(m.Objs[0].Key, k)
 
 	if mine == target {
-		// Flush buffered relay puts first so the store applies writes
-		// in arrival order.
-		s.flush()
-		err := n.st.PutBatch(m.Objs)
-		if err == nil {
-			s.met.Add(metrics.PutsServed, uint64(len(m.Objs)))
+		var err error
+		if m.Intra && len(m.Objs) < n.cfg.CoalesceMax && s.ownsAll(m.Objs) {
+			// A mate's relay of a run: no ack obligation, so the objects
+			// wait in the window like single relay copies do. (A batch
+			// that would fill the window is a commit of its own.)
 			s.traceOp(obs.TracePutApply, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
+			for _, o := range m.Objs {
+				s.coalescePut(ctx, o.Key, o.Version, o.Value)
+			}
+		} else {
+			// Commit the window first so the store applies writes in
+			// arrival order.
+			s.commit(ctx)
+			s.met.Inc(metrics.PutCommits)
+			if err = n.st.PutBatch(m.Objs); err == nil {
+				s.met.Add(metrics.PutsServed, uint64(len(m.Objs)))
+				s.traceOp(obs.TracePutApply, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
+			}
 		}
 		if !m.Intra {
 			if err == nil && !m.NoAck && m.Origin != 0 {
@@ -721,9 +714,9 @@ func (n *Node) onDelete(ctx context.Context, s *dataShard, from transport.NodeID
 	target := slicing.KeySlice(m.Key, k)
 
 	if mine == target {
-		// A buffered relay put for this key must be applied before the
-		// delete, or the flush would resurrect the object.
-		s.flush()
+		// A buffered put for this key must be applied before the
+		// delete, or the commit would resurrect the object.
+		s.commit(ctx)
 		existed, err := n.applyDelete(m.Key, m.Version)
 		if err == nil && existed {
 			s.met.Inc(metrics.DeletesServed)
@@ -777,9 +770,9 @@ func (n *Node) onDeleteBatch(ctx context.Context, s *dataShard, from transport.N
 	target := slicing.KeySlice(m.Items[0].Key, k)
 
 	if mine == target {
-		// Buffered relay puts must land first, or the flush would
-		// resurrect objects this batch deletes.
-		s.flush()
+		// Buffered puts must land first, or the commit would resurrect
+		// objects this batch deletes.
+		s.commit(ctx)
 		applied, firstErr := n.applyDeleteBatch(m.Items)
 		s.met.Add(metrics.DeletesServed, uint64(applied))
 		s.traceOp(obs.TraceDeleteApply, m.TraceID, m.Items[0].Key, 0, applied)
@@ -893,9 +886,11 @@ func (n *Node) onGet(ctx context.Context, s *dataShard, from transport.NodeID, m
 	target := slicing.KeySlice(m.Key, k)
 
 	if mine == target {
-		// Serve reads against everything received, including puts still
-		// sitting in the accumulation window.
-		s.flush()
+		// A put of this key still sitting in the window lands first; a
+		// read of any other key does not wait for a write.
+		if s.holds(m.Key) {
+			s.commit(ctx)
+		}
 		val, actual, ok, err := n.st.Get(m.Key, m.Version)
 		if err == nil && ok {
 			s.met.Inc(metrics.GetsServed)

@@ -20,16 +20,18 @@
 //   - external (live nodes, in-process clusters): StartShards gives
 //     every shard a mailbox and a goroutine; DispatchData routes data
 //     envelopes to the owning shard's mailbox with a non-blocking
-//     send. Routing reads the routeView snapshot.
+//     send, and the shard handles what is queued one run at a time
+//     (drain). Routing reads the routeView snapshot.
 //
-// Either way the relay decisions (relayGlobal, relayIntra) are the same
-// code drawing from the shard's own RNG; the modes differ only in
-// where the peer and mate lists come from.
+// Either way the relay decisions (relayGlobal, relayIntra) and the put
+// path's one store write (commit) are the same code; the modes differ
+// only in where the peer and mate lists come from and in how long a
+// run is (inline: one message).
 //
 // A key's requests always hash to the same shard, so per-shard dedup
 // caches and coalescing windows lose nothing: two deliveries of one
-// request id meet in the same cache, and a read or delete flushing its
-// shard's window observes every buffered put for its key.
+// request id meet in the same cache, and a read or delete of a key
+// observes every buffered put for it in its own shard's window.
 package core
 
 import (
@@ -143,11 +145,30 @@ type dataShard struct {
 	tickDur metrics.LatencyHistogram
 
 	// coalesce is this shard's put accumulation window (see
-	// Config.CoalesceMax); coalesceSeen de-duplicates (key, version)
-	// within the buffer.
+	// Config.CoalesceMax), in arrival order: intra-slice relay copies,
+	// de-duplicated by (key, version) through coalesceSeen, and the
+	// slice-entry puts of the run in progress. entries names the
+	// latter: the commit step owes each its ack and its intra-slice
+	// phase. draining is set while the shard loop handles a run, whose
+	// entry puts wait for its one commit; otherwise each commits at once.
 	coalesce     []store.Object
 	coalesceSeen map[objRef]struct{}
+	entries      []entryPut
+	draining     bool
 }
+
+// entryPut is a collected slice-entry put: the request, the peer it
+// came from and where its object sits in the window.
+type entryPut struct {
+	m    *PutRequest
+	from transport.NodeID
+	at   int
+}
+
+// relayBatchValueMax bounds the values that share a batched intra
+// relay: a run has at most CoalesceMax puts, so the frame stays small,
+// and a larger value gains nothing from saving one frame header.
+const relayBatchValueMax = 64 << 10
 
 // newShards builds the per-shard states. The dedup capacity is divided
 // across shards: a request id only ever reaches the shard its key
@@ -196,7 +217,7 @@ func (n *Node) handleData(ctx context.Context, s *dataShard, env transport.Envel
 
 // StartShards moves the data plane onto per-shard goroutines: every
 // shard gets a mailbox and a loop that handles dispatched envelopes
-// and flushes its coalescing window once per round period. ctx bounds
+// and commits its coalescing window once per round period. ctx bounds
 // the sends shard handlers make (acks, replies, relays); the owner
 // must keep it alive until StopShards returns, or draining could not
 // ack what it applies. Call at most once, before messages flow.
@@ -208,6 +229,10 @@ func (n *Node) StartShards(ctx context.Context) {
 	for _, s := range n.shards {
 		s.mailbox = make(chan transport.Envelope, shardMailboxCap)
 	}
+	// Batched relays carry ids this node mints: the clock (a microsecond
+	// per step, faster than a node mints) keeps a restarted node clear
+	// of the ids its mates' dedup caches hold from its previous life.
+	n.relaySeq.Store(uint32(time.Now().UnixNano() >> 10))
 	n.publishRoute()
 	n.external.Store(true)
 	for _, s := range n.shards {
@@ -217,7 +242,7 @@ func (n *Node) StartShards(ctx context.Context) {
 }
 
 // StopShards drains and stops the shard goroutines: each shard
-// consumes what its mailbox already holds, flushes its coalescing
+// consumes what its mailbox already holds, commits its coalescing
 // window, and exits. It returns after every shard goroutine is gone,
 // so the owner can close the store next without racing an in-flight
 // write ("drain before close"). Safe to call when shards never
@@ -234,9 +259,10 @@ func (n *Node) StopShards() {
 // DispatchData routes a data-plane envelope to its owning shard's
 // mailbox. It reports false when the caller must deliver the envelope
 // to HandleMessage instead: shards are not running externally, or the
-// message is not data-plane. Safe from any goroutine (fabric handlers
-// call it directly to keep data off the control loop); a full mailbox
-// drops the message and counts it.
+// message is not data-plane. Safe from any goroutine: fabric handlers
+// call it first and fall back to the control loop's mailbox when it
+// declines, so a get or a put never waits behind a Tick. A full shard
+// mailbox drops the message and counts it.
 func (n *Node) DispatchData(env transport.Envelope) bool {
 	if !n.external.Load() {
 		return false
@@ -254,8 +280,8 @@ func (n *Node) DispatchData(env transport.Envelope) bool {
 	return true
 }
 
-// runShard is one shard's goroutine: dispatched data envelopes, a
-// per-round flush tick, then a final drain on stop.
+// runShard is one shard's goroutine: runs of dispatched data envelopes,
+// a per-round commit of the window, then a final drain on stop.
 func (n *Node) runShard(ctx context.Context, s *dataShard) {
 	defer n.shardWG.Done()
 	ticker := time.NewTicker(n.cfg.RoundPeriod)
@@ -263,11 +289,10 @@ func (n *Node) runShard(ctx context.Context, s *dataShard) {
 	for {
 		select {
 		case env := <-s.mailbox:
-			s.met.Inc(metrics.MsgRecv)
-			n.handleData(ctx, s, env)
+			n.drain(ctx, s, env)
 		case <-ticker.C:
 			t0 := time.Now()
-			s.flush()
+			s.commit(ctx)
 			s.tickDur.Observe(time.Since(t0))
 		case <-n.shardStop:
 			n.drainShard(ctx, s)
@@ -276,17 +301,40 @@ func (n *Node) runShard(ctx context.Context, s *dataShard) {
 	}
 }
 
+// drain handles one run: the envelope that woke the shard plus what is
+// queued behind it right now — the shard is its mailbox's only consumer,
+// so that much is received without waiting — in arrival order, at most
+// CoalesceMax envelopes so the tick and the stop signal get their turn.
+// The run's slice-entry puts share one commit, so with W puts in flight
+// a shard pays about one group-commit wait per wake-up, not one per put.
+// Relay copies alone do not end a run with a commit: they keep waiting
+// for the tick or a later entry put's.
+func (n *Node) drain(ctx context.Context, s *dataShard, env transport.Envelope) {
+	s.draining = true
+	for more := min(len(s.mailbox), max(n.cfg.CoalesceMax, 1)-1); ; more-- {
+		s.met.Inc(metrics.MsgRecv)
+		n.handleData(ctx, s, env)
+		if more == 0 {
+			break
+		}
+		env = <-s.mailbox
+	}
+	s.draining = false
+	if len(s.entries) > 0 {
+		s.commit(ctx)
+	}
+}
+
 // drainShard consumes everything the mailbox holds at stop time and
-// flushes the coalescing window, so no accepted write is lost between
-// the last round and the store closing.
+// commits the window, so no accepted write is lost between the last
+// round and the store closing.
 func (n *Node) drainShard(ctx context.Context, s *dataShard) {
 	for {
 		select {
 		case env := <-s.mailbox:
-			s.met.Inc(metrics.MsgRecv)
-			n.handleData(ctx, s, env)
+			n.drain(ctx, s, env)
 		default:
-			s.flush()
+			s.commit(ctx)
 			return
 		}
 	}
@@ -522,10 +570,11 @@ func (s *dataShard) traceOp(kind obs.TraceKind, traceID uint64, key string, byte
 	})
 }
 
-// coalescePut buffers one intra-slice relay put for the next batched
-// flush; with coalescing disabled it stores directly.
-func (s *dataShard) coalescePut(key string, version uint64, value []byte) {
+// coalescePut buffers one intra-slice relay copy for the next commit;
+// with coalescing disabled it stores directly.
+func (s *dataShard) coalescePut(ctx context.Context, key string, version uint64, value []byte) {
 	if s.n.cfg.CoalesceMax <= 0 {
+		s.met.Inc(metrics.PutCommits)
 		if s.n.st.Put(key, version, value) == nil {
 			s.met.Inc(metrics.PutsServed)
 		}
@@ -543,31 +592,136 @@ func (s *dataShard) coalescePut(key string, version uint64, value []byte) {
 	// copy on store.
 	s.coalesce = append(s.coalesce, store.Object{Key: key, Version: version, Value: value})
 	if len(s.coalesce) >= s.n.cfg.CoalesceMax {
-		s.flush()
+		s.commit(ctx)
 	}
 }
 
-// flush applies the accumulation window as one store.PutBatch. A
-// batch-level failure (one invalid object fails the whole batch with
-// no side effects) degrades to individual puts so valid objects are
-// not lost to a poisoned batch.
-func (s *dataShard) flush() {
+// collectPut files a slice-entry put in the window. Outside a drain the
+// run is this one put, so it commits at once.
+func (s *dataShard) collectPut(ctx context.Context, from transport.NodeID, m *PutRequest) {
+	s.entries = append(s.entries, entryPut{m: m, from: from, at: len(s.coalesce)})
+	s.coalesce = append(s.coalesce, store.Object{Key: m.Key, Version: m.Version, Value: m.Value})
+	if !s.draining {
+		s.commit(ctx)
+	}
+}
+
+// holds reports whether the window has an object of key: a get of such
+// a key commits first, any other get is served without waiting for a
+// write. The window is at most a run plus CoalesceMax copies long, so
+// the scan is cheaper than a second index beside coalesceSeen.
+func (s *dataShard) holds(key string) bool {
+	for i := range s.coalesce {
+		if s.coalesce[i].Key == key {
+			return true
+		}
+	}
+	return false
+}
+
+// commit is the put path's one store write: the window — relay copies
+// and the run's entry puts, in arrival order — lands as one
+// store.PutBatch (one lock pass and, in the log engine, one appended
+// record batch and one group-commit wait for the lot). Only after the
+// store returned does an entry put get its ack, and only if the store
+// holds its object now: acking a failed write (disk full, oversized
+// value, closed store) would tell the client it is replicated when no
+// one stored it. The intra-slice phase starts either way, since mates
+// may still succeed.
+func (s *dataShard) commit(ctx context.Context) {
 	if len(s.coalesce) == 0 {
 		return
 	}
-	batch := s.coalesce
-	s.coalesce = nil
-	s.coalesceSeen = nil
-	if err := s.n.st.PutBatch(batch); err != nil {
-		for _, o := range batch {
-			if s.n.st.Put(o.Key, o.Version, o.Value) == nil {
-				s.met.Inc(metrics.PutsServed)
+	batch, entries := s.coalesce, s.entries
+	s.coalesce, s.coalesceSeen, s.entries = nil, nil, nil
+	st, commits := s.n.st, 1
+	var failed []bool // per batch object; nil when the whole batch stored
+	if len(batch) == 1 || st.PutBatch(batch) != nil {
+		// One object is a plain Put. A batch fails as a whole (one
+		// invalid object poisons it, no side effects): degrade to
+		// single puts so the valid objects are not lost with it.
+		commits, failed = len(batch), make([]bool, len(batch))
+		for i, o := range batch {
+			failed[i] = st.Put(o.Key, o.Version, o.Value) != nil
+		}
+	}
+	s.met.Add(metrics.PutCommits, uint64(commits))
+	served, own := 0, 0
+	for i := range batch {
+		if failed == nil || !failed[i] {
+			served++
+		}
+	}
+	for _, e := range entries {
+		if m := e.m; failed == nil || !failed[e.at] {
+			own++
+			s.traceOp(obs.TracePutApply, m.TraceID, m.Key, len(m.Value), 1)
+			if !m.NoAck && m.Origin != 0 {
+				s.n.learnOrigin(m.Origin, m.OriginAddr)
+				s.sendData(ctx, m.Origin, &PutAck{ID: m.ID, Key: m.Key, Version: m.Version})
 			}
 		}
-		return
 	}
-	s.met.Add(metrics.PutsServed, uint64(len(batch)))
-	s.met.Add(metrics.CoalescedPuts, uint64(len(batch)))
+	s.met.Add(metrics.PutsServed, uint64(served))
+	s.met.Add(metrics.CoalescedPuts, uint64(served-own))
+	s.relayEntries(ctx, entries)
+}
+
+// batchedRelay reports whether an entry put may share its run's batched
+// intra relay. A traced put goes alone so /trace can stitch it across
+// hops, a Flood put keeps the request id under which the intra phases
+// of its several entry points merge, a large value gains nothing.
+func batchedRelay(m *PutRequest) bool {
+	return m.TraceID == 0 && !m.Flood && len(m.Value) <= relayBatchValueMax
+}
+
+// relayEntries starts the intra-slice phase of a committed run. Two or
+// more puts travel as ONE PutBatchRequest{Intra, NoAck} under an id
+// this node mints (and marks seen, so an echo is suppressed): one frame
+// and one relay decision for all of them, filed by the mate in its own
+// window. A lone put goes as the PutRequest{Intra} copy it always was.
+func (s *dataShard) relayEntries(ctx context.Context, entries []entryPut) {
+	var objs []store.Object
+	if len(entries) > 1 {
+		for _, e := range entries {
+			if m := e.m; batchedRelay(m) {
+				objs = append(objs, store.Object{Key: m.Key, Version: m.Version, Value: m.Value})
+			}
+		}
+	}
+	if len(objs) < 2 {
+		objs = nil
+	}
+	for _, e := range entries {
+		if m := e.m; objs == nil || !batchedRelay(m) {
+			s.traceOp(obs.TracePutRelay, m.TraceID, m.Key, 0, 0)
+			fwd := *m
+			fwd.Intra = true
+			fwd.TTL = s.intraTTL()
+			s.relayIntra(ctx, e.from, &fwd)
+		}
+	}
+	if objs != nil {
+		fwd := &PutBatchRequest{
+			ID:   gossip.MakeRequestID(s.n.id, s.n.relaySeq.Add(1)),
+			Objs: objs, TTL: s.intraTTL(), Intra: true, NoAck: true,
+		}
+		s.dedup.Seen(fwd.ID)
+		// No mate handed us the batch: sparing ourselves spares nobody.
+		s.relayIntra(ctx, s.n.id, fwd)
+	}
+}
+
+// ownsAll reports whether a get of any of objs looks in this shard's
+// window: true for what one shard of a mate with our shard count
+// batched, not for every batch of a mate sharded differently.
+func (s *dataShard) ownsAll(objs []store.Object) bool {
+	for i := range objs {
+		if shardIndex(objs[i].Key, len(s.n.shards)) != s.id {
+			return false
+		}
+	}
+	return true
 }
 
 // ShardCount returns how many data-plane shards the node runs.

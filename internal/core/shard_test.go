@@ -196,8 +196,9 @@ func TestStopShardsDrainsBeforeStoreClose(t *testing.T) {
 		t.Fatalf("after drain: served %d + dropped %d != dispatched %d",
 			served, dropped, producers*perProducer)
 	}
-	if served != guard.putsSeen.Load() {
-		t.Fatalf("PutsServed %d != store puts %d", served, guard.putsSeen.Load())
+	// Objects, not calls: the puts of one run land as one PutBatch.
+	if stored := guard.putsSeen.Load() + guard.batchSeen.Load(); served != stored {
+		t.Fatalf("PutsServed %d != objects the store saw %d", served, stored)
 	}
 	if err := guard.Close(); err != nil {
 		t.Fatal(err)

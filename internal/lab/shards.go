@@ -149,6 +149,102 @@ func shardScalingRun(opts ShardScalingOptions, shards int) ShardScalingResult {
 	}
 }
 
+// ShardPutBurstOptions sizes the drain-and-commit measurement.
+type ShardPutBurstOptions struct {
+	// Dir is the log engine's directory (the caller's temp dir).
+	Dir string
+	// Shards is the node's DataShards.
+	Shards int
+	// InFlight is how many entry puts are kept unacknowledged.
+	InFlight int
+	// Puts stops the run after this many puts, Duration after this long;
+	// whichever is set and comes first.
+	Puts     int
+	Duration time.Duration
+	// Seed keys the node's deterministic RNG lanes.
+	Seed uint64
+}
+
+// ShardPutBurstResult is one burst run's measurement.
+type ShardPutBurstResult struct {
+	Shards        int           `json:"shards"`
+	Puts          uint64        `json:"puts"`
+	Commits       uint64        `json:"commits"`
+	PutsPerCommit float64       `json:"puts_per_commit"`
+	Elapsed       time.Duration `json:"elapsed_nanos"`
+	OpsPerSec     float64       `json:"ops_per_sec"`
+}
+
+// ShardPutBurst measures what pipelining buys a durable write path: one
+// node (single slice, log engine, Fsync on) is fed slice-entry puts
+// through DispatchData with InFlight of them unacknowledged at any
+// time, the next issued as each PutAck leaves. A shard that handled one
+// put per wake-up would pay one group-commit wait per put whatever the
+// window; the drain loop commits a run at a time, so puts per commit
+// (puts_served over put_commits, the counters /metrics exports) rises
+// with the puts queued behind each fsync.
+func ShardPutBurst(opts ShardPutBurstOptions) (ShardPutBurstResult, error) {
+	if opts.InFlight <= 0 {
+		opts.InFlight = 32
+	}
+	st, err := store.OpenLog(opts.Dir, store.LogOptions{Fsync: true})
+	if err != nil {
+		return ShardPutBurstResult{}, err
+	}
+	defer st.Close()
+	// One slot per unacknowledged put: taken before the dispatch, given
+	// back by the fabric when the ack leaves the node.
+	slots := make(chan struct{}, opts.InFlight)
+	acks := transport.SenderFunc(func(_ context.Context, _ transport.NodeID, msg interface{}) error {
+		if _, ok := msg.(*core.PutAck); ok {
+			<-slots
+		}
+		return nil
+	})
+	n := core.NewNode(1, core.Config{
+		Slices:     1,
+		Slicer:     core.SlicerStatic,
+		DataShards: opts.Shards,
+		Seed:       opts.Seed,
+	}, st, acks)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n.StartShards(ctx)
+	defer n.StopShards()
+
+	val := make([]byte, 128)
+	stalled := time.NewTimer(10 * time.Second)
+	defer stalled.Stop()
+	start := time.Now()
+	for i := 1; (opts.Puts <= 0 || i <= opts.Puts) && (opts.Duration <= 0 || time.Since(start) < opts.Duration); i++ {
+		select {
+		case slots <- struct{}{}:
+		case <-stalled.C:
+			return ShardPutBurstResult{}, fmt.Errorf("lab: put burst stalled: %d puts in flight got no ack for 10s", opts.InFlight)
+		}
+		stalled.Reset(10 * time.Second)
+		n.DispatchData(transport.Envelope{From: 2, To: 1, Msg: &core.PutRequest{
+			ID: gossip.MakeRequestID(2, uint32(i)), Key: fmt.Sprintf("burst-%d", i), Version: 1,
+			Value: val, Origin: 2, TTL: core.TTLUnset,
+		}})
+	}
+	n.StopShards()
+	elapsed := time.Since(start)
+
+	m := n.Metrics()
+	res := ShardPutBurstResult{
+		Shards:  opts.Shards,
+		Puts:    m.Get(metrics.PutsServed),
+		Commits: m.Get(metrics.PutCommits),
+		Elapsed: elapsed,
+	}
+	if res.Commits > 0 {
+		res.PutsPerCommit = float64(res.Puts) / float64(res.Commits)
+	}
+	res.OpsPerSec = float64(res.Puts) / elapsed.Seconds()
+	return res, nil
+}
+
 // ShardEquivalenceOptions sizes the sharded-vs-unsharded cluster
 // comparison.
 type ShardEquivalenceOptions struct {

@@ -78,6 +78,11 @@ const (
 	// event loop's accumulation window as batch appends instead of
 	// individual store writes.
 	CoalescedPuts
+	// PutCommits counts the store writes the put path made: one per
+	// commit step (window flushes included) or, when its batch degrades,
+	// one per object; one per client batch. PutsServed over PutCommits
+	// is objects per group-commit wait.
+	PutCommits
 	// RequestsRelayed counts requests forwarded during routing.
 	RequestsRelayed
 	// RequestsDirected counts global-phase hops that went to ONE peer
@@ -135,6 +140,7 @@ var counterNames = [...]string{
 	GetsServed:                "gets_served",
 	DeletesServed:             "deletes_served",
 	CoalescedPuts:             "coalesced_puts",
+	PutCommits:                "put_commits",
 	RequestsRelayed:           "requests_relayed",
 	RequestsDirected:          "requests_directed",
 	RequestsFlooded:           "requests_flooded",

@@ -42,6 +42,7 @@ var metricNames = [...]string{
 	"flasks_gets_served_total",
 	"flasks_deletes_served_total",
 	"flasks_coalesced_puts_total",
+	"flasks_put_commits_total",
 	"flasks_requests_relayed_total",
 	"flasks_requests_directed_total",
 	"flasks_requests_flooded_total",

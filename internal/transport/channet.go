@@ -14,6 +14,8 @@ import (
 type ChanNetwork struct {
 	mu        sync.RWMutex
 	mailboxes map[NodeID]chan Envelope
+	// direct holds, per recipient, a first-chance receiver (SetDirect).
+	direct map[NodeID]func(Envelope) bool
 	// perDrop counts, per recipient, messages discarded because that
 	// recipient's mailbox was full — the receiver-side congestion
 	// signal (Stats().Dropped also includes sends to unknown peers).
@@ -33,6 +35,7 @@ type ChanNetwork struct {
 func NewChanNetwork() *ChanNetwork {
 	return &ChanNetwork{
 		mailboxes: make(map[NodeID]chan Envelope),
+		direct:    make(map[NodeID]func(Envelope) bool),
 		perDrop:   make(map[NodeID]*atomic.Uint64),
 	}
 }
@@ -60,6 +63,19 @@ func (n *ChanNetwork) Attach(id NodeID, mailbox int) (<-chan Envelope, Sender, e
 		n.perDrop[id] = &atomic.Uint64{}
 	}
 	return ch, BindSender(n, id), nil
+}
+
+// SetDirect gives the attached node id a first-chance receiver: every
+// envelope for id is offered to fn on the sender's goroutine and only
+// queued in the mailbox when fn declines it. fn must be non-blocking
+// and safe for concurrent use (a node passes core.DispatchData, which
+// keeps data-plane requests off its control loop). Detach removes it.
+func (n *ChanNetwork) SetDirect(id NodeID, fn func(Envelope) bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if _, ok := n.mailboxes[id]; ok {
+		n.direct[id] = fn
+	}
 }
 
 // SetDelay installs a per-message artificial delivery delay drawn from
@@ -91,6 +107,7 @@ func (n *ChanNetwork) Detach(id NodeID) {
 	defer n.mu.Unlock()
 	if ch, ok := n.mailboxes[id]; ok {
 		delete(n.mailboxes, id)
+		delete(n.direct, id)
 		close(ch)
 	}
 }
@@ -105,6 +122,7 @@ func (n *ChanNetwork) Close() {
 	n.closed = true
 	for id, ch := range n.mailboxes {
 		delete(n.mailboxes, id)
+		delete(n.direct, id)
 		close(ch)
 	}
 }
@@ -158,8 +176,13 @@ func (n *ChanNetwork) deliver(from, to NodeID, msg interface{}) error {
 		n.dropped.Add(1)
 		return ErrUnknownPeer
 	}
+	env := Envelope{From: from, To: to, Msg: msg}
+	if fn := n.direct[to]; fn != nil && fn(env) {
+		n.delivered.Add(1)
+		return nil
+	}
 	select {
-	case ch <- Envelope{From: from, To: to, Msg: msg}:
+	case ch <- env:
 		n.delivered.Add(1)
 		return nil
 	default:

@@ -134,6 +134,15 @@ func (t *TCPNetwork) Learn(id NodeID, addr string) {
 	if id == t.self || addr == "" {
 		return
 	}
+	// Every inbound frame re-teaches its sender's address; the read lock
+	// settles the usual case (nothing changed) without serialising the
+	// read loops against each other and against connTo.
+	t.mu.RLock()
+	known := t.peers[id] == addr
+	t.mu.RUnlock()
+	if known {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.peers[id] != addr {

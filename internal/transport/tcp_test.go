@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -212,6 +213,62 @@ func TestTCPConcurrentSends(t *testing.T) {
 	}
 	wg.Wait()
 	colB.waitFor(t, n, 10*time.Second)
+}
+
+// TestTCPDeliverConcurrentWithSend hammers the inbound path from several
+// goroutines while Send runs: every frame re-teaches its sender's
+// address, which in the usual case (nothing changed) is settled under
+// the read lock. Under -race this pins that the fast path shares
+// nothing unsynchronised with connTo; the final step pins that a
+// changed address is still taken.
+func TestTCPDeliverConcurrentWithSend(t *testing.T) {
+	colB := newCollector()
+	b, err := ListenTCP(2, "127.0.0.1:0", "", testTCP, colB.handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var got atomic.Uint64
+	a, err := ListenTCP(1, "127.0.0.1:0", "", testTCP, func(Envelope) { got.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.Learn(2, b.Addr())
+
+	const readers, frames, sends = 4, 500, 200
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(from NodeID) {
+			defer wg.Done()
+			for i := 0; i < frames; i++ {
+				if !a.deliver(&WireEnvelope{From: from, FromAddr: "127.0.0.1:9", To: 1, Msg: &tcpTestMsg{}}) {
+					t.Error("deliver refused a frame on an open fabric")
+					return
+				}
+			}
+		}(NodeID(10 + g))
+	}
+	for i := 0; i < sends; i++ {
+		if err := a.Sender().Send(context.Background(), 2, &tcpTestMsg{Text: "meanwhile"}); err != nil {
+			t.Fatalf("send %d while frames are delivered: %v", i, err)
+		}
+	}
+	wg.Wait()
+	colB.waitFor(t, sends, 10*time.Second)
+	if got.Load() != readers*frames {
+		t.Fatalf("handler saw %d frames, want %d", got.Load(), readers*frames)
+	}
+	for g := 0; g < readers; g++ {
+		if addr := a.PeerAddr(NodeID(10 + g)); addr != "127.0.0.1:9" {
+			t.Fatalf("peer %d learned as %q", 10+g, addr)
+		}
+	}
+	a.deliver(&WireEnvelope{From: 10, FromAddr: "127.0.0.1:10", To: 1, Msg: &tcpTestMsg{}})
+	if addr := a.PeerAddr(10); addr != "127.0.0.1:10" {
+		t.Fatalf("changed address not taken: peer 10 is %q", addr)
+	}
 }
 
 func TestListenTCPRequiresCodec(t *testing.T) {

@@ -76,7 +76,10 @@ type Node struct {
 	udp    *transport.UDPTransport // nil unless UDPBind was set
 	wstats *metrics.WireStats
 	core   *core.Node
-	st     store.Store
+	// data is core, published for the fabric handlers (which run from
+	// the moment the listener is up) once the shards are started.
+	data atomic.Pointer[core.Node]
+	st   store.Store
 
 	mailbox chan transport.Envelope
 	done    chan struct{}
@@ -136,9 +139,15 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		mailbox: make(chan transport.Envelope, defaultMailbox),
 		done:    make(chan struct{}),
 	}
-	// The TCP fabric decodes on per-connection goroutines; funnel into
-	// the mailbox so the protocol core stays single-threaded.
+	// The TCP fabric decodes on per-connection goroutines. Data-plane
+	// requests go straight to their shard's mailbox, so a get or a put
+	// never queues behind a Tick; everything else (and everything that
+	// arrives before the shards run) funnels into the mailbox so the
+	// control plane stays single-threaded.
 	handler := func(env transport.Envelope) {
+		if c := n.data.Load(); c != nil && c.DispatchData(env) {
+			return
+		}
 		select {
 		case n.mailbox <- env:
 		default:
@@ -270,6 +279,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	dataCtx, dataCancel := context.WithCancel(context.Background())
 	n.dataCancel = dataCancel
 	n.core.StartShards(dataCtx)
+	n.data.Store(n.core)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -424,10 +434,10 @@ func (n *Node) Close() error {
 		n.cancel()
 		close(n.done)
 		n.wg.Wait()
-		// The control loop is gone, so nothing dispatches into the shard
-		// mailboxes anymore; drain them before the fabrics and the store
-		// go away so every accepted write lands and its ack gets a live
-		// connection to leave on.
+		// Drain the shard mailboxes before the fabrics and the store go
+		// away, so every write accepted so far lands and its ack gets a
+		// live connection to leave on. What the fabric handlers dispatch
+		// after the drain is lost, like any message to a stopping node.
 		n.core.StopShards()
 		n.dataCancel()
 		if n.udp != nil {
