@@ -153,19 +153,6 @@ func BenchmarkMemoryStoreGetLatest(b *testing.B) {
 	}
 }
 
-func BenchmarkDiskStorePut(b *testing.B) {
-	s, err := store.OpenDisk(b.TempDir(), store.DiskOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	val := make([]byte, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Put(fmt.Sprintf("key%08d", i), 1, val)
-	}
-}
-
 func BenchmarkLogStorePut(b *testing.B) {
 	s, err := store.OpenLog(b.TempDir(), store.LogOptions{})
 	if err != nil {
@@ -195,44 +182,31 @@ func BenchmarkLogStoreGetLatest(b *testing.B) {
 	}
 }
 
-// BenchmarkStorePutFsync is the durability head-to-head: file-per-
-// object with an fsync per write versus the log engine's group commit.
-// Concurrent writers let the log coalesce fsyncs; the disk engine pays
-// one per object no matter what.
+// BenchmarkStorePutFsync is the durable single-put path: concurrent
+// writers, each blocked until its record is on stable storage, sharing
+// fsyncs through the log engine's group commit.
 func BenchmarkStorePutFsync(b *testing.B) {
-	open := map[string]func(dir string) (store.Store, error){
-		"disk": func(dir string) (store.Store, error) {
-			return store.OpenDisk(dir, store.DiskOptions{Fsync: true})
-		},
-		"log": func(dir string) (store.Store, error) {
-			return store.OpenLog(dir, store.LogOptions{Fsync: true})
-		},
+	s, err := store.OpenLog(b.TempDir(), store.LogOptions{Fsync: true})
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, name := range []string{"disk", "log"} {
-		b.Run(name, func(b *testing.B) {
-			s, err := open[name](b.TempDir())
-			if err != nil {
-				b.Fatal(err)
+	defer s.Close()
+	val := make([]byte, 100)
+	var seq atomic.Uint64
+	// Epidemic replication hands a node many concurrent writes; raise
+	// the writer count so the run exercises group commit even on
+	// single-core runners.
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			i := seq.Add(1)
+			if err := s.Put(fmt.Sprintf("key%08d", i), 1, val); err != nil {
+				b.Error(err)
+				return
 			}
-			defer s.Close()
-			val := make([]byte, 100)
-			var seq atomic.Uint64
-			// Epidemic replication hands a node many concurrent writes;
-			// raise the writer count so the comparison exercises group
-			// commit even on single-core runners.
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := seq.Add(1)
-					if err := s.Put(fmt.Sprintf("key%08d", i), 1, val); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkLogStorePutBatch is the batched write path: 64 objects per

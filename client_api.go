@@ -11,6 +11,7 @@ import (
 	"dataflasks/internal/core"
 	"dataflasks/internal/gossip"
 	"dataflasks/internal/slicing"
+	"dataflasks/internal/store"
 	"dataflasks/internal/transport"
 )
 
@@ -35,6 +36,12 @@ var ErrInFlight = errors.New("dataflasks: operation in flight")
 // converging cluster. Reads surface it as ErrNotFound instead (an
 // epidemic read has no authoritative negative).
 var ErrTimeout = client.ErrTimeout
+
+// ErrKeyTooLong reports a write whose key exceeds the 128 bytes every
+// replica's store accepts. The client refuses it before sending
+// anything: replicas would refuse it too and acknowledge nothing, which
+// the caller could only observe as a timeout.
+var ErrKeyTooLong = store.ErrKeyTooLong
 
 // Client is the client API (paper §V): operations go to a contact node
 // chosen by the load balancer — a member of the key's slice once the
@@ -447,6 +454,9 @@ func (c *Client) PutAsync(key string, version uint64, value []byte, opts ...OpOp
 		return c.failedOp(kindPut, key, version,
 			fmt.Errorf("dataflasks: version %d is reserved", version))
 	}
+	if err := store.CheckKey(key); err != nil {
+		return c.failedOp(kindPut, key, version, err)
+	}
 	settings := c.resolveSettings(opts)
 	op := c.newOp(kindPut, key, version)
 	if err := c.submit(func() {
@@ -501,6 +511,9 @@ func (c *Client) PutBatchAsync(objs []Object, opts ...OpOption) []*Op {
 		if o.Version == Latest || o.Version == AllVersions {
 			return []*Op{c.failedOp(kindBatch, o.Key, o.Version,
 				fmt.Errorf("dataflasks: version %d is reserved", o.Version))}
+		}
+		if err := store.CheckKey(o.Key); err != nil {
+			return []*Op{c.failedOp(kindBatch, o.Key, o.Version, err)}
 		}
 	}
 	settings := c.resolveSettings(opts)

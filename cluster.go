@@ -170,19 +170,23 @@ func (c *Cluster) addNodeLocked() (NodeID, func(), error) {
 }
 
 func (c *Cluster) runNode(n *core.Node, mailbox <-chan transport.Envelope, stop chan struct{}) {
+	// Per-node lifecycle context: bounds every send the node makes.
+	ctx, cancel := context.WithCancel(context.Background())
+	// Shards start here, not on the loop goroutine: they publish the
+	// node's first routing snapshot, and SliceOf must find it the moment
+	// Start or AddNode returns — it may not read live slicer state once
+	// the loop ticks.
+	n.StartShards(ctx)
+	// Data-plane requests skip the loop: the fabric hands them to their
+	// shard's mailbox directly.
+	c.net.SetDirect(n.ID(), n.DispatchData)
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		// Per-node lifecycle context: bounds every send the node makes.
 		// StopShards runs before cancel (LIFO defers) so the shard
 		// drain's sends still reach the fabric.
-		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		defer n.StopShards()
-		n.StartShards(ctx)
-		// Data-plane requests skip this loop: the fabric hands them to
-		// their shard's mailbox directly.
-		c.net.SetDirect(n.ID(), n.DispatchData)
 		ticker := time.NewTicker(c.period)
 		defer ticker.Stop()
 		for {
@@ -312,11 +316,13 @@ func (c *Cluster) RemoveNode(id NodeID) error {
 	return nil
 }
 
-// SliceOf reports a node's current slice claim (-1 while undecided).
+// SliceOf reports a node's current slice claim (-1 while undecided):
+// on a running cluster the claim its loop last published, on one not
+// started yet the slicer's own.
 func (c *Cluster) SliceOf(id NodeID) (int32, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	n, ok := c.nodes[id]
-	c.mu.Unlock()
 	if !ok {
 		return -1, fmt.Errorf("dataflasks: unknown node %s", id)
 	}

@@ -636,14 +636,12 @@ func runStore(quick bool) {
 		open  func(dir string, fsync bool) (store.Store, error)
 	}{
 		{"memory", false, func(string, bool) (store.Store, error) { return store.NewMemory(), nil }},
-		{"disk", false, openDisk},
-		{"disk", true, openDisk},
 		{"log", false, openLog},
 		{"log", true, openLog},
 	} {
 		n := puts
 		if row.fsync {
-			n = fsyncPuts // fsync-per-object engines are orders slower
+			n = fsyncPuts // every put waits for a disk flush
 		}
 		res, err := measureStore(row.open, row.name, row.fsync, n)
 		if err != nil {
@@ -913,10 +911,6 @@ func putBatchHeadToHead(n, valSize int) (seq, batch time.Duration, err error) {
 	}
 	batch = time.Since(start)
 	return seq, batch, nil
-}
-
-func openDisk(dir string, fsync bool) (store.Store, error) {
-	return store.OpenDisk(dir, store.DiskOptions{Fsync: fsync})
 }
 
 func openLog(dir string, fsync bool) (store.Store, error) {

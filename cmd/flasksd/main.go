@@ -35,10 +35,9 @@ func main() {
 		advertise  = flag.String("advertise", "", "address peers dial (default: bind)")
 		seeds      = flag.String("seeds", "", "comma-separated bootstrap contacts, each id@host:port")
 		dataDir    = flag.String("data", "", "object directory (empty: in-memory)")
-		engine     = flag.String("engine", "log", "persistence engine with -data: log, disk or memory")
+		engine     = flag.String("engine", "log", "persistence engine with -data: log or memory")
 		fsync      = flag.Bool("fsync", true, "block writes until durable (log engine group-commits)")
 		segBytes   = flag.Int64("segment-bytes", 0, "log segment roll size (0: 64 MiB default)")
-		commitWin  = flag.Duration("commit-window", 0, "log group-commit window (0: natural batching)")
 		compact    = flag.Float64("compact-live", 0, "compact sealed log segments below this live ratio (0: 0.5 default, <0 disables)")
 		compactBw  = flag.Int64("compact-rate", 0, "log compaction copy throughput cap in bytes/sec (0: unlimited)")
 		slices     = flag.Int("slices", 10, "number of slices k")
@@ -92,12 +91,10 @@ func main() {
 	switch *engine {
 	case "log":
 		engineKind = dataflasks.LogEngine
-	case "disk":
-		engineKind = dataflasks.DiskEngine
 	case "memory":
 		engineKind = dataflasks.MemoryEngine
 	default:
-		fmt.Fprintf(os.Stderr, "flasksd: unknown -engine %q (want log, disk or memory)\n", *engine)
+		fmt.Fprintf(os.Stderr, "flasksd: unknown -engine %q (want log or memory)\n", *engine)
 		os.Exit(2)
 	}
 
@@ -109,7 +106,6 @@ func main() {
 		Engine:                 engineKind,
 		Fsync:                  *fsync,
 		SegmentMaxBytes:        *segBytes,
-		CommitWindow:           *commitWin,
 		CompactLiveRatio:       *compact,
 		CompactRateBytesPerSec: *compactBw,
 		MaxPushBytes:           *aePushBytes,

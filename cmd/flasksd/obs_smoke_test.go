@@ -35,6 +35,7 @@ func TestFlasksdObsSmoke(t *testing.T) {
 
 	daemon := exec.Command(bin,
 		"-id", "1", "-bind", "127.0.0.1:0",
+		"-engine", "memory", "-data", t.TempDir(), // a data directory the memory engine leaves alone
 		"-slices", "1", "-slicer", "static", "-system-size", "1",
 		"-period", "50ms", "-status", "0",
 		"-http-addr", "127.0.0.1:0")

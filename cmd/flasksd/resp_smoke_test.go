@@ -34,10 +34,12 @@ func TestFlasksdRESPGatewaySmoke(t *testing.T) {
 	}
 
 	// A singleton deployment: one slice, static slicer (a lone node has
-	// no gossip stream to estimate rank from), RESP on an OS-chosen
-	// port that is parsed back out of the boot log.
+	// no gossip stream to estimate rank from), the log engine on a data
+	// directory, RESP on an OS-chosen port that is parsed back out of the
+	// boot log.
 	daemon := exec.Command(bin,
 		"-id", "1", "-bind", "127.0.0.1:0",
+		"-engine", "log", "-data", t.TempDir(),
 		"-slices", "1", "-slicer", "static", "-system-size", "1",
 		"-period", "50ms", "-status", "0",
 		"-resp-addr", "127.0.0.1:0")

@@ -1,5 +1,5 @@
 // Command repolint enforces the repository's documentation hygiene in
-// CI. It has two checks, selected by what each argument is:
+// CI. It has three checks, selected by what each argument is:
 //
 //   - a .md file: every relative link and anchor in it must resolve —
 //     linked files exist inside the repository, and #fragments match a
@@ -9,6 +9,9 @@
 //   - a directory: every Go package under it (recursively, skipping
 //     testdata and hidden directories) must carry a package doc
 //     comment on at least one of its non-test files.
+//   - a directory holding both README.md and cmd/flasksd/main.go (the
+//     repository root): the flags flasksd registers and the rows of
+//     README's "flasksd flags" table must be the same set.
 //
 // Usage:
 //
@@ -25,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"unicode"
 )
@@ -49,6 +53,7 @@ func main() {
 		switch {
 		case info.IsDir():
 			findings = append(findings, checkPackageDocs(arg)...)
+			findings = append(findings, checkFlagTable(filepath.Join(arg, "cmd", "flasksd", "main.go"), filepath.Join(arg, "README.md"))...)
 		case strings.HasSuffix(arg, ".md"):
 			findings = append(findings, checkMarkdown(root, arg)...)
 		default:
@@ -124,6 +129,50 @@ func packageHasDoc(dir string) bool {
 		}
 	}
 	return false
+}
+
+// ---------------------------------------------------------------------------
+// The flasksd knob inventory
+
+// flagDefRe matches one flag registration (flag.String("name", ...);
+// flagRowRe one row of the README table (| `-name` | ...).
+var (
+	flagDefRe = regexp.MustCompile(`\bflag\.[A-Z]\w*\("([^"]+)"`)
+	flagRowRe = regexp.MustCompile("(?m)^\\| `-([^`]+)` \\|")
+)
+
+// checkFlagTable compares the flags registered in mainFile with the
+// rows of the "## flasksd flags" section of readme and reports every
+// flag on one side only: a retired flag cannot linger in the docs, a
+// new one cannot land undocumented. A directory without both files is
+// not the repository root and has nothing to check.
+func checkFlagTable(mainFile, readme string) []string {
+	src, err := os.ReadFile(mainFile)
+	doc, err2 := os.ReadFile(readme)
+	if err != nil || err2 != nil {
+		return nil
+	}
+	// A README without the section documents no flag: every one is reported.
+	_, section, _ := strings.Cut(string(doc), "\n## flasksd flags\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	registered, documented := map[string]bool{}, map[string]bool{}
+	for _, m := range flagDefRe.FindAllStringSubmatch(string(src), -1) {
+		registered[m[1]] = true
+	}
+	var findings []string
+	for _, m := range flagRowRe.FindAllStringSubmatch(section, -1) {
+		documented[m[1]] = true
+		if !registered[m[1]] {
+			findings = append(findings, fmt.Sprintf("%s: flag table documents -%s, which %s does not register", readme, m[1], mainFile))
+		}
+	}
+	for name := range registered {
+		if !documented[name] {
+			findings = append(findings, fmt.Sprintf("%s: flag -%s has no row in the flag table of %s", mainFile, name, readme))
+		}
+	}
+	sort.Strings(findings)
+	return findings
 }
 
 // ---------------------------------------------------------------------------

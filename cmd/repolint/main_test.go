@@ -88,3 +88,42 @@ func TestPackageDocCheck(t *testing.T) {
 		t.Fatalf("findings = %v, want exactly the bad package", findings)
 	}
 }
+
+func TestCheckFlagTable(t *testing.T) {
+	dir := t.TempDir()
+	mainFile := filepath.Join(dir, "main.go")
+	readme := filepath.Join(dir, "README.md")
+	os.WriteFile(mainFile, []byte(`package main
+var (
+	id      = flag.Uint64("id", 0, "node id")
+	engine  = flag.String("engine", "log", "engine")
+	secret  = flag.Duration("undocumented", 0, "nobody wrote this down")
+)`), 0o644)
+	table := strings.Join([]string{
+		"# Doc",
+		"| `-not-a-flasksd-flag` | rows outside the section do not count |",
+		"## flasksd flags",
+		"| Flag | Default | Meaning |",
+		"|------|---------|---------|",
+		"| `-id` | (required) | node id |",
+		"| `-engine` | `log` | engine |",
+		"| `-retired` | 0 | removed from main.go, left in the docs |",
+		"## Next section",
+		"| `-also-outside` | x |",
+	}, "\n")
+	os.WriteFile(readme, []byte(table), 0o644)
+
+	findings := checkFlagTable(mainFile, readme)
+	if len(findings) != 2 || !strings.Contains(findings[0], "-retired") || !strings.Contains(findings[1], "-undocumented") {
+		t.Fatalf("findings = %v, want the retired row and the undocumented flag", findings)
+	}
+	// Sets that agree are clean; a directory that is not the repository
+	// root (either file missing) has nothing to check.
+	os.WriteFile(readme, []byte(strings.Replace(table, "-retired", "-undocumented", 1)), 0o644)
+	if findings := checkFlagTable(mainFile, readme); len(findings) != 0 {
+		t.Fatalf("agreeing sets reported: %v", findings)
+	}
+	if findings := checkFlagTable(filepath.Join(dir, "absent.go"), readme); len(findings) != 0 {
+		t.Fatalf("missing main.go reported: %v", findings)
+	}
+}

@@ -2,10 +2,13 @@ package dataflasks
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"dataflasks/internal/core"
+	"dataflasks/internal/store"
 )
 
 func TestConfigTranslation(t *testing.T) {
@@ -111,6 +114,28 @@ func TestAddAndRemoveNodesWhileRunning(t *testing.T) {
 	}
 }
 
+// TestSliceOfWhileRunning polls SliceOf over every node of a running
+// cluster while the loops tick and re-claim slices. The claim is served
+// from what each loop publishes, so `go test -race` must stay silent;
+// reading the live slicer from here is a data race it reports at once.
+func TestSliceOfWhileRunning(t *testing.T) {
+	c, err := NewCluster(6, Config{Slices: 2}, WithRoundPeriod(5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	for deadline := time.Now().Add(250 * time.Millisecond); time.Now().Before(deadline); {
+		for _, id := range c.NodeIDs() {
+			if _, err := c.SliceOf(id); err != nil {
+				t.Fatalf("SliceOf(%s): %v", id, err)
+			}
+		}
+	}
+}
+
 func TestPutRejectsReservedVersion(t *testing.T) {
 	c, err := NewCluster(5, Config{}, WithRoundPeriod(10*time.Millisecond))
 	if err != nil {
@@ -128,6 +153,49 @@ func TestPutRejectsReservedVersion(t *testing.T) {
 	defer cancel()
 	if err := cl.Put(ctx, "k", Latest, []byte("x")); err == nil {
 		t.Error("Put with reserved version accepted")
+	}
+}
+
+// TestOversizedKeyRefusedBeforeSending: a key longer than any replica's
+// store accepts fails every write path at once with ErrKeyTooLong and
+// nothing reaches the fabric. Sent to the replicas it would be refused
+// by each, acknowledged by none, and cost the caller its whole deadline.
+func TestOversizedKeyRefusedBeforeSending(t *testing.T) {
+	// Never started: no gossip, so every fabric send is the client's.
+	c, err := NewCluster(3, Config{Slices: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := contextWithTimeout(t)
+	defer cancel()
+	long := strings.Repeat("k", store.MaxKeyLen+1)
+	batch := []Object{{Key: "fine", Version: 1}, {Key: long, Version: 1}}
+	if err := cl.Put(ctx, long, 1, []byte("x")); !errors.Is(err, ErrKeyTooLong) {
+		t.Errorf("Put = %v, want ErrKeyTooLong", err)
+	}
+	if err := cl.PutAsync(long, 1, nil).Err(); !errors.Is(err, ErrKeyTooLong) {
+		t.Errorf("PutAsync resolved to %v, want ErrKeyTooLong at once", err)
+	}
+	if err := cl.PutBatch(ctx, batch); !errors.Is(err, ErrKeyTooLong) {
+		t.Errorf("PutBatch = %v, want ErrKeyTooLong", err)
+	}
+	for _, op := range cl.PutBatchAsync(batch) {
+		if err := op.Err(); !errors.Is(err, ErrKeyTooLong) {
+			t.Errorf("PutBatchAsync resolved to %v, want ErrKeyTooLong at once", err)
+		}
+	}
+	if sent := c.net.Stats().Sent; sent != 0 {
+		t.Errorf("refused writes cost %d fabric sends, want 0", sent)
+	}
+	// The bound is exact, and the counter does see a client's send.
+	cl.PutAsync(strings.Repeat("k", store.MaxKeyLen), 1, nil)
+	if cl.Pending() != 1 || c.net.Stats().Sent == 0 {
+		t.Errorf("a %d-byte key was not sent (pending=%d sent=%d)", store.MaxKeyLen, cl.Pending(), c.net.Stats().Sent)
 	}
 }
 

@@ -30,8 +30,6 @@
 package dataflasks
 
 import (
-	"time"
-
 	"dataflasks/internal/core"
 	"dataflasks/internal/store"
 	"dataflasks/internal/transport"
@@ -88,9 +86,6 @@ const (
 	// log-structured engine: segmented append-only files, checksummed
 	// records, group-commit fsync and background compaction.
 	LogEngine Engine = iota
-	// DiskEngine is the file-per-object engine — simple and
-	// debuggable, but one file (and with Fsync one fsync) per write.
-	DiskEngine
 	// MemoryEngine keeps objects in RAM even when a data directory is
 	// configured.
 	MemoryEngine
@@ -179,9 +174,6 @@ type Config struct {
 	// SegmentMaxBytes is the log engine's segment roll size
 	// (default 64 MiB).
 	SegmentMaxBytes int64
-	// CommitWindow is the log engine's group-commit window (default 0:
-	// batches form naturally while an fsync is in flight).
-	CommitWindow time.Duration
 	// CompactLiveRatio is the live-byte ratio under which the log
 	// engine compacts sealed segments (default 0.5; negative
 	// disables).
@@ -195,7 +187,8 @@ type Config struct {
 	// each with its own mailbox and coalescing window, while the
 	// epidemic control plane stays single-threaded. Raise it on
 	// multi-core hosts saturated by data traffic; keep the default on
-	// small nodes. 0 or 1 means one shard (the classic runtime).
+	// small nodes. 0 or 1 means one shard: every live node runs the
+	// sharded runtime; only the simulator drives the handlers inline.
 	DataShards int
 	// Seed makes a cluster's randomness reproducible (0 = fixed
 	// default seed).
@@ -238,13 +231,10 @@ func (c Config) coreConfig() core.Config {
 	cc.Store = core.StoreConfig{
 		Fsync:                  c.Fsync,
 		SegmentMaxBytes:        c.SegmentMaxBytes,
-		CommitWindow:           c.CommitWindow,
 		CompactLiveRatio:       c.CompactLiveRatio,
 		CompactRateBytesPerSec: c.CompactRateBytesPerSec,
 	}
 	switch c.Engine {
-	case DiskEngine:
-		cc.Store.Engine = core.StoreDisk
 	case MemoryEngine:
 		cc.Store.Engine = core.StoreMemory
 	default:

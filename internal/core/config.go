@@ -38,9 +38,6 @@ type StoreEngine int
 const (
 	// StoreMemory keeps objects in RAM — simulations, caches, tests.
 	StoreMemory StoreEngine = iota + 1
-	// StoreDisk is the file-per-object engine: simple, debuggable,
-	// one file (and with Fsync one fsync) per write.
-	StoreDisk
 	// StoreLog is the log-structured engine: segmented append-only
 	// files, checksummed records, group-commit fsync and background
 	// compaction. The default for persistent deployments.
@@ -59,9 +56,6 @@ type StoreConfig struct {
 	// SegmentMaxBytes is the log engine's segment roll size
 	// (default 64 MiB).
 	SegmentMaxBytes int64
-	// CommitWindow is the log engine's group-commit window (default 0:
-	// batches form naturally while an fsync is in flight).
-	CommitWindow time.Duration
 	// CompactLiveRatio is the live-byte ratio under which the log
 	// engine compacts sealed segments (default 0.5; negative disables).
 	CompactLiveRatio float64
@@ -74,22 +68,15 @@ type StoreConfig struct {
 // Open builds the configured engine rooted at dir. An empty dir (or
 // StoreMemory) yields the memory engine.
 func (sc StoreConfig) Open(dir string) (store.Store, error) {
-	engine := sc.Engine
-	if dir == "" || engine == StoreMemory {
+	if dir == "" || sc.Engine == StoreMemory {
 		return store.NewMemory(), nil
 	}
-	switch engine {
-	case StoreDisk:
-		return store.OpenDisk(dir, store.DiskOptions{Fsync: sc.Fsync})
-	default:
-		return store.OpenLog(dir, store.LogOptions{
-			Fsync:                  sc.Fsync,
-			SegmentMaxBytes:        sc.SegmentMaxBytes,
-			CommitWindow:           sc.CommitWindow,
-			CompactLiveRatio:       sc.CompactLiveRatio,
-			CompactRateBytesPerSec: sc.CompactRateBytesPerSec,
-		})
-	}
+	return store.OpenLog(dir, store.LogOptions{
+		Fsync:                  sc.Fsync,
+		SegmentMaxBytes:        sc.SegmentMaxBytes,
+		CompactLiveRatio:       sc.CompactLiveRatio,
+		CompactRateBytesPerSec: sc.CompactRateBytesPerSec,
+	})
 }
 
 // Config tunes one DataFlasks node. The zero value is completed by
@@ -189,7 +176,7 @@ type Config struct {
 	// first. Deletes, client batches and reads of a buffered key commit
 	// the buffer first, so a node still observes its own writes. It
 	// also bounds the run a shard handles per wake-up. Default 64;
-	// negative disables both (every put hits the store individually).
+	// any non-positive value means the default.
 	CoalesceMax int
 
 	// AntiEntropyEvery runs one anti-entropy exchange every this many
@@ -298,7 +285,7 @@ func (c Config) withDefaults() Config {
 	if c.DataShards <= 0 {
 		c.DataShards = 1
 	}
-	if c.CoalesceMax == 0 {
+	if c.CoalesceMax <= 0 {
 		c.CoalesceMax = 64
 	}
 	if c.AntiEntropyEvery < 0 {

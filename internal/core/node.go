@@ -301,8 +301,16 @@ func (n *Node) traceOp(kind obs.TraceKind, traceID uint64, key string, bytes, ob
 // Store exposes the node's local store.
 func (n *Node) Store() store.Store { return n.st }
 
-// Slice returns the node's current slice claim.
-func (n *Node) Slice() int32 { return n.currentSlice() }
+// Slice returns the node's current slice claim. Once shards run it is
+// the claim of the last published routing snapshot, so any goroutine
+// may ask; before that it reads the live slicer (caller's goroutine
+// only).
+func (n *Node) Slice() int32 {
+	if v := n.routeSnap.Load(); v != nil {
+		return v.slice
+	}
+	return n.currentSlice()
+}
 
 // Attr returns the node's slicing attribute (its capacity).
 func (n *Node) Attr() float64 { return n.attr }
@@ -1008,21 +1016,6 @@ func (n *Node) onMateReply(m *MateReply) {
 			n.cfg.AddressBook.Learn(d.ID, d.Addr)
 		}
 		n.intra.Touch(d, n.round)
-	}
-}
-
-// StampPut prepares a client-originated put for injection at this node
-// (used by harnesses that bypass the client library).
-func (n *Node) StampPut(m *PutRequest) {
-	if m.TTL == TTLUnset {
-		m.TTL = n.putTTL()
-	}
-}
-
-// StampGet mirrors StampPut for reads.
-func (n *Node) StampGet(m *GetRequest) {
-	if m.TTL == TTLUnset {
-		m.TTL = n.getTTL()
 	}
 }
 

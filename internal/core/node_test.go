@@ -730,23 +730,6 @@ func TestNodeIgnoresUnknownMessages(t *testing.T) {
 	}
 }
 
-func TestStampPutAndGet(t *testing.T) {
-	n, _ := staticNode(t, 1, 4)
-	p := &PutRequest{TTL: TTLUnset}
-	n.StampPut(p)
-	if p.TTL == TTLUnset || p.TTL == 0 {
-		t.Errorf("StampPut TTL = %d", p.TTL)
-	}
-	g := &GetRequest{TTL: TTLUnset}
-	n.StampGet(g)
-	if g.TTL == TTLUnset || g.TTL == 0 {
-		t.Errorf("StampGet TTL = %d", g.TTL)
-	}
-	if g.TTL >= p.TTL {
-		t.Errorf("get TTL %d not tighter than put TTL %d (reads are coverage-bounded)", g.TTL, p.TTL)
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.Slices != 10 || cfg.ViewSize != 20 || cfg.PSS != PSSCyclon || cfg.Slicer != SlicerRank {

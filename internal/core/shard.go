@@ -311,7 +311,7 @@ func (n *Node) runShard(ctx context.Context, s *dataShard) {
 // for the tick or a later entry put's.
 func (n *Node) drain(ctx context.Context, s *dataShard, env transport.Envelope) {
 	s.draining = true
-	for more := min(len(s.mailbox), max(n.cfg.CoalesceMax, 1)-1); ; more-- {
+	for more := min(len(s.mailbox), n.cfg.CoalesceMax-1); ; more-- {
 		s.met.Inc(metrics.MsgRecv)
 		n.handleData(ctx, s, env)
 		if more == 0 {
@@ -570,16 +570,8 @@ func (s *dataShard) traceOp(kind obs.TraceKind, traceID uint64, key string, byte
 	})
 }
 
-// coalescePut buffers one intra-slice relay copy for the next commit;
-// with coalescing disabled it stores directly.
+// coalescePut buffers one intra-slice relay copy for the next commit.
 func (s *dataShard) coalescePut(ctx context.Context, key string, version uint64, value []byte) {
-	if s.n.cfg.CoalesceMax <= 0 {
-		s.met.Inc(metrics.PutCommits)
-		if s.n.st.Put(key, version, value) == nil {
-			s.met.Inc(metrics.PutsServed)
-		}
-		return
-	}
 	ref := objRef{key: key, version: version}
 	if s.coalesceSeen == nil {
 		s.coalesceSeen = make(map[objRef]struct{}, s.n.cfg.CoalesceMax)

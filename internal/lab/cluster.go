@@ -101,7 +101,7 @@ var _ churn.SliceTarget = (*Cluster)(nil)
 
 // StoreFactoryFor builds per-node stores of the configured engine,
 // each rooted in its own subdirectory of baseDir. It lets every
-// experiment run the identical workload over the memory, disk or log
+// experiment run the identical workload over the memory or log
 // engine. A config needing a directory without one panics — that is a
 // harness bug, not a runtime condition.
 func StoreFactoryFor(sc core.StoreConfig, baseDir string) func(id transport.NodeID) store.Store {

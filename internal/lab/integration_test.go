@@ -79,13 +79,10 @@ func TestLossyNetwork(t *testing.T) {
 }
 
 // TestPersistentBackedCluster runs a simulated cluster whose nodes
-// persist via each durable engine, exercising the store integration
+// persist via the durable engine, exercising the store integration
 // (and the engine-selection plumbing) end to end.
 func TestPersistentBackedCluster(t *testing.T) {
-	for name, engine := range map[string]core.StoreEngine{
-		"disk": core.StoreDisk,
-		"log":  core.StoreLog,
-	} {
+	for name, engine := range map[string]core.StoreEngine{"log": core.StoreLog} {
 		t.Run(name, func(t *testing.T) {
 			c := NewCluster(ClusterConfig{
 				N:        40,

@@ -147,6 +147,26 @@ func TestGatewayConformance(t *testing.T) {
 	roundTrip(t, conn, br, "*5\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n$2\r\nEX\r\n$2\r\n10\r\n",
 		"-ERR syntax error\r\n")
 
+	// A key over the store's 128-byte bound is refused by the client
+	// before anything is sent: an error naming the cause, not silence
+	// until the write budget runs out. (The reply quotes the minted
+	// version, so it is matched by its parts.)
+	long := strings.Repeat("k", 129)
+	for _, cmd := range []string{
+		"*3\r\n$3\r\nSET\r\n$129\r\n" + long + "\r\n$1\r\nv\r\n",
+		"*5\r\n$4\r\nMSET\r\n$2\r\nok\r\n$1\r\nv\r\n$129\r\n" + long + "\r\n$1\r\nv\r\n",
+	} {
+		if _, err := conn.Write([]byte(cmd)); err != nil {
+			t.Fatalf("write oversized-key command: %v", err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+		line, err := br.ReadString('\n')
+		if err != nil || !strings.HasPrefix(line, "-ERR ") || !strings.Contains(line, "key too long") {
+			t.Fatalf("oversized key reply = %q, %v; want -ERR ... key too long", line, err)
+		}
+	}
+	roundTrip(t, conn, br, "*2\r\n$6\r\nEXISTS\r\n$2\r\nok\r\n", ":0\r\n") // the refused MSET stored nothing
+
 	// MSET with an odd tail is rejected without touching the store.
 	roundTrip(t, conn, br,
 		"*4\r\n$4\r\nMSET\r\n$1\r\nx\r\n$1\r\n1\r\n$1\r\ny\r\n",

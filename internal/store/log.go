@@ -24,10 +24,11 @@ import (
 // always comes back with every object it made durable.
 //
 // The hot write path is one sequential write per Put. With Fsync
-// enabled, concurrent writers coalesce into a single fsync per
-// commit-window (group commit): each Put appends under the log lock,
-// registers a waiter, and the committer goroutine syncs the active
-// segment once for every waiter that appended before the sync.
+// enabled, concurrent writers coalesce into a single fsync (group
+// commit): each Put appends under the log lock, registers a waiter,
+// and the committer goroutine syncs the active segment once for every
+// waiter that appended before the sync — the batch is whoever arrived
+// while the previous fsync was in flight.
 // Deletes append tombstone records so they survive restarts.
 //
 // Segments seal at SegmentMaxBytes and a background compactor rewrites
@@ -93,11 +94,6 @@ type LogOptions struct {
 	// SegmentMaxBytes seals the active segment once it reaches this
 	// size (default 64 MiB).
 	SegmentMaxBytes int64
-	// CommitWindow is how long the committer waits after the first
-	// pending writer before syncing, letting a batch grow. Zero (the
-	// default) syncs immediately: batches still form naturally from
-	// writers that arrive while the previous fsync is in flight.
-	CommitWindow time.Duration
 	// CompactLiveRatio triggers compaction of sealed segments whose
 	// live-byte ratio falls below it (default 0.5; negative disables
 	// compaction).
@@ -453,8 +449,8 @@ func (l *Log) kickCompact() {
 // record the parser would refuse must never be acknowledged — it would
 // read back as corruption and poison replay.
 func validateRecord(key string, value []byte) error {
-	if len(key) > maxKeyLen {
-		return fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLong, len(key), maxKeyLen)
+	if err := CheckKey(key); err != nil {
+		return err
 	}
 	if len(value) > maxRecBody-recFixedLen-len(key) {
 		return fmt.Errorf("%w: value %d bytes (max %d)", ErrValueTooLarge, len(value), maxRecBody-recFixedLen-len(key))
@@ -904,9 +900,6 @@ func (l *Log) commitLoop() {
 		case <-l.stop:
 			return
 		case <-l.commitKick:
-		}
-		if l.opts.CommitWindow > 0 {
-			time.Sleep(l.opts.CommitWindow)
 		}
 		l.commitMu.Lock()
 		ws := l.waiters

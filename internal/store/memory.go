@@ -42,6 +42,9 @@ func (m *Memory) Put(key string, version uint64, value []byte) error {
 	if ReservedVersion(version) {
 		return ErrBadVersion
 	}
+	if err := CheckKey(key); err != nil {
+		return err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -58,6 +61,9 @@ func (m *Memory) PutBatch(objs []Object) error {
 		if ReservedVersion(o.Version) {
 			return ErrBadVersion
 		}
+		if err := CheckKey(o.Key); err != nil {
+			return err
+		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -71,7 +77,7 @@ func (m *Memory) PutBatch(objs []Object) error {
 }
 
 // putLocked stores one object. Caller holds mu and has validated the
-// version.
+// key and version.
 func (m *Memory) putLocked(key string, version uint64, value []byte) {
 	k, ok := m.keys[key]
 	if !ok {

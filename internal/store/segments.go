@@ -12,11 +12,11 @@ import (
 // snapshots. The log engine streams its sealed segment files verbatim
 // — chunked reads into one reused buffer, every record re-verified
 // against its CRC32 before a byte is handed out, chunks aligned to
-// record boundaries so each one parses on its own. The memory and disk
-// engines have no segment files; they emulate the contract
-// object-at-a-time by encoding their whole object set into the same
-// record format as one synthetic segment, so a receiver never needs to
-// know which engine the sender runs.
+// record boundaries so each one parses on its own. The memory engine
+// has no segment files; it emulates the contract object-at-a-time by
+// encoding its whole object set into the same record format as one
+// synthetic segment, so a receiver never needs to know which engine the
+// sender runs.
 
 // streamChunkBytes is the target chunk size of a segment stream —
 // large enough to amortize syscalls, small enough that a receiver can
@@ -25,7 +25,7 @@ import (
 const streamChunkBytes = 64 << 10
 
 // syntheticSegmentID is the id of the single whole-store segment the
-// memory and disk engines synthesize.
+// memory engine synthesizes.
 const syntheticSegmentID = 1
 
 // Seal syncs and rolls the log's active segment so every record
@@ -289,8 +289,8 @@ func DecodeRecords(b []byte, fn func(off int, o Object, tombstone bool) bool) (n
 
 // appendObjectRecord encodes one object (or tombstone, when value is
 // nil and tomb is set) in the log record format — the synthetic-
-// segment encoder for engines without segment files, and the test
-// helper for corruption fixtures.
+// segment encoder for the memory engine, and the test helper for
+// corruption fixtures.
 func appendObjectRecord(dst []byte, o Object, tomb bool) []byte {
 	typ := recPut
 	if tomb {
@@ -425,14 +425,4 @@ func (m *Memory) Segments() ([]SegmentInfo, error) { return synthSegments(m) }
 // object-at-a-time emulation over the synthetic segment.
 func (m *Memory) StreamSegments(refs []SegmentRef, fn func(c SegmentChunk) bool) error {
 	return synthStream(m, refs, fn)
-}
-
-// Segments implements Store for the disk engine: one synthetic
-// whole-store segment (empty manifest for an empty store).
-func (d *Disk) Segments() ([]SegmentInfo, error) { return synthSegments(d) }
-
-// StreamSegments implements Store for the disk engine:
-// object-at-a-time emulation over the synthetic segment.
-func (d *Disk) StreamSegments(refs []SegmentRef, fn func(c SegmentChunk) bool) error {
-	return synthStream(d, refs, fn)
 }

@@ -251,15 +251,7 @@ func TestStreamSegmentsCorruptionStopsStream(t *testing.T) {
 }
 
 func TestSyntheticSegments(t *testing.T) {
-	engines := map[string]Store{
-		"memory": NewMemory(),
-	}
-	d, err := OpenDisk(t.TempDir(), DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines["disk"] = d
-	for name, st := range engines {
+	for name, st := range map[string]Store{"memory": NewMemory()} {
 		t.Run(name, func(t *testing.T) {
 			defer st.Close()
 			// Empty store: empty manifest.

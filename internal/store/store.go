@@ -5,12 +5,12 @@
 // conflicts — it keeps the versions it is given and serves exact-version
 // or latest-version reads.
 //
-// Three engines are provided: a memory engine for simulations and
-// caches; a disk engine (file per object, atomic rename writes) that is
-// simple and debuggable; and a log engine (segmented append-only files,
+// Two engines are provided: a memory engine for the simulator and
+// in-process clusters, and a log engine (segmented append-only files,
 // CRC-checksummed records, group-commit fsync, background compaction)
-// whose batched sequential writes carry the persistence DataFlasks owes
-// the soft-state layer above it (§III) at epidemic replication rates.
+// for anything with a data directory — its batched sequential writes
+// carry the persistence DataFlasks owes the soft-state layer above it
+// (§III) at epidemic replication rates.
 package store
 
 import (
@@ -59,8 +59,24 @@ type Ref struct {
 // sentinels.
 func ReservedVersion(v uint64) bool { return v == Latest || v == AllVersions }
 
+// MaxKeyLen is the longest key, in bytes, any engine stores — the
+// bound every deployed cluster already enforces. The log record's u16
+// key-length field could represent more; widening the bound would
+// change which puts a cluster accepts, so it stays.
+const MaxKeyLen = 128
+
+// CheckKey returns ErrKeyTooLong, wrapped with the sizes, for a key over
+// MaxKeyLen: the one key rule, applied by every engine's Put and
+// PutBatch and by the client before it sends anything.
+func CheckKey(key string) error {
+	if len(key) > MaxKeyLen {
+		return fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLong, len(key), MaxKeyLen)
+	}
+	return nil
+}
+
 // SegmentInfo describes one sealed, immutable unit of bulk transfer:
-// in the log engine a sealed segment file, in the other engines a
+// in the log engine a sealed segment file, in the memory engine a
 // synthetic segment covering the whole object set. The manifest is
 // what a bootstrap peer advertises and what a snapshot records, so it
 // carries everything a receiver needs to schedule and verify the
@@ -119,11 +135,11 @@ type Store interface {
 	// acquisition, and in the log engine one encoded append plus one
 	// group-commit fsync for the whole batch. Each engine applies its
 	// own Put validation rules to every object before storing any, so
-	// an object the engine's Put would reject (the reserved version
-	// everywhere; an oversized key or value where the engine has such
-	// limits) fails the batch with no side effects; an I/O failure
-	// mid-batch may leave a prefix applied. Objects already present
-	// are skipped like idempotent re-puts.
+	// an object the engine's Put would reject (the reserved version or
+	// a key over MaxKeyLen everywhere; an oversized value where the
+	// engine has such a limit) fails the batch with no side effects;
+	// an I/O failure mid-batch may leave a prefix applied. Objects
+	// already present are skipped like idempotent re-puts.
 	PutBatch(objs []Object) error
 	// Get returns the value at (key, version); version Latest returns
 	// the highest stored version. ok is false when absent.
@@ -161,8 +177,8 @@ type Store interface {
 	// ascending id order — the units a bootstrap peer or snapshot can
 	// stream in bulk. The log engine lists its sealed segment files
 	// (never the active one, whose delta anti-entropy mops up); the
-	// memory and disk engines synthesize a single segment covering the
-	// whole object set. An empty store returns an empty manifest.
+	// memory engine synthesizes a single segment covering the whole
+	// object set. An empty store returns an empty manifest.
 	Segments() ([]SegmentInfo, error)
 	// StreamSegments streams the verbatim record bytes of the named
 	// sealed segments, chunk by chunk in offset order, calling fn once
@@ -259,7 +275,7 @@ type StatsProvider interface {
 var (
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("store: closed")
-	// ErrKeyTooLong reports a key exceeding an engine's limit.
+	// ErrKeyTooLong reports a key longer than MaxKeyLen.
 	ErrKeyTooLong = errors.New("store: key too long")
 	// ErrBadVersion reports a reserved sentinel (Latest, AllVersions)
 	// used as a concrete version in Put.

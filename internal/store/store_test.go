@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -14,17 +13,12 @@ import (
 // whole suite runs against each.
 func engines(t *testing.T) map[string]Store {
 	t.Helper()
-	disk, err := OpenDisk(t.TempDir(), DiskOptions{})
-	if err != nil {
-		t.Fatalf("OpenDisk: %v", err)
-	}
 	lg, err := OpenLog(t.TempDir(), LogOptions{})
 	if err != nil {
 		t.Fatalf("OpenLog: %v", err)
 	}
 	return map[string]Store{
 		"memory": NewMemory(),
-		"disk":   disk,
 		"log":    lg,
 	}
 }
@@ -33,8 +27,7 @@ func engines(t *testing.T) map[string]Store {
 // recovery tests run against each.
 func persistentEngines() map[string]func(dir string) (Store, error) {
 	return map[string]func(dir string) (Store, error){
-		"disk": func(dir string) (Store, error) { return OpenDisk(dir, DiskOptions{Fsync: true}) },
-		"log":  func(dir string) (Store, error) { return OpenLog(dir, LogOptions{Fsync: true}) },
+		"log": func(dir string) (Store, error) { return OpenLog(dir, LogOptions{Fsync: true}) },
 	}
 }
 
@@ -42,15 +35,23 @@ func TestStoreRoundTrip(t *testing.T) {
 	for name, s := range engines(t) {
 		t.Run(name, func(t *testing.T) {
 			defer s.Close()
-			if err := s.Put("k", 1, []byte("v1")); err != nil {
-				t.Fatalf("Put: %v", err)
-			}
-			val, ver, ok, err := s.Get("k", 1)
-			if err != nil || !ok {
-				t.Fatalf("Get: ok=%v err=%v", ok, err)
-			}
-			if ver != 1 || !bytes.Equal(val, []byte("v1")) {
-				t.Fatalf("Get = (%q, v%d)", val, ver)
+			for _, in := range []struct {
+				key   string
+				value []byte
+			}{
+				{"k", []byte("v1")},
+				{string([]byte{0, 1, 2, '/', '\\', 0xff}), []byte{0, 255, 128, 7}}, // keys and values are bytes, not text
+			} {
+				if err := s.Put(in.key, 1, in.value); err != nil {
+					t.Fatalf("Put(%q): %v", in.key, err)
+				}
+				val, ver, ok, err := s.Get(in.key, 1)
+				if err != nil || !ok {
+					t.Fatalf("Get(%q): ok=%v err=%v", in.key, ok, err)
+				}
+				if ver != 1 || !bytes.Equal(val, in.value) {
+					t.Fatalf("Get(%q) = (%q, v%d)", in.key, val, ver)
+				}
 			}
 		})
 	}
@@ -292,21 +293,30 @@ func TestStoreDeleteBatch(t *testing.T) {
 }
 
 // TestStorePutBatchValidatesUpfront pins the all-or-nothing contract
-// for statically invalid batches: a reserved version anywhere in the
-// batch must fail it before any object is stored.
+// for statically invalid batches: an object Put would refuse — a
+// reserved version, a key over MaxKeyLen — anywhere in the batch must
+// fail it before any object is stored.
 func TestStorePutBatchValidatesUpfront(t *testing.T) {
 	for name, s := range engines(t) {
 		t.Run(name, func(t *testing.T) {
 			defer s.Close()
-			batch := []Object{
-				{Key: "good", Version: 1, Value: []byte("v")},
-				{Key: "bad", Version: Latest, Value: []byte("v")},
-			}
-			if err := s.PutBatch(batch); !errors.Is(err, ErrBadVersion) {
-				t.Fatalf("PutBatch with reserved version: %v, want ErrBadVersion", err)
-			}
-			if s.Count() != 0 {
-				t.Fatalf("Count = %d after rejected batch, want 0", s.Count())
+			for _, tc := range []struct {
+				bad  Object
+				want error
+			}{
+				{Object{Key: "bad", Version: Latest, Value: []byte("v")}, ErrBadVersion},
+				{Object{Key: strings.Repeat("k", MaxKeyLen+1), Version: 1, Value: []byte("v")}, ErrKeyTooLong},
+			} {
+				if err := s.Put(tc.bad.Key, tc.bad.Version, tc.bad.Value); !errors.Is(err, tc.want) {
+					t.Fatalf("Put: %v, want %v", err, tc.want)
+				}
+				batch := []Object{{Key: "good", Version: 1, Value: []byte("v")}, tc.bad}
+				if err := s.PutBatch(batch); !errors.Is(err, tc.want) {
+					t.Fatalf("PutBatch: %v, want %v", err, tc.want)
+				}
+				if s.Count() != 0 {
+					t.Fatalf("Count = %d after rejected %v batch, want 0", s.Count(), tc.want)
+				}
 			}
 		})
 	}
@@ -407,7 +417,11 @@ func TestStoreRoundTripProperty(t *testing.T) {
 		if version == Latest {
 			version--
 		}
-		if err := s.Put(key, version, value); err != nil {
+		err := s.Put(key, version, value)
+		if len(key) > MaxKeyLen { // quick's strings run to 200 bytes
+			return errors.Is(err, ErrKeyTooLong)
+		}
+		if err != nil {
 			return false
 		}
 		got, ver, ok, err := s.Get(key, version)
@@ -434,127 +448,5 @@ func TestMemoryCapped(t *testing.T) {
 	_, _, ok, _ := s.Get("k", 1)
 	if ok {
 		t.Error("GC'd version still readable")
-	}
-}
-
-// --- disk-specific behaviour ----------------------------------------------
-
-func TestDiskRecoversAfterReopen(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = d.Put("persist", 3, []byte("across restarts"))
-	_ = d.Put("persist", 5, []byte("newer"))
-	_ = d.Put("other", 1, []byte("x"))
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, err := OpenDisk(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if d2.Count() != 3 {
-		t.Fatalf("recovered %d objects, want 3", d2.Count())
-	}
-	val, ver, ok, err := d2.Get("persist", Latest)
-	if err != nil || !ok || ver != 5 || string(val) != "newer" {
-		t.Fatalf("recovered latest = (%q, v%d, %v, %v)", val, ver, ok, err)
-	}
-}
-
-func TestDiskIgnoresForeignFiles(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "tmp-123.partial"), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := OpenDisk(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if d.Count() != 0 {
-		t.Fatalf("indexed %d foreign files", d.Count())
-	}
-}
-
-func TestDiskKeyTooLong(t *testing.T) {
-	d, err := OpenDisk(t.TempDir(), DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	long := make([]byte, 200)
-	if err := d.Put(string(long), 1, nil); !errors.Is(err, ErrKeyTooLong) {
-		t.Errorf("long key err = %v, want ErrKeyTooLong", err)
-	}
-}
-
-func TestDiskBinaryKeysAndValues(t *testing.T) {
-	d, err := OpenDisk(t.TempDir(), DiskOptions{Fsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	key := string([]byte{0, 1, 2, '/', '\\', 0xff})
-	value := []byte{0, 255, 128, 7}
-	if err := d.Put(key, 1, value); err != nil {
-		t.Fatal(err)
-	}
-	got, _, ok, err := d.Get(key, 1)
-	if err != nil || !ok || !bytes.Equal(got, value) {
-		t.Fatalf("binary roundtrip = (%v, %v, %v)", got, ok, err)
-	}
-}
-
-func TestObjectNameRoundTrip(t *testing.T) {
-	prop := func(key string, version uint64) bool {
-		if len(key) > maxKeyLen || version == Latest {
-			return true
-		}
-		name := objectName(key, version)
-		gotKey, gotVer, ok := parseObjectName(name)
-		return ok && gotKey == key && gotVer == version
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestParseObjectNameRejectsGarbage(t *testing.T) {
-	// Note "@1.obj" is NOT garbage: it is the valid encoding of the
-	// empty key.
-	for _, name := range []string{
-		"", "foo", "foo.obj", "abc@x.obj", "!!!@1.obj",
-		"MFXA@18446744073709551615.obj", // version == Latest sentinel
-	} {
-		if _, _, ok := parseObjectName(name); ok {
-			t.Errorf("parseObjectName(%q) accepted", name)
-		}
-	}
-}
-
-func TestDiskDeleteRemovesFile(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	_ = d.Put("k", 1, []byte("x"))
-	files, _ := os.ReadDir(dir)
-	if len(files) != 1 {
-		t.Fatalf("%d files after put", len(files))
-	}
-	_, _ = d.Delete("k", 1)
-	files, _ = os.ReadDir(dir)
-	if len(files) != 0 {
-		t.Fatalf("%d files after delete", len(files))
 	}
 }
