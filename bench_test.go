@@ -128,6 +128,78 @@ func BenchmarkLiveClusterPut(b *testing.B) {
 	}
 }
 
+// BenchmarkGatewayLocalVsLoopback is what a gateway's client costs per
+// operation on the node it is attached to: 4 KiB puts and newest-version
+// gets, 16 in flight, against one memory-engine node — through
+// Node.NewClient (function calls both ways) and through ConnectClient
+// seeded with the same node (a loopback socket each way, which is how the
+// gateway was attached before). wire_B/op is what the node encoded for a
+// socket per operation.
+func BenchmarkGatewayLocalVsLoopback(b *testing.B) {
+	const window, keys = 16, 1024
+	cfg := dataflasks.Config{Slices: 1, Slicer: dataflasks.StaticSlicer, SystemSize: 1}
+	value := make([]byte, 4<<10)
+	attach := []struct {
+		how  string
+		open func(*dataflasks.Node) (*dataflasks.Client, error)
+	}{
+		{"local", func(n *dataflasks.Node) (*dataflasks.Client, error) { return n.NewClient(cfg) }},
+		{"loopback", func(n *dataflasks.Node) (*dataflasks.Client, error) {
+			return dataflasks.ConnectClient("127.0.0.1:0", []string{fmt.Sprintf("1@%s", n.Addr())}, cfg)
+		}},
+	}
+	for _, a := range attach {
+		for _, kind := range []string{"put", "get"} {
+			b.Run(a.how+"/"+kind, func(b *testing.B) {
+				node, err := dataflasks.StartNode(dataflasks.NodeConfig{
+					ID: 1, Bind: "127.0.0.1:0", RoundPeriod: 50 * time.Millisecond, Config: cfg,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer node.Close()
+				cl, err := a.open(node)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer cl.Close()
+				ctx := context.Background()
+				if kind == "get" {
+					for k := 0; k < keys; k++ {
+						if err := cl.Put(ctx, fmt.Sprintf("gw%04d", k), 1, value); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				start := func(i int) *dataflasks.Op {
+					key := fmt.Sprintf("gw%04d", i%keys)
+					if kind == "get" {
+						return cl.GetLatestAsync(key)
+					}
+					return cl.PutAsync(key, uint64(i/keys+1), value)
+				}
+				encoded := node.WireStats().EncodeBytes
+				b.ReportAllocs()
+				b.ResetTimer()
+				inflight := make([]*dataflasks.Op, 0, window)
+				for i := 0; i < b.N; i += window {
+					inflight = inflight[:0]
+					for j := i; j < min(i+window, b.N); j++ {
+						inflight = append(inflight, start(j))
+					}
+					for _, op := range inflight {
+						if err := op.Wait(ctx); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(node.WireStats().EncodeBytes-encoded)/float64(b.N), "wire_B/op")
+			})
+		}
+	}
+}
+
 // --- substrate micro-benchmarks ---------------------------------------------
 
 func BenchmarkMemoryStorePut(b *testing.B) {

@@ -69,6 +69,15 @@ type Client struct {
 	// handler, or the in-process network's per-recipient counter).
 	dropped func() uint64
 
+	// deliver pushes one envelope into the mailbox without blocking
+	// (overflow counted in dropped). Set on a Node.NewClient client only:
+	// it is how the node reaches it.
+	deliver func(transport.Envelope)
+	// closeFabric releases what the constructor opened for this client
+	// alone — its TCP fabric, its registration with its node; nil where
+	// the fabric belongs to someone else (Cluster).
+	closeFabric func()
+
 	closeOnce sync.Once
 }
 
@@ -112,13 +121,17 @@ func newLiveClient(id NodeID, cfg client.Config, sender transport.Sender, lb cli
 	return c
 }
 
-// Close stops the client loop. In-flight operations fail with
-// ErrClientClosed.
+// Close stops the client loop and then closes the client's fabric: when
+// it returns, the client's goroutines are gone and its listener is
+// unbound. In-flight operations fail with ErrClientClosed.
 func (c *Client) Close() {
 	c.closeOnce.Do(func() {
 		close(c.done)
+		c.wg.Wait()
+		if c.closeFabric != nil {
+			c.closeFabric()
+		}
 	})
-	c.wg.Wait()
 }
 
 // onLoop runs fn on the client loop and returns its result — the zero
@@ -154,7 +167,8 @@ func (c *Client) MailboxDropped() uint64 {
 // went straight to a known member of the key's slice, Fallbacks drew
 // from the seed list (slice not learned yet, or an attempt that takes
 // the epidemic flood: retries, multi-ack writes, deletes), Evictions
-// are members dropped after a timeout or a relayed request.
+// are members dropped after a timeout or a relayed request, Local are
+// the Hits a Node.NewClient client sent to its own node by function call.
 type DirectoryStats = client.DirectoryStats
 
 // DirectoryStats returns the slice directory's counters (zero on a

@@ -249,10 +249,13 @@ func runBench(cl *dataflasks.Client, ops int, mode string, acks int, timeout tim
 	// The client-side counterpart of `flaskctl stats`' directed-hit
 	// ratio: a hit entered its slice at once, a fallback paid the nodes'
 	// relay (always the case for -acks above 1, which floods).
+	// directory_local counts the hits on the node a client shares a
+	// process with: 0 here, flaskctl is a process of its own.
 	dir := cl.DirectoryStats()
 	if contacts := dir.Hits + dir.Fallbacks; contacts > 0 {
 		fmt.Printf("directory-hit ratio %.2f (%d of %d contacts were known members of the key's slice, %d evicted)\n",
 			float64(dir.Hits)/float64(contacts), dir.Hits, contacts, dir.Evictions)
+		fmt.Printf("directory_local: %d\n", dir.Local)
 	}
 }
 

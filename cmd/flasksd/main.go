@@ -117,7 +117,7 @@ func main() {
 	}
 	// The gateway's per-command stats registry is created up front so
 	// the observability plane (which starts with the node) can export
-	// it; the gateway itself starts after the node it loops back onto.
+	// it; the gateway itself starts after the node its client lives in.
 	var respStats *metrics.CommandStats
 	if *respAddr != "" {
 		respStats = metrics.NewCommandStats()
@@ -148,12 +148,16 @@ func main() {
 	}
 
 	// The RESP gateway serves Redis clients through one shared
-	// DataFlasks client looped back onto this node, so every gateway
-	// command takes the same epidemic path a remote client would.
-	var gateway *resp.Server
+	// DataFlasks client that lives in this node's process: commands for
+	// keys of the node's own slice reach it by function call, everything
+	// else takes the client's own fabric to the other nodes, as a remote
+	// client's requests would.
+	var (
+		gateway *resp.Server
+		cl      *dataflasks.Client
+	)
 	if *respAddr != "" {
-		cl, err := dataflasks.ConnectClient("127.0.0.1:0",
-			[]string{fmt.Sprintf("%d@%s", *id, node.Addr())}, cfg)
+		cl, err = node.NewClient(cfg)
 		if err != nil {
 			log.Fatalf("flasksd: resp gateway client: %v", err)
 		}
@@ -168,7 +172,6 @@ func main() {
 			log.Fatalf("flasksd: %v", err)
 		}
 		log.Printf("flasksd: resp gateway listening on %s", addr)
-		defer cl.Close()
 	}
 
 	stop := make(chan os.Signal, 1)
@@ -196,21 +199,24 @@ func main() {
 						respStats.Quantile(0.50), respStats.Quantile(0.99))
 				}
 			case <-stop:
-				shutdown(node, gateway)
+				shutdown(node, gateway, cl)
 				return
 			}
 		}
 	}
 	<-stop
-	shutdown(node, gateway)
+	shutdown(node, gateway, cl)
 }
 
-// shutdown severs the gateway before the node so in-flight RESP
-// commands fail fast instead of timing out against a dead node.
-func shutdown(node *dataflasks.Node, gateway *resp.Server) {
+// shutdown closes things in the reverse of the order they were started:
+// the gateway, its client, the node. A RESP command in flight fails at
+// once with the client's closed error instead of being dispatched into a
+// node that has stopped.
+func shutdown(node *dataflasks.Node, gateway *resp.Server, cl *dataflasks.Client) {
 	log.Printf("flasksd: shutting down")
 	if gateway != nil {
 		_ = gateway.Close()
+		cl.Close()
 	}
 	if err := node.Close(); err != nil {
 		log.Printf("flasksd: close: %v", err)

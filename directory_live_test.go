@@ -37,19 +37,13 @@ func nodeCounters(t *testing.T, nodes []*dataflasks.Node, period time.Duration, 
 	return out
 }
 
-// TestDirectoryLiveCluster drives a 4-node, 2-slice TCP cluster through
-// the client's slice directory: once the directory has learned both
-// slices, single-ack puts and gets enter their slice directly — no node
-// relays anything, and both members of each slice take client requests —
-// while a two-ack put still floods from a random contact and completes
-// as it did before.
-func TestDirectoryLiveCluster(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live TCP cluster in -short mode")
-	}
+// startTwoSliceCluster boots 4 TCP nodes (observability plane on) with
+// distinct capacities and returns them, with their seed strings, once
+// rank slicing has held two nodes per slice for 15 rounds. cfg.Slices
+// must be 2.
+func startTwoSliceCluster(t *testing.T, cfg dataflasks.Config, period time.Duration) ([]*dataflasks.Node, []string) {
+	t.Helper()
 	const n = 4
-	const period = 40 * time.Millisecond
-	cfg := dataflasks.Config{Slices: 2, SystemSize: n, Seed: 31}
 	nodes := make([]*dataflasks.Node, 0, n)
 	t.Cleanup(func() {
 		for _, nd := range nodes {
@@ -75,7 +69,6 @@ func TestDirectoryLiveCluster(t *testing.T) {
 		seeds = append(seeds, fmt.Sprintf("%d@%s", i, nd.Addr()))
 	}
 
-	// Converged: two nodes per slice, unchanged for 15 rounds.
 	stable, deadline := 0, time.Now().Add(30*time.Second)
 	var last [n]int32
 	for stable < 15 {
@@ -96,6 +89,22 @@ func TestDirectoryLiveCluster(t *testing.T) {
 		}
 		last = now
 	}
+	return nodes, seeds
+}
+
+// TestDirectoryLiveCluster drives a 4-node, 2-slice TCP cluster through
+// the client's slice directory: once the directory has learned both
+// slices, single-ack puts and gets enter their slice directly — no node
+// relays anything, and both members of each slice take client requests —
+// while a two-ack put still floods from a random contact and completes
+// as it did before.
+func TestDirectoryLiveCluster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live TCP cluster in -short mode")
+	}
+	const period = 40 * time.Millisecond
+	cfg := dataflasks.Config{Slices: 2, SystemSize: 4, Seed: 31}
+	nodes, seeds := startTwoSliceCluster(t, cfg, period)
 
 	cl, err := dataflasks.ConnectClient("127.0.0.1:0", seeds, cfg)
 	if err != nil {

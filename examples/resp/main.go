@@ -37,9 +37,10 @@ func main() {
 	defer node.Close()
 
 	// The gateway dispatches every RESP command through one shared
-	// future-based client, so pipelined commands overlap on the wire.
-	cl, err := dataflasks.ConnectClient("127.0.0.1:0",
-		[]string{fmt.Sprintf("1@%s", node.Addr())}, cfg)
+	// future-based client, so pipelined commands overlap. The client
+	// lives in the node's process: it reaches this node by function call
+	// and would reach any other over a TCP fabric of its own.
+	cl, err := node.NewClient(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,6 +30,10 @@ type DirectoryStats struct {
 	// Evictions are members dropped because an attempt through them
 	// timed out or came back acknowledged by another node.
 	Evictions uint64
+	// Local are the Hits that went to the node the client lives in (see
+	// Directory.SetLocal); always zero for a client in a process of its
+	// own.
+	Local uint64
 }
 
 // Directory is the §VII load balancer: per slice it knows up to
@@ -46,6 +50,13 @@ type DirectoryStats struct {
 // slice. A member is dropped when a request sent to it times out, or is
 // acknowledged by another node (it relayed: it has left the slice).
 //
+// A client that lives in a node's process names that node with SetLocal:
+// it costs a function call to reach where every other member costs a
+// socket, so while it is a known member of a key's slice it is the
+// contact. It gets no other privilege — it is learned, evicted and asked
+// for back like any member, and attempts that bypass the directory bypass
+// it too.
+//
 // Not safe for concurrent use: it belongs to the Core it is handed to.
 type Directory struct {
 	fallback   LoadBalancer
@@ -53,6 +64,7 @@ type Directory struct {
 	rng        *rand.Rand
 	out        transport.Sender
 	book       transport.AddressBook // nil on fabrics that route by id alone
+	local      transport.NodeID      // the node this client lives in; 0 for none
 
 	members map[int32][]transport.NodeID
 	// asked holds the slices with a MateQuery in flight, each with the
@@ -89,11 +101,20 @@ func NewDirectory(fallback LoadBalancer, sliceCount int, rng *rand.Rand, out tra
 	}
 }
 
-// Contact implements LoadBalancer: a uniformly chosen known member of
-// key's slice, or the fallback's choice while none is known.
+// SetLocal names the node whose process the client lives in. Call it
+// before the directory is handed to its Core.
+func (d *Directory) SetLocal(node transport.NodeID) { d.local = node }
+
+// Contact implements LoadBalancer: the local node when it is a known
+// member of key's slice, a uniformly chosen known member otherwise, or
+// the fallback's choice while none is known.
 func (d *Directory) Contact(key string) (transport.NodeID, bool) {
 	if m := d.members[slicing.KeySlice(key, d.sliceCount)]; len(m) > 0 {
 		d.stats.Hits++
+		if d.local != 0 && slices.Contains(m, d.local) {
+			d.stats.Local++
+			return d.local, true
+		}
 		return m[d.rng.IntN(len(m))], true
 	}
 	return d.random(key)
@@ -110,13 +131,19 @@ func (d *Directory) random(key string) (transport.NodeID, bool) {
 // slice. The first member of a slice is asked for the others at once.
 // In a full slice the node takes the place of a random member: what a
 // node proved by answering outranks what a MateReply said about another.
+// The local node's slot is passed over: it is the one member whose loss
+// would cost every request of its slice a socket.
 func (d *Directory) learn(key string, node transport.NodeID) {
 	slice := slicing.KeySlice(key, d.sliceCount)
 	m := d.members[slice]
 	switch {
 	case slices.Contains(m, node):
 	case len(m) >= maxSliceMembers:
-		m[d.rng.IntN(len(m))] = node
+		i := d.rng.IntN(len(m))
+		if m[i] == d.local {
+			i = (i + 1) % len(m)
+		}
+		m[i] = node
 	default:
 		d.members[slice] = append(m, node)
 		if len(m) == 0 {

@@ -92,7 +92,8 @@ func TestDirectoryContactsSpreadUniformly(t *testing.T) {
 
 // (b) An attempt that carries Flood never enters its slice through the
 // directory: only global-phase copies are acknowledged, so a two-ack put
-// sent to a member would collect one ack per attempt.
+// sent to a member would collect one ack per attempt. That the member is
+// the client's local node changes nothing.
 func TestFloodAttemptsBypassDirectory(t *testing.T) {
 	key := keyInSlice(t, 2, dirSlices)
 	objs := []store.Object{{Key: key, Version: 1}}
@@ -107,41 +108,49 @@ func TestFloodAttemptsBypassDirectory(t *testing.T) {
 		{"deletebatch", func(cl *Core) { cl.StartDeleteBatch(items, Opts{}, nil) }},
 		{"forced", func(cl *Core) { cl.StartGetOpts(key, store.Latest, Opts{Flood: true}, nil) }},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cl, dir, cap, _ := newDirectoryCore(t, Config{TimeoutTicks: 1, Retries: 2})
+	for _, local := range []transport.NodeID{0, 40} {
+		suffix := ""
+		if local != 0 {
+			suffix = ", member is local"
+		}
+		for _, tc := range cases {
+			t.Run(tc.name+suffix, func(t *testing.T) {
+				cl, dir, cap, _ := newDirectoryCore(t, Config{TimeoutTicks: 1, Retries: 2})
+				dir.SetLocal(local)
+				dir.learn(key, 40)
+				sent := len(cap.sent) // the mate query
+				tc.start(cl)
+				cl.Tick() // and the retry
+				for _, env := range cap.sent[sent:] {
+					if !floodOf(env.Msg) {
+						t.Fatalf("%#v does not ask for the flood", env.Msg)
+					}
+					if !isRandomContact(env.To) {
+						t.Errorf("flood attempt went to directory member %v", env.To)
+					}
+				}
+				if st := dir.stats; st.Hits != 0 || st.Local != 0 || st.Fallbacks != 2 {
+					t.Errorf("stats = %+v, want 0 hits and 2 fallbacks", st)
+				}
+			})
+		}
+
+		t.Run("retry of a plain put"+suffix, func(t *testing.T) {
+			cl, dir, cap, _ := newDirectoryCore(t, Config{TimeoutTicks: 1, Retries: 1})
+			dir.SetLocal(local)
 			dir.learn(key, 40)
-			sent := len(cap.sent) // the mate query
-			tc.start(cl)
-			cl.Tick() // and the retry
-			for _, env := range cap.sent[sent:] {
-				if !floodOf(env.Msg) {
-					t.Fatalf("%#v does not ask for the flood", env.Msg)
-				}
-				if !isRandomContact(env.To) {
-					t.Errorf("flood attempt went to directory member %v", env.To)
-				}
+			sent := len(cap.sent)
+			cl.StartPut(key, 1, nil, nil)
+			if first := cap.sent[sent]; first.To != 40 || floodOf(first.Msg) {
+				t.Fatalf("attempt 1 went to %v (flood %v), want member 40 without the flood", first.To, floodOf(first.Msg))
 			}
-			if st := dir.stats; st.Hits != 0 || st.Fallbacks != 2 {
-				t.Errorf("stats = %+v, want 0 hits and 2 fallbacks", st)
+			cl.Tick()
+			retry := cap.sent[len(cap.sent)-1]
+			if !isRandomContact(retry.To) || !floodOf(retry.Msg) {
+				t.Errorf("retry went to %v (flood %v), want a random contact with the flood", retry.To, floodOf(retry.Msg))
 			}
 		})
 	}
-
-	t.Run("retry of a plain put", func(t *testing.T) {
-		cl, dir, cap, _ := newDirectoryCore(t, Config{TimeoutTicks: 1, Retries: 1})
-		dir.learn(key, 40)
-		sent := len(cap.sent)
-		cl.StartPut(key, 1, nil, nil)
-		if first := cap.sent[sent]; first.To != 40 || floodOf(first.Msg) {
-			t.Fatalf("attempt 1 went to %v (flood %v), want member 40 without the flood", first.To, floodOf(first.Msg))
-		}
-		cl.Tick()
-		retry := cap.sent[len(cap.sent)-1]
-		if !isRandomContact(retry.To) || !floodOf(retry.Msg) {
-			t.Errorf("retry went to %v (flood %v), want a random contact with the flood", retry.To, floodOf(retry.Msg))
-		}
-	})
 }
 
 // (c) Whoever acknowledges a write or answers a read holds the key, so
@@ -366,5 +375,182 @@ func TestDirectoryFullSliceTakesProvenMembersOnly(t *testing.T) {
 	dir.learn(key, 91)
 	if m := dir.members[2]; len(m) != maxSliceMembers || !slices.Contains(m, 91) {
 		t.Fatalf("members = %v, want the bound with the proven node among them", m)
+	}
+}
+
+// localNode is the node the client of the tests below lives in. It is
+// not on the random contact list, so a request that reaches it got there
+// through the directory.
+const localNode transport.NodeID = 40
+
+// contactsOf draws n contacts for key and counts them per node.
+func contactsOf(t *testing.T, dir *Directory, key string, n int) map[transport.NodeID]int {
+	t.Helper()
+	counts := map[transport.NodeID]int{}
+	for i := 0; i < n; i++ {
+		id, ok := dir.Contact(key)
+		if !ok {
+			t.Fatal("no contact")
+		}
+		counts[id]++
+	}
+	return counts
+}
+
+// The local node takes every contact of a slice once it is a known
+// member of it — not before, and never those of a slice it is not in.
+func TestDirectoryPrefersLocalMember(t *testing.T) {
+	_, dir, _, _ := newDirectoryCore(t, Config{})
+	dir.SetLocal(localNode)
+	own, other := keyInSlice(t, 2, dirSlices), keyInSlice(t, 0, dirSlices)
+
+	dir.learn(own, 41)
+	dir.learn(own, 42)
+	if c := contactsOf(t, dir, own, 200); c[localNode] != 0 || c[41] == 0 || c[42] == 0 {
+		t.Fatalf("contacts before the local node is a member = %v, want 41 and 42 only", c)
+	}
+	if st := dir.stats; st.Local != 0 || st.Hits != 200 {
+		t.Fatalf("stats = %+v, want 200 hits, none local", st)
+	}
+
+	dir.learn(own, localNode)
+	if c := contactsOf(t, dir, own, 200); c[localNode] != 200 {
+		t.Fatalf("contacts with the local node a member = %v, want all 200 on it", c)
+	}
+	if st := dir.stats; st.Local != 200 || st.Hits != 400 || st.Fallbacks != 0 {
+		t.Fatalf("stats = %+v, want 400 hits, 200 of them local", st)
+	}
+
+	dir.learn(other, 43)
+	dir.learn(other, 44)
+	if c := contactsOf(t, dir, other, 200); c[localNode] != 0 || c[43] == 0 || c[44] == 0 {
+		t.Fatalf("contacts of a slice the local node is not in = %v, want 43 and 44 only", c)
+	}
+	if st := dir.stats; st.Local != 200 {
+		t.Errorf("local hits = %d after another slice's contacts, want 200 still", st.Local)
+	}
+}
+
+// The local node stops being a member by the rules every member obeys —
+// another node acknowledging its request, a timeout — after which the
+// slice's contacts are drawn uniformly from who is left, until the node
+// proves itself again.
+func TestDirectoryEvictsLocalLikeAnyMember(t *testing.T) {
+	key := keyInSlice(t, 3, dirSlices)
+	setup := func(t *testing.T) (*Core, *Directory, *capture) {
+		cl, dir, cap, _ := newDirectoryCore(t, Config{TimeoutTicks: 1, Retries: 1})
+		dir.SetLocal(localNode)
+		for _, member := range []transport.NodeID{localNode, 41, 42} {
+			dir.learn(key, member)
+		}
+		return cl, dir, cap
+	}
+	// evicted checks the state both subtests must leave: the local node
+	// gone, its mates sharing the contacts, and a reply from it bringing
+	// the preference back.
+	evicted := func(t *testing.T, cl *Core, dir *Directory, cap *capture) {
+		t.Helper()
+		if st := dir.stats; st.Evictions != 1 || slices.Contains(dir.members[3], localNode) {
+			t.Fatalf("local node still listed: %+v, members %v", st, dir.members[3])
+		}
+		local := dir.stats.Local
+		if c := contactsOf(t, dir, key, 200); c[localNode] != 0 || c[41] < 60 || c[42] < 60 {
+			t.Fatalf("contacts after the eviction = %v, want 41 and 42 about evenly", c)
+		}
+		if dir.stats.Local != local {
+			t.Errorf("local hits grew to %d while the local node was no member", dir.stats.Local)
+		}
+		cl.StartGet(key, store.Latest, nil)
+		get := cap.sent[len(cap.sent)-1]
+		if get.To == localNode {
+			t.Fatalf("get went to the evicted local node")
+		}
+		cl.HandleMessage(transport.Envelope{From: localNode, Msg: &core.GetReply{ID: get.Msg.(*core.GetRequest).ID, Slice: 3}})
+		if c := contactsOf(t, dir, key, 50); c[localNode] != 50 {
+			t.Errorf("contacts after the local node answered again = %v, want all on it", c)
+		}
+	}
+
+	t.Run("ack from another node", func(t *testing.T) {
+		cl, dir, cap := setup(t)
+		cl.StartPut(key, 1, nil, nil)
+		put := cap.sent[len(cap.sent)-1]
+		if put.To != localNode {
+			t.Fatalf("put went to %v, want the local node", put.To)
+		}
+		cl.HandleMessage(transport.Envelope{From: 41, Msg: &core.PutAck{ID: put.Msg.(*core.PutRequest).ID}})
+		evicted(t, cl, dir, cap)
+	})
+
+	t.Run("timeout", func(t *testing.T) {
+		cl, dir, cap := setup(t)
+		cl.StartGet(key, store.Latest, nil)
+		if to := cap.sent[len(cap.sent)-1].To; to != localNode {
+			t.Fatalf("get went to %v, want the local node", to)
+		}
+		cl.Tick()
+		if retry := cap.sent[len(cap.sent)-1]; !isRandomContact(retry.To) || !floodOf(retry.Msg) {
+			// The mate query the eviction prompts goes out before the retry.
+			t.Fatalf("retry went to %v (flood %v), want a random contact with the flood", retry.To, floodOf(retry.Msg))
+		}
+		evicted(t, cl, dir, cap)
+	})
+}
+
+// Members that prove themselves into a full slice take random slots,
+// never the local node's.
+func TestDirectoryFullSliceKeepsLocal(t *testing.T) {
+	_, dir, _, _ := newDirectoryCore(t, Config{})
+	dir.SetLocal(localNode)
+	key := keyInSlice(t, 2, dirSlices)
+	for id := localNode; id < localNode+maxSliceMembers; id++ {
+		dir.learn(key, id)
+	}
+	// 200 draws over 16 slots: each slot is drawn many times over.
+	for id := transport.NodeID(100); id < 300; id++ {
+		dir.learn(key, id)
+		if m := dir.members[2]; len(m) != maxSliceMembers || !slices.Contains(m, id) || !slices.Contains(m, localNode) {
+			t.Fatalf("members after %v proved itself = %v, want the bound, the prover and the local node", id, m)
+		}
+	}
+	if id, _ := dir.Contact(key); id != localNode {
+		t.Errorf("contact = %v, want the local node", id)
+	}
+}
+
+// A directory with no local node — every client but Node.NewClient's —
+// draws what it drew before the local node existed: the contact and slot
+// sequence of a fixed seed, recorded at 1061266.
+func TestDirectoryWithoutLocalDrawsAsBefore(t *testing.T) {
+	_, dir, _, _ := newDirectoryCore(t, Config{})
+	key := keyInSlice(t, 2, dirSlices)
+	for id := transport.NodeID(40); id < 40+maxSliceMembers; id++ {
+		dir.learn(key, id)
+	}
+	for id := transport.NodeID(90); id < 96; id++ {
+		dir.learn(key, id) // full slice: each takes a drawn slot
+	}
+	wantMembers := []transport.NodeID{40, 41, 94, 90, 93, 45, 46, 47, 95, 49, 50, 51, 52, 92, 91, 55}
+	if !slices.Equal(dir.members[2], wantMembers) {
+		t.Errorf("members = %v, want %v", dir.members[2], wantMembers)
+	}
+	var got []transport.NodeID
+	for i := 0; i < 24; i++ {
+		id, _ := dir.Contact(key)
+		got = append(got, id)
+	}
+	for i := 0; i < 8; i++ {
+		id, _ := dir.Contact(keyInSlice(t, 0, dirSlices)) // unknown slice: the random list
+		got = append(got, id)
+	}
+	wantContacts := []transport.NodeID{
+		45, 95, 50, 46, 49, 94, 94, 52, 40, 91, 41, 49, 55, 40, 50, 49, 50, 94, 40, 90, 51, 47, 93, 49,
+		2, 3, 1, 3, 2, 2, 2, 1,
+	}
+	if !slices.Equal(got, wantContacts) {
+		t.Errorf("contacts = %v, want %v", got, wantContacts)
+	}
+	if st := dir.stats; st.Local != 0 {
+		t.Errorf("local hits = %d without a local node", st.Local)
 	}
 }

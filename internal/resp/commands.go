@@ -324,6 +324,7 @@ func cmdInfo(c *conn, args [][]byte) reply {
 		fmt.Fprintf(&b, "directory_hits:%d\r\n", dir.Hits)
 		fmt.Fprintf(&b, "directory_fallbacks:%d\r\n", dir.Fallbacks)
 		fmt.Fprintf(&b, "directory_evictions:%d\r\n", dir.Evictions)
+		fmt.Fprintf(&b, "directory_local:%d\r\n", dir.Local)
 		if stats := c.s.cfg.Stats; stats != nil {
 			calls, errs := stats.Totals()
 			fmt.Fprintf(&b, "total_commands_processed:%d\r\n", calls)

@@ -203,7 +203,7 @@ func TestGatewayConformance(t *testing.T) {
 		t.Fatalf("INFO body: %v", err)
 	}
 	for _, want := range []string{"# Server", "server:dataflasks-resp-gateway", "cmdstat_set:", "cmdstat_get:",
-		"directory_hits:", "directory_fallbacks:", "directory_evictions:"} {
+		"directory_hits:", "directory_fallbacks:", "directory_evictions:", "directory_local:"} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Fatalf("INFO body missing %q:\n%s", want, body)
 		}

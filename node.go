@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -106,6 +107,12 @@ type Node struct {
 	trace  *obs.Ring   // /trace journal; nil when the plane is off
 	obsSrv *obs.Server // nil unless HTTPAddr was set
 
+	// locals are the clients that live in this process (NewClient), by
+	// id: what the node sends to one of them skips the fabric. Nil once
+	// the node is closed.
+	localMu sync.RWMutex
+	locals  map[NodeID]*Client
+
 	closeOnce sync.Once
 }
 
@@ -138,27 +145,10 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		wstats:  &metrics.WireStats{},
 		mailbox: make(chan transport.Envelope, defaultMailbox),
 		done:    make(chan struct{}),
-	}
-	// The TCP fabric decodes on per-connection goroutines. Data-plane
-	// requests go straight to their shard's mailbox, so a get or a put
-	// never queues behind a Tick; everything else (and everything that
-	// arrives before the shards run) funnels into the mailbox so the
-	// control plane stays single-threaded.
-	handler := func(env transport.Envelope) {
-		if c := n.data.Load(); c != nil && c.DispatchData(env) {
-			return
-		}
-		select {
-		case n.mailbox <- env:
-		default:
-			// Congested: drop, gossip redundancy covers it — but never
-			// silently; sustained growth of this counter means the
-			// round period or mailbox size is mis-sized for the load.
-			n.drops.Inc()
-		}
+		locals:  make(map[NodeID]*Client),
 	}
 	tcpNet, err := transport.ListenTCP(cfg.ID, cfg.Bind, cfg.Advertise,
-		transport.TCPConfig{Codec: codec, Stats: n.wstats}, handler)
+		transport.TCPConfig{Codec: codec, Stats: n.wstats}, n.handle)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +167,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 				return addr, addr != ""
 			},
 			Stats: n.wstats,
-		}, handler)
+		}, n.handle)
 		if err != nil {
 			tcpNet.Close()
 			return nil, err
@@ -187,7 +177,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		// paths (peers that never acked a probe — e.g. nodes running
 		// without -udp-addr), oversize frames, unknown peers and socket
 		// errors retry on the TCP stream.
-		coreCfg.Control = transport.FallbackSender(udpT.Sender(), tcpNet.Sender())
+		coreCfg.Control = n.localFirst(transport.FallbackSender(udpT.Sender(), tcpNet.Sender()))
 		coreCfg.IsControl = wire.Control
 	}
 	st, err := coreCfg.Store.Open(cfg.DataDir)
@@ -215,7 +205,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.trace = obs.NewRing(events)
 		coreCfg.Trace = n.trace
 	}
-	n.core = core.NewNode(cfg.ID, coreCfg, n.st, tcpNet.Sender())
+	n.core = core.NewNode(cfg.ID, coreCfg, n.st, n.localFirst(tcpNet.Sender()))
 
 	seedIDs := make([]NodeID, 0, len(cfg.Seeds))
 	for _, s := range cfg.Seeds {
@@ -306,6 +296,26 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		}
 	}()
 	return n, nil
+}
+
+// handle takes one inbound envelope: what the fabrics decoded on their
+// per-connection goroutines, and what a local client (NewClient) sends to
+// this node. Data-plane requests go straight to their shard's mailbox, so
+// a get or a put never queues behind a Tick; everything else (and
+// everything that arrives before the shards run) funnels into the mailbox
+// so the control plane stays single-threaded. Never blocks.
+func (n *Node) handle(env transport.Envelope) {
+	if c := n.data.Load(); c != nil && c.DispatchData(env) {
+		return
+	}
+	select {
+	case n.mailbox <- env:
+	default:
+		// Congested: drop, gossip redundancy covers it — but never
+		// silently; sustained growth of this counter means the
+		// round period or mailbox size is mis-sized for the load.
+		n.drops.Inc()
+	}
 }
 
 // coreReady computes the readiness predicate from live core state.
@@ -424,10 +434,37 @@ func (n *Node) closeFabrics() {
 	_ = n.net.Close()
 }
 
-// Close shuts the node down and releases the store.
+// localFirst wraps a fabric sender for the node: a message for a client
+// that lives in this process goes into that client's mailbox by
+// reference — no encode, no socket, no decode — and everything else goes
+// to next. Messages are immutable once sent (the contract the in-process
+// Cluster's fabric already relies on), so sharing the pointer is safe.
+func (n *Node) localFirst(next transport.Sender) transport.Sender {
+	return transport.SenderFunc(func(ctx context.Context, to transport.NodeID, msg interface{}) error {
+		n.localMu.RLock()
+		cl := n.locals[to]
+		n.localMu.RUnlock()
+		if cl == nil {
+			return next.Send(ctx, to, msg)
+		}
+		cl.deliver(transport.Envelope{From: n.id, To: to, Msg: msg})
+		return nil
+	})
+}
+
+// Close shuts the node down and releases the store. Clients made by
+// NewClient are closed first: their pending operations end with
+// ErrClientClosed instead of waiting out a node that is gone.
 func (n *Node) Close() error {
 	var err error
 	n.closeOnce.Do(func() {
+		n.localMu.Lock()
+		locals := n.locals
+		n.locals = nil
+		n.localMu.Unlock()
+		for _, cl := range locals {
+			cl.Close()
+		}
 		if n.obsSrv != nil {
 			_ = n.obsSrv.Close()
 		}
@@ -453,35 +490,68 @@ func (n *Node) Close() error {
 	return err
 }
 
-// ConnectClient opens a client against a TCP deployment. Seeds are
-// "id@host:port" contacts; bind may be ":0". cfg.Slices should match
-// the deployment's slice count: it groups batch puts per slice and
-// drives the slice directory's contact choice, so a mismatch costs
-// relay hops (never correctness — nodes re-route what reaches the wrong
-// slice). The seeds are only where the client starts: it learns the
-// members of each slice from the replies it gets.
+// ConnectClient opens a client against a TCP deployment from a process
+// of its own. Seeds are "id@host:port" contacts; bind may be ":0".
+// cfg.Slices should match the deployment's slice count: it groups batch
+// puts per slice and drives the slice directory's contact choice, so a
+// mismatch costs relay hops (never correctness — nodes re-route what
+// reaches the wrong slice). The seeds are only where the client starts:
+// it learns the members of each slice from the replies it gets. A process
+// that runs a Node uses that node's NewClient instead.
 func ConnectClient(bind string, seeds []string, cfg Config) (*Client, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("dataflasks: ConnectClient needs at least one seed")
 	}
+	return connectClient(bind, seeds, cfg, nil)
+}
+
+// NewClient opens a client that lives in this node's process — what a
+// gateway or any other embedder of a Node should use. The node is its
+// one seed. Whatever the client and this node say to each other travels
+// by function call into the other's mailbox (never blocking, overflow
+// dropped and counted like a fabric delivery), and the client's slice
+// directory contacts this node for every key of a slice it knows the
+// node to be in. For every other node the client has a TCP fabric of its
+// own, exactly as ConnectClient builds it, listening on the node's bind
+// host. cfg is read as ConnectClient reads it. Closing the node closes
+// the client.
+//
+// Attempts that take the flood (retries, deletes, WithAcks above 1)
+// start at a seed, which here is always this node. A write that wants
+// several acks for a key of this node's own slice therefore cannot
+// collect them — the node is its one slice entry, and mates do not
+// acknowledge relay copies; give such writers a ConnectClient seeded in
+// several slices.
+func (n *Node) NewClient(cfg Config) (*Client, error) {
+	host, _, err := net.SplitHostPort(n.net.BoundAddr())
+	if err != nil {
+		return nil, fmt.Errorf("dataflasks: NewClient: %w", err)
+	}
+	return connectClient(net.JoinHostPort(host, "0"), nil, cfg, n)
+}
+
+// connectClient builds a client over a TCP fabric of its own. home, when
+// not nil, is the node in whose process the client lives (see NewClient):
+// it joins the seeds, and the two reach each other without the fabric.
+func connectClient(bind string, seeds []string, cfg Config, home *Node) (*Client, error) {
 	// Client ids live in their own range; collisions across
 	// independent clients are avoided by random draw.
 	id := clientIDBase + NodeID(rand.Uint32N(1<<24))
 
 	drops := &metrics.SharedCounter{} // shared with the client below
 	mailbox := make(chan transport.Envelope, defaultMailbox)
-	handler := func(env transport.Envelope) {
+	deliver := func(env transport.Envelope) {
 		select {
 		case mailbox <- env:
 		default:
 			drops.Inc()
 		}
 	}
-	tcpNet, err := transport.ListenTCP(id, bind, "", transport.TCPConfig{Codec: wire.BinaryCodec()}, handler)
+	tcpNet, err := transport.ListenTCP(id, bind, "", transport.TCPConfig{Codec: wire.BinaryCodec()}, deliver)
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]NodeID, 0, len(seeds))
+	ids := make([]NodeID, 0, len(seeds)+1)
 	for _, s := range seeds {
 		sid, addr, err := ParseSeed(s)
 		if err != nil {
@@ -491,15 +561,55 @@ func ConnectClient(bind string, seeds []string, cfg Config) (*Client, error) {
 		tcpNet.Learn(sid, addr)
 		ids = append(ids, sid)
 	}
+	sender := tcpNet.Sender()
+	var local NodeID // the directory's local node; 0 for none
+	if home != nil {
+		local = home.id
+		ids = append(ids, local)
+		remote := sender
+		sender = transport.SenderFunc(func(ctx context.Context, to transport.NodeID, msg interface{}) error {
+			if to != local {
+				return remote.Send(ctx, to, msg)
+			}
+			home.handle(transport.Envelope{From: id, To: to, Msg: msg})
+			return nil
+		})
+	}
 	rng := rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64()))
-	lb := client.NewDirectory(client.NewRandomLB(ids, rng), cfg.slicesOrDefault(), rng, tcpNet.Sender(), tcpNet)
+	lb := client.NewDirectory(client.NewRandomLB(ids, rng), cfg.slicesOrDefault(), rng, sender, tcpNet)
+	lb.SetLocal(local)
 	period := 500 * time.Millisecond
 	clientCfg := client.Config{PutAcks: cfg.clientPutAcks(), SelfAddr: tcpNet.Addr()}
-	cl := newLiveClient(id, clientCfg, tcpNet.Sender(), lb, mailbox, period, cfg.slicesOrDefault(), drops.Load)
-	// Tie the fabric's lifetime to the client.
-	go func() {
-		cl.wg.Wait()
-		_ = tcpNet.Close()
-	}()
+	cl := newLiveClient(id, clientCfg, sender, lb, mailbox, period, cfg.slicesOrDefault(), drops.Load)
+	cl.closeFabric = func() { _ = tcpNet.Close() }
+	if home != nil {
+		cl.deliver = deliver
+		cl.closeFabric = func() {
+			home.detach(id)
+			_ = tcpNet.Close()
+		}
+		if !home.attach(id, cl) {
+			cl.Close()
+			return nil, fmt.Errorf("dataflasks: NewClient on a closed node")
+		}
+	}
 	return cl, nil
+}
+
+// attach registers a local client for localFirst; it reports false on a
+// closed node.
+func (n *Node) attach(id NodeID, cl *Client) bool {
+	n.localMu.Lock()
+	defer n.localMu.Unlock()
+	if n.locals == nil {
+		return false
+	}
+	n.locals[id] = cl
+	return true
+}
+
+func (n *Node) detach(id NodeID) {
+	n.localMu.Lock()
+	delete(n.locals, id)
+	n.localMu.Unlock()
 }
