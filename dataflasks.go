@@ -142,11 +142,12 @@ type Config struct {
 	// foreground traffic. 0 = unlimited.
 	RepairRateBytes int
 	// BloomFullEvery is the repair digest cadence: every Nth
-	// anti-entropy round exchanges complete header lists; the rounds
-	// between open with a compact Bloom summary (~10 bits per object on
-	// the wire instead of the full key). The periodic full round
-	// guarantees convergence past the filter's ~1% false positives.
-	// Default 8; 1 makes every round full-header (Bloom disabled).
+	// anti-entropy round settles the key-hash ranges two mates differ in
+	// with complete header lists; the rounds between use a compact Bloom
+	// summary of those ranges (~10 bits per object on the wire instead
+	// of the full key). The periodic full round guarantees convergence
+	// past the filter's ~1% false positives. Default 8; 1 makes every
+	// round full-header (Bloom disabled).
 	BloomFullEvery int
 	// EvictForeign lets a node drop objects outside its slice after a
 	// slice change (off by default, like the paper's conservative

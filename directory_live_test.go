@@ -43,6 +43,15 @@ func nodeCounters(t *testing.T, nodes []*dataflasks.Node, period time.Duration, 
 // must be 2.
 func startTwoSliceCluster(t *testing.T, cfg dataflasks.Config, period time.Duration) ([]*dataflasks.Node, []string) {
 	t.Helper()
+	return startTwoSliceClusterIn(t, cfg, period, make([]string, 4))
+}
+
+// startTwoSliceClusterIn is startTwoSliceCluster with node i persisting
+// under dataDirs[i] (empty: in memory). The cleanup closes whatever the
+// returned slice holds when the test ends, so a test that restarts a
+// node puts the new one in its place.
+func startTwoSliceClusterIn(t *testing.T, cfg dataflasks.Config, period time.Duration, dataDirs []string) ([]*dataflasks.Node, []string) {
+	t.Helper()
 	const n = 4
 	nodes := make([]*dataflasks.Node, 0, n)
 	t.Cleanup(func() {
@@ -56,7 +65,7 @@ func startTwoSliceCluster(t *testing.T, cfg dataflasks.Config, period time.Durat
 		nodeCfg.Capacity = float64(i) // distinct ranks: the 2 + 2 split is stable
 		nc := dataflasks.NodeConfig{
 			ID: dataflasks.NodeID(i), Bind: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0",
-			Config: nodeCfg, RoundPeriod: period,
+			DataDir: dataDirs[i-1], Config: nodeCfg, RoundPeriod: period,
 		}
 		if i > 1 {
 			nc.Seeds = seeds[:1]

@@ -6,18 +6,33 @@
 // factor at slice size despite churn, message loss and TTL-expired
 // floods.
 //
-// The protocol is two-phase. Most rounds are Bloom rounds: A→B
-// Summary(Bloom filter of A's headers); B pushes the objects the
-// filter proves A lacks and answers B→A SummaryReply(B's filter); A
-// pushes symmetrically. Digest cost is O(bits) instead of O(objects ·
-// key bytes), and pushes ride directly on filter evidence (a Bloom
-// filter has no false negatives), so a Bloom round is four messages
-// with no Pull leg. Every FullEvery-th round falls back to the
-// original full-header exchange — A→B Digest(headers); B→A Pull +
-// DigestReply; A→B Push, and symmetrically — which is immune to the
-// filter's ~1% false positives and therefore the convergence
-// guarantee: an object a Bloom round skipped (its header false-
-// positived as present) is provably repaired by the next full round.
+// A round opens with A→B Sums: the store's per-range fingerprints
+// (store.RangeSums — an XOR of header hashes and a count per key-hash
+// range, maintained by the engines as headers enter and leave, never by
+// a scan), folded to the power-of-two count that fits A's store. B
+// compares them with its own. All equal: the round is over — nothing is
+// sent back and neither side has walked a header. Otherwise B answers
+// for the ranges that differ, and only those, with the two-phase
+// exchange below, naming them in the message so every later leg stays
+// inside them. Cost scales with the difference, not with the store.
+//
+// Most rounds are Bloom rounds: B→A Summary(Bloom filter of B's headers
+// in the differing ranges); A pushes the objects the filter proves B
+// lacks and answers A→B SummaryReply(A's filter); B pushes
+// symmetrically. Digest cost is O(bits) instead of O(objects · key
+// bytes), and pushes ride directly on filter evidence (a Bloom filter
+// has no false negatives), so there is no Pull leg. Every FullEvery-th
+// round A sets Sums.Full and the answer is the original full-header
+// exchange — B→A Digest(headers); A→B Pull + DigestReply; B→A Push, and
+// symmetrically — which is immune to the filter's ~1% false positives
+// and therefore the convergence guarantee: an object a Bloom round
+// skipped (its header false-positived as present) is provably repaired
+// by the next full round of its range.
+//
+// A Summary or Digest that names no ranges covers the whole store: that
+// is the frame a peer from before the range sums opens its rounds with
+// (and Config.WholeStore, the lab's baseline), and the same handlers
+// answer it.
 //
 // Repair is budgeted so it cannot starve foreground traffic: each Push
 // is bounded in objects (MaxPush) and value bytes (MaxPushBytes), a
@@ -30,8 +45,12 @@ package antientropy
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 
+	"dataflasks/internal/hashmix"
+	"dataflasks/internal/slicing"
 	"dataflasks/internal/store"
 	"dataflasks/internal/transport"
 )
@@ -42,18 +61,31 @@ type Header struct {
 	Version uint64
 }
 
-// Digest opens a full-header exchange with the sender's object
-// headers (up to MaxDigest, sampled uniformly beyond that).
+// Sums opens a round: the sender's range fingerprints, folded to
+// len(Sums) — a power of two up to store.NumRanges — words. Full asks
+// for the differing ranges to be settled with full headers (Digest)
+// instead of a Bloom Summary.
+type Sums struct {
+	Slice int32
+	Full  bool
+	Sums  []uint64
+}
+
+// Digest opens a full-header exchange with the sender's object headers
+// in Ranges (up to MaxDigest, sampled uniformly beyond that). The zero
+// Ranges — absent on the wire — means every range.
 type Digest struct {
 	Slice   int32
 	Headers []Header
+	Ranges  store.RangeSet
 }
 
-// DigestReply returns the responder's headers so the initiator can pull
-// symmetrically.
+// DigestReply returns the responder's headers in the Digest's ranges so
+// the initiator can pull symmetrically.
 type DigestReply struct {
 	Slice   int32
 	Headers []Header
+	Ranges  store.RangeSet
 }
 
 // Pull requests the listed objects' values.
@@ -74,20 +106,25 @@ type Env struct {
 	Send transport.Sender
 	// Partner picks a random slice-mate to exchange with.
 	Partner func() (transport.NodeID, bool)
-	// Slice returns the node's current slice claim.
-	Slice func() int32
-	// KeyInSlice reports whether a key belongs to the node's current
-	// slice, gating what gets pulled/pushed and what EvictForeign
-	// drops.
-	KeyInSlice func(key string) bool
+	// Slice returns the node's current slice claim and Slices the slice
+	// count it is a claim among. Together they say which keys belong to
+	// the node's slice, gating what gets pulled/pushed, what EvictForeign
+	// drops and what the range sums the node compares cover.
+	Slice  func() int32
+	Slices func() int
 	// OnSent, when non-nil, is called once per protocol message emitted
 	// (metrics hook).
 	OnSent func()
 	// OnDigestBytes, when non-nil, receives the approximate wire size
-	// of every difference-discovery message sent (Digest, DigestReply,
-	// Summary, SummaryReply, Pull) — the bandwidth the node spends
-	// finding out WHAT to repair, as opposed to shipping the repairs.
+	// of every difference-discovery message sent (Sums, Digest,
+	// DigestReply, Summary, SummaryReply, Pull) — the bandwidth the node
+	// spends finding out WHAT to repair, as opposed to shipping the
+	// repairs.
 	OnDigestBytes func(n int)
+	// OnCompared, when non-nil, is called once per Sums answered with
+	// how many of its sums differed from the local ones: zero is a clean
+	// round, the mate's store proved equal to ours.
+	OnCompared func(differing int)
 	// OnPush, when non-nil, is called once per Push sent with its
 	// object count and summed value bytes.
 	OnPush func(objects, valueBytes int)
@@ -130,6 +167,11 @@ type Config struct {
 	// EvictForeign drops local objects outside the node's slice during
 	// Tick (after a slice change). Default false.
 	EvictForeign bool
+	// WholeStore opens every round the way nodes did before the range
+	// sums — a Summary or Digest of all local headers, whether or not
+	// anything differs. The lab's in-run baseline (E17); nothing else
+	// sets it.
+	WholeStore bool
 }
 
 func (c *Config) defaults() {
@@ -159,13 +201,26 @@ type Protocol struct {
 	// RateBytesPerRound > 0. May go one object negative so a single
 	// value larger than the refill still makes progress.
 	tokens int64
+
+	// foreign fingerprints, range by range, the local headers outside
+	// the node's slice — objects kept from before a slice change, which
+	// no exchange will ever move — as the last walk of the range found
+	// them, under the (slice, slice count) they were judged by. The sums
+	// a node compares are the store's less these (localSums): without
+	// them one stale object would keep its range different from every
+	// mate's, and re-digested, for good. A memo that has gone stale (the
+	// object was deleted since) makes the range read different once
+	// more, and that walk corrects it.
+	foreign       store.RangeSums
+	foreignSlice  int32
+	foreignSlices int
 }
 
 // New creates the protocol. All Env fields except the metric hooks are
 // required.
 func New(cfg Config, env Env, rng *rand.Rand) *Protocol {
 	cfg.defaults()
-	if env.Store == nil || env.Send == nil || env.Partner == nil || env.Slice == nil || env.KeyInSlice == nil {
+	if env.Store == nil || env.Send == nil || env.Partner == nil || env.Slice == nil || env.Slices == nil {
 		panic("antientropy: incomplete Env")
 	}
 	if rng == nil {
@@ -174,10 +229,10 @@ func New(cfg Config, env Env, rng *rand.Rand) *Protocol {
 	return &Protocol{cfg: cfg, env: env, rng: rng}
 }
 
-// Tick opens one exchange with a random slice-mate — a Bloom round,
-// or a full-header round every FullEvery-th tick — refills the repair
-// rate bucket and, when configured, evicts foreign objects. ctx
-// bounds the round's sends.
+// Tick opens one exchange with a random slice-mate — the store's range
+// sums, marked Full every FullEvery-th tick — refills the repair rate
+// bucket and, when configured, evicts foreign objects. ctx bounds the
+// round's sends.
 func (p *Protocol) Tick(ctx context.Context) {
 	p.rounds++
 	if rate := int64(p.cfg.RateBytesPerRound); rate > 0 {
@@ -193,15 +248,18 @@ func (p *Protocol) Tick(ctx context.Context) {
 	if !ok {
 		return
 	}
-	if p.fullRound() {
-		hs := p.digest()
-		p.noteDigestBytes(headersWireSize(hs))
-		p.send(ctx, peer, &Digest{Slice: p.env.Slice(), Headers: hs})
+	if !p.cfg.WholeStore {
+		local := p.localSums()
+		sums := fold(&local, foldCount(countIn(&local, store.AllRanges())))
+		p.noteDigestBytes(sumsWireSize(sums))
+		p.send(ctx, peer, &Sums{Slice: p.env.Slice(), Full: p.fullRound(), Sums: sums})
 		return
 	}
-	f := p.summary()
-	p.noteDigestBytes(f.SizeBytes())
-	p.send(ctx, peer, &Summary{Slice: p.env.Slice(), Filter: f})
+	if p.fullRound() {
+		p.sendDigest(ctx, peer, store.RangeSet{})
+		return
+	}
+	p.sendSummary(ctx, peer, store.RangeSet{})
 }
 
 // fullRound reports whether the current round uses full headers.
@@ -219,41 +277,56 @@ func (p *Protocol) fullRound() bool {
 // messages. ctx bounds any replies and pushes the handler emits.
 func (p *Protocol) Handle(ctx context.Context, from transport.NodeID, msg interface{}) bool {
 	switch m := msg.(type) {
-	case *Digest:
+	case *Sums:
 		if m.Slice != p.env.Slice() {
 			return true // stale partner from another slice; ignore
 		}
-		if wants := p.missing(m.Headers); len(wants) > 0 {
-			p.noteDigestBytes(headersWireSize(wants))
-			p.send(ctx, from, &Pull{Headers: wants})
+		local := p.localSums()
+		diff, n, ok := differing(&local, m.Sums)
+		if !ok {
+			return true // not a fold of NumRanges sums; nothing to compare
 		}
-		hs := p.digest()
-		p.noteDigestBytes(headersWireSize(hs))
-		p.send(ctx, from, &DigestReply{Slice: p.env.Slice(), Headers: hs})
+		if p.env.OnCompared != nil {
+			p.env.OnCompared(n)
+		}
+		switch {
+		case n == 0:
+			// Every range equal: the stores hold the same headers.
+		case m.Full:
+			p.sendDigest(ctx, from, diff)
+		default:
+			p.sendSummary(ctx, from, diff)
+		}
+		return true
+	case *Digest:
+		if m.Slice != p.env.Slice() {
+			return true
+		}
+		p.pullMissing(ctx, from, m.Headers)
+		hs := p.digest(selected(m.Ranges))
+		p.noteDigestBytes(headersWireSize(hs) + rangesWireSize(m.Ranges))
+		p.send(ctx, from, &DigestReply{Slice: p.env.Slice(), Headers: hs, Ranges: m.Ranges})
 		return true
 	case *DigestReply:
 		if m.Slice != p.env.Slice() {
 			return true
 		}
-		if wants := p.missing(m.Headers); len(wants) > 0 {
-			p.noteDigestBytes(headersWireSize(wants))
-			p.send(ctx, from, &Pull{Headers: wants})
-		}
+		p.pullMissing(ctx, from, m.Headers)
 		return true
 	case *Summary:
 		if m.Slice != p.env.Slice() {
 			return true
 		}
-		p.pushMissing(ctx, from, &m.Filter)
-		f := p.summary()
-		p.noteDigestBytes(f.SizeBytes())
-		p.send(ctx, from, &SummaryReply{Slice: p.env.Slice(), Filter: f})
+		p.pushMissing(ctx, from, &m.Filter, selected(m.Ranges))
+		f := p.summary(selected(m.Ranges))
+		p.noteDigestBytes(f.SizeBytes() + rangesWireSize(m.Ranges))
+		p.send(ctx, from, &SummaryReply{Slice: p.env.Slice(), Filter: f, Ranges: m.Ranges})
 		return true
 	case *SummaryReply:
 		if m.Slice != p.env.Slice() {
 			return true
 		}
-		p.pushMissing(ctx, from, &m.Filter)
+		p.pushMissing(ctx, from, &m.Filter, selected(m.Ranges))
 		return true
 	case *Pull:
 		p.servePull(ctx, from, m)
@@ -265,7 +338,7 @@ func (p *Protocol) Handle(ctx context.Context, from transport.NodeID, msg interf
 		// be shared with other recipients, so filter into a fresh slice.
 		batch := make([]store.Object, 0, len(m.Objects))
 		for _, o := range m.Objects {
-			if !p.env.KeyInSlice(o.Key) {
+			if !p.inSlice(o.Key) {
 				continue
 			}
 			batch = append(batch, o)
@@ -312,6 +385,110 @@ func (p *Protocol) noteDigestBytes(n int) {
 	}
 }
 
+// sendDigest opens the full-header exchange for ranges (zero: the whole
+// store, the frame from before the range sums).
+func (p *Protocol) sendDigest(ctx context.Context, to transport.NodeID, ranges store.RangeSet) {
+	hs := p.digest(selected(ranges))
+	p.noteDigestBytes(headersWireSize(hs) + rangesWireSize(ranges))
+	p.send(ctx, to, &Digest{Slice: p.env.Slice(), Headers: hs, Ranges: ranges})
+}
+
+// sendSummary opens the Bloom exchange for ranges (zero: the whole
+// store).
+func (p *Protocol) sendSummary(ctx context.Context, to transport.NodeID, ranges store.RangeSet) {
+	f := p.summary(selected(ranges))
+	p.noteDigestBytes(f.SizeBytes() + rangesWireSize(ranges))
+	p.send(ctx, to, &Summary{Slice: p.env.Slice(), Filter: f, Ranges: ranges})
+}
+
+// selected maps a message's range set to the ranges it covers: a frame
+// that names none covers them all.
+func selected(ranges store.RangeSet) store.RangeSet {
+	if ranges == (store.RangeSet{}) {
+		return store.AllRanges()
+	}
+	return ranges
+}
+
+// headersPerSum sizes the opening message to the store: one sum per
+// this many headers, so a differing sum narrows the exchange to a few
+// dozen headers while a small store is not charged NumRanges words to
+// say it is converged.
+const headersPerSum = 32
+
+// foldCount returns how many sums a store of count headers opens a
+// round with: the power of two nearest above count/headersPerSum, from
+// 1 up to store.NumRanges.
+func foldCount(count int) int {
+	want := (count + headersPerSum - 1) / headersPerSum
+	if want >= store.NumRanges {
+		return store.NumRanges
+	}
+	if want <= 1 {
+		return 1
+	}
+	return 1 << bits.Len(uint(want-1))
+}
+
+// fold XORs the NumRanges range sums down to n words (n a power of two
+// up to NumRanges): word i covers the ranges r with r mod n == i, each
+// contributing its XOR with its header count mixed in.
+func fold(sums *store.RangeSums, n int) []uint64 {
+	out := make([]uint64, n)
+	for r := range sums {
+		out[r&(n-1)] ^= sums[r].XOR ^ hashmix.Mix64(uint64(sums[r].Count))
+	}
+	return out
+}
+
+// differing compares a peer's folded sums with the local ones and
+// returns the ranges behind the words that differ and how many words
+// did. When every word differs the set comes back zero — the whole
+// store, with no range set to spend bytes on. ok is false when theirs
+// is not a fold of NumRanges sums.
+func differing(local *store.RangeSums, theirs []uint64) (diff store.RangeSet, n int, ok bool) {
+	words := len(theirs)
+	if words == 0 || words > store.NumRanges || words&(words-1) != 0 {
+		return diff, 0, false
+	}
+	for i, ours := range fold(local, words) {
+		if ours == theirs[i] {
+			continue
+		}
+		n++
+		for r := i; r < store.NumRanges; r += words {
+			diff.Add(r)
+		}
+	}
+	if n == words {
+		diff = store.RangeSet{}
+	}
+	return diff, n, true
+}
+
+// countIn sums the header counts of the selected ranges.
+func countIn(sums *store.RangeSums, ranges store.RangeSet) int {
+	n := 0
+	for r := range sums {
+		if ranges.Has(r) {
+			n += sums[r].Count
+		}
+	}
+	return n
+}
+
+// sumsWireSize approximates the encoded size of a Sums message.
+func sumsWireSize(sums []uint64) int { return 8*len(sums) + 9 }
+
+// rangesWireSize is what naming a range set costs on the wire: nothing
+// when absent.
+func rangesWireSize(ranges store.RangeSet) int {
+	if ranges == (store.RangeSet{}) {
+		return 0
+	}
+	return 8 * len(ranges)
+}
+
 // headersWireSize approximates the encoded size of a header list: key
 // bytes plus version and length framing per entry.
 func headersWireSize(hs []Header) int {
@@ -322,49 +499,119 @@ func headersWireSize(hs []Header) int {
 	return n
 }
 
-// digest lists up to MaxDigest local headers; larger stores advertise a
-// random subset (reservoir sampling keeps the choice uniform).
-func (p *Protocol) digest() []Header {
+// inSlice reports whether a key belongs to the node's current slice.
+func (p *Protocol) inSlice(key string) bool {
+	slice := p.env.Slice()
+	return slice != slicing.SliceUnknown && slicing.KeySlice(key, p.env.Slices()) == slice
+}
+
+// rescope forgets the foreign fingerprints once the node's slice or the
+// slice count is no longer the one they were judged by.
+func (p *Protocol) rescope() {
+	if slice, k := p.env.Slice(), p.env.Slices(); slice != p.foreignSlice || k != p.foreignSlices {
+		p.foreign, p.foreignSlice, p.foreignSlices = store.RangeSums{}, slice, k
+	}
+}
+
+// localSums fingerprints the local headers that belong to the node's
+// slice: the store's range sums less the foreign headers.
+func (p *Protocol) localSums() store.RangeSums {
+	p.rescope()
+	sums := p.env.Store.RangeSums()
+	for r := range sums {
+		sums[r].XOR ^= p.foreign[r].XOR
+		sums[r].Count -= p.foreign[r].Count
+	}
+	return sums
+}
+
+// walk visits every local header of the selected ranges, and files what
+// it sees outside the node's slice as those ranges' foreign
+// fingerprint.
+func (p *Protocol) walk(ranges store.RangeSet, fn func(key string, version uint64)) {
+	p.rescope()
+	var found *store.RangeSums // nil until a foreign header turns up
+	_ = p.env.Store.ForEachIn(ranges, func(key string, version uint64) bool {
+		if !p.inSlice(key) {
+			if found == nil {
+				found = new(store.RangeSums)
+			}
+			r, h := store.HeaderSum(key, version)
+			found[r].XOR ^= h
+			found[r].Count++
+		}
+		fn(key, version)
+		return true
+	})
+	for r := range p.foreign {
+		switch {
+		case !ranges.Has(r):
+		case found == nil:
+			p.foreign[r] = store.RangeSum{}
+		default:
+			p.foreign[r] = found[r]
+		}
+	}
+}
+
+// digest lists up to MaxDigest local headers of the selected ranges;
+// beyond that it advertises a random subset (reservoir sampling keeps
+// the choice uniform).
+func (p *Protocol) digest(ranges store.RangeSet) []Header {
 	out := make([]Header, 0, 128)
 	seen := 0
-	_ = p.env.Store.ForEach(func(key string, version uint64) bool {
+	p.walk(ranges, func(key string, version uint64) {
 		seen++
 		h := Header{Key: key, Version: version}
 		if len(out) < p.cfg.MaxDigest {
 			out = append(out, h)
-			return true
-		}
-		if j := p.rng.IntN(seen); j < p.cfg.MaxDigest {
+		} else if j := p.rng.IntN(seen); j < p.cfg.MaxDigest {
 			out[j] = h
 		}
-		return true
 	})
 	return out
 }
 
-// summary encodes every local header into a Bloom filter. Unlike
-// digest it is never sampled down — the whole point is that O(bits)
-// covers the whole store. Each summary draws a fresh salt so a header
-// that false-positives this round is tested under an independent hash
-// family next round instead of being skipped until the full-header
-// fallback (see Filter).
-func (p *Protocol) summary() Filter {
-	f := NewFilterSalted(p.env.Store.Count(), p.rng.Uint64())
-	_ = p.env.Store.ForEach(func(key string, version uint64) bool {
-		f.Add(key, version)
-		return true
-	})
+// summary encodes every local header of the selected ranges into a
+// Bloom filter. Unlike digest it is never sampled down — the whole
+// point is that O(bits) covers them all. Each summary draws a fresh
+// salt so a header that false-positives this round is tested under an
+// independent hash family next round instead of being skipped until the
+// full-header fallback (see Filter).
+func (p *Protocol) summary(ranges store.RangeSet) Filter {
+	sums := p.env.Store.RangeSums()
+	f := NewFilterSalted(countIn(&sums, ranges), p.rng.Uint64())
+	p.walk(ranges, f.Add)
 	return *f
 }
 
-// missing returns the headers we lack and should hold.
+// pullMissing asks the peer for the headers of theirs that we lack and
+// should hold.
+func (p *Protocol) pullMissing(ctx context.Context, from transport.NodeID, theirs []Header) {
+	if wants := p.missing(theirs); len(wants) > 0 {
+		p.noteDigestBytes(headersWireSize(wants))
+		p.send(ctx, from, &Pull{Headers: wants})
+	}
+}
+
+// missing returns the headers we lack and should hold. Presence is
+// asked of the index (Versions), never of the values: the log engine's
+// Get reads and checksums the whole record. Header lists arrive in
+// (key, version) order, so one lookup serves all versions of a key.
 func (p *Protocol) missing(theirs []Header) []Header {
 	var wants []Header
+	var have []uint64 // stored versions of key, once looked is set
+	var err error
+	key, looked := "", false
 	for _, h := range theirs {
-		if !p.env.KeyInSlice(h.Key) {
+		if !p.inSlice(h.Key) {
 			continue
 		}
-		if _, _, ok, err := p.env.Store.Get(h.Key, h.Version); err == nil && !ok {
+		if !looked || h.Key != key {
+			key, looked = h.Key, true
+			have, err = p.env.Store.Versions(key)
+		}
+		if err == nil && !slices.Contains(have, h.Version) {
 			wants = append(wants, h)
 			if len(wants) >= p.cfg.MaxPush {
 				break
@@ -374,14 +621,14 @@ func (p *Protocol) missing(theirs []Header) []Header {
 	return wants
 }
 
-// pushMissing pushes the local in-slice objects the peer's filter
-// proves absent over there (no false negatives, so every push is
-// productive; a false positive just defers the object to a full
-// round).
-func (p *Protocol) pushMissing(ctx context.Context, to transport.NodeID, f *Filter) {
+// pushMissing pushes the local in-slice objects of the selected ranges
+// that the peer's filter proves absent over there (no false negatives,
+// so every push is productive; a false positive just defers the object
+// to a full round).
+func (p *Protocol) pushMissing(ctx context.Context, to transport.NodeID, f *Filter, ranges store.RangeSet) {
 	refs := make([]store.Ref, 0, 16)
-	_ = p.env.Store.ForEach(func(key string, version uint64) bool {
-		if !p.env.KeyInSlice(key) {
+	_ = p.env.Store.ForEachIn(ranges, func(key string, version uint64) bool {
+		if !p.inSlice(key) {
 			return true
 		}
 		if f.Contains(key, version) {
@@ -459,7 +706,7 @@ func (p *Protocol) takeTokens(n int) bool {
 func (p *Protocol) evictForeign() {
 	var foreign []Header
 	_ = p.env.Store.ForEach(func(key string, version uint64) bool {
-		if !p.env.KeyInSlice(key) {
+		if !p.inSlice(key) {
 			foreign = append(foreign, Header{Key: key, Version: version})
 		}
 		return true
@@ -467,4 +714,5 @@ func (p *Protocol) evictForeign() {
 	for _, h := range foreign {
 		_, _ = p.env.Store.Delete(h.Key, h.Version)
 	}
+	p.foreign = store.RangeSums{}
 }

@@ -31,10 +31,10 @@ func newPair(t *testing.T, cfg Config, slice int32, k int) *pairHarness {
 				h.queue = append(h.queue, transport.Envelope{From: self, To: to, Msg: msg})
 				return nil
 			}),
-			Partner:    func() (transport.NodeID, bool) { return peer, true },
-			Slice:      func() int32 { return slice },
-			KeyInSlice: func(key string) bool { return slicing.KeySlice(key, k) == slice },
-			OnSent:     func() { *counter++ },
+			Partner: func() (transport.NodeID, bool) { return peer, true },
+			Slice:   func() int32 { return slice },
+			Slices:  func() int { return k },
+			OnSent:  func() { *counter++ },
 		}, sim.RNG(1, uint64(self)))
 	}
 	h.a = mk(1, 2, h.sa, &h.sentA)
@@ -203,9 +203,9 @@ func TestNoPartnerNoTraffic(t *testing.T) {
 			sent++
 			return nil
 		}),
-		Partner:    func() (transport.NodeID, bool) { return 0, false },
-		Slice:      func() int32 { return 0 },
-		KeyInSlice: func(string) bool { return true },
+		Partner: func() (transport.NodeID, bool) { return 0, false },
+		Slice:   func() int32 { return 0 },
+		Slices:  func() int { return 1 },
 	}, sim.RNG(1, 1))
 	p.Tick(context.Background())
 	if sent != 0 {
@@ -238,7 +238,7 @@ func TestDigestSamplesLargeStores(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		_ = h.sa.Put(fmt.Sprintf("k%03d", i), 1, nil)
 	}
-	d := h.a.digest()
+	d := h.a.digest(store.AllRanges())
 	if len(d) != 16 {
 		t.Fatalf("digest size = %d, want 16", len(d))
 	}

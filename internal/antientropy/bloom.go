@@ -1,6 +1,9 @@
 package antientropy
 
-import "dataflasks/internal/hashmix"
+import (
+	"dataflasks/internal/hashmix"
+	"dataflasks/internal/store"
+)
 
 // Filter is a Bloom filter over object headers: the compact digest
 // that opens most anti-entropy rounds. Instead of advertising up to
@@ -116,19 +119,23 @@ func (f *Filter) Contains(key string, version uint64) bool {
 // per Summary.
 func (f *Filter) SizeBytes() int { return len(f.Bits)*8 + 12 }
 
-// Summary opens a Bloom round: a constant-bits-per-object encoding of
-// every local header (unlike full Digests, it is never sampled down).
-// The responder pushes the objects the filter proves missing and
-// answers with its own filter so the exchange repairs both directions.
+// Summary opens a Bloom exchange: a constant-bits-per-object encoding
+// of every local header in Ranges (unlike full Digests, it is never
+// sampled down). The responder pushes the objects the filter proves
+// missing and answers with its own filter so the exchange repairs both
+// directions. The zero Ranges — absent on the wire — means every range.
 type Summary struct {
 	Slice  int32
 	Filter Filter
+	Ranges store.RangeSet
 }
 
-// SummaryReply carries the responder's filter back to the initiator,
-// which pushes symmetrically. It ends the round: pushes ride directly
-// on filter evidence, so Bloom rounds need no Pull leg.
+// SummaryReply carries the responder's filter for the Summary's ranges
+// back, and the other side pushes symmetrically. It ends the round:
+// pushes ride directly on filter evidence, so Bloom rounds need no Pull
+// leg.
 type SummaryReply struct {
 	Slice  int32
 	Filter Filter
+	Ranges store.RangeSet
 }

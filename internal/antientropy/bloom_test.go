@@ -300,10 +300,10 @@ func TestCorruptRecordNotPropagated(t *testing.T) {
 				queue = append(queue, transport.Envelope{From: self, To: to, Msg: msg})
 				return nil
 			}),
-			Partner:    func() (transport.NodeID, bool) { return peer, true },
-			Slice:      func() int32 { return slice },
-			KeyInSlice: func(key string) bool { return slicing.KeySlice(key, k) == slice },
-			OnCorrupt:  onCorrupt,
+			Partner:   func() (transport.NodeID, bool) { return peer, true },
+			Slice:     func() int32 { return slice },
+			Slices:    func() int { return k },
+			OnCorrupt: onCorrupt,
 		}, sim.RNG(1, uint64(self)))
 	}
 	a := mk(1, 2, lg, func(n int) { corrupt += n })
@@ -336,44 +336,55 @@ func TestCorruptRecordNotPropagated(t *testing.T) {
 	}
 }
 
-// TestFullEveryCadence pins the round schedule: FullEvery=3 sends
-// Summaries on rounds 1-2 and a Digest on round 3.
+// TestFullEveryCadence pins the round schedule: with FullEvery=3 rounds
+// 1-2 ask for a Bloom exchange and round 3 for full headers — as the
+// Full mark on the opening Sums, or, for a WholeStore node, as the
+// Summary or Digest it opens with.
 func TestFullEveryCadence(t *testing.T) {
-	var sent []interface{}
-	p := New(Config{FullEvery: 3}, Env{
-		Store: store.NewMemory(),
-		Send: transport.SenderFunc(func(_ context.Context, _ transport.NodeID, msg interface{}) error {
-			sent = append(sent, msg)
-			return nil
-		}),
-		Partner:    func() (transport.NodeID, bool) { return 2, true },
-		Slice:      func() int32 { return 0 },
-		KeyInSlice: func(string) bool { return true },
-	}, sim.RNG(1, 1))
-	for i := 0; i < 3; i++ {
-		p.Tick(context.Background())
-	}
-	if len(sent) != 3 {
-		t.Fatalf("sent %d messages, want 3", len(sent))
-	}
-	if _, ok := sent[0].(*Summary); !ok {
-		t.Errorf("round 1 sent %T, want *Summary", sent[0])
-	}
-	if _, ok := sent[1].(*Summary); !ok {
-		t.Errorf("round 2 sent %T, want *Summary", sent[1])
-	}
-	if _, ok := sent[2].(*Digest); !ok {
-		t.Errorf("round 3 sent %T, want *Digest", sent[2])
+	for _, wholeStore := range []bool{false, true} {
+		var sent []interface{}
+		p := New(Config{FullEvery: 3, WholeStore: wholeStore}, Env{
+			Store: store.NewMemory(),
+			Send: transport.SenderFunc(func(_ context.Context, _ transport.NodeID, msg interface{}) error {
+				sent = append(sent, msg)
+				return nil
+			}),
+			Partner: func() (transport.NodeID, bool) { return 2, true },
+			Slice:   func() int32 { return 0 },
+			Slices:  func() int { return 1 },
+		}, sim.RNG(1, 1))
+		for i := 0; i < 3; i++ {
+			p.Tick(context.Background())
+		}
+		if len(sent) != 3 {
+			t.Fatalf("WholeStore=%v: sent %d messages, want 3", wholeStore, len(sent))
+		}
+		for i, msg := range sent {
+			wantFull := i == 2
+			var full, ok bool
+			switch m := msg.(type) {
+			case *Sums:
+				full, ok = m.Full, !wholeStore
+			case *Summary:
+				full, ok = false, wholeStore
+			case *Digest:
+				full, ok = true, wholeStore
+			}
+			if !ok || full != wantFull {
+				t.Errorf("WholeStore=%v round %d sent %T (full=%v), want full=%v", wholeStore, i+1, msg, full, wantFull)
+			}
+		}
 	}
 }
 
 // TestDigestBytesAccounting: Bloom summaries must report far fewer
-// digest bytes than full headers for the same store.
+// digest bytes than full headers for the same store. WholeStore, or the
+// converged pair would spend its sums and nothing else either way.
 func TestDigestBytesAccounting(t *testing.T) {
 	const slice, k = 1, 4
 	run := func(fullEvery int) int {
 		bytes := 0
-		h := newPair(t, Config{FullEvery: fullEvery}, slice, k)
+		h := newPair(t, Config{FullEvery: fullEvery, WholeStore: true}, slice, k)
 		h.a.env.OnDigestBytes = func(n int) { bytes += n }
 		h.b.env.OnDigestBytes = func(n int) { bytes += n }
 		for i, key := range keysInSlice(t, slice, k, 200) {

@@ -194,13 +194,18 @@ type Config struct {
 	// that every pushed value is charged against, so background repair
 	// cannot starve foreground puts (0 = unlimited).
 	AntiEntropyRateBytes int
-	// AntiEntropyFullEvery makes every Nth anti-entropy round a
-	// full-header exchange; the rounds between open with a Bloom
-	// summary of the local headers (O(bits) digest bandwidth instead
-	// of O(objects)). The periodic full round guarantees convergence
-	// past the filter's ~1% false positives. Default 8; 1 exchanges
-	// full headers every round (Bloom disabled).
+	// AntiEntropyFullEvery makes every Nth anti-entropy round settle
+	// the key-hash ranges two mates differ in with full header lists;
+	// the rounds between use a Bloom summary of those ranges (O(bits)
+	// digest bandwidth instead of O(objects)). The periodic full round
+	// guarantees convergence past the filter's ~1% false positives.
+	// Default 8; 1 exchanges full headers every round (Bloom disabled).
 	AntiEntropyFullEvery int
+	// AntiEntropyWholeStore opens every anti-entropy round with a
+	// summary of all local headers instead of the range sums
+	// (antientropy.Config.WholeStore): the lab's baseline rows in E17.
+	// No flag and no dataflasks.Config field reaches it.
+	AntiEntropyWholeStore bool
 	// EvictForeign drops stored objects whose key no longer maps to
 	// this node's slice (after a slice change). Off by default: the
 	// paper keeps data conservatively (§VII).

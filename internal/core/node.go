@@ -165,14 +165,21 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 				RateBytesPerRound: cfg.AntiEntropyRateBytes,
 				FullEvery:         cfg.AntiEntropyFullEvery,
 				EvictForeign:      cfg.EvictForeign,
+				WholeStore:        cfg.AntiEntropyWholeStore,
 			},
 			antientropy.Env{
 				Store:         st,
 				Send:          n.sender(metrics.AntiEntropySent),
 				Partner:       func() (transport.NodeID, bool) { return n.intra.Random(n.rng) },
 				Slice:         n.currentSlice,
-				KeyInSlice:    n.keyInMySlice,
+				Slices:        n.slicer.SliceCount,
 				OnDigestBytes: func(b int) { n.met.Add(metrics.AntiEntropyDigestBytes, uint64(b)) },
+				OnCompared: func(differing int) {
+					if differing == 0 {
+						n.met.Inc(metrics.AntiEntropyCleanRounds)
+					}
+					n.met.Add(metrics.AntiEntropyDifferingRanges, uint64(differing))
+				},
 				OnPush: func(objs, bytes int) {
 					n.met.Add(metrics.AntiEntropyPushedObjects, uint64(objs))
 					n.met.Add(metrics.AntiEntropyPushBytes, uint64(bytes))
@@ -685,7 +692,7 @@ func (n *Node) onPutBatch(ctx context.Context, s *dataShard, from transport.Node
 			}
 			s.traceOp(obs.TracePutRelay, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
 			fwd := *m
-			fwd.Intra = true
+			fwd.Intra, fwd.OriginAddr = true, "" // no mate acks an intra copy
 			fwd.TTL = s.intraTTL()
 			s.relayIntra(ctx, from, &fwd)
 			return
@@ -737,7 +744,7 @@ func (n *Node) onDelete(ctx context.Context, s *dataShard, from transport.NodeID
 			}
 			s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Key, 0, 0)
 			fwd := *m
-			fwd.Intra = true
+			fwd.Intra, fwd.OriginAddr = true, "" // no mate acks an intra copy
 			fwd.TTL = s.intraTTL()
 			s.relayIntra(ctx, from, &fwd)
 			return
@@ -791,7 +798,7 @@ func (n *Node) onDeleteBatch(ctx context.Context, s *dataShard, from transport.N
 			}
 			s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Items[0].Key, 0, len(m.Items))
 			fwd := *m
-			fwd.Intra = true
+			fwd.Intra, fwd.OriginAddr = true, "" // no mate acks an intra copy
 			fwd.TTL = s.intraTTL()
 			s.relayIntra(ctx, from, &fwd)
 			return

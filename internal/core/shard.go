@@ -688,7 +688,7 @@ func (s *dataShard) relayEntries(ctx context.Context, entries []entryPut) {
 		if m := e.m; objs == nil || !batchedRelay(m) {
 			s.traceOp(obs.TracePutRelay, m.TraceID, m.Key, 0, 0)
 			fwd := *m
-			fwd.Intra = true
+			fwd.Intra, fwd.OriginAddr = true, "" // no mate acks an intra copy
 			fwd.TTL = s.intraTTL()
 			s.relayIntra(ctx, e.from, &fwd)
 		}

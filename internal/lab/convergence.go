@@ -11,7 +11,8 @@ import (
 
 // ---------------------------------------------------------------------------
 // E17 — churn convergence: time-to-replication-factor and repair
-// bandwidth of the Bloom-digest protocol vs the full-header baseline
+// bandwidth of range-fingerprinted rounds vs whole-store Bloom digests
+// vs the whole-store full-header baseline
 
 // ChurnConvergenceOptions configures one churn-convergence run.
 type ChurnConvergenceOptions struct {
@@ -34,6 +35,10 @@ type ChurnConvergenceOptions struct {
 	// baseline, every round complete header lists; larger values open
 	// most rounds with a Bloom summary).
 	FullEvery int
+	// WholeStore opens every round with a digest of all local headers
+	// (core.Config.AntiEntropyWholeStore) — the two baseline modes;
+	// false opens with the range sums and digests differing ranges only.
+	WholeStore bool
 	// Seed drives every random choice.
 	Seed uint64
 }
@@ -54,7 +59,8 @@ func (o *ChurnConvergenceOptions) defaults() {
 // whole measured window (both modes run the same number of rounds over
 // the same population, so totals compare directly).
 type ChurnConvergenceResult struct {
-	// Mode labels the digest protocol ("full-header" or "bloom").
+	// Mode labels the digest protocol ("full-header", "bloom" or
+	// "ranged").
 	Mode string
 	// Converged reports whether every slice member came to hold every
 	// object of its slice within the window; ConvergedRound is the
@@ -79,29 +85,43 @@ type ChurnConvergenceResult struct {
 	// RepairBytesPerObject is (DigestBytes+PushBytes)/PushedObjects:
 	// what moving one object cost, overhead included.
 	RepairBytesPerObject float64
+	// SteadyDigestBytesPerNodeRound is the same per-node cost over the
+	// rounds after every compared mode had converged — what the digests
+	// cost a cluster with nothing left to repair. Filled by
+	// ChurnConvergenceCompare (the window is common to the modes).
+	SteadyDigestBytesPerNodeRound float64
+
+	// digestByRound[r] is DigestBytes as it stood after round r of the
+	// window (index 0: what the churn burst itself had cost).
+	digestByRound []uint64
 }
 
 // ChurnConvergence preloads a fully replicated key space, crashes
 // KillFrac of the nodes and replaces them with fresh joiners, then
 // measures how many rounds anti-entropy needs to restore full
 // replication (every slice member holds every object of its slice) and
-// how many digest/push bytes it spent doing so. FullEvery selects the
-// repair digest mode, so the same run compared at FullEvery=1 (always
-// full headers) vs >1 (Bloom rounds with a periodic full fallback) is
-// the paper-style ablation for the Bloom-digest protocol.
+// how many digest/push bytes it spent doing so. FullEvery and
+// WholeStore select the repair digest mode, so the same run compared at
+// FullEvery=1 (always full headers) vs >1 (Bloom rounds with a periodic
+// full fallback), whole-store vs ranged, is the paper-style ablation for
+// the digest protocol.
 func ChurnConvergence(opts ChurnConvergenceOptions) ChurnConvergenceResult {
 	opts.defaults()
-	mode := "bloom"
-	if opts.FullEvery == 1 {
+	mode := "ranged"
+	switch {
+	case opts.WholeStore && opts.FullEvery == 1:
 		mode = "full-header"
+	case opts.WholeStore:
+		mode = "bloom"
 	}
 	c := NewCluster(ClusterConfig{
 		N:    opts.N,
 		Seed: opts.Seed,
 		Node: core.Config{
-			Slices:               opts.Slices,
-			AntiEntropyEvery:     opts.AntiEntropyEvery,
-			AntiEntropyFullEvery: opts.FullEvery,
+			Slices:                opts.Slices,
+			AntiEntropyEvery:      opts.AntiEntropyEvery,
+			AntiEntropyFullEvery:  opts.FullEvery,
+			AntiEntropyWholeStore: opts.WholeStore,
 		},
 	})
 	defer c.Close()
@@ -142,6 +162,17 @@ func ChurnConvergence(opts ChurnConvergenceOptions) ChurnConvergenceResult {
 		c.Spawn()
 	}
 
+	// Nobody dies inside the window, so the dead nodes' digest bytes plus
+	// the living ones' counters is the running total.
+	dead := res.DigestBytes
+	digestSoFar := func() uint64 {
+		total := dead
+		for _, n := range c.Nodes() {
+			total += n.Metrics().Get(metrics.AntiEntropyDigestBytes)
+		}
+		return total
+	}
+	res.digestByRound = append(res.digestByRound, digestSoFar())
 	for r := 1; r <= opts.Rounds; r++ {
 		c.Run(1)
 		cov := c.sliceCoverage(keys, 1, opts.Slices)
@@ -150,6 +181,7 @@ func ChurnConvergence(opts ChurnConvergenceOptions) ChurnConvergenceResult {
 			res.ConvergedRound = r
 			res.Converged = true
 		}
+		res.digestByRound = append(res.digestByRound, digestSoFar())
 	}
 	for _, n := range c.Nodes() {
 		harvestRepairMetrics(n.Metrics(), &res)
@@ -203,16 +235,35 @@ func (c *Cluster) sliceCoverage(keys []string, version uint64, k int) float64 {
 }
 
 // ChurnConvergenceCompare runs the identical churn scenario under the
-// full-header baseline and the Bloom-digest protocol and returns both
-// results (baseline first). bloomFullEvery is the Bloom mode's
-// fallback cadence.
-func ChurnConvergenceCompare(opts ChurnConvergenceOptions, bloomFullEvery int) (full, bloom ChurnConvergenceResult) {
+// whole-store full-header baseline, the whole-store Bloom digests and
+// the ranged protocol, and returns the three results in that order.
+// bloomFullEvery is the fallback cadence of the two Bloom modes. The
+// steady-state column is taken over the rounds after the last of the
+// three had converged (zero when one never did, or did on the window's
+// last round).
+func ChurnConvergenceCompare(opts ChurnConvergenceOptions, bloomFullEvery int) (full, bloom, ranged ChurnConvergenceResult) {
 	if bloomFullEvery <= 1 {
 		bloomFullEvery = 12
 	}
-	opts.FullEvery = 1
+	opts.FullEvery, opts.WholeStore = 1, true
 	full = ChurnConvergence(opts)
 	opts.FullEvery = bloomFullEvery
 	bloom = ChurnConvergence(opts)
-	return full, bloom
+	opts.WholeStore = false
+	ranged = ChurnConvergence(opts)
+
+	steadyFrom := 0
+	for _, r := range []*ChurnConvergenceResult{&full, &bloom, &ranged} {
+		if !r.Converged {
+			return full, bloom, ranged
+		}
+		steadyFrom = max(steadyFrom, r.ConvergedRound)
+	}
+	if rounds := opts.Rounds - steadyFrom; rounds > 0 && opts.N > 0 {
+		for _, r := range []*ChurnConvergenceResult{&full, &bloom, &ranged} {
+			spent := r.digestByRound[opts.Rounds] - r.digestByRound[steadyFrom]
+			r.SteadyDigestBytesPerNodeRound = float64(spent) / float64(opts.N) / float64(rounds)
+		}
+	}
+	return full, bloom, ranged
 }

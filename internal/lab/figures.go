@@ -71,6 +71,10 @@ func MessagesAt(n, slices int, opts FigureOptions) FigureRow {
 		Seed: opts.Seed + uint64(n)*7 + uint64(slices),
 		Node: core.Config{
 			Slices: slices,
+			// Like the flood below: the figures keep the repair rounds
+			// they were first drawn with, so their series stay comparable
+			// from commit to commit.
+			AntiEntropyWholeStore: true,
 		},
 	})
 	wl := opts.Workload

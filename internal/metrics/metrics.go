@@ -63,6 +63,14 @@ const (
 	// AntiEntropyCorruptSkipped counts locally corrupt records that
 	// repair serving verified, skipped and did NOT propagate.
 	AntiEntropyCorruptSkipped
+	// AntiEntropyCleanRounds counts rounds this node answered in which
+	// every range sum of the mate equalled its own: the two stores
+	// proved to hold the same headers and nothing was sent back.
+	AntiEntropyCleanRounds
+	// AntiEntropyDifferingRanges counts the range sums found different
+	// in the rounds this node answered — what the repair exchanges that
+	// followed were narrowed to.
+	AntiEntropyDifferingRanges
 	// AggregateSent counts push-sum aggregation messages sent.
 	AggregateSent
 	// StoredObjects counts objects currently held by the local store.
@@ -122,35 +130,37 @@ const (
 )
 
 var counterNames = [...]string{
-	MsgSent:                   "msg_sent",
-	MsgRecv:                   "msg_recv",
-	MsgDropped:                "msg_dropped",
-	PSSSent:                   "pss_sent",
-	SliceSent:                 "slice_sent",
-	DiscoverySent:             "discovery_sent",
-	DataSent:                  "data_sent",
-	AntiEntropySent:           "antientropy_sent",
-	AntiEntropyDigestBytes:    "antientropy_digest_bytes",
-	AntiEntropyPushBytes:      "antientropy_push_bytes",
-	AntiEntropyPushedObjects:  "antientropy_pushed_objects",
-	AntiEntropyCorruptSkipped: "antientropy_corrupt_skipped",
-	AggregateSent:             "aggregate_sent",
-	StoredObjects:             "stored_objects",
-	PutsServed:                "puts_served",
-	GetsServed:                "gets_served",
-	DeletesServed:             "deletes_served",
-	CoalescedPuts:             "coalesced_puts",
-	PutCommits:                "put_commits",
-	RequestsRelayed:           "requests_relayed",
-	RequestsDirected:          "requests_directed",
-	RequestsFlooded:           "requests_flooded",
-	DuplicatesSuppressed:      "duplicates_suppressed",
-	WireSendErrors:            "wire_send_errors",
-	BootstrapSent:             "bootstrap_sent",
-	BootstrapSegments:         "bootstrap_segments",
-	BootstrapBytes:            "bootstrap_bytes",
-	BootstrapChunksRejected:   "bootstrap_chunks_rejected",
-	BootstrapFallbackObjects:  "bootstrap_fallback_objects",
+	MsgSent:                    "msg_sent",
+	MsgRecv:                    "msg_recv",
+	MsgDropped:                 "msg_dropped",
+	PSSSent:                    "pss_sent",
+	SliceSent:                  "slice_sent",
+	DiscoverySent:              "discovery_sent",
+	DataSent:                   "data_sent",
+	AntiEntropySent:            "antientropy_sent",
+	AntiEntropyDigestBytes:     "antientropy_digest_bytes",
+	AntiEntropyPushBytes:       "antientropy_push_bytes",
+	AntiEntropyPushedObjects:   "antientropy_pushed_objects",
+	AntiEntropyCorruptSkipped:  "antientropy_corrupt_skipped",
+	AntiEntropyCleanRounds:     "antientropy_clean_rounds",
+	AntiEntropyDifferingRanges: "antientropy_differing_ranges",
+	AggregateSent:              "aggregate_sent",
+	StoredObjects:              "stored_objects",
+	PutsServed:                 "puts_served",
+	GetsServed:                 "gets_served",
+	DeletesServed:              "deletes_served",
+	CoalescedPuts:              "coalesced_puts",
+	PutCommits:                 "put_commits",
+	RequestsRelayed:            "requests_relayed",
+	RequestsDirected:           "requests_directed",
+	RequestsFlooded:            "requests_flooded",
+	DuplicatesSuppressed:       "duplicates_suppressed",
+	WireSendErrors:             "wire_send_errors",
+	BootstrapSent:              "bootstrap_sent",
+	BootstrapSegments:          "bootstrap_segments",
+	BootstrapBytes:             "bootstrap_bytes",
+	BootstrapChunksRejected:    "bootstrap_chunks_rejected",
+	BootstrapFallbackObjects:   "bootstrap_fallback_objects",
 }
 
 // String returns the snake_case name of the counter.

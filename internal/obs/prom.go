@@ -37,6 +37,8 @@ var metricNames = [...]string{
 	"flasks_antientropy_push_bytes_total",
 	"flasks_antientropy_pushed_objects_total",
 	"flasks_antientropy_corrupt_skipped_total",
+	"flasks_antientropy_clean_rounds_total",
+	"flasks_antientropy_differing_ranges_total",
 	"flasks_aggregate_sent_total",
 	"flasks_puts_served_total",
 	"flasks_gets_served_total",

@@ -17,7 +17,7 @@ import (
 
 // Log is the log-structured engine: objects are appended to segmented
 // write-ahead files as length-prefixed, CRC32-checksummed records, and
-// an in-memory header index maps (key, version) to the record's
+// the shared in-memory header index maps (key, version) to the record's
 // location. Opening a log replays every segment sequentially to rebuild
 // the index; a torn record at the tail of the last segment (a crash
 // mid-append) is truncated away instead of failing recovery, so a node
@@ -55,8 +55,7 @@ type Log struct {
 	dirF *os.File
 	opts LogOptions
 
-	index  map[string]*logKey
-	count  int
+	idx    rangeIndex[recLoc]
 	segs   map[uint64]*segment
 	segIDs []uint64 // ascending; last is the active segment
 	active *segment
@@ -131,12 +130,6 @@ type recLoc struct {
 	seg uint64
 	off int64
 	len int64
-}
-
-// logKey indexes the stored versions of one key.
-type logKey struct {
-	versions []uint64 // ascending
-	locs     map[uint64]recLoc
 }
 
 // Record layout, little-endian:
@@ -241,7 +234,6 @@ func OpenLog(dir string, opts LogOptions) (*Log, error) {
 		dir:         dir,
 		dirF:        dirF,
 		opts:        opts,
-		index:       make(map[string]*logKey),
 		segs:        make(map[uint64]*segment),
 		commitKick:  make(chan struct{}, 1),
 		compactKick: make(chan struct{}, 1),
@@ -326,25 +318,14 @@ func (l *Log) replaySegment(id uint64, last bool) error {
 			}
 			break
 		}
-		switch rec.typ {
+		switch k := hashKey(rec.key); rec.typ {
 		case recPut:
-			k := l.index[rec.key]
-			if k == nil {
-				k = &logKey{locs: make(map[uint64]recLoc, 1)}
-				l.index[rec.key] = k
-			}
-			if _, dup := k.locs[rec.version]; !dup {
-				k.locs[rec.version] = recLoc{seg: id, off: int64(off), len: int64(n)}
-				k.versions = insertSorted(k.versions, rec.version)
+			if e := l.idx.find(k); !e.has(rec.version) {
+				l.idx.add(e, k, rec.version, recLoc{seg: id, off: int64(off), len: int64(n)})
 				seg.live += int64(n)
-				l.count++
 			}
 		case recTomb:
-			if k := l.index[rec.key]; k != nil {
-				if loc, ok := k.locs[rec.version]; ok {
-					l.dropIndexed(k, rec.key, rec.version, loc)
-				}
-			}
+			l.dropIndexed(k, rec.version)
 		}
 		off += n
 	}
@@ -357,21 +338,17 @@ func (l *Log) replaySegment(id uint64, last bool) error {
 	return nil
 }
 
-// dropIndexed removes (key, version) from the index and discounts its
-// record from the owning segment's live bytes. Caller holds mu.
-func (l *Log) dropIndexed(k *logKey, key string, version uint64, loc recLoc) {
-	delete(k.locs, version)
-	i := sort.Search(len(k.versions), func(i int) bool { return k.versions[i] >= version })
-	if i < len(k.versions) && k.versions[i] == version {
-		k.versions = append(k.versions[:i], k.versions[i+1:]...)
-	}
-	if len(k.versions) == 0 {
-		delete(l.index, key)
+// dropIndexed removes (key, version) from the index, if it is there,
+// and discounts its record from the owning segment's live bytes. Caller
+// holds mu.
+func (l *Log) dropIndexed(k hkey, version uint64) {
+	loc, ok := l.idx.remove(k, version)
+	if !ok {
+		return
 	}
 	if seg := l.segs[loc.seg]; seg != nil {
 		seg.live -= loc.len
 	}
-	l.count--
 }
 
 // createSegment opens a fresh segment file and makes its directory
@@ -471,23 +448,22 @@ func (l *Log) Put(key string, version uint64, value []byte) error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	k := l.index[key]
-	if k != nil {
-		if _, dup := k.locs[version]; dup {
-			// Idempotent re-put — but under Fsync the caller is being
-			// told the object is durable, and the original record may
-			// still be waiting on its group commit. Join it.
-			var ch chan error
-			if l.opts.Fsync {
-				ch = l.enqueueDurable()
-			}
-			l.mu.Unlock()
-			if ch == nil {
-				return nil
-			}
-			l.kickCommit()
-			return <-ch
+	k := hashKey(key)
+	e := l.idx.find(k)
+	if e.has(version) {
+		// Idempotent re-put — but under Fsync the caller is being
+		// told the object is durable, and the original record may
+		// still be waiting on its group commit. Join it.
+		var ch chan error
+		if l.opts.Fsync {
+			ch = l.enqueueDurable()
 		}
+		l.mu.Unlock()
+		if ch == nil {
+			return nil
+		}
+		l.kickCommit()
+		return <-ch
 	}
 	rec := appendRecord(nil, recPut, key, version, value)
 	off, err := l.appendLocked(rec)
@@ -495,14 +471,8 @@ func (l *Log) Put(key string, version uint64, value []byte) error {
 		l.mu.Unlock()
 		return err
 	}
-	if k == nil {
-		k = &logKey{locs: make(map[uint64]recLoc, 1)}
-		l.index[key] = k
-	}
-	k.locs[version] = recLoc{seg: l.active.id, off: off, len: int64(len(rec))}
-	k.versions = insertSorted(k.versions, version)
+	l.idx.add(e, k, version, recLoc{seg: l.active.id, off: off, len: int64(len(rec))})
 	l.active.live += int64(len(rec))
-	l.count++
 	var sealErr error
 	if l.active.size >= l.opts.SegmentMaxBytes {
 		sealErr = l.seal()
@@ -539,7 +509,7 @@ func (l *Log) PutBatch(objs []Object) error {
 		}
 	}
 	type entry struct {
-		key string
+		key hkey
 		ver uint64
 		len int64
 	}
@@ -562,15 +532,8 @@ func (l *Log) PutBatch(objs []Object) error {
 			return err
 		}
 		for _, e := range entries {
-			k := l.index[e.key]
-			if k == nil {
-				k = &logKey{locs: make(map[uint64]recLoc, 1)}
-				l.index[e.key] = k
-			}
-			k.locs[e.ver] = recLoc{seg: l.active.id, off: off, len: e.len}
-			k.versions = insertSorted(k.versions, e.ver)
+			l.idx.add(l.idx.find(e.key), e.key, e.ver, recLoc{seg: l.active.id, off: off, len: e.len})
 			l.active.live += e.len
-			l.count++
 			off += e.len
 		}
 		buf, entries = buf[:0], entries[:0]
@@ -581,10 +544,9 @@ func (l *Log) PutBatch(objs []Object) error {
 	}
 	inBatch := make(map[string]map[uint64]bool)
 	for _, o := range objs {
-		if k := l.index[o.Key]; k != nil {
-			if _, dup := k.locs[o.Version]; dup {
-				continue // idempotent re-put
-			}
+		k := hashKey(o.Key)
+		if l.idx.find(k).has(o.Version) {
+			continue // idempotent re-put
 		}
 		if inBatch[o.Key][o.Version] {
 			continue // duplicate within the batch
@@ -601,7 +563,7 @@ func (l *Log) PutBatch(objs []Object) error {
 		}
 		before := len(buf)
 		buf = appendRecord(buf, recPut, o.Key, o.Version, o.Value)
-		entries = append(entries, entry{key: o.Key, ver: o.Version, len: int64(len(buf) - before)})
+		entries = append(entries, entry{key: k, ver: o.Version, len: int64(len(buf) - before)})
 	}
 	if err := flush(); err != nil {
 		l.mu.Unlock()
@@ -632,15 +594,7 @@ func (l *Log) Get(key string, version uint64) ([]byte, uint64, bool, error) {
 	if l.closed {
 		return nil, 0, false, ErrClosed
 	}
-	k := l.index[key]
-	if k == nil || len(k.versions) == 0 {
-		return nil, 0, false, nil
-	}
-	v := version
-	if version == Latest {
-		v = k.versions[len(k.versions)-1]
-	}
-	loc, ok := k.locs[v]
+	loc, v, ok := l.idx.get(hashKey(key), version)
 	if !ok {
 		return nil, 0, false, nil
 	}
@@ -662,13 +616,7 @@ func (l *Log) Versions(key string) ([]uint64, error) {
 	if l.closed {
 		return nil, ErrClosed
 	}
-	k := l.index[key]
-	if k == nil {
-		return nil, nil
-	}
-	out := make([]uint64, len(k.versions))
-	copy(out, k.versions)
-	return out, nil
+	return l.idx.versionsOf(key), nil
 }
 
 // Delete implements Store. It appends a tombstone record so the delete
@@ -681,15 +629,8 @@ func (l *Log) Delete(key string, version uint64) (bool, error) {
 		l.mu.Unlock()
 		return false, ErrClosed
 	}
-	k := l.index[key]
-	if k == nil || len(k.versions) == 0 {
-		l.mu.Unlock()
-		return false, nil
-	}
-	if version == Latest {
-		version = k.versions[len(k.versions)-1]
-	}
-	loc, ok := k.locs[version]
+	k := hashKey(key)
+	_, version, ok := l.idx.get(k, version)
 	if !ok {
 		l.mu.Unlock()
 		return false, nil
@@ -699,7 +640,7 @@ func (l *Log) Delete(key string, version uint64) (bool, error) {
 		l.mu.Unlock()
 		return false, err
 	}
-	l.dropIndexed(k, key, version, loc)
+	l.dropIndexed(k, version)
 	var sealErr error
 	if l.active.size >= l.opts.SegmentMaxBytes {
 		sealErr = l.seal()
@@ -741,15 +682,8 @@ func (l *Log) DeleteBatch(items []Deletion) ([]bool, error) {
 	var rec []byte
 	appended := false
 	for i, it := range items {
-		k := l.index[it.Key]
-		if k == nil || len(k.versions) == 0 {
-			continue
-		}
-		version := it.Version
-		if version == Latest {
-			version = k.versions[len(k.versions)-1]
-		}
-		loc, ok := k.locs[version]
+		k := hashKey(it.Key)
+		_, version, ok := l.idx.get(k, it.Version)
 		if !ok {
 			continue
 		}
@@ -761,7 +695,7 @@ func (l *Log) DeleteBatch(items []Deletion) ([]bool, error) {
 			l.kickCompact()
 			return existed, err
 		}
-		l.dropIndexed(k, it.Key, version, loc)
+		l.dropIndexed(k, version)
 		existed[i] = true
 		appended = true
 		if l.active.size >= l.opts.SegmentMaxBytes {
@@ -813,8 +747,8 @@ func (l *Log) StreamObjects(refs []Ref, fn func(o Object) bool) (int, error) {
 		}
 		var loc recLoc
 		ok := false
-		if k := l.index[r.Key]; k != nil {
-			loc, ok = k.locs[r.Version]
+		if e := l.idx.find(hashKey(r.Key)); e != nil {
+			loc, ok = e.vals[r.Version]
 		}
 		if !ok {
 			l.mu.RUnlock()
@@ -842,31 +776,36 @@ func (l *Log) StreamObjects(refs []Ref, fn func(o Object) bool) (int, error) {
 	return corrupt, nil
 }
 
-// ForEach implements Store. Like Memory, it iterates a sorted snapshot
-// of the headers so fn may call back into the store.
+// ForEach implements Store.
 func (l *Log) ForEach(fn func(key string, version uint64) bool) error {
+	return l.ForEachIn(AllRanges(), fn)
+}
+
+// ForEachIn implements Store.
+func (l *Log) ForEachIn(ranges RangeSet, fn func(key string, version uint64) bool) error {
 	l.mu.RLock()
 	if l.closed {
 		l.mu.RUnlock()
 		return ErrClosed
 	}
-	snapshot := newHeaderSnapshot(len(l.index), l.count)
-	for key, k := range l.index {
-		snapshot.add(key, k.versions)
-	}
+	snapshot := l.idx.snapshot(ranges)
 	l.mu.RUnlock()
 	snapshot.visit(fn)
 	return nil
+}
+
+// RangeSums implements Store.
+func (l *Log) RangeSums() RangeSums {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.idx.sums
 }
 
 // Count implements Store.
 func (l *Log) Count() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if l.closed {
-		return 0
-	}
-	return l.count
+	return l.idx.count
 }
 
 // SegmentCount returns how many segment files the log currently has
@@ -1174,17 +1113,22 @@ func (l *Log) relocateBatch(cs *compactSeg, data []byte, batch []compactRec) (in
 		return 0, ErrClosed
 	}
 	var buf []byte
-	kept := make([]compactRec, 0, len(batch))
+	type keptRec struct {
+		e   *indexKey[recLoc]
+		ver uint64
+		len int64
+	}
+	kept := make([]keptRec, 0, len(batch))
 	for _, r := range batch {
-		k := l.index[r.key]
-		if k == nil {
+		e := l.idx.find(hashKey(r.key))
+		if e == nil {
 			continue
 		}
-		if loc, live := k.locs[r.ver]; !live || loc != r.loc {
+		if loc, live := e.vals[r.ver]; !live || loc != r.loc {
 			continue
 		}
 		buf = append(buf, data[r.loc.off:r.loc.off+r.loc.len]...)
-		kept = append(kept, r)
+		kept = append(kept, keptRec{e: e, ver: r.ver, len: r.loc.len})
 	}
 	if len(buf) == 0 {
 		return 0, nil
@@ -1193,12 +1137,12 @@ func (l *Log) relocateBatch(cs *compactSeg, data []byte, batch []compactRec) (in
 	if err != nil {
 		return 0, err
 	}
+	// A relocation moves a record, not a header: the range sums stand.
 	for _, r := range kept {
-		k := l.index[r.key]
-		k.locs[r.ver] = recLoc{seg: l.active.id, off: off, len: r.loc.len}
-		l.active.live += r.loc.len
-		cs.seg.live -= r.loc.len
-		off += r.loc.len
+		r.e.vals[r.ver] = recLoc{seg: l.active.id, off: off, len: r.len}
+		l.active.live += r.len
+		cs.seg.live -= r.len
+		off += r.len
 	}
 	copied := int64(len(buf))
 	if l.active.size >= l.opts.SegmentMaxBytes {
@@ -1255,8 +1199,7 @@ func (l *Log) Close() error {
 		ch <- err
 	}
 	l.closeFiles()
-	l.index = nil
-	l.count = 0
+	l.idx = rangeIndex[recLoc]{}
 	return err
 }
 

@@ -1,29 +1,20 @@
 package store
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
-// Memory is the in-memory engine: a map of keys to version-sorted
-// entries. Values are copied on the way in and out, so callers can
-// never alias internal buffers. Safe for concurrent use.
+// Memory is the in-memory engine: the shared header index with the
+// value bytes as its per-version payload. Values are copied on the way
+// in and out, so callers can never alias internal buffers. Safe for
+// concurrent use.
 type Memory struct {
 	mu     sync.RWMutex
-	keys   map[string]*memKey
-	count  int
+	idx    rangeIndex[[]byte]
 	closed bool
 
 	// maxVersionsPerKey, when positive, garbage-collects the oldest
 	// versions beyond the cap. Zero keeps everything (the paper's
 	// model).
 	maxVersionsPerKey int
-}
-
-type memKey struct {
-	// versions is kept sorted ascending.
-	versions []uint64
-	values   map[uint64][]byte
 }
 
 var _ Store = (*Memory)(nil)
@@ -34,7 +25,7 @@ func NewMemory() *Memory { return NewMemoryCapped(0) }
 // NewMemoryCapped creates a memory store keeping at most maxVersions
 // per key (0 = unlimited).
 func NewMemoryCapped(maxVersions int) *Memory {
-	return &Memory{keys: make(map[string]*memKey), maxVersionsPerKey: maxVersions}
+	return &Memory{maxVersionsPerKey: maxVersions}
 }
 
 // Put implements Store.
@@ -79,25 +70,17 @@ func (m *Memory) PutBatch(objs []Object) error {
 // putLocked stores one object. Caller holds mu and has validated the
 // key and version.
 func (m *Memory) putLocked(key string, version uint64, value []byte) {
-	k, ok := m.keys[key]
-	if !ok {
-		k = &memKey{values: make(map[uint64][]byte, 1)}
-		m.keys[key] = k
-	}
-	if _, exists := k.values[version]; exists {
+	k := hashKey(key)
+	e := m.idx.find(k)
+	if e.has(version) {
 		return // idempotent re-put
 	}
 	buf := make([]byte, len(value))
 	copy(buf, value)
-	k.values[version] = buf
-	k.versions = insertSorted(k.versions, version)
-	m.count++
+	e = m.idx.add(e, k, version, buf)
 	if m.maxVersionsPerKey > 0 {
-		for len(k.versions) > m.maxVersionsPerKey {
-			oldest := k.versions[0]
-			k.versions = k.versions[1:]
-			delete(k.values, oldest)
-			m.count--
+		for len(e.versions) > m.maxVersionsPerKey {
+			m.idx.remove(k, e.versions[0])
 		}
 	}
 }
@@ -109,15 +92,7 @@ func (m *Memory) Get(key string, version uint64) ([]byte, uint64, bool, error) {
 	if m.closed {
 		return nil, 0, false, ErrClosed
 	}
-	k, ok := m.keys[key]
-	if !ok || len(k.versions) == 0 {
-		return nil, 0, false, nil
-	}
-	v := version
-	if version == Latest {
-		v = k.versions[len(k.versions)-1]
-	}
-	val, ok := k.values[v]
+	val, v, ok := m.idx.get(hashKey(key), version)
 	if !ok {
 		return nil, 0, false, nil
 	}
@@ -133,13 +108,7 @@ func (m *Memory) Versions(key string) ([]uint64, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
-	k, ok := m.keys[key]
-	if !ok {
-		return nil, nil
-	}
-	out := make([]uint64, len(k.versions))
-	copy(out, k.versions)
-	return out, nil
+	return m.idx.versionsOf(key), nil
 }
 
 // Delete implements Store. Version Latest resolves to the newest
@@ -171,26 +140,12 @@ func (m *Memory) DeleteBatch(items []Deletion) ([]bool, error) {
 // deleteLocked removes one version (Latest resolves to the newest) and
 // reports whether it existed. Caller holds mu.
 func (m *Memory) deleteLocked(key string, version uint64) bool {
-	k, ok := m.keys[key]
-	if !ok || len(k.versions) == 0 {
-		return false
+	k := hashKey(key)
+	_, version, ok := m.idx.get(k, version)
+	if ok {
+		m.idx.remove(k, version)
 	}
-	if version == Latest {
-		version = k.versions[len(k.versions)-1]
-	}
-	if _, exists := k.values[version]; !exists {
-		return false
-	}
-	delete(k.values, version)
-	i := sort.Search(len(k.versions), func(i int) bool { return k.versions[i] >= version })
-	if i < len(k.versions) && k.versions[i] == version {
-		k.versions = append(k.versions[:i], k.versions[i+1:]...)
-	}
-	m.count--
-	if len(k.versions) == 0 {
-		delete(m.keys, key)
-	}
-	return true
+	return ok
 }
 
 // StreamObjects implements Store. The values handed to fn alias the
@@ -207,8 +162,8 @@ func (m *Memory) StreamObjects(refs []Ref, fn func(o Object) bool) (int, error) 
 		}
 		var val []byte
 		ok := false
-		if k, kok := m.keys[r.Key]; kok {
-			val, ok = k.values[r.Version]
+		if e := m.idx.find(hashKey(r.Key)); e != nil {
+			val, ok = e.vals[r.Version]
 		}
 		m.mu.RUnlock()
 		if !ok {
@@ -221,30 +176,36 @@ func (m *Memory) StreamObjects(refs []Ref, fn func(o Object) bool) (int, error) 
 	return 0, nil
 }
 
-// ForEach implements Store. The iteration works on a snapshot of the
-// headers, ordered by (key, version) — a stable order keeps protocols
-// that truncate digests deterministic — so fn may call back into the
-// store.
+// ForEach implements Store.
 func (m *Memory) ForEach(fn func(key string, version uint64) bool) error {
+	return m.ForEachIn(AllRanges(), fn)
+}
+
+// ForEachIn implements Store.
+func (m *Memory) ForEachIn(ranges RangeSet, fn func(key string, version uint64) bool) error {
 	m.mu.RLock()
 	if m.closed {
 		m.mu.RUnlock()
 		return ErrClosed
 	}
-	snapshot := newHeaderSnapshot(len(m.keys), m.count)
-	for key, k := range m.keys {
-		snapshot.add(key, k.versions)
-	}
+	snapshot := m.idx.snapshot(ranges)
 	m.mu.RUnlock()
 	snapshot.visit(fn)
 	return nil
+}
+
+// RangeSums implements Store.
+func (m *Memory) RangeSums() RangeSums {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.idx.sums
 }
 
 // Count implements Store.
 func (m *Memory) Count() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.count
+	return m.idx.count
 }
 
 // Close implements Store.
@@ -252,15 +213,6 @@ func (m *Memory) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	m.keys = nil
-	m.count = 0
+	m.idx = rangeIndex[[]byte]{}
 	return nil
-}
-
-func insertSorted(vs []uint64, v uint64) []uint64 {
-	i := sort.Search(len(vs), func(i int) bool { return vs[i] >= v })
-	vs = append(vs, 0)
-	copy(vs[i+1:], vs[i:])
-	vs[i] = v
-	return vs
 }

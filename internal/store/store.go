@@ -193,21 +193,32 @@ type Store interface {
 	// it keeps and must not call back into the store. Returning false
 	// from fn stops the whole stream early.
 	StreamSegments(refs []SegmentRef, fn func(c SegmentChunk) bool) error
-	// ForEach visits every stored object header (no value) in
-	// unspecified order; returning false stops iteration. Used to build
-	// anti-entropy digests and slice handoffs.
+	// ForEach visits every stored object header (no value):
+	// ForEachIn(AllRanges(), fn).
 	ForEach(fn func(key string, version uint64) bool) error
+	// ForEachIn visits the headers of the selected key-hash ranges in
+	// (key, version) order; returning false stops iteration. The engine
+	// copies the selected ranges' headers under its read lock — held for
+	// the selection, not for the store — and calls fn after releasing
+	// it, so fn may call back into the store. Used to build anti-entropy
+	// digests for the ranges two replicas differ in.
+	ForEachIn(ranges RangeSet, fn func(key string, version uint64) bool) error
+	// RangeSums returns the per-range fingerprint of the stored headers
+	// (zero once closed). The engines maintain it where a header enters
+	// or leaves their index — puts, deletes, a version cap, replay — so
+	// the call costs one copy of NumRanges sums and never a scan; two
+	// engines holding the same object set return equal sums.
+	RangeSums() RangeSums
 	// Count returns the number of stored objects (versions, not keys).
 	Count() int
 	// Close releases resources. The store is unusable afterwards.
 	Close() error
 }
 
-// headerSnapshot is what the indexed engines' ForEach iterates: every
-// key once, its versions — ascending, as the engines keep them — a
-// window into one shared array. An engine fills it under its read lock
-// and visits it after releasing the lock, so fn may call back into the
-// store.
+// headerSnapshot is what ForEachIn iterates: every selected key once,
+// its versions — ascending, as the index keeps them — a window into one
+// shared array. rangeIndex.snapshot fills it under the engine's read
+// lock; it is visited after the lock is released.
 type headerSnapshot struct {
 	keys     []keySpan
 	versions []uint64
@@ -217,19 +228,6 @@ type headerSnapshot struct {
 type keySpan struct {
 	key        string
 	start, end int
-}
-
-func newHeaderSnapshot(keys, count int) *headerSnapshot {
-	return &headerSnapshot{
-		keys:     make([]keySpan, 0, keys),
-		versions: make([]uint64, 0, count),
-	}
-}
-
-func (h *headerSnapshot) add(key string, versions []uint64) {
-	start := len(h.versions)
-	h.versions = append(h.versions, versions...)
-	h.keys = append(h.keys, keySpan{key: key, start: start, end: len(h.versions)})
 }
 
 // visit calls fn in (key, version) order — a stable order keeps

@@ -77,7 +77,15 @@ type tcpConn struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	scratch []byte // reused [len prefix][frame] buffer
+	frames  uint64 // frames written so far
 }
+
+// announceEvery is how often a stream repeats the sender's dialable
+// address: on its first frame, which is how the receiver learns whom to
+// answer, and on every announceEvery-th after it, so a receiver whose
+// directory entry was since overwritten by a stale PSS descriptor heals.
+// The frames between carry an empty FromAddr, which deliver skips.
+const announceEvery = 256
 
 // ListenTCP binds the fabric. bind is the listen address ("host:port",
 // port 0 allowed); advertise is the address peers should dial (empty =
@@ -236,7 +244,7 @@ func (t *TCPNetwork) Send(ctx context.Context, to NodeID, env Envelope) error {
 		t.dropped.Add(1)
 		return err
 	}
-	wenv := WireEnvelope{From: env.From, FromAddr: t.addr, To: to, Msg: env.Msg}
+	wenv := WireEnvelope{From: env.From, To: to, Msg: env.Msg}
 	if err := t.write(c, &wenv); err != nil {
 		t.dropConn(to, c)
 		t.dropped.Add(1)
@@ -247,13 +255,19 @@ func (t *TCPNetwork) Send(ctx context.Context, to NodeID, env Envelope) error {
 }
 
 // write emits one envelope as [length prefix][frame], encoded into the
-// reused scratch so steady-state sends allocate nothing. The deadline
+// reused scratch so steady-state sends allocate nothing, announcing the
+// fabric's address on the stream's first and every announceEvery-th
+// frame. The deadline
 // bounds a peer that accepts but never reads: once its socket buffers
 // fill, the write fails instead of parking the caller (the node's
 // control loop or a shard) until Close.
 func (t *TCPNetwork) write(c *tcpConn, env *WireEnvelope) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.frames%announceEvery == 0 {
+		env.FromAddr = t.addr
+	}
+	c.frames++
 	buf := append(c.scratch[:0], 0, 0, 0, 0)
 	buf, err := t.codec.Encode(buf, env)
 	if err != nil {

@@ -397,3 +397,88 @@ func TestTCPSendToStalledPeerTimesOut(t *testing.T) {
 	}
 	colC.waitFor(t, 1, 5*time.Second)
 }
+
+// addrLogCodec is textCodec recording the FromAddr of every frame it
+// decodes, in arrival order.
+type addrLogCodec struct {
+	textCodec
+	mu    sync.Mutex
+	addrs []string
+}
+
+func (c *addrLogCodec) Decode(b []byte) (*WireEnvelope, error) {
+	env, err := c.textCodec.Decode(b)
+	if err == nil {
+		c.mu.Lock()
+		c.addrs = append(c.addrs, env.FromAddr)
+		c.mu.Unlock()
+	}
+	return env, err
+}
+
+func (c *addrLogCodec) seen() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.addrs...)
+}
+
+// TestTCPAnnouncesAddressOncePerStream: a stream carries the sender's
+// dialable address on its first frame and on every announceEvery-th
+// after it, an empty one between; a redialled stream announces again;
+// and a receiver that never heard of the sender can answer it after
+// that first frame.
+func TestTCPAnnouncesAddressOncePerStream(t *testing.T) {
+	log := &addrLogCodec{}
+	colB := newCollector()
+	b, err := ListenTCP(2, "127.0.0.1:0", "", TCPConfig{Codec: log}, colB.handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	colA := newCollector()
+	a, err := ListenTCP(1, "127.0.0.1:0", "", testTCP, colA.handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.Learn(2, b.Addr())
+
+	ctx := context.Background()
+	send := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := a.Sender().Send(ctx, 2, &tcpTestMsg{Text: "x"}); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+		}
+	}
+	send(announceEvery + 2)
+	colB.waitFor(t, announceEvery+2, 5*time.Second)
+	for i, addr := range log.seen() {
+		want := ""
+		if i%announceEvery == 0 {
+			want = a.Addr()
+		}
+		if addr != want {
+			t.Fatalf("frame %d carried FromAddr %q, want %q", i+1, addr, want)
+		}
+	}
+
+	// The brand-new peer is answered off the first frame alone.
+	if err := b.Sender().Send(ctx, 1, &tcpTestMsg{Text: "right back"}); err != nil {
+		t.Fatalf("reply to a peer known from its first frame only: %v", err)
+	}
+	colA.waitFor(t, 1, 5*time.Second)
+
+	// A torn-down stream is redialled, and the new one announces again.
+	a.mu.RLock()
+	c := a.conns[2]
+	a.mu.RUnlock()
+	a.dropConn(2, c)
+	send(2)
+	colB.waitFor(t, announceEvery+4, 5*time.Second)
+	tail := log.seen()[announceEvery+2:]
+	if len(tail) != 2 || tail[0] != a.Addr() || tail[1] != "" {
+		t.Fatalf("after a redial the stream carried FromAddr %q, want [%q \"\"]", tail, a.Addr())
+	}
+}

@@ -38,6 +38,7 @@ func fixtures() []Envelope {
 		{Key: "alpha", Version: 1, Value: []byte("v1")},
 		{Key: "beta", Version: 2, Value: nil},
 	}
+	ranges := store.RangeSet{0x8001, 0, 1 << 63, 0x10}
 	msgs := []interface{}{
 		&pss.ShuffleRequest{Sample: descs},
 		&pss.ShuffleReply{Sample: descs[:1]},
@@ -45,10 +46,12 @@ func fixtures() []Envelope {
 		&slicing.SwapReply{Attr: 1.5, X: 0.25, Swapped: true, Busy: false, Seq: 7},
 		&aggregate.ExtremaMsg{Seeds: []float64{0.1, 0.9, 0.5}},
 		&aggregate.PushSumMsg{Sum: 12.5, Weight: 0.5},
-		&antientropy.Digest{Slice: 3, Headers: headers},
-		&antientropy.DigestReply{Slice: 3, Headers: headers[:1]},
-		&antientropy.Summary{Slice: 1, Filter: antientropy.Filter{K: 4, Salt: 0x5a17, Bits: []uint64{0xdeadbeef, 0x1}}},
-		&antientropy.SummaryReply{Slice: 1, Filter: antientropy.Filter{K: 4, Salt: 0x1d5a, Bits: []uint64{0xcafe}}},
+		&antientropy.Digest{Slice: 3, Headers: headers, Ranges: ranges},
+		&antientropy.DigestReply{Slice: 3, Headers: headers[:1], Ranges: ranges},
+		&antientropy.Summary{Slice: 1, Ranges: ranges,
+			Filter: antientropy.Filter{K: 4, Salt: 0x5a17, Bits: []uint64{0xdeadbeef, 0x1}}},
+		&antientropy.SummaryReply{Slice: 1, Ranges: ranges,
+			Filter: antientropy.Filter{K: 4, Salt: 0x1d5a, Bits: []uint64{0xcafe}}},
 		&antientropy.Pull{Headers: headers},
 		&antientropy.Push{Objects: objs},
 		&core.PutRequest{ID: 42, Key: "k", Version: 3, Value: []byte("val"),
@@ -87,6 +90,7 @@ func fixtures() []Envelope {
 		&bootstrap.SegmentFetch{Segment: 3, Offset: 2048},
 		&bootstrap.SegmentChunk{Segment: 3, Offset: 2048, CRC: 0xabad1dea, Data: []byte("record bytes")},
 		&bootstrap.SegmentDone{Segment: 3, Bytes: 4096, Missing: true},
+		&antientropy.Sums{Slice: 2, Full: true, Sums: []uint64{0xfeed, 0, 0xface0ff, 1 << 63}},
 	}
 	envs := make([]Envelope, len(msgs))
 	for i, m := range msgs {
@@ -231,6 +235,126 @@ func TestFilterLegacyFrameCompat(t *testing.T) {
 	}
 	if len(frame) != len(legacy)+8 || !bytes.Equal(frame[:len(legacy)], legacy) {
 		t.Fatalf("salted Summary must be the legacy frame plus trailing salt\n got  %x\n want %x + 8 salt bytes", frame, legacy)
+	}
+}
+
+// legacyDigestFrames are the golden frames of kinds 7–10 as pinned
+// before the range set existed (testdata/frames.golden at 6df556a), with
+// the whole-store message each decodes to, plus the unsalted Summary of
+// the pre-salt release.
+type legacyDigestFrame struct {
+	name, legacy string
+	from, to     transport.NodeID
+	msg          interface{}
+}
+
+func legacyDigestFrames() []legacyDigestFrame {
+	headers := []antientropy.Header{{Key: "alpha", Version: 1}, {Key: "beta", Version: 9000000000}}
+	return []legacyDigestFrame{
+		{"Digest", "0107006a00000000000000ce000000000000000d31302e302e302e313a3730303003000000" +
+			"0205616c70686101000000000000000462657461001a711802000000", 106, 206,
+			&antientropy.Digest{Slice: 3, Headers: headers}},
+		{"DigestReply", "0108006b00000000000000cf000000000000000d31302e302e302e313a3730303003000000" +
+			"0105616c7068610100000000000000", 107, 207,
+			&antientropy.DigestReply{Slice: 3, Headers: headers[:1]}},
+		{"Summary", "0109006c00000000000000d0000000000000000d31302e302e302e313a3730303001000000" +
+			"0400000002efbeadde000000000100000000000000175a000000000000", 108, 208,
+			&antientropy.Summary{Slice: 1, Filter: antientropy.Filter{K: 4, Salt: 0x5a17, Bits: []uint64{0xdeadbeef, 0x1}}}},
+		{"SummaryUnsalted", "0109006c00000000000000d0000000000000000d31302e302e302e313a3730303001000000" +
+			"0400000002efbeadde000000000100000000000000", 108, 208,
+			&antientropy.Summary{Slice: 1, Filter: antientropy.Filter{K: 4, Bits: []uint64{0xdeadbeef, 0x1}}}},
+		{"SummaryReply", "010a006d00000000000000d1000000000000000d31302e302e302e313a3730303001000000" +
+			"0400000001feca0000000000005a1d000000000000", 109, 209,
+			&antientropy.SummaryReply{Slice: 1, Filter: antientropy.Filter{K: 4, Salt: 0x1d5a, Bits: []uint64{0xcafe}}}},
+	}
+}
+
+// withRanges returns a copy of a kind 7–10 message naming ranges.
+func withRanges(msg interface{}, ranges store.RangeSet) interface{} {
+	switch m := msg.(type) {
+	case *antientropy.Digest:
+		c := *m
+		c.Ranges = ranges
+		return &c
+	case *antientropy.DigestReply:
+		c := *m
+		c.Ranges = ranges
+		return &c
+	case *antientropy.Summary:
+		c := *m
+		c.Ranges = ranges
+		return &c
+	case *antientropy.SummaryReply:
+		c := *m
+		c.Ranges = ranges
+		return &c
+	}
+	panic("withRanges: message carries no range set")
+}
+
+// TestRangeSetLegacyFrameCompat pins the rolling-upgrade contract for
+// the range set on kinds 7–10, an optional TRAILING field like the
+// filter's salt before it. Per message: the pre-range frame still
+// decodes, to a message that names no ranges (every range); that
+// message encodes byte-identically to the pre-range frame, so a node
+// that opens whole-store rounds is indistinguishable from an old one;
+// and a ranged frame is the pre-range frame, then — behind a filter that
+// had no salt on the wire — eight zero salt bytes, then the set, all of
+// which a pre-range decoder leaves unread.
+func TestRangeSetLegacyFrameCompat(t *testing.T) {
+	codec := BinaryCodec()
+	ranges := store.RangeSet{0x8001, 0, 1 << 63, 0x10}
+	var tail []byte
+	for _, w := range ranges {
+		tail = appendU64(tail, w)
+	}
+	for _, tc := range legacyDigestFrames() {
+		t.Run(tc.name, func(t *testing.T) {
+			legacy, err := hex.DecodeString(tc.legacy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, err := codec.Decode(legacy)
+			if err != nil {
+				t.Fatalf("pre-range frame no longer decodes: %v", err)
+			}
+			if !reflect.DeepEqual(env.Msg, tc.msg) {
+				t.Fatalf("pre-range frame decoded to %+v, want %+v", env.Msg, tc.msg)
+			}
+			header := Envelope{From: tc.from, FromAddr: "10.0.0.1:7000", To: tc.to}
+
+			whole := header
+			whole.Msg = tc.msg
+			frame, err := codec.Encode(nil, &whole)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(frame, legacy) {
+				t.Fatalf("whole-store frame drifted from the pre-range layout\n got  %x\n want %x", frame, legacy)
+			}
+
+			ranged := header
+			ranged.Msg = withRanges(tc.msg, ranges)
+			frame, err = codec.Encode(nil, &ranged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append([]byte(nil), legacy...)
+			if tc.name == "SummaryUnsalted" {
+				want = appendU64(want, 0)
+			}
+			want = append(want, tail...)
+			if !bytes.Equal(frame, want) {
+				t.Fatalf("ranged frame must be the pre-range frame plus the trailing set\n got  %x\n want %x", frame, want)
+			}
+			dec, err := codec.Decode(frame)
+			if err != nil {
+				t.Fatalf("ranged frame does not decode: %v", err)
+			}
+			if !reflect.DeepEqual(dec.Msg, ranged.Msg) {
+				t.Fatalf("ranged frame decoded to %+v, want %+v", dec.Msg, ranged.Msg)
+			}
+		})
 	}
 }
 

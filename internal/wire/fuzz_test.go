@@ -32,6 +32,15 @@ func FuzzDecodeBinary(f *testing.F) {
 			f.Add(frame)
 		}
 	}
+	// Kinds 7–10 as a whole-store node writes them: no range set, with
+	// and without the filter's salt.
+	for _, tc := range legacyDigestFrames() {
+		frame, err := codec.Encode(nil, &Envelope{From: tc.from, To: tc.to, Msg: tc.msg})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 	// Unknown kind with trailing payload (forward-compat path).
 	unknown := []byte{transport.FrameBinary}
 	unknown = appendU16(unknown, 500)

@@ -114,10 +114,11 @@ var Messages = []Spec{
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*antientropy.Digest)
 			b = appendI32(b, v.Slice)
-			return appendHeaders(b, v.Headers)
+			b = appendHeaders(b, v.Headers)
+			return appendRanges(b, v.Ranges)
 		},
 		dec: func(r *reader) interface{} {
-			return &antientropy.Digest{Slice: r.i32(), Headers: readHeaders(r)}
+			return &antientropy.Digest{Slice: r.i32(), Headers: readHeaders(r), Ranges: readRanges(r)}
 		},
 	},
 	{Kind: 8, Name: "antientropy.DigestReply", Plane: ControlPlane,
@@ -125,10 +126,11 @@ var Messages = []Spec{
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*antientropy.DigestReply)
 			b = appendI32(b, v.Slice)
-			return appendHeaders(b, v.Headers)
+			b = appendHeaders(b, v.Headers)
+			return appendRanges(b, v.Ranges)
 		},
 		dec: func(r *reader) interface{} {
-			return &antientropy.DigestReply{Slice: r.i32(), Headers: readHeaders(r)}
+			return &antientropy.DigestReply{Slice: r.i32(), Headers: readHeaders(r), Ranges: readRanges(r)}
 		},
 	},
 	{Kind: 9, Name: "antientropy.Summary", Plane: ControlPlane,
@@ -136,10 +138,10 @@ var Messages = []Spec{
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*antientropy.Summary)
 			b = appendI32(b, v.Slice)
-			return appendFilter(b, v.Filter)
+			return appendFilterTail(b, v.Filter, v.Ranges)
 		},
 		dec: func(r *reader) interface{} {
-			return &antientropy.Summary{Slice: r.i32(), Filter: readFilter(r)}
+			return &antientropy.Summary{Slice: r.i32(), Filter: readFilter(r), Ranges: readRanges(r)}
 		},
 	},
 	{Kind: 10, Name: "antientropy.SummaryReply", Plane: ControlPlane,
@@ -147,10 +149,10 @@ var Messages = []Spec{
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*antientropy.SummaryReply)
 			b = appendI32(b, v.Slice)
-			return appendFilter(b, v.Filter)
+			return appendFilterTail(b, v.Filter, v.Ranges)
 		},
 		dec: func(r *reader) interface{} {
-			return &antientropy.SummaryReply{Slice: r.i32(), Filter: readFilter(r)}
+			return &antientropy.SummaryReply{Slice: r.i32(), Filter: readFilter(r), Ranges: readRanges(r)}
 		},
 	},
 	{Kind: 11, Name: "antientropy.Pull", Plane: ControlPlane,
@@ -520,6 +522,20 @@ var Messages = []Spec{
 			return &bootstrap.SegmentDone{Segment: r.u64(), Bytes: int64(r.u64()), Missing: r.boolean()}
 		},
 	},
+
+	// -- control plane: anti-entropy range sums --
+	{Kind: 35, Name: "antientropy.Sums", Plane: ControlPlane,
+		New: func() interface{} { return &antientropy.Sums{} },
+		enc: func(b []byte, m interface{}) []byte {
+			v := m.(*antientropy.Sums)
+			b = appendI32(b, v.Slice)
+			b = appendBool(b, v.Full)
+			return appendWords(b, v.Sums)
+		},
+		dec: func(r *reader) interface{} {
+			return &antientropy.Sums{Slice: r.i32(), Full: r.boolean(), Sums: readWords(r)}
+		},
+	},
 }
 
 var (
@@ -622,40 +638,82 @@ func readObjects(r *reader) []store.Object {
 	return objs
 }
 
-// appendFilter keeps the pre-salt frame layout (K, word count, bit
-// words) and carries Salt as an OPTIONAL TRAILING field, emitted only
-// when non-zero. Pre-salt decoders stop after the bit words and ignore
-// trailing frame bytes, so a salted Summary degrades on an old node to
-// an unsalted probe (over-push, never a lost repair), while zero-salt
-// filters stay byte-identical to pre-salt frames. This compatibility
-// trick only works because Filter is the FINAL field of every message
-// that carries one — keep it last in any future message.
-func appendFilter(b []byte, f antientropy.Filter) []byte {
+// appendFilterTail ends a Summary or SummaryReply: the pre-salt filter
+// layout (K, word count, bit words), then two OPTIONAL TRAILING fields,
+// each emitted only when something at or after it is non-zero — the
+// salt, then the range set.
+//
+//	Salt == 0, no ranges: nothing   (byte-identical to pre-salt frames)
+//	Salt != 0, no ranges: u64 salt  (byte-identical to pre-range frames)
+//	ranges:               u64 salt (zero when unsalted), then the set
+//
+// Older decoders stop where their fields end and ignore the rest of the
+// frame: a salted Summary degrades on a pre-salt node to an unsalted
+// probe (over-push, never a lost repair). A ranged frame is only ever
+// sent in answer to a peer that opened with Sums, which a pre-range node
+// never does. The tail only works because it is the FINAL part of the
+// messages that carry it, and it can only grow at its end.
+func appendFilterTail(b []byte, f antientropy.Filter, ranges store.RangeSet) []byte {
 	b = appendU32(b, f.K)
-	b = appendLen(b, len(f.Bits))
-	for _, w := range f.Bits {
-		b = appendU64(b, w)
-	}
-	if f.Salt != 0 {
+	b = appendWords(b, f.Bits)
+	if f.Salt != 0 || ranges != (store.RangeSet{}) {
 		b = appendU64(b, f.Salt)
 	}
-	return b
+	return appendRanges(b, ranges)
 }
 
 func readFilter(r *reader) antientropy.Filter {
-	f := antientropy.Filter{K: r.u32()}
-	n := r.length()
-	if n > 0 && r.err == nil {
-		f.Bits = make([]uint64, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			f.Bits = append(f.Bits, r.u64())
-		}
-	}
+	f := antientropy.Filter{K: r.u32(), Bits: readWords(r)}
 	// Pre-salt frames end here; salted frames carry the trailing salt.
 	if r.err == nil && r.off < len(r.b) {
 		f.Salt = r.u64()
 	}
 	return f
+}
+
+// appendWords writes a counted list of 64-bit words (filter bits, range
+// sums).
+func appendWords(b []byte, ws []uint64) []byte {
+	b = appendLen(b, len(ws))
+	for _, w := range ws {
+		b = appendU64(b, w)
+	}
+	return b
+}
+
+func readWords(r *reader) []uint64 {
+	n := r.length()
+	if n == 0 || r.err != nil {
+		return nil
+	}
+	ws := make([]uint64, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		ws = append(ws, r.u64())
+	}
+	return ws
+}
+
+// appendRanges carries the optional trailing range set of kinds 7–10:
+// nothing for the zero set (every range — byte-identical to the frames
+// from before the range sums), its NumRanges bits otherwise.
+func appendRanges(b []byte, ranges store.RangeSet) []byte {
+	if ranges == (store.RangeSet{}) {
+		return b
+	}
+	for _, w := range ranges {
+		b = appendU64(b, w)
+	}
+	return b
+}
+
+func readRanges(r *reader) (ranges store.RangeSet) {
+	// Pre-range frames end before the set.
+	if r.err == nil && r.off < len(r.b) {
+		for i := range ranges {
+			ranges[i] = r.u64()
+		}
+	}
+	return ranges
 }
 
 // appendRequestTail carries the two optional trailing fields of the
