@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build examples test race bench bench-module smoke fmt vet check lint ci
+.PHONY: all build examples test race goldens bench bench-module smoke fmt vet check lint ci
 
 all: build
 
@@ -23,6 +23,12 @@ test:
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -run TestFlasksdRESPGatewaySmoke -count=1 ./cmd/flasksd
+
+# goldens rewrites internal/lab/testdata/*.golden (the -quick tables of
+# fig3, fig4, route, lb, churn and pipeline at seed 42) from this tree.
+# Only for a change that is meant to move them; go test ./... compares.
+goldens:
+	$(GO) test ./internal/lab -run Golden -update
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

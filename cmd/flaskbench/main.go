@@ -41,10 +41,7 @@ func main() {
 	)
 	flag.Parse()
 
-	sweep := lab.DefaultNs
-	if *quick {
-		sweep = []int{200, 400, 600}
-	}
+	var sweep []int // nil: the scale's own sweep
 	if *ns != "" {
 		sweep = parseNs(*ns)
 	}
@@ -103,39 +100,24 @@ func parseNs(s string) []int {
 
 func header(title string) func() {
 	fmt.Printf("\n=== %s ===\n", title)
+	return timed()
+}
+
+// timed closes an experiment whose table internal/lab writes, heading
+// included (the ones with a golden there); the wall clock stays here.
+func timed() func() {
 	start := time.Now()
 	return func() { fmt.Printf("--- done in %s\n", time.Since(start).Round(time.Millisecond)) }
 }
 
 func runFig3(ns []int, seed uint64, quick bool) {
-	done := header("Figure 3: avg messages per node, constant 10 slices (paper §VI)")
-	defer done()
-	slices := 10
-	if quick {
-		slices = 5
-	}
-	res := lab.Figure3(lab.FigureOptions{Ns: ns, Slices: slices, Seed: seed})
-	printFigure(res)
+	defer timed()()
+	lab.WriteFigure3(os.Stdout, ns, seed, quick)
 }
 
 func runFig4(ns []int, seed uint64, quick bool) {
-	done := header("Figure 4: avg messages per node, slices ∝ nodes (paper §VI)")
-	defer done()
-	rf := 50
-	if quick {
-		rf = 40
-	}
-	res := lab.Figure4(lab.FigureOptions{Ns: ns, ReplicationFactor: rf, Seed: seed})
-	printFigure(res)
-}
-
-func printFigure(res lab.FigureResult) {
-	fmt.Printf("%8s %8s %14s %12s %10s %12s %6s %6s\n",
-		"N", "slices", "msgs/node", "data", "pss", "discovery", "ok", "fail")
-	for _, r := range res.Rows {
-		fmt.Printf("%8d %8d %14.1f %12.1f %10.1f %12.1f %6d %6d\n",
-			r.N, r.Slices, r.MsgsPerNode, r.DataMsgs, r.PSSMsgs, r.DiscoveryMsgs, r.OK, r.Failed)
-	}
+	defer timed()()
+	lab.WriteFigure4(os.Stdout, ns, seed, quick)
 }
 
 func runSlicing(seed uint64, quick bool) {
@@ -183,18 +165,8 @@ func runCorrelated(seed uint64, quick bool) {
 }
 
 func runChurn(seed uint64, quick bool, jsonPath string) {
-	done := header("E5: read availability under churn")
-	n, ops := 500, 100
-	if quick {
-		n, ops = 200, 50
-	}
-	rates := []float64{0, 0.005, 0.01, 0.02, 0.05}
-	points := lab.AvailabilityUnderChurn(n, 10, rates, ops, seed)
-	fmt.Printf("%14s %8s %8s %14s %8s\n", "churn/round", "ok", "failed", "availability", "retries")
-	for _, p := range points {
-		fmt.Printf("%14.3f %8d %8d %13.1f%% %8d\n",
-			p.ChurnPerRound, p.OK, p.Failed, p.Availability*100, p.Retries)
-	}
+	done := timed()
+	lab.WriteAvailabilityUnderChurn(os.Stdout, seed, quick)
 	done()
 	runChurnConvergence(seed, quick, jsonPath)
 }
@@ -209,36 +181,9 @@ func runChurn(seed uint64, quick bool, jsonPath string) {
 // + 2 rounds, spend no more digest bytes than Bloom over the window,
 // and >= 5x fewer per node per round once everything has converged.
 func runChurnConvergence(seed uint64, quick bool, jsonPath string) {
-	done := header("E17: churn convergence — ranged vs whole-store Bloom vs full-header repair digests")
-	defer done()
-	opts := lab.ChurnConvergenceOptions{
-		N: 400, Slices: 10, Records: 300, KillFrac: 0.3, Rounds: 140, Seed: seed,
-	}
-	if quick {
-		opts = lab.ChurnConvergenceOptions{
-			N: 150, Slices: 5, Records: 120, KillFrac: 0.3, Rounds: 110, Seed: seed,
-		}
-	}
-	full, bloom, ranged := lab.ChurnConvergenceCompare(opts, 12)
-
-	fmt.Printf("%12s %10s %10s %12s %12s %14s %14s %14s\n",
-		"mode", "converged", "round", "digest KiB", "push KiB", "digest B/n/r", "steady B/n/r", "repair B/obj")
-	for _, r := range []lab.ChurnConvergenceResult{full, bloom, ranged} {
-		fmt.Printf("%12s %10v %10d %12.1f %12.1f %14.1f %14.1f %14.1f\n",
-			r.Mode, r.Converged, r.ConvergedRound,
-			float64(r.DigestBytes)/1024, float64(r.PushBytes)/1024,
-			r.DigestBytesPerNodeRound, r.SteadyDigestBytesPerNodeRound, r.RepairBytesPerObject)
-	}
-	ratio := 0.0
-	if bloom.DigestBytes > 0 {
-		ratio = float64(full.DigestBytes) / float64(bloom.DigestBytes)
-	}
-	steadyRatio := 0.0
-	if ranged.SteadyDigestBytesPerNodeRound > 0 {
-		steadyRatio = bloom.SteadyDigestBytesPerNodeRound / ranged.SteadyDigestBytesPerNodeRound
-	}
-	fmt.Printf("digest bandwidth: bloom is %.1fx cheaper than full headers; converged, ranged is %.1fx cheaper than bloom\n",
-		ratio, steadyRatio)
+	defer timed()()
+	rep := lab.WriteChurnConvergence(os.Stdout, seed, quick)
+	full, bloom, ranged := rep.Full, rep.Bloom, rep.Ranged
 
 	if jsonPath != "" {
 		out := struct {
@@ -250,7 +195,7 @@ func runChurnConvergence(seed uint64, quick bool, jsonPath string) {
 			Ranged            lab.ChurnConvergenceResult `json:"ranged"`
 			DigestBytesRatio  float64                    `json:"digest_bytes_ratio"`
 			SteadyDigestRatio float64                    `json:"steady_digest_ratio"`
-		}{"churn-convergence", seed, quick, full, bloom, ranged, ratio, steadyRatio}
+		}{"churn-convergence", seed, quick, full, bloom, ranged, rep.DigestRatio, rep.SteadyRatio}
 		data, err := json.MarshalIndent(out, "", "  ")
 		if err == nil {
 			err = os.WriteFile(jsonPath, append(data, '\n'), 0o644)
@@ -270,8 +215,8 @@ func runChurnConvergence(seed uint64, quick bool, jsonPath string) {
 	if !full.Converged || !bloom.Converged || !ranged.Converged {
 		fail("a mode failed to restore full replication")
 	}
-	if ratio < 5 {
-		fail("bloom digest saving %.1fx < 5x", ratio)
+	if rep.DigestRatio < 5 {
+		fail("bloom digest saving %.1fx < 5x", rep.DigestRatio)
 	}
 	if ranged.ConvergedRound > bloom.ConvergedRound+2 {
 		fail("ranged converged at round %d, bloom at %d", ranged.ConvergedRound, bloom.ConvergedRound)
@@ -279,8 +224,8 @@ func runChurnConvergence(seed uint64, quick bool, jsonPath string) {
 	if ranged.DigestBytes > bloom.DigestBytes {
 		fail("ranged spent %d digest bytes over the window, bloom %d", ranged.DigestBytes, bloom.DigestBytes)
 	}
-	if steadyRatio < 5 {
-		fail("converged, ranged digests are %.1fx cheaper than bloom's, want >= 5x", steadyRatio)
+	if rep.SteadyRatio < 5 {
+		fail("converged, ranged digests are %.1fx cheaper than bloom's, want >= 5x", rep.SteadyRatio)
 	}
 }
 
@@ -489,41 +434,22 @@ func runShards(seed uint64, quick bool, jsonPath string) {
 // no more ops, and under churn its read availability must stay within
 // two points of the flood's.
 func runRoute(seed uint64, quick bool) {
-	done := header("E20: routing ablation — directed global hop vs epidemic flood (§VII)")
-	defer done()
-	ops, churnN, churnOps := 200, 500, 100
-	if quick {
-		ops, churnN, churnOps = 60, 150, 40
-	}
+	defer timed()()
+	rep := lab.WriteRoutingAblation(os.Stdout, seed, quick)
 	failed := false
-	fmt.Printf("%6s %4s %10s %12s %10s %10s %6s %8s %8s\n",
-		"N", "k", "routing", "data msgs/op", "directed", "flooded", "ok", "failed", "retries")
-	for _, sc := range []struct{ n, k int }{{150, 5}, {600, 15}} {
-		rows := lab.RoutingAblation(sc.n, sc.k, ops, seed)
-		for _, r := range rows {
-			fmt.Printf("%6d %4d %10s %12.1f %10d %10d %6d %8d %8d\n", sc.n, sc.k,
-				map[bool]string{false: "directed", true: "flood"}[r.Flood],
-				r.DataMsgsPerOp, r.Directed, r.Flooded, r.OK, r.Failed, r.Retries)
-		}
-		directed, flood := rows[0], rows[1]
-		fmt.Printf("N=%d k=%d: directed routing spends %.1fx fewer data messages per op\n",
-			sc.n, sc.k, flood.DataMsgsPerOp/directed.DataMsgsPerOp)
-		if directed.DataMsgsPerOp*3 > flood.DataMsgsPerOp {
+	for _, sc := range rep.Scales {
+		if sc.Directed.DataMsgsPerOp*3 > sc.Flood.DataMsgsPerOp {
 			fmt.Fprintf(os.Stderr, "flaskbench: route experiment regressed (N=%d k=%d: directed %.1f msgs/op not 3x below flood %.1f)\n",
-				sc.n, sc.k, directed.DataMsgsPerOp, flood.DataMsgsPerOp)
+				sc.N, sc.K, sc.Directed.DataMsgsPerOp, sc.Flood.DataMsgsPerOp)
 			failed = true
 		}
-		if directed.Failed > flood.Failed {
+		if sc.Directed.Failed > sc.Flood.Failed {
 			fmt.Fprintf(os.Stderr, "flaskbench: route experiment regressed (N=%d k=%d: directed routing failed %d ops, flood %d)\n",
-				sc.n, sc.k, directed.Failed, flood.Failed)
+				sc.N, sc.K, sc.Directed.Failed, sc.Flood.Failed)
 			failed = true
 		}
 	}
-	const rate = 0.02
-	directed, flood := lab.RoutingUnderChurn(churnN, 10, rate, churnOps, seed)
-	fmt.Printf("read availability at %.0f%%/round churn (N=%d): directed %.1f%% (%d retries), flood %.1f%% (%d retries)\n",
-		rate*100, churnN, directed.Availability*100, directed.Retries, flood.Availability*100, flood.Retries)
-	if directed.Availability < flood.Availability-0.02 {
+	if rep.ChurnDirected.Availability < rep.ChurnFlood.Availability-0.02 {
 		fmt.Fprintln(os.Stderr, "flaskbench: route experiment regressed (directed routing lost availability under churn)")
 		failed = true
 	}
@@ -548,19 +474,8 @@ func runRepair(seed uint64, quick bool) {
 }
 
 func runLB(seed uint64, quick bool) {
-	done := header("E7: load-balancer ablation — paper baseline vs random contact vs slice directory (§VII)")
-	defer done()
-	n, k, ops := 150, 10, 8000
-	if quick {
-		n, k, ops = 60, 4, 2400
-	}
-	rows := lab.LoadBalancerAblation(n, k, ops, seed)
-	fmt.Printf("N=%d k=%d, %d ops per row\n", n, k, ops)
-	fmt.Printf("%4s %10s %13s %6s %7s %11s %7s\n", "mix", "balancer", "data msgs/op", "ok", "failed", "retries/op", "spread")
-	for _, r := range rows {
-		fmt.Printf("%4s %10s %13.2f %6d %7d %11.3f %7.2f\n",
-			r.Mix, r.Balancer, r.DataMsgsPerOp, r.OK, r.Failed, r.MeanRetries, r.Spread)
-	}
+	defer timed()()
+	rows := lab.WriteLoadBalancerAblation(os.Stdout, seed, quick)
 	if broken := lab.LoadBalancerGate(rows); len(broken) > 0 {
 		for _, msg := range broken {
 			fmt.Fprintln(os.Stderr, "flaskbench: lb experiment regressed:", msg)
@@ -733,40 +648,12 @@ func runCompact(quick bool) {
 // to beat blocking by >= 5x at the same ack level, so the CI smoke
 // step fails hard when they do not.
 func runPipeline(seed uint64, quick bool) {
-	done := header("E15: client API — blocking vs pipelined futures vs batched puts")
-	defer done()
-	n, ops := 400, 200
-	if quick {
-		n, ops = 150, 100
-	}
-	rows := lab.PipelineComparison(n, 10, ops, 1, seed)
-	var blocking time.Duration
-	for _, r := range rows {
-		if r.Mode == "blocking" {
-			blocking = r.Elapsed
+	defer timed()()
+	for _, r := range lab.WritePipelineComparison(os.Stdout, seed, quick) {
+		if r.Failed > 0 || (r.Mode != "blocking" && r.Speedup < 5) {
+			fmt.Fprintln(os.Stderr, "flaskbench: pipeline experiment regressed (failures or speedup < 5x)")
+			os.Exit(1)
 		}
-	}
-	fmt.Printf("%10s %6s %6s %6s %14s %14s %14s %9s\n",
-		"mode", "ops", "ok", "fail", "virtual time", "ops/s (virt)", "data msgs/op", "speedup")
-	failed := false
-	for _, r := range rows {
-		speedup := 0.0
-		if r.Elapsed > 0 {
-			speedup = float64(blocking) / float64(r.Elapsed)
-		}
-		fmt.Printf("%10s %6d %6d %6d %14s %14.0f %14.1f %8.1fx\n",
-			r.Mode, r.Ops, r.OK, r.Failed, r.Elapsed.Round(time.Microsecond),
-			r.OpsPerSec, r.DataMsgsPerOp, speedup)
-		if r.Failed > 0 {
-			failed = true
-		}
-		if r.Mode != "blocking" && speedup < 5 {
-			failed = true
-		}
-	}
-	if failed {
-		fmt.Fprintln(os.Stderr, "flaskbench: pipeline experiment regressed (failures or speedup < 5x)")
-		os.Exit(1)
 	}
 }
 

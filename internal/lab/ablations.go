@@ -1,6 +1,9 @@
 package lab
 
 import (
+	"fmt"
+	"io"
+
 	"dataflasks/internal/client"
 	"dataflasks/internal/core"
 	"dataflasks/internal/metrics"
@@ -204,4 +207,48 @@ func RoutingUnderChurn(n, k int, rate float64, ops int, seed uint64) (directed, 
 	directed = availabilityUnderChurn(n, k, rates, ops, seed, client.Opts{}, true)[0]
 	flood = availabilityUnderChurn(n, k, rates, ops, seed, client.Opts{Flood: true}, true)[0]
 	return directed, flood
+}
+
+// RouteScale is E20's pair of rows at one (N, k).
+type RouteScale struct {
+	N, K            int
+	Directed, Flood RoutingRow
+}
+
+// RouteReport is E20 as flaskbench runs and gates it: the ablation at
+// two scales, and both policies' read availability under churn.
+type RouteReport struct {
+	Scales                    []RouteScale
+	ChurnDirected, ChurnFlood ChurnPoint
+}
+
+// WriteRoutingAblation runs E20 at flaskbench's scale (reduced under
+// quick) and writes its table.
+func WriteRoutingAblation(w io.Writer, seed uint64, quick bool) RouteReport {
+	title(w, "E20: routing ablation — directed global hop vs epidemic flood (§VII)")
+	ops, churnN, churnOps := 200, 500, 100
+	if quick {
+		ops, churnN, churnOps = 60, 150, 40
+	}
+	var rep RouteReport
+	fmt.Fprintf(w, "%6s %4s %10s %12s %10s %10s %6s %8s %8s\n",
+		"N", "k", "routing", "data msgs/op", "directed", "flooded", "ok", "failed", "retries")
+	for _, sc := range []struct{ n, k int }{{150, 5}, {600, 15}} {
+		rows := RoutingAblation(sc.n, sc.k, ops, seed)
+		for _, r := range rows {
+			fmt.Fprintf(w, "%6d %4d %10s %12.1f %10d %10d %6d %8d %8d\n", sc.n, sc.k,
+				map[bool]string{false: "directed", true: "flood"}[r.Flood],
+				r.DataMsgsPerOp, r.Directed, r.Flooded, r.OK, r.Failed, r.Retries)
+		}
+		directed, flood := rows[0], rows[1]
+		fmt.Fprintf(w, "N=%d k=%d: directed routing spends %.1fx fewer data messages per op\n",
+			sc.n, sc.k, flood.DataMsgsPerOp/directed.DataMsgsPerOp)
+		rep.Scales = append(rep.Scales, RouteScale{N: sc.n, K: sc.k, Directed: directed, Flood: flood})
+	}
+	const rate = 0.02
+	rep.ChurnDirected, rep.ChurnFlood = RoutingUnderChurn(churnN, 10, rate, churnOps, seed)
+	fmt.Fprintf(w, "read availability at %.0f%%/round churn (N=%d): directed %.1f%% (%d retries), flood %.1f%% (%d retries)\n",
+		rate*100, churnN, rep.ChurnDirected.Availability*100, rep.ChurnDirected.Retries,
+		rep.ChurnFlood.Availability*100, rep.ChurnFlood.Retries)
+	return rep
 }

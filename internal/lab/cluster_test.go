@@ -116,8 +116,12 @@ func TestWorkloadPreloadDirect(t *testing.T) {
 	}
 }
 
+// TestClusterDeterminism runs one seed twice and demands the same
+// per-node message counts, for single puts and for the batched preload
+// (groups for several slices through StartPutBatch, whose issue order
+// must be the seed's, not a map's).
 func TestClusterDeterminism(t *testing.T) {
-	run := func() []uint64 {
+	puts := func() []uint64 {
 		c := smallCluster(t, 60, 4, 99)
 		cl := c.NewClient(client.Config{}, nil)
 		c.Run(20)
@@ -127,13 +131,26 @@ func TestClusterDeterminism(t *testing.T) {
 		c.Run(15)
 		return c.MessagesPerNode()
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("different population: %d vs %d", len(a), len(b))
+	batches := func() []uint64 {
+		c := smallCluster(t, 60, 4, 99)
+		cl := c.NewClient(client.Config{}, c.RandomLB())
+		c.Run(20)
+		c.preloadBatch(cl, map[string]uint64{}, WorkloadOptions{Records: 40, ValueSize: 8, Drain: 15})
+		return c.MessagesPerNode()
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("node %d diverged: %d vs %d messages", i, a[i], b[i])
+	for name, run := range map[string]func() []uint64{"puts": puts, "batched puts": batches} {
+		// Map order is the bug under test: a few runs, since two can agree by luck.
+		a := run()
+		for again := 0; again < 4; again++ {
+			b := run()
+			if len(a) != len(b) {
+				t.Fatalf("%s: different population: %d vs %d", name, len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("%s: node %d diverged: %d vs %d messages", name, i, a[i], b[i])
+				}
+			}
 		}
 	}
 }

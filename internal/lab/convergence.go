@@ -1,6 +1,9 @@
 package lab
 
 import (
+	"fmt"
+	"io"
+
 	"dataflasks/internal/core"
 	"dataflasks/internal/metrics"
 	"dataflasks/internal/sim"
@@ -266,4 +269,47 @@ func ChurnConvergenceCompare(opts ChurnConvergenceOptions, bloomFullEvery int) (
 		}
 	}
 	return full, bloom, ranged
+}
+
+// ChurnConvergenceReport is E17 as flaskbench runs and gates it.
+type ChurnConvergenceReport struct {
+	Full, Bloom, Ranged ChurnConvergenceResult
+	// DigestRatio is the full-header mode's digest bytes over Bloom's;
+	// SteadyRatio Bloom's converged digest bytes per node and round over
+	// ranged's (zero when the divisor is).
+	DigestRatio, SteadyRatio float64
+}
+
+// WriteChurnConvergence runs E17 at flaskbench's scale (reduced under
+// quick) and writes its table.
+func WriteChurnConvergence(w io.Writer, seed uint64, quick bool) ChurnConvergenceReport {
+	title(w, "E17: churn convergence — ranged vs whole-store Bloom vs full-header repair digests")
+	opts := ChurnConvergenceOptions{
+		N: 400, Slices: 10, Records: 300, KillFrac: 0.3, Rounds: 140, Seed: seed,
+	}
+	if quick {
+		opts = ChurnConvergenceOptions{
+			N: 150, Slices: 5, Records: 120, KillFrac: 0.3, Rounds: 110, Seed: seed,
+		}
+	}
+	var rep ChurnConvergenceReport
+	rep.Full, rep.Bloom, rep.Ranged = ChurnConvergenceCompare(opts, 12)
+
+	fmt.Fprintf(w, "%12s %10s %10s %12s %12s %14s %14s %14s\n",
+		"mode", "converged", "round", "digest KiB", "push KiB", "digest B/n/r", "steady B/n/r", "repair B/obj")
+	for _, r := range []ChurnConvergenceResult{rep.Full, rep.Bloom, rep.Ranged} {
+		fmt.Fprintf(w, "%12s %10v %10d %12.1f %12.1f %14.1f %14.1f %14.1f\n",
+			r.Mode, r.Converged, r.ConvergedRound,
+			float64(r.DigestBytes)/1024, float64(r.PushBytes)/1024,
+			r.DigestBytesPerNodeRound, r.SteadyDigestBytesPerNodeRound, r.RepairBytesPerObject)
+	}
+	if rep.Bloom.DigestBytes > 0 {
+		rep.DigestRatio = float64(rep.Full.DigestBytes) / float64(rep.Bloom.DigestBytes)
+	}
+	if rep.Ranged.SteadyDigestBytesPerNodeRound > 0 {
+		rep.SteadyRatio = rep.Bloom.SteadyDigestBytesPerNodeRound / rep.Ranged.SteadyDigestBytesPerNodeRound
+	}
+	fmt.Fprintf(w, "digest bandwidth: bloom is %.1fx cheaper than full headers; converged, ranged is %.1fx cheaper than bloom\n",
+		rep.DigestRatio, rep.SteadyRatio)
+	return rep
 }

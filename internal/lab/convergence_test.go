@@ -7,16 +7,23 @@ import "testing"
 // modes must restore full replication, the Bloom mode must spend
 // meaningfully less digest bandwidth doing it than full headers, and
 // the ranged mode no more than Bloom — and far less once converged.
+// Outside -short it reads flaskbench -quick's run, the one
+// TestGoldenTables pins.
 func TestChurnConvergenceCompare(t *testing.T) {
-	opts := ChurnConvergenceOptions{
-		N:        80,
-		Slices:   4,
-		Records:  48,
-		KillFrac: 0.25,
-		Rounds:   100,
-		Seed:     7,
+	var full, bloom, ranged ChurnConvergenceResult
+	if testing.Short() {
+		full, bloom, ranged = ChurnConvergenceCompare(ChurnConvergenceOptions{
+			N:        80,
+			Slices:   4,
+			Records:  48,
+			KillFrac: 0.25,
+			Rounds:   100,
+			Seed:     7,
+		}, 12)
+	} else {
+		rep := quickChurnE17().res
+		full, bloom, ranged = rep.Full, rep.Bloom, rep.Ranged
 	}
-	full, bloom, ranged := ChurnConvergenceCompare(opts, 12)
 
 	for _, r := range []ChurnConvergenceResult{full, bloom, ranged} {
 		if !r.Converged {

@@ -2,6 +2,7 @@ package lab
 
 import (
 	"fmt"
+	"io"
 
 	"dataflasks/internal/churn"
 	"dataflasks/internal/client"
@@ -167,6 +168,23 @@ func availabilityUnderChurn(n, k int, rates []float64, ops int, seed uint64, rea
 	return points
 }
 
+// WriteAvailabilityUnderChurn runs E5 at flaskbench's scale (reduced
+// under quick) and writes its table.
+func WriteAvailabilityUnderChurn(w io.Writer, seed uint64, quick bool) []ChurnPoint {
+	title(w, "E5: read availability under churn")
+	n, ops := 500, 100
+	if quick {
+		n, ops = 200, 50
+	}
+	points := AvailabilityUnderChurn(n, 10, []float64{0, 0.005, 0.01, 0.02, 0.05}, ops, seed)
+	fmt.Fprintf(w, "%14s %8s %8s %14s %8s\n", "churn/round", "ok", "failed", "availability", "retries")
+	for _, p := range points {
+		fmt.Fprintf(w, "%14.3f %8d %8d %13.1f%% %8d\n",
+			p.ChurnPerRound, p.OK, p.Failed, p.Availability*100, p.Retries)
+	}
+	return points
+}
+
 // ---------------------------------------------------------------------------
 // E6 — replication repair via anti-entropy
 
@@ -283,6 +301,24 @@ func LoadBalancerAblation(n, k, ops int, seed uint64) []LBResult {
 		}
 	}
 	return out
+}
+
+// WriteLoadBalancerAblation runs E7 at flaskbench's scale (reduced under
+// quick) and writes its table.
+func WriteLoadBalancerAblation(w io.Writer, seed uint64, quick bool) []LBResult {
+	title(w, "E7: load-balancer ablation — paper baseline vs random contact vs slice directory (§VII)")
+	n, k, ops := 150, 10, 8000
+	if quick {
+		n, k, ops = 60, 4, 2400
+	}
+	rows := LoadBalancerAblation(n, k, ops, seed)
+	fmt.Fprintf(w, "N=%d k=%d, %d ops per row\n", n, k, ops)
+	fmt.Fprintf(w, "%4s %10s %13s %6s %7s %11s %7s\n", "mix", "balancer", "data msgs/op", "ok", "failed", "retries/op", "spread")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%4s %10s %13.2f %6d %7d %11.3f %7.2f\n",
+			r.Mix, r.Balancer, r.DataMsgsPerOp, r.OK, r.Failed, r.MeanRetries, r.Spread)
+	}
+	return rows
 }
 
 // LoadBalancerGate lists what E7 must hold and does not (nothing when

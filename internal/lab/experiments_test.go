@@ -50,13 +50,26 @@ func TestCorrelatedFailureRankRecoversStaticDoesNot(t *testing.T) {
 	}
 }
 
+// TestAvailabilityDegradesGracefully reads E5's churn-free and
+// 2%-per-round points: off flaskbench -quick's run (the one
+// TestGoldenTables pins), or off a smaller one of its own under -short.
 func TestAvailabilityDegradesGracefully(t *testing.T) {
-	points := AvailabilityUnderChurn(150, 5, []float64{0, 0.02}, 40, 11)
-	if points[0].Availability < 0.99 {
-		t.Errorf("churn-free availability %.2f, want ~1", points[0].Availability)
+	var calm, churned ChurnPoint
+	if testing.Short() {
+		points := AvailabilityUnderChurn(150, 5, []float64{0, 0.02}, 40, 11)
+		calm, churned = points[0], points[1]
+	} else {
+		points := quickChurnE5().res
+		calm, churned = points[0], points[3]
 	}
-	if points[1].Availability < 0.8 {
-		t.Errorf("availability at 2%%/round churn = %.2f, want >= 0.8", points[1].Availability)
+	if calm.ChurnPerRound != 0 || churned.ChurnPerRound != 0.02 {
+		t.Fatalf("read the rows of churn rates %v and %v, want 0 and 0.02", calm.ChurnPerRound, churned.ChurnPerRound)
+	}
+	if calm.Availability < 0.99 {
+		t.Errorf("churn-free availability %.2f, want ~1", calm.Availability)
+	}
+	if churned.Availability < 0.8 {
+		t.Errorf("availability at 2%%/round churn = %.2f, want >= 0.8", churned.Availability)
 	}
 }
 
@@ -79,11 +92,13 @@ func TestReplicationRepairRestoresReplicas(t *testing.T) {
 // the read-heavy and the put-only mix, without failing or retrying more
 // and without pinning a member of any slice.
 func TestLoadBalancerDirectoryCheaperAndSpread(t *testing.T) {
-	ops := 2400
+	var rows []LBResult
 	if testing.Short() {
-		ops = 800 // the race run: ~13 contacts per member still tell a pin from a spread
+		// The race run: ~13 contacts per member still tell a pin from a spread.
+		rows = LoadBalancerAblation(60, 4, 800, 17)
+	} else {
+		rows = quickLB().res
 	}
-	rows := LoadBalancerAblation(60, 4, ops, 17)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -192,28 +207,32 @@ func TestDHTClusterBasics(t *testing.T) {
 }
 
 // TestRoutingAblationDirectedCheaper gates E20 at the two scales the
-// figures' small sweeps use: the directed hop must cut data messages
-// per op at least 3x against the forced flood, and fail no more ops.
+// figures' small sweeps use (flaskbench -quick's run, the one
+// TestGoldenTables pins; the smaller scale alone under -short): the
+// directed hop must cut data messages per op at least 3x against the
+// forced flood, and fail no more ops.
 func TestRoutingAblationDirectedCheaper(t *testing.T) {
-	scales := []struct{ n, k int }{{150, 5}, {600, 15}}
+	var scales []RouteScale
 	if testing.Short() {
-		scales = scales[:1]
+		rows := RoutingAblation(150, 5, 60, 43)
+		scales = []RouteScale{{N: 150, K: 5, Directed: rows[0], Flood: rows[1]}}
+	} else {
+		scales = quickRoute().res.Scales
 	}
 	for _, sc := range scales {
-		rows := RoutingAblation(sc.n, sc.k, 60, 43)
-		directed, flood := rows[0], rows[1]
+		directed, flood := sc.Directed, sc.Flood
 		t.Logf("N=%d k=%d: directed %.1f msgs/op (hops %d directed, %d flooded, %d retries, %d failed), flood %.1f msgs/op (%d failed)",
-			sc.n, sc.k, directed.DataMsgsPerOp, directed.Directed, directed.Flooded, directed.Retries, directed.Failed,
+			sc.N, sc.K, directed.DataMsgsPerOp, directed.Directed, directed.Flooded, directed.Retries, directed.Failed,
 			flood.DataMsgsPerOp, flood.Failed)
 		if directed.DataMsgsPerOp*3 > flood.DataMsgsPerOp {
 			t.Errorf("N=%d k=%d: directed %.1f msgs/op not 3x below flood %.1f",
-				sc.n, sc.k, directed.DataMsgsPerOp, flood.DataMsgsPerOp)
+				sc.N, sc.K, directed.DataMsgsPerOp, flood.DataMsgsPerOp)
 		}
 		if directed.Failed > flood.Failed {
-			t.Errorf("N=%d k=%d: directed routing failed %d ops, flood %d", sc.n, sc.k, directed.Failed, flood.Failed)
+			t.Errorf("N=%d k=%d: directed routing failed %d ops, flood %d", sc.N, sc.K, directed.Failed, flood.Failed)
 		}
 		if directed.Directed == 0 || flood.Directed != 0 {
-			t.Errorf("N=%d k=%d: directed hops %d with routing on, %d with Flood forced", sc.n, sc.k, directed.Directed, flood.Directed)
+			t.Errorf("N=%d k=%d: directed hops %d with routing on, %d with Flood forced", sc.N, sc.K, directed.Directed, flood.Directed)
 		}
 	}
 }

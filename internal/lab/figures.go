@@ -1,12 +1,36 @@
 package lab
 
 import (
+	"fmt"
+	"io"
+
 	"dataflasks/internal/core"
 	"dataflasks/internal/metrics"
 )
 
 // DefaultNs is the paper's node-count sweep (§VI).
 var DefaultNs = []int{500, 1000, 1500, 2000, 2500, 3000}
+
+// quickNs is the figures' reduced sweep: flaskbench -quick's, and so
+// the goldens'.
+var quickNs = []int{200, 400, 600}
+
+// title heads one experiment's table in flaskbench's output.
+func title(w io.Writer, format string, args ...interface{}) {
+	fmt.Fprintf(w, "\n=== "+format+" ===\n", args...)
+}
+
+// figureNs resolves a figure's sweep: the caller's override, else the
+// scale's own.
+func figureNs(ns []int, quick bool) []int {
+	switch {
+	case len(ns) > 0:
+		return ns
+	case quick:
+		return quickNs
+	}
+	return DefaultNs
+}
 
 // FigureOptions tunes the two headline experiments.
 type FigureOptions struct {
@@ -126,4 +150,39 @@ func Figure4(opts FigureOptions) FigureResult {
 		res.Series.Append(float64(n), row.MsgsPerNode)
 	}
 	return res
+}
+
+// WriteFigure3 runs Figure 3 at flaskbench's scale — ten slices, five
+// under quick — over ns (nil: the scale's sweep) and writes its table.
+func WriteFigure3(w io.Writer, ns []int, seed uint64, quick bool) FigureResult {
+	title(w, "Figure 3: avg messages per node, constant 10 slices (paper §VI)")
+	slices := 10
+	if quick {
+		slices = 5
+	}
+	res := Figure3(FigureOptions{Ns: figureNs(ns, quick), Slices: slices, Seed: seed})
+	res.writeTable(w)
+	return res
+}
+
+// WriteFigure4 is WriteFigure3 for Figure 4: 50 nodes per slice, 40
+// under quick.
+func WriteFigure4(w io.Writer, ns []int, seed uint64, quick bool) FigureResult {
+	title(w, "Figure 4: avg messages per node, slices ∝ nodes (paper §VI)")
+	rf := 50
+	if quick {
+		rf = 40
+	}
+	res := Figure4(FigureOptions{Ns: figureNs(ns, quick), ReplicationFactor: rf, Seed: seed})
+	res.writeTable(w)
+	return res
+}
+
+func (res FigureResult) writeTable(w io.Writer) {
+	fmt.Fprintf(w, "%8s %8s %14s %12s %10s %12s %6s %6s\n",
+		"N", "slices", "msgs/node", "data", "pss", "discovery", "ok", "fail")
+	for _, r := range res.Rows {
+		fmt.Fprintf(w, "%8d %8d %14.1f %12.1f %10.1f %12.1f %6d %6d\n",
+			r.N, r.Slices, r.MsgsPerNode, r.DataMsgs, r.PSSMsgs, r.DiscoveryMsgs, r.OK, r.Failed)
+	}
 }

@@ -3,18 +3,15 @@ package lab
 import "testing"
 
 // Reduced-scale versions of the headline experiments keep CI fast; the
-// full sweeps run via cmd/flaskbench and the root benchmarks.
+// full sweeps run via cmd/flaskbench and the root benchmarks. The scale
+// is flaskbench -quick's at seed 42, so TestGoldenTables pins the same
+// run's table.
 
 func TestFigure3ShapeSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweep in -short mode")
 	}
-	opts := FigureOptions{
-		Ns:     []int{200, 400, 600},
-		Slices: 5,
-		Seed:   42,
-	}
-	res := Figure3(opts)
+	res := quickFig3().res
 	if len(res.Rows) != 3 {
 		t.Fatalf("want 3 rows, got %d", len(res.Rows))
 	}
@@ -36,12 +33,7 @@ func TestFigure4ShapeSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweep in -short mode")
 	}
-	opts := FigureOptions{
-		Ns:                []int{200, 400, 600},
-		ReplicationFactor: 40, // k = 5, 10, 15
-		Seed:              42,
-	}
-	res := Figure4(opts)
+	res := quickFig4().res // k = 5, 10, 15
 	for _, r := range res.Rows {
 		t.Logf("N=%d k=%d msgs/node=%.1f (data=%.1f pss=%.1f disc=%.1f) ok=%d fail=%d",
 			r.N, r.Slices, r.MsgsPerNode, r.DataMsgs, r.PSSMsgs, r.DiscoveryMsgs, r.OK, r.Failed)

@@ -1,6 +1,8 @@
 package lab
 
 import (
+	"fmt"
+	"io"
 	"time"
 
 	"dataflasks/internal/client"
@@ -27,6 +29,8 @@ type PipelineRow struct {
 	// DataMsgsPerOp is total data-plane sends per object — the wire
 	// cost the batch path collapses.
 	DataMsgsPerOp float64
+	// Speedup is the blocking row's Elapsed over this one's.
+	Speedup float64
 }
 
 // PipelineComparison is experiment E15: the same put workload driven
@@ -41,6 +45,30 @@ func PipelineComparison(n, slices, ops, acks int, seed uint64) []PipelineRow {
 	rows := make([]PipelineRow, 0, len(modes))
 	for _, mode := range modes {
 		rows = append(rows, runPipelineMode(mode, n, slices, ops, acks, seed))
+	}
+	for i := range rows {
+		if rows[i].Elapsed > 0 {
+			rows[i].Speedup = float64(rows[0].Elapsed) / float64(rows[i].Elapsed) // modes[0] is blocking
+		}
+	}
+	return rows
+}
+
+// WritePipelineComparison runs E15 at flaskbench's scale (reduced under
+// quick) and writes its table.
+func WritePipelineComparison(w io.Writer, seed uint64, quick bool) []PipelineRow {
+	title(w, "E15: client API — blocking vs pipelined futures vs batched puts")
+	n, ops := 400, 200
+	if quick {
+		n, ops = 150, 100
+	}
+	rows := PipelineComparison(n, 10, ops, 1, seed)
+	fmt.Fprintf(w, "%10s %6s %6s %6s %14s %14s %14s %9s\n",
+		"mode", "ops", "ok", "fail", "virtual time", "ops/s (virt)", "data msgs/op", "speedup")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%10s %6d %6d %6d %14s %14.0f %14.1f %8.1fx\n",
+			r.Mode, r.Ops, r.OK, r.Failed, r.Elapsed.Round(time.Microsecond),
+			r.OpsPerSec, r.DataMsgsPerOp, r.Speedup)
 	}
 	return rows
 }
@@ -116,8 +144,13 @@ func runPipelineMode(mode string, n, slices, ops, acks int, seed uint64) Pipelin
 		}
 		target = len(bySlice)
 		c.Engine.Schedule(0, func() {
-			for _, group := range bySlice {
-				group := group
+			// Ascending slice order, not the map's: the order of a run's
+			// first events decides every RNG draw after them.
+			for s := int32(0); s < int32(slices); s++ {
+				group := bySlice[s]
+				if len(group) == 0 {
+					continue
+				}
 				cl.StartPutBatch(group, flood, func(r client.Result) {
 					finish(r, len(group))
 				})

@@ -127,7 +127,7 @@ func TestBatchPutConvergesViaSinglePutBatch(t *testing.T) {
 // 5x faster (virtual wall-clock) than one-blocking-op-at-a-time, at
 // the same ack level.
 func TestPipelineComparisonSpeedup(t *testing.T) {
-	rows := PipelineComparison(150, 10, 100, 1, 42)
+	rows := quickPipelines().res
 	byMode := map[string]PipelineRow{}
 	for _, r := range rows {
 		byMode[r.Mode] = r

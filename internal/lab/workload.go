@@ -221,7 +221,8 @@ func (c *Cluster) preloadBatch(cl *client.Core, versions map[string]uint64, opts
 		bySlice[slice] = append(bySlice[slice], store.Object{Key: key, Version: 1, Value: value})
 	}
 	c.Engine.Schedule(0, func() {
-		for _, objs := range bySlice {
+		for s := int32(0); s < int32(k); s++ { // ascending, not map order: see runPipelineMode
+			objs := bySlice[s]
 			for start := 0; start < len(objs); start += maxBatch {
 				end := start + maxBatch
 				if end > len(objs) {
