@@ -155,11 +155,11 @@ func Figure4(opts FigureOptions) FigureResult {
 // WriteFigure3 runs Figure 3 at flaskbench's scale — ten slices, five
 // under quick — over ns (nil: the scale's sweep) and writes its table.
 func WriteFigure3(w io.Writer, ns []int, seed uint64, quick bool) FigureResult {
-	title(w, "Figure 3: avg messages per node, constant 10 slices (paper §VI)")
 	slices := 10
 	if quick {
 		slices = 5
 	}
+	title(w, "Figure 3: avg messages per node, constant %d slices (paper §VI)", slices)
 	res := Figure3(FigureOptions{Ns: figureNs(ns, quick), Slices: slices, Seed: seed})
 	res.writeTable(w)
 	return res
