@@ -172,10 +172,9 @@ func (c *Cluster) addNodeLocked() (NodeID, func(), error) {
 func (c *Cluster) runNode(n *core.Node, mailbox <-chan transport.Envelope, stop chan struct{}) {
 	// Per-node lifecycle context: bounds every send the node makes.
 	ctx, cancel := context.WithCancel(context.Background())
-	// Shards start here, not on the loop goroutine: they publish the
-	// node's first routing snapshot, and SliceOf must find it the moment
-	// Start or AddNode returns — it may not read live slicer state once
-	// the loop ticks.
+	// Shards start here, not on the loop goroutine: SliceOf, from any
+	// goroutine, may only read the snapshot of a node whose shards run,
+	// and it may be called the moment Start or AddNode returns.
 	n.StartShards(ctx)
 	// Data-plane requests skip the loop: the fabric hands them to their
 	// shard's mailbox directly.
@@ -316,9 +315,8 @@ func (c *Cluster) RemoveNode(id NodeID) error {
 	return nil
 }
 
-// SliceOf reports a node's current slice claim (-1 while undecided):
-// on a running cluster the claim its loop last published, on one not
-// started yet the slicer's own.
+// SliceOf reports a node's current slice claim (-1 while undecided), as
+// its routing snapshot has it: what the node's loop last published.
 func (c *Cluster) SliceOf(id NodeID) (int32, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -47,8 +47,8 @@ func main() {
 	}
 
 	runners := map[string]func(){
-		"fig3":       func() { runFig3(sweep, *seed, *quick) },
-		"fig4":       func() { runFig4(sweep, *seed, *quick) },
+		"fig3":       func() { defer timed()(); lab.WriteFigure3(os.Stdout, sweep, *seed, *quick) },
+		"fig4":       func() { defer timed()(); lab.WriteFigure4(os.Stdout, sweep, *seed, *quick) },
 		"slicing":    func() { runSlicing(*seed, *quick) },
 		"correlated": func() { runCorrelated(*seed, *quick) },
 		"churn":      func() { runChurn(*seed, *quick, *jsonPath) },
@@ -103,21 +103,24 @@ func header(title string) func() {
 	return timed()
 }
 
+// writeJSON writes an experiment's machine-readable results (-json).
+func writeJSON(path string, out interface{}) {
+	data, err := json.MarshalIndent(out, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(data, '\n'), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "flaskbench: write %s: %v\n", path, err)
+		os.Exit(1)
+	}
+	fmt.Printf("wrote %s\n", path)
+}
+
 // timed closes an experiment whose table internal/lab writes, heading
 // included (the ones with a golden there); the wall clock stays here.
 func timed() func() {
 	start := time.Now()
 	return func() { fmt.Printf("--- done in %s\n", time.Since(start).Round(time.Millisecond)) }
-}
-
-func runFig3(ns []int, seed uint64, quick bool) {
-	defer timed()()
-	lab.WriteFigure3(os.Stdout, ns, seed, quick)
-}
-
-func runFig4(ns []int, seed uint64, quick bool) {
-	defer timed()()
-	lab.WriteFigure4(os.Stdout, ns, seed, quick)
 }
 
 func runSlicing(seed uint64, quick bool) {
@@ -182,8 +185,7 @@ func runChurn(seed uint64, quick bool, jsonPath string) {
 // and >= 5x fewer per node per round once everything has converged.
 func runChurnConvergence(seed uint64, quick bool, jsonPath string) {
 	defer timed()()
-	rep := lab.WriteChurnConvergence(os.Stdout, seed, quick)
-	full, bloom, ranged := rep.Full, rep.Bloom, rep.Ranged
+	full, bloom, ranged, ratio, steadyRatio := lab.WriteChurnConvergence(os.Stdout, seed, quick)
 
 	if jsonPath != "" {
 		out := struct {
@@ -195,16 +197,8 @@ func runChurnConvergence(seed uint64, quick bool, jsonPath string) {
 			Ranged            lab.ChurnConvergenceResult `json:"ranged"`
 			DigestBytesRatio  float64                    `json:"digest_bytes_ratio"`
 			SteadyDigestRatio float64                    `json:"steady_digest_ratio"`
-		}{"churn-convergence", seed, quick, full, bloom, ranged, rep.DigestRatio, rep.SteadyRatio}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err == nil {
-			err = os.WriteFile(jsonPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "flaskbench: write %s: %v\n", jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
+		}{"churn-convergence", seed, quick, full, bloom, ranged, ratio, steadyRatio}
+		writeJSON(jsonPath, out)
 	}
 
 	// Regression gates (the CI smoke step relies on the exit code).
@@ -215,8 +209,8 @@ func runChurnConvergence(seed uint64, quick bool, jsonPath string) {
 	if !full.Converged || !bloom.Converged || !ranged.Converged {
 		fail("a mode failed to restore full replication")
 	}
-	if rep.DigestRatio < 5 {
-		fail("bloom digest saving %.1fx < 5x", rep.DigestRatio)
+	if ratio < 5 {
+		fail("bloom digest saving %.1fx < 5x", ratio)
 	}
 	if ranged.ConvergedRound > bloom.ConvergedRound+2 {
 		fail("ranged converged at round %d, bloom at %d", ranged.ConvergedRound, bloom.ConvergedRound)
@@ -224,8 +218,8 @@ func runChurnConvergence(seed uint64, quick bool, jsonPath string) {
 	if ranged.DigestBytes > bloom.DigestBytes {
 		fail("ranged spent %d digest bytes over the window, bloom %d", ranged.DigestBytes, bloom.DigestBytes)
 	}
-	if rep.SteadyRatio < 5 {
-		fail("converged, ranged digests are %.1fx cheaper than bloom's, want >= 5x", rep.SteadyRatio)
+	if steadyRatio < 5 {
+		fail("converged, ranged digests are %.1fx cheaper than bloom's, want >= 5x", steadyRatio)
 	}
 }
 
@@ -280,15 +274,7 @@ func runBootstrap(seed uint64, quick bool, jsonPath string) {
 			Fallback   lab.BootstrapRecoveryResult `json:"fallback"`
 			RoundRatio float64                     `json:"round_ratio"`
 		}{"bootstrap-recovery", seed, quick, segment, object, fallback, ratio}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err == nil {
-			err = os.WriteFile(jsonPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "flaskbench: write %s: %v\n", jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
+		writeJSON(jsonPath, out)
 	}
 
 	// Regression gates (the CI smoke step relies on the exit code).
@@ -396,15 +382,7 @@ func runShards(seed uint64, quick bool, jsonPath string) {
 			Burst        []lab.ShardPutBurstResult  `json:"burst"`
 			Equivalence  lab.ShardEquivalenceResult `json:"equivalence"`
 		}{"shards", seed, quick, cores, gateScaling, results, ratio, burst, eq}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err == nil {
-			err = os.WriteFile(jsonPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "flaskbench: write %s: %v\n", jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
+		writeJSON(jsonPath, out)
 	}
 
 	// Regression gates (the CI smoke step relies on the exit code).
@@ -435,21 +413,22 @@ func runShards(seed uint64, quick bool, jsonPath string) {
 // two points of the flood's.
 func runRoute(seed uint64, quick bool) {
 	defer timed()()
-	rep := lab.WriteRoutingAblation(os.Stdout, seed, quick)
+	rows, churnDirected, churnFlood := lab.WriteRoutingAblation(os.Stdout, seed, quick)
 	failed := false
-	for _, sc := range rep.Scales {
-		if sc.Directed.DataMsgsPerOp*3 > sc.Flood.DataMsgsPerOp {
+	for i := 0; i+1 < len(rows); i += 2 {
+		directed, flood := rows[i], rows[i+1]
+		if directed.DataMsgsPerOp*3 > flood.DataMsgsPerOp {
 			fmt.Fprintf(os.Stderr, "flaskbench: route experiment regressed (N=%d k=%d: directed %.1f msgs/op not 3x below flood %.1f)\n",
-				sc.N, sc.K, sc.Directed.DataMsgsPerOp, sc.Flood.DataMsgsPerOp)
+				directed.N, directed.K, directed.DataMsgsPerOp, flood.DataMsgsPerOp)
 			failed = true
 		}
-		if sc.Directed.Failed > sc.Flood.Failed {
+		if directed.Failed > flood.Failed {
 			fmt.Fprintf(os.Stderr, "flaskbench: route experiment regressed (N=%d k=%d: directed routing failed %d ops, flood %d)\n",
-				sc.N, sc.K, sc.Directed.Failed, sc.Flood.Failed)
+				directed.N, directed.K, directed.Failed, flood.Failed)
 			failed = true
 		}
 	}
-	if rep.ChurnDirected.Availability < rep.ChurnFlood.Availability-0.02 {
+	if churnDirected.Availability < churnFlood.Availability-0.02 {
 		fmt.Fprintln(os.Stderr, "flaskbench: route experiment regressed (directed routing lost availability under churn)")
 		failed = true
 	}

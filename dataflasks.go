@@ -188,8 +188,8 @@ type Config struct {
 	// each with its own mailbox and coalescing window, while the
 	// epidemic control plane stays single-threaded. Raise it on
 	// multi-core hosts saturated by data traffic; keep the default on
-	// small nodes. 0 or 1 means one shard: every live node runs the
-	// sharded runtime; only the simulator drives the handlers inline.
+	// small nodes. 0 or 1 means one shard: there is one runtime, and a
+	// live node runs it on shard goroutines.
 	DataShards int
 	// Seed makes a cluster's randomness reproducible (0 = fixed
 	// default seed).

@@ -163,9 +163,10 @@ type Config struct {
 	// window and counters, so data operations on different shards
 	// proceed in parallel while the epidemic control plane (PSS,
 	// slicing, aggregation, anti-entropy, bootstrap) stays on the
-	// single-threaded loop. Without StartShards the shard states are
-	// still used but driven inline by HandleMessage, preserving
-	// single-threaded simulation semantics. Default 1.
+	// single-threaded loop. Without StartShards the caller of
+	// HandleMessage is every shard's goroutine — the same handlers over
+	// the same shard states, single-threaded as simulations need.
+	// Default 1.
 	DataShards int
 
 	// CoalesceMax is the put accumulation window: intra-slice relay

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"dataflasks/internal/pss"
 	"dataflasks/internal/transport"
@@ -89,7 +89,7 @@ func (v *intraView) IDs() []transport.NodeID {
 	for id := range v.entries {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

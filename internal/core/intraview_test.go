@@ -94,11 +94,10 @@ func TestNodeSliceChangeClearsIntraView(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		n.slicer.Observe(transport.NodeID(100+i), n.attr+1) // everyone above us
 	}
-	n.slicer.Tick(context.Background())
+	n.Tick(context.Background()) // the slicer decides, lastSlice follows
 	if n.Slice() != 0 {
 		t.Fatalf("slice = %d, want 0", n.Slice())
 	}
-	n.Tick(context.Background()) // lastSlice bookkeeping
 	n.intra.Touch(desc(50, 0), n.round)
 	if n.IntraViewSize() != 1 {
 		t.Fatal("intra view not populated")

@@ -60,15 +60,18 @@ type Node struct {
 
 	// shards hold the data plane's per-partition state — dedup cache,
 	// coalescing window, relay RNG, counters (see shard.go). external
-	// flips true while StartShards-launched goroutines drive them;
-	// routeSnap is the control plane's published routing snapshot those
-	// goroutines read instead of live protocol state.
-	shards    []*dataShard
-	external  atomic.Bool
-	shardStop chan struct{}
-	shardWG   sync.WaitGroup
-	routeSnap atomic.Pointer[routeView]
-	relaySeq  atomic.Uint32 // numbers the batched relays this node mints (relayEntries)
+	// flips true while StartShards-launched goroutines drive them, false
+	// while the caller of HandleMessage does. routeSnap is the control
+	// plane's routing state as the data handlers see it, never nil;
+	// routeStale marks it out of date on a caller-driven node (see
+	// routeChanged).
+	shards     []*dataShard
+	external   atomic.Bool
+	shardStop  chan struct{}
+	shardWG    sync.WaitGroup
+	routeSnap  atomic.Pointer[routeView]
+	routeStale bool
+	relaySeq   atomic.Uint32 // numbers the batched relays this node mints (relayEntries)
 }
 
 // objRef identifies one (key, version) pair in the coalesce buffer.
@@ -225,6 +228,7 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 			n.rng,
 		)
 	}
+	n.publishRoute()
 	return n
 }
 
@@ -291,32 +295,18 @@ func (n *Node) ResetMetrics() {
 // concurrently with the event loop.
 func (n *Node) TickDurations() *metrics.LatencyHistogram { return &n.tickDur }
 
-// traceOp journals one traced request's lifecycle step. It is on
-// every data-path hop unconditionally, so the disabled cases return
-// before an event is even built: tracing off (nil ring) or an
-// untraced request (zero id).
-func (n *Node) traceOp(kind obs.TraceKind, traceID uint64, key string, bytes, objects int) {
-	if n.trace == nil || traceID == 0 {
-		return
-	}
-	n.trace.Add(obs.Event{
-		Kind: kind, TraceID: traceID, Key: key,
-		Bytes: uint64(bytes), Objects: uint64(objects),
-	})
-}
-
 // Store exposes the node's local store.
 func (n *Node) Store() store.Store { return n.st }
 
-// Slice returns the node's current slice claim. Once shards run it is
-// the claim of the last published routing snapshot, so any goroutine
-// may ask; before that it reads the live slicer (caller's goroutine
-// only).
+// Slice returns the node's current slice claim, as the routing snapshot
+// has it. On a running node any goroutine may ask; on a caller-driven
+// one only the caller's, and the answer is up to date with every message
+// and tick handled so far.
 func (n *Node) Slice() int32 {
-	if v := n.routeSnap.Load(); v != nil {
-		return v.slice
+	if !n.external.Load() {
+		n.freshRoute()
 	}
-	return n.currentSlice()
+	return n.routeSnap.Load().slice
 }
 
 // Attr returns the node's slicing attribute (its capacity).
@@ -326,7 +316,10 @@ func (n *Node) Attr() float64 { return n.attr }
 func (n *Node) SliceCount() int { return n.slicer.SliceCount() }
 
 // SetSliceCount reconfigures k (replication management, §IV-C).
-func (n *Node) SetSliceCount(k int) { n.slicer.SetSliceCount(k) }
+func (n *Node) SetSliceCount(k int) {
+	n.slicer.SetSliceCount(k)
+	n.routeChanged()
+}
 
 // IntraViewSize returns the current intra-slice view size.
 func (n *Node) IntraViewSize() int { return n.intra.Len() }
@@ -340,7 +333,7 @@ func (n *Node) Round() uint64 { return n.round }
 // HasSeen reports whether the node processed a request with this id
 // (observability hook for dissemination experiments). It reads the
 // per-shard dedup caches without synchronization, so it is only valid
-// while the node is driven inline (simulations) or quiesced.
+// on a caller-driven node (simulations) or a quiesced one.
 func (n *Node) HasSeen(id gossip.RequestID) bool {
 	for _, s := range n.shards {
 		if s.dedup.Contains(id) {
@@ -356,9 +349,7 @@ func (n *Node) SystemSizeEstimate() int { return n.systemSize() }
 // Bootstrap seeds the PSS view with initial contacts.
 func (n *Node) Bootstrap(seeds []transport.NodeID) {
 	n.pssP.Bootstrap(seeds)
-	if n.external.Load() {
-		n.publishRoute()
-	}
+	n.routeChanged()
 }
 
 // BootstrapDone reports whether the startup segment bootstrap finished
@@ -459,9 +450,9 @@ func (n *Node) Tick(ctx context.Context) {
 	tickStart := time.Now()
 	n.round++
 	if !n.external.Load() {
-		// Inline mode: the tick owns the shard states; commit every
-		// coalescing window. Externally-run shards commit on their own
-		// loops' tickers instead.
+		// Nobody else runs the shards: commit their windows here, as a
+		// shard loop's ticker would. They hold relay copies only, which
+		// owe no relay of their own, so this reads no snapshot.
 		for _, s := range n.shards {
 			s.commit(ctx)
 		}
@@ -509,9 +500,7 @@ func (n *Node) Tick(ctx context.Context) {
 		n.boot.Tick(ctx)
 	}
 	n.met.Set(metrics.StoredObjects, uint64(n.st.Count()))
-	if n.external.Load() {
-		n.publishRoute()
-	}
+	n.routeChanged()
 	n.tickDur.Observe(time.Since(tickStart))
 }
 
@@ -545,17 +534,21 @@ func (n *Node) discoverMates(ctx context.Context) {
 
 // HandleMessage dispatches one delivered message. It must only be
 // called from the node's driving loop. ctx bounds any sends the
-// handlers make (acks, replies, relays). With externally-run shards
-// (StartShards) data-plane messages are forwarded to the owning
-// shard's mailbox and everything else — the control plane — is
-// handled here, republishing the routing snapshot afterwards.
+// handlers make (acks, replies, relays). A data-plane message goes to
+// its shard: onto the mailbox of a running one, or — nobody else drives
+// the shards — through drain right here, a run of one over the snapshot
+// brought up to date. Everything else is the control plane's, handled
+// here, and may have moved the routing state.
 func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 	if n.DispatchData(env) {
 		return // a shard goroutine owns it; counted on delivery there
 	}
-	if n.external.Load() {
-		defer n.publishRoute()
+	if key, ok := RequestKey(env.Msg); ok {
+		n.freshRoute()
+		n.drain(ctx, n.shardFor(key), env)
+		return
 	}
+	defer n.routeChanged()
 	n.met.Inc(metrics.MsgRecv)
 	if n.pssP.Handle(ctx, env.From, env.Msg) {
 		return
@@ -590,21 +583,13 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 		return
 	}
 	switch m := env.Msg.(type) {
-	case *PutRequest, *PutBatchRequest, *GetRequest, *DeleteRequest, *DeleteBatchRequest:
-		// Inline mode (DispatchData declined above): run the data
-		// handler synchronously on the owning shard's state.
-		key, _ := RequestKey(env.Msg)
-		n.handleData(ctx, n.shardFor(key), env)
 	case *MateQuery:
 		n.onMateQuery(ctx, env.From, m)
 	case *MateReply:
 		n.onMateReply(m)
-	case *PutAck, *PutBatchAck, *GetReply, *DeleteAck, *DeleteBatchAck:
-		// Client-bound traffic that reached a node (stale origin);
-		// nothing to do.
 	default:
-		// Unknown message kinds are ignored: a mixed-version deployment
-		// must not crash old nodes.
+		// Ignored: client-bound traffic that reached a node (a stale
+		// origin), or a kind a newer version of a mixed deployment speaks.
 	}
 }
 
@@ -616,14 +601,14 @@ func (n *Node) onPut(ctx context.Context, s *dataShard, from transport.NodeID, m
 		s.met.Inc(metrics.DuplicatesSuppressed)
 		return
 	}
-	mine, k := s.sliceInfo()
-	target := slicing.KeySlice(m.Key, k)
+	v := n.routeSnap.Load()
+	target := slicing.KeySlice(m.Key, v.sliceCount)
 
-	if mine == target {
+	if v.slice == target {
 		if !m.Intra {
 			// Entry point into the slice: the commit step stores the
 			// object, acks it and starts the intra-slice phase.
-			s.collectPut(ctx, from, m)
+			s.collectPut(from, m)
 			return
 		}
 		// Intra-phase copy: no ack obligation, so the write can ride
@@ -634,7 +619,7 @@ func (n *Node) onPut(ctx context.Context, s *dataShard, from transport.NodeID, m
 			s.traceOp(obs.TracePutRelay, m.TraceID, m.Key, 0, 0)
 			fwd := *m
 			fwd.TTL--
-			s.relayIntra(ctx, from, &fwd)
+			s.relayIntra(ctx, v, from, &fwd)
 		}
 		return
 	}
@@ -645,7 +630,7 @@ func (n *Node) onPut(ctx context.Context, s *dataShard, from transport.NodeID, m
 		return
 	}
 	s.traceOp(obs.TracePutRelay, m.TraceID, m.Key, 0, 0)
-	s.relayGlobal(ctx, from, target, m.Flood, m.TTL, s.putTTL, func(next uint8, flood bool) interface{} {
+	s.relayGlobal(ctx, v, from, target, m.Flood, m.TTL, v.putTTL, func(next uint8, flood bool) interface{} {
 		fwd := *m
 		fwd.TTL, fwd.Flood = next, flood
 		return &fwd
@@ -662,10 +647,10 @@ func (n *Node) onPutBatch(ctx context.Context, s *dataShard, from transport.Node
 	if len(m.Objs) == 0 {
 		return
 	}
-	mine, k := s.sliceInfo()
-	target := slicing.KeySlice(m.Objs[0].Key, k)
+	v := n.routeSnap.Load()
+	target := slicing.KeySlice(m.Objs[0].Key, v.sliceCount)
 
-	if mine == target {
+	if v.slice == target {
 		var err error
 		if m.Intra && len(m.Objs) < n.cfg.CoalesceMax && s.ownsAll(m.Objs) {
 			// A mate's relay of a run: no ack obligation, so the objects
@@ -693,15 +678,15 @@ func (n *Node) onPutBatch(ctx context.Context, s *dataShard, from transport.Node
 			s.traceOp(obs.TracePutRelay, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
 			fwd := *m
 			fwd.Intra, fwd.OriginAddr = true, "" // no mate acks an intra copy
-			fwd.TTL = s.intraTTL()
-			s.relayIntra(ctx, from, &fwd)
+			fwd.TTL = v.intraTTL
+			s.relayIntra(ctx, v, from, &fwd)
 			return
 		}
 		if m.TTL > 0 {
 			s.traceOp(obs.TracePutRelay, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
 			fwd := *m
 			fwd.TTL--
-			s.relayIntra(ctx, from, &fwd)
+			s.relayIntra(ctx, v, from, &fwd)
 		}
 		return
 	}
@@ -710,7 +695,7 @@ func (n *Node) onPutBatch(ctx context.Context, s *dataShard, from transport.Node
 		return
 	}
 	s.traceOp(obs.TracePutRelay, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
-	s.relayGlobal(ctx, from, target, m.Flood, m.TTL, s.putTTL, func(next uint8, flood bool) interface{} {
+	s.relayGlobal(ctx, v, from, target, m.Flood, m.TTL, v.putTTL, func(next uint8, flood bool) interface{} {
 		fwd := *m
 		fwd.TTL, fwd.Flood = next, flood
 		return &fwd
@@ -725,10 +710,10 @@ func (n *Node) onDelete(ctx context.Context, s *dataShard, from transport.NodeID
 		s.met.Inc(metrics.DuplicatesSuppressed)
 		return
 	}
-	mine, k := s.sliceInfo()
-	target := slicing.KeySlice(m.Key, k)
+	v := n.routeSnap.Load()
+	target := slicing.KeySlice(m.Key, v.sliceCount)
 
-	if mine == target {
+	if v.slice == target {
 		// A buffered put for this key must be applied before the
 		// delete, or the commit would resurrect the object.
 		s.commit(ctx)
@@ -745,15 +730,15 @@ func (n *Node) onDelete(ctx context.Context, s *dataShard, from transport.NodeID
 			s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Key, 0, 0)
 			fwd := *m
 			fwd.Intra, fwd.OriginAddr = true, "" // no mate acks an intra copy
-			fwd.TTL = s.intraTTL()
-			s.relayIntra(ctx, from, &fwd)
+			fwd.TTL = v.intraTTL
+			s.relayIntra(ctx, v, from, &fwd)
 			return
 		}
 		if m.TTL > 0 {
 			s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Key, 0, 0)
 			fwd := *m
 			fwd.TTL--
-			s.relayIntra(ctx, from, &fwd)
+			s.relayIntra(ctx, v, from, &fwd)
 		}
 		return
 	}
@@ -762,7 +747,7 @@ func (n *Node) onDelete(ctx context.Context, s *dataShard, from transport.NodeID
 		return
 	}
 	s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Key, 0, 0)
-	s.relayGlobal(ctx, from, target, m.Flood, m.TTL, s.putTTL, func(next uint8, flood bool) interface{} {
+	s.relayGlobal(ctx, v, from, target, m.Flood, m.TTL, v.putTTL, func(next uint8, flood bool) interface{} {
 		fwd := *m
 		fwd.TTL, fwd.Flood = next, flood
 		return &fwd
@@ -781,10 +766,10 @@ func (n *Node) onDeleteBatch(ctx context.Context, s *dataShard, from transport.N
 	if len(m.Items) == 0 {
 		return
 	}
-	mine, k := s.sliceInfo()
-	target := slicing.KeySlice(m.Items[0].Key, k)
+	v := n.routeSnap.Load()
+	target := slicing.KeySlice(m.Items[0].Key, v.sliceCount)
 
-	if mine == target {
+	if v.slice == target {
 		// Buffered puts must land first, or the commit would resurrect
 		// objects this batch deletes.
 		s.commit(ctx)
@@ -799,15 +784,15 @@ func (n *Node) onDeleteBatch(ctx context.Context, s *dataShard, from transport.N
 			s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Items[0].Key, 0, len(m.Items))
 			fwd := *m
 			fwd.Intra, fwd.OriginAddr = true, "" // no mate acks an intra copy
-			fwd.TTL = s.intraTTL()
-			s.relayIntra(ctx, from, &fwd)
+			fwd.TTL = v.intraTTL
+			s.relayIntra(ctx, v, from, &fwd)
 			return
 		}
 		if m.TTL > 0 {
 			s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Items[0].Key, 0, len(m.Items))
 			fwd := *m
 			fwd.TTL--
-			s.relayIntra(ctx, from, &fwd)
+			s.relayIntra(ctx, v, from, &fwd)
 		}
 		return
 	}
@@ -816,7 +801,7 @@ func (n *Node) onDeleteBatch(ctx context.Context, s *dataShard, from transport.N
 		return
 	}
 	s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Items[0].Key, 0, len(m.Items))
-	s.relayGlobal(ctx, from, target, m.Flood, m.TTL, s.putTTL, func(next uint8, flood bool) interface{} {
+	s.relayGlobal(ctx, v, from, target, m.Flood, m.TTL, v.putTTL, func(next uint8, flood bool) interface{} {
 		fwd := *m
 		fwd.TTL, fwd.Flood = next, flood
 		return &fwd
@@ -897,10 +882,10 @@ func (n *Node) onGet(ctx context.Context, s *dataShard, from transport.NodeID, m
 		s.met.Inc(metrics.DuplicatesSuppressed)
 		return
 	}
-	mine, k := s.sliceInfo()
-	target := slicing.KeySlice(m.Key, k)
+	v := n.routeSnap.Load()
+	target := slicing.KeySlice(m.Key, v.sliceCount)
 
-	if mine == target {
+	if v.slice == target {
 		// A put of this key still sitting in the window lands first; a
 		// read of any other key does not wait for a write.
 		if s.holds(m.Key) {
@@ -912,7 +897,7 @@ func (n *Node) onGet(ctx context.Context, s *dataShard, from transport.NodeID, m
 			s.traceOp(obs.TraceGetServe, m.TraceID, m.Key, len(val), 1)
 			n.learnOrigin(m.Origin, m.OriginAddr)
 			s.sendData(ctx, m.Origin, &GetReply{
-				ID: m.ID, Key: m.Key, Version: actual, Value: val, Slice: mine,
+				ID: m.ID, Key: m.Key, Version: actual, Value: val, Slice: v.slice,
 			})
 			return
 		}
@@ -922,13 +907,13 @@ func (n *Node) onGet(ctx context.Context, s *dataShard, from transport.NodeID, m
 		fwd := *m
 		if !m.Intra {
 			fwd.Intra = true
-			fwd.TTL = s.intraTTL()
+			fwd.TTL = v.intraTTL
 		} else if m.TTL == 0 {
 			return
 		} else {
 			fwd.TTL--
 		}
-		s.relayIntra(ctx, from, &fwd)
+		s.relayIntra(ctx, v, from, &fwd)
 		return
 	}
 
@@ -936,7 +921,7 @@ func (n *Node) onGet(ctx context.Context, s *dataShard, from transport.NodeID, m
 		return
 	}
 	s.traceOp(obs.TraceGetRelay, m.TraceID, m.Key, 0, 0)
-	s.relayGlobal(ctx, from, target, m.Flood, m.TTL, s.getTTL, func(next uint8, flood bool) interface{} {
+	s.relayGlobal(ctx, v, from, target, m.Flood, m.TTL, v.getTTL, func(next uint8, flood bool) interface{} {
 		fwd := *m
 		fwd.TTL, fwd.Flood = next, flood
 		return &fwd

@@ -131,12 +131,13 @@ func TestTickObservesDuration(t *testing.T) {
 }
 
 // TestTraceOpDisabledAllocs pins the acceptance requirement on the
-// event loop itself: with tracing off (nil ring) the per-request
+// data path itself: with tracing off (nil ring) the per-request
 // journal hook must not allocate.
 func TestTraceOpDisabledAllocs(t *testing.T) {
 	n, _ := staticNode(t, 9, 4)
+	s := n.shards[0]
 	allocs := testing.AllocsPerRun(1000, func() {
-		n.traceOp(obs.TracePutApply, 7, "some-key", 128, 1)
+		s.traceOp(obs.TracePutApply, 7, "some-key", 128, 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("traceOp allocates %.1f times per call with tracing disabled, want 0", allocs)
@@ -149,8 +150,9 @@ func BenchmarkTraceOpDisabled(b *testing.B) {
 		Slices: 4, Slicer: SlicerStatic, SystemSize: 100,
 		AntiEntropyEvery: -1, Seed: 1,
 	}, store.NewMemory(), cap.sender(9))
+	s := n.shards[0]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n.traceOp(obs.TracePutApply, 7, "some-key", 128, 1)
+		s.traceOp(obs.TracePutApply, 7, "some-key", 128, 1)
 	}
 }

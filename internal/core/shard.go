@@ -12,21 +12,13 @@
 // concurrently, and store.Store is safe for concurrent use by
 // contract.
 //
-// Two driving modes share the handler code:
-//
-//   - inline (simulations, the default): HandleMessage calls the data
-//     handlers synchronously with the owning shard's state. Routing
-//     reads live control-plane state.
-//   - external (live nodes, in-process clusters): StartShards gives
-//     every shard a mailbox and a goroutine; DispatchData routes data
-//     envelopes to the owning shard's mailbox with a non-blocking
-//     send, and the shard handles what is queued one run at a time
-//     (drain). Routing reads the routeView snapshot.
-//
-// Either way the relay decisions (relayGlobal, relayIntra) and the put
-// path's one store write (commit) are the same code; the modes differ
-// only in where the peer and mate lists come from and in how long a
-// run is (inline: one message).
+// One runtime, whoever drives it: a data envelope is handled inside
+// drain, on its key's shard, and routes by the snapshot alone. On a
+// running node (StartShards: live nodes, in-process clusters)
+// DispatchData queues it on the shard's mailbox and the shard's
+// goroutine drains what is queued, one run at a time. On a caller-driven
+// node (simulations, bench/traced, tests) HandleMessage is that
+// goroutine: it brings the snapshot up to date and drains a run of one.
 //
 // A key's requests always hash to the same shard, so per-shard dedup
 // caches and coalescing windows lose nothing: two deliveries of one
@@ -104,9 +96,9 @@ func RequestKey(msg interface{}) (string, bool) {
 // routeView is the control plane's routing state as one immutable
 // snapshot: slice identity, gossip budgets, the mate ids intra-slice
 // relays sample from and the PSS view — each peer with the slice it
-// advertises — the global phase routes by. The control loop republishes
-// it (publishRoute) after every tick and handled control message; shard
-// goroutines load it per operation and never mutate it — sampling
+// advertises — the global phase routes by. The control plane replaces it
+// (routeChanged) after everything that can move one of these; a data
+// handler loads it once per envelope and never mutates it — sampling
 // draws indexes into the shard's scratch buffer.
 type routeView struct {
 	slice      int32
@@ -124,8 +116,8 @@ type dataShard struct {
 	n  *Node
 	id int
 
-	// mailbox carries dispatched data envelopes in external mode (nil
-	// inline). drops counts producer-side overflow.
+	// mailbox carries dispatched data envelopes once StartShards ran (nil
+	// on a caller-driven node). drops counts producer-side overflow.
 	mailbox chan transport.Envelope
 	drops   metrics.SharedCounter
 
@@ -140,8 +132,8 @@ type dataShard struct {
 	// it with the control loop's NodeMetrics (Node.Metrics).
 	met metrics.ShardCounters
 
-	// tickDur observes shard-loop flush ticks (external mode), the
-	// per-shard analogue of the node's tick histogram.
+	// tickDur observes shard-loop flush ticks, the per-shard analogue of
+	// the node's tick histogram.
 	tickDur metrics.LatencyHistogram
 
 	// coalesce is this shard's put accumulation window (see
@@ -149,12 +141,10 @@ type dataShard struct {
 	// de-duplicated by (key, version) through coalesceSeen, and the
 	// slice-entry puts of the run in progress. entries names the
 	// latter: the commit step owes each its ack and its intra-slice
-	// phase. draining is set while the shard loop handles a run, whose
-	// entry puts wait for its one commit; otherwise each commits at once.
+	// phase, at the end of the run.
 	coalesce     []store.Object
 	coalesceSeen map[objRef]struct{}
 	entries      []entryPut
-	draining     bool
 }
 
 // entryPut is a collected slice-entry put: the request, the peer it
@@ -196,9 +186,8 @@ func (n *Node) shardFor(key string) *dataShard {
 	return n.shards[shardIndex(key, len(n.shards))]
 }
 
-// handleData dispatches one data-plane envelope on shard s. The caller
-// is either HandleMessage (inline mode) or the shard's own loop. The
-// handlers get the sender so a relay never hands a request straight
+// handleData dispatches one data-plane envelope of a run on shard s.
+// The handlers get the sender so a relay never hands a request straight
 // back to the peer it came from.
 func (n *Node) handleData(ctx context.Context, s *dataShard, env transport.Envelope) {
 	switch m := env.Msg.(type) {
@@ -219,8 +208,8 @@ func (n *Node) handleData(ctx context.Context, s *dataShard, env transport.Envel
 // shard gets a mailbox and a loop that handles dispatched envelopes
 // and commits its coalescing window once per round period. ctx bounds
 // the sends shard handlers make (acks, replies, relays); the owner
-// must keep it alive until StopShards returns, or draining could not
-// ack what it applies. Call at most once, before messages flow.
+// must keep it alive until StopShards returns, or the final drain could
+// not ack what it applies. Call at most once, before messages flow.
 func (n *Node) StartShards(ctx context.Context) {
 	if n.external.Load() {
 		panic("core: StartShards called twice")
@@ -258,8 +247,8 @@ func (n *Node) StopShards() {
 
 // DispatchData routes a data-plane envelope to its owning shard's
 // mailbox. It reports false when the caller must deliver the envelope
-// to HandleMessage instead: shards are not running externally, or the
-// message is not data-plane. Safe from any goroutine: fabric handlers
+// to HandleMessage instead: the node is caller-driven, or the message is
+// not data-plane. Safe from any goroutine: fabric handlers
 // call it first and fall back to the control loop's mailbox when it
 // declines, so a get or a put never waits behind a Tick. A full shard
 // mailbox drops the message and counts it.
@@ -308,9 +297,9 @@ func (n *Node) runShard(ctx context.Context, s *dataShard) {
 // The run's slice-entry puts share one commit, so with W puts in flight
 // a shard pays about one group-commit wait per wake-up, not one per put.
 // Relay copies alone do not end a run with a commit: they keep waiting
-// for the tick or a later entry put's.
+// for the tick or a later entry put's. A caller-driven node has no
+// mailbox: its runs are one envelope long.
 func (n *Node) drain(ctx context.Context, s *dataShard, env transport.Envelope) {
-	s.draining = true
 	for more := min(len(s.mailbox), n.cfg.CoalesceMax-1); ; more-- {
 		s.met.Inc(metrics.MsgRecv)
 		n.handleData(ctx, s, env)
@@ -319,7 +308,6 @@ func (n *Node) drain(ctx context.Context, s *dataShard, env transport.Envelope) 
 		}
 		env = <-s.mailbox
 	}
-	s.draining = false
 	if len(s.entries) > 0 {
 		s.commit(ctx)
 	}
@@ -340,11 +328,12 @@ func (n *Node) drainShard(ctx context.Context, s *dataShard) {
 	}
 }
 
-// publishRoute snapshots the control plane's routing state for shard
-// goroutines. Only meaningful in external mode; the control loop calls
-// it after ticks and control messages (cheap enough there — control
-// traffic is a few messages per round).
+// publishRoute replaces the routing snapshot with the control plane's
+// present state. It and the control plane are the only readers of the
+// slicer, the PSS view, the intra view and the node's TTL and fanout
+// arithmetic; the data handlers read what it stored.
 func (n *Node) publishRoute() {
+	n.routeStale = false
 	n.routeSnap.Store(&routeView{
 		slice:      n.currentSlice(),
 		sliceCount: n.slicer.SliceCount(),
@@ -357,55 +346,28 @@ func (n *Node) publishRoute() {
 	})
 }
 
-// sliceInfo returns the slice claim and slice count the data path must
-// route by: the published snapshot when shards run externally, the
-// live slicer inline.
-func (s *dataShard) sliceInfo() (int32, int) {
-	if v := s.n.routeSnap.Load(); v != nil {
-		return v.slice, v.sliceCount
+// routeChanged follows everything that can move a routing input: a tick,
+// a handled control message, Bootstrap, SetSliceCount. With shard
+// goroutines reading the snapshot it is replaced at once. On a
+// caller-driven node nobody reads it before the caller's next data
+// envelope or Slice call, and control messages outnumber those many
+// times over in a simulation, so it is only marked stale and freshRoute
+// rebuilds it then.
+func (n *Node) routeChanged() {
+	if n.external.Load() {
+		n.publishRoute()
+	} else {
+		n.routeStale = true
 	}
-	return s.n.currentSlice(), s.n.slicer.SliceCount()
 }
 
-func (s *dataShard) putTTL() uint8 {
-	if v := s.n.routeSnap.Load(); v != nil {
-		return v.putTTL
+// freshRoute brings a caller-driven node's snapshot up to date. The
+// stale mark is the driving goroutine's alone: a running node never
+// reads it.
+func (n *Node) freshRoute() {
+	if n.routeStale {
+		n.publishRoute()
 	}
-	return s.n.putTTL()
-}
-
-func (s *dataShard) getTTL() uint8 {
-	if v := s.n.routeSnap.Load(); v != nil {
-		return v.getTTL
-	}
-	return s.n.getTTL()
-}
-
-func (s *dataShard) intraTTL() uint8 {
-	if v := s.n.routeSnap.Load(); v != nil {
-		return v.intraTTL
-	}
-	return s.n.intraTTL()
-}
-
-// globalRoute returns what the global phase routes by — the PSS view
-// with every peer's advertised slice, and the epidemic fanout — from
-// the published snapshot when shards run externally, from the live
-// protocol inline.
-func (s *dataShard) globalRoute() ([]pss.Descriptor, int) {
-	if v := s.n.routeSnap.Load(); v != nil {
-		return v.peers, v.fanout
-	}
-	return s.n.pssP.View(), s.n.fanout()
-}
-
-// mates returns the intra-slice view's member ids, snapshot or live
-// like globalRoute.
-func (s *dataShard) mates() []transport.NodeID {
-	if v := s.n.routeSnap.Load(); v != nil {
-		return v.mates
-	}
-	return s.n.intra.IDs()
 }
 
 // sample draws up to k distinct indexes of [0, n) uniformly without
@@ -446,7 +408,7 @@ func (s *dataShard) hinted(peers []pss.Descriptor, target int32, from transport.
 
 // relayGlobal forwards a request in its global phase. ttl is the
 // request's own: TTLUnset on the first hop from a client, which stamps
-// budget() — clients know neither the system size nor the slice count.
+// budget — clients know neither the system size nor the slice count.
 //
 // When the view names peers that advertise the target slice (the
 // sender excepted), the request goes to ONE of them, chosen uniformly,
@@ -463,16 +425,16 @@ func (s *dataShard) hinted(peers []pss.Descriptor, target int32, from transport.
 // fanout random peers as the paper has it. build constructs the
 // forwarded copy given the decremented TTL and its Flood flag; one copy
 // is shared across peers because receivers never mutate messages.
-func (s *dataShard) relayGlobal(ctx context.Context, from transport.NodeID, target int32, flood bool, ttl uint8,
-	budget func() uint8, build func(ttl uint8, flood bool) interface{}) {
+func (s *dataShard) relayGlobal(ctx context.Context, v *routeView, from transport.NodeID, target int32, flood bool, ttl uint8,
+	budget uint8, build func(ttl uint8, flood bool) interface{}) {
 	first := ttl == TTLUnset
 	if first {
-		ttl = budget()
+		ttl = budget
 	}
 	if ttl == 0 {
 		return
 	}
-	peers, fanout := s.globalRoute()
+	peers, fanout := v.peers, v.fanout
 	if len(peers) == 0 {
 		return
 	}
@@ -505,8 +467,8 @@ func (s *dataShard) relayGlobal(ctx context.Context, from transport.NodeID, targ
 // the echo could only be suppressed on arrival (in a two-node slice it
 // was one certain duplicate per put). Further back than one hop the
 // request does not say where it has been; the dedup cache covers that.
-func (s *dataShard) relayIntra(ctx context.Context, from transport.NodeID, fwd interface{}) {
-	mates := s.mates()
+func (s *dataShard) relayIntra(ctx context.Context, v *routeView, from transport.NodeID, fwd interface{}) {
+	mates := v.mates
 	skip := -1
 	for i, id := range mates {
 		if id == from {
@@ -545,8 +507,7 @@ func (s *dataShard) sendData(ctx context.Context, to transport.NodeID, msg inter
 }
 
 // countSendErr mirrors Node.countSendErr with the shard's counters.
-// Config.OnSendErr must be safe for concurrent use when shards run
-// externally.
+// Config.OnSendErr must be safe for concurrent use once StartShards ran.
 func (s *dataShard) countSendErr(err error) {
 	s.met.Inc(metrics.WireSendErrors)
 	if s.n.cfg.OnSendErr != nil {
@@ -588,14 +549,11 @@ func (s *dataShard) coalescePut(ctx context.Context, key string, version uint64,
 	}
 }
 
-// collectPut files a slice-entry put in the window. Outside a drain the
-// run is this one put, so it commits at once.
-func (s *dataShard) collectPut(ctx context.Context, from transport.NodeID, m *PutRequest) {
+// collectPut files a slice-entry put in the window; the run's commit
+// (drain) stores and acks it.
+func (s *dataShard) collectPut(from transport.NodeID, m *PutRequest) {
 	s.entries = append(s.entries, entryPut{m: m, from: from, at: len(s.coalesce)})
 	s.coalesce = append(s.coalesce, store.Object{Key: m.Key, Version: m.Version, Value: m.Value})
-	if !s.draining {
-		s.commit(ctx)
-	}
 }
 
 // holds reports whether the window has an object of key: a get of such
@@ -673,6 +631,7 @@ func batchedRelay(m *PutRequest) bool {
 // and one relay decision for all of them, filed by the mate in its own
 // window. A lone put goes as the PutRequest{Intra} copy it always was.
 func (s *dataShard) relayEntries(ctx context.Context, entries []entryPut) {
+	v := s.n.routeSnap.Load()
 	var objs []store.Object
 	if len(entries) > 1 {
 		for _, e := range entries {
@@ -689,18 +648,18 @@ func (s *dataShard) relayEntries(ctx context.Context, entries []entryPut) {
 			s.traceOp(obs.TracePutRelay, m.TraceID, m.Key, 0, 0)
 			fwd := *m
 			fwd.Intra, fwd.OriginAddr = true, "" // no mate acks an intra copy
-			fwd.TTL = s.intraTTL()
-			s.relayIntra(ctx, e.from, &fwd)
+			fwd.TTL = v.intraTTL
+			s.relayIntra(ctx, v, e.from, &fwd)
 		}
 	}
 	if objs != nil {
 		fwd := &PutBatchRequest{
 			ID:   gossip.MakeRequestID(s.n.id, s.n.relaySeq.Add(1)),
-			Objs: objs, TTL: s.intraTTL(), Intra: true, NoAck: true,
+			Objs: objs, TTL: v.intraTTL, Intra: true, NoAck: true,
 		}
 		s.dedup.Seen(fwd.ID)
 		// No mate handed us the batch: sparing ourselves spares nobody.
-		s.relayIntra(ctx, s.n.id, fwd)
+		s.relayIntra(ctx, v, s.n.id, fwd)
 	}
 }
 
@@ -728,11 +687,7 @@ func (n *Node) ShardDepth(i int) int {
 	if i < 0 || i >= len(n.shards) {
 		return 0
 	}
-	s := n.shards[i]
-	if s.mailbox == nil {
-		return 0
-	}
-	return len(s.mailbox)
+	return len(n.shards[i].mailbox) // a nil channel's length is 0
 }
 
 // ShardTickDurations exposes shard i's flush-tick histogram (atomic;

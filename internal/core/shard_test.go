@@ -12,6 +12,7 @@ import (
 	"dataflasks/internal/gossip"
 	"dataflasks/internal/leakcheck"
 	"dataflasks/internal/metrics"
+	"dataflasks/internal/pss"
 	"dataflasks/internal/store"
 	"dataflasks/internal/transport"
 )
@@ -21,14 +22,19 @@ import (
 // stores synchronously. The discard sender swallows relays and acks.
 func shardedNode(t *testing.T, st store.Store, shards int) *Node {
 	t.Helper()
-	cfg := Config{
+	discard := transport.SenderFunc(func(context.Context, transport.NodeID, interface{}) error { return nil })
+	return shardedNodeTo(t, st, shards, discard)
+}
+
+// shardedNodeTo is shardedNode with the fabric the test wants.
+func shardedNodeTo(t *testing.T, st store.Store, shards int, out transport.Sender) *Node {
+	t.Helper()
+	return NewNode(1, Config{
 		Slices:     1,
 		Slicer:     SlicerStatic,
 		DataShards: shards,
 		Seed:       7,
-	}
-	discard := transport.SenderFunc(func(context.Context, transport.NodeID, interface{}) error { return nil })
-	return NewNode(1, cfg, st, discard)
+	}, st, out)
 }
 
 func putEnv(id uint64, key string, version uint64) transport.Envelope {
@@ -384,68 +390,131 @@ func TestShardHammer(t *testing.T) {
 	leakcheck.Check(t, before)
 }
 
+// sentAs names what a data-plane message handed to the fabric carries,
+// one entry per object: acks, replies and intra-slice relay copies by
+// kind, key and version. A run's batched relay counts as the copies it
+// holds, so legs whose runs differ in length stay comparable; control
+// traffic names nothing.
+func sentAs(msg interface{}) []string {
+	switch m := msg.(type) {
+	case *PutAck:
+		return []string{fmt.Sprintf("put-ack %s v%d", m.Key, m.Version)}
+	case *DeleteAck:
+		return []string{fmt.Sprintf("delete-ack %s v%d", m.Key, m.Version)}
+	case *GetReply:
+		return []string{fmt.Sprintf("get-reply %s v%d", m.Key, m.Version)}
+	case *PutRequest:
+		return []string{fmt.Sprintf("put-relay %s v%d intra=%v", m.Key, m.Version, m.Intra)}
+	case *PutBatchRequest:
+		out := make([]string, len(m.Objs))
+		for i, o := range m.Objs {
+			out[i] = fmt.Sprintf("put-relay %s v%d intra=%v", o.Key, o.Version, m.Intra)
+		}
+		return out
+	case *DeleteRequest:
+		return []string{fmt.Sprintf("delete-relay %s v%d intra=%v", m.Key, m.Version, m.Intra)}
+	case *GetRequest:
+		return []string{fmt.Sprintf("get-relay %s intra=%v", m.Key, m.Intra)}
+	}
+	return nil
+}
+
 // TestShardEquivalenceSingleVsMany feeds the same single-node workload
-// through 1 shard and 8 shards (external mode both times) and demands
-// identical converged store contents — keys, versions and values.
+// — acked puts, deletes and gets on a node with one slice-mate — through
+// 1 shard and 8 shards on their own goroutines, and through HandleMessage
+// on a caller-driven node, and demands of all three the same converged
+// store (keys, versions, values) and the same multiset of messages handed
+// to the fabric: the legs differ only in who drives the shards.
 func TestShardEquivalenceSingleVsMany(t *testing.T) {
-	run := func(shards int) store.Store {
-		st := store.NewMemory()
-		n := shardedNode(t, st, shards)
+	type outcome struct {
+		st   store.Store
+		sent map[string]int
+	}
+	const client = transport.NodeID(0xC0000001)
+	run := func(shards int, started bool) outcome {
+		out := outcome{st: store.NewMemory(), sent: map[string]int{}}
+		var mu sync.Mutex
+		n := shardedNodeTo(t, out.st, shards, transport.SenderFunc(
+			func(_ context.Context, _ transport.NodeID, msg interface{}) error {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, what := range sentAs(msg) {
+					out.sent[what]++
+				}
+				return nil
+			}))
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		n.StartShards(ctx)
-		// Single-producer backpressure: never outrun a shard's mailbox,
-		// so no envelope is dropped and both runs see the same
-		// per-key operation order.
-		dispatch := func(env transport.Envelope) {
-			key, _ := RequestKey(env.Msg)
-			si := shardIndex(key, shards)
-			for n.ShardDepth(si) >= n.ShardMailboxCapacity()-1 {
-				time.Sleep(100 * time.Microsecond)
-			}
-			if !n.DispatchData(env) {
-				t.Fatal("dispatch declined in external mode")
+		n.HandleMessage(ctx, transport.Envelope{From: 9, To: 1, Msg: &MateReply{
+			Slice: 0, Mates: []pss.Descriptor{{ID: 9, Slice: 0}},
+		}})
+		deliver := func(env transport.Envelope) { n.HandleMessage(ctx, env) }
+		if started {
+			n.StartShards(ctx)
+			// Single-producer backpressure: never outrun a shard's mailbox,
+			// so no envelope is dropped and every leg sees the same
+			// per-key operation order.
+			deliver = func(env transport.Envelope) {
+				key, _ := RequestKey(env.Msg)
+				si := shardIndex(key, shards)
+				for n.ShardDepth(si) >= n.ShardMailboxCapacity()-1 {
+					time.Sleep(100 * time.Microsecond)
+				}
+				if !n.DispatchData(env) {
+					t.Fatal("dispatch declined on a started node")
+				}
 			}
 		}
 		for i := 0; i < 3000; i++ {
 			key := fmt.Sprintf("eq-%d", i%300)
-			var env transport.Envelope
-			id := uint64(i + 1)
+			id := gossip.RequestID(i + 1)
+			var msg interface{}
 			switch i % 7 {
 			case 6:
-				env = transport.Envelope{From: 2, To: 1, Msg: &DeleteRequest{
-					ID: gossip.RequestID(id), Key: key, Version: uint64(i / 300), NoAck: true, TTL: TTLUnset,
-				}}
+				msg = &DeleteRequest{ID: id, Key: key, Version: uint64(i / 300), Origin: client, TTL: TTLUnset}
+			case 3:
+				msg = &GetRequest{ID: id, Key: key, Version: store.Latest, Origin: client, TTL: TTLUnset}
 			default:
-				env = transport.Envelope{From: 2, To: 1, Msg: &PutRequest{
-					ID: gossip.RequestID(id), Key: key, Version: uint64(i/300 + 1),
-					Value: []byte(key), NoAck: true, TTL: TTLUnset,
-				}}
+				msg = &PutRequest{
+					ID: id, Key: key, Version: uint64(i/300 + 1),
+					Value: []byte(key), Origin: client, TTL: TTLUnset,
+				}
 			}
-			dispatch(env)
+			deliver(transport.Envelope{From: 2, To: 1, Msg: msg})
 		}
 		n.StopShards()
 		if n.ShardDropped() != 0 {
 			t.Fatalf("%d envelopes dropped despite backpressure", n.ShardDropped())
 		}
-		return st
+		return out
 	}
-	a, b := run(1), run(8)
-	if a.Count() != b.Count() {
-		t.Fatalf("store contents diverge: 1 shard holds %d versions, 8 shards hold %d", a.Count(), b.Count())
+	one := run(1, true)
+	if len(one.sent) == 0 || one.st.Count() == 0 {
+		t.Fatalf("degenerate workload: %d kinds of message sent, %d versions stored", len(one.sent), one.st.Count())
 	}
-	var diverged bool
-	_ = a.ForEach(func(key string, version uint64) bool {
-		av, _, okA, _ := a.Get(key, version)
-		bv, _, okB, _ := b.Get(key, version)
-		if !okA || !okB || string(av) != string(bv) {
-			t.Errorf("key %q v%d: 1-shard ok=%v, 8-shard ok=%v", key, version, okA, okB)
-			diverged = true
-			return false
+	for _, leg := range []struct {
+		name string
+		got  outcome
+	}{{"8 shards", run(8, true)}, {"caller-driven", run(1, false)}} {
+		a, b := one.st, leg.got.st
+		if a.Count() != b.Count() {
+			t.Fatalf("store contents diverge: 1 shard holds %d versions, %s holds %d", a.Count(), leg.name, b.Count())
 		}
-		return true
-	})
-	if diverged {
-		t.Fatal("sharded and unsharded runs converged to different stores")
+		_ = a.ForEach(func(key string, version uint64) bool {
+			av, _, okA, _ := a.Get(key, version)
+			bv, _, okB, _ := b.Get(key, version)
+			if !okA || !okB || string(av) != string(bv) {
+				t.Fatalf("key %q v%d: 1-shard ok=%v, %s ok=%v", key, version, okA, leg.name, okB)
+			}
+			return true
+		})
+		if len(one.sent) != len(leg.got.sent) {
+			t.Errorf("1 shard sent %d distinct messages, %s %d", len(one.sent), leg.name, len(leg.got.sent))
+		}
+		for what, count := range one.sent {
+			if got := leg.got.sent[what]; got != count {
+				t.Errorf("%q: sent %d times by 1 shard, %d times by %s", what, count, got, leg.name)
+			}
+		}
 	}
 }

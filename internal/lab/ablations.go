@@ -150,8 +150,10 @@ func PutFloodAblation(n, k int, seed uint64) []PutFloodRow {
 // (§VII's "collapse the global dissemination phase", done on the node)
 // against the paper's epidemic fanout at every node.
 
-// RoutingRow is one routing policy's cost over the shared workload.
+// RoutingRow is one routing policy's cost over the shared workload at
+// one scale (N nodes, K slices).
 type RoutingRow struct {
+	N, K int
 	// Flood is true for the row whose clients force the epidemic
 	// fanout on every request.
 	Flood bool
@@ -182,6 +184,7 @@ func RoutingAblation(n, k, ops int, seed uint64) []RoutingRow {
 			Seed:    seed,
 		})
 		row := RoutingRow{
+			N: n, K: k,
 			Flood:         flood,
 			DataMsgsPerOp: stats.DataMessages.Mean * float64(c.N()) / float64(ops),
 			OK:            stats.OK,
@@ -209,46 +212,32 @@ func RoutingUnderChurn(n, k int, rate float64, ops int, seed uint64) (directed, 
 	return directed, flood
 }
 
-// RouteScale is E20's pair of rows at one (N, k).
-type RouteScale struct {
-	N, K            int
-	Directed, Flood RoutingRow
-}
-
-// RouteReport is E20 as flaskbench runs and gates it: the ablation at
-// two scales, and both policies' read availability under churn.
-type RouteReport struct {
-	Scales                    []RouteScale
-	ChurnDirected, ChurnFlood ChurnPoint
-}
-
 // WriteRoutingAblation runs E20 at flaskbench's scale (reduced under
-// quick) and writes its table.
-func WriteRoutingAblation(w io.Writer, seed uint64, quick bool) RouteReport {
+// quick) and writes its table: the ablation's rows, a directed and a
+// flood one per scale, and both policies' read availability under churn.
+func WriteRoutingAblation(w io.Writer, seed uint64, quick bool) (rows []RoutingRow, churnDirected, churnFlood ChurnPoint) {
 	title(w, "E20: routing ablation — directed global hop vs epidemic flood (§VII)")
 	ops, churnN, churnOps := 200, 500, 100
 	if quick {
 		ops, churnN, churnOps = 60, 150, 40
 	}
-	var rep RouteReport
 	fmt.Fprintf(w, "%6s %4s %10s %12s %10s %10s %6s %8s %8s\n",
 		"N", "k", "routing", "data msgs/op", "directed", "flooded", "ok", "failed", "retries")
 	for _, sc := range []struct{ n, k int }{{150, 5}, {600, 15}} {
-		rows := RoutingAblation(sc.n, sc.k, ops, seed)
-		for _, r := range rows {
-			fmt.Fprintf(w, "%6d %4d %10s %12.1f %10d %10d %6d %8d %8d\n", sc.n, sc.k,
+		pair := RoutingAblation(sc.n, sc.k, ops, seed)
+		for _, r := range pair {
+			fmt.Fprintf(w, "%6d %4d %10s %12.1f %10d %10d %6d %8d %8d\n", r.N, r.K,
 				map[bool]string{false: "directed", true: "flood"}[r.Flood],
 				r.DataMsgsPerOp, r.Directed, r.Flooded, r.OK, r.Failed, r.Retries)
 		}
-		directed, flood := rows[0], rows[1]
 		fmt.Fprintf(w, "N=%d k=%d: directed routing spends %.1fx fewer data messages per op\n",
-			sc.n, sc.k, flood.DataMsgsPerOp/directed.DataMsgsPerOp)
-		rep.Scales = append(rep.Scales, RouteScale{N: sc.n, K: sc.k, Directed: directed, Flood: flood})
+			sc.n, sc.k, pair[1].DataMsgsPerOp/pair[0].DataMsgsPerOp)
+		rows = append(rows, pair...)
 	}
 	const rate = 0.02
-	rep.ChurnDirected, rep.ChurnFlood = RoutingUnderChurn(churnN, 10, rate, churnOps, seed)
+	churnDirected, churnFlood = RoutingUnderChurn(churnN, 10, rate, churnOps, seed)
 	fmt.Fprintf(w, "read availability at %.0f%%/round churn (N=%d): directed %.1f%% (%d retries), flood %.1f%% (%d retries)\n",
-		rate*100, churnN, rep.ChurnDirected.Availability*100, rep.ChurnDirected.Retries,
-		rep.ChurnFlood.Availability*100, rep.ChurnFlood.Retries)
-	return rep
+		rate*100, churnN, churnDirected.Availability*100, churnDirected.Retries,
+		churnFlood.Availability*100, churnFlood.Retries)
+	return rows, churnDirected, churnFlood
 }

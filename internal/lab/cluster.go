@@ -15,7 +15,9 @@
 // theory checks, client-API and RESP throughput) each return plain
 // result structs that cmd/flaskbench renders — and, for the gated
 // ones, asserts on in CI. Determinism is the point: virtual time makes
-// throughput and bandwidth ratios exact enough to fail a build on.
+// throughput and bandwidth ratios exact enough to fail a build on, and
+// the Write* functions render six experiments' tables here, at
+// flaskbench's scales, so testdata/*.golden can pin their -quick runs.
 package lab
 
 import (

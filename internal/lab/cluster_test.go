@@ -138,17 +138,20 @@ func TestClusterDeterminism(t *testing.T) {
 		c.preloadBatch(cl, map[string]uint64{}, WorkloadOptions{Records: 40, ValueSize: 8, Drain: 15})
 		return c.MessagesPerNode()
 	}
-	for name, run := range map[string]func() []uint64{"puts": puts, "batched puts": batches} {
-		// Map order is the bug under test: a few runs, since two can agree by luck.
-		a := run()
+	for _, leg := range []struct {
+		name string
+		run  func() []uint64
+	}{{"puts", puts}, {"batched puts", batches}} {
+		// Map order was the bug: a few runs, since two can agree by luck.
+		a := leg.run()
 		for again := 0; again < 4; again++ {
-			b := run()
+			b := leg.run()
 			if len(a) != len(b) {
-				t.Fatalf("%s: different population: %d vs %d", name, len(a), len(b))
+				t.Fatalf("%s: different population: %d vs %d", leg.name, len(a), len(b))
 			}
 			for i := range a {
 				if a[i] != b[i] {
-					t.Fatalf("%s: node %d diverged: %d vs %d messages", name, i, a[i], b[i])
+					t.Fatalf("%s: node %d diverged: %d vs %d messages", leg.name, i, a[i], b[i])
 				}
 			}
 		}

@@ -271,18 +271,11 @@ func ChurnConvergenceCompare(opts ChurnConvergenceOptions, bloomFullEvery int) (
 	return full, bloom, ranged
 }
 
-// ChurnConvergenceReport is E17 as flaskbench runs and gates it.
-type ChurnConvergenceReport struct {
-	Full, Bloom, Ranged ChurnConvergenceResult
-	// DigestRatio is the full-header mode's digest bytes over Bloom's;
-	// SteadyRatio Bloom's converged digest bytes per node and round over
-	// ranged's (zero when the divisor is).
-	DigestRatio, SteadyRatio float64
-}
-
 // WriteChurnConvergence runs E17 at flaskbench's scale (reduced under
-// quick) and writes its table.
-func WriteChurnConvergence(w io.Writer, seed uint64, quick bool) ChurnConvergenceReport {
+// quick) and writes its table. digestRatio is the full-header mode's
+// digest bytes over Bloom's, steadyRatio Bloom's converged digest bytes
+// per node and round over ranged's (zero when the divisor is).
+func WriteChurnConvergence(w io.Writer, seed uint64, quick bool) (full, bloom, ranged ChurnConvergenceResult, digestRatio, steadyRatio float64) {
 	title(w, "E17: churn convergence — ranged vs whole-store Bloom vs full-header repair digests")
 	opts := ChurnConvergenceOptions{
 		N: 400, Slices: 10, Records: 300, KillFrac: 0.3, Rounds: 140, Seed: seed,
@@ -292,24 +285,23 @@ func WriteChurnConvergence(w io.Writer, seed uint64, quick bool) ChurnConvergenc
 			N: 150, Slices: 5, Records: 120, KillFrac: 0.3, Rounds: 110, Seed: seed,
 		}
 	}
-	var rep ChurnConvergenceReport
-	rep.Full, rep.Bloom, rep.Ranged = ChurnConvergenceCompare(opts, 12)
+	full, bloom, ranged = ChurnConvergenceCompare(opts, 12)
 
 	fmt.Fprintf(w, "%12s %10s %10s %12s %12s %14s %14s %14s\n",
 		"mode", "converged", "round", "digest KiB", "push KiB", "digest B/n/r", "steady B/n/r", "repair B/obj")
-	for _, r := range []ChurnConvergenceResult{rep.Full, rep.Bloom, rep.Ranged} {
+	for _, r := range []ChurnConvergenceResult{full, bloom, ranged} {
 		fmt.Fprintf(w, "%12s %10v %10d %12.1f %12.1f %14.1f %14.1f %14.1f\n",
 			r.Mode, r.Converged, r.ConvergedRound,
 			float64(r.DigestBytes)/1024, float64(r.PushBytes)/1024,
 			r.DigestBytesPerNodeRound, r.SteadyDigestBytesPerNodeRound, r.RepairBytesPerObject)
 	}
-	if rep.Bloom.DigestBytes > 0 {
-		rep.DigestRatio = float64(rep.Full.DigestBytes) / float64(rep.Bloom.DigestBytes)
+	if bloom.DigestBytes > 0 {
+		digestRatio = float64(full.DigestBytes) / float64(bloom.DigestBytes)
 	}
-	if rep.Ranged.SteadyDigestBytesPerNodeRound > 0 {
-		rep.SteadyRatio = rep.Bloom.SteadyDigestBytesPerNodeRound / rep.Ranged.SteadyDigestBytesPerNodeRound
+	if ranged.SteadyDigestBytesPerNodeRound > 0 {
+		steadyRatio = bloom.SteadyDigestBytesPerNodeRound / ranged.SteadyDigestBytesPerNodeRound
 	}
 	fmt.Fprintf(w, "digest bandwidth: bloom is %.1fx cheaper than full headers; converged, ranged is %.1fx cheaper than bloom\n",
-		rep.DigestRatio, rep.SteadyRatio)
-	return rep
+		digestRatio, steadyRatio)
+	return full, bloom, ranged, digestRatio, steadyRatio
 }

@@ -21,8 +21,8 @@ func TestChurnConvergenceCompare(t *testing.T) {
 			Seed:     7,
 		}, 12)
 	} else {
-		rep := quickChurnE17().res
-		full, bloom, ranged = rep.Full, rep.Bloom, rep.Ranged
+		modes := quickChurnE17().res
+		full, bloom, ranged = modes[0], modes[1], modes[2]
 	}
 
 	for _, r := range []ChurnConvergenceResult{full, bloom, ranged} {

@@ -212,15 +212,15 @@ func TestDHTClusterBasics(t *testing.T) {
 // directed hop must cut data messages per op at least 3x against the
 // forced flood, and fail no more ops.
 func TestRoutingAblationDirectedCheaper(t *testing.T) {
-	var scales []RouteScale
+	var rows []RoutingRow
 	if testing.Short() {
-		rows := RoutingAblation(150, 5, 60, 43)
-		scales = []RouteScale{{N: 150, K: 5, Directed: rows[0], Flood: rows[1]}}
+		rows = RoutingAblation(150, 5, 60, 43)
 	} else {
-		scales = quickRoute().res.Scales
+		rows = quickRoute().res
 	}
-	for _, sc := range scales {
-		directed, flood := sc.Directed, sc.Flood
+	for i := 0; i+1 < len(rows); i += 2 {
+		directed, flood := rows[i], rows[i+1]
+		sc := directed // the pair's scale
 		t.Logf("N=%d k=%d: directed %.1f msgs/op (hops %d directed, %d flooded, %d retries, %d failed), flood %.1f msgs/op (%d failed)",
 			sc.N, sc.K, directed.DataMsgsPerOp, directed.Directed, directed.Flooded, directed.Retries, directed.Failed,
 			flood.DataMsgsPerOp, flood.Failed)

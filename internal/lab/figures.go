@@ -5,31 +5,24 @@ import (
 	"io"
 
 	"dataflasks/internal/core"
-	"dataflasks/internal/metrics"
 )
 
 // DefaultNs is the paper's node-count sweep (§VI).
 var DefaultNs = []int{500, 1000, 1500, 2000, 2500, 3000}
-
-// quickNs is the figures' reduced sweep: flaskbench -quick's, and so
-// the goldens'.
-var quickNs = []int{200, 400, 600}
 
 // title heads one experiment's table in flaskbench's output.
 func title(w io.Writer, format string, args ...interface{}) {
 	fmt.Fprintf(w, "\n=== "+format+" ===\n", args...)
 }
 
-// figureNs resolves a figure's sweep: the caller's override, else the
-// scale's own.
+// figureNs resolves a figure's sweep: the caller's, else the reduced one
+// under quick (flaskbench -quick's, and so the goldens'), else nil —
+// FigureOptions' default, the paper's.
 func figureNs(ns []int, quick bool) []int {
-	switch {
-	case len(ns) > 0:
-		return ns
-	case quick:
-		return quickNs
+	if len(ns) == 0 && quick {
+		return []int{200, 400, 600}
 	}
-	return DefaultNs
+	return ns
 }
 
 // FigureOptions tunes the two headline experiments.
@@ -80,9 +73,7 @@ type FigureRow struct {
 
 // FigureResult is a regenerated figure.
 type FigureResult struct {
-	Name   string
-	Rows   []FigureRow
-	Series metrics.Series
+	Rows []FigureRow
 }
 
 // MessagesAt runs one (N, slices) configuration and returns its row.
@@ -121,12 +112,9 @@ func MessagesAt(n, slices int, opts FigureOptions) FigureRow {
 // shape: roughly flat — extra nodes only deepen replication.
 func Figure3(opts FigureOptions) FigureResult {
 	opts.defaults()
-	res := FigureResult{Name: "Figure 3: messages per node, constant slices"}
-	res.Series.Name = res.Name
+	var res FigureResult
 	for _, n := range opts.Ns {
-		row := MessagesAt(n, opts.Slices, opts)
-		res.Rows = append(res.Rows, row)
-		res.Series.Append(float64(n), row.MsgsPerNode)
+		res.Rows = append(res.Rows, MessagesAt(n, opts.Slices, opts))
 	}
 	return res
 }
@@ -138,16 +126,13 @@ func Figure3(opts FigureOptions) FigureResult {
 // discovery works harder as slices get scarce.
 func Figure4(opts FigureOptions) FigureResult {
 	opts.defaults()
-	res := FigureResult{Name: "Figure 4: messages per node, slices proportional to nodes"}
-	res.Series.Name = res.Name
+	var res FigureResult
 	for _, n := range opts.Ns {
 		k := n / opts.ReplicationFactor
 		if k < 1 {
 			k = 1
 		}
-		row := MessagesAt(n, k, opts)
-		res.Rows = append(res.Rows, row)
-		res.Series.Append(float64(n), row.MsgsPerNode)
+		res.Rows = append(res.Rows, MessagesAt(n, k, opts))
 	}
 	return res
 }

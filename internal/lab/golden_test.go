@@ -35,11 +35,17 @@ var (
 	quickFig4 = memoQuick(func(w io.Writer, seed uint64, quick bool) FigureResult {
 		return WriteFigure4(w, nil, seed, quick)
 	})
-	quickRoute     = memoQuick(WriteRoutingAblation)
-	quickLB        = memoQuick(WriteLoadBalancerAblation)
-	quickChurnE5   = memoQuick(WriteAvailabilityUnderChurn)
-	quickChurnE17  = memoQuick(WriteChurnConvergence)
-	quickPipelines = memoQuick(WritePipelineComparison)
+	quickRoute = memoQuick(func(w io.Writer, seed uint64, quick bool) []RoutingRow {
+		rows, _, _ := WriteRoutingAblation(w, seed, quick)
+		return rows
+	})
+	quickLB       = memoQuick(WriteLoadBalancerAblation)
+	quickChurnE5  = memoQuick(WriteAvailabilityUnderChurn)
+	quickChurnE17 = memoQuick(func(w io.Writer, seed uint64, quick bool) [3]ChurnConvergenceResult {
+		full, bloom, ranged, _, _ := WriteChurnConvergence(w, seed, quick)
+		return [3]ChurnConvergenceResult{full, bloom, ranged}
+	})
+	quickPipeline = memoQuick(WritePipelineComparison)
 )
 
 // TestGoldenTables holds what flaskbench -exp <name> -quick -seed 42
@@ -61,7 +67,7 @@ func TestGoldenTables(t *testing.T) {
 		{"lb", func() string { return quickLB().table }},
 		{"churn_e5", func() string { return quickChurnE5().table }},
 		{"churn_e17", func() string { return quickChurnE17().table }},
-		{"pipeline", func() string { return quickPipelines().table }},
+		{"pipeline", func() string { return quickPipeline().table }},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			got, path := g.table(), filepath.Join("testdata", g.name+".golden")

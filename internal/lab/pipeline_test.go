@@ -127,7 +127,7 @@ func TestBatchPutConvergesViaSinglePutBatch(t *testing.T) {
 // 5x faster (virtual wall-clock) than one-blocking-op-at-a-time, at
 // the same ack level.
 func TestPipelineComparisonSpeedup(t *testing.T) {
-	rows := quickPipelines().res
+	rows := quickPipeline().res
 	byMode := map[string]PipelineRow{}
 	for _, r := range rows {
 		byMode[r.Mode] = r
