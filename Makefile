@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build examples test race goldens bench bench-module smoke fmt vet check lint ci
+.PHONY: all build examples test race goldens goldens-check bench bench-module smoke fmt vet check lint ci
 
 all: build
 
@@ -29,6 +29,12 @@ race:
 # Only for a change that is meant to move them; go test ./... compares.
 goldens:
 	$(GO) test ./internal/lab -run Golden -update
+
+# goldens-check compares the pinned lab tables and wire frames: what a
+# behaviour-preserving change rests on. TestGoldenTables skips under
+# -short, so the race target never reaches it.
+goldens-check:
+	$(GO) test -count=1 -run 'TestGoldenTables|TestGoldenFrames' ./internal/lab ./internal/wire
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
@@ -80,4 +86,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet lint build examples race bench-module bench smoke
+ci: fmt vet lint build examples race goldens-check bench-module bench smoke

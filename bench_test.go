@@ -351,7 +351,7 @@ func BenchmarkTCPDeliver(b *testing.B) {
 		tx.Learn(1, rx.Addr())
 		senders[i] = tx.Sender()
 	}
-	msg := &core.GetRequest{ID: gossip.MakeRequestID(3, 1), Key: "key00000001", Origin: 3, TTL: 4}
+	msg := &core.GetRequest{Routing: core.Routing{ID: gossip.MakeRequestID(3, 1), Origin: 3, TTL: 4}, Key: "key00000001"}
 	b.ResetTimer()
 	for i, tx := range senders {
 		n := b.N / peers
@@ -496,9 +496,8 @@ func BenchmarkNodeHandlePut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.HandleMessage(context.Background(), transport.Envelope{From: 2, To: 1, Msg: &core.PutRequest{
-			ID:  gossip.MakeRequestID(3, uint32(i)),
-			Key: fmt.Sprintf("key%08d", i%4096), Version: uint64(i), Value: val,
-			TTL: 4, NoAck: true,
+			Routing: core.Routing{ID: gossip.MakeRequestID(3, uint32(i)), TTL: 4, NoAck: true},
+			Key:     fmt.Sprintf("key%08d", i%4096), Version: uint64(i), Value: val,
 		}})
 	}
 }

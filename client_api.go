@@ -37,10 +37,11 @@ var ErrInFlight = errors.New("dataflasks: operation in flight")
 // epidemic read has no authoritative negative).
 var ErrTimeout = client.ErrTimeout
 
-// ErrKeyTooLong reports a write whose key exceeds the 128 bytes every
-// replica's store accepts. The client refuses it before sending
-// anything: replicas would refuse it too and acknowledge nothing, which
-// the caller could only observe as a timeout.
+// ErrKeyTooLong reports a key that exceeds the 128 bytes every replica's
+// store accepts. The client refuses the operation before sending
+// anything: replicas would refuse a write too and acknowledge nothing,
+// which the caller could only observe as a timeout, and none can hold
+// what a read asks for — a read's error is ErrNotFound as well.
 var ErrKeyTooLong = store.ErrKeyTooLong
 
 // Client is the client API (paper §V): operations go to a contact node
@@ -484,6 +485,10 @@ func (c *Client) PutAsync(key string, version uint64, value []byte, opts ...OpOp
 // GetAsync starts reading (key, version) — version may be Latest — and
 // returns its future; read the outcome with Value and Version.
 func (c *Client) GetAsync(key string, version uint64, opts ...OpOption) *Op {
+	if err := store.CheckKey(key); err != nil {
+		// No replica can hold it: the one miss known without asking.
+		return c.failedOp(kindGet, key, version, fmt.Errorf("%w: %w", ErrNotFound, err))
+	}
 	settings := c.resolveSettings(opts)
 	op := c.newOp(kindGet, key, version)
 	if err := c.submit(func() {

@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"time"
 
@@ -119,26 +120,23 @@ func NewCluster(n int, cfg Config, opts ...ClusterOption) (*Cluster, error) {
 	rng := sim.RNG(cfg.Seed, 0xb007)
 	ids := c.nodeIDsLocked()
 	for _, id := range ids {
-		seeds := make([]NodeID, 0, 5)
-		for len(seeds) < 5 && len(seeds) < len(ids)-1 {
-			cand := ids[rng.IntN(len(ids))]
-			if cand == id || containsID(seeds, cand) {
-				continue
-			}
-			seeds = append(seeds, cand)
-		}
-		c.nodes[id].Bootstrap(seeds)
+		c.nodes[id].Bootstrap(pickSeeds(rng, ids, id))
 	}
 	return c, nil
 }
 
-func containsID(ids []NodeID, id NodeID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
+// pickSeeds draws up to five distinct bootstrap contacts for self from
+// ids, uniformly.
+func pickSeeds(rng *rand.Rand, ids []NodeID, self NodeID) []NodeID {
+	seeds := make([]NodeID, 0, 5)
+	for len(seeds) < 5 && len(seeds) < len(ids)-1 {
+		cand := ids[rng.IntN(len(ids))]
+		if cand == self || slices.Contains(seeds, cand) {
+			continue
 		}
+		seeds = append(seeds, cand)
 	}
-	return false
+	return seeds
 }
 
 // addNodeLocked creates and registers a node (not yet running). The
@@ -254,16 +252,8 @@ func (c *Cluster) nodeIDsLocked() []NodeID {
 	for id := range c.nodes {
 		ids = append(ids, id)
 	}
-	sortNodeIDs(ids)
+	slices.Sort(ids)
 	return ids
-}
-
-func sortNodeIDs(ids []NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // AddNode grows the cluster by one bootstrapped node (usable while
@@ -278,17 +268,7 @@ func (c *Cluster) AddNode() (NodeID, error) {
 	if err != nil {
 		return 0, err
 	}
-	ids := c.nodeIDsLocked()
-	rng := sim.RNG(c.cfg.Seed, uint64(id))
-	seeds := make([]NodeID, 0, 5)
-	for len(seeds) < 5 && len(seeds) < len(ids)-1 {
-		cand := ids[rng.IntN(len(ids))]
-		if cand == id || containsID(seeds, cand) {
-			continue
-		}
-		seeds = append(seeds, cand)
-	}
-	c.nodes[id].Bootstrap(seeds)
+	c.nodes[id].Bootstrap(pickSeeds(sim.RNG(c.cfg.Seed, uint64(id)), c.nodeIDsLocked(), id))
 	if run != nil {
 		// On a running cluster the loop launches only now, after the
 		// bootstrap seeding above — the loop goroutine reads protocol
@@ -367,7 +347,7 @@ func (c *Cluster) DumpStore(id NodeID) (map[string][]uint64, error) {
 		return nil, err
 	}
 	for _, vs := range out {
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+		slices.Sort(vs)
 	}
 	return out, nil
 }

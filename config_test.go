@@ -160,6 +160,8 @@ func TestPutRejectsReservedVersion(t *testing.T) {
 // store accepts fails every write path at once with ErrKeyTooLong and
 // nothing reaches the fabric. Sent to the replicas it would be refused
 // by each, acknowledged by none, and cost the caller its whole deadline.
+// A read of one is the miss no replica needs asking about: ErrNotFound
+// (what callers branch on) and ErrKeyTooLong (why) at once.
 func TestOversizedKeyRefusedBeforeSending(t *testing.T) {
 	// Never started: no gossip, so every fabric send is the client's.
 	c, err := NewCluster(3, Config{Slices: 1})
@@ -189,8 +191,16 @@ func TestOversizedKeyRefusedBeforeSending(t *testing.T) {
 			t.Errorf("PutBatchAsync resolved to %v, want ErrKeyTooLong at once", err)
 		}
 	}
+	for name, op := range map[string]*Op{"GetAsync": cl.GetAsync(long, 1), "GetLatestAsync": cl.GetLatestAsync(long)} {
+		if err := op.Err(); !errors.Is(err, ErrNotFound) || !errors.Is(err, ErrKeyTooLong) {
+			t.Errorf("%s resolved to %v, want ErrNotFound and ErrKeyTooLong at once", name, err)
+		}
+	}
+	if _, err := cl.Get(ctx, long, 1); !errors.Is(err, ErrNotFound) || !errors.Is(err, ErrKeyTooLong) {
+		t.Errorf("Get = %v, want ErrNotFound and ErrKeyTooLong", err)
+	}
 	if sent := c.net.Stats().Sent; sent != 0 {
-		t.Errorf("refused writes cost %d fabric sends, want 0", sent)
+		t.Errorf("refused operations cost %d fabric sends, want 0", sent)
 	}
 	// The bound is exact, and the counter does see a client's send.
 	cl.PutAsync(strings.Repeat("k", store.MaxKeyLen), 1, nil)

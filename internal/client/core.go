@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dataflasks/internal/core"
@@ -226,7 +227,7 @@ func (c *Core) resolve(op *pending, opts Opts) {
 	} else if opts.Acks < 0 {
 		op.wantAcks = 0
 	}
-	op.noAck = op.wantAcks == 0
+	op.noAck = op.countsAcks() && op.wantAcks == 0
 	op.timeoutTicks = c.cfg.TimeoutTicks
 	if opts.TimeoutTicks > 0 {
 		op.timeoutTicks = opts.TimeoutTicks
@@ -242,6 +243,19 @@ func (c *Core) resolve(op *pending, opts Opts) {
 		op.kind == opDelete || op.kind == opDeleteBatch
 }
 
+// start resolves op's knobs and issues its first attempt; a
+// fire-and-forget write completes at once. It returns the first
+// attempt's request id.
+func (c *Core) start(op *pending, opts Opts, done func(Result)) gossip.RequestID {
+	op.ackFrom, op.done = make(map[transport.NodeID]bool), done
+	c.resolve(op, opts)
+	c.launch(op)
+	if op.noAck {
+		c.complete(op, Result{ID: op.id, Key: op.key, Version: op.version})
+	}
+	return op.id
+}
+
 // StartPut begins an asynchronous put with the config defaults; done
 // runs when enough acks arrive or retries are exhausted. It returns the
 // first attempt's request id.
@@ -251,21 +265,8 @@ func (c *Core) StartPut(key string, version uint64, value []byte, done func(Resu
 
 // StartPutOpts begins an asynchronous put with per-op overrides.
 func (c *Core) StartPutOpts(key string, version uint64, value []byte, opts Opts, done func(Result)) gossip.RequestID {
-	op := &pending{
-		kind:    opPut,
-		key:     key,
-		version: version,
-		value:   append([]byte(nil), value...),
-		ackFrom: make(map[transport.NodeID]bool),
-		done:    done,
-	}
-	c.resolve(op, opts)
-	c.launch(op)
-	if op.noAck {
-		// Fire-and-forget: complete immediately.
-		c.complete(op, Result{ID: op.id, Key: key, Version: version})
-	}
-	return op.id
+	value = append([]byte(nil), value...)
+	return c.start(&pending{kind: opPut, key: key, version: version, value: value}, opts, done)
 }
 
 // StartGet begins an asynchronous get; version may be store.Latest.
@@ -275,35 +276,14 @@ func (c *Core) StartGet(key string, version uint64, done func(Result)) gossip.Re
 
 // StartGetOpts begins an asynchronous get with per-op overrides.
 func (c *Core) StartGetOpts(key string, version uint64, opts Opts, done func(Result)) gossip.RequestID {
-	op := &pending{
-		kind:    opGet,
-		key:     key,
-		version: version,
-		ackFrom: make(map[transport.NodeID]bool),
-		done:    done,
-	}
-	c.resolve(op, opts)
-	c.launch(op)
-	return op.id
+	return c.start(&pending{kind: opGet, key: key, version: version}, opts, done)
 }
 
 // StartDelete begins an asynchronous delete of (key, version); version
 // store.Latest removes each replica's newest version. Completion
 // follows the same ack-counting rules as puts.
 func (c *Core) StartDelete(key string, version uint64, opts Opts, done func(Result)) gossip.RequestID {
-	op := &pending{
-		kind:    opDelete,
-		key:     key,
-		version: version,
-		ackFrom: make(map[transport.NodeID]bool),
-		done:    done,
-	}
-	c.resolve(op, opts)
-	c.launch(op)
-	if op.noAck {
-		c.complete(op, Result{ID: op.id, Key: key, Version: version})
-	}
-	return op.id
+	return c.start(&pending{kind: opDelete, key: key, version: version}, opts, done)
 }
 
 // StartPutBatch begins an asynchronous multi-object put. All objects
@@ -318,21 +298,9 @@ func (c *Core) StartPutBatch(objs []store.Object, opts Opts, done func(Result)) 
 		}
 		return 0
 	}
-	cp := make([]store.Object, len(objs))
-	copy(cp, objs)
-	op := &pending{
-		kind:    opPutBatch,
-		key:     cp[0].Key, // contact selection and balancer hints
-		objs:    cp,
-		ackFrom: make(map[transport.NodeID]bool),
-		done:    done,
-	}
-	c.resolve(op, opts)
-	c.launch(op)
-	if op.noAck {
-		c.complete(op, Result{ID: op.id, Key: op.key})
-	}
-	return op.id
+	// The first key stands for the batch in contact selection and
+	// balancer hints.
+	return c.start(&pending{kind: opPutBatch, key: objs[0].Key, objs: slices.Clone(objs)}, opts, done)
 }
 
 // StartDeleteBatch begins an asynchronous multi-object delete,
@@ -349,21 +317,7 @@ func (c *Core) StartDeleteBatch(items []core.DeleteItem, opts Opts, done func(Re
 		}
 		return 0
 	}
-	cp := make([]core.DeleteItem, len(items))
-	copy(cp, items)
-	op := &pending{
-		kind:    opDeleteBatch,
-		key:     cp[0].Key, // contact selection and balancer hints
-		items:   cp,
-		ackFrom: make(map[transport.NodeID]bool),
-		done:    done,
-	}
-	c.resolve(op, opts)
-	c.launch(op)
-	if op.noAck {
-		c.complete(op, Result{ID: op.id, Key: op.key})
-	}
-	return op.id
+	return c.start(&pending{kind: opDeleteBatch, key: items[0].Key, items: slices.Clone(items)}, opts, done)
 }
 
 // Cancel abandons the operation that id belongs to (any attempt id of
@@ -414,48 +368,29 @@ func (c *Core) launch(op *pending) {
 	}
 	op.lastContact = contact
 	op.hasContact = true
-	flood := op.floods()
-	// Every launch below is deliberately fire-and-forget: the client is
-	// its own retry loop (deadline -> relaunch under a fresh id), so a
-	// failed or slow send is indistinguishable from a lost message and
-	// needs no ctx or error plumbing.
+	hdr := core.Routing{
+		ID: op.id, Origin: c.id, OriginAddr: c.cfg.SelfAddr,
+		TTL: core.TTLUnset, NoAck: op.noAck, TraceID: op.traceID, Flood: op.floods(),
+	}
+	var req interface{}
 	switch op.kind {
 	case opPut:
-		//flasks:fire-and-forget
-		_ = c.out.Send(context.Background(), contact, &core.PutRequest{
-			ID: op.id, Key: op.key, Version: op.version, Value: op.value,
-			Origin: c.id, OriginAddr: c.cfg.SelfAddr,
-			TTL: core.TTLUnset, NoAck: op.noAck, TraceID: op.traceID, Flood: flood,
-		})
+		req = &core.PutRequest{Routing: hdr, Key: op.key, Version: op.version, Value: op.value}
 	case opGet:
-		//flasks:fire-and-forget
-		_ = c.out.Send(context.Background(), contact, &core.GetRequest{
-			ID: op.id, Key: op.key, Version: op.version,
-			Origin: c.id, OriginAddr: c.cfg.SelfAddr,
-			TTL: core.TTLUnset, TraceID: op.traceID, Flood: flood,
-		})
+		req = &core.GetRequest{Routing: hdr, Key: op.key, Version: op.version}
 	case opDelete:
-		//flasks:fire-and-forget
-		_ = c.out.Send(context.Background(), contact, &core.DeleteRequest{
-			ID: op.id, Key: op.key, Version: op.version,
-			Origin: c.id, OriginAddr: c.cfg.SelfAddr,
-			TTL: core.TTLUnset, NoAck: op.noAck, TraceID: op.traceID, Flood: flood,
-		})
+		req = &core.DeleteRequest{Routing: hdr, Key: op.key, Version: op.version}
 	case opPutBatch:
-		//flasks:fire-and-forget
-		_ = c.out.Send(context.Background(), contact, &core.PutBatchRequest{
-			ID: op.id, Objs: op.objs,
-			Origin: c.id, OriginAddr: c.cfg.SelfAddr,
-			TTL: core.TTLUnset, NoAck: op.noAck, TraceID: op.traceID, Flood: flood,
-		})
+		req = &core.PutBatchRequest{Routing: hdr, Objs: op.objs}
 	case opDeleteBatch:
-		//flasks:fire-and-forget
-		_ = c.out.Send(context.Background(), contact, &core.DeleteBatchRequest{
-			ID: op.id, Items: op.items,
-			Origin: c.id, OriginAddr: c.cfg.SelfAddr,
-			TTL: core.TTLUnset, NoAck: op.noAck, TraceID: op.traceID, Flood: flood,
-		})
+		req = &core.DeleteBatchRequest{Routing: hdr, Items: op.items}
 	}
+	// Deliberately fire-and-forget: the client is its own retry loop
+	// (deadline -> relaunch under a fresh id), so a failed or slow send is
+	// indistinguishable from a lost message and needs no ctx or error
+	// plumbing.
+	//flasks:fire-and-forget
+	_ = c.out.Send(context.Background(), contact, req)
 }
 
 // HandleMessage consumes replies addressed to this client. Unknown or

@@ -193,15 +193,15 @@ func isIntra(m interface{}) bool {
 // entryPut1 is a client's global-phase put: the node is its slice entry.
 func entryPut1(key string, version uint64, seq uint32) *PutRequest {
 	return &PutRequest{
-		ID: gossip.MakeRequestID(runClient, seq), Key: key, Version: version,
-		Value: []byte(key), Origin: runClient, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(runClient, seq), Origin: runClient, TTL: TTLUnset},
+		Key:     key, Version: version, Value: []byte(key),
 	}
 }
 
 func getOf(key string, seq uint32) *GetRequest {
 	return &GetRequest{
-		ID: gossip.MakeRequestID(runClient, seq), Key: key, Version: store.Latest,
-		Origin: runClient, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(runClient, seq), Origin: runClient, TTL: TTLUnset},
+		Key:     key, Version: store.Latest,
 	}
 }
 
@@ -278,7 +278,7 @@ func TestIntraBatchRidesTheWindow(t *testing.T) {
 		for i, k := range keys {
 			objs[i] = store.Object{Key: k, Version: 1, Value: []byte(k)}
 		}
-		return &PutBatchRequest{ID: gossip.MakeRequestID(runMate, seq), Objs: objs, Intra: true, NoAck: true}
+		return &PutBatchRequest{Routing: Routing{ID: gossip.MakeRequestID(runMate, seq), Intra: true, NoAck: true}, Objs: objs}
 	}
 	ctx := context.Background()
 
@@ -421,10 +421,12 @@ func TestRunKeepsPerKeyOrder(t *testing.T) {
 	stop := h.start()
 	h.holdThenRun(
 		entryPut1("k", 1, 1),
-		&DeleteRequest{ID: gossip.MakeRequestID(runClient, 2), Key: "k", Version: 1, NoAck: true, TTL: TTLUnset},
+		&DeleteRequest{Routing: Routing{ID: gossip.MakeRequestID(runClient, 2), NoAck: true, TTL: TTLUnset}, Key: "k", Version: 1},
 		entryPut1("k", 2, 3),
-		&PutBatchRequest{ID: gossip.MakeRequestID(runClient, 4), NoAck: true, TTL: TTLUnset,
-			Objs: []store.Object{{Key: "k", Version: 2, Value: []byte("late")}}},
+		&PutBatchRequest{
+			Routing: Routing{ID: gossip.MakeRequestID(runClient, 4), NoAck: true, TTL: TTLUnset},
+			Objs:    []store.Object{{Key: "k", Version: 2, Value: []byte("late")}},
+		},
 	)
 	stop()
 
@@ -470,8 +472,8 @@ func TestRetryAfterBatchedCopyIsAcked(t *testing.T) {
 	h := newRunHarness(t, st, Config{})
 	ctx := context.Background()
 	h.n.HandleMessage(ctx, transport.Envelope{From: runMate, To: 1, Msg: &PutBatchRequest{
-		ID: gossip.MakeRequestID(runMate, 1), Intra: true, NoAck: true,
-		Objs: []store.Object{{Key: "a", Version: 1, Value: []byte("a")}, {Key: "b", Version: 1, Value: []byte("b")}},
+		Routing: Routing{ID: gossip.MakeRequestID(runMate, 1), Intra: true, NoAck: true},
+		Objs:    []store.Object{{Key: "a", Version: 1, Value: []byte("a")}, {Key: "b", Version: 1, Value: []byte("b")}},
 	}})
 	retry := entryPut1("a", 1, 1)
 	retry.Flood = true

@@ -13,19 +13,17 @@ import (
 	"dataflasks/internal/transport"
 )
 
-// PutRequest writes (Key, Version) → Value. Version ordering is the
-// upper layer's responsibility (§III); DataFlasks stores what it is
-// told. The request travels in two phases: a TTL-bounded global phase
-// over PSS views — one directed hop when the relaying node's view
-// already names a member of the key's slice, the epidemic fanout
-// otherwise or when Flood is set — switching to an intra-slice phase
-// (Intra=true) the moment it reaches a node of the target slice.
-type PutRequest struct {
-	ID      gossip.RequestID
-	Key     string
-	Version uint64
-	Value   []byte
-	// Origin is the client endpoint acks are sent to.
+// Routing is the header every data-plane request carries: what each hop
+// of §IV-B reads or rewrites, the same for all five kinds. A request
+// travels in two phases: a TTL-bounded global phase over PSS views — one
+// directed hop when the relaying node's view already names a member of
+// the key's slice, the epidemic fanout otherwise or when Flood is set —
+// switching to an intra-slice phase (Intra=true) the moment it reaches a
+// node of the target slice, whose members apply it and pass it on to
+// their mates.
+type Routing struct {
+	ID gossip.RequestID
+	// Origin is the client endpoint acks and replies are sent to.
 	Origin transport.NodeID
 	// OriginAddr is the client's dialable address for TCP fabrics
 	// (empty in simulations): replicas must be able to answer a client
@@ -33,13 +31,12 @@ type PutRequest struct {
 	OriginAddr string
 	TTL        uint8
 	Intra      bool
-	// NoAck suppresses PutAck (fire-and-forget writes).
+	// NoAck suppresses the ack of a write (fire-and-forget). Gets never
+	// carry it: a reply is the point of a read.
 	NoAck bool
 	// TraceID, when non-zero, journals this request's lifecycle in
-	// every hop's /trace ring so one put can be stitched across
-	// relays. On the wire it is an optional trailing field (same
-	// backward-compatible trick as the Bloom filter salt): old nodes
-	// ignore it, old frames decode with it zero.
+	// every hop's /trace ring so one operation can be stitched across
+	// relays.
 	TraceID uint64
 	// Flood asks every node of the global phase for the epidemic
 	// fanout instead of the directed hop: the dependable path, which
@@ -47,11 +44,37 @@ type PutRequest struct {
 	// one ack (only global-phase copies are acknowledged, so several
 	// slice nodes must receive one) and on deletes. A node sets it on
 	// the copy it sends on a second consecutive directed hop (see
-	// relayGlobal). On the wire it trails TraceID as a second optional
-	// field; the two together are the request tail and must stay the
-	// LAST fields of this message.
+	// relayGlobal).
 	Flood bool
 }
+
+// request is a data-plane message as the routing skeleton (handleData)
+// sees it: the header, the key that names the target slice and the
+// owning shard, and a copy to rewrite for the next hop — messages are
+// immutable, the fabric may deliver one pointer to many recipients.
+type request interface {
+	routing() *Routing
+	// routeKey is the request's key, a batch's first; false for an empty
+	// batch, which names no slice.
+	routeKey() (string, bool)
+	// hop returns a shallow copy.
+	hop() request
+}
+
+func (r *Routing) routing() *Routing { return r }
+
+// PutRequest writes (Key, Version) → Value. Version ordering is the
+// upper layer's responsibility (§III); DataFlasks stores what it is
+// told.
+type PutRequest struct {
+	Routing
+	Key     string
+	Version uint64
+	Value   []byte
+}
+
+func (m *PutRequest) routeKey() (string, bool) { return m.Key, true }
+func (m *PutRequest) hop() request             { c := *m; return &c }
 
 // PutAck confirms a put was stored by one replica. It is emitted only
 // by slice nodes that received the request in its global phase (the
@@ -63,24 +86,17 @@ type PutAck struct {
 	Version uint64
 }
 
-// GetRequest reads Key at Version (store.Latest for newest). Routed
-// exactly like PutRequest. Every slice node holding the object answers
-// the Origin directly; the client library de-duplicates replies by ID
-// (paper §V).
+// GetRequest reads Key at Version (store.Latest for newest). Every
+// slice node holding the object answers the Origin directly; the client
+// library de-duplicates replies by ID (paper §V).
 type GetRequest struct {
-	ID      gossip.RequestID
+	Routing
 	Key     string
 	Version uint64
-	Origin  transport.NodeID
-	// OriginAddr mirrors PutRequest.OriginAddr.
-	OriginAddr string
-	TTL        uint8
-	Intra      bool
-	// TraceID and Flood mirror PutRequest's (the optional trailing
-	// wire fields; they must stay last).
-	TraceID uint64
-	Flood   bool
 }
+
+func (m *GetRequest) routeKey() (string, bool) { return m.Key, true }
+func (m *GetRequest) hop() request             { c := *m; return &c }
 
 // GetReply answers a GetRequest.
 type GetReply struct {
@@ -94,29 +110,26 @@ type GetReply struct {
 }
 
 // PutBatchRequest writes a batch of objects that all map to one target
-// slice (the client groups per slice before sending). It is routed
-// exactly like PutRequest — TTL-bounded global phase, then intra-slice
-// dissemination — but lands on each replica as a single store.PutBatch
-// call: one lock acquisition and, in the log engine, one appended
-// record batch plus one group-commit fsync. Nodes that predate this
-// message type ignore it (unknown kinds fall through HandleMessage's
-// default case), so mixed-version deployments degrade to "batch not
-// replicated by old nodes" rather than crashing.
+// slice (the client groups per slice before sending). It lands on each
+// replica as a single store.PutBatch call: one lock acquisition and, in
+// the log engine, one appended record batch plus one group-commit fsync.
+// Nodes that predate this message type ignore it (unknown kinds fall
+// through HandleMessage's default case), so mixed-version deployments
+// degrade to "batch not replicated by old nodes" rather than crashing.
 type PutBatchRequest struct {
-	ID gossip.RequestID
+	Routing
 	// Objs all belong to one slice under the sender's slice count; the
 	// receiving node recomputes the target from Objs[0].Key.
-	Objs       []store.Object
-	Origin     transport.NodeID
-	OriginAddr string
-	TTL        uint8
-	Intra      bool
-	NoAck      bool
-	// TraceID and Flood mirror PutRequest's (the optional trailing
-	// wire fields; they must stay last).
-	TraceID uint64
-	Flood   bool
+	Objs []store.Object
 }
+
+func (m *PutBatchRequest) routeKey() (string, bool) {
+	if len(m.Objs) == 0 {
+		return "", false
+	}
+	return m.Objs[0].Key, true
+}
+func (m *PutBatchRequest) hop() request { c := *m; return &c }
 
 // PutBatchAck confirms a whole batch was stored by one replica, with
 // the same entry-point-only emission rule as PutAck.
@@ -129,23 +142,16 @@ type PutBatchAck struct {
 
 // DeleteRequest removes (Key, Version) from the target slice's
 // replicas; Version store.Latest removes each replica's newest stored
-// version (resolved independently per replica, mirroring Get). Routed
-// exactly like PutRequest: deletes must reach the whole target slice.
+// version (resolved independently per replica, mirroring Get). Deletes
+// must reach the whole target slice.
 type DeleteRequest struct {
-	ID         gossip.RequestID
-	Key        string
-	Version    uint64
-	Origin     transport.NodeID
-	OriginAddr string
-	TTL        uint8
-	Intra      bool
-	// NoAck suppresses DeleteAck (fire-and-forget deletes).
-	NoAck bool
-	// TraceID and Flood mirror PutRequest's (the optional trailing
-	// wire fields; they must stay last).
-	TraceID uint64
-	Flood   bool
+	Routing
+	Key     string
+	Version uint64
 }
+
+func (m *DeleteRequest) routeKey() (string, bool) { return m.Key, true }
+func (m *DeleteRequest) hop() request             { c := *m; return &c }
 
 // DeleteAck confirms a delete was applied by one replica.
 type DeleteAck struct {
@@ -163,28 +169,25 @@ type DeleteItem struct {
 
 // DeleteBatchRequest removes a batch of objects that all map to one
 // target slice (the client groups per slice before sending), mirroring
-// PutBatchRequest: routed like a write — TTL-bounded global phase, then
-// intra-slice dissemination — and applied by each replica in one pass
-// over the local store. Nodes that predate this message type ignore it
-// (unknown kinds fall through HandleMessage's default case), so
-// mixed-version deployments degrade to "batch not deleted by old nodes"
-// rather than crashing.
+// PutBatchRequest: each replica applies it in one pass over the local
+// store. Nodes that predate this message type ignore it (unknown kinds
+// fall through HandleMessage's default case), so mixed-version
+// deployments degrade to "batch not deleted by old nodes" rather than
+// crashing.
 type DeleteBatchRequest struct {
-	ID gossip.RequestID
+	Routing
 	// Items all belong to one slice under the sender's slice count; the
 	// receiving node recomputes the target from Items[0].Key.
-	Items      []DeleteItem
-	Origin     transport.NodeID
-	OriginAddr string
-	TTL        uint8
-	Intra      bool
-	// NoAck suppresses DeleteBatchAck (fire-and-forget deletes).
-	NoAck bool
-	// TraceID and Flood mirror PutRequest's (the optional trailing
-	// wire fields; they must stay last).
-	TraceID uint64
-	Flood   bool
+	Items []DeleteItem
 }
+
+func (m *DeleteBatchRequest) routeKey() (string, bool) {
+	if len(m.Items) == 0 {
+		return "", false
+	}
+	return m.Items[0].Key, true
+}
+func (m *DeleteBatchRequest) hop() request { c := *m; return &c }
 
 // DeleteBatchAck confirms a whole delete batch was applied by one
 // replica, with the same entry-point-only emission rule as PutAck.

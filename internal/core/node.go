@@ -593,65 +593,84 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 	}
 }
 
-// onPut implements §IV-B routing for writes. Messages are immutable
-// (the fabric may deliver one pointer to many recipients): relays work
-// on copies.
-func (n *Node) onPut(ctx context.Context, s *dataShard, from transport.NodeID, m *PutRequest) {
-	if s.dedup.Seen(m.ID) {
+// handleData is the paper's one request handler (§IV-B) for every
+// data-plane kind: suppress a duplicate, carry a request for another
+// slice through the TTL-bounded global phase, apply one for this slice
+// and pass it on to the mates. Messages are immutable (the fabric may
+// deliver one pointer to many recipients): relays work on copies. from
+// is the sender, which no relay hands the request straight back to.
+func (n *Node) handleData(ctx context.Context, s *dataShard, from transport.NodeID, req request) {
+	r := req.routing()
+	if s.dedup.Seen(r.ID) {
 		s.met.Inc(metrics.DuplicatesSuppressed)
 		return
 	}
+	key, ok := req.routeKey()
+	if !ok {
+		return
+	}
+	_, read := req.(*GetRequest)
 	v := n.routeSnap.Load()
-	target := slicing.KeySlice(m.Key, v.sliceCount)
 
-	if v.slice == target {
+	if target := slicing.KeySlice(key, v.sliceCount); v.slice != target {
+		if r.Intra {
+			// A stale intra-view pointed at us after we changed slice; the
+			// epidemic redundancy inside the slice covers for the loss.
+			return
+		}
+		// Writes must reach every replica of the slice, a read just one.
+		budget := v.putTTL
+		if read {
+			budget = v.getTTL
+		}
+		s.traceRelay(req, key)
+		s.relayGlobal(ctx, v, from, target, req, budget)
+		return
+	}
+
+	if s.apply(ctx, v, from, req) || (r.Intra && r.TTL == 0) {
+		return
+	}
+	fwd := req.hop()
+	if r.Intra {
+		fwd.routing().TTL--
+	} else {
+		fwd.routing().enterSlice(v, read)
+	}
+	s.traceRelay(req, key)
+	s.relayIntra(ctx, v, from, fwd)
+}
+
+// enterSlice rewrites a copy that leaves a slice entry for the
+// intra-slice phase. No mate acks an intra copy, so a write's drops the
+// address acks would be dialed at; the mates of a member that missed a
+// read answer the origin themselves and keep it.
+func (r *Routing) enterSlice(v *routeView, read bool) {
+	r.Intra, r.TTL = true, v.intraTTL
+	if !read {
+		r.OriginAddr = ""
+	}
+}
+
+// apply is what a member of the key's slice does with a request, the
+// one step that differs per kind: what it stores, deletes, acknowledges
+// or answers. It reports whether the request is finished here; one that
+// is not goes on to the mates.
+func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.NodeID, req request) (done bool) {
+	n := s.n
+	switch m := req.(type) {
+	case *PutRequest:
 		if !m.Intra {
 			// Entry point into the slice: the commit step stores the
 			// object, acks it and starts the intra-slice phase.
 			s.collectPut(from, m)
-			return
+			return true
 		}
 		// Intra-phase copy: no ack obligation, so the write can ride
 		// the accumulation window and land as part of one batch append.
 		s.traceOp(obs.TracePutApply, m.TraceID, m.Key, len(m.Value), 1)
 		s.coalescePut(ctx, m.Key, m.Version, m.Value)
-		if m.TTL > 0 {
-			s.traceOp(obs.TracePutRelay, m.TraceID, m.Key, 0, 0)
-			fwd := *m
-			fwd.TTL--
-			s.relayIntra(ctx, v, from, &fwd)
-		}
-		return
-	}
-
-	if m.Intra {
-		// A stale intra-view pointed at us after we changed slice; the
-		// epidemic redundancy inside the slice covers for the loss.
-		return
-	}
-	s.traceOp(obs.TracePutRelay, m.TraceID, m.Key, 0, 0)
-	s.relayGlobal(ctx, v, from, target, m.Flood, m.TTL, v.putTTL, func(next uint8, flood bool) interface{} {
-		fwd := *m
-		fwd.TTL, fwd.Flood = next, flood
-		return &fwd
-	})
-}
-
-// onPutBatch routes a multi-object write exactly like onPut, but a
-// target-slice node applies the whole batch in one store.PutBatch call.
-func (n *Node) onPutBatch(ctx context.Context, s *dataShard, from transport.NodeID, m *PutBatchRequest) {
-	if s.dedup.Seen(m.ID) {
-		s.met.Inc(metrics.DuplicatesSuppressed)
-		return
-	}
-	if len(m.Objs) == 0 {
-		return
-	}
-	v := n.routeSnap.Load()
-	target := slicing.KeySlice(m.Objs[0].Key, v.sliceCount)
-
-	if v.slice == target {
-		var err error
+	case *PutBatchRequest:
 		if m.Intra && len(m.Objs) < n.cfg.CoalesceMax && s.ownsAll(m.Objs) {
 			// A mate's relay of a run: no ack obligation, so the objects
 			// wait in the window like single relay copies do. (A batch
@@ -660,152 +679,89 @@ func (n *Node) onPutBatch(ctx context.Context, s *dataShard, from transport.Node
 			for _, o := range m.Objs {
 				s.coalescePut(ctx, o.Key, o.Version, o.Value)
 			}
-		} else {
-			// Commit the window first so the store applies writes in
-			// arrival order.
-			s.commit(ctx)
-			s.met.Inc(metrics.PutCommits)
-			if err = n.st.PutBatch(m.Objs); err == nil {
-				s.met.Add(metrics.PutsServed, uint64(len(m.Objs)))
-				s.traceOp(obs.TracePutApply, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
-			}
+			break
 		}
-		if !m.Intra {
-			if err == nil && !m.NoAck && m.Origin != 0 {
-				n.learnOrigin(m.Origin, m.OriginAddr)
-				s.sendData(ctx, m.Origin, &PutBatchAck{ID: m.ID, Stored: len(m.Objs)})
-			}
-			s.traceOp(obs.TracePutRelay, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
-			fwd := *m
-			fwd.Intra, fwd.OriginAddr = true, "" // no mate acks an intra copy
-			fwd.TTL = v.intraTTL
-			s.relayIntra(ctx, v, from, &fwd)
-			return
+		// Commit the window first so the store applies writes in
+		// arrival order.
+		s.commit(ctx)
+		s.met.Inc(metrics.PutCommits)
+		if n.st.PutBatch(m.Objs) == nil {
+			s.met.Add(metrics.PutsServed, uint64(len(m.Objs)))
+			s.traceOp(obs.TracePutApply, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
+			s.ack(ctx, m, len(m.Objs))
 		}
-		if m.TTL > 0 {
-			s.traceOp(obs.TracePutRelay, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
-			fwd := *m
-			fwd.TTL--
-			s.relayIntra(ctx, v, from, &fwd)
-		}
-		return
-	}
-
-	if m.Intra {
-		return
-	}
-	s.traceOp(obs.TracePutRelay, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
-	s.relayGlobal(ctx, v, from, target, m.Flood, m.TTL, v.putTTL, func(next uint8, flood bool) interface{} {
-		fwd := *m
-		fwd.TTL, fwd.Flood = next, flood
-		return &fwd
-	})
-}
-
-// onDelete routes a delete like a write (the whole target slice must
-// apply it). Version store.Latest is resolved independently by each
-// replica's store, mirroring Get.
-func (n *Node) onDelete(ctx context.Context, s *dataShard, from transport.NodeID, m *DeleteRequest) {
-	if s.dedup.Seen(m.ID) {
-		s.met.Inc(metrics.DuplicatesSuppressed)
-		return
-	}
-	v := n.routeSnap.Load()
-	target := slicing.KeySlice(m.Key, v.sliceCount)
-
-	if v.slice == target {
+	case *DeleteRequest:
 		// A buffered put for this key must be applied before the
-		// delete, or the commit would resurrect the object.
+		// delete, or the commit would resurrect the object. Version
+		// store.Latest is resolved independently by each replica's store,
+		// mirroring Get.
 		s.commit(ctx)
 		existed, err := n.applyDelete(m.Key, m.Version)
-		if err == nil && existed {
+		if err != nil {
+			break
+		}
+		if existed {
 			s.met.Inc(metrics.DeletesServed)
 			s.traceOp(obs.TraceDeleteApply, m.TraceID, m.Key, 0, 1)
 		}
-		if !m.Intra {
-			if err == nil && !m.NoAck && m.Origin != 0 {
-				n.learnOrigin(m.Origin, m.OriginAddr)
-				s.sendData(ctx, m.Origin, &DeleteAck{ID: m.ID, Key: m.Key, Version: m.Version})
-			}
-			s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Key, 0, 0)
-			fwd := *m
-			fwd.Intra, fwd.OriginAddr = true, "" // no mate acks an intra copy
-			fwd.TTL = v.intraTTL
-			s.relayIntra(ctx, v, from, &fwd)
-			return
-		}
-		if m.TTL > 0 {
-			s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Key, 0, 0)
-			fwd := *m
-			fwd.TTL--
-			s.relayIntra(ctx, v, from, &fwd)
-		}
-		return
-	}
-
-	if m.Intra {
-		return
-	}
-	s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Key, 0, 0)
-	s.relayGlobal(ctx, v, from, target, m.Flood, m.TTL, v.putTTL, func(next uint8, flood bool) interface{} {
-		fwd := *m
-		fwd.TTL, fwd.Flood = next, flood
-		return &fwd
-	})
-}
-
-// onDeleteBatch routes a multi-object delete exactly like onDelete, but
-// a target-slice node applies the whole batch in one pass over its
-// store. The ack carries how many items named objects this replica
-// really held, which is what a Redis-style multi-key DEL reports.
-func (n *Node) onDeleteBatch(ctx context.Context, s *dataShard, from transport.NodeID, m *DeleteBatchRequest) {
-	if s.dedup.Seen(m.ID) {
-		s.met.Inc(metrics.DuplicatesSuppressed)
-		return
-	}
-	if len(m.Items) == 0 {
-		return
-	}
-	v := n.routeSnap.Load()
-	target := slicing.KeySlice(m.Items[0].Key, v.sliceCount)
-
-	if v.slice == target {
-		// Buffered puts must land first, or the commit would resurrect
-		// objects this batch deletes.
+		s.ack(ctx, m, 0)
+	case *DeleteBatchRequest:
+		// Buffered puts must land first, as for a single delete. The ack
+		// carries how many items named objects this replica really held,
+		// which is what a Redis-style multi-key DEL reports.
 		s.commit(ctx)
-		applied, firstErr := n.applyDeleteBatch(m.Items)
+		applied, err := n.applyDeleteBatch(m.Items)
 		s.met.Add(metrics.DeletesServed, uint64(applied))
 		s.traceOp(obs.TraceDeleteApply, m.TraceID, m.Items[0].Key, 0, applied)
-		if !m.Intra {
-			if firstErr == nil && !m.NoAck && m.Origin != 0 {
-				n.learnOrigin(m.Origin, m.OriginAddr)
-				s.sendData(ctx, m.Origin, &DeleteBatchAck{ID: m.ID, Applied: applied})
-			}
-			s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Items[0].Key, 0, len(m.Items))
-			fwd := *m
-			fwd.Intra, fwd.OriginAddr = true, "" // no mate acks an intra copy
-			fwd.TTL = v.intraTTL
-			s.relayIntra(ctx, v, from, &fwd)
-			return
+		if err == nil {
+			s.ack(ctx, m, applied)
 		}
-		if m.TTL > 0 {
-			s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Items[0].Key, 0, len(m.Items))
-			fwd := *m
-			fwd.TTL--
-			s.relayIntra(ctx, v, from, &fwd)
+	case *GetRequest:
+		// A put of this key still sitting in the window lands first; a
+		// read of any other key does not wait for a write.
+		if s.holds(m.Key) {
+			s.commit(ctx)
 		}
-		return
+		val, actual, ok, err := n.st.Get(m.Key, m.Version)
+		if err != nil || !ok {
+			// We are a replica but do not hold it (fresh in the slice):
+			// keep the request alive among the mates.
+			break
+		}
+		s.met.Inc(metrics.GetsServed)
+		s.traceOp(obs.TraceGetServe, m.TraceID, m.Key, len(val), 1)
+		n.learnOrigin(m.Origin, m.OriginAddr)
+		s.sendData(ctx, m.Origin, &GetReply{
+			ID: m.ID, Key: m.Key, Version: actual, Value: val, Slice: v.slice,
+		})
+		return true
 	}
+	return false
+}
 
-	if m.Intra {
+// ack sends a write's acknowledgement under the one rule there is: only
+// a slice entry acks (which bounds acks per write by the flood's slice
+// hits, not the slice size), only if the client wants it, and — the
+// caller's part — only what the store took. count is what a batch ack
+// reports.
+func (s *dataShard) ack(ctx context.Context, req request, count int) {
+	r := req.routing()
+	if r.Intra || r.NoAck || r.Origin == 0 {
 		return
 	}
-	s.traceOp(obs.TraceDeleteRelay, m.TraceID, m.Items[0].Key, 0, len(m.Items))
-	s.relayGlobal(ctx, v, from, target, m.Flood, m.TTL, v.putTTL, func(next uint8, flood bool) interface{} {
-		fwd := *m
-		fwd.TTL, fwd.Flood = next, flood
-		return &fwd
-	})
+	var ack interface{}
+	switch m := req.(type) {
+	case *PutRequest:
+		ack = &PutAck{ID: m.ID, Key: m.Key, Version: m.Version}
+	case *PutBatchRequest:
+		ack = &PutBatchAck{ID: m.ID, Stored: count}
+	case *DeleteRequest:
+		ack = &DeleteAck{ID: m.ID, Key: m.Key, Version: m.Version}
+	case *DeleteBatchRequest:
+		ack = &DeleteBatchAck{ID: m.ID, Applied: count}
+	}
+	s.n.learnOrigin(r.Origin, r.OriginAddr)
+	s.sendData(ctx, r.Origin, ack)
 }
 
 // applyDelete removes (key, version) from the local store and reports
@@ -874,58 +830,6 @@ func (n *Node) applyDeleteBatch(items []DeleteItem) (applied int, firstErr error
 		}
 	}
 	return applied, firstErr
-}
-
-// onGet implements §IV-B routing for reads.
-func (n *Node) onGet(ctx context.Context, s *dataShard, from transport.NodeID, m *GetRequest) {
-	if s.dedup.Seen(m.ID) {
-		s.met.Inc(metrics.DuplicatesSuppressed)
-		return
-	}
-	v := n.routeSnap.Load()
-	target := slicing.KeySlice(m.Key, v.sliceCount)
-
-	if v.slice == target {
-		// A put of this key still sitting in the window lands first; a
-		// read of any other key does not wait for a write.
-		if s.holds(m.Key) {
-			s.commit(ctx)
-		}
-		val, actual, ok, err := n.st.Get(m.Key, m.Version)
-		if err == nil && ok {
-			s.met.Inc(metrics.GetsServed)
-			s.traceOp(obs.TraceGetServe, m.TraceID, m.Key, len(val), 1)
-			n.learnOrigin(m.Origin, m.OriginAddr)
-			s.sendData(ctx, m.Origin, &GetReply{
-				ID: m.ID, Key: m.Key, Version: actual, Value: val, Slice: v.slice,
-			})
-			return
-		}
-		// We are a replica but do not hold it (fresh in the slice):
-		// keep the request alive among the mates.
-		s.traceOp(obs.TraceGetRelay, m.TraceID, m.Key, 0, 0)
-		fwd := *m
-		if !m.Intra {
-			fwd.Intra = true
-			fwd.TTL = v.intraTTL
-		} else if m.TTL == 0 {
-			return
-		} else {
-			fwd.TTL--
-		}
-		s.relayIntra(ctx, v, from, &fwd)
-		return
-	}
-
-	if m.Intra {
-		return
-	}
-	s.traceOp(obs.TraceGetRelay, m.TraceID, m.Key, 0, 0)
-	s.relayGlobal(ctx, v, from, target, m.Flood, m.TTL, v.getTTL, func(next uint8, flood bool) interface{} {
-		fwd := *m
-		fwd.TTL, fwd.Flood = next, flood
-		return &fwd
-	})
 }
 
 // learnOrigin teaches the fabric how to dial a reply's destination.

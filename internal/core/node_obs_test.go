@@ -90,16 +90,16 @@ func TestTracedPutJournalsLifecycle(t *testing.T) {
 	key := keyForSlice(t, 2, k)
 
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutRequest{
-		ID: gossip.MakeRequestID(0xC0000001, 1), Key: key, Version: 1,
-		Value: []byte("v"), Origin: 0xC0000001, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 1), Origin: 0xC0000001, TTL: TTLUnset},
+		Key:     key, Version: 1, Value: []byte("v"),
 	}})
 	if got := len(ring.Snapshot()); got != 0 {
 		t.Fatalf("untraced put journaled %d events", got)
 	}
 
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutRequest{
-		ID: gossip.MakeRequestID(0xC0000001, 2), Key: key, Version: 2,
-		Value: []byte("v2"), Origin: 0xC0000001, TTL: TTLUnset, TraceID: 1234,
+		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 2), Origin: 0xC0000001, TTL: TTLUnset, TraceID: 1234},
+		Key:     key, Version: 2, Value: []byte("v2"),
 	}})
 	var apply *obs.Event
 	for _, ev := range ring.Snapshot() {
@@ -113,6 +113,47 @@ func TestTracedPutJournalsLifecycle(t *testing.T) {
 	}
 	if apply.Key != key || apply.Bytes != 2 {
 		t.Fatalf("put_apply event mangled: %+v", *apply)
+	}
+}
+
+// TestTraceJournalsOnlyRelaysThatWereSent: a traced intra get that a
+// member misses is journaled as a relay hop when it goes on to the mates,
+// not when its TTL is spent and nothing is sent.
+func TestTraceJournalsOnlyRelaysThatWereSent(t *testing.T) {
+	const k = 4
+	id := findNodeInSlice(t, 2, k)
+	ring := obs.NewRing(64)
+	cap := &capture{}
+	n := NewNode(id, Config{
+		Slices: k, Slicer: SlicerStatic, SystemSize: 100,
+		AntiEntropyEvery: -1, Seed: 1, Trace: ring,
+	}, store.NewMemory(), cap.sender(id))
+	n.HandleMessage(context.Background(), transport.Envelope{From: 900, To: id, Msg: &MateReply{
+		Slice: 2, Mates: []pssDescriptor{{ID: 900, Slice: 2}, {ID: 901, Slice: 2}},
+	}})
+	key := keyForSlice(t, 2, k)
+	relays := func() (events int) {
+		for _, ev := range ring.Snapshot() {
+			if ev.Kind == obs.TraceGetRelay {
+				events++
+			}
+		}
+		return events
+	}
+	get := func(seq uint32, ttl uint8) {
+		n.HandleMessage(context.Background(), transport.Envelope{From: 900, To: id, Msg: &GetRequest{
+			Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, seq), Origin: 0xC0000001, TTL: ttl, Intra: true, TraceID: 77},
+			Key:     key, Version: 1,
+		}})
+	}
+
+	get(1, 0)
+	if len(cap.sent) != 0 || relays() != 0 {
+		t.Fatalf("spent intra get: %d sends, %d get_relay events, want none of either", len(cap.sent), relays())
+	}
+	get(2, 1)
+	if len(cap.sent) != 1 || cap.sent[0].To != 901 || relays() != 1 {
+		t.Fatalf("live intra get: sends %+v, %d get_relay events, want one copy to mate 901 and one event", cap.sent, relays())
 	}
 }
 

@@ -87,8 +87,8 @@ func TestNodeStoresAndAcksInSlicePut(t *testing.T) {
 	key := keyForSlice(t, 2, k)
 
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutRequest{
-		ID: gossip.MakeRequestID(0xC0000001, 1), Key: key, Version: 1,
-		Value: []byte("v"), Origin: 0xC0000001, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 1), Origin: 0xC0000001, TTL: TTLUnset},
+		Key:     key, Version: 1, Value: []byte("v"),
 	}})
 
 	if _, _, ok, _ := n.Store().Get(key, 1); !ok {
@@ -130,8 +130,8 @@ func TestNodeNoAckWhenStoreFails(t *testing.T) {
 	key := keyForSlice(t, 2, k)
 
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutRequest{
-		ID: gossip.MakeRequestID(0xC0000001, 1), Key: key, Version: 1,
-		Value: []byte("v"), Origin: 0xC0000001, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 1), Origin: 0xC0000001, TTL: TTLUnset},
+		Key:     key, Version: 1, Value: []byte("v"),
 	}})
 
 	if acks := cap.byType(func(m interface{}) bool { _, ok := m.(*PutAck); return ok }); len(acks) != 0 {
@@ -149,8 +149,8 @@ func TestNodeIntraPutStoresWithoutAck(t *testing.T) {
 	key := keyForSlice(t, 2, k)
 
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutRequest{
-		ID: gossip.MakeRequestID(0xC0000001, 1), Key: key, Version: 1,
-		Value: []byte("v"), Origin: 0xC0000001, TTL: 4, Intra: true,
+		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 1), Origin: 0xC0000001, TTL: 4, Intra: true},
+		Key:     key, Version: 1, Value: []byte("v"),
 	}})
 
 	// Intra copies ride the accumulation window; the next tick flushes
@@ -177,12 +177,12 @@ func TestNodeCoalescedPutVisibleToGet(t *testing.T) {
 	key := keyForSlice(t, 2, k)
 
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutRequest{
-		ID: gossip.MakeRequestID(0xC0000001, 1), Key: key, Version: 1,
-		Value: []byte("v"), Origin: 0xC0000001, TTL: 4, Intra: true,
+		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 1), Origin: 0xC0000001, TTL: 4, Intra: true},
+		Key:     key, Version: 1, Value: []byte("v"),
 	}})
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &GetRequest{
-		ID: gossip.MakeRequestID(0xC0000001, 2), Key: key, Version: 1,
-		Origin: 0xC0000001, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 2), Origin: 0xC0000001, TTL: TTLUnset},
+		Key:     key, Version: 1,
 	}})
 
 	replies := cap.byType(func(m interface{}) bool { _, ok := m.(*GetReply); return ok })
@@ -210,8 +210,8 @@ func TestNodeCoalesceWindowDedupsAndCapFlushes(t *testing.T) {
 
 	send := func(seq uint32, version uint64) {
 		n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutRequest{
-			ID: gossip.MakeRequestID(0xC0000001, seq), Key: key, Version: version,
-			Value: []byte("v"), TTL: 2, Intra: true,
+			Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, seq), TTL: 2, Intra: true},
+			Key:     key, Version: version, Value: []byte("v"),
 		}})
 	}
 	send(1, 1)
@@ -251,8 +251,8 @@ func TestNodeAppliesBatchViaOnePutBatch(t *testing.T) {
 		}
 	}
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutBatchRequest{
-		ID: gossip.MakeRequestID(0xC0000001, 1), Objs: objs,
-		Origin: 0xC0000001, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 1), Origin: 0xC0000001, TTL: TTLUnset},
+		Objs:    objs,
 	}})
 
 	if cs.batchCalls != 1 || cs.putCalls != 0 {
@@ -271,8 +271,8 @@ func TestNodeAppliesBatchViaOnePutBatch(t *testing.T) {
 
 	// A duplicate delivery must not re-apply the batch.
 	n.HandleMessage(context.Background(), transport.Envelope{From: 78, To: id, Msg: &PutBatchRequest{
-		ID: gossip.MakeRequestID(0xC0000001, 1), Objs: objs,
-		Origin: 0xC0000001, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 1), Origin: 0xC0000001, TTL: TTLUnset},
+		Objs:    objs,
 	}})
 	if cs.batchCalls != 1 {
 		t.Fatalf("duplicate batch re-applied: %d PutBatch calls", cs.batchCalls)
@@ -304,9 +304,8 @@ func TestNodeRelaysForeignSliceBatch(t *testing.T) {
 	key := keyForSlice(t, 3, k) // not ours
 
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutBatchRequest{
-		ID:   gossip.MakeRequestID(1, 1),
-		Objs: []store.Object{{Key: key, Version: 1, Value: []byte("v")}},
-		TTL:  TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(1, 1), TTL: TTLUnset},
+		Objs:    []store.Object{{Key: key, Version: 1, Value: []byte("v")}},
 	}})
 	if n.Store().Count() != 0 {
 		t.Fatal("node stored a foreign-slice batch")
@@ -331,8 +330,8 @@ func TestNodeDeletesAndAcks(t *testing.T) {
 
 	// Latest resolves to the newest stored version on this replica.
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &DeleteRequest{
-		ID: gossip.MakeRequestID(0xC0000001, 1), Key: key, Version: store.Latest,
-		Origin: 0xC0000001, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 1), Origin: 0xC0000001, TTL: TTLUnset},
+		Key:     key, Version: store.Latest,
 	}})
 
 	if _, _, ok, _ := n.Store().Get(key, 9); ok {
@@ -360,12 +359,12 @@ func TestNodeDeleteFlushesCoalescedPut(t *testing.T) {
 	key := keyForSlice(t, 2, k)
 
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutRequest{
-		ID: gossip.MakeRequestID(0xC0000001, 1), Key: key, Version: 3,
-		Value: []byte("v"), TTL: 2, Intra: true,
+		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 1), TTL: 2, Intra: true},
+		Key:     key, Version: 3, Value: []byte("v"),
 	}})
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &DeleteRequest{
-		ID: gossip.MakeRequestID(0xC0000001, 2), Key: key, Version: 3,
-		Origin: 0xC0000001, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 2), Origin: 0xC0000001, TTL: TTLUnset},
+		Key:     key, Version: 3,
 	}})
 	n.Tick(context.Background())
 	if _, _, ok, _ := n.Store().Get(key, 3); ok {
@@ -380,7 +379,8 @@ func TestNodeRelaysForeignSliceDelete(t *testing.T) {
 	n.Bootstrap([]transport.NodeID{500, 501})
 	key := keyForSlice(t, 3, k)
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &DeleteRequest{
-		ID: gossip.MakeRequestID(1, 1), Key: key, Version: 1, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(1, 1), TTL: TTLUnset},
+		Key:     key, Version: 1,
 	}})
 	relays := cap.byType(func(m interface{}) bool { _, ok := m.(*DeleteRequest); return ok })
 	if len(relays) == 0 {
@@ -397,8 +397,8 @@ func TestNodeNoAckSuppressed(t *testing.T) {
 	n, cap := staticNode(t, id, k)
 	key := keyForSlice(t, 2, k)
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutRequest{
-		ID: gossip.MakeRequestID(1, 1), Key: key, Version: 1,
-		Origin: 0xC0000001, TTL: TTLUnset, NoAck: true,
+		Routing: Routing{ID: gossip.MakeRequestID(1, 1), Origin: 0xC0000001, TTL: TTLUnset, NoAck: true},
+		Key:     key, Version: 1,
 	}})
 	if acks := cap.byType(func(m interface{}) bool { _, ok := m.(*PutAck); return ok }); len(acks) != 0 {
 		t.Fatal("NoAck put acked")
@@ -418,7 +418,8 @@ func TestNodeRelaysForeignSlicePut(t *testing.T) {
 	key := keyForSlice(t, 3, k) // not ours
 
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutRequest{
-		ID: gossip.MakeRequestID(1, 1), Key: key, Version: 1, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(1, 1), TTL: TTLUnset},
+		Key:     key, Version: 1,
 	}})
 
 	if _, _, ok, _ := n.Store().Get(key, 1); ok {
@@ -437,43 +438,6 @@ func TestNodeRelaysForeignSlicePut(t *testing.T) {
 	}
 }
 
-func TestNodeDropsExpiredTTL(t *testing.T) {
-	const k = 4
-	id := findNodeInSlice(t, 1, k)
-	n, cap := staticNode(t, id, k)
-	n.Bootstrap([]transport.NodeID{500, 501})
-	key := keyForSlice(t, 3, k)
-	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutRequest{
-		ID: gossip.MakeRequestID(1, 1), Key: key, Version: 1, TTL: 0,
-	}})
-	if len(cap.sent) != 0 {
-		t.Fatalf("expired-TTL request relayed: %+v", cap.sent)
-	}
-}
-
-func TestNodeSuppressesDuplicates(t *testing.T) {
-	const k = 4
-	id := findNodeInSlice(t, 2, k)
-	n, cap := staticNode(t, id, k)
-	key := keyForSlice(t, 2, k)
-	req := &PutRequest{
-		ID: gossip.MakeRequestID(1, 7), Key: key, Version: 1,
-		Origin: 0xC0000001, TTL: TTLUnset,
-	}
-	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: req})
-	before := len(cap.sent)
-	n.HandleMessage(context.Background(), transport.Envelope{From: 78, To: id, Msg: req})
-	if len(cap.sent) != before {
-		t.Fatal("duplicate triggered more traffic")
-	}
-	if n.Metrics().Get(metrics.DuplicatesSuppressed) != 1 {
-		t.Error("duplicate not counted")
-	}
-	if !n.HasSeen(req.ID) {
-		t.Error("HasSeen = false")
-	}
-}
-
 func TestNodeServesGetAndReportsSlice(t *testing.T) {
 	const k = 4
 	id := findNodeInSlice(t, 2, k)
@@ -482,8 +446,8 @@ func TestNodeServesGetAndReportsSlice(t *testing.T) {
 	_ = n.Store().Put(key, 3, []byte("served"))
 
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &GetRequest{
-		ID: gossip.MakeRequestID(1, 1), Key: key, Version: 3,
-		Origin: 0xC0000001, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(1, 1), Origin: 0xC0000001, TTL: TTLUnset},
+		Key:     key, Version: 3,
 	}})
 
 	replies := cap.byType(func(m interface{}) bool { _, ok := m.(*GetReply); return ok })
@@ -511,8 +475,8 @@ func TestNodeGetLatestVersion(t *testing.T) {
 	_ = n.Store().Put(key, 9, []byte("new"))
 
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &GetRequest{
-		ID: gossip.MakeRequestID(1, 2), Key: key, Version: store.Latest,
-		Origin: 0xC0000001, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(1, 2), Origin: 0xC0000001, TTL: TTLUnset},
+		Key:     key, Version: store.Latest,
 	}})
 	replies := cap.byType(func(m interface{}) bool { _, ok := m.(*GetReply); return ok })
 	if len(replies) != 1 || replies[0].Msg.(*GetReply).Version != 9 {
@@ -529,8 +493,8 @@ func TestNodeAbsentObjectKeepsRequestAlive(t *testing.T) {
 	// No intra view yet → nothing to relay to, but critically: no
 	// reply must be sent (a replica without the object stays silent).
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &GetRequest{
-		ID: gossip.MakeRequestID(1, 3), Key: key, Version: 1,
-		Origin: 0xC0000001, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(1, 3), Origin: 0xC0000001, TTL: TTLUnset},
+		Key:     key, Version: 1,
 	}})
 	if replies := cap.byType(func(m interface{}) bool { _, ok := m.(*GetReply); return ok }); len(replies) != 0 {
 		t.Fatal("replica without object replied")
@@ -706,7 +670,8 @@ func TestNodeMetricsCountTraffic(t *testing.T) {
 	n.Bootstrap([]transport.NodeID{500, 501, 502})
 	key := keyForSlice(t, 3, k)
 	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &PutRequest{
-		ID: gossip.MakeRequestID(1, 1), Key: key, Version: 1, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.MakeRequestID(1, 1), TTL: TTLUnset},
+		Key:     key, Version: 1,
 	}})
 	m := n.Metrics()
 	if m.Get(metrics.MsgRecv) != 1 {

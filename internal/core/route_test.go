@@ -117,8 +117,8 @@ func peersOf(slice int32, base, n int) []pss.Descriptor {
 
 func routePut(key string, ttl uint8, flood bool) *PutRequest {
 	return &PutRequest{
-		ID: gossip.MakeRequestID(0xC0000001, 1), Key: key, Version: 1, Value: []byte("v"),
-		Origin: 0xC0000001, TTL: ttl, Flood: flood,
+		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 1), Origin: 0xC0000001, TTL: ttl, Flood: flood},
+		Key:     key, Version: 1, Value: []byte("v"),
 	}
 }
 
@@ -242,11 +242,11 @@ func TestGlobalPhaseFloodFlag(t *testing.T) {
 	key := keyForSlice(t, routeTarget, routeK)
 	id := gossip.MakeRequestID(client1, 1)
 	kinds := map[string]interface{}{
-		"put":         &PutRequest{ID: id, Key: key, Version: 1, Origin: client1, TTL: TTLUnset, Flood: true},
-		"putbatch":    &PutBatchRequest{ID: id, Objs: []store.Object{{Key: key, Version: 1}}, Origin: client1, TTL: TTLUnset, Flood: true},
-		"get":         &GetRequest{ID: id, Key: key, Version: store.Latest, Origin: client1, TTL: TTLUnset, Flood: true},
-		"delete":      &DeleteRequest{ID: id, Key: key, Version: 1, Origin: client1, TTL: TTLUnset, Flood: true},
-		"deletebatch": &DeleteBatchRequest{ID: id, Items: []DeleteItem{{Key: key, Version: 1}}, Origin: client1, TTL: TTLUnset, Flood: true},
+		"put":         &PutRequest{Routing: Routing{ID: id, Origin: client1, TTL: TTLUnset, Flood: true}, Key: key, Version: 1},
+		"putbatch":    &PutBatchRequest{Routing: Routing{ID: id, Origin: client1, TTL: TTLUnset, Flood: true}, Objs: []store.Object{{Key: key, Version: 1}}},
+		"get":         &GetRequest{Routing: Routing{ID: id, Origin: client1, TTL: TTLUnset, Flood: true}, Key: key, Version: store.Latest},
+		"delete":      &DeleteRequest{Routing: Routing{ID: id, Origin: client1, TTL: TTLUnset, Flood: true}, Key: key, Version: 1},
+		"deletebatch": &DeleteBatchRequest{Routing: Routing{ID: id, Origin: client1, TTL: TTLUnset, Flood: true}, Items: []DeleteItem{{Key: key, Version: 1}}},
 	}
 	flooded := func(msg interface{}) bool {
 		return reflect.ValueOf(msg).Elem().FieldByName("Flood").Bool()

@@ -68,29 +68,16 @@ func shardIndex(key string, shards int) int {
 
 // RequestKey classifies a message: data-plane requests
 // return their routing key (batches route by first key, matching the
-// target-slice choice in the handlers) and true; everything else —
+// target-slice choice in handleData) and true; everything else —
 // control protocols, mate discovery, client-bound acks — returns
 // false.
 func RequestKey(msg interface{}) (string, bool) {
-	switch m := msg.(type) {
-	case *PutRequest:
-		return m.Key, true
-	case *GetRequest:
-		return m.Key, true
-	case *DeleteRequest:
-		return m.Key, true
-	case *PutBatchRequest:
-		if len(m.Objs) > 0 {
-			return m.Objs[0].Key, true
-		}
-		return "", true
-	case *DeleteBatchRequest:
-		if len(m.Items) > 0 {
-			return m.Items[0].Key, true
-		}
-		return "", true
+	req, ok := msg.(request)
+	if !ok {
+		return "", false
 	}
-	return "", false
+	key, _ := req.routeKey()
+	return key, true
 }
 
 // routeView is the control plane's routing state as one immutable
@@ -184,24 +171,6 @@ func newShards(n *Node, cfg Config) []*dataShard {
 // shardFor returns the shard owning key.
 func (n *Node) shardFor(key string) *dataShard {
 	return n.shards[shardIndex(key, len(n.shards))]
-}
-
-// handleData dispatches one data-plane envelope of a run on shard s.
-// The handlers get the sender so a relay never hands a request straight
-// back to the peer it came from.
-func (n *Node) handleData(ctx context.Context, s *dataShard, env transport.Envelope) {
-	switch m := env.Msg.(type) {
-	case *PutRequest:
-		n.onPut(ctx, s, env.From, m)
-	case *PutBatchRequest:
-		n.onPutBatch(ctx, s, env.From, m)
-	case *GetRequest:
-		n.onGet(ctx, s, env.From, m)
-	case *DeleteRequest:
-		n.onDelete(ctx, s, env.From, m)
-	case *DeleteBatchRequest:
-		n.onDeleteBatch(ctx, s, env.From, m)
-	}
 }
 
 // StartShards moves the data plane onto per-shard goroutines: every
@@ -302,7 +271,7 @@ func (n *Node) runShard(ctx context.Context, s *dataShard) {
 func (n *Node) drain(ctx context.Context, s *dataShard, env transport.Envelope) {
 	for more := min(len(s.mailbox), n.cfg.CoalesceMax-1); ; more-- {
 		s.met.Inc(metrics.MsgRecv)
-		n.handleData(ctx, s, env)
+		n.handleData(ctx, s, env.From, env.Msg.(request)) // only requests are dispatched here
 		if more == 0 {
 			break
 		}
@@ -406,9 +375,9 @@ func (s *dataShard) hinted(peers []pss.Descriptor, target int32, from transport.
 	return out
 }
 
-// relayGlobal forwards a request in its global phase. ttl is the
-// request's own: TTLUnset on the first hop from a client, which stamps
-// budget — clients know neither the system size nor the slice count.
+// relayGlobal forwards a request in its global phase. Its TTL is
+// TTLUnset on the first hop from a client, which stamps budget — clients
+// know neither the system size nor the slice count.
 //
 // When the view names peers that advertise the target slice (the
 // sender excepted), the request goes to ONE of them, chosen uniformly,
@@ -420,14 +389,13 @@ func (s *dataShard) hinted(peers []pss.Descriptor, target int32, from transport.
 // that has already seen the request, and strand it; two hops cannot
 // (the sender is never a candidate).
 //
-// With no hinted peer, every hinted send failing, or flood set (the
+// With no hinted peer, every hinted send failing, or Flood set (the
 // request is on the dependable path already), the request goes to
-// fanout random peers as the paper has it. build constructs the
-// forwarded copy given the decremented TTL and its Flood flag; one copy
-// is shared across peers because receivers never mutate messages.
-func (s *dataShard) relayGlobal(ctx context.Context, v *routeView, from transport.NodeID, target int32, flood bool, ttl uint8,
-	budget uint8, build func(ttl uint8, flood bool) interface{}) {
-	first := ttl == TTLUnset
+// fanout random peers as the paper has it. One copy is shared across
+// peers because receivers never mutate messages.
+func (s *dataShard) relayGlobal(ctx context.Context, v *routeView, from transport.NodeID, target int32, req request, budget uint8) {
+	r := req.routing()
+	ttl, first := r.TTL, r.TTL == TTLUnset
 	if first {
 		ttl = budget
 	}
@@ -439,12 +407,18 @@ func (s *dataShard) relayGlobal(ctx context.Context, v *routeView, from transpor
 		return
 	}
 	s.met.Inc(metrics.RequestsRelayed)
+	copyWith := func(flood bool) request {
+		fwd := req.hop()
+		fr := fwd.routing()
+		fr.TTL, fr.Flood = ttl-1, flood
+		return fwd
+	}
 	var hinted []int
-	if !flood {
+	if !r.Flood {
 		hinted = s.hinted(peers, target, from)
 	}
 	if len(hinted) > 0 {
-		fwd := build(ttl-1, !first)
+		fwd := copyWith(!first)
 		for len(hinted) > 0 {
 			i := s.rng.IntN(len(hinted))
 			if s.sendData(ctx, peers[hinted[i]].ID, fwd) {
@@ -456,7 +430,7 @@ func (s *dataShard) relayGlobal(ctx context.Context, v *routeView, from transpor
 		}
 	}
 	s.met.Inc(metrics.RequestsFlooded)
-	fwd := build(ttl-1, flood)
+	fwd := copyWith(r.Flood)
 	for _, i := range s.sample(len(peers), fanout) {
 		s.sendData(ctx, peers[i].ID, fwd)
 	}
@@ -529,6 +503,27 @@ func (s *dataShard) traceOp(kind obs.TraceKind, traceID uint64, key string, byte
 		Bytes: uint64(bytes), Objects: uint64(objects),
 		Shard: uint64(s.id) + 1,
 	})
+}
+
+// traceRelay journals that a traced request is about to be passed on,
+// under its kind's relay event and with a batch's size.
+func (s *dataShard) traceRelay(req request, key string) {
+	r := req.routing()
+	if s.n.trace == nil || r.TraceID == 0 {
+		return
+	}
+	kind, objects := obs.TracePutRelay, 0
+	switch m := req.(type) {
+	case *PutBatchRequest:
+		objects = len(m.Objs)
+	case *GetRequest:
+		kind = obs.TraceGetRelay
+	case *DeleteRequest:
+		kind = obs.TraceDeleteRelay
+	case *DeleteBatchRequest:
+		kind, objects = obs.TraceDeleteRelay, len(m.Items)
+	}
+	s.traceOp(kind, r.TraceID, key, 0, objects)
 }
 
 // coalescePut buffers one intra-slice relay copy for the next commit.
@@ -606,10 +601,7 @@ func (s *dataShard) commit(ctx context.Context) {
 		if m := e.m; failed == nil || !failed[e.at] {
 			own++
 			s.traceOp(obs.TracePutApply, m.TraceID, m.Key, len(m.Value), 1)
-			if !m.NoAck && m.Origin != 0 {
-				s.n.learnOrigin(m.Origin, m.OriginAddr)
-				s.sendData(ctx, m.Origin, &PutAck{ID: m.ID, Key: m.Key, Version: m.Version})
-			}
+			s.ack(ctx, m, 0)
 		}
 	}
 	s.met.Add(metrics.PutsServed, uint64(served))
@@ -647,16 +639,15 @@ func (s *dataShard) relayEntries(ctx context.Context, entries []entryPut) {
 		if m := e.m; objs == nil || !batchedRelay(m) {
 			s.traceOp(obs.TracePutRelay, m.TraceID, m.Key, 0, 0)
 			fwd := *m
-			fwd.Intra, fwd.OriginAddr = true, "" // no mate acks an intra copy
-			fwd.TTL = v.intraTTL
+			fwd.enterSlice(v, false)
 			s.relayIntra(ctx, v, e.from, &fwd)
 		}
 	}
 	if objs != nil {
-		fwd := &PutBatchRequest{
-			ID:   gossip.MakeRequestID(s.n.id, s.n.relaySeq.Add(1)),
-			Objs: objs, TTL: v.intraTTL, Intra: true, NoAck: true,
-		}
+		fwd := &PutBatchRequest{Objs: objs, Routing: Routing{
+			ID: gossip.MakeRequestID(s.n.id, s.n.relaySeq.Add(1)), NoAck: true,
+		}}
+		fwd.enterSlice(v, false)
 		s.dedup.Seen(fwd.ID)
 		// No mate handed us the batch: sparing ourselves spares nobody.
 		s.relayIntra(ctx, v, s.n.id, fwd)

@@ -39,8 +39,8 @@ func shardedNodeTo(t *testing.T, st store.Store, shards int, out transport.Sende
 
 func putEnv(id uint64, key string, version uint64) transport.Envelope {
 	return transport.Envelope{From: 2, To: 1, Msg: &PutRequest{
-		ID: gossip.RequestID(id), Key: key, Version: version,
-		Value: []byte("v"), NoAck: true, TTL: TTLUnset,
+		Routing: Routing{ID: gossip.RequestID(id), NoAck: true, TTL: TTLUnset},
+		Key:     key, Version: version, Value: []byte("v"),
 	}}
 }
 
@@ -348,12 +348,13 @@ func TestShardHammer(t *testing.T) {
 				switch i % 5 {
 				case 0, 1:
 					env = transport.Envelope{From: 2, To: 1, Msg: &PutRequest{
-						ID: gossip.RequestID(id), Key: key, Version: uint64(i + 1),
-						Value: val, NoAck: true, TTL: TTLUnset,
+						Routing: Routing{ID: gossip.RequestID(id), NoAck: true, TTL: TTLUnset},
+						Key:     key, Version: uint64(i + 1), Value: val,
 					}}
 				case 2:
 					env = transport.Envelope{From: 2, To: 1, Msg: &GetRequest{
-						ID: gossip.RequestID(id), Key: key, Version: store.Latest, TTL: TTLUnset,
+						Routing: Routing{ID: gossip.RequestID(id), TTL: TTLUnset},
+						Key:     key, Version: store.Latest,
 					}}
 				case 3:
 					objs := []store.Object{
@@ -361,12 +362,13 @@ func TestShardHammer(t *testing.T) {
 						{Key: fmt.Sprintf("h-%d", (i+7)%512), Version: uint64(i + 2), Value: val},
 					}
 					env = transport.Envelope{From: 2, To: 1, Msg: &PutBatchRequest{
-						ID: gossip.RequestID(id), Objs: objs, NoAck: true, TTL: TTLUnset,
+						Routing: Routing{ID: gossip.RequestID(id), NoAck: true, TTL: TTLUnset},
+						Objs:    objs,
 					}}
 				default:
 					env = transport.Envelope{From: 2, To: 1, Msg: &DeleteRequest{
-						ID: gossip.RequestID(id), Key: key, Version: store.Latest,
-						NoAck: true, TTL: TTLUnset,
+						Routing: Routing{ID: gossip.RequestID(id), NoAck: true, TTL: TTLUnset},
+						Key:     key, Version: store.Latest,
 					}}
 				}
 				n.DispatchData(env)
@@ -471,13 +473,13 @@ func TestShardEquivalenceSingleVsMany(t *testing.T) {
 			var msg interface{}
 			switch i % 7 {
 			case 6:
-				msg = &DeleteRequest{ID: id, Key: key, Version: uint64(i / 300), Origin: client, TTL: TTLUnset}
+				msg = &DeleteRequest{Routing: Routing{ID: id, Origin: client, TTL: TTLUnset}, Key: key, Version: uint64(i / 300)}
 			case 3:
-				msg = &GetRequest{ID: id, Key: key, Version: store.Latest, Origin: client, TTL: TTLUnset}
+				msg = &GetRequest{Routing: Routing{ID: id, Origin: client, TTL: TTLUnset}, Key: key, Version: store.Latest}
 			default:
 				msg = &PutRequest{
-					ID: id, Key: key, Version: uint64(i/300 + 1),
-					Value: []byte(key), Origin: client, TTL: TTLUnset,
+					Routing: Routing{ID: id, Origin: client, TTL: TTLUnset},
+					Key:     key, Version: uint64(i/300 + 1), Value: []byte(key),
 				}
 			}
 			deliver(transport.Envelope{From: 2, To: 1, Msg: msg})

@@ -551,18 +551,14 @@ func FanoutSweep(n int, cs []float64, trials int, seed uint64) []FanoutPoint {
 		for trial := 0; trial < trials; trial++ {
 			id := gossip.MakeRequestID(clientIDBase, uint32(trial+1))
 			contact := cl.AliveIDs()[trial%cl.N()]
+			// A full flood budget, stamped explicitly: gets normally use
+			// the bounded coverage TTL, but here the flood itself is the
+			// object of study.
+			ttl := gossip.TTL(n, gossip.Fanout(n, cTerm), 2)
 			req := &core.GetRequest{
-				ID:      id,
-				Key:     workload.Key(trial),
-				Version: 1,
-				Origin:  clientIDBase,
-				TTL:     255, // full-coverage budget, stamped below
-				Flood:   true,
+				Routing: core.Routing{ID: id, Origin: clientIDBase, TTL: ttl, Flood: true},
+				Key:     workload.Key(trial), Version: 1,
 			}
-			// Stamp a full flood budget explicitly: gets normally use
-			// the bounded coverage TTL, but here the flood itself is
-			// the object of study.
-			req.TTL = gossip.TTL(n, gossip.Fanout(n, cTerm), 2)
 			cl.Inject(contact, req)
 			cl.Run(8)
 

@@ -117,13 +117,13 @@ func shardScalingRun(opts ShardScalingOptions, shards int) ShardScalingResult {
 				var msg interface{}
 				if i%10 == 0 {
 					msg = &core.PutRequest{
-						ID: gossip.RequestID(base | i), Key: k, Version: i,
-						Value: val, NoAck: true, TTL: core.TTLUnset,
+						Routing: core.Routing{ID: gossip.RequestID(base | i), NoAck: true, TTL: core.TTLUnset},
+						Key:     k, Version: i, Value: val,
 					}
 				} else {
 					msg = &core.GetRequest{
-						ID: gossip.RequestID(base | i), Key: k,
-						Version: store.Latest, Origin: 2, TTL: core.TTLUnset,
+						Routing: core.Routing{ID: gossip.RequestID(base | i), Origin: 2, TTL: core.TTLUnset},
+						Key:     k, Version: store.Latest,
 					}
 				}
 				n.DispatchData(transport.Envelope{From: 2, To: 1, Msg: msg})
@@ -224,8 +224,8 @@ func ShardPutBurst(opts ShardPutBurstOptions) (ShardPutBurstResult, error) {
 		}
 		stalled.Reset(10 * time.Second)
 		n.DispatchData(transport.Envelope{From: 2, To: 1, Msg: &core.PutRequest{
-			ID: gossip.MakeRequestID(2, uint32(i)), Key: fmt.Sprintf("burst-%d", i), Version: 1,
-			Value: val, Origin: 2, TTL: core.TTLUnset,
+			Routing: core.Routing{ID: gossip.MakeRequestID(2, uint32(i)), Origin: 2, TTL: core.TTLUnset},
+			Key:     fmt.Sprintf("burst-%d", i), Version: 1, Value: val,
 		}})
 	}
 	n.StopShards()

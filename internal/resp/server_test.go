@@ -15,6 +15,11 @@ import (
 	"dataflasks/internal/resp"
 )
 
+// gatewayGetTimeout is one attempt of the test gateway's reads. A miss
+// costs the read attempt budget; it is short so the null-reply cases
+// don't dominate the test.
+const gatewayGetTimeout = 100 * time.Millisecond
+
 // startGateway boots a real single-node TCP deployment (static slicer,
 // one slice: the node serves every key immediately) behind a RESP
 // gateway — the exact wiring flasksd -resp-addr uses — and returns the
@@ -42,9 +47,7 @@ func startGateway(t *testing.T) (string, *metrics.CommandStats) {
 
 	stats := metrics.NewCommandStats()
 	srv := resp.NewServer(cl, resp.Config{
-		// A miss costs the read attempt budget; keep it short so the
-		// null-reply cases don't dominate the test.
-		GetTimeout: 100 * time.Millisecond,
+		GetTimeout: gatewayGetTimeout,
 		GetRetries: 1,
 		Stats:      stats,
 	})
@@ -166,6 +169,14 @@ func TestGatewayConformance(t *testing.T) {
 		}
 	}
 	roundTrip(t, conn, br, "*2\r\n$6\r\nEXISTS\r\n$2\r\nok\r\n", ":0\r\n") // the refused MSET stored nothing
+	// Nobody can hold such a key, so reading it is a miss that needs no
+	// asking: null / 0 at once, not after the read budget like "missing".
+	start := time.Now()
+	roundTrip(t, conn, br, "*2\r\n$3\r\nGET\r\n$129\r\n"+long+"\r\n", "$-1\r\n")
+	roundTrip(t, conn, br, "*2\r\n$6\r\nEXISTS\r\n$129\r\n"+long+"\r\n", ":0\r\n")
+	if took := time.Since(start); took >= gatewayGetTimeout {
+		t.Fatalf("GET and EXISTS of an oversized key took %v, want well inside one GetTimeout (%v)", took, gatewayGetTimeout)
+	}
 
 	// MSET with an odd tail is rejected without touching the store.
 	roundTrip(t, conn, br,

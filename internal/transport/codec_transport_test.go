@@ -85,7 +85,7 @@ func TestTCPBinaryFraming(t *testing.T) {
 	assertShuffle(t, col.wait(t), 1)
 
 	// Data plane on the same stream.
-	put := &core.PutRequest{ID: 9, Key: "k", Version: 1, Value: []byte("v"), Origin: 1, TTL: 3}
+	put := &core.PutRequest{Routing: core.Routing{ID: 9, Origin: 1, TTL: 3}, Key: "k", Version: 1, Value: []byte("v")}
 	if err := a.Sender().Send(context.Background(), 2, put); err != nil {
 		t.Fatal(err)
 	}

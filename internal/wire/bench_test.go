@@ -33,7 +33,8 @@ func benchEnvelopes() map[string]Envelope {
 	}
 	return map[string]Envelope{
 		"put_batch": {From: 1, FromAddr: "10.0.0.1:7000", To: 2, Msg: &core.PutBatchRequest{
-			ID: 7, Objs: objs, Origin: 1, OriginAddr: "10.0.0.1:7000", TTL: 4,
+			Routing: core.Routing{ID: 7, Origin: 1, OriginAddr: "10.0.0.1:7000", TTL: 4},
+			Objs:    objs,
 		}},
 		"summary": {From: 1, FromAddr: "10.0.0.1:7000", To: 2, Msg: &antientropy.Summary{
 			Slice: 3, Filter: antientropy.Filter{K: 7, Bits: make([]uint64, 128)},

@@ -54,25 +54,30 @@ func fixtures() []Envelope {
 			Filter: antientropy.Filter{K: 4, Salt: 0x1d5a, Bits: []uint64{0xcafe}}},
 		&antientropy.Pull{Headers: headers},
 		&antientropy.Push{Objects: objs},
-		&core.PutRequest{ID: 42, Key: "k", Version: 3, Value: []byte("val"),
-			Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true,
-			TraceID: 0x7ace1},
+		&core.PutRequest{
+			Routing: core.Routing{ID: 42, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true, TraceID: 0x7ace1},
+			Key:     "k", Version: 3, Value: []byte("val"),
+		},
 		&core.PutAck{ID: 42, Key: "k", Version: 3},
-		&core.PutBatchRequest{ID: 43, Objs: objs, Origin: 9,
-			OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: false, NoAck: false,
-			TraceID: 0x7ace2},
+		&core.PutBatchRequest{
+			Routing: core.Routing{ID: 43, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: false, NoAck: false, TraceID: 0x7ace2},
+			Objs:    objs,
+		},
 		&core.PutBatchAck{ID: 43, Stored: 2},
-		&core.GetRequest{ID: 44, Key: "k", Version: store.Latest, Origin: 9,
-			OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, TraceID: 0x7ace3},
+		&core.GetRequest{
+			Routing: core.Routing{ID: 44, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, TraceID: 0x7ace3},
+			Key:     "k", Version: store.Latest,
+		},
 		&core.GetReply{ID: 44, Key: "k", Version: 3, Value: []byte("val"), Slice: 2},
-		&core.DeleteRequest{ID: 45, Key: "k", Version: 3, Origin: 9,
-			OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true,
-			TraceID: 0x7ace4},
+		&core.DeleteRequest{
+			Routing: core.Routing{ID: 45, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true, TraceID: 0x7ace4},
+			Key:     "k", Version: 3,
+		},
 		&core.DeleteAck{ID: 45, Key: "k", Version: 3},
-		&core.DeleteBatchRequest{ID: 46,
-			Items:  []core.DeleteItem{{Key: "a", Version: 1}, {Key: "b", Version: store.Latest}},
-			Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true,
-			TraceID: 0x7ace5},
+		&core.DeleteBatchRequest{
+			Routing: core.Routing{ID: 46, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true, TraceID: 0x7ace5},
+			Items:   []core.DeleteItem{{Key: "a", Version: 1}, {Key: "b", Version: store.Latest}},
+		},
 		&core.DeleteBatchAck{ID: 46, Applied: 2},
 		&core.MateQuery{Slice: 5},
 		&core.MateReply{Slice: 5, Mates: descs},
@@ -380,11 +385,14 @@ func legacyRequestFrames() []legacyRequestFrame {
 			legacy: "010d007000000000000000d4000000000000000d31302e302e302e313a373030302a000000" +
 				"00000000016b03000000000000000376616c09000000000000000d31302e302e302e393a37303039040101",
 			from: 112, to: 212,
-			untraced: &core.PutRequest{ID: 42, Key: "k", Version: 3, Value: []byte("val"),
-				Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true},
-			traced: &core.PutRequest{ID: 42, Key: "k", Version: 3, Value: []byte("val"),
-				Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true,
-				TraceID: 0x7ace1},
+			untraced: &core.PutRequest{
+				Routing: core.Routing{ID: 42, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true},
+				Key:     "k", Version: 3, Value: []byte("val"),
+			},
+			traced: &core.PutRequest{
+				Routing: core.Routing{ID: 42, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true, TraceID: 0x7ace1},
+				Key:     "k", Version: 3, Value: []byte("val"),
+			},
 		},
 		{
 			name: "PutBatchRequest",
@@ -392,31 +400,42 @@ func legacyRequestFrames() []legacyRequestFrame {
 				"000000000205616c70686101000000000000000276310462657461020000000000000000090000000000" +
 				"00000d31302e302e302e393a37303039040000",
 			from: 114, to: 214,
-			untraced: &core.PutBatchRequest{ID: 43, Objs: objs, Origin: 9,
-				OriginAddr: "10.0.0.9:7009", TTL: 4},
-			traced: &core.PutBatchRequest{ID: 43, Objs: objs, Origin: 9,
-				OriginAddr: "10.0.0.9:7009", TTL: 4, TraceID: 0x7ace2},
+			untraced: &core.PutBatchRequest{
+				Routing: core.Routing{ID: 43, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4},
+				Objs:    objs,
+			},
+			traced: &core.PutBatchRequest{
+				Routing: core.Routing{ID: 43, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, TraceID: 0x7ace2},
+				Objs:    objs,
+			},
 		},
 		{
 			name: "GetRequest",
 			legacy: "0111007400000000000000d8000000000000000d31302e302e302e313a373030302c000000" +
 				"00000000016bffffffffffffffff09000000000000000d31302e302e302e393a373030390401",
 			from: 116, to: 216,
-			untraced: &core.GetRequest{ID: 44, Key: "k", Version: store.Latest, Origin: 9,
-				OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true},
-			traced: &core.GetRequest{ID: 44, Key: "k", Version: store.Latest, Origin: 9,
-				OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, TraceID: 0x7ace3},
+			untraced: &core.GetRequest{
+				Routing: core.Routing{ID: 44, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true},
+				Key:     "k", Version: store.Latest,
+			},
+			traced: &core.GetRequest{
+				Routing: core.Routing{ID: 44, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, TraceID: 0x7ace3},
+				Key:     "k", Version: store.Latest,
+			},
 		},
 		{
 			name: "DeleteRequest",
 			legacy: "0113007600000000000000da000000000000000d31302e302e302e313a373030302d000000" +
 				"00000000016b030000000000000009000000000000000d31302e302e302e393a37303039040101",
 			from: 118, to: 218,
-			untraced: &core.DeleteRequest{ID: 45, Key: "k", Version: 3, Origin: 9,
-				OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true},
-			traced: &core.DeleteRequest{ID: 45, Key: "k", Version: 3, Origin: 9,
-				OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true,
-				TraceID: 0x7ace4},
+			untraced: &core.DeleteRequest{
+				Routing: core.Routing{ID: 45, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true},
+				Key:     "k", Version: 3,
+			},
+			traced: &core.DeleteRequest{
+				Routing: core.Routing{ID: 45, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true, TraceID: 0x7ace4},
+				Key:     "k", Version: 3,
+			},
 		},
 		{
 			name: "DeleteBatchRequest",
@@ -424,13 +443,14 @@ func legacyRequestFrames() []legacyRequestFrame {
 				"0000000002016101000000000000000162ffffffffffffffff09000000000000000d31302e302e302e39" +
 				"3a37303039040101",
 			from: 120, to: 220,
-			untraced: &core.DeleteBatchRequest{ID: 46,
-				Items:  []core.DeleteItem{{Key: "a", Version: 1}, {Key: "b", Version: store.Latest}},
-				Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true},
-			traced: &core.DeleteBatchRequest{ID: 46,
-				Items:  []core.DeleteItem{{Key: "a", Version: 1}, {Key: "b", Version: store.Latest}},
-				Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true,
-				TraceID: 0x7ace5},
+			untraced: &core.DeleteBatchRequest{
+				Routing: core.Routing{ID: 46, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true},
+				Items:   []core.DeleteItem{{Key: "a", Version: 1}, {Key: "b", Version: store.Latest}},
+			},
+			traced: &core.DeleteBatchRequest{
+				Routing: core.Routing{ID: 46, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true, TraceID: 0x7ace5},
+				Items:   []core.DeleteItem{{Key: "a", Version: 1}, {Key: "b", Version: store.Latest}},
+			},
 		},
 	}
 }
@@ -653,9 +673,8 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestBinaryEncodeAllocs(t *testing.T) {
 	codec := BinaryCodec()
 	env := Envelope{From: 1, FromAddr: "10.0.0.1:7000", To: 2, Msg: &core.PutBatchRequest{
-		ID:   7,
-		Objs: []store.Object{{Key: "k1", Version: 1, Value: make([]byte, 512)}},
-		TTL:  3,
+		Routing: core.Routing{ID: 7, TTL: 3},
+		Objs:    []store.Object{{Key: "k1", Version: 1, Value: make([]byte, 512)}},
 	}}
 	buf := make([]byte, 0, 4096)
 	allocs := testing.AllocsPerRun(100, func() {

@@ -177,20 +177,14 @@ var Messages = []Spec{
 			b = appendStr(b, v.Key)
 			b = appendU64(b, v.Version)
 			b = appendBytes(b, v.Value)
-			b = appendU64(b, uint64(v.Origin))
-			b = appendStr(b, v.OriginAddr)
-			b = appendU8(b, v.TTL)
-			b = appendBool(b, v.Intra)
-			b = appendBool(b, v.NoAck)
-			return appendRequestTail(b, v.TraceID, v.Flood)
+			return appendRouting(b, &v.Routing, true)
 		},
 		dec: func(r *reader) interface{} {
 			m := &core.PutRequest{
-				ID: gossip.RequestID(r.u64()), Key: r.str(), Version: r.u64(), Value: r.blob(),
-				Origin: transport.NodeID(r.u64()), OriginAddr: r.str(),
-				TTL: r.u8(), Intra: r.boolean(), NoAck: r.boolean(),
+				Routing: core.Routing{ID: gossip.RequestID(r.u64())},
+				Key:     r.str(), Version: r.u64(), Value: r.blob(),
 			}
-			m.TraceID, m.Flood = readRequestTail(r)
+			readRouting(r, &m.Routing, true)
 			return m
 		},
 	},
@@ -212,20 +206,14 @@ var Messages = []Spec{
 			v := m.(*core.PutBatchRequest)
 			b = appendU64(b, uint64(v.ID))
 			b = appendObjects(b, v.Objs)
-			b = appendU64(b, uint64(v.Origin))
-			b = appendStr(b, v.OriginAddr)
-			b = appendU8(b, v.TTL)
-			b = appendBool(b, v.Intra)
-			b = appendBool(b, v.NoAck)
-			return appendRequestTail(b, v.TraceID, v.Flood)
+			return appendRouting(b, &v.Routing, true)
 		},
 		dec: func(r *reader) interface{} {
 			m := &core.PutBatchRequest{
-				ID: gossip.RequestID(r.u64()), Objs: readObjects(r),
-				Origin: transport.NodeID(r.u64()), OriginAddr: r.str(),
-				TTL: r.u8(), Intra: r.boolean(), NoAck: r.boolean(),
+				Routing: core.Routing{ID: gossip.RequestID(r.u64())},
+				Objs:    readObjects(r),
 			}
-			m.TraceID, m.Flood = readRequestTail(r)
+			readRouting(r, &m.Routing, true)
 			return m
 		},
 	},
@@ -247,19 +235,14 @@ var Messages = []Spec{
 			b = appendU64(b, uint64(v.ID))
 			b = appendStr(b, v.Key)
 			b = appendU64(b, v.Version)
-			b = appendU64(b, uint64(v.Origin))
-			b = appendStr(b, v.OriginAddr)
-			b = appendU8(b, v.TTL)
-			b = appendBool(b, v.Intra)
-			return appendRequestTail(b, v.TraceID, v.Flood)
+			return appendRouting(b, &v.Routing, false)
 		},
 		dec: func(r *reader) interface{} {
 			m := &core.GetRequest{
-				ID: gossip.RequestID(r.u64()), Key: r.str(), Version: r.u64(),
-				Origin: transport.NodeID(r.u64()), OriginAddr: r.str(),
-				TTL: r.u8(), Intra: r.boolean(),
+				Routing: core.Routing{ID: gossip.RequestID(r.u64())},
+				Key:     r.str(), Version: r.u64(),
 			}
-			m.TraceID, m.Flood = readRequestTail(r)
+			readRouting(r, &m.Routing, false)
 			return m
 		},
 	},
@@ -287,20 +270,14 @@ var Messages = []Spec{
 			b = appendU64(b, uint64(v.ID))
 			b = appendStr(b, v.Key)
 			b = appendU64(b, v.Version)
-			b = appendU64(b, uint64(v.Origin))
-			b = appendStr(b, v.OriginAddr)
-			b = appendU8(b, v.TTL)
-			b = appendBool(b, v.Intra)
-			b = appendBool(b, v.NoAck)
-			return appendRequestTail(b, v.TraceID, v.Flood)
+			return appendRouting(b, &v.Routing, true)
 		},
 		dec: func(r *reader) interface{} {
 			m := &core.DeleteRequest{
-				ID: gossip.RequestID(r.u64()), Key: r.str(), Version: r.u64(),
-				Origin: transport.NodeID(r.u64()), OriginAddr: r.str(),
-				TTL: r.u8(), Intra: r.boolean(), NoAck: r.boolean(),
+				Routing: core.Routing{ID: gossip.RequestID(r.u64())},
+				Key:     r.str(), Version: r.u64(),
 			}
-			m.TraceID, m.Flood = readRequestTail(r)
+			readRouting(r, &m.Routing, true)
 			return m
 		},
 	},
@@ -326,29 +303,18 @@ var Messages = []Spec{
 				b = appendStr(b, it.Key)
 				b = appendU64(b, it.Version)
 			}
-			b = appendU64(b, uint64(v.Origin))
-			b = appendStr(b, v.OriginAddr)
-			b = appendU8(b, v.TTL)
-			b = appendBool(b, v.Intra)
-			b = appendBool(b, v.NoAck)
-			return appendRequestTail(b, v.TraceID, v.Flood)
+			return appendRouting(b, &v.Routing, true)
 		},
 		dec: func(r *reader) interface{} {
-			id := gossip.RequestID(r.u64())
+			m := &core.DeleteBatchRequest{Routing: core.Routing{ID: gossip.RequestID(r.u64())}}
 			n := r.length()
-			var items []core.DeleteItem
 			if n > 0 && r.err == nil {
-				items = make([]core.DeleteItem, 0, n)
+				m.Items = make([]core.DeleteItem, 0, n)
 				for i := 0; i < n && r.err == nil; i++ {
-					items = append(items, core.DeleteItem{Key: r.str(), Version: r.u64()})
+					m.Items = append(m.Items, core.DeleteItem{Key: r.str(), Version: r.u64()})
 				}
 			}
-			m := &core.DeleteBatchRequest{
-				ID: id, Items: items,
-				Origin: transport.NodeID(r.u64()), OriginAddr: r.str(),
-				TTL: r.u8(), Intra: r.boolean(), NoAck: r.boolean(),
-			}
-			m.TraceID, m.Flood = readRequestTail(r)
+			readRouting(r, &m.Routing, true)
 			return m
 		},
 	},
@@ -716,9 +682,11 @@ func readRanges(r *reader) (ranges store.RangeSet) {
 	return ranges
 }
 
-// appendRequestTail carries the two optional trailing fields of the
-// five request kinds, with the same trick as appendFilter's salt: a
-// field is emitted only when something at or after it is non-zero.
+// appendRouting ends each of the five request kinds: the header after
+// the id, which leads the frame. A get has no NoAck byte. TraceID and
+// Flood are two OPTIONAL TRAILING fields, with the same trick as
+// appendFilterTail's salt: a field is emitted only when something at or
+// after it is non-zero.
 //
 //	TraceID == 0, !Flood: nothing   (byte-identical to pre-trace frames)
 //	TraceID != 0, !Flood: u64 id    (byte-identical to pre-flood frames)
@@ -728,29 +696,41 @@ func readRanges(r *reader) (ranges store.RangeSet) {
 // ignore the rest of the frame, so the request still routes: a
 // pre-trace node loses the journal entries, a pre-flood node — which
 // knows no other way to relay than the fanout — loses nothing. The tail
-// only works because it is the FINAL part of every request that carries
-// it, and it can only grow at its end: a further field is emitted after
-// the flag, and forces the fields before it out even when they are
-// zero.
-func appendRequestTail(b []byte, traceID uint64, flood bool) []byte {
-	if traceID != 0 || flood {
-		b = appendU64(b, traceID)
+// only works because the header is the FINAL part of every request, and
+// it can only grow at its end: a further field is emitted after the
+// flag, and forces the fields before it out even when they are zero.
+func appendRouting(b []byte, h *core.Routing, noAck bool) []byte {
+	b = appendU64(b, uint64(h.Origin))
+	b = appendStr(b, h.OriginAddr)
+	b = appendU8(b, h.TTL)
+	b = appendBool(b, h.Intra)
+	if noAck {
+		b = appendBool(b, h.NoAck)
 	}
-	if flood {
+	if h.TraceID != 0 || h.Flood {
+		b = appendU64(b, h.TraceID)
+	}
+	if h.Flood {
 		b = appendU8(b, 1)
 	}
 	return b
 }
 
-func readRequestTail(r *reader) (traceID uint64, flood bool) {
+// readRouting fills in what appendRouting wrote; the caller has read
+// the id.
+func readRouting(r *reader, h *core.Routing, noAck bool) {
+	h.Origin, h.OriginAddr = transport.NodeID(r.u64()), r.str()
+	h.TTL, h.Intra = r.u8(), r.boolean()
+	if noAck {
+		h.NoAck = r.boolean()
+	}
 	// Pre-trace frames end before the id, pre-flood frames before the flag.
 	if r.err == nil && r.off < len(r.b) {
-		traceID = r.u64()
+		h.TraceID = r.u64()
 	}
 	if r.err == nil && r.off < len(r.b) {
-		flood = r.boolean()
+		h.Flood = r.boolean()
 	}
-	return traceID, flood
 }
 
 func appendSegmentInfos(b []byte, segs []store.SegmentInfo) []byte {

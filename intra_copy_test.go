@@ -66,15 +66,19 @@ func TestIntraCopiesDropOriginAddr(t *testing.T) {
 		req      interface{}
 		withAddr func(copy interface{}) interface{} // the copy as it used to travel
 	}{
-		{"put", &core.PutRequest{ID: 1, Key: "k", Version: 1, Value: []byte("v"), Origin: client, OriginAddr: clientAddr},
+		{"put", &core.PutRequest{Routing: core.Routing{ID: 1, Origin: client, OriginAddr: clientAddr}, Key: "k", Version: 1, Value: []byte("v")},
 			func(c interface{}) interface{} { m := *c.(*core.PutRequest); m.OriginAddr = clientAddr; return &m }},
-		{"put batch", &core.PutBatchRequest{ID: 2, Objs: []store.Object{{Key: "a", Version: 1}, {Key: "b", Version: 1}},
-			Origin: client, OriginAddr: clientAddr},
+		{"put batch", &core.PutBatchRequest{
+			Routing: core.Routing{ID: 2, Origin: client, OriginAddr: clientAddr},
+			Objs:    []store.Object{{Key: "a", Version: 1}, {Key: "b", Version: 1}},
+		},
 			func(c interface{}) interface{} { m := *c.(*core.PutBatchRequest); m.OriginAddr = clientAddr; return &m }},
-		{"delete", &core.DeleteRequest{ID: 3, Key: "k", Version: 1, Origin: client, OriginAddr: clientAddr},
+		{"delete", &core.DeleteRequest{Routing: core.Routing{ID: 3, Origin: client, OriginAddr: clientAddr}, Key: "k", Version: 1},
 			func(c interface{}) interface{} { m := *c.(*core.DeleteRequest); m.OriginAddr = clientAddr; return &m }},
-		{"delete batch", &core.DeleteBatchRequest{ID: 4, Items: []core.DeleteItem{{Key: "a", Version: 1}},
-			Origin: client, OriginAddr: clientAddr},
+		{"delete batch", &core.DeleteBatchRequest{
+			Routing: core.Routing{ID: 4, Origin: client, OriginAddr: clientAddr},
+			Items:   []core.DeleteItem{{Key: "a", Version: 1}},
+		},
 			func(c interface{}) interface{} {
 				m := *c.(*core.DeleteBatchRequest)
 				m.OriginAddr = clientAddr
@@ -122,7 +126,7 @@ func TestIntraCopiesDropOriginAddr(t *testing.T) {
 	// the mate answers the client straight from it.
 	*entrySent = nil
 	entry.HandleMessage(ctx, transport.Envelope{From: client, To: 1,
-		Msg: &core.GetRequest{ID: 5, Key: "held-by-mate", Version: store.Latest, Origin: client, OriginAddr: clientAddr}})
+		Msg: &core.GetRequest{Routing: core.Routing{ID: 5, Origin: client, OriginAddr: clientAddr}, Key: "held-by-mate", Version: store.Latest}})
 	if len(*entrySent) != 1 || (*entrySent)[0].to != 2 {
 		t.Fatalf("entry point sent %+v, want one relayed get to the mate", *entrySent)
 	}
