@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"slices"
 	"sync"
 	"time"
@@ -120,23 +119,9 @@ func NewCluster(n int, cfg Config, opts ...ClusterOption) (*Cluster, error) {
 	rng := sim.RNG(cfg.Seed, 0xb007)
 	ids := c.nodeIDsLocked()
 	for _, id := range ids {
-		c.nodes[id].Bootstrap(pickSeeds(rng, ids, id))
+		c.nodes[id].Bootstrap(sim.PickSeeds(rng, ids, id))
 	}
 	return c, nil
-}
-
-// pickSeeds draws up to five distinct bootstrap contacts for self from
-// ids, uniformly.
-func pickSeeds(rng *rand.Rand, ids []NodeID, self NodeID) []NodeID {
-	seeds := make([]NodeID, 0, 5)
-	for len(seeds) < 5 && len(seeds) < len(ids)-1 {
-		cand := ids[rng.IntN(len(ids))]
-		if cand == self || slices.Contains(seeds, cand) {
-			continue
-		}
-		seeds = append(seeds, cand)
-	}
-	return seeds
 }
 
 // addNodeLocked creates and registers a node (not yet running). The
@@ -268,7 +253,7 @@ func (c *Cluster) AddNode() (NodeID, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.nodes[id].Bootstrap(pickSeeds(sim.RNG(c.cfg.Seed, uint64(id)), c.nodeIDsLocked(), id))
+	c.nodes[id].Bootstrap(sim.PickSeeds(sim.RNG(c.cfg.Seed, uint64(id)), c.nodeIDsLocked(), id))
 	if run != nil {
 		// On a running cluster the loop launches only now, after the
 		// bootstrap seeding above — the loop goroutine reads protocol

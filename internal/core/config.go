@@ -111,8 +111,6 @@ type Config struct {
 	PSS PSSKind
 	// ViewSize bounds the PSS partial view (default 20).
 	ViewSize int
-	// ShuffleLen is the Cyclon exchange length (default ViewSize/2+1).
-	ShuffleLen int
 
 	// Slicer selects the slice manager (default SlicerRank).
 	Slicer SlicerKind
@@ -124,13 +122,6 @@ type Config struct {
 	// FanoutC is the c in fanout = ln(N)+c (default 1.0; §II gives
 	// atomic-infection probability e^(-e^(-c))).
 	FanoutC float64
-	// GetCoverageC controls the TTL of the bounded global phase used
-	// for reads (§IV-B: "it is sufficient to reach only the percentage
-	// of system nodes that guarantees that some nodes of the target
-	// slice are reached"): the flood is sized to cover
-	// ~GetCoverageC·k random nodes, for slice-miss probability
-	// e^(-GetCoverageC). Default 3.
-	GetCoverageC float64
 	// BoundedPutFlood routes writes with the same bounded global phase
 	// as reads, relying on anti-entropy to finish replication. Off by
 	// default: writes use a full epidemic flood so the whole target
@@ -138,23 +129,9 @@ type Config struct {
 	// write-only evaluation measures. Exposed for the ablation
 	// experiments.
 	BoundedPutFlood bool
-	// IntraFanout is the relay fanout within a slice (default 8).
-	IntraFanout int
-
-	// IntraViewTarget is the desired intra-slice view size (default 8).
-	IntraViewTarget int
-	// IntraStaleRounds evicts intra-view entries not refreshed for this
-	// many rounds (default 12).
-	IntraStaleRounds int
 	// DiscoveryMaxQueries bounds slice-mate discovery queries per round
 	// (default 6).
 	DiscoveryMaxQueries int
-
-	// DedupCapacity bounds the request-id suppression cache
-	// (default 8192). With DataShards > 1 the capacity is divided
-	// across the per-shard caches (a key's requests always hash to the
-	// same shard, so the split loses nothing).
-	DedupCapacity int
 
 	// DataShards partitions the data plane (put/get/delete, batches,
 	// coalescing) by key hash into this many independent shard states.
@@ -183,9 +160,6 @@ type Config struct {
 	// AntiEntropyEvery runs one anti-entropy exchange every this many
 	// rounds (default 10; negative disables anti-entropy).
 	AntiEntropyEvery int
-	// AntiEntropyMaxPush bounds objects shipped per exchange
-	// (default 64).
-	AntiEntropyMaxPush int
 	// AntiEntropyMaxPushBytes bounds the value bytes shipped per
 	// repair Push message (default 1 MiB); a single larger object
 	// still ships alone.
@@ -270,23 +244,8 @@ func (c Config) withDefaults() Config {
 	if c.FanoutC == 0 {
 		c.FanoutC = 1.0
 	}
-	if c.GetCoverageC == 0 {
-		c.GetCoverageC = 3.0
-	}
-	if c.IntraFanout <= 0 {
-		c.IntraFanout = 8
-	}
-	if c.IntraViewTarget <= 0 {
-		c.IntraViewTarget = 8
-	}
-	if c.IntraStaleRounds <= 0 {
-		c.IntraStaleRounds = 12
-	}
 	if c.DiscoveryMaxQueries <= 0 {
 		c.DiscoveryMaxQueries = 6
-	}
-	if c.DedupCapacity <= 0 {
-		c.DedupCapacity = 8192
 	}
 	if c.DataShards <= 0 {
 		c.DataShards = 1
@@ -298,9 +257,6 @@ func (c Config) withDefaults() Config {
 		c.AntiEntropyEvery = 0
 	} else if c.AntiEntropyEvery == 0 {
 		c.AntiEntropyEvery = 10
-	}
-	if c.AntiEntropyMaxPush <= 0 {
-		c.AntiEntropyMaxPush = 64
 	}
 	if c.AntiEntropyMaxPushBytes <= 0 {
 		c.AntiEntropyMaxPushBytes = 1 << 20

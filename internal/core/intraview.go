@@ -25,6 +25,14 @@ type intraEntry struct {
 	seen uint64 // round of last refresh
 }
 
+// intraViewTarget is the intra-slice view size discovery tops up to (the
+// view holds twice as many); intraStaleRounds evicts an entry not
+// refreshed for this many rounds.
+const (
+	intraViewTarget  = 8
+	intraStaleRounds = 12
+)
+
 func newIntraView(capacity int, staleRounds int) *intraView {
 	return &intraView{
 		capacity: capacity,

@@ -105,7 +105,7 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 		lastSlice: slicing.SliceUnknown,
 	}
 	n.shards = newShards(n, cfg)
-	n.intra = newIntraView(cfg.IntraViewTarget*2, cfg.IntraStaleRounds)
+	n.intra = newIntraView(intraViewTarget*2, intraStaleRounds)
 	// The gauge must be right from round zero: the owner may have
 	// restored a snapshot into the store before assembling the node,
 	// and waiting for the first Tick would report 0 objects meanwhile.
@@ -129,10 +129,9 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 		}, n.sender(metrics.PSSSent), n.rng, selfInfo)
 	default:
 		n.pssP = pss.NewCyclon(id, pss.CyclonConfig{
-			ViewSize:   cfg.ViewSize,
-			ShuffleLen: cfg.ShuffleLen,
-			SelfAddr:   cfg.AdvertiseAddr,
-			OnSendErr:  n.countSendErr,
+			ViewSize:  cfg.ViewSize,
+			SelfAddr:  cfg.AdvertiseAddr,
+			OnSendErr: n.countSendErr,
 		}, n.sender(metrics.PSSSent), n.rng, selfInfo)
 	}
 	n.pssP.SetObserver(n.observeDescriptor)
@@ -163,7 +162,6 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 	if cfg.AntiEntropyEvery > 0 {
 		n.ae = antientropy.New(
 			antientropy.Config{
-				MaxPush:           cfg.AntiEntropyMaxPush,
 				MaxPushBytes:      cfg.AntiEntropyMaxPushBytes,
 				RateBytesPerRound: cfg.AntiEntropyRateBytes,
 				FullEvery:         cfg.AntiEntropyFullEvery,
@@ -420,11 +418,18 @@ func (n *Node) putTTL() uint8 {
 	return gossip.TTL(n.systemSize(), n.fanout(), 2)
 }
 
-// getTTL covers ~GetCoverageC·k random nodes — just enough that some
+// getCoverageC sizes the bounded global phase of a read (§IV-B: "it is
+// sufficient to reach only the percentage of system nodes that
+// guarantees that some nodes of the target slice are reached"): the
+// flood covers ~getCoverageC·k random nodes, for slice-miss probability
+// e^(-getCoverageC).
+const getCoverageC = 3.0
+
+// getTTL covers ~getCoverageC·k random nodes — just enough that some
 // target-slice node is reached w.h.p. (§IV-B).
 func (n *Node) getTTL() uint8 {
 	k := n.slicer.SliceCount()
-	target := int(math.Ceil(n.cfg.GetCoverageC * float64(k)))
+	target := int(math.Ceil(getCoverageC * float64(k)))
 	size := n.systemSize()
 	if target > size {
 		target = size
@@ -432,13 +437,16 @@ func (n *Node) getTTL() uint8 {
 	return gossip.TTL(target, n.fanout(), 1)
 }
 
+// intraFanout is the relay fanout within a slice.
+const intraFanout = 8
+
 // intraTTL bounds the intra-slice flood by the expected slice size.
 func (n *Node) intraTTL() uint8 {
 	sliceSize := n.systemSize() / n.slicer.SliceCount()
 	if sliceSize < 2 {
 		sliceSize = 2
 	}
-	return gossip.TTL(sliceSize, n.cfg.IntraFanout, 2)
+	return gossip.TTL(sliceSize, intraFanout, 2)
 }
 
 // Tick runs one gossip round: coalesced-put flush, peer sampling,
@@ -513,7 +521,7 @@ func (n *Node) discoverMates(ctx context.Context) {
 	if mine == slicing.SliceUnknown {
 		return
 	}
-	deficit := n.cfg.IntraViewTarget - n.intra.Len()
+	deficit := intraViewTarget - n.intra.Len()
 	if deficit <= 0 {
 		return
 	}

@@ -147,12 +147,15 @@ type entryPut struct {
 // and a larger value gains nothing from saving one frame header.
 const relayBatchValueMax = 64 << 10
 
+// dedupCapacity bounds a node's request-id suppression cache.
+const dedupCapacity = 8192
+
 // newShards builds the per-shard states. The dedup capacity is divided
 // across shards: a request id only ever reaches the shard its key
 // hashes to.
 func newShards(n *Node, cfg Config) []*dataShard {
 	count := cfg.DataShards
-	dedupCap := cfg.DedupCapacity / count
+	dedupCap := dedupCapacity / count
 	if dedupCap < 128 {
 		dedupCap = 128
 	}
@@ -454,7 +457,7 @@ func (s *dataShard) relayIntra(ctx context.Context, v *routeView, from transport
 	if skip >= 0 {
 		n--
 	}
-	picks := s.sample(n, s.n.cfg.IntraFanout)
+	picks := s.sample(n, intraFanout)
 	if len(picks) == 0 {
 		return
 	}

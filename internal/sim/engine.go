@@ -8,6 +8,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand/v2"
+	"slices"
 	"time"
 )
 
@@ -145,4 +146,18 @@ func (e *Engine) Ticker(start, period time.Duration, fn func(now time.Duration))
 // event interleaving.
 func RNG(seed uint64, stream uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, stream*0x9e3779b97f4a7c15+0x2545f4914f6cdd1d))
+}
+
+// PickSeeds draws up to five distinct bootstrap contacts for self from
+// ids, uniformly: what every cluster harness hands a node it starts.
+func PickSeeds[ID comparable](rng *rand.Rand, ids []ID, self ID) []ID {
+	seeds := make([]ID, 0, 5)
+	for len(seeds) < 5 && len(seeds) < len(ids)-1 {
+		cand := ids[rng.IntN(len(ids))]
+		if cand == self || slices.Contains(seeds, cand) {
+			continue
+		}
+		seeds = append(seeds, cand)
+	}
+	return seeds
 }
