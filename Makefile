@@ -24,9 +24,10 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -run TestFlasksdRESPGatewaySmoke -count=1 ./cmd/flasksd
 
-# goldens rewrites internal/lab/testdata/*.golden (the -quick tables of
-# fig3, fig4, route, lb, churn and pipeline at seed 42) from this tree.
-# Only for a change that is meant to move them; go test ./... compares.
+# goldens rewrites internal/lab/testdata/*.golden (the -quick tables, at
+# seed 42, of every row of lab.Experiments that names goldens) from this
+# tree. Only for a change that is meant to move them; go test ./...
+# compares.
 goldens:
 	$(GO) test ./internal/lab -run Golden -update
 
@@ -45,15 +46,10 @@ bench-module:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
+# smoke runs every experiment once at the reduced scale; each row of
+# lab.Experiments carries its gate, and any finding is exit status 1.
 smoke:
-	$(GO) run ./cmd/flaskbench -exp compact -quick
-	$(GO) run ./cmd/flaskbench -exp pipeline -quick
-	$(GO) run ./cmd/flaskbench -exp resp -quick
-	$(GO) run ./cmd/flaskbench -exp churn -quick -json BENCH_churn.json
-	$(GO) run ./cmd/flaskbench -exp bootstrap -quick -json BENCH_bootstrap.json
-	$(GO) run ./cmd/flaskbench -exp shards -quick -json BENCH_shards.json
-	$(GO) run ./cmd/flaskbench -exp route -quick
-	$(GO) run ./cmd/flaskbench -exp lb -quick
+	$(GO) run ./cmd/flaskbench -exp all -quick -json BENCH_gates.json
 
 # check runs the repo's own invariant analyzers (wire table, event
 # loop, ctx plumbing, lock holds, counter names). Zero findings or the

@@ -43,7 +43,7 @@ func BenchmarkFig3(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			var last lab.FigureRow
 			for i := 0; i < b.N; i++ {
-				last = lab.MessagesAt(n, 10, lab.FigureOptions{Seed: 42 + uint64(i)})
+				last = lab.MessagesAt(n, 10, 42+uint64(i))
 			}
 			b.ReportMetric(last.MsgsPerNode, "msgs/node")
 			b.ReportMetric(float64(last.OK), "ops-ok")
@@ -62,7 +62,7 @@ func BenchmarkFig4(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			var last lab.FigureRow
 			for i := 0; i < b.N; i++ {
-				last = lab.MessagesAt(n, k, lab.FigureOptions{Seed: 42 + uint64(i)})
+				last = lab.MessagesAt(n, k, 42+uint64(i))
 			}
 			b.ReportMetric(last.MsgsPerNode, "msgs/node")
 			b.ReportMetric(float64(last.OK), "ops-ok")

@@ -5,7 +5,9 @@
 //     linked files exist inside the repository, and #fragments match a
 //     heading (GitHub slug rules) of the target document. External
 //     URLs and links escaping the repository root (GitHub-web paths
-//     like ../../actions/...) are skipped.
+//     like ../../actions/...) are skipped. And every "-exp <name>" in
+//     it must name a row of lab.Experiments (or "all"), so prose cannot
+//     keep pointing at an experiment that was renamed or retired.
 //   - a directory: every Go package under it (recursively, skipping
 //     testdata and hidden directories) must carry a package doc
 //     comment on at least one of its non-test files.
@@ -31,6 +33,8 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+
+	"dataflasks/internal/lab"
 )
 
 func main() {
@@ -185,7 +189,12 @@ var linkRe = regexp.MustCompile(`!?\[[^\]]*\]\(([^()\s]+)(?:\s+"[^"]*")?\)`)
 // headingRe matches ATX headings.
 var headingRe = regexp.MustCompile(`^#{1,6}\s+(.*?)\s*#*\s*$`)
 
-// checkMarkdown verifies every relative link and anchor in file.
+// expRe matches a flaskbench experiment selection in prose or in a code
+// block; placeholders (-exp <name>) do not match.
+var expRe = regexp.MustCompile(`-exp ([a-z][a-z0-9]*)`)
+
+// checkMarkdown verifies every relative link and anchor in file, and
+// every flaskbench experiment it names.
 func checkMarkdown(root, file string) []string {
 	data, err := os.ReadFile(file)
 	if err != nil {
@@ -195,6 +204,13 @@ func checkMarkdown(root, file string) []string {
 	for _, link := range extractLinks(string(data)) {
 		if f := checkLink(root, file, link.target, link.line); f != "" {
 			findings = append(findings, f)
+		}
+	}
+	for i, line := range strings.Split(string(data), "\n") {
+		for _, m := range expRe.FindAllStringSubmatch(line, -1) {
+			if lab.Select(m[1]) == nil {
+				findings = append(findings, fmt.Sprintf("%s:%d: -exp %s names no row of lab.Experiments (%s, all)", file, i+1, m[1], lab.Names()))
+			}
 		}
 	}
 	return findings

@@ -57,11 +57,13 @@ func TestCheckMarkdown(t *testing.T) {
 		"[escapes root](../../outside/place.md)",
 		"[broken file](missing.md)",
 		"[broken anchor](other.md#no-such)",
+		"run `flaskbench -exp route -quick`, `-exp all` or any `-exp <name>`",
+		"the retired `flaskbench -exp disk`",
 	}, "\n")
 	os.WriteFile(main, []byte(content), 0o644)
 
 	findings := checkMarkdown(dir, main)
-	if len(findings) != 2 {
+	if len(findings) != 3 {
 		t.Fatalf("findings = %d: %v", len(findings), findings)
 	}
 	if !strings.Contains(findings[0], "missing.md") {
@@ -69,6 +71,9 @@ func TestCheckMarkdown(t *testing.T) {
 	}
 	if !strings.Contains(findings[1], "no-such") {
 		t.Errorf("second finding should be the broken anchor: %s", findings[1])
+	}
+	if !strings.Contains(findings[2], "-exp disk names no row") {
+		t.Errorf("third finding should be the experiment no row names: %s", findings[2])
 	}
 }
 

@@ -75,6 +75,32 @@ func SliceReconfiguration(n, kOld, kNew int, seed uint64) ReconfigResult {
 	return res
 }
 
+func runReconfig(w io.Writer, p Params) Report {
+	title(w, "E11: dynamic slice-count reconfiguration (§IV-C)")
+	n := 400
+	if p.Quick {
+		n = 200
+	}
+	res := SliceReconfiguration(n, 10, 5, p.Seed)
+	fmt.Fprintf(w, "object %q: k %d→%d, replicas before=%d\n",
+		res.Key, res.OldSlices, res.NewSlices, res.BeforeReps)
+	for _, pt := range res.Timeline {
+		fmt.Fprintf(w, "  +%2d rounds: replicas=%d slice-accuracy=%.2f\n",
+			pt.Round, pt.Replicas, pt.SliceAccuracy)
+	}
+	return Report{res, ReconfigGate(res)}
+}
+
+// ReconfigGate is E11's: halving k grows the replica set substantially,
+// and the population re-sorts into the new slices.
+func ReconfigGate(res ReconfigResult) []string {
+	var g gate
+	final := res.Timeline[len(res.Timeline)-1]
+	g.must(final.Replicas >= res.BeforeReps*3/2, "replicas %d → %d after k %d→%d, want >= 1.5x", res.BeforeReps, final.Replicas, res.OldSlices, res.NewSlices)
+	g.must(final.SliceAccuracy >= 0.6, "population never re-sorted: accuracy %.2f, want >= 0.6", final.SliceAccuracy)
+	return g
+}
+
 // ---------------------------------------------------------------------------
 // E12 — bounded-put-flood ablation: routing writes with the coverage-
 // bounded global phase (§IV-B's optimization applied to puts) slashes
@@ -142,6 +168,30 @@ func PutFloodAblation(n, k int, seed uint64) []PutFloodRow {
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+func runPutFlood(w io.Writer, p Params) Report {
+	title(w, "E12: bounded-put-flood ablation (§IV-B optimization on writes)")
+	n := 400
+	if p.Quick {
+		n = 200
+	}
+	rows := PutFloodAblation(n, 10, p.Seed)
+	for _, r := range rows {
+		fmt.Fprintf(w, "bounded=%-5v msgs/node=%8.1f data-sends/node=%8.1f reps: immediate=%d repaired=%d ok=%d fail=%d\n",
+			r.Bounded, r.MsgsPerNode, r.DataPerNode, r.ImmediateReps, r.RepairedReps, r.OK, r.Failed)
+	}
+	return Report{rows, PutFloodGate(rows)}
+}
+
+// PutFloodGate is E12's, over the full flood's row and the bounded one's:
+// bounded is cheaper, and anti-entropy closes most of the gap it leaves.
+func PutFloodGate(rows []PutFloodRow) []string {
+	var g gate
+	full, bounded := rows[0], rows[1]
+	g.must(bounded.DataPerNode < full.DataPerNode, "bounded flood not cheaper: %.1f vs %.1f data sends per node", bounded.DataPerNode, full.DataPerNode)
+	g.must(bounded.RepairedReps >= full.RepairedReps/2, "bounded flood under-replicated even after repair: %d vs %d", bounded.RepairedReps, full.RepairedReps)
+	return g
 }
 
 // ---------------------------------------------------------------------------
@@ -212,19 +262,24 @@ func RoutingUnderChurn(n, k int, rate float64, ops int, seed uint64) (directed, 
 	return directed, flood
 }
 
-// WriteRoutingAblation runs E20 at flaskbench's scale (reduced under
-// quick) and writes its table: the ablation's rows, a directed and a
-// flood one per scale, and both policies' read availability under churn.
-func WriteRoutingAblation(w io.Writer, seed uint64, quick bool) (rows []RoutingRow, churnDirected, churnFlood ChurnPoint) {
+// RoutingResult is E20's table: the ablation's rows, a directed and a
+// flood one per scale, and both policies' reads under churn.
+type RoutingResult struct {
+	Rows                      []RoutingRow
+	ChurnDirected, ChurnFlood ChurnPoint
+}
+
+func runRouting(w io.Writer, p Params) Report {
 	title(w, "E20: routing ablation — directed global hop vs epidemic flood (§VII)")
 	ops, churnN, churnOps := 200, 500, 100
-	if quick {
+	if p.Quick {
 		ops, churnN, churnOps = 60, 150, 40
 	}
+	var res RoutingResult
 	fmt.Fprintf(w, "%6s %4s %10s %12s %10s %10s %6s %8s %8s\n",
 		"N", "k", "routing", "data msgs/op", "directed", "flooded", "ok", "failed", "retries")
 	for _, sc := range []struct{ n, k int }{{150, 5}, {600, 15}} {
-		pair := RoutingAblation(sc.n, sc.k, ops, seed)
+		pair := RoutingAblation(sc.n, sc.k, ops, p.Seed)
 		for _, r := range pair {
 			fmt.Fprintf(w, "%6d %4d %10s %12.1f %10d %10d %6d %8d %8d\n", r.N, r.K,
 				map[bool]string{false: "directed", true: "flood"}[r.Flood],
@@ -232,12 +287,38 @@ func WriteRoutingAblation(w io.Writer, seed uint64, quick bool) (rows []RoutingR
 		}
 		fmt.Fprintf(w, "N=%d k=%d: directed routing spends %.1fx fewer data messages per op\n",
 			sc.n, sc.k, pair[1].DataMsgsPerOp/pair[0].DataMsgsPerOp)
-		rows = append(rows, pair...)
+		res.Rows = append(res.Rows, pair...)
 	}
 	const rate = 0.02
-	churnDirected, churnFlood = RoutingUnderChurn(churnN, 10, rate, churnOps, seed)
+	res.ChurnDirected, res.ChurnFlood = RoutingUnderChurn(churnN, 10, rate, churnOps, p.Seed)
 	fmt.Fprintf(w, "read availability at %.0f%%/round churn (N=%d): directed %.1f%% (%d retries), flood %.1f%% (%d retries)\n",
-		rate*100, churnN, churnDirected.Availability*100, churnDirected.Retries,
-		churnFlood.Availability*100, churnFlood.Retries)
-	return rows, churnDirected, churnFlood
+		rate*100, churnN, res.ChurnDirected.Availability*100, res.ChurnDirected.Retries,
+		res.ChurnFlood.Availability*100, res.ChurnFlood.Retries)
+	return Report{res, append(RoutingGate(res.Rows), RoutingChurnGate(res.ChurnDirected, res.ChurnFlood)...)}
+}
+
+// RoutingGate is E20's, for every (directed, flood) pair of rows: the
+// directed hop spends at least 3x fewer data messages per op than the
+// same workload with Flood forced on every request, fails no more ops,
+// and the hop counters say which policy each row ran.
+func RoutingGate(rows []RoutingRow) []string {
+	var g gate
+	for i := 0; i+1 < len(rows); i += 2 {
+		directed, flood := rows[i], rows[i+1]
+		at := fmt.Sprintf("N=%d k=%d", directed.N, directed.K)
+		g.must(directed.DataMsgsPerOp*3 <= flood.DataMsgsPerOp, "%s: directed %.1f msgs/op not 3x below flood %.1f", at, directed.DataMsgsPerOp, flood.DataMsgsPerOp)
+		g.must(directed.Failed <= flood.Failed, "%s: directed routing failed %d ops, flood %d", at, directed.Failed, flood.Failed)
+		g.must(directed.Directed != 0 && flood.Directed == 0, "%s: directed hops %d with routing on, %d with Flood forced", at, directed.Directed, flood.Directed)
+	}
+	return g
+}
+
+// RoutingChurnGate is RoutingUnderChurn's: a directed hop aims at one
+// peer churn may have taken, and must still keep read availability
+// within two points of the flood's.
+func RoutingChurnGate(directed, flood ChurnPoint) []string {
+	var g gate
+	g.must(directed.Availability >= flood.Availability-0.02, "directed routing lost availability under churn: %.1f%% vs flood %.1f%%",
+		directed.Availability*100, flood.Availability*100)
+	return g
 }

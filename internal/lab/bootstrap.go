@@ -1,11 +1,12 @@
 package lab
 
 import (
+	"fmt"
+	"io"
+
 	"dataflasks/internal/core"
 	"dataflasks/internal/metrics"
 	"dataflasks/internal/slicing"
-	"dataflasks/internal/store"
-	"dataflasks/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -17,8 +18,6 @@ type BootstrapRecoveryOptions struct {
 	N, Slices int
 	// Records is the preloaded key-space size.
 	Records int
-	// ValueSize is the object payload size (default 128).
-	ValueSize int
 	// Rounds bounds the measured window after the join.
 	Rounds int
 	// AntiEntropyEvery is the repair cadence in gossip rounds
@@ -34,18 +33,6 @@ type BootstrapRecoveryOptions struct {
 	DisablePeerBootstrap bool
 	// Seed drives every random choice.
 	Seed uint64
-}
-
-func (o *BootstrapRecoveryOptions) defaults() {
-	if o.ValueSize <= 0 {
-		o.ValueSize = 128
-	}
-	if o.AntiEntropyEvery <= 0 {
-		o.AntiEntropyEvery = 2
-	}
-	if o.Rounds <= 0 {
-		o.Rounds = 200
-	}
 }
 
 // BootstrapRecoveryResult reports one cold-joiner run.
@@ -80,7 +67,9 @@ type BootstrapRecoveryResult struct {
 // subsystem's headline number: bulk transfer moves a slice in a few
 // rounds, while object repair pays the per-round push caps.
 func BootstrapRecovery(opts BootstrapRecoveryOptions) BootstrapRecoveryResult {
-	opts.defaults()
+	if opts.AntiEntropyEvery <= 0 {
+		opts.AntiEntropyEvery = 2
+	}
 	mode := "object"
 	if opts.Segment {
 		mode = "segment"
@@ -100,23 +89,7 @@ func BootstrapRecovery(opts BootstrapRecoveryOptions) BootstrapRecoveryResult {
 	defer c.Close()
 	c.Run(40) // let slicing and the intra views converge
 
-	// Preload: exact slice-complete replication (bulk-load style), so
-	// the joiner's recovery is the only repair the window measures.
-	value := make([]byte, opts.ValueSize)
-	keys := make([]string, opts.Records)
-	bySlice := make(map[int32][]store.Object, opts.Slices)
-	for i := range keys {
-		keys[i] = workload.Key(i)
-		s := slicing.KeySlice(keys[i], opts.Slices)
-		bySlice[s] = append(bySlice[s], store.Object{Key: keys[i], Version: 1, Value: value})
-	}
-	for _, n := range c.Nodes() {
-		if batch := bySlice[n.Slice()]; len(batch) > 0 {
-			if err := n.Store().PutBatch(batch); err != nil {
-				panic("lab: bootstrap recovery preload: " + err.Error())
-			}
-		}
-	}
+	keys := c.loadSlices(opts.Records, 128)
 	c.ResetMetrics()
 
 	joinerID := c.SpawnWith(func(cfg *core.Config) {
@@ -178,4 +151,74 @@ func BootstrapRecoveryCompare(opts BootstrapRecoveryOptions) (segment, object Bo
 	opts.Segment = false
 	object = BootstrapRecovery(opts)
 	return segment, object
+}
+
+// BootstrapComparison is E18's table: the same cold join recovered by
+// segment streaming, by object-wise repair, and by a joiner that wants
+// segments among peers that do not speak the protocol.
+type BootstrapComparison struct {
+	Segment, Object, Fallback BootstrapRecoveryResult
+	// RoundRatio is Object's JoinRounds over Segment's.
+	RoundRatio float64
+}
+
+func runBootstrap(w io.Writer, p Params) Report {
+	title(w, "E18: cold-join bootstrap — segment streaming vs object-wise repair")
+	opts := BootstrapRecoveryOptions{
+		N: 100, Slices: 5, Records: 10000, Rounds: 300, Seed: p.Seed,
+	}
+	if p.Quick {
+		opts = BootstrapRecoveryOptions{
+			N: 50, Slices: 5, Records: 5000, Rounds: 200, Seed: p.Seed,
+		}
+	}
+	var c BootstrapComparison
+	c.Segment, c.Object = BootstrapRecoveryCompare(opts)
+	opts.Segment, opts.DisablePeerBootstrap = true, true
+	// Repair runs beside the joiner's probes. At the cadence of the two
+	// rows above it can refill the slice in fewer rounds than the probe
+	// budget lasts (4 probes of 5 ticks) — on about half of all seeds it
+	// did, and the row had no fallback to show. A slower cadence keeps
+	// the joiner short of objects when it gives up.
+	opts.AntiEntropyEvery = 5
+	c.Fallback = BootstrapRecovery(opts)
+	if c.Segment.JoinRounds > 0 {
+		c.RoundRatio = float64(c.Object.JoinRounds) / float64(c.Segment.JoinRounds)
+	}
+
+	fmt.Fprintf(w, "%18s %8s %10s %10s %12s %10s %10s\n",
+		"mode", "rounds", "sliceobjs", "segments", "KiB", "rejected", "fellback")
+	for _, r := range []BootstrapRecoveryResult{c.Segment, c.Object, c.Fallback} {
+		fmt.Fprintf(w, "%18s %8d %10d %10d %12.1f %10d %10v\n",
+			r.Mode, r.JoinRounds, r.SliceObjects, r.BootstrapSegments,
+			float64(r.BootstrapBytes)/1024, r.ChunksRejected, r.FellBack)
+	}
+	fmt.Fprintf(w, "cold join: segment bootstrap is %.1fx faster than object-wise repair\n", c.RoundRatio)
+	return Report{c, append(BootstrapGate(c.Segment, c.Object), BootstrapFallbackGate(c.Fallback)...)}
+}
+
+// BootstrapGate is BootstrapRecoveryCompare's: both joiners recover the
+// slice, the segment joiner by streaming (no fallback, something
+// streamed) and at least 5x sooner than object-wise repair.
+func BootstrapGate(segment, object BootstrapRecoveryResult) []string {
+	if segment.JoinRounds < 0 || object.JoinRounds < 0 {
+		return []string{fmt.Sprintf("join never completed: segment=%d object=%d rounds", segment.JoinRounds, object.JoinRounds)}
+	}
+	var g gate
+	g.must(!segment.FellBack, "segment joiner fell back to object repair")
+	g.must(segment.BootstrapSegments > 0 && segment.BootstrapBytes > 0, "segment joiner streamed nothing (segments=%d bytes=%d)", segment.BootstrapSegments, segment.BootstrapBytes)
+	g.must(object.JoinRounds >= 5*segment.JoinRounds, "segment bootstrap %d rounds vs object repair %d rounds, want >= 5x", segment.JoinRounds, object.JoinRounds)
+	return g
+}
+
+// BootstrapFallbackGate is the mixed-version cluster's: the joiner gives
+// up on segments it cannot get, streams none, and still recovers its
+// slice by repair, the fallback visible in bootstrap_fallback_objects.
+func BootstrapFallbackGate(fallback BootstrapRecoveryResult) []string {
+	var g gate
+	g.must(fallback.FellBack, "joiner never fell back despite bootstrap-less peers")
+	g.must(fallback.JoinRounds >= 0, "joiner never converged via anti-entropy after fallback")
+	g.must(fallback.BootstrapSegments == 0, "streamed %d segments from peers without the protocol", fallback.BootstrapSegments)
+	g.must(fallback.FallbackObjects > 0, "bootstrap_fallback_objects stayed zero: fallback repair was not counted")
+	return g
 }

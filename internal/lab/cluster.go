@@ -5,25 +5,29 @@
 // nodes in virtual time on one machine, bit-for-bit reproducible per
 // seed.
 //
-// Cluster is the DataFlasks harness (nodes, clients, churn surface,
-// metrics collection); DHTCluster mirrors it for the structured
-// baseline. RunWorkload drives the paper's §VI methodology (warm up,
-// preload, measure, drain) with YCSB-style mixes; Figure3/Figure4
-// regenerate the paper's headline plots; the E-numbered experiment
-// functions (slicing convergence, correlated failure, availability and
-// convergence under churn, repair, ablations, PSS quality, fanout
-// theory checks, client-API and RESP throughput) each return plain
-// result structs that cmd/flaskbench renders — and, for the gated
-// ones, asserts on in CI. Determinism is the point: virtual time makes
-// throughput and bandwidth ratios exact enough to fail a build on, and
-// the Write* functions render six experiments' tables here, at
-// flaskbench's scales, so testdata/*.golden can pin their -quick runs.
+// population is the simulator scaffold (engine, fabric, ids, tickers,
+// seed draw, churn surface); Cluster embeds it over DataFlasks nodes and
+// adds clients, the slice surface and metrics collection, DHTCluster
+// embeds it over the structured baseline's. RunWorkload drives the
+// paper's §VI methodology (warm up, preload, measure, drain) with
+// YCSB-style mixes.
+//
+// Experiments (table.go) is the one table of what flaskbench runs: per
+// -exp name the E-number, the run — which owns both scales' parameters,
+// writes the heading and the table, and returns the measurements — and
+// the gate. A gate is a function next to the experiment's code (the
+// *Gate functions) that lists what the result must hold and does not;
+// the run puts its findings in Report.Broken, flaskbench turns them
+// into its exit status, and this package's tests call the same
+// functions on smaller runs, so a threshold is written once.
+// Determinism is the point: virtual time makes throughput and bandwidth
+// ratios exact enough to fail a build on, and testdata/*.golden pins the
+// -quick -seed 42 output of every row that does not read a wall clock.
 package lab
 
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"path/filepath"
 	"sort"
 	"time"
@@ -54,9 +58,6 @@ type ClusterConfig struct {
 	Node core.Config
 	// Seed drives every random choice in the cluster.
 	Seed uint64
-	// SeedContacts is how many bootstrap contacts each node gets
-	// (default 5).
-	SeedContacts int
 	// LossRate drops messages uniformly at random.
 	LossRate float64
 	// Latency overrides the fabric latency model (default LAN).
@@ -75,28 +76,21 @@ type ClusterConfig struct {
 	AutoSystemSize bool
 }
 
-// Cluster is a simulated DataFlasks deployment.
+// Cluster is a simulated DataFlasks deployment: the population scaffold
+// over core.Node, plus clients, the slice surface and metrics collection.
 type Cluster struct {
-	Engine *sim.Engine
-	Net    *transport.SimNetwork
+	population[*core.Node]
 
 	// ctx is the cluster-lifetime context threaded into every node's
 	// Tick and HandleMessage; the simulated fabric never blocks, so it
 	// only carries the plumbing contract, not cancellation pressure.
 	ctx context.Context
 
-	cfg     ClusterConfig
-	rng     *rand.Rand
-	nodes   map[transport.NodeID]*core.Node
-	order   []transport.NodeID // alive nodes, ascending id
-	tickers map[transport.NodeID]func()
-	clients map[transport.NodeID]*client.Core
+	cfg ClusterConfig
 	// contacts counts the requests clients addressed to each node, by
 	// the slice of the request's key, since the last ResetMetrics (E7's
 	// contact spread).
 	contacts map[contact]int
-	nextID   transport.NodeID
-	nextCl   transport.NodeID
 }
 
 var _ churn.SliceTarget = (*Cluster)(nil)
@@ -125,12 +119,6 @@ func StoreFactoryFor(sc core.StoreConfig, baseDir string) func(id transport.Node
 
 // NewCluster builds and bootstraps a cluster (no rounds run yet).
 func NewCluster(cfg ClusterConfig) *Cluster {
-	if cfg.N <= 0 {
-		panic("lab: cluster needs N > 0")
-	}
-	if cfg.SeedContacts <= 0 {
-		cfg.SeedContacts = 5
-	}
 	if cfg.StoreFactory == nil {
 		sc := cfg.Store
 		if sc == (core.StoreConfig{}) {
@@ -140,147 +128,38 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		}
 		cfg.StoreFactory = StoreFactoryFor(sc, cfg.StoreDir)
 	}
-	engine := sim.NewEngine()
-	net := transport.NewSimNetwork(engine, transport.SimNetworkConfig{
-		Latency:  cfg.Latency,
-		LossRate: cfg.LossRate,
-		Seed:     cfg.Seed,
-	})
-	c := &Cluster{
-		Engine:   engine,
-		Net:      net,
-		ctx:      context.Background(),
-		cfg:      cfg,
-		rng:      sim.RNG(cfg.Seed, 0x1ab),
-		nodes:    make(map[transport.NodeID]*core.Node, cfg.N),
-		tickers:  make(map[transport.NodeID]func()),
-		clients:  make(map[transport.NodeID]*client.Core),
-		contacts: make(map[contact]int),
-		nextID:   1,
-		nextCl:   clientIDBase,
-	}
-	for i := 0; i < cfg.N; i++ {
-		c.addNode()
-	}
-	// Bootstrap views over the full initial population.
-	for _, id := range c.order {
-		c.nodes[id].Bootstrap(c.randomSeeds(id))
-	}
+	c := &Cluster{ctx: context.Background(), cfg: cfg, contacts: make(map[contact]int)}
+	c.population = newPopulation(
+		transport.SimNetworkConfig{Latency: cfg.Latency, LossRate: cfg.LossRate, Seed: cfg.Seed}, 0x1ab,
+		func(n *core.Node, env transport.Envelope) { n.HandleMessage(c.ctx, env) },
+		func(n *core.Node) { n.Tick(c.ctx) })
+	c.populate(cfg.N, c.node(nil))
 	return c
 }
 
-// addNode creates, attaches and schedules one node (without bootstrap).
-func (c *Cluster) addNode() transport.NodeID { return c.addNodeWith(nil) }
-
-// addNodeWith is addNode with a config modifier applied to the fresh
-// node (e.g. a joiner that bootstraps via segment streaming while the
-// rest of the population does not).
-func (c *Cluster) addNodeWith(mod func(*core.Config)) transport.NodeID {
-	id := c.nextID
-	c.nextID++
-
-	nodeCfg := c.cfg.Node
-	nodeCfg.Seed = c.cfg.Seed
-	if !c.cfg.AutoSystemSize {
-		nodeCfg.SystemSize = c.cfg.N
-	}
-	if mod != nil {
-		mod(&nodeCfg)
-	}
-
-	var n *core.Node
-	sender := c.Net.Attach(id, func(env transport.Envelope) { n.HandleMessage(c.ctx, env) })
-	n = core.NewNode(id, nodeCfg, c.cfg.StoreFactory(id), sender)
-	c.nodes[id] = n
-	c.insertOrdered(id)
-
-	// Stagger ticks uniformly inside the round so the cluster is not in
-	// lockstep (Minha models the same phase noise).
-	offset := time.Duration(c.rng.Int64N(int64(Round)))
-	stop := c.Engine.Ticker(c.Engine.Now()+offset, Round, func(time.Duration) { n.Tick(c.ctx) })
-	c.tickers[id] = stop
-	return id
-}
-
-func (c *Cluster) insertOrdered(id transport.NodeID) {
-	i := sort.Search(len(c.order), func(i int) bool { return c.order[i] >= id })
-	c.order = append(c.order, 0)
-	copy(c.order[i+1:], c.order[i:])
-	c.order[i] = id
-}
-
-func (c *Cluster) randomSeeds(self transport.NodeID) []transport.NodeID {
-	seeds := make([]transport.NodeID, 0, c.cfg.SeedContacts)
-	for len(seeds) < c.cfg.SeedContacts && len(seeds) < len(c.order)-1 {
-		cand := c.order[c.rng.IntN(len(c.order))]
-		if cand == self {
-			continue
+// node builds the cluster's nodes, mod applied to each one's config
+// (e.g. a joiner that bootstraps via segment streaming while the rest
+// of the population does not).
+func (c *Cluster) node(mod func(*core.Config)) func(transport.NodeID, transport.Sender) *core.Node {
+	return func(id transport.NodeID, sender transport.Sender) *core.Node {
+		nodeCfg := c.cfg.Node
+		nodeCfg.Seed = c.cfg.Seed
+		if !c.cfg.AutoSystemSize {
+			nodeCfg.SystemSize = c.cfg.N
 		}
-		dup := false
-		for _, s := range seeds {
-			if s == cand {
-				dup = true
-				break
-			}
+		if mod != nil {
+			mod(&nodeCfg)
 		}
-		if !dup {
-			seeds = append(seeds, cand)
-		}
+		return core.NewNode(id, nodeCfg, c.cfg.StoreFactory(id), sender)
 	}
-	return seeds
-}
-
-// Run advances the simulation by the given number of gossip rounds.
-func (c *Cluster) Run(rounds int) {
-	c.Engine.Run(c.Engine.Now() + time.Duration(rounds)*Round)
-}
-
-// N returns the live node count.
-func (c *Cluster) N() int { return len(c.order) }
-
-// Nodes returns the live nodes in ascending id order.
-func (c *Cluster) Nodes() []*core.Node {
-	out := make([]*core.Node, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.nodes[id])
-	}
-	return out
 }
 
 // Node returns one node by id (nil when dead/unknown).
 func (c *Cluster) Node(id transport.NodeID) *core.Node { return c.nodes[id] }
 
-// AliveIDs implements churn.Target.
-func (c *Cluster) AliveIDs() []transport.NodeID {
-	out := make([]transport.NodeID, len(c.order))
-	copy(out, c.order)
-	return out
-}
-
-// Kill implements churn.Target: fail-stop crash. The node's store is
-// closed (its on-disk state stays, as after a real crash) so engines
-// with background goroutines or open files release them.
-func (c *Cluster) Kill(id transport.NodeID) {
-	n, ok := c.nodes[id]
-	if !ok {
-		return
-	}
-	c.Net.Detach(id)
-	if stop := c.tickers[id]; stop != nil {
-		stop()
-	}
-	_ = n.Store().Close()
-	delete(c.tickers, id)
-	delete(c.nodes, id)
-	i := sort.Search(len(c.order), func(i int) bool { return c.order[i] >= id })
-	if i < len(c.order) && c.order[i] == id {
-		c.order = append(c.order[:i], c.order[i+1:]...)
-	}
-}
-
 // Close releases every alive node's store. Memory-backed clusters do
-// not need it; log/disk-backed ones hold open files (and the log
-// engine a compaction goroutine) per node until closed.
+// not need it; log-backed ones hold open files (and a compaction
+// goroutine) per node until closed.
 func (c *Cluster) Close() {
 	for _, id := range c.order {
 		_ = c.nodes[id].Store().Close()
@@ -289,18 +168,10 @@ func (c *Cluster) Close() {
 
 // Spawn implements churn.Target: a fresh node joins, bootstrapped from
 // live seeds.
-func (c *Cluster) Spawn() transport.NodeID {
-	id := c.addNode()
-	c.nodes[id].Bootstrap(c.randomSeeds(id))
-	return id
-}
+func (c *Cluster) Spawn() transport.NodeID { return c.join(c.node(nil)) }
 
 // SpawnWith is Spawn with a config modifier for the fresh node.
-func (c *Cluster) SpawnWith(mod func(*core.Config)) transport.NodeID {
-	id := c.addNodeWith(mod)
-	c.nodes[id].Bootstrap(c.randomSeeds(id))
-	return id
-}
+func (c *Cluster) SpawnWith(mod func(*core.Config)) transport.NodeID { return c.join(c.node(mod)) }
 
 // SliceOf implements churn.SliceTarget.
 func (c *Cluster) SliceOf(id transport.NodeID) int32 {
@@ -331,23 +202,20 @@ func (c *Cluster) RandomLB() *client.RandomLB {
 // load balancer. A nil lb is what live clients run: the slice directory
 // over a random contact list of the current nodes.
 func (c *Cluster) NewClient(cfg client.Config, lb client.LoadBalancer) *client.Core {
-	id := c.nextCl
 	var cl *client.Core
-	raw := c.Net.Attach(id, func(env transport.Envelope) { cl.HandleMessage(env) })
-	sender := transport.SenderFunc(func(ctx context.Context, to transport.NodeID, msg interface{}) error {
-		if key, ok := core.RequestKey(msg); ok { // mate queries are not requests
-			c.contacts[contact{slicing.KeySlice(key, c.sliceCount()), to}]++
+	c.attachClient(func(id transport.NodeID, raw transport.Sender) (func(transport.Envelope), func()) {
+		sender := transport.SenderFunc(func(ctx context.Context, to transport.NodeID, msg interface{}) error {
+			if key, ok := core.RequestKey(msg); ok { // mate queries are not requests
+				c.contacts[contact{slicing.KeySlice(key, c.sliceCount()), to}]++
+			}
+			return raw.Send(ctx, to, msg)
+		})
+		if lb == nil {
+			lb = client.NewDirectory(c.RandomLB(), c.sliceCount(), sim.RNG(c.cfg.Seed, uint64(id)^0xd1c7), sender, nil)
 		}
-		return raw.Send(ctx, to, msg)
+		cl = client.NewCore(id, cfg, sender, lb)
+		return cl.HandleMessage, cl.Tick
 	})
-	if lb == nil {
-		lb = client.NewDirectory(c.RandomLB(), c.sliceCount(), sim.RNG(c.cfg.Seed, uint64(id)^0xd1c7), sender, nil)
-	}
-	c.nextCl++
-	cl = client.NewCore(id, cfg, sender, lb)
-	c.clients[id] = cl
-	stop := c.Engine.Ticker(c.Engine.Now()+Round/2, Round, func(time.Duration) { cl.Tick() })
-	_ = stop // clients live for the whole simulation
 	return cl
 }
 
@@ -395,17 +263,6 @@ func (c *Cluster) ContactSpread() float64 {
 		worst = max(worst, float64(busiest[slice]*sizes[slice])/float64(n))
 	}
 	return worst
-}
-
-// MessagesPerNode returns each live node's sent+received message count
-// (the paper's Figures 3/4 metric).
-func (c *Cluster) MessagesPerNode() []uint64 {
-	out := make([]uint64, 0, len(c.order))
-	for _, id := range c.order {
-		m := c.nodes[id].Metrics()
-		out = append(out, m.Get(metrics.MsgSent)+m.Get(metrics.MsgRecv))
-	}
-	return out
 }
 
 // NodeMetrics returns the live nodes' metric handles in id order.
@@ -461,20 +318,4 @@ func (c *Cluster) SliceAccuracy() float64 {
 		}
 	}
 	return float64(correct) / float64(len(c.order))
-}
-
-// ReplicaCount returns how many live nodes hold (key, version).
-func (c *Cluster) ReplicaCount(key string, version uint64) int {
-	count := 0
-	for _, id := range c.order {
-		if _, _, ok, err := c.nodes[id].Store().Get(key, version); err == nil && ok {
-			count++
-		}
-	}
-	return count
-}
-
-// String summarizes the cluster for logs.
-func (c *Cluster) String() string {
-	return fmt.Sprintf("cluster[n=%d t=%s events=%d]", len(c.order), c.Engine.Now(), c.Engine.Executed())
 }

@@ -8,8 +8,6 @@ import (
 	"dataflasks/internal/metrics"
 	"dataflasks/internal/sim"
 	"dataflasks/internal/slicing"
-	"dataflasks/internal/store"
-	"dataflasks/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -23,17 +21,12 @@ type ChurnConvergenceOptions struct {
 	N, Slices int
 	// Records is the preloaded key-space size.
 	Records int
-	// ValueSize is the object payload size (default 128).
-	ValueSize int
 	// KillFrac is the fraction of nodes crashed (and replaced by fresh
 	// joiners) in the churn burst.
 	KillFrac float64
 	// Rounds is the measured window after the burst; both protocol
 	// modes run the same window so bandwidth totals are comparable.
 	Rounds int
-	// AntiEntropyEvery is the repair cadence in gossip rounds
-	// (default 2 — aggressive, the regime under study).
-	AntiEntropyEvery int
 	// FullEvery is the full-header round cadence (1 = the full-header
 	// baseline, every round complete header lists; larger values open
 	// most rounds with a Bloom summary).
@@ -44,18 +37,6 @@ type ChurnConvergenceOptions struct {
 	WholeStore bool
 	// Seed drives every random choice.
 	Seed uint64
-}
-
-func (o *ChurnConvergenceOptions) defaults() {
-	if o.ValueSize <= 0 {
-		o.ValueSize = 128
-	}
-	if o.AntiEntropyEvery <= 0 {
-		o.AntiEntropyEvery = 2
-	}
-	if o.FullEvery == 0 {
-		o.FullEvery = 1
-	}
 }
 
 // ChurnConvergenceResult reports one run. Bandwidth totals cover the
@@ -109,7 +90,6 @@ type ChurnConvergenceResult struct {
 // full fallback), whole-store vs ranged, is the paper-style ablation for
 // the digest protocol.
 func ChurnConvergence(opts ChurnConvergenceOptions) ChurnConvergenceResult {
-	opts.defaults()
 	mode := "ranged"
 	switch {
 	case opts.WholeStore && opts.FullEvery == 1:
@@ -122,7 +102,7 @@ func ChurnConvergence(opts ChurnConvergenceOptions) ChurnConvergenceResult {
 		Seed: opts.Seed,
 		Node: core.Config{
 			Slices:                opts.Slices,
-			AntiEntropyEvery:      opts.AntiEntropyEvery,
+			AntiEntropyEvery:      2, // aggressive: the regime under study
 			AntiEntropyFullEvery:  opts.FullEvery,
 			AntiEntropyWholeStore: opts.WholeStore,
 		},
@@ -130,23 +110,7 @@ func ChurnConvergence(opts ChurnConvergenceOptions) ChurnConvergenceResult {
 	defer c.Close()
 	c.Run(40) // let slicing and the intra views converge
 
-	// Preload: exact slice-complete replication, like an operator
-	// bulk-load, so the churn burst is the only damage to repair.
-	value := make([]byte, opts.ValueSize)
-	keys := make([]string, opts.Records)
-	bySlice := make(map[int32][]store.Object, opts.Slices)
-	for i := range keys {
-		keys[i] = workload.Key(i)
-		s := slicing.KeySlice(keys[i], opts.Slices)
-		bySlice[s] = append(bySlice[s], store.Object{Key: keys[i], Version: 1, Value: value})
-	}
-	for _, n := range c.Nodes() {
-		if batch := bySlice[n.Slice()]; len(batch) > 0 {
-			if err := n.Store().PutBatch(batch); err != nil {
-				panic("lab: churn convergence preload: " + err.Error())
-			}
-		}
-	}
+	keys := c.loadSlices(opts.Records, 128)
 	c.ResetMetrics()
 
 	// The burst: crash KillFrac of the population, spawn replacements.
@@ -237,71 +201,104 @@ func (c *Cluster) sliceCoverage(keys []string, version uint64, k int) float64 {
 	return min
 }
 
+// ChurnComparison is E17's table: the identical churn scenario under
+// the three digest modes. DigestBytesRatio is the full-header mode's
+// digest bytes over Bloom's, SteadyDigestRatio Bloom's converged digest
+// bytes per node and round over ranged's (zero when the divisor is).
+type ChurnComparison struct {
+	FullHeader, Bloom, Ranged ChurnConvergenceResult
+	DigestBytesRatio          float64
+	SteadyDigestRatio         float64
+}
+
 // ChurnConvergenceCompare runs the identical churn scenario under the
 // whole-store full-header baseline, the whole-store Bloom digests and
-// the ranged protocol, and returns the three results in that order.
-// bloomFullEvery is the fallback cadence of the two Bloom modes. The
-// steady-state column is taken over the rounds after the last of the
-// three had converged (zero when one never did, or did on the window's
-// last round).
-func ChurnConvergenceCompare(opts ChurnConvergenceOptions, bloomFullEvery int) (full, bloom, ranged ChurnConvergenceResult) {
-	if bloomFullEvery <= 1 {
-		bloomFullEvery = 12
-	}
+// the ranged protocol (both Bloom modes fall back to full headers every
+// twelfth round). The steady-state column is taken over the rounds after
+// the last of the three had converged (zero when one never did, or did
+// on the window's last round).
+func ChurnConvergenceCompare(opts ChurnConvergenceOptions) ChurnComparison {
+	var c ChurnComparison
 	opts.FullEvery, opts.WholeStore = 1, true
-	full = ChurnConvergence(opts)
-	opts.FullEvery = bloomFullEvery
-	bloom = ChurnConvergence(opts)
+	c.FullHeader = ChurnConvergence(opts)
+	opts.FullEvery = 12
+	c.Bloom = ChurnConvergence(opts)
 	opts.WholeStore = false
-	ranged = ChurnConvergence(opts)
+	c.Ranged = ChurnConvergence(opts)
+	if c.Bloom.DigestBytes > 0 {
+		c.DigestBytesRatio = float64(c.FullHeader.DigestBytes) / float64(c.Bloom.DigestBytes)
+	}
 
+	modes := []*ChurnConvergenceResult{&c.FullHeader, &c.Bloom, &c.Ranged}
 	steadyFrom := 0
-	for _, r := range []*ChurnConvergenceResult{&full, &bloom, &ranged} {
+	for _, r := range modes {
 		if !r.Converged {
-			return full, bloom, ranged
+			return c
 		}
 		steadyFrom = max(steadyFrom, r.ConvergedRound)
 	}
 	if rounds := opts.Rounds - steadyFrom; rounds > 0 && opts.N > 0 {
-		for _, r := range []*ChurnConvergenceResult{&full, &bloom, &ranged} {
+		for _, r := range modes {
 			spent := r.digestByRound[opts.Rounds] - r.digestByRound[steadyFrom]
 			r.SteadyDigestBytesPerNodeRound = float64(spent) / float64(opts.N) / float64(rounds)
 		}
 	}
-	return full, bloom, ranged
+	if c.Ranged.SteadyDigestBytesPerNodeRound > 0 {
+		c.SteadyDigestRatio = c.Bloom.SteadyDigestBytesPerNodeRound / c.Ranged.SteadyDigestBytesPerNodeRound
+	}
+	return c
 }
 
-// WriteChurnConvergence runs E17 at flaskbench's scale (reduced under
-// quick) and writes its table. digestRatio is the full-header mode's
-// digest bytes over Bloom's, steadyRatio Bloom's converged digest bytes
-// per node and round over ranged's (zero when the divisor is).
-func WriteChurnConvergence(w io.Writer, seed uint64, quick bool) (full, bloom, ranged ChurnConvergenceResult, digestRatio, steadyRatio float64) {
+// ChurnConvergenceGate is E17's: every digest mode restores full
+// replication inside the window (and its accounting shows it ran); Bloom
+// summaries spend >= 5x less digest bandwidth than full headers; ranged
+// rounds no more than Bloom over the window and, once all three have
+// converged, >= 5x less per node and round. (Which round a mode
+// converges on is chance at any one seed; the golden pins seed 42's.)
+func ChurnConvergenceGate(c ChurnComparison) []string {
+	var g gate
+	for _, r := range []ChurnConvergenceResult{c.FullHeader, c.Bloom, c.Ranged} {
+		g.must(r.Converged, "%s mode never restored full replication (min coverage %.2f after %d rounds)", r.Mode, r.MinCoverage, r.Rounds)
+		g.must(r.PushedObjects > 0, "%s mode pushed no objects — repair did not run", r.Mode)
+		g.must(r.DigestBytes > 0, "%s mode reported no digest bytes — accounting broken", r.Mode)
+	}
+	g.must(c.DigestBytesRatio >= 5, "bloom digest saving %.1fx < 5x", c.DigestBytesRatio)
+	g.must(c.Ranged.DigestBytes <= c.Bloom.DigestBytes, "ranged spent %d digest bytes over the window, bloom %d", c.Ranged.DigestBytes, c.Bloom.DigestBytes)
+	g.must(c.SteadyDigestRatio >= 5, "converged, ranged digests are %.1fx cheaper than bloom's, want >= 5x", c.SteadyDigestRatio)
+	return g
+}
+
+// ChurnResult is -exp churn's two tables.
+type ChurnResult struct {
+	Availability []ChurnPoint
+	Convergence  ChurnComparison
+}
+
+// runChurn is E5 (reads while churn runs) and then E17 (repair after a
+// churn burst).
+func runChurn(w io.Writer, p Params) Report {
+	res := ChurnResult{Availability: writeAvailabilityUnderChurn(w, p)}
+
 	title(w, "E17: churn convergence — ranged vs whole-store Bloom vs full-header repair digests")
 	opts := ChurnConvergenceOptions{
-		N: 400, Slices: 10, Records: 300, KillFrac: 0.3, Rounds: 140, Seed: seed,
+		N: 400, Slices: 10, Records: 300, KillFrac: 0.3, Rounds: 140, Seed: p.Seed,
 	}
-	if quick {
+	if p.Quick {
 		opts = ChurnConvergenceOptions{
-			N: 150, Slices: 5, Records: 120, KillFrac: 0.3, Rounds: 110, Seed: seed,
+			N: 150, Slices: 5, Records: 120, KillFrac: 0.3, Rounds: 110, Seed: p.Seed,
 		}
 	}
-	full, bloom, ranged = ChurnConvergenceCompare(opts, 12)
-
+	c := ChurnConvergenceCompare(opts)
+	res.Convergence = c
 	fmt.Fprintf(w, "%12s %10s %10s %12s %12s %14s %14s %14s\n",
 		"mode", "converged", "round", "digest KiB", "push KiB", "digest B/n/r", "steady B/n/r", "repair B/obj")
-	for _, r := range []ChurnConvergenceResult{full, bloom, ranged} {
+	for _, r := range []ChurnConvergenceResult{c.FullHeader, c.Bloom, c.Ranged} {
 		fmt.Fprintf(w, "%12s %10v %10d %12.1f %12.1f %14.1f %14.1f %14.1f\n",
 			r.Mode, r.Converged, r.ConvergedRound,
 			float64(r.DigestBytes)/1024, float64(r.PushBytes)/1024,
 			r.DigestBytesPerNodeRound, r.SteadyDigestBytesPerNodeRound, r.RepairBytesPerObject)
 	}
-	if bloom.DigestBytes > 0 {
-		digestRatio = float64(full.DigestBytes) / float64(bloom.DigestBytes)
-	}
-	if ranged.SteadyDigestBytesPerNodeRound > 0 {
-		steadyRatio = bloom.SteadyDigestBytesPerNodeRound / ranged.SteadyDigestBytesPerNodeRound
-	}
 	fmt.Fprintf(w, "digest bandwidth: bloom is %.1fx cheaper than full headers; converged, ranged is %.1fx cheaper than bloom\n",
-		digestRatio, steadyRatio)
-	return full, bloom, ranged, digestRatio, steadyRatio
+		c.DigestBytesRatio, c.SteadyDigestRatio)
+	return Report{res, append(AvailabilityGate(res.Availability), ChurnConvergenceGate(c)...)}
 }

@@ -1,151 +1,51 @@
 package lab
 
 import (
-	"math/rand/v2"
-	"sort"
-	"time"
-
 	"dataflasks/internal/churn"
 	"dataflasks/internal/dht"
-	"dataflasks/internal/metrics"
 	"dataflasks/internal/sim"
 	"dataflasks/internal/store"
 	"dataflasks/internal/transport"
 )
 
-// DHTCluster mirrors Cluster for the structured baseline, so the
-// comparison experiment drives both stores with identical churn and
-// workloads.
+// DHTCluster is the population scaffold over the structured baseline's
+// nodes, so the comparison experiment drives both stores with identical
+// churn and workloads.
 type DHTCluster struct {
-	Engine *sim.Engine
-	Net    *transport.SimNetwork
+	population[*dht.Node]
 
-	cfg     dht.Config
-	seed    uint64
-	rng     *rand.Rand
-	nodes   map[transport.NodeID]*dht.Node
-	order   []transport.NodeID
-	tickers map[transport.NodeID]func()
-	nextID  transport.NodeID
-	nextCl  transport.NodeID
+	cfg  dht.Config
+	seed uint64
 }
 
 var _ churn.Target = (*DHTCluster)(nil)
 
 // NewDHTCluster builds and bootstraps a baseline cluster.
 func NewDHTCluster(n int, cfg dht.Config, seed uint64) *DHTCluster {
-	if n <= 0 {
-		panic("lab: DHT cluster needs n > 0")
-	}
-	engine := sim.NewEngine()
-	net := transport.NewSimNetwork(engine, transport.SimNetworkConfig{Seed: seed})
-	c := &DHTCluster{
-		Engine:  engine,
-		Net:     net,
-		cfg:     cfg,
-		seed:    seed,
-		rng:     sim.RNG(seed, 0xd47),
-		nodes:   make(map[transport.NodeID]*dht.Node, n),
-		tickers: make(map[transport.NodeID]func()),
-		nextID:  1,
-		nextCl:  clientIDBase,
-	}
-	for i := 0; i < n; i++ {
-		c.addNode()
-	}
-	for _, id := range c.order {
-		c.nodes[id].Bootstrap(c.randomSeeds(id, 5))
-	}
+	c := &DHTCluster{cfg: cfg, seed: seed}
+	c.population = newPopulation(transport.SimNetworkConfig{Seed: seed}, 0xd47,
+		func(n *dht.Node, env transport.Envelope) { n.HandleMessage(env) },
+		(*dht.Node).Tick)
+	c.populate(n, c.node)
 	return c
 }
 
-func (c *DHTCluster) addNode() transport.NodeID {
-	id := c.nextID
-	c.nextID++
+func (c *DHTCluster) node(id transport.NodeID, sender transport.Sender) *dht.Node {
 	cfg := c.cfg
 	cfg.Seed = c.seed
-	var n *dht.Node
-	sender := c.Net.Attach(id, func(env transport.Envelope) { n.HandleMessage(env) })
-	n = dht.NewNode(id, cfg, store.NewMemory(), sender)
-	c.nodes[id] = n
-	i := sort.Search(len(c.order), func(i int) bool { return c.order[i] >= id })
-	c.order = append(c.order, 0)
-	copy(c.order[i+1:], c.order[i:])
-	c.order[i] = id
-
-	offset := time.Duration(c.rng.Int64N(int64(Round)))
-	c.tickers[id] = c.Engine.Ticker(c.Engine.Now()+offset, Round, func(time.Duration) { n.Tick() })
-	return id
-}
-
-func (c *DHTCluster) randomSeeds(self transport.NodeID, count int) []transport.NodeID {
-	seeds := make([]transport.NodeID, 0, count)
-	for len(seeds) < count && len(seeds) < len(c.order)-1 {
-		cand := c.order[c.rng.IntN(len(c.order))]
-		if cand == self {
-			continue
-		}
-		dup := false
-		for _, s := range seeds {
-			if s == cand {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seeds = append(seeds, cand)
-		}
-	}
-	return seeds
-}
-
-// Run advances the simulation by rounds gossip periods.
-func (c *DHTCluster) Run(rounds int) {
-	c.Engine.Run(c.Engine.Now() + time.Duration(rounds)*Round)
-}
-
-// N returns the live node count.
-func (c *DHTCluster) N() int { return len(c.order) }
-
-// AliveIDs implements churn.Target.
-func (c *DHTCluster) AliveIDs() []transport.NodeID {
-	out := make([]transport.NodeID, len(c.order))
-	copy(out, c.order)
-	return out
-}
-
-// Kill implements churn.Target.
-func (c *DHTCluster) Kill(id transport.NodeID) {
-	if _, ok := c.nodes[id]; !ok {
-		return
-	}
-	c.Net.Detach(id)
-	if stop := c.tickers[id]; stop != nil {
-		stop()
-	}
-	delete(c.tickers, id)
-	delete(c.nodes, id)
-	i := sort.Search(len(c.order), func(i int) bool { return c.order[i] >= id })
-	if i < len(c.order) && c.order[i] == id {
-		c.order = append(c.order[:i], c.order[i+1:]...)
-	}
+	return dht.NewNode(id, cfg, store.NewMemory(), sender)
 }
 
 // Spawn implements churn.Target.
-func (c *DHTCluster) Spawn() transport.NodeID {
-	id := c.addNode()
-	c.nodes[id].Bootstrap(c.randomSeeds(id, 5))
-	return id
-}
+func (c *DHTCluster) Spawn() transport.NodeID { return c.join(c.node) }
 
 // NewClient attaches a baseline client.
 func (c *DHTCluster) NewClient(cfg dht.ClientConfig) *dht.Client {
-	id := c.nextCl
-	c.nextCl++
 	var cl *dht.Client
-	sender := c.Net.Attach(id, func(env transport.Envelope) { cl.HandleMessage(env) })
-	cl = dht.NewClient(id, cfg, sender, c.AliveIDs(), sim.RNG(c.seed, uint64(id)))
-	c.Engine.Ticker(c.Engine.Now()+Round/2, Round, func(time.Duration) { cl.Tick() })
+	c.attachClient(func(id transport.NodeID, sender transport.Sender) (func(transport.Envelope), func()) {
+		cl = dht.NewClient(id, cfg, sender, c.AliveIDs(), sim.RNG(c.seed, uint64(id)))
+		return cl.HandleMessage, cl.Tick
+	})
 	return cl
 }
 
@@ -154,25 +54,4 @@ func (c *DHTCluster) ResetMetrics() {
 	for _, n := range c.nodes {
 		n.Metrics().Reset()
 	}
-}
-
-// MessagesPerNode returns each live node's sent+received counts.
-func (c *DHTCluster) MessagesPerNode() []uint64 {
-	out := make([]uint64, 0, len(c.order))
-	for _, id := range c.order {
-		m := c.nodes[id].Metrics()
-		out = append(out, m.Get(metrics.MsgSent)+m.Get(metrics.MsgRecv))
-	}
-	return out
-}
-
-// ReplicaCount returns how many live nodes hold (key, version).
-func (c *DHTCluster) ReplicaCount(key string, version uint64) int {
-	count := 0
-	for _, id := range c.order {
-		if _, _, ok, err := c.nodes[id].Store().Get(key, version); err == nil && ok {
-			count++
-		}
-	}
-	return count
 }

@@ -3,6 +3,7 @@ package lab
 import (
 	"fmt"
 	"io"
+	"math/rand/v2"
 
 	"dataflasks/internal/churn"
 	"dataflasks/internal/client"
@@ -51,6 +52,56 @@ func SlicingConvergence(n, k, rounds int, churnRate float64, slicer core.SlicerK
 	return points
 }
 
+// SlicingRun is one slicer's accuracy series at one churn rate.
+type SlicingRun struct {
+	Slicer        string
+	ChurnPerRound float64
+	Points        []SlicingPoint
+}
+
+var slicerName = map[core.SlicerKind]string{core.SlicerRank: "rank", core.SlicerSwap: "swap", core.SlicerStatic: "static"}
+
+func runSlicing(w io.Writer, p Params) Report {
+	title(w, "E3: slicing convergence and accuracy")
+	n, rounds := 1000, 60
+	if p.Quick {
+		n, rounds = 300, 40
+	}
+	var runs []SlicingRun
+	for _, churnRate := range []float64{0, 0.01} {
+		for _, slicer := range []core.SlicerKind{core.SlicerRank, core.SlicerSwap} {
+			run := SlicingRun{slicerName[slicer], churnRate, SlicingConvergence(n, 10, rounds, churnRate, slicer, p.Seed)}
+			runs = append(runs, run)
+			var r10 SlicingPoint // stays zero on a run SlicingGate reports as too short
+			if len(run.Points) >= 10 {
+				r10 = run.Points[9]
+			}
+			last := run.Points[len(run.Points)-1]
+			fmt.Fprintf(w, "slicer=%-6s churn=%.2f/round: accuracy r10=%.2f r%d=%.2f undecided=%d\n",
+				run.Slicer, churnRate, r10.Accuracy, last.Round, last.Accuracy, last.Undecided)
+		}
+	}
+	return Report{runs, SlicingGate(runs)}
+}
+
+// SlicingGate is E3's: every series reaches the table's round-10 column,
+// and without churn the rank slicer (the default) ends accurate, with
+// every node decided, and no worse than it was at round 5.
+func SlicingGate(runs []SlicingRun) []string {
+	var g gate
+	for _, run := range runs {
+		if len(run.Points) < 10 {
+			g.must(false, "slicer %s: %d rounds measured, the table reads round 10", run.Slicer, len(run.Points))
+		} else if run.Slicer == "rank" && run.ChurnPerRound == 0 {
+			r5, last := run.Points[4], run.Points[len(run.Points)-1]
+			g.must(last.Accuracy >= 0.6, "rank slicer accuracy %.2f after %d rounds, want >= 0.6", last.Accuracy, last.Round)
+			g.must(last.Undecided == 0, "%d nodes still undecided after %d rounds", last.Undecided, last.Round)
+			g.must(r5.Accuracy <= last.Accuracy, "accuracy degraded: r5=%.2f r%d=%.2f", r5.Accuracy, last.Round, last.Accuracy)
+		}
+	}
+	return g
+}
+
 // ---------------------------------------------------------------------------
 // E4 — correlated slice failure: adaptive slicing re-balances, the
 // static "coin toss" baseline cannot (§IV-A)
@@ -94,6 +145,36 @@ func CorrelatedFailure(n, k int, frac float64, slicer core.SlicerKind, measureRo
 	return res
 }
 
+func runCorrelated(w io.Writer, p Params) Report {
+	title(w, "E4: correlated slice failure — adaptive vs coin-toss slicing (§IV-A)")
+	n := 500
+	if p.Quick {
+		n = 200
+	}
+	rank := CorrelatedFailure(n, 10, 0.8, core.SlicerRank, 8, p.Seed)
+	static := CorrelatedFailure(n, 10, 0.8, core.SlicerStatic, 8, p.Seed)
+	for _, res := range []CorrelatedResult{rank, static} {
+		fmt.Fprintf(w, "slicer=%-6s slice %d: members %d → killed %d → recovery over 40 rounds: %v\n",
+			slicerName[res.Slicer], res.TargetSlice, res.BeforeMembers, res.Killed, res.AfterMembers)
+	}
+	return Report{[]CorrelatedResult{rank, static}, CorrelatedGate(rank, static)}
+}
+
+// CorrelatedGate is E4's — §IV-A's claim: the adaptive slicer
+// repopulates the gutted slice, the memoryless baseline cannot.
+func CorrelatedGate(rank, static CorrelatedResult) []string {
+	if rank.Killed == 0 || static.Killed == 0 {
+		return []string{fmt.Sprintf("nothing killed: rank=%d static=%d", rank.Killed, static.Killed)}
+	}
+	var g gate
+	rankFinal := rank.AfterMembers[len(rank.AfterMembers)-1]
+	staticFinal := static.AfterMembers[len(static.AfterMembers)-1]
+	g.must(rankFinal > staticFinal, "rank slicer final members %d not above static %d", rankFinal, staticFinal)
+	g.must(rankFinal >= rank.BeforeMembers/2, "rank slicer recovered only %d of %d members", rankFinal, rank.BeforeMembers)
+	g.must(staticFinal <= static.BeforeMembers-static.Killed+2, "static slicer gained members (%d) without a mechanism to", staticFinal)
+	return g
+}
+
 // ---------------------------------------------------------------------------
 // E5 — read availability under churn (the dependability headline)
 
@@ -128,61 +209,91 @@ func availabilityUnderChurn(n, k int, rates []float64, ops int, seed uint64, rea
 			lb = c.RandomLB()
 		}
 		cl := c.NewClient(client.Config{}, lb)
-		c.Run(30)
-
-		records := 20
-		for i := 0; i < records; i++ {
-			cl.StartPut(workload.Key(i), 1, []byte("payload"), nil)
-		}
-		c.Run(20)
-
-		inj := churn.NewInjector(rate, sim.RNG(seed, 0xc0de))
-		var ok, failed, retries int
-		done := func(r client.Result) {
-			retries += r.Retries
-			if r.Err != nil {
-				failed++
-			} else {
-				ok++
-			}
-		}
-		rng := sim.RNG(seed, 0xf00d)
-		issued := 0
-		for issued < ops {
-			c.Run(1)
-			inj.Tick(c)
-			for i := 0; i < 2 && issued < ops; i++ {
-				cl.StartGetOpts(workload.Key(rng.IntN(records)), store.Latest, readOpts, done)
-				issued++
-			}
-		}
-		c.Run(80) // drain: every op completes or exhausts retries
-		points = append(points, ChurnPoint{
-			ChurnPerRound: rate,
-			OK:            ok,
-			Failed:        failed,
-			Availability:  float64(ok) / float64(ok+failed),
-			Retries:       retries,
-		})
+		var reads tally
+		retries := 0
+		readUnderChurn(c, churn.NewInjector(rate, sim.RNG(seed, 0xc0de)), sim.RNG(seed, 0xf00d), ops,
+			func(key string) { cl.StartPut(key, 1, []byte("payload"), nil) },
+			func(key string) {
+				cl.StartGetOpts(key, store.Latest, readOpts, func(r client.Result) {
+					retries += r.Retries
+					reads.add(r.Err)
+				})
+			})
+		points = append(points, ChurnPoint{rate, reads.ok, reads.failed, reads.availability(), retries})
 	}
 	return points
 }
 
-// WriteAvailabilityUnderChurn runs E5 at flaskbench's scale (reduced
-// under quick) and writes its table.
-func WriteAvailabilityUnderChurn(w io.Writer, seed uint64, quick bool) []ChurnPoint {
+// churnedCluster is either lab cluster, as readUnderChurn drives it.
+type churnedCluster interface {
+	churn.Target
+	Run(rounds int)
+	ResetMetrics()
+}
+
+// tally counts the reads a schedule completed.
+type tally struct{ ok, failed int }
+
+func (t *tally) add(err error) {
+	if err != nil {
+		t.failed++
+	} else {
+		t.ok++
+	}
+}
+
+func (t tally) availability() float64 { return float64(t.ok) / float64(t.ok+t.failed) }
+
+// readUnderChurn is the schedule E5, E8 and E20 share, over either
+// store: warm up, preload 20 records through put, let them settle, then
+// ops reads of random records, two a round, while inj replaces nodes
+// every round; then a drain long enough that every read completes or
+// exhausts its retries.
+func readUnderChurn(c churnedCluster, inj *churn.Injector, keys *rand.Rand, ops int, put, get func(key string)) {
+	c.Run(30)
+	const records = 20
+	for i := 0; i < records; i++ {
+		put(workload.Key(i))
+	}
+	c.Run(20)
+	c.ResetMetrics()
+	for issued := 0; issued < ops; {
+		c.Run(1)
+		inj.Tick(c)
+		for i := 0; i < 2 && issued < ops; i++ {
+			get(workload.Key(keys.IntN(records)))
+			issued++
+		}
+	}
+	c.Run(80)
+}
+
+// writeAvailabilityUnderChurn is the E5 half of -exp churn (the row is
+// runChurn, next to E17).
+func writeAvailabilityUnderChurn(w io.Writer, p Params) []ChurnPoint {
 	title(w, "E5: read availability under churn")
 	n, ops := 500, 100
-	if quick {
+	if p.Quick {
 		n, ops = 200, 50
 	}
-	points := AvailabilityUnderChurn(n, 10, []float64{0, 0.005, 0.01, 0.02, 0.05}, ops, seed)
+	points := AvailabilityUnderChurn(n, 10, []float64{0, 0.005, 0.01, 0.02, 0.05}, ops, p.Seed)
 	fmt.Fprintf(w, "%14s %8s %8s %14s %8s\n", "churn/round", "ok", "failed", "availability", "retries")
-	for _, p := range points {
+	for _, pt := range points {
 		fmt.Fprintf(w, "%14.3f %8d %8d %13.1f%% %8d\n",
-			p.ChurnPerRound, p.OK, p.Failed, p.Availability*100, p.Retries)
+			pt.ChurnPerRound, pt.OK, pt.Failed, pt.Availability*100, pt.Retries)
 	}
 	return points
+}
+
+// AvailabilityGate is E5's: reads are served without churn, and degrade
+// gracefully — still >= 80% with 2% of the nodes replaced every round.
+func AvailabilityGate(points []ChurnPoint) []string {
+	var g gate
+	for _, p := range points {
+		g.must(p.ChurnPerRound != 0 || p.Availability >= 0.99, "churn-free availability %.2f, want >= 0.99", p.Availability)
+		g.must(p.ChurnPerRound != 0.02 || p.Availability >= 0.8, "availability at 2%%/round churn = %.2f, want >= 0.8", p.Availability)
+	}
+	return g
 }
 
 // ---------------------------------------------------------------------------
@@ -241,6 +352,36 @@ func ReplicationRepair(n, k int, antiEntropyEvery int, seed uint64) RepairResult
 		res.Timeline = append(res.Timeline, RepairPoint{Round: r, Replicas: c.ReplicaCount(key, 1)})
 	}
 	return res
+}
+
+func runRepair(w io.Writer, p Params) Report {
+	title(w, "E6: replication repair via anti-entropy (§VII future work)")
+	n := 400
+	if p.Quick {
+		n = 200
+	}
+	res := ReplicationRepair(n, 10, 5, p.Seed)
+	fmt.Fprintf(w, "object %q: %d replicas → kill half → %d; recovery:\n",
+		res.Key, res.InitialCount, res.AfterKillCount)
+	for _, pt := range res.Timeline {
+		fmt.Fprintf(w, "  +%2d rounds: %d replicas\n", pt.Round, pt.Replicas)
+	}
+	return Report{res, RepairGate(res)}
+}
+
+// RepairGate is E6's: the object was replicated, the kill cost replicas,
+// and anti-entropy won some back.
+func RepairGate(res RepairResult) []string {
+	if res.InitialCount == 0 {
+		return []string{"object never replicated"}
+	}
+	if res.AfterKillCount >= res.InitialCount {
+		return []string{fmt.Sprintf("kill did not reduce replicas: %d → %d", res.InitialCount, res.AfterKillCount)}
+	}
+	if final := res.Timeline[len(res.Timeline)-1].Replicas; final <= res.AfterKillCount {
+		return []string{fmt.Sprintf("anti-entropy never repaired: %d → %d", res.AfterKillCount, final)}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -303,30 +444,27 @@ func LoadBalancerAblation(n, k, ops int, seed uint64) []LBResult {
 	return out
 }
 
-// WriteLoadBalancerAblation runs E7 at flaskbench's scale (reduced under
-// quick) and writes its table.
-func WriteLoadBalancerAblation(w io.Writer, seed uint64, quick bool) []LBResult {
+func runLoadBalancer(w io.Writer, p Params) Report {
 	title(w, "E7: load-balancer ablation — paper baseline vs random contact vs slice directory (§VII)")
 	n, k, ops := 150, 10, 8000
-	if quick {
+	if p.Quick {
 		n, k, ops = 60, 4, 2400
 	}
-	rows := LoadBalancerAblation(n, k, ops, seed)
+	rows := LoadBalancerAblation(n, k, ops, p.Seed)
 	fmt.Fprintf(w, "N=%d k=%d, %d ops per row\n", n, k, ops)
 	fmt.Fprintf(w, "%4s %10s %13s %6s %7s %11s %7s\n", "mix", "balancer", "data msgs/op", "ok", "failed", "retries/op", "spread")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%4s %10s %13.2f %6d %7d %11.3f %7.2f\n",
 			r.Mix, r.Balancer, r.DataMsgsPerOp, r.OK, r.Failed, r.MeanRetries, r.Spread)
 	}
-	return rows
+	return Report{rows, LoadBalancerGate(rows)}
 }
 
-// LoadBalancerGate lists what E7 must hold and does not (nothing when
-// it passes): on every mix the directory spends fewer data messages per
-// op than the random contact, fails and retries no more ops, and keeps
-// the busiest member of a slice within twice its fair share.
+// LoadBalancerGate is E7's: on every mix the directory spends fewer data
+// messages per op than the random contact, fails and retries no more
+// ops, and keeps a slice's busiest member within twice its fair share.
 func LoadBalancerGate(rows []LBResult) []string {
-	var broken []string
+	var g gate
 	for _, dir := range rows {
 		if dir.Balancer != "directory" {
 			continue
@@ -337,20 +475,12 @@ func LoadBalancerGate(rows []LBResult) []string {
 				random = r
 			}
 		}
-		if dir.DataMsgsPerOp >= random.DataMsgsPerOp {
-			broken = append(broken, fmt.Sprintf("mix %s: directory %.2f data msgs/op not below random %.2f", dir.Mix, dir.DataMsgsPerOp, random.DataMsgsPerOp))
-		}
-		if dir.Failed > random.Failed {
-			broken = append(broken, fmt.Sprintf("mix %s: directory failed %d ops, random %d", dir.Mix, dir.Failed, random.Failed))
-		}
-		if dir.MeanRetries > random.MeanRetries {
-			broken = append(broken, fmt.Sprintf("mix %s: directory retried %.3f/op, random %.3f/op", dir.Mix, dir.MeanRetries, random.MeanRetries))
-		}
-		if dir.Spread > 2 {
-			broken = append(broken, fmt.Sprintf("mix %s: directory contact spread %.2f > 2 (a member is pinned)", dir.Mix, dir.Spread))
-		}
+		g.must(dir.DataMsgsPerOp < random.DataMsgsPerOp, "mix %s: directory %.2f data msgs/op not below random %.2f", dir.Mix, dir.DataMsgsPerOp, random.DataMsgsPerOp)
+		g.must(dir.Failed <= random.Failed, "mix %s: directory failed %d ops, random %d", dir.Mix, dir.Failed, random.Failed)
+		g.must(dir.MeanRetries <= random.MeanRetries, "mix %s: directory retried %.3f/op, random %.3f/op", dir.Mix, dir.MeanRetries, random.MeanRetries)
+		g.must(dir.Spread <= 2, "mix %s: directory contact spread %.2f > 2 (a member is pinned)", dir.Mix, dir.Spread)
 	}
-	return broken
+	return g
 }
 
 // ---------------------------------------------------------------------------
@@ -371,79 +501,63 @@ type CompareRow struct {
 // CompareWithDHT preloads both stores, then reads under churn.
 func CompareWithDHT(n, k, ops int, rates []float64, seed uint64) []CompareRow {
 	rows := make([]CompareRow, 0, len(rates))
-	records := 20
 	for _, rate := range rates {
 		row := CompareRow{ChurnPerRound: rate}
 
-		// --- DataFlasks side
 		fc := NewCluster(ClusterConfig{
 			N:    n,
 			Seed: seed,
 			Node: core.Config{Slices: k, AntiEntropyEvery: 5},
 		})
 		fcl := fc.NewClient(client.Config{}, nil)
-		fc.Run(30)
-		for i := 0; i < records; i++ {
-			fcl.StartPut(workload.Key(i), 1, []byte("payload"), nil)
-		}
-		fc.Run(20)
-		fc.ResetMetrics()
-		fInj := churn.NewInjector(rate, sim.RNG(seed, 0xaaaa))
-		var fOK, fFail int
-		fDone := func(r client.Result) {
-			if r.Err != nil {
-				fFail++
-			} else {
-				fOK++
-			}
-		}
-		fRng := sim.RNG(seed, 0xbbbb)
-		for issued := 0; issued < ops; {
-			fc.Run(1)
-			fInj.Tick(fc)
-			for i := 0; i < 2 && issued < ops; i++ {
-				fcl.StartGet(workload.Key(fRng.IntN(records)), store.Latest, fDone)
-				issued++
-			}
-		}
-		fc.Run(80)
-		row.FlasksAvail = float64(fOK) / float64(fOK+fFail)
+		var flasks tally
+		readUnderChurn(fc, churn.NewInjector(rate, sim.RNG(seed, 0xaaaa)), sim.RNG(seed, 0xbbbb), ops,
+			func(key string) { fcl.StartPut(key, 1, []byte("payload"), nil) },
+			func(key string) { fcl.StartGet(key, store.Latest, func(r client.Result) { flasks.add(r.Err) }) })
+		row.FlasksAvail = flasks.availability()
 		row.FlasksMsgs = metrics.SummarizeValues(fc.MessagesPerNode()).Mean
 
-		// --- DHT side
 		dc := NewDHTCluster(n, dht.Config{Replicas: 3}, seed)
 		dcl := dc.NewClient(dht.ClientConfig{})
-		dc.Run(30)
-		for i := 0; i < records; i++ {
-			dcl.StartPut(workload.Key(i), 1, []byte("payload"), nil)
-		}
-		dc.Run(20)
-		dc.ResetMetrics()
-		dInj := churn.NewInjector(rate, sim.RNG(seed, 0xcccc))
-		var dOK, dFail int
-		dDone := func(r dht.ClientResult) {
-			if r.Err != nil {
-				dFail++
-			} else {
-				dOK++
-			}
-		}
-		dRng := sim.RNG(seed, 0xdddd)
-		for issued := 0; issued < ops; {
-			dc.Run(1)
-			dInj.Tick(dc)
-			for i := 0; i < 2 && issued < ops; i++ {
-				dcl.StartGet(workload.Key(dRng.IntN(records)), dDone)
-				issued++
-			}
-		}
-		dc.Run(80)
-		row.DHTAvail = float64(dOK) / float64(dOK+dFail)
+		var baseline tally
+		readUnderChurn(dc, churn.NewInjector(rate, sim.RNG(seed, 0xcccc)), sim.RNG(seed, 0xdddd), ops,
+			func(key string) { dcl.StartPut(key, 1, []byte("payload"), nil) },
+			func(key string) { dcl.StartGet(key, func(r dht.ClientResult) { baseline.add(r.Err) }) })
+		row.DHTAvail = baseline.availability()
 		row.DHTMsgs = metrics.SummarizeValues(dc.MessagesPerNode()).Mean
 
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+func runDHT(w io.Writer, p Params) Report {
+	title(w, "E8: DataFlasks vs structured DHT baseline under churn (§I)")
+	n, ops := 300, 100
+	if p.Quick {
+		n, ops = 150, 50
+	}
+	rows := CompareWithDHT(n, 10, ops, []float64{0, 0.01, 0.02, 0.05}, p.Seed)
+	fmt.Fprintf(w, "%14s %16s %16s %14s %14s\n",
+		"churn/round", "flasks avail", "dht avail", "flasks msgs", "dht msgs")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%14.3f %15.1f%% %15.1f%% %14.1f %14.1f\n",
+			r.ChurnPerRound, r.FlasksAvail*100, r.DHTAvail*100, r.FlasksMsgs, r.DHTMsgs)
+	}
+	return Report{rows, DHTGate(rows)}
+}
+
+// DHTGate is E8's: both stores work when calm, and under heavy churn (5%
+// of the nodes replaced every round) the epidemic substrate wins — the
+// paper's whole thesis.
+func DHTGate(rows []CompareRow) []string {
+	var g gate
+	for _, r := range rows {
+		g.must(r.ChurnPerRound != 0 || (r.FlasksAvail >= 0.95 && r.DHTAvail >= 0.9),
+			"calm availability: flasks=%.2f (want >= 0.95) dht=%.2f (want >= 0.9)", r.FlasksAvail, r.DHTAvail)
+		g.must(r.ChurnPerRound != 0.05 || r.FlasksAvail > r.DHTAvail, "at 5%%/round churn flasks %.2f <= dht %.2f", r.FlasksAvail, r.DHTAvail)
+	}
+	return g
 }
 
 // ---------------------------------------------------------------------------
@@ -503,6 +617,35 @@ func MeasurePSSQuality(n, rounds int, kind core.PSSKind, seed uint64) PSSQuality
 		MaxOutAge:    maxAge,
 		ZeroInDegree: zero,
 	}
+}
+
+func runPSS(w io.Writer, p Params) Report {
+	title(w, "E9: peer-sampling overlay quality")
+	n := 1000
+	if p.Quick {
+		n = 300
+	}
+	res := map[string]PSSQuality{
+		"cyclon":   MeasurePSSQuality(n, 50, core.PSSCyclon, p.Seed),
+		"newscast": MeasurePSSQuality(n, 50, core.PSSNewscast, p.Seed),
+	}
+	for _, name := range []string{"cyclon", "newscast"} {
+		q := res[name]
+		fmt.Fprintf(w, "%-8s in-degree: mean=%.1f p50=%d p95=%d p99=%d min=%d max=%d zero-in-degree=%d\n",
+			name, q.InDegree.Mean, q.InDegree.P50, q.InDegree.P95, q.InDegree.P99,
+			q.InDegree.Min, q.InDegree.Max, q.ZeroInDegree)
+	}
+	return Report{res, PSSGate(res["cyclon"])}
+}
+
+// PSSGate is E9's, of Cyclon (the default overlay): in-degree near the
+// view size with modest spread, and next to nobody unsampled.
+func PSSGate(q PSSQuality) []string {
+	var g gate
+	g.must(q.ZeroInDegree <= 2, "cyclon left %d nodes with zero in-degree", q.ZeroInDegree)
+	g.must(q.InDegree.Mean >= 10 && q.InDegree.Mean <= 30, "mean in-degree = %.1f, want 10..30", q.InDegree.Mean)
+	g.must(q.InDegree.P99 <= 3*uint64(q.InDegree.Mean), "cyclon in-degree skewed: p99=%d mean=%.1f", q.InDegree.P99, q.InDegree.Mean)
+	return g
 }
 
 // ---------------------------------------------------------------------------
@@ -584,4 +727,32 @@ func FanoutSweep(n int, cs []float64, trials int, seed uint64) []FanoutPoint {
 		})
 	}
 	return points
+}
+
+func runFanout(w io.Writer, p Params) Report {
+	title(w, "E10: fanout sweep vs atomic-delivery probability (§II theory)")
+	n, trials := 500, 30
+	if p.Quick {
+		n, trials = 200, 15
+	}
+	points := FanoutSweep(n, []float64{-2, -1, 0, 1, 2}, trials, p.Seed)
+	fmt.Fprintf(w, "%6s %8s %12s %14s %14s\n", "c", "fanout", "mean cover", "measured p", "theory p")
+	for _, pt := range points {
+		fmt.Fprintf(w, "%6.1f %8d %11.1f%% %14.2f %14.2f\n",
+			pt.C, pt.Fanout, pt.MeanCover*100, pt.MeasuredP, pt.TheoryP)
+	}
+	return Report{points, FanoutGate(points)}
+}
+
+// FanoutGate is E10's — the shape §II claims: coverage does not fall
+// below the smallest fanout's as c grows (saturated points trade places
+// within a node or two, so each is held against the first, not its
+// neighbour), and at c=1, the default, a flood reaches >= 95% of nodes.
+func FanoutGate(points []FanoutPoint) []string {
+	var g gate
+	for _, pt := range points {
+		g.must(pt.MeanCover >= points[0].MeanCover, "coverage not monotone in c: %.3f at c=%.0f, %.3f at c=%.0f", points[0].MeanCover, points[0].C, pt.MeanCover, pt.C)
+		g.must(pt.C != 1 || pt.MeanCover >= 0.95, "coverage at c=1 only %.3f, want >= 0.95", pt.MeanCover)
+	}
+	return g
 }

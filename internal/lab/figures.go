@@ -7,53 +7,21 @@ import (
 	"dataflasks/internal/core"
 )
 
-// DefaultNs is the paper's node-count sweep (§VI).
-var DefaultNs = []int{500, 1000, 1500, 2000, 2500, 3000}
-
 // title heads one experiment's table in flaskbench's output.
 func title(w io.Writer, format string, args ...interface{}) {
 	fmt.Fprintf(w, "\n=== "+format+" ===\n", args...)
 }
 
-// figureNs resolves a figure's sweep: the caller's, else the reduced one
-// under quick (flaskbench -quick's, and so the goldens'), else nil —
-// FigureOptions' default, the paper's.
-func figureNs(ns []int, quick bool) []int {
-	if len(ns) == 0 && quick {
+// figureNs resolves a figure's node-count sweep: the caller's, else the
+// reduced one under quick (the goldens'), else the paper's (§VI).
+func figureNs(p Params) []int {
+	switch {
+	case len(p.Ns) > 0:
+		return p.Ns
+	case p.Quick:
 		return []int{200, 400, 600}
 	}
-	return ns
-}
-
-// FigureOptions tunes the two headline experiments.
-type FigureOptions struct {
-	// Ns is the node-count sweep (default DefaultNs).
-	Ns []int
-	// Slices for Figure 3's constant-k run (default 10, as in §VI).
-	Slices int
-	// ReplicationFactor for Figure 4's constant-replication run:
-	// k = N / ReplicationFactor (default 50, giving k=10 at N=500 so
-	// the two experiments coincide at the smallest scale).
-	ReplicationFactor int
-	// Workload drives the measured phase.
-	Workload WorkloadOptions
-	// Seed drives all randomness.
-	Seed uint64
-}
-
-func (o *FigureOptions) defaults() {
-	if len(o.Ns) == 0 {
-		o.Ns = DefaultNs
-	}
-	if o.Slices <= 0 {
-		o.Slices = 10
-	}
-	if o.ReplicationFactor <= 0 {
-		o.ReplicationFactor = 50
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
+	return []int{500, 1000, 1500, 2000, 2500, 3000}
 }
 
 // FigureRow is one point of a figure's series.
@@ -76,14 +44,15 @@ type FigureResult struct {
 	Rows []FigureRow
 }
 
-// MessagesAt runs one (N, slices) configuration and returns its row.
-// The workload runs with Flood forced on: the figures reproduce the
-// paper's undirected global phase, not this implementation's directed
-// hop (lab.RoutingAblation measures the difference).
-func MessagesAt(n, slices int, opts FigureOptions) FigureRow {
+// MessagesAt runs one (N, slices) configuration under the default
+// workload (§VI's: write-only, 50 ops) and returns its row. The workload
+// runs with Flood forced on: the figures reproduce the paper's
+// undirected global phase, not this implementation's directed hop
+// (lab.RoutingAblation measures the difference).
+func MessagesAt(n, slices int, seed uint64) FigureRow {
 	cluster := NewCluster(ClusterConfig{
 		N:    n,
-		Seed: opts.Seed + uint64(n)*7 + uint64(slices),
+		Seed: seed + uint64(n)*7 + uint64(slices),
 		Node: core.Config{
 			Slices: slices,
 			// Like the flood below: the figures keep the repair rounds
@@ -92,9 +61,7 @@ func MessagesAt(n, slices int, opts FigureOptions) FigureRow {
 			AntiEntropyWholeStore: true,
 		},
 	})
-	wl := opts.Workload
-	wl.Flood = true
-	stats := cluster.RunWorkload(wl)
+	stats := cluster.RunWorkload(WorkloadOptions{Flood: true})
 	return FigureRow{
 		N:             n,
 		Slices:        slices,
@@ -107,60 +74,62 @@ func MessagesAt(n, slices int, opts FigureOptions) FigureRow {
 	}
 }
 
-// Figure3 regenerates the paper's Figure 3: average messages per node
-// with a constant number of slices while N grows 500→3000. Expected
-// shape: roughly flat — extra nodes only deepen replication.
-func Figure3(opts FigureOptions) FigureResult {
-	opts.defaults()
-	var res FigureResult
-	for _, n := range opts.Ns {
-		res.Rows = append(res.Rows, MessagesAt(n, opts.Slices, opts))
-	}
-	return res
-}
-
-// Figure4 regenerates the paper's Figure 4: average messages per node
-// with slices proportional to nodes (constant replication factor).
-// Expected shape: above Figure 3 and growing sub-linearly — the random
-// contact node is almost never in the target slice and slice-mate
-// discovery works harder as slices get scarce.
-func Figure4(opts FigureOptions) FigureResult {
-	opts.defaults()
-	var res FigureResult
-	for _, n := range opts.Ns {
-		k := n / opts.ReplicationFactor
-		if k < 1 {
-			k = 1
-		}
-		res.Rows = append(res.Rows, MessagesAt(n, k, opts))
-	}
-	return res
-}
-
-// WriteFigure3 runs Figure 3 at flaskbench's scale — ten slices, five
-// under quick — over ns (nil: the scale's sweep) and writes its table.
-func WriteFigure3(w io.Writer, ns []int, seed uint64, quick bool) FigureResult {
+// runFigure3 regenerates the paper's Figure 3: average messages per node
+// with a constant number of slices (ten; five under quick) while N
+// grows. Expected shape: roughly flat — extra nodes only deepen
+// replication.
+func runFigure3(w io.Writer, p Params) Report {
 	slices := 10
-	if quick {
+	if p.Quick {
 		slices = 5
 	}
 	title(w, "Figure 3: avg messages per node, constant %d slices (paper §VI)", slices)
-	res := Figure3(FigureOptions{Ns: figureNs(ns, quick), Slices: slices, Seed: seed})
+	var res FigureResult
+	for _, n := range figureNs(p) {
+		res.Rows = append(res.Rows, MessagesAt(n, slices, p.Seed))
+	}
 	res.writeTable(w)
-	return res
+	return Report{res, Figure3Gate(res)}
 }
 
-// WriteFigure4 is WriteFigure3 for Figure 4: 50 nodes per slice, 40
-// under quick.
-func WriteFigure4(w io.Writer, ns []int, seed uint64, quick bool) FigureResult {
-	title(w, "Figure 4: avg messages per node, slices ∝ nodes (paper §VI)")
-	rf := 50
-	if quick {
-		rf = 40
+// Figure3Gate is Figure 3's: the workload completes, and the series is
+// roughly flat — the largest N within 1.6x of the smallest.
+func Figure3Gate(res FigureResult) []string {
+	var g gate
+	for _, r := range res.Rows {
+		g.must(r.Failed <= r.OK/10, "N=%d: %d failures out of %d ops", r.N, r.Failed, r.OK+r.Failed)
 	}
-	res := Figure4(FigureOptions{Ns: figureNs(ns, quick), ReplicationFactor: rf, Seed: seed})
+	first, last := res.Rows[0].MsgsPerNode, res.Rows[len(res.Rows)-1].MsgsPerNode
+	g.must(last <= first*1.6 && first <= last*1.6, "Figure 3 not flat: %.1f → %.1f msgs/node", first, last)
+	return g
+}
+
+// runFigure4 regenerates the paper's Figure 4: average messages per node
+// with slices proportional to nodes (50 nodes per slice, so the figures
+// coincide at N=500; 40 under quick). Expected shape: above Figure 3 and
+// growing sub-linearly — the random contact node is almost never in the
+// target slice and slice-mate discovery works harder as slices get
+// scarce.
+func runFigure4(w io.Writer, p Params) Report {
+	title(w, "Figure 4: avg messages per node, slices ∝ nodes (paper §VI)")
+	perSlice := 50
+	if p.Quick {
+		perSlice = 40
+	}
+	var res FigureResult
+	for _, n := range figureNs(p) {
+		res.Rows = append(res.Rows, MessagesAt(n, max(1, n/perSlice), p.Seed))
+	}
 	res.writeTable(w)
-	return res
+	return Report{res, Figure4Gate(res)}
+}
+
+// Figure4Gate is Figure 4's: more slices cost more messages per node.
+func Figure4Gate(res FigureResult) []string {
+	var g gate
+	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
+	g.must(last.Slices <= first.Slices || last.MsgsPerNode > first.MsgsPerNode, "Figure 4 not growing: %.1f → %.1f msgs/node", first.MsgsPerNode, last.MsgsPerNode)
+	return g
 }
 
 func (res FigureResult) writeTable(w io.Writer) {

@@ -54,15 +54,13 @@ func PipelineComparison(n, slices, ops, acks int, seed uint64) []PipelineRow {
 	return rows
 }
 
-// WritePipelineComparison runs E15 at flaskbench's scale (reduced under
-// quick) and writes its table.
-func WritePipelineComparison(w io.Writer, seed uint64, quick bool) []PipelineRow {
+func runPipeline(w io.Writer, p Params) Report {
 	title(w, "E15: client API — blocking vs pipelined futures vs batched puts")
 	n, ops := 400, 200
-	if quick {
+	if p.Quick {
 		n, ops = 150, 100
 	}
-	rows := PipelineComparison(n, 10, ops, 1, seed)
+	rows := PipelineComparison(n, 10, ops, 1, p.Seed)
 	fmt.Fprintf(w, "%10s %6s %6s %6s %14s %14s %14s %9s\n",
 		"mode", "ops", "ok", "fail", "virtual time", "ops/s (virt)", "data msgs/op", "speedup")
 	for _, r := range rows {
@@ -70,7 +68,25 @@ func WritePipelineComparison(w io.Writer, seed uint64, quick bool) []PipelineRow
 			r.Mode, r.Ops, r.OK, r.Failed, r.Elapsed.Round(time.Microsecond),
 			r.OpsPerSec, r.DataMsgsPerOp, r.Speedup)
 	}
-	return rows
+	return Report{rows, PipelineGate(rows)}
+}
+
+// PipelineGate is E15's — the async API's headline claim: nothing fails,
+// pipelined and batched puts complete the same workload at least 5x
+// sooner (virtual time, so exact) than one blocking op at a time at the
+// same ack level, and the batch path collapses the per-object wire cost.
+func PipelineGate(rows []PipelineRow) []string {
+	var g gate
+	byMode := map[string]PipelineRow{}
+	for _, r := range rows {
+		byMode[r.Mode] = r
+		g.must(r.Failed == 0, "mode %s: %d of %d ops failed", r.Mode, r.Failed, r.Ops)
+		g.must(r.OK > 0 && r.Elapsed > 0, "mode %s: degenerate measurement (%d ok in %v)", r.Mode, r.OK, r.Elapsed)
+		g.must(r.Mode == "blocking" || r.Speedup >= 5, "%s elapsed %v vs blocking %v: speedup %.1fx, want >= 5x", r.Mode, r.Elapsed, rows[0].Elapsed, r.Speedup)
+	}
+	batch, pipelined := byMode["batch"], byMode["pipelined"]
+	g.must(batch.DataMsgsPerOp < pipelined.DataMsgsPerOp/2, "batch data msgs/op %.1f not well below pipelined %.1f", batch.DataMsgsPerOp, pipelined.DataMsgsPerOp)
+	return g
 }
 
 func runPipelineMode(mode string, n, slices, ops, acks int, seed uint64) PipelineRow {

@@ -23,6 +23,8 @@ type RESPRow struct {
 	Elapsed time.Duration
 	// OpsPerSec is Ops over Elapsed.
 	OpsPerSec float64
+	// Speedup is the resp-blocking row's Elapsed over this one's.
+	Speedup float64
 }
 
 // RESPComparison is experiment E16: an in-process DataFlasks cluster
@@ -78,7 +80,47 @@ func RESPComparison(n, slices, ops int, period time.Duration, seed uint64) ([]RE
 	rows = append(rows, pipelined)
 
 	rows = append(rows, driveNative(cl, ops, payload))
+	for i := range rows {
+		if rows[i].Elapsed > 0 {
+			rows[i].Speedup = float64(blocking.Elapsed) / float64(rows[i].Elapsed)
+		}
+	}
 	return rows, nil
+}
+
+func runRESP(w io.Writer, p Params) Report {
+	title(w, "E16: RESP gateway — blocking vs pipelined RESP vs native futures (LAN model)")
+	n, slices, ops, period := 40, 4, 400, 30*time.Millisecond
+	if p.Quick {
+		n, slices, ops, period = 24, 3, 200, 25*time.Millisecond
+	}
+	rows, err := RESPComparison(n, slices, ops, period, p.Seed)
+	if err != nil {
+		return Report{Broken: []string{err.Error()}}
+	}
+	fmt.Fprintf(w, "%18s %6s %6s %6s %14s %12s %9s\n",
+		"mode", "ops", "ok", "fail", "elapsed", "ops/s", "speedup")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%18s %6d %6d %6d %14s %12.0f %8.1fx\n",
+			r.Mode, r.Ops, r.OK, r.Failed, r.Elapsed.Round(time.Millisecond),
+			r.OpsPerSec, r.Speedup)
+	}
+	return Report{rows, RESPGate(rows)}
+}
+
+// RESPGate is E16's: every command is answered, at most one in twenty
+// with an error (epidemic routing is probabilistic: a stray failure is
+// not a regression, a failure rate is), and pipelined RESP — every op
+// overlapped through the gateway's completion queue — finishes >= 5x
+// sooner than the loop that pays a LAN round trip per command.
+func RESPGate(rows []RESPRow) []string {
+	var g gate
+	for _, r := range rows {
+		g.must(r.OK+r.Failed == r.Ops, "%s: %d ok + %d failed != %d ops", r.Mode, r.OK, r.Failed, r.Ops)
+		g.must(r.Failed <= r.Ops/20, "%s: %d of %d commands failed, want <= 5%%", r.Mode, r.Failed, r.Ops)
+		g.must(r.Mode != "resp-pipelined" || r.Speedup >= 5, "pipelined RESP speedup %.1fx over blocking, want >= 5x", r.Speedup)
+	}
+	return g
 }
 
 // warmUp waits until writes reach every slice: epidemic routing needs

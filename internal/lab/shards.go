@@ -13,7 +13,12 @@ package lab
 import (
 	"context"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"time"
 
 	"dataflasks"
@@ -30,8 +35,6 @@ type ShardScalingOptions struct {
 	Shards []int
 	// Keys is the preloaded keyspace the gets hit.
 	Keys int
-	// ValueBytes sizes each stored value.
-	ValueBytes int
 	// Producers is how many goroutines feed the shard mailboxes.
 	Producers int
 	// Duration is the measurement window per shard count.
@@ -57,18 +60,6 @@ type ShardScalingResult struct {
 // 90/10 get/put mix through DispatchData exactly as a live fabric
 // would; ops counts requests the shards actually served.
 func ShardScaling(opts ShardScalingOptions) []ShardScalingResult {
-	if opts.Keys <= 0 {
-		opts.Keys = 4096
-	}
-	if opts.ValueBytes <= 0 {
-		opts.ValueBytes = 128
-	}
-	if opts.Producers <= 0 {
-		opts.Producers = 4
-	}
-	if opts.Duration <= 0 {
-		opts.Duration = time.Second
-	}
 	results := make([]ShardScalingResult, 0, len(opts.Shards))
 	for _, shards := range opts.Shards {
 		results = append(results, shardScalingRun(opts, shards))
@@ -86,7 +77,7 @@ func shardScalingRun(opts ShardScalingOptions, shards int) ShardScalingResult {
 		Seed:       opts.Seed,
 	}, st, discard)
 
-	val := make([]byte, opts.ValueBytes)
+	val := make([]byte, 128)
 	key := func(i int) string { return fmt.Sprintf("bench-%d", i) }
 	for i := 0; i < opts.Keys; i++ {
 		if err := st.Put(key(i), 1, val); err != nil {
@@ -184,9 +175,6 @@ type ShardPutBurstResult struct {
 // (puts_served over put_commits, the counters /metrics exports) rises
 // with the puts queued behind each fsync.
 func ShardPutBurst(opts ShardPutBurstOptions) (ShardPutBurstResult, error) {
-	if opts.InFlight <= 0 {
-		opts.InFlight = 32
-	}
 	st, err := store.OpenLog(opts.Dir, store.LogOptions{Fsync: true})
 	if err != nil {
 		return ShardPutBurstResult{}, err
@@ -292,18 +280,6 @@ type ShardEquivalenceResult struct {
 // delete until no replica holds the version; once globally absent,
 // anti-entropy has nothing left to push and the outcome is pinned.
 func ShardEquivalence(opts ShardEquivalenceOptions) (ShardEquivalenceResult, error) {
-	if opts.N <= 0 {
-		opts.N = 12
-	}
-	if opts.Slices <= 0 {
-		opts.Slices = 3
-	}
-	if opts.Keys <= 0 {
-		opts.Keys = 60
-	}
-	if opts.Shards <= 0 {
-		opts.Shards = 8
-	}
 	if opts.Period <= 0 {
 		opts.Period = 20 * time.Millisecond
 	}
@@ -311,7 +287,7 @@ func ShardEquivalence(opts ShardEquivalenceOptions) (ShardEquivalenceResult, err
 		opts.Timeout = 30 * time.Second
 	}
 
-	run := func(shards int) (*dataflasks.Cluster, error) {
+	run := func(shards int) (_ *dataflasks.Cluster, err error) {
 		cluster, err := dataflasks.NewCluster(opts.N, dataflasks.Config{
 			Slices:     opts.Slices,
 			SystemSize: opts.N,
@@ -322,13 +298,16 @@ func ShardEquivalence(opts ShardEquivalenceOptions) (ShardEquivalenceResult, err
 		if err != nil {
 			return nil, err
 		}
+		defer func() {
+			if err != nil { // whichever step below failed
+				cluster.Stop()
+			}
+		}()
 		if err := cluster.Start(); err != nil {
-			cluster.Stop()
 			return nil, err
 		}
 		cl, err := cluster.NewClient()
 		if err != nil {
-			cluster.Stop()
 			return nil, err
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
@@ -338,7 +317,6 @@ func ShardEquivalence(opts ShardEquivalenceOptions) (ShardEquivalenceResult, err
 		// batches; every third key loses its first version again.
 		for i := 0; i < opts.Keys; i++ {
 			if err := cl.Put(ctx, key(i), 1, []byte(key(i))); err != nil {
-				cluster.Stop()
 				return nil, fmt.Errorf("put %s: %w", key(i), err)
 			}
 		}
@@ -347,7 +325,6 @@ func ShardEquivalence(opts ShardEquivalenceOptions) (ShardEquivalenceResult, err
 			batch = append(batch, dataflasks.Object{Key: key(i), Version: 2, Value: []byte("v2")})
 		}
 		if err := cl.PutBatch(ctx, batch); err != nil {
-			cluster.Stop()
 			return nil, fmt.Errorf("putbatch: %w", err)
 		}
 		// Drive every third key's first version to global absence:
@@ -357,11 +334,9 @@ func ShardEquivalence(opts ShardEquivalenceOptions) (ShardEquivalenceResult, err
 		for i := 0; i < opts.Keys; i += 3 {
 			for cluster.ReplicaCount(key(i), 1) > 0 {
 				if err := cl.Delete(ctx, key(i), 1); err != nil {
-					cluster.Stop()
 					return nil, fmt.Errorf("delete %s: %w", key(i), err)
 				}
 				if ctx.Err() != nil {
-					cluster.Stop()
 					return nil, fmt.Errorf("delete %s: %w", key(i), ctx.Err())
 				}
 				time.Sleep(opts.Period)
@@ -422,4 +397,124 @@ func ShardEquivalence(opts ShardEquivalenceOptions) (ShardEquivalenceResult, err
 		}
 		time.Sleep(opts.Period)
 	}
+}
+
+// ShardsResult is E19's three measurements.
+type ShardsResult struct {
+	Cores int `json:"cores"`
+	// GateEnforced says whether the host had the cores (>= 4) for the
+	// scaling ratio to mean anything; below that it is report-only —
+	// goroutines cannot outrun one core.
+	GateEnforced bool                   `json:"gate_enforced"`
+	Scaling      []ShardScalingResult   `json:"scaling"`
+	Ratio        float64                `json:"ratio"`
+	Burst        []ShardPutBurstResult  `json:"burst"`
+	Equivalence  ShardEquivalenceResult `json:"equivalence"`
+}
+
+func runShards(w io.Writer, p Params) Report {
+	title(w, "E19: data-plane sharding — throughput scaling and state equivalence")
+	res := ShardsResult{Cores: runtime.GOMAXPROCS(0)}
+	res.GateEnforced = res.Cores >= 4
+
+	scaleOpts := ShardScalingOptions{
+		Shards: []int{1, 8}, Keys: 4096, Producers: 4,
+		Duration: 2 * time.Second, Seed: p.Seed,
+	}
+	eqOpts := ShardEquivalenceOptions{
+		N: 16, Slices: 4, Keys: 90, Shards: 8, Seed: p.Seed,
+	}
+	if p.Quick {
+		scaleOpts.Duration = 500 * time.Millisecond
+		eqOpts = ShardEquivalenceOptions{
+			N: 10, Slices: 3, Keys: 36, Shards: 8, Seed: p.Seed,
+		}
+	}
+
+	res.Scaling = ShardScaling(scaleOpts)
+	fmt.Fprintf(w, "%8s %12s %10s %14s\n", "shards", "ops", "dropped", "ops/sec")
+	for _, r := range res.Scaling {
+		fmt.Fprintf(w, "%8d %12d %10d %14.0f\n", r.Shards, r.Ops, r.Dropped, r.OpsPerSec)
+	}
+	res.Ratio = shardScalingRatio(res.Scaling)
+	fmt.Fprintf(w, "scaling: %d shards serve %.2fx the single-shard rate (%d cores, gate %s)\n",
+		res.Scaling[len(res.Scaling)-1].Shards, res.Ratio, res.Cores, map[bool]string{true: "enforced", false: "report-only"}[res.GateEnforced])
+	broken := ShardScalingGate(res.Scaling, res.GateEnforced)
+
+	fmt.Fprintf(w, "burst: 32 entry puts in flight, log engine, fsync on\n%8s %12s %10s %12s %14s\n",
+		"shards", "puts", "commits", "puts/commit", "ops/sec")
+	burst := func() error {
+		dir, err := os.MkdirTemp("", "flaskbench-burst-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		for _, shards := range scaleOpts.Shards {
+			r, err := ShardPutBurst(ShardPutBurstOptions{
+				Dir: filepath.Join(dir, strconv.Itoa(shards)), Shards: shards,
+				InFlight: 32, Duration: scaleOpts.Duration, Seed: p.Seed,
+			})
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "%8d %12d %10d %12.2f %14.0f\n", r.Shards, r.Puts, r.Commits, r.PutsPerCommit, r.OpsPerSec)
+			res.Burst = append(res.Burst, r)
+		}
+		return nil
+	}
+	if err := burst(); err != nil {
+		broken = append(broken, "burst: "+err.Error())
+	} else {
+		broken = append(broken, ShardBurstGate(res.Burst)...)
+	}
+
+	var err error
+	if res.Equivalence, err = ShardEquivalence(eqOpts); err != nil {
+		return Report{res, append(broken, "equivalence: "+err.Error())}
+	}
+	eq := res.Equivalence
+	fmt.Fprintf(w, "equivalence: equal=%v nodes=%d objects=%d waited=%s\n",
+		eq.Equal, eq.Nodes, eq.Objects, eq.Waited.Round(time.Millisecond))
+	return Report{res, append(broken, ShardEquivalenceGate(eq)...)}
+}
+
+// shardScalingRatio is the last shard count's rate over the first's.
+func shardScalingRatio(results []ShardScalingResult) float64 {
+	if results[0].OpsPerSec <= 0 {
+		return 0
+	}
+	return results[len(results)-1].OpsPerSec / results[0].OpsPerSec
+}
+
+// ShardScalingGate is ShardScaling's: every shard count served traffic
+// at a sane rate, and — only where enforce says the host has the cores
+// for it — the largest count (8 in E19) clears 2x the single-shard rate.
+func ShardScalingGate(results []ShardScalingResult, enforce bool) []string {
+	var g gate
+	for _, r := range results {
+		g.must(r.Ops > 0 && r.OpsPerSec > 0, "shards=%d served %d requests at %.0f ops/sec", r.Shards, r.Ops, r.OpsPerSec)
+	}
+	ratio := shardScalingRatio(results)
+	g.must(!enforce || ratio >= 2, "%d-shard speedup %.2fx < 2x", results[len(results)-1].Shards, ratio)
+	return g
+}
+
+// ShardBurstGate is ShardPutBurst's: a shard with every in-flight put in
+// its own mailbox (the first row) commits over one put per store write.
+func ShardBurstGate(burst []ShardPutBurstResult) []string {
+	var g gate
+	g.must(burst[0].PutsPerCommit >= 1.5, "%.2f puts per commit < 1.5 with the puts in flight on %d shard", burst[0].PutsPerCommit, burst[0].Shards)
+	return g
+}
+
+// ShardEquivalenceGate is ShardEquivalence's: the sharded cluster
+// converged to the single-shard one's stores, and they were not empty.
+func ShardEquivalenceGate(eq ShardEquivalenceResult) []string {
+	if !eq.Equal {
+		return []string{fmt.Sprintf("sharded cluster diverged: first mismatch at node %s after %s", eq.Mismatch, eq.Waited)}
+	}
+	if eq.Objects == 0 {
+		return []string{"converged on empty stores — workload never landed"}
+	}
+	return nil
 }

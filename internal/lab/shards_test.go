@@ -24,17 +24,13 @@ func TestShardEquivalence(t *testing.T) {
 		t.Fatalf("ShardEquivalence: %v", err)
 	}
 	t.Logf("result=%+v", res)
-	if !res.Equal {
-		t.Fatalf("clusters diverged: first mismatch at node %s after %s", res.Mismatch, res.Waited)
-	}
-	if res.Objects == 0 {
-		t.Fatal("converged on empty stores — workload never landed")
-	}
+	hold(t, ShardEquivalenceGate(res))
 }
 
-// TestShardScalingRuns smoke-tests the throughput experiment shape (the
-// >=2x scaling gate itself lives in cmd/flaskbench, where core count is
-// checked): both shard counts must serve traffic and report sane rates.
+// TestShardScalingRuns smoke-tests the throughput experiment's shape:
+// both shard counts must serve traffic and report sane rates. The ratio
+// between them is report-only here, as it is for flaskbench on a host
+// with fewer than four cores.
 func TestShardScalingRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed benchmark; skipped in -short")
@@ -45,11 +41,6 @@ func TestShardScalingRuns(t *testing.T) {
 	})
 	for _, r := range results {
 		t.Logf("shards=%d ops=%d dropped=%d ops/sec=%.0f", r.Shards, r.Ops, r.Dropped, r.OpsPerSec)
-		if r.Ops == 0 {
-			t.Errorf("shards=%d served no requests", r.Shards)
-		}
-		if r.OpsPerSec <= 0 {
-			t.Errorf("shards=%d non-positive rate %f", r.Shards, r.OpsPerSec)
-		}
 	}
+	hold(t, ShardScalingGate(results, false))
 }

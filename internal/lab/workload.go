@@ -27,12 +27,8 @@ type WorkloadOptions struct {
 	Records int
 	// ValueSize is the payload size (default 100).
 	ValueSize int
-	// Warmup rounds before measuring (default 30).
-	Warmup int
 	// Drain rounds after the last injection (default 15).
 	Drain int
-	// PutAcks required per put (default 1).
-	PutAcks int
 	// Directory gives the client the §VII slice directory that live
 	// clients run with. The default stays the paper's random balancer,
 	// so the figures and ablations keep their baseline.
@@ -77,14 +73,8 @@ func (o *WorkloadOptions) defaults() {
 	if o.ValueSize <= 0 {
 		o.ValueSize = 100
 	}
-	if o.Warmup <= 0 {
-		o.Warmup = 30
-	}
 	if o.Drain <= 0 {
 		o.Drain = 15
-	}
-	if o.PutAcks == 0 {
-		o.PutAcks = 1
 	}
 }
 
@@ -126,16 +116,18 @@ func (c *Cluster) RunWorkload(opts WorkloadOptions) WorkloadStats {
 	if !opts.Directory {
 		lb = client.NewRandomLB(c.AliveIDs(), sim.RNG(c.cfg.Seed, 0xc11e))
 	}
-	cl := c.NewClient(client.Config{PutAcks: opts.PutAcks}, lb)
+	cl := c.NewClient(client.Config{PutAcks: 1}, lb)
 
 	// Warm-up: let the PSS mix, slicing converge and intra views fill.
-	c.Run(opts.Warmup)
+	c.Run(30)
 
 	// Optional preload (unmeasured): insert the whole key space.
 	versions := make(map[string]uint64, opts.Records)
 	switch {
 	case opts.PreloadDirect:
-		c.preloadDirect(versions, opts)
+		for _, key := range c.loadSlices(opts.Records, opts.ValueSize) {
+			versions[key] = 1
+		}
 	case opts.PreloadBatch:
 		c.preloadBatch(cl, versions, opts)
 	case opts.Preload:
@@ -183,27 +175,29 @@ func (c *Cluster) RunWorkload(opts WorkloadOptions) WorkloadStats {
 	return stats
 }
 
-// preloadDirect bulk-loads every record straight into the stores of
-// the nodes whose slice owns it, one PutBatch per node.
-func (c *Cluster) preloadDirect(versions map[string]uint64, opts WorkloadOptions) {
+// loadSlices bulk-loads records keys (version 1, valueSize bytes)
+// straight into the stores of the nodes whose slice owns them, one
+// PutBatch per node, and returns the keys. It models an operator
+// bulk-load: exact slice-complete replication, so whatever damage an
+// experiment then does is the only thing left to repair.
+func (c *Cluster) loadSlices(records, valueSize int) []string {
 	k := c.sliceCount()
-	value := make([]byte, opts.ValueSize)
+	value := make([]byte, valueSize)
+	keys := make([]string, records)
 	bySlice := make(map[int32][]store.Object, k)
-	for i := 0; i < opts.Records; i++ {
-		key := workload.Key(i)
-		versions[key] = 1
-		slice := slicing.KeySlice(key, k)
-		bySlice[slice] = append(bySlice[slice], store.Object{Key: key, Version: 1, Value: value})
+	for i := range keys {
+		keys[i] = workload.Key(i)
+		slice := slicing.KeySlice(keys[i], k)
+		bySlice[slice] = append(bySlice[slice], store.Object{Key: keys[i], Version: 1, Value: value})
 	}
 	for _, n := range c.Nodes() {
-		batch := bySlice[n.Slice()]
-		if len(batch) == 0 {
-			continue
-		}
-		if err := n.Store().PutBatch(batch); err != nil {
-			panic(fmt.Sprintf("lab: direct preload node %s: %v", n.ID(), err))
+		if batch := bySlice[n.Slice()]; len(batch) > 0 {
+			if err := n.Store().PutBatch(batch); err != nil {
+				panic(fmt.Sprintf("lab: bulk-load node %s: %v", n.ID(), err))
+			}
 		}
 	}
+	return keys
 }
 
 // preloadBatch inserts the key space through the client's batched put
