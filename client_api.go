@@ -10,6 +10,7 @@ import (
 	"dataflasks/internal/client"
 	"dataflasks/internal/core"
 	"dataflasks/internal/gossip"
+	"dataflasks/internal/metrics"
 	"dataflasks/internal/slicing"
 	"dataflasks/internal/store"
 	"dataflasks/internal/transport"
@@ -61,19 +62,18 @@ type Client struct {
 	period time.Duration
 	slices int
 
-	cmds chan func()
-	done chan struct{}
-	wg   sync.WaitGroup
+	// mailbox holds the replies the client's fabric handed to deliver
+	// until the loop takes them; drops counts the ones that did not fit.
+	mailbox chan transport.Envelope
+	drops   metrics.SharedCounter
+	cmds    chan func()
+	done    chan struct{}
+	wg      sync.WaitGroup
 
-	// dropped reports inbound replies discarded by a full mailbox; the
-	// fabric owns the count (a SharedCounter incremented by the TCP
-	// handler, or the in-process network's per-recipient counter).
-	dropped func() uint64
-
-	// deliver pushes one envelope into the mailbox without blocking
-	// (overflow counted in dropped). Set on a Node.NewClient client only:
-	// it is how the node reaches it.
-	deliver func(transport.Envelope)
+	// contacts is the random contact list under the slice directory. A
+	// Cluster keeps its clients' lists equal to its membership; a TCP
+	// client's stays the seeds it was given.
+	contacts *client.RandomLB
 	// closeFabric releases what the constructor opened for this client
 	// alone — its TCP fabric, its registration with its node; nil where
 	// the fabric belongs to someone else (Cluster).
@@ -82,33 +82,45 @@ type Client struct {
 	closeOnce sync.Once
 }
 
-// newLiveClient wraps the event-driven client core in a goroutine that
-// owns it: mailbox messages, timeout ticks and API commands are
-// serialized onto one loop, preserving the core's single-threaded
-// contract. slices is the deployment's slice count (callers resolve
-// the default via Config.slicesOrDefault), used to group batch puts
-// per target slice; dropped reports the fabric's mailbox-overflow
-// count for this client (nil for fabrics that never drop).
-func newLiveClient(id NodeID, cfg client.Config, sender transport.Sender, lb client.LoadBalancer, mailbox <-chan transport.Envelope, period time.Duration, slices int, dropped func() uint64) *Client {
-	c := &Client{
-		core:    client.NewCore(id, cfg, sender, lb),
+// newLiveClient makes a client as far as its mailbox, so that the fabric
+// about to be opened for it has a handler (deliver) to call; run starts
+// it once that fabric's sender exists. slices is the deployment's slice
+// count (callers resolve the default via Config.slicesOrDefault), used
+// to group batch puts per target slice.
+func newLiveClient(period time.Duration, slices int) *Client {
+	return &Client{
 		period:  period,
 		slices:  slices,
+		mailbox: make(chan transport.Envelope, defaultMailbox),
 		cmds:    make(chan func(), 64),
 		done:    make(chan struct{}),
-		dropped: dropped,
 	}
+}
+
+// deliver pushes one envelope into the mailbox without blocking,
+// overflow counted: the handler of the client's fabric, and how the node
+// of a Node.NewClient client reaches it.
+func (c *Client) deliver(env transport.Envelope) {
+	select {
+	case c.mailbox <- env:
+	default:
+		c.drops.Inc()
+	}
+}
+
+// run wraps the event-driven client core in a goroutine that owns it:
+// mailbox messages, timeout ticks and API commands are serialized onto
+// one loop, preserving the core's single-threaded contract.
+func (c *Client) run(core *client.Core) {
+	c.core = core
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		ticker := time.NewTicker(period)
+		ticker := time.NewTicker(c.period)
 		defer ticker.Stop()
 		for {
 			select {
-			case env, ok := <-mailbox:
-				if !ok {
-					return
-				}
+			case env := <-c.mailbox:
 				c.core.HandleMessage(env)
 			case <-ticker.C:
 				c.core.Tick()
@@ -119,7 +131,6 @@ func newLiveClient(id NodeID, cfg client.Config, sender transport.Sender, lb cli
 			}
 		}
 	}()
-	return c
 }
 
 // Close stops the client loop and then closes the client's fabric: when
@@ -157,12 +168,7 @@ func (c *Client) Pending() int { return onLoop(c, c.core.Pending) }
 // MailboxDropped returns how many inbound replies were dropped because
 // the client's mailbox overflowed (the event loop was too slow to
 // drain it). Epidemic reply redundancy and retries cover the loss.
-func (c *Client) MailboxDropped() uint64 {
-	if c.dropped == nil {
-		return 0
-	}
-	return c.dropped()
-}
+func (c *Client) MailboxDropped() uint64 { return c.drops.Load() }
 
 // DirectoryStats counts how the client picked its contact nodes: Hits
 // went straight to a known member of the key's slice, Fallbacks drew

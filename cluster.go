@@ -15,17 +15,17 @@ import (
 	"dataflasks/internal/transport"
 )
 
-// defaultMailbox bounds each node's in-process mailbox; overflow drops
-// messages, which epidemic protocols tolerate by design.
+// defaultMailbox bounds a client's mailbox; overflow drops messages,
+// which epidemic protocols tolerate by design.
 const defaultMailbox = 4096
 
 // clientIDBase keeps client ids clear of node ids while fitting the
 // 32-bit origin field of request ids.
 const clientIDBase NodeID = 0xC0000000
 
-// Cluster is an in-process DataFlasks deployment: every node runs as
-// one goroutine over an in-memory fabric. It is the embedding and
-// testing mode; protocol behaviour is identical to TCP deployments.
+// Cluster is an in-process DataFlasks deployment: every node runs
+// itself (core.Node.Start) over an in-memory fabric. It is the embedding
+// and testing mode; protocol behaviour is identical to TCP deployments.
 type Cluster struct {
 	cfg    Config
 	period time.Duration
@@ -33,16 +33,13 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	nodes   map[NodeID]*core.Node
-	stops   map[NodeID]chan struct{}
 	clients []*Client
 	nextID  NodeID
 	nextCl  NodeID
 	started bool
 	closed  bool
-	// deferredRuns holds node loops created before Start.
-	deferredRuns []func()
-
-	wg sync.WaitGroup
+	// goneDrops is what the removed nodes' mailboxes had dropped.
+	goneDrops uint64
 }
 
 // ClusterOption customizes NewCluster.
@@ -103,7 +100,6 @@ func NewCluster(n int, cfg Config, opts ...ClusterOption) (*Cluster, error) {
 		period: 100 * time.Millisecond,
 		net:    transport.NewChanNetwork(),
 		nodes:  make(map[NodeID]*core.Node, n),
-		stops:  make(map[NodeID]chan struct{}, n),
 		nextID: 1,
 		nextCl: clientIDBase,
 	}
@@ -111,7 +107,7 @@ func NewCluster(n int, cfg Config, opts ...ClusterOption) (*Cluster, error) {
 		opt(c)
 	}
 	for i := 0; i < n; i++ {
-		if _, _, err := c.addNodeLocked(); err != nil {
+		if _, err := c.addNodeLocked(); err != nil {
 			return nil, err
 		}
 	}
@@ -124,70 +120,24 @@ func NewCluster(n int, cfg Config, opts ...ClusterOption) (*Cluster, error) {
 	return c, nil
 }
 
-// addNodeLocked creates and registers a node (not yet running). The
-// returned closure launches the node's loop; on a stopped cluster it
-// is nil (Start consumes the deferred list instead). Callers must
-// finish seeding the node (Bootstrap) before invoking it — the loop
-// goroutine reads protocol state from its first instant.
-func (c *Cluster) addNodeLocked() (NodeID, func(), error) {
+// addNodeLocked creates and registers a node, not yet running: callers
+// finish seeding it (Bootstrap) before they start it.
+func (c *Cluster) addNodeLocked() (NodeID, error) {
 	id := c.nextID
 	c.nextID++
-	mailbox, sender, err := c.net.Attach(id, defaultMailbox)
+	var n *core.Node // set before anyone can know id to send to it
+	sender, err := c.net.Attach(id, func(env transport.Envelope) { n.Deliver(env) })
 	if err != nil {
-		return 0, nil, fmt.Errorf("dataflasks: attach node %s: %w", id, err)
+		return 0, fmt.Errorf("dataflasks: attach node %s: %w", id, err)
 	}
 	nodeCfg := c.cfg.coreConfig()
 	nodeCfg.RoundPeriod = c.period
-	n := core.NewNode(id, nodeCfg, store.NewMemory(), sender)
+	n = core.NewNode(id, nodeCfg, store.NewMemory(), sender)
 	c.nodes[id] = n
-	stop := make(chan struct{})
-	c.stops[id] = stop
-	run := func() { c.runNode(n, mailbox, stop) }
-	if !c.started {
-		// Defer the goroutine to Start; remember the mailbox by
-		// closure.
-		c.deferredRuns = append(c.deferredRuns, run)
-		run = nil
-	}
-	return id, run, nil
+	return id, nil
 }
 
-func (c *Cluster) runNode(n *core.Node, mailbox <-chan transport.Envelope, stop chan struct{}) {
-	// Per-node lifecycle context: bounds every send the node makes.
-	ctx, cancel := context.WithCancel(context.Background())
-	// Shards start here, not on the loop goroutine: SliceOf, from any
-	// goroutine, may only read the snapshot of a node whose shards run,
-	// and it may be called the moment Start or AddNode returns.
-	n.StartShards(ctx)
-	// Data-plane requests skip the loop: the fabric hands them to their
-	// shard's mailbox directly.
-	c.net.SetDirect(n.ID(), n.DispatchData)
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		// StopShards runs before cancel (LIFO defers) so the shard
-		// drain's sends still reach the fabric.
-		defer cancel()
-		defer n.StopShards()
-		ticker := time.NewTicker(c.period)
-		defer ticker.Stop()
-		for {
-			select {
-			case env, ok := <-mailbox:
-				if !ok {
-					return
-				}
-				n.HandleMessage(ctx, env)
-			case <-ticker.C:
-				n.Tick(ctx)
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
-// Start launches every node goroutine. It is an error to Start twice.
+// Start starts every node. It is an error to Start twice.
 func (c *Cluster) Start() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -198,10 +148,9 @@ func (c *Cluster) Start() error {
 		return errors.New("dataflasks: cluster already started")
 	}
 	c.started = true
-	for _, run := range c.deferredRuns {
-		run()
+	for _, n := range c.nodes {
+		n.Start(context.Background())
 	}
-	c.deferredRuns = nil
 	return nil
 }
 
@@ -209,20 +158,18 @@ func (c *Cluster) Start() error {
 // goroutines.
 func (c *Cluster) Stop() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	c.closed = true
-	clients := c.clients
-	c.clients = nil
-	c.mu.Unlock()
-
-	for _, cl := range clients {
+	for _, cl := range c.clients {
 		cl.Close()
 	}
-	c.net.Close() // closes every mailbox; node loops drain and exit
-	c.wg.Wait()
+	c.net.Close()
+	for _, n := range c.nodes {
+		n.Stop()
+	}
 }
 
 // NodeIDs returns the live node ids in ascending order.
@@ -249,17 +196,15 @@ func (c *Cluster) AddNode() (NodeID, error) {
 	if c.closed {
 		return 0, errors.New("dataflasks: cluster is stopped")
 	}
-	id, run, err := c.addNodeLocked()
+	id, err := c.addNodeLocked()
 	if err != nil {
 		return 0, err
 	}
 	c.nodes[id].Bootstrap(sim.PickSeeds(sim.RNG(c.cfg.Seed, uint64(id)), c.nodeIDsLocked(), id))
-	if run != nil {
-		// On a running cluster the loop launches only now, after the
-		// bootstrap seeding above — the loop goroutine reads protocol
-		// state immediately.
-		run()
+	if c.started {
+		c.nodes[id].Start(context.Background())
 	}
+	c.refreshContactsLocked()
 	return id, nil
 }
 
@@ -268,16 +213,27 @@ func (c *Cluster) AddNode() (NodeID, error) {
 func (c *Cluster) RemoveNode(id NodeID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.nodes[id]; !ok {
+	n, ok := c.nodes[id]
+	if !ok {
 		return fmt.Errorf("dataflasks: unknown node %s", id)
 	}
 	delete(c.nodes, id)
-	if stop, ok := c.stops[id]; ok {
-		close(stop)
-		delete(c.stops, id)
-	}
 	c.net.Detach(id)
+	n.Stop()
+	c.goneDrops += n.MailboxDropped()
+	c.refreshContactsLocked()
 	return nil
+}
+
+// refreshContactsLocked hands every client the present membership as its
+// random contact list, on the client's loop: an attempt started after
+// AddNode or RemoveNode returns never draws a node that is gone, and may
+// draw one that is new.
+func (c *Cluster) refreshContactsLocked() {
+	ids := c.nodeIDsLocked()
+	for _, cl := range c.clients {
+		_ = cl.submit(func() { cl.contacts.SetNodes(ids) })
+	}
 }
 
 // SliceOf reports a node's current slice claim (-1 while undecided), as
@@ -346,23 +302,33 @@ func (c *Cluster) NewClient() (*Client, error) {
 	}
 	id := c.nextCl
 	c.nextCl++
-	mailbox, sender, err := c.net.Attach(id, defaultMailbox)
+	cl := newLiveClient(c.period, c.cfg.slicesOrDefault())
+	sender, err := c.net.Attach(id, cl.deliver)
 	if err != nil {
 		return nil, fmt.Errorf("dataflasks: attach client: %w", err)
 	}
 	rng := sim.RNG(c.cfg.Seed, uint64(id))
-	lb := client.NewDirectory(client.NewRandomLB(c.nodeIDsLocked(), rng), c.cfg.slicesOrDefault(), rng, sender, nil)
-	cl := newLiveClient(id, client.Config{PutAcks: c.cfg.clientPutAcks()}, sender, lb, mailbox, c.period, c.cfg.slicesOrDefault(),
-		func() uint64 { return c.net.DroppedFor(id) })
+	cl.contacts = client.NewRandomLB(c.nodeIDsLocked(), rng)
+	lb := client.NewDirectory(cl.contacts, c.cfg.slicesOrDefault(), rng, sender, nil)
+	cl.run(client.NewCore(id, client.Config{PutAcks: c.cfg.clientPutAcks()}, sender, lb))
 	c.clients = append(c.clients, cl)
 	return cl, nil
 }
 
-// MailboxDropped returns how many messages the in-process fabric
-// discarded — a node's (or client's) mailbox was full, or the peer was
-// already removed. Epidemic redundancy tolerates the loss, but a
-// counter growing while membership is stable means event loops are not
-// keeping up with the round period.
+// MailboxDropped returns how many messages the cluster discarded — a
+// node's control mailbox or a client's mailbox was full, or the peer was
+// already removed. Epidemic redundancy tolerates the loss, but a counter
+// growing while membership is stable means event loops are not keeping
+// up with the round period.
 func (c *Cluster) MailboxDropped() uint64 {
-	return c.net.Stats().Dropped
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	total := c.net.Stats().Dropped + c.goneDrops
+	for _, n := range c.nodes {
+		total += n.MailboxDropped()
+	}
+	for _, cl := range c.clients {
+		total += cl.MailboxDropped()
+	}
+	return total
 }

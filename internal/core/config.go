@@ -97,11 +97,6 @@ type Config struct {
 	// pass wire.Control so the routing split derives from the message
 	// table. Required when Control is set.
 	IsControl func(msg interface{}) bool
-	// OnSendErr, when set, observes every failed fabric send in
-	// addition to the node's own wire_send_errors counter. It is called
-	// from the event loop; live deployments use it to mirror the count
-	// into an atomic the status reporter can read.
-	OnSendErr func(error)
 	// SystemSize is the deployer's estimate of N, used to size fanout
 	// and TTL. When zero the node uses its extrema-propagation size
 	// estimate (internal/aggregate).

@@ -1,0 +1,199 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"dataflasks/internal/bootstrap"
+	"dataflasks/internal/gossip"
+	"dataflasks/internal/leakcheck"
+	"dataflasks/internal/metrics"
+	"dataflasks/internal/store"
+	"dataflasks/internal/transport"
+)
+
+// liveCapture is capture for a running node: the control loop and the
+// shard goroutines all send through it.
+type liveCapture struct {
+	mu   sync.Mutex
+	sent []transport.Envelope
+	// hold, when not nil, parks every send of a MateReply until closed.
+	hold chan struct{}
+}
+
+func (c *liveCapture) Send(_ context.Context, to transport.NodeID, msg interface{}) error {
+	if _, ok := msg.(*MateReply); ok && c.hold != nil {
+		<-c.hold
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sent = append(c.sent, transport.Envelope{To: to, Msg: msg})
+	return nil
+}
+
+func (c *liveCapture) count(pick func(interface{}) bool) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := 0
+	for _, env := range c.sent {
+		if pick(env.Msg) {
+			k++
+		}
+	}
+	return k
+}
+
+// liveNode is a one-slice node that never ticks by itself: whatever its
+// Status shows after Start, a delivered message put there.
+func liveNode(st store.Store, out transport.Sender, cfg Config) *Node {
+	cfg.Slices, cfg.Slicer, cfg.Seed = 1, SlicerStatic, 5
+	cfg.AntiEntropyEvery, cfg.RoundPeriod = -1, time.Hour
+	return NewNode(1, cfg, st, out)
+}
+
+// TestStatusFlipsReadyOnTheMessageThatCompletesBootstrap: readiness is
+// published the moment a handled control message completes the join, not
+// with the next tick — here there is no next tick for an hour.
+func TestStatusFlipsReadyOnTheMessageThatCompletesBootstrap(t *testing.T) {
+	out := &liveCapture{}
+	n := liveNode(store.NewMemory(), out, Config{Bootstrap: true})
+	ctx := context.Background()
+	// Caller-driven up to a probe in flight: a first round settles the
+	// slice, a mate turns up, the second round asks it for its manifest.
+	n.Tick(ctx)
+	n.HandleMessage(ctx, transport.Envelope{From: 2, To: 1, Msg: &MateReply{
+		Slice: 0, Mates: []pssDescriptor{{ID: 2, Slice: 0}},
+	}})
+	n.Tick(ctx)
+	if out.count(func(m interface{}) bool { _, ok := m.(*bootstrap.ManifestRequest); return ok }) != 1 {
+		t.Fatalf("no manifest probe in flight: %+v", out.sent)
+	}
+
+	n.Start(ctx)
+	defer n.Stop()
+	if st := n.Status(); st.Ready || st.BootstrapDone || st.Slice != 0 || st.Reason != "bootstrap in progress" {
+		t.Fatalf("status at start = %+v, want slice 0, not ready for the bootstrap", st)
+	}
+	// An empty manifest completes the join on arrival.
+	n.Deliver(transport.Envelope{From: 2, To: 1, Msg: &bootstrap.ManifestReply{Slice: 0}})
+	deadline := time.Now().Add(5 * time.Second)
+	for !n.Status().Ready {
+		if time.Now().After(deadline) {
+			t.Fatalf("status never flipped: %+v", n.Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := n.Status(); !st.BootstrapDone || st.BootstrapFellBack || st.Reason != "" {
+		t.Errorf("ready status = %+v", st)
+	}
+	if got := n.Status().Counters[metrics.MsgRecv]; got != 2 {
+		t.Errorf("published MsgRecv = %d, want the mate reply and the manifest", got)
+	}
+}
+
+// TestStopDrainsWhatDeliverAccepted is TestStopShardsDrainsBeforeStoreClose
+// one level up: every put Deliver accepted before Stop is in the store,
+// and its ack has reached the sender, when Stop returns — the shards'
+// sends outlive the control loop by that drain. After Stop the node takes
+// nothing: Deliver counts a drop and the store is never touched again.
+func TestStopDrainsWhatDeliverAccepted(t *testing.T) {
+	before := leakcheck.Snapshot()
+	guard := &closeGuardStore{Store: store.NewMemory()}
+	out := &liveCapture{}
+	n := liveNode(guard, out, Config{DataShards: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n.Start(ctx)
+
+	const producers, perProducer = 4, 1000
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				n.Deliver(transport.Envelope{From: 9, To: 1, Msg: &PutRequest{
+					Routing: Routing{ID: gossip.RequestID(uint64(p)<<32 | uint64(i+1)), Origin: 9, TTL: TTLUnset},
+					Key:     fmt.Sprintf("key-%d-%d", p, i), Version: 1, Value: []byte("v"),
+				}})
+			}
+		}(p)
+	}
+	wg.Wait()
+	n.Stop()
+
+	served := n.Metrics().Get(metrics.PutsServed)
+	if dropped := n.ShardDropped(); served+dropped != producers*perProducer || served == 0 {
+		t.Fatalf("after Stop: served %d + dropped %d != delivered %d", served, dropped, producers*perProducer)
+	}
+	if stored := uint64(guard.Count()); stored != served {
+		t.Errorf("store holds %d objects, %d puts served", stored, served)
+	}
+	if acks := out.count(func(m interface{}) bool { _, ok := m.(*PutAck); return ok }); uint64(acks) != served {
+		t.Errorf("%d acks reached the sender for %d puts served", acks, served)
+	}
+
+	if err := guard.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n.Deliver(putEnv(1<<40, "late", 1))
+	n.Deliver(transport.Envelope{From: 9, To: 1, Msg: &MateQuery{Slice: 0}})
+	time.Sleep(20 * time.Millisecond)
+	if late, drops := guard.lateOps.Load(), n.MailboxDropped(); late != 0 || drops != 2 {
+		t.Errorf("after Stop: %d store operations, %d drops counted, want 0 and 2", late, drops)
+	}
+	leakcheck.Check(t, before)
+}
+
+// TestDeliverFullControlMailboxDropsAndCounts: with the control loop
+// parked in a send, Deliver fills the mailbox to its bound and then drops
+// — counted, one per message over the bound, without ever blocking the
+// deliverer — while data requests keep going to their shard.
+func TestDeliverFullControlMailboxDropsAndCounts(t *testing.T) {
+	out := &liveCapture{hold: make(chan struct{})}
+	n := liveNode(store.NewMemory(), out, Config{})
+	n.Start(context.Background())
+	defer n.Stop()
+	defer close(out.hold) // let the loop go before Stop waits for it
+
+	query := transport.Envelope{From: 9, To: 1, Msg: &MateQuery{Slice: 0}}
+	n.Deliver(query) // the loop answers it and parks in the reply's send
+	for deadline := time.Now().Add(5 * time.Second); n.MailboxDepth() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("control loop never took the query")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	const over = 7
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n.MailboxCapacity()+over; i++ {
+			n.Deliver(query)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Deliver blocked on a full control mailbox")
+	}
+	if depth, drops := n.MailboxDepth(), n.MailboxDropped(); depth != n.MailboxCapacity() || drops != over {
+		t.Errorf("depth %d drops %d, want %d and %d", depth, drops, n.MailboxCapacity(), over)
+	}
+
+	// The data plane does not share the mailbox or its fate.
+	n.Deliver(putEnv(1, "k", 1))
+	for deadline := time.Now().Add(5 * time.Second); n.Store().Count() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("put not served while the control mailbox is full")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if drops := n.MailboxDropped(); drops != over {
+		t.Errorf("a data request was counted against the control mailbox: drops = %d", drops)
+	}
+}

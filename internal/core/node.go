@@ -29,9 +29,9 @@ const TTLUnset uint8 = 255
 // Node is one DataFlasks host (paper Figure 2): the request Handler
 // wired to the Slice Manager (a slicing protocol), the Node Sampling
 // service (a PSS) and the Data Store. It is event-driven and
-// single-threaded: the owner delivers messages via HandleMessage and
-// clock ticks via Tick, either from a discrete-event simulation or from
-// one goroutine per node in live deployments.
+// single-threaded: a discrete-event simulation delivers messages via
+// HandleMessage and clock ticks via Tick; a live deployment calls Start,
+// and the node's own loop does (live.go).
 type Node struct {
 	id  transport.NodeID
 	cfg Config
@@ -72,6 +72,15 @@ type Node struct {
 	routeSnap  atomic.Pointer[routeView]
 	routeStale bool
 	relaySeq   atomic.Uint32 // numbers the batched relays this node mints (relayEntries)
+
+	// The live half (live.go), unset on a caller-driven node: the control
+	// mailbox Deliver pushes into and Start's loop drains, drops counting
+	// its overflow, status what the loop last published, stop what Stop
+	// runs.
+	mailbox chan transport.Envelope
+	drops   metrics.SharedCounter
+	status  atomic.Pointer[obs.Status]
+	stop    func()
 }
 
 // objRef identifies one (key, version) pair in the coalesce buffer.
@@ -256,19 +265,14 @@ func (n *Node) sender(cat metrics.Counter) transport.Sender {
 
 // countSendErr feeds every protocol's send-failure hook: failed fabric
 // sends are counted (wire_send_errors), never silently discarded.
-func (n *Node) countSendErr(err error) {
-	n.met.Inc(metrics.WireSendErrors)
-	if n.cfg.OnSendErr != nil {
-		n.cfg.OnSendErr(err)
-	}
-}
+func (n *Node) countSendErr(error) { n.met.Inc(metrics.WireSendErrors) }
 
 // ID returns the node's identifier.
 func (n *Node) ID() transport.NodeID { return n.id }
 
 // Metrics returns a merged copy of the node's counters: the control
 // loop's own plus every data shard's. Harnesses read it after runs;
-// the live runtime snapshots it once per tick from the control loop.
+// the live loop snapshots it into every Status it publishes.
 // The copy is detached — to zero the node's counters use ResetMetrics.
 func (n *Node) Metrics() *metrics.NodeMetrics {
 	out := &metrics.NodeMetrics{}
@@ -704,11 +708,11 @@ func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.Node
 		// store.Latest is resolved independently by each replica's store,
 		// mirroring Get.
 		s.commit(ctx)
-		existed, err := n.applyDelete(m.Key, m.Version)
+		applied, err := n.applyDeleteBatch([]DeleteItem{{Key: m.Key, Version: m.Version}})
 		if err != nil {
 			break
 		}
-		if existed {
+		if applied > 0 {
 			s.met.Inc(metrics.DeletesServed)
 			s.traceOp(obs.TraceDeleteApply, m.TraceID, m.Key, 0, 1)
 		}
@@ -772,39 +776,14 @@ func (s *dataShard) ack(ctx context.Context, req request, count int) {
 	s.sendData(ctx, r.Origin, ack)
 }
 
-// applyDelete removes (key, version) from the local store and reports
-// whether anything actually existed. Version store.Latest removes the
-// newest stored version; store.AllVersions expands to every stored
-// version of the key (whole-key removal — engines never see the
-// sentinel; the expansion rides one store.DeleteBatch, so a key with
-// many versions still pays one group-commit wait).
-func (n *Node) applyDelete(key string, version uint64) (existed bool, err error) {
-	if version != store.AllVersions {
-		return n.st.Delete(key, version)
-	}
-	vs, err := n.st.Versions(key)
-	if err != nil || len(vs) == 0 {
-		return false, err
-	}
-	dels := make([]store.Deletion, len(vs))
-	for i, v := range vs {
-		dels[i] = store.Deletion{Key: key, Version: v}
-	}
-	removed, err := n.st.DeleteBatch(dels)
-	for _, e := range removed {
-		if e {
-			existed = true
-		}
-	}
-	return existed, err
-}
-
-// applyDeleteBatch expands a wire batch (AllVersions items become one
-// concrete deletion per stored version) and applies it as ONE
+// applyDeleteBatch is every delete's store step, a single one being a
+// batch of one item. Version store.Latest is the store's to resolve;
+// store.AllVersions expands here to one concrete deletion per stored
+// version (engines never see the sentinel). The lot is ONE
 // store.DeleteBatch call: one lock acquisition and, in the log engine,
-// one group-commit fsync for the whole batch — mirroring how batch
-// puts land. applied counts the ITEMS that named at least one object
-// this replica really held (what DeleteBatchAck reports).
+// one group-commit fsync — mirroring how batch puts land. applied counts
+// the ITEMS that named at least one object this replica really held
+// (what DeleteBatchAck reports).
 func (n *Node) applyDeleteBatch(items []DeleteItem) (applied int, firstErr error) {
 	dels := make([]store.Deletion, 0, len(items))
 	itemOf := make([]int, 0, len(items))
@@ -830,10 +809,10 @@ func (n *Node) applyDeleteBatch(items []DeleteItem) (applied int, firstErr error
 	if err != nil && firstErr == nil {
 		firstErr = err
 	}
-	itemHit := make(map[int]bool, len(items))
+	last := -1 // itemOf never decreases
 	for j, e := range removed {
-		if e && !itemHit[itemOf[j]] {
-			itemHit[itemOf[j]] = true
+		if e && itemOf[j] != last {
+			last = itemOf[j]
 			applied++
 		}
 	}

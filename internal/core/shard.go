@@ -477,19 +477,10 @@ func (s *dataShard) sendData(ctx context.Context, to transport.NodeID, msg inter
 	s.met.Inc(metrics.DataSent)
 	if err := s.n.raw.Send(ctx, to, msg); err != nil {
 		s.met.Inc(metrics.MsgDropped)
-		s.countSendErr(err)
+		s.met.Inc(metrics.WireSendErrors)
 		return false
 	}
 	return true
-}
-
-// countSendErr mirrors Node.countSendErr with the shard's counters.
-// Config.OnSendErr must be safe for concurrent use once StartShards ran.
-func (s *dataShard) countSendErr(err error) {
-	s.met.Inc(metrics.WireSendErrors)
-	if s.n.cfg.OnSendErr != nil {
-		s.n.cfg.OnSendErr(err)
-	}
 }
 
 // traceOp journals one traced request's lifecycle step, stamped with

@@ -65,8 +65,6 @@ type Sources struct {
 	MailboxCapacity int
 	// MailboxDropped reads the producer-side mailbox drop counter.
 	MailboxDropped func() uint64
-	// SendErrors reads the accounting sender's error counter.
-	SendErrors func() uint64
 	// Shards is the data-plane shard count; with ShardDepth/ShardTickDur
 	// it drives the per-shard flasks_shard_* families. Zero omits them.
 	Shards int

@@ -195,6 +195,10 @@ func WriteMetrics(w io.Writer, src Sources) error {
 			base := metrics.Counter(c).String()
 			e.counter("flasks_"+base+"_total", counterHelp(base), st.Counters[c])
 		}
+		// The name bench/ scrapes; the same number as wire_send_errors.
+		e.counter("flasks_transport_send_errors_total",
+			"Fabric sends that returned an error, from any protocol or routing path.",
+			st.Counters[metrics.WireSendErrors])
 		e.gauge("flasks_stored_objects",
 			"Objects currently held by the local store.",
 			float64(st.Counters[metrics.StoredObjects]))
@@ -238,10 +242,6 @@ func WriteMetrics(w io.Writer, src Sources) error {
 		e.counter("flasks_mailbox_dropped_total",
 			"Messages dropped by transport producers because the mailbox was full.",
 			src.MailboxDropped())
-	}
-	if src.SendErrors != nil {
-		e.counter("flasks_transport_send_errors_total",
-			"Sends the node's accounting sender saw fail.", src.SendErrors())
 	}
 
 	if src.TickDur != nil {

@@ -38,7 +38,6 @@ func fullSources(tick *metrics.LatencyHistogram, resp *metrics.CommandStats, rin
 		MailboxDepth:    func() int { return 6 },
 		MailboxCapacity: 1024,
 		MailboxDropped:  func() uint64 { return 7 },
-		SendErrors:      func() uint64 { return 8 },
 		Shards:          2,
 		ShardDepth:      func(i int) int { return i },
 		ShardCapacity:   256,

@@ -7,20 +7,14 @@ import (
 	"time"
 )
 
-// ChanNetwork is an in-process fabric for live goroutine clusters: each
-// attached node owns a bounded mailbox channel drained by its own event
-// loop. Sends never block; a full mailbox drops the message, which
-// models a congested link and is safe for epidemic protocols.
+// ChanNetwork is an in-process fabric for live goroutine clusters: a
+// send is a call of the recipient's handler on the sender's goroutine
+// (or on a timer's, under SetDelay). Handlers must not block; what a
+// recipient cannot take it drops and counts itself, as behind a socket.
 type ChanNetwork struct {
-	mu        sync.RWMutex
-	mailboxes map[NodeID]chan Envelope
-	// direct holds, per recipient, a first-chance receiver (SetDirect).
-	direct map[NodeID]func(Envelope) bool
-	// perDrop counts, per recipient, messages discarded because that
-	// recipient's mailbox was full — the receiver-side congestion
-	// signal (Stats().Dropped also includes sends to unknown peers).
-	perDrop map[NodeID]*atomic.Uint64
-	closed  bool
+	mu       sync.RWMutex
+	handlers map[NodeID]func(Envelope)
+	closed   bool
 	// delay, when set, draws a per-message delivery delay — real-time
 	// RTT emulation for benchmarks that need network latency to matter
 	// (the RESP pipelining comparison). Nil delivers immediately.
@@ -33,49 +27,27 @@ type ChanNetwork struct {
 
 // NewChanNetwork creates an empty in-process fabric.
 func NewChanNetwork() *ChanNetwork {
-	return &ChanNetwork{
-		mailboxes: make(map[NodeID]chan Envelope),
-		direct:    make(map[NodeID]func(Envelope) bool),
-		perDrop:   make(map[NodeID]*atomic.Uint64),
-	}
+	return &ChanNetwork{handlers: make(map[NodeID]func(Envelope))}
 }
 
-// Attach registers id with a mailbox of the given capacity and returns
-// the receive channel plus the node's sender. The caller must drain the
-// channel until Detach (or Close) closes it.
-func (n *ChanNetwork) Attach(id NodeID, mailbox int) (<-chan Envelope, Sender, error) {
-	if mailbox <= 0 {
-		mailbox = 1024
+// Attach registers handler for id and returns the node's sender. The
+// handler runs on senders' goroutines, concurrently with itself: it must
+// be non-blocking and safe for concurrent use (a node passes
+// core.Node.Deliver).
+func (n *ChanNetwork) Attach(id NodeID, handler func(Envelope)) (Sender, error) {
+	if handler == nil {
+		panic("transport: Attach requires a handler")
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
-	if _, ok := n.mailboxes[id]; ok {
-		return nil, nil, ErrUnknownPeer // id already in use
+	if _, ok := n.handlers[id]; ok {
+		return nil, ErrUnknownPeer // id already in use
 	}
-	ch := make(chan Envelope, mailbox)
-	n.mailboxes[id] = ch
-	if n.perDrop[id] == nil {
-		// Survives Detach/re-Attach so the count covers the id's whole
-		// lifetime.
-		n.perDrop[id] = &atomic.Uint64{}
-	}
-	return ch, BindSender(n, id), nil
-}
-
-// SetDirect gives the attached node id a first-chance receiver: every
-// envelope for id is offered to fn on the sender's goroutine and only
-// queued in the mailbox when fn declines it. fn must be non-blocking
-// and safe for concurrent use (a node passes core.DispatchData, which
-// keeps data-plane requests off its control loop). Detach removes it.
-func (n *ChanNetwork) SetDirect(id NodeID, fn func(Envelope) bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.mailboxes[id]; ok {
-		n.direct[id] = fn
-	}
+	n.handlers[id] = handler
+	return BindSender(n, id), nil
 }
 
 // SetDelay installs a per-message artificial delivery delay drawn from
@@ -89,42 +61,20 @@ func (n *ChanNetwork) SetDelay(fn func() time.Duration) {
 	n.delay = fn
 }
 
-// DroppedFor returns how many messages addressed to id were discarded
-// because id's mailbox was full.
-func (n *ChanNetwork) DroppedFor(id NodeID) uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if c, ok := n.perDrop[id]; ok {
-		return c.Load()
-	}
-	return 0
-}
-
-// Detach removes id and closes its mailbox. In-flight sends to id after
-// Detach are dropped.
+// Detach removes id: sends to it fail with ErrUnknownPeer from now on
+// (one already past the lookup may still reach the handler).
 func (n *ChanNetwork) Detach(id NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if ch, ok := n.mailboxes[id]; ok {
-		delete(n.mailboxes, id)
-		delete(n.direct, id)
-		close(ch)
-	}
+	delete(n.handlers, id)
 }
 
 // Close detaches every node. Further Attach and Send calls fail.
 func (n *ChanNetwork) Close() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
-		return
-	}
 	n.closed = true
-	for id, ch := range n.mailboxes {
-		delete(n.mailboxes, id)
-		delete(n.direct, id)
-		close(ch)
-	}
+	clear(n.handlers)
 }
 
 // Stats returns fabric-level delivery counters.
@@ -137,7 +87,7 @@ func (n *ChanNetwork) Stats() Stats {
 }
 
 // Send implements Fabric. A cancelled ctx drops the message before it
-// is enqueued; in-flight delayed deliveries are not recalled (like a
+// is delivered; in-flight delayed deliveries are not recalled (like a
 // real network).
 func (n *ChanNetwork) Send(ctx context.Context, to NodeID, env Envelope) error {
 	n.sent.Add(1)
@@ -145,51 +95,35 @@ func (n *ChanNetwork) Send(ctx context.Context, to NodeID, env Envelope) error {
 		n.dropped.Add(1)
 		return err
 	}
+	env.To = to
 	n.mu.RLock()
 	delay := n.delay
 	n.mu.RUnlock()
 	if delay != nil {
 		if d := delay(); d > 0 {
-			// Emulated network latency: deliver from a timer. Errors
-			// after the delay (peer gone, mailbox full) are counted but
-			// no longer reportable to the sender — like a real network.
-			time.AfterFunc(d, func() { _ = n.deliver(env.From, to, env.Msg) })
+			// Emulated network latency: deliver from a timer. A peer gone
+			// by then is counted but no longer reportable to the sender —
+			// like a real network.
+			time.AfterFunc(d, func() { _ = n.deliver(env) })
 			return nil
 		}
 	}
-	return n.deliver(env.From, to, env.Msg)
+	return n.deliver(env)
 }
 
-func (n *ChanNetwork) deliver(from, to NodeID, msg interface{}) error {
-	// The read lock is held across the channel send so Detach/Close
-	// (which close the mailbox under the write lock) cannot race a
-	// send into a closed channel. The send is non-blocking, so the
-	// lock is never held for long.
+func (n *ChanNetwork) deliver(env Envelope) error {
 	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if n.closed {
+	handler, closed := n.handlers[env.To], n.closed
+	n.mu.RUnlock()
+	switch {
+	case closed:
 		n.dropped.Add(1)
 		return ErrClosed
-	}
-	ch, ok := n.mailboxes[to]
-	if !ok {
+	case handler == nil:
 		n.dropped.Add(1)
 		return ErrUnknownPeer
 	}
-	env := Envelope{From: from, To: to, Msg: msg}
-	if fn := n.direct[to]; fn != nil && fn(env) {
-		n.delivered.Add(1)
-		return nil
-	}
-	select {
-	case ch <- env:
-		n.delivered.Add(1)
-		return nil
-	default:
-		n.dropped.Add(1)
-		if c := n.perDrop[to]; c != nil {
-			c.Add(1)
-		}
-		return ErrDropped
-	}
+	n.delivered.Add(1)
+	handler(env)
+	return nil
 }

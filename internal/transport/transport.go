@@ -1,10 +1,12 @@
 // Package transport defines how DataFlasks nodes exchange messages and
 // provides four interchangeable fabrics: a deterministic simulated
-// network driven by the discrete-event engine, an in-process channel
-// network for live goroutine clusters, a TCP network for real
-// deployments, and a UDP datagram path for the loss-tolerant epidemic
-// control plane. Every fabric implements the same context-taking
-// Send(ctx, to, env) signature (the Fabric interface); protocol code
+// network driven by the discrete-event engine, an in-process network
+// for live goroutine clusters, a TCP network for real deployments, and a
+// UDP datagram path for the loss-tolerant epidemic control plane. Every
+// fabric implements the same context-taking Send(ctx, to, env) signature
+// (the Fabric interface) and hands what arrives to the handler its
+// recipient attached or listened with — none owns a mailbox; queueing,
+// and dropping what does not fit, is the recipient's. Protocol code
 // depends only on the narrow Sender interface bound to one originating
 // node, so the same node logic runs unchanged on all fabrics.
 //
@@ -122,8 +124,8 @@ var (
 	ErrUnknownPeer = errors.New("transport: unknown peer")
 	// ErrPeerDown reports a destination that is registered but stopped.
 	ErrPeerDown = errors.New("transport: peer down")
-	// ErrDropped reports a message dropped by loss injection or a full
-	// mailbox.
+	// ErrDropped reports a message dropped by loss injection, a
+	// partition or a failed socket write.
 	ErrDropped = errors.New("transport: message dropped")
 	// ErrClosed reports use of a closed endpoint or network.
 	ErrClosed = errors.New("transport: closed")
@@ -140,5 +142,5 @@ var (
 type Stats struct {
 	Sent      uint64 // messages accepted for delivery
 	Delivered uint64 // messages handed to a handler
-	Dropped   uint64 // messages lost (loss model, dead peer, full mailbox)
+	Dropped   uint64 // messages lost (loss model, dead or unknown peer, cancelled send)
 }

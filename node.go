@@ -70,40 +70,20 @@ type NodeConfig struct {
 }
 
 // Node is a standalone DataFlasks host on TCP — the deployable unit
-// behind cmd/flasksd.
+// behind cmd/flasksd: the fabrics, the store and the observability plane
+// around one core.Node, which runs itself (core.Node.Start).
 type Node struct {
 	id     NodeID
 	net    *transport.TCPNetwork
 	udp    *transport.UDPTransport // nil unless UDPBind was set
 	wstats *metrics.WireStats
 	core   *core.Node
-	// data is core, published for the fabric handlers (which run from
-	// the moment the listener is up) once the shards are started.
+	// data is core once it runs, published for the fabric handlers: their
+	// read loops are up from the moment the listener is, before core
+	// exists.
 	data atomic.Pointer[core.Node]
 	st   store.Store
 
-	mailbox chan transport.Envelope
-	done    chan struct{}
-	cancel  context.CancelFunc // aborts in-flight control-loop sends at shutdown
-	// dataCancel bounds the shard goroutines' sends. It is cancelled
-	// only after Close drains the shard mailboxes, so queued acks still
-	// reach the wire during the drain.
-	dataCancel context.CancelFunc
-	wg         sync.WaitGroup
-
-	// drops counts mailbox overflow: messages the TCP fabric delivered
-	// but the event loop was too slow to accept. Incremented from
-	// connection goroutines, hence the shared counter.
-	drops metrics.SharedCounter
-	// sendErrs mirrors the core's wire_send_errors counter into an
-	// atomic the status reporter can read without racing the event
-	// loop's own metrics.
-	sendErrs metrics.SharedCounter
-
-	// status is the latest obs.Status snapshot, published by the event
-	// loop once per tick (and on readiness flips) so the observability
-	// plane and status reporters never read live event-loop state.
-	status atomic.Pointer[obs.Status]
 	trace  *obs.Ring   // /trace journal; nil when the plane is off
 	obsSrv *obs.Server // nil unless HTTPAddr was set
 
@@ -135,24 +115,30 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ID == 0 || uint64(cfg.ID) > 1<<32-1 {
 		return nil, fmt.Errorf("dataflasks: node id %d must be in [1, 2^32)", cfg.ID)
 	}
-	if cfg.RoundPeriod <= 0 {
-		cfg.RoundPeriod = 500 * time.Millisecond
-	}
 	codec := wire.BinaryCodec()
 
 	n := &Node{
-		id:      cfg.ID,
-		wstats:  &metrics.WireStats{},
-		mailbox: make(chan transport.Envelope, defaultMailbox),
-		done:    make(chan struct{}),
-		locals:  make(map[NodeID]*Client),
+		id:     cfg.ID,
+		wstats: &metrics.WireStats{},
+		locals: make(map[NodeID]*Client),
 	}
 	tcpNet, err := transport.ListenTCP(cfg.ID, cfg.Bind, cfg.Advertise,
-		transport.TCPConfig{Codec: codec, Stats: n.wstats}, n.handle)
+		transport.TCPConfig{Codec: codec, Stats: n.wstats}, n.deliver)
 	if err != nil {
 		return nil, err
 	}
 	n.net = tcpNet
+	// fail undoes what has been opened so far.
+	fail := func(err error) (*Node, error) {
+		if n.core != nil {
+			n.core.Stop()
+		}
+		n.closeFabrics()
+		if n.st != nil {
+			_ = n.st.Close()
+		}
+		return nil, err
+	}
 
 	coreCfg := cfg.Config.coreConfig()
 	if cfg.UDPBind != "" {
@@ -167,10 +153,9 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 				return addr, addr != ""
 			},
 			Stats: n.wstats,
-		}, n.handle)
+		}, n.deliver)
 		if err != nil {
-			tcpNet.Close()
-			return nil, err
+			return fail(err)
 		}
 		n.udp = udpT
 		// Control traffic tries one datagram first; unproven datagram
@@ -180,23 +165,17 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		coreCfg.Control = n.localFirst(transport.FallbackSender(udpT.Sender(), tcpNet.Sender()))
 		coreCfg.IsControl = wire.Control
 	}
-	st, err := coreCfg.Store.Open(cfg.DataDir)
-	if err != nil {
-		n.closeFabrics()
-		return nil, err
+	if n.st, err = coreCfg.Store.Open(cfg.DataDir); err != nil {
+		return fail(err)
 	}
-	n.st = st
 	if cfg.RestoreDir != "" {
-		if _, err := store.Restore(cfg.RestoreDir, st); err != nil {
-			n.closeFabrics()
-			_ = n.st.Close()
-			return nil, fmt.Errorf("dataflasks: restore %s: %w", cfg.RestoreDir, err)
+		if _, err := store.Restore(cfg.RestoreDir, n.st); err != nil {
+			return fail(fmt.Errorf("dataflasks: restore %s: %w", cfg.RestoreDir, err))
 		}
 	}
 	coreCfg.RoundPeriod = cfg.RoundPeriod
 	coreCfg.AdvertiseAddr = tcpNet.Addr()
 	coreCfg.AddressBook = tcpNet
-	coreCfg.OnSendErr = func(error) { n.sendErrs.Inc() }
 	if cfg.HTTPAddr != "" && cfg.TraceEvents >= 0 {
 		events := cfg.TraceEvents
 		if events == 0 {
@@ -205,40 +184,30 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.trace = obs.NewRing(events)
 		coreCfg.Trace = n.trace
 	}
-	n.core = core.NewNode(cfg.ID, coreCfg, n.st, n.localFirst(tcpNet.Sender()))
-
 	seedIDs := make([]NodeID, 0, len(cfg.Seeds))
 	for _, s := range cfg.Seeds {
 		id, addr, err := ParseSeed(s)
 		if err != nil {
-			n.closeFabrics()
-			_ = n.st.Close()
-			return nil, err
+			return fail(err)
 		}
 		tcpNet.Learn(id, addr)
 		seedIDs = append(seedIDs, id)
 	}
+	n.core = core.NewNode(cfg.ID, coreCfg, n.st, n.localFirst(tcpNet.Sender()))
 	n.core.Bootstrap(seedIDs)
-	// First snapshot before anything concurrent can read: status is
-	// never nil once StartNode returns.
-	n.publishStatus()
+	n.core.Start(context.Background())
+	n.data.Store(n.core)
 
 	if cfg.HTTPAddr != "" {
 		src := obs.Sources{
-			NodeID: uint64(cfg.ID),
-			Status: func() obs.Status {
-				if st := n.status.Load(); st != nil {
-					return *st
-				}
-				return obs.Status{Reason: "no status published"}
-			},
+			NodeID:          uint64(cfg.ID),
+			Status:          n.core.Status,
 			Wire:            n.wstats.Snapshot,
 			RESP:            cfg.RESPStats,
 			TickDur:         n.core.TickDurations(),
-			MailboxDepth:    func() int { return len(n.mailbox) },
-			MailboxCapacity: cap(n.mailbox),
-			MailboxDropped:  n.drops.Load,
-			SendErrors:      n.sendErrs.Load,
+			MailboxDepth:    n.core.MailboxDepth,
+			MailboxCapacity: n.core.MailboxCapacity(),
+			MailboxDropped:  n.core.MailboxDropped,
 			Trace:           n.trace,
 			Shards:          n.core.ShardCount(),
 			ShardDepth:      n.core.ShardDepth,
@@ -249,100 +218,21 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		if sp, ok := n.st.(store.StatsProvider); ok {
 			src.Store = sp.Stats
 		}
-		srv := obs.NewServer(src)
-		if _, err := srv.Listen(cfg.HTTPAddr); err != nil {
-			n.closeFabrics()
-			_ = n.st.Close()
-			return nil, fmt.Errorf("dataflasks: observability plane: %w", err)
+		n.obsSrv = obs.NewServer(src)
+		if _, err := n.obsSrv.Listen(cfg.HTTPAddr); err != nil {
+			return fail(fmt.Errorf("dataflasks: observability plane: %w", err))
 		}
-		n.obsSrv = srv
 	}
-
-	// The lifecycle context bounds every send the event loop makes;
-	// Close cancels it first, so a round blocked on a slow peer stops
-	// dialing instead of stalling shutdown.
-	ctx, cancel := context.WithCancel(context.Background())
-	n.cancel = cancel
-	// The data-plane shards run as their own goroutines and outlive the
-	// control loop by one drain: their sends get a separate context that
-	// Close cancels only after StopShards returns.
-	dataCtx, dataCancel := context.WithCancel(context.Background())
-	n.dataCancel = dataCancel
-	n.core.StartShards(dataCtx)
-	n.data.Store(n.core)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		ticker := time.NewTicker(cfg.RoundPeriod)
-		defer ticker.Stop()
-		ready := n.status.Load().Ready
-		for {
-			select {
-			case env := <-n.mailbox:
-				n.core.HandleMessage(ctx, env)
-				// Bootstrap can finish on a handled message; /readyz
-				// must flip the moment it does, not a tick later.
-				if r := n.coreReady(); r != ready {
-					n.publishStatus()
-					ready = r
-				}
-			case <-ticker.C:
-				n.core.Tick(ctx)
-				n.publishStatus()
-				ready = n.status.Load().Ready
-			case <-n.done:
-				return
-			}
-		}
-	}()
 	return n, nil
 }
 
-// handle takes one inbound envelope: what the fabrics decoded on their
-// per-connection goroutines, and what a local client (NewClient) sends to
-// this node. Data-plane requests go straight to their shard's mailbox, so
-// a get or a put never queues behind a Tick; everything else (and
-// everything that arrives before the shards run) funnels into the mailbox
-// so the control plane stays single-threaded. Never blocks.
-func (n *Node) handle(env transport.Envelope) {
-	if c := n.data.Load(); c != nil && c.DispatchData(env) {
-		return
+// deliver is the fabrics' handler and the way in for a local client
+// (NewClient): core.Node.Deliver, once there is a running core. What
+// arrives earlier is lost, like any message to a node still starting.
+func (n *Node) deliver(env transport.Envelope) {
+	if c := n.data.Load(); c != nil {
+		c.Deliver(env)
 	}
-	select {
-	case n.mailbox <- env:
-	default:
-		// Congested: drop, gossip redundancy covers it — but never
-		// silently; sustained growth of this counter means the
-		// round period or mailbox size is mis-sized for the load.
-		n.drops.Inc()
-	}
-}
-
-// coreReady computes the readiness predicate from live core state.
-// Event-loop goroutine only.
-func (n *Node) coreReady() bool {
-	return n.core.Slice() >= 0 && n.core.BootstrapDone()
-}
-
-// publishStatus snapshots the core into an immutable obs.Status for
-// concurrent readers (observability plane, BootstrapStats, status
-// reporters). Event-loop goroutine only (plus once before it starts).
-func (n *Node) publishStatus() {
-	st := &obs.Status{
-		Counters:          n.core.Metrics().Snapshot(),
-		Slice:             n.core.Slice(),
-		BootstrapDone:     n.core.BootstrapDone(),
-		BootstrapFellBack: n.core.BootstrapFellBack(),
-	}
-	switch {
-	case st.Slice < 0:
-		st.Reason = "slice not yet assigned"
-	case !st.BootstrapDone:
-		st.Reason = "bootstrap in progress"
-	default:
-		st.Ready = true
-	}
-	n.status.Store(st)
 }
 
 // ID returns the node id.
@@ -353,7 +243,7 @@ func (n *Node) Addr() string { return n.net.Addr() }
 
 // Slice returns the node's current slice claim (-1 while undecided),
 // from the latest published snapshot.
-func (n *Node) Slice() int32 { return n.status.Load().Slice }
+func (n *Node) Slice() int32 { return n.core.Status().Slice }
 
 // StoredObjects returns how many object versions the node holds.
 func (n *Node) StoredObjects() int { return n.st.Count() }
@@ -363,14 +253,14 @@ func (n *Node) StoredObjects() int { return n.st.Count() }
 func (n *Node) PeersKnown() int { return n.net.PeerCount() }
 
 // MailboxDropped returns how many delivered messages were discarded
-// because a mailbox was full: the fabric mailbox (event loop
+// because a mailbox was full: the control mailbox (event loop
 // congestion) plus the per-shard data mailboxes (shard congestion).
-func (n *Node) MailboxDropped() uint64 { return n.drops.Load() + n.core.ShardDropped() }
+func (n *Node) MailboxDropped() uint64 { return n.core.MailboxDropped() + n.core.ShardDropped() }
 
 // SendErrors returns how many fabric sends failed across every
-// protocol and routing path (the core's wire_send_errors counter,
-// mirrored atomically for concurrent readers).
-func (n *Node) SendErrors() uint64 { return n.sendErrs.Load() }
+// protocol and routing path: the wire_send_errors counter of the latest
+// published snapshot, like BootstrapStats.
+func (n *Node) SendErrors() uint64 { return n.core.Status().Counters[metrics.WireSendErrors] }
 
 // WireStats reports wire-level accounting shared by the node's TCP and
 // UDP fabrics: encoded bytes, codec fallbacks, and datagram counters.
@@ -393,7 +283,7 @@ type BootstrapStats struct {
 // and tests. It reads the event loop's published snapshot — at most
 // one tick stale, never racing the loop's live counters.
 func (n *Node) BootstrapStats() BootstrapStats {
-	st := n.status.Load()
+	st := n.core.Status()
 	return BootstrapStats{
 		Sent:            st.Counters[metrics.BootstrapSent],
 		Segments:        st.Counters[metrics.BootstrapSegments],
@@ -425,7 +315,7 @@ func (n *Node) HTTPAddr() string {
 
 // Ready reports the /readyz verdict from the latest published
 // snapshot: slice assigned and bootstrap finished.
-func (n *Node) Ready() bool { return n.status.Load().Ready }
+func (n *Node) Ready() bool { return n.core.Status().Ready }
 
 func (n *Node) closeFabrics() {
 	if n.udp != nil {
@@ -468,15 +358,10 @@ func (n *Node) Close() error {
 		if n.obsSrv != nil {
 			_ = n.obsSrv.Close()
 		}
-		n.cancel()
-		close(n.done)
-		n.wg.Wait()
-		// Drain the shard mailboxes before the fabrics and the store go
-		// away, so every write accepted so far lands and its ack gets a
-		// live connection to leave on. What the fabric handlers dispatch
-		// after the drain is lost, like any message to a stopping node.
-		n.core.StopShards()
-		n.dataCancel()
+		// The core drains its shards before the fabrics and the store go
+		// away: every write accepted so far lands, and its ack has a live
+		// connection to leave on.
+		n.core.Stop()
 		if n.udp != nil {
 			err = n.udp.Close()
 		}
@@ -538,19 +423,12 @@ func connectClient(bind string, seeds []string, cfg Config, home *Node) (*Client
 	// independent clients are avoided by random draw.
 	id := clientIDBase + NodeID(rand.Uint32N(1<<24))
 
-	drops := &metrics.SharedCounter{} // shared with the client below
-	mailbox := make(chan transport.Envelope, defaultMailbox)
-	deliver := func(env transport.Envelope) {
-		select {
-		case mailbox <- env:
-		default:
-			drops.Inc()
-		}
-	}
-	tcpNet, err := transport.ListenTCP(id, bind, "", transport.TCPConfig{Codec: wire.BinaryCodec()}, deliver)
+	cl := newLiveClient(500*time.Millisecond, cfg.slicesOrDefault())
+	tcpNet, err := transport.ListenTCP(id, bind, "", transport.TCPConfig{Codec: wire.BinaryCodec()}, cl.deliver)
 	if err != nil {
 		return nil, err
 	}
+	cl.closeFabric = func() { _ = tcpNet.Close() }
 	ids := make([]NodeID, 0, len(seeds)+1)
 	for _, s := range seeds {
 		sid, addr, err := ParseSeed(s)
@@ -571,27 +449,22 @@ func connectClient(bind string, seeds []string, cfg Config, home *Node) (*Client
 			if to != local {
 				return remote.Send(ctx, to, msg)
 			}
-			home.handle(transport.Envelope{From: id, To: to, Msg: msg})
+			home.deliver(transport.Envelope{From: id, To: to, Msg: msg})
 			return nil
 		})
-	}
-	rng := rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64()))
-	lb := client.NewDirectory(client.NewRandomLB(ids, rng), cfg.slicesOrDefault(), rng, sender, tcpNet)
-	lb.SetLocal(local)
-	period := 500 * time.Millisecond
-	clientCfg := client.Config{PutAcks: cfg.clientPutAcks(), SelfAddr: tcpNet.Addr()}
-	cl := newLiveClient(id, clientCfg, sender, lb, mailbox, period, cfg.slicesOrDefault(), drops.Load)
-	cl.closeFabric = func() { _ = tcpNet.Close() }
-	if home != nil {
-		cl.deliver = deliver
 		cl.closeFabric = func() {
 			home.detach(id)
 			_ = tcpNet.Close()
 		}
-		if !home.attach(id, cl) {
-			cl.Close()
-			return nil, fmt.Errorf("dataflasks: NewClient on a closed node")
-		}
+	}
+	rng := rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64()))
+	cl.contacts = client.NewRandomLB(ids, rng)
+	lb := client.NewDirectory(cl.contacts, cfg.slicesOrDefault(), rng, sender, tcpNet)
+	lb.SetLocal(local)
+	cl.run(client.NewCore(id, client.Config{PutAcks: cfg.clientPutAcks(), SelfAddr: tcpNet.Addr()}, sender, lb))
+	if home != nil && !home.attach(id, cl) {
+		cl.Close()
+		return nil, fmt.Errorf("dataflasks: NewClient on a closed node")
 	}
 	return cl, nil
 }
