@@ -41,10 +41,12 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # bench-module checks that the benchmark (a module of its own under
-# bench/, which ./... does not reach) still compiles against the API.
+# bench/, which ./... does not reach) still compiles against the API,
+# and that the replay smoke reads every put-budget layer nonzero.
 bench-module:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
+	$(GO) test -C bench -run TestReplaySmoke ./traced
 
 # smoke runs every experiment once at the reduced scale; each row of
 # lab.Experiments carries its gate, and any finding is exit status 1.

@@ -431,7 +431,7 @@ func BenchmarkLogForEach(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		visited := 0
-		if err := s.ForEach(func(string, uint64) bool { visited++; return true }); err != nil {
+		if err := s.ForEachIn(store.AllRanges(), func(string, uint64) bool { visited++; return true }); err != nil {
 			b.Fatal(err)
 		}
 		if visited != headers {

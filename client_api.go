@@ -469,13 +469,11 @@ func (c *Client) failedOp(kind apiKind, key string, version uint64, err error) *
 // future. Versions must be assigned in increasing order per key by the
 // caller — DataFlasks is the bottom layer of a stratified store and
 // does not order writes itself (§III). The future resolves once the
-// configured (or WithAcks-overridden) number of replicas acknowledged.
+// configured (or WithAcks-overridden) number of replicas acknowledged;
+// an object no replica stores (store.CheckObject: a reserved version, a
+// key over 128 bytes, an oversized value) fails at once, unsent.
 func (c *Client) PutAsync(key string, version uint64, value []byte, opts ...OpOption) *Op {
-	if version == Latest || version == AllVersions {
-		return c.failedOp(kindPut, key, version,
-			fmt.Errorf("dataflasks: version %d is reserved", version))
-	}
-	if err := store.CheckKey(key); err != nil {
+	if err := store.CheckObject(key, version, value); err != nil {
 		return c.failedOp(kindPut, key, version, err)
 	}
 	settings := c.resolveSettings(opts)
@@ -533,11 +531,7 @@ func (c *Client) DeleteAsync(key string, version uint64, opts ...OpOption) *Op {
 // returned, in first-appearance order of the groups.
 func (c *Client) PutBatchAsync(objs []Object, opts ...OpOption) []*Op {
 	for _, o := range objs {
-		if o.Version == Latest || o.Version == AllVersions {
-			return []*Op{c.failedOp(kindBatch, o.Key, o.Version,
-				fmt.Errorf("dataflasks: version %d is reserved", o.Version))}
-		}
-		if err := store.CheckKey(o.Key); err != nil {
+		if err := store.CheckObject(o.Key, o.Version, o.Value); err != nil {
 			return []*Op{c.failedOp(kindBatch, o.Key, o.Version, err)}
 		}
 	}

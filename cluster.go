@@ -280,17 +280,12 @@ func (c *Cluster) DumpStore(id NodeID) (map[string][]uint64, error) {
 		return nil, fmt.Errorf("dataflasks: unknown node %s", id)
 	}
 	out := make(map[string][]uint64)
-	err := n.Store().ForEach(func(key string, version uint64) bool {
+	// ForEachIn visits each key's versions in ascending order.
+	err := n.Store().ForEachIn(store.AllRanges(), func(key string, version uint64) bool {
 		out[key] = append(out[key], version)
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, vs := range out {
-		slices.Sort(vs)
-	}
-	return out, nil
+	return out, err
 }
 
 // NewClient attaches a client endpoint to the cluster.

@@ -43,10 +43,6 @@ type ExtremaConfig struct {
 	// old minima forever) age out. Default 64; 0 keeps one epoch
 	// forever.
 	RestartEvery int
-	// OnSendErr observes gossip send failures. The fold is idempotent,
-	// so a lost push costs only a round — but the failure is counted,
-	// never silently dropped (wire_send_errors).
-	OnSendErr func(error)
 }
 
 func (c *ExtremaConfig) defaults() {
@@ -117,13 +113,6 @@ func (e *Extrema) Estimate() (n float64, stableTicks int) {
 	return n, e.stableTicks
 }
 
-// sendErr reports a failed gossip send to the configured observer.
-func (e *Extrema) sendErr(err error) {
-	if err != nil && e.cfg.OnSendErr != nil {
-		e.cfg.OnSendErr(err)
-	}
-}
-
 // Tick runs one gossip round: push the vector to a random partner.
 // ctx bounds the round's sends.
 func (e *Extrema) Tick(ctx context.Context) {
@@ -137,7 +126,9 @@ func (e *Extrema) Tick(ctx context.Context) {
 	}
 	vec := make([]float64, len(e.vec))
 	copy(vec, e.vec)
-	e.sendErr(e.out.Send(ctx, peer, &ExtremaMsg{Seeds: vec}))
+	// The fold is idempotent, so a lost push costs only a round; the
+	// node's sender counts the failure.
+	_ = e.out.Send(ctx, peer, &ExtremaMsg{Seeds: vec}) //flasks:fire-and-forget
 	e.stableTicks++
 }
 
@@ -156,7 +147,7 @@ func (e *Extrema) Handle(ctx context.Context, from transport.NodeID, msg interfa
 	if theirsStale {
 		vec := make([]float64, len(e.vec))
 		copy(vec, e.vec)
-		e.sendErr(e.out.Send(ctx, from, &ExtremaMsg{Seeds: vec}))
+		_ = e.out.Send(ctx, from, &ExtremaMsg{Seeds: vec}) //flasks:fire-and-forget see Tick
 	}
 	return true
 }
@@ -194,10 +185,6 @@ type PushSumMsg struct {
 type PushSum struct {
 	out     transport.Sender
 	partner PartnerFunc
-
-	// OnSendErr observes transfer send failures (optional; set before
-	// the first Tick). Counted by the node runtime (wire_send_errors).
-	OnSendErr func(error)
 
 	sum    float64
 	weight float64
@@ -237,9 +224,6 @@ func (p *PushSum) Tick(ctx context.Context) {
 	if err := p.out.Send(ctx, peer, &PushSumMsg{Sum: p.sum, Weight: p.weight}); err != nil {
 		p.sum *= 2
 		p.weight *= 2
-		if p.OnSendErr != nil {
-			p.OnSendErr(err)
-		}
 	}
 }
 

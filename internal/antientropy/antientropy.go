@@ -44,7 +44,6 @@ package antientropy
 
 import (
 	"context"
-	"errors"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -102,7 +101,9 @@ type Push struct {
 type Env struct {
 	// Store is the local object store.
 	Store store.Store
-	// Send emits a message to a peer.
+	// Send emits a message to a peer; it counts what fails (the node's
+	// accounting sender does). Anti-entropy is self-healing — a lost
+	// exchange is retried by construction on a later round.
 	Send transport.Sender
 	// Partner picks a random slice-mate to exchange with.
 	Partner func() (transport.NodeID, bool)
@@ -112,9 +113,6 @@ type Env struct {
 	// drops and what the range sums the node compares cover.
 	Slice  func() int32
 	Slices func() int
-	// OnSent, when non-nil, is called once per protocol message emitted
-	// (metrics hook).
-	OnSent func()
 	// OnDigestBytes, when non-nil, receives the approximate wire size
 	// of every difference-discovery message sent (Sums, Digest,
 	// DigestReply, Summary, SummaryReply, Pull) — the bandwidth the node
@@ -132,11 +130,6 @@ type Env struct {
 	// records skipped while serving a push (surfaced so operators see
 	// rot that repair routed around).
 	OnCorrupt func(n int)
-	// OnSendErr, when non-nil, observes send failures. Anti-entropy is
-	// self-healing — a lost exchange is retried by construction on a
-	// later round — but failures are counted (wire_send_errors), never
-	// silently dropped.
-	OnSendErr func(error)
 }
 
 // Config tunes the exchange.
@@ -334,27 +327,19 @@ func (p *Protocol) Handle(ctx context.Context, from transport.NodeID, msg interf
 	case *Push:
 		// One store call for the whole push: the log engine turns the
 		// batch into a single append and one group-commit fsync instead
-		// of a lock acquisition (and fsync) per object. The message may
-		// be shared with other recipients, so filter into a fresh slice.
+		// of a lock acquisition (and fsync) per object. An object no
+		// engine stores never joins the batch, so one stray object cannot
+		// fail the repair of the rest; an I/O error is left to later
+		// rounds. The message may be shared with other recipients, so
+		// filter into a fresh slice.
 		batch := make([]store.Object, 0, len(m.Objects))
 		for _, o := range m.Objects {
-			if !p.inSlice(o.Key) {
-				continue
+			if p.inSlice(o.Key) && store.CheckObject(o.Key, o.Version, o.Value) == nil {
+				batch = append(batch, o)
 			}
-			batch = append(batch, o)
 		}
-		if len(batch) == 0 {
-			return true
-		}
-		if err := p.env.Store.PutBatch(batch); isInvalidObject(err) {
-			// A statically invalid object fails the whole batch; fall
-			// back to per-object puts so one stray object cannot block
-			// the repair of the rest. I/O errors are NOT retried per
-			// object — they would fail identically N more times; later
-			// rounds repair what this one could not.
-			for _, o := range batch {
-				_ = p.env.Store.Put(o.Key, o.Version, o.Value)
-			}
+		if len(batch) > 0 {
+			_ = p.env.Store.PutBatch(batch)
 		}
 		return true
 	default:
@@ -362,21 +347,9 @@ func (p *Protocol) Handle(ctx context.Context, from transport.NodeID, msg interf
 	}
 }
 
-// isInvalidObject reports whether err is a static validation failure
-// (as opposed to an I/O or lifecycle error).
-func isInvalidObject(err error) bool {
-	return errors.Is(err, store.ErrBadVersion) ||
-		errors.Is(err, store.ErrKeyTooLong) ||
-		errors.Is(err, store.ErrValueTooLarge)
-}
-
 func (p *Protocol) send(ctx context.Context, to transport.NodeID, msg interface{}) {
-	if p.env.OnSent != nil {
-		p.env.OnSent()
-	}
-	if err := p.env.Send.Send(ctx, to, msg); err != nil && p.env.OnSendErr != nil {
-		p.env.OnSendErr(err)
-	}
+	//flasks:fire-and-forget Env.Send counts a failure; a later round retries
+	_ = p.env.Send.Send(ctx, to, msg)
 }
 
 func (p *Protocol) noteDigestBytes(n int) {
@@ -703,16 +676,16 @@ func (p *Protocol) takeTokens(n int) bool {
 	return true
 }
 
+// evictForeign drops every stored object outside the node's slice in
+// one store call.
 func (p *Protocol) evictForeign() {
-	var foreign []Header
-	_ = p.env.Store.ForEach(func(key string, version uint64) bool {
+	var foreign []store.Deletion
+	_ = p.env.Store.ForEachIn(store.AllRanges(), func(key string, version uint64) bool {
 		if !p.inSlice(key) {
-			foreign = append(foreign, Header{Key: key, Version: version})
+			foreign = append(foreign, store.Deletion{Key: key, Version: version})
 		}
 		return true
 	})
-	for _, h := range foreign {
-		_, _ = p.env.Store.Delete(h.Key, h.Version)
-	}
+	_, _ = p.env.Store.DeleteBatch(foreign)
 	p.foreign = store.RangeSums{}
 }

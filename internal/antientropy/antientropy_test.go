@@ -28,13 +28,13 @@ func newPair(t *testing.T, cfg Config, slice int32, k int) *pairHarness {
 		return New(cfg, Env{
 			Store: st,
 			Send: transport.SenderFunc(func(_ context.Context, to transport.NodeID, msg interface{}) error {
+				*counter++
 				h.queue = append(h.queue, transport.Envelope{From: self, To: to, Msg: msg})
 				return nil
 			}),
 			Partner: func() (transport.NodeID, bool) { return peer, true },
 			Slice:   func() int32 { return slice },
 			Slices:  func() int { return k },
-			OnSent:  func() { *counter++ },
 		}, sim.RNG(1, uint64(self)))
 	}
 	h.a = mk(1, 2, h.sa, &h.sentA)
@@ -116,10 +116,9 @@ func TestExchangeSkipsForeignKeys(t *testing.T) {
 	}
 }
 
-// TestPushWithInvalidObjectStillStoresRest covers the PutBatch
-// fallback: a statically invalid object (which no honest store could
-// have produced) fails the batch, and the per-object fallback must
-// still land the valid ones.
+// TestPushWithInvalidObjectStillStoresRest covers the Push filter: an
+// object CheckObject refuses (which no honest store could have produced)
+// never joins the batch, so it cannot fail the valid ones with it.
 func TestPushWithInvalidObjectStillStoresRest(t *testing.T) {
 	const slice, k = 1, 4
 	h := newPair(t, Config{}, slice, k)
@@ -220,7 +219,9 @@ func TestHandleForeignMessage(t *testing.T) {
 	}
 }
 
-func TestOnSentCounts(t *testing.T) {
+// TestBothSidesSend: one round has each mate send through its Env.Send,
+// the one place a node counts protocol messages.
+func TestBothSidesSend(t *testing.T) {
 	const slice, k = 1, 4
 	h := newPair(t, Config{}, slice, k)
 	key := keysInSlice(t, slice, k, 1)[0]
@@ -228,7 +229,7 @@ func TestOnSentCounts(t *testing.T) {
 	h.a.Tick(context.Background())
 	h.deliverAll()
 	if h.sentA == 0 || h.sentB == 0 {
-		t.Errorf("OnSent hooks: a=%d b=%d", h.sentA, h.sentB)
+		t.Errorf("sends: a=%d b=%d", h.sentA, h.sentB)
 	}
 }
 

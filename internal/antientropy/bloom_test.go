@@ -135,7 +135,7 @@ func TestBloomFalsePositiveRepairedByResalting(t *testing.T) {
 	salt1, salt2 := saltRNG.Uint64(), saltRNG.Uint64()
 	buildFilter := func(salt uint64) *Filter {
 		f := NewFilterSalted(h.sa.Count(), salt)
-		_ = h.sa.ForEach(func(key string, version uint64) bool {
+		_ = h.sa.ForEachIn(store.AllRanges(), func(key string, version uint64) bool {
 			f.Add(key, version)
 			return true
 		})

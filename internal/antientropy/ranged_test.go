@@ -24,10 +24,6 @@ type countingStore struct {
 	walked []store.RangeSet
 }
 
-func (c *countingStore) ForEach(fn func(string, uint64) bool) error {
-	return c.ForEachIn(store.AllRanges(), fn)
-}
-
 func (c *countingStore) ForEachIn(set store.RangeSet, fn func(string, uint64) bool) error {
 	c.walks.Add(1)
 	c.walked = append(c.walked, set)

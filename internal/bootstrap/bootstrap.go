@@ -86,7 +86,9 @@ type SegmentDone struct {
 type Env struct {
 	// Store is the local object store (served from and applied into).
 	Store store.Store
-	// Send emits a message to a peer.
+	// Send emits a message to a peer; it counts what fails (the node's
+	// accounting sender does), and the stall/re-fetch path retries by
+	// design.
 	Send transport.Sender
 	// Partner picks a random slice-mate to bootstrap from.
 	Partner func() (transport.NodeID, bool)
@@ -94,8 +96,6 @@ type Env struct {
 	Slice func() int32
 	// KeyInSlice filters which fetched records the joiner applies.
 	KeyInSlice func(key string) bool
-	// OnSent, when non-nil, is called once per protocol message emitted.
-	OnSent func()
 	// OnFetch, when non-nil, observes every segment fetch the joiner
 	// requests (segment id and resume offset) — the trace journal's
 	// boot_fetch events.
@@ -115,9 +115,6 @@ type Env struct {
 	// reports that no peer answered the manifest probe and convergence
 	// is left to object-wise anti-entropy repair.
 	OnComplete func(fellBack bool)
-	// OnSendErr, when non-nil, observes send failures (counted, never
-	// silently dropped; the stall/re-fetch path retries by design).
-	OnSendErr func(error)
 }
 
 // Config tunes the exchange. The zero value is a serving-only node.
@@ -597,10 +594,6 @@ func (p *Protocol) noteRejected() {
 }
 
 func (p *Protocol) send(ctx context.Context, to transport.NodeID, msg interface{}) {
-	if p.env.OnSent != nil {
-		p.env.OnSent()
-	}
-	if err := p.env.Send.Send(ctx, to, msg); err != nil && p.env.OnSendErr != nil {
-		p.env.OnSendErr(err)
-	}
+	//flasks:fire-and-forget Env.Send counts a failure; stalled fetches re-issue
+	_ = p.env.Send.Send(ctx, to, msg)
 }

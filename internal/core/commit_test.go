@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,7 +25,6 @@ const (
 // the next run behind it.
 type runStore struct {
 	store.Store
-	valueMax int // a larger value is refused, as the log engine refuses an oversized record
 
 	mu     sync.Mutex
 	writes []string // "put 1", "batch 31": one entry per store call, objects each
@@ -57,13 +57,8 @@ func (r *runStore) enter(call string) {
 	}
 }
 
-func (r *runStore) refuses(value []byte) bool { return r.valueMax > 0 && len(value) > r.valueMax }
-
 func (r *runStore) Put(key string, version uint64, value []byte) error {
 	r.enter("put 1")
-	if r.refuses(value) {
-		return store.ErrValueTooLarge
-	}
 	err := r.Store.Put(key, version, value)
 	if err == nil {
 		r.mu.Lock()
@@ -75,11 +70,6 @@ func (r *runStore) Put(key string, version uint64, value []byte) error {
 
 func (r *runStore) PutBatch(objs []store.Object) error {
 	r.enter(fmt.Sprintf("batch %d", len(objs)))
-	for _, o := range objs {
-		if r.refuses(o.Value) {
-			return store.ErrValueTooLarge
-		}
-	}
 	err := r.Store.PutBatch(objs)
 	if err == nil {
 		r.mu.Lock()
@@ -271,8 +261,15 @@ func TestDrainCommitsARunOnce(t *testing.T) {
 
 // TestIntraBatchRidesTheWindow: a mate files a batched relay in its
 // accumulation window (no store call), and the window lands as one
-// PutBatch at the tick or at CoalesceMax.
+// PutBatch at the tick or at coalesceMax.
 func TestIntraBatchRidesTheWindow(t *testing.T) {
+	names := func(prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s%d", prefix, i)
+		}
+		return out
+	}
 	relay := func(seq uint32, keys ...string) *PutBatchRequest {
 		objs := make([]store.Object, len(keys))
 		for i, k := range keys {
@@ -283,7 +280,7 @@ func TestIntraBatchRidesTheWindow(t *testing.T) {
 	ctx := context.Background()
 
 	st := newRunStore(false)
-	h := newRunHarness(t, st, Config{CoalesceMax: 4})
+	h := newRunHarness(t, st, Config{})
 	h.n.HandleMessage(ctx, transport.Envelope{From: runMate, To: 1, Msg: relay(1, "a", "b", "c")})
 	if calls := st.calls(); len(calls) != 0 {
 		t.Fatalf("intra batch hit the store on arrival: %v", calls)
@@ -295,17 +292,18 @@ func TestIntraBatchRidesTheWindow(t *testing.T) {
 	if got := h.n.Metrics().Get(metrics.CoalescedPuts); got != 3 {
 		t.Errorf("coalesced_puts = %d, want 3", got)
 	}
-	// CoalesceMax objects in the window commit without waiting for a tick.
-	h.n.HandleMessage(ctx, transport.Envelope{From: runMate, To: 1, Msg: relay(2, "d", "e", "f")})
-	h.n.HandleMessage(ctx, transport.Envelope{From: runMate, To: 1, Msg: relay(3, "g", "h")})
-	if calls := st.calls(); len(calls) != 2 || calls[1] != "batch 4" {
-		t.Fatalf("at CoalesceMax store writes = %v, want a second [batch 4]", calls)
+	// coalesceMax objects in the window commit without waiting for a
+	// tick; the one over waits for the next commit.
+	h.n.HandleMessage(ctx, transport.Envelope{From: runMate, To: 1, Msg: relay(2, names("d", 40)...)})
+	h.n.HandleMessage(ctx, transport.Envelope{From: runMate, To: 1, Msg: relay(3, names("e", coalesceMax-40+1)...)})
+	if calls, want := st.calls(), fmt.Sprintf("batch %d", coalesceMax); len(calls) != 2 || calls[1] != want {
+		t.Fatalf("at coalesceMax store writes = %v, want a second [%s]", calls, want)
 	}
 	// A batch that would fill the window by itself (a client's batch on
 	// its intra phase) is a commit of its own, behind what was waiting.
-	h.n.HandleMessage(ctx, transport.Envelope{From: runMate, To: 1, Msg: relay(4, "i", "j", "k", "l")})
-	if calls := st.calls(); len(calls) != 4 || calls[2] != "put 1" || calls[3] != "batch 4" {
-		t.Fatalf("window-sized batch: store writes = %v, want [... put 1, batch 4]", calls)
+	h.n.HandleMessage(ctx, transport.Envelope{From: runMate, To: 1, Msg: relay(4, names("f", coalesceMax)...)})
+	if calls, want := st.calls(), fmt.Sprintf("batch %d", coalesceMax); len(calls) != 4 || calls[2] != "put 1" || calls[3] != want {
+		t.Fatalf("window-sized batch: store writes = %v, want [... put 1, %s]", calls, want)
 	}
 
 	// A mate sharded differently can mix keys of two of our shards in one
@@ -383,32 +381,35 @@ func TestGetCommitsOnlyForItsOwnKey(t *testing.T) {
 	}
 }
 
-// TestRunWithOneRefusedPut: a value the store refuses fails the run's
-// batch; the commit degrades to single puts, acks what stored and not
-// the refused put, and still relays all of them (mates may succeed).
+// TestRunWithOneRefusedPut: an entry put no store takes — a reserved
+// version, a key over store.MaxKeyLen — is refused where it enters the
+// window, so it can fail nobody's batch: it is neither stored, acked nor
+// relayed, and its window-mates land as one batch, acked and relayed.
 func TestRunWithOneRefusedPut(t *testing.T) {
 	st := newRunStore(true)
-	st.valueMax = 16
 	h := newRunHarness(t, st, Config{})
 	stop := h.start()
-	big := entryPut1("big", 1, 2)
-	big.Value = make([]byte, 17)
-	h.holdThenRun(entryPut1("a", 1, 1), big, entryPut1("b", 1, 3))
+	reserved := entryPut1("reserved", store.Latest, 2)
+	long := entryPut1(strings.Repeat("k", store.MaxKeyLen+1), 1, 3)
+	h.holdThenRun(entryPut1("a", 1, 1), reserved, long, entryPut1("b", 1, 4))
 	stop()
 
 	acked := map[string]bool{}
 	for _, env := range h.sentOf(isAck) {
 		acked[env.Msg.(*PutAck).Key] = true
 	}
-	if !acked["a"] || !acked["b"] || acked["big"] || len(acked) != 3 {
+	if !acked["hold"] || !acked["a"] || !acked["b"] || len(acked) != 3 {
 		t.Fatalf("acked = %v, want hold, a and b", acked)
+	}
+	if calls := st.calls(); fmt.Sprint(calls) != "[put 1 batch 2]" {
+		t.Errorf("store writes = %v, want [put 1 batch 2]: the refused puts never joined the window", calls)
 	}
 	if got := h.n.Metrics().Get(metrics.PutsServed); got != 3 {
 		t.Errorf("puts_served = %d, want 3", got)
 	}
 	relays := h.sentOf(isIntra)
-	if len(relays) != 2 || len(relays[1].Msg.(*PutBatchRequest).Objs) != 3 {
-		t.Fatalf("relays = %+v, want the held put and one batch of 3", relays)
+	if len(relays) != 2 || len(relays[1].Msg.(*PutBatchRequest).Objs) != 2 {
+		t.Fatalf("relays = %+v, want the held put and one batch of 2", relays)
 	}
 }
 

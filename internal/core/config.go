@@ -104,8 +104,6 @@ type Config struct {
 
 	// PSS selects the peer-sampling protocol (default Cyclon).
 	PSS PSSKind
-	// ViewSize bounds the PSS partial view (default 20).
-	ViewSize int
 
 	// Slicer selects the slice manager (default SlicerRank).
 	Slicer SlicerKind
@@ -140,17 +138,6 @@ type Config struct {
 	// the same shard states, single-threaded as simulations need.
 	// Default 1.
 	DataShards int
-
-	// CoalesceMax is the put accumulation window: intra-slice relay
-	// puts (which carry no ack obligation) are buffered and land in one
-	// store.PutBatch — one lock acquisition and, in the log engine, one
-	// group-commit fsync — with the next slice-entry put's commit, at
-	// the next tick or once this many are buffered, whichever comes
-	// first. Deletes, client batches and reads of a buffered key commit
-	// the buffer first, so a node still observes its own writes. It
-	// also bounds the run a shard handles per wake-up. Default 64;
-	// any non-positive value means the default.
-	CoalesceMax int
 
 	// AntiEntropyEvery runs one anti-entropy exchange every this many
 	// rounds (default 10; negative disables anti-entropy).
@@ -230,9 +217,6 @@ func (c Config) withDefaults() Config {
 	if c.PSS == 0 {
 		c.PSS = PSSCyclon
 	}
-	if c.ViewSize <= 0 {
-		c.ViewSize = 20
-	}
 	if c.Slicer == 0 {
 		c.Slicer = SlicerRank
 	}
@@ -244,9 +228,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DataShards <= 0 {
 		c.DataShards = 1
-	}
-	if c.CoalesceMax <= 0 {
-		c.CoalesceMax = 64
 	}
 	if c.AntiEntropyEvery < 0 {
 		c.AntiEntropyEvery = 0

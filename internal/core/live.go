@@ -9,6 +9,7 @@ import (
 	"context"
 	"time"
 
+	"dataflasks/internal/metrics"
 	"dataflasks/internal/obs"
 	"dataflasks/internal/transport"
 )
@@ -116,19 +117,30 @@ func (n *Node) MailboxCapacity() int { return controlMailboxCap }
 // overflow is ShardDropped.
 func (n *Node) MailboxDropped() uint64 { return n.drops.Load() }
 
-// Status returns what the control loop last published, from any
-// goroutine: at most one tick stale, never racing the loop's live
-// state. Valid once Start has run (and still after Stop).
-func (n *Node) Status() obs.Status { return *n.status.Load() }
+// Status returns what the control loop last published plus the data
+// shards' counters as they stand, from any goroutine. The control loop's
+// counters are at most one tick stale and never race its live state; the
+// shards' are atomic, so a put or get counts the moment it is served,
+// not a round later. Valid once Start has run (and still after Stop).
+func (n *Node) Status() obs.Status {
+	st := *n.status.Load()
+	for _, s := range n.shards {
+		for c := range st.Counters {
+			st.Counters[c] += s.met.Get(metrics.Counter(c))
+		}
+	}
+	return st
+}
 
 // ready is the readiness predicate on live state. Control loop only.
 func (n *Node) ready() bool { return n.currentSlice() >= 0 && n.BootstrapDone() }
 
-// publishStatus snapshots the node into an immutable obs.Status for
-// concurrent readers. Control loop only (plus once before it starts).
+// publishStatus snapshots the control loop's state into an immutable
+// obs.Status for concurrent readers; Status adds the shards' counters.
+// Control loop only (plus once before it starts).
 func (n *Node) publishStatus() {
 	st := &obs.Status{
-		Counters:          n.Metrics().Snapshot(),
+		Counters:          n.met.Snapshot(),
 		Slice:             n.currentSlice(),
 		BootstrapDone:     n.BootstrapDone(),
 		BootstrapFellBack: n.BootstrapFellBack(),

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +14,7 @@ import (
 	"dataflasks/internal/gossip"
 	"dataflasks/internal/leakcheck"
 	"dataflasks/internal/metrics"
+	"dataflasks/internal/obs"
 	"dataflasks/internal/store"
 	"dataflasks/internal/transport"
 )
@@ -195,5 +199,90 @@ func TestDeliverFullControlMailboxDropsAndCounts(t *testing.T) {
 	}
 	if drops := n.MailboxDropped(); drops != over {
 		t.Errorf("a data request was counted against the control mailbox: drops = %d", drops)
+	}
+}
+
+// TestMetricsCountDataServedWithoutATick: /metrics serves the data
+// shards' counters live — here there is no tick for an hour, and every
+// get served is on the scrape the moment its reply has left.
+func TestMetricsCountDataServedWithoutATick(t *testing.T) {
+	st := store.NewMemory()
+	if err := st.Put("k", 1, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	out := &liveCapture{}
+	n := liveNode(st, out, Config{DataShards: 2})
+	n.Start(context.Background())
+	defer n.Stop()
+
+	const gets = 25
+	for i := 0; i < gets; i++ {
+		n.Deliver(transport.Envelope{From: 9, To: 1, Msg: &GetRequest{
+			Routing: Routing{ID: gossip.RequestID(i + 1), Origin: 9, TTL: TTLUnset},
+			Key:     "k", Version: store.Latest,
+		}})
+	}
+	isReply := func(m interface{}) bool { _, ok := m.(*GetReply); return ok }
+	for deadline := time.Now().Add(5 * time.Second); out.count(isReply) != gets; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d gets answered", out.count(isReply), gets)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var page bytes.Buffer
+	if err := obs.WriteMetrics(&page, obs.Sources{Status: n.Status}); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\nflasks_gets_served_total %d\n", gets); !strings.Contains(page.String(), want) {
+		t.Errorf("/metrics lacks %q with no tick run:\n%s", strings.TrimSpace(want), page.String())
+	}
+	if n.Round() != 0 {
+		t.Errorf("%d ticks ran", n.Round())
+	}
+}
+
+// TestEverySendFailureCountsOnce: over a fabric that refuses everything,
+// each protocol's sends — PSS, slicing, size estimation, mate discovery
+// (queries and replies), anti-entropy, bootstrap, the data plane — fail,
+// and each failure is counted once: one msg_dropped and one
+// wire_send_errors per message sent.
+func TestEverySendFailureCountsOnce(t *testing.T) {
+	refuse := transport.SenderFunc(func(context.Context, transport.NodeID, interface{}) error {
+		return errors.New("unreachable")
+	})
+	for _, kind := range []PSSKind{PSSCyclon, PSSNewscast} {
+		n := NewNode(1, Config{
+			Slices: 1, PSS: kind, Slicer: SlicerSwap, AntiEntropyEvery: 1, Bootstrap: true, Seed: 3,
+		}, store.NewMemory(), refuse)
+		ctx := context.Background()
+		n.Bootstrap([]transport.NodeID{2, 3})
+		n.Tick(ctx) // settles the slice, so a mate can be one
+		n.HandleMessage(ctx, transport.Envelope{From: 2, To: 1, Msg: &MateReply{
+			Slice: 0, Mates: []pssDescriptor{{ID: 2, Slice: 0}},
+		}})
+		n.HandleMessage(ctx, transport.Envelope{From: 3, To: 1, Msg: &MateQuery{Slice: 0}})
+		n.HandleMessage(ctx, transport.Envelope{From: 3, To: 1, Msg: &PutRequest{
+			Routing: Routing{ID: gossip.RequestID(1), Origin: 9, TTL: TTLUnset},
+			Key:     "k", Version: 1, Value: []byte("v"),
+		}})
+		n.Tick(ctx)
+		n.Tick(ctx)
+
+		m := n.Metrics()
+		var byKind uint64
+		for _, c := range []metrics.Counter{
+			metrics.PSSSent, metrics.SliceSent, metrics.AggregateSent, metrics.DiscoverySent,
+			metrics.AntiEntropySent, metrics.BootstrapSent, metrics.DataSent,
+		} {
+			if m.Get(c) == 0 {
+				t.Errorf("pss %d: no %s send attempted", kind, c)
+			}
+			byKind += m.Get(c)
+		}
+		sent := m.Get(metrics.MsgSent)
+		if sent != byKind || m.Get(metrics.MsgDropped) != sent || m.Get(metrics.WireSendErrors) != sent {
+			t.Errorf("pss %d: msg_sent %d (by kind %d), msg_dropped %d, wire_send_errors %d: want all equal",
+				kind, sent, byKind, m.Get(metrics.MsgDropped), m.Get(metrics.WireSendErrors))
+		}
 	}
 }

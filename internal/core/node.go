@@ -131,17 +131,11 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 	selfInfo := func() (float64, int32) { return attr, n.currentSlice() }
 	switch cfg.PSS {
 	case PSSNewscast:
-		n.pssP = pss.NewNewscast(id, pss.NewscastConfig{
-			ViewSize:  cfg.ViewSize,
-			SelfAddr:  cfg.AdvertiseAddr,
-			OnSendErr: n.countSendErr,
-		}, n.sender(metrics.PSSSent), n.rng, selfInfo)
+		n.pssP = pss.NewNewscast(id, pss.NewscastConfig{ViewSize: viewSize, SelfAddr: cfg.AdvertiseAddr},
+			n.sender(metrics.PSSSent), n.rng, selfInfo)
 	default:
-		n.pssP = pss.NewCyclon(id, pss.CyclonConfig{
-			ViewSize:  cfg.ViewSize,
-			SelfAddr:  cfg.AdvertiseAddr,
-			OnSendErr: n.countSendErr,
-		}, n.sender(metrics.PSSSent), n.rng, selfInfo)
+		n.pssP = pss.NewCyclon(id, pss.CyclonConfig{ViewSize: viewSize, SelfAddr: cfg.AdvertiseAddr},
+			n.sender(metrics.PSSSent), n.rng, selfInfo)
 	}
 	n.pssP.SetObserver(n.observeDescriptor)
 
@@ -155,7 +149,7 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 	switch cfg.Slicer {
 	case SlicerSwap:
 		n.slicer = slicing.NewSwapSlicer(id, attr,
-			slicing.SwapSlicerConfig{Slices: cfg.Slices, OnSendErr: n.countSendErr},
+			slicing.SwapSlicerConfig{Slices: cfg.Slices},
 			n.sender(metrics.SliceSent), partner, n.rng)
 	case SlicerStatic:
 		n.slicer = slicing.NewStaticSlicer(id, cfg.Slices)
@@ -164,7 +158,7 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 	}
 
 	if cfg.SystemSize <= 0 {
-		n.size = aggregate.NewExtrema(aggregate.ExtremaConfig{OnSendErr: n.countSendErr},
+		n.size = aggregate.NewExtrema(aggregate.ExtremaConfig{},
 			n.sender(metrics.AggregateSent), partner, n.rng)
 	}
 
@@ -195,7 +189,6 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 					n.met.Add(metrics.AntiEntropyPushBytes, uint64(bytes))
 				},
 				OnCorrupt: func(c int) { n.met.Add(metrics.AntiEntropyCorruptSkipped, uint64(c)) },
-				OnSendErr: n.countSendErr,
 			},
 			n.rng,
 		)
@@ -230,7 +223,6 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 				},
 				OnBytes:         func(b int) { n.met.Add(metrics.BootstrapBytes, uint64(b)) },
 				OnChunkRejected: func() { n.met.Inc(metrics.BootstrapChunksRejected) },
-				OnSendErr:       n.countSendErr,
 			},
 			n.rng,
 		)
@@ -249,31 +241,36 @@ func (n *Node) route(msg interface{}) transport.Sender {
 	return n.raw
 }
 
-// sender wraps the fabric with message accounting under category and
-// per-message control-plane routing.
-func (n *Node) sender(cat metrics.Counter) transport.Sender {
-	return transport.SenderFunc(func(ctx context.Context, to transport.NodeID, msg interface{}) error {
-		n.met.Inc(metrics.MsgSent)
-		n.met.Inc(cat)
-		err := n.route(msg).Send(ctx, to, msg)
-		if err != nil {
-			n.met.Inc(metrics.MsgDropped)
-		}
-		return err
-	})
+// send is every control-plane send: msg goes to its fabric (route),
+// counted under cat, and a failure is counted once, as a drop and as a
+// wire send error. No protocol retries a failed send itself — the next
+// round does — so counting it here is all the handling it gets.
+func (n *Node) send(ctx context.Context, cat metrics.Counter, to transport.NodeID, msg interface{}) error {
+	n.met.Inc(metrics.MsgSent)
+	n.met.Inc(cat)
+	err := n.route(msg).Send(ctx, to, msg)
+	if err != nil {
+		n.met.Inc(metrics.MsgDropped)
+		n.met.Inc(metrics.WireSendErrors)
+	}
+	return err
 }
 
-// countSendErr feeds every protocol's send-failure hook: failed fabric
-// sends are counted (wire_send_errors), never silently discarded.
-func (n *Node) countSendErr(error) { n.met.Inc(metrics.WireSendErrors) }
+// sender is send under cat as a protocol's transport.Sender.
+func (n *Node) sender(cat metrics.Counter) transport.Sender {
+	return transport.SenderFunc(func(ctx context.Context, to transport.NodeID, msg interface{}) error {
+		return n.send(ctx, cat, to, msg)
+	})
+}
 
 // ID returns the node's identifier.
 func (n *Node) ID() transport.NodeID { return n.id }
 
 // Metrics returns a merged copy of the node's counters: the control
 // loop's own plus every data shard's. Harnesses read it after runs;
-// the live loop snapshots it into every Status it publishes.
-// The copy is detached — to zero the node's counters use ResetMetrics.
+// Status serves the same merge to other goroutines, the control loop's
+// part as last published and the shards' live. The copy is detached —
+// to zero the node's counters use ResetMetrics.
 func (n *Node) Metrics() *metrics.NodeMetrics {
 	out := &metrics.NodeMetrics{}
 	*out = *n.met
@@ -441,6 +438,10 @@ func (n *Node) getTTL() uint8 {
 	return gossip.TTL(target, n.fanout(), 1)
 }
 
+// viewSize bounds the PSS partial view (paper §II: ln(N)+c entries
+// suffice for epidemic dissemination; 20 is the customary value).
+const viewSize = 20
+
 // intraFanout is the relay fanout within a slice.
 const intraFanout = 8
 
@@ -534,13 +535,7 @@ func (n *Node) discoverMates(ctx context.Context) {
 		queries = n.cfg.DiscoveryMaxQueries
 	}
 	for _, peer := range n.pssP.RandomPeers(queries) {
-		n.met.Inc(metrics.MsgSent)
-		n.met.Inc(metrics.DiscoverySent)
-		msg := &MateQuery{Slice: mine}
-		if err := n.route(msg).Send(ctx, peer, msg); err != nil {
-			n.met.Inc(metrics.MsgDropped)
-			n.countSendErr(err)
-		}
+		_ = n.send(ctx, metrics.DiscoverySent, peer, &MateQuery{Slice: mine})
 	}
 }
 
@@ -683,7 +678,7 @@ func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.Node
 		s.traceOp(obs.TracePutApply, m.TraceID, m.Key, len(m.Value), 1)
 		s.coalescePut(ctx, m.Key, m.Version, m.Value)
 	case *PutBatchRequest:
-		if m.Intra && len(m.Objs) < n.cfg.CoalesceMax && s.ownsAll(m.Objs) {
+		if m.Intra && len(m.Objs) < coalesceMax && s.ownsAll(m.Objs) {
 			// A mate's relay of a run: no ack obligation, so the objects
 			// wait in the window like single relay copies do. (A batch
 			// that would fill the window is a commit of its own.)
@@ -855,13 +850,7 @@ func (n *Node) onMateQuery(ctx context.Context, from transport.NodeID, m *MateQu
 	if len(mates) == 0 {
 		return
 	}
-	n.met.Inc(metrics.MsgSent)
-	n.met.Inc(metrics.DiscoverySent)
-	reply := &MateReply{Slice: m.Slice, Mates: mates}
-	if err := n.route(reply).Send(ctx, from, reply); err != nil {
-		n.met.Inc(metrics.MsgDropped)
-		n.countSendErr(err)
-	}
+	_ = n.send(ctx, metrics.DiscoverySent, from, &MateReply{Slice: m.Slice, Mates: mates})
 }
 
 // dedupSampleMates drops duplicate descriptors by ID (first occurrence

@@ -191,7 +191,7 @@ func TestNodeCoalescedPutVisibleToGet(t *testing.T) {
 	}
 }
 
-// TestNodeCoalesceWindowDedupsAndCapFlushes drives CoalesceMax+1 intra
+// TestNodeCoalesceWindowDedupsAndCapFlushes drives coalesceMax+1 intra
 // puts (distinct request ids, one duplicated object) and checks the cap
 // flush plus in-buffer dedup.
 func TestNodeCoalesceWindowDedupsAndCapFlushes(t *testing.T) {
@@ -203,7 +203,6 @@ func TestNodeCoalesceWindowDedupsAndCapFlushes(t *testing.T) {
 		Slicer:           SlicerStatic,
 		SystemSize:       100,
 		AntiEntropyEvery: -1,
-		CoalesceMax:      4,
 		Seed:             1,
 	}, store.NewMemory(), cap.sender(id))
 	key := keyForSlice(t, 2, k)
@@ -216,17 +215,18 @@ func TestNodeCoalesceWindowDedupsAndCapFlushes(t *testing.T) {
 	}
 	send(1, 1)
 	send(2, 1) // same object under a fresh id (a client retry): deduped
-	send(3, 2)
-	send(4, 3)
+	for v := uint64(2); v < coalesceMax; v++ {
+		send(uint32(v+1), v)
+	}
 	if n.Store().Count() != 0 {
 		t.Fatalf("buffer flushed early: %d objects stored", n.Store().Count())
 	}
-	send(5, 4) // hits CoalesceMax → flush without waiting for a tick
-	if got := n.Store().Count(); got != 4 {
-		t.Fatalf("stored %d objects after cap flush, want 4", got)
+	send(coalesceMax+1, coalesceMax) // hits coalesceMax → flush without waiting for a tick
+	if got := n.Store().Count(); got != coalesceMax {
+		t.Fatalf("stored %d objects after cap flush, want %d", got, coalesceMax)
 	}
-	if n.Metrics().Get(metrics.CoalescedPuts) != 4 {
-		t.Errorf("CoalescedPuts = %d, want 4", n.Metrics().Get(metrics.CoalescedPuts))
+	if got := n.Metrics().Get(metrics.CoalescedPuts); got != coalesceMax {
+		t.Errorf("CoalescedPuts = %d, want %d", got, coalesceMax)
 	}
 }
 
@@ -697,7 +697,7 @@ func TestNodeIgnoresUnknownMessages(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Slices != 10 || cfg.ViewSize != 20 || cfg.PSS != PSSCyclon || cfg.Slicer != SlicerRank {
+	if cfg.Slices != 10 || cfg.PSS != PSSCyclon || cfg.Slicer != SlicerRank {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	if cfg.AntiEntropyEvery != 10 {

@@ -52,6 +52,16 @@ const shardSalt = 0x9e3779b97f4a7c15
 // shardRNGSalt decorrelates per-shard RNG streams from the node's.
 const shardRNGSalt = 0x5a4dbeef
 
+// coalesceMax is the put accumulation window: intra-slice relay puts
+// (which carry no ack obligation) are buffered and land in one
+// store.PutBatch — one lock acquisition and, in the log engine, one
+// group-commit fsync — with the next slice-entry put's commit, at the
+// next tick or once this many are buffered, whichever comes first.
+// Deletes, client batches and reads of a buffered key commit the buffer
+// first, so a node still observes its own writes. It also bounds the run
+// a shard handles per wake-up.
+const coalesceMax = 64
+
 // shardIndex maps a key to its owning shard (FNV-1a over the key,
 // salted so it is independent of the slice hash).
 func shardIndex(key string, shards int) int {
@@ -124,7 +134,7 @@ type dataShard struct {
 	tickDur metrics.LatencyHistogram
 
 	// coalesce is this shard's put accumulation window (see
-	// Config.CoalesceMax), in arrival order: intra-slice relay copies,
+	// coalesceMax), in arrival order: intra-slice relay copies,
 	// de-duplicated by (key, version) through coalesceSeen, and the
 	// slice-entry puts of the run in progress. entries names the
 	// latter: the commit step owes each its ack and its intra-slice
@@ -134,16 +144,15 @@ type dataShard struct {
 	entries      []entryPut
 }
 
-// entryPut is a collected slice-entry put: the request, the peer it
-// came from and where its object sits in the window.
+// entryPut is a collected slice-entry put: the request and the peer it
+// came from.
 type entryPut struct {
 	m    *PutRequest
 	from transport.NodeID
-	at   int
 }
 
 // relayBatchValueMax bounds the values that share a batched intra
-// relay: a run has at most CoalesceMax puts, so the frame stays small,
+// relay: a run has at most coalesceMax puts, so the frame stays small,
 // and a larger value gains nothing from saving one frame header.
 const relayBatchValueMax = 64 << 10
 
@@ -265,14 +274,14 @@ func (n *Node) runShard(ctx context.Context, s *dataShard) {
 // drain handles one run: the envelope that woke the shard plus what is
 // queued behind it right now — the shard is its mailbox's only consumer,
 // so that much is received without waiting — in arrival order, at most
-// CoalesceMax envelopes so the tick and the stop signal get their turn.
+// coalesceMax envelopes so the tick and the stop signal get their turn.
 // The run's slice-entry puts share one commit, so with W puts in flight
 // a shard pays about one group-commit wait per wake-up, not one per put.
 // Relay copies alone do not end a run with a commit: they keep waiting
 // for the tick or a later entry put's. A caller-driven node has no
 // mailbox: its runs are one envelope long.
 func (n *Node) drain(ctx context.Context, s *dataShard, env transport.Envelope) {
-	for more := min(len(s.mailbox), n.cfg.CoalesceMax-1); ; more-- {
+	for more := min(len(s.mailbox), coalesceMax-1); ; more-- {
 		s.met.Inc(metrics.MsgRecv)
 		n.handleData(ctx, s, env.From, env.Msg.(request)) // only requests are dispatched here
 		if more == 0 {
@@ -521,10 +530,14 @@ func (s *dataShard) traceRelay(req request, key string) {
 }
 
 // coalescePut buffers one intra-slice relay copy for the next commit.
+// A copy no store takes (store.CheckObject) never joins the window.
 func (s *dataShard) coalescePut(ctx context.Context, key string, version uint64, value []byte) {
+	if store.CheckObject(key, version, value) != nil {
+		return
+	}
 	ref := objRef{key: key, version: version}
 	if s.coalesceSeen == nil {
-		s.coalesceSeen = make(map[objRef]struct{}, s.n.cfg.CoalesceMax)
+		s.coalesceSeen = make(map[objRef]struct{}, coalesceMax)
 	}
 	if _, dup := s.coalesceSeen[ref]; dup {
 		return // same object via two request ids (client retry)
@@ -533,21 +546,26 @@ func (s *dataShard) coalescePut(ctx context.Context, key string, version uint64,
 	// Messages are immutable, so referencing the value is safe; engines
 	// copy on store.
 	s.coalesce = append(s.coalesce, store.Object{Key: key, Version: version, Value: value})
-	if len(s.coalesce) >= s.n.cfg.CoalesceMax {
+	if len(s.coalesce) >= coalesceMax {
 		s.commit(ctx)
 	}
 }
 
 // collectPut files a slice-entry put in the window; the run's commit
-// (drain) stores and acks it.
+// (drain) stores and acks it. A put no store takes (store.CheckObject)
+// is refused here, so it can neither fail the window's batch nor be
+// acked or relayed.
 func (s *dataShard) collectPut(from transport.NodeID, m *PutRequest) {
-	s.entries = append(s.entries, entryPut{m: m, from: from, at: len(s.coalesce)})
+	if store.CheckObject(m.Key, m.Version, m.Value) != nil {
+		return
+	}
+	s.entries = append(s.entries, entryPut{m: m, from: from})
 	s.coalesce = append(s.coalesce, store.Object{Key: m.Key, Version: m.Version, Value: m.Value})
 }
 
 // holds reports whether the window has an object of key: a get of such
 // a key commits first, any other get is served without waiting for a
-// write. The window is at most a run plus CoalesceMax copies long, so
+// write. The window is at most a run plus coalesceMax copies long, so
 // the scan is cheaper than a second index beside coalesceSeen.
 func (s *dataShard) holds(key string) bool {
 	for i := range s.coalesce {
@@ -561,45 +579,38 @@ func (s *dataShard) holds(key string) bool {
 // commit is the put path's one store write: the window — relay copies
 // and the run's entry puts, in arrival order — lands as one
 // store.PutBatch (one lock pass and, in the log engine, one appended
-// record batch and one group-commit wait for the lot). Only after the
-// store returned does an entry put get its ack, and only if the store
-// holds its object now: acking a failed write (disk full, oversized
-// value, closed store) would tell the client it is replicated when no
-// one stored it. The intra-slice phase starts either way, since mates
-// may still succeed.
+// record batch and one group-commit wait for the lot); a window of one
+// object is a store.Put — the same write to the engine, kept apart
+// because bench/traced times lone puts as its store.put layer. Every
+// object passed store.CheckObject on its way in, so only the store
+// itself can fail the batch (disk full, closed store), and then it fails
+// whole: no entry put is acked, since acking a failed write would tell
+// the client it is replicated when no one stored it. Acks leave only
+// after the store returned. The intra-slice phase starts either way,
+// since mates may still succeed.
 func (s *dataShard) commit(ctx context.Context) {
 	if len(s.coalesce) == 0 {
 		return
 	}
 	batch, entries := s.coalesce, s.entries
 	s.coalesce, s.coalesceSeen, s.entries = nil, nil, nil
-	st, commits := s.n.st, 1
-	var failed []bool // per batch object; nil when the whole batch stored
-	if len(batch) == 1 || st.PutBatch(batch) != nil {
-		// One object is a plain Put. A batch fails as a whole (one
-		// invalid object poisons it, no side effects): degrade to
-		// single puts so the valid objects are not lost with it.
-		commits, failed = len(batch), make([]bool, len(batch))
-		for i, o := range batch {
-			failed[i] = st.Put(o.Key, o.Version, o.Value) != nil
-		}
+	var err error
+	if len(batch) == 1 {
+		o := batch[0]
+		err = s.n.st.Put(o.Key, o.Version, o.Value)
+	} else {
+		err = s.n.st.PutBatch(batch)
 	}
-	s.met.Add(metrics.PutCommits, uint64(commits))
-	served, own := 0, 0
-	for i := range batch {
-		if failed == nil || !failed[i] {
-			served++
-		}
-	}
-	for _, e := range entries {
-		if m := e.m; failed == nil || !failed[e.at] {
-			own++
+	s.met.Inc(metrics.PutCommits)
+	if err == nil {
+		for _, e := range entries {
+			m := e.m
 			s.traceOp(obs.TracePutApply, m.TraceID, m.Key, len(m.Value), 1)
 			s.ack(ctx, m, 0)
 		}
+		s.met.Add(metrics.PutsServed, uint64(len(batch)))
+		s.met.Add(metrics.CoalescedPuts, uint64(len(batch)-len(entries)))
 	}
-	s.met.Add(metrics.PutsServed, uint64(served))
-	s.met.Add(metrics.CoalescedPuts, uint64(served-own))
 	s.relayEntries(ctx, entries)
 }
 

@@ -150,11 +150,11 @@ func (g *closeGuardStore) PutBatch(objs []store.Object) error {
 	return g.Store.PutBatch(objs)
 }
 
-func (g *closeGuardStore) Delete(key string, version uint64) (bool, error) {
+func (g *closeGuardStore) DeleteBatch(items []store.Deletion) ([]bool, error) {
 	if err := g.check(); err != nil {
-		return false, err
+		return make([]bool, len(items)), err
 	}
-	return g.Store.Delete(key, version)
+	return g.Store.DeleteBatch(items)
 }
 
 func (g *closeGuardStore) Close() error {
@@ -502,7 +502,7 @@ func TestShardEquivalenceSingleVsMany(t *testing.T) {
 		if a.Count() != b.Count() {
 			t.Fatalf("store contents diverge: 1 shard holds %d versions, %s holds %d", a.Count(), leg.name, b.Count())
 		}
-		_ = a.ForEach(func(key string, version uint64) bool {
+		_ = a.ForEachIn(store.AllRanges(), func(key string, version uint64) bool {
 			av, _, okA, _ := a.Get(key, version)
 			bv, _, okB, _ := b.Get(key, version)
 			if !okA || !okB || string(av) != string(bv) {

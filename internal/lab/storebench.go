@@ -250,13 +250,15 @@ func compactLatency(n int, window time.Duration, compactDuring bool) (getP99, pu
 			return 0, 0, err
 		}
 	}
-	// Kill 90%: sealed segments collapse below any live-ratio
-	// threshold. With compaction enabled the deletes kick the
+	// Kill 90% in one batch: sealed segments collapse below any
+	// live-ratio threshold. With compaction enabled the batch kicks the
 	// background pass, which starts copying (rate-limited) right away.
-	for i := 0; i < n*9/10; i++ {
-		if _, err := l.Delete(key(i), 1); err != nil {
-			return 0, 0, err
-		}
+	doomed := make([]store.Deletion, n*9/10)
+	for i := range doomed {
+		doomed[i] = store.Deletion{Key: key(i), Version: 1}
+	}
+	if _, err := l.DeleteBatch(doomed); err != nil {
+		return 0, 0, err
 	}
 
 	survivors := n - n*9/10

@@ -103,9 +103,10 @@ const (
 	// DuplicatesSuppressed counts requests dropped by the dedup cache.
 	DuplicatesSuppressed
 	// WireSendErrors counts fabric sends that returned an error from any
-	// protocol or routing path — the errors that used to be silently
-	// discarded with `_ =`. MsgDropped counts the subset observed by the
-	// node's accounting sender; WireSendErrors covers every send site.
+	// protocol or routing path. Every node send is counted where it is
+	// made — the control plane's accounting sender, a shard's data send —
+	// and a failure there bumps this and MsgDropped once each, so the two
+	// read the same.
 	WireSendErrors
 	// BootstrapSent counts segment-bootstrap protocol messages sent
 	// (manifest probes and replies, fetches, chunks, dones).

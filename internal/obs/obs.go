@@ -5,11 +5,11 @@
 //
 // The plane never touches live event-loop state. NodeMetrics is plain
 // counters owned by one goroutine, so the node publishes an immutable
-// Status snapshot each tick (and on readiness flips) and every
-// handler reads through Sources: snapshot closures, atomic stats
-// types (WireStats, CommandStats, LatencyHistogram) and the lock-free
-// trace ring. A scrape can therefore never stall — or race — the
-// protocol.
+// Status snapshot each tick (and on readiness flips), adds its data
+// shards' atomic counters as they stand when read, and every handler
+// reads through Sources: snapshot closures, atomic stats types
+// (WireStats, CommandStats, LatencyHistogram) and the lock-free trace
+// ring. A scrape can therefore never stall — or race — the protocol.
 package obs
 
 import (
@@ -26,7 +26,8 @@ import (
 // Status is the node state published once per event-loop tick (and
 // whenever readiness flips). It is immutable after publication.
 type Status struct {
-	// Counters is the tick's NodeMetrics snapshot.
+	// Counters is the node's counter array: the control loop's as of its
+	// last publish, the data shards' as of the read.
 	Counters [metrics.NumCounters]uint64
 	// Slice is the node's slice, -1 before assignment.
 	Slice int32
@@ -48,7 +49,8 @@ type Status struct {
 type Sources struct {
 	// NodeID identifies the node in /trace output.
 	NodeID uint64
-	// Status returns the latest published Status snapshot.
+	// Status returns the node's Status: the latest published snapshot
+	// with the data counters read live.
 	Status func() Status
 	// Wire snapshots the node's wire/datagram counters.
 	Wire func() metrics.WireSnapshot

@@ -17,10 +17,6 @@ type CyclonConfig struct {
 	// SelfAddr is this node's dialable address, gossiped with its
 	// descriptor (empty in simulations).
 	SelfAddr string
-	// OnSendErr observes shuffle send failures. Epidemic rounds never
-	// retry — view turnover handles dead peers — but failures must not
-	// vanish either; the node runtime counts them (wire_send_errors).
-	OnSendErr func(error)
 }
 
 func (c *CyclonConfig) defaults() {
@@ -114,13 +110,6 @@ func (c *Cyclon) selfDescriptor() Descriptor {
 	return Descriptor{ID: c.self, Age: 0, Attr: attr, Slice: slice, Addr: c.cfg.SelfAddr}
 }
 
-// sendErr reports a failed shuffle send to the configured observer.
-func (c *Cyclon) sendErr(err error) {
-	if err != nil && c.cfg.OnSendErr != nil {
-		c.cfg.OnSendErr(err)
-	}
-}
-
 // Tick implements Protocol: one shuffle initiation.
 func (c *Cyclon) Tick(ctx context.Context) {
 	c.view.IncrementAges()
@@ -138,7 +127,9 @@ func (c *Cyclon) Tick(ctx context.Context) {
 	c.pendingPeer = target.ID
 	c.pendingSent = sample
 	c.hasPending = true
-	c.sendErr(c.out.Send(ctx, target.ID, &ShuffleRequest{Sample: sample}))
+	// Epidemic rounds never retry: view turnover handles dead peers, and
+	// the node's sender counts the failure.
+	_ = c.out.Send(ctx, target.ID, &ShuffleRequest{Sample: sample}) //flasks:fire-and-forget
 }
 
 // Handle implements Protocol.
@@ -162,7 +153,7 @@ func (c *Cyclon) onRequest(ctx context.Context, from transport.NodeID, m *Shuffl
 	// and a sparsely-bootstrapped overlay could never grow.
 	reply := c.view.RandomSubset(c.rng, c.cfg.ShuffleLen-1)
 	reply = append(reply, c.selfDescriptor())
-	c.sendErr(c.out.Send(ctx, from, &ShuffleReply{Sample: reply}))
+	_ = c.out.Send(ctx, from, &ShuffleReply{Sample: reply}) //flasks:fire-and-forget see Tick
 	c.merge(m.Sample, reply)
 }
 

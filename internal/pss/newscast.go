@@ -14,9 +14,6 @@ type NewscastConfig struct {
 	// SelfAddr is this node's dialable address, gossiped with its
 	// descriptor (empty in simulations).
 	SelfAddr string
-	// OnSendErr observes exchange send failures (no retries — view
-	// turnover handles dead peers — but the runtime counts them).
-	OnSendErr func(error)
 }
 
 func (c *NewscastConfig) defaults() {
@@ -96,13 +93,6 @@ func (n *Newscast) selfDescriptor() Descriptor {
 	return Descriptor{ID: n.self, Age: 0, Attr: attr, Slice: slice, Addr: n.cfg.SelfAddr}
 }
 
-// sendErr reports a failed exchange send to the configured observer.
-func (n *Newscast) sendErr(err error) {
-	if err != nil && n.cfg.OnSendErr != nil {
-		n.cfg.OnSendErr(err)
-	}
-}
-
 // Tick implements Protocol: exchange views with one random neighbour.
 func (n *Newscast) Tick(ctx context.Context) {
 	n.view.IncrementAges()
@@ -111,7 +101,9 @@ func (n *Newscast) Tick(ctx context.Context) {
 		return
 	}
 	sample := append(n.view.Entries(), n.selfDescriptor())
-	n.sendErr(n.out.Send(ctx, target.ID, &ShuffleRequest{Sample: sample}))
+	// No retries: view turnover handles dead peers, and the node's
+	// sender counts the failure.
+	_ = n.out.Send(ctx, target.ID, &ShuffleRequest{Sample: sample}) //flasks:fire-and-forget
 }
 
 // Handle implements Protocol.
@@ -119,7 +111,7 @@ func (n *Newscast) Handle(ctx context.Context, from transport.NodeID, msg interf
 	switch m := msg.(type) {
 	case *ShuffleRequest:
 		reply := append(n.view.Entries(), n.selfDescriptor())
-		n.sendErr(n.out.Send(ctx, from, &ShuffleReply{Sample: reply}))
+		_ = n.out.Send(ctx, from, &ShuffleReply{Sample: reply}) //flasks:fire-and-forget see Tick
 		n.merge(m.Sample)
 		return true
 	case *ShuffleReply:

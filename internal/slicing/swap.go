@@ -33,10 +33,6 @@ type SwapReply struct {
 type SwapSlicerConfig struct {
 	// Slices is the initial slice count k.
 	Slices int
-	// OnSendErr observes swap send failures. A lost exchange costs a
-	// round (the pending flag clears at the next Tick), but the
-	// failure is counted, never silently dropped (wire_send_errors).
-	OnSendErr func(error)
 }
 
 // PartnerFunc supplies a random gossip partner (typically from the
@@ -68,7 +64,6 @@ type SwapSlicer struct {
 	out     transport.Sender
 	partner PartnerFunc
 	rng     *rand.Rand
-	onErr   func(error)
 
 	hasPending  bool
 	pendingPeer transport.NodeID
@@ -94,14 +89,6 @@ func NewSwapSlicer(self transport.NodeID, attr float64, cfg SwapSlicerConfig, ou
 		out:     out,
 		partner: partner,
 		rng:     rng,
-		onErr:   cfg.OnSendErr,
-	}
-}
-
-// sendErr reports a failed swap send to the configured observer.
-func (s *SwapSlicer) sendErr(err error) {
-	if err != nil && s.onErr != nil {
-		s.onErr(err)
 	}
 }
 
@@ -137,7 +124,9 @@ func (s *SwapSlicer) Tick(ctx context.Context) {
 	s.seq++
 	s.hasPending = true
 	s.pendingPeer = peer
-	s.sendErr(s.out.Send(ctx, peer, &SwapRequest{Attr: s.attr, X: s.x, Seq: s.seq}))
+	// A lost exchange costs a round (the pending flag clears at the next
+	// Tick); the node's sender counts the failure.
+	_ = s.out.Send(ctx, peer, &SwapRequest{Attr: s.attr, X: s.x, Seq: s.seq}) //flasks:fire-and-forget
 }
 
 // Handle implements Slicer.
@@ -147,16 +136,15 @@ func (s *SwapSlicer) Handle(ctx context.Context, from transport.NodeID, msg inte
 		if s.hasPending {
 			// Our own exchange is in flight; swapping now would
 			// invalidate the value we promised the other partner.
-			s.sendErr(s.out.Send(ctx, from, &SwapReply{Busy: true, Seq: m.Seq}))
+			_ = s.out.Send(ctx, from, &SwapReply{Busy: true, Seq: m.Seq}) //flasks:fire-and-forget see Tick
 			return true
 		}
 		myAttr, myX := s.attr, s.x
-		if misordered(m.Attr, from, m.X, myAttr, s.self, myX) {
+		swapped := misordered(m.Attr, from, m.X, myAttr, s.self, myX)
+		if swapped {
 			s.x = m.X // commit our half atomically
-			s.sendErr(s.out.Send(ctx, from, &SwapReply{Attr: myAttr, X: myX, Swapped: true, Seq: m.Seq}))
-		} else {
-			s.sendErr(s.out.Send(ctx, from, &SwapReply{Attr: myAttr, X: myX, Swapped: false, Seq: m.Seq}))
 		}
+		_ = s.out.Send(ctx, from, &SwapReply{Attr: myAttr, X: myX, Swapped: swapped, Seq: m.Seq}) //flasks:fire-and-forget see Tick
 		return true
 	case *SwapReply:
 		if !s.hasPending || s.pendingPeer != from || m.Seq != s.seq {

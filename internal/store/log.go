@@ -23,13 +23,16 @@ import (
 // mid-append) is truncated away instead of failing recovery, so a node
 // always comes back with every object it made durable.
 //
-// The hot write path is one sequential write per Put. With Fsync
-// enabled, concurrent writers coalesce into a single fsync (group
-// commit): each Put appends under the log lock, registers a waiter,
-// and the committer goroutine syncs the active segment once for every
-// waiter that appended before the sync — the batch is whoever arrived
-// while the previous fsync was in flight.
-// Deletes append tombstone records so they survive restarts.
+// Every write is one record batch through one writer (write): PutBatch
+// and DeleteBatch encode their put or tombstone records into one buffer,
+// append it as one sequential write and file the records in the index
+// after the append; Put is a PutBatch of one. With Fsync enabled,
+// concurrent writers coalesce into a single fsync (group commit): each
+// batch registers one waiter under the log lock, and the committer
+// goroutine syncs the active segment once for every waiter that
+// appended before the sync — the group is whoever arrived while the
+// previous fsync was in flight. Deletes append tombstone records so
+// they survive restarts.
 //
 // Segments seal at SegmentMaxBytes and a background compactor rewrites
 // the prefix of sealed segments whose live ratio (bytes of records
@@ -41,7 +44,7 @@ import (
 // record in the segments that remain.
 //
 // A compaction pass runs almost entirely outside the store lock so the
-// foreground Put/Get/Delete path never stalls behind segment-sized
+// foreground write and read paths never stall behind segment-sized
 // I/O: live record locations are snapshotted under a brief read lock,
 // segment reads and the copy loop run with no lock held (throttled by
 // CompactRateBytesPerSec), each copied batch is revalidated against
@@ -50,16 +53,15 @@ import (
 //
 // Safe for concurrent use.
 type Log struct {
-	mu   sync.RWMutex
+	lockedIndex[recLoc]
+
 	dir  string
 	dirF *os.File
 	opts LogOptions
 
-	idx    rangeIndex[recLoc]
 	segs   map[uint64]*segment
 	segIDs []uint64 // ascending; last is the active segment
 	active *segment
-	closed bool
 
 	// compactErr is the result of the most recent compaction pass; the
 	// background loop has no caller to return it to.
@@ -71,7 +73,7 @@ type Log struct {
 	// direct Compact calls) without blocking the store lock.
 	compactMu sync.Mutex
 
-	// Group commit: waiters are Puts/Deletes blocked on durability.
+	// Group commit: waiters are write batches blocked on durability.
 	commitMu sync.Mutex
 	waiters  []chan error
 
@@ -87,7 +89,7 @@ var _ StatsProvider = (*Log)(nil)
 // LogOptions tunes the log engine. The zero value is a working
 // configuration: no fsync, 64 MiB segments, compaction below 50% live.
 type LogOptions struct {
-	// Fsync makes Put and Delete block until the record is on stable
+	// Fsync makes every write block until its records are on stable
 	// storage. Concurrent writers share fsyncs via group commit.
 	Fsync bool
 	// SegmentMaxBytes seals the active segment once it reaches this
@@ -155,12 +157,17 @@ type record struct {
 	value   []byte
 }
 
+// recordLen is the encoded size of a record of key and value.
+func recordLen(key string, value []byte) int {
+	return recHeaderLen + recFixedLen + len(key) + len(value)
+}
+
 func appendRecord(dst []byte, typ byte, key string, version uint64, value []byte) []byte {
-	body := recFixedLen + len(key) + len(value)
+	n := recordLen(key, value)
 	start := len(dst)
-	dst = append(dst, make([]byte, recHeaderLen+body)...)
+	dst = append(dst, make([]byte, n)...)
 	b := dst[start:]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(body))
+	binary.LittleEndian.PutUint32(b[0:4], uint32(n-recHeaderLen))
 	p := b[recHeaderLen:]
 	p[0] = typ
 	binary.LittleEndian.PutUint64(p[1:9], version)
@@ -422,167 +429,171 @@ func (l *Log) kickCompact() {
 	}
 }
 
-// validateRecord rejects a put the record format cannot represent: a
-// record the parser would refuse must never be acknowledged — it would
-// read back as corruption and poison replay.
-func validateRecord(key string, value []byte) error {
-	if err := CheckKey(key); err != nil {
-		return err
-	}
-	if len(value) > maxRecBody-recFixedLen-len(key) {
-		return fmt.Errorf("%w: value %d bytes (max %d)", ErrValueTooLarge, len(value), maxRecBody-recFixedLen-len(key))
-	}
-	return nil
+// logRec is one record of a write batch: a put of value under
+// (key, version), or a tombstone of a resolved concrete version.
+type logRec struct {
+	typ     byte
+	k       hkey
+	version uint64
+	value   []byte
 }
 
-// Put implements Store.
-func (l *Log) Put(key string, version uint64, value []byte) error {
-	if ReservedVersion(version) {
-		return ErrBadVersion
-	}
-	if err := validateRecord(key, value); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	k := hashKey(key)
-	e := l.idx.find(k)
-	if e.has(version) {
-		// Idempotent re-put — but under Fsync the caller is being
-		// told the object is durable, and the original record may
-		// still be waiting on its group commit. Join it.
-		var ch chan error
-		if l.opts.Fsync {
-			ch = l.enqueueDurable()
-		}
-		l.mu.Unlock()
-		if ch == nil {
-			return nil
-		}
-		l.kickCommit()
-		return <-ch
-	}
-	rec := appendRecord(nil, recPut, key, version, value)
-	off, err := l.appendLocked(rec)
-	if err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	l.idx.add(e, k, version, recLoc{seg: l.active.id, off: off, len: int64(len(rec))})
-	l.active.live += int64(len(rec))
-	var sealErr error
-	if l.active.size >= l.opts.SegmentMaxBytes {
-		sealErr = l.seal()
-	}
-	var ch chan error
-	if l.opts.Fsync {
-		ch = l.enqueueDurable()
-	}
-	l.mu.Unlock()
-	if sealErr != nil {
-		return sealErr
-	}
-	if ch == nil {
-		return nil
-	}
-	l.kickCommit()
-	return <-ch
-}
+// smallBatch is how many records a batch stages without allocating:
+// every Put, and the short windows a shard commits, fit.
+const smallBatch = 8
 
-// PutBatch implements Store: the whole batch becomes one encoded
-// append buffer written under a single lock acquisition, and — with
-// Fsync — one group-commit waiter, so the cost of durability is paid
-// once per batch instead of once per object.
-func (l *Log) PutBatch(objs []Object) error {
-	if len(objs) == 0 {
-		return nil
-	}
-	for _, o := range objs {
-		if ReservedVersion(o.Version) {
-			return ErrBadVersion
-		}
-		if err := validateRecord(o.Key, o.Value); err != nil {
-			return err
-		}
-	}
-	type entry struct {
-		key hkey
-		ver uint64
-		len int64
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
+// write is the log's one writer, behind PutBatch and DeleteBatch. It
+// encodes recs into one buffer and appends it — split where the active
+// segment fills, so a batch larger than SegmentMaxBytes still rolls
+// bounded segment files — and files each record after its append: a put
+// in the index, a tombstone as the drop of its target (crash ordering: a
+// record may exist without its filing, never the reverse). With Fsync
+// one group-commit waiter covers the batch — records behind a mid-batch
+// seal were synced by the seal — registered when a record was written or
+// wait asks for it. The caller holds mu; write releases it before
+// waiting. filed counts the records filed, a prefix of recs.
+func (l *Log) write(recs []logRec, wait bool) (filed int, err error) {
 	var buf []byte
-	var entries []entry
-	// flush appends the buffered records as one write, indexes them and
-	// rolls the segment when full, so a batch larger than
-	// SegmentMaxBytes still produces bounded segment files.
-	flush := func() error {
-		if len(entries) == 0 {
-			return nil
-		}
+	// flush appends buf, the encoding of recs[filed:to], as one write,
+	// files those records and rolls the segment once it is full.
+	flush := func(to int) error {
 		off, err := l.appendLocked(buf)
 		if err != nil {
 			return err
 		}
-		for _, e := range entries {
-			l.idx.add(l.idx.find(e.key), e.key, e.ver, recLoc{seg: l.active.id, off: off, len: e.len})
-			l.active.live += e.len
-			off += e.len
+		for _, r := range recs[filed:to] {
+			n := int64(recordLen(r.k.key, r.value))
+			if r.typ == recTomb {
+				l.dropIndexed(r.k, r.version)
+			} else {
+				l.idx.add(l.idx.find(r.k), r.k, r.version, recLoc{seg: l.active.id, off: off, len: n})
+				l.active.live += n
+			}
+			off += n
 		}
-		buf, entries = buf[:0], entries[:0]
+		buf, filed = buf[:0], to
 		if l.active.size >= l.opts.SegmentMaxBytes {
 			return l.seal()
 		}
 		return nil
 	}
-	inBatch := make(map[string]map[uint64]bool)
-	for _, o := range objs {
-		k := hashKey(o.Key)
-		if l.idx.find(k).has(o.Version) {
-			continue // idempotent re-put
-		}
-		if inBatch[o.Key][o.Version] {
-			continue // duplicate within the batch
-		}
-		if inBatch[o.Key] == nil {
-			inBatch[o.Key] = make(map[uint64]bool, 1)
-		}
-		inBatch[o.Key][o.Version] = true
+	for i, r := range recs {
 		if len(buf) > 0 && l.active.size+int64(len(buf)) >= l.opts.SegmentMaxBytes {
-			if err := flush(); err != nil {
-				l.mu.Unlock()
-				return err
+			if err = flush(i); err != nil {
+				break
 			}
 		}
-		before := len(buf)
-		buf = appendRecord(buf, recPut, o.Key, o.Version, o.Value)
-		entries = append(entries, entry{key: k, ver: o.Version, len: int64(len(buf) - before)})
+		buf = appendRecord(buf, r.typ, r.k.key, r.version, r.value)
 	}
-	if err := flush(); err != nil {
-		l.mu.Unlock()
-		return err
+	if err == nil && len(buf) > 0 {
+		err = flush(len(recs))
 	}
 	var ch chan error
-	if l.opts.Fsync {
-		// One waiter covers the batch: every record was appended before
-		// the committer's next fsync of the active segment (records
-		// behind a mid-batch seal were synced by the seal itself). An
-		// all-duplicate batch still joins the group commit, like Put.
+	if err == nil && l.opts.Fsync && (filed > 0 || wait) {
 		ch = l.enqueueDurable()
 	}
 	l.mu.Unlock()
-	if ch == nil {
+	if ch != nil {
+		l.kickCommit()
+		err = <-ch
+	}
+	return filed, err
+}
+
+// Put implements Store: a batch of one.
+func (l *Log) Put(key string, version uint64, value []byte) error {
+	return l.PutBatch([]Object{{Key: key, Version: version, Value: value}})
+}
+
+// PutBatch implements Store: the objects not yet stored, each pair
+// once, become one write. A batch with nothing new still joins the
+// group commit under Fsync: the caller is being told its objects are
+// durable, and their records may still be waiting on theirs.
+func (l *Log) PutBatch(objs []Object) error {
+	for _, o := range objs {
+		if err := CheckObject(o.Key, o.Version, o.Value); err != nil {
+			return err
+		}
+	}
+	if len(objs) == 0 {
 		return nil
 	}
-	l.kickCommit()
-	return <-ch
+	var staged map[Ref]bool // pairs already in recs; a batch of one needs none
+	if len(objs) > 1 {
+		staged = make(map[Ref]bool, len(objs))
+	}
+	var small [smallBatch]logRec
+	recs := small[:0]
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return ErrClosed
+	}
+	for _, o := range objs {
+		k, ref := hashKey(o.Key), Ref{Key: o.Key, Version: o.Version}
+		if staged[ref] || l.idx.find(k).has(o.Version) {
+			continue
+		}
+		if staged != nil {
+			staged[ref] = true
+		}
+		recs = append(recs, logRec{typ: recPut, k: k, version: o.Version, value: o.Value})
+	}
+	_, err := l.write(recs, true)
+	return err
+}
+
+// DeleteBatch implements Store: every item that names a stored pair
+// becomes a tombstone of one write. A Latest item resolves to the newest
+// version the batch does not already delete.
+func (l *Log) DeleteBatch(items []Deletion) ([]bool, error) {
+	existed := make([]bool, len(items))
+	if len(items) == 0 {
+		return existed, nil
+	}
+	var staged map[Ref]bool // pairs already tombstoned in recs
+	if len(items) > 1 {
+		staged = make(map[Ref]bool, len(items))
+	}
+	var small [smallBatch]logRec
+	recs := small[:0]
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return existed, ErrClosed
+	}
+	for i, it := range items {
+		k, ref, ok := hashKey(it.Key), Ref{Key: it.Key, Version: it.Version}, false
+		if e := l.idx.find(k); e != nil && ref.Version == Latest {
+			for j := len(e.versions) - 1; j >= 0 && !ok; j-- {
+				ref.Version = e.versions[j]
+				ok = !staged[ref]
+			}
+		} else {
+			ok = e.has(ref.Version) && !staged[ref]
+		}
+		if !ok {
+			continue
+		}
+		if staged != nil {
+			staged[ref] = true
+		}
+		existed[i] = true
+		recs = append(recs, logRec{typ: recTomb, k: k, version: ref.Version})
+	}
+	// No tombstone → nothing to make durable: an all-absent batch (a DEL
+	// of missing keys) does not stall its caller for a full fsync.
+	filed, err := l.write(recs, false)
+	l.kickCompact()
+	for i := range existed {
+		// Records were staged in item order: the filed prefix is what
+		// the batch removed.
+		if existed[i] {
+			existed[i] = filed > 0
+			filed--
+		}
+	}
+	return existed, err
 }
 
 // Get implements Store. The record is re-verified against its checksum
@@ -607,122 +618,6 @@ func (l *Log) Get(key string, version uint64) ([]byte, uint64, bool, error) {
 		return nil, 0, false, fmt.Errorf("%w: %q version %d", ErrCorrupt, key, v)
 	}
 	return rec.value, v, true, nil
-}
-
-// Versions implements Store.
-func (l *Log) Versions(key string) ([]uint64, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if l.closed {
-		return nil, ErrClosed
-	}
-	return l.idx.versionsOf(key), nil
-}
-
-// Delete implements Store. It appends a tombstone record so the delete
-// survives restarts, then drops the version from the index. Version
-// Latest resolves to the newest stored version, mirroring Get; the
-// tombstone always carries the resolved concrete version.
-func (l *Log) Delete(key string, version uint64) (bool, error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return false, ErrClosed
-	}
-	k := hashKey(key)
-	_, version, ok := l.idx.get(k, version)
-	if !ok {
-		l.mu.Unlock()
-		return false, nil
-	}
-	rec := appendRecord(nil, recTomb, key, version, nil)
-	if _, err := l.appendLocked(rec); err != nil {
-		l.mu.Unlock()
-		return false, err
-	}
-	l.dropIndexed(k, version)
-	var sealErr error
-	if l.active.size >= l.opts.SegmentMaxBytes {
-		sealErr = l.seal()
-	}
-	var ch chan error
-	if l.opts.Fsync {
-		ch = l.enqueueDurable()
-	}
-	l.mu.Unlock()
-	l.kickCompact()
-	if sealErr != nil {
-		return false, sealErr
-	}
-	if ch == nil {
-		return true, nil
-	}
-	l.kickCommit()
-	if err := <-ch; err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// DeleteBatch implements Store: every tombstone is appended under one
-// lock acquisition and ONE group-commit fsync covers the whole batch —
-// the same asymmetry-removal PutBatch provides for writes. Latest
-// resolves per item against the not-yet-deleted state, so two Latest
-// items for one key remove its two newest versions.
-func (l *Log) DeleteBatch(items []Deletion) ([]bool, error) {
-	existed := make([]bool, len(items))
-	if len(items) == 0 {
-		return existed, nil
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return existed, ErrClosed
-	}
-	var rec []byte
-	appended := false
-	for i, it := range items {
-		k := hashKey(it.Key)
-		_, version, ok := l.idx.get(k, it.Version)
-		if !ok {
-			continue
-		}
-		// Append before dropping the index entry (crash ordering: a
-		// tombstone may exist without the drop, never the reverse).
-		rec = appendRecord(rec[:0], recTomb, it.Key, version, nil)
-		if _, err := l.appendLocked(rec); err != nil {
-			l.mu.Unlock()
-			l.kickCompact()
-			return existed, err
-		}
-		l.dropIndexed(k, version)
-		existed[i] = true
-		appended = true
-		if l.active.size >= l.opts.SegmentMaxBytes {
-			if err := l.seal(); err != nil {
-				l.mu.Unlock()
-				l.kickCompact()
-				return existed, err
-			}
-		}
-	}
-	var ch chan error
-	if l.opts.Fsync && appended {
-		// No tombstone appended → nothing to make durable; skipping the
-		// group-commit wait keeps an all-absent batch (a DEL of missing
-		// keys) from stalling the caller for a full fsync.
-		ch = l.enqueueDurable()
-	}
-	l.mu.Unlock()
-	l.kickCompact()
-	if ch == nil {
-		return existed, nil
-	}
-	l.kickCommit()
-	if err := <-ch; err != nil {
-		return existed, err
-	}
-	return existed, nil
 }
 
 // StreamObjects implements Store: the repair read path. Each record is
@@ -774,38 +669,6 @@ func (l *Log) StreamObjects(refs []Ref, fn func(o Object) bool) (int, error) {
 		}
 	}
 	return corrupt, nil
-}
-
-// ForEach implements Store.
-func (l *Log) ForEach(fn func(key string, version uint64) bool) error {
-	return l.ForEachIn(AllRanges(), fn)
-}
-
-// ForEachIn implements Store.
-func (l *Log) ForEachIn(ranges RangeSet, fn func(key string, version uint64) bool) error {
-	l.mu.RLock()
-	if l.closed {
-		l.mu.RUnlock()
-		return ErrClosed
-	}
-	snapshot := l.idx.snapshot(ranges)
-	l.mu.RUnlock()
-	snapshot.visit(fn)
-	return nil
-}
-
-// RangeSums implements Store.
-func (l *Log) RangeSums() RangeSums {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.idx.sums
-}
-
-// Count implements Store.
-func (l *Log) Count() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.idx.count
 }
 
 // SegmentCount returns how many segment files the log currently has

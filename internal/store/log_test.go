@@ -244,7 +244,7 @@ func TestLogTombstonesSurviveReopen(t *testing.T) {
 	}
 	_ = l.Put("k", 1, []byte("doomed"))
 	_ = l.Put("k", 2, []byte("kept"))
-	if _, err := l.Delete("k", 1); err != nil {
+	if _, err := deleteOne(l, "k", 1); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -293,7 +293,7 @@ func TestLogSegmentRollAndCompaction(t *testing.T) {
 	}
 	// Kill most objects; the sealed segments' live ratio collapses.
 	for i := 0; i < 36; i++ {
-		if _, err := l.Delete(fmt.Sprintf("k%02d", i), 1); err != nil {
+		if _, err := deleteOne(l, fmt.Sprintf("k%02d", i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -410,16 +410,13 @@ func TestLogRejectsOversizedValue(t *testing.T) {
 	}
 	defer l.Close()
 	// A record the parser would reject must be refused at Put time,
-	// not acknowledged and then unreadable. Probe the boundary without
-	// allocating a gigabyte: a value just over the limit for its key.
+	// not acknowledged and then unreadable: hugeValue is one byte over
+	// MaxValueLen.
 	huge := make([]byte, 16)
 	if err := l.Put("k", 1, huge); err != nil {
 		t.Fatalf("small value refused: %v", err)
 	}
-	// The oversized buffer is never touched (the size check fires
-	// before encoding), so the 1 GiB allocation stays lazy zero pages.
-	over := make([]byte, maxRecBody-recFixedLen-len("k")+1)
-	if err := l.Put("k", 2, over); !errors.Is(err, ErrValueTooLarge) {
+	if err := l.Put("k", 2, hugeValue()); !errors.Is(err, ErrValueTooLarge) {
 		t.Fatalf("oversized value err = %v, want ErrValueTooLarge", err)
 	}
 	// Keys have their own bound, exact at MaxKeyLen.
@@ -535,7 +532,7 @@ func TestLogDeleteLatestSurvivesReopen(t *testing.T) {
 	}
 	_ = l.Put("k", 1, []byte("old"))
 	_ = l.Put("k", 5, []byte("new"))
-	if _, err := l.Delete("k", Latest); err != nil {
+	if _, err := deleteOne(l, "k", Latest); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -607,7 +604,7 @@ func TestLogConcurrentOpsDuringCompaction(t *testing.T) {
 					return
 				}
 				if i > 0 && i%3 == 0 {
-					if _, err := l.Delete(key, ver); err != nil {
+					if _, err := deleteOne(l, key, ver); err != nil {
 						errCh <- fmt.Errorf("delete: %w", err)
 						return
 					}
@@ -638,7 +635,7 @@ func TestLogConcurrentOpsDuringCompaction(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			key := fmt.Sprintf("w%d-k%d", w, i)
 			for _, v := range mustVersions(t, l, key) {
-				if _, err := l.Delete(key, v); err != nil {
+				if _, err := deleteOne(l, key, v); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -700,7 +697,7 @@ func TestLogCompactionDoesNotBlockForeground(t *testing.T) {
 	// first 32 KiB segment and then owes the throttle ~4s — long after
 	// this test is done, and before it may remove anything.
 	for i := 0; i < 270; i++ {
-		if _, err := l.Delete(fmt.Sprintf("k%04d", i), 1); err != nil {
+		if _, err := deleteOne(l, fmt.Sprintf("k%04d", i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -799,7 +796,7 @@ func TestPersistentEnginesRecoverAfterReopen(t *testing.T) {
 			_ = s.Put("persist", 3, []byte("across restarts"))
 			_ = s.Put("persist", 5, []byte("newer"))
 			_ = s.Put("other", 1, []byte("x"))
-			if _, err := s.Delete("other", 1); err != nil {
+			if _, err := deleteOne(s, "other", 1); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Close(); err != nil {

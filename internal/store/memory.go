@@ -1,58 +1,28 @@
 package store
 
-import "sync"
-
 // Memory is the in-memory engine: the shared header index with the
 // value bytes as its per-version payload. Values are copied on the way
 // in and out, so callers can never alias internal buffers. Safe for
 // concurrent use.
 type Memory struct {
-	mu     sync.RWMutex
-	idx    rangeIndex[[]byte]
-	closed bool
-
-	// maxVersionsPerKey, when positive, garbage-collects the oldest
-	// versions beyond the cap. Zero keeps everything (the paper's
-	// model).
-	maxVersionsPerKey int
+	lockedIndex[[]byte]
 }
 
 var _ Store = (*Memory)(nil)
 
 // NewMemory creates an empty memory store that keeps every version.
-func NewMemory() *Memory { return NewMemoryCapped(0) }
+func NewMemory() *Memory { return &Memory{} }
 
-// NewMemoryCapped creates a memory store keeping at most maxVersions
-// per key (0 = unlimited).
-func NewMemoryCapped(maxVersions int) *Memory {
-	return &Memory{maxVersionsPerKey: maxVersions}
-}
-
-// Put implements Store.
+// Put implements Store: a batch of one.
 func (m *Memory) Put(key string, version uint64, value []byte) error {
-	if ReservedVersion(version) {
-		return ErrBadVersion
-	}
-	if err := CheckKey(key); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.putLocked(key, version, value)
-	return nil
+	return m.PutBatch([]Object{{Key: key, Version: version, Value: value}})
 }
 
-// PutBatch implements Store: the batch is validated up front and
-// applied under one lock acquisition.
+// PutBatch implements Store, the engine's one put path: the batch is
+// checked up front and applied under one lock acquisition.
 func (m *Memory) PutBatch(objs []Object) error {
 	for _, o := range objs {
-		if ReservedVersion(o.Version) {
-			return ErrBadVersion
-		}
-		if err := CheckKey(o.Key); err != nil {
+		if err := CheckObject(o.Key, o.Version, o.Value); err != nil {
 			return err
 		}
 	}
@@ -62,27 +32,16 @@ func (m *Memory) PutBatch(objs []Object) error {
 		return ErrClosed
 	}
 	for _, o := range objs {
-		m.putLocked(o.Key, o.Version, o.Value)
+		k := hashKey(o.Key)
+		e := m.idx.find(k)
+		if e.has(o.Version) {
+			continue // idempotent re-put
+		}
+		buf := make([]byte, len(o.Value))
+		copy(buf, o.Value)
+		m.idx.add(e, k, o.Version, buf)
 	}
 	return nil
-}
-
-// putLocked stores one object. Caller holds mu and has validated the
-// key and version.
-func (m *Memory) putLocked(key string, version uint64, value []byte) {
-	k := hashKey(key)
-	e := m.idx.find(k)
-	if e.has(version) {
-		return // idempotent re-put
-	}
-	buf := make([]byte, len(value))
-	copy(buf, value)
-	e = m.idx.add(e, k, version, buf)
-	if m.maxVersionsPerKey > 0 {
-		for len(e.versions) > m.maxVersionsPerKey {
-			m.idx.remove(k, e.versions[0])
-		}
-	}
 }
 
 // Get implements Store.
@@ -101,29 +60,8 @@ func (m *Memory) Get(key string, version uint64) ([]byte, uint64, bool, error) {
 	return out, v, true, nil
 }
 
-// Versions implements Store.
-func (m *Memory) Versions(key string) ([]uint64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
-	return m.idx.versionsOf(key), nil
-}
-
-// Delete implements Store. Version Latest resolves to the newest
-// stored version, mirroring Get.
-func (m *Memory) Delete(key string, version uint64) (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false, ErrClosed
-	}
-	return m.deleteLocked(key, version), nil
-}
-
 // DeleteBatch implements Store: the whole batch under one lock
-// acquisition.
+// acquisition, each item applied before the next resolves.
 func (m *Memory) DeleteBatch(items []Deletion) ([]bool, error) {
 	existed := make([]bool, len(items))
 	m.mu.Lock()
@@ -132,20 +70,13 @@ func (m *Memory) DeleteBatch(items []Deletion) ([]bool, error) {
 		return existed, ErrClosed
 	}
 	for i, it := range items {
-		existed[i] = m.deleteLocked(it.Key, it.Version)
+		k := hashKey(it.Key)
+		if _, version, ok := m.idx.get(k, it.Version); ok {
+			m.idx.remove(k, version)
+			existed[i] = true
+		}
 	}
 	return existed, nil
-}
-
-// deleteLocked removes one version (Latest resolves to the newest) and
-// reports whether it existed. Caller holds mu.
-func (m *Memory) deleteLocked(key string, version uint64) bool {
-	k := hashKey(key)
-	_, version, ok := m.idx.get(k, version)
-	if ok {
-		m.idx.remove(k, version)
-	}
-	return ok
 }
 
 // StreamObjects implements Store. The values handed to fn alias the
@@ -174,38 +105,6 @@ func (m *Memory) StreamObjects(refs []Ref, fn func(o Object) bool) (int, error) 
 		}
 	}
 	return 0, nil
-}
-
-// ForEach implements Store.
-func (m *Memory) ForEach(fn func(key string, version uint64) bool) error {
-	return m.ForEachIn(AllRanges(), fn)
-}
-
-// ForEachIn implements Store.
-func (m *Memory) ForEachIn(ranges RangeSet, fn func(key string, version uint64) bool) error {
-	m.mu.RLock()
-	if m.closed {
-		m.mu.RUnlock()
-		return ErrClosed
-	}
-	snapshot := m.idx.snapshot(ranges)
-	m.mu.RUnlock()
-	snapshot.visit(fn)
-	return nil
-}
-
-// RangeSums implements Store.
-func (m *Memory) RangeSums() RangeSums {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.idx.sums
-}
-
-// Count implements Store.
-func (m *Memory) Count() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.idx.count
 }
 
 // Close implements Store.

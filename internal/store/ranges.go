@@ -2,6 +2,7 @@ package store
 
 import (
 	"sort"
+	"sync"
 
 	"dataflasks/internal/hashmix"
 )
@@ -210,4 +211,51 @@ func (x *rangeIndex[T]) snapshot(set RangeSet) *headerSnapshot {
 		}
 	}
 	return h
+}
+
+// lockedIndex is what both engines are built on: the header index, the
+// lock that guards it and the closed flag, with the Store reads that
+// need nothing but headers. Each engine embeds it and adds what its
+// payload serves (Get, StreamObjects) and its writer.
+type lockedIndex[T any] struct {
+	mu     sync.RWMutex
+	idx    rangeIndex[T]
+	closed bool
+}
+
+// Versions implements Store.
+func (x *lockedIndex[T]) Versions(key string) ([]uint64, error) {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	if x.closed {
+		return nil, ErrClosed
+	}
+	return x.idx.versionsOf(key), nil
+}
+
+// ForEachIn implements Store.
+func (x *lockedIndex[T]) ForEachIn(ranges RangeSet, fn func(key string, version uint64) bool) error {
+	x.mu.RLock()
+	if x.closed {
+		x.mu.RUnlock()
+		return ErrClosed
+	}
+	snapshot := x.idx.snapshot(ranges)
+	x.mu.RUnlock()
+	snapshot.visit(fn)
+	return nil
+}
+
+// RangeSums implements Store.
+func (x *lockedIndex[T]) RangeSums() RangeSums {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return x.idx.sums
+}
+
+// Count implements Store.
+func (x *lockedIndex[T]) Count() int {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return x.idx.count
 }

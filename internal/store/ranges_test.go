@@ -13,22 +13,22 @@ import (
 func scannedSums(t *testing.T, s Store) RangeSums {
 	t.Helper()
 	var sums RangeSums
-	err := s.ForEach(func(key string, version uint64) bool {
+	err := s.ForEachIn(AllRanges(), func(key string, version uint64) bool {
 		r, h := HeaderSum(key, version)
 		sums[r].XOR ^= h
 		sums[r].Count++
 		return true
 	})
 	if err != nil {
-		t.Fatalf("ForEach: %v", err)
+		t.Fatalf("ForEachIn: %v", err)
 	}
 	return sums
 }
 
 // checkRanges asserts the three range invariants on one engine: the
-// maintained sums equal the scanned ones, ForEach visits Count headers
-// in (key, version) order, and ForEachIn(set) visits exactly the
-// headers of ForEach that fall in set, in the same order.
+// maintained sums equal the scanned ones, a walk of AllRanges visits
+// Count headers in (key, version) order, and ForEachIn(set) visits
+// exactly the headers of that walk that fall in set, in the same order.
 func checkRanges(t *testing.T, label string, s Store, rng *rand.Rand) {
 	t.Helper()
 	sums, scanned := s.RangeSums(), scannedSums(t, s)
@@ -38,17 +38,17 @@ func checkRanges(t *testing.T, label string, s Store, rng *rand.Rand) {
 		}
 	}
 	var all []Ref
-	_ = s.ForEach(func(key string, version uint64) bool {
+	_ = s.ForEachIn(AllRanges(), func(key string, version uint64) bool {
 		all = append(all, Ref{key, version})
 		return true
 	})
 	if len(all) != s.Count() {
-		t.Fatalf("%s: ForEach visited %d headers, Count = %d", label, len(all), s.Count())
+		t.Fatalf("%s: ForEachIn visited %d headers, Count = %d", label, len(all), s.Count())
 	}
 	for i := 1; i < len(all); i++ {
 		a, b := all[i-1], all[i]
 		if a.Key > b.Key || (a.Key == b.Key && a.Version >= b.Version) {
-			t.Fatalf("%s: ForEach out of (key, version) order: %v before %v", label, a, b)
+			t.Fatalf("%s: ForEachIn out of (key, version) order: %v before %v", label, a, b)
 		}
 	}
 	var set RangeSet
@@ -123,7 +123,7 @@ func TestRangeSumsFollowEveryMutation(t *testing.T) {
 					if rng.IntN(3) == 0 {
 						v = Latest
 					}
-					both(func(s Store) error { _, err := s.Delete(k, v); return err })
+					both(func(s Store) error { _, err := deleteOne(s, k, v); return err })
 				case op < 8:
 					items := make([]Deletion, 1+rng.IntN(8))
 					for i := range items {
@@ -183,33 +183,8 @@ func TestRangeSumsFollowEveryMutation(t *testing.T) {
 	}
 }
 
-// TestRangeSumsFollowMemoryVersionCap: the versions the memory engine's
-// per-key cap collects leave the sums like any other removal.
-func TestRangeSumsFollowMemoryVersionCap(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 7))
-	capped := NewMemoryCapped(2)
-	for i := 0; i < 300; i++ {
-		if err := capped.Put(fmt.Sprintf("key%02d", rng.IntN(20)), uint64(1+rng.IntN(50)), nil); err != nil {
-			t.Fatal(err)
-		}
-		checkRanges(t, fmt.Sprint("put ", i), capped, rng)
-	}
-	// The same final object set, stored without a cap, fingerprints alike.
-	plain := NewMemory()
-	_ = capped.ForEach(func(key string, version uint64) bool {
-		_ = plain.Put(key, version, nil)
-		return true
-	})
-	if capped.RangeSums() != plain.RangeSums() {
-		t.Fatal("capped engine fingerprints differently from an uncapped one holding the same objects")
-	}
-	if capped.Count() > 40 {
-		t.Fatalf("cap of 2 versions on 20 keys left %d objects", capped.Count())
-	}
-}
-
 // TestRangeSumsConcurrentWriters hammers both engines with overlapping
-// PutBatch, Delete and the three readers from several goroutines (run
+// PutBatch, DeleteBatch and the three readers from several goroutines (run
 // it under -race): the sums settle on what a scan finds.
 func TestRangeSumsConcurrentWriters(t *testing.T) {
 	for name, s := range engines(t) {
@@ -230,8 +205,8 @@ func TestRangeSumsConcurrentWriters(t *testing.T) {
 							t.Errorf("PutBatch: %v", err)
 							return
 						}
-						if _, err := s.Delete(batch[0].Key, Latest); err != nil {
-							t.Errorf("Delete: %v", err)
+						if _, err := deleteOne(s, batch[0].Key, Latest); err != nil {
+							t.Errorf("DeleteBatch: %v", err)
 							return
 						}
 						_ = s.RangeSums()

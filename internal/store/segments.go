@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 )
 
 // Segment streaming: the bulk-transfer read path behind bootstrap and
@@ -300,23 +299,14 @@ func appendObjectRecord(dst []byte, o Object, tomb bool) []byte {
 }
 
 // synthCollect snapshots a header list in (key, version) order — the
-// deterministic record order of a synthetic segment.
+// deterministic record order of a synthetic segment, and ForEachIn's.
 func synthCollect(st Store) ([]Ref, error) {
 	var refs []Ref
-	err := st.ForEach(func(key string, version uint64) bool {
+	err := st.ForEachIn(AllRanges(), func(key string, version uint64) bool {
 		refs = append(refs, Ref{Key: key, Version: version})
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Key != refs[j].Key {
-			return refs[i].Key < refs[j].Key
-		}
-		return refs[i].Version < refs[j].Version
-	})
-	return refs, nil
+	return refs, err
 }
 
 // synthSegments builds the single-entry manifest of a synthetic

@@ -412,7 +412,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	deleted := map[Ref]bool{}
 	for i := 0; i < 10; i++ {
 		o := objs[i*7]
-		if _, err := l.Delete(o.Key, o.Version); err != nil {
+		if _, err := deleteOne(l, o.Key, o.Version); err != nil {
 			t.Fatal(err)
 		}
 		deleted[Ref{Key: o.Key, Version: o.Version}] = true

@@ -11,6 +11,12 @@
 // for anything with a data directory — its batched sequential writes
 // carry the persistence DataFlasks owes the soft-state layer above it
 // (§III) at epidemic replication rates.
+//
+// Every mutation is a batch: PutBatch and DeleteBatch are each engine's
+// one writer (Put is a PutBatch of one), and CheckObject is the one rule
+// for what an engine stores — the engines apply it to every batch, and
+// the node applies it where objects enter, so a batch never carries an
+// object no engine would take.
 package store
 
 import (
@@ -53,24 +59,42 @@ type Ref struct {
 	Version uint64
 }
 
-// ReservedVersion reports whether v is a sentinel no object may be
-// stored under — every engine's Put/PutBatch rejects these, so a
-// poisoned write can never shadow Latest reads or alias the delete
-// sentinels.
-func ReservedVersion(v uint64) bool { return v == Latest || v == AllVersions }
-
 // MaxKeyLen is the longest key, in bytes, any engine stores — the
 // bound every deployed cluster already enforces. The log record's u16
 // key-length field could represent more; widening the bound would
 // change which puts a cluster accepts, so it stays.
 const MaxKeyLen = 128
 
+// MaxValueLen is the longest value, in bytes, any engine stores: what
+// the log record format represents beside a key of MaxKeyLen.
+const MaxValueLen = maxRecBody - recFixedLen - MaxKeyLen
+
 // CheckKey returns ErrKeyTooLong, wrapped with the sizes, for a key over
-// MaxKeyLen: the one key rule, applied by every engine's Put and
-// PutBatch and by the client before it sends anything.
+// MaxKeyLen: the key half of CheckObject, which the client also applies
+// to reads (a key no replica can hold is a miss known without asking).
 func CheckKey(key string) error {
 	if len(key) > MaxKeyLen {
 		return fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLong, len(key), MaxKeyLen)
+	}
+	return nil
+}
+
+// CheckObject is the one object rule: it refuses what no engine stores
+// — a reserved version (Latest, AllVersions: a poisoned write could
+// shadow Latest reads or alias the delete sentinels), a key over
+// MaxKeyLen, a value over MaxValueLen. Both engines apply it to every
+// object of a batch before storing any; the client, the shard's put
+// entry and anti-entropy's Push apply it where objects enter, so an
+// object that would fail a batch never joins one.
+func CheckObject(key string, version uint64, value []byte) error {
+	if version == Latest || version == AllVersions {
+		return ErrBadVersion
+	}
+	if err := CheckKey(key); err != nil {
+		return err
+	}
+	if len(value) > MaxValueLen {
+		return fmt.Errorf("%w: %d bytes (max %d)", ErrValueTooLarge, len(value), MaxValueLen)
 	}
 	return nil
 }
@@ -126,39 +150,36 @@ type SegmentChunk struct {
 // anti-entropy and test harnesses may touch the store from different
 // goroutines in live deployments.
 type Store interface {
-	// Put stores value under (key, version). Storing an existing
-	// (key, version) pair again is idempotent: the upper layer totally
-	// orders puts, so equal pairs carry equal values and the second
-	// write is a no-op.
+	// Put stores value under (key, version): a PutBatch of one object.
+	// It stays beside PutBatch so a store decorator can time a lone put
+	// apart from a batch.
 	Put(key string, version uint64, value []byte) error
 	// PutBatch stores a batch of objects in one engine call: one lock
-	// acquisition, and in the log engine one encoded append plus one
-	// group-commit fsync for the whole batch. Each engine applies its
-	// own Put validation rules to every object before storing any, so
-	// an object the engine's Put would reject (the reserved version or
-	// a key over MaxKeyLen everywhere; an oversized value where the
-	// engine has such a limit) fails the batch with no side effects;
-	// an I/O failure mid-batch may leave a prefix applied. Objects
-	// already present are skipped like idempotent re-puts.
+	// acquisition and, in the log engine, one encoded append plus one
+	// group-commit fsync for the whole batch. Every object is checked
+	// against CheckObject before any is stored, so an invalid object
+	// fails the batch with no side effects. Storing an existing
+	// (key, version) pair again is idempotent — the upper layer totally
+	// orders puts, so equal pairs carry equal values — and a pair
+	// repeated within the batch is stored once. An I/O failure leaves
+	// nothing of the batch applied unless the batch spans a segment
+	// roll, which may leave a prefix.
 	PutBatch(objs []Object) error
 	// Get returns the value at (key, version); version Latest returns
 	// the highest stored version. ok is false when absent.
 	Get(key string, version uint64) (value []byte, actualVersion uint64, ok bool, err error)
 	// Versions returns the stored versions of key in ascending order.
 	Versions(key string) ([]uint64, error)
-	// Delete removes one version of key; version Latest removes the
-	// newest stored version (mirroring Get). It is a no-op when
-	// absent; existed reports whether anything was actually removed
-	// (batch deletes and the RESP gateway's DEL count rely on it).
-	Delete(key string, version uint64) (existed bool, err error)
-	// DeleteBatch removes a batch of (key, version) pairs in one
-	// engine call — mirroring PutBatch: one lock acquisition and, in
-	// the log engine, one group-commit fsync for every tombstone
-	// instead of one per pair. Item versions may be Latest, resolved
-	// in item order against the not-yet-deleted state. existed[i]
-	// reports whether item i removed anything; an I/O failure
-	// mid-batch may leave a prefix applied (existed reflects what
-	// was).
+	// DeleteBatch removes a batch of (key, version) pairs in one engine
+	// call — mirroring PutBatch: one lock acquisition and, in the log
+	// engine, one append of every tombstone and one group-commit fsync.
+	// Item versions may be Latest, resolved in item order against the
+	// stored versions less those the batch deletes before it, so two
+	// Latest items for one key remove its two newest versions. existed[i]
+	// reports whether item i removed anything (batch acks and the RESP
+	// gateway's DEL count rely on it); absent items are no-ops. An I/O
+	// failure applies nothing unless the batch spans a segment roll,
+	// which may leave a prefix (existed reflects what was).
 	DeleteBatch(items []Deletion) (existed []bool, err error)
 	// StreamObjects reads the values of the listed (key, version)
 	// pairs and calls fn once per pair found, in list order. It is the
@@ -193,9 +214,6 @@ type Store interface {
 	// it keeps and must not call back into the store. Returning false
 	// from fn stops the whole stream early.
 	StreamSegments(refs []SegmentRef, fn func(c SegmentChunk) bool) error
-	// ForEach visits every stored object header (no value):
-	// ForEachIn(AllRanges(), fn).
-	ForEach(fn func(key string, version uint64) bool) error
 	// ForEachIn visits the headers of the selected key-hash ranges in
 	// (key, version) order; returning false stops iteration. The engine
 	// copies the selected ranges' headers under its read lock — held for
@@ -205,7 +223,7 @@ type Store interface {
 	ForEachIn(ranges RangeSet, fn func(key string, version uint64) bool) error
 	// RangeSums returns the per-range fingerprint of the stored headers
 	// (zero once closed). The engines maintain it where a header enters
-	// or leaves their index — puts, deletes, a version cap, replay — so
+	// or leaves their index — the writer and replay — so
 	// the call costs one copy of NumRanges sums and never a scan; two
 	// engines holding the same object set return equal sums.
 	RangeSums() RangeSums
@@ -276,12 +294,11 @@ var (
 	// ErrKeyTooLong reports a key longer than MaxKeyLen.
 	ErrKeyTooLong = errors.New("store: key too long")
 	// ErrBadVersion reports a reserved sentinel (Latest, AllVersions)
-	// used as a concrete version in Put.
+	// used as the version of an object to store.
 	ErrBadVersion = fmt.Errorf("store: versions %d and %d are reserved", AllVersions, Latest)
 	// ErrCorrupt reports a record that fails checksum or structural
 	// verification; a corrupt record is never served as data.
 	ErrCorrupt = errors.New("store: corrupt record")
-	// ErrValueTooLarge reports a value exceeding an engine's record
-	// size limit.
+	// ErrValueTooLarge reports a value longer than MaxValueLen.
 	ErrValueTooLarge = errors.New("store: value too large")
 )

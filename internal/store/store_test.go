@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
-	"testing/quick"
 )
 
 // engines returns a fresh instance of every Store implementation; the
@@ -142,13 +144,24 @@ func TestStoreIdempotentPut(t *testing.T) {
 	}
 }
 
+// hugeValue is one byte over MaxValueLen, for the tests that probe the
+// bound. It is allocated once and kept, and no check reads its bytes, so
+// the gigabyte stays untouched zero pages.
+var hugeValue = sync.OnceValue(func() []byte { return make([]byte, MaxValueLen+1) })
+
+// deleteOne is a DeleteBatch of one item.
+func deleteOne(s Store, key string, version uint64) (bool, error) {
+	existed, err := s.DeleteBatch([]Deletion{{Key: key, Version: version}})
+	return existed[0], err
+}
+
 func TestStoreDelete(t *testing.T) {
 	for name, s := range engines(t) {
 		t.Run(name, func(t *testing.T) {
 			defer s.Close()
 			_ = s.Put("k", 1, []byte("a"))
 			_ = s.Put("k", 2, []byte("b"))
-			if existed, err := s.Delete("k", 1); err != nil || !existed {
+			if existed, err := deleteOne(s, "k", 1); err != nil || !existed {
 				t.Fatalf("delete present version: existed=%v err=%v", existed, err)
 			}
 			if _, _, ok, _ := s.Get("k", 1); ok {
@@ -157,10 +170,10 @@ func TestStoreDelete(t *testing.T) {
 			if _, _, ok, _ := s.Get("k", 2); !ok {
 				t.Error("sibling version vanished")
 			}
-			if existed, err := s.Delete("k", 1); err != nil || existed {
+			if existed, err := deleteOne(s, "k", 1); err != nil || existed {
 				t.Errorf("double delete: existed=%v err=%v", existed, err)
 			}
-			if existed, err := s.Delete("ghost", 1); err != nil || existed {
+			if existed, err := deleteOne(s, "ghost", 1); err != nil || existed {
 				t.Errorf("delete missing key: existed=%v err=%v", existed, err)
 			}
 			if s.Count() != 1 {
@@ -170,7 +183,7 @@ func TestStoreDelete(t *testing.T) {
 	}
 }
 
-// TestStoreDeleteLatest pins the Delete(key, Latest) semantics: it
+// TestStoreDeleteLatest pins the Latest deletion semantics: it
 // resolves to the newest stored version, mirroring Get, instead of
 // being a silent no-op (Latest is never a stored version).
 func TestStoreDeleteLatest(t *testing.T) {
@@ -179,26 +192,26 @@ func TestStoreDeleteLatest(t *testing.T) {
 			defer s.Close()
 			_ = s.Put("k", 2, []byte("old"))
 			_ = s.Put("k", 5, []byte("new"))
-			if _, err := s.Delete("k", Latest); err != nil {
-				t.Fatalf("Delete(Latest): %v", err)
+			if _, err := deleteOne(s, "k", Latest); err != nil {
+				t.Fatalf("delete Latest: %v", err)
 			}
 			if _, _, ok, _ := s.Get("k", 5); ok {
-				t.Fatal("newest version survived Delete(Latest)")
+				t.Fatal("newest version survived the Latest delete")
 			}
 			if val, _, ok, _ := s.Get("k", 2); !ok || string(val) != "old" {
 				t.Fatalf("older version lost: %q %v", val, ok)
 			}
-			if _, err := s.Delete("k", Latest); err != nil {
-				t.Fatalf("second Delete(Latest): %v", err)
+			if _, err := deleteOne(s, "k", Latest); err != nil {
+				t.Fatalf("second Latest delete: %v", err)
 			}
 			if s.Count() != 0 {
 				t.Fatalf("Count = %d after deleting every version", s.Count())
 			}
-			if _, err := s.Delete("k", Latest); err != nil {
-				t.Errorf("Delete(Latest) on empty key errored: %v", err)
+			if _, err := deleteOne(s, "k", Latest); err != nil {
+				t.Errorf("Latest delete on empty key errored: %v", err)
 			}
-			if _, err := s.Delete("ghost", Latest); err != nil {
-				t.Errorf("Delete(Latest) on missing key errored: %v", err)
+			if _, err := deleteOne(s, "ghost", Latest); err != nil {
+				t.Errorf("Latest delete on missing key errored: %v", err)
 			}
 		})
 	}
@@ -293,9 +306,10 @@ func TestStoreDeleteBatch(t *testing.T) {
 }
 
 // TestStorePutBatchValidatesUpfront pins the all-or-nothing contract
-// for statically invalid batches: an object Put would refuse — a
-// reserved version, a key over MaxKeyLen — anywhere in the batch must
-// fail it before any object is stored.
+// for statically invalid batches: an object CheckObject refuses — a
+// reserved version, a key over MaxKeyLen, a value over MaxValueLen (the
+// memory engine's bound too) — anywhere in the batch must fail it
+// before any object is stored.
 func TestStorePutBatchValidatesUpfront(t *testing.T) {
 	for name, s := range engines(t) {
 		t.Run(name, func(t *testing.T) {
@@ -306,6 +320,7 @@ func TestStorePutBatchValidatesUpfront(t *testing.T) {
 			}{
 				{Object{Key: "bad", Version: Latest, Value: []byte("v")}, ErrBadVersion},
 				{Object{Key: strings.Repeat("k", MaxKeyLen+1), Version: 1, Value: []byte("v")}, ErrKeyTooLong},
+				{Object{Key: "big", Version: 1, Value: hugeValue()}, ErrValueTooLarge},
 			} {
 				if err := s.Put(tc.bad.Key, tc.bad.Version, tc.bad.Value); !errors.Is(err, tc.want) {
 					t.Fatalf("Put: %v, want %v", err, tc.want)
@@ -350,7 +365,7 @@ func TestStoreForEach(t *testing.T) {
 			_ = s.Put("a", 2, nil)
 			_ = s.Put("b", 1, nil)
 			var seen []string
-			err := s.ForEach(func(key string, version uint64) bool {
+			err := s.ForEachIn(AllRanges(), func(key string, version uint64) bool {
 				seen = append(seen, fmt.Sprintf("%s@%d", key, version))
 				return true
 			})
@@ -358,11 +373,11 @@ func TestStoreForEach(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(seen) != 3 {
-				t.Fatalf("ForEach visited %v", seen)
+				t.Fatalf("ForEachIn visited %v", seen)
 			}
 			// Early stop.
 			count := 0
-			_ = s.ForEach(func(string, uint64) bool {
+			_ = s.ForEachIn(AllRanges(), func(string, uint64) bool {
 				count++
 				return false
 			})
@@ -403,50 +418,230 @@ func TestStoreClosedErrors(t *testing.T) {
 			if _, _, _, err := s.Get("k", 1); !errors.Is(err, ErrClosed) {
 				t.Errorf("Get after close: %v", err)
 			}
-			if err := s.ForEach(func(string, uint64) bool { return true }); !errors.Is(err, ErrClosed) {
-				t.Errorf("ForEach after close: %v", err)
+			if err := s.ForEachIn(AllRanges(), func(string, uint64) bool { return true }); !errors.Is(err, ErrClosed) {
+				t.Errorf("ForEachIn after close: %v", err)
+			}
+			if _, err := s.DeleteBatch([]Deletion{{Key: "k", Version: 1}}); !errors.Is(err, ErrClosed) {
+				t.Errorf("DeleteBatch after close: %v", err)
 			}
 		})
 	}
 }
 
-func TestStoreRoundTripProperty(t *testing.T) {
-	s := NewMemory()
-	defer s.Close()
-	prop := func(key string, version uint64, value []byte) bool {
-		if version == Latest {
-			version--
+// TestCheckObject pins the one object rule: the bounds are exact, and
+// every refusal names its cause.
+func TestCheckObject(t *testing.T) {
+	long := strings.Repeat("k", MaxKeyLen)
+	for _, tc := range []struct {
+		name    string
+		key     string
+		version uint64
+		value   int // value length; the bytes are never touched
+		want    error
+	}{
+		{"plain", "k", 1, 3, nil},
+		{"empty key and value", "", 0, 0, nil},
+		{"largest ordinary version", "k", AllVersions - 1, 0, nil},
+		{"Latest", "k", Latest, 0, ErrBadVersion},
+		{"AllVersions", "k", AllVersions, 0, ErrBadVersion},
+		{"longest key", long, 1, 0, nil},
+		{"key one byte over", long + "k", 1, 0, ErrKeyTooLong},
+		{"largest value", long, 1, MaxValueLen, nil},
+		{"value one byte over", "k", 1, MaxValueLen + 1, ErrValueTooLarge},
+	} {
+		err := CheckObject(tc.key, tc.version, hugeValue()[:tc.value])
+		if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: CheckObject = %v, want %v", tc.name, err, tc.want)
 		}
-		err := s.Put(key, version, value)
-		if len(key) > MaxKeyLen { // quick's strings run to 200 bytes
-			return errors.Is(err, ErrKeyTooLong)
-		}
-		if err != nil {
-			return false
-		}
-		got, ver, ok, err := s.Get(key, version)
-		return err == nil && ok && ver == version && bytes.Equal(got, value)
 	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
+	// The largest object fits the log's record format.
+	if MaxValueLen+MaxKeyLen+recFixedLen != maxRecBody {
+		t.Errorf("MaxValueLen %d does not fill a record body of %d with a %d-byte key", MaxValueLen, maxRecBody, MaxKeyLen)
 	}
 }
 
-func TestMemoryCapped(t *testing.T) {
-	s := NewMemoryCapped(3)
-	defer s.Close()
-	for v := uint64(1); v <= 5; v++ {
-		_ = s.Put("k", v, []byte{byte(v)})
+// storeModel is what a store must hold after a sequence of writes: key
+// → version → value.
+type storeModel map[string]map[uint64][]byte
+
+func (m storeModel) put(o Object) {
+	if m[o.Key] == nil {
+		m[o.Key] = map[uint64][]byte{}
 	}
-	vs, _ := s.Versions("k")
-	if len(vs) != 3 || vs[0] != 3 {
-		t.Fatalf("capped versions = %v, want [3 4 5]", vs)
+	if _, ok := m[o.Key][o.Version]; !ok {
+		m[o.Key][o.Version] = o.Value
 	}
-	if s.Count() != 3 {
-		t.Errorf("Count = %d", s.Count())
+}
+
+// deleteBatch applies items in order and reports what each removed.
+func (m storeModel) deleteBatch(items []Deletion) []bool {
+	existed := make([]bool, len(items))
+	for i, it := range items {
+		v := it.Version
+		if v == Latest {
+			vs := m.versions(it.Key)
+			if len(vs) == 0 {
+				continue
+			}
+			v = vs[len(vs)-1]
+		}
+		if _, ok := m[it.Key][v]; ok {
+			delete(m[it.Key], v)
+			existed[i] = true
+		}
 	}
-	_, _, ok, _ := s.Get("k", 1)
-	if ok {
-		t.Error("GC'd version still readable")
+	return existed
+}
+
+func (m storeModel) versions(key string) []uint64 {
+	var vs []uint64
+	for v := range m[key] {
+		vs = append(vs, v)
+	}
+	slices.Sort(vs)
+	return vs
+}
+
+// check compares every observable of s with the model.
+func (m storeModel) check(s Store, keys []string) error {
+	var sums RangeSums
+	count := 0
+	for _, key := range keys {
+		want := m.versions(key)
+		got, err := s.Versions(key)
+		if err != nil || !slices.Equal(got, want) {
+			return fmt.Errorf("Versions(%s) = %v, %v; want %v", key, got, err, want)
+		}
+		for _, v := range want {
+			val, _, ok, err := s.Get(key, v)
+			if err != nil || !ok || !bytes.Equal(val, m[key][v]) {
+				return fmt.Errorf("Get(%s, %d) = %q, %v, %v; want %q", key, v, val, ok, err, m[key][v])
+			}
+			r, h := HeaderSum(key, v)
+			sums[r].XOR ^= h
+			sums[r].Count++
+			count++
+		}
+		_, latest, ok, err := s.Get(key, Latest)
+		if err != nil || ok != (len(want) > 0) || ok && latest != want[len(want)-1] {
+			return fmt.Errorf("Get(%s, Latest) = v%d, %v, %v; want the newest of %v", key, latest, ok, err, want)
+		}
+	}
+	if got := s.Count(); got != count {
+		return fmt.Errorf("Count = %d, want %d", got, count)
+	}
+	if s.RangeSums() != sums {
+		return fmt.Errorf("RangeSums differ from the model's")
+	}
+	return nil
+}
+
+// TestStoreRoundTripProperty is the model test of the one write path:
+// random runs of Put, PutBatch — in-batch duplicates, re-puts, now and
+// then an object CheckObject refuses — and DeleteBatch — exact versions,
+// Latest twice on one key, absent items — against a map model, on both
+// engines. Get, Versions, Count, RangeSums and DeleteBatch's existed
+// must match the model after every step, and the log's again after it
+// reopens. The log's segments are small, so batches span segment rolls.
+func TestStoreRoundTripProperty(t *testing.T) {
+	keys := []string{"a", "b", "c", "d", "e", string([]byte{0, 0xff})}
+	for seed := uint64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 99))
+		dir := t.TempDir()
+		opts := LogOptions{SegmentMaxBytes: 256}
+		lg, err := OpenLog(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := map[string]Store{"memory": NewMemory(), "log": lg}
+		model := storeModel{}
+		object := func() Object {
+			val := make([]byte, rng.IntN(24))
+			for i := range val {
+				val[i] = byte(rng.Uint32())
+			}
+			return Object{Key: keys[rng.IntN(len(keys))], Version: 1 + rng.Uint64N(5), Value: val}
+		}
+		for step := 0; step < 120; step++ {
+			var op string
+			var run func(s Store) (interface{}, error)
+			var want interface{}
+			switch p := rng.IntN(10); {
+			case p < 3:
+				o := object()
+				op = fmt.Sprintf("Put(%s, %d)", o.Key, o.Version)
+				run = func(s Store) (interface{}, error) { return nil, s.Put(o.Key, o.Version, o.Value) }
+				model.put(o)
+			case p < 7:
+				batch := make([]Object, 1+rng.IntN(6))
+				for i := range batch {
+					batch[i] = object()
+					if i > 0 && rng.IntN(4) == 0 {
+						batch[i] = batch[rng.IntN(i)] // an in-batch duplicate
+					}
+				}
+				op = fmt.Sprintf("PutBatch(%v)", batch)
+				if rng.IntN(8) == 0 {
+					bad := object()
+					if rng.IntN(2) == 0 {
+						bad.Version = Latest
+					} else {
+						bad.Key = strings.Repeat("k", MaxKeyLen+1)
+					}
+					batch[rng.IntN(len(batch))] = bad
+					want = "refused"
+					run = func(s Store) (interface{}, error) {
+						if err := s.PutBatch(batch); err == nil {
+							return nil, errors.New("invalid batch stored")
+						}
+						return "refused", nil
+					}
+					break
+				}
+				run = func(s Store) (interface{}, error) { return nil, s.PutBatch(batch) }
+				for _, o := range batch {
+					model.put(o)
+				}
+			default:
+				items := make([]Deletion, 1+rng.IntN(5))
+				for i := range items {
+					switch q := rng.IntN(4); {
+					case q == 0:
+						items[i] = Deletion{Key: keys[rng.IntN(len(keys))], Version: Latest}
+					case q == 1 && i > 0:
+						items[i] = Deletion{Key: items[i-1].Key, Version: Latest}
+					case q == 2:
+						items[i] = Deletion{Key: "ghost", Version: 1}
+					default:
+						items[i] = Deletion{Key: keys[rng.IntN(len(keys))], Version: 1 + rng.Uint64N(5)}
+					}
+				}
+				op = fmt.Sprintf("DeleteBatch(%v)", items)
+				run = func(s Store) (interface{}, error) { return s.DeleteBatch(items) }
+				want = model.deleteBatch(items)
+			}
+			for name, s := range engines {
+				got, err := run(s)
+				if err != nil {
+					t.Fatalf("seed %d step %d %s: %s: %v", seed, step, name, op, err)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d step %d %s: %s = %v, want %v", seed, step, name, op, got, want)
+				}
+				if err := model.check(s, keys); err != nil {
+					t.Fatalf("seed %d step %d %s after %s: %v", seed, step, name, op, err)
+				}
+			}
+		}
+		if err := lg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if lg, err = OpenLog(dir, opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := model.check(lg, keys); err != nil {
+			t.Fatalf("seed %d, log reopened: %v", seed, err)
+		}
+		lg.Close()
 	}
 }

@@ -258,8 +258,8 @@ func (n *Node) PeersKnown() int { return n.net.PeerCount() }
 func (n *Node) MailboxDropped() uint64 { return n.core.MailboxDropped() + n.core.ShardDropped() }
 
 // SendErrors returns how many fabric sends failed across every
-// protocol and routing path: the wire_send_errors counter of the latest
-// published snapshot, like BootstrapStats.
+// protocol and routing path: the wire_send_errors counter as Status
+// serves it, like BootstrapStats.
 func (n *Node) SendErrors() uint64 { return n.core.Status().Counters[metrics.WireSendErrors] }
 
 // WireStats reports wire-level accounting shared by the node's TCP and
