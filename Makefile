@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build examples test race goldens goldens-check bench bench-module smoke fmt vet check lint ci
+.PHONY: all build examples test race goldens goldens-check bench bench-module fuzz smoke fmt vet check lint ci
 
 all: build
 
@@ -39,6 +39,13 @@ goldens-check:
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# fuzz mutates the wire decoder's inputs for two minutes (the nightly
+# fuzz-wire job); the test run only replays its seeds. Not part of ci. A
+# failing input lands in internal/wire/testdata/fuzz, which then replays
+# as a seed.
+fuzz:
+	$(GO) test -run=NONE -fuzz=FuzzDecodeBinary -fuzztime=2m ./internal/wire
 
 # bench-module checks that the benchmark (a module of its own under
 # bench/, which ./... does not reach) still compiles against the API,

@@ -395,9 +395,15 @@ func (c *Core) launch(op *pending) {
 
 // HandleMessage consumes replies addressed to this client. Unknown or
 // duplicate replies are dropped, which is the §V duplicate-reply
-// handling.
+// handling. A reply batch is its answers, each handled as if it had
+// arrived alone from the batch's sender.
 func (c *Core) HandleMessage(env transport.Envelope) {
 	switch m := env.Msg.(type) {
+	case *core.Replies:
+		for _, msg := range m.Msgs {
+			env.Msg = msg
+			c.HandleMessage(env)
+		}
 	case *core.PutAck:
 		c.onAck(m.ID, opPut, env.From, 0)
 	case *core.PutBatchAck:

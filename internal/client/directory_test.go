@@ -197,6 +197,45 @@ func TestDirectoryLearnsFromAcksAndReplies(t *testing.T) {
 	}
 }
 
+// A reply batch is its answers: each completes its own op, a duplicate
+// and a foreign id inside it are dropped as they are alone, and the
+// directory learns the sender from every answer.
+func TestRepliesCompleteEachOp(t *testing.T) {
+	cl, dir, cap, _ := newDirectoryCore(t, Config{})
+	putKey, getKey := keyInSlice(t, 1, dirSlices), keyInSlice(t, 2, dirSlices)
+	var done []Result
+	record := func(r Result) { done = append(done, r) }
+	cl.StartPut(putKey, 3, []byte("v"), record)
+	putID := requestID(t, cap.sent[len(cap.sent)-1].Msg)
+	cl.StartGet(getKey, store.Latest, record)
+	getID := requestID(t, cap.sent[len(cap.sent)-1].Msg)
+
+	cl.HandleMessage(transport.Envelope{From: 40, Msg: &core.Replies{Msgs: []interface{}{
+		&core.PutAck{ID: putID, Key: putKey, Version: 3},
+		&core.GetReply{ID: getID, Key: getKey, Version: 9, Value: []byte("x"), Slice: 2},
+		&core.PutAck{ID: putID, Key: putKey, Version: 3},
+		&core.PutAck{ID: gossip.MakeRequestID(0xC0000002, 1), Key: "foreign", Version: 1},
+	}}})
+
+	if len(done) != 2 {
+		t.Fatalf("%d ops completed, want the put and the get: %+v", len(done), done)
+	}
+	if put := done[0]; put.ID != putID || put.Err != nil || put.Acks != 1 {
+		t.Errorf("put result = %+v, want one ack, no error", put)
+	}
+	if get := done[1]; get.ID != getID || get.Err != nil || get.Version != 9 || string(get.Value) != "x" {
+		t.Errorf("get result = %+v, want v9 = x", get)
+	}
+	if cl.Pending() != 0 {
+		t.Errorf("%d ops still pending", cl.Pending())
+	}
+	for _, slice := range []int32{1, 2} {
+		if members := dir.members[slice]; len(members) != 1 || members[0] != 40 {
+			t.Errorf("members of slice %d = %v, want the sender", slice, members)
+		}
+	}
+}
+
 // (d) A contact whose request another node acknowledged relayed it, so
 // it is no member; one that lets an attempt time out is dropped too.
 func TestDirectoryEvictsRelayingAndSilentContacts(t *testing.T) {

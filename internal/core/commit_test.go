@@ -93,6 +93,16 @@ func (r *runStore) holds(key string, version uint64) bool {
 	return r.stored[objRef{key, version}]
 }
 
+// answersIn flattens one message handed to the fabric: a reply batch is
+// the answers it carries, anything else is itself. Fakes that count acks
+// and replies count through it, however a run framed them.
+func answersIn(msg interface{}) []interface{} {
+	if r, ok := msg.(*Replies); ok {
+		return r.Msgs
+	}
+	return []interface{}{msg}
+}
+
 // runHarness is a single-slice node with one mate on externally-run
 // shards (one shard, so every key shares a mailbox), a recording store
 // and a recording fabric that checks, at the moment a PutAck leaves,
@@ -102,8 +112,19 @@ type runHarness struct {
 	n  *Node
 	st *runStore
 
-	mu   sync.Mutex
-	sent []transport.Envelope
+	mu sync.Mutex
+	// sent is every message handed to the fabric with reply batches
+	// flattened (answersIn); frames is what was handed over, as it was.
+	sent   []transport.Envelope
+	frames []sentFrame
+}
+
+// sentFrame is one message handed to the fabric, with how many store
+// writes had been entered by then.
+type sentFrame struct {
+	to     transport.NodeID
+	msg    interface{}
+	writes int
 }
 
 func newRunHarness(t *testing.T, st *runStore, cfg Config) *runHarness {
@@ -113,12 +134,16 @@ func newRunHarness(t *testing.T, st *runStore, cfg Config) *runHarness {
 	cfg.RoundPeriod = time.Hour // no tick commits behind the test's back
 	h.n = NewNode(1, cfg, st, transport.SenderFunc(
 		func(_ context.Context, to transport.NodeID, msg interface{}) error {
-			if ack, ok := msg.(*PutAck); ok && !st.holds(ack.Key, ack.Version) {
-				t.Errorf("PutAck for %s v%d left before the store held it", ack.Key, ack.Version)
-			}
+			writes := len(st.calls())
 			h.mu.Lock()
-			h.sent = append(h.sent, transport.Envelope{From: 1, To: to, Msg: msg})
-			h.mu.Unlock()
+			defer h.mu.Unlock()
+			h.frames = append(h.frames, sentFrame{to: to, msg: msg, writes: writes})
+			for _, m := range answersIn(msg) {
+				if ack, ok := m.(*PutAck); ok && !st.holds(ack.Key, ack.Version) {
+					t.Errorf("PutAck for %s v%d left before the store held it", ack.Key, ack.Version)
+				}
+				h.sent = append(h.sent, transport.Envelope{From: 1, To: to, Msg: m})
+			}
 			return nil
 		}))
 	h.n.HandleMessage(context.Background(), transport.Envelope{
@@ -410,6 +435,125 @@ func TestRunWithOneRefusedPut(t *testing.T) {
 	relays := h.sentOf(isIntra)
 	if len(relays) != 2 || len(relays[1].Msg.(*PutBatchRequest).Objs) != 2 {
 		t.Fatalf("relays = %+v, want the held put and one batch of 2", relays)
+	}
+}
+
+const runClient2 = transport.NodeID(0xC0000002)
+
+// describe names a message handed to the fabric for the frame tests: a
+// reply batch lists its answers.
+func describe(msg interface{}) string {
+	switch m := msg.(type) {
+	case *Replies:
+		parts := make([]string, len(m.Msgs))
+		for i, a := range m.Msgs {
+			parts[i] = describe(a)
+		}
+		return "replies(" + strings.Join(parts, ", ") + ")"
+	case *PutAck:
+		return "ack " + m.Key
+	case *GetReply:
+		return "reply " + m.Key
+	case *PutRequest:
+		return "relay " + m.Key
+	case *PutBatchRequest:
+		keys := make([]string, len(m.Objs))
+		for i, o := range m.Objs {
+			keys[i] = o.Key
+		}
+		return "relay [" + strings.Join(keys, " ") + "]"
+	}
+	return fmt.Sprintf("%T", msg)
+}
+
+// frameLines is every frame the fabric was handed, in order: destination,
+// what it carries, and after how many store writes it left.
+func (h *runHarness) frameLines() []string {
+	names := map[transport.NodeID]string{runClient: "client", runClient2: "client2", runMate: "mate"}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := make([]string, len(h.frames))
+	for i, f := range h.frames {
+		out[i] = fmt.Sprintf("%s %s @%d", names[f.to], describe(f.msg), f.writes)
+	}
+	return out
+}
+
+// TestRunAnswerFrames: the answers a run produces for one origin leave as
+// one reply batch, in the order they were produced — the get replies
+// before the run's store write, the acks after it and before the intra
+// relay; each origin gets its own frame, an origin's only answer goes as
+// itself, and a traced request's answer or an oversized get reply goes
+// alone, the moment it is produced.
+func TestRunAnswerFrames(t *testing.T) {
+	from2 := func(m request) request {
+		m.routing().Origin = runClient2
+		return m
+	}
+	traced := func(m request) request {
+		m.routing().TraceID = 99
+		return m
+	}
+	held := []string{"client ack hold @1", "mate relay hold @1"}
+	for _, tc := range []struct {
+		name   string
+		run    []interface{}
+		want   []string
+		shared uint64
+	}{
+		{"one origin",
+			[]interface{}{entryPut1("a", 1, 1), getOf("c1", 2), entryPut1("b", 1, 3), getOf("c2", 4), entryPut1("c", 1, 5), getOf("c3", 6)},
+			[]string{
+				"client replies(reply c1, reply c2, reply c3) @1",
+				"client replies(ack a, ack b, ack c) @2",
+				"mate relay [a b c] @2",
+			}, 6},
+		{"two origins",
+			[]interface{}{getOf("c1", 1), from2(getOf("c2", 2)), getOf("c3", 3), entryPut1("a", 1, 4), from2(entryPut1("b", 1, 5))},
+			[]string{
+				"client replies(reply c1, reply c3) @1",
+				"client2 reply c2 @1",
+				"client ack a @2",
+				"client2 ack b @2",
+				"mate relay [a b] @2",
+			}, 2},
+		{"traced and oversized",
+			[]interface{}{getOf("c1", 1), traced(getOf("c2", 2)), getOf("big", 3), getOf("c3", 4), traced(entryPut1("a", 1, 5)), entryPut1("b", 1, 6)},
+			[]string{
+				"client reply c2 @1",
+				"client reply big @1",
+				"client replies(reply c1, reply c3) @1",
+				"client ack a @2",
+				"client ack b @2",
+				"mate relay a @2",
+				"mate relay b @2",
+			}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newRunStore(true)
+			for _, k := range []string{"c1", "c2", "c3"} {
+				if err := st.Store.Put(k, 1, []byte(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Store.Put("big", 1, make([]byte, relayBatchValueMax+1)); err != nil {
+				t.Fatal(err)
+			}
+			h := newRunHarness(t, st, Config{})
+			stop := h.start()
+			h.holdThenRun(tc.run...)
+			stop()
+			want := append(append([]string(nil), held...), tc.want...)
+			if got := h.frameLines(); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("frames:\n got  %q\n want %q", got, want)
+			}
+			if got := h.n.Metrics().Get(metrics.SharedAnswers); got != tc.shared {
+				t.Errorf("shared_answers = %d, want %d", got, tc.shared)
+			}
+			if got, want := h.n.Metrics().Get(metrics.DataSent), uint64(len(want)); got != want {
+				t.Errorf("data_sent = %d, want %d: one per frame", got, want)
+			}
+		})
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 )
 
 // liveCapture is capture for a running node: the control loop and the
-// shard goroutines all send through it.
+// shard goroutines all send through it. It records reply batches
+// flattened (answersIn).
 type liveCapture struct {
 	mu   sync.Mutex
 	sent []transport.Envelope
@@ -34,7 +35,9 @@ func (c *liveCapture) Send(_ context.Context, to transport.NodeID, msg interface
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sent = append(c.sent, transport.Envelope{To: to, Msg: msg})
+	for _, m := range answersIn(msg) {
+		c.sent = append(c.sent, transport.Envelope{To: to, Msg: m})
+	}
 	return nil
 }
 

@@ -200,6 +200,16 @@ type DeleteBatchAck struct {
 	Applied int
 }
 
+// Replies carries the answers — PutAck, PutBatchAck, GetReply,
+// DeleteAck, DeleteBatchAck — that one shard produced for one origin
+// during one run, two or more of them, in the order they were produced:
+// one message instead of one per answer. The client handles each as if
+// it had arrived alone. A lone answer travels as itself, so a node that
+// handles runs of one envelope never sends this.
+type Replies struct {
+	Msgs []interface{}
+}
+
 // MateQuery asks a random peer for members of the sender's slice it
 // happens to know; this is how the intra-slice view bootstraps when
 // slices are scarce in the PSS stream.

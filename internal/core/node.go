@@ -738,15 +738,15 @@ func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.Node
 		s.met.Inc(metrics.GetsServed)
 		s.traceOp(obs.TraceGetServe, m.TraceID, m.Key, len(val), 1)
 		n.learnOrigin(m.Origin, m.OriginAddr)
-		s.sendData(ctx, m.Origin, &GetReply{
+		s.reply(ctx, m.Origin, &GetReply{
 			ID: m.ID, Key: m.Key, Version: actual, Value: val, Slice: v.slice,
-		})
+		}, m.TraceID != 0 || len(val) > relayBatchValueMax)
 		return true
 	}
 	return false
 }
 
-// ack sends a write's acknowledgement under the one rule there is: only
+// ack answers a write (reply) under the one rule there is: only
 // a slice entry acks (which bounds acks per write by the flood's slice
 // hits, not the slice size), only if the client wants it, and — the
 // caller's part — only what the store took. count is what a batch ack
@@ -768,7 +768,7 @@ func (s *dataShard) ack(ctx context.Context, req request, count int) {
 		ack = &DeleteBatchAck{ID: m.ID, Applied: count}
 	}
 	s.n.learnOrigin(r.Origin, r.OriginAddr)
-	s.sendData(ctx, r.Origin, ack)
+	s.reply(ctx, r.Origin, ack, r.TraceID != 0)
 }
 
 // applyDeleteBatch is every delete's store step, a single one being a

@@ -156,6 +156,27 @@ func TestGlobalPhaseDirectedHop(t *testing.T) {
 	})
 }
 
+// TestGlobalPhaseSendsQueuedAnswersFirst: answers the run has queued for a
+// client leave, as one reply batch, before the global-phase relay of a
+// later request in the same run — a relay never holds an answer back.
+func TestGlobalPhaseSendsQueuedAnswersFirst(t *testing.T) {
+	h := newRouteHarness(t, routeMine, false)
+	h.learn(pss.Descriptor{ID: 900, Slice: routeTarget})
+	key := keyForSlice(t, routeTarget, routeK)
+	s := h.n.shardFor(key)
+	ctx := context.Background()
+	s.reply(ctx, client1, &GetReply{ID: 1, Key: "earlier"}, false)
+	s.reply(ctx, client1, &PutAck{ID: 2, Key: "earlier"}, false)
+
+	sent := h.deliver(77, routePut(key, TTLUnset, false))
+	if len(sent) != 2 || sent[0].To != client1 || sent[1].To != 900 {
+		t.Fatalf("sends = %+v, want the queued answers to the client, then the relay to 900", sent)
+	}
+	if batch, ok := sent[0].Msg.(*Replies); !ok || len(batch.Msgs) != 2 {
+		t.Errorf("answers left as %+v, want one Replies of both", sent[0].Msg)
+	}
+}
+
 // TestGlobalPhaseStaleHintStillDelivers walks a request down a chain of
 // stale descriptors: each recipient has left the slice, continues the
 // global phase with the TTL that is left, and the second one falls back

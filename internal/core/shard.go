@@ -142,6 +142,10 @@ type dataShard struct {
 	coalesce     []store.Object
 	coalesceSeen map[objRef]struct{}
 	entries      []entryPut
+
+	// answers are the acks and get replies the run in progress produced,
+	// in that order, until the next flush sends them (see reply).
+	answers []answer
 }
 
 // entryPut is a collected slice-entry put: the request and the peer it
@@ -151,9 +155,16 @@ type entryPut struct {
 	from transport.NodeID
 }
 
-// relayBatchValueMax bounds the values that share a batched intra
-// relay: a run has at most coalesceMax puts, so the frame stays small,
-// and a larger value gains nothing from saving one frame header.
+// answer is a queued ack or get reply and the origin it goes to.
+type answer struct {
+	to  transport.NodeID
+	msg interface{}
+}
+
+// relayBatchValueMax bounds the values that share a batched intra relay
+// or a reply batch: a run has at most coalesceMax requests, so the frame
+// stays small, and a larger value gains nothing from saving one frame
+// header.
 const relayBatchValueMax = 64 << 10
 
 // dedupCapacity bounds a node's request-id suppression cache.
@@ -278,8 +289,9 @@ func (n *Node) runShard(ctx context.Context, s *dataShard) {
 // The run's slice-entry puts share one commit, so with W puts in flight
 // a shard pays about one group-commit wait per wake-up, not one per put.
 // Relay copies alone do not end a run with a commit: they keep waiting
-// for the tick or a later entry put's. A caller-driven node has no
-// mailbox: its runs are one envelope long.
+// for the tick or a later entry put's. The run's answers leave at its end
+// at the latest, one frame per origin (see reply). A caller-driven node
+// has no mailbox: its runs are one envelope long.
 func (n *Node) drain(ctx context.Context, s *dataShard, env transport.Envelope) {
 	for more := min(len(s.mailbox), coalesceMax-1); ; more-- {
 		s.met.Inc(metrics.MsgRecv)
@@ -292,6 +304,7 @@ func (n *Node) drain(ctx context.Context, s *dataShard, env transport.Envelope) 
 	if len(s.entries) > 0 {
 		s.commit(ctx)
 	}
+	s.flush(ctx)
 }
 
 // drainShard consumes everything the mailbox holds at stop time and
@@ -418,6 +431,7 @@ func (s *dataShard) relayGlobal(ctx context.Context, v *routeView, from transpor
 	if len(peers) == 0 {
 		return
 	}
+	s.flush(ctx)
 	s.met.Inc(metrics.RequestsRelayed)
 	copyWith := func(flood bool) request {
 		fwd := req.hop()
@@ -470,6 +484,7 @@ func (s *dataShard) relayIntra(ctx context.Context, v *routeView, from transport
 	if len(picks) == 0 {
 		return
 	}
+	s.flush(ctx)
 	s.met.Inc(metrics.RequestsRelayed)
 	for _, i := range picks {
 		if skip >= 0 && i >= skip {
@@ -490,6 +505,52 @@ func (s *dataShard) sendData(ctx context.Context, to transport.NodeID, msg inter
 		return false
 	}
 	return true
+}
+
+// reply answers a client: it queues an ack or a get reply for the shard's
+// next flush, which sends what a run produced for one origin as one
+// frame. No answer waits for I/O: the queue is flushed before every store
+// write (commit), before every relay send and at the end of the run. An
+// answer that must go alone is sent at once — a traced request's, so
+// /trace and span readers still join frames to requests by id, and a get
+// reply over relayBatchValueMax.
+func (s *dataShard) reply(ctx context.Context, to transport.NodeID, msg interface{}, alone bool) {
+	if alone {
+		s.sendData(ctx, to, msg)
+		return
+	}
+	s.answers = append(s.answers, answer{to: to, msg: msg})
+}
+
+// flush sends the queued answers: an origin's only one as itself, two or
+// more as one Replies in the order they were queued. Origins go in the
+// order of their first answer. A run is at most coalesceMax envelopes,
+// so scanning the queue per origin is cheaper than grouping it in a map.
+func (s *dataShard) flush(ctx context.Context) {
+	q := s.answers
+	for i, a := range q {
+		if a.msg == nil {
+			continue // sent inside an earlier origin's batch
+		}
+		var batch []interface{}
+		for j := i + 1; j < len(q); j++ {
+			if q[j].to == a.to {
+				if batch == nil {
+					batch = []interface{}{a.msg}
+				}
+				batch = append(batch, q[j].msg)
+				q[j].msg = nil
+			}
+		}
+		if batch == nil {
+			s.sendData(ctx, a.to, a.msg)
+			continue
+		}
+		s.met.Add(metrics.SharedAnswers, uint64(len(batch)))
+		s.sendData(ctx, a.to, &Replies{Msgs: batch})
+	}
+	clear(q)
+	s.answers = q[:0]
 }
 
 // traceOp journals one traced request's lifecycle step, stamped with
@@ -587,8 +648,10 @@ func (s *dataShard) holds(key string) bool {
 // whole: no entry put is acked, since acking a failed write would tell
 // the client it is replicated when no one stored it. Acks leave only
 // after the store returned. The intra-slice phase starts either way,
-// since mates may still succeed.
+// since mates may still succeed. The answers queued so far leave first:
+// none waits for this write.
 func (s *dataShard) commit(ctx context.Context) {
+	s.flush(ctx)
 	if len(s.coalesce) == 0 {
 		return
 	}

@@ -395,8 +395,8 @@ func TestShardHammer(t *testing.T) {
 // sentAs names what a data-plane message handed to the fabric carries,
 // one entry per object: acks, replies and intra-slice relay copies by
 // kind, key and version. A run's batched relay counts as the copies it
-// holds, so legs whose runs differ in length stay comparable; control
-// traffic names nothing.
+// holds, and a reply batch as its answers (answersIn), so legs whose runs
+// differ in length stay comparable; control traffic names nothing.
 func sentAs(msg interface{}) []string {
 	switch m := msg.(type) {
 	case *PutAck:
@@ -440,8 +440,10 @@ func TestShardEquivalenceSingleVsMany(t *testing.T) {
 			func(_ context.Context, _ transport.NodeID, msg interface{}) error {
 				mu.Lock()
 				defer mu.Unlock()
-				for _, what := range sentAs(msg) {
-					out.sent[what]++
+				for _, m := range answersIn(msg) {
+					for _, what := range sentAs(m) {
+						out.sent[what]++
+					}
 				}
 				return nil
 			}))

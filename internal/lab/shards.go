@@ -19,6 +19,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"dataflasks"
@@ -162,6 +163,8 @@ type ShardPutBurstResult struct {
 	Puts          uint64        `json:"puts"`
 	Commits       uint64        `json:"commits"`
 	PutsPerCommit float64       `json:"puts_per_commit"`
+	AckFrames     uint64        `json:"ack_frames"`
+	AcksPerFrame  float64       `json:"acks_per_frame"`
 	Elapsed       time.Duration `json:"elapsed_nanos"`
 	OpsPerSec     float64       `json:"ops_per_sec"`
 }
@@ -173,7 +176,8 @@ type ShardPutBurstResult struct {
 // put per wake-up would pay one group-commit wait per put whatever the
 // window; the drain loop commits a run at a time, so puts per commit
 // (puts_served over put_commits, the counters /metrics exports) rises
-// with the puts queued behind each fsync.
+// with the puts queued behind each fsync, and so do acks per frame: a
+// run's acks leave as one reply batch.
 func ShardPutBurst(opts ShardPutBurstOptions) (ShardPutBurstResult, error) {
 	st, err := store.OpenLog(opts.Dir, store.LogOptions{Fsync: true})
 	if err != nil {
@@ -181,10 +185,22 @@ func ShardPutBurst(opts ShardPutBurstOptions) (ShardPutBurstResult, error) {
 	}
 	defer st.Close()
 	// One slot per unacknowledged put: taken before the dispatch, given
-	// back by the fabric when the ack leaves the node.
+	// back by the fabric for every ack that leaves the node, alone or in a
+	// reply batch.
 	slots := make(chan struct{}, opts.InFlight)
+	var ackFrames atomic.Uint64
 	acks := transport.SenderFunc(func(_ context.Context, _ transport.NodeID, msg interface{}) error {
-		if _, ok := msg.(*core.PutAck); ok {
+		acked := 0
+		switch m := msg.(type) {
+		case *core.PutAck:
+			acked = 1
+		case *core.Replies:
+			acked = len(m.Msgs) // the burst sends puts alone: every answer is an ack
+		}
+		if acked > 0 {
+			ackFrames.Add(1)
+		}
+		for ; acked > 0; acked-- {
 			<-slots
 		}
 		return nil
@@ -221,13 +237,17 @@ func ShardPutBurst(opts ShardPutBurstOptions) (ShardPutBurstResult, error) {
 
 	m := n.Metrics()
 	res := ShardPutBurstResult{
-		Shards:  opts.Shards,
-		Puts:    m.Get(metrics.PutsServed),
-		Commits: m.Get(metrics.PutCommits),
-		Elapsed: elapsed,
+		Shards:    opts.Shards,
+		Puts:      m.Get(metrics.PutsServed),
+		Commits:   m.Get(metrics.PutCommits),
+		AckFrames: ackFrames.Load(),
+		Elapsed:   elapsed,
 	}
 	if res.Commits > 0 {
 		res.PutsPerCommit = float64(res.Puts) / float64(res.Commits)
+	}
+	if res.AckFrames > 0 {
+		res.AcksPerFrame = float64(res.Puts) / float64(res.AckFrames)
 	}
 	res.OpsPerSec = float64(res.Puts) / elapsed.Seconds()
 	return res, nil
@@ -441,8 +461,8 @@ func runShards(w io.Writer, p Params) Report {
 		res.Scaling[len(res.Scaling)-1].Shards, res.Ratio, res.Cores, map[bool]string{true: "enforced", false: "report-only"}[res.GateEnforced])
 	broken := ShardScalingGate(res.Scaling, res.GateEnforced)
 
-	fmt.Fprintf(w, "burst: 32 entry puts in flight, log engine, fsync on\n%8s %12s %10s %12s %14s\n",
-		"shards", "puts", "commits", "puts/commit", "ops/sec")
+	fmt.Fprintf(w, "burst: 32 entry puts in flight, log engine, fsync on\n%8s %12s %10s %12s %11s %14s\n",
+		"shards", "puts", "commits", "puts/commit", "acks/frame", "ops/sec")
 	burst := func() error {
 		dir, err := os.MkdirTemp("", "flaskbench-burst-")
 		if err != nil {
@@ -457,7 +477,7 @@ func runShards(w io.Writer, p Params) Report {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%8d %12d %10d %12.2f %14.0f\n", r.Shards, r.Puts, r.Commits, r.PutsPerCommit, r.OpsPerSec)
+			fmt.Fprintf(w, "%8d %12d %10d %12.2f %11.2f %14.0f\n", r.Shards, r.Puts, r.Commits, r.PutsPerCommit, r.AcksPerFrame, r.OpsPerSec)
 			res.Burst = append(res.Burst, r)
 		}
 		return nil
@@ -500,10 +520,13 @@ func ShardScalingGate(results []ShardScalingResult, enforce bool) []string {
 }
 
 // ShardBurstGate is ShardPutBurst's: a shard with every in-flight put in
-// its own mailbox (the first row) commits over one put per store write.
+// its own mailbox (the first row) commits over one put per store write,
+// and sends over one ack per frame.
 func ShardBurstGate(burst []ShardPutBurstResult) []string {
 	var g gate
-	g.must(burst[0].PutsPerCommit >= 1.5, "%.2f puts per commit < 1.5 with the puts in flight on %d shard", burst[0].PutsPerCommit, burst[0].Shards)
+	b := burst[0]
+	g.must(b.PutsPerCommit >= 1.5, "%.2f puts per commit < 1.5 with the puts in flight on %d shard", b.PutsPerCommit, b.Shards)
+	g.must(b.AcksPerFrame >= 1.5, "%.2f acks per ack frame < 1.5 with the puts in flight on %d shard", b.AcksPerFrame, b.Shards)
 	return g
 }
 

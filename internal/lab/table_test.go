@@ -271,8 +271,9 @@ func TestGatesFire(t *testing.T) {
 	fires("E19 scaling ratio", ShardScalingGate(scaling(1900, 1900), true), "8-shard speedup 1.90x < 2x")
 	fires("E19 scaling ratio, report-only", ShardScalingGate(scaling(300, 300), false), "")
 	fires("E19 scaling served", ShardScalingGate(scaling(3000, 0), true), "shards=8 served 0 requests at 3000 ops/sec")
-	fires("E19 burst", ShardBurstGate([]ShardPutBurstResult{{Shards: 1, PutsPerCommit: 1.5}, {Shards: 8, PutsPerCommit: 1.1}}), "")
-	fires("E19 burst puts per commit", ShardBurstGate([]ShardPutBurstResult{{Shards: 1, PutsPerCommit: 1.4}, {Shards: 8, PutsPerCommit: 2.5}}), "1.40 puts per commit < 1.5 with the puts in flight on 1 shard")
+	fires("E19 burst", ShardBurstGate([]ShardPutBurstResult{{Shards: 1, PutsPerCommit: 1.5, AcksPerFrame: 1.5}, {Shards: 8, PutsPerCommit: 1.1, AcksPerFrame: 1}}), "")
+	fires("E19 burst puts per commit", ShardBurstGate([]ShardPutBurstResult{{Shards: 1, PutsPerCommit: 1.4, AcksPerFrame: 1.5}, {Shards: 8, PutsPerCommit: 2.5, AcksPerFrame: 2.5}}), "1.40 puts per commit < 1.5 with the puts in flight on 1 shard")
+	fires("E19 burst acks per frame", ShardBurstGate([]ShardPutBurstResult{{Shards: 1, PutsPerCommit: 1.5, AcksPerFrame: 1.4}, {Shards: 8, PutsPerCommit: 2.5, AcksPerFrame: 2.5}}), "1.40 acks per ack frame < 1.5 with the puts in flight on 1 shard")
 	fires("E19 equivalence", ShardEquivalenceGate(ShardEquivalenceResult{Equal: true, Objects: 218}), "")
 	fires("E19 diverged", ShardEquivalenceGate(ShardEquivalenceResult{Mismatch: "n3", Waited: 30 * time.Second}), "sharded cluster diverged: first mismatch at node n3 after 30s")
 	fires("E19 empty", ShardEquivalenceGate(ShardEquivalenceResult{Equal: true}), "converged on empty stores — workload never landed")

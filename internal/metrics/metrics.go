@@ -126,6 +126,10 @@ const (
 	// mixed-cluster fallback path doing the work segment streaming
 	// could not.
 	BootstrapFallbackObjects
+	// SharedAnswers counts the acks and get replies that left inside a
+	// reply batch (core.Replies) with other answers to the same origin;
+	// DataSent counts each batch once.
+	SharedAnswers
 
 	numCounters
 )
@@ -162,6 +166,7 @@ var counterNames = [...]string{
 	BootstrapBytes:             "bootstrap_bytes",
 	BootstrapChunksRejected:    "bootstrap_chunks_rejected",
 	BootstrapFallbackObjects:   "bootstrap_fallback_objects",
+	SharedAnswers:              "shared_answers",
 }
 
 // String returns the snake_case name of the counter.

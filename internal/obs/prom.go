@@ -55,6 +55,7 @@ var metricNames = [...]string{
 	"flasks_bootstrap_bytes_total",
 	"flasks_bootstrap_chunks_rejected_total",
 	"flasks_bootstrap_fallback_objects_total",
+	"flasks_shared_answers_total",
 	// Node state gauges.
 	"flasks_stored_objects",
 	"flasks_slice",

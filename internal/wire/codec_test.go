@@ -96,6 +96,13 @@ func fixtures() []Envelope {
 		&bootstrap.SegmentChunk{Segment: 3, Offset: 2048, CRC: 0xabad1dea, Data: []byte("record bytes")},
 		&bootstrap.SegmentDone{Segment: 3, Bytes: 4096, Missing: true},
 		&antientropy.Sums{Slice: 2, Full: true, Sums: []uint64{0xfeed, 0, 0xface0ff, 1 << 63}},
+		&core.Replies{Msgs: []interface{}{
+			&core.PutAck{ID: 49, Key: "k", Version: 3},
+			&core.GetReply{ID: 50, Key: "g", Version: 4, Value: []byte("val"), Slice: 2},
+			&core.PutBatchAck{ID: 51, Stored: 2},
+			&core.DeleteAck{ID: 52, Key: "d", Version: 5},
+			&core.DeleteBatchAck{ID: 53, Applied: 1},
+		}},
 	}
 	envs := make([]Envelope, len(msgs))
 	for i, m := range msgs {
@@ -596,6 +603,7 @@ func TestControlPlaneSplit(t *testing.T) {
 		&core.PutRequest{}, &core.PutAck{}, &core.PutBatchRequest{}, &core.PutBatchAck{},
 		&core.GetRequest{}, &core.GetReply{},
 		&core.DeleteRequest{}, &core.DeleteAck{}, &core.DeleteBatchRequest{}, &core.DeleteBatchAck{},
+		&core.Replies{},
 		&dht.PutRequest{}, &dht.PutAck{}, &dht.GetRequest{}, &dht.GetReply{},
 		&bootstrap.ManifestReply{}, &bootstrap.SegmentFetch{},
 		&bootstrap.SegmentChunk{}, &bootstrap.SegmentDone{},
@@ -614,6 +622,43 @@ func TestControlPlaneSplit(t *testing.T) {
 	// one that always works.
 	if Control("not a message") {
 		t.Error("unregistered type classified as control")
+	}
+}
+
+// TestRepliesNestOnlyAnswers: a reply batch decodes only when every entry
+// is one of the five answers. A batch inside a batch, a request, a
+// control message, another protocol's ack or an unknown kind fails the
+// frame, so whatever decodes encodes again.
+func TestRepliesNestOnlyAnswers(t *testing.T) {
+	codec := BinaryCodec()
+	ack := &core.PutAck{ID: 7, Key: "k", Version: 1}
+	for _, nested := range []interface{}{
+		&core.Replies{Msgs: []interface{}{ack}},
+		&core.PutRequest{Routing: core.Routing{ID: 8}, Key: "k", Version: 1},
+		&core.GetRequest{Routing: core.Routing{ID: 9}, Key: "k"},
+		&core.MateQuery{Slice: 1},
+		&dht.PutAck{ID: 10},
+		&pss.ShuffleRequest{},
+	} {
+		frame, err := codec.Encode(nil, &Envelope{From: 1, To: 2, Msg: &core.Replies{Msgs: []interface{}{ack, nested}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env, err := codec.Decode(frame); !errors.Is(err, errNotAnswer) {
+			t.Errorf("batch nesting %T: decoded to %+v, err %v; want errNotAnswer", nested, env, err)
+		}
+	}
+
+	frame := []byte{transport.FrameBinary}
+	frame = appendU16(frame, 36)
+	frame = appendU64(frame, 1)
+	frame = appendU64(frame, 2)
+	frame = appendStr(frame, "")
+	frame = appendLen(frame, 1)
+	frame = appendU16(frame, 9999)
+	frame = append(frame, 0xde, 0xad)
+	if env, err := codec.Decode(frame); !errors.Is(err, errNotAnswer) {
+		t.Errorf("batch nesting an unknown kind: decoded to %+v, err %v; want errNotAnswer", env, err)
 	}
 }
 

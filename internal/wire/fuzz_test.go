@@ -3,6 +3,7 @@ package wire
 import (
 	"testing"
 
+	"dataflasks/internal/core"
 	"dataflasks/internal/transport"
 )
 
@@ -36,6 +37,19 @@ func FuzzDecodeBinary(f *testing.F) {
 	// and without the filter's salt.
 	for _, tc := range legacyDigestFrames() {
 		frame, err := codec.Encode(nil, &Envelope{From: tc.from, To: tc.to, Msg: tc.msg})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	// A reply batch of one answer, and one that nests a batch, which the
+	// decoder refuses: the fuzzer starts on both sides of that check.
+	ack := &core.PutAck{ID: 7, Key: "k", Version: 1}
+	for _, msg := range []interface{}{
+		&core.Replies{Msgs: []interface{}{ack}},
+		&core.Replies{Msgs: []interface{}{ack, &core.Replies{Msgs: []interface{}{ack}}}},
+	} {
+		frame, err := codec.Encode(nil, &Envelope{From: 1, To: 2, Msg: msg})
 		if err != nil {
 			f.Fatal(err)
 		}

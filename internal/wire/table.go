@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 
 	"dataflasks/internal/aggregate"
@@ -502,6 +504,54 @@ var Messages = []Spec{
 			return &antientropy.Sums{Slice: r.i32(), Full: r.boolean(), Sums: readWords(r)}
 		},
 	},
+
+	// -- data plane: one shard's answers to one origin, as one frame --
+	{Kind: 36, Name: "core.Replies", Plane: DataPlane,
+		New: func() interface{} { return &core.Replies{} },
+		enc: func(b []byte, m interface{}) []byte {
+			v := m.(*core.Replies)
+			b = appendLen(b, len(v.Msgs))
+			for _, msg := range v.Msgs {
+				s := specOf(msg)
+				b = appendU16(b, s.Kind)
+				b = s.enc(b, msg)
+			}
+			return b
+		},
+		dec: func(r *reader) interface{} {
+			n := r.length()
+			var msgs []interface{}
+			if n > 0 && r.err == nil {
+				msgs = make([]interface{}, 0, n)
+				for i := 0; i < n && r.err == nil; i++ {
+					kind := r.u16()
+					if r.err == nil && !answerKind(kind) {
+						r.err = fmt.Errorf("%w: kind %d", errNotAnswer, kind)
+					}
+					if r.err == nil {
+						msgs = append(msgs, specOfKind(kind).dec(r))
+					}
+				}
+			}
+			return &core.Replies{Msgs: msgs}
+		},
+	},
+}
+
+// errNotAnswer rejects a reply batch that nests anything but an answer:
+// a batch inside a batch, a request, a control message or an unknown
+// kind. Only what the encoder can write again decodes.
+var errNotAnswer = errors.New("wire: reply batch nests a non-answer")
+
+// answerKind reports whether kind is one of the five answers a reply
+// batch may carry: PutAck, PutBatchAck, GetReply, DeleteAck and
+// DeleteBatchAck.
+func answerKind(kind uint16) bool {
+	switch kind {
+	case 14, 16, 18, 20, 22:
+		return true
+	}
+	return false
 }
 
 var (

@@ -6,7 +6,9 @@
 // The protocol surface is declared once, in Messages: every message a
 // node may emit or receive — PSS shuffles, slicing swaps, aggregation,
 // anti-entropy (full-header digests, Bloom summaries, pulls, pushes),
-// the data plane (puts/gets/deletes and their batch and ack forms),
+// the data plane (puts/gets/deletes and their batch and ack forms, and
+// the answer batch — core.Replies, one shard's acks and get replies to
+// one client as one frame, which nests only those five answer kinds),
 // mate discovery, and the DHT baseline — with a stable kind ID and a
 // plane tag (control or data). The codec and the datagram routing
 // split are derived from that one table: adding a protocol message

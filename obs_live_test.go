@@ -166,3 +166,56 @@ func TestObsLiveCluster(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 }
+
+// TestSharedAnswersLive: a client that keeps many puts and gets in flight
+// to one fsyncing node gets its answers in shared frames —
+// flasks_shared_answers_total grows — and every op still completes.
+func TestSharedAnswersLive(t *testing.T) {
+	cfg := dataflasks.Config{Slices: 1, Slicer: dataflasks.StaticSlicer, SystemSize: 1, Fsync: true}
+	node, err := dataflasks.StartNode(dataflasks.NodeConfig{
+		ID: 1, Bind: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", DataDir: t.TempDir(),
+		RoundPeriod: 20 * time.Millisecond, Config: cfg,
+	})
+	if err != nil {
+		t.Fatalf("StartNode: %v", err)
+	}
+	defer node.Close()
+	cl, err := dataflasks.ConnectClient("127.0.0.1:0", []string{fmt.Sprintf("1@%s", node.Addr())}, cfg)
+	if err != nil {
+		t.Fatalf("ConnectClient: %v", err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	const inFlight = 128
+	key := func(i int) string { return fmt.Sprintf("burst-%03d", i) }
+	var ops []*dataflasks.Op
+	for i := 0; i < inFlight; i++ {
+		ops = append(ops, cl.PutAsync(key(i), 1, []byte("v")))
+	}
+	for _, op := range ops {
+		if err := op.Wait(ctx); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	ops = ops[:0]
+	for i := 0; i < inFlight; i++ {
+		ops = append(ops, cl.GetAsync(key(i), 1), cl.PutAsync(key(i), 2, []byte("v2")))
+	}
+	for _, op := range ops {
+		if err := op.Wait(ctx); err != nil {
+			t.Fatalf("pipelined op: %v", err)
+		}
+	}
+
+	_, body := scrape(t, node.HTTPAddr(), "/metrics")
+	families, err := obs.ParseExposition([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := families["flasks_shared_answers_total"]
+	if f == nil || len(f.Samples) == 0 || f.Samples[0].Value <= 0 {
+		t.Fatalf("flasks_shared_answers_total = %+v after %d pipelined ops, want > 0", f, 3*inFlight)
+	}
+}
