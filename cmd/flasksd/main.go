@@ -51,7 +51,6 @@ func main() {
 
 		aePushBytes = flag.Int("ae-push-bytes", 0, "value bytes per anti-entropy repair push (0: 1 MiB default)")
 		aeRate      = flag.Int("ae-rate", 0, "repair push bytes allowed per anti-entropy round, token bucket (0: unlimited)")
-		aeFullEvery = flag.Int("ae-full-every", 0, "full-header repair round cadence; other rounds send Bloom summaries (0: 8 default; 1: always full headers)")
 
 		bootstrap     = flag.Bool("bootstrap", false, "bulk-recover this node's slice data at startup by streaming sealed segments from a slice-mate")
 		bootstrapRate = flag.Int("bootstrap-rate", 0, "segment bytes streamed to joiners per gossip round, token bucket (0: 1 MiB default, <0 unlimited)")
@@ -110,7 +109,6 @@ func main() {
 		CompactRateBytesPerSec: *compactBw,
 		MaxPushBytes:           *aePushBytes,
 		RepairRateBytes:        *aeRate,
-		BloomFullEvery:         *aeFullEvery,
 		Bootstrap:              *bootstrap,
 		BootstrapRateBytes:     *bootstrapRate,
 		DataShards:             *dataShards,

@@ -141,14 +141,6 @@ type Config struct {
 	// round (a token bucket), so background repair cannot starve
 	// foreground traffic. 0 = unlimited.
 	RepairRateBytes int
-	// BloomFullEvery is the repair digest cadence: every Nth
-	// anti-entropy round settles the key-hash ranges two mates differ in
-	// with complete header lists; the rounds between use a compact Bloom
-	// summary of those ranges (~10 bits per object on the wire instead
-	// of the full key). The periodic full round guarantees convergence
-	// past the filter's ~1% false positives. Default 8; 1 makes every
-	// round full-header (Bloom disabled).
-	BloomFullEvery int
 	// EvictForeign lets a node drop objects outside its slice after a
 	// slice change (off by default, like the paper's conservative
 	// stance).
@@ -225,7 +217,6 @@ func (c Config) coreConfig() core.Config {
 	}
 	cc.AntiEntropyMaxPushBytes = c.MaxPushBytes
 	cc.AntiEntropyRateBytes = c.RepairRateBytes
-	cc.AntiEntropyFullEvery = c.BloomFullEvery
 	cc.Bootstrap = c.Bootstrap
 	cc.DisableBootstrap = c.DisableBootstrap
 	cc.BootstrapRateBytes = c.BootstrapRateBytes

@@ -1,52 +1,52 @@
 // Package antientropy implements the replication-maintenance machinery
-// the paper leaves as future work (§VII): periodic digest exchanges
-// between slice-mates that (a) pull objects a node misses — so a node
-// that joins a slice converges to the slice's object set without a
-// dedicated state-transfer protocol — and (b) keep the replication
-// factor at slice size despite churn, message loss and TTL-expired
-// floods.
+// the paper leaves as future work (§VII): periodic exchanges between
+// slice-mates that (a) pull objects a node misses — so a node that joins
+// a slice converges to the slice's object set without a dedicated
+// state-transfer protocol — and (b) keep the replication factor at slice
+// size despite churn, message loss and TTL-expired floods.
 //
-// A round opens with A→B Sums: the store's per-range fingerprints
-// (store.RangeSums — an XOR of header hashes and a count per key-hash
-// range, maintained by the engines as headers enter and leave, never by
-// a scan), folded to the power-of-two count that fits A's store. B
-// compares them with its own. All equal: the round is over — nothing is
-// sent back and neither side has walked a header. Otherwise B answers
-// for the ranges that differ, and only those, with the two-phase
-// exchange below, naming them in the message so every later leg stays
-// inside them. Cost scales with the difference, not with the store.
+// Repair is range-based set reconciliation over key-hash prefixes, and
+// one message kind, Reconcile, carries the whole descent. A round opens
+// with A→B the fingerprints of A's top prefixes: the per-range sums the
+// engines keep current as headers enter and leave (store.RangeSums — an
+// XOR of header hashes and a count per key-hash range, never a scan),
+// folded by prefix to the power-of-two count that fits A's store, so
+// word i covers a contiguous block of ranges. B compares them with its
+// own. All equal: the round is over — nothing is sent back and neither
+// side has walked a header. For each prefix that differs, B answers with
+// its exact header list there when it holds at most leafHeaders, or else
+// with the fingerprints of the prefix's children one to eight bits
+// deeper, and A answers those children the same way. Every step goes at
+// least one bit deeper, so each difference ends in a list. The side that
+// receives a list pushes the objects the list lacks and pulls those it
+// lacks itself, which settles the prefix in both directions. The
+// exchange is exact — there are no false positives to fall back from —
+// and finding d differences costs about d·log(n/d) fingerprints plus d
+// short lists, however large the store.
 //
-// Most rounds are Bloom rounds: B→A Summary(Bloom filter of B's headers
-// in the differing ranges); A pushes the objects the filter proves B
-// lacks and answers A→B SummaryReply(A's filter); B pushes
-// symmetrically. Digest cost is O(bits) instead of O(objects · key
-// bytes), and pushes ride directly on filter evidence (a Bloom filter
-// has no false negatives), so there is no Pull leg. Every FullEvery-th
-// round A sets Sums.Full and the answer is the original full-header
-// exchange — B→A Digest(headers); A→B Pull + DigestReply; B→A Push, and
-// symmetrically — which is immune to the filter's ~1% false positives
-// and therefore the convergence guarantee: an object a Bloom round
-// skipped (its header false-positived as present) is provably repaired
-// by the next full round of its range.
-//
-// A Summary or Digest that names no ranges covers the whole store: that
-// is the frame a peer from before the range sums opens its rounds with
-// (and Config.WholeStore, the lab's baseline), and the same handlers
-// answer it.
+// Prefixes of store.RangeBits bits or fewer are summed from the range
+// sums, with no walk; deeper ones take one walk (store.ForEachIn) per
+// message over the ranges they lie in. A prefix that cannot split — one
+// key with many versions — goes as a list of at most maxDigest headers,
+// sampled uniformly beyond that, which still converges.
 //
 // Repair is budgeted so it cannot starve foreground traffic: each Push
 // is bounded in objects (MaxPush) and value bytes (MaxPushBytes), a
 // per-node token bucket (RateBytesPerRound) caps bytes shipped per
-// round, and values are served through store.StreamObjects — straight
-// from log-segment offsets with CRC32 re-verification, skipping (never
-// propagating) locally corrupt records. Repeated rounds converge.
+// round, a Reconcile carries at most maxItems prefixes, and values are
+// served through store.StreamObjects — straight from log-segment offsets
+// with CRC32 re-verification, skipping (never propagating) locally
+// corrupt records. Whatever a budget cuts off waits for a later round.
 package antientropy
 
 import (
+	"cmp"
 	"context"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
+	"sort"
+	"strings"
 
 	"dataflasks/internal/hashmix"
 	"dataflasks/internal/slicing"
@@ -60,31 +60,39 @@ type Header struct {
 	Version uint64
 }
 
-// Sums opens a round: the sender's range fingerprints, folded to
-// len(Sums) — a power of two up to store.NumRanges — words. Full asks
-// for the differing ranges to be settled with full headers (Digest)
-// instead of a Bloom Summary.
-type Sums struct {
+// Item is one step of the descent: the keys whose store.KeyHash starts
+// with the Depth bits of Prefix. It carries either the fingerprints of
+// the prefix's len(Sums) children — a power of two, each child
+// log2(len(Sums)) bits deeper — or, when Sums is empty, the sender's
+// exact list of its in-slice headers under the prefix.
+type Item struct {
+	Depth   uint8
+	Prefix  uint64
+	Sums    []uint64
+	Headers []Header
+}
+
+// Valid reports whether the item names a prefix — at most 64 bits, none
+// set above Depth — and carries no sums or a power-of-two count of at
+// most 2^maxSplitBits of them whose children stay within 64 bits. The
+// wire decoder rejects any other item.
+func (it *Item) Valid() bool {
+	if it.Depth > 64 || it.Depth < 64 && it.Prefix>>it.Depth != 0 {
+		return false
+	}
+	n := len(it.Sums)
+	if n == 0 {
+		return true
+	}
+	b := bits.TrailingZeros(uint(n))
+	return n == 1<<b && b <= maxSplitBits && int(it.Depth)+b <= 64
+}
+
+// Reconcile is the repair message: the sender's slice claim and the
+// prefixes it describes. A round's opener is one Item at depth 0.
+type Reconcile struct {
 	Slice int32
-	Full  bool
-	Sums  []uint64
-}
-
-// Digest opens a full-header exchange with the sender's object headers
-// in Ranges (up to MaxDigest, sampled uniformly beyond that). The zero
-// Ranges — absent on the wire — means every range.
-type Digest struct {
-	Slice   int32
-	Headers []Header
-	Ranges  store.RangeSet
-}
-
-// DigestReply returns the responder's headers in the Digest's ranges so
-// the initiator can pull symmetrically.
-type DigestReply struct {
-	Slice   int32
-	Headers []Header
-	Ranges  store.RangeSet
+	Items []Item
 }
 
 // Pull requests the listed objects' values.
@@ -96,6 +104,25 @@ type Pull struct {
 type Push struct {
 	Objects []store.Object
 }
+
+const (
+	// headersPerSum sizes the opener to the store: one fingerprint per
+	// this many headers, so a small store is not charged NumRanges words
+	// to say it is converged.
+	headersPerSum = 32
+	// leafHeaders is where the descent stops: a side holding at most
+	// this many in-slice headers under a differing prefix sends them.
+	leafHeaders = 8
+	// maxSplitBits caps one step at 2^8 children.
+	maxSplitBits = 8
+	// maxItems caps the prefixes one Reconcile describes; differing
+	// prefixes over it wait for a later round.
+	maxItems = 64
+	// maxDigest caps one header list. Only a prefix that cannot split
+	// (or the whole-store reference list) reaches it; beyond it the list
+	// is a uniform sample.
+	maxDigest = 4096
+)
 
 // Env is what the protocol needs from its host node.
 type Env struct {
@@ -110,18 +137,18 @@ type Env struct {
 	// Slice returns the node's current slice claim and Slices the slice
 	// count it is a claim among. Together they say which keys belong to
 	// the node's slice, gating what gets pulled/pushed, what EvictForeign
-	// drops and what the range sums the node compares cover.
+	// drops and what the fingerprints the node compares cover.
 	Slice  func() int32
 	Slices func() int
 	// OnDigestBytes, when non-nil, receives the approximate wire size
-	// of every difference-discovery message sent (Sums, Digest,
-	// DigestReply, Summary, SummaryReply, Pull) — the bandwidth the node
-	// spends finding out WHAT to repair, as opposed to shipping the
-	// repairs.
+	// of every difference-discovery message sent (Reconcile, Pull) — the
+	// bandwidth the node spends finding out WHAT to repair, as opposed
+	// to shipping the repairs.
 	OnDigestBytes func(n int)
-	// OnCompared, when non-nil, is called once per Sums answered with
-	// how many of its sums differed from the local ones: zero is a clean
-	// round, the mate's store proved equal to ours.
+	// OnCompared, when non-nil, is called once per Reconcile answered
+	// that carries fingerprints, with how many of them differed from the
+	// local ones: zero on an opener is a clean round, the mate's store
+	// proved equal to ours.
 	OnCompared func(differing int)
 	// OnPush, when non-nil, is called once per Push sent with its
 	// object count and summed value bytes.
@@ -147,23 +174,12 @@ type Config struct {
 	// background repair cannot monopolize the disk and network under
 	// foreground load. Zero (the default) is unlimited.
 	RateBytesPerRound int
-	// FullEvery makes every FullEvery-th round a full-header exchange;
-	// the rounds between open with a Bloom summary. 1 means every
-	// round is full-header (Bloom disabled); negative means Bloom only
-	// (no false-positive-proof fallback — experiments only). Default 8.
-	FullEvery int
-	// MaxDigest bounds headers per full Digest; a store larger than
-	// this advertises a uniformly random subset each full round, which
-	// still converges. Bloom summaries always cover every header.
-	// Default 4096.
-	MaxDigest int
 	// EvictForeign drops local objects outside the node's slice during
 	// Tick (after a slice change). Default false.
 	EvictForeign bool
-	// WholeStore opens every round the way nodes did before the range
-	// sums — a Summary or Digest of all local headers, whether or not
-	// anything differs. The lab's in-run baseline (E17); nothing else
-	// sets it.
+	// WholeStore opens every round with a depth-0 list of every local
+	// in-slice header instead of the fingerprints: the lab's full-header
+	// reference (E17); nothing else sets it.
 	WholeStore bool
 }
 
@@ -174,12 +190,6 @@ func (c *Config) defaults() {
 	if c.MaxPushBytes <= 0 {
 		c.MaxPushBytes = 1 << 20
 	}
-	if c.FullEvery == 0 {
-		c.FullEvery = 8
-	}
-	if c.MaxDigest <= 0 {
-		c.MaxDigest = 4096
-	}
 }
 
 // Protocol runs anti-entropy for one node. Not safe for concurrent use.
@@ -188,8 +198,6 @@ type Protocol struct {
 	env Env
 	rng *rand.Rand
 
-	// rounds counts Ticks; it drives the Bloom/full-header cadence.
-	rounds uint64
 	// tokens is the repair-rate bucket (bytes); meaningful only when
 	// RateBytesPerRound > 0. May go one object negative so a single
 	// value larger than the refill still makes progress.
@@ -201,7 +209,7 @@ type Protocol struct {
 	// them, under the (slice, slice count) they were judged by. The sums
 	// a node compares are the store's less these (localSums): without
 	// them one stale object would keep its range different from every
-	// mate's, and re-digested, for good. A memo that has gone stale (the
+	// mate's, and re-walked, for good. A memo that has gone stale (the
 	// object was deleted since) makes the range read different once
 	// more, and that walk corrects it.
 	foreign       store.RangeSums
@@ -222,12 +230,10 @@ func New(cfg Config, env Env, rng *rand.Rand) *Protocol {
 	return &Protocol{cfg: cfg, env: env, rng: rng}
 }
 
-// Tick opens one exchange with a random slice-mate — the store's range
-// sums, marked Full every FullEvery-th tick — refills the repair rate
-// bucket and, when configured, evicts foreign objects. ctx bounds the
-// round's sends.
+// Tick opens one exchange with a random slice-mate, refills the repair
+// rate bucket and, when configured, evicts foreign objects. ctx bounds
+// the round's sends.
 func (p *Protocol) Tick(ctx context.Context) {
-	p.rounds++
 	if rate := int64(p.cfg.RateBytesPerRound); rate > 0 {
 		p.tokens += rate
 		if burst := 4 * rate; p.tokens > burst {
@@ -241,88 +247,35 @@ func (p *Protocol) Tick(ctx context.Context) {
 	if !ok {
 		return
 	}
-	if !p.cfg.WholeStore {
-		local := p.localSums()
-		sums := fold(&local, foldCount(countIn(&local, store.AllRanges())))
-		p.noteDigestBytes(sumsWireSize(sums))
-		p.send(ctx, peer, &Sums{Slice: p.env.Slice(), Full: p.fullRound(), Sums: sums})
-		return
+	var open Item
+	if p.cfg.WholeStore {
+		open.Headers = p.list(p.walk(store.AllRanges()))
+	} else {
+		v := view{sums: p.localSums()}
+		total := 0
+		for _, s := range v.sums {
+			total += s.Count
+		}
+		open.Sums = fingerprints(v.tallies(0, 0, width(total, headersPerSum)))
 	}
-	if p.fullRound() {
-		p.sendDigest(ctx, peer, store.RangeSet{})
-		return
-	}
-	p.sendSummary(ctx, peer, store.RangeSet{})
-}
-
-// fullRound reports whether the current round uses full headers.
-func (p *Protocol) fullRound() bool {
-	if p.cfg.FullEvery == 1 {
-		return true
-	}
-	if p.cfg.FullEvery < 0 {
-		return false
-	}
-	return p.rounds%uint64(p.cfg.FullEvery) == 0
+	p.sendItems(ctx, peer, []Item{open})
 }
 
 // Handle processes anti-entropy traffic; it reports false for foreign
 // messages. ctx bounds any replies and pushes the handler emits.
 func (p *Protocol) Handle(ctx context.Context, from transport.NodeID, msg interface{}) bool {
 	switch m := msg.(type) {
-	case *Sums:
-		if m.Slice != p.env.Slice() {
-			return true // stale partner from another slice; ignore
+	case *Reconcile:
+		if m.Slice == p.env.Slice() { // else a stale partner from another slice
+			p.reconcile(ctx, from, m.Items)
 		}
-		local := p.localSums()
-		diff, n, ok := differing(&local, m.Sums)
-		if !ok {
-			return true // not a fold of NumRanges sums; nothing to compare
-		}
-		if p.env.OnCompared != nil {
-			p.env.OnCompared(n)
-		}
-		switch {
-		case n == 0:
-			// Every range equal: the stores hold the same headers.
-		case m.Full:
-			p.sendDigest(ctx, from, diff)
-		default:
-			p.sendSummary(ctx, from, diff)
-		}
-		return true
-	case *Digest:
-		if m.Slice != p.env.Slice() {
-			return true
-		}
-		p.pullMissing(ctx, from, m.Headers)
-		hs := p.digest(selected(m.Ranges))
-		p.noteDigestBytes(headersWireSize(hs) + rangesWireSize(m.Ranges))
-		p.send(ctx, from, &DigestReply{Slice: p.env.Slice(), Headers: hs, Ranges: m.Ranges})
-		return true
-	case *DigestReply:
-		if m.Slice != p.env.Slice() {
-			return true
-		}
-		p.pullMissing(ctx, from, m.Headers)
-		return true
-	case *Summary:
-		if m.Slice != p.env.Slice() {
-			return true
-		}
-		p.pushMissing(ctx, from, &m.Filter, selected(m.Ranges))
-		f := p.summary(selected(m.Ranges))
-		p.noteDigestBytes(f.SizeBytes() + rangesWireSize(m.Ranges))
-		p.send(ctx, from, &SummaryReply{Slice: p.env.Slice(), Filter: f, Ranges: m.Ranges})
-		return true
-	case *SummaryReply:
-		if m.Slice != p.env.Slice() {
-			return true
-		}
-		p.pushMissing(ctx, from, &m.Filter, selected(m.Ranges))
 		return true
 	case *Pull:
-		p.servePull(ctx, from, m)
+		refs := make([]store.Ref, 0, len(m.Headers))
+		for _, h := range m.Headers {
+			refs = append(refs, store.Ref{Key: h.Key, Version: h.Version})
+		}
+		p.pushRefs(ctx, from, refs)
 		return true
 	case *Push:
 		// One store call for the whole push: the log engine turns the
@@ -347,119 +300,276 @@ func (p *Protocol) Handle(ctx context.Context, from transport.NodeID, msg interf
 	}
 }
 
+// reconcile answers one Reconcile: a list settles its prefix — what it
+// lacks is pushed, what we lack of it pulled — and each child
+// fingerprint that differs from ours is described one step deeper. It
+// reads the range sums once and walks the store at most once, over the
+// ranges of the prefixes the sums cannot answer for.
+func (p *Protocol) reconcile(ctx context.Context, from transport.NodeID, msg []Item) {
+	items := make([]*Item, 0, min(len(msg), maxItems))
+	for i := range msg {
+		if len(items) < maxItems && msg[i].Valid() {
+			items = append(items, &msg[i])
+		}
+	}
+	p.rescope()
+	stored := p.env.Store.RangeSums()
+	v := view{sums: p.lessForeign(stored)}
+	var walk store.RangeSet
+	for _, it := range items {
+		if len(it.Sums) == 0 || !shallow(it) {
+			addPrefix(&walk, int(it.Depth), it.Prefix)
+			continue
+		}
+		for _, c := range v.differing(it) {
+			addPrefix(&walk, c.depth, c.prefix)
+		}
+	}
+	if walk != (store.RangeSet{}) {
+		// The walk also refreshes the foreign fingerprints of what it
+		// covered, so a range that read different only for a stale memo
+		// reads equal now, and is not answered. The store is not read
+		// again: writes since the first read would make ranges differ
+		// that were never walked.
+		v.headers = p.walk(walk)
+		v.sums = p.lessForeign(stored)
+	}
+
+	var out []Item
+	var push, pull []Header
+	compared, differing := false, 0
+	for _, it := range items {
+		if len(it.Sums) == 0 {
+			push, pull = p.settle(&v, it, push, pull)
+			continue
+		}
+		compared = true
+		for _, c := range v.differing(it) {
+			differing++
+			switch {
+			case c.theirs == 0: // the peer holds nothing there
+				for _, h := range v.under(c.depth, c.prefix) {
+					push = append(push, h.Header)
+				}
+			case len(out) < maxItems:
+				out = append(out, p.describe(&v, c))
+			}
+		}
+	}
+	if compared && p.env.OnCompared != nil {
+		p.env.OnCompared(differing)
+	}
+	if len(out) > 0 {
+		p.sendItems(ctx, from, out)
+	}
+	if len(pull) > 0 {
+		p.noteDigestBytes(headersWireSize(pull))
+		p.send(ctx, from, &Pull{Headers: pull})
+	}
+	refs := make([]store.Ref, min(len(push), p.cfg.MaxPush))
+	for i, h := range push[:len(refs)] {
+		refs[i] = store.Ref{Key: h.Key, Version: h.Version}
+	}
+	p.pushRefs(ctx, from, refs)
+}
+
+// settle answers the peer's list of its headers under the item's
+// prefix: ours the list lacks join push, and the in-slice headers of it
+// we lack join pull (up to MaxPush). A list of maxDigest headers
+// may be a sample, so it moves pulls alone: what it omits, the peer may
+// hold.
+func (p *Protocol) settle(v *view, it *Item, push, pull []Header) ([]Header, []Header) {
+	listed := make(map[Header]bool, len(it.Headers))
+	for _, h := range it.Headers {
+		listed[h] = true
+	}
+	mine := v.under(int(it.Depth), it.Prefix)
+	have := make(map[Header]bool, len(mine))
+	for _, h := range mine {
+		have[h.Header] = true
+		if len(it.Headers) < maxDigest && !listed[h.Header] {
+			push = append(push, h.Header)
+		}
+	}
+	// What we hold is known under the prefix alone.
+	shift := 64 - int(it.Depth)
+	for _, h := range it.Headers {
+		if len(pull) < p.cfg.MaxPush && !have[h] && store.KeyHash(h.Key)>>shift == it.Prefix && p.inSlice(h.Key) {
+			have[h] = true
+			pull = append(pull, h)
+		}
+	}
+	return push, pull
+}
+
+// describe answers a prefix whose fingerprint differs: its header list
+// when we hold at most leafHeaders there (or it cannot split), else the
+// fingerprints of its children.
+func (p *Protocol) describe(v *view, c child) Item {
+	it := Item{Depth: uint8(c.depth), Prefix: c.prefix}
+	if b := v.split(c); b > 0 {
+		it.Sums = fingerprints(v.tallies(c.depth, c.prefix, b))
+	} else {
+		it.Headers = p.list(v.under(c.depth, c.prefix))
+	}
+	return it
+}
+
+// list turns walked headers into a header list of at most maxDigest,
+// a uniform sample (reservoir) beyond that.
+func (p *Protocol) list(hs []header) []Header {
+	out := make([]Header, 0, min(len(hs), maxDigest))
+	for i, h := range hs {
+		if len(out) < maxDigest {
+			out = append(out, h.Header)
+		} else if j := p.rng.IntN(i + 1); j < maxDigest {
+			out[j] = h.Header
+		}
+	}
+	return out
+}
+
+// view is what one message is answered from: the local in-slice range
+// sums and, for the prefixes they cannot answer for, the in-slice
+// headers the message's one walk found, ordered by key hash.
+type view struct {
+	sums    store.RangeSums
+	headers []header
+}
+
+// header is a walked header with its store.KeyHash and its
+// store.HeaderSum hash.
+type header struct {
+	Header
+	kh, sum uint64
+}
+
+// child is a prefix of depth bits, the local tally under it and the
+// peer's fingerprint of it (zero: the peer holds nothing there).
+type child struct {
+	depth  int
+	prefix uint64
+	tally  store.RangeSum
+	theirs uint64
+}
+
+// split returns how many bits a differing prefix is split by: zero when
+// it goes as a list instead, because it holds at most leafHeaders here
+// or cannot split — it is 64 bits deep, or every header under it is of
+// one key (the walk covered every differing prefix).
+func (v *view) split(c child) int {
+	if c.tally.Count <= leafHeaders || c.depth == 64 {
+		return 0
+	}
+	if hs := v.under(c.depth, c.prefix); len(hs) > 0 && hs[0].kh == hs[len(hs)-1].kh {
+		return 0
+	}
+	return min(width(c.tally.Count, leafHeaders), 64-c.depth)
+}
+
+// width returns log2 of how many children hold about per of count
+// headers each: the power of two at or above count/per, at most
+// 2^maxSplitBits.
+func width(count, per int) int {
+	return min(bits.Len(uint(max(count-1, 0)/per)), maxSplitBits)
+}
+
+// shallow reports whether a fingerprint item's children are summed from
+// the range sums.
+func shallow(it *Item) bool {
+	return int(it.Depth)+bits.TrailingZeros(uint(len(it.Sums))) <= store.RangeBits
+}
+
+// differing returns the children of a fingerprint item whose local
+// fingerprint differs from the one it carries.
+func (v *view) differing(it *Item) []child {
+	b := bits.TrailingZeros(uint(len(it.Sums)))
+	var out []child
+	for i, t := range v.tallies(int(it.Depth), it.Prefix, b) {
+		if fingerprint(t) != it.Sums[i] {
+			out = append(out, child{int(it.Depth) + b, it.Prefix<<b | uint64(i), t, it.Sums[i]})
+		}
+	}
+	return out
+}
+
+// tallies returns the XOR and count of the local in-slice headers under
+// each of the prefix's 2^b children: from the range sums when the
+// children are ranges or blocks of them, else from the walked headers.
+func (v *view) tallies(depth int, prefix uint64, b int) []store.RangeSum {
+	out := make([]store.RangeSum, 1<<b)
+	if depth+b <= store.RangeBits {
+		for i := range out {
+			lo, hi := store.PrefixRanges(depth+b, prefix<<b|uint64(i))
+			for _, s := range v.sums[lo:hi] {
+				out[i].XOR ^= s.XOR
+				out[i].Count += s.Count
+			}
+		}
+		return out
+	}
+	shift := 64 - depth - b
+	for _, h := range v.under(depth, prefix) {
+		t := &out[h.kh>>shift&(1<<b-1)]
+		t.XOR ^= h.sum
+		t.Count++
+	}
+	return out
+}
+
+// under returns the walked headers under a prefix.
+func (v *view) under(depth int, prefix uint64) []header {
+	shift := 64 - depth
+	i := sort.Search(len(v.headers), func(i int) bool { return v.headers[i].kh >= prefix<<shift })
+	j := i
+	for j < len(v.headers) && v.headers[j].kh>>shift == prefix {
+		j++
+	}
+	return v.headers[i:j]
+}
+
+// fingerprint is what a tally is compared by: two header sets that
+// differ have different fingerprints but for a 2^-64 chance.
+func fingerprint(t store.RangeSum) uint64 { return t.XOR ^ hashmix.Mix64(uint64(t.Count)) }
+
+func fingerprints(ts []store.RangeSum) []uint64 {
+	out := make([]uint64, len(ts))
+	for i, t := range ts {
+		out[i] = fingerprint(t)
+	}
+	return out
+}
+
+// addPrefix adds the ranges a prefix lies in to a walk.
+func addPrefix(set *store.RangeSet, depth int, prefix uint64) {
+	lo, hi := store.PrefixRanges(depth, prefix)
+	for r := lo; r < hi; r++ {
+		set.Add(r)
+	}
+}
+
 func (p *Protocol) send(ctx context.Context, to transport.NodeID, msg interface{}) {
 	//flasks:fire-and-forget Env.Send counts a failure; a later round retries
 	_ = p.env.Send.Send(ctx, to, msg)
+}
+
+func (p *Protocol) sendItems(ctx context.Context, to transport.NodeID, items []Item) {
+	n := 5 // slice and item count
+	for _, it := range items {
+		// Depth, the prefix as a uvarint, the sum count.
+		n += 2 + max(1, (int(it.Depth)+6)/7) + 8*len(it.Sums)
+		if len(it.Sums) == 0 {
+			n += 1 + headersWireSize(it.Headers)
+		}
+	}
+	p.noteDigestBytes(n)
+	p.send(ctx, to, &Reconcile{Slice: p.env.Slice(), Items: items})
 }
 
 func (p *Protocol) noteDigestBytes(n int) {
 	if p.env.OnDigestBytes != nil {
 		p.env.OnDigestBytes(n)
 	}
-}
-
-// sendDigest opens the full-header exchange for ranges (zero: the whole
-// store, the frame from before the range sums).
-func (p *Protocol) sendDigest(ctx context.Context, to transport.NodeID, ranges store.RangeSet) {
-	hs := p.digest(selected(ranges))
-	p.noteDigestBytes(headersWireSize(hs) + rangesWireSize(ranges))
-	p.send(ctx, to, &Digest{Slice: p.env.Slice(), Headers: hs, Ranges: ranges})
-}
-
-// sendSummary opens the Bloom exchange for ranges (zero: the whole
-// store).
-func (p *Protocol) sendSummary(ctx context.Context, to transport.NodeID, ranges store.RangeSet) {
-	f := p.summary(selected(ranges))
-	p.noteDigestBytes(f.SizeBytes() + rangesWireSize(ranges))
-	p.send(ctx, to, &Summary{Slice: p.env.Slice(), Filter: f, Ranges: ranges})
-}
-
-// selected maps a message's range set to the ranges it covers: a frame
-// that names none covers them all.
-func selected(ranges store.RangeSet) store.RangeSet {
-	if ranges == (store.RangeSet{}) {
-		return store.AllRanges()
-	}
-	return ranges
-}
-
-// headersPerSum sizes the opening message to the store: one sum per
-// this many headers, so a differing sum narrows the exchange to a few
-// dozen headers while a small store is not charged NumRanges words to
-// say it is converged.
-const headersPerSum = 32
-
-// foldCount returns how many sums a store of count headers opens a
-// round with: the power of two nearest above count/headersPerSum, from
-// 1 up to store.NumRanges.
-func foldCount(count int) int {
-	want := (count + headersPerSum - 1) / headersPerSum
-	if want >= store.NumRanges {
-		return store.NumRanges
-	}
-	if want <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(want-1))
-}
-
-// fold XORs the NumRanges range sums down to n words (n a power of two
-// up to NumRanges): word i covers the ranges r with r mod n == i, each
-// contributing its XOR with its header count mixed in.
-func fold(sums *store.RangeSums, n int) []uint64 {
-	out := make([]uint64, n)
-	for r := range sums {
-		out[r&(n-1)] ^= sums[r].XOR ^ hashmix.Mix64(uint64(sums[r].Count))
-	}
-	return out
-}
-
-// differing compares a peer's folded sums with the local ones and
-// returns the ranges behind the words that differ and how many words
-// did. When every word differs the set comes back zero — the whole
-// store, with no range set to spend bytes on. ok is false when theirs
-// is not a fold of NumRanges sums.
-func differing(local *store.RangeSums, theirs []uint64) (diff store.RangeSet, n int, ok bool) {
-	words := len(theirs)
-	if words == 0 || words > store.NumRanges || words&(words-1) != 0 {
-		return diff, 0, false
-	}
-	for i, ours := range fold(local, words) {
-		if ours == theirs[i] {
-			continue
-		}
-		n++
-		for r := i; r < store.NumRanges; r += words {
-			diff.Add(r)
-		}
-	}
-	if n == words {
-		diff = store.RangeSet{}
-	}
-	return diff, n, true
-}
-
-// countIn sums the header counts of the selected ranges.
-func countIn(sums *store.RangeSums, ranges store.RangeSet) int {
-	n := 0
-	for r := range sums {
-		if ranges.Has(r) {
-			n += sums[r].Count
-		}
-	}
-	return n
-}
-
-// sumsWireSize approximates the encoded size of a Sums message.
-func sumsWireSize(sums []uint64) int { return 8*len(sums) + 9 }
-
-// rangesWireSize is what naming a range set costs on the wire: nothing
-// when absent.
-func rangesWireSize(ranges store.RangeSet) int {
-	if ranges == (store.RangeSet{}) {
-		return 0
-	}
-	return 8 * len(ranges)
 }
 
 // headersWireSize approximates the encoded size of a header list: key
@@ -490,7 +600,12 @@ func (p *Protocol) rescope() {
 // slice: the store's range sums less the foreign headers.
 func (p *Protocol) localSums() store.RangeSums {
 	p.rescope()
-	sums := p.env.Store.RangeSums()
+	return p.lessForeign(p.env.Store.RangeSums())
+}
+
+// lessForeign returns the given store range sums less the foreign
+// fingerprints.
+func (p *Protocol) lessForeign(sums store.RangeSums) store.RangeSums {
 	for r := range sums {
 		sums[r].XOR ^= p.foreign[r].XOR
 		sums[r].Count -= p.foreign[r].Count
@@ -498,22 +613,24 @@ func (p *Protocol) localSums() store.RangeSums {
 	return sums
 }
 
-// walk visits every local header of the selected ranges, and files what
-// it sees outside the node's slice as those ranges' foreign
-// fingerprint.
-func (p *Protocol) walk(ranges store.RangeSet, fn func(key string, version uint64)) {
+// walk returns the local in-slice headers of the selected ranges ordered
+// by key hash, and files what it sees outside the node's slice as those
+// ranges' foreign fingerprint.
+func (p *Protocol) walk(ranges store.RangeSet) []header {
 	p.rescope()
 	var found *store.RangeSums // nil until a foreign header turns up
+	var out []header
 	_ = p.env.Store.ForEachIn(ranges, func(key string, version uint64) bool {
-		if !p.inSlice(key) {
-			if found == nil {
-				found = new(store.RangeSums)
-			}
-			r, h := store.HeaderSum(key, version)
-			found[r].XOR ^= h
-			found[r].Count++
+		r, h := store.HeaderSum(key, version)
+		if p.inSlice(key) {
+			out = append(out, header{Header{key, version}, store.KeyHash(key), h})
+			return true
 		}
-		fn(key, version)
+		if found == nil {
+			found = new(store.RangeSums)
+		}
+		found[r].XOR ^= h
+		found[r].Count++
 		return true
 	})
 	for r := range p.foreign {
@@ -525,100 +642,13 @@ func (p *Protocol) walk(ranges store.RangeSet, fn func(key string, version uint6
 			p.foreign[r] = found[r]
 		}
 	}
-}
-
-// digest lists up to MaxDigest local headers of the selected ranges;
-// beyond that it advertises a random subset (reservoir sampling keeps
-// the choice uniform).
-func (p *Protocol) digest(ranges store.RangeSet) []Header {
-	out := make([]Header, 0, 128)
-	seen := 0
-	p.walk(ranges, func(key string, version uint64) {
-		seen++
-		h := Header{Key: key, Version: version}
-		if len(out) < p.cfg.MaxDigest {
-			out = append(out, h)
-		} else if j := p.rng.IntN(seen); j < p.cfg.MaxDigest {
-			out[j] = h
+	slices.SortFunc(out, func(a, b header) int {
+		if a.kh != b.kh {
+			return cmp.Compare(a.kh, b.kh)
 		}
+		return cmp.Or(strings.Compare(a.Key, b.Key), cmp.Compare(a.Version, b.Version))
 	})
 	return out
-}
-
-// summary encodes every local header of the selected ranges into a
-// Bloom filter. Unlike digest it is never sampled down — the whole
-// point is that O(bits) covers them all. Each summary draws a fresh
-// salt so a header that false-positives this round is tested under an
-// independent hash family next round instead of being skipped until the
-// full-header fallback (see Filter).
-func (p *Protocol) summary(ranges store.RangeSet) Filter {
-	sums := p.env.Store.RangeSums()
-	f := NewFilterSalted(countIn(&sums, ranges), p.rng.Uint64())
-	p.walk(ranges, f.Add)
-	return *f
-}
-
-// pullMissing asks the peer for the headers of theirs that we lack and
-// should hold.
-func (p *Protocol) pullMissing(ctx context.Context, from transport.NodeID, theirs []Header) {
-	if wants := p.missing(theirs); len(wants) > 0 {
-		p.noteDigestBytes(headersWireSize(wants))
-		p.send(ctx, from, &Pull{Headers: wants})
-	}
-}
-
-// missing returns the headers we lack and should hold. Presence is
-// asked of the index (Versions), never of the values: the log engine's
-// Get reads and checksums the whole record. Header lists arrive in
-// (key, version) order, so one lookup serves all versions of a key.
-func (p *Protocol) missing(theirs []Header) []Header {
-	var wants []Header
-	var have []uint64 // stored versions of key, once looked is set
-	var err error
-	key, looked := "", false
-	for _, h := range theirs {
-		if !p.inSlice(h.Key) {
-			continue
-		}
-		if !looked || h.Key != key {
-			key, looked = h.Key, true
-			have, err = p.env.Store.Versions(key)
-		}
-		if err == nil && !slices.Contains(have, h.Version) {
-			wants = append(wants, h)
-			if len(wants) >= p.cfg.MaxPush {
-				break
-			}
-		}
-	}
-	return wants
-}
-
-// pushMissing pushes the local in-slice objects of the selected ranges
-// that the peer's filter proves absent over there (no false negatives,
-// so every push is productive; a false positive just defers the object
-// to a full round).
-func (p *Protocol) pushMissing(ctx context.Context, to transport.NodeID, f *Filter, ranges store.RangeSet) {
-	refs := make([]store.Ref, 0, 16)
-	_ = p.env.Store.ForEachIn(ranges, func(key string, version uint64) bool {
-		if !p.inSlice(key) {
-			return true
-		}
-		if f.Contains(key, version) {
-			return true
-		}
-		refs = append(refs, store.Ref{Key: key, Version: version})
-		return len(refs) < p.cfg.MaxPush
-	})
-	p.pushRefs(ctx, to, refs)
-}
-
-func (p *Protocol) servePull(ctx context.Context, from transport.NodeID, m *Pull) {
-	refs := make([]store.Ref, 0, len(m.Headers))
-	for _, h := range m.Headers {
-		refs = append(refs, store.Ref{Key: h.Key, Version: h.Version})
-	}
-	p.pushRefs(ctx, from, refs)
 }
 
 // pushRefs streams the referenced objects out of the store — CRC-

@@ -3,6 +3,8 @@ package antientropy
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dataflasks/internal/sim"
@@ -19,11 +21,18 @@ type pairHarness struct {
 	queue  []transport.Envelope
 	sentA  int
 	sentB  int
+	// inspect, when set, sees every message before it is delivered.
+	inspect func(msg interface{})
 }
 
 func newPair(t *testing.T, cfg Config, slice int32, k int) *pairHarness {
 	t.Helper()
-	h := &pairHarness{sa: store.NewMemory(), sb: store.NewMemory()}
+	return newPairOn(cfg, slice, k, store.NewMemory(), store.NewMemory())
+}
+
+// newPairOn is newPair over the given stores.
+func newPairOn(cfg Config, slice int32, k int, sa, sb store.Store) *pairHarness {
+	h := &pairHarness{sa: sa, sb: sb}
 	mk := func(self, peer transport.NodeID, st store.Store, counter *int) *Protocol {
 		return New(cfg, Env{
 			Store: st,
@@ -46,6 +55,9 @@ func (h *pairHarness) deliverAll() {
 	for len(h.queue) > 0 {
 		env := h.queue[0]
 		h.queue = h.queue[1:]
+		if h.inspect != nil {
+			h.inspect(env.Msg)
+		}
 		if env.To == 1 {
 			h.a.Handle(context.Background(), env.From, env.Msg)
 		} else {
@@ -55,7 +67,7 @@ func (h *pairHarness) deliverAll() {
 }
 
 // keysInSlice returns n distinct keys mapping to the slice.
-func keysInSlice(t *testing.T, slice int32, k, n int) []string {
+func keysInSlice(t testing.TB, slice int32, k, n int) []string {
 	t.Helper()
 	var out []string
 	for i := 0; len(out) < n && i < 100000; i++ {
@@ -140,11 +152,11 @@ func TestExchangeIgnoresOtherSlicesDigest(t *testing.T) {
 	h := newPair(t, Config{}, 1, k)
 	key := keysInSlice(t, 1, k, 1)[0]
 	_ = h.sa.Put(key, 1, []byte("x"))
-	// B receives a digest claiming another slice: must be ignored.
-	h.b.Handle(context.Background(), 1, &Digest{Slice: 2, Headers: []Header{{Key: key, Version: 1}}})
+	// B receives a header list claiming another slice: must be ignored.
+	h.b.Handle(context.Background(), 1, &Reconcile{Slice: 2, Items: []Item{{Headers: []Header{{Key: key, Version: 1}}}}})
 	h.deliverAll()
-	if _, _, ok, _ := h.sb.Get(key, 1); ok {
-		t.Error("cross-slice digest caused replication")
+	if _, _, ok, _ := h.sb.Get(key, 1); ok || h.sentB != 0 {
+		t.Errorf("cross-slice list caused replication (sent %d)", h.sentB)
 	}
 }
 
@@ -167,6 +179,172 @@ func TestMaxPushBoundsOneExchange(t *testing.T) {
 	}
 	if got := h.sb.Count(); got != len(keys) {
 		t.Fatalf("after 6 exchanges b has %d of %d", got, len(keys))
+	}
+}
+
+// TestMaxPushBytesBoundsOneExchange: the byte budget cuts a push off
+// mid-list, and later rounds move the rest.
+func TestMaxPushBytesBoundsOneExchange(t *testing.T) {
+	const slice, k = 1, 4
+	h := newPair(t, Config{MaxPushBytes: 300}, slice, k)
+	keys := keysInSlice(t, slice, k, 10)
+	val := make([]byte, 100)
+	for i, key := range keys {
+		_ = h.sa.Put(key, uint64(i+1), val)
+	}
+	h.a.Tick(context.Background())
+	h.deliverAll()
+	// 100-byte values against a 300-byte budget: exactly 3 ship.
+	if got := h.sb.Count(); got != 3 {
+		t.Fatalf("first exchange moved %d objects, want 3", got)
+	}
+	for i := 0; i < 5; i++ {
+		h.a.Tick(context.Background())
+		h.deliverAll()
+	}
+	if got := h.sb.Count(); got != len(keys) {
+		t.Fatalf("after 6 exchanges b has %d of %d", got, len(keys))
+	}
+}
+
+// TestOversizedValueStillShips: one value above MaxPushBytes must ship
+// alone rather than being starved forever.
+func TestOversizedValueStillShips(t *testing.T) {
+	const slice, k = 1, 4
+	h := newPair(t, Config{MaxPushBytes: 64}, slice, k)
+	key := keysInSlice(t, slice, k, 1)[0]
+	_ = h.sa.Put(key, 1, make([]byte, 500))
+	h.a.Tick(context.Background())
+	h.deliverAll()
+	if val, _, ok, _ := h.sb.Get(key, 1); !ok || len(val) != 500 {
+		t.Fatalf("oversized value not shipped: ok=%v len=%d", ok, len(val))
+	}
+}
+
+// TestRateLimiterBoundsPerRoundBytes: with a byte budget per round,
+// each exchange ships at most the refill (plus one object of
+// overshoot), and convergence still happens across rounds.
+func TestRateLimiterBoundsPerRoundBytes(t *testing.T) {
+	const slice, k = 1, 4
+	h := newPair(t, Config{RateBytesPerRound: 150}, slice, k)
+	keys := keysInSlice(t, slice, k, 12)
+	val := make([]byte, 100)
+	for i, key := range keys {
+		_ = h.sa.Put(key, uint64(i+1), val)
+	}
+	prev := 0
+	for round := 1; round <= 40 && h.sb.Count() < len(keys); round++ {
+		h.a.Tick(context.Background())
+		h.b.Tick(context.Background()) // refill B's bucket too (it has nothing to push)
+		h.deliverAll()
+		moved := h.sb.Count() - prev
+		prev = h.sb.Count()
+		// 150 B/round against 100-B values: at most 2 objects/round
+		// (one token overshoot), never a burst-drain of the backlog.
+		if moved > 2+4 { // +4: the initial 4-round burst allowance
+			t.Fatalf("round %d moved %d objects despite the rate cap", round, moved)
+		}
+	}
+	if h.sb.Count() != len(keys) {
+		t.Fatalf("rate-limited repair never converged: %d of %d", h.sb.Count(), len(keys))
+	}
+}
+
+// TestCorruptRecordNotPropagated is the acceptance test for CRC-
+// verified streaming: corrupt one byte of a log-segment record on the
+// serving node and the object is skipped — reported via OnCorrupt —
+// while every healthy object still replicates.
+func TestCorruptRecordNotPropagated(t *testing.T) {
+	const slice, k = 1, 4
+	dir := t.TempDir()
+	lg, err := store.OpenLog(dir, store.LogOptions{})
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	defer lg.Close()
+
+	keys := keysInSlice(t, slice, k, 3)
+	val := []byte("0123456789abcdef")
+	victim := keys[1]
+	// Equal key lengths keep record offsets computable.
+	for i, key := range keys {
+		if len(key) != len(keys[0]) {
+			t.Fatalf("test needs equal-length keys, got %q vs %q", key, keys[0])
+		}
+		if err := lg.Put(key, uint64(i+1), val); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	// Record layout: u32 len | u32 crc | u8 typ | u64 ver | u16 klen |
+	// key | value. Flip a value byte of record 1 (the victim).
+	recLen := 8 + 11 + len(keys[0]) + len(val)
+	off := int64(recLen + 8 + 11 + len(victim) + 5)
+	segs, globErr := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if globErr != nil || len(segs) != 1 {
+		t.Fatalf("segments: %v err=%v", segs, globErr)
+	}
+	f, err := os.OpenFile(segs[0], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatalf("open segment: %v", err)
+	}
+	b := []byte{0}
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatalf("corrupt: %v", err)
+	}
+	f.Close()
+
+	// A serves from the corrupted log; B is a fresh empty mate.
+	h := newPairOn(Config{}, slice, k, lg, store.NewMemory())
+	corrupt := 0
+	h.a.env.OnCorrupt = func(n int) { corrupt += n }
+	h.a.Tick(context.Background())
+	h.deliverAll()
+
+	if corrupt == 0 {
+		t.Error("OnCorrupt never fired for the rotted record")
+	}
+	if _, _, ok, _ := h.sb.Get(victim, 2); ok {
+		t.Error("corrupt object was propagated to the peer")
+	}
+	for i, key := range keys {
+		if key == victim {
+			continue
+		}
+		if v, _, ok, _ := h.sb.Get(key, uint64(i+1)); !ok || string(v) != string(val) {
+			t.Errorf("healthy object %q not replicated: ok=%v", key, ok)
+		}
+	}
+}
+
+// TestDigestBytesAccounting: between converged mates a ranged round must
+// report far fewer digest bytes than the full-header reference's list of
+// the same store.
+func TestDigestBytesAccounting(t *testing.T) {
+	const slice, k = 1, 4
+	run := func(wholeStore bool) int {
+		bytes := 0
+		h := newPair(t, Config{WholeStore: wholeStore}, slice, k)
+		h.a.env.OnDigestBytes = func(n int) { bytes += n }
+		h.b.env.OnDigestBytes = func(n int) { bytes += n }
+		for i, key := range keysInSlice(t, slice, k, 200) {
+			_ = h.sa.Put(key, uint64(i+1), []byte("v"))
+			_ = h.sb.Put(key, uint64(i+1), []byte("v"))
+		}
+		h.a.Tick(context.Background())
+		h.deliverAll()
+		return bytes
+	}
+	full := run(true)
+	ranged := run(false)
+	if ranged == 0 || full == 0 {
+		t.Fatalf("accounting hooks silent: full=%d ranged=%d", full, ranged)
+	}
+	if ranged*5 > full {
+		t.Fatalf("ranged digest bytes %d not >= 5x smaller than full %d", ranged, full)
 	}
 }
 
@@ -233,15 +411,23 @@ func TestBothSidesSend(t *testing.T) {
 	}
 }
 
+// TestDigestSamplesLargeStores: a header list longer than maxDigest —
+// here the full-header reference's opener — is a uniform sample of
+// maxDigest distinct headers.
 func TestDigestSamplesLargeStores(t *testing.T) {
 	const slice, k = 0, 1 // every key in slice
-	h := newPair(t, Config{MaxDigest: 16}, slice, k)
-	for i := 0; i < 100; i++ {
-		_ = h.sa.Put(fmt.Sprintf("k%03d", i), 1, nil)
+	h := newPair(t, Config{WholeStore: true}, slice, k)
+	objs := make([]store.Object, maxDigest+500)
+	for i := range objs {
+		objs[i] = store.Object{Key: fmt.Sprintf("k%05d", i), Version: 1}
 	}
-	d := h.a.digest(store.AllRanges())
-	if len(d) != 16 {
-		t.Fatalf("digest size = %d, want 16", len(d))
+	if err := h.sa.PutBatch(objs); err != nil {
+		t.Fatal(err)
+	}
+	h.a.Tick(context.Background())
+	d := h.queue[0].Msg.(*Reconcile).Items[0].Headers
+	if len(d) != maxDigest {
+		t.Fatalf("digest size = %d, want %d", len(d), maxDigest)
 	}
 	seen := map[string]bool{}
 	for _, hd := range d {

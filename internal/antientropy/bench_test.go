@@ -9,11 +9,12 @@ import (
 
 // BenchmarkAntiEntropyRound is one repair round between two mates on the
 // log engine, the initiator holding 50 000 headers, opened with range
-// sums (ranged) or the way every round used to open (WholeStore, a
-// Summary of all local headers): the responder converged with it, 16
+// fingerprints (ranged) or with a list of all local headers (WholeStore,
+// the full-header reference): the responder converged with it, 16
 // objects short, or cold. digest_B/round is what the round charged to
-// flasks_antientropy_digest_bytes_total; walks/round counts ForEachIn
-// calls on both sides.
+// flasks_antientropy_digest_bytes_total; msgs/round and walks/round
+// count messages sent and ForEachIn calls on both sides. A converged
+// ranged round is one message and no walk, or the benchmark fails.
 func BenchmarkAntiEntropyRound(b *testing.B) {
 	const slice, k, headers = 1, 4, 50000
 	keys := sliceKeys(slice, k, headers)
@@ -44,9 +45,10 @@ func BenchmarkAntiEntropyRound(b *testing.B) {
 		for _, mode := range []struct {
 			name string
 			cfg  antientropy.Config
-		}{{"ranged", antientropy.Config{FullEvery: -1}}, {"WholeStore", antientropy.Config{FullEvery: -1, WholeStore: true}}} {
+		}{{"ranged", antientropy.Config{}}, {"WholeStore", antientropy.Config{WholeStore: true}}} {
 			b.Run(tc.name+"/"+mode.name, func(b *testing.B) {
 				p := newPairOn(mode.cfg, mode.cfg, slice, k, openLog(b, keys), openLog(b, tc.keys))
+				msgs := 0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -58,14 +60,16 @@ func BenchmarkAntiEntropyRound(b *testing.B) {
 						b.StartTimer()
 					}
 					p.round(p.a)
+					msgs += len(p.log)
 					p.log = nil
 				}
 				b.StopTimer()
 				walks := p.sa.walks.Load() + p.sb.walks.Load()
-				if tc.name == "converged" && mode.name == "ranged" && walks != 0 {
-					b.Fatalf("converged ranged rounds walked headers %d times", walks)
+				if tc.name == "converged" && mode.name == "ranged" && (walks != 0 || msgs != b.N) {
+					b.Fatalf("%d converged ranged rounds sent %d messages and walked headers %d times, want one message each and no walk", b.N, msgs, walks)
 				}
 				b.ReportMetric(float64(p.digest)/float64(b.N), "digest_B/round")
+				b.ReportMetric(float64(msgs)/float64(b.N), "msgs/round")
 				b.ReportMetric(float64(walks)/float64(b.N), "walks/round")
 			})
 		}

@@ -160,29 +160,26 @@ func oneRange(r int) store.RangeSet {
 }
 
 // TestConvergedRoundIsOneSmallMessage: between mates holding the same
-// headers a round is the opening Sums and nothing else — at most 8 bytes
-// per sum plus 64 on the wire — and neither side walks a header, however
-// large the store.
+// headers a round is the opening Reconcile and nothing else — at most 8
+// bytes per fingerprint plus 64 on the wire — and neither side walks a
+// header, however large the store.
 func TestConvergedRoundIsOneSmallMessage(t *testing.T) {
 	const slice, k = 1, 4
 	for _, headers := range []int{0, 20, 1000, 9000} {
 		p := newPair(t, antientropy.Config{}, antientropy.Config{}, slice, k)
 		load(t, sliceKeys(slice, k, headers), p.sa, p.sb)
-		for r := 0; r < 8; r++ { // rounds 1-7 Bloom, round 8 full
+		for r := 0; r < 8; r++ {
 			p.resetCounts()
 			p.round(p.a)
 			if len(p.log) != 1 {
-				t.Fatalf("%d headers, round %d: %d messages, want the Sums alone: %+v", headers, r+1, len(p.log), p.log)
+				t.Fatalf("%d headers, round %d: %d messages, want the opener alone: %+v", headers, r+1, len(p.log), p.log)
 			}
-			sums, ok := p.log[0].Msg.(*antientropy.Sums)
-			if !ok || sums.Full != (r == 7) {
-				t.Fatalf("%d headers, round %d: sent %+v, want Sums{Full: %v}", headers, r+1, p.log[0].Msg, r == 7)
+			open := opener(t, p.log[0])
+			if got, max := frameLen(t, p.log[0]), 8*len(open.Sums)+64; got > max {
+				t.Fatalf("%d headers: opener of %d sums is %d B, want <= %d", headers, len(open.Sums), got, max)
 			}
-			if got, max := frameLen(t, p.log[0]), 8*len(sums.Sums)+64; got > max {
-				t.Fatalf("%d headers: Sums frame of %d sums is %d B, want <= %d", headers, len(sums.Sums), got, max)
-			}
-			if p.digest > 8*len(sums.Sums)+64 || p.digest < 8*len(sums.Sums) {
-				t.Fatalf("%d headers: round charged %d digest bytes for %d sums", headers, p.digest, len(sums.Sums))
+			if p.digest > 8*len(open.Sums)+64 || p.digest < 8*len(open.Sums) {
+				t.Fatalf("%d headers: round charged %d digest bytes for %d sums", headers, p.digest, len(open.Sums))
 			}
 			if w := p.sa.walks.Load() + p.sb.walks.Load(); w != 0 {
 				t.Fatalf("%d headers: a converged round walked headers %d times", headers, w)
@@ -192,20 +189,31 @@ func TestConvergedRoundIsOneSmallMessage(t *testing.T) {
 			}
 		}
 		want := map[int]int{0: 1, 20: 1, 1000: 32, 9000: store.NumRanges}[headers]
-		if got := len(p.log[0].Msg.(*antientropy.Sums).Sums); got != want {
+		if got := len(opener(t, p.log[0]).Sums); got != want {
 			t.Fatalf("%d headers opened with %d sums, want %d", headers, got, want)
 		}
 	}
 }
 
+// opener returns the one item a round opens with: fingerprints of the
+// root's children.
+func opener(t *testing.T, env transport.Envelope) antientropy.Item {
+	t.Helper()
+	m, ok := env.Msg.(*antientropy.Reconcile)
+	if !ok || len(m.Items) != 1 || m.Items[0].Depth != 0 || len(m.Items[0].Sums) == 0 {
+		t.Fatalf("sent %+v, want a Reconcile of one depth-0 item of sums", env.Msg)
+	}
+	return m.Items[0]
+}
+
 // TestOneMissingObjectCostsOneRange: with one object missing on one side
-// of a large store, the responder summarises the one range that differs,
-// every walk on both sides stays inside it, and the object is repaired in
-// that same round — whichever side lacks it.
+// of a 10 000-header store, the exchange narrows to the object's range —
+// every walk on both sides stays inside it — and repairs it in the same
+// round for about the opener's digest bytes, whichever side lacks it.
 func TestOneMissingObjectCostsOneRange(t *testing.T) {
 	const slice, k = 1, 4
-	keys := sliceKeys(slice, k, 9001)
-	extra, keys := keys[9000], keys[:9000]
+	keys := sliceKeys(slice, k, 10001)
+	extra, keys := keys[10000], keys[:10000]
 	for _, holder := range []string{"initiator", "responder"} {
 		p := newPair(t, antientropy.Config{}, antientropy.Config{}, slice, k)
 		load(t, keys, p.sa, p.sb)
@@ -220,26 +228,14 @@ func TestOneMissingObjectCostsOneRange(t *testing.T) {
 		if _, _, ok, _ := lacks.Store.Get(extra, 1); !ok {
 			t.Fatalf("%s holds the object: not repaired in the round", holder)
 		}
-		var summaries int
-		for _, env := range p.log {
-			switch m := env.Msg.(type) {
-			case *antientropy.Summary:
-				summaries++
-				if m.Ranges != want {
-					t.Errorf("%s: Summary names ranges %v, want only %v", holder, m.Ranges, want)
-				}
-				if got := frameLen(t, env); got > 256 {
-					t.Errorf("%s: Summary of one range of a 9000-header store is %d B", holder, got)
-				}
-			case *antientropy.SummaryReply:
-				if m.Ranges != want {
-					t.Errorf("%s: SummaryReply names ranges %v, want only %v", holder, m.Ranges, want)
-				}
-			}
+		// The opener's 256 sums, one level of sub-range sums and one
+		// short list: the search costs what the opener does, plus a few
+		// hundred bytes.
+		if max := 8*store.NumRanges + 512; p.digest > max {
+			t.Errorf("%s: the round charged %d digest bytes, want <= %d", holder, p.digest, max)
 		}
-		if summaries != 1 || p.differing != 1 || p.clean != 0 {
-			t.Errorf("%s: %d summaries, OnCompared differing=%d clean=%d; want one of each, no clean round",
-				holder, summaries, p.differing, p.clean)
+		if p.differing != 2 || p.clean != 0 {
+			t.Errorf("%s: OnCompared differing=%d clean=%d; want the range, then its one differing sub-range", holder, p.differing, p.clean)
 		}
 		for _, st := range []*countingStore{p.sa, p.sb} {
 			if len(st.walked) == 0 {
@@ -255,86 +251,47 @@ func TestOneMissingObjectCostsOneRange(t *testing.T) {
 		p.resetCounts()
 		p.round(p.b)
 		if len(p.log) != 1 || p.clean != 1 {
-			t.Errorf("%s: round after the repair sent %d messages (clean=%d), want the Sums alone", holder, len(p.log), p.clean)
+			t.Errorf("%s: round after the repair sent %d messages (clean=%d), want the opener alone", holder, len(p.log), p.clean)
 		}
 	}
 }
 
-// TestBloomFalsePositiveRepairedByFullRoundOfItsRange: a header the
-// responder's filter false-positives is skipped by the Bloom leg, its
-// range keeps reading different, and the next full round — a Digest of
-// that one range — repairs it.
-func TestBloomFalsePositiveRepairedByFullRoundOfItsRange(t *testing.T) {
-	const slice, k = 1, 4
-	p := newPair(t, antientropy.Config{FullEvery: 2}, antientropy.Config{FullEvery: 2}, slice, k)
-	keys := sliceKeys(slice, k, 9000)
-	load(t, keys, p.sa, p.sb)
-
-	// B answers A's round 1 with a filter of its headers in the victim's
-	// range under the first salt its rng yields; clone the stream, build
-	// that filter for every candidate's range, and pick a victim — held
-	// by A alone — that false-positives against it.
-	salt := sim.RNG(1, 2).Uint64()
-	inRange := make(map[int][]string)
-	for _, key := range keys {
-		inRange[rangeOf(key, 1)] = append(inRange[rangeOf(key, 1)], key)
-	}
-	victim := ""
-	for i := 0; victim == "" && i < 5_000_000; i++ {
-		key := fmt.Sprintf("fp%07d", i)
-		if slicing.KeySlice(key, k) != slice {
-			continue
-		}
-		mates := inRange[rangeOf(key, 7)]
-		f := antientropy.NewFilterSalted(len(mates), salt)
-		for _, m := range mates {
-			f.Add(m, 1)
-		}
-		if f.Contains(key, 7) {
-			victim = key
-		}
-	}
-	if victim == "" {
-		t.Fatal("no deterministic false positive found — filter parameters changed?")
-	}
+// TestBloomFalsePositiveVictimRepairsInOneRound: fp0000052 version 7,
+// held by A alone, hid from the Bloom leg this exchange replaced — it
+// false-positived against B's filter of its range under B's first salt
+// — and waited for a full-header round. The descent is exact: one round
+// repairs it, walks nothing outside its range and reads no value to test
+// presence.
+func TestBloomFalsePositiveVictimRepairsInOneRound(t *testing.T) {
+	const slice, k, victim = 1, 4, "fp0000052"
+	p := newPair(t, antientropy.Config{}, antientropy.Config{}, slice, k)
+	load(t, sliceKeys(slice, k, 9000), p.sa, p.sb)
 	if err := p.sa.Put(victim, 7, []byte("precious")); err != nil {
 		t.Fatal(err)
 	}
-	want := oneRange(rangeOf(victim, 7))
-
-	p.round(p.a) // round 1: Bloom
-	if _, _, ok, _ := p.sb.Store.Get(victim, 7); ok {
-		t.Fatal("the Bloom round repaired the victim — it should false-positive under B's first salt")
-	}
 	p.resetCounts()
-	p.round(p.a) // round 2: full
+	p.round(p.a)
 	if val, _, ok, _ := p.sb.Store.Get(victim, 7); !ok || string(val) != "precious" {
-		t.Fatalf("the full round did not repair the false positive: ok=%v val=%q", ok, val)
+		t.Fatalf("the round did not repair the victim: ok=%v val=%q", ok, val)
 	}
-	digests := 0
-	for _, env := range p.log {
-		if m, ok := env.Msg.(*antientropy.Digest); ok {
-			digests++
-			if m.Ranges != want || len(m.Headers) != len(inRange[rangeOf(victim, 7)]) {
-				t.Errorf("Digest lists %d headers of ranges %v, want the %d of range %v",
-					len(m.Headers), m.Ranges, len(inRange[rangeOf(victim, 7)]), want)
+	for _, st := range []*countingStore{p.sa, p.sb} {
+		for _, set := range st.walked {
+			if set != oneRange(rangeOf(victim, 7)) {
+				t.Errorf("walked ranges %v, want only the victim's %d", set, rangeOf(victim, 7))
 			}
 		}
 	}
-	if digests != 1 {
-		t.Errorf("full round sent %d Digests, want 1", digests)
-	}
 	if g := p.sa.gets.Load() + p.sb.gets.Load(); g != 0 {
-		t.Errorf("full round read %d values to test presence, want the index asked", g)
+		t.Errorf("the round read %d values to test presence, want the index asked", g)
 	}
 }
 
-// TestFullRoundAsksTheIndexNotTheDisk: a whole-store full-header round
-// over thousands of headers tests presence through Versions — not one
-// value is read.
+// TestFullRoundAsksTheIndexNotTheDisk: a full-header reference round
+// over thousands of headers repairs both directions without reading one
+// value to test presence.
 func TestFullRoundAsksTheIndexNotTheDisk(t *testing.T) {
 	const slice, k = 1, 4
-	cfg := antientropy.Config{FullEvery: 1, WholeStore: true}
+	cfg := antientropy.Config{WholeStore: true}
 	p := newPair(t, cfg, cfg, slice, k)
 	keys := sliceKeys(slice, k, 3000)
 	load(t, keys[:2990], p.sa)
@@ -348,112 +305,141 @@ func TestFullRoundAsksTheIndexNotTheDisk(t *testing.T) {
 	}
 }
 
-// TestWholeStoreFramesAnsweredAsBefore: a Summary or Digest that names
-// no ranges — what a peer from before the range sums opens with — is
-// answered over the whole store, with a reply that names none either.
-func TestWholeStoreFramesAnsweredAsBefore(t *testing.T) {
-	const slice, k = 1, 4
-	keys := sliceKeys(slice, k, 40)
-	headers := make([]antientropy.Header, 0, 30)
-	for _, key := range keys[10:] {
-		headers = append(headers, antientropy.Header{Key: key, Version: 1})
+// TestEmptyMateFillsInMaxPushRounds: a mate with nothing gains at least
+// MaxPush objects a round — one Push per message that settles a prefix,
+// and a round may settle at more than one step of the descent — so n
+// objects take at most ceil(n/MaxPush) rounds, whichever side opens
+// them.
+func TestEmptyMateFillsInMaxPushRounds(t *testing.T) {
+	const slice, k, n, maxPush = 1, 4, 1000, 64
+	for _, opener := range []string{"full", "empty"} {
+		cfg := antientropy.Config{MaxPush: maxPush}
+		p := newPair(t, cfg, cfg, slice, k)
+		load(t, sliceKeys(slice, k, n), p.sa)
+		initiator := p.a
+		if opener == "empty" {
+			initiator = p.b
+		}
+		rounds := 0
+		for ; p.sb.Count() < n && rounds < 2*n/maxPush; rounds++ {
+			before := p.sb.Count()
+			p.round(initiator)
+			if moved := p.sb.Count() - before; moved < min(maxPush, n-before) {
+				t.Errorf("%s opens: round %d moved %d objects, want >= %d", opener, rounds+1, moved, min(maxPush, n-before))
+			}
+		}
+		if want := (n + maxPush - 1) / maxPush; rounds > want || p.sb.Count() != n {
+			t.Errorf("%s opens: the empty mate holds %d of %d after %d rounds, want all within %d", opener, p.sb.Count(), n, rounds, want)
+		}
+		t.Logf("%s opens: filled in %d rounds", opener, rounds)
 	}
-
-	t.Run("Summary", func(t *testing.T) {
-		p := newPair(t, antientropy.Config{}, antientropy.Config{}, slice, k)
-		load(t, keys[:30], p.sb) // the old peer, A, holds keys[10:]
-		theirs := antientropy.NewFilterSalted(30, 0x5a17)
-		for _, h := range headers {
-			theirs.Add(h.Key, h.Version)
-		}
-		p.b.Handle(context.Background(), 1, &antientropy.Summary{Slice: slice, Filter: *theirs})
-		var pushed int
-		var reply *antientropy.SummaryReply
-		for _, env := range p.log {
-			switch m := env.Msg.(type) {
-			case *antientropy.Push:
-				pushed += len(m.Objects)
-			case *antientropy.SummaryReply:
-				reply = m
-			}
-		}
-		if pushed != 10 {
-			t.Errorf("pushed %d objects, want the 10 the filter proves missing", pushed)
-		}
-		if reply == nil || reply.Ranges != (store.RangeSet{}) {
-			t.Fatalf("reply = %+v, want a SummaryReply naming no ranges", reply)
-		}
-		for _, key := range keys[:30] {
-			if !reply.Filter.Contains(key, 1) {
-				t.Fatalf("reply's filter lacks %q: it must cover the whole store", key)
-			}
-		}
-		if want := antientropy.NewFilter(30); len(reply.Filter.Bits) != len(want.Bits) {
-			t.Errorf("reply's filter has %d words, want %d (sized for the whole store)", len(reply.Filter.Bits), len(want.Bits))
-		}
-	})
-
-	t.Run("Digest", func(t *testing.T) {
-		p := newPair(t, antientropy.Config{}, antientropy.Config{}, slice, k)
-		load(t, keys[:30], p.sb)
-		p.b.Handle(context.Background(), 1, &antientropy.Digest{Slice: slice, Headers: headers})
-		var pull *antientropy.Pull
-		var reply *antientropy.DigestReply
-		for _, env := range p.log {
-			switch m := env.Msg.(type) {
-			case *antientropy.Pull:
-				pull = m
-			case *antientropy.DigestReply:
-				reply = m
-			}
-		}
-		if pull == nil || len(pull.Headers) != 10 {
-			t.Errorf("pull = %+v, want the 10 headers B lacks", pull)
-		}
-		if reply == nil || reply.Ranges != (store.RangeSet{}) || len(reply.Headers) != 30 {
-			t.Fatalf("reply = %+v, want a DigestReply of all 30 headers naming no ranges", reply)
-		}
-	})
 }
 
-// TestPeerThatDropsSumsConvergesThroughItsOwnRounds: an old peer decodes
-// Sums as an unknown kind and ignores it, so the rounds its new mate
-// opens repair nothing — and the whole-store rounds it opens itself,
-// answered by the new mate, repair both.
-func TestPeerThatDropsSumsConvergesThroughItsOwnRounds(t *testing.T) {
-	const slice, k = 1, 4
-	old := antientropy.Config{WholeStore: true}
-	p := newPair(t, old, antientropy.Config{}, slice, k)
-	p.drop = func(env transport.Envelope) bool {
-		_, sums := env.Msg.(*antientropy.Sums)
-		return sums && env.To == 1
+// TestKeyWithMoreVersionsThanMaxDigestConverges: a key cannot split, so
+// its versions go as one list, sampled once there are more than a list
+// holds (4096). Pairs missing versions on both sides still converge.
+func TestKeyWithMoreVersionsThanMaxDigestConverges(t *testing.T) {
+	const slice, k, key = 1, 4, "versions"
+	p := newPair(t, antientropy.Config{}, antientropy.Config{}, slice, k)
+	if p.slice[1] != int32(slicing.KeySlice(key, k)) {
+		p.slice[1], p.slice[2] = slicing.KeySlice(key, k), slicing.KeySlice(key, k)
 	}
-	keys := sliceKeys(slice, k, 60)
-	load(t, keys[:40], p.sa)
-	load(t, keys[20:], p.sb)
+	versions := func(from, to uint64) []store.Object {
+		var objs []store.Object
+		for v := from; v <= to; v++ {
+			objs = append(objs, store.Object{Key: key, Version: v, Value: []byte("v")})
+		}
+		return objs
+	}
+	if err := p.sa.PutBatch(versions(1, 5000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.sb.PutBatch(versions(11, 5005)); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; p.sa.Count() != 5005 || p.sb.Count() != 5005; r++ {
+		if r == 40 {
+			t.Fatalf("after %d rounds a=%d b=%d versions, want 5005 each", r, p.sa.Count(), p.sb.Count())
+		}
+		p.round([]*antientropy.Protocol{p.a, p.b}[r%2])
+	}
+	p.resetCounts()
+	p.round(p.a)
+	if p.clean != 1 {
+		t.Error("converged pair's next round was not clean")
+	}
+}
 
-	p.round(p.b)
-	if p.sa.Count() != 40 || p.sb.Count() != 40 {
-		t.Fatalf("a round the old peer ignored moved objects: a=%d b=%d", p.sa.Count(), p.sb.Count())
+// racingStore runs after once, right after its range sums are first
+// read: a write a data shard makes while a message is answered.
+type racingStore struct {
+	store.Store
+	after func()
+}
+
+func (s *racingStore) RangeSums() store.RangeSums {
+	sums := s.Store.RangeSums()
+	if after := s.after; after != nil {
+		s.after = nil
+		after()
 	}
-	// One round, or one more under a fresh salt for a false positive.
-	for r := 0; r < 3 && (p.sa.Count() != 60 || p.sb.Count() != 60); r++ {
-		p.round(p.a)
+	return sums
+}
+
+// TestWriteWhileAnsweringDescribesOnlyWalkedRanges: a put that lands in
+// another range while B answers A's opener — after B read its range
+// sums — is left to the next round. B describes only the range it walked,
+// sends no empty list and no fingerprint of an empty prefix, so A pushes
+// B nothing but the object B lacks.
+func TestWriteWhileAnsweringDescribesOnlyWalkedRanges(t *testing.T) {
+	const slice, k = 1, 4
+	keys := sliceKeys(slice, k, 9100)
+	extra, late := keys[9000], ""
+	for _, key := range keys[9001:] {
+		if rangeOf(key, 1) != rangeOf(extra, 1) {
+			late = key
+			break
+		}
 	}
-	if p.sa.Count() != 60 || p.sb.Count() != 60 {
-		t.Fatalf("the old peer's own rounds left a=%d b=%d objects, want 60 each", p.sa.Count(), p.sb.Count())
-	}
+	racing := &racingStore{Store: store.NewMemory()}
+	p := newPairOn(antientropy.Config{}, antientropy.Config{}, slice, k, store.NewMemory(), racing)
+	load(t, keys[:9000], p.sa, p.sb)
+	load(t, []string{extra}, p.sa)
+	racing.after = func() { load(t, []string{late}, racing.Store) }
+
+	p.round(p.a)
+	want := rangeOf(extra, 1)
 	for _, env := range p.log {
 		switch m := env.Msg.(type) {
-		case *antientropy.Summary:
-			if m.Ranges != (store.RangeSet{}) {
-				t.Errorf("a ranged Summary was sent to or by the old peer: %v", m.Ranges)
+		case *antientropy.Reconcile:
+			if env.From != 2 {
+				continue
 			}
-		case *antientropy.SummaryReply:
-			if m.Ranges != (store.RangeSet{}) {
-				t.Errorf("a ranged SummaryReply was sent to or by the old peer: %v", m.Ranges)
+			for _, it := range m.Items {
+				if lo, hi := store.PrefixRanges(int(it.Depth), it.Prefix); lo != want || hi != want+1 {
+					t.Errorf("B described depth %d prefix %#x (ranges %d..%d), want only the walked range %d", it.Depth, it.Prefix, lo, hi-1, want)
+				}
+				if len(it.Sums) == 0 && len(it.Headers) == 0 {
+					t.Errorf("B sent an empty list for depth %d prefix %#x", it.Depth, it.Prefix)
+				}
+				for i, s := range it.Sums {
+					if s == 0 {
+						t.Errorf("B sent an empty fingerprint for child %d of depth %d prefix %#x", i, it.Depth, it.Prefix)
+					}
+				}
+			}
+		case *antientropy.Push:
+			if env.To == 2 && (len(m.Objects) != 1 || m.Objects[0].Key != extra) {
+				t.Errorf("A pushed B %d objects, want %s alone", len(m.Objects), extra)
 			}
 		}
+	}
+	if _, _, ok, _ := p.sb.Store.Get(extra, 1); !ok {
+		t.Fatal("the round did not repair the object B lacked")
+	}
+	p.round(p.a)
+	if _, _, ok, _ := p.sa.Store.Get(late, 1); !ok {
+		t.Fatal("the next round did not repair the late write")
 	}
 }
 
@@ -481,7 +467,7 @@ func TestForeignObjectsCostOneWalk(t *testing.T) {
 		p.resetCounts()
 		p.round(initiator)
 		if len(p.log) != 1 || p.clean != 1 || p.sa.walks.Load()+p.sb.walks.Load() != 0 {
-			t.Fatalf("round after the foreign object was fingerprinted: %d messages, clean=%d, %d walks; want one clean Sums",
+			t.Fatalf("round after the foreign object was fingerprinted: %d messages, clean=%d, %d walks; want one clean opener",
 				len(p.log), p.clean, p.sa.walks.Load()+p.sb.walks.Load())
 		}
 	}

@@ -1,6 +1,6 @@
 // Package bootstrap implements bulk recovery for cold-joining nodes:
 // instead of discovering its slice's object set one anti-entropy round
-// at a time — O(objects) Bloom exchanges, pushes capped per round — a
+// at a time — O(objects) header lists, pushes capped per round — a
 // joiner asks one slice-mate for its sealed-segment manifest and
 // streams whole segments down verbatim, then lets the always-running
 // anti-entropy rounds mop up whatever was written after the manifest

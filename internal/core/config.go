@@ -151,17 +151,10 @@ type Config struct {
 	// that every pushed value is charged against, so background repair
 	// cannot starve foreground puts (0 = unlimited).
 	AntiEntropyRateBytes int
-	// AntiEntropyFullEvery makes every Nth anti-entropy round settle
-	// the key-hash ranges two mates differ in with full header lists;
-	// the rounds between use a Bloom summary of those ranges (O(bits)
-	// digest bandwidth instead of O(objects)). The periodic full round
-	// guarantees convergence past the filter's ~1% false positives.
-	// Default 8; 1 exchanges full headers every round (Bloom disabled).
-	AntiEntropyFullEvery int
-	// AntiEntropyWholeStore opens every anti-entropy round with a
-	// summary of all local headers instead of the range sums
-	// (antientropy.Config.WholeStore): the lab's baseline rows in E17.
-	// No flag and no dataflasks.Config field reaches it.
+	// AntiEntropyWholeStore opens every anti-entropy round with a list
+	// of all local headers instead of the range fingerprints
+	// (antientropy.Config.WholeStore): the lab's full-header reference
+	// row in E17. No flag and no dataflasks.Config field reaches it.
 	AntiEntropyWholeStore bool
 	// EvictForeign drops stored objects whose key no longer maps to
 	// this node's slice (after a slice change). Off by default: the
@@ -239,9 +232,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AntiEntropyRateBytes < 0 {
 		c.AntiEntropyRateBytes = 0
-	}
-	if c.AntiEntropyFullEvery == 0 {
-		c.AntiEntropyFullEvery = 8
 	}
 	if c.RoundPeriod <= 0 {
 		c.RoundPeriod = 500 * time.Millisecond

@@ -162,19 +162,22 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 			n.sender(metrics.AggregateSent), partner, n.rng)
 	}
 
+	// Repair and bootstrap run on cadences of their own and draw from
+	// streams of their own, so the gossip protocols' draws do not depend
+	// on how often they run or what they find.
 	if cfg.AntiEntropyEvery > 0 {
+		aeRNG := sim.RNG(cfg.Seed, uint64(id)^0xae)
 		n.ae = antientropy.New(
 			antientropy.Config{
 				MaxPushBytes:      cfg.AntiEntropyMaxPushBytes,
 				RateBytesPerRound: cfg.AntiEntropyRateBytes,
-				FullEvery:         cfg.AntiEntropyFullEvery,
 				EvictForeign:      cfg.EvictForeign,
 				WholeStore:        cfg.AntiEntropyWholeStore,
 			},
 			antientropy.Env{
 				Store:         st,
 				Send:          n.sender(metrics.AntiEntropySent),
-				Partner:       func() (transport.NodeID, bool) { return n.intra.Random(n.rng) },
+				Partner:       func() (transport.NodeID, bool) { return n.intra.Random(aeRNG) },
 				Slice:         n.currentSlice,
 				Slices:        n.slicer.SliceCount,
 				OnDigestBytes: func(b int) { n.met.Add(metrics.AntiEntropyDigestBytes, uint64(b)) },
@@ -190,7 +193,7 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 				},
 				OnCorrupt: func(c int) { n.met.Add(metrics.AntiEntropyCorruptSkipped, uint64(c)) },
 			},
-			n.rng,
+			aeRNG,
 		)
 	}
 
@@ -199,6 +202,7 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 		// drives the fetch state machine. The bootstrap partner is a
 		// slice-mate: the intra view is the only peer set whose stores
 		// hold our slice's data.
+		bootRNG := sim.RNG(cfg.Seed, uint64(id)^0xb007)
 		n.boot = bootstrap.New(
 			bootstrap.Config{
 				Join:              cfg.Bootstrap,
@@ -207,7 +211,7 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 			bootstrap.Env{
 				Store:      st,
 				Send:       n.sender(metrics.BootstrapSent),
-				Partner:    func() (transport.NodeID, bool) { return n.intra.Random(n.rng) },
+				Partner:    func() (transport.NodeID, bool) { return n.intra.Random(bootRNG) },
 				Slice:      n.currentSlice,
 				KeyInSlice: n.keyInMySlice,
 				OnFetch: func(segment uint64, offset int64) {
@@ -224,7 +228,7 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 				OnBytes:         func(b int) { n.met.Add(metrics.BootstrapBytes, uint64(b)) },
 				OnChunkRejected: func() { n.met.Inc(metrics.BootstrapChunksRejected) },
 			},
-			n.rng,
+			bootRNG,
 		)
 	}
 	n.publishRoute()

@@ -12,8 +12,8 @@ import (
 
 // ---------------------------------------------------------------------------
 // E17 — churn convergence: time-to-replication-factor and repair
-// bandwidth of range-fingerprinted rounds vs whole-store Bloom digests
-// vs the whole-store full-header baseline
+// bandwidth of the range-fingerprinted descent vs the whole-store
+// full-header reference
 
 // ChurnConvergenceOptions configures one churn-convergence run.
 type ChurnConvergenceOptions struct {
@@ -27,13 +27,10 @@ type ChurnConvergenceOptions struct {
 	// Rounds is the measured window after the burst; both protocol
 	// modes run the same window so bandwidth totals are comparable.
 	Rounds int
-	// FullEvery is the full-header round cadence (1 = the full-header
-	// baseline, every round complete header lists; larger values open
-	// most rounds with a Bloom summary).
-	FullEvery int
-	// WholeStore opens every round with a digest of all local headers
-	// (core.Config.AntiEntropyWholeStore) — the two baseline modes;
-	// false opens with the range sums and digests differing ranges only.
+	// WholeStore opens every round with a list of all local headers
+	// (core.Config.AntiEntropyWholeStore) — the full-header reference;
+	// false opens with the range fingerprints and narrows down to the
+	// prefixes that differ.
 	WholeStore bool
 	// Seed drives every random choice.
 	Seed uint64
@@ -43,8 +40,7 @@ type ChurnConvergenceOptions struct {
 // whole measured window (both modes run the same number of rounds over
 // the same population, so totals compare directly).
 type ChurnConvergenceResult struct {
-	// Mode labels the digest protocol ("full-header", "bloom" or
-	// "ranged").
+	// Mode labels the digest protocol ("full-header" or "ranged").
 	Mode string
 	// Converged reports whether every slice member came to hold every
 	// object of its slice within the window; ConvergedRound is the
@@ -56,8 +52,8 @@ type ChurnConvergenceResult struct {
 	// MinCoverage is the final min over objects of
 	// holders-in-slice / slice-members (1.0 = fully replicated).
 	MinCoverage float64
-	// DigestBytes sums difference-discovery bytes sent (header lists,
-	// Bloom summaries, pull lists) across all nodes in the window.
+	// DigestBytes sums difference-discovery bytes sent (fingerprints,
+	// header lists, pull lists) across all nodes in the window.
 	DigestBytes uint64
 	// PushBytes sums repaired value bytes shipped; PushedObjects the
 	// object count.
@@ -84,18 +80,13 @@ type ChurnConvergenceResult struct {
 // KillFrac of the nodes and replaces them with fresh joiners, then
 // measures how many rounds anti-entropy needs to restore full
 // replication (every slice member holds every object of its slice) and
-// how many digest/push bytes it spent doing so. FullEvery and
-// WholeStore select the repair digest mode, so the same run compared at
-// FullEvery=1 (always full headers) vs >1 (Bloom rounds with a periodic
-// full fallback), whole-store vs ranged, is the paper-style ablation for
-// the digest protocol.
+// how many digest/push bytes it spent doing so. WholeStore selects the
+// repair digest mode, so the same run compared whole-store vs ranged is
+// the paper-style ablation for the digest protocol.
 func ChurnConvergence(opts ChurnConvergenceOptions) ChurnConvergenceResult {
 	mode := "ranged"
-	switch {
-	case opts.WholeStore && opts.FullEvery == 1:
+	if opts.WholeStore {
 		mode = "full-header"
-	case opts.WholeStore:
-		mode = "bloom"
 	}
 	c := NewCluster(ClusterConfig{
 		N:    opts.N,
@@ -103,7 +94,6 @@ func ChurnConvergence(opts ChurnConvergenceOptions) ChurnConvergenceResult {
 		Node: core.Config{
 			Slices:                opts.Slices,
 			AntiEntropyEvery:      2, // aggressive: the regime under study
-			AntiEntropyFullEvery:  opts.FullEvery,
 			AntiEntropyWholeStore: opts.WholeStore,
 		},
 	})
@@ -202,34 +192,32 @@ func (c *Cluster) sliceCoverage(keys []string, version uint64, k int) float64 {
 }
 
 // ChurnComparison is E17's table: the identical churn scenario under
-// the three digest modes. DigestBytesRatio is the full-header mode's
-// digest bytes over Bloom's, SteadyDigestRatio Bloom's converged digest
-// bytes per node and round over ranged's (zero when the divisor is).
+// the two digest modes. DigestBytesRatio is the full-header reference's
+// digest bytes over the window over ranged's, SteadyDigestRatio the same
+// ratio per node and round once both had converged (zero when the
+// divisor is).
 type ChurnComparison struct {
-	FullHeader, Bloom, Ranged ChurnConvergenceResult
-	DigestBytesRatio          float64
-	SteadyDigestRatio         float64
+	FullHeader, Ranged ChurnConvergenceResult
+	DigestBytesRatio   float64
+	SteadyDigestRatio  float64
 }
 
 // ChurnConvergenceCompare runs the identical churn scenario under the
-// whole-store full-header baseline, the whole-store Bloom digests and
-// the ranged protocol (both Bloom modes fall back to full headers every
-// twelfth round). The steady-state column is taken over the rounds after
-// the last of the three had converged (zero when one never did, or did
-// on the window's last round).
+// whole-store full-header reference and the ranged protocol. The
+// steady-state column is taken over the rounds after the later of the
+// two had converged (zero when one never did, or did on the window's
+// last round).
 func ChurnConvergenceCompare(opts ChurnConvergenceOptions) ChurnComparison {
 	var c ChurnComparison
-	opts.FullEvery, opts.WholeStore = 1, true
+	opts.WholeStore = true
 	c.FullHeader = ChurnConvergence(opts)
-	opts.FullEvery = 12
-	c.Bloom = ChurnConvergence(opts)
 	opts.WholeStore = false
 	c.Ranged = ChurnConvergence(opts)
-	if c.Bloom.DigestBytes > 0 {
-		c.DigestBytesRatio = float64(c.FullHeader.DigestBytes) / float64(c.Bloom.DigestBytes)
+	if c.Ranged.DigestBytes > 0 {
+		c.DigestBytesRatio = float64(c.FullHeader.DigestBytes) / float64(c.Ranged.DigestBytes)
 	}
 
-	modes := []*ChurnConvergenceResult{&c.FullHeader, &c.Bloom, &c.Ranged}
+	modes := []*ChurnConvergenceResult{&c.FullHeader, &c.Ranged}
 	steadyFrom := 0
 	for _, r := range modes {
 		if !r.Converged {
@@ -244,27 +232,26 @@ func ChurnConvergenceCompare(opts ChurnConvergenceOptions) ChurnComparison {
 		}
 	}
 	if c.Ranged.SteadyDigestBytesPerNodeRound > 0 {
-		c.SteadyDigestRatio = c.Bloom.SteadyDigestBytesPerNodeRound / c.Ranged.SteadyDigestBytesPerNodeRound
+		c.SteadyDigestRatio = c.FullHeader.SteadyDigestBytesPerNodeRound / c.Ranged.SteadyDigestBytesPerNodeRound
 	}
 	return c
 }
 
-// ChurnConvergenceGate is E17's: every digest mode restores full
-// replication inside the window (and its accounting shows it ran); Bloom
-// summaries spend >= 5x less digest bandwidth than full headers; ranged
-// rounds no more than Bloom over the window and, once all three have
-// converged, >= 5x less per node and round. (Which round a mode
-// converges on is chance at any one seed; the golden pins seed 42's.)
+// ChurnConvergenceGate is E17's: both digest modes restore full
+// replication inside the window (and their accounting shows they ran),
+// and the ranged rounds spend >= 5x less digest bandwidth than the
+// full-header reference over the window and, once both have converged,
+// >= 5x less per node and round. (Which round a mode converges on is
+// chance at any one seed; the golden pins seed 42's.)
 func ChurnConvergenceGate(c ChurnComparison) []string {
 	var g gate
-	for _, r := range []ChurnConvergenceResult{c.FullHeader, c.Bloom, c.Ranged} {
+	for _, r := range []ChurnConvergenceResult{c.FullHeader, c.Ranged} {
 		g.must(r.Converged, "%s mode never restored full replication (min coverage %.2f after %d rounds)", r.Mode, r.MinCoverage, r.Rounds)
 		g.must(r.PushedObjects > 0, "%s mode pushed no objects — repair did not run", r.Mode)
 		g.must(r.DigestBytes > 0, "%s mode reported no digest bytes — accounting broken", r.Mode)
 	}
-	g.must(c.DigestBytesRatio >= 5, "bloom digest saving %.1fx < 5x", c.DigestBytesRatio)
-	g.must(c.Ranged.DigestBytes <= c.Bloom.DigestBytes, "ranged spent %d digest bytes over the window, bloom %d", c.Ranged.DigestBytes, c.Bloom.DigestBytes)
-	g.must(c.SteadyDigestRatio >= 5, "converged, ranged digests are %.1fx cheaper than bloom's, want >= 5x", c.SteadyDigestRatio)
+	g.must(c.DigestBytesRatio >= 5, "over the window, ranged digests are %.1fx cheaper than full headers, want >= 5x", c.DigestBytesRatio)
+	g.must(c.SteadyDigestRatio >= 5, "converged, ranged digests are %.1fx cheaper than full headers, want >= 5x", c.SteadyDigestRatio)
 	return g
 }
 
@@ -279,7 +266,7 @@ type ChurnResult struct {
 func runChurn(w io.Writer, p Params) Report {
 	res := ChurnResult{Availability: writeAvailabilityUnderChurn(w, p)}
 
-	title(w, "E17: churn convergence — ranged vs whole-store Bloom vs full-header repair digests")
+	title(w, "E17: churn convergence — ranged vs full-header repair digests")
 	opts := ChurnConvergenceOptions{
 		N: 400, Slices: 10, Records: 300, KillFrac: 0.3, Rounds: 140, Seed: p.Seed,
 	}
@@ -292,13 +279,13 @@ func runChurn(w io.Writer, p Params) Report {
 	res.Convergence = c
 	fmt.Fprintf(w, "%12s %10s %10s %12s %12s %14s %14s %14s\n",
 		"mode", "converged", "round", "digest KiB", "push KiB", "digest B/n/r", "steady B/n/r", "repair B/obj")
-	for _, r := range []ChurnConvergenceResult{c.FullHeader, c.Bloom, c.Ranged} {
+	for _, r := range []ChurnConvergenceResult{c.FullHeader, c.Ranged} {
 		fmt.Fprintf(w, "%12s %10v %10d %12.1f %12.1f %14.1f %14.1f %14.1f\n",
 			r.Mode, r.Converged, r.ConvergedRound,
 			float64(r.DigestBytes)/1024, float64(r.PushBytes)/1024,
 			r.DigestBytesPerNodeRound, r.SteadyDigestBytesPerNodeRound, r.RepairBytesPerObject)
 	}
-	fmt.Fprintf(w, "digest bandwidth: bloom is %.1fx cheaper than full headers; converged, ranged is %.1fx cheaper than bloom\n",
+	fmt.Fprintf(w, "digest bandwidth: ranged is %.1fx cheaper than full headers over the window, %.1fx once converged\n",
 		c.DigestBytesRatio, c.SteadyDigestRatio)
 	return Report{res, append(AvailabilityGate(res.Availability), ChurnConvergenceGate(c)...)}
 }

@@ -53,13 +53,7 @@ func MessagesAt(n, slices int, seed uint64) FigureRow {
 	cluster := NewCluster(ClusterConfig{
 		N:    n,
 		Seed: seed + uint64(n)*7 + uint64(slices),
-		Node: core.Config{
-			Slices: slices,
-			// Like the flood below: the figures keep the repair rounds
-			// they were first drawn with, so their series stay comparable
-			// from commit to commit.
-			AntiEntropyWholeStore: true,
-		},
+		Node: core.Config{Slices: slices},
 	})
 	stats := cluster.RunWorkload(WorkloadOptions{Flood: true})
 	return FigureRow{

@@ -228,19 +228,18 @@ func TestGatesFire(t *testing.T) {
 			return ChurnConvergenceResult{Mode: name, Converged: true, ConvergedRound: 30, Rounds: 110, MinCoverage: 1, DigestBytes: digest, PushedObjects: 3000}
 		}
 		c := ChurnComparison{
-			FullHeader: mode("full-header", 11_800_000), Bloom: mode("bloom", 1_800_000), Ranged: mode("ranged", 260_000),
-			DigestBytesRatio: 6.3, SteadyDigestRatio: 8.1,
+			FullHeader: mode("full-header", 5_800_000), Ranged: mode("ranged", 180_000),
+			DigestBytesRatio: 32.2, SteadyDigestRatio: 45.1,
 		}
 		edit(&c)
 		return ChurnConvergenceGate(c)
 	}
 	fires("E17", churn(func(*ChurnComparison) {}), "")
 	fires("E17 converged", churn(func(c *ChurnComparison) { c.Ranged.Converged, c.Ranged.MinCoverage = false, 0.97 }), "ranged mode never restored full replication (min coverage 0.97 after 110 rounds)")
-	fires("E17 pushed", churn(func(c *ChurnComparison) { c.Bloom.PushedObjects = 0 }), "bloom mode pushed no objects — repair did not run")
+	fires("E17 pushed", churn(func(c *ChurnComparison) { c.Ranged.PushedObjects = 0 }), "ranged mode pushed no objects — repair did not run")
 	fires("E17 accounting", churn(func(c *ChurnComparison) { c.FullHeader.DigestBytes = 0 }), "full-header mode reported no digest bytes — accounting broken")
-	fires("E17 bloom saving", churn(func(c *ChurnComparison) { c.DigestBytesRatio = 4.9 }), "bloom digest saving 4.9x < 5x")
-	fires("E17 ranged window", churn(func(c *ChurnComparison) { c.Ranged.DigestBytes = c.Bloom.DigestBytes + 1 }), "ranged spent 1800001 digest bytes over the window, bloom 1800000")
-	fires("E17 ranged steady", churn(func(c *ChurnComparison) { c.SteadyDigestRatio = 4.9 }), "converged, ranged digests are 4.9x cheaper than bloom's, want >= 5x")
+	fires("E17 window saving", churn(func(c *ChurnComparison) { c.DigestBytesRatio = 4.9 }), "over the window, ranged digests are 4.9x cheaper than full headers, want >= 5x")
+	fires("E17 steady saving", churn(func(c *ChurnComparison) { c.SteadyDigestRatio = 4.9 }), "converged, ranged digests are 4.9x cheaper than full headers, want >= 5x")
 
 	bootstrap := func(edit func(segment, object *BootstrapRecoveryResult)) []string {
 		segment := BootstrapRecoveryResult{Mode: "segment", JoinRounds: 3, BootstrapSegments: 1, BootstrapBytes: 157696}

@@ -52,8 +52,8 @@ const (
 	// AntiEntropySent counts anti-entropy digest/pull messages sent.
 	AntiEntropySent
 	// AntiEntropyDigestBytes sums the approximate wire bytes of repair
-	// difference-discovery traffic sent (full header lists, Bloom
-	// summaries, pull lists) — the cost of finding out WHAT to repair.
+	// difference-discovery traffic sent (fingerprints, header lists,
+	// pull lists) — the cost of finding out WHAT to repair.
 	AntiEntropyDigestBytes
 	// AntiEntropyPushBytes sums the value bytes shipped in repair
 	// pushes — the cost of the repairs themselves.
@@ -63,13 +63,14 @@ const (
 	// AntiEntropyCorruptSkipped counts locally corrupt records that
 	// repair serving verified, skipped and did NOT propagate.
 	AntiEntropyCorruptSkipped
-	// AntiEntropyCleanRounds counts rounds this node answered in which
-	// every range sum of the mate equalled its own: the two stores
-	// proved to hold the same headers and nothing was sent back.
+	// AntiEntropyCleanRounds counts repair messages this node answered
+	// in which every fingerprint of the mate equalled its own — for a
+	// round's opener, the two stores proved to hold the same headers and
+	// nothing was sent back.
 	AntiEntropyCleanRounds
-	// AntiEntropyDifferingRanges counts the range sums found different
-	// in the rounds this node answered — what the repair exchanges that
-	// followed were narrowed to.
+	// AntiEntropyDifferingRanges counts the fingerprints — range sums
+	// and the sub-range sums below them — found different in the repair
+	// messages this node answered: what the exchanges narrowed down on.
 	AntiEntropyDifferingRanges
 	// AggregateSent counts push-sum aggregation messages sent.
 	AggregateSent

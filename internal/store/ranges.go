@@ -8,10 +8,13 @@ import (
 )
 
 // NumRanges is the number of key-hash ranges every engine partitions
-// its header index into. It is wire contract between replicas — two
-// mates compare their RangeSums range by range — so it is a constant,
-// not a knob.
-const NumRanges = 256
+// its header index into: one per value of the top RangeBits bits of
+// KeyHash. It is wire contract between replicas — two mates compare
+// their RangeSums range by range — so it is a constant, not a knob.
+const (
+	RangeBits = 8
+	NumRanges = 1 << RangeBits
+)
 
 // rangeSalt decorrelates the range hash from slicing.KeySlice (all of
 // one node's keys share a slice, i.e. a band of the unsalted key hash)
@@ -64,7 +67,24 @@ func hashKey(key string) hkey {
 	return hkey{key: key, h: hashmix.Mix64(h)}
 }
 
-func (k hkey) rangeOf() int { return int(k.h >> 56) }
+func (k hkey) rangeOf() int { return int(k.h >> (64 - RangeBits)) }
+
+// KeyHash returns the salted hash the index files key under. Its top
+// RangeBits bits are the key's range; a longer prefix of it narrows the
+// range, which is how repair tells keys of one range apart.
+func KeyHash(key string) uint64 { return hashKey(key).h }
+
+// PrefixRanges returns the ranges [lo, hi) that hold the keys whose
+// KeyHash starts with the depth (0 … 64) bits of prefix: a block of
+// ranges up to depth RangeBits, the one range it narrows below that.
+func PrefixRanges(depth int, prefix uint64) (lo, hi int) {
+	if depth <= RangeBits {
+		lo = int(prefix << (RangeBits - depth))
+		return lo, lo + 1<<(RangeBits-depth)
+	}
+	lo = int(prefix >> (depth - RangeBits))
+	return lo, lo + 1
+}
 
 // header hashes one (key, version) pair. The outer mix matters: without
 // it the XOR of {(a,1),(b,2)} would equal that of {(a,2),(b,1)}.

@@ -74,6 +74,36 @@ func checkRanges(t *testing.T, label string, s Store, rng *rand.Rand) {
 	}
 }
 
+// TestPrefixRangesHoldTheirKeys: a key's KeyHash prefix at every depth
+// names ranges that hold the key's range — a block of them up to depth
+// RangeBits, that one range below — and the blocks of one depth tile
+// the ranges.
+func TestPrefixRangesHoldTheirKeys(t *testing.T) {
+	for i := 0; i < 500; i++ {
+		key := fmt.Sprintf("key%04d", i)
+		r, _ := HeaderSum(key, 1)
+		for depth := 0; depth <= 64; depth++ {
+			lo, hi := PrefixRanges(depth, KeyHash(key)>>(64-depth))
+			if r < lo || r >= hi || hi-lo != max(1, NumRanges>>depth) {
+				t.Fatalf("%s (range %d) at depth %d: prefix ranges [%d, %d)", key, r, depth, lo, hi)
+			}
+		}
+	}
+	for depth := 0; depth <= RangeBits; depth++ {
+		next := 0
+		for prefix := uint64(0); prefix < 1<<depth; prefix++ {
+			lo, hi := PrefixRanges(depth, prefix)
+			if lo != next {
+				t.Fatalf("depth %d prefix %d starts at range %d, want %d", depth, prefix, lo, next)
+			}
+			next = hi
+		}
+		if next != NumRanges {
+			t.Fatalf("depth %d prefixes end at range %d", depth, next)
+		}
+	}
+}
+
 // TestRangeSumsFollowEveryMutation drives the memory and the log engine
 // through the same random sequence of every operation that moves a
 // header in or out of an index — puts, batches (with duplicates),

@@ -15,10 +15,10 @@ import (
 
 // DefaultMaxDatagram caps one control-plane frame per datagram. 8 KiB
 // holds every routine control message — shuffles are a dozen
-// descriptors, swap/aggregation messages are a few words, and a Bloom
-// summary covers ~6500 objects — while staying far from the 64 KiB UDP
-// ceiling and its fragmentation pathologies. Oversize frames bounce to
-// the stream path (ErrOversize + FallbackSender).
+// descriptors, swap/aggregation messages are a few words, and a repair
+// opener of 256 range fingerprints is 2 KB — while staying far from
+// the 64 KiB UDP ceiling and its fragmentation pathologies. Oversize
+// frames bounce to the stream path (ErrOversize + FallbackSender).
 const DefaultMaxDatagram = 8 << 10
 
 // maxUDPRead sizes the receive buffer at the UDP payload ceiling, so a

@@ -12,9 +12,9 @@ import (
 )
 
 // benchEnvelopes are the three wire-dominant message shapes: a batched
-// write (the data-plane hot path), a Bloom summary (the anti-entropy
-// steady state), and a shuffle (the PSS control plane, sent every
-// round by every node).
+// write (the data-plane hot path), a repair opener of 256 range
+// fingerprints (the anti-entropy steady state of a large store), and a
+// shuffle (the PSS control plane, sent every round by every node).
 func benchEnvelopes() map[string]Envelope {
 	objs := make([]store.Object, 32)
 	for i := range objs {
@@ -36,8 +36,8 @@ func benchEnvelopes() map[string]Envelope {
 			Routing: core.Routing{ID: 7, Origin: 1, OriginAddr: "10.0.0.1:7000", TTL: 4},
 			Objs:    objs,
 		}},
-		"summary": {From: 1, FromAddr: "10.0.0.1:7000", To: 2, Msg: &antientropy.Summary{
-			Slice: 3, Filter: antientropy.Filter{K: 7, Bits: make([]uint64, 128)},
+		"opener": {From: 1, FromAddr: "10.0.0.1:7000", To: 2, Msg: &antientropy.Reconcile{
+			Slice: 3, Items: []antientropy.Item{{Sums: make([]uint64, 256)}},
 		}},
 		"shuffle": {From: 1, FromAddr: "10.0.0.1:7000", To: 2, Msg: &pss.ShuffleRequest{
 			Sample: descs,

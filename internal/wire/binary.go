@@ -17,10 +17,11 @@ import (
 //	[11:19] To node id, little-endian uint64
 //	[19:]  FromAddr (uvarint length + bytes), then the per-kind payload
 //
-// Scalars are fixed-width little-endian; strings, byte slices and
-// repeated groups carry a uvarint length/count prefix. The layout is
-// pinned by the golden-frames test: changing it requires a new frame
-// version byte, not an in-place edit.
+// Scalars are fixed-width little-endian, but for the few that are small
+// as a rule (a repair item's prefix), which are uvarints; strings, byte
+// slices and repeated groups carry a uvarint length/count prefix. The
+// layout is pinned by the golden-frames test: changing it requires a new
+// frame version byte, not an in-place edit.
 
 var (
 	errFrameEmpty   = errors.New("wire: empty frame")
@@ -97,7 +98,8 @@ func appendBool(b []byte, v bool) []byte {
 	}
 	return append(b, 0)
 }
-func appendLen(b []byte, n int) []byte { return binary.AppendUvarint(b, uint64(n)) }
+func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+func appendLen(b []byte, n int) []byte        { return appendUvarint(b, uint64(n)) }
 func appendStr(b []byte, s string) []byte {
 	b = appendLen(b, len(s))
 	return append(b, s...)
@@ -168,18 +170,26 @@ func (r *reader) u64() uint64 {
 func (r *reader) i32() int32    { return int32(r.u32()) }
 func (r *reader) f64() float64  { return math.Float64frombits(r.u64()) }
 func (r *reader) boolean() bool { return r.u8() != 0 }
-func (r *reader) length() int {
+func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 || v > uint64(len(r.b)) {
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.off += n
+	return v
+}
+func (r *reader) length() int {
+	v := r.uvarint()
+	if v > uint64(len(r.b)) {
 		// A length can never exceed the frame itself; rejecting early
 		// keeps fuzzed lengths from provoking huge allocations.
 		r.fail()
 		return 0
 	}
-	r.off += n
 	return int(v)
 }
 

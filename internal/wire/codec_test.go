@@ -22,9 +22,10 @@ import (
 // field non-zero so a skipped or reordered field cannot round-trip
 // cleanly by accident — but for the requests' Flood flag, which
 // TestFloodFlagLegacyFrameCompat round-trips, so that the golden frames
-// stay byte for byte those of the release before the flag. The
-// golden-frames test hashes these encodings, so changing a fixture
-// means regenerating testdata/frames.golden.
+// stay byte for byte those of the release before the flag. Each
+// envelope's ids derive from its kind, so retiring a kind moves no
+// other frame. The golden-frames test hashes these encodings, so
+// changing a fixture means regenerating testdata/frames.golden.
 func fixtures() []Envelope {
 	descs := []pss.Descriptor{
 		{ID: 11, Age: 3, Attr: 0.25, Slice: 2, Addr: "10.0.0.11:7001"},
@@ -38,7 +39,6 @@ func fixtures() []Envelope {
 		{Key: "alpha", Version: 1, Value: []byte("v1")},
 		{Key: "beta", Version: 2, Value: nil},
 	}
-	ranges := store.RangeSet{0x8001, 0, 1 << 63, 0x10}
 	msgs := []interface{}{
 		&pss.ShuffleRequest{Sample: descs},
 		&pss.ShuffleReply{Sample: descs[:1]},
@@ -46,12 +46,6 @@ func fixtures() []Envelope {
 		&slicing.SwapReply{Attr: 1.5, X: 0.25, Swapped: true, Busy: false, Seq: 7},
 		&aggregate.ExtremaMsg{Seeds: []float64{0.1, 0.9, 0.5}},
 		&aggregate.PushSumMsg{Sum: 12.5, Weight: 0.5},
-		&antientropy.Digest{Slice: 3, Headers: headers, Ranges: ranges},
-		&antientropy.DigestReply{Slice: 3, Headers: headers[:1], Ranges: ranges},
-		&antientropy.Summary{Slice: 1, Ranges: ranges,
-			Filter: antientropy.Filter{K: 4, Salt: 0x5a17, Bits: []uint64{0xdeadbeef, 0x1}}},
-		&antientropy.SummaryReply{Slice: 1, Ranges: ranges,
-			Filter: antientropy.Filter{K: 4, Salt: 0x1d5a, Bits: []uint64{0xcafe}}},
 		&antientropy.Pull{Headers: headers},
 		&antientropy.Push{Objects: objs},
 		&core.PutRequest{
@@ -95,7 +89,6 @@ func fixtures() []Envelope {
 		&bootstrap.SegmentFetch{Segment: 3, Offset: 2048},
 		&bootstrap.SegmentChunk{Segment: 3, Offset: 2048, CRC: 0xabad1dea, Data: []byte("record bytes")},
 		&bootstrap.SegmentDone{Segment: 3, Bytes: 4096, Missing: true},
-		&antientropy.Sums{Slice: 2, Full: true, Sums: []uint64{0xfeed, 0, 0xface0ff, 1 << 63}},
 		&core.Replies{Msgs: []interface{}{
 			&core.PutAck{ID: 49, Key: "k", Version: 3},
 			&core.GetReply{ID: 50, Key: "g", Version: 4, Value: []byte("val"), Slice: 2},
@@ -103,12 +96,17 @@ func fixtures() []Envelope {
 			&core.DeleteAck{ID: 52, Key: "d", Version: 5},
 			&core.DeleteBatchAck{ID: 53, Applied: 1},
 		}},
+		&antientropy.Reconcile{Slice: 2, Items: []antientropy.Item{
+			{Depth: 3, Prefix: 5, Sums: []uint64{0xfeed, 0, 0xface0ff, 1 << 63}},
+			{Depth: 13, Prefix: 0x1abc, Headers: headers},
+		}},
 	}
 	envs := make([]Envelope, len(msgs))
 	for i, m := range msgs {
+		kind, _ := KindOf(m)
 		envs[i] = Envelope{
-			From: transport.NodeID(100 + i), FromAddr: "10.0.0.1:7000",
-			To: transport.NodeID(200 + i), Msg: m,
+			From: transport.NodeID(99 + kind), FromAddr: "10.0.0.1:7000",
+			To: transport.NodeID(199 + kind), Msg: m,
 		}
 	}
 	return envs
@@ -195,178 +193,45 @@ func TestEmptyAndNilFieldsSurvive(t *testing.T) {
 	}
 }
 
-// TestFilterLegacyFrameCompat pins the rolling-upgrade contract for
-// Bloom summaries. Salt rides as an optional TRAILING filter field, so
-// three things must hold: the pre-salt frame layout (K, word count,
-// bit words — no Salt) still decodes; a zero-salt filter encodes
-// byte-identically to that legacy layout; and a salted frame is
-// exactly the legacy frame plus eight trailing salt bytes, which
-// pre-salt decoders leave unread — they see the same filter, unsalted,
-// and over-push rather than mis-parse.
-func TestFilterLegacyFrameCompat(t *testing.T) {
+// invalidItems are repair items the decoder must refuse: a prefix deeper
+// than 64 bits or with bits above its depth, a child count that is not a
+// power of two or above 256, and children past bit 64.
+func invalidItems() []antientropy.Item {
+	return []antientropy.Item{
+		{Depth: 65},
+		{Depth: 3, Prefix: 8, Headers: []antientropy.Header{{Key: "k", Version: 1}}},
+		{Depth: 1, Sums: make([]uint64, 3)},
+		{Sums: make([]uint64, 512)},
+		{Depth: 61, Sums: make([]uint64, 16)},
+	}
+}
+
+// TestReconcileRejectsInvalidItems: an item that names no key-hash
+// prefix, or whose children would not fit one, fails the frame; the
+// extremes that do fit decode.
+func TestReconcileRejectsInvalidItems(t *testing.T) {
 	codec := BinaryCodec()
-	// The antientropy.Summary golden frame as pinned before salting
-	// existed (testdata/frames.golden at the pre-salt release).
-	legacy, err := hex.DecodeString(
-		"0109006c00000000000000d0000000000000000d31302e302e302e313a3730" +
-			"3030010000000400000002efbeadde000000000100000000000000")
-	if err != nil {
-		t.Fatal(err)
+	roundTrip := func(it antientropy.Item) (*Envelope, error) {
+		frame, err := codec.Encode(nil, &Envelope{From: 1, To: 2, Msg: &antientropy.Reconcile{Slice: 1, Items: []antientropy.Item{it}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return codec.Decode(frame)
 	}
-	env, err := codec.Decode(legacy)
-	if err != nil {
-		t.Fatalf("pre-salt Summary frame no longer decodes: %v", err)
+	for _, it := range invalidItems() {
+		if env, err := roundTrip(it); !errors.Is(err, errBadItem) {
+			t.Errorf("depth %d, prefix %#x, %d sums: decoded to %+v, err %v; want errBadItem", it.Depth, it.Prefix, len(it.Sums), env, err)
+		}
 	}
-	got, ok := env.Msg.(*antientropy.Summary)
-	if !ok {
-		t.Fatalf("pre-salt frame decoded to %T", env.Msg)
-	}
-	want := antientropy.Summary{Slice: 1, Filter: antientropy.Filter{K: 4, Bits: []uint64{0xdeadbeef, 0x1}}}
-	if !reflect.DeepEqual(*got, want) {
-		t.Fatalf("pre-salt frame decoded to %+v, want %+v", *got, want)
-	}
-
-	header := Envelope{From: 108, FromAddr: "10.0.0.1:7000", To: 208}
-
-	unsalted := header
-	unsalted.Msg = &want
-	frame, err := codec.Encode(nil, &unsalted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(frame, legacy) {
-		t.Fatalf("zero-salt Summary drifted from the pre-salt layout\n got  %x\n want %x", frame, legacy)
-	}
-
-	salted := header
-	salted.Msg = &antientropy.Summary{Slice: 1,
-		Filter: antientropy.Filter{K: 4, Salt: 0x5a17, Bits: []uint64{0xdeadbeef, 0x1}}}
-	frame, err = codec.Encode(nil, &salted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frame) != len(legacy)+8 || !bytes.Equal(frame[:len(legacy)], legacy) {
-		t.Fatalf("salted Summary must be the legacy frame plus trailing salt\n got  %x\n want %x + 8 salt bytes", frame, legacy)
-	}
-}
-
-// legacyDigestFrames are the golden frames of kinds 7–10 as pinned
-// before the range set existed (testdata/frames.golden at 6df556a), with
-// the whole-store message each decodes to, plus the unsalted Summary of
-// the pre-salt release.
-type legacyDigestFrame struct {
-	name, legacy string
-	from, to     transport.NodeID
-	msg          interface{}
-}
-
-func legacyDigestFrames() []legacyDigestFrame {
-	headers := []antientropy.Header{{Key: "alpha", Version: 1}, {Key: "beta", Version: 9000000000}}
-	return []legacyDigestFrame{
-		{"Digest", "0107006a00000000000000ce000000000000000d31302e302e302e313a3730303003000000" +
-			"0205616c70686101000000000000000462657461001a711802000000", 106, 206,
-			&antientropy.Digest{Slice: 3, Headers: headers}},
-		{"DigestReply", "0108006b00000000000000cf000000000000000d31302e302e302e313a3730303003000000" +
-			"0105616c7068610100000000000000", 107, 207,
-			&antientropy.DigestReply{Slice: 3, Headers: headers[:1]}},
-		{"Summary", "0109006c00000000000000d0000000000000000d31302e302e302e313a3730303001000000" +
-			"0400000002efbeadde000000000100000000000000175a000000000000", 108, 208,
-			&antientropy.Summary{Slice: 1, Filter: antientropy.Filter{K: 4, Salt: 0x5a17, Bits: []uint64{0xdeadbeef, 0x1}}}},
-		{"SummaryUnsalted", "0109006c00000000000000d0000000000000000d31302e302e302e313a3730303001000000" +
-			"0400000002efbeadde000000000100000000000000", 108, 208,
-			&antientropy.Summary{Slice: 1, Filter: antientropy.Filter{K: 4, Bits: []uint64{0xdeadbeef, 0x1}}}},
-		{"SummaryReply", "010a006d00000000000000d1000000000000000d31302e302e302e313a3730303001000000" +
-			"0400000001feca0000000000005a1d000000000000", 109, 209,
-			&antientropy.SummaryReply{Slice: 1, Filter: antientropy.Filter{K: 4, Salt: 0x1d5a, Bits: []uint64{0xcafe}}}},
-	}
-}
-
-// withRanges returns a copy of a kind 7–10 message naming ranges.
-func withRanges(msg interface{}, ranges store.RangeSet) interface{} {
-	switch m := msg.(type) {
-	case *antientropy.Digest:
-		c := *m
-		c.Ranges = ranges
-		return &c
-	case *antientropy.DigestReply:
-		c := *m
-		c.Ranges = ranges
-		return &c
-	case *antientropy.Summary:
-		c := *m
-		c.Ranges = ranges
-		return &c
-	case *antientropy.SummaryReply:
-		c := *m
-		c.Ranges = ranges
-		return &c
-	}
-	panic("withRanges: message carries no range set")
-}
-
-// TestRangeSetLegacyFrameCompat pins the rolling-upgrade contract for
-// the range set on kinds 7–10, an optional TRAILING field like the
-// filter's salt before it. Per message: the pre-range frame still
-// decodes, to a message that names no ranges (every range); that
-// message encodes byte-identically to the pre-range frame, so a node
-// that opens whole-store rounds is indistinguishable from an old one;
-// and a ranged frame is the pre-range frame, then — behind a filter that
-// had no salt on the wire — eight zero salt bytes, then the set, all of
-// which a pre-range decoder leaves unread.
-func TestRangeSetLegacyFrameCompat(t *testing.T) {
-	codec := BinaryCodec()
-	ranges := store.RangeSet{0x8001, 0, 1 << 63, 0x10}
-	var tail []byte
-	for _, w := range ranges {
-		tail = appendU64(tail, w)
-	}
-	for _, tc := range legacyDigestFrames() {
-		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := hex.DecodeString(tc.legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			env, err := codec.Decode(legacy)
-			if err != nil {
-				t.Fatalf("pre-range frame no longer decodes: %v", err)
-			}
-			if !reflect.DeepEqual(env.Msg, tc.msg) {
-				t.Fatalf("pre-range frame decoded to %+v, want %+v", env.Msg, tc.msg)
-			}
-			header := Envelope{From: tc.from, FromAddr: "10.0.0.1:7000", To: tc.to}
-
-			whole := header
-			whole.Msg = tc.msg
-			frame, err := codec.Encode(nil, &whole)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(frame, legacy) {
-				t.Fatalf("whole-store frame drifted from the pre-range layout\n got  %x\n want %x", frame, legacy)
-			}
-
-			ranged := header
-			ranged.Msg = withRanges(tc.msg, ranges)
-			frame, err = codec.Encode(nil, &ranged)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := append([]byte(nil), legacy...)
-			if tc.name == "SummaryUnsalted" {
-				want = appendU64(want, 0)
-			}
-			want = append(want, tail...)
-			if !bytes.Equal(frame, want) {
-				t.Fatalf("ranged frame must be the pre-range frame plus the trailing set\n got  %x\n want %x", frame, want)
-			}
-			dec, err := codec.Decode(frame)
-			if err != nil {
-				t.Fatalf("ranged frame does not decode: %v", err)
-			}
-			if !reflect.DeepEqual(dec.Msg, ranged.Msg) {
-				t.Fatalf("ranged frame decoded to %+v, want %+v", dec.Msg, ranged.Msg)
-			}
-		})
+	for _, it := range []antientropy.Item{
+		{Depth: 64, Prefix: 1<<64 - 1, Headers: []antientropy.Header{{Key: "k", Version: 1}}},
+		{Depth: 56, Prefix: 1<<56 - 1, Sums: make([]uint64, 256)},
+		{Sums: make([]uint64, 1)},
+		{},
+	} {
+		if _, err := roundTrip(it); err != nil {
+			t.Errorf("depth %d, %d sums: %v", it.Depth, len(it.Sums), err)
+		}
 	}
 }
 
@@ -463,8 +328,8 @@ func legacyRequestFrames() []legacyRequestFrame {
 }
 
 // TestTraceIDLegacyFrameCompat pins the rolling-upgrade contract for
-// request tracing, which reuses the Bloom-salt trick on all five
-// request messages: TraceID rides as an optional TRAILING field. Three
+// request tracing on all five request messages: TraceID rides as an
+// optional TRAILING field. Three
 // things must hold per message: the pre-trace frame layout still
 // decodes (TraceID zero); an untraced request encodes byte-identically
 // to that legacy layout; and a traced frame is exactly the legacy
@@ -592,8 +457,7 @@ func TestControlPlaneSplit(t *testing.T) {
 		&pss.ShuffleRequest{}, &pss.ShuffleReply{},
 		&slicing.SwapRequest{}, &slicing.SwapReply{},
 		&aggregate.ExtremaMsg{}, &aggregate.PushSumMsg{},
-		&antientropy.Digest{}, &antientropy.DigestReply{},
-		&antientropy.Summary{}, &antientropy.SummaryReply{}, &antientropy.Pull{},
+		&antientropy.Reconcile{}, &antientropy.Pull{},
 		&core.MateQuery{}, &core.MateReply{},
 		&dht.Gossip{},
 		&bootstrap.ManifestRequest{},

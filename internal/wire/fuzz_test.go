@@ -3,6 +3,7 @@ package wire
 import (
 	"testing"
 
+	"dataflasks/internal/antientropy"
 	"dataflasks/internal/core"
 	"dataflasks/internal/transport"
 )
@@ -33,10 +34,20 @@ func FuzzDecodeBinary(f *testing.F) {
 			f.Add(frame)
 		}
 	}
-	// Kinds 7–10 as a whole-store node writes them: no range set, with
-	// and without the filter's salt.
-	for _, tc := range legacyDigestFrames() {
-		frame, err := codec.Encode(nil, &Envelope{From: tc.from, To: tc.to, Msg: tc.msg})
+	// Repair messages: an opener of 256 sums, an empty list, a list
+	// that cannot split, an empty message — and the items the decoder
+	// refuses, so the fuzzer starts on both sides of that check.
+	items := [][]antientropy.Item{
+		{{Sums: make([]uint64, 256)}},
+		{{Depth: 9, Prefix: 300}},
+		{{Depth: 64, Prefix: 1<<64 - 1, Headers: []antientropy.Header{{Key: "k", Version: 1}, {Key: "k", Version: 2}}}},
+		nil,
+	}
+	for _, it := range invalidItems() {
+		items = append(items, []antientropy.Item{it})
+	}
+	for _, its := range items {
+		frame, err := codec.Encode(nil, &Envelope{From: 1, To: 2, Msg: &antientropy.Reconcile{Slice: 1, Items: its}})
 		if err != nil {
 			f.Fatal(err)
 		}

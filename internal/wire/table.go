@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 
 	"dataflasks/internal/aggregate"
 	"dataflasks/internal/antientropy"
@@ -109,52 +110,6 @@ var Messages = []Spec{
 		},
 		dec: func(r *reader) interface{} {
 			return &aggregate.PushSumMsg{Sum: r.f64(), Weight: r.f64()}
-		},
-	},
-	{Kind: 7, Name: "antientropy.Digest", Plane: ControlPlane,
-		New: func() interface{} { return &antientropy.Digest{} },
-		enc: func(b []byte, m interface{}) []byte {
-			v := m.(*antientropy.Digest)
-			b = appendI32(b, v.Slice)
-			b = appendHeaders(b, v.Headers)
-			return appendRanges(b, v.Ranges)
-		},
-		dec: func(r *reader) interface{} {
-			return &antientropy.Digest{Slice: r.i32(), Headers: readHeaders(r), Ranges: readRanges(r)}
-		},
-	},
-	{Kind: 8, Name: "antientropy.DigestReply", Plane: ControlPlane,
-		New: func() interface{} { return &antientropy.DigestReply{} },
-		enc: func(b []byte, m interface{}) []byte {
-			v := m.(*antientropy.DigestReply)
-			b = appendI32(b, v.Slice)
-			b = appendHeaders(b, v.Headers)
-			return appendRanges(b, v.Ranges)
-		},
-		dec: func(r *reader) interface{} {
-			return &antientropy.DigestReply{Slice: r.i32(), Headers: readHeaders(r), Ranges: readRanges(r)}
-		},
-	},
-	{Kind: 9, Name: "antientropy.Summary", Plane: ControlPlane,
-		New: func() interface{} { return &antientropy.Summary{} },
-		enc: func(b []byte, m interface{}) []byte {
-			v := m.(*antientropy.Summary)
-			b = appendI32(b, v.Slice)
-			return appendFilterTail(b, v.Filter, v.Ranges)
-		},
-		dec: func(r *reader) interface{} {
-			return &antientropy.Summary{Slice: r.i32(), Filter: readFilter(r), Ranges: readRanges(r)}
-		},
-	},
-	{Kind: 10, Name: "antientropy.SummaryReply", Plane: ControlPlane,
-		New: func() interface{} { return &antientropy.SummaryReply{} },
-		enc: func(b []byte, m interface{}) []byte {
-			v := m.(*antientropy.SummaryReply)
-			b = appendI32(b, v.Slice)
-			return appendFilterTail(b, v.Filter, v.Ranges)
-		},
-		dec: func(r *reader) interface{} {
-			return &antientropy.SummaryReply{Slice: r.i32(), Filter: readFilter(r), Ranges: readRanges(r)}
 		},
 	},
 	{Kind: 11, Name: "antientropy.Pull", Plane: ControlPlane,
@@ -491,20 +446,6 @@ var Messages = []Spec{
 		},
 	},
 
-	// -- control plane: anti-entropy range sums --
-	{Kind: 35, Name: "antientropy.Sums", Plane: ControlPlane,
-		New: func() interface{} { return &antientropy.Sums{} },
-		enc: func(b []byte, m interface{}) []byte {
-			v := m.(*antientropy.Sums)
-			b = appendI32(b, v.Slice)
-			b = appendBool(b, v.Full)
-			return appendWords(b, v.Sums)
-		},
-		dec: func(r *reader) interface{} {
-			return &antientropy.Sums{Slice: r.i32(), Full: r.boolean(), Sums: readWords(r)}
-		},
-	},
-
 	// -- data plane: one shard's answers to one origin, as one frame --
 	{Kind: 36, Name: "core.Replies", Plane: DataPlane,
 		New: func() interface{} { return &core.Replies{} },
@@ -536,7 +477,54 @@ var Messages = []Spec{
 			return &core.Replies{Msgs: msgs}
 		},
 	},
+
+	// -- control plane: anti-entropy, the whole descent in one kind --
+	{Kind: 37, Name: "antientropy.Reconcile", Plane: ControlPlane,
+		New: func() interface{} { return &antientropy.Reconcile{} },
+		enc: func(b []byte, m interface{}) []byte {
+			v := m.(*antientropy.Reconcile)
+			b = appendI32(b, v.Slice)
+			b = appendLen(b, len(v.Items))
+			for _, it := range v.Items {
+				b = appendU8(b, it.Depth)
+				b = appendUvarint(b, it.Prefix)
+				b = appendWords(b, it.Sums)
+				if len(it.Sums) == 0 {
+					b = appendHeaders(b, it.Headers)
+				}
+			}
+			return b
+		},
+		dec: func(r *reader) interface{} {
+			m := &antientropy.Reconcile{Slice: r.i32()}
+			n := r.length()
+			if n > 0 && r.err == nil {
+				m.Items = make([]antientropy.Item, 0, n)
+				for i := 0; i < n && r.err == nil; i++ {
+					it := antientropy.Item{Depth: r.u8(), Prefix: r.uvarint(), Sums: readWords(r)}
+					if len(it.Sums) == 0 {
+						it.Headers = readHeaders(r)
+					}
+					if r.err == nil && !it.Valid() {
+						r.err = fmt.Errorf("%w: depth %d, prefix %#x, %d sums", errBadItem, it.Depth, it.Prefix, len(it.Sums))
+					}
+					m.Items = append(m.Items, it)
+				}
+			}
+			return m
+		},
+	},
 }
+
+// reservedKinds are retired kind IDs, never to be reused: 7–10 and 35
+// were the repair messages before antientropy.Reconcile carried the
+// whole exchange. A frame of one decodes as Unknown, which a node
+// ignores.
+var reservedKinds = []uint16{7, 8, 9, 10, 35}
+
+// errBadItem rejects a repair item that names no key-hash prefix or
+// whose children would not fit one (antientropy.Item.Valid).
+var errBadItem = errors.New("wire: invalid repair item")
 
 // errNotAnswer rejects a reply batch that nests anything but an answer:
 // a batch inside a batch, a request, a control message or an unknown
@@ -567,8 +555,8 @@ func init() {
 		if s.Kind == 0 {
 			panic("wire: kind 0 is reserved (marks an absent entry)")
 		}
-		if _, dup := byKind[s.Kind]; dup {
-			panic("wire: duplicate message kind " + s.Name)
+		if _, dup := byKind[s.Kind]; dup || slices.Contains(reservedKinds, s.Kind) {
+			panic("wire: duplicate or reserved message kind " + s.Name)
 		}
 		t := reflect.TypeOf(s.New())
 		if _, dup := byType[t]; dup {
@@ -654,41 +642,8 @@ func readObjects(r *reader) []store.Object {
 	return objs
 }
 
-// appendFilterTail ends a Summary or SummaryReply: the pre-salt filter
-// layout (K, word count, bit words), then two OPTIONAL TRAILING fields,
-// each emitted only when something at or after it is non-zero — the
-// salt, then the range set.
-//
-//	Salt == 0, no ranges: nothing   (byte-identical to pre-salt frames)
-//	Salt != 0, no ranges: u64 salt  (byte-identical to pre-range frames)
-//	ranges:               u64 salt (zero when unsalted), then the set
-//
-// Older decoders stop where their fields end and ignore the rest of the
-// frame: a salted Summary degrades on a pre-salt node to an unsalted
-// probe (over-push, never a lost repair). A ranged frame is only ever
-// sent in answer to a peer that opened with Sums, which a pre-range node
-// never does. The tail only works because it is the FINAL part of the
-// messages that carry it, and it can only grow at its end.
-func appendFilterTail(b []byte, f antientropy.Filter, ranges store.RangeSet) []byte {
-	b = appendU32(b, f.K)
-	b = appendWords(b, f.Bits)
-	if f.Salt != 0 || ranges != (store.RangeSet{}) {
-		b = appendU64(b, f.Salt)
-	}
-	return appendRanges(b, ranges)
-}
-
-func readFilter(r *reader) antientropy.Filter {
-	f := antientropy.Filter{K: r.u32(), Bits: readWords(r)}
-	// Pre-salt frames end here; salted frames carry the trailing salt.
-	if r.err == nil && r.off < len(r.b) {
-		f.Salt = r.u64()
-	}
-	return f
-}
-
-// appendWords writes a counted list of 64-bit words (filter bits, range
-// sums).
+// appendWords writes a counted list of 64-bit words (repair
+// fingerprints).
 func appendWords(b []byte, ws []uint64) []byte {
 	b = appendLen(b, len(ws))
 	for _, w := range ws {
@@ -709,34 +664,10 @@ func readWords(r *reader) []uint64 {
 	return ws
 }
 
-// appendRanges carries the optional trailing range set of kinds 7–10:
-// nothing for the zero set (every range — byte-identical to the frames
-// from before the range sums), its NumRanges bits otherwise.
-func appendRanges(b []byte, ranges store.RangeSet) []byte {
-	if ranges == (store.RangeSet{}) {
-		return b
-	}
-	for _, w := range ranges {
-		b = appendU64(b, w)
-	}
-	return b
-}
-
-func readRanges(r *reader) (ranges store.RangeSet) {
-	// Pre-range frames end before the set.
-	if r.err == nil && r.off < len(r.b) {
-		for i := range ranges {
-			ranges[i] = r.u64()
-		}
-	}
-	return ranges
-}
-
 // appendRouting ends each of the five request kinds: the header after
 // the id, which leads the frame. A get has no NoAck byte. TraceID and
-// Flood are two OPTIONAL TRAILING fields, with the same trick as
-// appendFilterTail's salt: a field is emitted only when something at or
-// after it is non-zero.
+// Flood are two OPTIONAL TRAILING fields: a field is emitted only when
+// something at or after it is non-zero.
 //
 //	TraceID == 0, !Flood: nothing   (byte-identical to pre-trace frames)
 //	TraceID != 0, !Flood: u64 id    (byte-identical to pre-flood frames)

@@ -5,7 +5,7 @@
 //
 // The protocol surface is declared once, in Messages: every message a
 // node may emit or receive — PSS shuffles, slicing swaps, aggregation,
-// anti-entropy (full-header digests, Bloom summaries, pulls, pushes),
+// anti-entropy (the Reconcile descent, pulls, pushes),
 // the data plane (puts/gets/deletes and their batch and ack forms, and
 // the answer batch — core.Replies, one shard's acks and get replies to
 // one client as one frame, which nests only those five answer kinds),
@@ -20,7 +20,7 @@
 // caller-owned buffer and allocates nothing once the buffer has warmed
 // up, which is what the hot paths (relay puts, digests, pushes) want.
 // The format evolves two ways only: a trailing optional field on a
-// message whose last field allows it (Bloom salt, TraceID), or a new
+// message whose last field allows it (TraceID, then Flood), or a new
 // version byte, which decoders that do not know it reject. Nodes that
 // do not know a kind receive it as Unknown and ignore it, so
 // mixed-version deployments degrade instead of crashing.
