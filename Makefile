@@ -22,7 +22,7 @@ test:
 
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -run 'TestFlasksdRESPGatewaySmoke|TestFlasksdObsSmoke' -count=1 ./cmd/flasksd
+	$(GO) test -run 'TestFlasksdRESPGatewaySmoke|TestFlasksdObsSmoke|TestFlasksdRetiredFlags' -count=1 ./cmd/flasksd
 
 # goldens rewrites internal/lab/testdata/*.golden (the -quick tables, at
 # seed 42, of every row of lab.Experiments that names goldens) from this

@@ -12,10 +12,10 @@ import (
 // TestRangedAntiEntropyLiveCluster runs the range-fingerprinted repair
 // rounds on a 4-node, 2-slice TCP cluster over the log engine. Preloaded
 // and idle, every round the nodes answer is clean and the digest bytes
-// they charge come to the opening sums — under 4 KB an exchange, where a
-// Bloom summary of one node's 4 000 headers alone is 5 KB. Then a member
-// is restarted on an empty data directory, and the same rounds bring it
-// back to full replication.
+// they charge come to the opening sums alone — under 4 KB an exchange,
+// with 4 000 headers on each node. Then a member is restarted on an
+// empty data directory, and the same rounds bring it back to full
+// replication.
 func TestRangedAntiEntropyLiveCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live TCP cluster in -short mode")

@@ -178,7 +178,7 @@ func BenchmarkGatewayLocalVsLoopback(b *testing.B) {
 					}
 					return cl.PutAsync(key, uint64(i/keys+1), value)
 				}
-				encoded := node.WireStats().EncodeBytes
+				encoded := node.EncodedBytes()
 				b.ReportAllocs()
 				b.ResetTimer()
 				inflight := make([]*dataflasks.Op, 0, window)
@@ -194,7 +194,7 @@ func BenchmarkGatewayLocalVsLoopback(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				b.ReportMetric(float64(node.WireStats().EncodeBytes-encoded)/float64(b.N), "wire_B/op")
+				b.ReportMetric(float64(node.EncodedBytes()-encoded)/float64(b.N), "wire_B/op")
 			})
 		}
 	}

@@ -8,11 +8,13 @@ import (
 	"testing"
 )
 
-// TestFlasksdRetiredStorageFlags pins what left the flag surface with
-// the file-per-object engine: `-engine disk` and `-commit-window` are
-// refused with exit status 2 and a line on stderr naming what is
-// accepted. (The two smoke tests boot the engines that remain.)
-func TestFlasksdRetiredStorageFlags(t *testing.T) {
+// TestFlasksdRetiredFlags pins what left the flag surface: `-engine
+// disk` and `-commit-window` with the file-per-object engine,
+// `-ae-full-every` with the repair protocol's second leg, and `-udp-addr`
+// with the datagram control plane. Each is refused with exit status 2
+// and a line on stderr naming what is wrong. (The two smoke tests boot
+// the engines that remain.)
+func TestFlasksdRetiredFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the real daemon; skipped in -short")
 	}
@@ -26,6 +28,8 @@ func TestFlasksdRetiredStorageFlags(t *testing.T) {
 	}{
 		{[]string{"-id", "1", "-engine", "disk", "-data", t.TempDir()}, `unknown -engine "disk" (want log or memory)`},
 		{[]string{"-id", "1", "-commit-window", "1ms"}, "flag provided but not defined: -commit-window"},
+		{[]string{"-id", "1", "-ae-full-every", "8"}, "flag provided but not defined: -ae-full-every"},
+		{[]string{"-id", "1", "-udp-addr", "auto"}, "flag provided but not defined: -udp-addr"},
 	} {
 		var stderr strings.Builder
 		cmd := exec.Command(bin, tc.args...)

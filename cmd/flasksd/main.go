@@ -47,7 +47,6 @@ func main() {
 		period     = flag.Duration("period", 500*time.Millisecond, "gossip round period")
 		dataShards = flag.Int("data-shards", 0, "data-plane shard goroutines, partitioned by key hash (0 or 1: single shard; raise on multi-core hosts)")
 		status     = flag.Duration("status", 10*time.Second, "status line interval (0: quiet)")
-		udpAddr    = flag.String("udp-addr", "", "datagram control-plane bind address; must share -bind's port, or \"auto\" to derive it (empty: all traffic on TCP)")
 
 		aePushBytes = flag.Int("ae-push-bytes", 0, "value bytes per anti-entropy repair push (0: 1 MiB default)")
 		aeRate      = flag.Int("ae-rate", 0, "repair push bytes allowed per anti-entropy round, token bucket (0: unlimited)")
@@ -128,7 +127,6 @@ func main() {
 		DataDir:     *dataDir,
 		RestoreDir:  *restoreDir,
 		RoundPeriod: *period,
-		UDPBind:     *udpAddr,
 		HTTPAddr:    *httpAddr,
 		TraceEvents: *traceEvents,
 		RESPStats:   respStats,
@@ -138,9 +136,6 @@ func main() {
 		log.Fatalf("flasksd: %v", err)
 	}
 	log.Printf("flasksd: node %s listening on %s (slices=%d)", node.ID(), node.Addr(), *slices)
-	if ua := node.UDPAddr(); ua != "" {
-		log.Printf("flasksd: datagram control plane on %s", ua)
-	}
 	if ha := node.HTTPAddr(); ha != "" {
 		log.Printf("flasksd: observability plane listening on %s", ha)
 	}
@@ -181,11 +176,8 @@ func main() {
 		for {
 			select {
 			case <-ticker.C:
-				log.Printf("flasksd: slice=%d peers=%d objects=%d dropped=%d send_errors=%d",
-					node.Slice(), node.PeersKnown(), node.StoredObjects(), node.MailboxDropped(), node.SendErrors())
-				ws := node.WireStats()
-				log.Printf("flasksd: wire encode_bytes=%d udp sent=%d dropped=%d oversize=%d",
-					ws.EncodeBytes, ws.UDPSent, ws.UDPDropped, ws.UDPOversize)
+				log.Printf("flasksd: slice=%d peers=%d objects=%d dropped=%d send_errors=%d encode_bytes=%d",
+					node.Slice(), node.PeersKnown(), node.StoredObjects(), node.MailboxDropped(), node.SendErrors(), node.EncodedBytes())
 				if bs := node.BootstrapStats(); *bootstrap || bs.Sent > 0 {
 					log.Printf("flasksd: bootstrap done=%t fellback=%t sent=%d segments=%d bytes=%d rejected=%d fallback_objects=%d",
 						bs.Done, bs.FellBack, bs.Sent, bs.Segments, bs.Bytes, bs.ChunksRejected, bs.FallbackObjects)

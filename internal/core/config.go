@@ -87,16 +87,6 @@ type Config struct {
 	// replication factor (§IV-C).
 	Slices int
 
-	// Control, when set, carries control-plane messages (as classified
-	// by IsControl) instead of the node's main sender. Real deployments
-	// pass the datagram fast path here, typically wrapped in a
-	// transport.FallbackSender so oversize frames ride the stream
-	// fabric. Nil sends everything over the main sender.
-	Control transport.Sender
-	// IsControl classifies messages for Control routing; deployments
-	// pass wire.Control so the routing split derives from the message
-	// table. Required when Control is set.
-	IsControl func(msg interface{}) bool
 	// SystemSize is the deployer's estimate of N, used to size fanout
 	// and TTL. When zero the node uses its extrema-propagation size
 	// estimate (internal/aggregate).

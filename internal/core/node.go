@@ -100,9 +100,6 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 	if out == nil {
 		panic("core: NewNode requires a sender")
 	}
-	if cfg.Control != nil && cfg.IsControl == nil {
-		panic("core: Config.Control requires IsControl")
-	}
 	n := &Node{
 		id:        id,
 		cfg:       cfg,
@@ -235,24 +232,14 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 	return n
 }
 
-// route picks the fabric for one message: control-plane traffic takes
-// the configured Control sender (the datagram fast path in real
-// deployments), everything else the main sender.
-func (n *Node) route(msg interface{}) transport.Sender {
-	if n.cfg.Control != nil && n.cfg.IsControl(msg) {
-		return n.cfg.Control
-	}
-	return n.raw
-}
-
-// send is every control-plane send: msg goes to its fabric (route),
-// counted under cat, and a failure is counted once, as a drop and as a
-// wire send error. No protocol retries a failed send itself — the next
-// round does — so counting it here is all the handling it gets.
+// send is every control-plane send: msg goes to the fabric, counted
+// under cat, and a failure is counted once, as a drop and as a wire send
+// error. No protocol retries a failed send itself — the next round does —
+// so counting it here is all the handling it gets.
 func (n *Node) send(ctx context.Context, cat metrics.Counter, to transport.NodeID, msg interface{}) error {
 	n.met.Inc(metrics.MsgSent)
 	n.met.Inc(cat)
-	err := n.route(msg).Send(ctx, to, msg)
+	err := n.raw.Send(ctx, to, msg)
 	if err != nil {
 		n.met.Inc(metrics.MsgDropped)
 		n.met.Inc(metrics.WireSendErrors)

@@ -272,47 +272,6 @@ func (s *SharedCounter) Add(delta uint64) { s.v.Add(delta) }
 // Load returns the current value.
 func (s *SharedCounter) Load() uint64 { return s.v.Load() }
 
-// WireStats counts wire-level codec and datagram activity. All fields
-// are atomic SharedCounters: encoding happens on per-connection and
-// event-loop goroutines, and the status reporter reads concurrently.
-// One instance is shared by a node's TCP and UDP transports so the
-// counters describe the node, not one socket.
-type WireStats struct {
-	// EncodeBytes sums frame bytes produced by the wire codec
-	// (wire_encode_bytes): every TCP frame and UDP datagram payload.
-	EncodeBytes SharedCounter
-	// UDPSent counts datagrams handed to the UDP socket
-	// (udp_datagrams_sent).
-	UDPSent SharedCounter
-	// UDPDropped counts datagrams lost before the socket — no learned
-	// peer address, a closed transport, a write error — plus inbound
-	// datagrams that failed to decode (udp_datagrams_dropped).
-	UDPDropped SharedCounter
-	// UDPOversize counts control messages whose frame exceeded the
-	// datagram cap and were bounced to the stream path
-	// (udp_datagrams_oversize).
-	UDPOversize SharedCounter
-}
-
-// WireSnapshot is a point-in-time copy of WireStats, for status lines
-// and tests.
-type WireSnapshot struct {
-	EncodeBytes uint64
-	UDPSent     uint64
-	UDPDropped  uint64
-	UDPOversize uint64
-}
-
-// Snapshot copies the counters.
-func (w *WireStats) Snapshot() WireSnapshot {
-	return WireSnapshot{
-		EncodeBytes: w.EncodeBytes.Load(),
-		UDPSent:     w.UDPSent.Load(),
-		UDPDropped:  w.UDPDropped.Load(),
-		UDPOversize: w.UDPOversize.Load(),
-	}
-}
-
 // latencyBuckets is the bucket count of LatencyHistogram: bucket 0 is
 // sub-microsecond, bucket i ≥ 1 covers [2^(i-1), 2^i) microseconds, so
 // 40 buckets span sub-µs to ~6 days — every latency a gateway will

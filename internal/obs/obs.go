@@ -8,7 +8,7 @@
 // Status snapshot each tick (and on readiness flips), adds its data
 // shards' atomic counters as they stand when read, and every handler
 // reads through Sources: snapshot closures, atomic stats types
-// (WireStats, CommandStats, LatencyHistogram) and the lock-free trace
+// (SharedCounter, CommandStats, LatencyHistogram) and the lock-free trace
 // ring. A scrape can therefore never stall — or race — the protocol.
 package obs
 
@@ -52,8 +52,8 @@ type Sources struct {
 	// Status returns the node's Status: the latest published snapshot
 	// with the data counters read live.
 	Status func() Status
-	// Wire snapshots the node's wire/datagram counters.
-	Wire func() metrics.WireSnapshot
+	// EncodeBytes counts the frame bytes the node's fabric encoded.
+	EncodeBytes *metrics.SharedCounter
 	// RESP is the gateway's per-command registry, when one runs.
 	RESP *metrics.CommandStats
 	// TickDur is the event loop's per-tick duration histogram.

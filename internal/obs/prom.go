@@ -62,11 +62,8 @@ var metricNames = [...]string{
 	"flasks_ready",
 	"flasks_bootstrap_done",
 	"flasks_bootstrap_fell_back",
-	// Wire codec and datagram control plane.
+	// Wire codec.
 	"flasks_wire_encode_bytes_total",
-	"flasks_udp_datagrams_sent_total",
-	"flasks_udp_datagrams_dropped_total",
-	"flasks_udp_datagrams_oversize_total",
 	// Event loop.
 	"flasks_mailbox_depth",
 	"flasks_mailbox_capacity",
@@ -217,16 +214,9 @@ func WriteMetrics(w io.Writer, src Sources) error {
 			boolGauge(st.BootstrapFellBack))
 	}
 
-	if src.Wire != nil {
-		ws := src.Wire()
+	if src.EncodeBytes != nil {
 		e.counter("flasks_wire_encode_bytes_total",
-			"Frame bytes produced by the wire codec (TCP frames and UDP payloads).", ws.EncodeBytes)
-		e.counter("flasks_udp_datagrams_sent_total",
-			"Datagrams handed to the UDP control-plane socket.", ws.UDPSent)
-		e.counter("flasks_udp_datagrams_dropped_total",
-			"Datagrams lost before the socket or undecodable on arrival.", ws.UDPDropped)
-		e.counter("flasks_udp_datagrams_oversize_total",
-			"Control messages bounced to TCP because their frame exceeded the datagram cap.", ws.UDPOversize)
+			"Frame bytes produced by the wire codec.", src.EncodeBytes.Load())
 	}
 
 	if src.MailboxDepth != nil {

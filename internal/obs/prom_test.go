@@ -24,14 +24,14 @@ func fullSources(tick *metrics.LatencyHistogram, resp *metrics.CommandStats, rin
 	st.BootstrapDone = true
 	st.BootstrapFellBack = true
 	st.Ready = true
+	encoded := &metrics.SharedCounter{}
+	encoded.Add(1)
 	return Sources{
-		NodeID: 7,
-		Status: func() Status { return st },
-		Wire: func() metrics.WireSnapshot {
-			return metrics.WireSnapshot{EncodeBytes: 1, UDPSent: 3, UDPDropped: 4, UDPOversize: 5}
-		},
-		RESP:    resp,
-		TickDur: tick,
+		NodeID:      7,
+		Status:      func() Status { return st },
+		EncodeBytes: encoded,
+		RESP:        resp,
+		TickDur:     tick,
 		Store: func() store.Stats {
 			return store.Stats{Segments: 2, LiveBytes: 100, DeadBytes: 50, CompactionPasses: 1}
 		},

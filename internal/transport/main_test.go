@@ -8,9 +8,8 @@ import (
 )
 
 // TestMain fails the package if any goroutine outlives the tests:
-// the transport owns accept loops, per-connection readers and the
-// UDP receive loop, so a leak here means a Close path lost a
-// goroutine.
+// the transport owns accept loops and per-connection readers, so a
+// leak here means a Close path lost a goroutine.
 func TestMain(m *testing.M) {
 	os.Exit(leakcheck.Main(m))
 }

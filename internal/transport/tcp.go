@@ -23,9 +23,9 @@ const maxTCPFrame = 64 << 20
 type TCPConfig struct {
 	// Codec encodes outbound frames and decodes inbound ones (required).
 	Codec WireCodec
-	// Stats receives wire-level accounting; nil allocates a private
-	// instance (Stats() still reports delivery counts either way).
-	Stats *metrics.WireStats
+	// EncodeBytes, when set, counts the frame bytes the fabric encodes
+	// (Stats() reports delivery counts either way).
+	EncodeBytes *metrics.SharedCounter
 	// DialTimeout bounds outbound connection attempts and each frame
 	// write (default 3s).
 	DialTimeout time.Duration
@@ -49,7 +49,7 @@ type TCPNetwork struct {
 	ln       net.Listener
 	handler  func(Envelope)
 	codec    WireCodec
-	wstats   *metrics.WireStats
+	encoded  *metrics.SharedCounter
 	dialTime time.Duration
 
 	mu    sync.RWMutex
@@ -109,8 +109,8 @@ func ListenTCP(self NodeID, bind, advertise string, cfg TCPConfig, handler func(
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 3 * time.Second
 	}
-	if cfg.Stats == nil {
-		cfg.Stats = &metrics.WireStats{}
+	if cfg.EncodeBytes == nil {
+		cfg.EncodeBytes = &metrics.SharedCounter{}
 	}
 	t := &TCPNetwork{
 		self:     self,
@@ -118,7 +118,7 @@ func ListenTCP(self NodeID, bind, advertise string, cfg TCPConfig, handler func(
 		ln:       ln,
 		handler:  handler,
 		codec:    cfg.Codec,
-		wstats:   cfg.Stats,
+		encoded:  cfg.EncodeBytes,
 		dialTime: cfg.DialTimeout,
 		peers:    make(map[NodeID]string),
 		conns:    make(map[NodeID]*tcpConn),
@@ -134,7 +134,6 @@ func (t *TCPNetwork) Addr() string { return t.addr }
 
 // BoundAddr returns the listener's actual bound address (which differs
 // from Addr when advertising a public name or when bound to port 0).
-// The datagram fabric binds the same port by convention.
 func (t *TCPNetwork) BoundAddr() string { return t.ln.Addr().String() }
 
 // Learn implements AddressBook.
@@ -170,22 +169,10 @@ func (t *TCPNetwork) PeerCount() int {
 	return len(t.peers)
 }
 
-// PeerAddr returns the learned address for id ("" when unknown). The
-// UDP companion fabric resolves datagram destinations through it.
-func (t *TCPNetwork) PeerAddr(id NodeID) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.peers[id]
-}
-
 // Stats returns delivery counters.
 func (t *TCPNetwork) Stats() Stats {
 	return Stats{Sent: t.sent.Load(), Delivered: t.delivered.Load(), Dropped: t.dropped.Load()}
 }
-
-// WireStats returns the codec/datagram accounting shared with this
-// fabric.
-func (t *TCPNetwork) WireStats() *metrics.WireStats { return t.wstats }
 
 // Sender returns the fabric's sender for the local node.
 func (t *TCPNetwork) Sender() Sender { return BindSender(t, t.self) }
@@ -276,7 +263,7 @@ func (t *TCPNetwork) write(c *tcpConn, env *WireEnvelope) error {
 	c.scratch = buf
 	frame := len(buf) - 4
 	binary.BigEndian.PutUint32(buf[:4], uint32(frame))
-	t.wstats.EncodeBytes.Add(uint64(frame))
+	t.encoded.Add(uint64(frame))
 	if err := c.conn.SetWriteDeadline(time.Now().Add(t.dialTime)); err != nil {
 		return err
 	}

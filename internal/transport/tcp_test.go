@@ -260,13 +260,18 @@ func TestTCPDeliverConcurrentWithSend(t *testing.T) {
 	if got.Load() != readers*frames {
 		t.Fatalf("handler saw %d frames, want %d", got.Load(), readers*frames)
 	}
+	peerAddr := func(id NodeID) string {
+		a.mu.RLock()
+		defer a.mu.RUnlock()
+		return a.peers[id]
+	}
 	for g := 0; g < readers; g++ {
-		if addr := a.PeerAddr(NodeID(10 + g)); addr != "127.0.0.1:9" {
+		if addr := peerAddr(NodeID(10 + g)); addr != "127.0.0.1:9" {
 			t.Fatalf("peer %d learned as %q", 10+g, addr)
 		}
 	}
 	a.deliver(&WireEnvelope{From: 10, FromAddr: "127.0.0.1:10", To: 1, Msg: &tcpTestMsg{}})
-	if addr := a.PeerAddr(10); addr != "127.0.0.1:10" {
+	if addr := peerAddr(10); addr != "127.0.0.1:10" {
 		t.Fatalf("changed address not taken: peer 10 is %q", addr)
 	}
 }

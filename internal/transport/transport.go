@@ -1,18 +1,18 @@
 // Package transport defines how DataFlasks nodes exchange messages and
-// provides four interchangeable fabrics: a deterministic simulated
+// provides three interchangeable fabrics: a deterministic simulated
 // network driven by the discrete-event engine, an in-process network
-// for live goroutine clusters, a TCP network for real deployments, and a
-// UDP datagram path for the loss-tolerant epidemic control plane. Every
-// fabric implements the same context-taking Send(ctx, to, env) signature
-// (the Fabric interface) and hands what arrives to the handler its
-// recipient attached or listened with — none owns a mailbox; queueing,
+// for live goroutine clusters, and a TCP network for real deployments,
+// which carries every protocol's traffic. Every fabric implements the
+// same context-taking Send(ctx, to, env) signature (the Fabric
+// interface) and hands what arrives to the handler its recipient
+// attached or listened with — none owns a mailbox; queueing,
 // and dropping what does not fit, is the recipient's. Protocol code
 // depends only on the narrow Sender interface bound to one originating
 // node, so the same node logic runs unchanged on all fabrics.
 //
-// The two socket fabrics share one wire format, supplied as a
-// WireCodec: a TCP stream is a sequence of length-prefixed frames and a
-// datagram is exactly one frame. There is no per-connection handshake.
+// The TCP fabric's wire format is supplied as a WireCodec: a stream is
+// a sequence of length-prefixed frames. There is no per-connection
+// handshake.
 package transport
 
 import (
@@ -36,8 +36,8 @@ type Envelope struct {
 }
 
 // Fabric is the unified send surface every transport implements: one
-// context-taking signature shared by the simulated, channel, TCP and
-// UDP fabrics. Send is best-effort — epidemic protocols tolerate loss,
+// context-taking signature shared by the simulated, channel and TCP
+// fabrics. Send is best-effort — epidemic protocols tolerate loss,
 // so failures surface as an error for accounting but never block
 // beyond ctx.
 type Fabric interface {
@@ -69,21 +69,8 @@ func BindSender(f Fabric, from NodeID) Sender {
 	})
 }
 
-// FallbackSender tries primary and, when it fails, retries the same
-// message on fallback. The canonical use is the control-plane split: a
-// datagram path as primary (oversize frames or missing peer addresses
-// fail fast) with the TCP stream path as the always-works fallback.
-func FallbackSender(primary, fallback Sender) Sender {
-	return SenderFunc(func(ctx context.Context, to NodeID, msg interface{}) error {
-		if err := primary.Send(ctx, to, msg); err != nil {
-			return fallback.Send(ctx, to, msg)
-		}
-		return nil
-	})
-}
-
 // AddressBook lets protocol layers feed learned (id → address)
-// mappings to fabrics that need them (TCP, UDP). Simulated fabrics
+// mappings to fabrics that need them (TCP). Simulated fabrics
 // ignore addresses entirely.
 type AddressBook interface {
 	// Learn records that id is reachable at addr. Implementations must
@@ -129,13 +116,6 @@ var (
 	ErrDropped = errors.New("transport: message dropped")
 	// ErrClosed reports use of a closed endpoint or network.
 	ErrClosed = errors.New("transport: closed")
-	// ErrOversize reports a frame too large for the datagram path; the
-	// caller should retry on a stream fabric (FallbackSender does).
-	ErrOversize = errors.New("transport: frame exceeds datagram size cap")
-	// ErrNoDatagramPath reports a peer whose datagram path is unproven
-	// (no probe ack yet — possibly a node with no UDP listener at all);
-	// the caller should retry on a stream fabric (FallbackSender does).
-	ErrNoDatagramPath = errors.New("transport: no proven datagram path")
 )
 
 // Stats aggregates fabric-level delivery accounting.

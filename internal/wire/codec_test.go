@@ -452,43 +452,6 @@ func TestFloodFlagLegacyFrameCompat(t *testing.T) {
 	}
 }
 
-func TestControlPlaneSplit(t *testing.T) {
-	control := []interface{}{
-		&pss.ShuffleRequest{}, &pss.ShuffleReply{},
-		&slicing.SwapRequest{}, &slicing.SwapReply{},
-		&aggregate.ExtremaMsg{}, &aggregate.PushSumMsg{},
-		&antientropy.Reconcile{}, &antientropy.Pull{},
-		&core.MateQuery{}, &core.MateReply{},
-		&dht.Gossip{},
-		&bootstrap.ManifestRequest{},
-	}
-	data := []interface{}{
-		&antientropy.Push{},
-		&core.PutRequest{}, &core.PutAck{}, &core.PutBatchRequest{}, &core.PutBatchAck{},
-		&core.GetRequest{}, &core.GetReply{},
-		&core.DeleteRequest{}, &core.DeleteAck{}, &core.DeleteBatchRequest{}, &core.DeleteBatchAck{},
-		&core.Replies{},
-		&dht.PutRequest{}, &dht.PutAck{}, &dht.GetRequest{}, &dht.GetReply{},
-		&bootstrap.ManifestReply{}, &bootstrap.SegmentFetch{},
-		&bootstrap.SegmentChunk{}, &bootstrap.SegmentDone{},
-	}
-	for _, m := range control {
-		if !Control(m) {
-			t.Errorf("%T should be control plane", m)
-		}
-	}
-	for _, m := range data {
-		if Control(m) {
-			t.Errorf("%T should be data plane", m)
-		}
-	}
-	// Types outside the table are data plane: the stream path is the
-	// one that always works.
-	if Control("not a message") {
-		t.Error("unregistered type classified as control")
-	}
-}
-
 // TestRepliesNestOnlyAnswers: a reply batch decodes only when every entry
 // is one of the five answers. A batch inside a batch, a request, a
 // control message, another protocol's ack or an unknown kind fails the

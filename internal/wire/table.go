@@ -18,18 +18,14 @@ import (
 	"dataflasks/internal/transport"
 )
 
-// Spec declares one protocol message: its stable kind ID, transport
-// plane, and binary encode/decode. Kind IDs are wire contract — never
-// renumber or reuse one; retire by leaving a gap and append new
-// messages with fresh IDs.
+// Spec declares one protocol message: its stable kind ID and binary
+// encode/decode. Kind IDs are wire contract — never renumber or reuse
+// one; retire by leaving a gap and append new messages with fresh IDs.
 type Spec struct {
 	// Kind is the stable on-the-wire message ID.
 	Kind uint16
 	// Name labels the message in logs and tooling.
 	Name string
-	// Plane routes the message class: ControlPlane is datagram-eligible,
-	// DataPlane stays on streams.
-	Plane Plane
 	// New returns a fresh zero message (pointer form, as messages travel
 	// in envelopes); the type index is built from it.
 	New func() interface{}
@@ -39,21 +35,20 @@ type Spec struct {
 }
 
 // Messages is the protocol surface: every message a node may emit or
-// receive, declared once. The codec and the control/data routing split
-// both derive from this table.
+// receive, declared once. The codec derives from this table.
 var Messages = []Spec{
 	// -- epidemic control plane --
-	{Kind: 1, Name: "pss.ShuffleRequest", Plane: ControlPlane,
+	{Kind: 1, Name: "pss.ShuffleRequest",
 		New: func() interface{} { return &pss.ShuffleRequest{} },
 		enc: func(b []byte, m interface{}) []byte { return appendDescs(b, m.(*pss.ShuffleRequest).Sample) },
 		dec: func(r *reader) interface{} { return &pss.ShuffleRequest{Sample: readDescs(r)} },
 	},
-	{Kind: 2, Name: "pss.ShuffleReply", Plane: ControlPlane,
+	{Kind: 2, Name: "pss.ShuffleReply",
 		New: func() interface{} { return &pss.ShuffleReply{} },
 		enc: func(b []byte, m interface{}) []byte { return appendDescs(b, m.(*pss.ShuffleReply).Sample) },
 		dec: func(r *reader) interface{} { return &pss.ShuffleReply{Sample: readDescs(r)} },
 	},
-	{Kind: 3, Name: "slicing.SwapRequest", Plane: ControlPlane,
+	{Kind: 3, Name: "slicing.SwapRequest",
 		New: func() interface{} { return &slicing.SwapRequest{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*slicing.SwapRequest)
@@ -65,7 +60,7 @@ var Messages = []Spec{
 			return &slicing.SwapRequest{Attr: r.f64(), X: r.f64(), Seq: r.u32()}
 		},
 	},
-	{Kind: 4, Name: "slicing.SwapReply", Plane: ControlPlane,
+	{Kind: 4, Name: "slicing.SwapReply",
 		New: func() interface{} { return &slicing.SwapReply{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*slicing.SwapReply)
@@ -79,7 +74,7 @@ var Messages = []Spec{
 			return &slicing.SwapReply{Attr: r.f64(), X: r.f64(), Swapped: r.boolean(), Busy: r.boolean(), Seq: r.u32()}
 		},
 	},
-	{Kind: 5, Name: "aggregate.ExtremaMsg", Plane: ControlPlane,
+	{Kind: 5, Name: "aggregate.ExtremaMsg",
 		New: func() interface{} { return &aggregate.ExtremaMsg{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*aggregate.ExtremaMsg)
@@ -101,7 +96,7 @@ var Messages = []Spec{
 			return &aggregate.ExtremaMsg{Seeds: seeds}
 		},
 	},
-	{Kind: 6, Name: "aggregate.PushSumMsg", Plane: ControlPlane,
+	{Kind: 6, Name: "aggregate.PushSumMsg",
 		New: func() interface{} { return &aggregate.PushSumMsg{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*aggregate.PushSumMsg)
@@ -112,21 +107,21 @@ var Messages = []Spec{
 			return &aggregate.PushSumMsg{Sum: r.f64(), Weight: r.f64()}
 		},
 	},
-	{Kind: 11, Name: "antientropy.Pull", Plane: ControlPlane,
+	{Kind: 11, Name: "antientropy.Pull",
 		New: func() interface{} { return &antientropy.Pull{} },
 		enc: func(b []byte, m interface{}) []byte { return appendHeaders(b, m.(*antientropy.Pull).Headers) },
 		dec: func(r *reader) interface{} { return &antientropy.Pull{Headers: readHeaders(r)} },
 	},
 
 	// -- data plane: anti-entropy value transfer --
-	{Kind: 12, Name: "antientropy.Push", Plane: DataPlane,
+	{Kind: 12, Name: "antientropy.Push",
 		New: func() interface{} { return &antientropy.Push{} },
 		enc: func(b []byte, m interface{}) []byte { return appendObjects(b, m.(*antientropy.Push).Objects) },
 		dec: func(r *reader) interface{} { return &antientropy.Push{Objects: readObjects(r)} },
 	},
 
 	// -- data plane: client-visible requests and acks --
-	{Kind: 13, Name: "core.PutRequest", Plane: DataPlane,
+	{Kind: 13, Name: "core.PutRequest",
 		New: func() interface{} { return &core.PutRequest{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.PutRequest)
@@ -145,7 +140,7 @@ var Messages = []Spec{
 			return m
 		},
 	},
-	{Kind: 14, Name: "core.PutAck", Plane: DataPlane,
+	{Kind: 14, Name: "core.PutAck",
 		New: func() interface{} { return &core.PutAck{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.PutAck)
@@ -157,7 +152,7 @@ var Messages = []Spec{
 			return &core.PutAck{ID: gossip.RequestID(r.u64()), Key: r.str(), Version: r.u64()}
 		},
 	},
-	{Kind: 15, Name: "core.PutBatchRequest", Plane: DataPlane,
+	{Kind: 15, Name: "core.PutBatchRequest",
 		New: func() interface{} { return &core.PutBatchRequest{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.PutBatchRequest)
@@ -174,7 +169,7 @@ var Messages = []Spec{
 			return m
 		},
 	},
-	{Kind: 16, Name: "core.PutBatchAck", Plane: DataPlane,
+	{Kind: 16, Name: "core.PutBatchAck",
 		New: func() interface{} { return &core.PutBatchAck{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.PutBatchAck)
@@ -185,7 +180,7 @@ var Messages = []Spec{
 			return &core.PutBatchAck{ID: gossip.RequestID(r.u64()), Stored: int(r.u32())}
 		},
 	},
-	{Kind: 17, Name: "core.GetRequest", Plane: DataPlane,
+	{Kind: 17, Name: "core.GetRequest",
 		New: func() interface{} { return &core.GetRequest{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.GetRequest)
@@ -203,7 +198,7 @@ var Messages = []Spec{
 			return m
 		},
 	},
-	{Kind: 18, Name: "core.GetReply", Plane: DataPlane,
+	{Kind: 18, Name: "core.GetReply",
 		New: func() interface{} { return &core.GetReply{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.GetReply)
@@ -220,7 +215,7 @@ var Messages = []Spec{
 			}
 		},
 	},
-	{Kind: 19, Name: "core.DeleteRequest", Plane: DataPlane,
+	{Kind: 19, Name: "core.DeleteRequest",
 		New: func() interface{} { return &core.DeleteRequest{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.DeleteRequest)
@@ -238,7 +233,7 @@ var Messages = []Spec{
 			return m
 		},
 	},
-	{Kind: 20, Name: "core.DeleteAck", Plane: DataPlane,
+	{Kind: 20, Name: "core.DeleteAck",
 		New: func() interface{} { return &core.DeleteAck{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.DeleteAck)
@@ -250,7 +245,7 @@ var Messages = []Spec{
 			return &core.DeleteAck{ID: gossip.RequestID(r.u64()), Key: r.str(), Version: r.u64()}
 		},
 	},
-	{Kind: 21, Name: "core.DeleteBatchRequest", Plane: DataPlane,
+	{Kind: 21, Name: "core.DeleteBatchRequest",
 		New: func() interface{} { return &core.DeleteBatchRequest{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.DeleteBatchRequest)
@@ -275,7 +270,7 @@ var Messages = []Spec{
 			return m
 		},
 	},
-	{Kind: 22, Name: "core.DeleteBatchAck", Plane: DataPlane,
+	{Kind: 22, Name: "core.DeleteBatchAck",
 		New: func() interface{} { return &core.DeleteBatchAck{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.DeleteBatchAck)
@@ -288,12 +283,12 @@ var Messages = []Spec{
 	},
 
 	// -- control plane: mate discovery --
-	{Kind: 23, Name: "core.MateQuery", Plane: ControlPlane,
+	{Kind: 23, Name: "core.MateQuery",
 		New: func() interface{} { return &core.MateQuery{} },
 		enc: func(b []byte, m interface{}) []byte { return appendI32(b, m.(*core.MateQuery).Slice) },
 		dec: func(r *reader) interface{} { return &core.MateQuery{Slice: r.i32()} },
 	},
-	{Kind: 24, Name: "core.MateReply", Plane: ControlPlane,
+	{Kind: 24, Name: "core.MateReply",
 		New: func() interface{} { return &core.MateReply{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.MateReply)
@@ -306,7 +301,7 @@ var Messages = []Spec{
 	},
 
 	// -- DHT baseline --
-	{Kind: 25, Name: "dht.Gossip", Plane: ControlPlane,
+	{Kind: 25, Name: "dht.Gossip",
 		New: func() interface{} { return &dht.Gossip{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*dht.Gossip)
@@ -332,7 +327,7 @@ var Messages = []Spec{
 			return &dht.Gossip{Members: members}
 		},
 	},
-	{Kind: 26, Name: "dht.PutRequest", Plane: DataPlane,
+	{Kind: 26, Name: "dht.PutRequest",
 		New: func() interface{} { return &dht.PutRequest{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*dht.PutRequest)
@@ -351,12 +346,12 @@ var Messages = []Spec{
 			}
 		},
 	},
-	{Kind: 27, Name: "dht.PutAck", Plane: DataPlane,
+	{Kind: 27, Name: "dht.PutAck",
 		New: func() interface{} { return &dht.PutAck{} },
 		enc: func(b []byte, m interface{}) []byte { return appendU64(b, m.(*dht.PutAck).ID) },
 		dec: func(r *reader) interface{} { return &dht.PutAck{ID: r.u64()} },
 	},
-	{Kind: 28, Name: "dht.GetRequest", Plane: DataPlane,
+	{Kind: 28, Name: "dht.GetRequest",
 		New: func() interface{} { return &dht.GetRequest{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*dht.GetRequest)
@@ -373,7 +368,7 @@ var Messages = []Spec{
 			}
 		},
 	},
-	{Kind: 29, Name: "dht.GetReply", Plane: DataPlane,
+	{Kind: 29, Name: "dht.GetReply",
 		New: func() interface{} { return &dht.GetReply{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*dht.GetReply)
@@ -391,12 +386,12 @@ var Messages = []Spec{
 	},
 
 	// -- segment-streaming bootstrap --
-	{Kind: 30, Name: "bootstrap.ManifestRequest", Plane: ControlPlane,
+	{Kind: 30, Name: "bootstrap.ManifestRequest",
 		New: func() interface{} { return &bootstrap.ManifestRequest{} },
 		enc: func(b []byte, m interface{}) []byte { return appendI32(b, m.(*bootstrap.ManifestRequest).Slice) },
 		dec: func(r *reader) interface{} { return &bootstrap.ManifestRequest{Slice: r.i32()} },
 	},
-	{Kind: 31, Name: "bootstrap.ManifestReply", Plane: DataPlane,
+	{Kind: 31, Name: "bootstrap.ManifestReply",
 		New: func() interface{} { return &bootstrap.ManifestReply{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*bootstrap.ManifestReply)
@@ -407,7 +402,7 @@ var Messages = []Spec{
 			return &bootstrap.ManifestReply{Slice: r.i32(), Segments: readSegmentInfos(r)}
 		},
 	},
-	{Kind: 32, Name: "bootstrap.SegmentFetch", Plane: DataPlane,
+	{Kind: 32, Name: "bootstrap.SegmentFetch",
 		New: func() interface{} { return &bootstrap.SegmentFetch{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*bootstrap.SegmentFetch)
@@ -418,7 +413,7 @@ var Messages = []Spec{
 			return &bootstrap.SegmentFetch{Segment: r.u64(), Offset: int64(r.u64())}
 		},
 	},
-	{Kind: 33, Name: "bootstrap.SegmentChunk", Plane: DataPlane,
+	{Kind: 33, Name: "bootstrap.SegmentChunk",
 		New: func() interface{} { return &bootstrap.SegmentChunk{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*bootstrap.SegmentChunk)
@@ -433,7 +428,7 @@ var Messages = []Spec{
 			}
 		},
 	},
-	{Kind: 34, Name: "bootstrap.SegmentDone", Plane: DataPlane,
+	{Kind: 34, Name: "bootstrap.SegmentDone",
 		New: func() interface{} { return &bootstrap.SegmentDone{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*bootstrap.SegmentDone)
@@ -447,7 +442,7 @@ var Messages = []Spec{
 	},
 
 	// -- data plane: one shard's answers to one origin, as one frame --
-	{Kind: 36, Name: "core.Replies", Plane: DataPlane,
+	{Kind: 36, Name: "core.Replies",
 		New: func() interface{} { return &core.Replies{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.Replies)
@@ -479,7 +474,7 @@ var Messages = []Spec{
 	},
 
 	// -- control plane: anti-entropy, the whole descent in one kind --
-	{Kind: 37, Name: "antientropy.Reconcile", Plane: ControlPlane,
+	{Kind: 37, Name: "antientropy.Reconcile",
 		New: func() interface{} { return &antientropy.Reconcile{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*antientropy.Reconcile)

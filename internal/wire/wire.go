@@ -1,5 +1,5 @@
-// Package wire defines the on-the-wire representation for real (TCP
-// and UDP) deployments. Simulated and in-process fabrics skip encoding
+// Package wire defines the on-the-wire representation for real (TCP)
+// deployments. Simulated and in-process fabrics skip encoding
 // entirely and pass message pointers; everything that crosses a real
 // socket is a frame produced by BinaryCodec.
 //
@@ -9,9 +9,8 @@
 // the data plane (puts/gets/deletes and their batch and ack forms, and
 // the answer batch — core.Replies, one shard's acks and get replies to
 // one client as one frame, which nests only those five answer kinds),
-// mate discovery, and the DHT baseline — with a stable kind ID and a
-// plane tag (control or data). The codec and the datagram routing
-// split are derived from that one table: adding a protocol message
+// mate discovery, and the DHT baseline — with a stable kind ID. The
+// codec is derived from that one table: adding a protocol message
 // means adding a table entry, and forgetting draws an encode error on
 // the sending node rather than silent misbehavior.
 //
@@ -38,36 +37,12 @@ type Envelope = transport.WireEnvelope
 // implementation.
 type Codec = transport.WireCodec
 
-// Plane tags a message with the transport class it belongs to.
-type Plane uint8
-
-const (
-	// ControlPlane marks small, loss-tolerant epidemic traffic —
-	// shuffles, swaps, aggregation, repair digests, mate discovery —
-	// eligible for the UDP datagram fast path.
-	ControlPlane Plane = iota
-	// DataPlane marks payload-bearing or client-visible traffic —
-	// puts, gets, deletes, their acks and batches, repair pushes —
-	// that stays on TCP streams.
-	DataPlane
-)
-
 // Unknown stands in for a decoded message whose kind this build does
 // not know (a newer peer's message). The node dispatch ignores it via
 // its default case, so mixed-version deployments degrade instead of
 // crashing.
 type Unknown struct {
 	Kind uint16
-}
-
-// Control reports whether msg is control-plane traffic eligible for
-// the datagram path. Unregistered types are data plane: the stream
-// path is the one that always works.
-func Control(msg interface{}) bool {
-	if s := specOf(msg); s != nil {
-		return s.Plane == ControlPlane
-	}
-	return false
 }
 
 // KindOf returns the stable kind ID for msg (ok=false for types

@@ -17,13 +17,12 @@ import (
 )
 
 // startLoneNode boots a single-node deployment: one slice, static
-// slicer, so the node serves every key from the first moment. udp is its
-// NodeConfig.UDPBind.
-func startLoneNode(t *testing.T, udp string) (*dataflasks.Node, dataflasks.Config) {
+// slicer, so the node serves every key from the first moment.
+func startLoneNode(t *testing.T) (*dataflasks.Node, dataflasks.Config) {
 	t.Helper()
 	cfg := dataflasks.Config{Slices: 1, Slicer: dataflasks.StaticSlicer, SystemSize: 1}
 	node, err := dataflasks.StartNode(dataflasks.NodeConfig{
-		ID: 1, Bind: "127.0.0.1:0", UDPBind: udp, RoundPeriod: 20 * time.Millisecond, Config: cfg,
+		ID: 1, Bind: "127.0.0.1:0", RoundPeriod: 20 * time.Millisecond, Config: cfg,
 	})
 	if err != nil {
 		t.Fatalf("StartNode: %v", err)
@@ -36,7 +35,7 @@ func startLoneNode(t *testing.T, udp string) (*dataflasks.Node, dataflasks.Confi
 // closed too — its listener is unbound and none of its goroutines is left
 // (it used to be torn down by a goroutine nobody waited for).
 func TestClientCloseClosesFabric(t *testing.T) {
-	node, cfg := startLoneNode(t, "")
+	node, cfg := startLoneNode(t)
 	probe, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +70,7 @@ func TestClientCloseClosesFabric(t *testing.T) {
 // panics, no goroutine is left, and a closed node makes no new client.
 func TestNodeCloseClosesLocalClient(t *testing.T) {
 	before := leakcheck.Snapshot()
-	node, cfg := startLoneNode(t, "")
+	node, cfg := startLoneNode(t)
 	cl, err := node.NewClient(cfg)
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -107,42 +106,36 @@ func TestNodeCloseClosesLocalClient(t *testing.T) {
 
 // TestLocalClientEncodesNothing: between a node and the client that lives
 // in its process nothing is encoded in either direction — not a request,
-// not an ack or a reply, and not the mate query's answer, which leaves
-// the node through its control-plane sender when the datagram plane is
-// on.
+// not an ack or a reply, and not the mate query's answer.
 func TestLocalClientEncodesNothing(t *testing.T) {
-	for _, udp := range []string{"", "auto"} {
-		t.Run("udp="+udp, func(t *testing.T) {
-			node, cfg := startLoneNode(t, udp)
-			cl, err := node.NewClient(cfg)
-			if err != nil {
-				t.Fatalf("NewClient: %v", err)
-			}
-			defer cl.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			value := bytes.Repeat([]byte("v"), 1<<10)
-			const ops = 50
-			for i := 0; i < ops; i++ {
-				key := fmt.Sprintf("lone-%02d", i)
-				if err := cl.Put(ctx, key, 1, value); err != nil {
-					t.Fatalf("put %s: %v", key, err)
-				}
-				if got, err := cl.Get(ctx, key, 1); err != nil || !bytes.Equal(got, value) {
-					t.Fatalf("get %s: %d bytes, %v", key, len(got), err)
-				}
-			}
-			if ws := node.WireStats(); ws.EncodeBytes != 0 || ws.UDPSent != 0 {
-				t.Errorf("a lone node with a local client encoded %d bytes and sent %d datagrams", ws.EncodeBytes, ws.UDPSent)
-			}
-			// All but the first put, which found the directory empty.
-			if st := cl.DirectoryStats(); st.Local != 2*ops-1 || st.Hits != st.Local || st.Evictions != 0 {
-				t.Errorf("directory = %+v, want %d hits, all local", st, 2*ops-1)
-			}
-			if n := cl.MailboxDropped() + node.MailboxDropped(); n != 0 {
-				t.Errorf("%d messages dropped between the client and its node", n)
-			}
-		})
+	node, cfg := startLoneNode(t)
+	cl, err := node.NewClient(cfg)
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	value := bytes.Repeat([]byte("v"), 1<<10)
+	const ops = 50
+	for i := 0; i < ops; i++ {
+		key := fmt.Sprintf("lone-%02d", i)
+		if err := cl.Put(ctx, key, 1, value); err != nil {
+			t.Fatalf("put %s: %v", key, err)
+		}
+		if got, err := cl.Get(ctx, key, 1); err != nil || !bytes.Equal(got, value) {
+			t.Fatalf("get %s: %d bytes, %v", key, len(got), err)
+		}
+	}
+	if n := node.EncodedBytes(); n != 0 {
+		t.Errorf("a lone node with a local client encoded %d bytes", n)
+	}
+	// All but the first put, which found the directory empty.
+	if st := cl.DirectoryStats(); st.Local != 2*ops-1 || st.Hits != st.Local || st.Evictions != 0 {
+		t.Errorf("directory = %+v, want %d hits, all local", st, 2*ops-1)
+	}
+	if n := cl.MailboxDropped() + node.MailboxDropped(); n != 0 {
+		t.Errorf("%d messages dropped between the client and its node", n)
 	}
 }
 
@@ -189,7 +182,7 @@ func TestLocalClientLiveCluster(t *testing.T) {
 	}
 	encoded := func() (sum uint64) {
 		for _, nd := range nodes {
-			sum += nd.WireStats().EncodeBytes
+			sum += nd.EncodedBytes()
 		}
 		return sum
 	}

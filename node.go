@@ -41,16 +41,6 @@ type NodeConfig struct {
 	RestoreDir string
 	// RoundPeriod is the gossip period (default 500ms).
 	RoundPeriod time.Duration
-	// UDPBind enables the datagram control plane: PSS shuffles, slicing
-	// swaps, aggregation and anti-entropy digests ride single UDP
-	// frames, with oversize or failed datagrams falling back to TCP.
-	// Peers address datagrams at each other's advertised TCP port, so
-	// the value must bind the same port as Bind; "auto" derives it from
-	// the bound TCP listener. Empty disables (all traffic on TCP).
-	// Mixed deployments are safe: a peer's datagram path is only used
-	// after it answers a probe, so traffic to UDP-less nodes stays on
-	// TCP.
-	UDPBind string
 	// HTTPAddr enables the observability plane: an HTTP listener
 	// ("host:port", port 0 allowed) serving /metrics (Prometheus text
 	// exposition), /healthz, /readyz, /trace and /debug/pprof/. Empty
@@ -70,14 +60,13 @@ type NodeConfig struct {
 }
 
 // Node is a standalone DataFlasks host on TCP — the deployable unit
-// behind cmd/flasksd: the fabrics, the store and the observability plane
+// behind cmd/flasksd: the fabric, the store and the observability plane
 // around one core.Node, which runs itself (core.Node.Start).
 type Node struct {
-	id     NodeID
-	net    *transport.TCPNetwork
-	udp    *transport.UDPTransport // nil unless UDPBind was set
-	wstats *metrics.WireStats
-	core   *core.Node
+	id      NodeID
+	net     *transport.TCPNetwork
+	encoded metrics.SharedCounter // frame bytes the fabric encoded
+	core    *core.Node
 	// data is core once it runs, published for the fabric handlers: their
 	// read loops are up from the moment the listener is, before core
 	// exists.
@@ -115,15 +104,12 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ID == 0 || uint64(cfg.ID) > 1<<32-1 {
 		return nil, fmt.Errorf("dataflasks: node id %d must be in [1, 2^32)", cfg.ID)
 	}
-	codec := wire.BinaryCodec()
-
 	n := &Node{
 		id:     cfg.ID,
-		wstats: &metrics.WireStats{},
 		locals: make(map[NodeID]*Client),
 	}
 	tcpNet, err := transport.ListenTCP(cfg.ID, cfg.Bind, cfg.Advertise,
-		transport.TCPConfig{Codec: codec, Stats: n.wstats}, n.deliver)
+		transport.TCPConfig{Codec: wire.BinaryCodec(), EncodeBytes: &n.encoded}, n.deliver)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +119,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		if n.core != nil {
 			n.core.Stop()
 		}
-		n.closeFabrics()
+		_ = n.net.Close()
 		if n.st != nil {
 			_ = n.st.Close()
 		}
@@ -141,30 +127,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 
 	coreCfg := cfg.Config.coreConfig()
-	if cfg.UDPBind != "" {
-		udpBind := cfg.UDPBind
-		if udpBind == "auto" {
-			udpBind = tcpNet.BoundAddr()
-		}
-		udpT, err := transport.ListenUDP(cfg.ID, udpBind, transport.UDPConfig{
-			Codec: codec,
-			Resolve: func(id transport.NodeID) (string, bool) {
-				addr := tcpNet.PeerAddr(id)
-				return addr, addr != ""
-			},
-			Stats: n.wstats,
-		}, n.deliver)
-		if err != nil {
-			return fail(err)
-		}
-		n.udp = udpT
-		// Control traffic tries one datagram first; unproven datagram
-		// paths (peers that never acked a probe — e.g. nodes running
-		// without -udp-addr), oversize frames, unknown peers and socket
-		// errors retry on the TCP stream.
-		coreCfg.Control = n.localFirst(transport.FallbackSender(udpT.Sender(), tcpNet.Sender()))
-		coreCfg.IsControl = wire.Control
-	}
 	if n.st, err = coreCfg.Store.Open(cfg.DataDir); err != nil {
 		return fail(err)
 	}
@@ -202,7 +164,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		src := obs.Sources{
 			NodeID:          uint64(cfg.ID),
 			Status:          n.core.Status,
-			Wire:            n.wstats.Snapshot,
+			EncodeBytes:     &n.encoded,
 			RESP:            cfg.RESPStats,
 			TickDur:         n.core.TickDurations(),
 			MailboxDepth:    n.core.MailboxDepth,
@@ -226,7 +188,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// deliver is the fabrics' handler and the way in for a local client
+// deliver is the fabric's handler and the way in for a local client
 // (NewClient): core.Node.Deliver, once there is a running core. What
 // arrives earlier is lost, like any message to a node still starting.
 func (n *Node) deliver(env transport.Envelope) {
@@ -262,9 +224,10 @@ func (n *Node) MailboxDropped() uint64 { return n.core.MailboxDropped() + n.core
 // serves it, like BootstrapStats.
 func (n *Node) SendErrors() uint64 { return n.core.Status().Counters[metrics.WireSendErrors] }
 
-// WireStats reports wire-level accounting shared by the node's TCP and
-// UDP fabrics: encoded bytes, codec fallbacks, and datagram counters.
-func (n *Node) WireStats() metrics.WireSnapshot { return n.wstats.Snapshot() }
+// EncodedBytes returns how many frame bytes the node's fabric has
+// encoded: what it put on the wire, every protocol included. What it
+// hands a client in its own process (NewClient) is never encoded.
+func (n *Node) EncodedBytes() uint64 { return n.encoded.Load() }
 
 // BootstrapStats is a snapshot of segment-bootstrap progress: the
 // bootstrap_* counters plus the joiner's terminal state. Done is true
@@ -295,15 +258,6 @@ func (n *Node) BootstrapStats() BootstrapStats {
 	}
 }
 
-// UDPAddr returns the datagram listener's bound address, or "" when
-// the datagram control plane is disabled.
-func (n *Node) UDPAddr() string {
-	if n.udp == nil {
-		return ""
-	}
-	return n.udp.Addr()
-}
-
 // HTTPAddr returns the observability plane's bound address, or ""
 // when the plane is disabled.
 func (n *Node) HTTPAddr() string {
@@ -316,13 +270,6 @@ func (n *Node) HTTPAddr() string {
 // Ready reports the /readyz verdict from the latest published
 // snapshot: slice assigned and bootstrap finished.
 func (n *Node) Ready() bool { return n.core.Status().Ready }
-
-func (n *Node) closeFabrics() {
-	if n.udp != nil {
-		_ = n.udp.Close()
-	}
-	_ = n.net.Close()
-}
 
 // localFirst wraps a fabric sender for the node: a message for a client
 // that lives in this process goes into that client's mailbox by
@@ -358,16 +305,11 @@ func (n *Node) Close() error {
 		if n.obsSrv != nil {
 			_ = n.obsSrv.Close()
 		}
-		// The core drains its shards before the fabrics and the store go
+		// The core drains its shards before the fabric and the store go
 		// away: every write accepted so far lands, and its ack has a live
 		// connection to leave on.
 		n.core.Stop()
-		if n.udp != nil {
-			err = n.udp.Close()
-		}
-		if cerr := n.net.Close(); err == nil {
-			err = cerr
-		}
+		err = n.net.Close()
 		if cerr := n.st.Close(); err == nil {
 			err = cerr
 		}
