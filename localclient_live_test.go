@@ -108,6 +108,12 @@ func TestNodeCloseClosesLocalClient(t *testing.T) {
 // in its process nothing is encoded in either direction — not a request,
 // not an ack or a reply, and not the mate query's answer.
 func TestLocalClientEncodesNothing(t *testing.T) {
+	// "udp=" names the empty datagram setting: the TCP control plane, the
+	// only one a node runs.
+	t.Run("udp=", testLocalClientEncodesNothing)
+}
+
+func testLocalClientEncodesNothing(t *testing.T) {
 	node, cfg := startLoneNode(t)
 	cl, err := node.NewClient(cfg)
 	if err != nil {
