@@ -62,8 +62,7 @@ smoke:
 	$(GO) run ./cmd/flaskbench -exp all -quick -json BENCH_gates.json
 
 # check runs the repo's own invariant analyzers (wire table, event
-# loop, ctx plumbing, lock holds, counter names). Zero findings or the
-# build fails.
+# loop, ctx plumbing, lock holds). Zero findings or the build fails.
 check:
 	$(GO) run ./cmd/flaskscheck ./...
 

@@ -18,7 +18,6 @@
 //	            error (//flasks:fire-and-forget waives)
 //	lockhold    no fsync, send, or blocking I/O while a mutex is held
 //	            (//flasks:lockhold-ok waives)
-//	metricname  every metrics counter is named once and documented
 //
 // Deliberate violations are annotated in source; see the Invariants
 // section of docs/ARCHITECTURE.md for each rule's escape hatch.
@@ -34,7 +33,6 @@ import (
 	"dataflasks/internal/analysis"
 	"dataflasks/internal/analysis/passes/ctxsend"
 	"dataflasks/internal/analysis/passes/lockhold"
-	"dataflasks/internal/analysis/passes/metricname"
 	"dataflasks/internal/analysis/passes/noblock"
 	"dataflasks/internal/analysis/passes/wiretable"
 )
@@ -45,7 +43,6 @@ var All = []*analysis.Analyzer{
 	noblock.Analyzer,
 	ctxsend.Analyzer,
 	lockhold.Analyzer,
-	metricname.Analyzer,
 }
 
 func main() {
@@ -89,15 +86,17 @@ func selectAnalyzers(checks string) ([]*analysis.Analyzer, error) {
 		return All, nil
 	}
 	byName := make(map[string]*analysis.Analyzer, len(All))
-	for _, a := range All {
+	names := make([]string, len(All))
+	for i, a := range All {
 		byName[a.Name] = a
+		names[i] = a.Name
 	}
 	var out []*analysis.Analyzer
 	for _, name := range strings.Split(checks, ",") {
 		name = strings.TrimSpace(name)
 		a, ok := byName[name]
 		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have wiretable, noblock, ctxsend, lockhold, metricname)", name)
+			return nil, fmt.Errorf("unknown analyzer %q (have %s)", name, strings.Join(names, ", "))
 		}
 		out = append(out, a)
 	}

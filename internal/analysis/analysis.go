@@ -76,11 +76,6 @@ type Package struct {
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
-	// RootDir is the directory patterns were resolved against — the
-	// module root for LoadPackages, the explicit root for LoadDirs.
-	// Analyzers resolve repo-relative side inputs (golden files, docs)
-	// against it.
-	RootDir string
 }
 
 // A Pass carries one analyzer's view of one package.

@@ -47,7 +47,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	for _, p := range pkgs {
 		dirs[p] = filepath.Join(testdata, "src", filepath.FromSlash(p))
 	}
-	prog, err := analysis.LoadDirs(testdata, dirs)
+	prog, err := analysis.LoadDirs(dirs)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}

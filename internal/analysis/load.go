@@ -48,7 +48,7 @@ func LoadPackages(dir string, patterns []string) (*Program, error) {
 	}
 	sort.Strings(dirs)
 
-	prog := &Program{Fset: token.NewFileSet(), RootDir: root}
+	prog := &Program{Fset: token.NewFileSet()}
 	for _, d := range dirs {
 		rel, err := filepath.Rel(root, d)
 		if err != nil {
@@ -69,15 +69,14 @@ func LoadPackages(dir string, patterns []string) (*Program, error) {
 
 // LoadDirs parses explicit directories outside any module — the
 // analysistest fixture path. Keys are import paths, values
-// directories; root anchors Program.RootDir for analyzers that read
-// side files.
-func LoadDirs(root string, pkgs map[string]string) (*Program, error) {
+// directories.
+func LoadDirs(pkgs map[string]string) (*Program, error) {
 	paths := make([]string, 0, len(pkgs))
 	for p := range pkgs {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	prog := &Program{Fset: token.NewFileSet(), RootDir: root}
+	prog := &Program{Fset: token.NewFileSet()}
 	for _, path := range paths {
 		parsed, err := parseDir(prog.Fset, pkgs[path], path)
 		if err != nil {

@@ -2,8 +2,8 @@
 // gave every fabric one ctx-taking Send(ctx, to, msg) signature so a
 // protocol round's deadline reaches the socket — a Send that fabricates
 // its own context.Background() defeats that, and a Send whose error is
-// discarded silently loses the delivery accounting wire_send_errors
-// exists for.
+// discarded silently loses the delivery accounting msg_dropped exists
+// for.
 //
 // Two rules, applied in protocol packages:
 //

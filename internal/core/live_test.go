@@ -247,8 +247,8 @@ func TestMetricsCountDataServedWithoutATick(t *testing.T) {
 // TestEverySendFailureCountsOnce: over a fabric that refuses everything,
 // each protocol's sends — PSS, slicing, size estimation, mate discovery
 // (queries and replies), anti-entropy, bootstrap, the data plane — fail,
-// and each failure is counted once: one msg_dropped and one
-// wire_send_errors per message sent.
+// and each failure is counted once: one msg_dropped per message sent,
+// which a scrape serves under all three send-failure families.
 func TestEverySendFailureCountsOnce(t *testing.T) {
 	refuse := transport.SenderFunc(func(context.Context, transport.NodeID, interface{}) error {
 		return errors.New("unreachable")
@@ -283,9 +283,24 @@ func TestEverySendFailureCountsOnce(t *testing.T) {
 			byKind += m.Get(c)
 		}
 		sent := m.Get(metrics.MsgSent)
-		if sent != byKind || m.Get(metrics.MsgDropped) != sent || m.Get(metrics.WireSendErrors) != sent {
-			t.Errorf("pss %d: msg_sent %d (by kind %d), msg_dropped %d, wire_send_errors %d: want all equal",
-				kind, sent, byKind, m.Get(metrics.MsgDropped), m.Get(metrics.WireSendErrors))
+		if sent != byKind {
+			t.Errorf("pss %d: msg_sent %d, by kind %d", kind, sent, byKind)
+		}
+		n.publishStatus()
+		var page bytes.Buffer
+		if err := obs.WriteMetrics(&page, obs.Sources{Status: n.Status}); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := obs.ParseExposition(page.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{
+			"flasks_msg_dropped_total", "flasks_wire_send_errors_total", "flasks_transport_send_errors_total",
+		} {
+			if f := fams[name]; f == nil || len(f.Samples) != 1 || f.Samples[0].Value != float64(sent) {
+				t.Errorf("pss %d: %s is not one sample of msg_sent %d:\n%s", kind, name, sent, page.String())
+			}
 		}
 	}
 }

@@ -233,16 +233,15 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 }
 
 // send is every control-plane send: msg goes to the fabric, counted
-// under cat, and a failure is counted once, as a drop and as a wire send
-// error. No protocol retries a failed send itself — the next round does —
-// so counting it here is all the handling it gets.
+// under cat, and a failure is counted once, as a drop. No protocol
+// retries a failed send itself — the next round does — so counting it
+// here is all the handling it gets.
 func (n *Node) send(ctx context.Context, cat metrics.Counter, to transport.NodeID, msg interface{}) error {
 	n.met.Inc(metrics.MsgSent)
 	n.met.Inc(cat)
 	err := n.raw.Send(ctx, to, msg)
 	if err != nil {
 		n.met.Inc(metrics.MsgDropped)
-		n.met.Inc(metrics.WireSendErrors)
 	}
 	return err
 }

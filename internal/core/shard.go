@@ -501,7 +501,6 @@ func (s *dataShard) sendData(ctx context.Context, to transport.NodeID, msg inter
 	s.met.Inc(metrics.DataSent)
 	if err := s.n.raw.Send(ctx, to, msg); err != nil {
 		s.met.Inc(metrics.MsgDropped)
-		s.met.Inc(metrics.WireSendErrors)
 		return false
 	}
 	return true

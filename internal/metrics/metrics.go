@@ -39,7 +39,10 @@ const (
 	MsgSent Counter = iota
 	// MsgRecv counts every protocol message delivered to a node.
 	MsgRecv
-	// MsgDropped counts sends that failed (dead peer, full mailbox).
+	// MsgDropped counts fabric sends that returned an error (dead peer,
+	// full mailbox), from any protocol or routing path. Every node send
+	// is counted where it is made: the control plane's accounting
+	// sender, a shard's data send.
 	MsgDropped
 	// PSSSent counts peer-sampling shuffle messages sent.
 	PSSSent
@@ -103,12 +106,6 @@ const (
 	RequestsFlooded
 	// DuplicatesSuppressed counts requests dropped by the dedup cache.
 	DuplicatesSuppressed
-	// WireSendErrors counts fabric sends that returned an error from any
-	// protocol or routing path. Every node send is counted where it is
-	// made — the control plane's accounting sender, a shard's data send —
-	// and a failure there bumps this and MsgDropped once each, so the two
-	// read the same.
-	WireSendErrors
 	// BootstrapSent counts segment-bootstrap protocol messages sent
 	// (manifest probes and replies, fetches, chunks, dones).
 	BootstrapSent
@@ -161,7 +158,6 @@ var counterNames = [...]string{
 	RequestsDirected:           "requests_directed",
 	RequestsFlooded:            "requests_flooded",
 	DuplicatesSuppressed:       "duplicates_suppressed",
-	WireSendErrors:             "wire_send_errors",
 	BootstrapSent:              "bootstrap_sent",
 	BootstrapSegments:          "bootstrap_segments",
 	BootstrapBytes:             "bootstrap_bytes",

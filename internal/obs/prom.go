@@ -10,83 +10,11 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
 	"dataflasks/internal/metrics"
 )
-
-// metricNames lists every metric family /metrics can emit. The
-// metricname analyzer (cmd/flaskscheck) requires each entry to appear
-// in the documentation, and TestMetricNamesMatchExposition binds the
-// table to the writer's actual output — so a family cannot be added,
-// renamed or dropped without updating both this table and the docs.
-var metricNames = [...]string{
-	// Node counters: flasks_<counter>_total for every metrics.Counter
-	// except the StoredObjects gauge.
-	"flasks_msg_sent_total",
-	"flasks_msg_recv_total",
-	"flasks_msg_dropped_total",
-	"flasks_pss_sent_total",
-	"flasks_slice_sent_total",
-	"flasks_discovery_sent_total",
-	"flasks_data_sent_total",
-	"flasks_antientropy_sent_total",
-	"flasks_antientropy_digest_bytes_total",
-	"flasks_antientropy_push_bytes_total",
-	"flasks_antientropy_pushed_objects_total",
-	"flasks_antientropy_corrupt_skipped_total",
-	"flasks_antientropy_clean_rounds_total",
-	"flasks_antientropy_differing_ranges_total",
-	"flasks_aggregate_sent_total",
-	"flasks_puts_served_total",
-	"flasks_gets_served_total",
-	"flasks_deletes_served_total",
-	"flasks_coalesced_puts_total",
-	"flasks_put_commits_total",
-	"flasks_requests_relayed_total",
-	"flasks_requests_directed_total",
-	"flasks_requests_flooded_total",
-	"flasks_duplicates_suppressed_total",
-	"flasks_wire_send_errors_total",
-	"flasks_bootstrap_sent_total",
-	"flasks_bootstrap_segments_total",
-	"flasks_bootstrap_bytes_total",
-	"flasks_bootstrap_chunks_rejected_total",
-	"flasks_bootstrap_fallback_objects_total",
-	"flasks_shared_answers_total",
-	// Node state gauges.
-	"flasks_stored_objects",
-	"flasks_slice",
-	"flasks_ready",
-	"flasks_bootstrap_done",
-	"flasks_bootstrap_fell_back",
-	// Wire codec.
-	"flasks_wire_encode_bytes_total",
-	// Event loop.
-	"flasks_mailbox_depth",
-	"flasks_mailbox_capacity",
-	"flasks_mailbox_dropped_total",
-	"flasks_transport_send_errors_total",
-	"flasks_tick_duration_seconds",
-	// Data-plane shards, labeled by shard.
-	"flasks_shard_mailbox_depth",
-	"flasks_shard_mailbox_capacity",
-	"flasks_shard_mailbox_dropped_total",
-	"flasks_shard_tick_duration_seconds",
-	// Store engine.
-	"flasks_store_segments",
-	"flasks_store_live_bytes",
-	"flasks_store_dead_bytes",
-	"flasks_store_compaction_passes_total",
-	// RESP gateway, labeled by cmd.
-	"flasks_resp_commands_total",
-	"flasks_resp_command_errors_total",
-	"flasks_resp_command_duration_seconds",
-	// Trace journal.
-	"flasks_trace_events_total",
-}
 
 // histogramHelp is the shared tail of every histogram family's HELP
 // text: the buckets are LatencyHistogram's power-of-two microsecond
@@ -170,17 +98,19 @@ func boolGauge(b bool) float64 {
 }
 
 // counterHelp is the HELP text for the families derived from
-// metrics.Counter; the per-counter semantics live in the docs table
-// the metricname analyzer points at.
+// metrics.Counter; the per-counter semantics live in the metric
+// families table of docs/ARCHITECTURE.md.
 func counterHelp(base string) string {
 	return "DataFlasks node counter " + base +
-		" (see the counters table in docs/ARCHITECTURE.md)."
+		" (see the metric families table in docs/ARCHITECTURE.md)."
 }
 
-// WriteMetrics renders the full exposition document for src. Sources
-// fields may be nil; their families are omitted (except the RESP
-// families, whose heads are emitted whenever the registry exists so
-// scrapers see the family before the first command arrives).
+// WriteMetrics renders the full exposition document for src. It is
+// the one declaration of what /metrics exposes, and
+// TestMetricFamiliesDocumented holds a full scrape against the docs.
+// Sources fields may be nil; their families are omitted (except the
+// RESP families, whose heads are emitted whenever the registry exists
+// so scrapers see the family before the first command arrives).
 func WriteMetrics(w io.Writer, src Sources) error {
 	e := &expo{w: w}
 
@@ -192,11 +122,17 @@ func WriteMetrics(w io.Writer, src Sources) error {
 			}
 			base := metrics.Counter(c).String()
 			e.counter("flasks_"+base+"_total", counterHelp(base), st.Counters[c])
+			if metrics.Counter(c) == metrics.DuplicatesSuppressed {
+				// A name scrapers read, kept at its place in the family order.
+				e.counter("flasks_wire_send_errors_total",
+					"Fabric sends that returned an error; the same number as flasks_msg_dropped_total.",
+					st.Counters[metrics.MsgDropped])
+			}
 		}
-		// The name bench/ scrapes; the same number as wire_send_errors.
+		// The name bench/ scrapes; the same number again.
 		e.counter("flasks_transport_send_errors_total",
 			"Fabric sends that returned an error, from any protocol or routing path.",
-			st.Counters[metrics.WireSendErrors])
+			st.Counters[metrics.MsgDropped])
 		e.gauge("flasks_stored_objects",
 			"Objects currently held by the local store.",
 			float64(st.Counters[metrics.StoredObjects]))
@@ -288,19 +224,19 @@ func WriteMetrics(w io.Writer, src Sources) error {
 		e.head("flasks_resp_commands_total", "counter",
 			"RESP gateway commands served, by command.")
 		for _, n := range names {
-			e.printf("flasks_resp_commands_total{cmd=%q} %d\n",
+			e.printf("flasks_resp_commands_total{cmd=\"%s\"} %d\n",
 				escapeLabel(n), src.RESP.Stat(n).Calls.Load())
 		}
 		e.head("flasks_resp_command_errors_total", "counter",
 			"RESP gateway commands that answered an error, by command.")
 		for _, n := range names {
-			e.printf("flasks_resp_command_errors_total{cmd=%q} %d\n",
+			e.printf("flasks_resp_command_errors_total{cmd=\"%s\"} %d\n",
 				escapeLabel(n), src.RESP.Stat(n).Errors.Load())
 		}
 		e.head("flasks_resp_command_duration_seconds", "histogram",
 			"RESP gateway command latency, by command. "+histogramHelp)
 		for _, n := range names {
-			labels := fmt.Sprintf("cmd=%q,", escapeLabel(n))
+			labels := "cmd=\"" + escapeLabel(n) + "\","
 			e.histogram("flasks_resp_command_duration_seconds", labels, &src.RESP.Stat(n).Latency)
 		}
 	}
@@ -311,12 +247,4 @@ func WriteMetrics(w io.Writer, src Sources) error {
 	}
 
 	return e.err
-}
-
-// MetricNames returns a sorted copy of the full family inventory.
-func MetricNames() []string {
-	out := make([]string, len(metricNames))
-	copy(out, metricNames[:])
-	sort.Strings(out)
-	return out
 }

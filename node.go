@@ -220,9 +220,9 @@ func (n *Node) PeersKnown() int { return n.net.PeerCount() }
 func (n *Node) MailboxDropped() uint64 { return n.core.MailboxDropped() + n.core.ShardDropped() }
 
 // SendErrors returns how many fabric sends failed across every
-// protocol and routing path: the wire_send_errors counter as Status
-// serves it, like BootstrapStats.
-func (n *Node) SendErrors() uint64 { return n.core.Status().Counters[metrics.WireSendErrors] }
+// protocol and routing path: the msg_dropped counter as Status serves
+// it, like BootstrapStats.
+func (n *Node) SendErrors() uint64 { return n.core.Status().Counters[metrics.MsgDropped] }
 
 // EncodedBytes returns how many frame bytes the node's fabric has
 // encoded: what it put on the wire, every protocol included. What it
