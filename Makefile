@@ -20,8 +20,13 @@ examples:
 test:
 	$(GO) test ./...
 
+# STRESS names the tests of the writer-led group commit and the inline
+# get: each runs twenty times under the race detector.
+STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestStoredObjectsGaugeAfterShardPut
+
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=20 -run '$(STRESS)' ./internal/store ./internal/core .
 	$(GO) test -run 'TestFlasksdRESPGatewaySmoke|TestFlasksdObsSmoke|TestFlasksdRetiredFlags' -count=1 ./cmd/flasksd
 
 # goldens rewrites internal/lab/testdata/*.golden (the -quick tables, at

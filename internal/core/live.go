@@ -121,7 +121,8 @@ func (n *Node) MailboxDropped() uint64 { return n.drops.Load() }
 // shards' counters as they stand, from any goroutine. The control loop's
 // counters are at most one tick stale and never race its live state; the
 // shards' are atomic, so a put or get counts the moment it is served,
-// not a round later. Valid once Start has run (and still after Stop).
+// not a round later, and the StoredObjects gauge is the store's count as
+// of the read. Valid once Start has run (and still after Stop).
 func (n *Node) Status() obs.Status {
 	st := *n.status.Load()
 	for _, s := range n.shards {
@@ -129,6 +130,7 @@ func (n *Node) Status() obs.Status {
 			st.Counters[c] += s.met.Get(metrics.Counter(c))
 		}
 	}
+	st.Counters[metrics.StoredObjects] = uint64(n.st.Count())
 	return st
 }
 

@@ -68,6 +68,7 @@ type Node struct {
 	shards     []*dataShard
 	external   atomic.Bool
 	shardStop  chan struct{}
+	shardCtx   context.Context // StartShards' ctx: bounds an inline get's sends
 	shardWG    sync.WaitGroup
 	routeSnap  atomic.Pointer[routeView]
 	routeStale bool
@@ -112,10 +113,6 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 	}
 	n.shards = newShards(n, cfg)
 	n.intra = newIntraView(intraViewTarget*2, intraStaleRounds)
-	// The gauge must be right from round zero: the owner may have
-	// restored a snapshot into the store before assembling the node,
-	// and waiting for the first Tick would report 0 objects meanwhile.
-	n.met.Set(metrics.StoredObjects, uint64(st.Count()))
 
 	attr := cfg.Capacity
 	if attr == 0 {
@@ -260,13 +257,15 @@ func (n *Node) ID() transport.NodeID { return n.id }
 // loop's own plus every data shard's. Harnesses read it after runs;
 // Status serves the same merge to other goroutines, the control loop's
 // part as last published and the shards' live. The copy is detached —
-// to zero the node's counters use ResetMetrics.
+// to zero the node's counters use ResetMetrics. The StoredObjects gauge
+// is the store's count as of the read.
 func (n *Node) Metrics() *metrics.NodeMetrics {
 	out := &metrics.NodeMetrics{}
 	*out = *n.met
 	for _, s := range n.shards {
 		s.met.AddTo(out)
 	}
+	out.Set(metrics.StoredObjects, uint64(n.st.Count()))
 	return out
 }
 
@@ -502,7 +501,6 @@ func (n *Node) Tick(ctx context.Context) {
 	if n.boot != nil {
 		n.boot.Tick(ctx)
 	}
-	n.met.Set(metrics.StoredObjects, uint64(n.st.Count()))
 	n.routeChanged()
 	n.tickDur.Observe(time.Since(tickStart))
 }
@@ -542,7 +540,7 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 	}
 	if key, ok := RequestKey(env.Msg); ok {
 		n.freshRoute()
-		n.drain(ctx, n.shardFor(key), env)
+		n.drain(ctx, n.shardFor(key), env, 0)
 		return
 	}
 	defer n.routeChanged()
@@ -564,19 +562,10 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 			n.met.Add(metrics.BootstrapFallbackObjects, uint64(len(m.Objects)))
 		}
 		if n.boot.Handle(ctx, env.From, env.Msg) {
-			// Bootstrap chunks ingest objects in bulk between ticks;
-			// refresh the gauge so a scrape mid-join sees them.
-			n.met.Set(metrics.StoredObjects, uint64(n.st.Count()))
 			return
 		}
 	}
 	if n.ae != nil && n.ae.Handle(ctx, env.From, env.Msg) {
-		if _, ok := env.Msg.(*antientropy.Push); ok {
-			// Repair pushes (including the bootstrap fallback path)
-			// change the store outside the put path; keep the gauge
-			// honest without waiting for the next tick.
-			n.met.Set(metrics.StoredObjects, uint64(n.st.Count()))
-		}
 		return
 	}
 	switch m := env.Msg.(type) {

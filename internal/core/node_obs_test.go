@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"dataflasks/internal/antientropy"
 	"dataflasks/internal/gossip"
@@ -195,5 +196,30 @@ func BenchmarkTraceOpDisabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.traceOp(obs.TracePutApply, 7, "some-key", 128, 1)
+	}
+}
+
+// TestStoredObjectsGaugeAfterShardPut: a put a running shard stores is
+// in the gauge at once — Status and Metrics read the store — with no
+// tick in between (there is none for an hour).
+func TestStoredObjectsGaugeAfterShardPut(t *testing.T) {
+	st := store.NewMemory()
+	n := liveNode(st, &liveCapture{}, Config{DataShards: 2})
+	n.Start(context.Background())
+	defer n.Stop()
+	n.Deliver(putEnv(1, "k", 1))
+	for deadline := time.Now().Add(5 * time.Second); st.Count() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("put never stored")
+		}
+	}
+	if got := n.Status().Counters[metrics.StoredObjects]; got != 1 {
+		t.Errorf("Status stored_objects = %d, want 1", got)
+	}
+	if got := n.Metrics().Get(metrics.StoredObjects); got != 1 {
+		t.Errorf("Metrics stored_objects = %d, want 1", got)
+	}
+	if n.Round() != 0 {
+		t.Errorf("%d ticks ran", n.Round())
 	}
 }

@@ -16,9 +16,13 @@
 // drain, on its key's shard, and routes by the snapshot alone. On a
 // running node (StartShards: live nodes, in-process clusters)
 // DispatchData queues it on the shard's mailbox and the shard's
-// goroutine drains what is queued, one run at a time. On a caller-driven
-// node (simulations, bench/traced, tests) HandleMessage is that
-// goroutine: it brings the snapshot up to date and drains a run of one.
+// goroutine drains what is queued, one run at a time — or, for a
+// client's get that finds the shard idle, drains it at once on the
+// fabric goroutine that read it. Either way the drain runs under the
+// shard's run token, so one goroutine at a time touches the shard. On a
+// caller-driven node (simulations, bench/traced, tests) HandleMessage
+// is that goroutine: it brings the snapshot up to date and drains a run
+// of one.
 //
 // A key's requests always hash to the same shard, so per-shard dedup
 // caches and coalescing windows lose nothing: two deliveries of one
@@ -29,6 +33,7 @@ package core
 import (
 	"context"
 	"math/rand/v2"
+	"sync"
 	"time"
 
 	"dataflasks/internal/gossip"
@@ -113,10 +118,20 @@ type dataShard struct {
 	n  *Node
 	id int
 
-	// mailbox carries dispatched data envelopes once StartShards ran (nil
-	// on a caller-driven node). drops counts producer-side overflow.
+	// mailbox carries queued data envelopes once StartShards ran (nil on
+	// a caller-driven node); wake tells the shard goroutine something was
+	// queued. drops counts producer-side overflow.
 	mailbox chan transport.Envelope
+	wake    chan struct{}
 	drops   metrics.SharedCounter
+
+	// run is the run token. Whoever holds it — the shard goroutine, or
+	// a fabric goroutine serving a get inline (DispatchData) — is the only
+	// one that takes envelopes from the mailbox, drains, commits or
+	// ticks, so it alone touches the state below. stopped is set under it
+	// once the shard's final drain ran: nothing is served inline after.
+	run     sync.Mutex
+	stopped bool
 
 	// dedup and rng are this shard's request suppression cache and
 	// relay-sampling stream; picks is the scratch buffer relay samples
@@ -207,8 +222,11 @@ func (n *Node) StartShards(ctx context.Context) {
 		panic("core: StartShards called twice")
 	}
 	n.shardStop = make(chan struct{})
+	n.shardCtx = ctx
 	for _, s := range n.shards {
 		s.mailbox = make(chan transport.Envelope, shardMailboxCap)
+		s.wake = make(chan struct{}, 1)
+		s.stopped = false
 	}
 	// Batched relays carry ids this node mints: the clock (a microsecond
 	// per step, faster than a node mints) keeps a restarted node clear
@@ -237,13 +255,22 @@ func (n *Node) StopShards() {
 	n.external.Store(false)
 }
 
-// DispatchData routes a data-plane envelope to its owning shard's
-// mailbox. It reports false when the caller must deliver the envelope
-// to HandleMessage instead: the node is caller-driven, or the message is
-// not data-plane. Safe from any goroutine: fabric handlers
-// call it first and fall back to the control loop's mailbox when it
-// declines, so a get or a put never waits behind a Tick. A full shard
-// mailbox drops the message and counts it.
+// DispatchData routes a data-plane envelope to its owning shard. It
+// reports false when the caller must deliver the envelope to
+// HandleMessage instead: the node is caller-driven, or the message is
+// not data-plane. Safe from any goroutine: fabric handlers call it first
+// and fall back to the control loop's mailbox when it declines, so a get
+// or a put never waits behind a Tick.
+//
+// Mostly the envelope is queued on the shard's mailbox (a full mailbox
+// drops it and counts it). A client's get is served inline instead, on
+// the calling goroutine, when the shard is idle: it is on its first hop
+// (so it came in on a client connection, and no node-to-node read loop
+// ever waits on a send), the fabric has no further frame of its stream in
+// hand (env.Last), the run token is free, nothing is queued ahead of it,
+// and the shard's window holds no put of its key (serving it needs no
+// commit, so it never waits on the disk). That saves the hand-off to the
+// shard goroutine, and it is the same drain either way.
 func (n *Node) DispatchData(env transport.Envelope) bool {
 	if !n.external.Load() {
 		return false
@@ -253,50 +280,96 @@ func (n *Node) DispatchData(env transport.Envelope) bool {
 		return false
 	}
 	s := n.shardFor(key)
+	if m, get := env.Msg.(*GetRequest); get && env.Last && m.TTL == TTLUnset && n.serveIdle(s, key, env) {
+		return true
+	}
 	select {
 	case s.mailbox <- env:
+		s.signal()
 	default:
 		s.drops.Inc()
 	}
 	return true
 }
 
-// runShard is one shard's goroutine: runs of dispatched data envelopes,
-// a per-round commit of the window, then a final drain on stop.
+// serveIdle drains env on the calling goroutine, a run of one, if the
+// shard is idle — its run token free, nothing queued, not stopped — and
+// its window holds no put of key; it reports whether it did.
+func (n *Node) serveIdle(s *dataShard, key string, env transport.Envelope) bool {
+	if !s.run.TryLock() {
+		return false
+	}
+	defer s.run.Unlock()
+	if s.stopped || len(s.mailbox) > 0 || s.holds(key) {
+		return false
+	}
+	s.met.Inc(metrics.InlineGets)
+	n.drain(n.shardCtx, s, env, 0)
+	return true
+}
+
+// signal wakes the shard goroutine, unless a wake-up is pending already.
+func (s *dataShard) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// runShard is one shard's goroutine: runs of queued data envelopes, a
+// per-round commit of the window, then a final drain on stop — each
+// under the run token, taken before the mailbox is touched, so what was
+// queued is handled in arrival order and before any later get is served
+// inline. A run takes at most coalesceMax envelopes; what is left is the
+// next wake-up's, so the tick and the stop signal get their turn.
 func (n *Node) runShard(ctx context.Context, s *dataShard) {
 	defer n.shardWG.Done()
 	ticker := time.NewTicker(n.cfg.RoundPeriod)
 	defer ticker.Stop()
 	for {
 		select {
-		case env := <-s.mailbox:
-			n.drain(ctx, s, env)
+		case <-s.wake:
+			s.run.Lock()
+			select {
+			case env := <-s.mailbox:
+				n.drain(ctx, s, env, min(len(s.mailbox), coalesceMax-1))
+			default: // an earlier run took it
+			}
+			more := len(s.mailbox) > 0
+			s.run.Unlock()
+			if more {
+				s.signal()
+			}
 		case <-ticker.C:
+			s.run.Lock()
 			t0 := time.Now()
 			s.commit(ctx)
 			s.tickDur.Observe(time.Since(t0))
+			s.run.Unlock()
 		case <-n.shardStop:
+			s.run.Lock()
 			n.drainShard(ctx, s)
+			s.stopped = true
+			s.run.Unlock()
 			return
 		}
 	}
 }
 
-// drain handles one run: the envelope that woke the shard plus what is
-// queued behind it right now — the shard is its mailbox's only consumer,
-// so that much is received without waiting — in arrival order, at most
-// coalesceMax envelopes so the tick and the stop signal get their turn.
-// The run's slice-entry puts share one commit, so with W puts in flight
-// a shard pays about one group-commit wait per wake-up, not one per put.
-// Relay copies alone do not end a run with a commit: they keep waiting
-// for the tick or a later entry put's. The run's answers leave at its end
-// at the latest, one frame per origin (see reply). A caller-driven node
-// has no mailbox: its runs are one envelope long.
-func (n *Node) drain(ctx context.Context, s *dataShard, env transport.Envelope) {
-	for more := min(len(s.mailbox), coalesceMax-1); ; more-- {
+// drain handles one run: env plus the next queued envelopes of the
+// mailbox — received without waiting, since the caller holds the run
+// token and counted them there — in arrival order. The run's slice-entry
+// puts share one commit, so with W puts in flight a shard pays about one
+// group-commit wait per wake-up, not one per put. Relay copies alone do
+// not end a run with a commit: they keep waiting for the tick or a later
+// entry put's. The run's answers leave at its end at the latest, one
+// frame per origin (see reply). A caller-driven node has no mailbox and
+// an inline get takes nothing from it: their runs are one envelope long.
+func (n *Node) drain(ctx context.Context, s *dataShard, env transport.Envelope, queued int) {
+	for ; ; queued-- {
 		s.met.Inc(metrics.MsgRecv)
 		n.handleData(ctx, s, env.From, env.Msg.(request)) // only requests are dispatched here
-		if more == 0 {
+		if queued == 0 {
 			break
 		}
 		env = <-s.mailbox
@@ -309,12 +382,12 @@ func (n *Node) drain(ctx context.Context, s *dataShard, env transport.Envelope) 
 
 // drainShard consumes everything the mailbox holds at stop time and
 // commits the window, so no accepted write is lost between the last
-// round and the store closing.
+// round and the store closing. The caller holds the run token.
 func (n *Node) drainShard(ctx context.Context, s *dataShard) {
 	for {
 		select {
 		case env := <-s.mailbox:
-			n.drain(ctx, s, env)
+			n.drain(ctx, s, env, min(len(s.mailbox), coalesceMax-1))
 		default:
 			s.commit(ctx)
 			return

@@ -115,9 +115,9 @@ func TestInlineModeUnchanged(t *testing.T) {
 	}
 }
 
-// closeGuardStore fails every mutation after Close — the detector for
-// the shutdown-ordering contract (drain the shards, then close the
-// store).
+// closeGuardStore fails every mutation and read after Close — the
+// detector for the shutdown-ordering contract (drain the shards, then
+// close the store).
 type closeGuardStore struct {
 	store.Store
 	closed    atomic.Bool
@@ -155,6 +155,13 @@ func (g *closeGuardStore) DeleteBatch(items []store.Deletion) ([]bool, error) {
 		return make([]bool, len(items)), err
 	}
 	return g.Store.DeleteBatch(items)
+}
+
+func (g *closeGuardStore) Get(key string, version uint64) ([]byte, uint64, bool, error) {
+	if err := g.check(); err != nil {
+		return nil, 0, false, err
+	}
+	return g.Store.Get(key, version)
 }
 
 func (g *closeGuardStore) Close() error {

@@ -128,6 +128,10 @@ const (
 	// reply batch (core.Replies) with other answers to the same origin;
 	// DataSent counts each batch once.
 	SharedAnswers
+	// InlineGets counts client gets a shard served on the fabric
+	// goroutine that read them, found idle, instead of queueing them for
+	// its own goroutine.
+	InlineGets
 
 	numCounters
 )
@@ -164,6 +168,7 @@ var counterNames = [...]string{
 	BootstrapChunksRejected:    "bootstrap_chunks_rejected",
 	BootstrapFallbackObjects:   "bootstrap_fallback_objects",
 	SharedAnswers:              "shared_answers",
+	InlineGets:                 "inline_gets",
 }
 
 // String returns the snake_case name of the counter.

@@ -217,6 +217,10 @@ func WriteMetrics(w io.Writer, src Sources) error {
 			"Bytes awaiting compaction (overwritten, deleted or tombstone records).", float64(ss.DeadBytes))
 		e.counter("flasks_store_compaction_passes_total",
 			"Compaction passes that found candidate segments and rewrote them.", ss.CompactionPasses)
+		e.counter("flasks_store_syncs_total",
+			"Group-commit fsyncs: syncs that settled at least one waiting write.", ss.Syncs)
+		e.counter("flasks_store_synced_writes_total",
+			"Write batches the group-commit fsyncs covered; over flasks_store_syncs_total, the group size.", ss.SyncedWrites)
 	}
 
 	if src.RESP != nil {

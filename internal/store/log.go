@@ -27,12 +27,12 @@ import (
 // and DeleteBatch encode their put or tombstone records into one buffer,
 // append it as one sequential write and file the records in the index
 // after the append; Put is a PutBatch of one. With Fsync enabled,
-// concurrent writers coalesce into a single fsync (group commit): each
-// batch registers one waiter under the log lock, and the committer
-// goroutine syncs the active segment once for every waiter that
-// appended before the sync — the group is whoever arrived while the
-// previous fsync was in flight. Deletes append tombstone records so
-// they survive restarts.
+// concurrent writers coalesce into a single fsync (group commit), and
+// the writers run it themselves: each batch takes a ticket under the log
+// lock after its append, and a writer that finds no fsync in flight
+// syncs the active segment once for every ticket issued before the sync
+// began — the group is whoever appended while the previous fsync was in
+// flight. Deletes append tombstone records so they survive restarts.
 //
 // Segments seal at SegmentMaxBytes and a background compactor rewrites
 // the prefix of sealed segments whose live ratio (bytes of records
@@ -73,11 +73,15 @@ type Log struct {
 	// direct Compact calls) without blocking the store lock.
 	compactMu sync.Mutex
 
-	// Group commit: waiters are write batches blocked on durability.
-	commitMu sync.Mutex
-	waiters  []chan error
+	// wbuf is write's encoding buffer, kept between writes while it is
+	// at most wbufKeep bytes. Guarded by mu.
+	wbuf []byte
+	// tickets counts the durable writes issued so far; ticket t is the
+	// t-th. Guarded by mu, so a ticket is never older than its append.
+	tickets uint64
+	// commit is the group-commit state (see awaitSync).
+	commit groupCommit
 
-	commitKick  chan struct{}
 	compactKick chan struct{}
 	stop        chan struct{}
 	wg          sync.WaitGroup
@@ -242,10 +246,10 @@ func OpenLog(dir string, opts LogOptions) (*Log, error) {
 		dirF:        dirF,
 		opts:        opts,
 		segs:        make(map[uint64]*segment),
-		commitKick:  make(chan struct{}, 1),
 		compactKick: make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
+	l.commit.init()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		dirF.Close()
@@ -285,10 +289,6 @@ func OpenLog(dir string, opts LogOptions) (*Log, error) {
 	}
 	l.wg.Add(1)
 	go l.compactLoop()
-	if l.opts.Fsync {
-		l.wg.Add(1)
-		go l.commitLoop()
-	}
 	return l, nil
 }
 
@@ -404,24 +404,6 @@ func (l *Log) appendLocked(rec []byte) (off int64, err error) {
 	return off, nil
 }
 
-// enqueueDurable registers a group-commit waiter. Must be called while
-// holding mu so Close cannot set closed between the append and the
-// registration (it would strand the waiter).
-func (l *Log) enqueueDurable() chan error {
-	ch := make(chan error, 1)
-	l.commitMu.Lock()
-	l.waiters = append(l.waiters, ch)
-	l.commitMu.Unlock()
-	return ch
-}
-
-func (l *Log) kickCommit() {
-	select {
-	case l.commitKick <- struct{}{}:
-	default:
-	}
-}
-
 func (l *Log) kickCompact() {
 	select {
 	case l.compactKick <- struct{}{}:
@@ -443,17 +425,18 @@ type logRec struct {
 const smallBatch = 8
 
 // write is the log's one writer, behind PutBatch and DeleteBatch. It
-// encodes recs into one buffer and appends it — split where the active
-// segment fills, so a batch larger than SegmentMaxBytes still rolls
-// bounded segment files — and files each record after its append: a put
-// in the index, a tombstone as the drop of its target (crash ordering: a
-// record may exist without its filing, never the reverse). With Fsync
-// one group-commit waiter covers the batch — records behind a mid-batch
-// seal were synced by the seal — registered when a record was written or
-// wait asks for it. The caller holds mu; write releases it before
-// waiting. filed counts the records filed, a prefix of recs.
+// encodes recs into the log's buffer and appends it — split where the
+// active segment fills, so a batch larger than SegmentMaxBytes still
+// rolls bounded segment files — and files each record after its append:
+// a put in the index, a tombstone as the drop of its target (crash
+// ordering: a record may exist without its filing, never the reverse).
+// With Fsync the batch takes one ticket — records behind a mid-batch
+// seal were synced by the seal — when a record was written or wait asks
+// for it, and waits for its group commit (awaitSync). The caller holds
+// mu; write releases it before waiting. filed counts the records filed,
+// a prefix of recs.
 func (l *Log) write(recs []logRec, wait bool) (filed int, err error) {
-	var buf []byte
+	buf := l.wbuf[:0]
 	// flush appends buf, the encoding of recs[filed:to], as one write,
 	// files those records and rolls the segment once it is full.
 	flush := func(to int) error {
@@ -488,16 +471,132 @@ func (l *Log) write(recs []logRec, wait bool) (filed int, err error) {
 	if err == nil && len(buf) > 0 {
 		err = flush(len(recs))
 	}
-	var ch chan error
+	if cap(buf) <= wbufKeep {
+		l.wbuf = buf[:0]
+	} else {
+		l.wbuf = nil
+	}
+	var ticket uint64
 	if err == nil && l.opts.Fsync && (filed > 0 || wait) {
-		ch = l.enqueueDurable()
+		l.tickets++
+		ticket = l.tickets
 	}
 	l.mu.Unlock()
-	if ch != nil {
-		l.kickCommit()
-		err = <-ch
+	if ticket > 0 {
+		err = l.awaitSync(ticket)
 	}
 	return filed, err
+}
+
+// wbufKeep bounds the encoding buffer a Log keeps between writes: a
+// larger batch encodes into a buffer that is dropped after it, so one
+// big write does not pin its size for the life of the store.
+const wbufKeep = 1 << 20
+
+// groupCommit is the log's fsync schedule. One sync runs at a time
+// (leadSync), led by a waiting writer (awaitSync) or by Close, and
+// tickets settle in order: done is the newest ticket a finished sync
+// covered, and a sync covers every ticket issued before it began. A
+// failed sync leaves its error for exactly the tickets it covered.
+type groupCommit struct {
+	mu      sync.Mutex
+	cond    sync.Cond // broadcast when a sync settles
+	syncing bool
+	done    uint64
+	failed  []syncFailure
+	// syncs counts the syncs that settled tickets, synced the tickets
+	// they settled (Stats).
+	syncs, synced uint64
+	// syncFile is the fsync itself: (*os.File).Sync, or a test's seam.
+	syncFile func(*os.File) error
+}
+
+// syncFailure is one failed sync: its error, the tickets (lo, hi] it
+// covered and how many of their writers have yet to collect it.
+type syncFailure struct {
+	lo, hi, left uint64
+	err          error
+}
+
+func (c *groupCommit) init() {
+	c.cond.L = &c.mu
+	c.syncFile = (*os.File).Sync
+}
+
+// awaitSync returns once ticket t has settled, with the error of the
+// sync that covered it. A writer that finds no sync in flight leads one
+// itself; otherwise it waits for the one in flight — which began before
+// t was issued if t is not yet settled when it ends — and tries again.
+func (l *Log) awaitSync(t uint64) error {
+	c := &l.commit
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.done < t {
+		if c.syncing {
+			c.cond.Wait()
+		} else {
+			l.leadSync()
+		}
+	}
+	return c.collect(t)
+}
+
+// leadSync runs the next sync and settles every ticket it covered: all
+// those issued before it began. Each of their writes appended to the
+// active file or to one a seal already synced, so one fsync of the
+// active file covers them all. It runs outside both locks, so writers
+// keep appending meanwhile, growing the next group. The caller holds
+// c.mu, with no sync in flight.
+func (l *Log) leadSync() error {
+	c := &l.commit
+	c.syncing = true
+	c.mu.Unlock()
+	l.mu.RLock()
+	hi, f := l.tickets, l.active.f
+	l.mu.RUnlock()
+	err := c.syncFile(f)
+	if errors.Is(err, os.ErrClosed) {
+		// The snapshot raced with a seal + compaction: the file was
+		// sealed (synced) and then compacted away. Both paths made every
+		// covered record durable before closing it.
+		err = nil
+	}
+	c.mu.Lock()
+	c.settle(hi, err)
+	return err
+}
+
+// settle records a finished sync that covered every ticket up to hi and
+// wakes the writers waiting on it. Caller holds c.mu and ran the sync.
+func (c *groupCommit) settle(hi uint64, err error) {
+	if hi > c.done {
+		if err != nil {
+			c.failed = append(c.failed, syncFailure{lo: c.done, hi: hi, left: hi - c.done, err: err})
+		}
+		c.syncs++
+		c.synced += hi - c.done
+		c.done = hi
+	}
+	c.syncing = false
+	c.cond.Broadcast()
+}
+
+// collect returns the error the settled ticket t's sync left for it.
+// Caller holds c.mu.
+func (c *groupCommit) collect(t uint64) error {
+	for i := range c.failed {
+		f := &c.failed[i]
+		if t <= f.lo || t > f.hi {
+			continue
+		}
+		err := f.err
+		f.left--
+		if f.left == 0 {
+			c.failed = append(c.failed[:i], c.failed[i+1:]...)
+		}
+		return err
+	}
+	return nil
 }
 
 // Put implements Store: a batch of one.
@@ -680,54 +779,20 @@ func (l *Log) SegmentCount() int {
 }
 
 // Stats implements StatsProvider: segment count, the live/dead byte
-// split compaction works from, and how many passes have rewritten
-// segments so far.
+// split compaction works from, how many passes have rewritten segments
+// so far, and the group commit's fsyncs and the writes they covered.
 func (l *Log) Stats() Stats {
 	l.mu.RLock()
-	defer l.mu.RUnlock()
 	s := Stats{Segments: len(l.segIDs), CompactionPasses: l.compactPasses}
 	for _, seg := range l.segs {
 		s.LiveBytes += seg.live
 		s.DeadBytes += seg.size - seg.live
 	}
+	l.mu.RUnlock()
+	l.commit.mu.Lock()
+	s.Syncs, s.SyncedWrites = l.commit.syncs, l.commit.synced
+	l.commit.mu.Unlock()
 	return s
-}
-
-// commitLoop is the group committer: it turns any number of pending
-// durability waiters into one fsync of the active segment.
-func (l *Log) commitLoop() {
-	defer l.wg.Done()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-l.commitKick:
-		}
-		l.commitMu.Lock()
-		ws := l.waiters
-		l.waiters = nil
-		l.commitMu.Unlock()
-		if len(ws) == 0 {
-			continue
-		}
-		// Every waiter in ws appended before this point, to the current
-		// active file or to one already synced by a seal, so one fsync
-		// of the active file covers the batch. The sync runs outside mu
-		// so writers keep appending meanwhile, growing the next batch.
-		l.mu.RLock()
-		f := l.active.f
-		l.mu.RUnlock()
-		err := f.Sync()
-		if err != nil && errors.Is(err, os.ErrClosed) {
-			// The snapshot raced with a seal + compaction: the file was
-			// sealed (synced) and then compacted away. Both paths made
-			// every waiter's record durable before closing it.
-			err = nil
-		}
-		for _, ch := range ws {
-			ch <- err
-		}
-	}
 }
 
 // compactLoop runs segment compaction in the background whenever a
@@ -807,7 +872,7 @@ func (l *Log) compactPass() error {
 	// New copies must be durable before the old ones disappear. Every
 	// copy went to the current active file or to one already synced by
 	// a seal, so one fsync covers them all (same invariant as the
-	// group committer).
+	// group commit's leadSync).
 	l.mu.RLock()
 	closed, f := l.closed, l.active.f
 	l.mu.RUnlock()
@@ -847,8 +912,8 @@ func (l *Log) compactPass() error {
 		delete(l.segs, cs.id)
 		l.segIDs = l.segIDs[1:] // prefix sits at the front
 		l.mu.Unlock()
-		// os.File tolerates a concurrent Sync from the group committer:
-		// the loser observes os.ErrClosed, which the committer maps to
+		// os.File tolerates a concurrent Sync from a group commit: the
+		// loser observes os.ErrClosed, which leadSync maps to
 		// success (sealing already synced this file).
 		seg.f.Close()
 		err := os.Remove(filepath.Join(l.dir, segmentName(cs.id)))
@@ -1034,8 +1099,8 @@ func (l *Log) throttleCompact(n int) {
 	}
 }
 
-// Close implements Store. Pending group-commit waiters receive the
-// result of one final fsync.
+// Close implements Store. Writers still waiting for their group commit
+// receive the result of one final fsync.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -1051,16 +1116,16 @@ func (l *Log) Close() error {
 	// keeps the file handles it touches valid until it has.
 	l.compactMu.Lock()
 	l.compactMu.Unlock()
-	// No new waiters can register once closed is set (registration
-	// happens under mu), so this drain is complete.
-	l.commitMu.Lock()
-	ws := l.waiters
-	l.waiters = nil
-	l.commitMu.Unlock()
-	err := l.active.f.Sync()
-	for _, ch := range ws {
-		ch <- err
+	// No ticket is issued once closed is set, so the final sync — it
+	// takes its turn after the one in flight, if any — settles every
+	// ticket left, and no sync runs once the files close.
+	c := &l.commit
+	c.mu.Lock()
+	for c.syncing {
+		c.cond.Wait()
 	}
+	err := l.leadSync()
+	c.mu.Unlock()
 	l.closeFiles()
 	l.idx = rangeIndex[recLoc]{}
 	return err

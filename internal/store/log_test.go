@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -852,5 +853,219 @@ func TestPersistentEnginesSurviveStrayFiles(t *testing.T) {
 				t.Fatalf("recovered %d objects, want 5", s2.Count())
 			}
 		})
+	}
+}
+
+// ticketsIssued reads how many durable writes have taken a ticket.
+func ticketsIssued(l *Log) uint64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.tickets
+}
+
+// ticketsReach polls until n tickets have been issued; it reports
+// false if that takes over ten seconds.
+func ticketsReach(l *Log, n uint64) bool {
+	for deadline := time.Now().Add(10 * time.Second); ticketsIssued(l) < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// waitTickets is ticketsReach on the test's goroutine.
+func waitTickets(t *testing.T, l *Log, n uint64) {
+	t.Helper()
+	if !ticketsReach(l, n) {
+		t.Fatalf("only %d of %d tickets issued", ticketsIssued(l), n)
+	}
+}
+
+// TestLogGroupCommitWritersShareSyncs: K concurrent fsync'd batches
+// all succeed and share fsyncs. The first sync is held until every
+// writer has appended, so the rest must ride one sync between them.
+func TestLogGroupCommitWritersShareSyncs(t *testing.T) {
+	const k = 16
+	l, err := OpenLog(t.TempDir(), LogOptions{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var once sync.Once
+	l.commit.syncFile = func(f *os.File) error {
+		// A timeout only lets the writers through unshared: the
+		// assertion on Syncs below reports it.
+		once.Do(func() { ticketsReach(l, k) })
+		return f.Sync()
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, k)
+	for w := 0; w < k; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = l.PutBatch([]Object{
+				{Key: fmt.Sprintf("a%d", w), Version: 1, Value: []byte("x")},
+				{Key: fmt.Sprintf("b%d", w), Version: 1, Value: []byte("y")},
+			})
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", w, err)
+		}
+	}
+	st := l.Stats()
+	if st.Syncs < 1 || st.Syncs >= k {
+		t.Fatalf("Syncs = %d for %d writers, want 1 ≤ Syncs < %d", st.Syncs, k, k)
+	}
+	if st.SyncedWrites != k {
+		t.Fatalf("SyncedWrites = %d, want %d", st.SyncedWrites, k)
+	}
+}
+
+// TestLogFailedSyncFailsExactlyItsWrites: a failed sync reports its
+// error to the writes it covered — those that appended before it began
+// — and to no other, and a second failure does not take over the
+// first's writes.
+func TestLogFailedSyncFailsExactlyItsWrites(t *testing.T) {
+	l, err := OpenLog(t.TempDir(), LogOptions{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	errA, errB := errors.New("sync A failed"), errors.New("sync B failed")
+	entered, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	calls := 0
+	l.commit.syncFile = func(f *os.File) error {
+		mu.Lock()
+		calls++
+		call := calls
+		mu.Unlock()
+		switch call {
+		case 2:
+			close(entered)
+			<-release
+			return errA
+		case 3:
+			return errB
+		}
+		return f.Sync()
+	}
+	put := func(key string) error { return l.Put(key, 1, []byte(key)) }
+
+	if err := put("a"); err != nil { // ticket 1, sync 1
+		t.Fatalf("a: %v", err)
+	}
+	results := map[string]chan error{}
+	start := func(key string) {
+		ch := make(chan error, 1)
+		results[key] = ch
+		go func() { ch <- put(key) }()
+	}
+	start("b") // ticket 2 leads sync 2, which blocks
+	<-entered
+	start("c") // tickets 3 and 4 wait for sync 2, which began before
+	start("d") // them, and ride sync 3
+	waitTickets(t, l, 4)
+	close(release)
+	want := map[string]error{"b": errA, "c": errB, "d": errB}
+	for key, w := range want {
+		if got := <-results[key]; got != w {
+			t.Errorf("%s: err = %v, want %v", key, got, w)
+		}
+	}
+	if err := put("e"); err != nil { // ticket 5, sync 4
+		t.Fatalf("e: %v", err)
+	}
+	if st := l.Stats(); st.Syncs != 4 || st.SyncedWrites != 5 {
+		t.Fatalf("Syncs = %d, SyncedWrites = %d; want 4 and 5", st.Syncs, st.SyncedWrites)
+	}
+	l.commit.mu.Lock()
+	left := len(l.commit.failed)
+	l.commit.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d failed syncs still held after every writer collected", left)
+	}
+
+	// Two failures settle before any of their writers collects: each
+	// writer still gets its own sync's error.
+	var c groupCommit
+	c.init()
+	c.settle(2, errA) // tickets 1 and 2
+	c.settle(3, errB) // ticket 3
+	for _, tc := range []struct {
+		ticket uint64
+		want   error
+	}{{3, errB}, {1, errA}, {2, errA}} {
+		if got := c.collect(tc.ticket); got != tc.want {
+			t.Errorf("ticket %d: err = %v, want %v", tc.ticket, got, tc.want)
+		}
+	}
+	if len(c.failed) != 0 {
+		t.Fatalf("%d failed syncs held after their writers collected", len(c.failed))
+	}
+}
+
+// TestLogCloseReleasesWaitingWriters: Close while writers wait for
+// their group commit returns every one of them, with the final sync's
+// result, and leaves no goroutine behind.
+func TestLogCloseReleasesWaitingWriters(t *testing.T) {
+	const k = 8
+	base := runtime.NumGoroutine()
+	l, err := OpenLog(t.TempDir(), LogOptions{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	l.commit.syncFile = func(f *os.File) error {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return f.Sync()
+	}
+	errs := make(chan error, k)
+	for w := 0; w < k; w++ {
+		go func(w int) { errs <- l.Put(fmt.Sprintf("w%d", w), 1, []byte("v")) }(w)
+	}
+	<-entered
+	waitTickets(t, l, k)
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	for {
+		l.mu.RLock()
+		c := l.closed
+		l.mu.RUnlock()
+		if c {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for w := 0; w < k; w++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Errorf("writer: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d writers still waiting after Close", k-w)
+		}
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before Open:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

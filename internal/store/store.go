@@ -277,6 +277,12 @@ type Stats struct {
 	// segments and rewrote them (passes that found nothing are free and
 	// uncounted).
 	CompactionPasses uint64
+	// Syncs counts group-commit fsyncs: syncs that made at least one
+	// waiting write durable (or reported its failure).
+	Syncs uint64
+	// SyncedWrites counts the write batches those fsyncs covered;
+	// SyncedWrites over Syncs is the group-commit batch size.
+	SyncedWrites uint64
 }
 
 // StatsProvider is implemented by engines that can report physical

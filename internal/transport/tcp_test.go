@@ -243,7 +243,7 @@ func TestTCPDeliverConcurrentWithSend(t *testing.T) {
 		go func(from NodeID) {
 			defer wg.Done()
 			for i := 0; i < frames; i++ {
-				if !a.deliver(&WireEnvelope{From: from, FromAddr: "127.0.0.1:9", To: 1, Msg: &tcpTestMsg{}}) {
+				if !a.deliver(&WireEnvelope{From: from, FromAddr: "127.0.0.1:9", To: 1, Msg: &tcpTestMsg{}}, true) {
 					t.Error("deliver refused a frame on an open fabric")
 					return
 				}
@@ -270,7 +270,7 @@ func TestTCPDeliverConcurrentWithSend(t *testing.T) {
 			t.Fatalf("peer %d learned as %q", 10+g, addr)
 		}
 	}
-	a.deliver(&WireEnvelope{From: 10, FromAddr: "127.0.0.1:10", To: 1, Msg: &tcpTestMsg{}})
+	a.deliver(&WireEnvelope{From: 10, FromAddr: "127.0.0.1:10", To: 1, Msg: &tcpTestMsg{}}, true)
 	if addr := peerAddr(10); addr != "127.0.0.1:10" {
 		t.Fatalf("changed address not taken: peer 10 is %q", addr)
 	}
@@ -485,5 +485,36 @@ func TestTCPAnnouncesAddressOncePerStream(t *testing.T) {
 	tail := log.seen()[announceEvery+2:]
 	if len(tail) != 2 || tail[0] != a.Addr() || tail[1] != "" {
 		t.Fatalf("after a redial the stream carried FromAddr %q, want [%q \"\"]", tail, a.Addr())
+	}
+}
+
+// TestTCPMarksLastFrameInHand: a frame is delivered Last exactly when
+// the read loop holds no further frame of its stream. Two frames
+// written in one write arrive in one read: the first is not Last, the
+// second is.
+func TestTCPMarksLastFrameInHand(t *testing.T) {
+	col := newCollector()
+	b, err := ListenTCP(2, "127.0.0.1:0", "", testTCP, col.handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var stream []byte
+	for _, text := range []string{"first", "second"} {
+		frame, _ := textCodec{}.Encode(nil, &WireEnvelope{From: 1, To: 2, Msg: &tcpTestMsg{Text: text}})
+		stream = binary.BigEndian.AppendUint32(stream, uint32(len(frame)))
+		stream = append(stream, frame...)
+	}
+	if _, err := conn.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	envs := col.waitFor(t, 2, 5*time.Second)
+	if envs[0].Last || !envs[1].Last {
+		t.Fatalf("Last = %v, %v; want false, true", envs[0].Last, envs[1].Last)
 	}
 }

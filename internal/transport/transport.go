@@ -33,6 +33,10 @@ type Envelope struct {
 	From NodeID
 	To   NodeID
 	Msg  interface{}
+	// Last is set by the TCP fabric when no further frame of the stream
+	// this one arrived on was already read: nothing behind it waits for
+	// its handler to return. Every other fabric leaves it false.
+	Last bool
 }
 
 // Fabric is the unified send surface every transport implements: one
