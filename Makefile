@@ -27,6 +27,7 @@ STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWri
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=20 -run '$(STRESS)' ./internal/store ./internal/core .
+	$(GO) test -count=1 -run 'TestDirectoryLiveCluster' .
 	$(GO) test -run 'TestFlasksdRESPGatewaySmoke|TestFlasksdObsSmoke|TestFlasksdRetiredFlags' -count=1 ./cmd/flasksd
 
 # goldens rewrites internal/lab/testdata/*.golden (the -quick tables, at

@@ -17,6 +17,14 @@ import (
 func nodeCounters(t *testing.T, nodes []*dataflasks.Node, period time.Duration, names ...string) []map[string]float64 {
 	t.Helper()
 	time.Sleep(2 * period)
+	return scrapeCounters(t, nodes, names...)
+}
+
+// scrapeCounters scrapes the named counter families off every node now:
+// what a round publishes is a round behind, the data shards' counters
+// are not.
+func scrapeCounters(t *testing.T, nodes []*dataflasks.Node, names ...string) []map[string]float64 {
+	t.Helper()
 	out := make([]map[string]float64, len(nodes))
 	for i, nd := range nodes {
 		code, body := scrape(t, nd.HTTPAddr(), "/metrics")
@@ -104,9 +112,10 @@ func startTwoSliceClusterIn(t *testing.T, cfg dataflasks.Config, period time.Dur
 // TestDirectoryLiveCluster drives a 4-node, 2-slice TCP cluster through
 // the client's slice directory: once the directory has learned both
 // slices, single-ack puts and gets enter their slice directly — no node
-// relays anything, and both members of each slice take client requests —
-// while a two-ack put still floods from a random contact and completes
-// as it did before.
+// relays anything, and over the client's ticks both members of each
+// slice take client requests, one contact per slice per tick — while a
+// two-ack put still floods from a random contact and completes as it
+// did before.
 func TestDirectoryLiveCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live TCP cluster in -short mode")
@@ -144,26 +153,43 @@ func TestDirectoryLiveCluster(t *testing.T) {
 		flooded  = "flasks_requests_flooded_total"
 		served   = "flasks_puts_served_total"
 		relayed  = "flasks_coalesced_puts_total" // intra-slice copies among the served
+		gets     = "flasks_gets_served_total"
 	)
+	// The client draws a slice's contact once per 500 ms tick, and a
+	// round takes a fraction of one: rounds go on until every node has
+	// been a contact, which takes at least two ticks per slice.
 	before := nodeCounters(t, nodes, period, directed, flooded, served, relayed)
 	hitsBefore := cl.DirectoryStats()
-	round(100)
-	after := nodeCounters(t, nodes, period, directed, flooded, served, relayed)
+	var after []map[string]float64
+	rounds, deadline := 0, time.Now().Add(time.Minute)
+	for {
+		round(100)
+		rounds++
+		after = nodeCounters(t, nodes, period, directed, flooded, served, relayed)
+		idle := 0
+		for i := range nodes {
+			if (after[i][served]-before[i][served])-(after[i][relayed]-before[i][relayed]) <= 0 {
+				idle++
+			}
+		}
+		if idle == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d rounds %d nodes still took no client put: the directory never draws them", rounds, idle)
+		}
+	}
+	t.Logf("every node was a contact within %d rounds", rounds)
 	stats := cl.DirectoryStats()
-
 	for i, nd := range nodes {
 		for _, name := range []string{directed, flooded} {
 			if d := after[i][name] - before[i][name]; d != 0 {
 				t.Errorf("node %s: %s grew by %v while the directory was warm", nd.ID(), name, d)
 			}
 		}
-		entry := (after[i][served] - before[i][served]) - (after[i][relayed] - before[i][relayed])
-		if entry <= 0 {
-			t.Errorf("node %s (slice %d) took no client put: the directory pins its mate", nd.ID(), nd.Slice())
-		}
 	}
-	if hits := stats.Hits - hitsBefore.Hits; hits != 200 {
-		t.Errorf("directory hits in the window = %d, want all 200 requests", hits)
+	if hits, want := stats.Hits-hitsBefore.Hits, uint64(200*rounds); hits != want {
+		t.Errorf("directory hits in the window = %d, want all %d requests", hits, want)
 	}
 	if stats.Fallbacks != hitsBefore.Fallbacks || stats.Evictions != 0 {
 		t.Errorf("directory fell back or evicted on a stable cluster: %+v → %+v", hitsBefore, stats)
@@ -198,29 +224,67 @@ func TestDirectoryLiveCluster(t *testing.T) {
 		t.Errorf("two-ack puts consulted the directory: %+v → %+v", stats, final)
 	}
 
-	// Killing a member costs the one op that next goes through it a
-	// retry, not a stall: the timeout evicts it and the reads that follow
-	// use its mate.
-	victim := nodes[0]
-	_ = victim.Close()
-	retried := 0
+	// Killing the member a slice is pinned to costs the one op that next
+	// goes through it a retry, not a stall: the timeout evicts it and the
+	// reads that follow use its mate. One get names the pin: the member
+	// whose gets_served it moves.
+	slice := nodes[0].Slice()
+	var keys []string
 	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("live-%03d", i)
-		if slicing.KeySlice(key, cfg.Slices) != victim.Slice() {
-			continue
+		if key := fmt.Sprintf("live-%03d", i); slicing.KeySlice(key, cfg.Slices) == slice {
+			keys = append(keys, key)
 		}
+	}
+	getsBefore := scrapeCounters(t, nodes, gets)
+	if _, err := cl.Get(ctx, keys[0], version); err != nil {
+		t.Fatalf("get %s: %v", keys[0], err)
+	}
+	getsAfter := scrapeCounters(t, nodes, gets)
+	var victim *dataflasks.Node
+	answered := 0
+	for i, nd := range nodes {
+		if getsAfter[i][gets] > getsBefore[i][gets] {
+			victim = nd
+			answered++
+		}
+	}
+	if answered != 1 || victim.Slice() != slice {
+		t.Fatalf("the get moved gets_served on %d nodes, want one member of slice %d: %v → %v", answered, slice, getsBefore, getsAfter)
+	}
+	_ = victim.Close()
+	evictionsBefore := cl.DirectoryStats().Evictions
+
+	// Reads go on until the dead member has been found and three more
+	// ticks have passed: should the tick have turned between the naming
+	// get and the kill, the draws find the dead member later, but no
+	// read may find it twice.
+	retried, settled := 0, time.Time{}
+	deadline = time.Now().Add(time.Minute)
+	for i := 0; settled.IsZero() || time.Now().Before(settled); i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("no read found the dead member %s in a minute", victim.ID())
+		}
+		key := keys[i%len(keys)]
 		op := cl.GetAsync(key, version, dataflasks.WithTimeout(500*time.Millisecond), dataflasks.WithRetries(8))
 		if err := op.Wait(ctx); err != nil {
 			t.Fatalf("get %s after the kill: %v", key, err)
 		}
 		if op.Retries() > 0 {
 			retried++
+			t.Logf("read %d after the kill retried", i)
+			if settled.IsZero() {
+				settled = time.Now().Add(1500 * time.Millisecond)
+			}
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	if retried != 1 {
-		t.Errorf("%d reads retried after one member died, want exactly the one that found it dead", retried)
+		t.Errorf("%d reads retried after the pinned member died, want exactly the one that found it dead", retried)
 	}
-	if ev := cl.DirectoryStats().Evictions; ev != 1 {
-		t.Errorf("evictions = %d, want the dead member's", ev)
+	// One eviction, and three ticks of reads after it without another
+	// retry: what the slice has left is the live mate, so the evicted
+	// member is the dead one.
+	if ev := cl.DirectoryStats().Evictions - evictionsBefore; ev != 1 {
+		t.Errorf("evictions = %d after the kill of %s, want its one", ev, victim.ID())
 	}
 }

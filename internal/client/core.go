@@ -481,12 +481,16 @@ func (c *Core) complete(op *pending, r Result) {
 	}
 }
 
-// Tick advances the client clock: expired attempts are retried with
-// fresh ids and contacts, and exhausted operations fail.
+// Tick advances the client clock: the directory's contacts are drawn
+// anew, expired attempts are retried with fresh ids and contacts, and
+// exhausted operations fail.
 func (c *Core) Tick() {
 	c.tick++
-	if c.dir != nil && c.tick%directoryRefreshTicks == 0 {
-		c.dir.refresh()
+	if c.dir != nil {
+		c.dir.endTick()
+		if c.tick%directoryRefreshTicks == 0 {
+			c.dir.refresh()
+		}
 	}
 	var expired []*pending
 	for _, op := range c.ops {

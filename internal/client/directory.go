@@ -37,10 +37,17 @@ type DirectoryStats struct {
 }
 
 // Directory is the §VII load balancer: per slice it knows up to
-// maxSliceMembers nodes that belong to it and contacts one of them,
-// chosen uniformly, so a request enters its slice directly and the
-// global dissemination phase disappears. Slices it knows nothing about
-// yet fall back to the wrapped balancer's random contact list.
+// maxSliceMembers nodes that belong to it and contacts one of them, so
+// a request enters its slice directly and the global dissemination
+// phase disappears. Slices it knows nothing about yet fall back to the
+// wrapped balancer's random contact list.
+//
+// The contact is drawn uniformly once per slice per client tick and
+// pinned until the tick ends (endTick) or the member is evicted or
+// replaced: a pipelined burst then enters its slice at one member, which
+// answers, relays and group-commits it in batches, where per-request
+// draws would split it across every member. Over a run of ticks each
+// member still takes its fair share.
 //
 // It learns from the traffic the client already receives: whoever
 // acknowledges a write or answers a read for a key holds that key, so
@@ -67,6 +74,8 @@ type Directory struct {
 	local      transport.NodeID      // the node this client lives in; 0 for none
 
 	members map[int32][]transport.NodeID
+	// pins holds each slice's contact for the current tick.
+	pins map[int32]transport.NodeID
 	// asked holds the slices with a MateQuery in flight, each with the
 	// node whose eviction prompted the query (0 for none): the reply of a
 	// peer that has not noticed yet must not bring that node straight
@@ -97,6 +106,7 @@ func NewDirectory(fallback LoadBalancer, sliceCount int, rng *rand.Rand, out tra
 		out:        out,
 		book:       book,
 		members:    make(map[int32][]transport.NodeID),
+		pins:       make(map[int32]transport.NodeID),
 		asked:      make(map[int32]transport.NodeID),
 	}
 }
@@ -106,19 +116,30 @@ func NewDirectory(fallback LoadBalancer, sliceCount int, rng *rand.Rand, out tra
 func (d *Directory) SetLocal(node transport.NodeID) { d.local = node }
 
 // Contact implements LoadBalancer: the local node when it is a known
-// member of key's slice, a uniformly chosen known member otherwise, or
-// the fallback's choice while none is known.
+// member of key's slice; else the slice's pin for this tick, drawn
+// uniformly from the known members by the first request that needs it;
+// or the fallback's choice while no member is known.
 func (d *Directory) Contact(key string) (transport.NodeID, bool) {
-	if m := d.members[slicing.KeySlice(key, d.sliceCount)]; len(m) > 0 {
-		d.stats.Hits++
-		if d.local != 0 && slices.Contains(m, d.local) {
-			d.stats.Local++
-			return d.local, true
-		}
-		return m[d.rng.IntN(len(m))], true
+	slice := slicing.KeySlice(key, d.sliceCount)
+	m := d.members[slice]
+	if len(m) == 0 {
+		return d.random(key)
 	}
-	return d.random(key)
+	d.stats.Hits++
+	if d.local != 0 && slices.Contains(m, d.local) {
+		d.stats.Local++
+		return d.local, true
+	}
+	pin, ok := d.pins[slice]
+	if !ok {
+		pin = m[d.rng.IntN(len(m))]
+		d.pins[slice] = pin
+	}
+	return pin, true
 }
+
+// endTick unpins every slice: the next request of each draws again.
+func (d *Directory) endTick() { clear(d.pins) }
 
 // random is the contact of an attempt that must not enter its slice
 // directly (see Core.launch).
@@ -143,6 +164,7 @@ func (d *Directory) learn(key string, node transport.NodeID) {
 		if m[i] == d.local {
 			i = (i + 1) % len(m)
 		}
+		d.unpin(slice, m[i])
 		m[i] = node
 	default:
 		d.members[slice] = append(m, node)
@@ -169,8 +191,17 @@ func (d *Directory) remove(slice int32, node transport.NodeID) bool {
 	}
 	m[i] = m[len(m)-1]
 	d.members[slice] = m[:len(m)-1]
+	d.unpin(slice, node)
 	d.stats.Evictions++
 	return true
+}
+
+// unpin drops slice's pin if it is node, which is leaving the slice's
+// members.
+func (d *Directory) unpin(slice int32, node transport.NodeID) {
+	if d.pins[slice] == node {
+		delete(d.pins, slice)
+	}
 }
 
 // ask sends one MateQuery for slice to a known member, unless one is in

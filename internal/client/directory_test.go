@@ -54,32 +54,32 @@ func requestID(t *testing.T, msg interface{}) gossip.RequestID {
 
 func isRandomContact(id transport.NodeID) bool { return id >= 1 && id <= 3 }
 
-// (a) Known members share a slice's contacts evenly: no member is
-// pinned.
+// (a) A slice's contact is drawn once per client tick: every request of
+// the tick goes to the pinned member, and over many ticks the known
+// members share the pins evenly.
 func TestDirectoryContactsSpreadUniformly(t *testing.T) {
-	_, dir, _, _ := newDirectoryCore(t, Config{})
+	cl, dir, _, _ := newDirectoryCore(t, Config{})
 	key := keyInSlice(t, 2, dirSlices)
 	for _, member := range []transport.NodeID{40, 41, 42} {
 		dir.learn(key, member)
 	}
+	const ticks, perTick = 3000, 4
 	counts := map[transport.NodeID]int{}
-	for i := 0; i < 3000; i++ {
-		id, ok := dir.Contact(key)
-		if !ok {
-			t.Fatal("no contact")
-		}
-		counts[id]++
+	for i := 0; i < ticks; i++ {
+		pin := tickContact(t, dir, key, perTick)
+		counts[pin]++
+		cl.Tick() // Core.Tick unpins
 	}
 	for _, member := range []transport.NodeID{40, 41, 42} {
 		if c := counts[member]; c < 850 || c > 1150 {
-			t.Errorf("member %v drew %d of 3000 contacts, want 1000 ± 15%%", member, c)
+			t.Errorf("member %v was pinned in %d of %d ticks, want 1000 ± 15%%", member, c, ticks)
 		}
 	}
 	if len(counts) != 3 {
-		t.Errorf("contacts outside the known members: %v", counts)
+		t.Errorf("pins outside the known members: %v", counts)
 	}
-	if st := dir.stats; st.Hits != 3000 || st.Fallbacks != 0 {
-		t.Errorf("stats = %+v, want 3000 hits", st)
+	if st := dir.stats; st.Hits != ticks*perTick || st.Fallbacks != 0 {
+		t.Errorf("stats = %+v, want %d hits", st, ticks*perTick)
 	}
 	// Another slice is still unknown: the random list answers.
 	if id, _ := dir.Contact(keyInSlice(t, 0, dirSlices)); !isRandomContact(id) {
@@ -88,6 +88,56 @@ func TestDirectoryContactsSpreadUniformly(t *testing.T) {
 	if st := dir.stats; st.Fallbacks != 1 {
 		t.Errorf("fallbacks = %d, want 1", st.Fallbacks)
 	}
+}
+
+// A pin leaves with its member: once the pinned member is evicted, or
+// its slot in a full slice goes to a node that proved itself, the next
+// request of the same tick draws a new pin from who is left. Another
+// member's departure keeps the pin.
+func TestDirectoryPinLeavesWithItsMember(t *testing.T) {
+	key := keyInSlice(t, 1, dirSlices)
+
+	t.Run("evicted", func(t *testing.T) {
+		_, dir, _, _ := newDirectoryCore(t, Config{})
+		for _, member := range []transport.NodeID{40, 41, 42} {
+			dir.learn(key, member)
+		}
+		pin := tickContact(t, dir, key, 3)
+		other := dir.members[1][0]
+		if other == pin {
+			other = dir.members[1][1]
+		}
+		dir.evict(key, other)
+		if id := tickContact(t, dir, key, 3); id != pin {
+			t.Fatalf("evicting %v moved the pin from %v to %v", other, pin, id)
+		}
+		dir.evict(key, pin)
+		next := tickContact(t, dir, key, 3)
+		if next == pin || !slices.Contains(dir.members[1], next) {
+			t.Fatalf("contact after the pin's eviction = %v, want a remaining member of %v", next, dir.members[1])
+		}
+	})
+
+	t.Run("replaced in a full slice", func(t *testing.T) {
+		_, dir, _, _ := newDirectoryCore(t, Config{})
+		for id := transport.NodeID(40); id < 40+maxSliceMembers; id++ {
+			dir.learn(key, id)
+		}
+		pin := tickContact(t, dir, key, 3)
+		for id := transport.NodeID(100); slices.Contains(dir.members[1], pin); id++ {
+			if got := tickContact(t, dir, key, 3); got != pin {
+				t.Fatalf("the pin moved from %v to %v while it was still a member", pin, got)
+			}
+			if id == 1000 {
+				t.Fatal("the pinned member's slot was never drawn")
+			}
+			dir.learn(key, id)
+		}
+		next := tickContact(t, dir, key, 3)
+		if next == pin || !slices.Contains(dir.members[1], next) {
+			t.Fatalf("contact after the pin was replaced = %v, want a member of %v", next, dir.members[1])
+		}
+	})
 }
 
 // (b) An attempt that carries Flood never enters its slice through the
@@ -422,22 +472,37 @@ func TestDirectoryFullSliceTakesProvenMembersOnly(t *testing.T) {
 // through the directory.
 const localNode transport.NodeID = 40
 
-// contactsOf draws n contacts for key and counts them per node.
-func contactsOf(t *testing.T, dir *Directory, key string, n int) map[transport.NodeID]int {
+// tickContact draws n contacts for key within one tick, fails the test
+// unless they are all the same node, and returns it.
+func tickContact(t *testing.T, dir *Directory, key string, n int) transport.NodeID {
+	t.Helper()
+	first, ok := dir.Contact(key)
+	if !ok {
+		t.Fatal("no contact")
+	}
+	for i := 1; i < n; i++ {
+		if id, _ := dir.Contact(key); id != first {
+			t.Fatalf("contact %d of one tick = %v, want the tick's first, %v", i, id, first)
+		}
+	}
+	return first
+}
+
+// pinsOf runs ticks ticks of perTick contacts each for key and counts
+// per node the ticks it took.
+func pinsOf(t *testing.T, dir *Directory, key string, ticks, perTick int) map[transport.NodeID]int {
 	t.Helper()
 	counts := map[transport.NodeID]int{}
-	for i := 0; i < n; i++ {
-		id, ok := dir.Contact(key)
-		if !ok {
-			t.Fatal("no contact")
-		}
-		counts[id]++
+	for i := 0; i < ticks; i++ {
+		counts[tickContact(t, dir, key, perTick)]++
+		dir.endTick()
 	}
 	return counts
 }
 
 // The local node takes every contact of a slice once it is a known
-// member of it — not before, and never those of a slice it is not in.
+// member of it — not before, and never those of a slice it is not in,
+// whose contacts stay pinned per tick.
 func TestDirectoryPrefersLocalMember(t *testing.T) {
 	_, dir, _, _ := newDirectoryCore(t, Config{})
 	dir.SetLocal(localNode)
@@ -445,25 +510,27 @@ func TestDirectoryPrefersLocalMember(t *testing.T) {
 
 	dir.learn(own, 41)
 	dir.learn(own, 42)
-	if c := contactsOf(t, dir, own, 200); c[localNode] != 0 || c[41] == 0 || c[42] == 0 {
-		t.Fatalf("contacts before the local node is a member = %v, want 41 and 42 only", c)
+	if c := pinsOf(t, dir, own, 50, 4); c[localNode] != 0 || c[41] == 0 || c[42] == 0 {
+		t.Fatalf("pins before the local node is a member = %v, want 41 and 42 only", c)
 	}
 	if st := dir.stats; st.Local != 0 || st.Hits != 200 {
 		t.Fatalf("stats = %+v, want 200 hits, none local", st)
 	}
 
+	// Mid-tick, with a pin already drawn: the local node wins at once.
+	tickContact(t, dir, own, 1)
 	dir.learn(own, localNode)
-	if c := contactsOf(t, dir, own, 200); c[localNode] != 200 {
-		t.Fatalf("contacts with the local node a member = %v, want all 200 on it", c)
+	if c := pinsOf(t, dir, own, 50, 4); c[localNode] != 50 {
+		t.Fatalf("contacts with the local node a member = %v, want every tick on it", c)
 	}
-	if st := dir.stats; st.Local != 200 || st.Hits != 400 || st.Fallbacks != 0 {
-		t.Fatalf("stats = %+v, want 400 hits, 200 of them local", st)
+	if st := dir.stats; st.Local != 200 || st.Hits != 401 || st.Fallbacks != 0 {
+		t.Fatalf("stats = %+v, want 401 hits, 200 of them local", st)
 	}
 
 	dir.learn(other, 43)
 	dir.learn(other, 44)
-	if c := contactsOf(t, dir, other, 200); c[localNode] != 0 || c[43] == 0 || c[44] == 0 {
-		t.Fatalf("contacts of a slice the local node is not in = %v, want 43 and 44 only", c)
+	if c := pinsOf(t, dir, other, 50, 4); c[localNode] != 0 || c[43] == 0 || c[44] == 0 {
+		t.Fatalf("pins of a slice the local node is not in = %v, want 43 and 44 only", c)
 	}
 	if st := dir.stats; st.Local != 200 {
 		t.Errorf("local hits = %d after another slice's contacts, want 200 still", st.Local)
@@ -472,8 +539,8 @@ func TestDirectoryPrefersLocalMember(t *testing.T) {
 
 // The local node stops being a member by the rules every member obeys —
 // another node acknowledging its request, a timeout — after which the
-// slice's contacts are drawn uniformly from who is left, until the node
-// proves itself again.
+// slice's pins are drawn uniformly, tick by tick, from who is left,
+// until the node proves itself again.
 func TestDirectoryEvictsLocalLikeAnyMember(t *testing.T) {
 	key := keyInSlice(t, 3, dirSlices)
 	setup := func(t *testing.T) (*Core, *Directory, *capture) {
@@ -485,16 +552,16 @@ func TestDirectoryEvictsLocalLikeAnyMember(t *testing.T) {
 		return cl, dir, cap
 	}
 	// evicted checks the state both subtests must leave: the local node
-	// gone, its mates sharing the contacts, and a reply from it bringing
-	// the preference back.
+	// gone, its mates sharing the pins, and a reply from it bringing the
+	// preference back within the tick.
 	evicted := func(t *testing.T, cl *Core, dir *Directory, cap *capture) {
 		t.Helper()
 		if st := dir.stats; st.Evictions != 1 || slices.Contains(dir.members[3], localNode) {
 			t.Fatalf("local node still listed: %+v, members %v", st, dir.members[3])
 		}
 		local := dir.stats.Local
-		if c := contactsOf(t, dir, key, 200); c[localNode] != 0 || c[41] < 60 || c[42] < 60 {
-			t.Fatalf("contacts after the eviction = %v, want 41 and 42 about evenly", c)
+		if c := pinsOf(t, dir, key, 200, 3); c[localNode] != 0 || c[41] < 60 || c[42] < 60 {
+			t.Fatalf("pins after the eviction = %v, want 41 and 42 about evenly", c)
 		}
 		if dir.stats.Local != local {
 			t.Errorf("local hits grew to %d while the local node was no member", dir.stats.Local)
@@ -505,8 +572,8 @@ func TestDirectoryEvictsLocalLikeAnyMember(t *testing.T) {
 			t.Fatalf("get went to the evicted local node")
 		}
 		cl.HandleMessage(transport.Envelope{From: localNode, Msg: &core.GetReply{ID: get.Msg.(*core.GetRequest).ID, Slice: 3}})
-		if c := contactsOf(t, dir, key, 50); c[localNode] != 50 {
-			t.Errorf("contacts after the local node answered again = %v, want all on it", c)
+		if id := tickContact(t, dir, key, 10); id != localNode {
+			t.Errorf("contact after the local node answered again = %v, want it", id)
 		}
 	}
 
@@ -558,8 +625,9 @@ func TestDirectoryFullSliceKeepsLocal(t *testing.T) {
 }
 
 // A directory with no local node — every client but Node.NewClient's —
-// draws what it drew before the local node existed: the contact and slot
-// sequence of a fixed seed, recorded at 1061266.
+// draws what it drew before the local node existed: the slot sequence
+// of a fixed seed, recorded at 1061266, and, one draw per tick, the
+// contact sequence recorded there for one draw per request.
 func TestDirectoryWithoutLocalDrawsAsBefore(t *testing.T) {
 	_, dir, _, _ := newDirectoryCore(t, Config{})
 	key := keyInSlice(t, 2, dirSlices)
@@ -575,8 +643,8 @@ func TestDirectoryWithoutLocalDrawsAsBefore(t *testing.T) {
 	}
 	var got []transport.NodeID
 	for i := 0; i < 24; i++ {
-		id, _ := dir.Contact(key)
-		got = append(got, id)
+		got = append(got, tickContact(t, dir, key, 5))
+		dir.endTick()
 	}
 	for i := 0; i < 8; i++ {
 		id, _ := dir.Contact(keyInSlice(t, 0, dirSlices)) // unknown slice: the random list

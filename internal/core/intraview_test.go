@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"dataflasks/internal/metrics"
 	"dataflasks/internal/pss"
 	"dataflasks/internal/sim"
 	"dataflasks/internal/store"
@@ -82,12 +83,19 @@ func TestIntraViewRandomEmpty(t *testing.T) {
 	}
 }
 
-func TestNodeSliceChangeClearsIntraView(t *testing.T) {
-	// A node whose slicer flips slices must drop its old mates.
+// newFlippingNode returns a node whose rank slicer the test feeds by
+// hand: samples above its own attribute put it in slice 0, sustained
+// samples below it move it to slice 3.
+func newFlippingNode() *Node {
 	sink := transport.SenderFunc(func(context.Context, transport.NodeID, interface{}) error { return nil })
-	n := NewNode(1, Config{
+	return NewNode(1, Config{
 		Slices: 4, Slicer: SlicerRank, SystemSize: 100, AntiEntropyEvery: -1, Seed: 3,
 	}, newTestStore(), sink)
+}
+
+func TestNodeSliceChangeClearsIntraView(t *testing.T) {
+	// A node whose slicer flips slices must drop its old mates.
+	n := newFlippingNode()
 
 	// Rank slicer with attr drawn from id; feed samples that put us in
 	// slice 0 first.
@@ -115,6 +123,39 @@ func TestNodeSliceChangeClearsIntraView(t *testing.T) {
 	}
 	if n.IntraViewSize() != 0 {
 		t.Error("slice change kept stale mates")
+	}
+}
+
+// The first assignment is no change; every later change of slice counts
+// once, in the round it happens, however long the node then stays.
+func TestNodeSliceChangesCounted(t *testing.T) {
+	n := newFlippingNode()
+	changes := func() uint64 { return n.Metrics().Get(metrics.SliceChanges) }
+	for i := 0; i < 5; i++ {
+		n.slicer.Observe(transport.NodeID(100+i), n.attr+1)
+	}
+	n.Tick(context.Background())
+	if n.Slice() != 0 || changes() != 0 {
+		t.Fatalf("after the first assignment: slice %d, slice_changes %d; want 0 and 0", n.Slice(), changes())
+	}
+	// The rank estimate walks down to slice 3, possibly through the
+	// slices between; then it stays.
+	var moves uint64
+	for r, last := 0, n.Slice(); r < 20; r++ {
+		for i := 0; i < 5; i++ {
+			n.slicer.Observe(transport.NodeID(200+i), n.attr-1)
+		}
+		n.Tick(context.Background())
+		if n.Slice() != last {
+			moves++
+			last = n.Slice()
+		}
+		if changes() != moves {
+			t.Fatalf("round %d: slice_changes %d after %d moves", r, changes(), moves)
+		}
+	}
+	if n.Slice() != 3 || moves == 0 {
+		t.Fatalf("slice = %d after %d moves, want 3", n.Slice(), moves)
 	}
 }
 

@@ -470,6 +470,9 @@ func (n *Node) Tick(ctx context.Context) {
 
 	if cur := n.currentSlice(); cur != n.lastSlice {
 		// Slice changed: the old mates are no longer ours.
+		if n.lastSlice != slicing.SliceUnknown {
+			n.met.Inc(metrics.SliceChanges)
+		}
 		n.intra.Clear()
 		n.lastSlice = cur
 	}

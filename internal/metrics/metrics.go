@@ -132,6 +132,9 @@ const (
 	// goroutine that read them, found idle, instead of queueing them for
 	// its own goroutine.
 	InlineGets
+	// SliceChanges counts changes of the node's assigned slice after its
+	// first assignment.
+	SliceChanges
 
 	numCounters
 )
@@ -169,6 +172,7 @@ var counterNames = [...]string{
 	BootstrapFallbackObjects:   "bootstrap_fallback_objects",
 	SharedAnswers:              "shared_answers",
 	InlineGets:                 "inline_gets",
+	SliceChanges:               "slice_changes",
 }
 
 // String returns the snake_case name of the counter.
