@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -251,6 +252,15 @@ func TestDirectoryLiveCluster(t *testing.T) {
 	if answered != 1 || victim.Slice() != slice {
 		t.Fatalf("the get moved gets_served on %d nodes, want one member of slice %d: %v → %v", answered, slice, getsBefore, getsAfter)
 	}
+	var mate dataflasks.NodeID
+	for _, nd := range nodes {
+		if nd != victim && nd.Slice() == slice {
+			mate = nd.ID()
+		}
+	}
+	if m := dataflasks.DirectoryMembers(cl, slice); !slices.Contains(m, victim.ID()) || !slices.Contains(m, mate) {
+		t.Fatalf("directory members of slice %d = %v, want %s and its mate %s", slice, m, victim.ID(), mate)
+	}
 	_ = victim.Close()
 	evictionsBefore := cl.DirectoryStats().Evictions
 
@@ -281,10 +291,12 @@ func TestDirectoryLiveCluster(t *testing.T) {
 	if retried != 1 {
 		t.Errorf("%d reads retried after the pinned member died, want exactly the one that found it dead", retried)
 	}
-	// One eviction, and three ticks of reads after it without another
-	// retry: what the slice has left is the live mate, so the evicted
-	// member is the dead one.
+	// One eviction, and it named the dead member: the slice keeps its
+	// live mate.
 	if ev := cl.DirectoryStats().Evictions - evictionsBefore; ev != 1 {
 		t.Errorf("evictions = %d after the kill of %s, want its one", ev, victim.ID())
+	}
+	if m := dataflasks.DirectoryMembers(cl, slice); slices.Contains(m, victim.ID()) || !slices.Contains(m, mate) {
+		t.Errorf("directory members of slice %d after the kill of %s = %v, want its mate %s and not it", slice, victim.ID(), m, mate)
 	}
 }

@@ -219,6 +219,15 @@ func (c *Core) DirectoryStats() DirectoryStats {
 	return c.dir.stats
 }
 
+// DirectoryMembers returns a copy of the members the slice directory
+// knows for slice (nil for a core built over another balancer).
+func (c *Core) DirectoryMembers(slice int32) []transport.NodeID {
+	if c.dir == nil {
+		return nil
+	}
+	return slices.Clone(c.dir.members[slice])
+}
+
 // resolve fills per-op knobs from opts over the config defaults.
 func (c *Core) resolve(op *pending, opts Opts) {
 	op.wantAcks = c.cfg.PutAcks

@@ -42,12 +42,14 @@ type DirectoryStats struct {
 // phase disappears. Slices it knows nothing about yet fall back to the
 // wrapped balancer's random contact list.
 //
-// The contact is drawn uniformly once per slice per client tick and
-// pinned until the tick ends (endTick) or the member is evicted or
-// replaced: a pipelined burst then enters its slice at one member, which
-// answers, relays and group-commits it in batches, where per-request
-// draws would split it across every member. Over a run of ticks each
-// member still takes its fair share.
+// The contact is drawn once per slice per client tick and pinned until
+// the tick ends (endTick) or the member is evicted or replaced: a
+// pipelined burst then enters its slice at one member, which answers,
+// relays and group-commits it in batches, where per-request draws would
+// split it across every member. The draws deal the known members out
+// like a shuffled deck: each is drawn uniformly from those not yet
+// pinned in the current round of turns, so over any run of ticks no
+// member of a stable slice is pinned more than once beyond any other.
 //
 // It learns from the traffic the client already receives: whoever
 // acknowledges a write or answers a read for a key holds that key, so
@@ -76,6 +78,10 @@ type Directory struct {
 	members map[int32][]transport.NodeID
 	// pins holds each slice's contact for the current tick.
 	pins map[int32]transport.NodeID
+	// turns holds, per slice, the members still to be pinned in the
+	// current round of turns; a member that left the slice since is
+	// dropped at the next draw.
+	turns map[int32][]transport.NodeID
 	// asked holds the slices with a MateQuery in flight, each with the
 	// node whose eviction prompted the query (0 for none): the reply of a
 	// peer that has not noticed yet must not bring that node straight
@@ -107,6 +113,7 @@ func NewDirectory(fallback LoadBalancer, sliceCount int, rng *rand.Rand, out tra
 		book:       book,
 		members:    make(map[int32][]transport.NodeID),
 		pins:       make(map[int32]transport.NodeID),
+		turns:      make(map[int32][]transport.NodeID),
 		asked:      make(map[int32]transport.NodeID),
 	}
 }
@@ -116,9 +123,9 @@ func NewDirectory(fallback LoadBalancer, sliceCount int, rng *rand.Rand, out tra
 func (d *Directory) SetLocal(node transport.NodeID) { d.local = node }
 
 // Contact implements LoadBalancer: the local node when it is a known
-// member of key's slice; else the slice's pin for this tick, drawn
-// uniformly from the known members by the first request that needs it;
-// or the fallback's choice while no member is known.
+// member of key's slice; else the slice's pin for this tick, drawn by
+// the first request that needs it; or the fallback's choice while no
+// member is known.
 func (d *Directory) Contact(key string) (transport.NodeID, bool) {
 	slice := slicing.KeySlice(key, d.sliceCount)
 	m := d.members[slice]
@@ -132,10 +139,25 @@ func (d *Directory) Contact(key string) (transport.NodeID, bool) {
 	}
 	pin, ok := d.pins[slice]
 	if !ok {
-		pin = m[d.rng.IntN(len(m))]
+		pin = d.draw(slice, m)
 		d.pins[slice] = pin
 	}
 	return pin, true
+}
+
+// draw takes slice's next turn: a uniform pick among the members m not
+// yet pinned in this round of turns, starting a new round once every
+// member has had one.
+func (d *Directory) draw(slice int32, m []transport.NodeID) transport.NodeID {
+	left := slices.DeleteFunc(d.turns[slice], func(n transport.NodeID) bool { return !slices.Contains(m, n) })
+	if len(left) == 0 {
+		left = append(left, m...)
+	}
+	i := d.rng.IntN(len(left))
+	pin := left[i]
+	left[i] = left[len(left)-1]
+	d.turns[slice] = left[:len(left)-1]
+	return pin
 }
 
 // endTick unpins every slice: the next request of each draws again.

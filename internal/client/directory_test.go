@@ -56,7 +56,8 @@ func isRandomContact(id transport.NodeID) bool { return id >= 1 && id <= 3 }
 
 // (a) A slice's contact is drawn once per client tick: every request of
 // the tick goes to the pinned member, and over many ticks the known
-// members share the pins evenly.
+// members share the pins evenly — after any tick, no member has been
+// pinned more than once beyond another.
 func TestDirectoryContactsSpreadUniformly(t *testing.T) {
 	cl, dir, _, _ := newDirectoryCore(t, Config{})
 	key := keyInSlice(t, 2, dirSlices)
@@ -69,6 +70,9 @@ func TestDirectoryContactsSpreadUniformly(t *testing.T) {
 		pin := tickContact(t, dir, key, perTick)
 		counts[pin]++
 		cl.Tick() // Core.Tick unpins
+		if lo, hi := min(counts[40], counts[41], counts[42]), max(counts[40], counts[41], counts[42]); hi-lo > 1 {
+			t.Fatalf("after %d ticks the pins are %v, want within one of each other", i+1, counts)
+		}
 	}
 	for _, member := range []transport.NodeID{40, 41, 42} {
 		if c := counts[member]; c < 850 || c > 1150 {
@@ -138,6 +142,36 @@ func TestDirectoryPinLeavesWithItsMember(t *testing.T) {
 			t.Fatalf("contact after the pin was replaced = %v, want a member of %v", next, dir.members[1])
 		}
 	})
+}
+
+// A member that leaves the slice loses the turns it was still owed, and
+// one that joins takes its first in the next round.
+func TestDirectoryTurnsFollowMembership(t *testing.T) {
+	_, dir, _, _ := newDirectoryCore(t, Config{})
+	key := keyInSlice(t, 1, dirSlices)
+	for _, member := range []transport.NodeID{40, 41, 42} {
+		dir.learn(key, member)
+	}
+	first := tickContact(t, dir, key, 2)
+	dir.endTick()
+	gone := transport.NodeID(40)
+	if first == gone {
+		gone = 41
+	}
+	dir.evict(key, gone)
+	if rest := tickContact(t, dir, key, 2); rest == first || rest == gone {
+		t.Fatalf("the round's last turn went to %v, want the member other than %v and the evicted %v", rest, first, gone)
+	}
+	dir.endTick()
+	dir.learn(key, 43)
+	var round []transport.NodeID
+	for range dir.members[1] {
+		round = append(round, tickContact(t, dir, key, 2))
+		dir.endTick()
+	}
+	if !slices.Equal(sortedIDs(round), sortedIDs(dir.members[1])) {
+		t.Errorf("next round pinned %v, want each of %v once", round, dir.members[1])
+	}
 }
 
 // (b) An attempt that carries Flood never enters its slice through the
@@ -305,6 +339,12 @@ func TestDirectoryEvictsRelayingAndSilentContacts(t *testing.T) {
 		}
 		if st := dir.stats; st.Evictions != 1 {
 			t.Errorf("evictions = %d, want 1", st.Evictions)
+		}
+		// The pin left with the relaying contact: the tick's next request
+		// goes to the acker.
+		cl.StartPut(key, 2, nil, nil)
+		if to := cap.sent[len(cap.sent)-1].To; to != 41 {
+			t.Errorf("next put of the tick went to %v, want the acker 41", to)
 		}
 	})
 
@@ -488,6 +528,13 @@ func tickContact(t *testing.T, dir *Directory, key string, n int) transport.Node
 	return first
 }
 
+// sortedIDs returns a sorted copy of ids.
+func sortedIDs(ids []transport.NodeID) []transport.NodeID {
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	return out
+}
+
 // pinsOf runs ticks ticks of perTick contacts each for key and counts
 // per node the ticks it took.
 func pinsOf(t *testing.T, dir *Directory, key string, ticks, perTick int) map[transport.NodeID]int {
@@ -626,8 +673,8 @@ func TestDirectoryFullSliceKeepsLocal(t *testing.T) {
 
 // A directory with no local node — every client but Node.NewClient's —
 // draws what it drew before the local node existed: the slot sequence
-// of a fixed seed, recorded at 1061266, and, one draw per tick, the
-// contact sequence recorded there for one draw per request.
+// of a fixed seed, recorded at 1061266. Its contacts are that seed's
+// deal, one turn per tick: the first 16 ticks pin each member once.
 func TestDirectoryWithoutLocalDrawsAsBefore(t *testing.T) {
 	_, dir, _, _ := newDirectoryCore(t, Config{})
 	key := keyInSlice(t, 2, dirSlices)
@@ -650,8 +697,11 @@ func TestDirectoryWithoutLocalDrawsAsBefore(t *testing.T) {
 		id, _ := dir.Contact(keyInSlice(t, 0, dirSlices)) // unknown slice: the random list
 		got = append(got, id)
 	}
+	if !slices.Equal(sortedIDs(got[:maxSliceMembers]), sortedIDs(wantMembers)) {
+		t.Errorf("first round of pins = %v, want each member once", got[:maxSliceMembers])
+	}
 	wantContacts := []transport.NodeID{
-		45, 95, 50, 46, 49, 94, 94, 52, 40, 91, 41, 49, 55, 40, 50, 49, 50, 94, 40, 90, 51, 47, 93, 49,
+		45, 52, 46, 95, 47, 40, 91, 49, 50, 93, 41, 92, 90, 55, 51, 94, 50, 46, 41, 93, 90, 51, 55, 95,
 		2, 3, 1, 3, 2, 2, 2, 1,
 	}
 	if !slices.Equal(got, wantContacts) {

@@ -56,7 +56,9 @@ func TestReplicationRepairRestoresReplicas(t *testing.T) {
 func TestLoadBalancerDirectoryCheaperAndSpread(t *testing.T) {
 	var rows []LBResult
 	if testing.Short() {
-		// The race run: ~13 contacts per member still tell a pin from a spread.
+		// The race run: 800 ops are 100 client ticks, so the directory
+		// deals each member of a 15-node slice about 6 of its ~90 pins
+		// (~13 contacts); a member that took every tick would read 15.
 		rows = LoadBalancerAblation(60, 4, 800, 17)
 	} else {
 		rows = quick("lb").Result.([]LBResult)
