@@ -13,6 +13,7 @@ import (
 	"dataflasks/internal/sim"
 	"dataflasks/internal/store"
 	"dataflasks/internal/transport"
+	"dataflasks/internal/wire"
 )
 
 // defaultMailbox bounds a client's mailbox; overflow drops messages,
@@ -98,7 +99,7 @@ func NewCluster(n int, cfg Config, opts ...ClusterOption) (*Cluster, error) {
 	c := &Cluster{
 		cfg:    cfg,
 		period: 100 * time.Millisecond,
-		net:    transport.NewChanNetwork(),
+		net:    transport.NewChanNetwork(wire.BinaryCodec()),
 		nodes:  make(map[NodeID]*core.Node, n),
 		nextID: 1,
 		nextCl: clientIDBase,

@@ -5,13 +5,11 @@
 //
 // Usage:
 //
-//	flaskscheck [-checks wiretable,noblock,...] [packages]
+//	flaskscheck [-checks noblock,ctxsend,...] [packages]
 //
 // Packages default to ./... resolved against the enclosing module.
 // Analyzers:
 //
-//	wiretable   every message has a stable kind, a binary codec and a
-//	            golden frame
 //	noblock     the core event loop never sleeps, does I/O, or blocks
 //	            on a channel send
 //	ctxsend     protocol Sends thread the caller ctx and handle the
@@ -34,12 +32,10 @@ import (
 	"dataflasks/internal/analysis/passes/ctxsend"
 	"dataflasks/internal/analysis/passes/lockhold"
 	"dataflasks/internal/analysis/passes/noblock"
-	"dataflasks/internal/analysis/passes/wiretable"
 )
 
 // All is the full analyzer suite, in reporting order.
 var All = []*analysis.Analyzer{
-	wiretable.Analyzer,
 	noblock.Analyzer,
 	ctxsend.Analyzer,
 	lockhold.Analyzer,

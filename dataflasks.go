@@ -130,8 +130,8 @@ type Config struct {
 	// PutAcks is how many replica acknowledgements complete a write
 	// (default 1; -1 makes writes fire-and-forget).
 	PutAcks int
-	// AntiEntropy enables replica repair between slice-mates
-	// (default on; the zero value enables it).
+	// DisableAntiEntropy turns off replica repair between slice-mates
+	// (repair is on by default).
 	DisableAntiEntropy bool
 	// MaxPushBytes bounds the value bytes per anti-entropy repair push
 	// message (default 1 MiB); a single larger object still ships
@@ -151,9 +151,6 @@ type Config struct {
 	// by default; set it on a node (re)joining a cluster that already
 	// holds data.
 	Bootstrap bool
-	// DisableBootstrap removes the segment-streaming protocol entirely:
-	// the node neither joins via segments nor serves them to joiners.
-	DisableBootstrap bool
 	// BootstrapRateBytes caps the bytes a node streams to joiners per
 	// gossip round (0 = 1 MiB default, negative = unlimited), so serving
 	// a cold joiner cannot starve foreground traffic.
@@ -218,7 +215,6 @@ func (c Config) coreConfig() core.Config {
 	cc.AntiEntropyMaxPushBytes = c.MaxPushBytes
 	cc.AntiEntropyRateBytes = c.RepairRateBytes
 	cc.Bootstrap = c.Bootstrap
-	cc.DisableBootstrap = c.DisableBootstrap
 	cc.BootstrapRateBytes = c.BootstrapRateBytes
 	cc.Store = core.StoreConfig{
 		Fsync:                  c.Fsync,

@@ -71,8 +71,6 @@ type Package struct {
 }
 
 // A Program is a set of packages loaded together, sharing one FileSet.
-// Analyzers that need cross-package context (wiretable's sent-type
-// scan) reach sibling packages through Pass.Program.
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
@@ -83,7 +81,6 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	Program  *Program
 
 	diags []Diagnostic
 }
@@ -131,7 +128,7 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Finding, error) {
 	var out []Finding
 	for _, a := range analyzers {
 		for _, pkg := range prog.Pkgs {
-			pass := &Pass{Analyzer: a, Fset: prog.Fset, Pkg: pkg, Program: prog}
+			pass := &Pass{Analyzer: a, Fset: prog.Fset, Pkg: pkg}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 			}

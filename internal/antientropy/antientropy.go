@@ -140,11 +140,6 @@ type Env struct {
 	// drops and what the fingerprints the node compares cover.
 	Slice  func() int32
 	Slices func() int
-	// OnDigestBytes, when non-nil, receives the approximate wire size
-	// of every difference-discovery message sent (Reconcile, Pull) — the
-	// bandwidth the node spends finding out WHAT to repair, as opposed
-	// to shipping the repairs.
-	OnDigestBytes func(n int)
 	// OnCompared, when non-nil, is called once per Reconcile answered
 	// that carries fingerprints, with how many of them differed from the
 	// local ones: zero on an opener is a clean round, the mate's store
@@ -258,7 +253,7 @@ func (p *Protocol) Tick(ctx context.Context) {
 		}
 		open.Sums = fingerprints(v.tallies(0, 0, width(total, headersPerSum)))
 	}
-	p.sendItems(ctx, peer, []Item{open})
+	p.send(ctx, peer, &Reconcile{Slice: p.env.Slice(), Items: []Item{open}})
 }
 
 // Handle processes anti-entropy traffic; it reports false for foreign
@@ -360,10 +355,9 @@ func (p *Protocol) reconcile(ctx context.Context, from transport.NodeID, msg []I
 		p.env.OnCompared(differing)
 	}
 	if len(out) > 0 {
-		p.sendItems(ctx, from, out)
+		p.send(ctx, from, &Reconcile{Slice: p.env.Slice(), Items: out})
 	}
 	if len(pull) > 0 {
-		p.noteDigestBytes(headersWireSize(pull))
 		p.send(ctx, from, &Pull{Headers: pull})
 	}
 	refs := make([]store.Ref, min(len(push), p.cfg.MaxPush))
@@ -551,35 +545,6 @@ func addPrefix(set *store.RangeSet, depth int, prefix uint64) {
 func (p *Protocol) send(ctx context.Context, to transport.NodeID, msg interface{}) {
 	//flasks:fire-and-forget Env.Send counts a failure; a later round retries
 	_ = p.env.Send.Send(ctx, to, msg)
-}
-
-func (p *Protocol) sendItems(ctx context.Context, to transport.NodeID, items []Item) {
-	n := 5 // slice and item count
-	for _, it := range items {
-		// Depth, the prefix as a uvarint, the sum count.
-		n += 2 + max(1, (int(it.Depth)+6)/7) + 8*len(it.Sums)
-		if len(it.Sums) == 0 {
-			n += 1 + headersWireSize(it.Headers)
-		}
-	}
-	p.noteDigestBytes(n)
-	p.send(ctx, to, &Reconcile{Slice: p.env.Slice(), Items: items})
-}
-
-func (p *Protocol) noteDigestBytes(n int) {
-	if p.env.OnDigestBytes != nil {
-		p.env.OnDigestBytes(n)
-	}
-}
-
-// headersWireSize approximates the encoded size of a header list: key
-// bytes plus version and length framing per entry.
-func headersWireSize(hs []Header) int {
-	n := 0
-	for _, h := range hs {
-		n += len(h.Key) + 10
-	}
-	return n
 }
 
 // inSlice reports whether a key belongs to the node's current slice.

@@ -320,34 +320,6 @@ func TestCorruptRecordNotPropagated(t *testing.T) {
 	}
 }
 
-// TestDigestBytesAccounting: between converged mates a ranged round must
-// report far fewer digest bytes than the full-header reference's list of
-// the same store.
-func TestDigestBytesAccounting(t *testing.T) {
-	const slice, k = 1, 4
-	run := func(wholeStore bool) int {
-		bytes := 0
-		h := newPair(t, Config{WholeStore: wholeStore}, slice, k)
-		h.a.env.OnDigestBytes = func(n int) { bytes += n }
-		h.b.env.OnDigestBytes = func(n int) { bytes += n }
-		for i, key := range keysInSlice(t, slice, k, 200) {
-			_ = h.sa.Put(key, uint64(i+1), []byte("v"))
-			_ = h.sb.Put(key, uint64(i+1), []byte("v"))
-		}
-		h.a.Tick(context.Background())
-		h.deliverAll()
-		return bytes
-	}
-	full := run(true)
-	ranged := run(false)
-	if ranged == 0 || full == 0 {
-		t.Fatalf("accounting hooks silent: full=%d ranged=%d", full, ranged)
-	}
-	if ranged*5 > full {
-		t.Fatalf("ranged digest bytes %d not >= 5x smaller than full %d", ranged, full)
-	}
-}
-
 func TestEvictForeign(t *testing.T) {
 	const slice, k = 1, 4
 	h := newPair(t, Config{EvictForeign: true}, slice, k)

@@ -11,7 +11,8 @@ import (
 // log engine, the initiator holding 50 000 headers, opened with range
 // fingerprints (ranged) or with a list of all local headers (WholeStore,
 // the full-header reference): the responder converged with it, 16
-// objects short, or cold. digest_B/round is what the round charged to
+// objects short, or cold. digest_B/round is the frame bytes of the
+// round's Reconciles and Pulls, what the mates charge to
 // flasks_antientropy_digest_bytes_total; msgs/round and walks/round
 // count messages sent and ForEachIn calls on both sides. A converged
 // ranged round is one message and no walk, or the benchmark fails.

@@ -49,7 +49,7 @@ type pair struct {
 	slice  [3]int32 // per node id; a test may move a node
 	queue  []transport.Envelope
 	log    []transport.Envelope // everything sent, in order
-	digest int                  // Σ OnDigestBytes
+	digest int                  // Σ frame bytes of the Reconciles and Pulls delivered
 	drop   func(env transport.Envelope) bool
 
 	clean, differing int // Σ OnCompared
@@ -73,10 +73,9 @@ func newPairOn(cfgA, cfgB antientropy.Config, slice int32, k int, sa, sb store.S
 				p.log = append(p.log, env)
 				return nil
 			}),
-			Partner:       func() (transport.NodeID, bool) { return peer, true },
-			Slice:         func() int32 { return p.slice[self] },
-			Slices:        func() int { return k },
-			OnDigestBytes: func(n int) { p.digest += n },
+			Partner: func() (transport.NodeID, bool) { return peer, true },
+			Slice:   func() int32 { return p.slice[self] },
+			Slices:  func() int { return k },
 			OnCompared: func(differing int) {
 				if differing == 0 {
 					p.clean++
@@ -99,6 +98,11 @@ func (p *pair) round(initiator *antientropy.Protocol) {
 		if p.drop != nil && p.drop(env) {
 			continue
 		}
+		switch env.Msg.(type) {
+		case *antientropy.Reconcile, *antientropy.Pull:
+			// What a node charges to flasks_antientropy_digest_bytes_total.
+			p.digest += frameLen(env)
+		}
 		to := p.a
 		if env.To == 2 {
 			to = p.b
@@ -114,11 +118,10 @@ func (p *pair) resetCounts() {
 }
 
 // frameLen is the message's size on the wire, from the real codec.
-func frameLen(t testing.TB, env transport.Envelope) int {
-	t.Helper()
+func frameLen(env transport.Envelope) int {
 	frame, err := wire.BinaryCodec().Encode(nil, &wire.Envelope{From: env.From, To: env.To, Msg: env.Msg})
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	return len(frame)
 }
@@ -175,7 +178,7 @@ func TestConvergedRoundIsOneSmallMessage(t *testing.T) {
 				t.Fatalf("%d headers, round %d: %d messages, want the opener alone: %+v", headers, r+1, len(p.log), p.log)
 			}
 			open := opener(t, p.log[0])
-			if got, max := frameLen(t, p.log[0]), 8*len(open.Sums)+64; got > max {
+			if got, max := frameLen(p.log[0]), 8*len(open.Sums)+64; got > max {
 				t.Fatalf("%d headers: opener of %d sums is %d B, want <= %d", headers, len(open.Sums), got, max)
 			}
 			if p.digest > 8*len(open.Sums)+64 || p.digest < 8*len(open.Sums) {
@@ -192,6 +195,29 @@ func TestConvergedRoundIsOneSmallMessage(t *testing.T) {
 		if got := len(opener(t, p.log[0]).Sums); got != want {
 			t.Fatalf("%d headers opened with %d sums, want %d", headers, got, want)
 		}
+	}
+}
+
+// TestDigestBytesAccounting: between converged mates a ranged round must
+// cost far fewer digest frame bytes than the full-header reference's
+// list of the same store.
+func TestDigestBytesAccounting(t *testing.T) {
+	const slice, k = 1, 4
+	keys := sliceKeys(slice, k, 200)
+	run := func(wholeStore bool) int {
+		cfg := antientropy.Config{WholeStore: wholeStore}
+		p := newPair(t, cfg, cfg, slice, k)
+		load(t, keys, p.sa, p.sb)
+		p.round(p.a)
+		return p.digest
+	}
+	full := run(true)
+	ranged := run(false)
+	if ranged == 0 || full == 0 {
+		t.Fatalf("no digest frames delivered: full=%d ranged=%d", full, ranged)
+	}
+	if ranged*5 > full {
+		t.Fatalf("ranged digest bytes %d not >= 5x smaller than full %d", ranged, full)
 	}
 }
 

@@ -51,7 +51,7 @@ type Routing struct {
 // request is a data-plane message as the routing skeleton (handleData)
 // sees it: the header, the key that names the target slice and the
 // owning shard, and a copy to rewrite for the next hop — messages are
-// immutable, the fabric may deliver one pointer to many recipients.
+// immutable, since a node's own clients receive the pointer it sent.
 type request interface {
 	routing() *Routing
 	// routeKey is the request's key, a batch's first; false for an empty

@@ -55,6 +55,9 @@ type Node struct {
 	// is atomic, so the plane reads it live while the loop observes.
 	trace   *obs.Ring
 	tickDur metrics.LatencyHistogram
+	// aeDigest is the digest-bytes counter as the previous traced repair
+	// round read it.
+	aeDigest uint64
 
 	lastSlice int32
 
@@ -169,12 +172,11 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 				WholeStore:        cfg.AntiEntropyWholeStore,
 			},
 			antientropy.Env{
-				Store:         st,
-				Send:          n.sender(metrics.AntiEntropySent),
-				Partner:       func() (transport.NodeID, bool) { return n.intra.Random(aeRNG) },
-				Slice:         n.currentSlice,
-				Slices:        n.slicer.SliceCount,
-				OnDigestBytes: func(b int) { n.met.Add(metrics.AntiEntropyDigestBytes, uint64(b)) },
+				Store:   st,
+				Send:    n.sender(metrics.AntiEntropySent),
+				Partner: func() (transport.NodeID, bool) { return n.intra.Random(aeRNG) },
+				Slice:   n.currentSlice,
+				Slices:  n.slicer.SliceCount,
 				OnCompared: func(differing int) {
 					if differing == 0 {
 						n.met.Inc(metrics.AntiEntropyCleanRounds)
@@ -273,6 +275,7 @@ func (n *Node) Metrics() *metrics.NodeMetrics {
 // (harnesses reset between quiesced experiment phases).
 func (n *Node) ResetMetrics() {
 	n.met.Reset()
+	n.aeDigest = 0
 	for _, s := range n.shards {
 		s.met.Reset()
 	}
@@ -484,19 +487,19 @@ func (n *Node) Tick(ctx context.Context) {
 	}
 	if n.ae != nil && n.cfg.AntiEntropyEvery > 0 && n.round%uint64(n.cfg.AntiEntropyEvery) == 0 {
 		if n.trace != nil {
-			// Journal the round's repair cost as counter deltas around
-			// the tick: the digest bytes charged and objects pushed from
-			// this round's exchange start (replies land in later events'
-			// deltas only if traced rounds repeat — good enough to see a
-			// repair storm in /trace).
-			dig0 := n.met.Get(metrics.AntiEntropyDigestBytes)
+			// Journal the round's repair cost as counter deltas: the
+			// digest bytes received since the previous repair round and
+			// the objects pushed from this round's exchange start (good
+			// enough to see a repair storm in /trace).
+			dig := n.met.Get(metrics.AntiEntropyDigestBytes)
 			obj0 := n.met.Get(metrics.AntiEntropyPushedObjects)
 			t0 := time.Now()
 			n.ae.Tick(ctx)
 			n.trace.Add(obs.Event{Kind: obs.TraceAERound,
-				Bytes:   n.met.Get(metrics.AntiEntropyDigestBytes) - dig0,
+				Bytes:   dig - n.aeDigest,
 				Objects: n.met.Get(metrics.AntiEntropyPushedObjects) - obj0,
 				Dur:     time.Since(t0)})
+			n.aeDigest = dig
 		} else {
 			n.ae.Tick(ctx)
 		}
@@ -568,6 +571,12 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 			return
 		}
 	}
+	switch env.Msg.(type) {
+	case *antientropy.Reconcile, *antientropy.Pull:
+		// What finding out what to repair costs: the encoded frames of
+		// the exchange, charged where they arrive.
+		n.met.Add(metrics.AntiEntropyDigestBytes, uint64(env.Bytes))
+	}
 	if n.ae != nil && n.ae.Handle(ctx, env.From, env.Msg) {
 		return
 	}
@@ -585,8 +594,8 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 // handleData is the paper's one request handler (§IV-B) for every
 // data-plane kind: suppress a duplicate, carry a request for another
 // slice through the TTL-bounded global phase, apply one for this slice
-// and pass it on to the mates. Messages are immutable (the fabric may
-// deliver one pointer to many recipients): relays work on copies. from
+// and pass it on to the mates. Messages are immutable (a node's own
+// clients receive the pointer it sent): relays work on copies. from
 // is the sender, which no relay hands the request straight back to.
 func (n *Node) handleData(ctx context.Context, s *dataShard, from transport.NodeID, req request) {
 	r := req.routing()

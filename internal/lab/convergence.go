@@ -52,8 +52,9 @@ type ChurnConvergenceResult struct {
 	// MinCoverage is the final min over objects of
 	// holders-in-slice / slice-members (1.0 = fully replicated).
 	MinCoverage float64
-	// DigestBytes sums difference-discovery bytes sent (fingerprints,
-	// header lists, pull lists) across all nodes in the window.
+	// DigestBytes sums the encoded frame bytes of the
+	// difference-discovery messages received (Reconcile, Pull) across
+	// all nodes in the window.
 	DigestBytes uint64
 	// PushBytes sums repaired value bytes shipped; PushedObjects the
 	// object count.

@@ -9,6 +9,7 @@ import (
 	"dataflasks/internal/sim"
 	"dataflasks/internal/store"
 	"dataflasks/internal/transport"
+	"dataflasks/internal/wire"
 )
 
 // simNode is what the scaffold asks of a protocol node, DataFlasks or
@@ -46,7 +47,7 @@ func newPopulation[N simNode](net transport.SimNetworkConfig, stream uint64, del
 	engine := sim.NewEngine()
 	return population[N]{
 		Engine:  engine,
-		Net:     transport.NewSimNetwork(engine, net),
+		Net:     transport.NewSimNetwork(engine, wire.BinaryCodec(), net),
 		rng:     sim.RNG(net.Seed, stream),
 		nodes:   make(map[transport.NodeID]N),
 		tickers: make(map[transport.NodeID]func()),

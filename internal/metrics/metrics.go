@@ -15,8 +15,7 @@
 // bandwidth split (digest bytes vs pushed value bytes) the repair
 // experiments assert on. Summary/SummarizeValues compute the
 // distribution statistics the paper's figures report (mean, min/max,
-// percentiles), Histogram renders small-value distributions (in-
-// degree), and Series renders (x, y) tables in gnuplot form.
+// percentiles).
 package metrics
 
 import (
@@ -24,7 +23,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,9 +52,9 @@ const (
 	DataSent
 	// AntiEntropySent counts anti-entropy digest/pull messages sent.
 	AntiEntropySent
-	// AntiEntropyDigestBytes sums the approximate wire bytes of repair
-	// difference-discovery traffic sent (fingerprints, header lists,
-	// pull lists) — the cost of finding out WHAT to repair.
+	// AntiEntropyDigestBytes sums the encoded frame bytes of the repair
+	// difference-discovery messages received (Reconcile, Pull) — the
+	// cost of finding out WHAT to repair.
 	AntiEntropyDigestBytes
 	// AntiEntropyPushBytes sums the value bytes shipped in repair
 	// pushes — the cost of the repairs themselves.
@@ -554,102 +552,4 @@ func percentile(sorted []uint64, q float64) uint64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// Histogram is a fixed-bucket histogram for small non-negative values
-// (for example per-node in-degree). The zero value is unusable; create
-// with NewHistogram.
-type Histogram struct {
-	buckets []uint64
-	width   uint64
-	over    uint64
-	count   uint64
-	sum     uint64
-}
-
-// NewHistogram creates a histogram with n buckets of the given width.
-// Values >= n*width are counted in an overflow bucket.
-func NewHistogram(n int, width uint64) *Histogram {
-	if n <= 0 || width == 0 {
-		panic("metrics: histogram needs n > 0 and width > 0")
-	}
-	return &Histogram{buckets: make([]uint64, n), width: width}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	h.count++
-	h.sum += v
-	idx := v / h.width
-	if int(idx) >= len(h.buckets) {
-		h.over++
-		return
-	}
-	h.buckets[idx]++
-}
-
-// Count returns the number of observed samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the mean of observed samples (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Overflow returns the count of samples beyond the last bucket.
-func (h *Histogram) Overflow() uint64 { return h.over }
-
-// String renders a compact ASCII view, one line per non-empty bucket.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "[%4d,%4d) %6d %s\n",
-			uint64(i)*h.width, uint64(i+1)*h.width, c, bar(c, h.count))
-	}
-	if h.over > 0 {
-		fmt.Fprintf(&b, "[%4d,  +∞) %6d %s\n",
-			uint64(len(h.buckets))*h.width, h.over, bar(h.over, h.count))
-	}
-	return b.String()
-}
-
-func bar(c, total uint64) string {
-	if total == 0 {
-		return ""
-	}
-	n := int(float64(c) / float64(total) * 40)
-	return strings.Repeat("#", n)
-}
-
-// Series accumulates (x, y) points for a figure and renders them as the
-// rows the paper's plots report.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Append adds one point.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Table renders aligned "x y" rows with a header, mirroring gnuplot input.
-func (s *Series) Table(xLabel, yLabel string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s\n# %-12s %s\n", s.Name, xLabel, yLabel)
-	for i := range s.X {
-		fmt.Fprintf(&b, "%-14.6g %.6g\n", s.X[i], s.Y[i])
-	}
-	return b.String()
 }

@@ -122,52 +122,3 @@ func TestSummaryPropertyBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(4, 10)
-	for _, v := range []uint64{0, 5, 9, 10, 25, 39, 40, 1000} {
-		h.Observe(v)
-	}
-	if h.Count() != 8 {
-		t.Errorf("Count = %d, want 8", h.Count())
-	}
-	if h.Bucket(0) != 3 { // 0, 5, 9
-		t.Errorf("bucket 0 = %d, want 3", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 { // 10
-		t.Errorf("bucket 1 = %d, want 1", h.Bucket(1))
-	}
-	if h.Overflow() != 2 { // 40, 1000
-		t.Errorf("overflow = %d, want 2", h.Overflow())
-	}
-	if h.Mean() != (0+5+9+10+25+39+40+1000)/8.0 {
-		t.Errorf("mean = %v", h.Mean())
-	}
-	if !strings.Contains(h.String(), "#") {
-		t.Errorf("String() has no bars:\n%s", h.String())
-	}
-}
-
-func TestHistogramBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(0, 10)
-}
-
-func TestSeriesTable(t *testing.T) {
-	var s Series
-	s.Name = "fig"
-	s.Append(500, 100.5)
-	s.Append(1000, 101)
-	out := s.Table("nodes", "msgs")
-	if !strings.Contains(out, "# fig") || !strings.Contains(out, "500") || !strings.Contains(out, "101") {
-		t.Errorf("table output:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 { // 2 header + 2 data
-		t.Errorf("table has %d lines, want 4:\n%s", len(lines), out)
-	}
-}

@@ -41,8 +41,8 @@ const (
 	// TraceDeleteRelay: a delete was forwarded during routing.
 	TraceDeleteRelay
 	// TraceAERound: one anti-entropy tick. Bytes is the digest bytes
-	// charged during the tick, Objects the repair objects pushed from
-	// it, Dur the tick's duration.
+	// received since the previous tick, Objects the repair objects
+	// pushed from it, Dur the tick's duration.
 	TraceAERound
 	// TraceShuffle: one peer-sampling shuffle tick; Dur is its
 	// duration.

@@ -12,6 +12,8 @@ import (
 // (or on a timer's, under SetDelay). Handlers must not block; what a
 // recipient cannot take it drops and counts itself, as behind a socket.
 type ChanNetwork struct {
+	codec    WireCodec
+	frames   sync.Pool // *[]byte, reused frame buffers
 	mu       sync.RWMutex
 	handlers map[NodeID]func(Envelope)
 	closed   bool
@@ -25,9 +27,17 @@ type ChanNetwork struct {
 	dropped   atomic.Uint64
 }
 
-// NewChanNetwork creates an empty in-process fabric.
-func NewChanNetwork() *ChanNetwork {
-	return &ChanNetwork{handlers: make(map[NodeID]func(Envelope))}
+// NewChanNetwork creates an empty in-process fabric; every message it
+// carries goes through codec.
+func NewChanNetwork(codec WireCodec) *ChanNetwork {
+	if codec == nil {
+		panic("transport: NewChanNetwork requires a codec")
+	}
+	return &ChanNetwork{
+		codec:    codec,
+		frames:   sync.Pool{New: func() any { return new([]byte) }},
+		handlers: make(map[NodeID]func(Envelope)),
+	}
 }
 
 // Attach registers handler for id and returns the node's sender. The
@@ -86,16 +96,20 @@ func (n *ChanNetwork) Stats() Stats {
 	}
 }
 
-// Send implements Fabric. A cancelled ctx drops the message before it
+// Send implements Fabric. The message is encoded and decoded at once,
+// whatever becomes of it. A cancelled ctx drops the message before it
 // is delivered; in-flight delayed deliveries are not recalled (like a
 // real network).
 func (n *ChanNetwork) Send(ctx context.Context, to NodeID, env Envelope) error {
+	env.To = to
+	buf := n.frames.Get().(*[]byte)
+	env, *buf = carry(n.codec, *buf, env)
+	n.frames.Put(buf)
 	n.sent.Add(1)
 	if err := ctx.Err(); err != nil {
 		n.dropped.Add(1)
 		return err
 	}
-	env.To = to
 	n.mu.RLock()
 	delay := n.delay
 	n.mu.RUnlock()

@@ -12,6 +12,7 @@ import (
 	"dataflasks/internal/core"
 	"dataflasks/internal/metrics"
 	"dataflasks/internal/pss"
+	"dataflasks/internal/sim"
 	"dataflasks/internal/transport"
 	"dataflasks/internal/wire"
 )
@@ -92,5 +93,121 @@ func TestTCPBinaryFraming(t *testing.T) {
 	}
 	if encoded.Load() == 0 {
 		t.Error("wire_encode_bytes not counted on framed path")
+	}
+}
+
+// fabric is one in-memory fabric under test: attach registers a
+// handler and returns the node's sender, flush runs what is in flight.
+type fabric struct {
+	name   string
+	attach func(id transport.NodeID, h func(transport.Envelope)) transport.Sender
+	flush  func()
+}
+
+// memFabrics returns a fresh simulated and a fresh in-process fabric,
+// both over the real codec.
+func memFabrics(t *testing.T) []fabric {
+	t.Helper()
+	engine := sim.NewEngine()
+	simNet := transport.NewSimNetwork(engine, wire.BinaryCodec(), transport.SimNetworkConfig{Latency: transport.FixedLatency(time.Millisecond)})
+	chanNet := transport.NewChanNetwork(wire.BinaryCodec())
+	t.Cleanup(chanNet.Close)
+	return []fabric{
+		{"sim", simNet.Attach, func() { engine.RunUntilIdle(0) }},
+		{"chan", func(id transport.NodeID, h func(transport.Envelope)) transport.Sender {
+			s, err := chanNet.Attach(id, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, func() {}},
+	}
+}
+
+// TestFabricsDeliverACopy: what a receiver gets is its own decoded
+// copy, so a sender that reuses a sent message's value after Send does
+// not change it — as over TCP.
+func TestFabricsDeliverACopy(t *testing.T) {
+	for _, f := range memFabrics(t) {
+		var got []transport.Envelope
+		f.attach(2, func(env transport.Envelope) { got = append(got, env) })
+		s := f.attach(1, func(transport.Envelope) {})
+		put := &core.PutRequest{Routing: core.Routing{ID: 9, Origin: 1, TTL: 3}, Key: "k", Version: 1, Value: []byte("v1")}
+		if err := s.Send(context.Background(), 2, put); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		copy(put.Value, "xx")
+		put.Key = "other"
+		f.flush()
+		if len(got) != 1 {
+			t.Fatalf("%s: %d deliveries, want 1", f.name, len(got))
+		}
+		p, ok := got[0].Msg.(*core.PutRequest)
+		if !ok || p == put || p.Key != "k" || string(p.Value) != "v1" {
+			t.Errorf("%s: receiver got %#v, want its own copy of key k, value v1", f.name, got[0].Msg)
+		}
+	}
+}
+
+// TestFabricsPanicOnUnregisteredMessage: a send of a type the codec
+// cannot encode panics with the codec's error on every in-memory
+// fabric, whether or not its recipient exists.
+func TestFabricsPanicOnUnregisteredMessage(t *testing.T) {
+	type unregistered struct{ X int }
+	msg := &unregistered{X: 1}
+	_, want := wire.BinaryCodec().Encode(nil, &wire.Envelope{Msg: msg})
+	if want == nil {
+		t.Fatal("the codec encoded an unregistered type")
+	}
+	for _, f := range memFabrics(t) {
+		f.attach(2, func(transport.Envelope) {})
+		s := f.attach(1, func(transport.Envelope) {})
+		for _, to := range []transport.NodeID{2, 99} {
+			func() {
+				defer func() {
+					err, ok := recover().(error)
+					if !ok || err.Error() != want.Error() {
+						t.Errorf("%s: send to %v panicked with %v, want %v", f.name, to, err, want)
+					}
+				}()
+				_ = s.Send(context.Background(), to, msg)
+			}()
+		}
+	}
+}
+
+// TestEnvelopeBytesIsFrameLength: every fabric stamps a delivered
+// envelope with the length of the frame the codec encoded for it.
+func TestEnvelopeBytesIsFrameLength(t *testing.T) {
+	put := &core.PutRequest{Routing: core.Routing{ID: 9, Origin: 1, TTL: 3}, Key: "k", Version: 1, Value: []byte("value")}
+	frameLen := func(fromAddr string) int {
+		frame, err := wire.BinaryCodec().Encode(nil, &wire.Envelope{From: 1, FromAddr: fromAddr, To: 2, Msg: put})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(frame)
+	}
+	for _, f := range memFabrics(t) {
+		var got []transport.Envelope
+		f.attach(2, func(env transport.Envelope) { got = append(got, env) })
+		if err := f.attach(1, func(transport.Envelope) {}).Send(context.Background(), 2, put); err != nil {
+			t.Fatal(err)
+		}
+		f.flush()
+		if len(got) != 1 || got[0].Bytes != frameLen("") {
+			t.Errorf("%s: delivered %+v, want Bytes = %d", f.name, got, frameLen(""))
+		}
+	}
+
+	// TCP: the stream's first frame announces the sender's address.
+	col := newCollector()
+	b := listenTCP(t, 2, transport.TCPConfig{Codec: wire.BinaryCodec()}, col.handler)
+	a := listenTCP(t, 1, transport.TCPConfig{Codec: wire.BinaryCodec()}, func(transport.Envelope) {})
+	a.Learn(2, b.Addr())
+	if err := a.Sender().Send(context.Background(), 2, put); err != nil {
+		t.Fatal(err)
+	}
+	if env := col.wait(t); env.Bytes != frameLen(a.Addr()) {
+		t.Errorf("tcp: Bytes = %d, want %d", env.Bytes, frameLen(a.Addr()))
 	}
 }

@@ -13,6 +13,8 @@ import (
 // deterministic for a fixed seed.
 type SimNetwork struct {
 	engine    *sim.Engine
+	codec     WireCodec
+	scratch   []byte // reused frame buffer
 	rng       *rand.Rand
 	latency   LatencyModel
 	lossRate  float64
@@ -32,10 +34,11 @@ type SimNetworkConfig struct {
 	Seed uint64
 }
 
-// NewSimNetwork creates a simulated fabric on the given engine.
-func NewSimNetwork(engine *sim.Engine, cfg SimNetworkConfig) *SimNetwork {
-	if engine == nil {
-		panic("transport: NewSimNetwork requires an engine")
+// NewSimNetwork creates a simulated fabric on the given engine; every
+// message it carries goes through codec.
+func NewSimNetwork(engine *sim.Engine, codec WireCodec, cfg SimNetworkConfig) *SimNetwork {
+	if engine == nil || codec == nil {
+		panic("transport: NewSimNetwork requires an engine and a codec")
 	}
 	lat := cfg.Latency
 	if lat == nil {
@@ -43,6 +46,7 @@ func NewSimNetwork(engine *sim.Engine, cfg SimNetworkConfig) *SimNetwork {
 	}
 	return &SimNetwork{
 		engine:   engine,
+		codec:    codec,
 		rng:      sim.RNG(cfg.Seed, 0xfab),
 		latency:  lat,
 		lossRate: cfg.LossRate,
@@ -91,11 +95,14 @@ func (n *SimNetwork) Partition(inA func(NodeID) bool) (heal func()) {
 // Stats returns fabric-level delivery counters.
 func (n *SimNetwork) Stats() Stats { return n.stats }
 
-// Send implements Fabric. The simulation is single-threaded and
+// Send implements Fabric. The message is encoded and decoded at once,
+// whatever becomes of it. The simulation is single-threaded and
 // deterministic, so ctx is accounting-only: a cancelled ctx drops the
 // message, nothing ever blocks.
 func (n *SimNetwork) Send(ctx context.Context, to NodeID, env Envelope) error {
 	from := env.From
+	env.To = to
+	env, n.scratch = carry(n.codec, n.scratch, env)
 	n.stats.Sent++
 	if err := ctx.Err(); err != nil {
 		n.stats.Dropped++
@@ -118,7 +125,6 @@ func (n *SimNetwork) Send(ctx context.Context, to NodeID, env Envelope) error {
 		n.stats.Dropped++
 		return ErrUnknownPeer
 	}
-	env.To = to
 	delay := n.latency(n.rng)
 	n.engine.Schedule(delay, func() {
 		h, ok := n.handlers[to]

@@ -367,22 +367,22 @@ func (t *TCPNetwork) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if !t.deliver(env, br.Buffered() == 0) {
+		if !t.deliver(env, int(n), br.Buffered() == 0) {
 			return
 		}
 	}
 }
 
-// deliver hands one decoded envelope to the node, marked Last when the
-// read loop holds no further frame of its stream; it reports false when
-// the fabric is shutting down.
-func (t *TCPNetwork) deliver(env *WireEnvelope, last bool) bool {
+// deliver hands one decoded envelope of a frame of the given length to
+// the node, marked Last when the read loop holds no further frame of its
+// stream; it reports false when the fabric is shutting down.
+func (t *TCPNetwork) deliver(env *WireEnvelope, bytes int, last bool) bool {
 	if t.closed.Load() {
 		return false
 	}
 	if env.FromAddr != "" {
 		t.Learn(env.From, env.FromAddr)
 	}
-	t.handler(Envelope{From: env.From, To: env.To, Msg: env.Msg, Last: last})
+	t.handler(Envelope{From: env.From, To: env.To, Msg: env.Msg, Bytes: bytes, Last: last})
 	return true
 }

@@ -243,7 +243,7 @@ func TestTCPDeliverConcurrentWithSend(t *testing.T) {
 		go func(from NodeID) {
 			defer wg.Done()
 			for i := 0; i < frames; i++ {
-				if !a.deliver(&WireEnvelope{From: from, FromAddr: "127.0.0.1:9", To: 1, Msg: &tcpTestMsg{}}, true) {
+				if !a.deliver(&WireEnvelope{From: from, FromAddr: "127.0.0.1:9", To: 1, Msg: &tcpTestMsg{}}, 0, true) {
 					t.Error("deliver refused a frame on an open fabric")
 					return
 				}
@@ -270,7 +270,7 @@ func TestTCPDeliverConcurrentWithSend(t *testing.T) {
 			t.Fatalf("peer %d learned as %q", 10+g, addr)
 		}
 	}
-	a.deliver(&WireEnvelope{From: 10, FromAddr: "127.0.0.1:10", To: 1, Msg: &tcpTestMsg{}}, true)
+	a.deliver(&WireEnvelope{From: 10, FromAddr: "127.0.0.1:10", To: 1, Msg: &tcpTestMsg{}}, 0, true)
 	if addr := peerAddr(10); addr != "127.0.0.1:10" {
 		t.Fatalf("changed address not taken: peer 10 is %q", addr)
 	}

@@ -10,9 +10,13 @@
 // depends only on the narrow Sender interface bound to one originating
 // node, so the same node logic runs unchanged on all fabrics.
 //
-// The TCP fabric's wire format is supplied as a WireCodec: a stream is
-// a sequence of length-prefixed frames. There is no per-connection
-// handshake.
+// Every fabric carries encoded frames. Each is built with a WireCodec
+// (the wire package's BinaryCodec): the TCP fabric writes a stream of
+// length-prefixed frames, with no per-connection handshake, and the
+// simulated and in-process fabrics encode each message and hand the
+// receiver the decoded copy. So no receiver shares a sender's value,
+// a message the codec cannot carry fails wherever it is first sent,
+// and every delivered Envelope carries its frame length in Bytes.
 package transport
 
 import (
@@ -33,6 +37,9 @@ type Envelope struct {
 	From NodeID
 	To   NodeID
 	Msg  interface{}
+	// Bytes is the length of the encoded frame the message arrived as,
+	// set by every fabric on delivery.
+	Bytes int
 	// Last is set by the TCP fabric when no further frame of the stream
 	// this one arrived on was already read: nothing behind it waits for
 	// its handler to return. Every other fabric leaves it false.
@@ -107,6 +114,23 @@ type WireCodec interface {
 	Encode(buf []byte, env *WireEnvelope) ([]byte, error)
 	// Decode parses one frame (the whole slice).
 	Decode(data []byte) (*WireEnvelope, error)
+}
+
+// carry is what the simulated and in-process fabrics do in place of a
+// socket: encode env as the frame TCP would write, into buf, and return
+// the receiver's decoded copy stamped with the frame length, plus buf
+// for reuse. The receiver never shares the sender's value. A codec error
+// panics: a message the wire cannot carry is a bug, not a loss.
+func carry(codec WireCodec, buf []byte, env Envelope) (Envelope, []byte) {
+	buf, err := codec.Encode(buf[:0], &WireEnvelope{From: env.From, To: env.To, Msg: env.Msg})
+	if err != nil {
+		panic(err)
+	}
+	got, err := codec.Decode(buf)
+	if err != nil {
+		panic(err)
+	}
+	return Envelope{From: got.From, To: got.To, Msg: got.Msg, Bytes: len(buf)}, buf
 }
 
 // Common delivery errors.

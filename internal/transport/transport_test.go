@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,12 +12,14 @@ import (
 	"dataflasks/internal/sim"
 )
 
+func text(s string) *tcpTestMsg { return &tcpTestMsg{Text: s} }
+
 // --- SimNetwork -------------------------------------------------------------
 
 func simPair(t *testing.T, cfg SimNetworkConfig) (*sim.Engine, *SimNetwork) {
 	t.Helper()
 	engine := sim.NewEngine()
-	return engine, NewSimNetwork(engine, cfg)
+	return engine, NewSimNetwork(engine, textCodec{}, cfg)
 }
 
 func TestSimNetworkDelivers(t *testing.T) {
@@ -25,11 +28,11 @@ func TestSimNetworkDelivers(t *testing.T) {
 	net.Attach(2, func(env Envelope) { got = append(got, env) })
 	s1 := net.Attach(1, func(Envelope) {})
 
-	if err := s1.Send(context.Background(), 2, "hello"); err != nil {
+	if err := s1.Send(context.Background(), 2, text("hello")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	engine.RunUntilIdle(0)
-	if len(got) != 1 || got[0].From != 1 || got[0].Msg != "hello" {
+	if len(got) != 1 || got[0].From != 1 || got[0].Msg.(*tcpTestMsg).Text != "hello" {
 		t.Fatalf("delivered = %+v", got)
 	}
 	stats := net.Stats()
@@ -41,7 +44,7 @@ func TestSimNetworkDelivers(t *testing.T) {
 func TestSimNetworkUnknownPeer(t *testing.T) {
 	engine, net := simPair(t, SimNetworkConfig{})
 	s := net.Attach(1, func(Envelope) {})
-	if err := s.Send(context.Background(), 99, "x"); !errors.Is(err, ErrUnknownPeer) {
+	if err := s.Send(context.Background(), 99, text("x")); !errors.Is(err, ErrUnknownPeer) {
 		t.Errorf("err = %v, want ErrUnknownPeer", err)
 	}
 	engine.RunUntilIdle(0)
@@ -55,14 +58,14 @@ func TestSimNetworkDetachDropsInFlight(t *testing.T) {
 	delivered := 0
 	net.Attach(2, func(Envelope) { delivered++ })
 	s1 := net.Attach(1, func(Envelope) {})
-	_ = s1.Send(context.Background(), 2, "in flight")
+	_ = s1.Send(context.Background(), 2, text("in flight"))
 	net.Detach(2) // crash before delivery
 	engine.RunUntilIdle(0)
 	if delivered != 0 {
 		t.Error("message delivered to crashed node")
 	}
 	// Sends from a crashed node drop too.
-	if err := s1.Send(context.Background(), 2, "x"); err == nil {
+	if err := s1.Send(context.Background(), 2, text("x")); err == nil {
 		t.Error("send to detached peer succeeded")
 	}
 }
@@ -72,7 +75,7 @@ func TestSimNetworkSenderOfDetachedNodeFails(t *testing.T) {
 	net.Attach(2, func(Envelope) {})
 	s1 := net.Attach(1, func(Envelope) {})
 	net.Detach(1)
-	if err := s1.Send(context.Background(), 2, "zombie"); !errors.Is(err, ErrPeerDown) {
+	if err := s1.Send(context.Background(), 2, text("zombie")); !errors.Is(err, ErrPeerDown) {
 		t.Errorf("zombie send err = %v, want ErrPeerDown", err)
 	}
 	engine.RunUntilIdle(0)
@@ -85,7 +88,7 @@ func TestSimNetworkLossRate(t *testing.T) {
 	s1 := net.Attach(1, func(Envelope) {})
 	const total = 1000
 	for i := 0; i < total; i++ {
-		_ = s1.Send(context.Background(), 2, i)
+		_ = s1.Send(context.Background(), 2, text(strconv.Itoa(i)))
 	}
 	engine.RunUntilIdle(0)
 	if delivered < total/3 || delivered > total*2/3 {
@@ -103,14 +106,14 @@ func TestSimNetworkPartitionAndHeal(t *testing.T) {
 	s1 := net.Attach(1, func(Envelope) { delivered[1]++ })
 
 	heal := net.Partition(func(id NodeID) bool { return id <= 2 })
-	_ = s1.Send(context.Background(), 2, "same side")
-	_ = s1.Send(context.Background(), 3, "cross")
+	_ = s1.Send(context.Background(), 2, text("same side"))
+	_ = s1.Send(context.Background(), 3, text("cross"))
 	engine.RunUntilIdle(0)
 	if delivered[2] != 1 || delivered[3] != 0 {
 		t.Fatalf("partition: delivered = %v", delivered)
 	}
 	heal()
-	_ = s1.Send(context.Background(), 3, "healed")
+	_ = s1.Send(context.Background(), 3, text("healed"))
 	engine.RunUntilIdle(0)
 	if delivered[3] != 1 {
 		t.Fatalf("heal: delivered = %v", delivered)
@@ -123,7 +126,7 @@ func TestSimNetworkDeterministic(t *testing.T) {
 		net.Attach(2, func(Envelope) {})
 		s1 := net.Attach(1, func(Envelope) {})
 		for i := 0; i < 200; i++ {
-			_ = s1.Send(context.Background(), 2, i)
+			_ = s1.Send(context.Background(), 2, text(strconv.Itoa(i)))
 		}
 		engine.RunUntilIdle(0)
 		return net.Stats().Delivered
@@ -136,7 +139,7 @@ func TestSimNetworkDeterministic(t *testing.T) {
 // --- ChanNetwork -------------------------------------------------------------
 
 func TestChanNetworkRoundTrip(t *testing.T) {
-	net := NewChanNetwork()
+	net := NewChanNetwork(textCodec{})
 	defer net.Close()
 	var got []Envelope
 	if _, err := net.Attach(2, func(env Envelope) { got = append(got, env) }); err != nil {
@@ -146,11 +149,11 @@ func TestChanNetworkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Send(context.Background(), 2, "ping"); err != nil {
+	if err := s1.Send(context.Background(), 2, text("ping")); err != nil {
 		t.Fatal(err)
 	}
 	// No delay model: the handler ran on the sender's goroutine.
-	if len(got) != 1 || got[0].From != 1 || got[0].To != 2 || got[0].Msg != "ping" {
+	if len(got) != 1 || got[0].From != 1 || got[0].To != 2 || got[0].Msg.(*tcpTestMsg).Text != "ping" {
 		t.Fatalf("delivered %+v", got)
 	}
 	if st := net.Stats(); st.Sent != 1 || st.Delivered != 1 || st.Dropped != 0 {
@@ -159,7 +162,7 @@ func TestChanNetworkRoundTrip(t *testing.T) {
 }
 
 func TestChanNetworkDuplicateAttach(t *testing.T) {
-	net := NewChanNetwork()
+	net := NewChanNetwork(textCodec{})
 	defer net.Close()
 	if _, err := net.Attach(1, func(Envelope) {}); err != nil {
 		t.Fatal(err)
@@ -173,16 +176,16 @@ func TestChanNetworkDuplicateAttach(t *testing.T) {
 // the sender gets the error, the fabric counts the drop and the handler
 // is not called again.
 func TestChanNetworkDetachDropsSends(t *testing.T) {
-	net := NewChanNetwork()
+	net := NewChanNetwork(textCodec{})
 	defer net.Close()
 	calls := 0
 	_, _ = net.Attach(1, func(Envelope) { calls++ })
 	s2, _ := net.Attach(2, func(Envelope) {})
-	if err := s2.Send(context.Background(), 1, "there"); err != nil || calls != 1 {
+	if err := s2.Send(context.Background(), 1, text("there")); err != nil || calls != 1 {
 		t.Fatalf("send to attached: err=%v calls=%d", err, calls)
 	}
 	net.Detach(1)
-	if err := s2.Send(context.Background(), 1, "gone"); !errors.Is(err, ErrUnknownPeer) {
+	if err := s2.Send(context.Background(), 1, text("gone")); !errors.Is(err, ErrUnknownPeer) {
 		t.Errorf("send to detached: %v", err)
 	}
 	if calls != 1 || net.Stats().Dropped != 1 {
@@ -197,7 +200,7 @@ func TestChanNetworkDetachDropsSends(t *testing.T) {
 func TestChanNetworkConcurrentSendAndDetach(t *testing.T) {
 	// Senders race Detach; every send either reaches the handler or
 	// fails with ErrUnknownPeer. Run with -race to exercise it.
-	net := NewChanNetwork()
+	net := NewChanNetwork(textCodec{})
 	defer net.Close()
 	var handled atomic.Uint64
 	_, _ = net.Attach(1, func(Envelope) { handled.Add(1) })
@@ -209,7 +212,7 @@ func TestChanNetworkConcurrentSendAndDetach(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				if err := sender.Send(context.Background(), 1, j); err != nil {
+				if err := sender.Send(context.Background(), 1, text(strconv.Itoa(j))); err != nil {
 					failed.Add(1)
 				}
 			}
@@ -224,14 +227,14 @@ func TestChanNetworkConcurrentSendAndDetach(t *testing.T) {
 }
 
 func TestChanNetworkCloseIsIdempotent(t *testing.T) {
-	net := NewChanNetwork()
+	net := NewChanNetwork(textCodec{})
 	s1, _ := net.Attach(1, func(Envelope) {})
 	net.Close()
 	net.Close()
 	if _, err := net.Attach(2, func(Envelope) {}); !errors.Is(err, ErrClosed) {
 		t.Errorf("attach after close: %v", err)
 	}
-	if err := s1.Send(context.Background(), 1, "late"); !errors.Is(err, ErrClosed) {
+	if err := s1.Send(context.Background(), 1, text("late")); !errors.Is(err, ErrClosed) {
 		t.Errorf("send after close: %v", err)
 	}
 }

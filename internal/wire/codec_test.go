@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dataflasks/internal/aggregate"
@@ -112,6 +114,8 @@ func fixtures() []Envelope {
 	return envs
 }
 
+// TestFixturesCoverEveryMessage: every kind has a fixture (so the
+// round-trip and golden tests reach it) and is named after its type.
 func TestFixturesCoverEveryMessage(t *testing.T) {
 	seen := make(map[uint16]bool)
 	for _, env := range fixtures() {
@@ -124,6 +128,9 @@ func TestFixturesCoverEveryMessage(t *testing.T) {
 	for _, s := range Messages {
 		if !seen[s.Kind] {
 			t.Errorf("message %s (kind %d) has no fixture", s.Name, s.Kind)
+		}
+		if typ := strings.TrimPrefix(fmt.Sprintf("%T", s.New()), "*"); s.Name == "" || s.Name != typ {
+			t.Errorf("kind %d is named %q, want its type's name %q", s.Kind, s.Name, typ)
 		}
 	}
 }

@@ -1,7 +1,7 @@
-// Package wire defines the on-the-wire representation for real (TCP)
-// deployments. Simulated and in-process fabrics skip encoding
-// entirely and pass message pointers; everything that crosses a real
-// socket is a frame produced by BinaryCodec.
+// Package wire defines the on-the-wire representation of every
+// message. Every fabric carries frames produced by BinaryCodec: the TCP
+// fabric writes them to sockets, and the simulated and in-process
+// fabrics encode each message and deliver the decoded copy.
 //
 // The protocol surface is declared once, in Messages: every message a
 // node may emit or receive — PSS shuffles, slicing swaps, aggregation,
@@ -12,7 +12,8 @@
 // mate discovery, and the DHT baseline — with a stable kind ID. The
 // codec is derived from that one table: adding a protocol message
 // means adding a table entry, and forgetting draws an encode error on
-// the sending node rather than silent misbehavior.
+// the first send of it — a panic on the simulated and in-process
+// fabrics, so the first test or lab run that sends it fails.
 //
 // There is one format: hand-rolled length-delimited fields behind a
 // frame version byte and the table's kind IDs. Encode appends into a
