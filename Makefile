@@ -20,13 +20,15 @@ examples:
 test:
 	$(GO) test ./...
 
-# STRESS names the tests of the writer-led group commit and the inline
-# get: each runs twenty times under the race detector.
-STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestStoredObjectsGaugeAfterShardPut
+# STRESS names the tests of the writer-led group commit, the inline get
+# and the client's held turn (its hold state has one owner goroutine and
+# no lock, so the race detector is its guard): each runs twenty times
+# under the race detector.
+STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestStoredObjectsGaugeAfterShardPut|TestTCPHoldWritesEachPeerOnce|TestTCPFailedFlushDropsAndRedials|TestTCPBuffersOverBoundReleased|TestClientTurnWritesBurstOnce
 
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=20 -run '$(STRESS)' ./internal/store ./internal/core .
+	$(GO) test -race -count=20 -run '$(STRESS)' ./internal/store ./internal/core ./internal/transport .
 	$(GO) test -count=1 -run 'TestDirectoryLiveCluster' .
 	$(GO) test -run 'TestFlasksdRESPGatewaySmoke|TestFlasksdObsSmoke|TestFlasksdRetiredFlags' -count=1 ./cmd/flasksd
 

@@ -74,6 +74,10 @@ type Client struct {
 	// Cluster keeps its clients' lists equal to its membership; a TCP
 	// client's stays the seeds it was given.
 	contacts *client.RandomLB
+	// fabric is the TCP fabric the client has to itself (ConnectClient,
+	// Node.NewClient): run holds each turn's sends on it. Nil for a
+	// Cluster client, whose fabric is shared.
+	fabric *transport.TCPNetwork
 	// closeFabric releases what the constructor opened for this client
 	// alone — its TCP fabric, its registration with its node; nil where
 	// the fabric belongs to someone else (Cluster).
@@ -108,9 +112,20 @@ func (c *Client) deliver(env transport.Envelope) {
 	}
 }
 
+// turnMax bounds the events one turn of the client loop handles: the
+// one that woke it plus what the mailbox and the command queue already
+// held, so a steady stream of either still lets ticks and Close in.
+const turnMax = 64
+
 // run wraps the event-driven client core in a goroutine that owns it:
 // mailbox messages, timeout ticks and API commands are serialized onto
-// one loop, preserving the core's single-threaded contract.
+// one loop, preserving the core's single-threaded contract. The loop
+// works in turns. A turn handles the event that woke it plus whatever is
+// already queued, up to turnMax. A client with a TCP fabric of its own
+// holds the turn's sends on it, and the end of the turn writes each
+// contact's frames at once: a pipelined burst reaches its contact whole,
+// while a blocking caller's turn holds its one request and writes it
+// straight away.
 func (c *Client) run(core *client.Core) {
 	c.core = core
 	c.wg.Add(1)
@@ -118,7 +133,11 @@ func (c *Client) run(core *client.Core) {
 		defer c.wg.Done()
 		ticker := time.NewTicker(c.period)
 		defer ticker.Stop()
+		fabric := c.fabric
 		for {
+			if fabric != nil {
+				fabric.Hold()
+			}
 			select {
 			case env := <-c.mailbox:
 				c.core.HandleMessage(env)
@@ -129,8 +148,34 @@ func (c *Client) run(core *client.Core) {
 			case <-c.done:
 				return
 			}
+			for n := 1; n < turnMax; n++ {
+				if !c.handleQueued() {
+					break
+				}
+			}
+			if fabric != nil {
+				// Like every client send (see client.Core.launch): a lost
+				// frame is a lost message, which the op's retry timer covers,
+				// and the fabric counts it dropped.
+				//flasks:fire-and-forget
+				_ = fabric.Flush(context.Background())
+			}
 		}
 	}()
+}
+
+// handleQueued handles one mailbox message or command if either is
+// queued, and reports whether it found one.
+func (c *Client) handleQueued() bool {
+	select {
+	case env := <-c.mailbox:
+		c.core.HandleMessage(env)
+	case cmd := <-c.cmds:
+		cmd()
+	default:
+		return false
+	}
+	return true
 }
 
 // Close stops the client loop and then closes the client's fabric: when

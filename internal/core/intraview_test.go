@@ -127,10 +127,14 @@ func TestNodeSliceChangeClearsIntraView(t *testing.T) {
 }
 
 // The first assignment is no change; every later change of slice counts
-// once, in the round it happens, however long the node then stays.
+// once, in the round it happens, however long the node then stays. The
+// slice_rounds gauge reads 0 in the round of a change and grows by one
+// every round the slice holds; a SetSliceCount that moves the claim
+// resets it like any change.
 func TestNodeSliceChangesCounted(t *testing.T) {
 	n := newFlippingNode()
 	changes := func() uint64 { return n.Metrics().Get(metrics.SliceChanges) }
+	held := func() uint64 { return n.Metrics().Get(metrics.SliceRounds) }
 	for i := 0; i < 5; i++ {
 		n.slicer.Observe(transport.NodeID(100+i), n.attr+1)
 	}
@@ -156,6 +160,23 @@ func TestNodeSliceChangesCounted(t *testing.T) {
 	}
 	if n.Slice() != 3 || moves == 0 {
 		t.Fatalf("slice = %d after %d moves, want 3", n.Slice(), moves)
+	}
+
+	for r := uint64(1); r <= 3; r++ {
+		before := held()
+		for i := 0; i < 5; i++ {
+			n.slicer.Observe(transport.NodeID(200+i), n.attr-1)
+		}
+		n.Tick(context.Background())
+		if n.Slice() != 3 || held() != before+1 {
+			t.Fatalf("slice %d held: slice_rounds %d after %d, want it one round longer", n.Slice(), held(), before)
+		}
+	}
+	n.SetSliceCount(8)
+	n.Tick(context.Background())
+	if n.Slice() == 3 || changes() != moves+1 || held() != 0 {
+		t.Fatalf("after SetSliceCount(8): slice %d, slice_changes %d, slice_rounds %d; want a new slice, %d changes, 0 rounds",
+			n.Slice(), changes(), held(), moves+1)
 	}
 }
 

@@ -476,8 +476,11 @@ func (n *Node) Tick(ctx context.Context) {
 		if n.lastSlice != slicing.SliceUnknown {
 			n.met.Inc(metrics.SliceChanges)
 		}
+		n.met.Set(metrics.SliceRounds, 0)
 		n.intra.Clear()
 		n.lastSlice = cur
+	} else if cur != slicing.SliceUnknown {
+		n.met.Inc(metrics.SliceRounds)
 	}
 	n.intra.Expire(n.round)
 	n.discoverMates(ctx)

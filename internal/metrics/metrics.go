@@ -20,8 +20,10 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -133,6 +135,9 @@ const (
 	// SliceChanges counts changes of the node's assigned slice after its
 	// first assignment.
 	SliceChanges
+	// SliceRounds is a gauge: the rounds the node has held its current
+	// slice, 0 in the round it was assigned or changed.
+	SliceRounds
 
 	numCounters
 )
@@ -171,6 +176,7 @@ var counterNames = [...]string{
 	SharedAnswers:              "shared_answers",
 	InlineGets:                 "inline_gets",
 	SliceChanges:               "slice_changes",
+	SliceRounds:                "slice_rounds",
 }
 
 // String returns the snake_case name of the counter.
@@ -274,6 +280,40 @@ func (s *SharedCounter) Add(delta uint64) { s.v.Add(delta) }
 
 // Load returns the current value.
 func (s *SharedCounter) Load() uint64 { return s.v.Load() }
+
+// KindCounts counts events by a 16-bit kind, for paths crossed by many
+// goroutines (every read loop of a TCP fabric) and kinds that are rare:
+// one mutex, one map. The zero value is ready to use.
+type KindCounts struct {
+	mu sync.Mutex
+	n  map[uint16]uint64
+}
+
+// Inc adds one to kind's count.
+func (k *KindCounts) Inc(kind uint16) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.n == nil {
+		k.n = make(map[uint16]uint64)
+	}
+	k.n[kind]++
+}
+
+// Each calls fn with every kind counted so far and its count, in
+// ascending kind order.
+func (k *KindCounts) Each(fn func(kind uint16, n uint64)) {
+	k.mu.Lock()
+	counts := maps.Clone(k.n)
+	k.mu.Unlock()
+	kinds := make([]uint16, 0, len(counts))
+	for kind := range counts {
+		kinds = append(kinds, kind)
+	}
+	slices.Sort(kinds)
+	for _, kind := range kinds {
+		fn(kind, counts[kind])
+	}
+}
 
 // latencyBuckets is the bucket count of LatencyHistogram: bucket 0 is
 // sub-microsecond, bucket i ≥ 1 covers [2^(i-1), 2^i) microseconds, so

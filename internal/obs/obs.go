@@ -54,6 +54,9 @@ type Sources struct {
 	Status func() Status
 	// EncodeBytes counts the frame bytes the node's fabric encoded.
 	EncodeBytes *metrics.SharedCounter
+	// UnknownFrames counts the frames the node received of a kind its
+	// wire table does not know, by kind.
+	UnknownFrames *metrics.KindCounts
 	// RESP is the gateway's per-command registry, when one runs.
 	RESP *metrics.CommandStats
 	// TickDur is the event loop's per-tick duration histogram.

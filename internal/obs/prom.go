@@ -117,7 +117,7 @@ func WriteMetrics(w io.Writer, src Sources) error {
 	if src.Status != nil {
 		st := src.Status()
 		for c := 0; c < metrics.NumCounters; c++ {
-			if metrics.Counter(c) == metrics.StoredObjects {
+			if metrics.Counter(c) == metrics.StoredObjects || metrics.Counter(c) == metrics.SliceRounds {
 				continue
 			}
 			base := metrics.Counter(c).String()
@@ -139,6 +139,9 @@ func WriteMetrics(w io.Writer, src Sources) error {
 		e.gauge("flasks_slice",
 			"Slice (replication group) this node believes it belongs to; -1 before assignment.",
 			float64(st.Slice))
+		e.gauge("flasks_slice_rounds",
+			"Rounds this node has held its current slice; 0 in the round it was assigned or changed.",
+			float64(st.Counters[metrics.SliceRounds]))
 		e.gauge("flasks_ready",
 			"1 once the slice is assigned and bootstrap finished (what /readyz serves).",
 			boolGauge(st.Ready))
@@ -153,6 +156,14 @@ func WriteMetrics(w io.Writer, src Sources) error {
 	if src.EncodeBytes != nil {
 		e.counter("flasks_wire_encode_bytes_total",
 			"Frame bytes produced by the wire codec.", src.EncodeBytes.Load())
+	}
+	if src.UnknownFrames != nil {
+		name := "flasks_wire_unknown_frames_total"
+		e.head(name, "counter",
+			"Frames received of a kind this build's wire table does not know (a newer peer's, or a retired one), by kind; ignored.")
+		src.UnknownFrames.Each(func(kind uint16, n uint64) {
+			e.printf("%s{kind=\"%d\"} %d\n", name, kind, n)
+		})
 	}
 
 	if src.MailboxDepth != nil {

@@ -26,12 +26,15 @@ func fullSources(tick *metrics.LatencyHistogram, resp *metrics.CommandStats, rin
 	st.Ready = true
 	encoded := &metrics.SharedCounter{}
 	encoded.Add(1)
+	unknown := &metrics.KindCounts{}
+	unknown.Inc(35)
 	return Sources{
-		NodeID:      7,
-		Status:      func() Status { return st },
-		EncodeBytes: encoded,
-		RESP:        resp,
-		TickDur:     tick,
+		NodeID:        7,
+		Status:        func() Status { return st },
+		EncodeBytes:   encoded,
+		UnknownFrames: unknown,
+		RESP:          resp,
+		TickDur:       tick,
 		Store: func() store.Stats {
 			return store.Stats{Segments: 2, LiveBytes: 100, DeadBytes: 50, CompactionPasses: 1}
 		},

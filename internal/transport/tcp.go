@@ -19,6 +19,21 @@ import (
 // prefix cannot balloon memory. Pushes and batches stay well under it.
 const maxTCPFrame = 64 << 20
 
+// bufKeep bounds the buffers a connection keeps between frames (the
+// read loop's frame, a stream's write scratch): one that grew past it is
+// dropped after use, so one large frame or held turn does not pin its
+// size for the life of the connection.
+const bufKeep = 1 << 20
+
+// keepBuf returns buf emptied for reuse, or nil once it grew past
+// bufKeep.
+func keepBuf(buf []byte) []byte {
+	if cap(buf) > bufKeep {
+		return nil
+	}
+	return buf[:0]
+}
+
 // TCPConfig tunes a TCP fabric beyond the required listen parameters.
 type TCPConfig struct {
 	// Codec encodes outbound frames and decodes inbound ones (required).
@@ -43,6 +58,10 @@ type TCPConfig struct {
 // write (including a peer that stops reading for DialTimeout) drops the
 // message and tears the connection down; gossip redundancy covers the
 // loss.
+//
+// A fabric whose every Send comes from one goroutine (a client's) can
+// also hold: between Hold and Flush, Send encodes each frame onto its
+// stream and Flush writes each stream's frames with one Write.
 type TCPNetwork struct {
 	self     NodeID
 	addr     string // advertised address
@@ -65,6 +84,20 @@ type TCPNetwork struct {
 	sent      atomic.Uint64
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
+	writes    atomic.Uint64
+
+	// holding and held are the hold state: held lists the streams with
+	// frames kept since Hold, in the order of their first. Only the one
+	// goroutine that sends touches them, so they are unsynchronized.
+	holding bool
+	held    []heldStream
+}
+
+// heldStream is a stream with frames awaiting Flush, and the peer it
+// leads to.
+type heldStream struct {
+	to NodeID
+	c  *tcpConn
 }
 
 var (
@@ -76,8 +109,9 @@ var (
 type tcpConn struct {
 	mu      sync.Mutex
 	conn    net.Conn
-	scratch []byte // reused [len prefix][frame] buffer
-	frames  uint64 // frames written so far
+	scratch []byte // [len prefix][frame]... not yet written, reused
+	frames  uint64 // frames encoded so far
+	pending int    // frames in scratch awaiting Flush
 }
 
 // announceEvery is how often a stream repeats the sender's dialable
@@ -171,7 +205,7 @@ func (t *TCPNetwork) PeerCount() int {
 
 // Stats returns delivery counters.
 func (t *TCPNetwork) Stats() Stats {
-	return Stats{Sent: t.sent.Load(), Delivered: t.delivered.Load(), Dropped: t.dropped.Load()}
+	return Stats{Sent: t.sent.Load(), Delivered: t.delivered.Load(), Dropped: t.dropped.Load(), Writes: t.writes.Load()}
 }
 
 // Sender returns the fabric's sender for the local node.
@@ -232,7 +266,16 @@ func (t *TCPNetwork) Send(ctx context.Context, to NodeID, env Envelope) error {
 		return err
 	}
 	wenv := WireEnvelope{From: env.From, To: to, Msg: env.Msg}
-	if err := t.write(c, &wenv); err != nil {
+	if t.holding {
+		return t.hold(to, c, &wenv)
+	}
+	c.mu.Lock()
+	err = t.encode(c, &wenv)
+	if err == nil {
+		err = t.write(c)
+	}
+	c.mu.Unlock()
+	if err != nil {
 		t.dropConn(to, c)
 		t.dropped.Add(1)
 		return fmt.Errorf("%w: %v", ErrDropped, err)
@@ -241,33 +284,99 @@ func (t *TCPNetwork) Send(ctx context.Context, to NodeID, env Envelope) error {
 	return nil
 }
 
-// write emits one envelope as [length prefix][frame], encoded into the
-// reused scratch so steady-state sends allocate nothing, announcing the
-// fabric's address on the stream's first and every announceEvery-th
-// frame. The deadline
-// bounds a peer that accepts but never reads: once its socket buffers
-// fill, the write fails instead of parking the caller (the node's
-// control loop or a shard) until Close.
-func (t *TCPNetwork) write(c *tcpConn, env *WireEnvelope) error {
+// Hold starts keeping what Send encodes: each frame waits on its stream
+// until Flush writes the stream's frames with one Write. Only for a
+// fabric whose every Send comes from the goroutine that calls Hold and
+// Flush; a node's fabric, sent on by its shards and control loop, never
+// holds.
+func (t *TCPNetwork) Hold() { t.holding = true }
+
+// hold encodes env onto c's scratch, behind the frames already kept
+// there. A frame the codec refuses is dropped alone.
+func (t *TCPNetwork) hold(to NodeID, c *tcpConn, env *WireEnvelope) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	err := t.encode(c, env)
+	if err == nil {
+		c.pending++
+		if c.pending == 1 {
+			t.held = append(t.held, heldStream{to: to, c: c})
+		}
+	}
+	c.mu.Unlock()
+	if err != nil {
+		t.dropped.Add(1)
+		return fmt.Errorf("%w: %v", ErrDropped, err)
+	}
+	return nil
+}
+
+// Flush writes the frames kept since Hold, each stream's with one Write,
+// and ends the hold. A stream whose write fails has its frames counted
+// dropped and is torn down, so the next Send redials; a ctx already done
+// fails every stream that way, unwritten. It returns the first error.
+func (t *TCPNetwork) Flush(ctx context.Context) error {
+	t.holding = false
+	var first error
+	for _, h := range t.held {
+		h.c.mu.Lock()
+		n := h.c.pending
+		h.c.pending = 0
+		err := ctx.Err()
+		if err == nil {
+			err = t.write(h.c)
+		} else {
+			h.c.scratch = keepBuf(h.c.scratch)
+		}
+		h.c.mu.Unlock()
+		if err != nil {
+			t.dropConn(h.to, h.c)
+			t.dropped.Add(uint64(n))
+			if first == nil {
+				first = fmt.Errorf("%w: %v", ErrDropped, err)
+			}
+			continue
+		}
+		t.delivered.Add(uint64(n))
+	}
+	clear(t.held)
+	t.held = t.held[:0]
+	return first
+}
+
+// encode appends env to c's scratch as [length prefix][frame], announcing
+// the fabric's address on the stream's first and every announceEvery-th
+// frame, and counts the frame's bytes. Steady-state encoding allocates
+// nothing. c.mu must be held.
+func (t *TCPNetwork) encode(c *tcpConn, env *WireEnvelope) error {
 	if c.frames%announceEvery == 0 {
 		env.FromAddr = t.addr
 	}
-	c.frames++
-	buf := append(c.scratch[:0], 0, 0, 0, 0)
-	buf, err := t.codec.Encode(buf, env)
+	start := len(c.scratch)
+	buf, err := t.codec.Encode(append(c.scratch, 0, 0, 0, 0), env)
 	if err != nil {
 		return err
 	}
+	c.frames++
 	c.scratch = buf
-	frame := len(buf) - 4
-	binary.BigEndian.PutUint32(buf[:4], uint32(frame))
+	frame := len(buf) - start - 4
+	binary.BigEndian.PutUint32(buf[start:], uint32(frame))
 	t.encoded.Add(uint64(frame))
+	return nil
+}
+
+// write emits c's scratch with one Write and empties it. The deadline
+// bounds a peer that accepts but never reads: once its socket buffers
+// fill, the write fails instead of parking the caller (the node's
+// control loop, a shard, a client's loop) until Close. c.mu must be
+// held.
+func (t *TCPNetwork) write(c *tcpConn) error {
+	buf := c.scratch
+	c.scratch = keepBuf(buf)
 	if err := c.conn.SetWriteDeadline(time.Now().Add(t.dialTime)); err != nil {
 		return err
 	}
-	_, err = c.conn.Write(buf)
+	t.writes.Add(1)
+	_, err := c.conn.Write(buf)
 	return err
 }
 
@@ -347,30 +456,35 @@ func (t *TCPNetwork) readLoop(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	var frame []byte
-	for {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n == 0 || n > maxTCPFrame {
-			return
-		}
-		if cap(frame) < int(n) {
-			frame = make([]byte, n)
-		}
-		frame = frame[:n]
-		if _, err := io.ReadFull(br, frame); err != nil {
-			return
-		}
-		env, err := t.codec.Decode(frame)
-		if err != nil {
-			return
-		}
-		if !t.deliver(env, int(n), br.Buffered() == 0) {
-			return
-		}
+	for ok := true; ok; {
+		frame, ok = t.readFrame(br, frame)
 	}
+}
+
+// readFrame reads one frame into buf, decodes it and delivers it. It
+// returns the buffer for the next frame — buf, or nil once it grew past
+// bufKeep — and false when the stream is done with.
+func (t *TCPNetwork) readFrame(br *bufio.Reader, buf []byte) ([]byte, bool) {
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+		return nil, false
+	}
+	n := binary.BigEndian.Uint32(lenBuf[:])
+	if n == 0 || n > maxTCPFrame {
+		return nil, false
+	}
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	frame := buf[:n]
+	if _, err := io.ReadFull(br, frame); err != nil {
+		return nil, false
+	}
+	env, err := t.codec.Decode(frame)
+	if err != nil {
+		return nil, false
+	}
+	return keepBuf(buf), t.deliver(env, int(n), br.Buffered() == 0)
 }
 
 // deliver hands one decoded envelope of a frame of the given length to

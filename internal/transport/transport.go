@@ -151,4 +151,5 @@ type Stats struct {
 	Sent      uint64 // messages accepted for delivery
 	Delivered uint64 // messages handed to a handler
 	Dropped   uint64 // messages lost (loss model, dead or unknown peer, cancelled send)
+	Writes    uint64 // socket writes made (TCP only): each carries one frame, or a held turn's frames for one peer
 }

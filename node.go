@@ -66,6 +66,7 @@ type Node struct {
 	id      NodeID
 	net     *transport.TCPNetwork
 	encoded metrics.SharedCounter // frame bytes the fabric encoded
+	unknown metrics.KindCounts    // frames received of a kind wire does not know
 	core    *core.Node
 	// data is core once it runs, published for the fabric handlers: their
 	// read loops are up from the moment the listener is, before core
@@ -165,6 +166,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			NodeID:          uint64(cfg.ID),
 			Status:          n.core.Status,
 			EncodeBytes:     &n.encoded,
+			UnknownFrames:   &n.unknown,
 			RESP:            cfg.RESPStats,
 			TickDur:         n.core.TickDurations(),
 			MailboxDepth:    n.core.MailboxDepth,
@@ -190,8 +192,13 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 
 // deliver is the fabric's handler and the way in for a local client
 // (NewClient): core.Node.Deliver, once there is a running core. What
-// arrives earlier is lost, like any message to a node still starting.
+// arrives earlier is lost, like any message to a node still starting. A
+// frame of a kind this build does not know is counted by kind and then
+// handed on like any message; the node ignores it.
 func (n *Node) deliver(env transport.Envelope) {
+	if u, ok := env.Msg.(wire.Unknown); ok {
+		n.unknown.Inc(u.Kind)
+	}
 	if c := n.data.Load(); c != nil {
 		c.Deliver(env)
 	}
@@ -370,6 +377,7 @@ func connectClient(bind string, seeds []string, cfg Config, home *Node) (*Client
 	if err != nil {
 		return nil, err
 	}
+	cl.fabric = tcpNet
 	cl.closeFabric = func() { _ = tcpNet.Close() }
 	ids := make([]NodeID, 0, len(seeds)+1)
 	for _, s := range seeds {

@@ -2,16 +2,20 @@ package dataflasks_test
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"dataflasks"
+	"dataflasks/internal/core"
 	"dataflasks/internal/obs"
+	"dataflasks/internal/wire"
 )
 
 func scrape(t *testing.T, addr, path string) (int, string) {
@@ -217,5 +221,78 @@ func TestSharedAnswersLive(t *testing.T) {
 	f := families["flasks_shared_answers_total"]
 	if f == nil || len(f.Samples) == 0 || f.Samples[0].Value <= 0 {
 		t.Fatalf("flasks_shared_answers_total = %+v after %d pipelined ops, want > 0", f, 3*inFlight)
+	}
+}
+
+// TestUnknownFramesCountedLive: frames of a kind the node's wire table
+// does not know — a reserved kind and an unassigned one — written by
+// hand to a live node's listener are counted by kind in
+// flasks_wire_unknown_frames_total, and the node keeps serving.
+func TestUnknownFramesCountedLive(t *testing.T) {
+	cfg := dataflasks.Config{Slices: 1, Slicer: dataflasks.StaticSlicer, SystemSize: 1}
+	node, err := dataflasks.StartNode(dataflasks.NodeConfig{
+		ID: 1, Bind: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0",
+		RoundPeriod: 20 * time.Millisecond, Config: cfg,
+	})
+	if err != nil {
+		t.Fatalf("StartNode: %v", err)
+	}
+	defer node.Close()
+
+	conn, err := net.Dial("tcp", node.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	kinds := []uint16{35, 0xfff0} // reserved (retired), never assigned
+	var stream []byte
+	for _, kind := range kinds {
+		// A frame of a known kind with its kind field rewritten: the
+		// decoder reads no further than the header for an unknown kind.
+		frame, err := wire.BinaryCodec().Encode(nil, &wire.Envelope{From: 9, To: 1, Msg: &core.MateQuery{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(frame[1:], kind)
+		stream = binary.BigEndian.AppendUint32(stream, uint32(len(frame)))
+		stream = append(stream, frame...)
+	}
+	if _, err := conn.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	counted := func() map[string]float64 {
+		_, body := scrape(t, node.HTTPAddr(), "/metrics")
+		families, err := obs.ParseExposition([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		if f := families["flasks_wire_unknown_frames_total"]; f != nil {
+			for _, s := range f.Samples {
+				out[s.Labels["kind"]] = s.Value
+			}
+		}
+		return out
+	}
+	waitFor(t, ctx, 10*time.Millisecond, "both unknown kinds counted", func() bool { return len(counted()) == len(kinds) })
+	for _, kind := range kinds {
+		if got := counted()[fmt.Sprint(kind)]; got != 1 {
+			t.Fatalf("flasks_wire_unknown_frames_total{kind=%q} = %v, want 1 (all: %v)", fmt.Sprint(kind), got, counted())
+		}
+	}
+
+	cl, err := dataflasks.ConnectClient("127.0.0.1:0", []string{fmt.Sprintf("1@%s", node.Addr())}, cfg)
+	if err != nil {
+		t.Fatalf("ConnectClient: %v", err)
+	}
+	defer cl.Close()
+	if err := cl.Put(ctx, "after-unknown", 1, []byte("v")); err != nil {
+		t.Fatalf("put after the unknown frames: %v", err)
+	}
+	if v, err := cl.Get(ctx, "after-unknown", 1); err != nil || string(v) != "v" {
+		t.Fatalf("get after the unknown frames: %q, %v", v, err)
 	}
 }
