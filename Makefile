@@ -7,12 +7,17 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build examples test race goldens goldens-check bench bench-module fuzz smoke fmt vet check lint ci
+.PHONY: all build loc examples test race goldens goldens-check bench bench-module fuzz smoke fmt vet check lint ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# loc prints the count ROADMAP's simplicity bar is stated in: lines of
+# non-test Go outside bench/ and testdata/. It has no threshold.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 
 examples:
 	$(GO) build ./examples/...
@@ -99,4 +104,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet lint build examples race goldens-check bench-module bench smoke
+ci: fmt vet lint build loc examples race goldens-check bench-module bench smoke

@@ -10,8 +10,9 @@ import (
 
 // TestFlasksdRetiredFlags pins what left the flag surface: `-engine
 // disk` and `-commit-window` with the file-per-object engine,
-// `-ae-full-every` with the repair protocol's second leg, and `-udp-addr`
-// with the datagram control plane. Each is refused with exit status 2
+// `-ae-full-every` with the repair protocol's second leg, `-udp-addr`
+// with the datagram control plane, and `-slicer swap` with the swap
+// slicer's place in the product. Each is refused with exit status 2
 // and a line on stderr naming what is wrong. (The two smoke tests boot
 // the engines that remain.)
 func TestFlasksdRetiredFlags(t *testing.T) {
@@ -30,6 +31,7 @@ func TestFlasksdRetiredFlags(t *testing.T) {
 		{[]string{"-id", "1", "-commit-window", "1ms"}, "flag provided but not defined: -commit-window"},
 		{[]string{"-id", "1", "-ae-full-every", "8"}, "flag provided but not defined: -ae-full-every"},
 		{[]string{"-id", "1", "-udp-addr", "auto"}, "flag provided but not defined: -udp-addr"},
+		{[]string{"-id", "1", "-slicer", "swap"}, `unknown -slicer "swap" (want rank or static)`},
 	} {
 		var stderr strings.Builder
 		cmd := exec.Command(bin, tc.args...)

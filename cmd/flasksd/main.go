@@ -41,7 +41,7 @@ func main() {
 		compact    = flag.Float64("compact-live", 0, "compact sealed log segments below this live ratio (0: 0.5 default, <0 disables)")
 		compactBw  = flag.Int64("compact-rate", 0, "log compaction copy throughput cap in bytes/sec (0: unlimited)")
 		slices     = flag.Int("slices", 10, "number of slices k")
-		slicer     = flag.String("slicer", "rank", "slice manager: rank, swap or static (static decides instantly; required for single-node deployments)")
+		slicer     = flag.String("slicer", "rank", "slice manager: rank or static (static decides instantly; required for single-node deployments)")
 		size       = flag.Int("system-size", 0, "expected cluster size N (0: gossip-estimated)")
 		capacity   = flag.Float64("capacity", 0, "slicing attribute, e.g. free GB (0: derived from id)")
 		period     = flag.Duration("period", 500*time.Millisecond, "gossip round period")
@@ -77,12 +77,10 @@ func main() {
 	switch *slicer {
 	case "rank":
 		slicerKind = dataflasks.RankSlicer
-	case "swap":
-		slicerKind = dataflasks.SwapSlicer
 	case "static":
 		slicerKind = dataflasks.StaticSlicer
 	default:
-		fmt.Fprintf(os.Stderr, "flasksd: unknown -slicer %q (want rank, swap or static)\n", *slicer)
+		fmt.Fprintf(os.Stderr, "flasksd: unknown -slicer %q (want rank or static)\n", *slicer)
 		os.Exit(2)
 	}
 	var engineKind dataflasks.Engine

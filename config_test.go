@@ -16,25 +16,20 @@ func TestConfigTranslation(t *testing.T) {
 		Slices:     7,
 		SystemSize: 300,
 		Capacity:   2.5,
-		PSS:        Newscast,
-		Slicer:     SwapSlicer,
+		Slicer:     StaticSlicer,
 	}
 	cc := cfg.coreConfig()
 	if cc.Slices != 7 || cc.SystemSize != 300 || cc.Capacity != 2.5 {
 		t.Errorf("basic fields: %+v", cc)
 	}
-	if cc.PSS != core.PSSNewscast {
-		t.Errorf("PSS = %v", cc.PSS)
+	if cc.Slicer != core.SlicerStatic {
+		t.Errorf("Slicer = %v, want static", cc.Slicer)
 	}
-	if cc.Slicer != core.SlicerSwap {
-		t.Errorf("Slicer = %v", cc.Slicer)
+	if got := (Config{Slicer: RankSlicer}).coreConfig().Slicer; got != core.SlicerRank {
+		t.Errorf("rank slicer translated to %v", got)
 	}
-
-	if (Config{}).coreConfig().PSS != core.PSSCyclon {
-		t.Error("default PSS not Cyclon")
-	}
-	if (Config{Slicer: StaticSlicer}).coreConfig().Slicer != core.SlicerStatic {
-		t.Error("static slicer not translated")
+	if got := (Config{}).coreConfig().Slicer; got != core.SlicerRank {
+		t.Errorf("default slicer = %v, want rank", got)
 	}
 	if (Config{DisableAntiEntropy: true}).coreConfig().AntiEntropyEvery != -1 {
 		t.Error("DisableAntiEntropy not translated")

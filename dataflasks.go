@@ -7,7 +7,7 @@
 // writes per key by attaching version numbers, and in exchange offers
 // extreme scale and churn tolerance by being fully unstructured:
 //
-//   - membership is a gossip Peer Sampling Service (Cyclon/Newscast);
+//   - membership is a gossip Peer Sampling Service (Cyclon);
 //   - the system autonomously partitions itself into k slices ordered
 //     by node capacity, with no coordination (distributed slicing);
 //   - a key belongs to a slice, and every node of that slice stores it
@@ -60,19 +60,6 @@ type KeyVersion struct {
 // NodeID identifies a node in a cluster.
 type NodeID = transport.NodeID
 
-// PSS selects the peer-sampling protocol.
-type PSS int
-
-// Peer-sampling choices.
-const (
-	// Cyclon is the default: shuffle-based membership with strong
-	// self-healing (the view turnover evicts dead peers fast).
-	Cyclon PSS = iota
-	// Newscast trades some in-degree uniformity for simplicity and
-	// very fast news propagation.
-	Newscast
-)
-
 // Slicer selects the slice-manager protocol.
 type Slicer int
 
@@ -96,9 +83,6 @@ const (
 	// RankSlicer estimates each node's capacity rank from the gossip
 	// stream at zero message cost (the DSlead-style default).
 	RankSlicer Slicer = iota
-	// SwapSlicer is Jelasity–Kermarrec ordered slicing (two messages
-	// per node per round).
-	SwapSlicer
 	// StaticSlicer hashes the node id — the paper's "coin toss"
 	// baseline; it cannot rebalance after correlated failures.
 	StaticSlicer
@@ -123,8 +107,6 @@ type Config struct {
 	// disk space). Zero draws a stable pseudo-capacity from the node
 	// id.
 	Capacity float64
-	// PSS selects the membership protocol.
-	PSS PSS
 	// Slicer selects the slice manager.
 	Slicer Slicer
 	// PutAcks is how many replica acknowledgements complete a write
@@ -195,15 +177,7 @@ func (c Config) coreConfig() core.Config {
 		EvictForeign: c.EvictForeign,
 		DataShards:   c.DataShards,
 	}
-	switch c.PSS {
-	case Newscast:
-		cc.PSS = core.PSSNewscast
-	default:
-		cc.PSS = core.PSSCyclon
-	}
 	switch c.Slicer {
-	case SwapSlicer:
-		cc.Slicer = core.SlicerSwap
 	case StaticSlicer:
 		cc.Slicer = core.SlicerStatic
 	default:

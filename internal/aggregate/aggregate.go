@@ -1,17 +1,12 @@
 // Package aggregate implements gossip-based aggregation in the style of
 // the fault-tolerant aggregation work the paper cites ([24]): every
-// node learns global quantities — system size, attribute averages —
-// from purely local exchanges.
+// node learns the system size from purely local exchanges.
 //
-// Two estimators are provided:
-//
-//   - Extrema propagation for system size: every node draws M
-//     exponential(1) variates; gossip folds views with pointwise MIN
-//     (idempotent, so duplicates and message loss are harmless). After
-//     the vector converges, sum(min-vector) is Gamma(M, 1/N)-ish and
-//     N̂ = (M-1)/sum is an unbiased size estimate.
-//   - Push-sum averaging (Kempe et al.) for attribute means, with
-//     mass-conserving pairwise transfers.
+// The estimator is extrema propagation: every node draws M
+// exponential(1) variates; gossip folds views with pointwise MIN
+// (idempotent, so duplicates and message loss are harmless). After the
+// vector converges, sum(min-vector) is Gamma(M, 1/N)-ish and
+// N̂ = (M-1)/sum is an unbiased size estimate.
 //
 // The size estimate is what lets nodes auto-tune fanout = ln(N̂)+c and
 // TTL without configuration (§II's dissemination sizing).
@@ -169,73 +164,6 @@ func (e *Extrema) fold(theirs []float64) (changedMine, theirsStale bool) {
 		}
 	}
 	return changedMine, theirsStale
-}
-
-// PushSumMsg carries half the sender's (sum, weight) mass.
-type PushSumMsg struct {
-	Sum    float64
-	Weight float64
-}
-
-// PushSum is the Kempe et al. mass-conserving average estimator: each
-// node holds (sum, weight) initialized to (value, 1); every tick it
-// keeps half its mass and sends half to a random partner; sum/weight
-// converges to the global average at every node. Not safe for
-// concurrent use.
-type PushSum struct {
-	out     transport.Sender
-	partner PartnerFunc
-
-	sum    float64
-	weight float64
-}
-
-// NewPushSum creates an average estimator seeded with this node's
-// value.
-func NewPushSum(value float64, out transport.Sender, partner PartnerFunc) *PushSum {
-	if out == nil || partner == nil {
-		panic("aggregate: NewPushSum requires sender and partner func")
-	}
-	return &PushSum{out: out, partner: partner, sum: value, weight: 1}
-}
-
-// Average returns the node's current estimate of the global mean.
-func (p *PushSum) Average() float64 {
-	if p.weight == 0 {
-		return 0
-	}
-	return p.sum / p.weight
-}
-
-// Tick sends half the mass to a random partner. ctx bounds the send.
-// A send the fabric rejects outright restores the transferred mass:
-// push-sum's correctness is mass conservation, and before errors were
-// threaded through (PR 7) every fabric-level failure silently
-// evaporated half this node's mass. (Mass lost in flight is still
-// gone — that is the protocol's known loss sensitivity — but local
-// failures no longer contribute.)
-func (p *PushSum) Tick(ctx context.Context) {
-	peer, ok := p.partner()
-	if !ok {
-		return
-	}
-	p.sum /= 2
-	p.weight /= 2
-	if err := p.out.Send(ctx, peer, &PushSumMsg{Sum: p.sum, Weight: p.weight}); err != nil {
-		p.sum *= 2
-		p.weight *= 2
-	}
-}
-
-// Handle folds received mass; it reports false for foreign messages.
-func (p *PushSum) Handle(_ transport.NodeID, msg interface{}) bool {
-	m, ok := msg.(*PushSumMsg)
-	if !ok {
-		return false
-	}
-	p.sum += m.Sum
-	p.weight += m.Weight
-	return true
 }
 
 // RelativeError is a test helper: |est-truth|/truth.

@@ -14,14 +14,12 @@ import (
 type aggNet struct {
 	ids      []transport.NodeID
 	extremas map[transport.NodeID]*Extrema
-	pushsums map[transport.NodeID]*PushSum
 	queue    []transport.Envelope
 }
 
 func newAggNet(n int) *aggNet {
 	net := &aggNet{
 		extremas: make(map[transport.NodeID]*Extrema, n),
-		pushsums: make(map[transport.NodeID]*PushSum, n),
 	}
 	for i := 1; i <= n; i++ {
 		net.ids = append(net.ids, transport.NodeID(i))
@@ -52,11 +50,8 @@ func (a *aggNet) deliverAll() {
 	for len(a.queue) > 0 {
 		env := a.queue[0]
 		a.queue = a.queue[1:]
-		if e, ok := a.extremas[env.To]; ok && e.Handle(context.Background(), env.From, env.Msg) {
-			continue
-		}
-		if p, ok := a.pushsums[env.To]; ok {
-			p.Handle(env.From, env.Msg)
+		if e, ok := a.extremas[env.To]; ok {
+			e.Handle(context.Background(), env.From, env.Msg)
 		}
 	}
 }
@@ -119,56 +114,6 @@ func TestExtremaHandleForeign(t *testing.T) {
 	e := NewExtrema(ExtremaConfig{}, net.sender(1), func() (transport.NodeID, bool) { return 0, false }, sim.RNG(1, 1))
 	if e.Handle(context.Background(), 2, "nope") {
 		t.Error("claimed a foreign message")
-	}
-}
-
-func TestPushSumAverages(t *testing.T) {
-	const n = 100
-	net := newAggNet(n)
-	truth := 0.0
-	for i, id := range net.ids {
-		v := float64(i * 10)
-		truth += v
-		net.pushsums[id] = NewPushSum(v, net.sender(id), net.partner(id, 1000+uint64(id)))
-	}
-	truth /= n
-	for r := 0; r < 60; r++ {
-		for _, id := range net.ids {
-			net.pushsums[id].Tick(context.Background())
-		}
-		net.deliverAll()
-	}
-	for _, id := range net.ids[:10] {
-		avg := net.pushsums[id].Average()
-		if RelativeError(avg, truth) > 0.10 {
-			t.Errorf("node %v average %.1f, truth %.1f", id, avg, truth)
-		}
-	}
-}
-
-func TestPushSumConservesMass(t *testing.T) {
-	const n = 30
-	net := newAggNet(n)
-	for i, id := range net.ids {
-		net.pushsums[id] = NewPushSum(float64(i), net.sender(id), net.partner(id, 2000+uint64(id)))
-	}
-	for r := 0; r < 25; r++ {
-		for _, id := range net.ids {
-			net.pushsums[id].Tick(context.Background())
-		}
-		net.deliverAll() // all mass delivered: none in flight
-	}
-	var sum, weight float64
-	for _, id := range net.ids {
-		sum += net.pushsums[id].sum
-		weight += net.pushsums[id].weight
-	}
-	wantSum := float64(n*(n-1)) / 2
-	if math.Abs(sum-wantSum) > 1e-6 {
-		t.Errorf("total sum = %v, want %v", sum, wantSum)
-	}
-	if math.Abs(weight-float64(n)) > 1e-6 {
-		t.Errorf("total weight = %v, want %d", weight, n)
 	}
 }
 

@@ -8,15 +8,6 @@ import (
 	"dataflasks/internal/transport"
 )
 
-// PSSKind selects the peer-sampling protocol.
-type PSSKind int
-
-// Peer-sampling protocol choices.
-const (
-	PSSCyclon PSSKind = iota + 1
-	PSSNewscast
-)
-
 // SlicerKind selects the slice-manager implementation.
 type SlicerKind int
 
@@ -25,7 +16,9 @@ const (
 	// SlicerRank is the DSlead-style message-free rank estimator
 	// (DataFlasks' default).
 	SlicerRank SlicerKind = iota + 1
-	// SlicerSwap is Jelasity–Kermarrec ordered slicing.
+	// SlicerSwap is Jelasity–Kermarrec ordered slicing. No product path
+	// sets it: it is the arm E3 (-exp slicing) compares the rank slicer
+	// against.
 	SlicerSwap
 	// SlicerStatic is the hash "coin toss" baseline (§IV-A).
 	SlicerStatic
@@ -91,9 +84,6 @@ type Config struct {
 	// and TTL. When zero the node uses its extrema-propagation size
 	// estimate (internal/aggregate).
 	SystemSize int
-
-	// PSS selects the peer-sampling protocol (default Cyclon).
-	PSS PSSKind
 
 	// Slicer selects the slice manager (default SlicerRank).
 	Slicer SlicerKind
@@ -196,9 +186,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Slices <= 0 {
 		c.Slices = 10
-	}
-	if c.PSS == 0 {
-		c.PSS = PSSCyclon
 	}
 	if c.Slicer == 0 {
 		c.Slicer = SlicerRank

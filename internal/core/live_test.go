@@ -248,59 +248,58 @@ func TestMetricsCountDataServedWithoutATick(t *testing.T) {
 // each protocol's sends — PSS, slicing, size estimation, mate discovery
 // (queries and replies), anti-entropy, bootstrap, the data plane — fail,
 // and each failure is counted once: one msg_dropped per message sent,
-// which a scrape serves under all three send-failure families.
+// which a scrape serves under all three send-failure families. The node
+// runs the swap slicer, the one slicer that sends.
 func TestEverySendFailureCountsOnce(t *testing.T) {
 	refuse := transport.SenderFunc(func(context.Context, transport.NodeID, interface{}) error {
 		return errors.New("unreachable")
 	})
-	for _, kind := range []PSSKind{PSSCyclon, PSSNewscast} {
-		n := NewNode(1, Config{
-			Slices: 1, PSS: kind, Slicer: SlicerSwap, AntiEntropyEvery: 1, Bootstrap: true, Seed: 3,
-		}, store.NewMemory(), refuse)
-		ctx := context.Background()
-		n.Bootstrap([]transport.NodeID{2, 3})
-		n.Tick(ctx) // settles the slice, so a mate can be one
-		n.HandleMessage(ctx, transport.Envelope{From: 2, To: 1, Msg: &MateReply{
-			Slice: 0, Mates: []pssDescriptor{{ID: 2, Slice: 0}},
-		}})
-		n.HandleMessage(ctx, transport.Envelope{From: 3, To: 1, Msg: &MateQuery{Slice: 0}})
-		n.HandleMessage(ctx, transport.Envelope{From: 3, To: 1, Msg: &PutRequest{
-			Routing: Routing{ID: gossip.RequestID(1), Origin: 9, TTL: TTLUnset},
-			Key:     "k", Version: 1, Value: []byte("v"),
-		}})
-		n.Tick(ctx)
-		n.Tick(ctx)
+	n := NewNode(1, Config{
+		Slices: 1, Slicer: SlicerSwap, AntiEntropyEvery: 1, Bootstrap: true, Seed: 3,
+	}, store.NewMemory(), refuse)
+	ctx := context.Background()
+	n.Bootstrap([]transport.NodeID{2, 3})
+	n.Tick(ctx) // settles the slice, so a mate can be one
+	n.HandleMessage(ctx, transport.Envelope{From: 2, To: 1, Msg: &MateReply{
+		Slice: 0, Mates: []pssDescriptor{{ID: 2, Slice: 0}},
+	}})
+	n.HandleMessage(ctx, transport.Envelope{From: 3, To: 1, Msg: &MateQuery{Slice: 0}})
+	n.HandleMessage(ctx, transport.Envelope{From: 3, To: 1, Msg: &PutRequest{
+		Routing: Routing{ID: gossip.RequestID(1), Origin: 9, TTL: TTLUnset},
+		Key:     "k", Version: 1, Value: []byte("v"),
+	}})
+	n.Tick(ctx)
+	n.Tick(ctx)
 
-		m := n.Metrics()
-		var byKind uint64
-		for _, c := range []metrics.Counter{
-			metrics.PSSSent, metrics.SliceSent, metrics.AggregateSent, metrics.DiscoverySent,
-			metrics.AntiEntropySent, metrics.BootstrapSent, metrics.DataSent,
-		} {
-			if m.Get(c) == 0 {
-				t.Errorf("pss %d: no %s send attempted", kind, c)
-			}
-			byKind += m.Get(c)
+	m := n.Metrics()
+	var byKind uint64
+	for _, c := range []metrics.Counter{
+		metrics.PSSSent, metrics.SliceSent, metrics.AggregateSent, metrics.DiscoverySent,
+		metrics.AntiEntropySent, metrics.BootstrapSent, metrics.DataSent,
+	} {
+		if m.Get(c) == 0 {
+			t.Errorf("no %s send attempted", c)
 		}
-		sent := m.Get(metrics.MsgSent)
-		if sent != byKind {
-			t.Errorf("pss %d: msg_sent %d, by kind %d", kind, sent, byKind)
-		}
-		n.publishStatus()
-		var page bytes.Buffer
-		if err := obs.WriteMetrics(&page, obs.Sources{Status: n.Status}); err != nil {
-			t.Fatal(err)
-		}
-		fams, err := obs.ParseExposition(page.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range []string{
-			"flasks_msg_dropped_total", "flasks_wire_send_errors_total", "flasks_transport_send_errors_total",
-		} {
-			if f := fams[name]; f == nil || len(f.Samples) != 1 || f.Samples[0].Value != float64(sent) {
-				t.Errorf("pss %d: %s is not one sample of msg_sent %d:\n%s", kind, name, sent, page.String())
-			}
+		byKind += m.Get(c)
+	}
+	sent := m.Get(metrics.MsgSent)
+	if sent != byKind {
+		t.Errorf("msg_sent %d, by kind %d", sent, byKind)
+	}
+	n.publishStatus()
+	var page bytes.Buffer
+	if err := obs.WriteMetrics(&page, obs.Sources{Status: n.Status}); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(page.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"flasks_msg_dropped_total", "flasks_wire_send_errors_total", "flasks_transport_send_errors_total",
+	} {
+		if f := fams[name]; f == nil || len(f.Samples) != 1 || f.Samples[0].Value != float64(sent) {
+			t.Errorf("%s is not one sample of msg_sent %d:\n%s", name, sent, page.String())
 		}
 	}
 }

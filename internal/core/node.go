@@ -37,7 +37,7 @@ type Node struct {
 	cfg Config
 
 	raw    transport.Sender
-	pssP   pss.Protocol
+	pssP   *pss.Cyclon
 	slicer slicing.Slicer
 	st     store.Store
 	intra  *intraView
@@ -126,14 +126,8 @@ func NewNode(id transport.NodeID, cfg Config, st store.Store, out transport.Send
 	n.attr = attr
 
 	selfInfo := func() (float64, int32) { return attr, n.currentSlice() }
-	switch cfg.PSS {
-	case PSSNewscast:
-		n.pssP = pss.NewNewscast(id, pss.NewscastConfig{ViewSize: viewSize, SelfAddr: cfg.AdvertiseAddr},
-			n.sender(metrics.PSSSent), n.rng, selfInfo)
-	default:
-		n.pssP = pss.NewCyclon(id, pss.CyclonConfig{ViewSize: viewSize, SelfAddr: cfg.AdvertiseAddr},
-			n.sender(metrics.PSSSent), n.rng, selfInfo)
-	}
+	n.pssP = pss.NewCyclon(id, pss.CyclonConfig{ViewSize: viewSize, SelfAddr: cfg.AdvertiseAddr},
+		n.sender(metrics.PSSSent), n.rng, selfInfo)
 	n.pssP.SetObserver(n.observeDescriptor)
 
 	partner := func() (transport.NodeID, bool) {

@@ -697,7 +697,7 @@ func TestNodeIgnoresUnknownMessages(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Slices != 10 || cfg.PSS != PSSCyclon || cfg.Slicer != SlicerRank {
+	if cfg.Slices != 10 || cfg.Slicer != SlicerRank {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	if cfg.AntiEntropyEvery != 10 {

@@ -565,10 +565,10 @@ func DHTGate(rows []CompareRow) []string {
 
 // PSSQuality reports in-degree distribution statistics for the overlay
 // after the given number of rounds. A uniform in-degree (Cyclon's
-// signature) means every node is equally likely to be sampled; a
-// skewed one (Newscast's freshness bias) concentrates load. Zero
-// in-degree at a snapshot is not a partition — views churn every round
-// — but counts how uneven the instantaneous graph is.
+// signature) means every node is equally likely to be sampled; a skewed
+// one concentrates load. Zero in-degree at a snapshot is not a
+// partition — views churn every round — but counts how uneven the
+// instantaneous graph is.
 type PSSQuality struct {
 	Rounds       int
 	InDegree     metrics.Summary
@@ -577,11 +577,11 @@ type PSSQuality struct {
 }
 
 // MeasurePSSQuality runs a plain cluster and inspects the overlay graph.
-func MeasurePSSQuality(n, rounds int, kind core.PSSKind, seed uint64) PSSQuality {
+func MeasurePSSQuality(n, rounds int, seed uint64) PSSQuality {
 	c := NewCluster(ClusterConfig{
 		N:    n,
 		Seed: seed,
-		Node: core.Config{Slices: 4, PSS: kind},
+		Node: core.Config{Slices: 4},
 	})
 	c.Run(rounds)
 
@@ -625,20 +625,14 @@ func runPSS(w io.Writer, p Params) Report {
 	if p.Quick {
 		n = 300
 	}
-	res := map[string]PSSQuality{
-		"cyclon":   MeasurePSSQuality(n, 50, core.PSSCyclon, p.Seed),
-		"newscast": MeasurePSSQuality(n, 50, core.PSSNewscast, p.Seed),
-	}
-	for _, name := range []string{"cyclon", "newscast"} {
-		q := res[name]
-		fmt.Fprintf(w, "%-8s in-degree: mean=%.1f p50=%d p95=%d p99=%d min=%d max=%d zero-in-degree=%d\n",
-			name, q.InDegree.Mean, q.InDegree.P50, q.InDegree.P95, q.InDegree.P99,
-			q.InDegree.Min, q.InDegree.Max, q.ZeroInDegree)
-	}
-	return Report{res, PSSGate(res["cyclon"])}
+	q := MeasurePSSQuality(n, 50, p.Seed)
+	fmt.Fprintf(w, "cyclon   in-degree: mean=%.1f p50=%d p95=%d p99=%d min=%d max=%d zero-in-degree=%d\n",
+		q.InDegree.Mean, q.InDegree.P50, q.InDegree.P95, q.InDegree.P99,
+		q.InDegree.Min, q.InDegree.Max, q.ZeroInDegree)
+	return Report{q, PSSGate(q)}
 }
 
-// PSSGate is E9's, of Cyclon (the default overlay): in-degree near the
+// PSSGate is E9's, of Cyclon (the one overlay): in-degree near the
 // view size with modest spread, and next to nobody unsampled.
 func PSSGate(q PSSQuality) []string {
 	var g gate

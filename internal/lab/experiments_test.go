@@ -85,7 +85,7 @@ func TestPSSQualityCyclonUniform(t *testing.T) {
 		holdQuick(t, "pss")
 		return
 	}
-	hold(t, PSSGate(MeasurePSSQuality(200, 30, core.PSSCyclon, 23)))
+	hold(t, PSSGate(MeasurePSSQuality(200, 30, 23)))
 }
 
 func TestFanoutSweepMonotone(t *testing.T) {

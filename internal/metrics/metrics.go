@@ -75,7 +75,8 @@ const (
 	// and the sub-range sums below them — found different in the repair
 	// messages this node answered: what the exchanges narrowed down on.
 	AntiEntropyDifferingRanges
-	// AggregateSent counts push-sum aggregation messages sent.
+	// AggregateSent counts size-estimator (extrema propagation) messages
+	// sent.
 	AggregateSent
 	// StoredObjects counts objects currently held by the local store.
 	StoredObjects

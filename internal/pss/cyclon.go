@@ -56,8 +56,6 @@ type Cyclon struct {
 	hasPending  bool
 }
 
-var _ Protocol = (*Cyclon)(nil)
-
 // NewCyclon creates a Cyclon instance for self. selfInfo may be nil when
 // the deployment does not use slicing metadata.
 func NewCyclon(self transport.NodeID, cfg CyclonConfig, out transport.Sender, rng *rand.Rand, selfInfo SelfInfo) *Cyclon {
@@ -74,7 +72,7 @@ func NewCyclon(self transport.NodeID, cfg CyclonConfig, out transport.Sender, rn
 	return &Cyclon{self: self, cfg: cfg, out: out, rng: rng, selfInfo: selfInfo}
 }
 
-// Bootstrap implements Protocol.
+// Bootstrap seeds the view with initial contacts.
 func (c *Cyclon) Bootstrap(seeds []transport.NodeID) {
 	for _, id := range seeds {
 		if id == c.self {
@@ -85,16 +83,15 @@ func (c *Cyclon) Bootstrap(seeds []transport.NodeID) {
 	c.view.TruncateOldest(c.cfg.ViewSize)
 }
 
-// SetObserver implements Protocol.
+// SetObserver registers the descriptor-stream consumer. Only one
+// observer is supported; the node runtime fans out internally.
 func (c *Cyclon) SetObserver(o Observer) { c.observer = o }
 
-// View implements Protocol.
+// View returns a copy of the current partial view.
 func (c *Cyclon) View() []Descriptor { return c.view.Entries() }
 
-// Alive implements Protocol.
-func (c *Cyclon) Alive() int { return c.view.Len() }
-
-// RandomPeers implements Protocol.
+// RandomPeers returns up to n distinct peers drawn uniformly from the
+// view.
 func (c *Cyclon) RandomPeers(n int) []transport.NodeID {
 	sub := c.view.RandomSubset(c.rng, n)
 	out := make([]transport.NodeID, len(sub))
@@ -110,7 +107,8 @@ func (c *Cyclon) selfDescriptor() Descriptor {
 	return Descriptor{ID: c.self, Age: 0, Attr: attr, Slice: slice, Addr: c.cfg.SelfAddr}
 }
 
-// Tick implements Protocol: one shuffle initiation.
+// Tick runs one gossip round: one shuffle initiation. ctx bounds the
+// round's sends.
 func (c *Cyclon) Tick(ctx context.Context) {
 	c.view.IncrementAges()
 	target, ok := c.view.Oldest()
@@ -132,7 +130,8 @@ func (c *Cyclon) Tick(ctx context.Context) {
 	_ = c.out.Send(ctx, target.ID, &ShuffleRequest{Sample: sample}) //flasks:fire-and-forget
 }
 
-// Handle implements Protocol.
+// Handle processes a message; it reports false when the message is not
+// a peer-sampling message. ctx bounds the shuffle reply it sends.
 func (c *Cyclon) Handle(ctx context.Context, from transport.NodeID, msg interface{}) bool {
 	switch m := msg.(type) {
 	case *ShuffleRequest:

@@ -1,11 +1,6 @@
 package pss
 
-import (
-	"context"
-	"errors"
-
-	"dataflasks/internal/transport"
-)
+import "errors"
 
 // Errors reported by view invariant checks.
 var (
@@ -22,8 +17,8 @@ type SelfInfo func() (attr float64, slice int32)
 // consume.
 type Observer func(Descriptor)
 
-// ShuffleRequest initiates a Cyclon exchange (also reused by Newscast,
-// where Sample carries the full view plus self).
+// ShuffleRequest initiates a Cyclon exchange: Sample carries a random
+// subset of the initiator's view plus a fresh self-descriptor.
 type ShuffleRequest struct {
 	Sample []Descriptor
 }
@@ -31,28 +26,4 @@ type ShuffleRequest struct {
 // ShuffleReply answers a ShuffleRequest with the receiver's sample.
 type ShuffleReply struct {
 	Sample []Descriptor
-}
-
-// Protocol is the peer-sampling interface the node runtime drives.
-type Protocol interface {
-	// Bootstrap seeds the view with initial contacts.
-	Bootstrap(seeds []transport.NodeID)
-	// Tick runs one gossip round (initiates one exchange). ctx bounds
-	// the round's sends.
-	Tick(ctx context.Context)
-	// Handle processes a message; it reports false when the message is
-	// not a peer-sampling message. ctx bounds any sends the handler
-	// makes (shuffle replies).
-	Handle(ctx context.Context, from transport.NodeID, msg interface{}) bool
-	// View returns a copy of the current partial view.
-	View() []Descriptor
-	// RandomPeers returns up to n distinct peers drawn uniformly from
-	// the view.
-	RandomPeers(n int) []transport.NodeID
-	// SetObserver registers the descriptor-stream consumer. Only one
-	// observer is supported; the node runtime fans out internally.
-	SetObserver(Observer)
-	// Alive reports peers believed reachable (the whole view; epidemic
-	// protocols have no failure detector beyond view turnover).
-	Alive() int
 }

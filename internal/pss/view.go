@@ -1,7 +1,7 @@
 // Package pss implements the Peer Sampling Service the paper builds on:
 // every node maintains a small partial view approximating a uniform
-// random sample of the whole system. Two classic protocols are provided,
-// Cyclon (shuffle-based, [9]) and Newscast (freshness-based, [10]).
+// random sample of the whole system. The protocol is Cyclon
+// (shuffle-based, [9]).
 //
 // Descriptors piggyback each node's slicing attribute and current slice
 // claim, so the slicing protocol and the intra-slice discovery receive a
@@ -22,9 +22,7 @@ const SliceUnknown int32 = -1
 // Descriptor advertises one node in a view.
 type Descriptor struct {
 	ID transport.NodeID
-	// Age counts gossip rounds since the descriptor was created (Cyclon)
-	// or a logical freshness timestamp (Newscast, where higher is
-	// fresher and the field is inverted at merge time).
+	// Age counts gossip rounds since the descriptor was created.
 	Age uint32
 	// Attr is the node's slicing attribute (for example storage
 	// capacity) at descriptor creation time.
@@ -134,14 +132,6 @@ func (v *View) Oldest() (Descriptor, bool) {
 		}
 	}
 	return v.entries[best], true
-}
-
-// Random returns a uniformly random descriptor.
-func (v *View) Random(rng *rand.Rand) (Descriptor, bool) {
-	if len(v.entries) == 0 {
-		return Descriptor{}, false
-	}
-	return v.entries[rng.IntN(len(v.entries))], true
 }
 
 // RandomSubset returns up to n distinct descriptors chosen uniformly.

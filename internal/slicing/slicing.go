@@ -10,7 +10,8 @@
 //     delivers, at zero extra message cost.
 //   - SwapSlicer — the Jelasity–Kermarrec ordered-slicing protocol:
 //     nodes hold random values and swap them pairwise until the value
-//     order matches the attribute order.
+//     order matches the attribute order. No product path runs it; it
+//     is the comparison E3 (flaskbench -exp slicing) measures.
 //   - StaticSlicer — the "coin toss" baseline the paper argues against
 //     (§IV-A): a fixed hash of the node id. Uniform, but unable to
 //     rebalance after correlated failures.

@@ -47,7 +47,6 @@ func fixtures() []Envelope {
 		&slicing.SwapRequest{Attr: 0.5, X: 0.125, Seq: 7},
 		&slicing.SwapReply{Attr: 1.5, X: 0.25, Swapped: true, Busy: false, Seq: 7},
 		&aggregate.ExtremaMsg{Seeds: []float64{0.1, 0.9, 0.5}},
-		&aggregate.PushSumMsg{Sum: 12.5, Weight: 0.5},
 		&antientropy.Pull{Headers: headers},
 		&antientropy.Push{Objects: objs},
 		&core.PutRequest{

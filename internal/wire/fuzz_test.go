@@ -73,6 +73,15 @@ func FuzzDecodeBinary(f *testing.F) {
 	unknown = appendU64(unknown, 2)
 	unknown = appendStr(unknown, "addr")
 	f.Add(append(unknown, 1, 2, 3))
+	// A retired kind with the payload it once carried (kind 6, two
+	// float64s): it decodes as Unknown, never as a table message.
+	retired := []byte{transport.FrameBinary}
+	retired = appendU16(retired, 6)
+	retired = appendU64(retired, 1)
+	retired = appendU64(retired, 2)
+	retired = appendStr(retired, "addr")
+	retired = appendF64(retired, 12.5)
+	f.Add(appendF64(retired, 0.5))
 	f.Add([]byte{})
 	f.Add([]byte{transport.FrameBinary})
 	f.Add([]byte{0xff, 0x00})

@@ -96,17 +96,6 @@ var Messages = []Spec{
 			return &aggregate.ExtremaMsg{Seeds: seeds}
 		},
 	},
-	{Kind: 6, Name: "aggregate.PushSumMsg",
-		New: func() interface{} { return &aggregate.PushSumMsg{} },
-		enc: func(b []byte, m interface{}) []byte {
-			v := m.(*aggregate.PushSumMsg)
-			b = appendF64(b, v.Sum)
-			return appendF64(b, v.Weight)
-		},
-		dec: func(r *reader) interface{} {
-			return &aggregate.PushSumMsg{Sum: r.f64(), Weight: r.f64()}
-		},
-	},
 	{Kind: 11, Name: "antientropy.Pull",
 		New: func() interface{} { return &antientropy.Pull{} },
 		enc: func(b []byte, m interface{}) []byte { return appendHeaders(b, m.(*antientropy.Pull).Headers) },
@@ -511,11 +500,12 @@ var Messages = []Spec{
 	},
 }
 
-// reservedKinds are retired kind IDs, never to be reused: 7–10 and 35
-// were the repair messages before antientropy.Reconcile carried the
-// whole exchange. A frame of one decodes as Unknown, which a node
+// reservedKinds are retired kind IDs, never to be reused: 6 was the
+// push-sum averaging message, which no node ever sent; 7–10 and 35 were
+// the repair messages before antientropy.Reconcile carried the whole
+// exchange. A frame of one decodes as Unknown, which a node counts and
 // ignores.
-var reservedKinds = []uint16{7, 8, 9, 10, 35}
+var reservedKinds = []uint16{6, 7, 8, 9, 10, 35}
 
 // errBadItem rejects a repair item that names no key-hash prefix or
 // whose children would not fit one (antientropy.Item.Valid).

@@ -225,7 +225,7 @@ func TestSharedAnswersLive(t *testing.T) {
 }
 
 // TestUnknownFramesCountedLive: frames of a kind the node's wire table
-// does not know — a reserved kind and an unassigned one — written by
+// does not know — reserved kinds and an unassigned one — written by
 // hand to a live node's listener are counted by kind in
 // flasks_wire_unknown_frames_total, and the node keeps serving.
 func TestUnknownFramesCountedLive(t *testing.T) {
@@ -244,7 +244,7 @@ func TestUnknownFramesCountedLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	kinds := []uint16{35, 0xfff0} // reserved (retired), never assigned
+	kinds := []uint16{6, 35, 0xfff0} // reserved (retired), never assigned
 	var stream []byte
 	for _, kind := range kinds {
 		// A frame of a known kind with its kind field rewritten: the
@@ -277,7 +277,7 @@ func TestUnknownFramesCountedLive(t *testing.T) {
 		}
 		return out
 	}
-	waitFor(t, ctx, 10*time.Millisecond, "both unknown kinds counted", func() bool { return len(counted()) == len(kinds) })
+	waitFor(t, ctx, 10*time.Millisecond, "every unknown kind counted", func() bool { return len(counted()) == len(kinds) })
 	for _, kind := range kinds {
 		if got := counted()[fmt.Sprint(kind)]; got != 1 {
 			t.Fatalf("flasks_wire_unknown_frames_total{kind=%q} = %v, want 1 (all: %v)", fmt.Sprint(kind), got, counted())
