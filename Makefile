@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build loc examples test race goldens goldens-check bench bench-module fuzz smoke fmt vet check lint ci
+.PHONY: all build loc examples test race stress goldens goldens-check bench bench-module fuzz smoke fmt vet check lint ci
 
 all: build
 
@@ -28,12 +28,15 @@ test:
 # STRESS names the tests of the writer-led group commit, the inline get
 # and the client's held turn (its hold state has one owner goroutine and
 # no lock, so the race detector is its guard): each runs twenty times
-# under the race detector.
+# under the race detector. CI's stress step runs this target.
 STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestStoredObjectsGaugeAfterShardPut|TestTCPHoldWritesEachPeerOnce|TestTCPFailedFlushDropsAndRedials|TestTCPBuffersOverBoundReleased|TestClientTurnWritesBurstOnce
+
+stress:
+	$(GO) test -race -count=20 -run '$(STRESS)' ./internal/store ./internal/core ./internal/transport .
 
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=20 -run '$(STRESS)' ./internal/store ./internal/core ./internal/transport .
+	$(MAKE) stress
 	$(GO) test -count=1 -run 'TestDirectoryLiveCluster' .
 	$(GO) test -run 'TestFlasksdRESPGatewaySmoke|TestFlasksdObsSmoke|TestFlasksdRetiredFlags' -count=1 ./cmd/flasksd
 

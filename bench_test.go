@@ -97,7 +97,7 @@ func BenchmarkSimulatedPut(b *testing.B) {
 	c.Run(30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cl.StartPut(fmt.Sprintf("bench%08d", i), 1, []byte("payload"), nil)
+		cl.StartPutOpts(fmt.Sprintf("bench%08d", i), 1, []byte("payload"), client.Opts{}, nil)
 		c.Run(3)
 	}
 }

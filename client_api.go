@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dataflasks/internal/client"
-	"dataflasks/internal/core"
 	"dataflasks/internal/gossip"
 	"dataflasks/internal/metrics"
 	"dataflasks/internal/slicing"
@@ -431,12 +430,12 @@ func (o *Op) Acks() int {
 	}
 }
 
-// Applied returns, for batch operations, the largest per-replica
-// application count any acknowledgement reported: objects stored for a
-// batch put, objects that existed and were removed for a batch delete
-// (0 until Done closes, and for single-object kinds). Replicas may
-// disagree while epidemic convergence is in progress; this is the most
-// complete replica's view.
+// Applied returns, for batch puts and every delete, the largest
+// per-replica application count any acknowledgement reported: objects
+// stored for a batch put, items that named an object and were removed
+// for a delete — 0 or 1 for a single delete (0 until Done closes, and
+// for single puts and gets). Replicas may disagree while epidemic
+// convergence is in progress; this is the most complete replica's view.
 func (o *Op) Applied() int {
 	select {
 	case <-o.done:
@@ -556,12 +555,19 @@ func (c *Client) GetLatestAsync(key string, opts ...OpOption) *Op {
 // DeleteAsync starts deleting (key, version); version Latest removes
 // each replica's newest stored version (resolved independently per
 // replica, mirroring reads), and AllVersions removes every stored
-// version of the key. Completion follows the same ack rules as puts.
+// version of the key. It travels as a delete batch of one item, so
+// Applied reports 1 when the most complete acking replica held the
+// object and 0 when none did. Completion follows the same ack rules as
+// puts.
 func (c *Client) DeleteAsync(key string, version uint64, opts ...OpOption) *Op {
 	settings := c.resolveSettings(opts)
 	op := c.newOp(kindDelete, key, version)
+	item := []KeyVersion{{Key: key, Version: version}}
 	if err := c.submit(func() {
-		op.reqID = c.core.StartDelete(key, version, settings, op.finish)
+		op.reqID = c.core.StartDeleteBatch(item, settings, func(r client.Result) {
+			r.Version = version // a batch names no version of its own
+			op.finish(r)
+		})
 	}); err != nil {
 		op.finish(client.Result{Err: err})
 	}
@@ -581,7 +587,7 @@ func (c *Client) PutBatchAsync(objs []Object, opts ...OpOption) []*Op {
 		}
 	}
 	settings := c.resolveSettings(opts)
-	groups := groupBySlice(objs, c.slices)
+	groups := groupBySlice(objs, c.slices, func(o Object) string { return o.Key })
 	ops := make([]*Op, 0, len(groups))
 	for _, g := range groups {
 		g := g
@@ -606,7 +612,7 @@ func (c *Client) PutBatchAsync(objs []Object, opts ...OpOption) []*Op {
 // the most complete acking replica actually held.
 func (c *Client) DeleteBatchAsync(items []KeyVersion, opts ...OpOption) []*Op {
 	settings := c.resolveSettings(opts)
-	groups := groupKVBySlice(items, c.slices)
+	groups := groupBySlice(items, c.slices, func(kv KeyVersion) string { return kv.Key })
 	ops := make([]*Op, 0, len(groups))
 	for _, g := range groups {
 		g := g
@@ -622,36 +628,22 @@ func (c *Client) DeleteBatchAsync(items []KeyVersion, opts ...OpOption) []*Op {
 	return ops
 }
 
-// groupBySlice partitions objects by target slice for batch puts.
-func groupBySlice(objs []Object, slices int) [][]Object {
-	return groupBySliceKeyed(objs, slices, func(o Object) (string, Object) { return o.Key, o })
-}
-
-// groupKVBySlice partitions delete items by target slice, producing
-// the wire-level core.DeleteItem groups directly.
-func groupKVBySlice(items []KeyVersion, slices int) [][]core.DeleteItem {
-	return groupBySliceKeyed(items, slices, func(kv KeyVersion) (string, core.DeleteItem) {
-		return kv.Key, core.DeleteItem{Key: kv.Key, Version: kv.Version}
-	})
-}
-
-// groupBySliceKeyed partitions items by their key's target slice,
+// groupBySlice partitions items by their key's target slice,
 // preserving the first-appearance order of slices and the item order
 // within each — the invariant both batch puts and batch deletes rely
 // on.
-func groupBySliceKeyed[T, G any](items []T, slices int, conv func(T) (string, G)) [][]G {
+func groupBySlice[T any](items []T, slices int, key func(T) string) [][]T {
 	index := make(map[int32]int)
-	var groups [][]G
+	var groups [][]T
 	for _, it := range items {
-		key, out := conv(it)
-		s := slicing.KeySlice(key, slices)
+		s := slicing.KeySlice(key(it), slices)
 		i, ok := index[s]
 		if !ok {
 			i = len(groups)
 			index[s] = i
 			groups = append(groups, nil)
 		}
-		groups[i] = append(groups[i], out)
+		groups[i] = append(groups[i], it)
 	}
 	return groups
 }

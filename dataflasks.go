@@ -52,10 +52,7 @@ type Object = store.Object
 // (Client.DeleteBatch). Version may be Latest to remove each replica's
 // newest stored version of the key, or AllVersions to remove the whole
 // key.
-type KeyVersion struct {
-	Key     string
-	Version uint64
-}
+type KeyVersion = core.DeleteItem
 
 // NodeID identifies a node in a cluster.
 type NodeID = transport.NodeID

@@ -2,11 +2,18 @@ package dataflasks_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dataflasks"
+	"dataflasks/internal/core"
+	"dataflasks/internal/transport"
+	"dataflasks/internal/wire"
 )
 
 // TestDeleteBatchEndToEnd writes objects across every slice, deletes
@@ -117,5 +124,94 @@ func TestDeleteBatchAsyncGrouping(t *testing.T) {
 		if err := op.Wait(ctx); err != nil {
 			t.Fatalf("fire-and-forget group: %v", err)
 		}
+	}
+}
+
+// deletingPeer is a stand-in node on a TCP fabric of its own: it records
+// every message that reaches it and acknowledges each delete batch with
+// how many of its items name a key in held. A key in silent goes
+// unanswered.
+type deletingPeer struct {
+	net    atomic.Pointer[transport.TCPNetwork]
+	held   map[string]bool
+	silent string
+	mu     sync.Mutex
+	got    []interface{}
+}
+
+func (p *deletingPeer) deliver(env transport.Envelope) {
+	p.mu.Lock()
+	p.got = append(p.got, env.Msg)
+	p.mu.Unlock()
+	req, ok := env.Msg.(*core.DeleteBatchRequest)
+	if !ok || req.Items[0].Key == p.silent {
+		return
+	}
+	applied := 0
+	for _, it := range req.Items {
+		if p.held[it.Key] {
+			applied++
+		}
+	}
+	_ = p.net.Load().Sender().Send(context.Background(), req.Origin, &core.DeleteBatchAck{ID: req.ID, Applied: applied})
+}
+
+// TestDeleteAsyncIsABatchOfOne: a single delete goes on the wire as one
+// delete batch of one item; its future reports the requested version,
+// Applied 1 for an object the replica held and 0 for an absent one, and a
+// failed delete keeps its error text.
+func TestDeleteAsyncIsABatchOfOne(t *testing.T) {
+	p := &deletingPeer{held: map[string]bool{"held": true}, silent: "silent"}
+	fabric, err := transport.ListenTCP(1, "127.0.0.1:0", "", transport.TCPConfig{Codec: wire.BinaryCodec()}, p.deliver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.net.Store(fabric)
+	defer fabric.Close()
+	cl, err := dataflasks.ConnectClient("127.0.0.1:0", []string{"1@" + fabric.Addr()}, dataflasks.Config{Slices: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	for _, tc := range []struct {
+		key     string
+		version uint64
+		applied int
+	}{
+		{"held", 3, 1},
+		{"absent", dataflasks.Latest, 0},
+	} {
+		op := cl.DeleteAsync(tc.key, tc.version)
+		if err := op.Wait(ctx); err != nil {
+			t.Fatalf("delete %q: %v", tc.key, err)
+		}
+		if op.Applied() != tc.applied || op.Version() != tc.version {
+			t.Errorf("delete %q v%d: Applied %d, Version %d; want %d, %d", tc.key, tc.version, op.Applied(), op.Version(), tc.applied, tc.version)
+		}
+	}
+	err = cl.Delete(ctx, "silent", 1, dataflasks.WithTimeout(time.Millisecond), dataflasks.WithRetries(0))
+	if !errors.Is(err, dataflasks.ErrTimeout) || !strings.HasPrefix(err.Error(), `dataflasks: delete "silent": `) {
+		t.Errorf("unanswered delete: %v, want a timeout named delete \"silent\"", err)
+	}
+
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	want := []core.DeleteItem{{Key: "held", Version: 3}, {Key: "absent", Version: dataflasks.Latest}, {Key: "silent", Version: 1}}
+	var deletes int
+	for _, msg := range p.got {
+		req, ok := msg.(*core.DeleteBatchRequest)
+		if !ok {
+			continue // the client may ask the peer for slice members
+		}
+		if deletes < len(want) && (len(req.Items) != 1 || req.Items[0] != want[deletes]) {
+			t.Errorf("delete %d went out as items %+v, want one item %+v", deletes, req.Items, want[deletes])
+		}
+		deletes++
+	}
+	if deletes != len(want) {
+		t.Errorf("%d delete batches reached the peer, want %d: %+v", deletes, len(want), p.got)
 	}
 }

@@ -35,7 +35,7 @@ func newTestCore(t *testing.T, cfg Config, nodes []transport.NodeID) (*Core, *ca
 func TestPutCompletesOnAck(t *testing.T) {
 	cl, cap := newTestCore(t, Config{}, []transport.NodeID{1, 2, 3})
 	var res *Result
-	cl.StartPut("k", 1, []byte("v"), func(r Result) { res = &r })
+	cl.StartPutOpts("k", 1, []byte("v"), Opts{}, func(r Result) { res = &r })
 
 	if len(cap.sent) != 1 {
 		t.Fatalf("sent %d messages, want 1", len(cap.sent))
@@ -66,7 +66,7 @@ func TestPutCompletesOnAck(t *testing.T) {
 func TestPutRequiresDistinctAckers(t *testing.T) {
 	cl, cap := newTestCore(t, Config{PutAcks: 2}, []transport.NodeID{1})
 	var res *Result
-	cl.StartPut("k", 1, nil, func(r Result) { res = &r })
+	cl.StartPutOpts("k", 1, nil, Opts{}, func(r Result) { res = &r })
 	id := cap.sent[0].Msg.(*core.PutRequest).ID
 
 	// The same replica acking twice must not satisfy PutAcks=2.
@@ -84,7 +84,7 @@ func TestPutRequiresDistinctAckers(t *testing.T) {
 func TestFireAndForgetPut(t *testing.T) {
 	cl, _ := newTestCore(t, Config{PutAcks: -1}, []transport.NodeID{1})
 	var res *Result
-	cl.StartPut("k", 1, nil, func(r Result) { res = &r })
+	cl.StartPutOpts("k", 1, nil, Opts{}, func(r Result) { res = &r })
 	if res == nil || res.Err != nil {
 		t.Fatalf("fire-and-forget put did not complete immediately: %+v", res)
 	}
@@ -97,7 +97,7 @@ func TestGetFirstReplyWinsAndDuplicatesDropped(t *testing.T) {
 	cl, cap := newTestCore(t, Config{}, []transport.NodeID{1})
 	count := 0
 	var res Result
-	cl.StartGet("k", 7, func(r Result) { count++; res = r })
+	cl.StartGetOpts("k", 7, Opts{}, func(r Result) { count++; res = r })
 	id := cap.sent[0].Msg.(*core.GetRequest).ID
 
 	reply := &core.GetReply{ID: id, Key: "k", Version: 7, Value: []byte("x"), Slice: 3}
@@ -116,7 +116,7 @@ func TestGetFirstReplyWinsAndDuplicatesDropped(t *testing.T) {
 func TestRetryUsesFreshIDAndContact(t *testing.T) {
 	cl, cap := newTestCore(t, Config{TimeoutTicks: 2, Retries: 2}, []transport.NodeID{1, 2, 3, 4, 5, 6, 7, 8})
 	var res *Result
-	cl.StartGet("k", 1, func(r Result) { res = &r })
+	cl.StartGetOpts("k", 1, Opts{}, func(r Result) { res = &r })
 	first := cap.sent[0].Msg.(*core.GetRequest).ID
 
 	cl.Tick()
@@ -147,7 +147,7 @@ func TestRetryUsesFreshIDAndContact(t *testing.T) {
 func TestRetriesExhaustToTimeout(t *testing.T) {
 	cl, _ := newTestCore(t, Config{TimeoutTicks: 1, Retries: 2}, []transport.NodeID{1})
 	var res *Result
-	cl.StartGet("k", 1, func(r Result) { res = &r })
+	cl.StartGetOpts("k", 1, Opts{}, func(r Result) { res = &r })
 	for i := 0; i < 10 && res == nil; i++ {
 		cl.Tick()
 	}
@@ -165,7 +165,7 @@ func TestRetriesExhaustToTimeout(t *testing.T) {
 func TestAcksAccumulateAcrossRetries(t *testing.T) {
 	cl, cap := newTestCore(t, Config{PutAcks: 2, TimeoutTicks: 2, Retries: 3}, []transport.NodeID{1})
 	var res *Result
-	cl.StartPut("k", 1, nil, func(r Result) { res = &r })
+	cl.StartPutOpts("k", 1, nil, Opts{}, func(r Result) { res = &r })
 	first := cap.sent[0].Msg.(*core.PutRequest).ID
 	cl.HandleMessage(transport.Envelope{From: 5, Msg: &core.PutAck{ID: first}})
 	cl.Tick()
@@ -187,7 +187,7 @@ func TestAcksAccumulateAcrossRetries(t *testing.T) {
 func TestPutAckToSupersededAttemptCounts(t *testing.T) {
 	cl, cap := newTestCore(t, Config{PutAcks: 2, TimeoutTicks: 2, Retries: 3}, []transport.NodeID{1})
 	var res *Result
-	cl.StartPut("k", 1, nil, func(r Result) { res = &r })
+	cl.StartPutOpts("k", 1, nil, Opts{}, func(r Result) { res = &r })
 	first := cap.sent[0].Msg.(*core.PutRequest).ID
 
 	cl.HandleMessage(transport.Envelope{From: 5, Msg: &core.PutAck{ID: first}})
@@ -272,17 +272,17 @@ func TestPerOpTimeoutAndRetries(t *testing.T) {
 func TestDeleteCompletesOnAcks(t *testing.T) {
 	cl, cap := newTestCore(t, Config{PutAcks: 2}, []transport.NodeID{1})
 	var res *Result
-	cl.StartDelete("k", 7, Opts{}, func(r Result) { res = &r })
-	req, ok := cap.sent[0].Msg.(*core.DeleteRequest)
-	if !ok || req.Key != "k" || req.Version != 7 || req.TTL != core.TTLUnset {
+	cl.StartDeleteBatch([]core.DeleteItem{{Key: "k", Version: 7}}, Opts{}, func(r Result) { res = &r })
+	req, ok := cap.sent[0].Msg.(*core.DeleteBatchRequest)
+	if !ok || len(req.Items) != 1 || req.Items[0] != (core.DeleteItem{Key: "k", Version: 7}) || req.TTL != core.TTLUnset {
 		t.Fatalf("sent %#v", cap.sent[0].Msg)
 	}
-	cl.HandleMessage(transport.Envelope{From: 5, Msg: &core.DeleteAck{ID: req.ID}})
-	cl.HandleMessage(transport.Envelope{From: 5, Msg: &core.DeleteAck{ID: req.ID}}) // dup replica
+	cl.HandleMessage(transport.Envelope{From: 5, Msg: &core.DeleteBatchAck{ID: req.ID}})
+	cl.HandleMessage(transport.Envelope{From: 5, Msg: &core.DeleteBatchAck{ID: req.ID}}) // dup replica
 	if res != nil {
 		t.Fatal("duplicate replica completed the delete")
 	}
-	cl.HandleMessage(transport.Envelope{From: 6, Msg: &core.DeleteAck{ID: req.ID}})
+	cl.HandleMessage(transport.Envelope{From: 6, Msg: &core.DeleteBatchAck{ID: req.ID}})
 	if res == nil || res.Err != nil || res.Acks != 2 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -332,7 +332,7 @@ func TestEmptyPutBatchCompletesImmediately(t *testing.T) {
 func TestCancelRemovesPendingOp(t *testing.T) {
 	cl, cap := newTestCore(t, Config{}, []transport.NodeID{1})
 	fired := false
-	id := cl.StartGet("k", 1, func(Result) { fired = true })
+	id := cl.StartGetOpts("k", 1, Opts{}, func(Result) { fired = true })
 	if cl.Pending() != 1 {
 		t.Fatalf("pending = %d", cl.Pending())
 	}
@@ -362,7 +362,7 @@ func TestCancelRemovesPendingOp(t *testing.T) {
 // through the alias table.
 func TestCancelBySupersededAttemptID(t *testing.T) {
 	cl, _ := newTestCore(t, Config{PutAcks: 2, TimeoutTicks: 1, Retries: 5}, []transport.NodeID{1})
-	first := cl.StartPut("k", 1, nil, nil)
+	first := cl.StartPutOpts("k", 1, nil, Opts{}, nil)
 	cl.Tick() // retry: first id now lives in the alias table
 	if cl.Pending() != 1 {
 		t.Fatalf("pending = %d", cl.Pending())
@@ -378,7 +378,7 @@ func TestCancelBySupersededAttemptID(t *testing.T) {
 func TestEmptyLoadBalancerFailsAfterRetries(t *testing.T) {
 	cl, cap := newTestCore(t, Config{TimeoutTicks: 1, Retries: 1}, nil)
 	var res *Result
-	cl.StartGet("k", 1, func(r Result) { res = &r })
+	cl.StartGetOpts("k", 1, Opts{}, func(r Result) { res = &r })
 	if len(cap.sent) != 0 {
 		t.Fatal("sent despite empty balancer")
 	}
@@ -435,8 +435,8 @@ func keyInSlice(t *testing.T, want int32, k int) string {
 
 func TestRequestIDsAreClientScoped(t *testing.T) {
 	cl, cap := newTestCore(t, Config{}, []transport.NodeID{1})
-	cl.StartGet("a", 1, nil)
-	cl.StartGet("b", 1, nil)
+	cl.StartGetOpts("a", 1, Opts{}, nil)
+	cl.StartGetOpts("b", 1, Opts{}, nil)
 	id1 := cap.sent[0].Msg.(*core.GetRequest).ID
 	id2 := cap.sent[1].Msg.(*core.GetRequest).ID
 	if id1 == id2 {

@@ -35,8 +35,8 @@ type Result struct {
 	Acks int
 	// Applied is the largest per-replica application count reported by
 	// the acks of a batch operation: objects stored for a batch put,
-	// objects that existed and were removed for a batch delete. Zero
-	// for single-object operations.
+	// items that named an object and were removed for a delete. Zero for
+	// single puts and gets.
 	Applied int
 	// Retries is how many times the operation was re-issued.
 	Retries int
@@ -107,7 +107,6 @@ type opKind int
 const (
 	opPut opKind = iota + 1
 	opGet
-	opDelete
 	opPutBatch
 	opDeleteBatch
 )
@@ -248,8 +247,7 @@ func (c *Core) resolve(op *pending, opts Opts) {
 		op.maxRetries = 0
 	}
 	op.traceID = opts.TraceID
-	op.flood = opts.Flood || (op.countsAcks() && op.wantAcks > 1) ||
-		op.kind == opDelete || op.kind == opDeleteBatch
+	op.flood = opts.Flood || (op.countsAcks() && op.wantAcks > 1) || op.kind == opDeleteBatch
 }
 
 // start resolves op's knobs and issues its first attempt; a
@@ -265,34 +263,18 @@ func (c *Core) start(op *pending, opts Opts, done func(Result)) gossip.RequestID
 	return op.id
 }
 
-// StartPut begins an asynchronous put with the config defaults; done
+// StartPutOpts begins an asynchronous put with per-op overrides; done
 // runs when enough acks arrive or retries are exhausted. It returns the
 // first attempt's request id.
-func (c *Core) StartPut(key string, version uint64, value []byte, done func(Result)) gossip.RequestID {
-	return c.StartPutOpts(key, version, value, Opts{}, done)
-}
-
-// StartPutOpts begins an asynchronous put with per-op overrides.
 func (c *Core) StartPutOpts(key string, version uint64, value []byte, opts Opts, done func(Result)) gossip.RequestID {
 	value = append([]byte(nil), value...)
 	return c.start(&pending{kind: opPut, key: key, version: version, value: value}, opts, done)
 }
 
-// StartGet begins an asynchronous get; version may be store.Latest.
-func (c *Core) StartGet(key string, version uint64, done func(Result)) gossip.RequestID {
-	return c.StartGetOpts(key, version, Opts{}, done)
-}
-
-// StartGetOpts begins an asynchronous get with per-op overrides.
+// StartGetOpts begins an asynchronous get with per-op overrides;
+// version may be store.Latest.
 func (c *Core) StartGetOpts(key string, version uint64, opts Opts, done func(Result)) gossip.RequestID {
 	return c.start(&pending{kind: opGet, key: key, version: version}, opts, done)
-}
-
-// StartDelete begins an asynchronous delete of (key, version); version
-// store.Latest removes each replica's newest version. Completion
-// follows the same ack-counting rules as puts.
-func (c *Core) StartDelete(key string, version uint64, opts Opts, done func(Result)) gossip.RequestID {
-	return c.start(&pending{kind: opDelete, key: key, version: version}, opts, done)
 }
 
 // StartPutBatch begins an asynchronous multi-object put. All objects
@@ -312,13 +294,14 @@ func (c *Core) StartPutBatch(objs []store.Object, opts Opts, done func(Result)) 
 	return c.start(&pending{kind: opPutBatch, key: objs[0].Key, objs: slices.Clone(objs)}, opts, done)
 }
 
-// StartDeleteBatch begins an asynchronous multi-object delete,
-// mirroring StartPutBatch: all items must map to the same slice
-// (callers group per slice before issuing), the batch travels as one
-// wire message and lands on each replica as one pass over its store.
-// Item versions may be store.Latest. Acks count whole batches; the
-// result's Applied reports the largest per-replica count of items that
-// actually existed. An empty batch completes immediately.
+// StartDeleteBatch begins an asynchronous delete — the only one: a
+// single delete is a batch of one item — mirroring StartPutBatch: all
+// items must map to the same slice (callers group per slice before
+// issuing), the batch travels as one wire message and lands on each
+// replica as one pass over its store. Item versions may be
+// store.Latest. Acks count whole batches; the result's Applied reports
+// the largest per-replica count of items that actually existed. An
+// empty batch completes immediately.
 func (c *Core) StartDeleteBatch(items []core.DeleteItem, opts Opts, done func(Result)) gossip.RequestID {
 	if len(items) == 0 {
 		if done != nil {
@@ -387,8 +370,6 @@ func (c *Core) launch(op *pending) {
 		req = &core.PutRequest{Routing: hdr, Key: op.key, Version: op.version, Value: op.value}
 	case opGet:
 		req = &core.GetRequest{Routing: hdr, Key: op.key, Version: op.version}
-	case opDelete:
-		req = &core.DeleteRequest{Routing: hdr, Key: op.key, Version: op.version}
 	case opPutBatch:
 		req = &core.PutBatchRequest{Routing: hdr, Objs: op.objs}
 	case opDeleteBatch:
@@ -417,8 +398,6 @@ func (c *Core) HandleMessage(env transport.Envelope) {
 		c.onAck(m.ID, opPut, env.From, 0)
 	case *core.PutBatchAck:
 		c.onAck(m.ID, opPutBatch, env.From, m.Stored)
-	case *core.DeleteAck:
-		c.onAck(m.ID, opDelete, env.From, 0)
 	case *core.DeleteBatchAck:
 		c.onAck(m.ID, opDeleteBatch, env.From, m.Applied)
 	case *core.GetReply:
@@ -443,7 +422,7 @@ func (c *Core) HandleMessage(env transport.Envelope) {
 // onAck counts one replica acknowledgement for an ack-counted op. Acks
 // for superseded attempt ids of a still-live op count too: the replica
 // stored (or deleted) the same object either way. applied is the
-// replica's per-batch application count (0 for single-object acks); the
+// replica's per-batch application count (0 for a single put); the
 // largest observed value is surfaced in the result.
 func (c *Core) onAck(id gossip.RequestID, kind opKind, from transport.NodeID, applied int) {
 	op, ok := c.ops[id]

@@ -33,15 +33,13 @@ func newDirectoryCore(t *testing.T, cfg Config) (*Core, *Directory, *capture, bo
 	return NewCore(0xC0000001, cfg, out, dir), dir, cap, b
 }
 
-// requestID reads the request id off any of the five request kinds.
+// requestID reads the request id off any of the four request kinds.
 func requestID(t *testing.T, msg interface{}) gossip.RequestID {
 	t.Helper()
 	switch m := msg.(type) {
 	case *core.PutRequest:
 		return m.ID
 	case *core.GetRequest:
-		return m.ID
-	case *core.DeleteRequest:
 		return m.ID
 	case *core.PutBatchRequest:
 		return m.ID
@@ -182,13 +180,14 @@ func TestFloodAttemptsBypassDirectory(t *testing.T) {
 	key := keyInSlice(t, 2, dirSlices)
 	objs := []store.Object{{Key: key, Version: 1}}
 	items := []core.DeleteItem{{Key: key, Version: 1}}
+	latest := []core.DeleteItem{{Key: key, Version: store.Latest}}
 	cases := []struct {
 		name  string
 		start func(cl *Core)
 	}{
 		{"put acks=2", func(cl *Core) { cl.StartPutOpts(key, 1, nil, Opts{Acks: 2}, nil) }},
 		{"putbatch acks=2", func(cl *Core) { cl.StartPutBatch(objs, Opts{Acks: 2}, nil) }},
-		{"delete", func(cl *Core) { cl.StartDelete(key, 1, Opts{}, nil) }},
+		{"delete", func(cl *Core) { cl.StartDeleteBatch(latest, Opts{}, nil) }},
 		{"deletebatch", func(cl *Core) { cl.StartDeleteBatch(items, Opts{}, nil) }},
 		{"forced", func(cl *Core) { cl.StartGetOpts(key, store.Latest, Opts{Flood: true}, nil) }},
 	}
@@ -224,7 +223,7 @@ func TestFloodAttemptsBypassDirectory(t *testing.T) {
 			dir.SetLocal(local)
 			dir.learn(key, 40)
 			sent := len(cap.sent)
-			cl.StartPut(key, 1, nil, nil)
+			cl.StartPutOpts(key, 1, nil, Opts{}, nil)
 			if first := cap.sent[sent]; first.To != 40 || floodOf(first.Msg) {
 				t.Fatalf("attempt 1 went to %v (flood %v), want member 40 without the flood", first.To, floodOf(first.Msg))
 			}
@@ -248,15 +247,15 @@ func TestDirectoryLearnsFromAcksAndReplies(t *testing.T) {
 		reply func(id gossip.RequestID) interface{}
 		learn bool
 	}{
-		{"put ack", func(cl *Core) { cl.StartPut(key, 1, nil, nil) },
+		{"put ack", func(cl *Core) { cl.StartPutOpts(key, 1, nil, Opts{}, nil) },
 			func(id gossip.RequestID) interface{} { return &core.PutAck{ID: id} }, true},
 		{"batch ack", func(cl *Core) { cl.StartPutBatch(objs, Opts{}, nil) },
 			func(id gossip.RequestID) interface{} { return &core.PutBatchAck{ID: id, Stored: 1} }, true},
-		{"delete ack", func(cl *Core) { cl.StartDelete(key, 1, Opts{}, nil) },
-			func(id gossip.RequestID) interface{} { return &core.DeleteAck{ID: id} }, true},
-		{"get reply", func(cl *Core) { cl.StartGet(key, store.Latest, nil) },
+		{"delete ack", func(cl *Core) { cl.StartDeleteBatch([]core.DeleteItem{{Key: key, Version: 1}}, Opts{}, nil) },
+			func(id gossip.RequestID) interface{} { return &core.DeleteBatchAck{ID: id} }, true},
+		{"get reply", func(cl *Core) { cl.StartGetOpts(key, store.Latest, Opts{}, nil) },
 			func(id gossip.RequestID) interface{} { return &core.GetReply{ID: id, Slice: 1} }, true},
-		{"get reply without a slice", func(cl *Core) { cl.StartGet(key, store.Latest, nil) },
+		{"get reply without a slice", func(cl *Core) { cl.StartGetOpts(key, store.Latest, Opts{}, nil) },
 			func(id gossip.RequestID) interface{} { return &core.GetReply{ID: id, Slice: slicing.SliceUnknown} }, false},
 	}
 	for _, tc := range cases {
@@ -273,7 +272,7 @@ func TestDirectoryLearnsFromAcksAndReplies(t *testing.T) {
 				return
 			}
 			// The next request for the slice goes straight to the member.
-			cl.StartGet(key, store.Latest, nil)
+			cl.StartGetOpts(key, store.Latest, Opts{}, nil)
 			if last := cap.sent[len(cap.sent)-1]; last.To != 40 {
 				t.Errorf("next request went to %v, want the learned member", last.To)
 			}
@@ -289,9 +288,9 @@ func TestRepliesCompleteEachOp(t *testing.T) {
 	putKey, getKey := keyInSlice(t, 1, dirSlices), keyInSlice(t, 2, dirSlices)
 	var done []Result
 	record := func(r Result) { done = append(done, r) }
-	cl.StartPut(putKey, 3, []byte("v"), record)
+	cl.StartPutOpts(putKey, 3, []byte("v"), Opts{}, record)
 	putID := requestID(t, cap.sent[len(cap.sent)-1].Msg)
-	cl.StartGet(getKey, store.Latest, record)
+	cl.StartGetOpts(getKey, store.Latest, Opts{}, record)
 	getID := requestID(t, cap.sent[len(cap.sent)-1].Msg)
 
 	cl.HandleMessage(transport.Envelope{From: 40, Msg: &core.Replies{Msgs: []interface{}{
@@ -328,7 +327,7 @@ func TestDirectoryEvictsRelayingAndSilentContacts(t *testing.T) {
 	t.Run("ack from another node", func(t *testing.T) {
 		cl, dir, cap, _ := newDirectoryCore(t, Config{})
 		dir.learn(key, 40)
-		cl.StartPut(key, 1, nil, nil)
+		cl.StartPutOpts(key, 1, nil, Opts{}, nil)
 		put := cap.sent[len(cap.sent)-1]
 		if put.To != 40 {
 			t.Fatalf("put went to %v, want member 40", put.To)
@@ -342,7 +341,7 @@ func TestDirectoryEvictsRelayingAndSilentContacts(t *testing.T) {
 		}
 		// The pin left with the relaying contact: the tick's next request
 		// goes to the acker.
-		cl.StartPut(key, 2, nil, nil)
+		cl.StartPutOpts(key, 2, nil, Opts{}, nil)
 		if to := cap.sent[len(cap.sent)-1].To; to != 41 {
 			t.Errorf("next put of the tick went to %v, want the acker 41", to)
 		}
@@ -351,7 +350,7 @@ func TestDirectoryEvictsRelayingAndSilentContacts(t *testing.T) {
 	t.Run("ack from the contact", func(t *testing.T) {
 		cl, dir, cap, _ := newDirectoryCore(t, Config{})
 		dir.learn(key, 40)
-		cl.StartPut(key, 1, nil, nil)
+		cl.StartPutOpts(key, 1, nil, Opts{}, nil)
 		put := cap.sent[len(cap.sent)-1]
 		cl.HandleMessage(transport.Envelope{From: 40, Msg: &core.PutAck{ID: put.Msg.(*core.PutRequest).ID}})
 		if st := dir.stats; st.Evictions != 0 || len(dir.members[3]) != 1 {
@@ -377,7 +376,7 @@ func TestDirectoryEvictsRelayingAndSilentContacts(t *testing.T) {
 	t.Run("timeout", func(t *testing.T) {
 		cl, dir, cap, _ := newDirectoryCore(t, Config{TimeoutTicks: 1, Retries: 1})
 		dir.learn(key, 40)
-		cl.StartGet(key, store.Latest, nil)
+		cl.StartGetOpts(key, store.Latest, Opts{}, nil)
 		if to := cap.sent[len(cap.sent)-1].To; to != 40 {
 			t.Fatalf("get went to %v, want member 40", to)
 		}
@@ -613,7 +612,7 @@ func TestDirectoryEvictsLocalLikeAnyMember(t *testing.T) {
 		if dir.stats.Local != local {
 			t.Errorf("local hits grew to %d while the local node was no member", dir.stats.Local)
 		}
-		cl.StartGet(key, store.Latest, nil)
+		cl.StartGetOpts(key, store.Latest, Opts{}, nil)
 		get := cap.sent[len(cap.sent)-1]
 		if get.To == localNode {
 			t.Fatalf("get went to the evicted local node")
@@ -626,7 +625,7 @@ func TestDirectoryEvictsLocalLikeAnyMember(t *testing.T) {
 
 	t.Run("ack from another node", func(t *testing.T) {
 		cl, dir, cap := setup(t)
-		cl.StartPut(key, 1, nil, nil)
+		cl.StartPutOpts(key, 1, nil, Opts{}, nil)
 		put := cap.sent[len(cap.sent)-1]
 		if put.To != localNode {
 			t.Fatalf("put went to %v, want the local node", put.To)
@@ -637,7 +636,7 @@ func TestDirectoryEvictsLocalLikeAnyMember(t *testing.T) {
 
 	t.Run("timeout", func(t *testing.T) {
 		cl, dir, cap := setup(t)
-		cl.StartGet(key, store.Latest, nil)
+		cl.StartGetOpts(key, store.Latest, Opts{}, nil)
 		if to := cap.sent[len(cap.sent)-1].To; to != localNode {
 			t.Fatalf("get went to %v, want the local node", to)
 		}

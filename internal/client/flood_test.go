@@ -9,7 +9,7 @@ import (
 	"dataflasks/internal/transport"
 )
 
-// floodOf reads the Flood flag off any of the five request kinds.
+// floodOf reads the Flood flag off any of the four request kinds.
 func floodOf(msg interface{}) bool {
 	return reflect.ValueOf(msg).Elem().FieldByName("Flood").Bool()
 }
@@ -17,12 +17,13 @@ func floodOf(msg interface{}) bool {
 // TestFloodFlagFirstAttemptOptimisticRetriesEpidemic pins which
 // requests ask the nodes for the epidemic fanout. Attempt 1 of a
 // single-ack put, batch put or get leaves the directed hop open; every
-// retry of anything floods; an op that needs more than one ack, a
-// delete, a delete batch and an op told to (Opts.Flood) flood from the
-// first attempt.
+// retry of anything floods; an op that needs more than one ack, every
+// delete (a batch, of one item for a single delete) and an op told to
+// (Opts.Flood) flood from the first attempt.
 func TestFloodFlagFirstAttemptOptimisticRetriesEpidemic(t *testing.T) {
 	objs := []store.Object{{Key: "k", Version: 1, Value: []byte("v")}}
-	items := []core.DeleteItem{{Key: "k", Version: 1}}
+	items := []core.DeleteItem{{Key: "k", Version: 1}, {Key: "k2", Version: 1}}
+	single := []core.DeleteItem{{Key: "k", Version: 1}}
 	cases := []struct {
 		name       string
 		start      func(cl *Core, opts Opts)
@@ -34,9 +35,9 @@ func TestFloodFlagFirstAttemptOptimisticRetriesEpidemic(t *testing.T) {
 		{"putbatch", func(cl *Core, o Opts) { cl.StartPutBatch(objs, o, nil) }, Opts{}, false},
 		{"put acks=2", func(cl *Core, o Opts) { cl.StartPutOpts("k", 1, nil, o, nil) }, Opts{Acks: 2}, true},
 		{"putbatch acks=2", func(cl *Core, o Opts) { cl.StartPutBatch(objs, o, nil) }, Opts{Acks: 2}, true},
-		{"delete", func(cl *Core, o Opts) { cl.StartDelete("k", 1, o, nil) }, Opts{}, true},
+		{"delete", func(cl *Core, o Opts) { cl.StartDeleteBatch(single, o, nil) }, Opts{}, true},
 		{"deletebatch", func(cl *Core, o Opts) { cl.StartDeleteBatch(items, o, nil) }, Opts{}, true},
-		{"fire-and-forget delete", func(cl *Core, o Opts) { cl.StartDelete("k", 1, o, nil) }, Opts{Acks: -1}, true},
+		{"fire-and-forget delete", func(cl *Core, o Opts) { cl.StartDeleteBatch(single, o, nil) }, Opts{Acks: -1}, true},
 		{"put forced", func(cl *Core, o Opts) { cl.StartPutOpts("k", 1, nil, o, nil) }, Opts{Flood: true}, true},
 		{"get forced", func(cl *Core, o Opts) { cl.StartGetOpts("k", store.Latest, o, nil) }, Opts{Flood: true}, true},
 	}
@@ -70,8 +71,8 @@ func TestFloodFlagFirstAttemptOptimisticRetriesEpidemic(t *testing.T) {
 // counts like the per-op one.
 func TestConfigPutAcksAboveOneFloods(t *testing.T) {
 	cl, cap := newTestCore(t, Config{PutAcks: 3}, []transport.NodeID{1})
-	cl.StartPut("k", 1, nil, nil)
-	cl.StartGet("k", store.Latest, nil)
+	cl.StartPutOpts("k", 1, nil, Opts{}, nil)
+	cl.StartGetOpts("k", store.Latest, Opts{}, nil)
 	if !floodOf(cap.sent[0].Msg) {
 		t.Error("PutAcks 3: the put's first attempt did not ask for the flood")
 	}

@@ -34,14 +34,14 @@ func TestDirectoryWithWrongSliceCountStillCompletes(t *testing.T) {
 		}
 	}
 	for i := 0; i < records; i++ {
-		cl.StartPut(workload.Key(i), 1, []byte("v"), done)
+		cl.StartPutOpts(workload.Key(i), 1, []byte("v"), client.Opts{}, done)
 		if i%4 == 3 {
 			c.Run(1)
 		}
 	}
 	c.Run(20)
 	for i := 0; i < records; i++ {
-		cl.StartGet(workload.Key(i), store.Latest, done)
+		cl.StartGetOpts(workload.Key(i), store.Latest, client.Opts{}, done)
 		if i%4 == 3 {
 			c.Run(1)
 		}

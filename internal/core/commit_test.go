@@ -566,7 +566,7 @@ func TestRunKeepsPerKeyOrder(t *testing.T) {
 	stop := h.start()
 	h.holdThenRun(
 		entryPut1("k", 1, 1),
-		&DeleteRequest{Routing: Routing{ID: gossip.MakeRequestID(runClient, 2), NoAck: true, TTL: TTLUnset}, Key: "k", Version: 1},
+		&DeleteBatchRequest{Routing: Routing{ID: gossip.MakeRequestID(runClient, 2), NoAck: true, TTL: TTLUnset}, Items: []DeleteItem{{Key: "k", Version: 1}}},
 		entryPut1("k", 2, 3),
 		&PutBatchRequest{
 			Routing: Routing{ID: gossip.MakeRequestID(runClient, 4), NoAck: true, TTL: TTLUnset},

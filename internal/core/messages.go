@@ -14,7 +14,7 @@ import (
 )
 
 // Routing is the header every data-plane request carries: what each hop
-// of §IV-B reads or rewrites, the same for all five kinds. A request
+// of §IV-B reads or rewrites, the same for all four kinds. A request
 // travels in two phases: a TTL-bounded global phase over PSS views — one
 // directed hop when the relaying node's view already names a member of
 // the key's slice, the epidemic fanout otherwise or when Flood is set —
@@ -140,40 +140,20 @@ type PutBatchAck struct {
 	Stored int
 }
 
-// DeleteRequest removes (Key, Version) from the target slice's
-// replicas; Version store.Latest removes each replica's newest stored
-// version (resolved independently per replica, mirroring Get). Deletes
-// must reach the whole target slice.
-type DeleteRequest struct {
-	Routing
-	Key     string
-	Version uint64
-}
-
-func (m *DeleteRequest) routeKey() (string, bool) { return m.Key, true }
-func (m *DeleteRequest) hop() request             { c := *m; return &c }
-
-// DeleteAck confirms a delete was applied by one replica.
-type DeleteAck struct {
-	ID      gossip.RequestID
-	Key     string
-	Version uint64
-}
-
-// DeleteItem names one (key, version) pair of a batch delete. Version
-// store.Latest removes each replica's newest stored version of the key.
+// DeleteItem names one (key, version) pair of a delete. Version
+// store.Latest removes each replica's newest stored version of the key
+// (resolved independently per replica, mirroring Get), and
+// store.AllVersions every stored version.
 type DeleteItem struct {
 	Key     string
 	Version uint64
 }
 
-// DeleteBatchRequest removes a batch of objects that all map to one
-// target slice (the client groups per slice before sending), mirroring
-// PutBatchRequest: each replica applies it in one pass over the local
-// store. Nodes that predate this message type ignore it (unknown kinds
-// fall through HandleMessage's default case), so mixed-version
-// deployments degrade to "batch not deleted by old nodes" rather than
-// crashing.
+// DeleteBatchRequest is every delete: a batch of items that all map to
+// one target slice (the client groups per slice before sending; a
+// single delete is a batch of one), mirroring PutBatchRequest: each
+// replica applies it in one pass over the local store. Deletes must
+// reach the whole target slice.
 type DeleteBatchRequest struct {
 	Routing
 	// Items all belong to one slice under the sender's slice count; the
@@ -201,9 +181,9 @@ type DeleteBatchAck struct {
 }
 
 // Replies carries the answers — PutAck, PutBatchAck, GetReply,
-// DeleteAck, DeleteBatchAck — that one shard produced for one origin
-// during one run, two or more of them, in the order they were produced:
-// one message instead of one per answer. The client handles each as if
+// DeleteBatchAck — that one shard produced for one origin during one
+// run, two or more of them, in the order they were produced: one
+// message instead of one per answer. The client handles each as if
 // it had arrived alone. A lone answer travels as itself, so a node that
 // handles runs of one envelope never sends this.
 type Replies struct {

@@ -685,23 +685,9 @@ func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.Node
 			s.traceOp(obs.TracePutApply, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
 			s.ack(ctx, m, len(m.Objs))
 		}
-	case *DeleteRequest:
-		// A buffered put for this key must be applied before the
-		// delete, or the commit would resurrect the object. Version
-		// store.Latest is resolved independently by each replica's store,
-		// mirroring Get.
-		s.commit(ctx)
-		applied, err := n.applyDeleteBatch([]DeleteItem{{Key: m.Key, Version: m.Version}})
-		if err != nil {
-			break
-		}
-		if applied > 0 {
-			s.met.Inc(metrics.DeletesServed)
-			s.traceOp(obs.TraceDeleteApply, m.TraceID, m.Key, 0, 1)
-		}
-		s.ack(ctx, m, 0)
 	case *DeleteBatchRequest:
-		// Buffered puts must land first, as for a single delete. The ack
+		// A buffered put of an item's key must be applied before the
+		// delete, or the commit would resurrect the object. The ack
 		// carries how many items named objects this replica really held,
 		// which is what a Redis-style multi-key DEL reports.
 		s.commit(ctx)
@@ -750,8 +736,6 @@ func (s *dataShard) ack(ctx context.Context, req request, count int) {
 		ack = &PutAck{ID: m.ID, Key: m.Key, Version: m.Version}
 	case *PutBatchRequest:
 		ack = &PutBatchAck{ID: m.ID, Stored: count}
-	case *DeleteRequest:
-		ack = &DeleteAck{ID: m.ID, Key: m.Key, Version: m.Version}
 	case *DeleteBatchRequest:
 		ack = &DeleteBatchAck{ID: m.ID, Applied: count}
 	}

@@ -329,9 +329,9 @@ func TestNodeDeletesAndAcks(t *testing.T) {
 	_ = n.Store().Put(key, 9, []byte("new"))
 
 	// Latest resolves to the newest stored version on this replica.
-	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &DeleteRequest{
+	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &DeleteBatchRequest{
 		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 1), Origin: 0xC0000001, TTL: TTLUnset},
-		Key:     key, Version: store.Latest,
+		Items:   []DeleteItem{{Key: key, Version: store.Latest}},
 	}})
 
 	if _, _, ok, _ := n.Store().Get(key, 9); ok {
@@ -340,8 +340,8 @@ func TestNodeDeletesAndAcks(t *testing.T) {
 	if _, _, ok, _ := n.Store().Get(key, 1); !ok {
 		t.Fatal("delete removed more than the latest version")
 	}
-	acks := cap.byType(func(m interface{}) bool { _, ok := m.(*DeleteAck); return ok })
-	if len(acks) != 1 || acks[0].To != 0xC0000001 {
+	acks := cap.byType(func(m interface{}) bool { _, ok := m.(*DeleteBatchAck); return ok })
+	if len(acks) != 1 || acks[0].To != 0xC0000001 || acks[0].Msg.(*DeleteBatchAck).Applied != 1 {
 		t.Fatalf("delete acks = %+v", acks)
 	}
 	if n.Metrics().Get(metrics.DeletesServed) != 1 {
@@ -362,9 +362,9 @@ func TestNodeDeleteFlushesCoalescedPut(t *testing.T) {
 		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 1), TTL: 2, Intra: true},
 		Key:     key, Version: 3, Value: []byte("v"),
 	}})
-	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &DeleteRequest{
+	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &DeleteBatchRequest{
 		Routing: Routing{ID: gossip.MakeRequestID(0xC0000001, 2), Origin: 0xC0000001, TTL: TTLUnset},
-		Key:     key, Version: 3,
+		Items:   []DeleteItem{{Key: key, Version: 3}},
 	}})
 	n.Tick(context.Background())
 	if _, _, ok, _ := n.Store().Get(key, 3); ok {
@@ -378,15 +378,15 @@ func TestNodeRelaysForeignSliceDelete(t *testing.T) {
 	n, cap := staticNode(t, id, k)
 	n.Bootstrap([]transport.NodeID{500, 501})
 	key := keyForSlice(t, 3, k)
-	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &DeleteRequest{
+	n.HandleMessage(context.Background(), transport.Envelope{From: 77, To: id, Msg: &DeleteBatchRequest{
 		Routing: Routing{ID: gossip.MakeRequestID(1, 1), TTL: TTLUnset},
-		Key:     key, Version: 1,
+		Items:   []DeleteItem{{Key: key, Version: 1}},
 	}})
-	relays := cap.byType(func(m interface{}) bool { _, ok := m.(*DeleteRequest); return ok })
+	relays := cap.byType(func(m interface{}) bool { _, ok := m.(*DeleteBatchRequest); return ok })
 	if len(relays) == 0 {
 		t.Fatal("foreign delete not relayed")
 	}
-	if acks := cap.byType(func(m interface{}) bool { _, ok := m.(*DeleteAck); return ok }); len(acks) != 0 {
+	if acks := cap.byType(func(m interface{}) bool { _, ok := m.(*DeleteBatchAck); return ok }); len(acks) != 0 {
 		t.Fatal("off-slice node acked a delete")
 	}
 }

@@ -48,8 +48,12 @@ var requestKinds = []requestKind{
 		empty: func(r Routing) request { return &PutBatchRequest{Routing: r} }},
 	{name: "get", read: true, preload: true, answer: &GetReply{}, applied: func(store.Store, string) bool { return true },
 		build: func(r Routing, key string) request { return &GetRequest{Routing: r, Key: key, Version: 1} }},
-	{name: "delete", preload: true, answer: &DeleteAck{}, applied: gone,
-		build: func(r Routing, key string) request { return &DeleteRequest{Routing: r, Key: key, Version: 1} }},
+	// A single delete as the client sends it: a batch of one item, here
+	// at the newest version, which the member resolves.
+	{name: "delete", preload: true, answer: &DeleteBatchAck{}, applied: gone,
+		build: func(r Routing, key string) request {
+			return &DeleteBatchRequest{Routing: r, Items: []DeleteItem{{Key: key, Version: store.Latest}}}
+		}},
 	{name: "deletebatch", preload: true, answer: &DeleteBatchAck{}, applied: gone,
 		build: func(r Routing, key string) request {
 			return &DeleteBatchRequest{Routing: r, Items: []DeleteItem{{Key: key, Version: 1}}}

@@ -266,7 +266,7 @@ func TestGlobalPhaseFloodFlag(t *testing.T) {
 		"put":         &PutRequest{Routing: Routing{ID: id, Origin: client1, TTL: TTLUnset, Flood: true}, Key: key, Version: 1},
 		"putbatch":    &PutBatchRequest{Routing: Routing{ID: id, Origin: client1, TTL: TTLUnset, Flood: true}, Objs: []store.Object{{Key: key, Version: 1}}},
 		"get":         &GetRequest{Routing: Routing{ID: id, Origin: client1, TTL: TTLUnset, Flood: true}, Key: key, Version: store.Latest},
-		"delete":      &DeleteRequest{Routing: Routing{ID: id, Origin: client1, TTL: TTLUnset, Flood: true}, Key: key, Version: 1},
+		"delete":      &DeleteBatchRequest{Routing: Routing{ID: id, Origin: client1, TTL: TTLUnset, Flood: true}, Items: []DeleteItem{{Key: key, Version: store.Latest}}},
 		"deletebatch": &DeleteBatchRequest{Routing: Routing{ID: id, Origin: client1, TTL: TTLUnset, Flood: true}, Items: []DeleteItem{{Key: key, Version: 1}}},
 	}
 	flooded := func(msg interface{}) bool {

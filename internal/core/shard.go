@@ -654,8 +654,6 @@ func (s *dataShard) traceRelay(req request, key string) {
 		objects = len(m.Objs)
 	case *GetRequest:
 		kind = obs.TraceGetRelay
-	case *DeleteRequest:
-		kind = obs.TraceDeleteRelay
 	case *DeleteBatchRequest:
 		kind, objects = obs.TraceDeleteRelay, len(m.Items)
 	}

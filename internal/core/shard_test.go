@@ -52,7 +52,7 @@ func TestDataShardKeyClassifiesEveryDataKind(t *testing.T) {
 	}{
 		{&PutRequest{Key: "a"}, "a", true},
 		{&GetRequest{Key: "b"}, "b", true},
-		{&DeleteRequest{Key: "c"}, "c", true},
+		{&DeleteBatchRequest{Items: []DeleteItem{{Key: "c"}}}, "c", true},
 		{&PutBatchRequest{Objs: []store.Object{{Key: "d"}, {Key: "x"}}}, "d", true},
 		{&DeleteBatchRequest{Items: []DeleteItem{{Key: "e"}, {Key: "y"}}}, "e", true},
 		{&PutBatchRequest{}, "", true}, // empty batch still routes (shard 0) and is dropped there
@@ -373,9 +373,9 @@ func TestShardHammer(t *testing.T) {
 						Objs:    objs,
 					}}
 				default:
-					env = transport.Envelope{From: 2, To: 1, Msg: &DeleteRequest{
+					env = transport.Envelope{From: 2, To: 1, Msg: &DeleteBatchRequest{
 						Routing: Routing{ID: gossip.RequestID(id), NoAck: true, TTL: TTLUnset},
-						Key:     key, Version: store.Latest,
+						Items:   []DeleteItem{{Key: key, Version: store.Latest}},
 					}}
 				}
 				n.DispatchData(env)
@@ -401,15 +401,16 @@ func TestShardHammer(t *testing.T) {
 
 // sentAs names what a data-plane message handed to the fabric carries,
 // one entry per object: acks, replies and intra-slice relay copies by
-// kind, key and version. A run's batched relay counts as the copies it
+// kind, key and version (a delete's ack, which names neither, by request
+// id and applied count). A run's batched relay counts as the copies it
 // holds, and a reply batch as its answers (answersIn), so legs whose runs
 // differ in length stay comparable; control traffic names nothing.
 func sentAs(msg interface{}) []string {
 	switch m := msg.(type) {
 	case *PutAck:
 		return []string{fmt.Sprintf("put-ack %s v%d", m.Key, m.Version)}
-	case *DeleteAck:
-		return []string{fmt.Sprintf("delete-ack %s v%d", m.Key, m.Version)}
+	case *DeleteBatchAck:
+		return []string{fmt.Sprintf("delete-ack %v applied=%d", m.ID, m.Applied)}
 	case *GetReply:
 		return []string{fmt.Sprintf("get-reply %s v%d", m.Key, m.Version)}
 	case *PutRequest:
@@ -420,8 +421,12 @@ func sentAs(msg interface{}) []string {
 			out[i] = fmt.Sprintf("put-relay %s v%d intra=%v", o.Key, o.Version, m.Intra)
 		}
 		return out
-	case *DeleteRequest:
-		return []string{fmt.Sprintf("delete-relay %s v%d intra=%v", m.Key, m.Version, m.Intra)}
+	case *DeleteBatchRequest:
+		out := make([]string, len(m.Items))
+		for i, it := range m.Items {
+			out[i] = fmt.Sprintf("delete-relay %s v%d intra=%v", it.Key, it.Version, m.Intra)
+		}
+		return out
 	case *GetRequest:
 		return []string{fmt.Sprintf("get-relay %s intra=%v", m.Key, m.Intra)}
 	}
@@ -482,7 +487,7 @@ func TestShardEquivalenceSingleVsMany(t *testing.T) {
 			var msg interface{}
 			switch i % 7 {
 			case 6:
-				msg = &DeleteRequest{Routing: Routing{ID: id, Origin: client, TTL: TTLUnset}, Key: key, Version: uint64(i / 300)}
+				msg = &DeleteBatchRequest{Routing: Routing{ID: id, Origin: client, TTL: TTLUnset}, Items: []DeleteItem{{Key: key, Version: uint64(i / 300)}}}
 			case 3:
 				msg = &GetRequest{Routing: Routing{ID: id, Origin: client, TTL: TTLUnset}, Key: key, Version: store.Latest}
 			default:

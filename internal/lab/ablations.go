@@ -45,7 +45,7 @@ func SliceReconfiguration(n, kOld, kNew int, seed uint64) ReconfigResult {
 	c.Run(40)
 
 	const key = "reconfigured"
-	cl.StartPut(key, 1, []byte("elastic"), nil)
+	cl.StartPutOpts(key, 1, []byte("elastic"), client.Opts{}, nil)
 	c.Run(15)
 
 	res := ReconfigResult{

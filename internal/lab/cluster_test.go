@@ -43,7 +43,7 @@ func TestClusterPutGetRoundTrip(t *testing.T) {
 	c.Run(30)
 
 	var putDone, getDone client.Result
-	cl.StartPut("alpha", 1, []byte("value-1"), func(r client.Result) { putDone = r })
+	cl.StartPutOpts("alpha", 1, []byte("value-1"), client.Opts{}, func(r client.Result) { putDone = r })
 	c.Run(10)
 	if putDone.Err != nil {
 		t.Fatalf("put failed: %v", putDone.Err)
@@ -54,7 +54,7 @@ func TestClusterPutGetRoundTrip(t *testing.T) {
 		t.Errorf("object replicated to %d nodes, want >= 5 (slice size ~20)", replicas)
 	}
 
-	cl.StartGet("alpha", store.Latest, func(r client.Result) { getDone = r })
+	cl.StartGetOpts("alpha", store.Latest, client.Opts{}, func(r client.Result) { getDone = r })
 	c.Run(10)
 	if getDone.Err != nil {
 		t.Fatalf("get failed: %v", getDone.Err)
@@ -74,13 +74,13 @@ func TestClusterVersionedReads(t *testing.T) {
 
 	for v := uint64(1); v <= 3; v++ {
 		val := []byte{byte('a' + v)}
-		cl.StartPut("k", v, val, nil)
+		cl.StartPutOpts("k", v, val, client.Opts{}, nil)
 		c.Run(8)
 	}
 
 	var r1, rLatest client.Result
-	cl.StartGet("k", 1, func(r client.Result) { r1 = r })
-	cl.StartGet("k", store.Latest, func(r client.Result) { rLatest = r })
+	cl.StartGetOpts("k", 1, client.Opts{}, func(r client.Result) { r1 = r })
+	cl.StartGetOpts("k", store.Latest, client.Opts{}, func(r client.Result) { rLatest = r })
 	c.Run(10)
 
 	if r1.Err != nil || r1.Version != 1 {
@@ -126,7 +126,7 @@ func TestClusterDeterminism(t *testing.T) {
 		cl := c.NewClient(client.Config{}, nil)
 		c.Run(20)
 		for i := 0; i < 5; i++ {
-			cl.StartPut(string(rune('a'+i)), 1, []byte{byte(i)}, nil)
+			cl.StartPutOpts(string(rune('a'+i)), 1, []byte{byte(i)}, client.Opts{}, nil)
 		}
 		c.Run(15)
 		return c.MessagesPerNode()

@@ -212,7 +212,7 @@ func availabilityUnderChurn(n, k int, rates []float64, ops int, seed uint64, rea
 		var reads tally
 		retries := 0
 		readUnderChurn(c, churn.NewInjector(rate, sim.RNG(seed, 0xc0de)), sim.RNG(seed, 0xf00d), ops,
-			func(key string) { cl.StartPut(key, 1, []byte("payload"), nil) },
+			func(key string) { cl.StartPutOpts(key, 1, []byte("payload"), client.Opts{}, nil) },
 			func(key string) {
 				cl.StartGetOpts(key, store.Latest, readOpts, func(r client.Result) {
 					retries += r.Retries
@@ -325,7 +325,7 @@ func ReplicationRepair(n, k int, antiEntropyEvery int, seed uint64) RepairResult
 	c.Run(40)
 
 	const key = "repair-me"
-	cl.StartPut(key, 1, []byte("precious"), nil)
+	cl.StartPutOpts(key, 1, []byte("precious"), client.Opts{}, nil)
 	c.Run(15)
 
 	res := RepairResult{Key: key, InitialCount: c.ReplicaCount(key, 1)}
@@ -512,8 +512,10 @@ func CompareWithDHT(n, k, ops int, rates []float64, seed uint64) []CompareRow {
 		fcl := fc.NewClient(client.Config{}, nil)
 		var flasks tally
 		readUnderChurn(fc, churn.NewInjector(rate, sim.RNG(seed, 0xaaaa)), sim.RNG(seed, 0xbbbb), ops,
-			func(key string) { fcl.StartPut(key, 1, []byte("payload"), nil) },
-			func(key string) { fcl.StartGet(key, store.Latest, func(r client.Result) { flasks.add(r.Err) }) })
+			func(key string) { fcl.StartPutOpts(key, 1, []byte("payload"), client.Opts{}, nil) },
+			func(key string) {
+				fcl.StartGetOpts(key, store.Latest, client.Opts{}, func(r client.Result) { flasks.add(r.Err) })
+			})
 		row.FlasksAvail = flasks.availability()
 		row.FlasksMsgs = metrics.SummarizeValues(fc.MessagesPerNode()).Mean
 

@@ -35,7 +35,7 @@ func TestAutoSystemSize(t *testing.T) {
 
 	var res client.Result
 	gotRes := false
-	cl.StartPut("auto", 1, []byte("sized by gossip"), func(r client.Result) { res = r; gotRes = true })
+	cl.StartPutOpts("auto", 1, []byte("sized by gossip"), client.Opts{}, func(r client.Result) { res = r; gotRes = true })
 	c.Run(10)
 	if !gotRes || res.Err != nil {
 		t.Fatalf("put with estimated N: gotRes=%v err=%v", gotRes, res.Err)
@@ -67,7 +67,7 @@ func TestLossyNetwork(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		cl.StartPut("lossy-key-"+string(rune('a'+i)), 1, []byte("lossy"), done)
+		cl.StartPutOpts("lossy-key-"+string(rune('a'+i)), 1, []byte("lossy"), client.Opts{}, done)
 	}
 	c.Run(60)
 	if ok < 9 {
@@ -96,7 +96,7 @@ func TestPersistentBackedCluster(t *testing.T) {
 			c.Run(25)
 
 			var res client.Result
-			cl.StartPut("durable", 1, []byte("on disk"), func(r client.Result) { res = r })
+			cl.StartPutOpts("durable", 1, []byte("on disk"), client.Opts{}, func(r client.Result) { res = r })
 			c.Run(10)
 			if res.Err != nil {
 				t.Fatalf("put: %v", res.Err)
@@ -120,7 +120,7 @@ func TestMultiAckWritesAndDeletesFloodFirstAttempt(t *testing.T) {
 	c.ResetMetrics()
 
 	var put, del *client.Result
-	cl.StartPut("multi-ack", 1, []byte("v"), func(r client.Result) { put = &r })
+	cl.StartPutOpts("multi-ack", 1, []byte("v"), client.Opts{}, func(r client.Result) { put = &r })
 	c.Run(10)
 	if put == nil || put.Err != nil || put.Acks < 2 || put.Retries != 0 {
 		t.Fatalf("two-ack put = %+v, want >= 2 acks on the first attempt", put)
@@ -129,10 +129,10 @@ func TestMultiAckWritesAndDeletesFloodFirstAttempt(t *testing.T) {
 	if reps < 15 {
 		t.Fatalf("two-ack put reached %d replicas", reps)
 	}
-	cl.StartDelete("multi-ack", 1, client.Opts{Acks: 1}, func(r client.Result) { del = &r })
+	cl.StartDeleteBatch([]core.DeleteItem{{Key: "multi-ack", Version: 1}}, client.Opts{Acks: 1}, func(r client.Result) { del = &r })
 	c.Run(10)
-	if del == nil || del.Err != nil || del.Retries != 0 {
-		t.Fatalf("delete = %+v, want done on the first attempt", del)
+	if del == nil || del.Err != nil || del.Retries != 0 || del.Applied != 1 {
+		t.Fatalf("delete = %+v, want done on the first attempt, the object held", del)
 	}
 	// A flood covers the slice w.h.p., not surely, and a node that has
 	// since left the slice keeps its copy.

@@ -243,7 +243,7 @@ func (c *Cluster) preload(cl *client.Core, versions map[string]uint64, opts Work
 				key := workload.Key(idx)
 				versions[key] = 1
 				value := make([]byte, opts.ValueSize)
-				cl.StartPut(key, 1, value, nil)
+				cl.StartPutOpts(key, 1, value, client.Opts{}, nil)
 				idx++
 			}
 		})

@@ -85,7 +85,8 @@ const (
 	PutsServed
 	// GetsServed counts get requests this node answered from its store.
 	GetsServed
-	// DeletesServed counts delete requests this node applied locally.
+	// DeletesServed counts delete items this node applied locally: each
+	// that named an object it held.
 	DeletesServed
 	// CoalescedPuts counts intra-slice relay puts that landed via the
 	// event loop's accumulation window as batch appends instead of

@@ -64,11 +64,6 @@ func fixtures() []Envelope {
 			Key:     "k", Version: store.Latest,
 		},
 		&core.GetReply{ID: 44, Key: "k", Version: 3, Value: []byte("val"), Slice: 2},
-		&core.DeleteRequest{
-			Routing: core.Routing{ID: 45, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true, TraceID: 0x7ace4},
-			Key:     "k", Version: 3,
-		},
-		&core.DeleteAck{ID: 45, Key: "k", Version: 3},
 		&core.DeleteBatchRequest{
 			Routing: core.Routing{ID: 46, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true, TraceID: 0x7ace5},
 			Items:   []core.DeleteItem{{Key: "a", Version: 1}, {Key: "b", Version: store.Latest}},
@@ -94,7 +89,6 @@ func fixtures() []Envelope {
 			&core.PutAck{ID: 49, Key: "k", Version: 3},
 			&core.GetReply{ID: 50, Key: "g", Version: 4, Value: []byte("val"), Slice: 2},
 			&core.PutBatchAck{ID: 51, Stored: 2},
-			&core.DeleteAck{ID: 52, Key: "d", Version: 5},
 			&core.DeleteBatchAck{ID: 53, Applied: 1},
 		}},
 		&antientropy.Reconcile{Slice: 2, Items: []antientropy.Item{
@@ -164,7 +158,7 @@ func TestVersionSentinelsSurvive(t *testing.T) {
 	for _, v := range []uint64{store.Latest, store.AllVersions} {
 		for _, msg := range []interface{}{
 			&core.GetRequest{Key: "k", Version: v},
-			&core.DeleteRequest{Key: "k", Version: v},
+			&core.DeleteBatchRequest{Items: []core.DeleteItem{{Key: "k", Version: v}}},
 		} {
 			frame, err := codec.Encode(nil, &Envelope{Msg: msg})
 			if err != nil {
@@ -302,17 +296,20 @@ func legacyRequestFrames() []legacyRequestFrame {
 			},
 		},
 		{
+			// A single delete: a batch of one item since kind 19
+			// retired. The frame is the retired kind's pre-trace frame
+			// (retiredFrames) with kind 21 and an item count of one.
 			name: "DeleteRequest",
-			legacy: "0113007600000000000000da000000000000000d31302e302e302e313a373030302d000000" +
-				"00000000016b030000000000000009000000000000000d31302e302e302e393a37303039040101",
+			legacy: "0115007600000000000000da000000000000000d31302e302e302e313a373030302d000000" +
+				"0000000001016b030000000000000009000000000000000d31302e302e302e393a37303039040101",
 			from: 118, to: 218,
-			untraced: &core.DeleteRequest{
+			untraced: &core.DeleteBatchRequest{
 				Routing: core.Routing{ID: 45, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true},
-				Key:     "k", Version: 3,
+				Items:   []core.DeleteItem{{Key: "k", Version: 3}},
 			},
-			traced: &core.DeleteRequest{
+			traced: &core.DeleteBatchRequest{
 				Routing: core.Routing{ID: 45, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true, TraceID: 0x7ace4},
-				Key:     "k", Version: 3,
+				Items:   []core.DeleteItem{{Key: "k", Version: 3}},
 			},
 		},
 		{
@@ -334,7 +331,8 @@ func legacyRequestFrames() []legacyRequestFrame {
 }
 
 // TestTraceIDLegacyFrameCompat pins the rolling-upgrade contract for
-// request tracing on all five request messages: TraceID rides as an
+// request tracing on all four request messages (and a delete batch
+// of one item, what a single delete is): TraceID rides as an
 // optional TRAILING field. Three
 // things must hold per message: the pre-trace frame layout still
 // decodes (TraceID zero); an untraced request encodes byte-identically
@@ -391,8 +389,8 @@ func withFlood(msg interface{}) interface{} {
 }
 
 // TestFloodFlagLegacyFrameCompat pins the rolling-upgrade contract for
-// the Flood flag, the second optional trailing field of the five
-// request messages. Per message: both earlier layouts (pre-trace, and
+// the Flood flag, the second optional trailing field of the four
+// request messages (and a delete batch of one item). Per message: both earlier layouts (pre-trace, and
 // traced pre-flood) decode with Flood false; an unflagged request
 // encodes byte-identically to them; and a flagged frame is the traced
 // layout — the id written even when it is zero — plus one trailing
@@ -459,7 +457,7 @@ func TestFloodFlagLegacyFrameCompat(t *testing.T) {
 }
 
 // TestRepliesNestOnlyAnswers: a reply batch decodes only when every entry
-// is one of the five answers. A batch inside a batch, a request, a
+// is one of the four answers. A batch inside a batch, a request, a
 // control message, another protocol's ack or an unknown kind fails the
 // frame, so whatever decodes encodes again.
 func TestRepliesNestOnlyAnswers(t *testing.T) {
@@ -492,6 +490,62 @@ func TestRepliesNestOnlyAnswers(t *testing.T) {
 	frame = append(frame, 0xde, 0xad)
 	if env, err := codec.Decode(frame); !errors.Is(err, errNotAnswer) {
 		t.Errorf("batch nesting an unknown kind: decoded to %+v, err %v; want errNotAnswer", env, err)
+	}
+}
+
+// retiredFrame is a frame of a retired kind as the last build that sent
+// it wrote it, and the error its decoding now draws (nil: it decodes as
+// Unknown).
+type retiredFrame struct {
+	name  string
+	frame string
+	err   error
+}
+
+// retiredFrames are the kind-19 and kind-20 frames — the single-object
+// DeleteRequest and DeleteAck, retired when every delete became a
+// DeleteBatchRequest — taken from testdata/frames.golden before the
+// retirement: the traced request, its pre-trace form, the ack, and the
+// reply batch that nested the ack.
+func retiredFrames() []retiredFrame {
+	return []retiredFrame{
+		{"DeleteRequest", "0113007600000000000000da000000000000000d31302e302e302e313a373030302d00000000000000016b03" +
+			"0000000000000009000000000000000d31302e302e302e393a37303039040101e4ac070000000000", nil},
+		{"DeleteRequest pre-trace", "0113007600000000000000da000000000000000d31302e302e302e313a373030302d000000" +
+			"00000000016b030000000000000009000000000000000d31302e302e302e393a37303039040101", nil},
+		{"DeleteAck", "0114007700000000000000db000000000000000d31302e302e302e313a373030302d00000000000000016b03" +
+			"00000000000000", nil},
+		{"Replies nesting a DeleteAck", "0124008700000000000000eb000000000000000d31302e302e302e313a37303030050e0031" +
+			"00000000000000016b030000000000000012003200000000000000016704000000000000000376616c0200000010003300" +
+			"0000000000000200000014003400000000000000016405000000000000001600350000000000000001000000", errNotAnswer},
+	}
+}
+
+// TestRetiredKindFrames: a retired request or ack from an older build
+// decodes as Unknown with its kind, which a node counts and ignores; a
+// reply batch nesting a retired answer fails whole, as any batch nesting
+// a non-answer does.
+func TestRetiredKindFrames(t *testing.T) {
+	codec := BinaryCodec()
+	for _, tc := range retiredFrames() {
+		frame, err := hex.DecodeString(tc.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := codec.Decode(frame)
+		if tc.err != nil {
+			if !errors.Is(err, tc.err) {
+				t.Errorf("%s: decoded to %+v, err %v; want %v", tc.name, env, err, tc.err)
+			}
+			continue
+		}
+		kind := uint16(frame[1]) | uint16(frame[2])<<8
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if u, ok := env.Msg.(Unknown); !ok || u.Kind != kind {
+			t.Errorf("%s: decoded to %#v, want Unknown{%d}", tc.name, env.Msg, kind)
+		}
 	}
 }
 

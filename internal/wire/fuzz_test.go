@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/hex"
 	"testing"
 
 	"dataflasks/internal/antientropy"
@@ -82,6 +83,15 @@ func FuzzDecodeBinary(f *testing.F) {
 	retired = appendStr(retired, "addr")
 	retired = appendF64(retired, 12.5)
 	f.Add(appendF64(retired, 0.5))
+	// The frames of retired kinds 19 and 20 an older build still sends:
+	// Unknown, and a reply batch the decoder refuses.
+	for _, tc := range retiredFrames() {
+		frame, err := hex.DecodeString(tc.frame)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{transport.FrameBinary})
 	f.Add([]byte{0xff, 0x00})

@@ -102,7 +102,7 @@ func TestGoldenFrames(t *testing.T) {
 	}
 	for name := range golden {
 		if !seen[name] {
-			t.Errorf("golden frame %s has no fixture (removed message kinds must keep decoding)", name)
+			t.Errorf("golden frame %s has no fixture (a retired kind's frame belongs in retiredFrames)", name)
 		}
 	}
 }

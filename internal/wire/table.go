@@ -204,36 +204,6 @@ var Messages = []Spec{
 			}
 		},
 	},
-	{Kind: 19, Name: "core.DeleteRequest",
-		New: func() interface{} { return &core.DeleteRequest{} },
-		enc: func(b []byte, m interface{}) []byte {
-			v := m.(*core.DeleteRequest)
-			b = appendU64(b, uint64(v.ID))
-			b = appendStr(b, v.Key)
-			b = appendU64(b, v.Version)
-			return appendRouting(b, &v.Routing, true)
-		},
-		dec: func(r *reader) interface{} {
-			m := &core.DeleteRequest{
-				Routing: core.Routing{ID: gossip.RequestID(r.u64())},
-				Key:     r.str(), Version: r.u64(),
-			}
-			readRouting(r, &m.Routing, true)
-			return m
-		},
-	},
-	{Kind: 20, Name: "core.DeleteAck",
-		New: func() interface{} { return &core.DeleteAck{} },
-		enc: func(b []byte, m interface{}) []byte {
-			v := m.(*core.DeleteAck)
-			b = appendU64(b, uint64(v.ID))
-			b = appendStr(b, v.Key)
-			return appendU64(b, v.Version)
-		},
-		dec: func(r *reader) interface{} {
-			return &core.DeleteAck{ID: gossip.RequestID(r.u64()), Key: r.str(), Version: r.u64()}
-		},
-	},
 	{Kind: 21, Name: "core.DeleteBatchRequest",
 		New: func() interface{} { return &core.DeleteBatchRequest{} },
 		enc: func(b []byte, m interface{}) []byte {
@@ -503,9 +473,11 @@ var Messages = []Spec{
 // reservedKinds are retired kind IDs, never to be reused: 6 was the
 // push-sum averaging message, which no node ever sent; 7–10 and 35 were
 // the repair messages before antientropy.Reconcile carried the whole
-// exchange. A frame of one decodes as Unknown, which a node counts and
+// exchange; 19 and 20 were the single-object delete and its ack, before
+// every delete became a DeleteBatchRequest (kind 21) of one or more
+// items. A frame of one decodes as Unknown, which a node counts and
 // ignores.
-var reservedKinds = []uint16{6, 7, 8, 9, 10, 35}
+var reservedKinds = []uint16{6, 7, 8, 9, 10, 19, 20, 35}
 
 // errBadItem rejects a repair item that names no key-hash prefix or
 // whose children would not fit one (antientropy.Item.Valid).
@@ -516,12 +488,11 @@ var errBadItem = errors.New("wire: invalid repair item")
 // kind. Only what the encoder can write again decodes.
 var errNotAnswer = errors.New("wire: reply batch nests a non-answer")
 
-// answerKind reports whether kind is one of the five answers a reply
-// batch may carry: PutAck, PutBatchAck, GetReply, DeleteAck and
-// DeleteBatchAck.
+// answerKind reports whether kind is one of the four answers a reply
+// batch may carry: PutAck, PutBatchAck, GetReply and DeleteBatchAck.
 func answerKind(kind uint16) bool {
 	switch kind {
-	case 14, 16, 18, 20, 22:
+	case 14, 16, 18, 22:
 		return true
 	}
 	return false
@@ -649,7 +620,7 @@ func readWords(r *reader) []uint64 {
 	return ws
 }
 
-// appendRouting ends each of the five request kinds: the header after
+// appendRouting ends each of the four request kinds: the header after
 // the id, which leads the frame. A get has no NoAck byte. TraceID and
 // Flood are two OPTIONAL TRAILING fields: a field is emitted only when
 // something at or after it is non-zero.

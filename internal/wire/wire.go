@@ -6,9 +6,10 @@
 // The protocol surface is declared once, in Messages: every message a
 // node may emit or receive — PSS shuffles, slicing swaps, aggregation,
 // anti-entropy (the Reconcile descent, pulls, pushes),
-// the data plane (puts/gets/deletes and their batch and ack forms, and
-// the answer batch — core.Replies, one shard's acks and get replies to
-// one client as one frame, which nests only those five answer kinds),
+// the data plane (puts and gets, their batch and ack forms, the one
+// delete message — a batch, of one item for a single delete — and the
+// answer batch — core.Replies, one shard's acks and get replies to one
+// client as one frame, which nests only those four answer kinds),
 // mate discovery, and the DHT baseline — with a stable kind ID. The
 // codec is derived from that one table: adding a protocol message
 // means adding a table entry, and forgetting draws an encode error on

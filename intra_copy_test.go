@@ -73,8 +73,7 @@ func TestIntraCopiesDropOriginAddr(t *testing.T) {
 			Objs:    []store.Object{{Key: "a", Version: 1}, {Key: "b", Version: 1}},
 		},
 			func(c interface{}) interface{} { m := *c.(*core.PutBatchRequest); m.OriginAddr = clientAddr; return &m }},
-		{"delete", &core.DeleteRequest{Routing: core.Routing{ID: 3, Origin: client, OriginAddr: clientAddr}, Key: "k", Version: 1},
-			func(c interface{}) interface{} { m := *c.(*core.DeleteRequest); m.OriginAddr = clientAddr; return &m }},
+		// Every delete is a batch; this one of one item is a single delete.
 		{"delete batch", &core.DeleteBatchRequest{
 			Routing: core.Routing{ID: 4, Origin: client, OriginAddr: clientAddr},
 			Items:   []core.DeleteItem{{Key: "a", Version: 1}},
@@ -102,8 +101,6 @@ func TestIntraCopiesDropOriginAddr(t *testing.T) {
 				case *core.PutRequest:
 					intra, addr = m.Intra, m.OriginAddr
 				case *core.PutBatchRequest:
-					intra, addr = m.Intra, m.OriginAddr
-				case *core.DeleteRequest:
 					intra, addr = m.Intra, m.OriginAddr
 				case *core.DeleteBatchRequest:
 					intra, addr = m.Intra, m.OriginAddr

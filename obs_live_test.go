@@ -244,7 +244,7 @@ func TestUnknownFramesCountedLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	kinds := []uint16{6, 35, 0xfff0} // reserved (retired), never assigned
+	kinds := []uint16{6, 19, 35, 0xfff0} // reserved (retired), never assigned
 	var stream []byte
 	for _, kind := range kinds {
 		// A frame of a known kind with its kind field rewritten: the
