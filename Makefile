@@ -56,13 +56,15 @@ goldens-check:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# fuzz mutates the wire decoder's inputs and the repair exchange's two
-# stores for two minutes each (the nightly fuzz job); the test run only
-# replays their seeds. Not part of ci. A failing input lands in the
-# package's testdata/fuzz, which then replays as a seed.
+# fuzz mutates the wire decoder's inputs, the repair exchange's two
+# stores and the log's segment scan for two minutes each (the nightly
+# fuzz job); the test run only replays their seeds. Not part of ci. A
+# failing input lands in the package's testdata/fuzz, which then
+# replays as a seed.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBinary -fuzztime=2m ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzReconcile -fuzztime=2m -fuzzminimizetime=5s ./internal/antientropy
+	$(GO) test -run=NONE -fuzz=FuzzScanSegment -fuzztime=2m ./internal/store
 
 # bench-module checks that the benchmark (a module of its own under
 # bench/, which ./... does not reach) still compiles against the API,

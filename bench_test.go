@@ -375,32 +375,48 @@ func BenchmarkTCPDeliver(b *testing.B) {
 }
 
 // BenchmarkLogRecovery measures reopening (sequential replay + index
-// rebuild) of a log holding 10k objects.
+// rebuild) of a log: 10k objects of 100 B in one segment, and 20k of
+// 1 KiB over the benchmark harness's 4 MiB segments, so replay crosses
+// several segments and B/op shows the scan's window, not a segment.
 func BenchmarkLogRecovery(b *testing.B) {
-	dir := b.TempDir()
-	s, err := store.OpenLog(dir, store.LogOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	val := make([]byte, 100)
-	for i := 0; i < 10000; i++ {
-		_ = s.Put(fmt.Sprintf("key%08d", i), 1, val)
-	}
-	if err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := store.OpenLog(dir, store.LogOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.Count() != 10000 {
-			b.Fatalf("recovered %d objects", s.Count())
-		}
-		b.StopTimer()
-		s.Close()
-		b.StartTimer()
+	for _, c := range []struct {
+		name         string
+		objects      int
+		valueBytes   int
+		segmentBytes int64
+	}{
+		{"10k_100B", 10000, 100, 0},
+		{"20k_1KiB_4MiBseg", 20000, 1 << 10, 4 << 20},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			dir := b.TempDir()
+			opts := store.LogOptions{SegmentMaxBytes: c.segmentBytes}
+			s, err := store.OpenLog(dir, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			val := make([]byte, c.valueBytes)
+			for i := 0; i < c.objects; i++ {
+				_ = s.Put(fmt.Sprintf("key%08d", i), 1, val)
+			}
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := store.OpenLog(dir, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if s.Count() != c.objects {
+					b.Fatalf("recovered %d objects", s.Count())
+				}
+				b.StopTimer()
+				s.Close()
+				b.StartTimer()
+			}
+		})
 	}
 }
 

@@ -54,14 +54,13 @@ type ClusterConfig struct {
 	// N is the initial node count.
 	N int
 	// Node is the per-node configuration; SystemSize and Seed are
-	// overridden per cluster/node.
+	// overridden per cluster/node, and its Store is not read: a node's
+	// engine comes from Store and StoreDir, or StoreFactory.
 	Node core.Config
 	// Seed drives every random choice in the cluster.
 	Seed uint64
 	// LossRate drops messages uniformly at random.
 	LossRate float64
-	// Latency overrides the fabric latency model (default LAN).
-	Latency transport.LatencyModel
 	// StoreFactory builds each node's store (default: built from Store
 	// and StoreDir, which means memory when both are zero).
 	StoreFactory func(id transport.NodeID) store.Store
@@ -120,17 +119,11 @@ func StoreFactoryFor(sc core.StoreConfig, baseDir string) func(id transport.Node
 // NewCluster builds and bootstraps a cluster (no rounds run yet).
 func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.StoreFactory == nil {
-		sc := cfg.Store
-		if sc == (core.StoreConfig{}) {
-			// Honor the knob on the embedded node config too, so
-			// setting it there is not a silent no-op.
-			sc = cfg.Node.Store
-		}
-		cfg.StoreFactory = StoreFactoryFor(sc, cfg.StoreDir)
+		cfg.StoreFactory = StoreFactoryFor(cfg.Store, cfg.StoreDir)
 	}
 	c := &Cluster{ctx: context.Background(), cfg: cfg, contacts: make(map[contact]int)}
 	c.population = newPopulation(
-		transport.SimNetworkConfig{Latency: cfg.Latency, LossRate: cfg.LossRate, Seed: cfg.Seed}, 0x1ab,
+		transport.SimNetworkConfig{LossRate: cfg.LossRate, Seed: cfg.Seed}, 0x1ab,
 		func(n *core.Node, env transport.Envelope) { n.HandleMessage(c.ctx, env) },
 		func(n *core.Node) { n.Tick(c.ctx) })
 	c.populate(cfg.N, c.node(nil))

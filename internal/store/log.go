@@ -295,50 +295,50 @@ func OpenLog(dir string, opts LogOptions) (*Log, error) {
 // Dir returns the store's root directory.
 func (l *Log) Dir() string { return l.dir }
 
-// replaySegment scans one segment sequentially, applying puts and
+// replaySegment scans one segment with scanSegment, applying puts and
 // tombstones to the index. A record that fails verification in the
-// last segment is a torn tail: the file is truncated at the last good
-// offset. Anywhere else it is corruption and replay fails.
+// last segment is a torn tail: the file is truncated at the verified
+// end. Anywhere else it is corruption and replay fails.
 func (l *Log) replaySegment(id uint64, last bool) error {
-	path := filepath.Join(l.dir, segmentName(id))
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(id)), os.O_RDWR, 0)
 	if err != nil {
 		return fmt.Errorf("store: open segment: %w", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("store: read segment: %w", err)
 	}
 	seg := &segment{id: id, f: f}
 	l.segs[id] = seg
 	l.segIDs = append(l.segIDs, id)
-	off := 0
-	for off < len(data) {
-		rec, n, ok := parseRecord(data[off:])
-		if !ok {
-			if !last {
-				return fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, id, off)
-			}
-			if err := f.Truncate(int64(off)); err != nil {
-				return fmt.Errorf("store: truncate torn tail: %w", err)
-			}
-			break
-		}
-		switch k := hashKey(rec.key); rec.typ {
-		case recPut:
-			if e := l.idx.find(k); !e.has(rec.version) {
-				l.idx.add(e, k, rec.version, recLoc{seg: id, off: int64(off), len: int64(n)})
-				seg.live += int64(n)
-			}
-		case recTomb:
-			l.dropIndexed(k, rec.version)
-		}
-		off += n
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: stat segment: %w", err)
 	}
-	seg.size = int64(off)
-	// The handle's write offset must sit at the replayed end (the file
-	// was read separately), or appends would overwrite the head.
+	end, err := scanSegment(f.ReadAt, fi.Size(), 0, func(_ int64, _ []byte, recs []segRec) error {
+		for _, r := range recs {
+			switch k := hashKey(r.key); r.typ {
+			case recPut:
+				if e := l.idx.find(k); !e.has(r.version) {
+					l.idx.add(e, k, r.version, recLoc{seg: id, off: r.off, len: r.len})
+					seg.live += r.len
+				}
+			case recTomb:
+				l.dropIndexed(k, r.version)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("store: read segment %d: %w", id, err)
+	}
+	if end < fi.Size() {
+		if !last {
+			return fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, id, end)
+		}
+		if err := f.Truncate(end); err != nil {
+			return fmt.Errorf("store: truncate torn tail: %w", err)
+		}
+	}
+	seg.size = end
+	// The handle's write offset must sit at the replayed end (the scan
+	// read by offset), or appends would overwrite the head.
 	if _, err := f.Seek(seg.size, io.SeekStart); err != nil {
 		return fmt.Errorf("store: seek segment end: %w", err)
 	}
@@ -712,11 +712,22 @@ func (l *Log) Get(key string, version uint64) ([]byte, uint64, bool, error) {
 	if _, err := l.segs[loc.seg].f.ReadAt(buf, loc.off); err != nil {
 		return nil, 0, false, fmt.Errorf("store: read record: %w", err)
 	}
-	rec, _, ok := parseRecord(buf)
-	if !ok || rec.typ != recPut || rec.key != key || rec.version != v {
+	value, ok := locatedValue(buf, key, v)
+	if !ok {
 		return nil, 0, false, fmt.Errorf("%w: %q version %d", ErrCorrupt, key, v)
 	}
-	return rec.value, v, true, nil
+	return value, v, true, nil
+}
+
+// locatedValue verifies a record read from its index location — it
+// must parse, be a put and carry (key, version) — and returns its
+// value, which aliases buf.
+func locatedValue(buf []byte, key string, version uint64) ([]byte, bool) {
+	rec, _, ok := parseRecord(buf)
+	if !ok || rec.typ != recPut || rec.key != key || rec.version != version {
+		return nil, false
+	}
+	return rec.value, true
 }
 
 // StreamObjects implements Store: the repair read path. Each record is
@@ -758,12 +769,12 @@ func (l *Log) StreamObjects(refs []Ref, fn func(o Object) bool) (int, error) {
 			corrupt++
 			continue
 		}
-		rec, _, pok := parseRecord(buf)
-		if !pok || rec.typ != recPut || rec.key != r.Key || rec.version != r.Version {
+		value, ok := locatedValue(buf, r.Key, r.Version)
+		if !ok {
 			corrupt++
 			continue
 		}
-		if !fn(Object{Key: r.Key, Version: r.Version, Value: rec.value}) {
+		if !fn(Object{Key: r.Key, Version: r.Version, Value: value}) {
 			return corrupt, nil
 		}
 	}
@@ -833,24 +844,12 @@ func (l *Log) compactOnce() error {
 	return err
 }
 
-// compactRec is one put record's location inside a candidate segment.
-type compactRec struct {
-	key string
-	ver uint64
-	loc recLoc
-}
-
 // compactSeg is one candidate segment at snapshot time.
 type compactSeg struct {
 	seg  *segment
 	id   uint64
 	size int64
 }
-
-// compactBatchBytes bounds how many copied bytes are swapped per
-// write-lock critical section, keeping each foreground stall to one
-// small buffered write instead of a whole segment rewrite.
-const compactBatchBytes = 64 << 10
 
 // compactPass runs one compaction evaluation. Only the snapshot, the
 // per-batch swap and the final bookkeeping trim take the store lock —
@@ -961,80 +960,45 @@ func (l *Log) compactCandidates() []*compactSeg {
 	return out
 }
 
-// copyLive reads one candidate segment with no lock held, parses its
-// put records (a sealed segment is immutable, so the unlocked read and
-// parse are stable, and the CRC walk reports rot instead of silently
-// propagating it) and re-appends the live ones to the active segment
-// in bounded batches. The read is chunked with the throttle charged
-// before each chunk — so the rate cap paces the disk I/O spike itself,
-// not just work already done — and each swap batch charges the bytes
-// it copied, so a rate-limited pass alternates short bursts with
-// sleeps instead of lumping one long stall.
+// copyLive walks one candidate segment with scanSegment and no lock
+// held (a sealed segment is immutable, so the unlocked read is stable,
+// and the verified walk reports rot instead of silently propagating
+// it), re-appending each window's live put records to the active
+// segment as one batch. The throttle is charged before each window's
+// read — so the rate cap paces the disk I/O spike itself, not just work
+// already done — and again for the bytes each batch copied, so a
+// rate-limited pass alternates short bursts with sleeps instead of
+// lumping one long stall. A record that fails verification fails the
+// pass with ErrCorrupt: the windows before it stay relocated, which is
+// safe because a candidate is only removed after the whole pass
+// succeeded.
 func (l *Log) copyLive(cs *compactSeg) error {
-	if cs.size == 0 {
-		return nil
+	read := func(p []byte, off int64) (int, error) {
+		l.throttleCompact(len(p))
+		return cs.seg.f.ReadAt(p, off)
 	}
-	data := make([]byte, cs.size)
-	for off := int64(0); off < cs.size; {
-		n := cs.size - off
-		if n > compactBatchBytes {
-			n = compactBatchBytes
-		}
-		l.throttleCompact(int(n))
-		if _, err := cs.seg.f.ReadAt(data[off:off+n], off); err != nil {
-			return fmt.Errorf("store: read segment %d: %w", cs.id, err)
-		}
-		off += n
-	}
-	var recs []compactRec
-	var off int64
-	for off < cs.size {
-		rec, n, ok := parseRecord(data[off:])
-		if !ok {
-			return fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, cs.id, off)
-		}
-		if rec.typ == recPut {
-			recs = append(recs, compactRec{
-				key: rec.key, ver: rec.version,
-				loc: recLoc{seg: cs.id, off: off, len: int64(n)},
-			})
-		}
-		off += int64(n)
-	}
-	if len(recs) == 0 {
-		return nil // tombstone-only segment: read already charged
-	}
-	var batch []compactRec
-	var spanStart int64
-	flush := func(spanEnd int64) error {
-		if len(batch) == 0 {
-			return nil
-		}
-		copied, err := l.relocateBatch(cs, data, batch)
-		if err != nil {
-			return err
-		}
+	end, err := scanSegment(read, cs.size, 0, func(base int64, data []byte, recs []segRec) error {
+		copied, err := l.relocateBatch(cs, base, data, recs)
 		l.throttleCompact(int(copied))
-		batch, spanStart = batch[:0], spanEnd
-		return nil
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	for _, r := range recs {
-		batch = append(batch, r)
-		if end := r.loc.off + r.loc.len; end-spanStart >= compactBatchBytes {
-			if err := flush(end); err != nil {
-				return err
-			}
-		}
+	if end < cs.size {
+		return fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, cs.id, end)
 	}
-	return flush(cs.size)
+	return nil
 }
 
-// relocateBatch revalidates one batch of parsed records against the
-// current index and appends the survivors to the active segment — the
-// only write-lock critical section of the copy loop. A record that is
-// superseded, deleted, or dropped mid-flight simply stays behind in
-// the doomed segment. Returns the bytes copied.
-func (l *Log) relocateBatch(cs *compactSeg, data []byte, batch []compactRec) (int64, error) {
+// relocateBatch revalidates one window's records against the current
+// index and appends the live puts to the active segment — the only
+// write-lock critical section of the copy loop, so each foreground
+// stall is one window's buffered write, not a whole segment rewrite. A
+// record that is superseded, deleted, or dropped mid-flight simply
+// stays behind in the doomed segment. data is the window at segment
+// offset base. Returns the bytes copied.
+func (l *Log) relocateBatch(cs *compactSeg, base int64, data []byte, recs []segRec) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -1046,17 +1010,20 @@ func (l *Log) relocateBatch(cs *compactSeg, data []byte, batch []compactRec) (in
 		ver uint64
 		len int64
 	}
-	kept := make([]keptRec, 0, len(batch))
-	for _, r := range batch {
+	kept := make([]keptRec, 0, len(recs))
+	for _, r := range recs {
+		if r.typ != recPut {
+			continue
+		}
 		e := l.idx.find(hashKey(r.key))
 		if e == nil {
 			continue
 		}
-		if loc, live := e.vals[r.ver]; !live || loc != r.loc {
+		if loc, live := e.vals[r.version]; !live || loc != (recLoc{seg: cs.id, off: r.off, len: r.len}) {
 			continue
 		}
-		buf = append(buf, data[r.loc.off:r.loc.off+r.loc.len]...)
-		kept = append(kept, keptRec{e: e, ver: r.ver, len: r.loc.len})
+		buf = append(buf, data[r.off-base:r.off-base+r.len]...)
+		kept = append(kept, keptRec{e: e, ver: r.version, len: r.len})
 	}
 	if len(buf) == 0 {
 		return 0, nil

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -71,18 +72,17 @@ func (l *Log) Segments() ([]SegmentInfo, error) {
 	l.mu.RUnlock()
 
 	out := make([]SegmentInfo, 0, len(list))
-	var scratch []byte
 	for _, s := range list {
 		if s.cached != nil {
 			out = append(out, *s.cached)
 			continue
 		}
-		info, ok, err := l.scanManifest(s.id, s.size, &scratch)
+		info, err := l.scanManifest(s.id, s.size)
+		if errors.Is(err, errVanished) {
+			continue // compacted away mid-walk
+		}
 		if err != nil {
 			return nil, err
-		}
-		if !ok {
-			continue // compacted away mid-walk
 		}
 		out = append(out, info)
 		l.mu.Lock()
@@ -96,41 +96,44 @@ func (l *Log) Segments() ([]SegmentInfo, error) {
 }
 
 // scanManifest builds one sealed segment's manifest entry by a full
-// verified walk. ok is false when the segment vanished (compaction)
-// before the walk finished.
-func (l *Log) scanManifest(id uint64, size int64, scratch *[]byte) (SegmentInfo, bool, error) {
+// verified walk. It returns errVanished when the segment was compacted
+// away before the walk finished.
+func (l *Log) scanManifest(id uint64, size int64) (SegmentInfo, error) {
 	info := SegmentInfo{ID: id, Bytes: size}
-	reached, _, err := l.streamSealed(id, size, 0, scratch, func(c SegmentChunk) bool {
-		info.CRC = crc32.Update(info.CRC, crc32.IEEETable, c.Data)
-		for p := 0; p < len(c.Data); {
-			rec, n, _ := parseRecord(c.Data[p:]) // chunk already verified
-			if info.Records == 0 {
-				info.MinKey, info.MaxKey = rec.key, rec.key
-			} else {
-				if rec.key < info.MinKey {
-					info.MinKey = rec.key
-				}
-				if rec.key > info.MaxKey {
-					info.MaxKey = rec.key
-				}
-			}
-			info.Records++
-			p += n
+	end, err := scanSegment(l.sealedReader(id), size, 0, func(_ int64, data []byte, recs []segRec) error {
+		info.CRC = crc32.Update(info.CRC, crc32.IEEETable, data)
+		for _, r := range recs {
+			info.addKey(r.key)
 		}
-		return true
+		return nil
 	})
-	if err != nil {
-		return SegmentInfo{}, false, err
+	if err == nil && end < size {
+		err = fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, id, end)
 	}
-	return info, reached == size, nil
+	return info, err
+}
+
+// addKey counts one record of key into the entry's Records and key
+// range.
+func (s *SegmentInfo) addKey(key string) {
+	if s.Records == 0 || key < s.MinKey {
+		s.MinKey = key
+	}
+	if s.Records == 0 || key > s.MaxKey {
+		s.MaxKey = key
+	}
+	s.Records++
 }
 
 // StreamSegments implements Store for the log engine: each ref's
-// sealed segment is streamed verbatim from its resume offset. Refs
-// whose segment vanished (compacted away) or that name the active
-// segment are skipped silently.
+// sealed segment is streamed verbatim from its resume offset in
+// scanSegment's verified windows, so corrupt bytes are never shipped:
+// a record that fails verification stops the stream with ErrCorrupt
+// and its location. Refs whose segment vanished (compacted away, even
+// mid-stream) or that name the active segment are skipped silently.
+// Resuming at a segment's very end yields one empty terminal chunk, so
+// the caller still observes completion.
 func (l *Log) StreamSegments(refs []SegmentRef, fn func(c SegmentChunk) bool) error {
-	var scratch []byte
 	for _, r := range refs {
 		l.mu.RLock()
 		if l.closed {
@@ -144,96 +147,119 @@ func (l *Log) StreamSegments(refs []SegmentRef, fn func(c SegmentChunk) bool) er
 		}
 		size := seg.size
 		l.mu.RUnlock()
-		_, stopped, err := l.streamSealed(r.ID, size, r.Offset, &scratch, fn)
-		if err != nil {
-			return err
+		if r.Offset < 0 || r.Offset > size {
+			return fmt.Errorf("store: segment %d resume offset %d outside [0, %d]", r.ID, r.Offset, size)
 		}
-		if stopped {
+		if r.Offset == size {
+			if !fn(SegmentChunk{Segment: r.ID, Offset: size, Last: true}) {
+				return nil
+			}
+			continue
+		}
+		end, err := scanSegment(l.sealedReader(r.ID), size, r.Offset, func(off int64, data []byte, _ []segRec) error {
+			if !fn(SegmentChunk{Segment: r.ID, Offset: off, Data: data, Last: off+int64(len(data)) == size}) {
+				return errStopScan
+			}
 			return nil
+		})
+		switch {
+		case errors.Is(err, errStopScan):
+			return nil
+		case errors.Is(err, errVanished):
+			// compacted away mid-stream: this ref ends silently
+		case err != nil:
+			return err
+		case end < size:
+			return fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, r.ID, end)
 		}
 	}
 	return nil
 }
 
-// streamSealed walks one sealed segment's record stream from startOff,
-// re-verifying every record CRC and handing whole-record-aligned
-// chunks to fn. It returns the offset the walk reached — equal to size
-// when the segment streamed completely, short when it vanished under
-// compaction mid-stream (ended silently) — and whether fn stopped the
-// stream. A record that fails verification returns ErrCorrupt with its
-// location: corrupt bytes are never shipped verbatim.
-func (l *Log) streamSealed(id uint64, size, startOff int64, scratch *[]byte, fn func(c SegmentChunk) bool) (reached int64, stopped bool, err error) {
-	off := startOff
-	if off < 0 || off > size {
-		return off, false, fmt.Errorf("store: segment %d resume offset %d outside [0, %d]", id, off, size)
+// errVanished is what a sealed segment's reader returns once the
+// segment was compacted away: the caller ends that segment's walk
+// quietly instead of reporting corruption. errStopScan is a scan
+// callback's way to stop a walk early.
+var (
+	errVanished = errors.New("store: segment vanished")
+	errStopScan = errors.New("store: scan stopped")
+)
+
+// sealedReader reads sealed segment id for scanSegment, each read under
+// the store lock (mirroring StreamObjects' locking).
+func (l *Log) sealedReader(id uint64) func(p []byte, off int64) (int, error) {
+	return func(p []byte, off int64) (int, error) {
+		l.mu.RLock()
+		defer l.mu.RUnlock()
+		if l.closed {
+			return 0, ErrClosed
+		}
+		seg := l.segs[id]
+		if seg == nil || seg == l.active {
+			return 0, errVanished
+		}
+		return seg.f.ReadAt(p, off)
 	}
-	if off == size {
-		// Resuming at the very end: emit one empty terminal chunk so
-		// the caller still observes completion.
-		return off, !fn(SegmentChunk{Segment: id, Offset: off, Last: true}), nil
-	}
+}
+
+// segRec is one record scanSegment verified: its decoded fields (the
+// value aliases the window) and its location in the segment.
+type segRec struct {
+	record
+	off, len int64
+}
+
+// scanSegment is the one walk over a segment's record stream, from off
+// to size: replay, streaming, manifests, snapshot restore and
+// compaction all read a segment through it. It reads windows of
+// streamChunkBytes (grown through truncatedNeed when a record is longer
+// than the window), verifies each record once with parseRecord, and
+// hands fn each window's offset, its verified bytes and its records,
+// all aliasing a buffer reused for the next window. It returns the
+// verified end: size, or the offset of the first record that failed —
+// and each caller owns what a short end means (truncate, ErrCorrupt,
+// or a torn tail counted). A read error, errVanished included, or an
+// error of fn ends the walk and is returned as is.
+func scanSegment(read func(p []byte, off int64) (int, error), size, off int64, fn func(off int64, data []byte, recs []segRec) error) (int64, error) {
+	var buf []byte
+	var recs []segRec
 	need := int64(streamChunkBytes)
 	for off < size {
-		n := size - off
-		if n > need {
-			n = need
+		n := min(size-off, need)
+		if int64(cap(buf)) < n {
+			buf = make([]byte, n)
 		}
-		if int64(cap(*scratch)) < n {
-			*scratch = make([]byte, n)
+		w := buf[:n]
+		if got, err := read(w, off); err != nil && !(err == io.EOF && got == len(w)) {
+			return off, err
 		}
-		buf := (*scratch)[:n]
-		vanished, err := l.readSealed(id, off, buf)
-		if err != nil {
-			return off, false, err
-		}
-		if vanished {
-			return off, false, nil
-		}
+		recs = recs[:0]
 		verified := 0
-		for verified < len(buf) {
-			_, rn, ok := parseRecord(buf[verified:])
+		for verified < len(w) {
+			rec, rn, ok := parseRecord(w[verified:])
 			if !ok {
 				break
 			}
+			recs = append(recs, segRec{record: rec, off: off + int64(verified), len: int64(rn)})
 			verified += rn
 		}
 		if verified == 0 {
 			// Not one whole record in the window: either the window cut
-			// a record short (grow it) or the bytes are corrupt.
-			grow, truncated := truncatedNeed(buf, size-off)
+			// a record short (grow it) or the bytes fail verification.
+			grow, truncated := truncatedNeed(w, size-off)
 			if !truncated {
-				return off, false, fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, id, off)
+				return off, nil
 			}
 			need = grow
 			continue
 		}
 		need = streamChunkBytes
-		last := off+int64(verified) == size
-		if !fn(SegmentChunk{Segment: id, Offset: off, Data: buf[:verified], Last: last}) {
-			return off, true, nil
+		if err := fn(off, w[:verified], recs); err != nil {
+			return off, err
 		}
 		off += int64(verified)
 	}
-	return off, false, nil
-}
-
-// readSealed reads len(buf) bytes at off from sealed segment id under
-// the store lock (mirroring StreamObjects' locking). vanished is true
-// when the segment was compacted away since the caller looked it up.
-func (l *Log) readSealed(id uint64, off int64, buf []byte) (vanished bool, err error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if l.closed {
-		return false, ErrClosed
-	}
-	seg := l.segs[id]
-	if seg == nil || seg == l.active {
-		return true, nil
-	}
-	if n, err := seg.f.ReadAt(buf, off); err != nil && !(err == io.EOF && n == len(buf)) {
-		return false, fmt.Errorf("store: read segment %d: %w", id, err)
-	}
-	return false, nil
+	return off, nil
 }
 
 // truncatedNeed reports whether the unparseable bytes at the head of b
@@ -327,17 +353,7 @@ func synthSegments(st Store) ([]SegmentInfo, error) {
 		rec = appendObjectRecord(rec[:0], o, false)
 		info.Bytes += int64(len(rec))
 		info.CRC = crc32.Update(info.CRC, crc32.IEEETable, rec)
-		if info.Records == 0 {
-			info.MinKey, info.MaxKey = o.Key, o.Key
-		} else {
-			if o.Key < info.MinKey {
-				info.MinKey = o.Key
-			}
-			if o.Key > info.MaxKey {
-				info.MaxKey = o.Key
-			}
-		}
-		info.Records++
+		info.addKey(o.Key)
 		return true
 	})
 	if err != nil {

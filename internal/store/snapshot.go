@@ -213,19 +213,8 @@ func Restore(dir string, st Store) (RestoreStats, error) {
 	sort.Slice(segs, func(i, j int) bool { return segs[i].ID < segs[j].ID })
 	applier := NewRecordApplier(st, nil)
 	for _, info := range segs {
-		path := filepath.Join(dir, segmentName(info.ID))
-		size, verified, err := walkSegmentFile(path, func(off int64, data []byte) error {
-			n, err := applier.Apply(info.ID, off, data)
-			stats.Objects += n
-			return err
-		})
-		if err != nil {
+		if err := restoreSegment(filepath.Join(dir, segmentName(info.ID)), info.ID, applier, &stats); err != nil {
 			return stats, err
-		}
-		stats.Segments++
-		if verified < size {
-			stats.TruncatedBytes += size - verified
-			stats.TruncatedSegments++
 		}
 	}
 	tombs, err := applier.Finish()
@@ -233,58 +222,32 @@ func Restore(dir string, st Store) (RestoreStats, error) {
 	return stats, err
 }
 
-// walkSegmentFile streams one snapshot segment file in record-aligned,
-// CRC-verified chunks. It returns the file size and the verified
-// prefix length; unverifiable bytes end the walk (the caller treats
-// the difference as a torn tail) while I/O errors and apply errors
-// fail it.
-func walkSegmentFile(path string, fn func(off int64, data []byte) error) (size, verified int64, err error) {
+// restoreSegment applies one snapshot segment file through applier in
+// scanSegment's verified windows and counts it in stats. Bytes past
+// the verified end are a torn or rotten tail, counted as truncated;
+// I/O and apply errors fail the restore.
+func restoreSegment(path string, id uint64, applier *RecordApplier, stats *RestoreStats) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("store: open snapshot segment: %w", err)
+		return fmt.Errorf("store: open snapshot segment: %w", err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return 0, 0, fmt.Errorf("store: stat snapshot segment: %w", err)
+		return fmt.Errorf("store: stat snapshot segment: %w", err)
 	}
-	size = fi.Size()
-	var off int64
-	need := int64(streamChunkBytes)
-	buf := make([]byte, 0, streamChunkBytes)
-	for off < size {
-		n := size - off
-		if n > need {
-			n = need
-		}
-		if int64(cap(buf)) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := f.ReadAt(buf, off); err != nil {
-			return size, off, fmt.Errorf("store: read snapshot segment: %w", err)
-		}
-		chunk := 0
-		for chunk < len(buf) {
-			_, rn, ok := parseRecord(buf[chunk:])
-			if !ok {
-				break
-			}
-			chunk += rn
-		}
-		if chunk == 0 {
-			grow, truncated := truncatedNeed(buf, size-off)
-			if !truncated {
-				return size, off, nil // corrupt or torn: verified prefix ends here
-			}
-			need = grow
-			continue
-		}
-		need = streamChunkBytes
-		if err := fn(off, buf[:chunk]); err != nil {
-			return size, off, err
-		}
-		off += int64(chunk)
+	verified, err := scanSegment(f.ReadAt, fi.Size(), 0, func(off int64, data []byte, _ []segRec) error {
+		n, err := applier.Apply(id, off, data)
+		stats.Objects += n
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	return size, off, nil
+	stats.Segments++
+	if torn := fi.Size() - verified; torn > 0 {
+		stats.TruncatedBytes += torn
+		stats.TruncatedSegments++
+	}
+	return nil
 }
