@@ -25,11 +25,12 @@ examples:
 test:
 	$(GO) test ./...
 
-# STRESS names the tests of the writer-led group commit, the inline get
-# and the client's held turn (its hold state has one owner goroutine and
-# no lock, so the race detector is its guard): each runs twenty times
-# under the race detector. CI's stress step runs this target.
-STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestStoredObjectsGaugeAfterShardPut|TestTCPHoldWritesEachPeerOnce|TestTCPFailedFlushDropsAndRedials|TestTCPBuffersOverBoundReleased|TestClientTurnWritesBurstOnce
+# STRESS names the tests of the writer-led group commit, the inline get,
+# the shard wake-ups (a lost one strands requests until a deadline) and
+# the client's held turn (its hold state has one owner goroutine and no
+# lock, so the race detector is its guard): each runs twenty times under
+# the race detector. CI's stress step runs this target.
+STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestStoredObjectsGaugeAfterShardPut|TestTCPHoldWritesEachPeerOnce|TestTCPFailedFlushDropsAndRedials|TestTCPBuffersOverBoundReleased|TestClientTurnWritesBurstOnce|TestShardWakeHammer
 
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS)' ./internal/store ./internal/core ./internal/transport .

@@ -284,6 +284,25 @@ func TestDrainCommitsARunOnce(t *testing.T) {
 	}
 }
 
+// intraBatch is a mate's batched relay of version of keys.
+func intraBatch(seq uint32, version uint64, keys ...string) *PutBatchRequest {
+	objs := make([]store.Object, len(keys))
+	for i, k := range keys {
+		objs[i] = store.Object{Key: k, Version: version, Value: []byte(k)}
+	}
+	return &PutBatchRequest{Routing: Routing{ID: gossip.MakeRequestID(runMate, seq), Intra: true, NoAck: true}, Objs: objs}
+}
+
+// keyOnShard returns the first key with prefix that hashes to shard i of
+// shards.
+func keyOnShard(prefix string, i, shards int) string {
+	for j := 0; ; j++ {
+		if k := fmt.Sprintf("%s%d", prefix, j); shardIndex(k, shards) == i {
+			return k
+		}
+	}
+}
+
 // TestIntraBatchRidesTheWindow: a mate files a batched relay in its
 // accumulation window (no store call), and the window lands as one
 // PutBatch at the tick or at coalesceMax.
@@ -295,13 +314,7 @@ func TestIntraBatchRidesTheWindow(t *testing.T) {
 		}
 		return out
 	}
-	relay := func(seq uint32, keys ...string) *PutBatchRequest {
-		objs := make([]store.Object, len(keys))
-		for i, k := range keys {
-			objs[i] = store.Object{Key: k, Version: 1, Value: []byte(k)}
-		}
-		return &PutBatchRequest{Routing: Routing{ID: gossip.MakeRequestID(runMate, seq), Intra: true, NoAck: true}, Objs: objs}
-	}
+	relay := func(seq uint32, keys ...string) *PutBatchRequest { return intraBatch(seq, 1, keys...) }
 	ctx := context.Background()
 
 	st := newRunStore(false)
@@ -331,24 +344,6 @@ func TestIntraBatchRidesTheWindow(t *testing.T) {
 		t.Fatalf("window-sized batch: store writes = %v, want [... put 1, %s]", calls, want)
 	}
 
-	// A mate sharded differently can mix keys of two of our shards in one
-	// batch; a get for the second key would look in the wrong window, so
-	// such a batch is stored on arrival.
-	st2 := newRunStore(false)
-	h2 := newRunHarness(t, st2, Config{DataShards: 2})
-	k0, k1 := "", ""
-	for i := 0; k0 == "" || k1 == ""; i++ {
-		k := fmt.Sprintf("s%d", i)
-		if shardIndex(k, 2) == 0 {
-			k0 = k
-		} else {
-			k1 = k
-		}
-	}
-	h2.n.HandleMessage(ctx, transport.Envelope{From: runMate, To: 1, Msg: relay(3, k0, k1)})
-	if calls := st2.calls(); len(calls) != 1 || calls[0] != "batch 2" {
-		t.Fatalf("mixed-shard intra batch: store writes = %v, want [batch 2] on arrival", calls)
-	}
 }
 
 // TestGetCommitsOnlyForItsOwnKey: inside a run a get of a key with a
@@ -633,5 +628,126 @@ func TestRetryAfterBatchedCopyIsAcked(t *testing.T) {
 	// The window rode the retry's commit.
 	if calls := st.calls(); len(calls) != 1 || calls[0] != "batch 3" {
 		t.Errorf("store writes = %v, want [batch 3]", calls)
+	}
+}
+
+// TestRunTakesEveryIdleShard: what two origins queue on both shards of a
+// node while a run is in progress is the next run, whole — one store
+// write for the puts of both shards, one reply batch per origin for the
+// get replies, one for the acks, and one batched relay for the lot.
+func TestRunTakesEveryIdleShard(t *testing.T) {
+	st := newRunStore(true)
+	a0, a1 := keyOnShard("a", 0, 2), keyOnShard("a", 1, 2)
+	c0, c1 := keyOnShard("c", 0, 2), keyOnShard("c", 1, 2)
+	for _, k := range []string{c0, c1} {
+		if err := st.Store.Put(k, 1, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from2 := func(m *GetRequest) *GetRequest { m.Origin = runClient2; return m }
+	h := newRunHarness(t, st, Config{DataShards: 2})
+	stop := h.start()
+	h.holdThenRun(entryPut1(a0, 1, 1), getOf(c0, 2), from2(getOf(c0, 3)),
+		entryPut1(a1, 1, 4), getOf(c1, 5), from2(getOf(c1, 6)))
+	// The run ends with its relay; stopping before would drain each shard
+	// on its own goroutine.
+	for deadline := time.Now().Add(5 * time.Second); len(h.sentOf(isIntra)) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no relay of the run after 5s: %q", h.frameLines())
+		}
+	}
+	stop()
+
+	if calls := st.calls(); fmt.Sprint(calls) != "[put 1 batch 2]" {
+		t.Fatalf("store writes = %v, want [put 1 batch 2]: one write for both shards' puts", calls)
+	}
+	h.mu.Lock()
+	frames := h.frames[2:] // past the held put's ack and relay
+	h.mu.Unlock()
+	var got []string
+	for _, f := range frames {
+		kind := fmt.Sprintf("%T", f.msg)
+		if r, ok := f.msg.(*Replies); ok {
+			kind = fmt.Sprintf("%d×%T", len(r.Msgs), r.Msgs[0])
+		}
+		if b, ok := f.msg.(*PutBatchRequest); ok {
+			kind = fmt.Sprintf("relay of %d", len(b.Objs))
+		}
+		got = append(got, fmt.Sprintf("%v %s", f.to, kind))
+	}
+	want := []string{
+		fmt.Sprintf("%v 2×*core.GetReply", runClient),
+		fmt.Sprintf("%v 2×*core.GetReply", runClient2),
+		fmt.Sprintf("%v 2×*core.PutAck", runClient),
+		fmt.Sprintf("%v relay of 2", runMate),
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("frames after the held put:\n got  %q\n want %q", got, want)
+	}
+	if got := h.n.Metrics().Get(metrics.PutCommits); got != 2 {
+		t.Errorf("put_commits = %d, want 2", got)
+	}
+}
+
+// TestSpanningRelayLandsInOwnerWindows: a mate's batched relay whose keys
+// hash to both of the node's shards waits in each key's own shard's
+// window, so a get of each key commits it first and reads it, and a
+// delete right after it is not undone by the tick's commit.
+func TestSpanningRelayLandsInOwnerWindows(t *testing.T) {
+	st := newRunStore(false)
+	h := newRunHarness(t, st, Config{DataShards: 2})
+	ctx := context.Background()
+	k0, k1 := keyOnShard("s", 0, 2), keyOnShard("s", 1, 2)
+	deliver := func(from transport.NodeID, m interface{}) {
+		h.n.HandleMessage(ctx, transport.Envelope{From: from, To: 1, Msg: m})
+	}
+
+	deliver(runMate, intraBatch(1, 1, k0, k1))
+	if calls := st.calls(); len(calls) != 0 {
+		t.Fatalf("spanning relay hit the store on arrival: %v", calls)
+	}
+	if !h.n.shards[0].holds(k0) || !h.n.shards[1].holds(k1) {
+		t.Fatalf("windows: shard 0 holds %s %v, shard 1 holds %s %v; want both", k0, h.n.shards[0].holds(k0), k1, h.n.shards[1].holds(k1))
+	}
+	deliver(runClient, getOf(k0, 2))
+	deliver(runClient, getOf(k1, 3))
+	if replies := h.sentOf(isReply); len(replies) != 2 || replies[0].Msg.(*GetReply).Version != 1 || replies[1].Msg.(*GetReply).Version != 1 {
+		t.Fatalf("gets of the windowed keys: replies = %+v, want version 1 of each", replies)
+	}
+	if calls := st.calls(); fmt.Sprint(calls) != "[put 1 put 1]" {
+		t.Fatalf("store writes = %v, want each get to commit its own shard's window", calls)
+	}
+
+	deliver(runMate, intraBatch(4, 2, k0, k1))
+	for i, k := range []string{k0, k1} {
+		deliver(runClient, &DeleteBatchRequest{
+			Routing: Routing{ID: gossip.MakeRequestID(runClient, uint32(5+i)), NoAck: true, TTL: TTLUnset},
+			Items:   []DeleteItem{{Key: k, Version: 2}},
+		})
+	}
+	h.n.Tick(ctx)
+	for _, k := range []string{k0, k1} {
+		if _, _, ok, _ := st.Store.Get(k, 2); ok {
+			t.Errorf("%s v2 came back after its delete", k)
+		}
+	}
+}
+
+// TestSpanningRelayWithBusyOwnerStoredOnArrival: when an owner shard of a
+// spanning relay is held by someone else, the run does not wait for it:
+// the batch is stored on arrival, as a batch too large for a window is.
+func TestSpanningRelayWithBusyOwnerStoredOnArrival(t *testing.T) {
+	st := newRunStore(false)
+	h := newRunHarness(t, st, Config{DataShards: 2})
+	k0, k1 := keyOnShard("s", 0, 2), keyOnShard("s", 1, 2)
+	busy := h.n.shards[1]
+	busy.token.Lock()
+	stop := h.start()
+	h.n.DispatchData(transport.Envelope{From: runMate, To: 1, Msg: intraBatch(1, 1, k0, k1)})
+	<-st.entered
+	busy.token.Unlock()
+	stop()
+	if calls := st.calls(); fmt.Sprint(calls) != "[batch 2]" {
+		t.Fatalf("store writes = %v, want [batch 2] on arrival", calls)
 	}
 }

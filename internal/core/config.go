@@ -108,11 +108,12 @@ type Config struct {
 
 	// DataShards partitions the data plane (put/get/delete, batches,
 	// coalescing) by key hash into this many independent shard states.
-	// When the owner runs the shards (Node.StartShards) each shard is
-	// its own goroutine with its own mailbox, dedup cache, coalescing
-	// window and counters, so data operations on different shards
-	// proceed in parallel while the epidemic control plane (PSS,
-	// slicing, aggregation, anti-entropy, bootstrap) stays on the
+	// When the owner runs the shards (Node.StartShards) each shard has
+	// its own mailbox, dedup cache, coalescing window and counters, and
+	// a goroutine of its own among those that run them — one run per
+	// wake-up over every idle shard, several runs in parallel under
+	// load — while the epidemic control plane (PSS, slicing,
+	// aggregation, anti-entropy, bootstrap) stays on the
 	// single-threaded loop. Without StartShards the caller of
 	// HandleMessage is every shard's goroutine — the same handlers over
 	// the same shard states, single-threaded as simulations need.

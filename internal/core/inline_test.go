@@ -53,8 +53,8 @@ func waitReplies(t *testing.T, c *liveCapture, key string, n int) []uint64 {
 // idle returns once the run in progress on key's shard, if any, ended.
 func idle(n *Node, key string) {
 	s := n.shardFor(key)
-	s.run.Lock()
-	defer s.run.Unlock()
+	s.token.Lock()
+	defer s.token.Unlock()
 }
 
 // TestInlineGetServesOnlyFirstHopLastGets: a client's get that finds its
@@ -115,9 +115,9 @@ func TestInlineGetQueuedWhileItsKeyIsInTheWindow(t *testing.T) {
 			t.Fatal("relay copy never handled")
 		}
 	}
-	s.run.Lock()
+	s.token.Lock()
 	windowed := s.holds("k")
-	s.run.Unlock()
+	s.token.Unlock()
 	if !windowed {
 		t.Fatal("relay copy did not wait in the window")
 	}
@@ -170,4 +170,54 @@ func TestInlineGetRacesStopShards(t *testing.T) {
 		t.Fatalf("%d store operations after Stop returned", late)
 	}
 	leakcheck.Check(t, before)
+}
+
+// parkedGet is a store whose first read waits until release closes.
+type parkedGet struct {
+	store.Store
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (p *parkedGet) Get(key string, version uint64) ([]byte, uint64, bool, error) {
+	p.once.Do(func() {
+		close(p.entered)
+		<-p.release
+	})
+	return p.Store.Get(key, version)
+}
+
+// TestInlineGetRechecksItsMailbox: a put queued on a shard while a get
+// served inline holds it wakes a run that finds the shard held and
+// leaves; the inline get, letting go, wakes the shards again, so the put
+// is acked without waiting for a tick (none comes for an hour).
+func TestInlineGetRechecksItsMailbox(t *testing.T) {
+	st := &parkedGet{Store: store.NewMemory(), entered: make(chan struct{}), release: make(chan struct{})}
+	if err := st.Put("k", 1, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	out := &liveCapture{}
+	n := liveNode(st, out, Config{DataShards: 1})
+	n.StartShards(context.Background())
+	defer n.StopShards()
+
+	go n.DispatchData(getEnv(1, "k", TTLUnset, true))
+	<-st.entered
+	n.DispatchData(transport.Envelope{From: 9, To: 1, Msg: &PutRequest{
+		Routing: Routing{ID: gossip.RequestID(2), Origin: 9, TTL: TTLUnset},
+		Key:     "k2", Version: 1, Value: []byte("v"),
+	}})
+	// Let the woken run find the shard held and leave.
+	for len(n.wake) > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(st.release)
+	waitReplies(t, out, "k", 1)
+	isAck := func(m interface{}) bool { _, ok := m.(*PutAck); return ok }
+	for deadline := time.Now().Add(5 * time.Second); out.count(isAck) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("put queued behind an inline get was not acked within 5s")
+		}
+	}
 }

@@ -64,12 +64,15 @@ type Node struct {
 	// shards hold the data plane's per-partition state — dedup cache,
 	// coalescing window, relay RNG, counters (see shard.go). external
 	// flips true while StartShards-launched goroutines drive them, false
-	// while the caller of HandleMessage does. routeSnap is the control
-	// plane's routing state as the data handlers see it, never nil;
-	// routeStale marks it out of date on a caller-driven node (see
-	// routeChanged).
+	// while the caller of HandleMessage does; they wait on wake, and
+	// running counts the wake-up runs in progress (wakeRun). routeSnap is
+	// the control plane's routing state as the data handlers see it,
+	// never nil; routeStale marks it out of date on a caller-driven node
+	// (see routeChanged).
 	shards     []*dataShard
 	external   atomic.Bool
+	wake       chan struct{}
+	running    atomic.Int32
 	shardStop  chan struct{}
 	shardCtx   context.Context // StartShards' ctx: bounds an inline get's sends
 	shardWG    sync.WaitGroup
@@ -453,7 +456,7 @@ func (n *Node) Tick(ctx context.Context) {
 		// shard loop's ticker would. They hold relay copies only, which
 		// owe no relay of their own, so this reads no snapshot.
 		for _, s := range n.shards {
-			s.commit(ctx)
+			s.tick(ctx)
 		}
 	}
 	if n.trace != nil {
@@ -534,7 +537,7 @@ func (n *Node) discoverMates(ctx context.Context) {
 // called from the node's driving loop. ctx bounds any sends the
 // handlers make (acks, replies, relays). A data-plane message goes to
 // its shard: onto the mailbox of a running one, or — nobody else drives
-// the shards — through drain right here, a run of one over the snapshot
+// the shards — through a run of one right here, over the snapshot
 // brought up to date. Everything else is the control plane's, handled
 // here, and may have moved the routing state.
 func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
@@ -543,7 +546,9 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 	}
 	if key, ok := RequestKey(env.Msg); ok {
 		n.freshRoute()
-		n.drain(ctx, n.shardFor(key), env, 0)
+		s := n.shardFor(key)
+		s.token.Lock()
+		n.runOne(ctx, s, env)
 		return
 	}
 	defer n.routeChanged()
@@ -666,13 +671,16 @@ func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.Node
 		s.traceOp(obs.TracePutApply, m.TraceID, m.Key, len(m.Value), 1)
 		s.coalescePut(ctx, m.Key, m.Version, m.Value)
 	case *PutBatchRequest:
-		if m.Intra && len(m.Objs) < coalesceMax && s.ownsAll(m.Objs) {
-			// A mate's relay of a run: no ack obligation, so the objects
-			// wait in the window like single relay copies do. (A batch
-			// that would fill the window is a commit of its own.)
+		if m.Intra && len(m.Objs) < coalesceMax && s.r.takeOwners(n, m.Objs) {
+			// A mate's relay of a run: no ack obligation, so each object
+			// waits like a single relay copy does, in the window of its
+			// key's shard — the one a get or delete of the key commits —
+			// which the run took if the batch spans shards. (A batch that
+			// would fill a window is a commit of its own, and one with a
+			// busy owner is stored on arrival.)
 			s.traceOp(obs.TracePutApply, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
 			for _, o := range m.Objs {
-				s.coalescePut(ctx, o.Key, o.Version, o.Value)
+				n.shardFor(o.Key).coalescePut(ctx, o.Key, o.Version, o.Value)
 			}
 			break
 		}

@@ -140,7 +140,7 @@ func (h *routed) deliver(k requestKind, req request) (answers, copies []transpor
 	h.cap.sent = nil
 	h.n.HandleMessage(context.Background(), transport.Envelope{From: from, To: h.n.ID(), Msg: req})
 	for _, s := range h.n.shards {
-		s.commit(context.Background())
+		s.tick(context.Background())
 	}
 	for _, env := range h.cap.sent {
 		switch {

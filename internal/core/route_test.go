@@ -164,9 +164,11 @@ func TestGlobalPhaseSendsQueuedAnswersFirst(t *testing.T) {
 	h.learn(pss.Descriptor{ID: 900, Slice: routeTarget})
 	key := keyForSlice(t, routeTarget, routeK)
 	s := h.n.shardFor(key)
-	ctx := context.Background()
-	s.reply(ctx, client1, &GetReply{ID: 1, Key: "earlier"}, false)
-	s.reply(ctx, client1, &PutAck{ID: 2, Key: "earlier"}, false)
+	// A caller-driven node runs the request as s's solo run: queue two
+	// answers in it ahead of the request.
+	s.solo.answers = append(s.solo.answers,
+		answer{to: client1, msg: &GetReply{ID: 1, Key: "earlier"}},
+		answer{to: client1, msg: &PutAck{ID: 2, Key: "earlier"}})
 
 	sent := h.deliver(77, routePut(key, TTLUnset, false))
 	if len(sent) != 2 || sent[0].To != client1 || sent[1].To != 900 {

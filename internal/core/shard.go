@@ -2,9 +2,9 @@
 // key hash into independent shard states.
 //
 // A dataShard owns everything the data handlers mutate — the dedup
-// cache, the coalescing window, the relay RNG and the counters — so a
-// shard can run on its own goroutine without touching another shard's
-// state. The epidemic control plane (PSS, slicing, aggregation,
+// cache, the coalescing window, the relay RNG and the counters — so
+// shards can run on several goroutines at once without touching each
+// other's state. The epidemic control plane (PSS, slicing, aggregation,
 // anti-entropy, bootstrap) stays on the node's single-threaded loop;
 // shards see its routing decisions through an immutable routeView
 // snapshot the control loop republishes after every tick and control
@@ -12,17 +12,17 @@
 // concurrently, and store.Store is safe for concurrent use by
 // contract.
 //
-// One runtime, whoever drives it: a data envelope is handled inside
-// drain, on its key's shard, and routes by the snapshot alone. On a
-// running node (StartShards: live nodes, in-process clusters)
-// DispatchData queues it on the shard's mailbox and the shard's
-// goroutine drains what is queued, one run at a time — or, for a
-// client's get that finds the shard idle, drains it at once on the
-// fabric goroutine that read it. Either way the drain runs under the
-// shard's run token, so one goroutine at a time touches the shard. On a
-// caller-driven node (simulations, bench/traced, tests) HandleMessage
-// is that goroutine: it brings the snapshot up to date and drains a run
-// of one.
+// One runtime, whoever drives it: a data envelope is handled inside a
+// run (see run), on its key's shard, and routes by the snapshot alone.
+// On a running node (StartShards: live nodes, in-process clusters)
+// DispatchData queues it on the shard's mailbox, and a wake-up of the
+// node's shard goroutines drains what every idle shard has queued as one
+// run — or, for a client's get that finds its shard idle, the fabric
+// goroutine that read it drains it at once. Either way a run holds the
+// run token of every shard it touches, so one goroutine at a time
+// touches a shard. On a caller-driven node (simulations, bench/traced,
+// tests) HandleMessage is that goroutine: it brings the snapshot up to
+// date and drains a run of one envelope.
 //
 // A key's requests always hash to the same shard, so per-shard dedup
 // caches and coalescing windows lose nothing: two deliveries of one
@@ -63,8 +63,8 @@ const shardRNGSalt = 0x5a4dbeef
 // group-commit fsync — with the next slice-entry put's commit, at the
 // next tick or once this many are buffered, whichever comes first.
 // Deletes, client batches and reads of a buffered key commit the buffer
-// first, so a node still observes its own writes. It also bounds the run
-// a shard handles per wake-up.
+// first, so a node still observes its own writes. It also bounds the
+// envelopes one run takes, across all the shards it takes them from.
 const coalesceMax = 64
 
 // shardIndex maps a key to its owning shard (FNV-1a over the key,
@@ -119,18 +119,19 @@ type dataShard struct {
 	id int
 
 	// mailbox carries queued data envelopes once StartShards ran (nil on
-	// a caller-driven node); wake tells the shard goroutine something was
-	// queued. drops counts producer-side overflow.
+	// a caller-driven node); drops counts producer-side overflow.
 	mailbox chan transport.Envelope
-	wake    chan struct{}
 	drops   metrics.SharedCounter
 
-	// run is the run token. Whoever holds it — the shard goroutine, or
-	// a fabric goroutine serving a get inline (DispatchData) — is the only
-	// one that takes envelopes from the mailbox, drains, commits or
-	// ticks, so it alone touches the state below. stopped is set under it
-	// once the shard's final drain ran: nothing is served inline after.
-	run     sync.Mutex
+	// token is the run token. The run holding it (r) is the only one that
+	// takes envelopes from the mailbox, drains, files, commits or ticks,
+	// so it alone touches the state below. stopped is set under it once
+	// the shard's final drain ran: no run takes the shard after. solo is
+	// the run of one the shard's own holders use — an inline get, a tick,
+	// the stop drain, a caller-driven node's envelope.
+	token   sync.Mutex
+	r       *run
+	solo    run
 	stopped bool
 
 	// dedup and rng are this shard's request suppression cache and
@@ -157,9 +158,21 @@ type dataShard struct {
 	coalesce     []store.Object
 	coalesceSeen map[objRef]struct{}
 	entries      []entryPut
+}
 
-	// answers are the acks and get replies the run in progress produced,
-	// in that order, until the next flush sends them (see reply).
+// run is one drain: the shards it took — their run tokens held, each
+// with how many envelopes it takes from that shard's mailbox — and the
+// acks and get replies they produced, in that order, until the next
+// flush sends them (see reply). A mate's batched relay can bring more
+// shards in (takeOwners), with nothing to take from their mailboxes. Its
+// end (finish) is the put path's one commit for every shard that
+// collected entry puts, one frame per origin for the answers and one
+// batched relay. A wake-up's run belongs to its shard goroutine; every
+// other run is a shard's solo.
+type run struct {
+	shards  []*dataShard
+	queued  []int
+	owed    []*dataShard // finish's scratch: the shards it commits
 	answers []answer
 }
 
@@ -211,21 +224,22 @@ func (n *Node) shardFor(key string) *dataShard {
 	return n.shards[shardIndex(key, len(n.shards))]
 }
 
-// StartShards moves the data plane onto per-shard goroutines: every
-// shard gets a mailbox and a loop that handles dispatched envelopes
-// and commits its coalescing window once per round period. ctx bounds
-// the sends shard handlers make (acks, replies, relays); the owner
-// must keep it alive until StopShards returns, or the final drain could
-// not ack what it applies. Call at most once, before messages flow.
+// StartShards moves the data plane onto shard goroutines, one per
+// shard: every shard gets a mailbox, and every goroutine waits on the
+// node's one wake channel for runs and commits its own shard's
+// coalescing window once per round period. ctx bounds the sends shard
+// handlers make (acks, replies, relays); the owner must keep it alive
+// until StopShards returns, or the final drain could not ack what it
+// applies. Call at most once, before messages flow.
 func (n *Node) StartShards(ctx context.Context) {
 	if n.external.Load() {
 		panic("core: StartShards called twice")
 	}
 	n.shardStop = make(chan struct{})
 	n.shardCtx = ctx
+	n.wake = make(chan struct{}, 1)
 	for _, s := range n.shards {
 		s.mailbox = make(chan transport.Envelope, shardMailboxCap)
-		s.wake = make(chan struct{}, 1)
 		s.stopped = false
 	}
 	// Batched relays carry ids this node mints: the clock (a microsecond
@@ -240,8 +254,8 @@ func (n *Node) StartShards(ctx context.Context) {
 	}
 }
 
-// StopShards drains and stops the shard goroutines: each shard
-// consumes what its mailbox already holds, commits its coalescing
+// StopShards drains and stops the shard goroutines: each one consumes
+// what its shard's mailbox already holds, commits the shard's coalescing
 // window, and exits. It returns after every shard goroutine is gone,
 // so the owner can close the store next without racing an in-flight
 // write ("drain before close"). Safe to call when shards never
@@ -263,13 +277,16 @@ func (n *Node) StopShards() {
 // or a put never waits behind a Tick.
 //
 // Mostly the envelope is queued on the shard's mailbox (a full mailbox
-// drops it and counts it). A client's get is served inline instead, on
-// the calling goroutine, when the shard is idle: it is on its first hop
-// (so it came in on a client connection, and no node-to-node read loop
-// ever waits on a send), the fabric has no further frame of its stream in
+// drops it and counts it), and the shard goroutines are woken unless a
+// run is in progress: that run wakes them as it ends (see wakeRun), so
+// a burst that arrives during one run is the next run, whole, not one
+// run per shard. A client's get is served inline instead, on the
+// calling goroutine, when its shard is idle: it is on its first hop (so
+// it came in on a client connection, and no node-to-node read loop ever
+// waits on a send), the fabric has no further frame of its stream in
 // hand (env.Last), the run token is free, nothing is queued ahead of it,
 // and the shard's window holds no put of its key (serving it needs no
-// commit, so it never waits on the disk). That saves the hand-off to the
+// commit, so it never waits on the disk). That saves the hand-off to a
 // shard goroutine, and it is the same drain either way.
 func (n *Node) DispatchData(env transport.Envelope) bool {
 	if !n.external.Load() {
@@ -285,7 +302,9 @@ func (n *Node) DispatchData(env transport.Envelope) bool {
 	}
 	select {
 	case s.mailbox <- env:
-		s.signal()
+		if n.running.Load() == 0 {
+			n.signal()
+		}
 	default:
 		s.drops.Inc()
 	}
@@ -294,105 +313,242 @@ func (n *Node) DispatchData(env transport.Envelope) bool {
 
 // serveIdle drains env on the calling goroutine, a run of one, if the
 // shard is idle — its run token free, nothing queued, not stopped — and
-// its window holds no put of key; it reports whether it did.
+// its window holds no put of key; it reports whether it did. A producer
+// that queued on the shard meanwhile may have woken a run that found it
+// held, so the shard's mailbox is checked again once the token is free.
 func (n *Node) serveIdle(s *dataShard, key string, env transport.Envelope) bool {
-	if !s.run.TryLock() {
+	if !s.token.TryLock() {
 		return false
 	}
-	defer s.run.Unlock()
 	if s.stopped || len(s.mailbox) > 0 || s.holds(key) {
+		s.token.Unlock()
 		return false
 	}
 	s.met.Inc(metrics.InlineGets)
-	n.drain(n.shardCtx, s, env, 0)
+	n.runOne(n.shardCtx, s, env)
+	s.recheck()
 	return true
 }
 
-// signal wakes the shard goroutine, unless a wake-up is pending already.
-func (s *dataShard) signal() {
+// signal wakes one shard goroutine, unless a wake-up is pending already.
+func (n *Node) signal() {
 	select {
-	case s.wake <- struct{}{}:
+	case n.wake <- struct{}{}:
 	default:
 	}
 }
 
-// runShard is one shard's goroutine: runs of queued data envelopes, a
-// per-round commit of the window, then a final drain on stop — each
-// under the run token, taken before the mailbox is touched, so what was
-// queued is handled in arrival order and before any later get is served
-// inline. A run takes at most coalesceMax envelopes; what is left is the
-// next wake-up's, so the tick and the stop signal get their turn.
+// recheck wakes the shard goroutines if s has mail: whoever releases a
+// shard's run token outside a wake-up's run calls it, since a run woken
+// meanwhile found the shard held and left its mail alone.
+func (s *dataShard) recheck() {
+	if len(s.mailbox) > 0 {
+		s.n.signal()
+	}
+}
+
+// runShard is one shard goroutine: wake-ups (wakeRun), a per-round
+// commit of its own shard's window, then that shard's final drain on
+// stop — each under the run tokens it takes, taken before a mailbox is
+// touched, so what was queued is handled in arrival order and before
+// any later get is served inline.
 func (n *Node) runShard(ctx context.Context, s *dataShard) {
 	defer n.shardWG.Done()
 	ticker := time.NewTicker(n.cfg.RoundPeriod)
 	defer ticker.Stop()
+	var r run
 	for {
 		select {
-		case <-s.wake:
-			s.run.Lock()
-			select {
-			case env := <-s.mailbox:
-				n.drain(ctx, s, env, min(len(s.mailbox), coalesceMax-1))
-			default: // an earlier run took it
-			}
-			more := len(s.mailbox) > 0
-			s.run.Unlock()
-			if more {
-				s.signal()
-			}
+		case <-n.wake:
+			n.wakeRun(ctx, &r, s.id)
 		case <-ticker.C:
-			s.run.Lock()
 			t0 := time.Now()
-			s.commit(ctx)
+			s.tick(ctx)
 			s.tickDur.Observe(time.Since(t0))
-			s.run.Unlock()
+			s.recheck()
 		case <-n.shardStop:
-			s.run.Lock()
-			n.drainShard(ctx, s)
-			s.stopped = true
-			s.run.Unlock()
+			n.stopShard(ctx, s)
 			return
 		}
 	}
 }
 
-// drain handles one run: env plus the next queued envelopes of the
-// mailbox — received without waiting, since the caller holds the run
-// token and counted them there — in arrival order. The run's slice-entry
-// puts share one commit, so with W puts in flight a shard pays about one
-// group-commit wait per wake-up, not one per put. Relay copies alone do
-// not end a run with a commit: they keep waiting for the tick or a later
-// entry put's. The run's answers leave at its end at the latest, one
-// frame per origin (see reply). A caller-driven node has no mailbox and
-// an inline get takes nothing from it: their runs are one envelope long.
-func (n *Node) drain(ctx context.Context, s *dataShard, env transport.Envelope, queued int) {
-	for ; ; queued-- {
-		s.met.Inc(metrics.MsgRecv)
-		n.handleData(ctx, s, env.From, env.Msg.(request)) // only requests are dispatched here
-		if queued == 0 {
+// wakeRun is one wake-up: it takes, starting at shard home, every idle
+// shard with queued envelopes (run token free, not stopped), up to
+// coalesceMax envelopes in all, and drains them as one run. A full run
+// wakes another goroutine at once, to take what is left in parallel; a
+// run that took nothing — every shard with mail was held elsewhere —
+// wakes nobody, since each holder checks the mailboxes as it lets go.
+// Producers wake nobody while a run is in progress (running), so a run
+// checks every mailbox once it ended and wakes a goroutine for what was
+// queued meanwhile.
+func (n *Node) wakeRun(ctx context.Context, r *run, home int) {
+	budget := coalesceMax
+	for i := range n.shards {
+		s := n.shards[(home+i)%len(n.shards)]
+		if len(s.mailbox) == 0 || !s.token.TryLock() {
+			continue
+		}
+		q := min(len(s.mailbox), budget)
+		if s.stopped || q == 0 {
+			s.token.Unlock()
+			continue
+		}
+		if len(r.shards) == 0 {
+			n.running.Add(1)
+		}
+		r.take(s, q)
+		if budget -= q; budget == 0 {
+			n.signal()
 			break
 		}
-		env = <-s.mailbox
 	}
-	if len(s.entries) > 0 {
-		s.commit(ctx)
+	if len(r.shards) == 0 {
+		return
 	}
-	s.flush(ctx)
-}
-
-// drainShard consumes everything the mailbox holds at stop time and
-// commits the window, so no accepted write is lost between the last
-// round and the store closing. The caller holds the run token.
-func (n *Node) drainShard(ctx context.Context, s *dataShard) {
-	for {
-		select {
-		case env := <-s.mailbox:
-			n.drain(ctx, s, env, min(len(s.mailbox), coalesceMax-1))
-		default:
-			s.commit(ctx)
+	n.drain(ctx, r)
+	n.running.Add(-1)
+	for _, s := range n.shards {
+		if len(s.mailbox) > 0 {
+			n.signal()
 			return
 		}
 	}
+}
+
+// take adds s, whose run token the caller holds, to the run, with the
+// envelopes the run takes from its mailbox.
+func (r *run) take(s *dataShard, queued int) {
+	s.r = r
+	r.shards = append(r.shards, s)
+	r.queued = append(r.queued, queued)
+}
+
+// has reports whether the run holds s.
+func (r *run) has(s *dataShard) bool {
+	for _, t := range r.shards {
+		if t == s {
+			return true
+		}
+	}
+	return false
+}
+
+// takeOwners brings the owner shard of every key of objs into the run,
+// taking the run token of each one not yet held; it reports false as
+// soon as an owner is busy — held by another run, or stopped. Owners
+// taken before that stay in the run.
+func (r *run) takeOwners(n *Node, objs []store.Object) bool {
+	for i := range objs {
+		o := n.shardFor(objs[i].Key)
+		if r.has(o) {
+			continue
+		}
+		if !o.token.TryLock() {
+			return false
+		}
+		if o.stopped {
+			o.token.Unlock()
+			return false
+		}
+		r.take(o, 0)
+	}
+	return true
+}
+
+// drain handles a run: the queued envelopes it took from each shard, in
+// arrival order shard by shard — received without waiting, since the run
+// holds the token and counted them there — then its end, and it lets go
+// of every token.
+func (n *Node) drain(ctx context.Context, r *run) {
+	for i := 0; i < len(r.shards); i++ { // takeOwners may append to r.shards
+		s := r.shards[i]
+		for q := r.queued[i]; q > 0; q-- {
+			n.handleEnv(ctx, s, <-s.mailbox)
+		}
+	}
+	r.finish(ctx)
+	r.release()
+}
+
+// runOne drains env alone on s, whose run token the caller holds, as
+// s's solo run, and lets go of the token.
+func (n *Node) runOne(ctx context.Context, s *dataShard, env transport.Envelope) {
+	s.solo.take(s, 0)
+	n.handleEnv(ctx, s, env)
+	s.solo.finish(ctx)
+	s.solo.release()
+}
+
+// handleEnv hands one delivered data envelope to the request handler
+// on its shard.
+func (n *Node) handleEnv(ctx context.Context, s *dataShard, env transport.Envelope) {
+	s.met.Inc(metrics.MsgRecv)
+	n.handleData(ctx, s, env.From, env.Msg.(request)) // only requests reach a shard
+}
+
+// finish ends a run. The windows of its shards that collected entry puts
+// land as one commit, so with W puts in flight a node pays about one
+// group-commit wait per wake-up, not one per put or per shard. Relay
+// copies alone do not end a run with a commit: they keep waiting for the
+// tick or a later entry put's. The run's answers leave at its end at the
+// latest, one frame per origin (see reply).
+func (r *run) finish(ctx context.Context) {
+	owed := r.owed[:0]
+	for _, s := range r.shards {
+		if len(s.entries) > 0 {
+			owed = append(owed, s)
+		}
+	}
+	if len(owed) > 0 {
+		commit(ctx, owed)
+	}
+	clear(owed)
+	r.owed = owed[:0]
+	r.shards[0].flush(ctx)
+}
+
+// release lets go of every run token the run holds, the first shard's
+// last: a solo run belongs to that shard, and whoever takes its token
+// next may start the run again.
+func (r *run) release() {
+	shards := r.shards
+	r.shards, r.queued = shards[:0], r.queued[:0]
+	for i := len(shards) - 1; i >= 0; i-- {
+		s := shards[i]
+		shards[i] = nil
+		s.r = nil
+		s.token.Unlock()
+	}
+}
+
+// tick commits s's window, in a run of its own. Between runs a window
+// holds relay copies only — every run commits its entry puts — and they
+// owe no ack or relay, so the commit leaves nothing to flush.
+func (s *dataShard) tick(ctx context.Context) {
+	s.token.Lock()
+	s.solo.take(s, 0)
+	s.commit(ctx)
+	s.solo.release()
+}
+
+// stopShard is a shard goroutine's last step: it drains what s's
+// mailbox holds, marks s stopped — no run takes it after — and commits
+// its window, so no accepted write is lost between the last round and
+// the store closing.
+func (n *Node) stopShard(ctx context.Context, s *dataShard) {
+	for {
+		s.token.Lock()
+		q := min(len(s.mailbox), coalesceMax)
+		if q == 0 {
+			break
+		}
+		s.solo.take(s, q)
+		n.drain(ctx, &s.solo)
+	}
+	s.stopped = true
+	s.token.Unlock()
+	s.tick(ctx)
 }
 
 // publishRoute replaces the routing snapshot with the control plane's
@@ -579,27 +735,28 @@ func (s *dataShard) sendData(ctx context.Context, to transport.NodeID, msg inter
 	return true
 }
 
-// reply answers a client: it queues an ack or a get reply for the shard's
-// next flush, which sends what a run produced for one origin as one
-// frame. No answer waits for I/O: the queue is flushed before every store
-// write (commit), before every relay send and at the end of the run. An
-// answer that must go alone is sent at once — a traced request's, so
-// /trace and span readers still join frames to requests by id, and a get
-// reply over relayBatchValueMax.
+// reply answers a client: it queues an ack or a get reply for the run's
+// next flush, which sends what the run produced for one origin as one
+// frame, whichever of its shards produced it. No answer waits for I/O:
+// the queue is flushed before every store write (commit), before every
+// relay send and at the end of the run. An answer that must go alone is
+// sent at once — a traced request's, so /trace and span readers still
+// join frames to requests by id, and a get reply over relayBatchValueMax.
 func (s *dataShard) reply(ctx context.Context, to transport.NodeID, msg interface{}, alone bool) {
 	if alone {
 		s.sendData(ctx, to, msg)
 		return
 	}
-	s.answers = append(s.answers, answer{to: to, msg: msg})
+	s.r.answers = append(s.r.answers, answer{to: to, msg: msg})
 }
 
-// flush sends the queued answers: an origin's only one as itself, two or
-// more as one Replies in the order they were queued. Origins go in the
-// order of their first answer. A run is at most coalesceMax envelopes,
-// so scanning the queue per origin is cheaper than grouping it in a map.
+// flush sends the run's queued answers: an origin's only one as itself,
+// two or more as one Replies in the order they were queued. Origins go
+// in the order of their first answer. A run is at most coalesceMax
+// envelopes, so scanning the queue per origin is cheaper than grouping
+// it in a map.
 func (s *dataShard) flush(ctx context.Context) {
-	q := s.answers
+	q := s.r.answers
 	for i, a := range q {
 		if a.msg == nil {
 			continue // sent inside an earlier origin's batch
@@ -622,7 +779,7 @@ func (s *dataShard) flush(ctx context.Context) {
 		s.sendData(ctx, a.to, &Replies{Msgs: batch})
 	}
 	clear(q)
-	s.answers = q[:0]
+	s.r.answers = q[:0]
 }
 
 // traceOp journals one traced request's lifecycle step, stamped with
@@ -707,26 +864,41 @@ func (s *dataShard) holds(key string) bool {
 	return false
 }
 
-// commit is the put path's one store write: the window — relay copies
-// and the run's entry puts, in arrival order — lands as one
-// store.PutBatch (one lock pass and, in the log engine, one appended
-// record batch and one group-commit wait for the lot); a window of one
-// object is a store.Put — the same write to the engine, kept apart
-// because bench/traced times lone puts as its store.put layer. Every
-// object passed store.CheckObject on its way in, so only the store
-// itself can fail the batch (disk full, closed store), and then it fails
-// whole: no entry put is acked, since acking a failed write would tell
-// the client it is replicated when no one stored it. Acks leave only
-// after the store returned. The intra-slice phase starts either way,
-// since mates may still succeed. The answers queued so far leave first:
-// none waits for this write.
+// commit is the put path's one store write for s's window alone.
 func (s *dataShard) commit(ctx context.Context) {
+	commit(ctx, []*dataShard{s})
+}
+
+// commit is the put path's one store write: the windows of ws — shards
+// of one run, each window's relay copies and entry puts in arrival
+// order — land as one store.PutBatch (one lock pass and, in the log
+// engine, one appended record batch and one group-commit wait for the
+// lot); a write of one object is a store.Put — the same write to the
+// engine, kept apart because bench/traced times lone puts as its
+// store.put layer. Every object passed store.CheckObject on its way in,
+// so only the store itself can fail the batch (disk full, closed store),
+// and then it fails whole: no entry put is acked, since acking a failed
+// write would tell the client it is replicated when no one stored it.
+// Acks leave only after the store returned. The intra-slice phase starts
+// either way, since mates may still succeed. The answers queued so far
+// leave first: none waits for this write.
+func commit(ctx context.Context, ws []*dataShard) {
+	s := ws[0]
 	s.flush(ctx)
-	if len(s.coalesce) == 0 {
+	batch, entries := s.coalesce, s.entries
+	if len(ws) > 1 {
+		batch, entries = nil, nil
+		for _, w := range ws {
+			batch = append(batch, w.coalesce...)
+			entries = append(entries, w.entries...)
+		}
+	}
+	for _, w := range ws {
+		w.coalesce, w.coalesceSeen, w.entries = nil, nil, nil
+	}
+	if len(batch) == 0 {
 		return
 	}
-	batch, entries := s.coalesce, s.entries
-	s.coalesce, s.coalesceSeen, s.entries = nil, nil, nil
 	var err error
 	if len(batch) == 1 {
 		o := batch[0]
@@ -757,9 +929,11 @@ func batchedRelay(m *PutRequest) bool {
 
 // relayEntries starts the intra-slice phase of a committed run. Two or
 // more puts travel as ONE PutBatchRequest{Intra, NoAck} under an id
-// this node mints (and marks seen, so an echo is suppressed): one frame
-// and one relay decision for all of them, filed by the mate in its own
-// window. A lone put goes as the PutRequest{Intra} copy it always was.
+// this node mints (and marks seen in the shard an echo routes to, the
+// first key's, so the echo is suppressed): one frame and one relay
+// decision for all of them, whichever shards they came from, filed by
+// the mate in its owner shards' windows. A lone put goes as the
+// PutRequest{Intra} copy it always was.
 func (s *dataShard) relayEntries(ctx context.Context, entries []entryPut) {
 	v := s.n.routeSnap.Load()
 	var objs []store.Object
@@ -786,22 +960,10 @@ func (s *dataShard) relayEntries(ctx context.Context, entries []entryPut) {
 			ID: gossip.MakeRequestID(s.n.id, s.n.relaySeq.Add(1)), NoAck: true,
 		}}
 		fwd.enterSlice(v, false)
-		s.dedup.Seen(fwd.ID)
+		s.n.shardFor(objs[0].Key).dedup.Seen(fwd.ID)
 		// No mate handed us the batch: sparing ourselves spares nobody.
 		s.relayIntra(ctx, v, s.n.id, fwd)
 	}
-}
-
-// ownsAll reports whether a get of any of objs looks in this shard's
-// window: true for what one shard of a mate with our shard count
-// batched, not for every batch of a mate sharded differently.
-func (s *dataShard) ownsAll(objs []store.Object) bool {
-	for i := range objs {
-		if shardIndex(objs[i].Key, len(s.n.shards)) != s.id {
-			return false
-		}
-	}
-	return true
 }
 
 // ShardCount returns how many data-plane shards the node runs.

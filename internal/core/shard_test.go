@@ -399,6 +399,86 @@ func TestShardHammer(t *testing.T) {
 	leakcheck.Check(t, before)
 }
 
+// TestShardWakeHammer: producers feed a 4-shard node through
+// DispatchData — puts, queued gets and gets it may serve inline — in
+// bursts, each producer waiting for every answer of its burst before the
+// next. Every run, inline get and tick is a point where a wake-up could
+// be lost; a lost one strands a burst unless another producer's dispatch
+// happens to wake the shards, and once every producer waits, nothing
+// does: the deadline catches it.
+func TestShardWakeHammer(t *testing.T) {
+	const producers, burst, bursts, keys = 4, 16, 400, 256
+	const base = transport.NodeID(0xC0000100)
+	st := store.NewMemory()
+	for i := 0; i < keys; i++ {
+		if err := st.Put(fmt.Sprintf("w-%d", i), 1, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// answered[p] gets one token per answer to producer p; it never holds
+	// more than a burst, so the fabric never blocks on it.
+	answered := make([]chan struct{}, producers)
+	for p := range answered {
+		answered[p] = make(chan struct{}, burst)
+	}
+	// No tick for an hour: its mailbox check cannot cover for a lost
+	// wake-up.
+	n := NewNode(1, Config{Slices: 1, Slicer: SlicerStatic, DataShards: 4, Seed: 7, RoundPeriod: time.Hour}, st,
+		transport.SenderFunc(func(_ context.Context, to transport.NodeID, msg interface{}) error {
+			for _, m := range answersIn(msg) {
+				switch m.(type) {
+				case *PutAck, *GetReply:
+					answered[to-base] <- struct{}{}
+				}
+			}
+			return nil
+		}))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n.StartShards(ctx)
+	defer n.StopShards()
+
+	errs := make(chan error, producers)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			origin := base + transport.NodeID(p)
+			for b, seq := 0, uint32(0); b < bursts; b++ {
+				for i := 0; i < burst; i++ {
+					seq++
+					r := Routing{ID: gossip.MakeRequestID(origin, seq), Origin: origin, TTL: TTLUnset}
+					key := fmt.Sprintf("w-%d", (int(seq)*7+p)%keys)
+					env := transport.Envelope{From: origin, To: 1, Last: i%4 > 1}
+					if i%4 == 0 {
+						env.Msg = &PutRequest{Routing: r, Key: key, Version: uint64(seq + 1), Value: []byte("v")}
+					} else {
+						env.Msg = &GetRequest{Routing: r, Key: key, Version: store.Latest}
+					}
+					n.DispatchData(env)
+				}
+				for i := 0; i < burst; i++ {
+					select {
+					case <-answered[p]:
+					case <-time.After(10 * time.Second):
+						errs <- fmt.Errorf("producer %d: burst %d has %d of %d answers after 10s", p, b, i, burst)
+						return
+					}
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if d := n.ShardDropped(); d != 0 {
+		t.Errorf("%d envelopes dropped with %d in flight", d, producers*burst)
+	}
+}
+
 // sentAs names what a data-plane message handed to the fabric carries,
 // one entry per object: acks, replies and intra-slice relay copies by
 // kind, key and version (a delete's ack, which names neither, by request

@@ -72,7 +72,7 @@ var Experiments = []Experiment{
 	{"pipeline", "E15", "no op fails; pipelined and batched puts finish >= 5x sooner than blocking ones; a batch costs under half the data messages per object", []string{"pipeline"}, runPipeline},
 	{"resp", "E16", "at most 5% of a mode's commands fail; pipelined RESP finishes >= 5x sooner than one command per round trip", nil, runRESP},
 	{"bootstrap", "E18", "every joiner recovers its slice; segment streaming >= 5x sooner than object repair and without falling back; among peers without the protocol the joiner falls back and repair refills it", []string{"bootstrap"}, runBootstrap},
-	{"shards", "E19", "1 and 8 shards converge to identical stores; 32 puts in flight commit >= 1.5 per store write; with >= 4 cores 8 shards serve >= 2x one shard's rate", nil, runShards},
+	{"shards", "E19", "1 and 8 shards converge to identical stores; 32 puts in flight commit >= 1.5 per store write, on 8 shards >= half as many as on 1; with >= 4 cores 8 shards serve >= 2x one shard's rate", nil, runShards},
 	{"route", "E20", "the directed hop spends >= 3x fewer data messages per op than the forced flood, fails no more ops, and keeps read availability under churn within 2 points", []string{"route"}, runRouting},
 }
 

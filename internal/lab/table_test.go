@@ -273,6 +273,8 @@ func TestGatesFire(t *testing.T) {
 	fires("E19 burst", ShardBurstGate([]ShardPutBurstResult{{Shards: 1, PutsPerCommit: 1.5, AcksPerFrame: 1.5}, {Shards: 8, PutsPerCommit: 1.1, AcksPerFrame: 1}}), "")
 	fires("E19 burst puts per commit", ShardBurstGate([]ShardPutBurstResult{{Shards: 1, PutsPerCommit: 1.4, AcksPerFrame: 1.5}, {Shards: 8, PutsPerCommit: 2.5, AcksPerFrame: 2.5}}), "1.40 puts per commit < 1.5 with the puts in flight on 1 shard")
 	fires("E19 burst acks per frame", ShardBurstGate([]ShardPutBurstResult{{Shards: 1, PutsPerCommit: 1.5, AcksPerFrame: 1.4}, {Shards: 8, PutsPerCommit: 2.5, AcksPerFrame: 2.5}}), "1.40 acks per ack frame < 1.5 with the puts in flight on 1 shard")
+	fires("E19 burst split across shards", ShardBurstGate([]ShardPutBurstResult{{Shards: 1, PutsPerCommit: 20.22, AcksPerFrame: 20.22}, {Shards: 8, PutsPerCommit: 2.27, AcksPerFrame: 12}}), "2.27 puts per commit on 8 shards < half the 20.22 on 1")
+	fires("E19 burst acks split across shards", ShardBurstGate([]ShardPutBurstResult{{Shards: 1, PutsPerCommit: 20, AcksPerFrame: 20}, {Shards: 8, PutsPerCommit: 16, AcksPerFrame: 9.9}}), "9.90 acks per ack frame on 8 shards < half the 20.00 on 1")
 	fires("E19 equivalence", ShardEquivalenceGate(ShardEquivalenceResult{Equal: true, Objects: 218}), "")
 	fires("E19 diverged", ShardEquivalenceGate(ShardEquivalenceResult{Mismatch: "n3", Waited: 30 * time.Second}), "sharded cluster diverged: first mismatch at node n3 after 30s")
 	fires("E19 empty", ShardEquivalenceGate(ShardEquivalenceResult{Equal: true}), "converged on empty stores — workload never landed")
