@@ -26,11 +26,14 @@ test:
 	$(GO) test ./...
 
 # STRESS names the tests of the writer-led group commit, the inline get,
-# the shard wake-ups (a lost one strands requests until a deadline) and
-# the client's held turn (its hold state has one owner goroutine and no
-# lock, so the race detector is its guard): each runs twenty times under
-# the race detector. CI's stress step runs this target.
-STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestStoredObjectsGaugeAfterShardPut|TestTCPHoldWritesEachPeerOnce|TestTCPFailedFlushDropsAndRedials|TestTCPBuffersOverBoundReleased|TestClientTurnWritesBurstOnce|TestShardWakeHammer
+# the shard wake-ups (a lost one strands requests until a deadline), the
+# delete batches whose keys span shards (a run that waited for another
+# shard while holding its own would deadlock; one that skipped a busy
+# shard would resurrect a deleted version) and the client's held turn
+# (its hold state has one owner goroutine and no lock, so the race
+# detector is its guard): each runs twenty times under the race
+# detector. CI's stress step runs this target.
+STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestStoredObjectsGaugeAfterShardPut|TestTCPHoldWritesEachPeerOnce|TestTCPFailedFlushDropsAndRedials|TestTCPBuffersOverBoundReleased|TestClientTurnWritesBurstOnce|TestShardWakeHammer|TestDeleteBatchHammer
 
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS)' ./internal/store ./internal/core ./internal/transport .

@@ -347,9 +347,9 @@ func TestIntraBatchRidesTheWindow(t *testing.T) {
 }
 
 // TestGetCommitsOnlyForItsOwnKey: inside a run a get of a key with a
-// collected put sees that put (the commit comes first), and a get of
-// any other key is served before the run's store write; a window of
-// relay copies is only flushed by a get of one of its keys.
+// collected put sees that put (it waits for the run's commit), and a get
+// of any other key is served before the run's store write; a window of
+// relay copies is only committed for a get of one of its keys.
 func TestGetCommitsOnlyForItsOwnKey(t *testing.T) {
 	st := newRunStore(true)
 	h := newRunHarness(t, st, Config{})
@@ -750,4 +750,223 @@ func TestSpanningRelayWithBusyOwnerStoredOnArrival(t *testing.T) {
 	if calls := st.calls(); fmt.Sprint(calls) != "[batch 2]" {
 		t.Fatalf("store writes = %v, want [batch 2] on arrival", calls)
 	}
+}
+
+// TestGetOfWindowedKeyWaitsForTheRunCommit: a get of a key whose put
+// waits in the run's window is no commit of its own. In a run of [put a,
+// get a, put b, get c] it waits for the run's one store write, and its
+// reply, carrying the put's version, leaves in the acks' frame, before
+// the run's one relay batch.
+func TestGetOfWindowedKeyWaitsForTheRunCommit(t *testing.T) {
+	st := newRunStore(true)
+	if err := st.Store.Put("c", 1, []byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	h := newRunHarness(t, st, Config{})
+	stop := h.start()
+	h.holdThenRun(entryPut1("a", 7, 1), getOf("a", 2), entryPut1("b", 1, 3), getOf("c", 4))
+	stop()
+
+	if calls := st.calls(); fmt.Sprint(calls) != "[put 1 batch 2]" {
+		t.Fatalf("store writes = %v, want [put 1 batch 2]: the held put, then the run's one commit", calls)
+	}
+	want := []string{
+		"client ack hold @1", "mate relay hold @1",
+		"client reply c @1",
+		"client replies(ack a, ack b, reply a) @2",
+		"mate relay [a b] @2",
+	}
+	if got := h.frameLines(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("frames:\n got  %q\n want %q", got, want)
+	}
+	for _, env := range h.sentOf(isReply) {
+		if r := env.Msg.(*GetReply); r.Key == "a" && (r.Version != 7 || string(r.Value) != "a") {
+			t.Errorf("reply for a = v%d %q, want the put's v7", r.Version, r.Value)
+		}
+	}
+	// The held put's commit, then the run's: one each.
+	if got := h.n.Metrics().Get(metrics.PutCommits); got != 2 {
+		t.Errorf("put_commits = %d, want 2", got)
+	}
+}
+
+// intraCopy is a mate's intra-slice relay copy of one put.
+func intraCopy(key string, version uint64, seq uint32) *PutRequest {
+	return &PutRequest{
+		Routing: Routing{ID: gossip.MakeRequestID(runMate, seq), Intra: true, NoAck: true},
+		Key:     key, Version: version, Value: []byte(key),
+	}
+}
+
+func isGetRelay(m interface{}) bool { g, ok := m.(*GetRequest); return ok && g.Intra }
+
+// TestWaitingGetCallerDriven: a caller-driven node runs one envelope per
+// run, so a get of a windowed relay copy is answered inside the
+// HandleMessage call that brought it, after the window's commit; and a
+// get of a version that commit did not bring goes on to the mates.
+func TestWaitingGetCallerDriven(t *testing.T) {
+	st := newRunStore(false)
+	h := newRunHarness(t, st, Config{})
+	ctx := context.Background()
+	deliver := func(from transport.NodeID, m interface{}) {
+		h.n.HandleMessage(ctx, transport.Envelope{From: from, To: 1, Msg: m})
+	}
+
+	deliver(runMate, intraCopy("w", 1, 1))
+	deliver(runClient, getOf("w", 2))
+	if replies := h.sentOf(isReply); len(replies) != 1 || replies[0].Msg.(*GetReply).Version != 1 {
+		t.Fatalf("get of a windowed copy: replies = %+v, want v1 within the call", replies)
+	}
+	if calls := st.calls(); fmt.Sprint(calls) != "[put 1]" {
+		t.Fatalf("store writes = %v, want the window's one commit", calls)
+	}
+
+	deliver(runMate, intraCopy("x", 1, 3))
+	miss := getOf("x", 4)
+	miss.Version = 2
+	deliver(runClient, miss)
+	if calls := st.calls(); fmt.Sprint(calls) != "[put 1 put 1]" {
+		t.Fatalf("store writes = %v, want the second window committed for the get", calls)
+	}
+	if replies := h.sentOf(isReply); len(replies) != 1 {
+		t.Fatalf("get of a version nobody stored was answered: %+v", replies)
+	}
+	relays := h.sentOf(isGetRelay)
+	if len(relays) != 1 || relays[0].To != runMate || relays[0].Msg.(*GetRequest).Version != 2 {
+		t.Fatalf("get relays = %+v, want the get of x v2 passed on to the mate", relays)
+	}
+}
+
+func isDeleteAck(m interface{}) bool { _, ok := m.(*DeleteBatchAck); return ok }
+
+// deleteOf is a client's delete batch of version 1 of keys.
+func deleteOf(seq uint32, keys ...string) *DeleteBatchRequest {
+	items := make([]DeleteItem, len(keys))
+	for i, k := range keys {
+		items[i] = DeleteItem{Key: k, Version: 1}
+	}
+	return &DeleteBatchRequest{
+		Routing: Routing{ID: gossip.MakeRequestID(runClient, seq), Origin: runClient, TTL: TTLUnset},
+		Items:   items,
+	}
+}
+
+// waitWindowHolds waits until s's window holds key, reading it under s's
+// run token and waking the shards for whatever arrived meanwhile.
+func waitWindowHolds(t *testing.T, s *dataShard, key string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.token.Lock()
+		held := s.holds(key)
+		s.token.Unlock()
+		s.recheck()
+		if held {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shard %d's window never held %s", s.id, key)
+		}
+	}
+}
+
+// TestDeleteBatchCommitsEveryOwnerWindow: a relay copy of B waits in B's
+// shard's window when a delete batch {A, B} led by A's shard arrives. The
+// delete lands after that copy, so B v1 stays deleted once the windows
+// are committed: caller-driven, on started shards, and with B's shard
+// held by another run in its store write, which the delete waits for
+// instead of deleting without B's window.
+func TestDeleteBatchCommitsEveryOwnerWindow(t *testing.T) {
+	check := func(t *testing.T, h *runHarness, a, b string) {
+		t.Helper()
+		for _, k := range []string{a, b} {
+			if _, _, ok, _ := h.st.Store.Get(k, 1); ok {
+				t.Errorf("%s v1 is stored after its delete", k)
+			}
+		}
+		acks := h.sentOf(isDeleteAck)
+		if len(acks) != 1 || acks[0].Msg.(*DeleteBatchAck).Applied != 2 {
+			t.Errorf("delete acks = %+v, want one with Applied 2", acks)
+		}
+	}
+	preload := func(t *testing.T, st *runStore, key string) {
+		if err := st.Store.Put(key, 1, []byte(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("caller-driven", func(t *testing.T) {
+		st := newRunStore(false)
+		h := newRunHarness(t, st, Config{DataShards: 2})
+		a, b := keyOnShard("a", 0, 2), keyOnShard("b", 1, 2)
+		preload(t, st, a)
+		ctx := context.Background()
+		h.n.HandleMessage(ctx, transport.Envelope{From: runMate, To: 1, Msg: intraCopy(b, 1, 1)})
+		h.n.HandleMessage(ctx, transport.Envelope{From: runClient, To: 1, Msg: deleteOf(2, a, b)})
+		h.n.Tick(ctx)
+		check(t, h, a, b)
+	})
+
+	t.Run("started", func(t *testing.T) {
+		st := newRunStore(false)
+		h := newRunHarness(t, st, Config{DataShards: 2})
+		a, b := keyOnShard("a", 0, 2), keyOnShard("b", 1, 2)
+		preload(t, st, a)
+		stop := h.start()
+		h.n.DispatchData(transport.Envelope{From: runMate, To: 1, Msg: intraCopy(b, 1, 1)})
+		waitWindowHolds(t, h.n.shards[1], b)
+		h.dispatch(deleteOf(2, a, b))
+		// The delete's run, not the stop drain, must see B's window.
+		for deadline := time.Now().Add(5 * time.Second); len(h.sentOf(isDeleteAck)) == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no delete ack after 5s")
+			}
+		}
+		stop()
+		check(t, h, a, b)
+	})
+
+	t.Run("owner held by another run", func(t *testing.T) {
+		st := newRunStore(true)
+		h := newRunHarness(t, st, Config{DataShards: 3})
+		a, b, c := keyOnShard("a", 0, 3), keyOnShard("b", 1, 3), keyOnShard("c", 2, 3)
+		preload(t, st, a)
+		stop := h.start()
+		// One run takes B's shard, filing the copy, and C's, whose put it
+		// commits: the run sits in that store write holding both.
+		sb, sc := h.n.shards[1], h.n.shards[2]
+		sb.token.Lock()
+		sc.token.Lock()
+		h.n.DispatchData(transport.Envelope{From: runMate, To: 1, Msg: intraCopy(b, 1, 1)})
+		h.dispatch(entryPut1(c, 1, 2))
+		for len(h.n.wake) > 0 || h.n.running.Load() > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(10 * time.Millisecond) // the wake-ups that found both held are over
+		sb.token.Unlock()
+		sc.token.Unlock()
+		h.n.signal()
+		<-st.entered
+		if sb.token.TryLock() {
+			sb.token.Unlock()
+			t.Fatal("the run in the store write does not hold B's shard")
+		}
+
+		// A run in progress wakes nobody for what is queued meanwhile; a
+		// full run would, so another goroutine takes the delete at once.
+		h.dispatch(deleteOf(3, a, b))
+		h.n.signal()
+		for h.n.ShardDepth(0) > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if _, _, ok, _ := st.Store.Get(a, 1); !ok {
+			t.Error("the delete went ahead while B's shard was held")
+		}
+		close(st.release)
+		stop()
+		check(t, h, a, b)
+		if calls := st.calls(); fmt.Sprint(calls) != "[put 1 put 1]" {
+			t.Errorf("store writes = %v, want C's put, then B's window before the delete", calls)
+		}
+	})
 }

@@ -547,7 +547,7 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 	if key, ok := RequestKey(env.Msg); ok {
 		n.freshRoute()
 		s := n.shardFor(key)
-		s.token.Lock()
+		s.lock()
 		n.runOne(ctx, s, env)
 		return
 	}
@@ -628,9 +628,21 @@ func (n *Node) handleData(ctx context.Context, s *dataShard, from transport.Node
 		return
 	}
 
-	if s.apply(ctx, v, from, req) || (r.Intra && r.TTL == 0) {
+	if !s.apply(ctx, v, from, req) {
+		s.passOn(ctx, v, from, req)
+	}
+}
+
+// passOn hands a request for this slice that apply did not finish on to
+// the mates: a slice entry starts the intra-slice phase, a mate's copy
+// goes on while its TTL lasts.
+func (s *dataShard) passOn(ctx context.Context, v *routeView, from transport.NodeID, req request) {
+	r := req.routing()
+	if r.Intra && r.TTL == 0 {
 		return
 	}
+	key, _ := req.routeKey()
+	_, read := req.(*GetRequest)
 	fwd := req.hop()
 	if r.Intra {
 		fwd.routing().TTL--
@@ -655,7 +667,9 @@ func (r *Routing) enterSlice(v *routeView, read bool) {
 // apply is what a member of the key's slice does with a request, the
 // one step that differs per kind: what it stores, deletes, acknowledges
 // or answers. It reports whether the request is finished here; one that
-// is not goes on to the mates.
+// is not goes on to the mates (passOn). A get that waits for its
+// window's commit is finished here: the commit serves it or passes it
+// on.
 func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.NodeID, req request) (done bool) {
 	n := s.n
 	switch m := req.(type) {
@@ -695,10 +709,12 @@ func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.Node
 		}
 	case *DeleteBatchRequest:
 		// A buffered put of an item's key must be applied before the
-		// delete, or the commit would resurrect the object. The ack
-		// carries how many items named objects this replica really held,
-		// which is what a Redis-style multi-key DEL reports.
-		s.commit(ctx)
+		// delete, or the commit would resurrect the object — whichever
+		// shard's window it waits in, so the windows of every item's owner
+		// land first, as one store write. The ack carries how many items
+		// named objects this replica really held, which is what a
+		// Redis-style multi-key DEL reports.
+		commit(ctx, s.r.takeItemOwners(n, s, m.Items))
 		applied, err := n.applyDeleteBatch(m.Items)
 		s.met.Add(metrics.DeletesServed, uint64(applied))
 		s.traceOp(obs.TraceDeleteApply, m.TraceID, m.Items[0].Key, 0, applied)
@@ -706,26 +722,35 @@ func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.Node
 			s.ack(ctx, m, applied)
 		}
 	case *GetRequest:
-		// A put of this key still sitting in the window lands first; a
-		// read of any other key does not wait for a write.
+		// A put of this key still sitting in the window lands first: the
+		// get waits for the commit that stores it — the run's own, at its
+		// end, unless something commits the window sooner. A read of any
+		// other key does not wait for a write.
 		if s.holds(m.Key) {
-			s.commit(ctx)
+			s.gets = append(s.gets, waitingGet{m: m, from: from})
+			return true
 		}
-		val, actual, ok, err := n.st.Get(m.Key, m.Version)
-		if err != nil || !ok {
-			// We are a replica but do not hold it (fresh in the slice):
-			// keep the request alive among the mates.
-			break
-		}
-		s.met.Inc(metrics.GetsServed)
-		s.traceOp(obs.TraceGetServe, m.TraceID, m.Key, len(val), 1)
-		n.learnOrigin(m.Origin, m.OriginAddr)
-		s.reply(ctx, m.Origin, &GetReply{
-			ID: m.ID, Key: m.Key, Version: actual, Value: val, Slice: v.slice,
-		}, m.TraceID != 0 || len(val) > relayBatchValueMax)
-		return true
+		return s.serveGet(ctx, v, m)
 	}
 	return false
+}
+
+// serveGet answers a get from the store. It reports false when this
+// replica does not hold the version (fresh in the slice), so the request
+// stays alive among the mates.
+func (s *dataShard) serveGet(ctx context.Context, v *routeView, m *GetRequest) bool {
+	n := s.n
+	val, actual, ok, err := n.st.Get(m.Key, m.Version)
+	if err != nil || !ok {
+		return false
+	}
+	s.met.Inc(metrics.GetsServed)
+	s.traceOp(obs.TraceGetServe, m.TraceID, m.Key, len(val), 1)
+	n.learnOrigin(m.Origin, m.OriginAddr)
+	s.reply(ctx, m.Origin, &GetReply{
+		ID: m.ID, Key: m.Key, Version: actual, Value: val, Slice: v.slice,
+	}, m.TraceID != 0 || len(val) > relayBatchValueMax)
+	return true
 }
 
 // ack answers a write (reply) under the one rule there is: only

@@ -26,13 +26,16 @@
 //
 // A key's requests always hash to the same shard, so per-shard dedup
 // caches and coalescing windows lose nothing: two deliveries of one
-// request id meet in the same cache, and a read or delete of a key
-// observes every buffered put for it in its own shard's window.
+// request id meet in the same cache, and a read of a key observes every
+// buffered put for it in its own shard's window. A delete batch names
+// keys of several shards, so it commits the window of each (see
+// takeItemOwners).
 package core
 
 import (
 	"context"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,9 +65,10 @@ const shardRNGSalt = 0x5a4dbeef
 // store.PutBatch — one lock acquisition and, in the log engine, one
 // group-commit fsync — with the next slice-entry put's commit, at the
 // next tick or once this many are buffered, whichever comes first.
-// Deletes, client batches and reads of a buffered key commit the buffer
-// first, so a node still observes its own writes. It also bounds the
-// envelopes one run takes, across all the shards it takes them from.
+// Deletes and client batches commit the buffer first, and a read of a
+// buffered key waits for the commit that stores it, so a node still
+// observes its own writes. It also bounds the envelopes one run takes,
+// across all the shards it takes them from.
 const coalesceMax = 64
 
 // shardIndex maps a key to its owning shard (FNV-1a over the key,
@@ -128,11 +132,16 @@ type dataShard struct {
 	// so it alone touches the state below. stopped is set under it once
 	// the shard's final drain ran: no run takes the shard after. solo is
 	// the run of one the shard's own holders use — an inline get, a tick,
-	// the stop drain, a caller-driven node's envelope.
-	token   sync.Mutex
-	r       *run
-	solo    run
-	stopped bool
+	// the stop drain, a caller-driven node's envelope. parked is set under
+	// it while a run that drains the mailbox has let go of the token to
+	// wait for others (see waitFor): until that run takes it back, no one
+	// else handles the mailbox's envelopes, and unparked signals the end.
+	token    sync.Mutex
+	r        *run
+	solo     run
+	stopped  bool
+	parked   bool
+	unparked sync.Cond
 
 	// dedup and rng are this shard's request suppression cache and
 	// relay-sampling stream; picks is the scratch buffer relay samples
@@ -154,25 +163,30 @@ type dataShard struct {
 	// de-duplicated by (key, version) through coalesceSeen, and the
 	// slice-entry puts of the run in progress. entries names the
 	// latter: the commit step owes each its ack and its intra-slice
-	// phase, at the end of the run.
+	// phase, at the end of the run. gets are the gets of keys the window
+	// holds, in arrival order: the commit that empties the window serves
+	// them after its store write, so the window is never empty while a
+	// get waits on it.
 	coalesce     []store.Object
 	coalesceSeen map[objRef]struct{}
 	entries      []entryPut
+	gets         []waitingGet
 }
 
 // run is one drain: the shards it took — their run tokens held, each
 // with how many envelopes it takes from that shard's mailbox — and the
 // acks and get replies they produced, in that order, until the next
-// flush sends them (see reply). A mate's batched relay can bring more
-// shards in (takeOwners), with nothing to take from their mailboxes. Its
-// end (finish) is the put path's one commit for every shard that
-// collected entry puts, one frame per origin for the answers and one
-// batched relay. A wake-up's run belongs to its shard goroutine; every
-// other run is a shard's solo.
+// flush sends them (see reply). A mate's batched relay or a delete batch
+// can bring more shards in (takeOwners, takeItemOwners), with nothing to
+// take from their mailboxes. Its end (finish) is the put path's one
+// commit for every shard that collected entry puts or has gets waiting,
+// one frame per origin for the answers and one batched relay. A
+// wake-up's run belongs to its shard goroutine; every other run is a
+// shard's solo.
 type run struct {
 	shards  []*dataShard
 	queued  []int
-	owed    []*dataShard // finish's scratch: the shards it commits
+	owed    []*dataShard // scratch: the shards a commit covers (finish, takeItemOwners)
 	answers []answer
 }
 
@@ -180,6 +194,13 @@ type run struct {
 // came from.
 type entryPut struct {
 	m    *PutRequest
+	from transport.NodeID
+}
+
+// waitingGet is a get that waits for its shard's window to be committed
+// (see holds), and the peer it came from.
+type waitingGet struct {
+	m    *GetRequest
 	from transport.NodeID
 }
 
@@ -209,12 +230,14 @@ func newShards(n *Node, cfg Config) []*dataShard {
 	}
 	shards := make([]*dataShard, count)
 	for i := range shards {
-		shards[i] = &dataShard{
+		s := &dataShard{
 			n:     n,
 			id:    i,
 			dedup: gossip.NewDedup(dedupCap),
 			rng:   sim.RNG(cfg.Seed, uint64(n.id)*1000003+uint64(i)^shardRNGSalt),
 		}
+		s.unparked.L = &s.token
+		shards[i] = s
 	}
 	return shards
 }
@@ -312,15 +335,16 @@ func (n *Node) DispatchData(env transport.Envelope) bool {
 }
 
 // serveIdle drains env on the calling goroutine, a run of one, if the
-// shard is idle — its run token free, nothing queued, not stopped — and
-// its window holds no put of key; it reports whether it did. A producer
-// that queued on the shard meanwhile may have woken a run that found it
-// held, so the shard's mailbox is checked again once the token is free.
+// shard is idle — its run token free, nothing queued, neither stopped
+// nor parked — and its window holds no put of key; it reports whether it
+// did. A producer that queued on the shard meanwhile may have woken a
+// run that found it held, so the shard's mailbox is checked again once
+// the token is free.
 func (n *Node) serveIdle(s *dataShard, key string, env transport.Envelope) bool {
 	if !s.token.TryLock() {
 		return false
 	}
-	if s.stopped || len(s.mailbox) > 0 || s.holds(key) {
+	if s.stopped || s.parked || len(s.mailbox) > 0 || s.holds(key) {
 		s.token.Unlock()
 		return false
 	}
@@ -374,8 +398,9 @@ func (n *Node) runShard(ctx context.Context, s *dataShard) {
 }
 
 // wakeRun is one wake-up: it takes, starting at shard home, every idle
-// shard with queued envelopes (run token free, not stopped), up to
-// coalesceMax envelopes in all, and drains them as one run. A full run
+// shard with queued envelopes (run token free, neither stopped nor
+// parked), up to coalesceMax envelopes in all, and drains them as one
+// run. A full run
 // wakes another goroutine at once, to take what is left in parallel; a
 // run that took nothing — every shard with mail was held elsewhere —
 // wakes nobody, since each holder checks the mailboxes as it lets go.
@@ -390,7 +415,7 @@ func (n *Node) wakeRun(ctx context.Context, r *run, home int) {
 			continue
 		}
 		q := min(len(s.mailbox), budget)
-		if s.stopped || q == 0 {
+		if s.stopped || s.parked || q == 0 {
 			s.token.Unlock()
 			continue
 		}
@@ -456,6 +481,91 @@ func (r *run) takeOwners(n *Node, objs []store.Object) bool {
 	return true
 }
 
+// takeItemOwners brings the owner shard of every item's key into the run
+// and returns the owners, s — the batch's own shard — first. Unlike a
+// relay (takeOwners) a delete cannot skip a busy owner: the put waiting
+// in that owner's window would land after the delete and resurrect the
+// object. An owner that is held elsewhere is waited for (waitFor).
+func (r *run) takeItemOwners(n *Node, s *dataShard, items []DeleteItem) []*dataShard {
+	owners := append(r.owed[:0], s)
+	busy := false
+	for _, it := range items {
+		o := n.shardFor(it.Key)
+		if slices.Contains(owners, o) {
+			continue
+		}
+		owners = append(owners, o)
+		if r.has(o) {
+			continue
+		}
+		if o.token.TryLock() {
+			r.take(o, 0)
+		} else {
+			busy = true
+		}
+	}
+	if busy {
+		r.waitFor(n, owners)
+	}
+	r.owed = owners
+	return owners
+}
+
+// waitFor takes the run token of every one of owners the run does not
+// hold yet, waiting for those held elsewhere. A run never waits for a
+// token while it holds one: two delete batches led from opposite shards,
+// each holding its own shard and waiting for the other's, would wait
+// forever. So it lets go of every token it holds and takes them back,
+// with the owners, in shard order. Tokens taken in one global order
+// cannot deadlock: a run waits only while holding tokens of lower shards
+// than the one it waits for, and every other holder — a run, an inline
+// get, a tick, a stop drain — either lets go without waiting for a token
+// or is such a run itself.
+//
+// While it has let go, the shards whose mailboxes it drains are parked:
+// no other run takes their envelopes, and no inline get, tick or stop
+// drain runs on them, so what is queued behind the delete stays behind
+// it and the run's counts of what it takes stay true. A parked shard's
+// token is still taken by runs that only file into or commit its window,
+// as a relay's or a delete's owner (takeOwners, takeItemOwners): that
+// is what its own run would do with it.
+func (r *run) waitFor(n *Node, owners []*dataShard) {
+	for i, s := range r.shards {
+		if r.queued[i] > 0 {
+			s.parked = true
+		}
+		s.r = nil
+		s.token.Unlock()
+	}
+	for _, s := range n.shards {
+		if r.has(s) || slices.Contains(owners, s) {
+			s.token.Lock()
+		}
+	}
+	for i, s := range r.shards {
+		s.r = r
+		if r.queued[i] > 0 {
+			s.parked = false
+			s.unparked.Broadcast()
+		}
+	}
+	for _, o := range owners {
+		if !r.has(o) {
+			r.take(o, 0)
+		}
+	}
+}
+
+// lock takes s's run token for a holder that drains or commits s
+// outside a wake-up — a tick, a stop drain, a caller-driven envelope —
+// once no run has s parked.
+func (s *dataShard) lock() {
+	s.token.Lock()
+	for s.parked {
+		s.unparked.Wait()
+	}
+}
+
 // drain handles a run: the queued envelopes it took from each shard, in
 // arrival order shard by shard — received without waiting, since the run
 // holds the token and counted them there — then its end, and it lets go
@@ -488,15 +598,16 @@ func (n *Node) handleEnv(ctx context.Context, s *dataShard, env transport.Envelo
 }
 
 // finish ends a run. The windows of its shards that collected entry puts
-// land as one commit, so with W puts in flight a node pays about one
-// group-commit wait per wake-up, not one per put or per shard. Relay
-// copies alone do not end a run with a commit: they keep waiting for the
-// tick or a later entry put's. The run's answers leave at its end at the
-// latest, one frame per origin (see reply).
+// or have gets waiting land as one commit, so with W puts in flight a
+// node pays about one group-commit wait per wake-up, not one per put, per
+// shard or per read of a key just written. Relay copies alone do not end
+// a run with a commit: they keep waiting for the tick or a later entry
+// put's. The run's answers leave at its end at the latest, one frame per
+// origin (see reply).
 func (r *run) finish(ctx context.Context) {
 	owed := r.owed[:0]
 	for _, s := range r.shards {
-		if len(s.entries) > 0 {
+		if len(s.entries) > 0 || len(s.gets) > 0 {
 			owed = append(owed, s)
 		}
 	}
@@ -523,10 +634,11 @@ func (r *run) release() {
 }
 
 // tick commits s's window, in a run of its own. Between runs a window
-// holds relay copies only — every run commits its entry puts — and they
-// owe no ack or relay, so the commit leaves nothing to flush.
+// holds relay copies only — every run commits its entry puts and serves
+// its waiting gets — and they owe no ack or relay, so the commit leaves
+// nothing to flush.
 func (s *dataShard) tick(ctx context.Context) {
-	s.token.Lock()
+	s.lock()
 	s.solo.take(s, 0)
 	s.commit(ctx)
 	s.solo.release()
@@ -538,7 +650,7 @@ func (s *dataShard) tick(ctx context.Context) {
 // the store closing.
 func (n *Node) stopShard(ctx context.Context, s *dataShard) {
 	for {
-		s.token.Lock()
+		s.lock()
 		q := min(len(s.mailbox), coalesceMax)
 		if q == 0 {
 			break
@@ -852,9 +964,10 @@ func (s *dataShard) collectPut(from transport.NodeID, m *PutRequest) {
 }
 
 // holds reports whether the window has an object of key: a get of such
-// a key commits first, any other get is served without waiting for a
-// write. The window is at most a run plus coalesceMax copies long, so
-// the scan is cheaper than a second index beside coalesceSeen.
+// a key waits for the window's commit (gets), any other get is served
+// without waiting for a write. The window is at most a run plus
+// coalesceMax copies long, so the scan is cheaper than a second index
+// beside coalesceSeen.
 func (s *dataShard) holds(key string) bool {
 	for i := range s.coalesce {
 		if s.coalesce[i].Key == key {
@@ -879,22 +992,26 @@ func (s *dataShard) commit(ctx context.Context) {
 // so only the store itself can fail the batch (disk full, closed store),
 // and then it fails whole: no entry put is acked, since acking a failed
 // write would tell the client it is replicated when no one stored it.
-// Acks leave only after the store returned. The intra-slice phase starts
-// either way, since mates may still succeed. The answers queued so far
-// leave first: none waits for this write.
+// Acks leave only after the store returned. The gets that waited on the
+// windows are served next, from the store, so their replies share the
+// acks' frame; one whose version the store still lacks goes on to the
+// mates. The intra-slice phase starts either way, since mates may still
+// succeed. The answers queued so far leave first: none waits for this
+// write.
 func commit(ctx context.Context, ws []*dataShard) {
 	s := ws[0]
 	s.flush(ctx)
-	batch, entries := s.coalesce, s.entries
+	batch, entries, gets := s.coalesce, s.entries, s.gets
 	if len(ws) > 1 {
-		batch, entries = nil, nil
+		batch, entries, gets = nil, nil, nil
 		for _, w := range ws {
 			batch = append(batch, w.coalesce...)
 			entries = append(entries, w.entries...)
+			gets = append(gets, w.gets...)
 		}
 	}
 	for _, w := range ws {
-		w.coalesce, w.coalesceSeen, w.entries = nil, nil, nil
+		w.coalesce, w.coalesceSeen, w.entries, w.gets = nil, nil, nil, nil
 	}
 	if len(batch) == 0 {
 		return
@@ -915,6 +1032,14 @@ func commit(ctx context.Context, ws []*dataShard) {
 		}
 		s.met.Add(metrics.PutsServed, uint64(len(batch)))
 		s.met.Add(metrics.CoalescedPuts, uint64(len(batch)-len(entries)))
+	}
+	if len(gets) > 0 {
+		v := s.n.routeSnap.Load()
+		for _, g := range gets {
+			if !s.serveGet(ctx, v, g.m) {
+				s.passOn(ctx, v, g.from, g.m)
+			}
+		}
 	}
 	s.relayEntries(ctx, entries)
 }

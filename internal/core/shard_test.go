@@ -405,7 +405,9 @@ func TestShardHammer(t *testing.T) {
 // next. Every run, inline get and tick is a point where a wake-up could
 // be lost; a lost one strands a burst unless another producer's dispatch
 // happens to wake the shards, and once every producer waits, nothing
-// does: the deadline catches it.
+// does: the deadline catches it. The get right after each put names the
+// put's key, so it often waits on the put's window: its reply must carry
+// that version or a newer one.
 func TestShardWakeHammer(t *testing.T) {
 	const producers, burst, bursts, keys = 4, 16, 400, 256
 	const base = transport.NodeID(0xC0000100)
@@ -421,13 +423,21 @@ func TestShardWakeHammer(t *testing.T) {
 	for p := range answered {
 		answered[p] = make(chan struct{}, burst)
 	}
+	// atLeast maps a get's request id to the version its reply must reach.
+	var atLeast sync.Map
+	var stale atomic.Int64
 	// No tick for an hour: its mailbox check cannot cover for a lost
 	// wake-up.
 	n := NewNode(1, Config{Slices: 1, Slicer: SlicerStatic, DataShards: 4, Seed: 7, RoundPeriod: time.Hour}, st,
 		transport.SenderFunc(func(_ context.Context, to transport.NodeID, msg interface{}) error {
 			for _, m := range answersIn(msg) {
-				switch m.(type) {
-				case *PutAck, *GetReply:
+				switch m := m.(type) {
+				case *GetReply:
+					if want, ok := atLeast.Load(m.ID); ok && m.Version < want.(uint64) {
+						stale.Add(1)
+					}
+					answered[to-base] <- struct{}{}
+				case *PutAck:
 					answered[to-base] <- struct{}{}
 				}
 			}
@@ -446,14 +456,20 @@ func TestShardWakeHammer(t *testing.T) {
 			defer wg.Done()
 			origin := base + transport.NodeID(p)
 			for b, seq := 0, uint32(0); b < bursts; b++ {
+				var put *PutRequest
 				for i := 0; i < burst; i++ {
 					seq++
 					r := Routing{ID: gossip.MakeRequestID(origin, seq), Origin: origin, TTL: TTLUnset}
 					key := fmt.Sprintf("w-%d", (int(seq)*7+p)%keys)
 					env := transport.Envelope{From: origin, To: 1, Last: i%4 > 1}
-					if i%4 == 0 {
-						env.Msg = &PutRequest{Routing: r, Key: key, Version: uint64(seq + 1), Value: []byte("v")}
-					} else {
+					switch i % 4 {
+					case 0:
+						put = &PutRequest{Routing: r, Key: key, Version: uint64(seq + 1), Value: []byte("v")}
+						env.Msg = put
+					case 1:
+						atLeast.Store(r.ID, put.Version)
+						env.Msg = &GetRequest{Routing: r, Key: put.Key, Version: store.Latest}
+					default:
 						env.Msg = &GetRequest{Routing: r, Key: key, Version: store.Latest}
 					}
 					n.DispatchData(env)
@@ -476,6 +492,109 @@ func TestShardWakeHammer(t *testing.T) {
 	}
 	if d := n.ShardDropped(); d != 0 {
 		t.Errorf("%d envelopes dropped with %d in flight", d, producers*burst)
+	}
+	if s := stale.Load(); s != 0 {
+		t.Errorf("%d gets answered an older version than the put queued before them", s)
+	}
+}
+
+// TestDeleteBatchHammer: producers race delete batches whose two keys
+// live on different shards against mates' relay copies of the same keys,
+// while the shards tick every 2ms. Producers of even and odd number lead
+// the batches of one key pair from opposite shards, so two of them often
+// wait for each other's shard at once: a run that waited holding its own
+// would hang the test. Each relay batch is queued ahead of its delete on
+// the delete's own shard, so it was filed (or stored) before the delete
+// ran; after the final drain no deleted version may be stored, and every
+// version kept beside them must be. A get queued behind each delete asks
+// for a version it deleted: none may be answered, since nothing queued
+// behind a delete is handled before it, even while its run waits.
+func TestDeleteBatchHammer(t *testing.T) {
+	const shards, producers, pairs = 4, 4, 8
+	rounds := 400
+	if testing.Short() {
+		rounds = 150
+	}
+	st := store.NewMemory()
+	var behind sync.Map // ids of the gets queued behind a delete
+	var answeredBehind atomic.Int64
+	out := transport.SenderFunc(func(_ context.Context, _ transport.NodeID, msg interface{}) error {
+		for _, m := range answersIn(msg) {
+			if r, ok := m.(*GetReply); ok {
+				if _, late := behind.Load(r.ID); late {
+					answeredBehind.Add(1)
+				}
+			}
+		}
+		return nil
+	})
+	n := NewNode(1, Config{Slices: 1, Slicer: SlicerStatic, DataShards: shards, Seed: 7, RoundPeriod: 2 * time.Millisecond}, st, out)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n.StartShards(ctx)
+
+	// keys is the pair producer p deletes in round r, its batch's leading
+	// key first: the pair's x for even producers, its y for odd ones.
+	keys := func(p, r int) (string, string) {
+		j := r % pairs
+		x, y := keyOnShard(fmt.Sprintf("x%d-", j), j%shards, shards), keyOnShard(fmt.Sprintf("y%d-", j), (j+1)%shards, shards)
+		if p%2 == 1 {
+			return y, x
+		}
+		return x, y
+	}
+	dispatch := func(msg interface{}) {
+		key, _ := RequestKey(msg)
+		for n.ShardDepth(shardIndex(key, shards)) > n.ShardMailboxCapacity()-64 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		n.DispatchData(transport.Envelope{From: 9, To: 1, Msg: msg})
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			mate := transport.NodeID(100 + p)
+			for r := 0; r < rounds; r++ {
+				a, b := keys(p, r)
+				gone, kept := uint64(p)<<32|uint64(2*r+1), uint64(p)<<32|uint64(2*r+2)
+				dispatch(&PutBatchRequest{
+					Routing: Routing{ID: gossip.MakeRequestID(mate, uint32(r+1)), Intra: true, NoAck: true},
+					Objs:    []store.Object{{Key: a, Version: gone, Value: []byte("g")}, {Key: b, Version: gone, Value: []byte("g")}, {Key: b, Version: kept, Value: []byte("k")}},
+				})
+				dispatch(&GetRequest{Routing: Routing{ID: gossip.MakeRequestID(mate, uint32(rounds+2*r+1)), Origin: mate, TTL: TTLUnset}, Key: b, Version: gone})
+				dispatch(&DeleteBatchRequest{
+					Routing: Routing{ID: gossip.MakeRequestID(mate, uint32(rounds+2*r+2)), Origin: mate, TTL: TTLUnset},
+					Items:   []DeleteItem{{Key: a, Version: gone}, {Key: b, Version: gone}},
+				})
+				late := gossip.MakeRequestID(mate, uint32(3*rounds+r+1))
+				behind.Store(late, struct{}{})
+				dispatch(&GetRequest{Routing: Routing{ID: late, Origin: mate, TTL: TTLUnset}, Key: a, Version: gone})
+			}
+		}(p)
+	}
+	wg.Wait()
+	n.StopShards()
+	if d := n.ShardDropped(); d != 0 {
+		t.Fatalf("%d envelopes dropped despite backpressure", d)
+	}
+	if got := answeredBehind.Load(); got != 0 {
+		t.Errorf("%d gets queued behind a delete were served the version it deleted", got)
+	}
+	for p := 0; p < producers; p++ {
+		for r := 0; r < rounds; r++ {
+			a, b := keys(p, r)
+			gone, kept := uint64(p)<<32|uint64(2*r+1), uint64(p)<<32|uint64(2*r+2)
+			for _, k := range []string{a, b} {
+				if _, _, ok, _ := st.Get(k, gone); ok {
+					t.Fatalf("producer %d round %d: %s v%d is stored after its delete", p, r, k, gone)
+				}
+			}
+			if _, _, ok, _ := st.Get(b, kept); !ok {
+				t.Fatalf("producer %d round %d: the kept version v%d is missing", p, r, kept)
+			}
+		}
 	}
 }
 
@@ -514,8 +633,10 @@ func sentAs(msg interface{}) []string {
 }
 
 // TestShardEquivalenceSingleVsMany feeds the same single-node workload
-// — acked puts, deletes and gets on a node with one slice-mate — through
-// 1 shard and 8 shards on their own goroutines, and through HandleMessage
+// — acked puts, deletes and gets on a node with one slice-mate, and the
+// mate's relay copies of key pairs that a delete batch led by the pair's
+// first key then removes (on 8 shards the pair spans two) — through 1
+// shard and 8 shards on their own goroutines, and through HandleMessage
 // on a caller-driven node, and demands of all three the same converged
 // store (keys, versions, values) and the same multiset of messages handed
 // to the fabric: the legs differ only in who drives the shards.
@@ -564,6 +685,20 @@ func TestShardEquivalenceSingleVsMany(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			key := fmt.Sprintf("eq-%d", i%300)
 			id := gossip.RequestID(i + 1)
+			if i%7 == 6 {
+				// Keys of their own, on two shards of eight, read by nobody:
+				// cross-shard timing cannot change what a get answers.
+				a := keyOnShard(fmt.Sprintf("sp-%d-a", i), i%8, 8)
+				b := keyOnShard(fmt.Sprintf("sp-%d-b", i), (i+1)%8, 8)
+				deliver(transport.Envelope{From: 9, To: 1, Msg: &PutBatchRequest{
+					Routing: Routing{ID: gossip.MakeRequestID(9, uint32(i)), Intra: true, NoAck: true},
+					Objs:    []store.Object{{Key: a, Version: 1, Value: []byte(a)}, {Key: b, Version: 1, Value: []byte(b)}, {Key: b, Version: 2, Value: []byte(b)}},
+				}})
+				deliver(transport.Envelope{From: 2, To: 1, Msg: &DeleteBatchRequest{
+					Routing: Routing{ID: gossip.RequestID(1_000_000 + i), Origin: client, TTL: TTLUnset},
+					Items:   []DeleteItem{{Key: a, Version: 1}, {Key: b, Version: 1}},
+				}})
+			}
 			var msg interface{}
 			switch i % 7 {
 			case 6:

@@ -286,7 +286,8 @@ type ShardEquivalenceResult struct {
 }
 
 // ShardEquivalence runs one seeded workload — versioned puts, batch
-// puts, deletes — against two identically-configured clusters that
+// puts, deletes, and delete batches whose keys span a node's shards —
+// against two identically-configured clusters that
 // differ only in DataShards (1 vs opts.Shards), waits for both to
 // converge, and compares every node's store inventory. The static
 // slicer pins node-to-slice assignment to the node id, so converged
@@ -362,6 +363,35 @@ func ShardEquivalence(opts ShardEquivalenceOptions) (ShardEquivalenceResult, err
 				}
 				time.Sleep(opts.Period)
 			}
+		}
+		// A third version of every fourth key, then one delete batch of
+		// them all: per slice one message whose keys span the shards of
+		// the nodes that apply it. Re-issued, like the single deletes,
+		// for what some replica still holds.
+		var spanning []dataflasks.Object
+		for i := 1; i < opts.Keys; i += 4 {
+			spanning = append(spanning, dataflasks.Object{Key: key(i), Version: 3, Value: []byte("v3")})
+		}
+		if err := cl.PutBatch(ctx, spanning); err != nil {
+			return nil, fmt.Errorf("putbatch v3: %w", err)
+		}
+		for {
+			var left []dataflasks.KeyVersion
+			for _, o := range spanning {
+				if cluster.ReplicaCount(o.Key, 3) > 0 {
+					left = append(left, dataflasks.KeyVersion{Key: o.Key, Version: 3})
+				}
+			}
+			if len(left) == 0 {
+				break
+			}
+			if _, err := cl.DeleteBatch(ctx, left); err != nil {
+				return nil, fmt.Errorf("delete batch of %d: %w", len(left), err)
+			}
+			if ctx.Err() != nil {
+				return nil, fmt.Errorf("delete batch: %w", ctx.Err())
+			}
+			time.Sleep(opts.Period)
 		}
 		return cluster, nil
 	}
