@@ -689,66 +689,128 @@ func TestRunTakesEveryIdleShard(t *testing.T) {
 	}
 }
 
-// TestSpanningRelayLandsInOwnerWindows: a mate's batched relay whose keys
-// hash to both of the node's shards waits in each key's own shard's
-// window, so a get of each key commits it first and reads it, and a
-// delete right after it is not undone by the tick's commit.
-func TestSpanningRelayLandsInOwnerWindows(t *testing.T) {
-	st := newRunStore(false)
-	h := newRunHarness(t, st, Config{DataShards: 2})
-	ctx := context.Background()
-	k0, k1 := keyOnShard("s", 0, 2), keyOnShard("s", 1, 2)
-	deliver := func(from transport.NodeID, m interface{}) {
-		h.n.HandleMessage(ctx, transport.Envelope{From: from, To: 1, Msg: m})
-	}
+// windowHolds reports whether the node's window holds a copy of key.
+func windowHolds(n *Node, key string) bool {
+	n.win.mu.Lock()
+	defer n.win.mu.Unlock()
+	return n.win.holds(key)
+}
 
-	deliver(runMate, intraBatch(1, 1, k0, k1))
-	if calls := st.calls(); len(calls) != 0 {
-		t.Fatalf("spanning relay hit the store on arrival: %v", calls)
-	}
-	if !h.n.shards[0].holds(k0) || !h.n.shards[1].holds(k1) {
-		t.Fatalf("windows: shard 0 holds %s %v, shard 1 holds %s %v; want both", k0, h.n.shards[0].holds(k0), k1, h.n.shards[1].holds(k1))
-	}
-	deliver(runClient, getOf(k0, 2))
-	deliver(runClient, getOf(k1, 3))
-	if replies := h.sentOf(isReply); len(replies) != 2 || replies[0].Msg.(*GetReply).Version != 1 || replies[1].Msg.(*GetReply).Version != 1 {
-		t.Fatalf("gets of the windowed keys: replies = %+v, want version 1 of each", replies)
-	}
-	if calls := st.calls(); fmt.Sprint(calls) != "[put 1 put 1]" {
-		t.Fatalf("store writes = %v, want each get to commit its own shard's window", calls)
-	}
-
-	deliver(runMate, intraBatch(4, 2, k0, k1))
-	for i, k := range []string{k0, k1} {
-		deliver(runClient, &DeleteBatchRequest{
-			Routing: Routing{ID: gossip.MakeRequestID(runClient, uint32(5+i)), NoAck: true, TTL: TTLUnset},
-			Items:   []DeleteItem{{Key: k, Version: 2}},
-		})
-	}
-	h.n.Tick(ctx)
-	for _, k := range []string{k0, k1} {
-		if _, _, ok, _ := st.Store.Get(k, 2); ok {
-			t.Errorf("%s v2 came back after its delete", k)
+// waitWindowHolds waits until the node's window holds every one of keys.
+func waitWindowHolds(t *testing.T, n *Node, keys ...string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		held := true
+		for _, k := range keys {
+			held = held && windowHolds(n, k)
+		}
+		if held {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the window never held all of %v", keys)
 		}
 	}
 }
 
-// TestSpanningRelayWithBusyOwnerStoredOnArrival: when an owner shard of a
-// spanning relay is held by someone else, the run does not wait for it:
-// the batch is stored on arrival, as a batch too large for a window is.
-func TestSpanningRelayWithBusyOwnerStoredOnArrival(t *testing.T) {
-	st := newRunStore(false)
-	h := newRunHarness(t, st, Config{DataShards: 2})
+// TestSpanningRelayLandsInOwnerWindows: a mate's batched relay whose keys
+// hash to both of the node's shards waits in the node's one window, with
+// no store write on arrival — also when the other key's shard is held by
+// another run — so a get of either key is answered after one write that
+// covers both, and a delete right after it is not undone by the round's
+// commit.
+func TestSpanningRelayLandsInOwnerWindows(t *testing.T) {
 	k0, k1 := keyOnShard("s", 0, 2), keyOnShard("s", 1, 2)
-	busy := h.n.shards[1]
-	busy.token.Lock()
-	stop := h.start()
-	h.n.DispatchData(transport.Envelope{From: runMate, To: 1, Msg: intraBatch(1, 1, k0, k1)})
-	<-st.entered
-	busy.token.Unlock()
-	stop()
-	if calls := st.calls(); fmt.Sprint(calls) != "[batch 2]" {
-		t.Fatalf("store writes = %v, want [batch 2] on arrival", calls)
+
+	t.Run("caller-driven", func(t *testing.T) {
+		st := newRunStore(false)
+		h := newRunHarness(t, st, Config{DataShards: 2})
+		ctx := context.Background()
+		deliver := func(from transport.NodeID, m interface{}) {
+			h.n.HandleMessage(ctx, transport.Envelope{From: from, To: 1, Msg: m})
+		}
+
+		deliver(runMate, intraBatch(1, 1, k0, k1))
+		if calls := st.calls(); len(calls) != 0 {
+			t.Fatalf("spanning relay hit the store on arrival: %v", calls)
+		}
+		if !windowHolds(h.n, k0) || !windowHolds(h.n, k1) {
+			t.Fatalf("window holds %s %v, %s %v; want both", k0, windowHolds(h.n, k0), k1, windowHolds(h.n, k1))
+		}
+		deliver(runClient, getOf(k1, 2))
+		deliver(runClient, getOf(k0, 3))
+		if replies := h.sentOf(isReply); len(replies) != 2 || replies[0].Msg.(*GetReply).Version != 1 || replies[1].Msg.(*GetReply).Version != 1 {
+			t.Fatalf("gets of the windowed keys: replies = %+v, want version 1 of each", replies)
+		}
+		if calls := st.calls(); fmt.Sprint(calls) != "[batch 2]" {
+			t.Fatalf("store writes = %v, want one write for both keys", calls)
+		}
+
+		deliver(runMate, intraBatch(4, 2, k0, k1))
+		for i, k := range []string{k0, k1} {
+			deliver(runClient, &DeleteBatchRequest{
+				Routing: Routing{ID: gossip.MakeRequestID(runClient, uint32(5+i)), NoAck: true, TTL: TTLUnset},
+				Items:   []DeleteItem{{Key: k, Version: 2}},
+			})
+		}
+		h.n.Tick(ctx)
+		for _, k := range []string{k0, k1} {
+			if _, _, ok, _ := st.Store.Get(k, 2); ok {
+				t.Errorf("%s v2 came back after its delete", k)
+			}
+		}
+	})
+
+	t.Run("other shard held", func(t *testing.T) {
+		st := newRunStore(false)
+		h := newRunHarness(t, st, Config{DataShards: 2})
+		busy := h.n.shards[1]
+		busy.token.Lock()
+		stop := h.start()
+		h.dispatch(intraBatch(1, 1, k0, k1))
+		waitWindowHolds(t, h.n, k0, k1)
+		busy.token.Unlock()
+		if calls := st.calls(); len(calls) != 0 {
+			t.Fatalf("spanning relay with a held shard hit the store on arrival: %v", calls)
+		}
+		stop()
+		if calls := st.calls(); fmt.Sprint(calls) != "[batch 2]" {
+			t.Fatalf("store writes = %v, want the stop's one commit of the window", calls)
+		}
+	})
+}
+
+// TestRoundCommitsTheWindowOnce: on a started 4-shard node, relay copies
+// filed by runs of every shard cost one store write per round, whoever
+// calls the round: no shard commits a window of its own on a timer.
+func TestRoundCommitsTheWindowOnce(t *testing.T) {
+	st := newRunStore(false)
+	h := newRunHarness(t, st, Config{DataShards: 4})
+	// A commit on a timer of the round period would fire within the test.
+	h.n.cfg.RoundPeriod = 10 * time.Millisecond
+	h.start()
+	keys := make([]string, 4)
+	for i := range keys {
+		keys[i] = keyOnShard("r", i, 4)
+		h.n.DispatchData(transport.Envelope{From: runMate, To: 1, Msg: intraCopy(keys[i], 1, uint32(i+1))})
+	}
+	for deadline := time.Now().Add(5 * time.Second); h.n.Metrics().Get(metrics.MsgRecv) < 4 || h.n.running.Load() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the relay copies were not all handled within 5s")
+		}
+	}
+	h.n.Tick(context.Background())
+	for deadline := time.Now().Add(5 * time.Second); st.Store.Count() < len(keys); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("store holds %d of %d copies after the round", st.Store.Count(), len(keys))
+		}
+	}
+	time.Sleep(5 * h.n.cfg.RoundPeriod)
+	if got := h.n.Metrics().Get(metrics.PutCommits); got != 1 {
+		t.Errorf("put_commits = %d after one round, want 1: %v", got, st.calls())
+	}
+	if calls := st.calls(); fmt.Sprint(calls) != "[batch 4]" {
+		t.Errorf("store writes = %v, want [batch 4]", calls)
 	}
 }
 
@@ -851,30 +913,12 @@ func deleteOf(seq uint32, keys ...string) *DeleteBatchRequest {
 	}
 }
 
-// waitWindowHolds waits until s's window holds key, reading it under s's
-// run token and waking the shards for whatever arrived meanwhile.
-func waitWindowHolds(t *testing.T, s *dataShard, key string) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		s.token.Lock()
-		held := s.holds(key)
-		s.token.Unlock()
-		s.recheck()
-		if held {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("shard %d's window never held %s", s.id, key)
-		}
-	}
-}
-
-// TestDeleteBatchCommitsEveryOwnerWindow: a relay copy of B waits in B's
-// shard's window when a delete batch {A, B} led by A's shard arrives. The
-// delete lands after that copy, so B v1 stays deleted once the windows
-// are committed: caller-driven, on started shards, and with B's shard
-// held by another run in its store write, which the delete waits for
-// instead of deleting without B's window.
+// TestDeleteBatchCommitsEveryOwnerWindow: a relay copy of B, filed by a
+// run of B's shard, waits in the node's window when a delete batch {A, B}
+// led by A's shard arrives. The delete lands after that copy, so B v1
+// stays deleted once the window is committed: caller-driven, on started
+// shards, and with the window in another run's store write, which the
+// delete waits for instead of deleting before it.
 func TestDeleteBatchCommitsEveryOwnerWindow(t *testing.T) {
 	check := func(t *testing.T, h *runHarness, a, b string) {
 		t.Helper()
@@ -913,9 +957,9 @@ func TestDeleteBatchCommitsEveryOwnerWindow(t *testing.T) {
 		preload(t, st, a)
 		stop := h.start()
 		h.n.DispatchData(transport.Envelope{From: runMate, To: 1, Msg: intraCopy(b, 1, 1)})
-		waitWindowHolds(t, h.n.shards[1], b)
+		waitWindowHolds(t, h.n, b)
 		h.dispatch(deleteOf(2, a, b))
-		// The delete's run, not the stop drain, must see B's window.
+		// The delete's run, not the stop's commit, must see B's copy.
 		for deadline := time.Now().Add(5 * time.Second); len(h.sentOf(isDeleteAck)) == 0; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatal("no delete ack after 5s")
@@ -932,7 +976,8 @@ func TestDeleteBatchCommitsEveryOwnerWindow(t *testing.T) {
 		preload(t, st, a)
 		stop := h.start()
 		// One run takes B's shard, filing the copy, and C's, whose put it
-		// commits: the run sits in that store write holding both.
+		// commits with the window: the run sits in that store write holding
+		// both shards and the window's lock.
 		sb, sc := h.n.shards[1], h.n.shards[2]
 		sb.token.Lock()
 		sc.token.Lock()
@@ -950,6 +995,10 @@ func TestDeleteBatchCommitsEveryOwnerWindow(t *testing.T) {
 			sb.token.Unlock()
 			t.Fatal("the run in the store write does not hold B's shard")
 		}
+		if h.n.win.mu.TryLock() {
+			h.n.win.mu.Unlock()
+			t.Fatal("the run in the store write does not hold the window's lock")
+		}
 
 		// A run in progress wakes nobody for what is queued meanwhile; a
 		// full run would, so another goroutine takes the delete at once.
@@ -960,13 +1009,13 @@ func TestDeleteBatchCommitsEveryOwnerWindow(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 		if _, _, ok, _ := st.Store.Get(a, 1); !ok {
-			t.Error("the delete went ahead while B's shard was held")
+			t.Error("the delete went ahead during the store write of B's copy")
 		}
 		close(st.release)
 		stop()
 		check(t, h, a, b)
-		if calls := st.calls(); fmt.Sprint(calls) != "[put 1 put 1]" {
-			t.Errorf("store writes = %v, want C's put, then B's window before the delete", calls)
+		if calls := st.calls(); fmt.Sprint(calls) != "[batch 2]" {
+			t.Errorf("store writes = %v, want B's copy with C's put, before the delete", calls)
 		}
 	})
 }

@@ -106,14 +106,14 @@ type Config struct {
 	// (default 6).
 	DiscoveryMaxQueries int
 
-	// DataShards partitions the data plane (put/get/delete, batches,
-	// coalescing) by key hash into this many independent shard states.
-	// When the owner runs the shards (Node.StartShards) each shard has
-	// its own mailbox, dedup cache, coalescing window and counters, and
-	// a goroutine of its own among those that run them — one run per
-	// wake-up over every idle shard, several runs in parallel under
-	// load — while the epidemic control plane (PSS, slicing,
-	// aggregation, anti-entropy, bootstrap) stays on the
+	// DataShards partitions the data plane (put/get/delete, batches) by
+	// key hash into this many independent shard states; the put window
+	// stays one per node. When the owner runs the shards
+	// (Node.StartShards) each shard has its own mailbox, dedup cache and
+	// counters, and a goroutine of its own among those that run them —
+	// one run per wake-up over every idle shard, several runs in
+	// parallel under load — while the epidemic control plane (PSS,
+	// slicing, aggregation, anti-entropy, bootstrap) stays on the
 	// single-threaded loop. Without StartShards the caller of
 	// HandleMessage is every shard's goroutine — the same handlers over
 	// the same shard states, single-threaded as simulations need.

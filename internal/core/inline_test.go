@@ -109,18 +109,7 @@ func TestInlineGetQueuedWhileItsKeyIsInTheWindow(t *testing.T) {
 		Routing: Routing{ID: gossip.RequestID(100), Intra: true, NoAck: true},
 		Key:     "k", Version: 2, Value: []byte("v2"),
 	}})
-	s := n.shardFor("k")
-	for deadline := time.Now().Add(5 * time.Second); s.met.Get(metrics.MsgRecv) == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("relay copy never handled")
-		}
-	}
-	s.token.Lock()
-	windowed := s.holds("k")
-	s.token.Unlock()
-	if !windowed {
-		t.Fatal("relay copy did not wait in the window")
-	}
+	waitWindowHolds(t, n, "k")
 
 	n.Deliver(getEnv(1, "k", TTLUnset, true))
 	if got := waitReplies(t, out, "k", 1); got[0] != 2 {

@@ -62,14 +62,16 @@ type Node struct {
 	lastSlice int32
 
 	// shards hold the data plane's per-partition state — dedup cache,
-	// coalescing window, relay RNG, counters (see shard.go). external
-	// flips true while StartShards-launched goroutines drive them, false
+	// relay RNG, counters (see shard.go) — and win the put window every
+	// shard's runs file relay copies in (relayWindow). external flips
+	// true while StartShards-launched goroutines drive the shards, false
 	// while the caller of HandleMessage does; they wait on wake, and
 	// running counts the wake-up runs in progress (wakeRun). routeSnap is
 	// the control plane's routing state as the data handlers see it,
 	// never nil; routeStale marks it out of date on a caller-driven node
 	// (see routeChanged).
 	shards     []*dataShard
+	win        relayWindow
 	external   atomic.Bool
 	wake       chan struct{}
 	running    atomic.Int32
@@ -88,12 +90,6 @@ type Node struct {
 	drops   metrics.SharedCounter
 	status  atomic.Pointer[obs.Status]
 	stop    func()
-}
-
-// objRef identifies one (key, version) pair in the coalesce buffer.
-type objRef struct {
-	key     string
-	version uint64
 }
 
 // NewNode assembles a DataFlasks node. The store is owned by the caller
@@ -443,7 +439,7 @@ func (n *Node) intraTTL() uint8 {
 	return gossip.TTL(sliceSize, intraFanout, 2)
 }
 
-// Tick runs one gossip round: coalesced-put flush, peer sampling,
+// Tick runs one gossip round: the put window's commit, peer sampling,
 // slicing, slice-change bookkeeping, view expiry, mate discovery,
 // periodic anti-entropy and the size estimator. ctx bounds every send
 // the round makes; it is the owner's lifecycle context, so an
@@ -451,14 +447,12 @@ func (n *Node) intraTTL() uint8 {
 func (n *Node) Tick(ctx context.Context) {
 	tickStart := time.Now()
 	n.round++
-	if !n.external.Load() {
-		// Nobody else runs the shards: commit their windows here, as a
-		// shard loop's ticker would. They hold relay copies only, which
-		// owe no relay of their own, so this reads no snapshot.
-		for _, s := range n.shards {
-			s.tick(ctx)
-		}
-	}
+	// The round's commit, on a running node and a caller-driven one
+	// alike: the relay copies waiting in the window land as one store
+	// write. They owe no ack or relay, so it sends nothing, and a failed
+	// write loses only copies repair brings back; a get that waits for
+	// one is served by its run's commit, after this write.
+	_ = n.win.commit(n.st, &n.shards[0].met, nil)
 	if n.trace != nil {
 		t0 := time.Now()
 		n.pssP.Tick(ctx)
@@ -547,7 +541,7 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 	if key, ok := RequestKey(env.Msg); ok {
 		n.freshRoute()
 		s := n.shardFor(key)
-		s.lock()
+		s.token.Lock()
 		n.runOne(ctx, s, env)
 		return
 	}
@@ -683,24 +677,20 @@ func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.Node
 		// Intra-phase copy: no ack obligation, so the write can ride
 		// the accumulation window and land as part of one batch append.
 		s.traceOp(obs.TracePutApply, m.TraceID, m.Key, len(m.Value), 1)
-		s.coalescePut(ctx, m.Key, m.Version, m.Value)
+		s.file(ctx, store.Object{Key: m.Key, Version: m.Version, Value: m.Value})
 	case *PutBatchRequest:
-		if m.Intra && len(m.Objs) < coalesceMax && s.r.takeOwners(n, m.Objs) {
-			// A mate's relay of a run: no ack obligation, so each object
-			// waits like a single relay copy does, in the window of its
-			// key's shard — the one a get or delete of the key commits —
-			// which the run took if the batch spans shards. (A batch that
-			// would fill a window is a commit of its own, and one with a
-			// busy owner is stored on arrival.)
+		if m.Intra && len(m.Objs) < coalesceMax {
+			// A mate's relay of a run: no ack obligation, so its objects
+			// wait in the node's window like single relay copies do,
+			// whichever shards their keys hash to. (A batch that would
+			// fill a window is a commit of its own.)
 			s.traceOp(obs.TracePutApply, m.TraceID, m.Objs[0].Key, 0, len(m.Objs))
-			for _, o := range m.Objs {
-				n.shardFor(o.Key).coalescePut(ctx, o.Key, o.Version, o.Value)
-			}
+			s.file(ctx, m.Objs...)
 			break
 		}
 		// Commit the window first so the store applies writes in
 		// arrival order.
-		s.commit(ctx)
+		s.r.commit(ctx)
 		s.met.Inc(metrics.PutCommits)
 		if n.st.PutBatch(m.Objs) == nil {
 			s.met.Add(metrics.PutsServed, uint64(len(m.Objs)))
@@ -709,12 +699,12 @@ func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.Node
 		}
 	case *DeleteBatchRequest:
 		// A buffered put of an item's key must be applied before the
-		// delete, or the commit would resurrect the object — whichever
-		// shard's window it waits in, so the windows of every item's owner
-		// land first, as one store write. The ack carries how many items
-		// named objects this replica really held, which is what a
-		// Redis-style multi-key DEL reports.
-		commit(ctx, s.r.takeItemOwners(n, s, m.Items))
+		// delete, or a later commit would resurrect the object: the run's
+		// commit lands its entry puts and the node's window, where a run
+		// of any shard may have filed a relay copy of the key. The ack
+		// carries how many items named objects this replica really held,
+		// which is what a Redis-style multi-key DEL reports.
+		s.r.commit(ctx)
 		applied, err := n.applyDeleteBatch(m.Items)
 		s.met.Add(metrics.DeletesServed, uint64(applied))
 		s.traceOp(obs.TraceDeleteApply, m.TraceID, m.Items[0].Key, 0, applied)
@@ -722,12 +712,12 @@ func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.Node
 			s.ack(ctx, m, applied)
 		}
 	case *GetRequest:
-		// A put of this key still sitting in the window lands first: the
-		// get waits for the commit that stores it — the run's own, at its
-		// end, unless something commits the window sooner. A read of any
-		// other key does not wait for a write.
-		if s.holds(m.Key) {
-			s.gets = append(s.gets, waitingGet{m: m, from: from})
+		// A put of this key still waiting in the run or the window lands
+		// first: the get waits for the run's commit, at its end, unless
+		// something commits sooner. A read of any other key does not wait
+		// for a write.
+		if s.r.waits(&n.win, m.Key) {
+			s.r.gets = append(s.r.gets, waitingGet{m: m, from: from})
 			return true
 		}
 		return s.serveGet(ctx, v, m)

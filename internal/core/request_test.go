@@ -128,9 +128,10 @@ func header(seq uint32, ttl uint8, intra, flood bool) Routing {
 }
 
 // deliver hands the node req — from the client, or from its first mate
-// when it is an intra copy — commits the put window, and returns what
-// the node answered the origin and the copies it passed on. Anything
-// else it sent fails the test.
+// when it is an intra copy — commits the put window with a round, and
+// returns what the node answered the origin and the copies it passed on.
+// The round's own control traffic is not the request's; anything else it
+// sent fails the test.
 func (h *routed) deliver(k requestKind, req request) (answers, copies []transport.Envelope) {
 	h.t.Helper()
 	from := client1
@@ -139,10 +140,14 @@ func (h *routed) deliver(k requestKind, req request) (answers, copies []transpor
 	}
 	h.cap.sent = nil
 	h.n.HandleMessage(context.Background(), transport.Envelope{From: from, To: h.n.ID(), Msg: req})
-	for _, s := range h.n.shards {
-		s.tick(context.Background())
+	sent := len(h.cap.sent)
+	h.n.Tick(context.Background())
+	for _, env := range h.cap.sent[sent:] {
+		if _, data := RequestKey(env.Msg); data {
+			h.t.Errorf("the round after a %s sent a data message: %+v", k.name, env)
+		}
 	}
-	for _, env := range h.cap.sent {
+	for _, env := range h.cap.sent[:sent] {
 		switch {
 		case reflect.TypeOf(env.Msg) == reflect.TypeOf(k.answer):
 			answers = append(answers, env)

@@ -1,16 +1,15 @@
 // Data-plane sharding: the node's put/get/delete path partitioned by
 // key hash into independent shard states.
 //
-// A dataShard owns everything the data handlers mutate — the dedup
-// cache, the coalescing window, the relay RNG and the counters — so
-// shards can run on several goroutines at once without touching each
-// other's state. The epidemic control plane (PSS, slicing, aggregation,
-// anti-entropy, bootstrap) stays on the node's single-threaded loop;
-// shards see its routing decisions through an immutable routeView
-// snapshot the control loop republishes after every tick and control
-// message. The shared store is the only mutable structure shards touch
-// concurrently, and store.Store is safe for concurrent use by
-// contract.
+// A dataShard owns what the data handlers mutate per request — the
+// dedup cache, the relay RNG and the counters — so shards can run on
+// several goroutines at once without touching each other's state. The
+// epidemic control plane (PSS, slicing, aggregation, anti-entropy,
+// bootstrap) stays on the node's single-threaded loop; shards see its
+// routing decisions through an immutable routeView snapshot the control
+// loop republishes after every tick and control message. Shards share
+// two mutable structures: the store, safe for concurrent use by
+// contract, and the node's put window (relayWindow), behind its lock.
 //
 // One runtime, whoever drives it: a data envelope is handled inside a
 // run (see run), on its key's shard, and routes by the snapshot alone.
@@ -19,23 +18,23 @@
 // node's shard goroutines drains what every idle shard has queued as one
 // run — or, for a client's get that finds its shard idle, the fabric
 // goroutine that read it drains it at once. Either way a run holds the
-// run token of every shard it touches, so one goroutine at a time
+// run token of every shard it drains, so one goroutine at a time
 // touches a shard. On a caller-driven node (simulations, bench/traced,
 // tests) HandleMessage is that goroutine: it brings the snapshot up to
 // date and drains a run of one envelope.
 //
 // A key's requests always hash to the same shard, so per-shard dedup
-// caches and coalescing windows lose nothing: two deliveries of one
-// request id meet in the same cache, and a read of a key observes every
-// buffered put for it in its own shard's window. A delete batch names
-// keys of several shards, so it commits the window of each (see
-// takeItemOwners).
+// caches lose nothing: two deliveries of one request id meet in the same
+// cache. A mate's batched relay names keys of several shards, so the put
+// window is the node's, not a shard's: every run files relay copies in
+// it, and every commit holds its lock through the store write. A delete
+// or a read of a key, on whichever shard, therefore lands after every
+// copy of the key filed before it.
 package core
 
 import (
 	"context"
 	"math/rand/v2"
-	"slices"
 	"sync"
 	"time"
 
@@ -61,14 +60,14 @@ const shardSalt = 0x9e3779b97f4a7c15
 const shardRNGSalt = 0x5a4dbeef
 
 // coalesceMax is the put accumulation window: intra-slice relay puts
-// (which carry no ack obligation) are buffered and land in one
-// store.PutBatch — one lock acquisition and, in the log engine, one
-// group-commit fsync — with the next slice-entry put's commit, at the
-// next tick or once this many are buffered, whichever comes first.
-// Deletes and client batches commit the buffer first, and a read of a
-// buffered key waits for the commit that stores it, so a node still
-// observes its own writes. It also bounds the envelopes one run takes,
-// across all the shards it takes them from.
+// (which carry no ack obligation) wait in the node's window
+// (relayWindow) and land in one store.PutBatch — one lock acquisition
+// and, in the log engine, one group-commit fsync — with the next run's
+// commit, at the next round (Node.Tick) or once this many wait,
+// whichever comes first. Deletes and client batches commit the window
+// first, and a read of a windowed key waits for the commit that stores
+// it, so a node still observes its own writes. It also bounds the
+// envelopes one run takes, across all the shards it takes them from.
 const coalesceMax = 64
 
 // shardIndex maps a key to its owning shard (FNV-1a over the key,
@@ -128,20 +127,15 @@ type dataShard struct {
 	drops   metrics.SharedCounter
 
 	// token is the run token. The run holding it (r) is the only one that
-	// takes envelopes from the mailbox, drains, files, commits or ticks,
-	// so it alone touches the state below. stopped is set under it once
-	// the shard's final drain ran: no run takes the shard after. solo is
-	// the run of one the shard's own holders use — an inline get, a tick,
-	// the stop drain, a caller-driven node's envelope. parked is set under
-	// it while a run that drains the mailbox has let go of the token to
-	// wait for others (see waitFor): until that run takes it back, no one
-	// else handles the mailbox's envelopes, and unparked signals the end.
-	token    sync.Mutex
-	r        *run
-	solo     run
-	stopped  bool
-	parked   bool
-	unparked sync.Cond
+	// takes envelopes from the mailbox or handles them, so it alone
+	// touches the state below. stopped is set under it once the shard's
+	// final drain ran: no run takes the shard after. solo is the run of
+	// one the shard's own holders use — an inline get, the stop drain, a
+	// caller-driven node's envelope.
+	token   sync.Mutex
+	r       *run
+	solo    run
+	stopped bool
 
 	// dedup and rng are this shard's request suppression cache and
 	// relay-sampling stream; picks is the scratch buffer relay samples
@@ -153,41 +147,48 @@ type dataShard struct {
 	// met absorbs every counter the data handlers touch; reads merge
 	// it with the control loop's NodeMetrics (Node.Metrics).
 	met metrics.ShardCounters
-
-	// tickDur observes shard-loop flush ticks, the per-shard analogue of
-	// the node's tick histogram.
-	tickDur metrics.LatencyHistogram
-
-	// coalesce is this shard's put accumulation window (see
-	// coalesceMax), in arrival order: intra-slice relay copies,
-	// de-duplicated by (key, version) through coalesceSeen, and the
-	// slice-entry puts of the run in progress. entries names the
-	// latter: the commit step owes each its ack and its intra-slice
-	// phase, at the end of the run. gets are the gets of keys the window
-	// holds, in arrival order: the commit that empties the window serves
-	// them after its store write, so the window is never empty while a
-	// get waits on it.
-	coalesce     []store.Object
-	coalesceSeen map[objRef]struct{}
-	entries      []entryPut
-	gets         []waitingGet
 }
 
 // run is one drain: the shards it took — their run tokens held, each
-// with how many envelopes it takes from that shard's mailbox — and the
-// acks and get replies they produced, in that order, until the next
-// flush sends them (see reply). A mate's batched relay or a delete batch
-// can bring more shards in (takeOwners, takeItemOwners), with nothing to
-// take from their mailboxes. Its end (finish) is the put path's one
-// commit for every shard that collected entry puts or has gets waiting,
-// one frame per origin for the answers and one batched relay. A
-// wake-up's run belongs to its shard goroutine; every other run is a
-// shard's solo.
+// with how many envelopes it takes from that shard's mailbox — what they
+// collected for the run's commit, and the acks and get replies they
+// produced, in that order, until the next flush sends them (see reply).
+// entries are the slice-entry puts: the commit stores each with the
+// node's window and owes it its ack and its intra-slice phase. gets are
+// the gets of keys a put was waiting to store, in arrival order: the
+// commit serves them after its store write. Its end (finish) is the put
+// path's one commit if it collected either, one frame per origin for the
+// answers and one batched relay. inline marks a solo run that serves a
+// client's get on the goroutine that read it (serveIdle). A wake-up's
+// run belongs to its shard goroutine; every other run is a shard's solo.
 type run struct {
 	shards  []*dataShard
 	queued  []int
-	owed    []*dataShard // scratch: the shards a commit covers (finish, takeItemOwners)
+	entries []entryPut
+	gets    []waitingGet
 	answers []answer
+	inline  bool
+}
+
+// relayWindow is the node's put window (see coalesceMax): the
+// intra-slice relay copies waiting for the next commit, in arrival order,
+// and their (key, version) pairs, so a copy that arrives twice — a
+// client's retry under a new request id — waits once. A run of any shard
+// files into it. mu guards both and is held through every commit's store
+// write, so the window has one order: a delete, which commits the window
+// first, lands after every copy filed before it, whichever shard filed
+// it, and a get that found its key here is served after the write that
+// stores it.
+type relayWindow struct {
+	mu   sync.Mutex
+	objs []store.Object
+	seen map[objRef]struct{}
+}
+
+// objRef identifies one (key, version) pair in the window.
+type objRef struct {
+	key     string
+	version uint64
 }
 
 // entryPut is a collected slice-entry put: the request and the peer it
@@ -197,8 +198,8 @@ type entryPut struct {
 	from transport.NodeID
 }
 
-// waitingGet is a get that waits for its shard's window to be committed
-// (see holds), and the peer it came from.
+// waitingGet is a get that waits for its run's commit (see waits), and
+// the peer it came from.
 type waitingGet struct {
 	m    *GetRequest
 	from transport.NodeID
@@ -236,7 +237,6 @@ func newShards(n *Node, cfg Config) []*dataShard {
 			dedup: gossip.NewDedup(dedupCap),
 			rng:   sim.RNG(cfg.Seed, uint64(n.id)*1000003+uint64(i)^shardRNGSalt),
 		}
-		s.unparked.L = &s.token
 		shards[i] = s
 	}
 	return shards
@@ -249,8 +249,8 @@ func (n *Node) shardFor(key string) *dataShard {
 
 // StartShards moves the data plane onto shard goroutines, one per
 // shard: every shard gets a mailbox, and every goroutine waits on the
-// node's one wake channel for runs and commits its own shard's
-// coalescing window once per round period. ctx bounds the sends shard
+// node's one wake channel for runs. The window's round commit stays
+// Node.Tick's, whoever calls it. ctx bounds the sends shard
 // handlers make (acks, replies, relays); the owner must keep it alive
 // until StopShards returns, or the final drain could not ack what it
 // applies. Call at most once, before messages flow.
@@ -278,17 +278,20 @@ func (n *Node) StartShards(ctx context.Context) {
 }
 
 // StopShards drains and stops the shard goroutines: each one consumes
-// what its shard's mailbox already holds, commits the shard's coalescing
-// window, and exits. It returns after every shard goroutine is gone,
-// so the owner can close the store next without racing an in-flight
-// write ("drain before close"). Safe to call when shards never
-// started; not safe concurrently with StartShards.
+// what its shard's mailbox already holds and exits, and then the window
+// is committed, so no accepted write is lost between the last round and
+// the store closing. It returns after every shard goroutine is gone, so
+// the owner can close the store next without racing an in-flight write
+// ("drain before close"). Safe to call when shards never started; not
+// safe concurrently with StartShards.
 func (n *Node) StopShards() {
 	if !n.external.Load() {
 		return
 	}
 	close(n.shardStop)
 	n.shardWG.Wait()
+	// Relay copies owe no ack: a failed write loses what repair restores.
+	_ = n.win.commit(n.st, &n.shards[0].met, nil)
 	n.external.Store(false)
 }
 
@@ -308,9 +311,10 @@ func (n *Node) StopShards() {
 // it came in on a client connection, and no node-to-node read loop ever
 // waits on a send), the fabric has no further frame of its stream in
 // hand (env.Last), the run token is free, nothing is queued ahead of it,
-// and the shard's window holds no put of its key (serving it needs no
-// commit, so it never waits on the disk). That saves the hand-off to a
-// shard goroutine, and it is the same drain either way.
+// and the node's window holds no copy of its key and is not being
+// committed (serving it needs no commit, so it never waits on the disk).
+// That saves the hand-off to a shard goroutine, and it is the same drain
+// either way.
 func (n *Node) DispatchData(env transport.Envelope) bool {
 	if !n.external.Load() {
 		return false
@@ -335,20 +339,24 @@ func (n *Node) DispatchData(env transport.Envelope) bool {
 }
 
 // serveIdle drains env on the calling goroutine, a run of one, if the
-// shard is idle — its run token free, nothing queued, neither stopped
-// nor parked — and its window holds no put of key; it reports whether it
-// did. A producer that queued on the shard meanwhile may have woken a
-// run that found it held, so the shard's mailbox is checked again once
-// the token is free.
+// shard is idle — its run token free, nothing queued, not stopped — and
+// the window neither holds a copy of key nor is locked by a commit in
+// progress; it reports whether it did. That check is the get's place in
+// the window's order: every copy of key filed before it is in the store,
+// and a copy filed after it comes after the get, so the run does not
+// look at the window again and never waits for its lock. A producer that
+// queued on the shard meanwhile may have woken a run that found it held,
+// so the shard's mailbox is checked again once the token is free.
 func (n *Node) serveIdle(s *dataShard, key string, env transport.Envelope) bool {
 	if !s.token.TryLock() {
 		return false
 	}
-	if s.stopped || s.parked || len(s.mailbox) > 0 || s.holds(key) {
+	if s.stopped || len(s.mailbox) > 0 || n.win.busy(key) {
 		s.token.Unlock()
 		return false
 	}
 	s.met.Inc(metrics.InlineGets)
+	s.solo.inline = true
 	n.runOne(n.shardCtx, s, env)
 	s.recheck()
 	return true
@@ -371,25 +379,17 @@ func (s *dataShard) recheck() {
 	}
 }
 
-// runShard is one shard goroutine: wake-ups (wakeRun), a per-round
-// commit of its own shard's window, then that shard's final drain on
-// stop — each under the run tokens it takes, taken before a mailbox is
-// touched, so what was queued is handled in arrival order and before
-// any later get is served inline.
+// runShard is one shard goroutine: wake-ups (wakeRun), then that
+// shard's final drain on stop — each under the run tokens it takes,
+// taken before a mailbox is touched, so what was queued is handled in
+// arrival order and before any later get is served inline.
 func (n *Node) runShard(ctx context.Context, s *dataShard) {
 	defer n.shardWG.Done()
-	ticker := time.NewTicker(n.cfg.RoundPeriod)
-	defer ticker.Stop()
 	var r run
 	for {
 		select {
 		case <-n.wake:
 			n.wakeRun(ctx, &r, s.id)
-		case <-ticker.C:
-			t0 := time.Now()
-			s.tick(ctx)
-			s.tickDur.Observe(time.Since(t0))
-			s.recheck()
 		case <-n.shardStop:
 			n.stopShard(ctx, s)
 			return
@@ -398,9 +398,8 @@ func (n *Node) runShard(ctx context.Context, s *dataShard) {
 }
 
 // wakeRun is one wake-up: it takes, starting at shard home, every idle
-// shard with queued envelopes (run token free, neither stopped nor
-// parked), up to coalesceMax envelopes in all, and drains them as one
-// run. A full run
+// shard with queued envelopes (run token free, not stopped), up to
+// coalesceMax envelopes in all, and drains them as one run. A full run
 // wakes another goroutine at once, to take what is left in parallel; a
 // run that took nothing — every shard with mail was held elsewhere —
 // wakes nobody, since each holder checks the mailboxes as it lets go.
@@ -415,7 +414,7 @@ func (n *Node) wakeRun(ctx context.Context, r *run, home int) {
 			continue
 		}
 		q := min(len(s.mailbox), budget)
-		if s.stopped || s.parked || q == 0 {
+		if s.stopped || q == 0 {
 			s.token.Unlock()
 			continue
 		}
@@ -449,130 +448,12 @@ func (r *run) take(s *dataShard, queued int) {
 	r.queued = append(r.queued, queued)
 }
 
-// has reports whether the run holds s.
-func (r *run) has(s *dataShard) bool {
-	for _, t := range r.shards {
-		if t == s {
-			return true
-		}
-	}
-	return false
-}
-
-// takeOwners brings the owner shard of every key of objs into the run,
-// taking the run token of each one not yet held; it reports false as
-// soon as an owner is busy — held by another run, or stopped. Owners
-// taken before that stay in the run.
-func (r *run) takeOwners(n *Node, objs []store.Object) bool {
-	for i := range objs {
-		o := n.shardFor(objs[i].Key)
-		if r.has(o) {
-			continue
-		}
-		if !o.token.TryLock() {
-			return false
-		}
-		if o.stopped {
-			o.token.Unlock()
-			return false
-		}
-		r.take(o, 0)
-	}
-	return true
-}
-
-// takeItemOwners brings the owner shard of every item's key into the run
-// and returns the owners, s — the batch's own shard — first. Unlike a
-// relay (takeOwners) a delete cannot skip a busy owner: the put waiting
-// in that owner's window would land after the delete and resurrect the
-// object. An owner that is held elsewhere is waited for (waitFor).
-func (r *run) takeItemOwners(n *Node, s *dataShard, items []DeleteItem) []*dataShard {
-	owners := append(r.owed[:0], s)
-	busy := false
-	for _, it := range items {
-		o := n.shardFor(it.Key)
-		if slices.Contains(owners, o) {
-			continue
-		}
-		owners = append(owners, o)
-		if r.has(o) {
-			continue
-		}
-		if o.token.TryLock() {
-			r.take(o, 0)
-		} else {
-			busy = true
-		}
-	}
-	if busy {
-		r.waitFor(n, owners)
-	}
-	r.owed = owners
-	return owners
-}
-
-// waitFor takes the run token of every one of owners the run does not
-// hold yet, waiting for those held elsewhere. A run never waits for a
-// token while it holds one: two delete batches led from opposite shards,
-// each holding its own shard and waiting for the other's, would wait
-// forever. So it lets go of every token it holds and takes them back,
-// with the owners, in shard order. Tokens taken in one global order
-// cannot deadlock: a run waits only while holding tokens of lower shards
-// than the one it waits for, and every other holder — a run, an inline
-// get, a tick, a stop drain — either lets go without waiting for a token
-// or is such a run itself.
-//
-// While it has let go, the shards whose mailboxes it drains are parked:
-// no other run takes their envelopes, and no inline get, tick or stop
-// drain runs on them, so what is queued behind the delete stays behind
-// it and the run's counts of what it takes stay true. A parked shard's
-// token is still taken by runs that only file into or commit its window,
-// as a relay's or a delete's owner (takeOwners, takeItemOwners): that
-// is what its own run would do with it.
-func (r *run) waitFor(n *Node, owners []*dataShard) {
-	for i, s := range r.shards {
-		if r.queued[i] > 0 {
-			s.parked = true
-		}
-		s.r = nil
-		s.token.Unlock()
-	}
-	for _, s := range n.shards {
-		if r.has(s) || slices.Contains(owners, s) {
-			s.token.Lock()
-		}
-	}
-	for i, s := range r.shards {
-		s.r = r
-		if r.queued[i] > 0 {
-			s.parked = false
-			s.unparked.Broadcast()
-		}
-	}
-	for _, o := range owners {
-		if !r.has(o) {
-			r.take(o, 0)
-		}
-	}
-}
-
-// lock takes s's run token for a holder that drains or commits s
-// outside a wake-up — a tick, a stop drain, a caller-driven envelope —
-// once no run has s parked.
-func (s *dataShard) lock() {
-	s.token.Lock()
-	for s.parked {
-		s.unparked.Wait()
-	}
-}
-
 // drain handles a run: the queued envelopes it took from each shard, in
 // arrival order shard by shard — received without waiting, since the run
 // holds the token and counted them there — then its end, and it lets go
 // of every token.
 func (n *Node) drain(ctx context.Context, r *run) {
-	for i := 0; i < len(r.shards); i++ { // takeOwners may append to r.shards
-		s := r.shards[i]
+	for i, s := range r.shards {
 		for q := r.queued[i]; q > 0; q-- {
 			n.handleEnv(ctx, s, <-s.mailbox)
 		}
@@ -597,34 +478,26 @@ func (n *Node) handleEnv(ctx context.Context, s *dataShard, env transport.Envelo
 	n.handleData(ctx, s, env.From, env.Msg.(request)) // only requests reach a shard
 }
 
-// finish ends a run. The windows of its shards that collected entry puts
-// or have gets waiting land as one commit, so with W puts in flight a
-// node pays about one group-commit wait per wake-up, not one per put, per
-// shard or per read of a key just written. Relay copies alone do not end
-// a run with a commit: they keep waiting for the tick or a later entry
-// put's. The run's answers leave at its end at the latest, one frame per
-// origin (see reply).
+// finish ends a run. Its entry puts and the node's window land as one
+// commit if it collected entry puts or has gets waiting, so with W puts
+// in flight a node pays about one group-commit wait per wake-up, not one
+// per put, per shard or per read of a key just written. Relay copies
+// alone do not end a run with a commit: they keep waiting for the round
+// or a later run's commit. The run's answers leave at its end at the
+// latest, one frame per origin (see reply).
 func (r *run) finish(ctx context.Context) {
-	owed := r.owed[:0]
-	for _, s := range r.shards {
-		if len(s.entries) > 0 || len(s.gets) > 0 {
-			owed = append(owed, s)
-		}
+	if len(r.entries) > 0 || len(r.gets) > 0 {
+		r.commit(ctx)
 	}
-	if len(owed) > 0 {
-		commit(ctx, owed)
-	}
-	clear(owed)
-	r.owed = owed[:0]
 	r.shards[0].flush(ctx)
 }
 
 // release lets go of every run token the run holds, the first shard's
 // last: a solo run belongs to that shard, and whoever takes its token
-// next may start the run again.
+// next may start the run again, so it forgets its inline mark first.
 func (r *run) release() {
 	shards := r.shards
-	r.shards, r.queued = shards[:0], r.queued[:0]
+	r.shards, r.queued, r.inline = shards[:0], r.queued[:0], false
 	for i := len(shards) - 1; i >= 0; i-- {
 		s := shards[i]
 		shards[i] = nil
@@ -633,24 +506,12 @@ func (r *run) release() {
 	}
 }
 
-// tick commits s's window, in a run of its own. Between runs a window
-// holds relay copies only — every run commits its entry puts and serves
-// its waiting gets — and they owe no ack or relay, so the commit leaves
-// nothing to flush.
-func (s *dataShard) tick(ctx context.Context) {
-	s.lock()
-	s.solo.take(s, 0)
-	s.commit(ctx)
-	s.solo.release()
-}
-
 // stopShard is a shard goroutine's last step: it drains what s's
-// mailbox holds, marks s stopped — no run takes it after — and commits
-// its window, so no accepted write is lost between the last round and
-// the store closing.
+// mailbox holds and marks s stopped — no run takes it after. StopShards
+// commits the window once every shard has stopped.
 func (n *Node) stopShard(ctx context.Context, s *dataShard) {
 	for {
-		s.lock()
+		s.token.Lock()
 		q := min(len(s.mailbox), coalesceMax)
 		if q == 0 {
 			break
@@ -660,7 +521,6 @@ func (n *Node) stopShard(ctx context.Context, s *dataShard) {
 	}
 	s.stopped = true
 	s.token.Unlock()
-	s.tick(ctx)
 }
 
 // publishRoute replaces the routing snapshot with the control plane's
@@ -929,109 +789,156 @@ func (s *dataShard) traceRelay(req request, key string) {
 	s.traceOp(kind, r.TraceID, key, 0, objects)
 }
 
-// coalescePut buffers one intra-slice relay copy for the next commit.
-// A copy no store takes (store.CheckObject) never joins the window.
-func (s *dataShard) coalescePut(ctx context.Context, key string, version uint64, value []byte) {
-	if store.CheckObject(key, version, value) != nil {
+// file adds a mate's relay copies to the node's window, for the next
+// commit. A copy no store takes (store.CheckObject) never joins it. A
+// window that reaches coalesceMax is committed at once, by the run's
+// commit, and the copies after it wait for the next.
+func (s *dataShard) file(ctx context.Context, objs ...store.Object) {
+	w := &s.n.win
+	for len(objs) > 0 {
+		w.mu.Lock()
+		for len(objs) > 0 && len(w.objs) < coalesceMax {
+			w.add(objs[0])
+			objs = objs[1:]
+		}
+		full := len(w.objs) >= coalesceMax
+		w.mu.Unlock()
+		if full {
+			s.r.commit(ctx)
+		}
+	}
+}
+
+// add files one copy, unless the window holds its (key, version)
+// already; the caller holds mu.
+func (w *relayWindow) add(o store.Object) {
+	if store.CheckObject(o.Key, o.Version, o.Value) != nil {
 		return
 	}
-	ref := objRef{key: key, version: version}
-	if s.coalesceSeen == nil {
-		s.coalesceSeen = make(map[objRef]struct{}, coalesceMax)
+	ref := objRef{key: o.Key, version: o.Version}
+	if w.seen == nil {
+		w.seen = make(map[objRef]struct{}, coalesceMax)
 	}
-	if _, dup := s.coalesceSeen[ref]; dup {
+	if _, dup := w.seen[ref]; dup {
 		return // same object via two request ids (client retry)
 	}
-	s.coalesceSeen[ref] = struct{}{}
+	w.seen[ref] = struct{}{}
 	// Messages are immutable, so referencing the value is safe; engines
 	// copy on store.
-	s.coalesce = append(s.coalesce, store.Object{Key: key, Version: version, Value: value})
-	if len(s.coalesce) >= coalesceMax {
-		s.commit(ctx)
-	}
+	w.objs = append(w.objs, o)
 }
 
-// collectPut files a slice-entry put in the window; the run's commit
-// (drain) stores and acks it. A put no store takes (store.CheckObject)
-// is refused here, so it can neither fail the window's batch nor be
-// acked or relayed.
-func (s *dataShard) collectPut(from transport.NodeID, m *PutRequest) {
-	if store.CheckObject(m.Key, m.Version, m.Value) != nil {
-		return
-	}
-	s.entries = append(s.entries, entryPut{m: m, from: from})
-	s.coalesce = append(s.coalesce, store.Object{Key: m.Key, Version: m.Version, Value: m.Value})
-}
-
-// holds reports whether the window has an object of key: a get of such
-// a key waits for the window's commit (gets), any other get is served
-// without waiting for a write. The window is at most a run plus
-// coalesceMax copies long, so the scan is cheaper than a second index
-// beside coalesceSeen.
-func (s *dataShard) holds(key string) bool {
-	for i := range s.coalesce {
-		if s.coalesce[i].Key == key {
+// holds reports whether the window has a copy of key; the caller holds
+// mu. The window is shorter than coalesceMax, so the scan is cheaper than
+// a second index beside seen.
+func (w *relayWindow) holds(key string) bool {
+	for i := range w.objs {
+		if w.objs[i].Key == key {
 			return true
 		}
 	}
 	return false
 }
 
-// commit is the put path's one store write for s's window alone.
-func (s *dataShard) commit(ctx context.Context) {
-	commit(ctx, []*dataShard{s})
+// busy reports, without waiting for mu, whether a get of key may have to
+// wait for a store write: the window holds a copy of key, or mu is held —
+// by a commit, which may be storing one.
+func (w *relayWindow) busy(key string) bool {
+	if !w.mu.TryLock() {
+		return true
+	}
+	defer w.mu.Unlock()
+	return w.holds(key)
 }
 
-// commit is the put path's one store write: the windows of ws — shards
-// of one run, each window's relay copies and entry puts in arrival
-// order — land as one store.PutBatch (one lock pass and, in the log
-// engine, one appended record batch and one group-commit wait for the
-// lot); a write of one object is a store.Put — the same write to the
-// engine, kept apart because bench/traced times lone puts as its
-// store.put layer. Every object passed store.CheckObject on its way in,
-// so only the store itself can fail the batch (disk full, closed store),
-// and then it fails whole: no entry put is acked, since acking a failed
-// write would tell the client it is replicated when no one stored it.
-// Acks leave only after the store returned. The gets that waited on the
-// windows are served next, from the store, so their replies share the
-// acks' frame; one whose version the store still lacks goes on to the
-// mates. The intra-slice phase starts either way, since mates may still
-// succeed. The answers queued so far leave first: none waits for this
-// write.
-func commit(ctx context.Context, ws []*dataShard) {
-	s := ws[0]
-	s.flush(ctx)
-	batch, entries, gets := s.coalesce, s.entries, s.gets
-	if len(ws) > 1 {
-		batch, entries, gets = nil, nil, nil
-		for _, w := range ws {
-			batch = append(batch, w.coalesce...)
-			entries = append(entries, w.entries...)
-			gets = append(gets, w.gets...)
-		}
+// commit is the put path's one store write: the window's copies and then
+// the objects of entries — a run's entry puts — land as one
+// store.PutBatch (one lock pass and, in the log engine, one appended
+// record batch and one group-commit wait for the lot), with mu held
+// through the write, and met counts it. A write of one object is a
+// store.Put — the same write to the engine, kept apart because
+// bench/traced times lone puts as its store.put layer. Every object
+// passed store.CheckObject on its way in, so only the store itself can
+// fail the write (disk full, closed store), and then it fails whole. It
+// returns the store's error, nil when there was nothing to write.
+func (w *relayWindow) commit(st store.Store, met *metrics.ShardCounters, entries []entryPut) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	batch, copies := w.objs, len(w.objs)
+	for _, e := range entries {
+		m := e.m
+		batch = append(batch, store.Object{Key: m.Key, Version: m.Version, Value: m.Value})
 	}
-	for _, w := range ws {
-		w.coalesce, w.coalesceSeen, w.entries, w.gets = nil, nil, nil, nil
-	}
+	w.objs, w.seen = nil, nil
 	if len(batch) == 0 {
-		return
+		return nil
 	}
 	var err error
 	if len(batch) == 1 {
 		o := batch[0]
-		err = s.n.st.Put(o.Key, o.Version, o.Value)
+		err = st.Put(o.Key, o.Version, o.Value)
 	} else {
-		err = s.n.st.PutBatch(batch)
+		err = st.PutBatch(batch)
 	}
-	s.met.Inc(metrics.PutCommits)
+	met.Inc(metrics.PutCommits)
 	if err == nil {
+		met.Add(metrics.PutsServed, uint64(len(batch)))
+		met.Add(metrics.CoalescedPuts, uint64(copies))
+	}
+	return err
+}
+
+// collectPut files a slice-entry put in the run; its commit stores and
+// acks it. A put no store takes (store.CheckObject) is refused here, so
+// it can neither fail the commit's batch nor be acked or relayed.
+func (s *dataShard) collectPut(from transport.NodeID, m *PutRequest) {
+	if store.CheckObject(m.Key, m.Version, m.Value) != nil {
+		return
+	}
+	s.r.entries = append(s.r.entries, entryPut{m: m, from: from})
+}
+
+// waits reports whether a get of key must wait for the run's commit: a
+// put of key is among the run's entry puts, or a copy of it in the node's
+// window. Unless the run is inline (serveIdle checked the window for
+// it), it waits for the window's lock, so a commit in progress lands
+// first.
+func (r *run) waits(w *relayWindow, key string) bool {
+	for _, e := range r.entries {
+		if e.m.Key == key {
+			return true
+		}
+	}
+	if r.inline {
+		return false
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.holds(key)
+}
+
+// commit is a run's store write (relayWindow.commit): the node window's
+// relay copies and the run's entry puts. No entry put is acked unless
+// the write succeeded, since acking a failed write would tell the client
+// it is replicated when no one stored it, and acks leave only after the
+// store returned. The gets that waited are served next, from the store,
+// so their replies share the acks' frame — whichever commit stored their
+// key, this one or one that emptied the window before it, such as the
+// round's; one whose version the store still lacks goes on to the
+// mates. The intra-slice phase starts either way, since mates may still
+// succeed. The answers queued so far leave first: none waits for this
+// write.
+func (r *run) commit(ctx context.Context) {
+	s := r.shards[0]
+	s.flush(ctx)
+	entries, gets := r.entries, r.gets
+	r.entries, r.gets = nil, nil
+	if s.n.win.commit(s.n.st, &s.met, entries) == nil {
 		for _, e := range entries {
 			m := e.m
 			s.traceOp(obs.TracePutApply, m.TraceID, m.Key, len(m.Value), 1)
 			s.ack(ctx, m, 0)
 		}
-		s.met.Add(metrics.PutsServed, uint64(len(batch)))
-		s.met.Add(metrics.CoalescedPuts, uint64(len(batch)-len(entries)))
 	}
 	if len(gets) > 0 {
 		v := s.n.routeSnap.Load()
@@ -1057,7 +964,7 @@ func batchedRelay(m *PutRequest) bool {
 // this node mints (and marks seen in the shard an echo routes to, the
 // first key's, so the echo is suppressed): one frame and one relay
 // decision for all of them, whichever shards they came from, filed by
-// the mate in its owner shards' windows. A lone put goes as the
+// the mate in its window. A lone put goes as the
 // PutRequest{Intra} copy it always was.
 func (s *dataShard) relayEntries(ctx context.Context, entries []entryPut) {
 	v := s.n.routeSnap.Load()
@@ -1104,16 +1011,6 @@ func (n *Node) ShardDepth(i int) int {
 		return 0
 	}
 	return len(n.shards[i].mailbox) // a nil channel's length is 0
-}
-
-// ShardTickDurations exposes shard i's flush-tick histogram (atomic;
-// the observability plane reads it live). Nil for an out-of-range
-// index.
-func (n *Node) ShardTickDurations(i int) *metrics.LatencyHistogram {
-	if i < 0 || i >= len(n.shards) {
-		return nil
-	}
-	return &n.shards[i].tickDur
 }
 
 // ShardDropped sums producer-side shard mailbox drops across shards.

@@ -247,8 +247,8 @@ func TestStopShardsWithoutStartIsNoop(t *testing.T) {
 	n.StopShards() // must not panic or block
 }
 
-// TestShardObservabilitySurface: depths, capacity, tick histograms and
-// the drop counter must stay readable while shards run.
+// TestShardObservabilitySurface: depths, capacity and the drop counter
+// must stay readable while shards run.
 func TestShardObservabilitySurface(t *testing.T) {
 	n := shardedNode(t, store.NewMemory(), 4)
 	if n.ShardCount() != 4 {
@@ -266,9 +266,6 @@ func TestShardObservabilitySurface(t *testing.T) {
 	for i := 0; i < n.ShardCount(); i++ {
 		if d := n.ShardDepth(i); d < 0 || d > n.ShardMailboxCapacity() {
 			t.Errorf("shard %d depth %d out of range", i, d)
-		}
-		if n.ShardTickDurations(i) == nil {
-			t.Errorf("shard %d has no tick histogram", i)
 		}
 	}
 	if n.ShardDepth(99) != 0 {
@@ -500,15 +497,15 @@ func TestShardWakeHammer(t *testing.T) {
 
 // TestDeleteBatchHammer: producers race delete batches whose two keys
 // live on different shards against mates' relay copies of the same keys,
-// while the shards tick every 2ms. Producers of even and odd number lead
-// the batches of one key pair from opposite shards, so two of them often
-// wait for each other's shard at once: a run that waited holding its own
-// would hang the test. Each relay batch is queued ahead of its delete on
-// the delete's own shard, so it was filed (or stored) before the delete
-// ran; after the final drain no deleted version may be stored, and every
-// version kept beside them must be. A get queued behind each delete asks
-// for a version it deleted: none may be answered, since nothing queued
-// behind a delete is handled before it, even while its run waits.
+// while a round commits the window every 2ms. Producers of even and odd
+// number lead the batches of one key pair from opposite shards, so runs
+// of both shards commit the window and delete at once. Each relay batch
+// is queued ahead of its delete on the delete's own shard, so it was
+// filed before the delete ran; after the final drain no deleted version
+// may be stored, and every version kept beside them must be. A get
+// queued behind each delete asks for a version it deleted: none may be
+// answered, since nothing queued behind a delete is handled before it,
+// even while its run waits for the window's lock.
 func TestDeleteBatchHammer(t *testing.T) {
 	const shards, producers, pairs = 4, 4, 8
 	rounds := 400
@@ -528,10 +525,24 @@ func TestDeleteBatchHammer(t *testing.T) {
 		}
 		return nil
 	})
-	n := NewNode(1, Config{Slices: 1, Slicer: SlicerStatic, DataShards: shards, Seed: 7, RoundPeriod: 2 * time.Millisecond}, st, out)
+	n := NewNode(1, Config{Slices: 1, Slicer: SlicerStatic, DataShards: shards, Seed: 7}, st, out)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	n.StartShards(ctx)
+	stopRounds, roundsDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(roundsDone)
+		ticker := time.NewTicker(2 * time.Millisecond)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stopRounds:
+				return
+			case <-ticker.C:
+				n.Tick(ctx)
+			}
+		}
+	}()
 
 	// keys is the pair producer p deletes in round r, its batch's leading
 	// key first: the pair's x for even producers, its y for odd ones.
@@ -575,6 +586,8 @@ func TestDeleteBatchHammer(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
+	close(stopRounds)
+	<-roundsDone
 	n.StopShards()
 	if d := n.ShardDropped(); d != 0 {
 		t.Fatalf("%d envelopes dropped despite backpressure", d)

@@ -70,8 +70,8 @@ type Sources struct {
 	MailboxCapacity int
 	// MailboxDropped reads the producer-side mailbox drop counter.
 	MailboxDropped func() uint64
-	// Shards is the data-plane shard count; with ShardDepth/ShardTickDur
-	// it drives the per-shard flasks_shard_* families. Zero omits them.
+	// Shards is the data-plane shard count; with ShardDepth it drives
+	// the per-shard flasks_shard_* families. Zero omits them.
 	Shards int
 	// ShardDepth reads shard i's current mailbox depth.
 	ShardDepth func(i int) int
@@ -80,9 +80,6 @@ type Sources struct {
 	// ShardDropped reads the messages dropped on shard-mailbox
 	// overflow, summed across shards.
 	ShardDropped func() uint64
-	// ShardTickDur returns shard i's per-tick (coalesce flush) duration
-	// histogram.
-	ShardTickDur func(i int) *metrics.LatencyHistogram
 	// Trace is the protocol-event journal; nil disables /trace.
 	Trace *Ring
 }

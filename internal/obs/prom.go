@@ -185,7 +185,7 @@ func WriteMetrics(w io.Writer, src Sources) error {
 	if src.TickDur != nil {
 		name := "flasks_tick_duration_seconds"
 		e.head(name, "histogram",
-			"Event-loop round (Tick) duration. "+histogramHelp)
+			"Event-loop round (Tick) duration, the put window's commit included. "+histogramHelp)
 		e.histogram(name, "", src.TickDur)
 	}
 
@@ -206,16 +206,6 @@ func WriteMetrics(w io.Writer, src Sources) error {
 		e.counter("flasks_shard_mailbox_dropped_total",
 			"Data messages dropped because their shard's mailbox was full, summed across shards.",
 			src.ShardDropped())
-	}
-	if src.Shards > 0 && src.ShardTickDur != nil {
-		name := "flasks_shard_tick_duration_seconds"
-		e.head(name, "histogram",
-			"Per-shard tick (coalesce window flush) duration, by shard. "+histogramHelp)
-		for i := 0; i < src.Shards; i++ {
-			if h := src.ShardTickDur(i); h != nil {
-				e.histogram(name, fmt.Sprintf("shard=\"%d\",", i), h)
-			}
-		}
 	}
 
 	if src.Store != nil {

@@ -45,7 +45,6 @@ func fullSources(tick *metrics.LatencyHistogram, resp *metrics.CommandStats, rin
 		ShardDepth:      func(i int) int { return i },
 		ShardCapacity:   256,
 		ShardDropped:    func() uint64 { return 9 },
-		ShardTickDur:    func(i int) *metrics.LatencyHistogram { return tick },
 		Trace:           ring,
 	}
 }

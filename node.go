@@ -177,7 +177,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			ShardDepth:      n.core.ShardDepth,
 			ShardCapacity:   n.core.ShardMailboxCapacity(),
 			ShardDropped:    n.core.ShardDropped,
-			ShardTickDur:    n.core.ShardTickDurations,
 		}
 		if sp, ok := n.st.(store.StatsProvider); ok {
 			src.Store = sp.Stats
