@@ -31,11 +31,13 @@ test:
 # node's put window would let a later commit resurrect a deleted
 # version; TestDeleteBatchCommitsEveryOwnerWindow's held-owner case races
 # two runs on the window's lock, the delete's waiting for another run's
-# store write) and the client's held turn (its hold state has one owner
-# goroutine and no lock, so the race detector is its guard): each runs
-# twenty times under the race detector. CI's stress step runs this
-# target.
-STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestStoredObjectsGaugeAfterShardPut|TestTCPHoldWritesEachPeerOnce|TestTCPFailedFlushDropsAndRedials|TestTCPBuffersOverBoundReleased|TestClientTurnWritesBurstOnce|TestShardWakeHammer|TestDeleteBatchHammer|TestDeleteBatchCommitsEveryOwnerWindow
+# store write), a run that carries its answers past its store write into
+# a next cycle, the shards' stop under a producer that keeps every
+# mailbox full (a drain that waits for an empty mailbox never returns)
+# and the client's held turn (its hold state has one owner goroutine and
+# no lock, so the race detector is its guard): each runs twenty times
+# under the race detector. CI's stress step runs this target.
+STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestStoredObjectsGaugeAfterShardPut|TestTCPHoldWritesEachPeerOnce|TestTCPFailedFlushDropsAndRedials|TestTCPBuffersOverBoundReleased|TestClientTurnWritesBurstOnce|TestShardWakeHammer|TestDeleteBatchHammer|TestDeleteBatchCommitsEveryOwnerWindow|TestCommitCarriesAnswersIntoTheNextCycle|TestStopShardsUnderLoad
 
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS)' ./internal/store ./internal/core ./internal/transport .

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"dataflasks"
+	"dataflasks/internal/transport"
+	"dataflasks/internal/wire"
 )
 
 // startStaticCluster boots a cluster whose nodes know their slice
@@ -123,6 +125,41 @@ func TestPerOpOptionsEndToEnd(t *testing.T) {
 	if _, err := cl.Get(ctx, "opt-ff", 1,
 		dataflasks.WithTimeout(300*time.Millisecond), dataflasks.WithRetries(20)); err != nil {
 		t.Fatalf("fire-and-forget write never landed: %v", err)
+	}
+}
+
+// TestTimeoutGivesEachAttemptItsDuration: the client counts an attempt's
+// time in ticks of its period (500 ms for ConnectClient), from the tick
+// the attempt started in. An unanswered attempt of WithTimeout(one
+// period) still runs at least that period wherever in the tick it
+// started, not just to the next tick, which may come at once: a request
+// to a live member cut short that way would evict the member as dead.
+func TestTimeoutGivesEachAttemptItsDuration(t *testing.T) {
+	silent, err := transport.ListenTCP(1, "127.0.0.1:0", "", transport.TCPConfig{Codec: wire.BinaryCodec()}, func(transport.Envelope) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	cl, err := dataflasks.ConnectClient("127.0.0.1:0", []string{"1@" + silent.Addr()}, dataflasks.Config{Slices: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	const d = 500 * time.Millisecond // ConnectClient's period
+	for i, pause := range []time.Duration{0, 170 * time.Millisecond, 340 * time.Millisecond} {
+		time.Sleep(pause) // start the attempts at different points of a tick
+		start := time.Now()
+		err := cl.Put(ctx, "k", 1, []byte("v"), dataflasks.WithTimeout(d), dataflasks.WithRetries(0))
+		took := time.Since(start)
+		if !errors.Is(err, dataflasks.ErrTimeout) {
+			t.Fatalf("put %d to a silent node: %v, want a timeout", i, err)
+		}
+		if took < d || took > 2*d+200*time.Millisecond {
+			t.Errorf("put %d timed out after %v, want between %v and about %v", i, took, d, 2*d)
+		}
 	}
 }
 

@@ -271,10 +271,11 @@ func WithFireAndForget() OpOption {
 	return func(s *opSettings) { s.opts.Acks = -1 }
 }
 
-// WithTimeout bounds each attempt of the operation to d before the
-// client retries with a fresh contact (total worst-case latency is
-// roughly d × (retries+1)). The duration is rounded up to the client's
-// tick period.
+// WithTimeout gives each attempt of the operation d before the client
+// retries with a fresh contact (total worst-case latency is roughly
+// d × (retries+1)). The client counts time in ticks of its period, so
+// an attempt gets at least d and at most one period more than d rounded
+// up to the period.
 func WithTimeout(d time.Duration) OpOption {
 	return func(s *opSettings) { s.timeout = d }
 }
@@ -306,11 +307,12 @@ func (c *Client) resolveSettings(opts []OpOption) client.Opts {
 		o(&s)
 	}
 	if s.timeout > 0 {
-		ticks := int((s.timeout + c.period - 1) / c.period)
-		if ticks < 1 {
-			ticks = 1
-		}
-		s.opts.TimeoutTicks = ticks
+		// An attempt expires at the k-th tick after the one it started in,
+		// and the first of those may come at once: k ticks of d rounded up
+		// would give an attempt launched late in a tick almost a period
+		// less than d — next to nothing when d is one period. One tick
+		// more gives every attempt at least d.
+		s.opts.TimeoutTicks = int((s.timeout+c.period-1)/c.period) + 1
 	}
 	return s.opts
 }

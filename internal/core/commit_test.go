@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,6 +80,20 @@ func (r *runStore) PutBatch(objs []store.Object) error {
 		r.mu.Unlock()
 	}
 	return err
+}
+
+// let releases a held write, if the test has not yet: a test that fails
+// while the write is held must not leave its run parked in it, or the
+// shards' stop would wait for that run forever.
+func (r *runStore) let() {
+	if r.release == nil {
+		return
+	}
+	select {
+	case <-r.release:
+	default:
+		close(r.release)
+	}
 }
 
 func (r *runStore) calls() []string {
@@ -159,6 +174,7 @@ func (h *runHarness) start() (stop func()) {
 	var once sync.Once
 	stop = func() { once.Do(h.n.StopShards) }
 	h.t.Cleanup(stop)
+	h.t.Cleanup(h.st.let) // cleanups run last-in first-out: before the stop
 	return stop
 }
 
@@ -549,6 +565,204 @@ func TestRunAnswerFrames(t *testing.T) {
 				t.Errorf("data_sent = %d, want %d: one per frame", got, want)
 			}
 		})
+	}
+}
+
+// queueThenRun queues msgs while every shard's run token is held, so the
+// wake-ups they cause find nothing to take, and then lets one wake-up
+// take them all as one run.
+func (h *runHarness) queueThenRun(msgs ...interface{}) {
+	h.t.Helper()
+	for _, s := range h.n.shards {
+		s.token.Lock()
+	}
+	h.dispatch(msgs...)
+	for len(h.n.wake) > 0 || h.n.running.Load() > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // the wake-ups that found the shards held are over
+	for _, s := range h.n.shards {
+		s.token.Unlock()
+	}
+	h.n.signal()
+}
+
+// waitFrames waits until the fabric was handed n frames: a run that
+// carries on must end before the test stops the shards, or the stop
+// would end it first.
+func (h *runHarness) waitFrames(n int) {
+	h.t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		h.mu.Lock()
+		got := len(h.frames)
+		h.mu.Unlock()
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			h.t.Fatalf("%d frames after 5s, want %d: %q", got, n, h.frameLines())
+		}
+	}
+}
+
+// checkFrames compares every frame handed to the fabric, and how many
+// answer frames the node counted, with want.
+func (h *runHarness) checkFrames(want []string, answerFrames uint64) {
+	h.t.Helper()
+	if got := h.frameLines(); fmt.Sprint(got) != fmt.Sprint(want) {
+		h.t.Errorf("frames:\n got  %q\n want %q", got, want)
+	}
+	if got := h.n.Metrics().Get(metrics.AnswerFrames); got != answerFrames {
+		h.t.Errorf("answer_frames = %d, want %d", got, answerFrames)
+	}
+}
+
+// TestCommitCarriesAnswersIntoTheNextCycle: a run that answered a get
+// before its store write, and whose write finds a get and a put of the
+// same client queued, carries on past the write: the write's relay
+// leaves at once, and its ack waits for the next cycle, whose get reply
+// it shares one frame with — one answer frame per store write. The last
+// write finds no mail, so its ack leaves at once, before its relay.
+func TestCommitCarriesAnswersIntoTheNextCycle(t *testing.T) {
+	st := newRunStore(true)
+	for _, k := range []string{"c1", "c2"} {
+		if err := st.Store.Put(k, 1, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := newRunHarness(t, st, Config{})
+	stop := h.start()
+	h.queueThenRun(getOf("c1", 1), entryPut1("a", 1, 2))
+	<-st.entered
+	h.dispatch(getOf("c2", 3), entryPut1("b", 1, 4))
+	close(st.release)
+	want := []string{
+		"client reply c1 @0",
+		"mate relay a @1",
+		"client replies(ack a, reply c2) @1",
+		"client ack b @2",
+		"mate relay b @2",
+	}
+	h.waitFrames(len(want))
+	stop()
+	h.checkFrames(want, 3)
+	if calls := st.calls(); fmt.Sprint(calls) != "[put 1 put 1]" {
+		t.Errorf("store writes = %v, want one per cycle", calls)
+	}
+	if got := h.n.Metrics().Get(metrics.SharedAnswers); got != 2 {
+		t.Errorf("shared_answers = %d, want 2", got)
+	}
+}
+
+// TestPutsOnlyRunCarriesNothing: a run that answered nothing before its
+// store write ends there even with mail queued on every shard, so its ack
+// leaves at once, before its relay, and the next wake-up takes
+// the mail — the get of the other shard included — after that one write.
+func TestPutsOnlyRunCarriesNothing(t *testing.T) {
+	st := newRunStore(true)
+	b, c := keyOnShard("b", 0, 2), keyOnShard("c", 1, 2)
+	if err := st.Store.Put(c, 1, []byte(c)); err != nil {
+		t.Fatal(err)
+	}
+	h := newRunHarness(t, st, Config{DataShards: 2})
+	stop := h.start()
+	h.holdThenRun(getOf(c, 2), entryPut1(b, 1, 3))
+	want := []string{
+		"client ack hold @1", "mate relay hold @1",
+		"client reply " + c + " @1",
+		"client ack " + b + " @2",
+		"mate relay " + b + " @2",
+	}
+	h.waitFrames(len(want))
+	stop()
+	h.checkFrames(want, 3)
+}
+
+// TestContinuingRunTakesIdleShardMail: producers wake nobody while a run
+// is in progress, so a get queued on an idle shard during another shard's
+// store write waits for that write — and no longer: the run, carrying on
+// past it, takes the idle shard into its next cycle, and the get's reply
+// shares the carried ack's frame. (The test holds the idle shard's token
+// through the write, so no wake-up left over from the setup can take the
+// get first; it lets go before the write returns.)
+func TestContinuingRunTakesIdleShardMail(t *testing.T) {
+	st := newRunStore(true)
+	a0, c0, c1 := keyOnShard("a", 0, 2), keyOnShard("c", 0, 2), keyOnShard("c", 1, 2)
+	for _, k := range []string{c0, c1} {
+		if err := st.Store.Put(k, 1, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := newRunHarness(t, st, Config{DataShards: 2})
+	stop := h.start()
+	h.queueThenRun(getOf(c0, 1), entryPut1(a0, 1, 2))
+	<-st.entered
+	idle := h.n.shards[1]
+	idle.token.Lock()
+	h.dispatch(getOf(c1, 3))
+	time.Sleep(20 * time.Millisecond)
+	idle.token.Unlock()
+	close(st.release)
+	want := []string{
+		"client reply " + c0 + " @0",
+		"mate relay " + a0 + " @1",
+		"client replies(ack " + a0 + ", reply " + c1 + ") @1",
+	}
+	h.waitFrames(len(want))
+	stop()
+	h.checkFrames(want, 2)
+}
+
+// TestStopShardsUnderLoad: StopShards returns while a producer keeps
+// every shard's mailbox non-empty — each shard's last drain takes what
+// its mailbox held when the stop began, not what keeps arriving — and
+// every put that was acknowledged is in the store.
+func TestStopShardsUnderLoad(t *testing.T) {
+	st := newRunStore(false)
+	h := newRunHarness(t, st, Config{DataShards: 2})
+	stop := h.start()
+	var halt atomic.Bool
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		for i := uint32(1); !halt.Load(); i++ {
+			put := entryPut1(fmt.Sprintf("p%d", i), 1, 2*i)
+			get := getOf(fmt.Sprintf("p%d", i/2), 2*i+1)
+			if !h.n.DispatchData(transport.Envelope{From: runClient, To: 1, Msg: put}) ||
+				!h.n.DispatchData(transport.Envelope{From: runClient, To: 1, Msg: get}) {
+				return // the node stopped
+			}
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); h.n.ShardDropped() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			halt.Store(true)
+			t.Fatal("the producer never filled a mailbox")
+		}
+	}
+	stopped := make(chan struct{})
+	go func() {
+		stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		halt.Store(true)
+		<-stopped
+		t.Fatal("StopShards did not return within 10s under a producer keeping the mailboxes full")
+	}
+	<-produced
+
+	acks := h.sentOf(isAck)
+	if len(acks) == 0 {
+		t.Fatal("no put was acknowledged")
+	}
+	for _, env := range acks {
+		a := env.Msg.(*PutAck)
+		if _, _, ok, _ := st.Store.Get(a.Key, a.Version); !ok {
+			t.Errorf("acknowledged put %s v%d is not in the store", a.Key, a.Version)
+		}
 	}
 }
 

@@ -66,7 +66,8 @@ type Node struct {
 	// shard's runs file relay copies in (relayWindow). external flips
 	// true while StartShards-launched goroutines drive the shards, false
 	// while the caller of HandleMessage does; they wait on wake, and
-	// running counts the wake-up runs in progress (wakeRun). routeSnap is
+	// running counts the wake-up runs in progress, continuing ones
+	// included (wakeRun). routeSnap is
 	// the control plane's routing state as the data handlers see it,
 	// never nil; routeStale marks it out of date on a caller-driven node
 	// (see routeChanged).
@@ -690,7 +691,7 @@ func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.Node
 		}
 		// Commit the window first so the store applies writes in
 		// arrival order.
-		s.r.commit(ctx)
+		s.r.commit(ctx, false)
 		s.met.Inc(metrics.PutCommits)
 		if n.st.PutBatch(m.Objs) == nil {
 			s.met.Add(metrics.PutsServed, uint64(len(m.Objs)))
@@ -704,7 +705,7 @@ func (s *dataShard) apply(ctx context.Context, v *routeView, from transport.Node
 		// of any shard may have filed a relay copy of the key. The ack
 		// carries how many items named objects this replica really held,
 		// which is what a Redis-style multi-key DEL reports.
-		s.r.commit(ctx)
+		s.r.commit(ctx, false)
 		applied, err := n.applyDeleteBatch(m.Items)
 		s.met.Add(metrics.DeletesServed, uint64(applied))
 		s.traceOp(obs.TraceDeleteApply, m.TraceID, m.Items[0].Key, 0, applied)

@@ -35,6 +35,7 @@ package core
 import (
 	"context"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"time"
 
@@ -150,17 +151,20 @@ type dataShard struct {
 }
 
 // run is one drain: the shards it took — their run tokens held, each
-// with how many envelopes it takes from that shard's mailbox — what they
-// collected for the run's commit, and the acks and get replies they
-// produced, in that order, until the next flush sends them (see reply).
-// entries are the slice-entry puts: the commit stores each with the
-// node's window and owes it its ack and its intra-slice phase. gets are
-// the gets of keys a put was waiting to store, in arrival order: the
-// commit serves them after its store write. Its end (finish) is the put
-// path's one commit if it collected either, one frame per origin for the
-// answers and one batched relay. inline marks a solo run that serves a
-// client's get on the goroutine that read it (serveIdle). A wake-up's
-// run belongs to its shard goroutine; every other run is a shard's solo.
+// with how many envelopes it takes from that shard's mailbox in the
+// current cycle — what they collected for the cycle's commit, and the
+// acks and get replies they produced, in that order, until the next flush
+// sends them (see reply). entries are the slice-entry puts: the commit
+// stores each with the node's window and owes it its ack and its
+// intra-slice phase. gets are the gets of keys a put was waiting to
+// store, in arrival order: the commit serves them after its store write.
+// A cycle's end (finish) is the put path's one commit if it collected
+// either, one frame per origin for the answers and one batched relay; a
+// commit that carries its answers (see commit) takes the next cycle
+// instead, and the answers leave with that cycle's. inline marks a solo
+// run that serves a client's get on the goroutine that read it
+// (serveIdle). A wake-up's run belongs to its shard goroutine; every
+// other run is a shard's solo.
 type run struct {
 	shards  []*dataShard
 	queued  []int
@@ -397,37 +401,15 @@ func (n *Node) runShard(ctx context.Context, s *dataShard) {
 	}
 }
 
-// wakeRun is one wake-up: it takes, starting at shard home, every idle
-// shard with queued envelopes (run token free, not stopped), up to
-// coalesceMax envelopes in all, and drains them as one run. A full run
-// wakes another goroutine at once, to take what is left in parallel; a
-// run that took nothing — every shard with mail was held elsewhere —
-// wakes nobody, since each holder checks the mailboxes as it lets go.
-// Producers wake nobody while a run is in progress (running), so a run
-// checks every mailbox once it ended and wakes a goroutine for what was
-// queued meanwhile.
+// wakeRun is one wake-up: it takes a cycle (takeCycle) starting at shard
+// home and drains it as one run. A run that took nothing — every shard
+// with mail was held elsewhere — wakes nobody, since each holder checks
+// the mailboxes as it lets go. Producers wake nobody while a run is in
+// progress (running): a continuing run takes what was queued on idle
+// shards into its next cycle, and a run checks every mailbox once it
+// ended and wakes a goroutine for what was queued meanwhile.
 func (n *Node) wakeRun(ctx context.Context, r *run, home int) {
-	budget := coalesceMax
-	for i := range n.shards {
-		s := n.shards[(home+i)%len(n.shards)]
-		if len(s.mailbox) == 0 || !s.token.TryLock() {
-			continue
-		}
-		q := min(len(s.mailbox), budget)
-		if s.stopped || q == 0 {
-			s.token.Unlock()
-			continue
-		}
-		if len(r.shards) == 0 {
-			n.running.Add(1)
-		}
-		r.take(s, q)
-		if budget -= q; budget == 0 {
-			n.signal()
-			break
-		}
-	}
-	if len(r.shards) == 0 {
+	if !n.takeCycle(r, home) {
 		return
 	}
 	n.drain(ctx, r)
@@ -440,6 +422,47 @@ func (n *Node) wakeRun(ctx context.Context, r *run, home int) {
 	}
 }
 
+// takeCycle fills r's next cycle: starting at shard home, every shard
+// with queued envelopes that the run holds already or can take (run token
+// free, not stopped), up to coalesceMax envelopes in all. The run's own
+// shards are told apart by its shard list alone: another run's shard is
+// not the caller's to look into. A full cycle wakes another goroutine at
+// once, to take what is left in parallel. It reports whether the cycle
+// took anything.
+func (n *Node) takeCycle(r *run, home int) bool {
+	clear(r.queued)
+	budget := coalesceMax
+	for i := range n.shards {
+		s := n.shards[(home+i)%len(n.shards)]
+		if len(s.mailbox) == 0 {
+			continue
+		}
+		held := slices.Index(r.shards, s)
+		if held < 0 && !s.token.TryLock() {
+			continue
+		}
+		// Only the token's holder receives, so the count cannot shrink.
+		q := min(len(s.mailbox), budget)
+		switch {
+		case held >= 0:
+			r.queued[held] = q
+		case s.stopped:
+			s.token.Unlock()
+			continue
+		default:
+			if len(r.shards) == 0 {
+				n.running.Add(1)
+			}
+			r.take(s, q)
+		}
+		if budget -= q; budget == 0 {
+			n.signal()
+			break
+		}
+	}
+	return budget < coalesceMax
+}
+
 // take adds s, whose run token the caller holds, to the run, with the
 // envelopes the run takes from its mailbox.
 func (r *run) take(s *dataShard, queued int) {
@@ -448,17 +471,22 @@ func (r *run) take(s *dataShard, queued int) {
 	r.queued = append(r.queued, queued)
 }
 
-// drain handles a run: the queued envelopes it took from each shard, in
-// arrival order shard by shard — received without waiting, since the run
-// holds the token and counted them there — then its end, and it lets go
-// of every token.
+// drain handles a run cycle by cycle: the queued envelopes the cycle
+// took from each shard, in arrival order shard by shard — received
+// without waiting, since the run holds the token and counted them there —
+// then the cycle's end, which may take the next cycle (finish); then it
+// lets go of every token.
 func (n *Node) drain(ctx context.Context, r *run) {
-	for i, s := range r.shards {
-		for q := r.queued[i]; q > 0; q-- {
-			n.handleEnv(ctx, s, <-s.mailbox)
+	for {
+		for i, s := range r.shards {
+			for q := r.queued[i]; q > 0; q-- {
+				n.handleEnv(ctx, s, <-s.mailbox)
+			}
+		}
+		if !r.finish(ctx) {
+			break
 		}
 	}
-	r.finish(ctx)
 	r.release()
 }
 
@@ -467,8 +495,7 @@ func (n *Node) drain(ctx context.Context, r *run) {
 func (n *Node) runOne(ctx context.Context, s *dataShard, env transport.Envelope) {
 	s.solo.take(s, 0)
 	n.handleEnv(ctx, s, env)
-	s.solo.finish(ctx)
-	s.solo.release()
+	n.drain(ctx, &s.solo)
 }
 
 // handleEnv hands one delivered data envelope to the request handler
@@ -478,18 +505,33 @@ func (n *Node) handleEnv(ctx context.Context, s *dataShard, env transport.Envelo
 	n.handleData(ctx, s, env.From, env.Msg.(request)) // only requests reach a shard
 }
 
-// finish ends a run. Its entry puts and the node's window land as one
-// commit if it collected entry puts or has gets waiting, so with W puts
-// in flight a node pays about one group-commit wait per wake-up, not one
-// per put, per shard or per read of a key just written. Relay copies
-// alone do not end a run with a commit: they keep waiting for the round
-// or a later run's commit. The run's answers leave at its end at the
-// latest, one frame per origin (see reply).
-func (r *run) finish(ctx context.Context) {
-	if len(r.entries) > 0 || len(r.gets) > 0 {
-		r.commit(ctx)
+// finish ends a cycle of the run. Its entry puts and the node's window
+// land as one commit if it collected entry puts or has gets waiting, so
+// with W puts in flight a node pays about one group-commit wait per
+// cycle, not one per put, per shard or per read of a key just written.
+// Relay copies alone do not end a cycle with a commit: they keep waiting
+// for the round or a later commit. It reports whether the run goes on: a
+// commit that carries its answers took the next cycle. Otherwise the
+// run's answers leave now, one frame per origin (see reply).
+func (r *run) finish(ctx context.Context) bool {
+	if (len(r.entries) > 0 || len(r.gets) > 0) && r.commit(ctx, true) {
+		return true
 	}
 	r.shards[0].flush(ctx)
+	return false
+}
+
+// next takes the run's next cycle (takeCycle, from the run's first
+// shard) and reports whether it took anything; a stopping node takes
+// none, so StopShards' drains find the shards free.
+func (r *run) next() bool {
+	n := r.shards[0].n
+	select {
+	case <-n.shardStop:
+		return false
+	default:
+	}
+	return n.takeCycle(r, r.shards[0].id)
 }
 
 // release lets go of every run token the run holds, the first shard's
@@ -507,17 +549,22 @@ func (r *run) release() {
 }
 
 // stopShard is a shard goroutine's last step: it drains what s's
-// mailbox holds and marks s stopped — no run takes it after. StopShards
-// commits the window once every shard has stopped.
+// mailbox held when it began, and marks s stopped — no run takes it
+// after. What producers queue meanwhile is left where it is, unhandled
+// and so unanswered, like a drop: a producer that keeps the mailbox full
+// cannot hold the stop. StopShards commits the window once every shard
+// has stopped.
 func (n *Node) stopShard(ctx context.Context, s *dataShard) {
-	for {
-		s.token.Lock()
-		q := min(len(s.mailbox), coalesceMax)
+	s.token.Lock()
+	for left := len(s.mailbox); ; {
+		q := min(left, len(s.mailbox), coalesceMax)
 		if q == 0 {
 			break
 		}
+		left -= q
 		s.solo.take(s, q)
 		n.drain(ctx, &s.solo)
+		s.token.Lock()
 	}
 	s.stopped = true
 	s.token.Unlock()
@@ -709,13 +756,18 @@ func (s *dataShard) sendData(ctx context.Context, to transport.NodeID, msg inter
 
 // reply answers a client: it queues an ack or a get reply for the run's
 // next flush, which sends what the run produced for one origin as one
-// frame, whichever of its shards produced it. No answer waits for I/O:
-// the queue is flushed before every store write (commit), before every
-// relay send and at the end of the run. An answer that must go alone is
-// sent at once — a traced request's, so /trace and span readers still
-// join frames to requests by id, and a get reply over relayBatchValueMax.
+// frame, whichever of its shards produced it. No answer waits for a store
+// write: the queue is flushed before every one (commit), before every
+// relay send and at the end of the run. A commit whose write finds mail
+// waiting keeps the answers it produced queued into the run's next cycle
+// (see commit), whose flush sends them with that cycle's own, so a
+// pipelined burst costs one frame per origin per store write. An answer
+// that must go alone is sent at once — a traced request's, so /trace and
+// span readers still join frames to requests by id, and a get reply over
+// relayBatchValueMax.
 func (s *dataShard) reply(ctx context.Context, to transport.NodeID, msg interface{}, alone bool) {
 	if alone {
+		s.met.Inc(metrics.AnswerFrames)
 		s.sendData(ctx, to, msg)
 		return
 	}
@@ -725,14 +777,15 @@ func (s *dataShard) reply(ctx context.Context, to transport.NodeID, msg interfac
 // flush sends the run's queued answers: an origin's only one as itself,
 // two or more as one Replies in the order they were queued. Origins go
 // in the order of their first answer. A run is at most coalesceMax
-// envelopes, so scanning the queue per origin is cheaper than grouping
-// it in a map.
-func (s *dataShard) flush(ctx context.Context) {
+// envelopes a cycle, so scanning the queue per origin is cheaper than
+// grouping it in a map. It returns how many frames it sent.
+func (s *dataShard) flush(ctx context.Context) (frames int) {
 	q := s.r.answers
 	for i, a := range q {
 		if a.msg == nil {
 			continue // sent inside an earlier origin's batch
 		}
+		frames++
 		var batch []interface{}
 		for j := i + 1; j < len(q); j++ {
 			if q[j].to == a.to {
@@ -750,8 +803,10 @@ func (s *dataShard) flush(ctx context.Context) {
 		s.met.Add(metrics.SharedAnswers, uint64(len(batch)))
 		s.sendData(ctx, a.to, &Replies{Msgs: batch})
 	}
+	s.met.Add(metrics.AnswerFrames, uint64(frames))
 	clear(q)
 	s.r.answers = q[:0]
+	return frames
 }
 
 // traceOp journals one traced request's lifecycle step, stamped with
@@ -804,7 +859,7 @@ func (s *dataShard) file(ctx context.Context, objs ...store.Object) {
 		full := len(w.objs) >= coalesceMax
 		w.mu.Unlock()
 		if full {
-			s.r.commit(ctx)
+			s.r.commit(ctx, false)
 		}
 	}
 }
@@ -928,12 +983,24 @@ func (r *run) waits(w *relayWindow, key string) bool {
 // mates. The intra-slice phase starts either way, since mates may still
 // succeed. The answers queued so far leave first: none waits for this
 // write.
-func (r *run) commit(ctx context.Context) {
+//
+// At a cycle's end (last) the run carries on past the write if its
+// pre-write flush sent a frame and it can take a next cycle (next): the
+// relay leaves at once, and the acks and replies stay queued for that
+// cycle's flush, one frame per origin with its answers instead of a
+// second frame now. It reports whether it did. A cycle that answered
+// nothing before its write — all puts — carries nothing: its acks would
+// only wait, so they leave at once, before the relay.
+func (r *run) commit(ctx context.Context, last bool) (carried bool) {
 	s := r.shards[0]
-	s.flush(ctx)
+	flushed := s.flush(ctx)
 	entries, gets := r.entries, r.gets
 	r.entries, r.gets = nil, nil
-	if s.n.win.commit(s.n.st, &s.met, entries) == nil {
+	err := s.n.win.commit(s.n.st, &s.met, entries)
+	if carried = last && flushed > 0 && r.next(); carried {
+		s.relayEntries(ctx, entries)
+	}
+	if err == nil {
 		for _, e := range entries {
 			m := e.m
 			s.traceOp(obs.TracePutApply, m.TraceID, m.Key, len(m.Value), 1)
@@ -948,7 +1015,10 @@ func (r *run) commit(ctx context.Context) {
 			}
 		}
 	}
-	s.relayEntries(ctx, entries)
+	if !carried {
+		s.relayEntries(ctx, entries)
+	}
+	return carried
 }
 
 // batchedRelay reports whether an entry put may share its run's batched

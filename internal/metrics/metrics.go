@@ -130,6 +130,10 @@ const (
 	// reply batch (core.Replies) with other answers to the same origin;
 	// DataSent counts each batch once.
 	SharedAnswers
+	// AnswerFrames counts the frames runs sent answers in: a reply batch
+	// or a lone ack or get reply. Against SharedAnswers it tells how many
+	// answers a frame carries.
+	AnswerFrames
 	// InlineGets counts client gets a shard served on the fabric
 	// goroutine that read them, found idle, instead of queueing them for
 	// its own goroutine.
@@ -176,6 +180,7 @@ var counterNames = [...]string{
 	BootstrapChunksRejected:    "bootstrap_chunks_rejected",
 	BootstrapFallbackObjects:   "bootstrap_fallback_objects",
 	SharedAnswers:              "shared_answers",
+	AnswerFrames:               "answer_frames",
 	InlineGets:                 "inline_gets",
 	SliceChanges:               "slice_changes",
 	SliceRounds:                "slice_rounds",
