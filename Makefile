@@ -37,7 +37,7 @@ test:
 # and the client's held turn (its hold state has one owner goroutine and
 # no lock, so the race detector is its guard): each runs twenty times
 # under the race detector. CI's stress step runs this target.
-STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestStoredObjectsGaugeAfterShardPut|TestTCPHoldWritesEachPeerOnce|TestTCPFailedFlushDropsAndRedials|TestTCPBuffersOverBoundReleased|TestClientTurnWritesBurstOnce|TestShardWakeHammer|TestDeleteBatchHammer|TestDeleteBatchCommitsEveryOwnerWindow|TestCommitCarriesAnswersIntoTheNextCycle|TestStopShardsUnderLoad
+STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestStoredObjectsGaugeAfterShardPut|TestTCPHoldWritesEachPeerOnce|TestTCPFailedFlushDropsAndRedials|TestTCPBuffersOverBoundReleased|TestClientTurnWritesBurstOnce|TestShardWakeHammer|TestDeleteBatchHammer|TestDeleteBatchCommitsEveryOwnerWindow|TestCommitCarriesAnswersIntoTheNextCycle|TestStopShardsUnderLoad|TestWakeRunLetsGoOfAnEmptiedShard
 
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS)' ./internal/store ./internal/core ./internal/transport .

@@ -42,7 +42,7 @@ func (p *ackingPeer) deliver(env transport.Envelope) {
 	p.mu.Lock()
 	p.keys = append(p.keys, put.Key)
 	p.mu.Unlock()
-	ack := &core.PutAck{ID: put.ID, Key: put.Key, Version: put.Version}
+	ack := &core.PutAck{ID: put.ID, Version: put.Version}
 	_ = p.net.Load().Sender().Send(context.Background(), put.Origin, ack)
 }
 

@@ -51,7 +51,7 @@ func TestPutCompletesOnAck(t *testing.T) {
 		t.Fatal("put completed before any ack")
 	}
 
-	cl.HandleMessage(transport.Envelope{From: 5, Msg: &core.PutAck{ID: req.ID, Key: "k", Version: 1}})
+	cl.HandleMessage(transport.Envelope{From: 5, Msg: &core.PutAck{ID: req.ID, Version: 1}})
 	if res == nil || res.Err != nil {
 		t.Fatalf("put not completed: %+v", res)
 	}
@@ -100,7 +100,7 @@ func TestGetFirstReplyWinsAndDuplicatesDropped(t *testing.T) {
 	cl.StartGetOpts("k", 7, Opts{}, func(r Result) { count++; res = r })
 	id := cap.sent[0].Msg.(*core.GetRequest).ID
 
-	reply := &core.GetReply{ID: id, Key: "k", Version: 7, Value: []byte("x"), Slice: 3}
+	reply := &core.GetReply{ID: id, Version: 7, Value: []byte("x"), Slice: 3}
 	cl.HandleMessage(transport.Envelope{From: 5, Msg: reply})
 	cl.HandleMessage(transport.Envelope{From: 6, Msg: reply}) // epidemic duplicate
 	cl.HandleMessage(transport.Envelope{From: 7, Msg: reply})

@@ -335,10 +335,15 @@ func (c *Core) Cancel(id gossip.RequestID) bool {
 // floods must start outside the directory: only global-phase copies are
 // acknowledged, so entering the slice directly would leave an op that
 // waits for several acks, or a delete that must reach every replica,
-// with the one node contacted.
+// with the one node contacted. A retry's random contact is not the one
+// the timed-out attempt went to, when the list names another.
 func (c *Core) contact(op *pending) (transport.NodeID, bool) {
 	if c.dir != nil && op.floods() {
-		return c.dir.random(op.key)
+		var failed transport.NodeID
+		if op.hasContact {
+			failed = op.lastContact
+		}
+		return c.dir.random(failed)
 	}
 	return c.lb.Contact(op.key)
 }

@@ -68,7 +68,7 @@ type DirectoryStats struct {
 //
 // Not safe for concurrent use: it belongs to the Core it is handed to.
 type Directory struct {
-	fallback   LoadBalancer
+	fallback   *RandomLB
 	sliceCount int
 	rng        *rand.Rand
 	out        transport.Sender
@@ -98,7 +98,7 @@ var _ LoadBalancer = (*Directory)(nil)
 // pay the hops the directory exists to save. out carries the mate
 // queries; book, when not nil, is taught the address of every member a
 // reply introduces.
-func NewDirectory(fallback LoadBalancer, sliceCount int, rng *rand.Rand, out transport.Sender, book transport.AddressBook) *Directory {
+func NewDirectory(fallback *RandomLB, sliceCount int, rng *rand.Rand, out transport.Sender, book transport.AddressBook) *Directory {
 	if fallback == nil || rng == nil || out == nil {
 		panic("client: NewDirectory requires a fallback balancer, a random source and a sender")
 	}
@@ -130,7 +130,7 @@ func (d *Directory) Contact(key string) (transport.NodeID, bool) {
 	slice := slicing.KeySlice(key, d.sliceCount)
 	m := d.members[slice]
 	if len(m) == 0 {
-		return d.random(key)
+		return d.random(0)
 	}
 	d.stats.Hits++
 	if d.local != 0 && slices.Contains(m, d.local) {
@@ -164,10 +164,13 @@ func (d *Directory) draw(slice int32, m []transport.NodeID) transport.NodeID {
 func (d *Directory) endTick() { clear(d.pins) }
 
 // random is the contact of an attempt that must not enter its slice
-// directly (see Core.launch).
-func (d *Directory) random(key string) (transport.NodeID, bool) {
+// directly (see Core.contact). A retry names the contact of the attempt
+// that timed out as failed: while the list holds another node the draw
+// skips it, so the retry of a read whose member died does not go back to
+// that member through the seed list.
+func (d *Directory) random(failed transport.NodeID) (transport.NodeID, bool) {
 	d.stats.Fallbacks++
-	return d.fallback.Contact(key)
+	return d.fallback.contactOther(failed)
 }
 
 // learn records that node holds key and therefore belongs to key's

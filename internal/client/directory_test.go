@@ -294,10 +294,10 @@ func TestRepliesCompleteEachOp(t *testing.T) {
 	getID := requestID(t, cap.sent[len(cap.sent)-1].Msg)
 
 	cl.HandleMessage(transport.Envelope{From: 40, Msg: &core.Replies{Msgs: []interface{}{
-		&core.PutAck{ID: putID, Key: putKey, Version: 3},
-		&core.GetReply{ID: getID, Key: getKey, Version: 9, Value: []byte("x"), Slice: 2},
-		&core.PutAck{ID: putID, Key: putKey, Version: 3},
-		&core.PutAck{ID: gossip.MakeRequestID(0xC0000002, 1), Key: "foreign", Version: 1},
+		&core.PutAck{ID: putID, Version: 3},
+		&core.GetReply{ID: getID, Version: 9, Value: []byte("x"), Slice: 2},
+		&core.PutAck{ID: putID, Version: 3},
+		&core.PutAck{ID: gossip.MakeRequestID(0xC0000002, 1), Version: 1},
 	}}})
 
 	if len(done) != 2 {
@@ -708,5 +708,53 @@ func TestDirectoryWithoutLocalDrawsAsBefore(t *testing.T) {
 	}
 	if st := dir.stats; st.Local != 0 {
 		t.Errorf("local hits = %d without a local node", st.Local)
+	}
+}
+
+// A retry draws its random contact anew, skipping the node the attempt
+// before it went to while the list names another: a read whose pinned
+// member died (here node 1, which the random list names too, as a
+// cluster's seed list names its members) does not go back to it, nor does
+// a second retry go back to the first retry's contact. A list of that
+// node alone still yields it, and a draw that misses it costs the random
+// stream what a plain draw does.
+func TestRetrySkipsTheContactThatTimedOut(t *testing.T) {
+	cl, dir, cap, _ := newDirectoryCore(t, Config{TimeoutTicks: 1, Retries: 3})
+	key := keyInSlice(t, 2, dirSlices)
+	for op := 0; op < 20; op++ {
+		dir.learn(key, 1)
+		sent := len(cap.sent)
+		var result *Result
+		cl.StartGetOpts(key, store.Latest, Opts{}, func(r Result) { result = &r })
+		for result == nil {
+			cl.Tick()
+		}
+		var contacts []transport.NodeID
+		for _, env := range cap.sent[sent:] {
+			if _, ok := env.Msg.(*core.GetRequest); ok {
+				contacts = append(contacts, env.To)
+			}
+		}
+		if len(contacts) != 4 || contacts[0] != 1 {
+			t.Fatalf("op %d: attempts went to %v, want 4, the first to the pinned member 1", op, contacts)
+		}
+		for i := 1; i < len(contacts); i++ {
+			if contacts[i] == contacts[i-1] {
+				t.Fatalf("op %d: attempts went to %v: retry %d went back to the contact that timed out", op, contacts, i)
+			}
+		}
+	}
+
+	alone := NewRandomLB([]transport.NodeID{1}, sim.RNG(1, 5))
+	if n, ok := alone.contactOther(1); !ok || n != 1 {
+		t.Errorf("a list of the failed node alone drew %v, %v; want it", n, ok)
+	}
+	ids := []transport.NodeID{1, 2, 3}
+	plain, skipping := NewRandomLB(ids, sim.RNG(1, 5)), NewRandomLB(ids, sim.RNG(1, 5))
+	for i := 0; i < 100; i++ {
+		want, _ := plain.Contact("")
+		if got, _ := skipping.contactOther(4); got != want {
+			t.Fatalf("draw %d skipping a node not in the list = %v, a plain draw %v", i, got, want)
+		}
 	}
 }

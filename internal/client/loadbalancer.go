@@ -8,6 +8,7 @@ package client
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"dataflasks/internal/transport"
@@ -55,4 +56,21 @@ func (l *RandomLB) Contact(string) (transport.NodeID, bool) {
 		return 0, false
 	}
 	return l.nodes[l.rng.IntN(len(l.nodes))], true
+}
+
+// contactOther is Contact drawing again while it draws not, if the list
+// holds another node (not 0 names none). A draw that misses not costs
+// the random stream what Contact's does.
+func (l *RandomLB) contactOther(not transport.NodeID) (transport.NodeID, bool) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if len(l.nodes) == 0 {
+		return 0, false
+	}
+	for {
+		n := l.nodes[l.rng.IntN(len(l.nodes))]
+		if n != not || !slices.ContainsFunc(l.nodes, func(o transport.NodeID) bool { return o != not }) {
+			return n, true
+		}
+	}
 }

@@ -118,6 +118,52 @@ func answersIn(msg interface{}) []interface{} {
 	return []interface{}{msg}
 }
 
+// requestKeys maps the ids of the requests a test handed a node to their
+// keys. An answer names its request by id alone, so a test reads an
+// answer's key here, the way a client reads it off its pending op.
+type requestKeys struct {
+	mu sync.Mutex
+	m  map[gossip.RequestID]string
+}
+
+// sent notes the key of the request env carries and returns env.
+func (k *requestKeys) sent(env transport.Envelope) transport.Envelope {
+	var id gossip.RequestID
+	var key string
+	switch m := env.Msg.(type) {
+	case *PutRequest:
+		id, key = m.ID, m.Key
+	case *GetRequest:
+		id, key = m.ID, m.Key
+	default:
+		return env
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.m == nil {
+		k.m = map[gossip.RequestID]string{}
+	}
+	k.m[id] = key
+	return env
+}
+
+// of is the key of the request a PutAck or GetReply answers ("" for
+// any other message, or a request the test did not note).
+func (k *requestKeys) of(answer interface{}) string {
+	var id gossip.RequestID
+	switch m := answer.(type) {
+	case *PutAck:
+		id = m.ID
+	case *GetReply:
+		id = m.ID
+	default:
+		return ""
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.m[id]
+}
+
 // runHarness is a single-slice node with one mate on externally-run
 // shards (one shard, so every key shares a mailbox), a recording store
 // and a recording fabric that checks, at the moment a PutAck leaves,
@@ -132,6 +178,9 @@ type runHarness struct {
 	// flattened (answersIn); frames is what was handed over, as it was.
 	sent   []transport.Envelope
 	frames []sentFrame
+	// keys names what the acks and replies answer: dispatch notes every
+	// request it hands over.
+	keys requestKeys
 }
 
 // sentFrame is one message handed to the fabric, with how many store
@@ -154,8 +203,8 @@ func newRunHarness(t *testing.T, st *runStore, cfg Config) *runHarness {
 			defer h.mu.Unlock()
 			h.frames = append(h.frames, sentFrame{to: to, msg: msg, writes: writes})
 			for _, m := range answersIn(msg) {
-				if ack, ok := m.(*PutAck); ok && !st.holds(ack.Key, ack.Version) {
-					t.Errorf("PutAck for %s v%d left before the store held it", ack.Key, ack.Version)
+				if ack, ok := m.(*PutAck); ok && !st.holds(h.keys.of(ack), ack.Version) {
+					t.Errorf("PutAck for %s v%d left before the store held it", h.keys.of(ack), ack.Version)
 				}
 				h.sent = append(h.sent, transport.Envelope{From: 1, To: to, Msg: m})
 			}
@@ -181,7 +230,7 @@ func (h *runHarness) start() (stop func()) {
 func (h *runHarness) dispatch(msgs ...interface{}) {
 	h.t.Helper()
 	for _, m := range msgs {
-		if !h.n.DispatchData(transport.Envelope{From: runClient, To: 1, Msg: m}) {
+		if !h.n.DispatchData(h.keys.sent(transport.Envelope{From: runClient, To: 1, Msg: m})) {
 			h.t.Fatal("DispatchData declined a data envelope in external mode")
 		}
 	}
@@ -380,9 +429,9 @@ func TestGetCommitsOnlyForItsOwnKey(t *testing.T) {
 	for _, env := range h.sentOf(func(m interface{}) bool { return isAck(m) || isReply(m) }) {
 		switch m := env.Msg.(type) {
 		case *PutAck:
-			order = append(order, "ack "+m.Key)
+			order = append(order, "ack "+h.keys.of(m))
 		case *GetReply:
-			order = append(order, "reply "+m.Key+"="+string(m.Value))
+			order = append(order, "reply "+h.keys.of(m)+"="+string(m.Value))
 		}
 	}
 	want := []string{"ack hold", "reply cold=cold", "ack hot", "reply hot=hot"}
@@ -432,7 +481,7 @@ func TestRunWithOneRefusedPut(t *testing.T) {
 
 	acked := map[string]bool{}
 	for _, env := range h.sentOf(isAck) {
-		acked[env.Msg.(*PutAck).Key] = true
+		acked[h.keys.of(env.Msg)] = true
 	}
 	if !acked["hold"] || !acked["a"] || !acked["b"] || len(acked) != 3 {
 		t.Fatalf("acked = %v, want hold, a and b", acked)
@@ -452,19 +501,20 @@ func TestRunWithOneRefusedPut(t *testing.T) {
 const runClient2 = transport.NodeID(0xC0000002)
 
 // describe names a message handed to the fabric for the frame tests: a
-// reply batch lists its answers.
-func describe(msg interface{}) string {
+// reply batch lists its answers, and an answer names the key of its
+// request in keys.
+func describe(keys *requestKeys, msg interface{}) string {
 	switch m := msg.(type) {
 	case *Replies:
 		parts := make([]string, len(m.Msgs))
 		for i, a := range m.Msgs {
-			parts[i] = describe(a)
+			parts[i] = describe(keys, a)
 		}
 		return "replies(" + strings.Join(parts, ", ") + ")"
 	case *PutAck:
-		return "ack " + m.Key
+		return "ack " + keys.of(m)
 	case *GetReply:
-		return "reply " + m.Key
+		return "reply " + keys.of(m)
 	case *PutRequest:
 		return "relay " + m.Key
 	case *PutBatchRequest:
@@ -485,7 +535,7 @@ func (h *runHarness) frameLines() []string {
 	defer h.mu.Unlock()
 	out := make([]string, len(h.frames))
 	for i, f := range h.frames {
-		out[i] = fmt.Sprintf("%s %s @%d", names[f.to], describe(f.msg), f.writes)
+		out[i] = fmt.Sprintf("%s %s @%d", names[f.to], describe(&h.keys, f.msg), f.writes)
 	}
 	return out
 }
@@ -728,8 +778,8 @@ func TestStopShardsUnderLoad(t *testing.T) {
 		for i := uint32(1); !halt.Load(); i++ {
 			put := entryPut1(fmt.Sprintf("p%d", i), 1, 2*i)
 			get := getOf(fmt.Sprintf("p%d", i/2), 2*i+1)
-			if !h.n.DispatchData(transport.Envelope{From: runClient, To: 1, Msg: put}) ||
-				!h.n.DispatchData(transport.Envelope{From: runClient, To: 1, Msg: get}) {
+			if !h.n.DispatchData(h.keys.sent(transport.Envelope{From: runClient, To: 1, Msg: put})) ||
+				!h.n.DispatchData(h.keys.sent(transport.Envelope{From: runClient, To: 1, Msg: get})) {
 				return // the node stopped
 			}
 		}
@@ -760,8 +810,8 @@ func TestStopShardsUnderLoad(t *testing.T) {
 	}
 	for _, env := range acks {
 		a := env.Msg.(*PutAck)
-		if _, _, ok, _ := st.Store.Get(a.Key, a.Version); !ok {
-			t.Errorf("acknowledged put %s v%d is not in the store", a.Key, a.Version)
+		if _, _, ok, _ := st.Store.Get(h.keys.of(a), a.Version); !ok {
+			t.Errorf("acknowledged put %s v%d is not in the store", h.keys.of(a), a.Version)
 		}
 	}
 }
@@ -831,7 +881,7 @@ func TestRetryAfterBatchedCopyIsAcked(t *testing.T) {
 	}})
 	retry := entryPut1("a", 1, 1)
 	retry.Flood = true
-	h.n.HandleMessage(ctx, transport.Envelope{From: 5, To: 1, Msg: retry})
+	h.n.HandleMessage(ctx, h.keys.sent(transport.Envelope{From: 5, To: 1, Msg: retry}))
 
 	if acks := h.sentOf(isAck); len(acks) != 1 || acks[0].To != runClient {
 		t.Fatalf("acks = %+v, want one to the client", acks)
@@ -1056,7 +1106,7 @@ func TestGetOfWindowedKeyWaitsForTheRunCommit(t *testing.T) {
 		t.Errorf("frames:\n got  %q\n want %q", got, want)
 	}
 	for _, env := range h.sentOf(isReply) {
-		if r := env.Msg.(*GetReply); r.Key == "a" && (r.Version != 7 || string(r.Value) != "a") {
+		if r := env.Msg.(*GetReply); h.keys.of(r) == "a" && (r.Version != 7 || string(r.Value) != "a") {
 			t.Errorf("reply for a = v%d %q, want the put's v7", r.Version, r.Value)
 		}
 	}

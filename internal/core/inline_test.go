@@ -24,13 +24,14 @@ func getEnv(id uint64, key string, ttl uint8, last bool) transport.Envelope {
 	}}
 }
 
-// replies returns the versions of the get replies for key sent so far.
+// replies returns the versions of the get replies sent so far to the
+// gets of key the test noted in c.keys.
 func (c *liveCapture) replies(key string) []uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []uint64
 	for _, env := range c.sent {
-		if r, ok := env.Msg.(*GetReply); ok && r.Key == key {
+		if r, ok := env.Msg.(*GetReply); ok && c.keys.of(r) == key {
 			out = append(out, r.Version)
 		}
 	}
@@ -73,7 +74,7 @@ func TestInlineGetServesOnlyFirstHopLastGets(t *testing.T) {
 	defer n.Stop()
 	inline := func() uint64 { return n.Metrics().Get(metrics.InlineGets) }
 
-	n.Deliver(getEnv(1, "k", TTLUnset, true))
+	n.Deliver(out.keys.sent(getEnv(1, "k", TTLUnset, true)))
 	if got := len(out.replies("k")); got != 1 || inline() != 1 {
 		t.Fatalf("first-hop last get: %d replies when Deliver returned, inline_gets %d; want 1 and 1", got, inline())
 	}
@@ -82,7 +83,7 @@ func TestInlineGetServesOnlyFirstHopLastGets(t *testing.T) {
 		getEnv(3, "k", 3, true),         // relayed by another node
 	} {
 		idle(n, "k")
-		n.Deliver(env)
+		n.Deliver(out.keys.sent(env))
 		waitReplies(t, out, "k", i+2)
 		if inline() != 1 {
 			t.Fatalf("envelope %d: inline_gets = %d, want 1 (queued, not inline)", i, inline())
@@ -111,7 +112,7 @@ func TestInlineGetQueuedWhileItsKeyIsInTheWindow(t *testing.T) {
 	}})
 	waitWindowHolds(t, n, "k")
 
-	n.Deliver(getEnv(1, "k", TTLUnset, true))
+	n.Deliver(out.keys.sent(getEnv(1, "k", TTLUnset, true)))
 	if got := waitReplies(t, out, "k", 1); got[0] != 2 {
 		t.Fatalf("get read version %d, want the windowed 2", got[0])
 	}
@@ -190,7 +191,7 @@ func TestInlineGetRechecksItsMailbox(t *testing.T) {
 	n.StartShards(context.Background())
 	defer n.StopShards()
 
-	go n.DispatchData(getEnv(1, "k", TTLUnset, true))
+	go n.DispatchData(out.keys.sent(getEnv(1, "k", TTLUnset, true)))
 	<-st.entered
 	n.DispatchData(transport.Envelope{From: 9, To: 1, Msg: &PutRequest{
 		Routing: Routing{ID: gossip.RequestID(2), Origin: 9, TTL: TTLUnset},

@@ -27,6 +27,8 @@ type liveCapture struct {
 	sent []transport.Envelope
 	// hold, when not nil, parks every send of a MateReply until closed.
 	hold chan struct{}
+	// keys names what the get replies answer, for the gets a test noted.
+	keys requestKeys
 }
 
 func (c *liveCapture) Send(_ context.Context, to transport.NodeID, msg interface{}) error {

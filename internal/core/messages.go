@@ -79,10 +79,10 @@ func (m *PutRequest) hop() request             { c := *m; return &c }
 // PutAck confirms a put was stored by one replica. It is emitted only
 // by slice nodes that received the request in its global phase (the
 // slice "entry points"), which bounds acks per put by the flood's
-// expected slice hits rather than the slice size.
+// expected slice hits rather than the slice size. Like every answer it
+// names its request by ID alone: the client holds the key.
 type PutAck struct {
 	ID      gossip.RequestID
-	Key     string
 	Version uint64
 }
 
@@ -98,10 +98,10 @@ type GetRequest struct {
 func (m *GetRequest) routeKey() (string, bool) { return m.Key, true }
 func (m *GetRequest) hop() request             { c := *m; return &c }
 
-// GetReply answers a GetRequest.
+// GetReply answers a GetRequest, named by the request's ID alone (the
+// client holds the key).
 type GetReply struct {
 	ID      gossip.RequestID
-	Key     string
 	Version uint64
 	Value   []byte
 	// Slice is the responder's slice, letting clients warm their

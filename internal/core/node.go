@@ -739,7 +739,7 @@ func (s *dataShard) serveGet(ctx context.Context, v *routeView, m *GetRequest) b
 	s.traceOp(obs.TraceGetServe, m.TraceID, m.Key, len(val), 1)
 	n.learnOrigin(m.Origin, m.OriginAddr)
 	s.reply(ctx, m.Origin, &GetReply{
-		ID: m.ID, Key: m.Key, Version: actual, Value: val, Slice: v.slice,
+		ID: m.ID, Version: actual, Value: val, Slice: v.slice,
 	}, m.TraceID != 0 || len(val) > relayBatchValueMax)
 	return true
 }
@@ -757,7 +757,7 @@ func (s *dataShard) ack(ctx context.Context, req request, count int) {
 	var ack interface{}
 	switch m := req.(type) {
 	case *PutRequest:
-		ack = &PutAck{ID: m.ID, Key: m.Key, Version: m.Version}
+		ack = &PutAck{ID: m.ID, Version: m.Version}
 	case *PutBatchRequest:
 		ack = &PutBatchAck{ID: m.ID, Stored: count}
 	case *DeleteBatchRequest:

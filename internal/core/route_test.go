@@ -167,8 +167,8 @@ func TestGlobalPhaseSendsQueuedAnswersFirst(t *testing.T) {
 	// A caller-driven node runs the request as s's solo run: queue two
 	// answers in it ahead of the request.
 	s.solo.answers = append(s.solo.answers,
-		answer{to: client1, msg: &GetReply{ID: 1, Key: "earlier"}},
-		answer{to: client1, msg: &PutAck{ID: 2, Key: "earlier"}})
+		answer{to: client1, msg: &GetReply{ID: 1}},
+		answer{to: client1, msg: &PutAck{ID: 2}})
 
 	sent := h.deliver(77, routePut(key, TTLUnset, false))
 	if len(sent) != 2 || sent[0].To != client1 || sent[1].To != 900 {

@@ -449,6 +449,15 @@ func (n *Node) takeCycle(r *run, home int) bool {
 		case s.stopped:
 			s.token.Unlock()
 			continue
+		case q == 0:
+			// The run that held the token drained the mail before letting
+			// go. Taken, the shard would make a cycle that took nothing,
+			// which wakeRun leaves without draining: the token kept and the
+			// run counted in Node.running, so no producer would wake
+			// anybody. Let go and check the mailbox as any holder does.
+			s.token.Unlock()
+			s.recheck()
+			continue
 		default:
 			if len(r.shards) == 0 {
 				n.running.Add(1)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -612,19 +613,19 @@ func TestDeleteBatchHammer(t *testing.T) {
 }
 
 // sentAs names what a data-plane message handed to the fabric carries,
-// one entry per object: acks, replies and intra-slice relay copies by
-// kind, key and version (a delete's ack, which names neither, by request
-// id and applied count). A run's batched relay counts as the copies it
+// one entry per object: intra-slice relay copies by kind, key and
+// version, answers (which name no key) by kind, request id and version or
+// a delete's applied count. A run's batched relay counts as the copies it
 // holds, and a reply batch as its answers (answersIn), so legs whose runs
 // differ in length stay comparable; control traffic names nothing.
 func sentAs(msg interface{}) []string {
 	switch m := msg.(type) {
 	case *PutAck:
-		return []string{fmt.Sprintf("put-ack %s v%d", m.Key, m.Version)}
+		return []string{fmt.Sprintf("put-ack %v v%d", m.ID, m.Version)}
 	case *DeleteBatchAck:
 		return []string{fmt.Sprintf("delete-ack %v applied=%d", m.ID, m.Applied)}
 	case *GetReply:
-		return []string{fmt.Sprintf("get-reply %s v%d", m.Key, m.Version)}
+		return []string{fmt.Sprintf("get-reply %v v%d", m.ID, m.Version)}
 	case *PutRequest:
 		return []string{fmt.Sprintf("put-relay %s v%d intra=%v", m.Key, m.Version, m.Intra)}
 	case *PutBatchRequest:
@@ -759,6 +760,55 @@ func TestShardEquivalenceSingleVsMany(t *testing.T) {
 			if got := leg.got.sent[what]; got != count {
 				t.Errorf("%q: sent %d times by 1 shard, %d times by %s", what, count, got, leg.name)
 			}
+		}
+	}
+}
+
+// TestWakeRunLetsGoOfAnEmptiedShard: a wake-up that saw mail on a shard
+// held by another run, and takes the shard's token after that run drained
+// the mail and let go, must let the token go again and count no run in
+// progress. One that kept the shard took nothing and so never ended: the
+// token stayed held and Node.running above zero, and with running above
+// zero no producer wakes anybody, so the node's mailboxes filled and
+// dropped with both shard goroutines idle (a goroutine dump of a
+// `mixed_pipeline` node that dropped showed just that).
+func TestWakeRunLetsGoOfAnEmptiedShard(t *testing.T) {
+	// A caller-driven node whose one shard has a mailbox: wake-ups are the
+	// test's alone.
+	h := newRunHarness(t, newRunStore(false), Config{})
+	n, s := h.n, h.n.shards[0]
+	s.mailbox = make(chan transport.Envelope, 1)
+	env := transport.Envelope{From: runClient, To: 1, Msg: getOf("missing", 1)}
+	// The other run: it holds the token whenever the mailbox holds mail,
+	// so a wake-up can only miss the mail or find it gone.
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.token.Lock()
+			s.mailbox <- env
+			runtime.Gosched()
+			<-s.mailbox
+			s.token.Unlock()
+			runtime.Gosched()
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	var r run
+	for deadline := time.Now().Add(250 * time.Millisecond); time.Now().Before(deadline); {
+		n.wakeRun(context.Background(), &r, 0)
+		if held := len(r.shards); held != 0 || n.running.Load() != 0 {
+			running := n.running.Load()
+			r.release()
+			t.Fatalf("a wake-up that took nothing holds %d shards, running = %d", held, running)
 		}
 	}
 }

@@ -109,6 +109,11 @@ func appendBytes(b []byte, p []byte) []byte {
 	return append(b, p...)
 }
 
+// appendReserved writes a reserved string slot, always empty: the one
+// byte of a zero length. An answer's old key echo is such a slot, so
+// its layout stays the one older builds read (see reader.reserved).
+func appendReserved(b []byte) []byte { return appendLen(b, 0) }
+
 // ---- reader (decode) ----
 
 // reader walks a frame, latching the first error; helpers return zero
@@ -201,6 +206,10 @@ func (r *reader) str() string {
 	}
 	return string(p)
 }
+
+// reserved reads a reserved string slot (appendReserved) and drops what
+// it holds: a frame from an older build may still fill it.
+func (r *reader) reserved() { r.take(r.length()) }
 
 // blob returns a copy: frames are reused buffers, but decoded messages
 // (values, keys) outlive them.

@@ -53,7 +53,7 @@ func fixtures() []Envelope {
 			Routing: core.Routing{ID: 42, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true, TraceID: 0x7ace1},
 			Key:     "k", Version: 3, Value: []byte("val"),
 		},
-		&core.PutAck{ID: 42, Key: "k", Version: 3},
+		&core.PutAck{ID: 42, Version: 3},
 		&core.PutBatchRequest{
 			Routing: core.Routing{ID: 43, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: false, NoAck: false, TraceID: 0x7ace2},
 			Objs:    objs,
@@ -63,7 +63,7 @@ func fixtures() []Envelope {
 			Routing: core.Routing{ID: 44, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, TraceID: 0x7ace3},
 			Key:     "k", Version: store.Latest,
 		},
-		&core.GetReply{ID: 44, Key: "k", Version: 3, Value: []byte("val"), Slice: 2},
+		&core.GetReply{ID: 44, Version: 3, Value: []byte("val"), Slice: 2},
 		&core.DeleteBatchRequest{
 			Routing: core.Routing{ID: 46, Origin: 9, OriginAddr: "10.0.0.9:7009", TTL: 4, Intra: true, NoAck: true, TraceID: 0x7ace5},
 			Items:   []core.DeleteItem{{Key: "a", Version: 1}, {Key: "b", Version: store.Latest}},
@@ -86,8 +86,8 @@ func fixtures() []Envelope {
 		&bootstrap.SegmentChunk{Segment: 3, Offset: 2048, CRC: 0xabad1dea, Data: []byte("record bytes")},
 		&bootstrap.SegmentDone{Segment: 3, Bytes: 4096, Missing: true},
 		&core.Replies{Msgs: []interface{}{
-			&core.PutAck{ID: 49, Key: "k", Version: 3},
-			&core.GetReply{ID: 50, Key: "g", Version: 4, Value: []byte("val"), Slice: 2},
+			&core.PutAck{ID: 49, Version: 3},
+			&core.GetReply{ID: 50, Version: 4, Value: []byte("val"), Slice: 2},
 			&core.PutBatchAck{ID: 51, Stored: 2},
 			&core.DeleteBatchAck{ID: 53, Applied: 1},
 		}},
@@ -456,13 +456,96 @@ func TestFloodFlagLegacyFrameCompat(t *testing.T) {
 	}
 }
 
+// legacyAnswerFrame is an answer frame as builds that echoed the
+// request's key wrote it (testdata/frames.golden before answers stopped
+// echoing), the keys it echoed in frame order, and the answer it decodes
+// to now.
+type legacyAnswerFrame struct {
+	name   string
+	legacy string
+	keys   []string
+	msg    interface{}
+}
+
+func legacyAnswerFrames() []legacyAnswerFrame {
+	return []legacyAnswerFrame{
+		{
+			name:   "PutAck",
+			legacy: "010e007100000000000000d5000000000000000d31302e302e302e313a373030302a00000000000000016b0300000000000000",
+			keys:   []string{"k"},
+			msg:    &core.PutAck{ID: 42, Version: 3},
+		},
+		{
+			name: "GetReply",
+			legacy: "0112007500000000000000d9000000000000000d31302e302e302e313a373030302c00000000000000016b030000000000" +
+				"00000376616c02000000",
+			keys: []string{"k"},
+			msg:  &core.GetReply{ID: 44, Version: 3, Value: []byte("val"), Slice: 2},
+		},
+		{
+			name: "Replies",
+			legacy: "0124008700000000000000eb000000000000000d31302e302e302e313a37303030040e003100000000000000016b03000000" +
+				"0000000012003200000000000000016704000000000000000376616c020000001000330000000000000002000000160035" +
+				"0000000000000001000000",
+			keys: []string{"k", "g"},
+			msg: &core.Replies{Msgs: []interface{}{
+				&core.PutAck{ID: 49, Version: 3},
+				&core.GetReply{ID: 50, Version: 4, Value: []byte("val"), Slice: 2},
+				&core.PutBatchAck{ID: 51, Stored: 2},
+				&core.DeleteBatchAck{ID: 53, Applied: 1},
+			}},
+		},
+	}
+}
+
+// TestAnswerKeySlotCompat pins the mixed-cluster contract of the answers'
+// reserved key slot (kinds 14 and 18, alone or in a reply batch): a
+// frame from a build that echoed the request's key still decodes to the
+// same answer, the key read and dropped; and a frame this build writes
+// is that frame with every key slot emptied to its one zero-length byte,
+// so it holds no copy of the key, and an older decoder reads it as an
+// answer with an empty key, which it never looked at.
+func TestAnswerKeySlotCompat(t *testing.T) {
+	codec := BinaryCodec()
+	for _, tc := range legacyAnswerFrames() {
+		t.Run(tc.name, func(t *testing.T) {
+			legacy, err := hex.DecodeString(tc.legacy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, err := codec.Decode(legacy)
+			if err != nil {
+				t.Fatalf("key-echoing frame no longer decodes: %v", err)
+			}
+			if !reflect.DeepEqual(env.Msg, tc.msg) {
+				t.Fatalf("key-echoing frame decoded to %+v, want %+v", env.Msg, tc.msg)
+			}
+
+			frame, err := codec.Encode(nil, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := legacy
+			for _, key := range tc.keys {
+				want = bytes.Replace(want, appendStr(nil, key), []byte{0}, 1)
+			}
+			if len(want) != len(legacy)-len(strings.Join(tc.keys, "")) {
+				t.Fatalf("the fixture does not echo %q", tc.keys)
+			}
+			if !bytes.Equal(frame, want) {
+				t.Fatalf("answer frame is not the key-echoing layout with its key slots empty\n got  %x\n want %x", frame, want)
+			}
+		})
+	}
+}
+
 // TestRepliesNestOnlyAnswers: a reply batch decodes only when every entry
 // is one of the four answers. A batch inside a batch, a request, a
 // control message, another protocol's ack or an unknown kind fails the
 // frame, so whatever decodes encodes again.
 func TestRepliesNestOnlyAnswers(t *testing.T) {
 	codec := BinaryCodec()
-	ack := &core.PutAck{ID: 7, Key: "k", Version: 1}
+	ack := &core.PutAck{ID: 7, Version: 1}
 	for _, nested := range []interface{}{
 		&core.Replies{Msgs: []interface{}{ack}},
 		&core.PutRequest{Routing: core.Routing{ID: 8}, Key: "k", Version: 1},

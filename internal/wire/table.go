@@ -129,16 +129,22 @@ var Messages = []Spec{
 			return m
 		},
 	},
+	// Kinds 14 and 18 keep the slot of the request's key, which answers
+	// once echoed and no client read, as a reserved empty string: either
+	// side of a mixed cluster decodes the other's answers.
 	{Kind: 14, Name: "core.PutAck",
 		New: func() interface{} { return &core.PutAck{} },
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.PutAck)
 			b = appendU64(b, uint64(v.ID))
-			b = appendStr(b, v.Key)
+			b = appendReserved(b)
 			return appendU64(b, v.Version)
 		},
 		dec: func(r *reader) interface{} {
-			return &core.PutAck{ID: gossip.RequestID(r.u64()), Key: r.str(), Version: r.u64()}
+			m := &core.PutAck{ID: gossip.RequestID(r.u64())}
+			r.reserved()
+			m.Version = r.u64()
+			return m
 		},
 	},
 	{Kind: 15, Name: "core.PutBatchRequest",
@@ -192,16 +198,16 @@ var Messages = []Spec{
 		enc: func(b []byte, m interface{}) []byte {
 			v := m.(*core.GetReply)
 			b = appendU64(b, uint64(v.ID))
-			b = appendStr(b, v.Key)
+			b = appendReserved(b)
 			b = appendU64(b, v.Version)
 			b = appendBytes(b, v.Value)
 			return appendI32(b, v.Slice)
 		},
 		dec: func(r *reader) interface{} {
-			return &core.GetReply{
-				ID: gossip.RequestID(r.u64()), Key: r.str(), Version: r.u64(),
-				Value: r.blob(), Slice: r.i32(),
-			}
+			m := &core.GetReply{ID: gossip.RequestID(r.u64())}
+			r.reserved()
+			m.Version, m.Value, m.Slice = r.u64(), r.blob(), r.i32()
+			return m
 		},
 	},
 	{Kind: 21, Name: "core.DeleteBatchRequest",
