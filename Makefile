@@ -26,7 +26,9 @@ test:
 	$(GO) test ./...
 
 # STRESS names the tests of the writer-led group commit, the inline get,
-# the shard wake-ups (a lost one strands requests until a deadline), the
+# the inline put (a paced client's put or a mate's quiet relay copy run
+# on the read loop, racing the shard goroutines, and the transport's
+# pacing mark), the shard wake-ups (a lost one strands requests until a deadline), the
 # delete batches whose keys span shards (a delete that went ahead of the
 # node's put window would let a later commit resurrect a deleted
 # version; TestDeleteBatchCommitsEveryOwnerWindow's held-owner case races
@@ -37,7 +39,7 @@ test:
 # and the client's held turn (its hold state has one owner goroutine and
 # no lock, so the race detector is its guard): each runs twenty times
 # under the race detector. CI's stress step runs this target.
-STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestStoredObjectsGaugeAfterShardPut|TestTCPHoldWritesEachPeerOnce|TestTCPFailedFlushDropsAndRedials|TestTCPBuffersOverBoundReleased|TestClientTurnWritesBurstOnce|TestShardWakeHammer|TestDeleteBatchHammer|TestDeleteBatchCommitsEveryOwnerWindow|TestCommitCarriesAnswersIntoTheNextCycle|TestStopShardsUnderLoad|TestWakeRunLetsGoOfAnEmptiedShard
+STRESS = TestLogGroupCommitWritersShareSyncs|TestLogFailedSyncFailsExactlyItsWrites|TestLogCloseReleasesWaitingWriters|TestInlineGet|TestInlinePut|TestTCPMarksPacedStreams|TestStoredObjectsGaugeAfterShardPut|TestTCPHoldWritesEachPeerOnce|TestTCPFailedFlushDropsAndRedials|TestTCPBuffersOverBoundReleased|TestClientTurnWritesBurstOnce|TestShardWakeHammer|TestDeleteBatchHammer|TestDeleteBatchCommitsEveryOwnerWindow|TestCommitCarriesAnswersIntoTheNextCycle|TestStopShardsUnderLoad|TestWakeRunLetsGoOfAnEmptiedShard
 
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS)' ./internal/store ./internal/core ./internal/transport .

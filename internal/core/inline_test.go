@@ -211,3 +211,179 @@ func TestInlineGetRechecksItsMailbox(t *testing.T) {
 		}
 	}
 }
+
+// deliverAs hands msg from from to DispatchData, marked as the TCP
+// fabric would mark it (Last, Paced).
+func (h *runHarness) deliverAs(from transport.NodeID, msg interface{}, last, paced bool) {
+	h.t.Helper()
+	env := h.keys.sent(transport.Envelope{From: from, To: 1, Msg: msg, Last: last, Paced: paced})
+	if !h.n.DispatchData(env) {
+		h.t.Fatal("DispatchData declined a data envelope in external mode")
+	}
+}
+
+func inlinePuts(n *Node) uint64 { return n.Metrics().Get(metrics.InlinePuts) }
+
+// TestInlinePutRunsAPacedFirstHopPut: a client's put from a paced stream
+// that finds its shard idle is stored, acked and relayed to the mate
+// before DispatchData returns, in that order — the fabric checks that
+// the store held it when the ack left — and counted in inline_puts.
+func TestInlinePutRunsAPacedFirstHopPut(t *testing.T) {
+	st := newRunStore(false)
+	h := newRunHarness(t, st, Config{})
+	h.start()
+
+	h.deliverAs(runClient, entryPut1("k", 1, 1), true, true)
+	if got := inlinePuts(h.n); got != 1 {
+		t.Fatalf("inline_puts = %d, want 1", got)
+	}
+	h.checkFrames([]string{"client ack k @1", "mate relay k @1"}, 1)
+	if calls := st.calls(); fmt.Sprint(calls) != "[put 1]" {
+		t.Fatalf("store writes = %v, want [put 1]", calls)
+	}
+}
+
+// TestInlinePutQueuedUnlessPacedAndIdle: a first-hop put runs inline
+// only when its stream is paced and its shard idle. One that is not
+// paced, not Last or relayed by another node, or that finds the run
+// token held, mail queued or the shard stopped, goes to the mailbox, and
+// a shard goroutine stores and acks it — on a stopped shard, the final
+// drain.
+func TestInlinePutQueuedUnlessPacedAndIdle(t *testing.T) {
+	relayed := entryPut1("k", 1, 1)
+	relayed.TTL = 3
+	for _, c := range []struct {
+		name        string
+		msg         *PutRequest
+		last, paced bool
+		held        bool // the test holds the run token through the dispatch
+		queued      bool // an earlier put waits in the mailbox, unannounced
+		stopped     bool
+	}{
+		{name: "not paced", msg: entryPut1("k", 1, 1), last: true},
+		{name: "not last", msg: entryPut1("k", 1, 1)},
+		{name: "relayed", msg: relayed, last: true, paced: true},
+		{name: "token held", msg: entryPut1("k", 1, 1), last: true, paced: true, held: true},
+		{name: "mail queued", msg: entryPut1("k", 1, 1), last: true, paced: true, queued: true},
+		{name: "stopped", msg: entryPut1("k", 1, 1), last: true, paced: true, stopped: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st := newRunStore(false)
+			h := newRunHarness(t, st, Config{})
+			stop := h.start()
+			s := h.n.shardFor("k")
+			s.token.Lock()
+			acks := 1
+			if c.queued {
+				s.mailbox <- h.keys.sent(transport.Envelope{From: runClient, To: 1, Msg: entryPut1("q", 1, 2)})
+				acks++
+			}
+			s.stopped = c.stopped
+			if !c.held {
+				s.token.Unlock()
+			}
+			h.deliverAs(runClient, c.msg, c.last, c.paced)
+			if c.held {
+				if q := len(s.mailbox); q != 1 || len(st.calls()) != 0 {
+					t.Errorf("with the token held: %d queued, store writes %v; want 1 and none", q, st.calls())
+				}
+				s.token.Unlock()
+				s.recheck()
+			}
+			if got := inlinePuts(h.n); got != 0 {
+				t.Fatalf("inline_puts = %d, want 0", got)
+			}
+			if c.stopped {
+				if q := len(s.mailbox); q != 1 {
+					t.Fatalf("%d queued on the stopped shard, want 1", q)
+				}
+				stop()
+			}
+			waitAcks(t, h, acks)
+			stop()
+			if !st.holds("k", 1) {
+				t.Fatal("the queued put was never stored")
+			}
+		})
+	}
+}
+
+// waitAcks waits until the fabric was handed n acks.
+func waitAcks(t *testing.T, h *runHarness, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); len(h.sentOf(isAck)) < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d acks after 5s, want %d: %q", len(h.sentOf(isAck)), n, h.frameLines())
+		}
+	}
+}
+
+// intraCopyTTL is intraCopy with ttl hops left.
+func intraCopyTTL(key string, version uint64, seq uint32, ttl uint8) *PutRequest {
+	c := intraCopy(key, version, seq)
+	c.TTL = ttl
+	return c
+}
+
+// TestInlinePutFilesQuietRelayCopies: a mate's relay copy, single or
+// batched, that finds its shard idle is filed in the window before
+// DispatchData returns when its run can send nothing — its TTL is spent,
+// or the snapshot names no mate but its sender — and a copy that fills
+// the window commits it there, sending nothing. A copy whose run could
+// send (a further mate, TTL left) or with a frame behind it is queued,
+// and the shard goroutine relays it.
+func TestInlinePutFilesQuietRelayCopies(t *testing.T) {
+	const other = transport.NodeID(8)
+	st := newRunStore(false)
+	h := newRunHarness(t, st, Config{})
+	h.start()
+
+	// The harness's one mate is the sender: nothing to relay to.
+	h.deliverAs(runMate, intraCopyTTL("a", 1, 1, 2), true, false)
+	h.deliverAs(runMate, intraBatch(2, 1, "b", "c"), true, false)
+	if got := inlinePuts(h.n); got != 3 || !windowHolds(h.n, "a") || !windowHolds(h.n, "c") {
+		t.Fatalf("inline_puts = %d, window holds a %v, c %v; want 3, true, true",
+			got, windowHolds(h.n, "a"), windowHolds(h.n, "c"))
+	}
+	// A copy that fills the window commits it on the spot.
+	keys := make([]string, coalesceMax-3)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("f%d", i)
+	}
+	h.deliverAs(runMate, intraBatch(3, 1, keys...), true, false)
+	if calls, want := st.calls(), fmt.Sprintf("[batch %d]", coalesceMax); fmt.Sprint(calls) != want {
+		t.Fatalf("store writes = %v, want %s", calls, want)
+	}
+	if got := inlinePuts(h.n); got != coalesceMax {
+		t.Fatalf("inline_puts = %d, want %d", got, coalesceMax)
+	}
+	// Not Last: queued, though it would have been quiet.
+	h.deliverAs(runMate, intraCopyTTL("g", 1, 4, 2), false, false)
+	waitWindowHolds(t, h.n, "g")
+	if got := inlinePuts(h.n); got != coalesceMax {
+		t.Fatalf("a copy with a frame behind it ran inline: inline_puts = %d", got)
+	}
+	if frames := h.frameLines(); len(frames) != 0 {
+		t.Fatalf("quiet copies sent %q", frames)
+	}
+
+	// From a node that is not the snapshot's mate, with TTL left: the
+	// run relays to the mate, so the copy, single or batched, is queued.
+	batch := intraBatch(5, 1, "h2", "h3")
+	batch.TTL = 2
+	for i, m := range []interface{}{intraCopyTTL("h1", 1, 6, 2), batch} {
+		h.deliverAs(other, m, true, false)
+		h.waitFrames(i + 1)
+	}
+	relays := []string{"mate relay h1 @1", "mate relay [h2 h3] @1"}
+	h.checkFrames(relays, 0)
+	if got := inlinePuts(h.n); got != coalesceMax {
+		t.Fatalf("a copy the run relays ran inline: inline_puts = %d", got)
+	}
+	// The same with its TTL spent goes no further: filed inline.
+	h.deliverAs(other, intraCopy("i", 1, 7), true, false)
+	if got := inlinePuts(h.n); got != coalesceMax+1 || !windowHolds(h.n, "i") {
+		t.Fatalf("a spent copy: inline_puts = %d, window holds it %v; want %d, true", got, windowHolds(h.n, "i"), coalesceMax+1)
+	}
+	h.checkFrames(relays, 0)
+}

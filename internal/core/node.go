@@ -543,7 +543,7 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 		n.freshRoute()
 		s := n.shardFor(key)
 		s.token.Lock()
-		n.runOne(ctx, s, env)
+		n.runOne(ctx, s, n.routeSnap.Load(), env)
 		return
 	}
 	defer n.routeChanged()
@@ -593,8 +593,9 @@ func (n *Node) HandleMessage(ctx context.Context, env transport.Envelope) {
 // slice through the TTL-bounded global phase, apply one for this slice
 // and pass it on to the mates. Messages are immutable (a node's own
 // clients receive the pointer it sent): relays work on copies. from
-// is the sender, which no relay hands the request straight back to.
-func (n *Node) handleData(ctx context.Context, s *dataShard, from transport.NodeID, req request) {
+// is the sender, which no relay hands the request straight back to; v is
+// the routing snapshot the request is handled over.
+func (n *Node) handleData(ctx context.Context, s *dataShard, v *routeView, from transport.NodeID, req request) {
 	r := req.routing()
 	if s.dedup.Seen(r.ID) {
 		s.met.Inc(metrics.DuplicatesSuppressed)
@@ -605,7 +606,6 @@ func (n *Node) handleData(ctx context.Context, s *dataShard, from transport.Node
 		return
 	}
 	_, read := req.(*GetRequest)
-	v := n.routeSnap.Load()
 
 	if target := slicing.KeySlice(key, v.sliceCount); v.slice != target {
 		if r.Intra {

@@ -16,12 +16,13 @@
 // On a running node (StartShards: live nodes, in-process clusters)
 // DispatchData queues it on the shard's mailbox, and a wake-up of the
 // node's shard goroutines drains what every idle shard has queued as one
-// run — or, for a client's get that finds its shard idle, the fabric
-// goroutine that read it drains it at once. Either way a run holds the
-// run token of every shard it drains, so one goroutine at a time
-// touches a shard. On a caller-driven node (simulations, bench/traced,
-// tests) HandleMessage is that goroutine: it brings the snapshot up to
-// date and drains a run of one envelope.
+// run — or, for an envelope that finds its shard idle and nothing behind
+// it (a client's get, a paced client's put, a mate's relay copy that goes
+// no further), the fabric goroutine that read it drains it at once.
+// Either way a run holds the run token of every shard it drains, so one
+// goroutine at a time touches a shard. On a caller-driven node
+// (simulations, bench/traced, tests) HandleMessage is that goroutine: it
+// brings the snapshot up to date and drains a run of one envelope.
 //
 // A key's requests always hash to the same shard, so per-shard dedup
 // caches lose nothing: two deliveries of one request id meet in the same
@@ -163,7 +164,7 @@ type dataShard struct {
 // commit that carries its answers (see commit) takes the next cycle
 // instead, and the answers leave with that cycle's. inline marks a solo
 // run that serves a client's get on the goroutine that read it
-// (serveIdle). A wake-up's run belongs to its shard goroutine; every
+// (runIdle). A wake-up's run belongs to its shard goroutine; every
 // other run is a shard's solo.
 type run struct {
 	shards  []*dataShard
@@ -310,15 +311,24 @@ func (n *Node) StopShards() {
 // drops it and counts it), and the shard goroutines are woken unless a
 // run is in progress: that run wakes them as it ends (see wakeRun), so
 // a burst that arrives during one run is the next run, whole, not one
-// run per shard. A client's get is served inline instead, on the
-// calling goroutine, when its shard is idle: it is on its first hop (so
-// it came in on a client connection, and no node-to-node read loop ever
-// waits on a send), the fabric has no further frame of its stream in
-// hand (env.Last), the run token is free, nothing is queued ahead of it,
-// and the node's window holds no copy of its key and is not being
-// committed (serving it needs no commit, so it never waits on the disk).
-// That saves the hand-off to a shard goroutine, and it is the same drain
-// either way.
+// run per shard. An envelope that finds its shard idle is run on the
+// calling goroutine instead (runIdle) when the fabric has no further
+// frame of its stream in hand (env.Last) and it is one of three kinds:
+//   - a client's get on its first hop, whose key the node's window
+//     neither holds nor is committing (serving it needs no commit, so it
+//     never waits on the disk);
+//   - a client's put on its first hop from a paced stream (env.Paced),
+//     whose sender waits for its ack before it writes again: its run
+//     commits, acks and relays here, and the read loop has nothing to
+//     queue meanwhile;
+//   - a mate's relay copy (PutRequest or PutBatchRequest, Intra) whose
+//     run sends nothing (routeView.quiet): it is filed in the window, or
+//     commits a full one.
+//
+// The first two came in on a client's connection, and the third sends
+// nothing, so no node-to-node read loop ever waits on a send. Either way
+// it is the same drain; inline, it saves the hand-off to a shard
+// goroutine.
 func (n *Node) DispatchData(env transport.Envelope) bool {
 	if !n.external.Load() {
 		return false
@@ -328,7 +338,7 @@ func (n *Node) DispatchData(env transport.Envelope) bool {
 		return false
 	}
 	s := n.shardFor(key)
-	if m, get := env.Msg.(*GetRequest); get && env.Last && m.TTL == TTLUnset && n.serveIdle(s, key, env) {
+	if env.Last && n.runIdle(s, key, env) {
 		return true
 	}
 	select {
@@ -342,26 +352,67 @@ func (n *Node) DispatchData(env transport.Envelope) bool {
 	return true
 }
 
-// serveIdle drains env on the calling goroutine, a run of one, if the
-// shard is idle — its run token free, nothing queued, not stopped — and
-// the window neither holds a copy of key nor is locked by a commit in
+// inlineCount is DispatchData's rule for what may run on the goroutine
+// that read env, over snapshot v: it returns the counter such a run
+// counts in and by how much, or 0 when env must be queued.
+func inlineCount(v *routeView, env transport.Envelope) (metrics.Counter, int) {
+	switch m := env.Msg.(type) {
+	case *GetRequest:
+		if m.TTL == TTLUnset {
+			return metrics.InlineGets, 1
+		}
+	case *PutRequest:
+		if m.TTL == TTLUnset && env.Paced || m.Intra && v.quiet(env.From, m.TTL) {
+			return metrics.InlinePuts, 1
+		}
+	case *PutBatchRequest:
+		if m.Intra && v.quiet(env.From, m.TTL) {
+			return metrics.InlinePuts, len(m.Objs)
+		}
+	}
+	return 0, 0
+}
+
+// quiet reports whether a mate's relay copy from from, carrying ttl, goes
+// no further (see passOn): its TTL is spent, or v names no mate but from.
+func (v *routeView) quiet(from transport.NodeID, ttl uint8) bool {
+	if ttl == 0 {
+		return true
+	}
+	for _, id := range v.mates {
+		if id != from {
+			return false
+		}
+	}
+	return true
+}
+
+// runIdle runs env on the calling goroutine, a run of one over the
+// snapshot that admitted it (inlineCount), if the shard is idle — its
+// run token free, nothing queued, not stopped — and, for a get, the
+// window neither holds a copy of key nor is locked by a commit in
 // progress; it reports whether it did. That check is the get's place in
 // the window's order: every copy of key filed before it is in the store,
 // and a copy filed after it comes after the get, so the run does not
-// look at the window again and never waits for its lock. A producer that
-// queued on the shard meanwhile may have woken a run that found it held,
-// so the shard's mailbox is checked again once the token is free.
-func (n *Node) serveIdle(s *dataShard, key string, env transport.Envelope) bool {
-	if !s.token.TryLock() {
+// look at the window again and never waits for its lock. A put needs no
+// such check: its run's commit takes the window's lock like any other. A
+// producer that queued on the shard meanwhile may have woken a run that
+// found it held, so the shard's mailbox is checked again once the token
+// is free.
+func (n *Node) runIdle(s *dataShard, key string, env transport.Envelope) bool {
+	v := n.routeSnap.Load()
+	counter, count := inlineCount(v, env)
+	if count == 0 || !s.token.TryLock() {
 		return false
 	}
-	if s.stopped || len(s.mailbox) > 0 || n.win.busy(key) {
+	get := counter == metrics.InlineGets
+	if s.stopped || len(s.mailbox) > 0 || get && n.win.busy(key) {
 		s.token.Unlock()
 		return false
 	}
-	s.met.Inc(metrics.InlineGets)
-	s.solo.inline = true
-	n.runOne(n.shardCtx, s, env)
+	s.met.Add(counter, uint64(count))
+	s.solo.inline = get
+	n.runOne(n.shardCtx, s, v, env)
 	s.recheck()
 	return true
 }
@@ -489,7 +540,7 @@ func (n *Node) drain(ctx context.Context, r *run) {
 	for {
 		for i, s := range r.shards {
 			for q := r.queued[i]; q > 0; q-- {
-				n.handleEnv(ctx, s, <-s.mailbox)
+				n.handleEnv(ctx, s, n.routeSnap.Load(), <-s.mailbox)
 			}
 		}
 		if !r.finish(ctx) {
@@ -500,18 +551,18 @@ func (n *Node) drain(ctx context.Context, r *run) {
 }
 
 // runOne drains env alone on s, whose run token the caller holds, as
-// s's solo run, and lets go of the token.
-func (n *Node) runOne(ctx context.Context, s *dataShard, env transport.Envelope) {
+// s's solo run over routing snapshot v, and lets go of the token.
+func (n *Node) runOne(ctx context.Context, s *dataShard, v *routeView, env transport.Envelope) {
 	s.solo.take(s, 0)
-	n.handleEnv(ctx, s, env)
+	n.handleEnv(ctx, s, v, env)
 	n.drain(ctx, &s.solo)
 }
 
 // handleEnv hands one delivered data envelope to the request handler
-// on its shard.
-func (n *Node) handleEnv(ctx context.Context, s *dataShard, env transport.Envelope) {
+// on its shard, routed by snapshot v.
+func (n *Node) handleEnv(ctx context.Context, s *dataShard, v *routeView, env transport.Envelope) {
 	s.met.Inc(metrics.MsgRecv)
-	n.handleData(ctx, s, env.From, env.Msg.(request)) // only requests reach a shard
+	n.handleData(ctx, s, v, env.From, env.Msg.(request)) // only requests reach a shard
 }
 
 // finish ends a cycle of the run. Its entry puts and the node's window
@@ -964,7 +1015,7 @@ func (s *dataShard) collectPut(from transport.NodeID, m *PutRequest) {
 
 // waits reports whether a get of key must wait for the run's commit: a
 // put of key is among the run's entry puts, or a copy of it in the node's
-// window. Unless the run is inline (serveIdle checked the window for
+// window. Unless the run is inline (runIdle checked the window for
 // it), it waits for the window's lock, so a commit in progress lands
 // first.
 func (r *run) waits(w *relayWindow, key string) bool {

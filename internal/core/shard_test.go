@@ -496,6 +496,135 @@ func TestShardWakeHammer(t *testing.T) {
 	}
 }
 
+// TestInlinePutHammer: producers feed a 4-shard node with one mate
+// through DispatchData — paced client puts, which run inline on an idle
+// shard, queued ones, gets right behind them, and the mate's relay
+// copies, single and batched, filed inline when nothing is behind them —
+// so every put a read loop may run races the shard goroutines' runs.
+// Each producer waits for every answer of its burst before the next: a
+// lost wake-up strands it until the deadline. At the end no mailbox
+// holds mail and no run is counted in progress, and once the stop
+// committed the window every put and copy is stored.
+func TestInlinePutHammer(t *testing.T) {
+	const producers, burst, bursts = 4, 16, 300
+	const base, mate = transport.NodeID(0xC0000100), transport.NodeID(9)
+	st := store.NewMemory()
+	answered := make([]chan struct{}, producers)
+	for p := range answered {
+		answered[p] = make(chan struct{}, burst)
+	}
+	var atLeast sync.Map // get id → the version its reply must reach
+	var stale atomic.Int64
+	n := NewNode(1, Config{Slices: 1, Slicer: SlicerStatic, DataShards: 4, Seed: 7, RoundPeriod: time.Hour, AntiEntropyEvery: -1}, st,
+		transport.SenderFunc(func(_ context.Context, to transport.NodeID, msg interface{}) error {
+			if to == mate {
+				return nil // the intra relays of entry puts
+			}
+			for _, m := range answersIn(msg) {
+				if r, ok := m.(*GetReply); ok {
+					if want, ok := atLeast.Load(r.ID); ok && r.Version < want.(uint64) {
+						stale.Add(1)
+					}
+				}
+				answered[to-base] <- struct{}{}
+			}
+			return nil
+		}))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n.HandleMessage(ctx, transport.Envelope{From: mate, To: 1, Msg: &MateReply{Slice: 0, Mates: []pss.Descriptor{{ID: mate, Slice: 0}}}})
+	n.StartShards(ctx)
+	defer n.StopShards()
+
+	stored := make([][]store.Object, producers) // what each producer put or relayed
+	errs := make(chan error, producers)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			origin := base + transport.NodeID(p)
+			for b, seq := 0, uint32(0); b < bursts; b++ {
+				answers := 0
+				var put *PutRequest
+				for i := 0; i < burst; i++ {
+					seq++
+					key := fmt.Sprintf("p%d-%d", p, seq)
+					r := Routing{ID: gossip.MakeRequestID(origin, seq), Origin: origin, TTL: TTLUnset}
+					env := transport.Envelope{From: origin, To: 1, Last: true}
+					switch i % 4 {
+					case 0, 1: // a paced put, or one with a frame behind it
+						put = &PutRequest{Routing: r, Key: key, Version: uint64(seq), Value: []byte("v")}
+						env.Msg, env.Last, env.Paced = put, i%4 == 0, i%4 == 0
+						stored[p] = append(stored[p], store.Object{Key: key, Version: put.Version})
+					case 2:
+						atLeast.Store(r.ID, put.Version)
+						env.Msg = &GetRequest{Routing: r, Key: put.Key, Version: store.Latest}
+					default: // the mate's copies: a single one, then a batch with a frame behind it
+						r = Routing{ID: gossip.MakeRequestID(mate, uint32(p)<<24|seq), Intra: true, NoAck: true, TTL: uint8(b % 2)}
+						objs := []store.Object{{Key: "m" + key, Version: 1, Value: []byte("v")}}
+						env.From, env.Msg = mate, &PutRequest{Routing: r, Key: objs[0].Key, Version: 1, Value: objs[0].Value}
+						if i == 7 {
+							objs = append(objs, store.Object{Key: "n" + key, Version: 1, Value: []byte("v")})
+							env.Msg, env.Last = &PutBatchRequest{Routing: r, Objs: objs}, false
+						}
+						stored[p] = append(stored[p], objs...)
+					}
+					if env.From == origin {
+						answers++
+					}
+					n.DispatchData(env)
+				}
+				for i := 0; i < answers; i++ {
+					select {
+					case <-answered[p]:
+					case <-time.After(10 * time.Second):
+						errs <- fmt.Errorf("producer %d: burst %d has %d of %d answers after 10s", p, b, i, answers)
+						return
+					}
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		queued := 0
+		for i := range n.shards {
+			queued += n.ShardDepth(i)
+		}
+		if queued == 0 && n.running.Load() == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("5s after the last answer: %d envelopes queued, %d runs in progress", queued, n.running.Load())
+		}
+	}
+	if n.Metrics().Get(metrics.InlinePuts) == 0 {
+		t.Error("no put ran inline: the hammer missed the path it is for")
+	}
+	if d := n.ShardDropped(); d != 0 {
+		t.Errorf("%d envelopes dropped", d)
+	}
+	if s := stale.Load(); s != 0 {
+		t.Errorf("%d gets answered an older version than the put queued before them", s)
+	}
+	n.StopShards()
+	for p := range stored {
+		for _, o := range stored[p] {
+			if _, _, ok, err := st.Get(o.Key, o.Version); !ok || err != nil {
+				t.Fatalf("%s v%d not stored after the stop (err %v)", o.Key, o.Version, err)
+			}
+		}
+	}
+}
+
 // TestDeleteBatchHammer: producers race delete batches whose two keys
 // live on different shards against mates' relay copies of the same keys,
 // while a round commits the window every 2ms. Producers of even and odd

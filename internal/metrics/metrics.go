@@ -138,6 +138,11 @@ const (
 	// goroutine that read them, found idle, instead of queueing them for
 	// its own goroutine.
 	InlineGets
+	// InlinePuts counts the puts a shard, found idle, ran on the fabric
+	// goroutine that read them instead of queueing them for its own: a
+	// paced client's entry puts and mates' relay copies whose run sends
+	// nothing (a relay batch counts its objects).
+	InlinePuts
 	// SliceChanges counts changes of the node's assigned slice after its
 	// first assignment.
 	SliceChanges
@@ -182,6 +187,7 @@ var counterNames = [...]string{
 	SharedAnswers:              "shared_answers",
 	AnswerFrames:               "answer_frames",
 	InlineGets:                 "inline_gets",
+	InlinePuts:                 "inline_puts",
 	SliceChanges:               "slice_changes",
 	SliceRounds:                "slice_rounds",
 }

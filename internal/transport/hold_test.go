@@ -227,15 +227,14 @@ func TestTCPBuffersOverBoundReleased(t *testing.T) {
 		stream = binary.BigEndian.AppendUint32(stream, uint32(len(frame)))
 		stream = append(stream, frame...)
 	}
-	br := bufio.NewReader(bytes.NewReader(stream))
-	buf, ok := b.readFrame(br, nil)
-	if !ok || cap(buf) == 0 {
-		t.Fatalf("after a small frame: ok %v, buffer cap %d; want it kept", ok, cap(buf))
+	in := inbound{br: bufio.NewReader(bytes.NewReader(stream))}
+	if ok := b.readFrame(&in); !ok || cap(in.frame) == 0 {
+		t.Fatalf("after a small frame: ok %v, buffer cap %d; want it kept", ok, cap(in.frame))
 	}
-	if buf, ok = b.readFrame(br, buf); !ok || buf != nil {
-		t.Fatalf("after a frame over the bound: ok %v, buffer cap %d; want it dropped", ok, cap(buf))
+	if ok := b.readFrame(&in); !ok || in.frame != nil {
+		t.Fatalf("after a frame over the bound: ok %v, buffer cap %d; want it dropped", ok, cap(in.frame))
 	}
-	if buf, ok = b.readFrame(br, buf); !ok || cap(buf) == 0 || cap(buf) > bufKeep {
-		t.Fatalf("after a small frame again: ok %v, buffer cap %d", ok, cap(buf))
+	if ok := b.readFrame(&in); !ok || cap(in.frame) == 0 || cap(in.frame) > bufKeep {
+		t.Fatalf("after a small frame again: ok %v, buffer cap %d", ok, cap(in.frame))
 	}
 }

@@ -444,6 +444,21 @@ func (t *TCPNetwork) acceptLoop() {
 	}
 }
 
+// pacedAfter is how many frames in a row a stream must deliver Last
+// before its next Last frame is marked Paced: a sender that has written
+// one frame at a time that long writes a frame and waits for its answer.
+// One frame that arrives with another behind it starts the count again.
+const pacedAfter = 64
+
+// inbound is one connection's read state, owned by its read loop: the
+// reader, the buffer frames are read into, and how many frames in a row
+// arrived alone (Last).
+type inbound struct {
+	br    *bufio.Reader
+	frame []byte
+	alone int
+}
+
 // readLoop drains one connection's length-prefixed frames until the
 // stream dies, a length prefix is zero or over maxTCPFrame, or a frame
 // fails to decode (which is how a peer speaking anything but this
@@ -454,49 +469,56 @@ func (t *TCPNetwork) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(conn)
 	defer conn.Close()
-	br := bufio.NewReader(conn)
-	var frame []byte
-	for ok := true; ok; {
-		frame, ok = t.readFrame(br, frame)
+	in := inbound{br: bufio.NewReader(conn)}
+	for t.readFrame(&in) {
 	}
 }
 
-// readFrame reads one frame into buf, decodes it and delivers it. It
-// returns the buffer for the next frame — buf, or nil once it grew past
-// bufKeep — and false when the stream is done with.
-func (t *TCPNetwork) readFrame(br *bufio.Reader, buf []byte) ([]byte, bool) {
+// readFrame reads one frame into in's buffer — which it drops once it
+// grew past bufKeep — decodes it and delivers it, marked Last when the
+// reader holds no further frame and Paced when it is Last and more than
+// pacedAfter frames before it arrived alone too. It returns false when
+// the stream is done with.
+func (t *TCPNetwork) readFrame(in *inbound) bool {
 	var lenBuf [4]byte
-	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-		return nil, false
+	if _, err := io.ReadFull(in.br, lenBuf[:]); err != nil {
+		return false
 	}
 	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n == 0 || n > maxTCPFrame {
-		return nil, false
+		return false
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
+	if cap(in.frame) < int(n) {
+		in.frame = make([]byte, n)
 	}
-	frame := buf[:n]
-	if _, err := io.ReadFull(br, frame); err != nil {
-		return nil, false
+	frame := in.frame[:n]
+	if _, err := io.ReadFull(in.br, frame); err != nil {
+		return false
 	}
 	env, err := t.codec.Decode(frame)
 	if err != nil {
-		return nil, false
+		return false
 	}
-	return keepBuf(buf), t.deliver(env, int(n), br.Buffered() == 0)
+	in.frame = keepBuf(in.frame)
+	last := in.br.Buffered() == 0
+	if last {
+		in.alone++
+	} else {
+		in.alone = 0
+	}
+	return t.deliver(env, int(n), last, in.alone > pacedAfter)
 }
 
 // deliver hands one decoded envelope of a frame of the given length to
-// the node, marked Last when the read loop holds no further frame of its
-// stream; it reports false when the fabric is shutting down.
-func (t *TCPNetwork) deliver(env *WireEnvelope, bytes int, last bool) bool {
+// the node with the read loop's marks (Envelope.Last, Envelope.Paced);
+// it reports false when the fabric is shutting down.
+func (t *TCPNetwork) deliver(env *WireEnvelope, bytes int, last, paced bool) bool {
 	if t.closed.Load() {
 		return false
 	}
 	if env.FromAddr != "" {
 		t.Learn(env.From, env.FromAddr)
 	}
-	t.handler(Envelope{From: env.From, To: env.To, Msg: env.Msg, Bytes: bytes, Last: last})
+	t.handler(Envelope{From: env.From, To: env.To, Msg: env.Msg, Bytes: bytes, Last: last, Paced: paced})
 	return true
 }

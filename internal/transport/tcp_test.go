@@ -243,7 +243,7 @@ func TestTCPDeliverConcurrentWithSend(t *testing.T) {
 		go func(from NodeID) {
 			defer wg.Done()
 			for i := 0; i < frames; i++ {
-				if !a.deliver(&WireEnvelope{From: from, FromAddr: "127.0.0.1:9", To: 1, Msg: &tcpTestMsg{}}, 0, true) {
+				if !a.deliver(&WireEnvelope{From: from, FromAddr: "127.0.0.1:9", To: 1, Msg: &tcpTestMsg{}}, 0, true, false) {
 					t.Error("deliver refused a frame on an open fabric")
 					return
 				}
@@ -270,7 +270,7 @@ func TestTCPDeliverConcurrentWithSend(t *testing.T) {
 			t.Fatalf("peer %d learned as %q", 10+g, addr)
 		}
 	}
-	a.deliver(&WireEnvelope{From: 10, FromAddr: "127.0.0.1:10", To: 1, Msg: &tcpTestMsg{}}, 0, true)
+	a.deliver(&WireEnvelope{From: 10, FromAddr: "127.0.0.1:10", To: 1, Msg: &tcpTestMsg{}}, 0, true, false)
 	if addr := peerAddr(10); addr != "127.0.0.1:10" {
 		t.Fatalf("changed address not taken: peer 10 is %q", addr)
 	}
@@ -516,5 +516,58 @@ func TestTCPMarksLastFrameInHand(t *testing.T) {
 	envs := col.waitFor(t, 2, 5*time.Second)
 	if envs[0].Last || !envs[1].Last {
 		t.Fatalf("Last = %v, %v; want false, true", envs[0].Last, envs[1].Last)
+	}
+}
+
+// TestTCPMarksPacedStreams: a Last frame is Paced once more than
+// pacedAfter frames before it also arrived alone, as from a sender that
+// writes a frame and waits for its answer; one write of two frames, the
+// first not Last, starts the count again.
+func TestTCPMarksPacedStreams(t *testing.T) {
+	col := newCollector()
+	b, err := ListenTCP(2, "127.0.0.1:0", "", testTCP, col.handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	delivered := 0
+	write := func(frames int) []Envelope {
+		t.Helper()
+		var stream []byte
+		for i := 0; i < frames; i++ {
+			frame, _ := textCodec{}.Encode(nil, &WireEnvelope{From: 1, To: 2, Msg: &tcpTestMsg{Text: "x"}})
+			stream = binary.BigEndian.AppendUint32(stream, uint32(len(frame)))
+			stream = append(stream, frame...)
+		}
+		if _, err := conn.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		delivered += frames
+		return col.waitFor(t, delivered, 5*time.Second)[delivered-frames:]
+	}
+	for i := 1; i <= pacedAfter+2; i++ {
+		env := write(1)[0]
+		if want := i > pacedAfter; !env.Last || env.Paced != want {
+			t.Fatalf("lone frame %d: Last %v, Paced %v; want true, %v", i, env.Last, env.Paced, want)
+		}
+	}
+	if pair := write(2); pair[0].Last || pair[0].Paced || !pair[1].Last || pair[1].Paced {
+		t.Fatalf("two frames in one write: Last %v, %v, Paced %v, %v; want false, true and neither paced",
+			pair[0].Last, pair[1].Last, pair[0].Paced, pair[1].Paced)
+	}
+	// The second frame of the pair arrived alone: it counts as the first
+	// of the next run.
+	for i := 2; i <= pacedAfter; i++ {
+		if env := write(1)[0]; env.Paced {
+			t.Fatalf("lone frame %d after the pair is Paced", i)
+		}
+	}
+	if env := write(1)[0]; !env.Paced {
+		t.Fatalf("lone frame %d after the pair is not Paced", pacedAfter+1)
 	}
 }

@@ -44,6 +44,12 @@ type Envelope struct {
 	// this one arrived on was already read: nothing behind it waits for
 	// its handler to return. Every other fabric leaves it false.
 	Last bool
+	// Paced is set by the TCP fabric on a Last frame of a stream whose
+	// previous 64 frames (pacedAfter) each arrived Last too: its sender
+	// writes one frame and waits for the answer before the next, so
+	// holding its handler stops nothing queued behind it. Every other
+	// fabric leaves it false.
+	Paced bool
 }
 
 // Fabric is the unified send surface every transport implements: one
